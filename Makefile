@@ -10,7 +10,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Coordinator address used by the `work` convenience target.
 COORDINATOR ?= http://127.0.0.1:9090
 
-.PHONY: build test race chaos chaos-distrib bench bench-json fmt vet fidelitylint lint verify serve work e2e-distrib harden e2e-harden ci
+.PHONY: build test race chaos chaos-distrib bench fmt vet fidelitylint lint verify serve work e2e-distrib harden e2e-harden ci
 
 build:
 	$(GO) build ./...
@@ -36,50 +36,17 @@ chaos:
 # transport-chaos differential (drops, delays, duplicates, truncation, bit
 # corruption, 5xx bursts at 1/2/4 workers must stay byte-identical to a
 # clean run), result audits catching a lying worker, graceful drain,
-# corrupted/legacy state recovery, and the lease-table dedup/stale/audit
-# unit tests. Run twice under -race — retry and re-issue paths are exactly
+# corrupted and parent-written state recovery, and the lease-table
+# dedup/stale/audit unit tests. Run twice under -race — retry and re-issue paths are exactly
 # where flakes would hide.
 chaos-distrib:
 	$(GO) test -race -timeout 30m -count=2 -run 'TestChaos|TestDistribAudit|TestDistribDrain|TestCoordinatorState|TestLeaseTable' ./internal/distrib/
 
-# One iteration of every benchmark — smoke, not measurement.
+# One iteration of every paper-figure benchmark — smoke, not measurement.
+# Performance is measured by the repo benchmark: `go run ./benchmark`, and
+# `go run ./benchmark compare` for parent-vs-change pairs.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
-
-# Measure the paired benchmarks and export them as benchstat-compatible JSON
-# artifacts (per-workload ns/op + allocs/op, speedups, and the geomean):
-# replay-vs-full per injection (BENCH_inject.json), optimized-vs-baseline per
-# campaign (BENCH_campaign.json), adaptive-vs-fixed experiment counts at
-# equal Wilson CI (BENCH_adaptive.json), and hardened-vs-baseline FIT
-# (BENCH_harden.json). CI uploads all four.
-bench-json:
-	$(GO) test -run '^$$' -bench '^BenchmarkInjectionReplay$$' -benchmem . > bench_inject.txt
-	$(GO) run ./cmd/benchjson -o BENCH_inject.json < bench_inject.txt
-	@rm -f bench_inject.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkCampaign$$' -timeout 60m . > bench_campaign.txt
-	$(GO) run ./cmd/benchjson -o BENCH_campaign.json < bench_campaign.txt
-	@rm -f bench_campaign.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkAdaptive$$' -timeout 60m . > bench_adaptive.txt
-	$(GO) run ./cmd/benchjson -o BENCH_adaptive.json < bench_adaptive.txt
-	@rm -f bench_adaptive.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkHarden$$' -timeout 60m . > bench_harden.txt
-	$(GO) run ./cmd/benchjson -o BENCH_harden.json < bench_harden.txt
-	@rm -f bench_harden.txt
-
-# Regenerate the benchmark artifacts into *.new.json and gate them against
-# the committed baselines: fail if either geomean speedup regressed by more
-# than 10%. Mirrors CI's bench-trajectory job.
-bench-gate:
-	cp BENCH_inject.json BENCH_inject.base.json
-	cp BENCH_campaign.json BENCH_campaign.base.json
-	cp BENCH_adaptive.json BENCH_adaptive.base.json
-	cp BENCH_harden.json BENCH_harden.base.json
-	$(MAKE) bench-json
-	$(GO) run ./cmd/benchjson/benchgate -old BENCH_inject.base.json -new BENCH_inject.json
-	$(GO) run ./cmd/benchjson/benchgate -old BENCH_campaign.base.json -new BENCH_campaign.json
-	$(GO) run ./cmd/benchjson/benchgate -old BENCH_adaptive.base.json -new BENCH_adaptive.json
-	$(GO) run ./cmd/benchjson/benchgate -old BENCH_harden.base.json -new BENCH_harden.json
-	@rm -f BENCH_inject.base.json BENCH_campaign.base.json BENCH_adaptive.base.json BENCH_harden.base.json
 
 fmt:
 	@diff=$$(gofmt -l .); \
@@ -139,8 +106,8 @@ harden:
 	$(GO) run ./cmd/fidelity harden $(HARDEN_FLAGS)
 
 # The hardening end-to-end suite under -race: golden bit-identity with clamps
-# installed, byte-identical hardened campaigns at 1/2/4 workers and replay
-# on/off, interrupt/resume with the hardening checkpoint identity, and the
+# installed, byte-identical hardened campaigns at 1/2/4 workers, replay vs the
+# plain-forward oracle on the clamped network, interrupt/resume with the hardening checkpoint identity, and the
 # full pipeline meeting the ASIL-D budget. Mirrors CI's harden-e2e job.
 e2e-harden:
 	$(GO) test -race -count=1 ./internal/harden/

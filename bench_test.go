@@ -16,7 +16,6 @@ package fidelity
 //	BenchmarkSpeedup      — Sec. VI per-injection cost comparison
 //	BenchmarkBaseline     — Sec. VI naive-FI underestimate
 //	BenchmarkInjection    — single software fault injection (the unit of the 46M study)
-//	BenchmarkInjectionReplay — incremental golden-replay vs full forward per workload
 //	BenchmarkRTLInjection — single cycle-level injection (the golden reference unit)
 //	BenchmarkAblation*    — design-choice ablations (see DESIGN.md §5)
 
@@ -34,10 +33,8 @@ import (
 	"fidelity/internal/dataset"
 	"fidelity/internal/faultmodel"
 	"fidelity/internal/fit"
-	"fidelity/internal/harden"
 	"fidelity/internal/inject"
 	"fidelity/internal/model"
-	"fidelity/internal/nn"
 	"fidelity/internal/numerics"
 	"fidelity/internal/reuse"
 	"fidelity/internal/rtlsim"
@@ -297,232 +294,6 @@ func BenchmarkInjection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := inj.Run(context.Background(), faultmodel.CBUFMACWeight, 0.1); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// benchInjector builds a prepared injector for net with the replay engine on
-// or off, mirroring BenchmarkInjection's setup.
-func benchInjector(b *testing.B, net string, disableReplay bool) *inject.Injector {
-	b.Helper()
-	cfg := accel.NVDLASmall()
-	w, err := model.Build(net, numerics.FP16, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	models, err := faultmodel.Derive(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := faultmodel.NewSampler(models, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inj := inject.New(w, s)
-	inj.DisableReplay = disableReplay
-	x, err := dataset.Sample(w.Dataset, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := inj.Prepare(x); err != nil {
-		b.Fatal(err)
-	}
-	return inj
-}
-
-// BenchmarkInjectionReplay compares the per-experiment cost of the
-// incremental golden-replay engine against a full forward pass, across the
-// CNN zoo plus the masked-at-layer fast path (an injection whose fault is
-// absorbed before leaving the target layer, so replay executes no suffix at
-// all). `make bench-json` turns this benchmark into BENCH_inject.json with
-// per-workload speedups.
-func BenchmarkInjectionReplay(b *testing.B) {
-	modes := []struct {
-		name    string
-		disable bool
-	}{{"replay", false}, {"full", true}}
-	for _, net := range []string{"inception", "resnet", "mobilenet"} {
-		for _, mode := range modes {
-			b.Run(net+"/"+mode.name, func(b *testing.B) {
-				inj := benchInjector(b, net, mode.disable)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := inj.Run(context.Background(), faultmodel.CBUFMACWeight, 0.1); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-	// Pin the injection site to resnet's res2 projection shortcut — a 1x1
-	// stride-2 conv where most input elements fall off the stride lattice, so
-	// the reuse set is empty and the experiment masks at the layer. Replay
-	// returns without executing any downstream layer.
-	for _, mode := range modes {
-		b.Run("masked-at-layer/"+mode.name, func(b *testing.B) {
-			inj := benchInjector(b, "resnet", mode.disable)
-			idx := -1
-			for i := 0; i < inj.Executions(); i++ {
-				if inj.Execution(i).Site.Name() == "res2/proj" {
-					idx = i
-					break
-				}
-			}
-			if idx < 0 {
-				b.Fatal("res2/proj execution not found")
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := inj.RunAt(context.Background(), idx, faultmodel.BeforeCBUFInput, 0.1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAdaptive measures the adaptive planner's experiment savings at
-// equal statistical resolution: each CNN runs once with Wilson-CI early
-// stopping (TargetCI) and once with the fixed per-stratum count
-// SamplesFor(TargetCI) that guarantees the same worst-case half-width. The
-// reported "ns/op" value is experiments executed per campaign, not time, so
-// the paired BENCH_adaptive.json speedup is the fixed/adaptive experiment
-// ratio — the quantity the adaptive sampler exists to shrink. The zoo runs
-// at INT8, where masking probabilities sit near the extremes and early
-// stopping pays most; FP16's datapath strata are mid-range, so its savings
-// are smaller (~3x) and bounded by the strata that genuinely need the
-// worst-case budget. `make bench-json` turns this into BENCH_adaptive.json.
-func BenchmarkAdaptive(b *testing.B) {
-	cfg := accel.NVDLASmall()
-	const target = 0.03
-	modes := []struct {
-		name string
-		opts campaign.StudyOptions
-	}{
-		{"adaptive", campaign.StudyOptions{TargetCI: target, Inputs: 1, Tolerance: 0.1, Seed: 1}},
-		{"fixed", campaign.StudyOptions{Samples: campaign.SamplesFor(target), Inputs: 1, Tolerance: 0.1, Seed: 1}},
-	}
-	for _, net := range []string{"inception", "resnet", "mobilenet"} {
-		w, err := model.Build(net, numerics.INT8, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, mode := range modes {
-			b.Run(net+"/"+mode.name, func(b *testing.B) {
-				exps := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := campaign.Study(context.Background(), cfg, w, mode.opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					exps = res.Experiments
-				}
-				b.ReportMetric(float64(exps), "ns/op")
-			})
-		}
-	}
-}
-
-// BenchmarkCampaign measures full-campaign wall clock — golden trace, every
-// fault model, tallies, FIT — under the optimized execution stack (tiled
-// kernels, dirty-region sweeps, site-grouped experiment batching, one shared
-// golden trace per input) against the engine exactly as it stood before that
-// stack landed: reference kernels, whole-layer recomputes, unbatched shard
-// loop, per-shard golden tracing. The replay engine itself is on in both
-// modes (it predates the stack), so the ratio isolates this PR's
-// contribution. `make bench-json` turns it into BENCH_campaign.json with
-// per-workload speedups and their geomean.
-func BenchmarkCampaign(b *testing.B) {
-	cfg := accel.NVDLASmall()
-	modes := []struct {
-		name     string
-		baseline bool
-	}{{"optimized", false}, {"baseline", true}}
-	for _, net := range []string{"inception", "resnet", "mobilenet", "yolo"} {
-		w, err := model.Build(net, numerics.FP16, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, mode := range modes {
-			b.Run(net+"/"+mode.name, func(b *testing.B) {
-				opts := campaign.StudyOptions{Samples: 24, Inputs: 1, Tolerance: 0.1, Seed: 1}
-				if mode.baseline {
-					nn.SetReferenceKernels(true)
-					defer nn.SetReferenceKernels(false)
-					opts.DisableRegionSweep = true
-					opts.ExperimentBatch = 1
-					opts.DisableGoldenShare = true
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := campaign.Study(context.Background(), cfg, w, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkHarden measures the closed hardening loop's FIT reduction: each
-// CNN runs one per-layer campaign unhardened and one with the golden-envelope
-// clamps installed (README "Hardening", DESIGN.md §11). Like
-// BenchmarkAdaptive, the reported "ns/op" value re-purposes the slot for a
-// deterministic quantity — the global-control-protected FIT in micro-FIT
-// (FIT × 1e6) — so the paired BENCH_harden.json "speedup" is the
-// baseline/hardened FIT ratio, the factor range restriction buys. Both
-// campaigns are shard-deterministic, so the artifact is byte-stable across
-// machines and the trajectory gate never sees timing noise. `make bench-json`
-// turns this into BENCH_harden.json.
-func BenchmarkHarden(b *testing.B) {
-	cfg := accel.NVDLASmall()
-	opts := campaign.StudyOptions{Samples: 12, Inputs: 1, Tolerance: 0.1, Seed: 1, PerLayer: true}
-	for _, net := range []string{"inception", "resnet", "mobilenet"} {
-		plain, err := model.Build(net, numerics.FP16, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		prof, err := harden.Profile(plain, opts.Inputs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hcfg, err := harden.RangeRestriction{Envelopes: prof}.Plan(cfg, nil, harden.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		hw, err := model.Build(net, numerics.FP16, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := hcfg.Apply(hw.Net); err != nil {
-			b.Fatal(err)
-		}
-		hopts := opts
-		if hopts.Hardening, err = hcfg.Fingerprint(); err != nil {
-			b.Fatal(err)
-		}
-		modes := []struct {
-			name string
-			w    *model.Workload
-			opts campaign.StudyOptions
-		}{{"baseline", plain, opts}, {"hardened", hw, hopts}}
-		for _, mode := range modes {
-			b.Run(net+"/"+mode.name, func(b *testing.B) {
-				var microFIT float64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := campaign.Study(context.Background(), cfg, mode.w, mode.opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					microFIT = res.FITProtected.Total * 1e6
-				}
-				if microFIT <= 0 {
-					b.Fatalf("%s FIT collapsed to zero; the pairing needs a positive residual", mode.name)
-				}
-				b.ReportMetric(microFIT, "ns/op")
-			})
 		}
 	}
 }

@@ -171,8 +171,6 @@ func sensitivity(ctx context.Context, args []string) error {
 	actDelta := fs.Float64("act", 0.2, "relative uncertainty of the activeness estimates")
 	expTimeout := fs.Duration("experiment-timeout", 0, "per-experiment watchdog deadline (0 = off)")
 	failBudget := fs.Int("failure-budget", 0, "max quarantined experiments per shard (0 = default, negative = unlimited)")
-	noReplay := fs.Bool("no-replay", false, "disable the incremental golden-replay engine (bit-identical results, slower)")
-	batch := fs.Int("batch", campaign.DefaultExperimentBatch, "experiment batch window for site-grouped execution (1 = unbatched; bit-identical results for every value)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -199,11 +197,6 @@ func sensitivity(ctx context.Context, args []string) error {
 		fs.Usage()
 		os.Exit(2)
 	}
-	if *batch <= 0 {
-		fmt.Fprintf(os.Stderr, "fidelity: -batch must be positive (got %d; 1 disables batching)\n", *batch)
-		fs.Usage()
-		os.Exit(2)
-	}
 	cfg := accel.NVDLASmall()
 	fw, err := core.New(cfg)
 	if err != nil {
@@ -212,7 +205,6 @@ func sensitivity(ctx context.Context, args []string) error {
 	res, err := fw.Analyze(ctx, *net, numerics.FP16, campaign.StudyOptions{
 		Samples: *samples, TargetCI: *targetCI, Inputs: 2, Tolerance: 0.1, Seed: 1, Workers: runtime.NumCPU(),
 		ExperimentTimeout: *expTimeout, FailureBudget: *failBudget,
-		DisableReplay: *noReplay, ExperimentBatch: *batch,
 	})
 	if err != nil {
 		return err

@@ -33,14 +33,13 @@ func runCLI(t *testing.T, args ...string) (string, int) {
 	return buf.String(), code
 }
 
-func TestSensitivityBatchFlagRejectsNonPositive(t *testing.T) {
-	for _, bad := range []string{"0", "-1"} {
-		out, code := runCLI(t, "sensitivity", "-batch", bad)
-		if code != 2 {
-			t.Errorf("sensitivity -batch %s: exit %d, want usage exit 2\n%s", bad, code, out)
-		}
-		if !strings.Contains(out, "-batch must be positive") {
-			t.Errorf("sensitivity -batch %s: missing validation message:\n%s", bad, out)
+// The execution-path switches are gone: a stale script passing one must fail
+// loudly with the standard usage exit, not silently run the default path.
+func TestSensitivityRemovedPathFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{{"-no-replay"}, {"-batch", "1"}} {
+		out, code := runCLI(t, append([]string{"sensitivity"}, args...)...)
+		if code != 2 || !strings.Contains(out, "flag provided but not defined: "+args[0]) {
+			t.Errorf("sensitivity %v: exit %d, want usage exit 2 naming the flag\n%s", args, code, out)
 		}
 	}
 }

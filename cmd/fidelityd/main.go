@@ -107,8 +107,6 @@ func serve(ctx context.Context, args []string) error {
 	seed := fs.Int64("seed", 1, "sampling seed (campaign identity)")
 	shards := fs.Int("shards", 0, "deterministic sampling shards (0 = default; campaign identity like -seed)")
 	perLayer := fs.Bool("perlayer", false, "estimate Prob_SWmask per layer (multiplies experiment count)")
-	noReplay := fs.Bool("no-replay", false, "workers run full forward passes instead of incremental golden replay")
-	batch := fs.Int("batch", campaign.DefaultExperimentBatch, "experiment batch window for site-grouped execution (1 = unbatched; byte-identical results for every value)")
 	expTimeout := fs.Duration("experiment-timeout", 0, "per-experiment watchdog deadline on workers (0 = off)")
 	failBudget := fs.Int("failure-budget", 0, "max quarantined experiments per shard before it degrades (0 = default)")
 	leaseTTL := fs.Duration("lease-ttl", distrib.DefaultLeaseTTL, "per-lease heartbeat budget; lapsed leases are re-issued")
@@ -145,9 +143,6 @@ func serve(ctx context.Context, args []string) error {
 	if *leaseTTL <= 0 {
 		usageError(fs, "-lease-ttl must be positive (got %v)", *leaseTTL)
 	}
-	if *batch <= 0 {
-		usageError(fs, "-batch must be positive (got %d; 1 disables batching)", *batch)
-	}
 	if *auditFraction < 0 || *auditFraction > 1 {
 		usageError(fs, "-audit-fraction must be in [0,1] (got %g)", *auditFraction)
 	}
@@ -168,8 +163,6 @@ func serve(ctx context.Context, args []string) error {
 		Seed:              *seed,
 		Shards:            *shards,
 		PerLayer:          *perLayer,
-		DisableReplay:     *noReplay,
-		ExperimentBatch:   *batch,
 		ExperimentTimeout: *expTimeout,
 		FailureBudget:     *failBudget,
 	}

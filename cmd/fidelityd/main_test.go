@@ -35,14 +35,14 @@ func runCLI(t *testing.T, args ...string) (string, int) {
 
 // serve's flag validation runs before any listener binds, so rejected
 // invocations exit immediately without touching the network.
-func TestServeBatchFlagRejectsNonPositive(t *testing.T) {
-	for _, bad := range []string{"0", "-8"} {
-		out, code := runCLI(t, "serve", "-batch", bad)
-		if code != 2 {
-			t.Errorf("serve -batch %s: exit %d, want usage exit 2\n%s", bad, code, out)
-		}
-		if !strings.Contains(out, "-batch must be positive") {
-			t.Errorf("serve -batch %s: missing validation message:\n%s", bad, out)
+
+// The execution-path switches are gone: a stale script passing one must fail
+// loudly with the standard usage exit, not silently run the default path.
+func TestServeRemovedPathFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{{"-no-replay"}, {"-batch", "1"}} {
+		out, code := runCLI(t, append([]string{"serve"}, args...)...)
+		if code != 2 || !strings.Contains(out, "flag provided but not defined: "+args[0]) {
+			t.Errorf("serve %v: exit %d, want usage exit 2 naming the flag\n%s", args, code, out)
 		}
 	}
 }

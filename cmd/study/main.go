@@ -79,9 +79,6 @@ func main() {
 	failBudget := flag.Int("failure-budget", 0, "max quarantined experiments per shard before the study degrades to a partial result (0 = default, negative = unlimited)")
 	ioRetries := flag.Int("io-retries", 0, "retries for transient checkpoint/manifest write failures (0 = default)")
 	ioBackoff := flag.Duration("io-backoff", 0, "initial backoff between I/O retries, doubling per attempt (0 = default)")
-	noReplay := flag.Bool("no-replay", false, "disable the incremental golden-replay engine and run every experiment as a full forward pass (bit-identical results, slower)")
-	noRegion := flag.Bool("no-region-sweep", false, "recompute whole layers during replay instead of only the dirty output region (bit-identical results, slower)")
-	batch := flag.Int("batch", campaign.DefaultExperimentBatch, "experiment batch window for site-grouped execution (1 = unbatched; bit-identical results for every value)")
 	flag.Parse()
 	if *targetCI != 0 {
 		samplesSet := false
@@ -112,9 +109,6 @@ func main() {
 	if *workers < 0 {
 		usageError("-workers must be non-negative (got %d; 0 selects the default)", *workers)
 	}
-	if *batch <= 0 {
-		usageError("-batch must be positive (got %d; 1 disables batching)", *batch)
-	}
 
 	// SIGINT/SIGTERM cancel the campaign context; workers stop at an
 	// experiment boundary and the engine saves a checkpoint.
@@ -139,9 +133,6 @@ func main() {
 			FailureBudget:      *failBudget,
 			IORetries:          *ioRetries,
 			IOBackoff:          *ioBackoff,
-			DisableReplay:      *noReplay,
-			DisableRegionSweep: *noRegion,
-			ExperimentBatch:    *batch,
 		},
 	}
 	// Progress lines from an in-process campaign are attributed "local";

@@ -39,27 +39,15 @@ func runCLI(t *testing.T, args ...string) (string, int) {
 	return buf.String(), code
 }
 
-func TestBatchFlagRejectsNonPositive(t *testing.T) {
-	for _, bad := range []string{"0", "-3"} {
-		out, code := runCLI(t, "-batch", bad, "-setup")
-		if code != 2 {
-			t.Errorf("-batch %s: exit %d, want usage exit 2\n%s", bad, code, out)
+// The execution-path switches are gone (one path ships; the oracle is a
+// test-only seam): a stale script passing one must fail loudly with the
+// standard usage exit, not silently run the default path.
+func TestRemovedPathFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{{"-no-replay"}, {"-no-region-sweep"}, {"-batch", "1"}} {
+		out, code := runCLI(t, append(args, "-setup")...)
+		if code != 2 || !strings.Contains(out, "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: exit %d, want usage exit 2 naming the flag\n%s", args, code, out)
 		}
-		if !strings.Contains(out, "-batch must be positive") {
-			t.Errorf("-batch %s: missing validation message in output:\n%s", bad, out)
-		}
-	}
-}
-
-func TestBatchFlagAcceptsPositive(t *testing.T) {
-	// -setup only prints a static table, so a valid invocation exits 0
-	// without running a campaign.
-	out, code := runCLI(t, "-batch", "1", "-setup")
-	if code != 0 {
-		t.Fatalf("-batch 1 -setup: exit %d\n%s", code, out)
-	}
-	if !strings.Contains(out, "Table IV") {
-		t.Fatalf("-setup output missing Table IV:\n%s", out)
 	}
 }
 

@@ -364,13 +364,7 @@ func (sh *shardState) runAdaptive(ctx context.Context) error {
 		activeInput = 0
 		nexec = sh.inj.Executions()
 		if sh.perLayer == nil {
-			sh.perLayer = make([]map[faultmodel.ID]*Proportion, nexec)
-			for e := range sh.perLayer {
-				sh.perLayer[e] = map[faultmodel.ID]*Proportion{}
-				for _, id := range ids {
-					sh.perLayer[e][id] = &Proportion{}
-				}
-			}
+			sh.perLayer = newLayerTallies(nexec)
 		}
 	}
 	strata := StrataFor(opts.PerLayer, nexec)
@@ -425,26 +419,8 @@ func (sh *shardState) runAdaptive(ctx context.Context) error {
 					return err
 				}
 				cur := Cursor{Input: i, Model: st.Model, Exec: encExec(st), Sample: k}
-				// Flat strata batch by predicted target site exactly like the
-				// fixed-count loop; per-layer strata pin the site already and
-				// global control never draws one.
-				batch := opts.experimentBatch()
-				if st.Exec < 0 && id != faultmodel.GlobalControl && batch > 1 {
-					for cur.Sample < kHi {
-						n := ceilDiv(kHi-cur.Sample, opts.Inputs)
-						if n > batch {
-							n = batch
-						}
-						if err := sh.stepBatch(ctx, &cur, id, n, opts.Inputs); err != nil {
-							return err
-						}
-					}
-					continue
-				}
-				for ; cur.Sample < kHi; cur.Sample += opts.Inputs {
-					if err := sh.step(ctx, cur, id, st.Exec); err != nil {
-						return err
-					}
+				if err := sh.runSamples(ctx, &cur, id, st.Exec, kHi, opts.Inputs); err != nil {
+					return err
 				}
 			}
 		}

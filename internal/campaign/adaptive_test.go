@@ -39,13 +39,13 @@ func TestAdaptiveWorkerDeterminism(t *testing.T) {
 				workers, want, workers, got)
 		}
 	}
-	// The batch window is an execution-order optimization in adaptive rounds
-	// too: unbatched must match exactly.
+	// The window is an execution-order optimization in adaptive rounds too:
+	// one experiment per window must match exactly.
 	opts := base
 	opts.Workers = 4
-	opts.ExperimentBatch = 1
+	opts.window = 1
 	if got := studyJSON(t, w, opts); !bytes.Equal(want, got) {
-		t.Errorf("adaptive StudyResult JSON differs unbatched:\nbatched:   %s\nunbatched: %s", want, got)
+		t.Errorf("adaptive StudyResult JSON differs at window 1:\nwindow 64: %s\nwindow 1:  %s", want, got)
 	}
 }
 
@@ -179,8 +179,8 @@ func TestAdaptiveValidation(t *testing.T) {
 }
 
 // TestAdaptiveOffUnchanged: with TargetCI zero the engine must take the
-// legacy fixed-count path bit-for-bit — the refactor (run dispatch, stepBatch
-// stride, extracted dispatchShards) is invisible to existing campaigns.
+// fixed-count path bit-for-bit — the adaptive machinery (run dispatch, window
+// stride, extracted dispatchShards) is invisible to fixed-count campaigns.
 func TestAdaptiveOffUnchanged(t *testing.T) {
 	w := engineWorkload(t)
 	base := StudyOptions{Samples: 24, Inputs: 2, Tolerance: 0.1, Seed: 7, Shards: 8}

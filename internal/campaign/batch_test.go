@@ -17,20 +17,25 @@ import (
 )
 
 // The differential equivalence suite for the tiled-kernel + dirty-region +
-// site-grouped-batching optimization stack. Every switch in the stack must be
-// a pure performance optimization: StudyResult JSON and checkpoints must be
+// site-grouped-window optimization stack. Every layer of the stack must be a
+// pure performance optimization: StudyResult JSON and checkpoints must be
 // byte-identical across all of
 //
 //   - tiled kernels vs the frozen reference kernels,
-//   - dirty-region sweeps vs whole-layer recomputes,
-//   - any experiment batch window vs the unbatched loop,
+//   - replay with dirty-region sweeps vs the plain-forward oracle,
+//   - any experiment window size, down to one experiment per window,
 //
 // including under deterministic interruption and cross-mode resume.
 
 // studyJSON runs a study and marshals its result.
 func studyJSON(t *testing.T, w *model.Workload, opts StudyOptions) []byte {
 	t.Helper()
-	res, err := Study(context.Background(), accel.NVDLASmall(), w, opts)
+	return studyJSONWith(t, Study, w, opts)
+}
+
+func studyJSONWith(t *testing.T, study studyFunc, w *model.Workload, opts StudyOptions) []byte {
+	t.Helper()
+	res, err := study(context.Background(), accel.NVDLASmall(), w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,29 +46,24 @@ func studyJSON(t *testing.T, w *model.Workload, opts StudyOptions) []byte {
 	return b
 }
 
-// TestBatchTilingDifferential compares the fully optimized configuration
-// (tiled kernels, region sweep, default batch window) against the fully
-// de-optimized one (reference kernels, whole-layer recomputes, unbatched) and
-// several intermediate points, requiring byte-identical StudyResult JSON for
-// every zoo topology at FP16 plus mobilenet across the integer precisions.
+// TestBatchTilingDifferential compares the production configuration (tiled
+// kernels, replay with region sweeps, the default window) against the oracle
+// (reference kernels, plain full forward, one experiment per window) and the
+// intermediate points, requiring byte-identical StudyResult JSON for every
+// zoo topology at FP16 plus mobilenet across the integer precisions.
 func TestBatchTilingDifferential(t *testing.T) {
 	type config struct {
-		name string
-		ref  bool // reference (pre-tiling) kernels
-		opts func(*StudyOptions)
+		name   string
+		ref    bool // reference (pre-tiling) kernels
+		window int  // 0 = experimentWindow
+		study  studyFunc
 	}
 	configs := []config{
-		{"optimized", false, func(o *StudyOptions) {}},
-		{"reference-kernels", true, func(o *StudyOptions) {}},
-		{"no-region", false, func(o *StudyOptions) { o.DisableRegionSweep = true }},
-		{"unbatched", false, func(o *StudyOptions) { o.ExperimentBatch = 1 }},
-		{"batch-5", false, func(o *StudyOptions) { o.ExperimentBatch = 5 }},
-		{"no-golden-share", false, func(o *StudyOptions) { o.DisableGoldenShare = true }},
-		{"all-off", true, func(o *StudyOptions) {
-			o.DisableRegionSweep = true
-			o.ExperimentBatch = 1
-			o.DisableGoldenShare = true
-		}},
+		{"optimized", false, 0, Study},
+		{"reference-kernels", true, 0, Study},
+		{"window-1", false, 1, Study},
+		{"window-5", false, 5, Study},
+		{"oracle", false, 0, oracleStudy},
 	}
 	type cell struct {
 		net  string
@@ -82,10 +82,9 @@ func TestBatchTilingDifferential(t *testing.T) {
 			}
 			var want []byte
 			for _, c := range configs {
-				opts := StudyOptions{Samples: 12, Inputs: 1, Tolerance: 0.1, Seed: 7, Workers: 4}
-				c.opts(&opts)
+				opts := StudyOptions{Samples: 12, Inputs: 1, Tolerance: 0.1, Seed: 7, Workers: 4, window: c.window}
 				nn.SetReferenceKernels(c.ref)
-				got := studyJSON(t, w, opts)
+				got := studyJSONWith(t, c.study, w, opts)
 				nn.SetReferenceKernels(false)
 				if want == nil {
 					want = got
@@ -101,12 +100,11 @@ func TestBatchTilingDifferential(t *testing.T) {
 }
 
 // TestBatchCheckpointIdentity interrupts the same campaign deterministically
-// with batching on and off, requires byte-identical checkpoints, and then
-// cross-resumes each checkpoint under the opposite batching mode (and with
-// the region sweep flipped) — all four resumes must reproduce the
-// uninterrupted result exactly. This is the proof that batch windows commit
-// at experiment boundaries only: an interrupt can never surface a
-// half-committed batch.
+// under a 16-experiment window and under one experiment per window, requires
+// byte-identical checkpoints, and then cross-resumes each checkpoint under
+// the opposite window — both resumes must reproduce the uninterrupted result
+// exactly. This is the proof that windows commit at experiment boundaries
+// only: an interrupt can never surface a half-committed window.
 func TestBatchCheckpointIdentity(t *testing.T) {
 	w := engineWorkload(t)
 	cfg := accel.NVDLASmall()
@@ -119,14 +117,14 @@ func TestBatchCheckpointIdentity(t *testing.T) {
 
 	// Workers=1 plus a synchronous observer makes the interruption point
 	// exact: both modes stop after the same committed experiments. The
-	// cancellation lands mid-batch for the batched run (batch window 16, stop
-	// at 100 observes), exercising the partial-batch discard path.
-	interrupt := func(batch int) *Checkpoint {
+	// cancellation lands mid-window for the windowed run (window 16, stop at
+	// 100 observes), exercising the partial-window discard path.
+	interrupt := func(window int) *Checkpoint {
 		t.Helper()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		opts := base
-		opts.ExperimentBatch = batch
+		opts.window = window
 		count := 0
 		opts.observe = func(int, Cursor, faultmodel.ID, inject.Result) {
 			if count++; count == 100 {
@@ -136,13 +134,13 @@ func TestBatchCheckpointIdentity(t *testing.T) {
 		_, err := Study(ctx, cfg, w, opts)
 		var intr *Interrupted
 		if !errors.As(err, &intr) {
-			t.Fatalf("batch=%d: interrupted study returned %v, want *Interrupted", batch, err)
+			t.Fatalf("window=%d: interrupted study returned %v, want *Interrupted", window, err)
 		}
 		return intr.Checkpoint
 	}
-	cpBatched := interrupt(16)
+	cpWindowed := interrupt(16)
 	cpSeq := interrupt(1)
-	bBatched, err := json.Marshal(cpBatched)
+	bWindowed, err := json.Marshal(cpWindowed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,19 +148,17 @@ func TestBatchCheckpointIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(bBatched, bSeq) {
-		t.Errorf("checkpoints differ between batched and sequential interrupt:\nbatched: %s\nseq:     %s",
-			bBatched, bSeq)
+	if !bytes.Equal(bWindowed, bSeq) {
+		t.Errorf("checkpoints differ between windowed and one-at-a-time interrupt:\nwindowed: %s\nseq:      %s",
+			bWindowed, bSeq)
 	}
 
-	// ExperimentBatch and DisableRegionSweep are deliberately not part of the
-	// checkpoint identity: resuming under any combination must finish to the
-	// same result.
-	resume := func(label string, cp *Checkpoint, batch int, noRegion bool) {
+	// The window is deliberately not part of the checkpoint identity:
+	// resuming under either size must finish to the same result.
+	resume := func(label string, cp *Checkpoint, window int) {
 		t.Helper()
 		opts := base
-		opts.ExperimentBatch = batch
-		opts.DisableRegionSweep = noRegion
+		opts.window = window
 		opts.Resume = cp
 		res, err := Study(context.Background(), cfg, w, opts)
 		if err != nil {
@@ -170,15 +166,14 @@ func TestBatchCheckpointIdentity(t *testing.T) {
 		}
 		requireEqualResults(t, label, baseline, res)
 	}
-	resume("batched checkpoint resumed sequentially", cpBatched, 1, false)
-	resume("sequential checkpoint resumed batched", cpSeq, 16, false)
-	resume("batched checkpoint resumed batched without region sweep", cpBatched, 16, true)
-	resume("sequential checkpoint resumed sequentially without region sweep", cpSeq, 1, true)
+	resume("windowed checkpoint resumed one at a time", cpWindowed, 1)
+	resume("one-at-a-time checkpoint resumed windowed", cpSeq, 16)
 }
 
-// TestBatchTelemetryPresence checks the batch telemetry block's
-// nil-when-unbatched contract, and that batched runs report site groups
-// bounded by the batch count times the window size.
+// TestBatchTelemetryPresence checks the batch telemetry block: flat windows
+// report site groups bounded by the experiments they ran, and a per-layer
+// campaign — whose windows pin their site, so nothing is grouped — reports
+// no block at all.
 func TestBatchTelemetryPresence(t *testing.T) {
 	w := engineWorkload(t)
 	cfg := accel.NVDLASmall()
@@ -187,13 +182,13 @@ func TestBatchTelemetryPresence(t *testing.T) {
 	tel := telemetry.New()
 	opts := base
 	opts.Telemetry = tel
-	opts.ExperimentBatch = 8
+	opts.window = 8
 	if _, err := Study(context.Background(), cfg, w, opts); err != nil {
 		t.Fatal(err)
 	}
 	bs := tel.Snapshot().Batch
 	if bs == nil {
-		t.Fatal("batched study produced no telemetry Batch block")
+		t.Fatal("flat study produced no telemetry Batch block")
 	}
 	if bs.Batches <= 0 || bs.Experiments <= 0 {
 		t.Errorf("batch counters not populated: %+v", bs)
@@ -208,11 +203,11 @@ func TestBatchTelemetryPresence(t *testing.T) {
 	tel = telemetry.New()
 	opts = base
 	opts.Telemetry = tel
-	opts.ExperimentBatch = 1
+	opts.PerLayer = true
 	if _, err := Study(context.Background(), cfg, w, opts); err != nil {
 		t.Fatal(err)
 	}
 	if got := tel.Snapshot().Batch; got != nil {
-		t.Errorf("unbatched study produced a telemetry Batch block: %+v", got)
+		t.Errorf("per-layer study produced a telemetry Batch block: %+v", got)
 	}
 }

@@ -11,6 +11,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -261,31 +262,21 @@ func TestChaosResumeRoundTrip(t *testing.T) {
 		t.Fatalf("uninterrupted chaos run quarantined %d, want %d", len(baseline.Quarantined), len(panicAt))
 	}
 
-	// Interrupt a second chaos run mid-flight.
+	// Interrupt a second chaos run mid-flight: the observer cancels from
+	// inside the campaign once half the experiments have committed, so the
+	// interrupt cannot race the campaign finishing on a loaded machine.
 	ckptPath := filepath.Join(t.TempDir(), "chaos.checkpoint.json")
-	tel := telemetry.New()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	stop := make(chan struct{})
-	go func() {
-		defer cancel()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if tel.Experiments() >= int64(baseline.Experiments)/2 {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
+	var committed atomic.Int64
 	opts := full
-	opts.Telemetry = tel
+	opts.observe = func(int, Cursor, faultmodel.ID, inject.Result) {
+		if committed.Add(1) == int64(baseline.Experiments)/2 {
+			cancel()
+		}
+	}
 	opts.CheckpointPath = ckptPath
 	_, err = Study(ctx, cfg, w, opts)
-	close(stop)
 	var intr *Interrupted
 	if !errors.As(err, &intr) {
 		t.Fatalf("interrupted chaos study returned %v, want *Interrupted", err)
@@ -313,9 +304,10 @@ func TestChaosResumeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointV1Rejected: v1 checkpoints predate quarantine tracking and
-// cursor-derived sampling; loading one must fail loudly, and a fabricated v1
-// Checkpoint value must never match a campaign.
+// TestCheckpointV1Rejected: v1 checkpoints predate quarantine tracking,
+// cursor-derived sampling and the integrity envelope; loading one must fail
+// loudly — unverifiable as written, a version error even when sealed — and a
+// fabricated v1 Checkpoint value must never match a campaign.
 func TestCheckpointV1Rejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.json")
 	v1 := `{"version":1,"workload":"mobilenet","precision":"fp16","tolerance":0.1,` +
@@ -323,25 +315,26 @@ func TestCheckpointV1Rejected(t *testing.T) {
 	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := LoadCheckpoint(path)
-	if err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Errorf("loading a v1 checkpoint returned %v, want a version error", err)
+	if _, err := LoadCheckpoint(path); !errors.Is(err, ErrCorruptArtifact) {
+		t.Errorf("loading an unsealed v1 checkpoint returned %v, want ErrCorruptArtifact", err)
+	}
+	if err := AtomicWriteSealedJSON(path, json.RawMessage(v1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpoint(path); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("loading a sealed v1 checkpoint returned %v, want a version error", err)
 	}
 
 	w := engineWorkload(t)
 	cfg := accel.NVDLASmall()
 	opts := chaosBase()
-	cp := &Checkpoint{
-		Version: 1, Config: cfg.Fingerprint(),
-		Workload: w.Net.Name(), Precision: w.Net.Precision.String(),
-		Tolerance: opts.Tolerance, Samples: opts.Samples, Inputs: opts.Inputs,
-		Seed: opts.Seed, Shards: opts.shards(), Shard: make([]ShardCheckpoint, opts.shards()),
-	}
-	if cp.Matches(cfg, w, opts, opts.shards()) {
+	cp := NewCheckpoint(cfg, w, opts, make([]ShardCheckpoint, opts.shards()))
+	cp.Version = 1
+	if cp.Matches(cfg, w, opts) {
 		t.Error("a v1 checkpoint matched a v2 campaign")
 	}
 	cp.Version = checkpointVersion
-	if !cp.Matches(cfg, w, opts, opts.shards()) {
+	if !cp.Matches(cfg, w, opts) {
 		t.Error("the same checkpoint at v2 must match (test is self-consistent)")
 	}
 }

@@ -102,11 +102,13 @@ type ShardCheckpoint struct {
 	Adaptive *AdaptiveShardState `json:"adaptive,omitempty"`
 }
 
-// Checkpoint is a resumable snapshot of an in-flight Study. The identity
-// fields pin the exact campaign (accelerator config, workload, options,
-// seed, shard count); a checkpoint only resumes a Study whose parameters
-// match, so stale files are ignored rather than silently corrupting results.
-type Checkpoint struct {
+// identity pins the exact campaign a checkpoint belongs to: format version,
+// accelerator config, workload, sampling options, seed, shard count and
+// hardening. It is comparable, so NewCheckpoint builds it once and Matches
+// compares it whole — a field added here joins both at once. Execution
+// choices that cannot change results (workers, timeouts, paths) are
+// deliberately absent.
+type identity struct {
 	Version int `json:"version"`
 	// Config is the accelerator description's fingerprint
 	// (accel.Config.Fingerprint): results are a function of the config, so
@@ -125,10 +127,36 @@ type Checkpoint struct {
 	Shards   int     `json:"shards"`
 	PerLayer bool    `json:"per_layer,omitempty"`
 	// Hardening fingerprints the mitigation config installed on the network
-	// (empty for unhardened campaigns). It is part of the campaign identity:
-	// clamps change every experiment's forward pass, so a hardened and an
-	// unhardened campaign must never share checkpoints.
+	// (empty for unhardened campaigns): clamps change every experiment's
+	// forward pass, so a hardened and an unhardened campaign must never share
+	// checkpoints.
 	Hardening string `json:"hardening,omitempty"`
+}
+
+// identityOf builds the identity of the campaign defined by (cfg, w, opts).
+func identityOf(cfg *accel.Config, w *model.Workload, opts StudyOptions) identity {
+	return identity{
+		Version:   checkpointVersion,
+		Config:    cfg.Fingerprint(),
+		Workload:  w.Net.Name(),
+		Precision: w.Net.Precision.String(),
+		Tolerance: opts.Tolerance,
+		Samples:   opts.Samples,
+		TargetCI:  opts.TargetCI,
+		Inputs:    opts.Inputs,
+		Seed:      opts.Seed,
+		Shards:    opts.shards(),
+		PerLayer:  opts.PerLayer,
+		Hardening: opts.Hardening,
+	}
+}
+
+// Checkpoint is a resumable snapshot of an in-flight Study. The embedded
+// identity pins the exact campaign; a checkpoint only resumes a Study whose
+// parameters match, so stale files are ignored rather than silently
+// corrupting results.
+type Checkpoint struct {
+	identity
 	// Experiments is the total completed across shards (convenience).
 	Experiments int `json:"experiments"`
 	// Quarantined is the total quarantine count across shards (convenience).
@@ -137,22 +165,9 @@ type Checkpoint struct {
 }
 
 // Matches reports whether the checkpoint belongs to the campaign defined by
-// (cfg, w, opts) with the given resolved shard count.
-func (c *Checkpoint) Matches(cfg *accel.Config, w *model.Workload, opts StudyOptions, shards int) bool {
-	return c != nil &&
-		c.Version == checkpointVersion &&
-		c.Config == cfg.Fingerprint() &&
-		c.Workload == w.Net.Name() &&
-		c.Precision == w.Net.Precision.String() &&
-		c.Tolerance == opts.Tolerance &&
-		c.Samples == opts.Samples &&
-		c.TargetCI == opts.TargetCI &&
-		c.Inputs == opts.Inputs &&
-		c.Seed == opts.Seed &&
-		c.Shards == shards &&
-		c.PerLayer == opts.PerLayer &&
-		c.Hardening == opts.Hardening &&
-		len(c.Shard) == shards
+// (cfg, w, opts) and carries one state per logical shard.
+func (c *Checkpoint) Matches(cfg *accel.Config, w *model.Workload, opts StudyOptions) bool {
+	return c != nil && c.identity == identityOf(cfg, w, opts) && len(c.Shard) == c.Shards
 }
 
 // NewShardCheckpoint returns the canonical empty state of one logical shard:
@@ -174,20 +189,7 @@ func NewShardCheckpoint(index int) ShardCheckpoint {
 // per logical shard, in index order — exactly what a completed or interrupted
 // run of every shard produces.
 func NewCheckpoint(cfg *accel.Config, w *model.Workload, opts StudyOptions, shards []ShardCheckpoint) *Checkpoint {
-	cp := &Checkpoint{
-		Version:   checkpointVersion,
-		Config:    cfg.Fingerprint(),
-		Workload:  w.Net.Name(),
-		Precision: w.Net.Precision.String(),
-		Tolerance: opts.Tolerance,
-		Samples:   opts.Samples,
-		TargetCI:  opts.TargetCI,
-		Inputs:    opts.Inputs,
-		Seed:      opts.Seed,
-		Shards:    opts.shards(),
-		PerLayer:  opts.PerLayer,
-		Hardening: opts.Hardening,
-	}
+	cp := &Checkpoint{identity: identityOf(cfg, w, opts)}
 	for _, sc := range shards {
 		cp.Experiments += sc.Experiments
 		cp.Quarantined += len(sc.Quarantine)
@@ -220,8 +222,7 @@ var ErrCorruptArtifact = errors.New("campaign: artifact failed integrity check")
 
 // sealedEnvelope is the on-disk integrity wrapper: a version tag, the
 // checksum algorithm, the hex digest of the payload's compact encoding, and
-// the payload itself. Files written before the envelope existed are plain
-// payloads with no "sealed" key; they load unverified (legacy path).
+// the payload itself.
 type sealedEnvelope struct {
 	Sealed  int             `json:"sealed"`
 	Algo    string          `json:"algo"`
@@ -271,18 +272,18 @@ func AtomicWriteSealedJSON(path string, v any) error {
 	})
 }
 
-// OpenSealedJSON parses blob — a sealed envelope or a legacy unchecksummed
-// artifact — verifies the checksum when one is present, and unmarshals the
-// payload into v. A digest mismatch returns an error satisfying
-// errors.Is(err, ErrCorruptArtifact); legacy files (no "sealed" key) load
-// without verification so state written before the envelope existed keeps
-// working.
+// OpenSealedJSON parses blob as a sealed envelope, verifies the checksum, and
+// unmarshals the payload into v. Anything that is not a valid envelope with a
+// matching digest — including a bare payload stripped of its envelope, which
+// every writer seals — returns an error satisfying
+// errors.Is(err, ErrCorruptArtifact): unverifiable state is never loaded.
 func OpenSealedJSON(blob []byte, v any) error {
 	var env sealedEnvelope
-	if err := json.Unmarshal(blob, &env); err != nil || env.Sealed == 0 {
-		// Legacy unchecksummed artifact (or not an envelope at all): the
-		// whole blob is the payload.
-		return json.Unmarshal(blob, v)
+	if err := json.Unmarshal(blob, &env); err != nil {
+		return fmt.Errorf("%w: not a sealed envelope: %v", ErrCorruptArtifact, err)
+	}
+	if env.Sealed == 0 {
+		return fmt.Errorf("%w: no integrity envelope", ErrCorruptArtifact)
 	}
 	if env.Sealed != sealVersion {
 		return fmt.Errorf("campaign: artifact sealed with envelope version %d, want %d", env.Sealed, sealVersion)
@@ -363,9 +364,8 @@ func AtomicWriteJSON(path string, v any) error {
 }
 
 // LoadCheckpoint reads a checkpoint file written by Save, verifying the
-// content-checksum envelope when present (errors.Is ErrCorruptArtifact on a
-// mismatch). Checkpoints written before the envelope existed load
-// unverified.
+// content-checksum envelope (errors.Is ErrCorruptArtifact when it is missing
+// or does not match).
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {

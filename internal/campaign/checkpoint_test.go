@@ -28,7 +28,7 @@ func checkpointFixture(t *testing.T) (*accel.Config, *model.Workload, StudyOptio
 		shards[i] = NewShardCheckpoint(i)
 	}
 	cp := NewCheckpoint(cfg, w, opts, shards)
-	if !cp.Matches(cfg, w, opts, opts.shards()) {
+	if !cp.Matches(cfg, w, opts) {
 		t.Fatal("freshly assembled checkpoint does not match its own campaign")
 	}
 	return cfg, w, opts, cp
@@ -45,7 +45,7 @@ func TestCheckpointMatchesFingerprint(t *testing.T) {
 	if other.Fingerprint() == cfg.Fingerprint() {
 		t.Fatal("perturbed config kept the same fingerprint; fixture is broken")
 	}
-	if cp.Matches(&other, w, opts, opts.shards()) {
+	if cp.Matches(&other, w, opts) {
 		t.Errorf("checkpoint with config fingerprint %s matched a campaign under fingerprint %s",
 			cp.Config, other.Fingerprint())
 	}
@@ -53,7 +53,7 @@ func TestCheckpointMatchesFingerprint(t *testing.T) {
 	// Same structural config but a corrupted recorded fingerprint: also no.
 	corrupt := *cp
 	corrupt.Config = "not-a-fingerprint"
-	if corrupt.Matches(cfg, w, opts, opts.shards()) {
+	if corrupt.Matches(cfg, w, opts) {
 		t.Error("checkpoint with a corrupted config fingerprint still matched")
 	}
 }
@@ -67,7 +67,7 @@ func TestCheckpointMatchesShardCount(t *testing.T) {
 
 	moreShards := opts
 	moreShards.Shards = opts.shards() * 2
-	if cp.Matches(cfg, w, moreShards, moreShards.shards()) {
+	if cp.Matches(cfg, w, moreShards) {
 		t.Errorf("checkpoint taken with %d shards matched a campaign with %d", cp.Shards, moreShards.Shards)
 	}
 
@@ -76,7 +76,7 @@ func TestCheckpointMatchesShardCount(t *testing.T) {
 	// logical shard needs a resume state.
 	truncated := *cp
 	truncated.Shard = truncated.Shard[:len(truncated.Shard)-1]
-	if truncated.Matches(cfg, w, opts, opts.shards()) {
+	if truncated.Matches(cfg, w, opts) {
 		t.Errorf("checkpoint carrying %d of %d shard states still matched", len(truncated.Shard), cp.Shards)
 	}
 }
@@ -88,12 +88,12 @@ func TestCheckpointMatchesVersion(t *testing.T) {
 	cfg, w, opts, cp := checkpointFixture(t)
 	old := *cp
 	old.Version = checkpointVersion - 1
-	if old.Matches(cfg, w, opts, opts.shards()) {
+	if old.Matches(cfg, w, opts) {
 		t.Errorf("version-%d checkpoint matched a version-%d campaign", old.Version, checkpointVersion)
 	}
 	// And a nil checkpoint matches nothing.
 	var nilCP *Checkpoint
-	if nilCP.Matches(cfg, w, opts, opts.shards()) {
+	if nilCP.Matches(cfg, w, opts) {
 		t.Error("nil checkpoint matched")
 	}
 }
@@ -203,27 +203,9 @@ func TestSealedJSONDetectsTamper(t *testing.T) {
 	}
 }
 
-// TestSealedJSONLegacyFallback: files written before the envelope existed —
-// plain JSON, no "sealed" key — must still load (unverified), so old
-// checkpoints and coordinator state stay usable.
-func TestSealedJSONLegacyFallback(t *testing.T) {
-	_, _, _, cp := checkpointFixture(t)
-	path := filepath.Join(t.TempDir(), "legacy.json")
-	if err := AtomicWriteJSON(path, cp); err != nil {
-		t.Fatal(err)
-	}
-	var back Checkpoint
-	if err := ReadSealedJSON(path, &back); err != nil {
-		t.Fatalf("legacy plain-JSON file rejected: %v", err)
-	}
-	if back.Version != cp.Version || len(back.Shard) != len(cp.Shard) {
-		t.Errorf("legacy load mangled the checkpoint: %+v", back)
-	}
-}
-
-// TestCheckpointSaveSealedLoad: Checkpoint.Save now seals, and LoadCheckpoint
-// verifies — a flipped byte in a saved campaign checkpoint is detected
-// instead of resumed.
+// TestCheckpointSaveSealedLoad: Checkpoint.Save seals, and LoadCheckpoint
+// verifies — a flipped byte in a saved campaign checkpoint, or a payload
+// stripped of its envelope, is detected instead of resumed.
 func TestCheckpointSaveSealedLoad(t *testing.T) {
 	_, _, _, cp := checkpointFixture(t)
 	path := filepath.Join(t.TempDir(), "campaign.checkpoint.json")
@@ -246,5 +228,14 @@ func TestCheckpointSaveSealedLoad(t *testing.T) {
 	}
 	if _, err := LoadCheckpoint(path); !errors.Is(err, ErrCorruptArtifact) {
 		t.Fatalf("tampered checkpoint load error = %v, want ErrCorruptArtifact", err)
+	}
+
+	// Stripping the envelope must not launder a payload past verification:
+	// every writer seals, so a bare checkpoint is unverifiable, not legacy.
+	if err := AtomicWriteJSON(path, cp); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpoint(path); !errors.Is(err, ErrCorruptArtifact) {
+		t.Fatalf("unsealed checkpoint load error = %v, want ErrCorruptArtifact", err)
 	}
 }

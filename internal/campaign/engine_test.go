@@ -246,12 +246,12 @@ func TestCheckpointConfigFingerprint(t *testing.T) {
 	if cp.Config != cfgA.Fingerprint() {
 		t.Errorf("checkpoint config %q, want fingerprint %q", cp.Config, cfgA.Fingerprint())
 	}
-	if !cp.Matches(cfgA, w, base, base.shards()) {
+	if !cp.Matches(cfgA, w, base) {
 		t.Error("checkpoint rejects the config that produced it")
 	}
 	cfgB := *cfgA
 	cfgB.NumFFs++
-	if cp.Matches(&cfgB, w, base, base.shards()) {
+	if cp.Matches(&cfgB, w, base) {
 		t.Error("checkpoint accepted a different accelerator config")
 	}
 }

@@ -11,22 +11,39 @@ import (
 	"fidelity/internal/faultmodel"
 	"fidelity/internal/inject"
 	"fidelity/internal/model"
+	"fidelity/internal/nn"
 	"fidelity/internal/numerics"
 	"fidelity/internal/telemetry"
 )
 
 // The differential equivalence suite for the incremental golden-replay
 // engine. Replay must be a pure performance optimization: every StudyResult
-// and checkpoint it produces must be byte-identical to the full-forward
-// path's, for every zoo topology (sequential CNNs, inception branches,
-// residual shortcuts, attention DAGs, LSTM revisits) at every datapath
-// precision.
+// and checkpoint it produces must be byte-identical to the oracle's, for
+// every zoo topology (sequential CNNs, inception branches, residual
+// shortcuts, attention DAGs, LSTM revisits) at every datapath precision.
 
 var replayPrecisions = []numerics.Precision{numerics.FP16, numerics.INT16, numerics.INT8}
 
-// TestReplayDifferentialZoo runs the same small study with replay on and off
-// for every zoo network × precision and requires byte-identical StudyResult
-// JSON (tallies, CIs, FIT bounds, perturbation stats — everything).
+// oracleStudy runs Study on the campaign-level oracle — every experiment a
+// plain full forward pass, one per window, on the frozen reference kernels.
+// It is the reference the production path (replay, region sweeps, tiled
+// kernels, site-grouped windows) must match byte for byte, reachable only
+// through the unexported test seams.
+func oracleStudy(ctx context.Context, cfg *accel.Config, w *model.Workload, opts StudyOptions) (*StudyResult, error) {
+	nn.SetReferenceKernels(true)
+	defer nn.SetReferenceKernels(false)
+	opts.oracle = true
+	opts.window = 1
+	return Study(ctx, cfg, w, opts)
+}
+
+// studyFunc is the shared signature of Study and oracleStudy.
+type studyFunc func(context.Context, *accel.Config, *model.Workload, StudyOptions) (*StudyResult, error)
+
+// TestReplayDifferentialZoo runs the same small study on the production path
+// and on the oracle for every zoo network × precision and requires
+// byte-identical StudyResult JSON (tallies, CIs, FIT bounds, perturbation
+// stats — everything).
 func TestReplayDifferentialZoo(t *testing.T) {
 	cfg := accel.NVDLASmall()
 	for _, name := range model.Names() {
@@ -41,12 +58,11 @@ func TestReplayDifferentialZoo(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts.DisableReplay = true
-				off, err := Study(context.Background(), cfg, w, opts)
+				off, err := oracleStudy(context.Background(), cfg, w, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireEqualResults(t, "replay on vs off", on, off)
+				requireEqualResults(t, "replay vs oracle", on, off)
 				bon, err := json.Marshal(on)
 				if err != nil {
 					t.Fatal(err)
@@ -56,7 +72,7 @@ func TestReplayDifferentialZoo(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(bon, boff) {
-					t.Errorf("StudyResult JSON differs between replay on and off:\non:  %s\noff: %s", bon, boff)
+					t.Errorf("StudyResult JSON differs between replay and the oracle:\nreplay: %s\noracle: %s", bon, boff)
 				}
 			})
 		}
@@ -64,9 +80,9 @@ func TestReplayDifferentialZoo(t *testing.T) {
 }
 
 // TestReplayCheckpointIdentity interrupts the same campaign deterministically
-// with replay on and with replay off, requires the two checkpoints to be
-// byte-identical, and then cross-resumes each checkpoint under the opposite
-// replay mode — both must reproduce the uninterrupted result exactly.
+// on the replay path and on the oracle, requires the two checkpoints to be
+// byte-identical, and then cross-resumes each checkpoint on the opposite
+// path — both must reproduce the uninterrupted result exactly.
 func TestReplayCheckpointIdentity(t *testing.T) {
 	w := engineWorkload(t)
 	cfg := accel.NVDLASmall()
@@ -79,27 +95,26 @@ func TestReplayCheckpointIdentity(t *testing.T) {
 
 	// Workers=1 plus a synchronous per-experiment observer makes the
 	// interruption point exact: both modes stop after the same experiments.
-	interrupt := func(disable bool) *Checkpoint {
+	interrupt := func(study studyFunc) *Checkpoint {
 		t.Helper()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		opts := base
-		opts.DisableReplay = disable
 		count := 0
 		opts.observe = func(int, Cursor, faultmodel.ID, inject.Result) {
 			if count++; count == 100 {
 				cancel()
 			}
 		}
-		_, err := Study(ctx, cfg, w, opts)
+		_, err := study(ctx, cfg, w, opts)
 		var intr *Interrupted
 		if !errors.As(err, &intr) {
-			t.Fatalf("disable=%v: interrupted study returned %v, want *Interrupted", disable, err)
+			t.Fatalf("interrupted study returned %v, want *Interrupted", err)
 		}
 		return intr.Checkpoint
 	}
-	cpOn := interrupt(false)
-	cpOff := interrupt(true)
+	cpOn := interrupt(Study)
+	cpOff := interrupt(oracleStudy)
 	bOn, err := json.Marshal(cpOn)
 	if err != nil {
 		t.Fatal(err)
@@ -109,29 +124,28 @@ func TestReplayCheckpointIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bOn, bOff) {
-		t.Errorf("checkpoints differ between replay modes:\non:  %s\noff: %s", bOn, bOff)
+		t.Errorf("checkpoints differ between replay and the oracle:\nreplay: %s\noracle: %s", bOn, bOff)
 	}
 
-	// DisableReplay is deliberately not part of the checkpoint identity:
-	// resuming under the opposite mode must finish to the same result.
-	resume := func(label string, cp *Checkpoint, disable bool) {
+	// The execution path is not part of the checkpoint identity: resuming on
+	// the opposite one must finish to the same result.
+	resume := func(label string, cp *Checkpoint, study studyFunc) {
 		t.Helper()
 		opts := base
-		opts.DisableReplay = disable
 		opts.Resume = cp
-		res, err := Study(context.Background(), cfg, w, opts)
+		res, err := study(context.Background(), cfg, w, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		requireEqualResults(t, label, baseline, res)
 	}
-	resume("replay-on checkpoint resumed with replay off", cpOn, true)
-	resume("replay-off checkpoint resumed with replay on", cpOff, false)
+	resume("replay checkpoint resumed on the oracle", cpOn, oracleStudy)
+	resume("oracle checkpoint resumed on the replay path", cpOff, Study)
 }
 
-// TestReplayTelemetryPresence checks the nil-when-disabled contract of the
-// telemetry Replay block: present (with sane ratios) when the replay engine
-// ran, absent entirely when it was disabled.
+// TestReplayTelemetryPresence checks the telemetry Replay block: present
+// (with sane ratios) when the replay engine ran, absent entirely on the
+// oracle, which never builds a replay context.
 func TestReplayTelemetryPresence(t *testing.T) {
 	w := engineWorkload(t)
 	cfg := accel.NVDLASmall()
@@ -163,11 +177,10 @@ func TestReplayTelemetryPresence(t *testing.T) {
 	tel = telemetry.New()
 	opts = base
 	opts.Telemetry = tel
-	opts.DisableReplay = true
-	if _, err := Study(context.Background(), cfg, w, opts); err != nil {
+	if _, err := oracleStudy(context.Background(), cfg, w, opts); err != nil {
 		t.Fatal(err)
 	}
 	if got := tel.Snapshot().Replay; got != nil {
-		t.Errorf("replay-disabled study produced a telemetry Replay block: %+v", got)
+		t.Errorf("oracle study produced a telemetry Replay block: %+v", got)
 	}
 }

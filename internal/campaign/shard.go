@@ -80,9 +80,7 @@ func RunShard(ctx context.Context, cfg *accel.Config, w *model.Workload, opts St
 	if err != nil {
 		return ShardCheckpoint{}, err
 	}
-	if !opts.DisableGoldenShare {
-		opts.golden = &goldenCache{}
-	}
+	opts.golden = &goldenCache{}
 	sh := newShardState(run.Index, shardSeed(opts.Seed, run.Index), w, models, opts)
 	if run.PublishEvery > 0 {
 		sh.publishEvery = run.PublishEvery
@@ -162,21 +160,11 @@ func assembleResult(cfg *accel.Config, w *model.Workload, opts StudyOptions, sha
 		Workload:  w.Net.Name(),
 		Precision: w.Net.Precision.String(),
 		Tolerance: opts.Tolerance,
-		Masked:    map[faultmodel.ID]*Proportion{},
+		Masked:    newTallies(),
 	}
-	for _, id := range faultmodel.AllIDs() {
-		res.Masked[id] = &Proportion{}
-	}
-
 	var perLayer []map[faultmodel.ID]*Proportion
 	if opts.PerLayer {
-		perLayer = make([]map[faultmodel.ID]*Proportion, len(execs))
-		for e := range perLayer {
-			perLayer[e] = map[faultmodel.ID]*Proportion{}
-			for _, id := range faultmodel.AllIDs() {
-				perLayer[e][id] = &Proportion{}
-			}
-		}
+		perLayer = newLayerTallies(len(execs))
 	}
 	for i, sc := range shards {
 		if sc.Index != i {

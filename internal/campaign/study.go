@@ -16,7 +16,6 @@ import (
 	"fidelity/internal/model"
 	"fidelity/internal/nn"
 	"fidelity/internal/telemetry"
-	"fidelity/internal/tensor"
 )
 
 // DefaultShards is the number of logical sampling shards a study splits its
@@ -25,15 +24,16 @@ import (
 // (Seed, Shards), never on the worker count.
 const DefaultShards = 16
 
-// DefaultExperimentBatch is the shard loop's experiment batch window when
-// StudyOptions.ExperimentBatch is zero: consecutive flat-mode experiments are
-// pre-drawn, grouped by their target site execution, and run group by group
-// so same-site experiments amortize one golden prefix and one arena working
-// set. Batching changes execution order only — every experiment draws its
-// whole stream from a cursor-derived seed and tallies commit in cursor order
-// at batch boundaries, so results and checkpoints are byte-identical to an
-// unbatched run.
-const DefaultExperimentBatch = 64
+// experimentWindow is the shard loop's supervised window: consecutive
+// experiments of one (input, fault model[, layer]) sample loop are executed
+// window by window, and flat-mode windows are additionally pre-drawn and
+// grouped by their target site execution so same-site experiments amortize
+// one golden prefix and one arena working set. Windowing changes execution
+// order only — every experiment draws its whole stream from a cursor-derived
+// seed and tallies commit in cursor order at window boundaries, so results
+// and checkpoints are byte-identical for every window size (the differential
+// suite pins 1, 5 and 64).
+const experimentWindow = 64
 
 // StudyOptions parameterizes a Sec. V resilience study for one workload.
 type StudyOptions struct {
@@ -114,42 +114,22 @@ type StudyOptions struct {
 	// select DefaultIORetries and DefaultIOBackoff.
 	IORetries int
 	IOBackoff time.Duration
-	// DisableReplay forces every experiment through the legacy full forward
-	// pass instead of the incremental golden-replay engine. Results are
-	// bit-identical either way (the replay engine's correctness bar), so the
-	// flag is NOT part of a study's checkpoint identity: a checkpoint taken
-	// with replay on may be resumed with replay off and vice versa.
-	DisableReplay bool
-	// DisableRegionSweep makes replayed recomputes cover whole layers instead
-	// of only the dirty output region. Bit-identical either way; like
-	// DisableReplay it is an escape hatch and differential-testing switch, and
-	// NOT part of the checkpoint identity.
-	DisableRegionSweep bool
-	// ExperimentBatch sets the shard loop's experiment batch window: 0 selects
-	// DefaultExperimentBatch, 1 (or negative) disables batching. Batching
-	// groups consecutive flat-mode experiments by their predicted target site
-	// and is a pure execution-order optimization — results and checkpoints are
-	// byte-identical for every value, so it is NOT part of the checkpoint
-	// identity.
-	ExperimentBatch int
-	// DisableGoldenShare makes every shard record its own golden trace per
-	// input instead of sharing one recording across the run — the historical
-	// per-shard behavior. The recordings are identical, so this is purely a
-	// wall-clock switch (differential testing, benchmarking the old cost) and
-	// NOT part of the checkpoint identity.
-	DisableGoldenShare bool
-
 	// chaos is the test-only failure injector of the chaos self-test
 	// harness; always nil in production.
 	chaos *chaosPolicy
 	// observe is a test-only per-experiment observer, called for every
 	// completed (non-quarantined) experiment.
 	observe func(shard int, cur Cursor, id faultmodel.ID, r inject.Result)
+	// oracle is the test-only reference seam: golden traces are recorded
+	// without activations, so every experiment runs the plain full forward
+	// pass instead of the replay engine. The differential suites require
+	// byte-identical results and checkpoints either way.
+	oracle bool
+	// window is a test-only override of experimentWindow (0 = the constant).
+	window int
 	// golden shares one recorded golden trace per input across every shard
 	// of a run (the trace is immutable during replay, so sharing is safe);
 	// set by Study and RunShard before the shard states copy the options.
-	// nil (e.g. options built by tests calling shard internals directly)
-	// falls back to per-shard golden tracing.
 	golden *goldenCache
 }
 
@@ -215,16 +195,12 @@ func (o StudyOptions) validate() error {
 	return nil
 }
 
-// experimentBatch returns the resolved batch window (1 = unbatched).
-func (o StudyOptions) experimentBatch() int {
-	switch {
-	case o.ExperimentBatch > 0:
-		return o.ExperimentBatch
-	case o.ExperimentBatch < 0:
-		return 1
-	default:
-		return DefaultExperimentBatch
+// windowSize returns the resolved supervised window.
+func (o StudyOptions) windowSize() int {
+	if o.window > 0 {
+		return o.window
 	}
+	return experimentWindow
 }
 
 // shardSeed derives the independent stream seed of one logical shard.
@@ -319,7 +295,6 @@ type shardState struct {
 	// may still be touching the old pair, so they are never reused.
 	sampler  *faultmodel.Sampler
 	inj      *inject.Injector
-	input    *tensor.Tensor
 	inputIdx int
 
 	masked       map[faultmodel.ID]*Proportion
@@ -354,14 +329,29 @@ func newShardState(index int, seed int64, w *model.Workload, models []faultmodel
 		w:            w,
 		models:       models,
 		opts:         opts,
-		masked:       map[faultmodel.ID]*Proportion{},
+		masked:       newTallies(),
 		publishEvery: defaultPublishEvery,
-	}
-	for _, id := range faultmodel.AllIDs() {
-		sh.masked[id] = &Proportion{}
 	}
 	sh.publish(Cursor{})
 	return sh
+}
+
+// newTallies returns a tally map with every fault model present and zero.
+func newTallies() map[faultmodel.ID]*Proportion {
+	m := make(map[faultmodel.ID]*Proportion, len(faultmodel.AllIDs()))
+	for _, id := range faultmodel.AllIDs() {
+		m[id] = &Proportion{}
+	}
+	return m
+}
+
+// newLayerTallies returns one zeroed tally map per layer execution.
+func newLayerTallies(nexec int) []map[faultmodel.ID]*Proportion {
+	out := make([]map[faultmodel.ID]*Proportion, nexec)
+	for e := range out {
+		out[e] = newTallies()
+	}
+	return out
 }
 
 // restore loads a shard checkpoint into the live state.
@@ -375,12 +365,10 @@ func (sh *shardState) restore(sc ShardCheckpoint) {
 		sh.masked[id] = &cp
 	}
 	if sc.PerLayer != nil {
-		sh.perLayer = make([]map[faultmodel.ID]*Proportion, len(sc.PerLayer))
+		sh.perLayer = newLayerTallies(len(sc.PerLayer))
 		for e, m := range sc.PerLayer {
-			sh.perLayer[e] = map[faultmodel.ID]*Proportion{}
-			for _, id := range faultmodel.AllIDs() {
-				cp := m[id]
-				sh.perLayer[e][id] = &cp
+			for id, p := range sh.perLayer[e] {
+				*p = m[id]
 			}
 		}
 	}
@@ -483,36 +471,23 @@ func (sh *shardState) record(layer int, id faultmodel.ID, r inject.Result) {
 	}
 }
 
-// setInput samples input idx (or fetches it from the run's shared golden
-// cache) and prepares the live injector for it.
+// setInput points the live injector at input idx.
 func (sh *shardState) setInput(idx int) error {
 	sh.inputIdx = idx
-	if sh.opts.golden == nil {
-		x, err := dataset.Sample(sh.w.Dataset, idx)
-		if err != nil {
-			return err
-		}
-		sh.input = x
-	}
 	if sh.inj == nil {
 		return sh.ensureInjector()
 	}
 	return sh.prepare(sh.inj)
 }
 
-// prepare initializes inj for the shard's current input, going through the
-// run's shared golden cache when the campaign provides one so all shards
-// reuse one sampled input and one recorded trace per input instead of
-// re-running the golden inference sixteen times.
+// prepare initializes inj for the shard's current input from the run's
+// shared golden cache, so all shards reuse one sampled input and one recorded
+// trace per input instead of re-running the golden inference sixteen times.
 func (sh *shardState) prepare(inj *inject.Injector) error {
-	if sh.opts.golden == nil {
-		return inj.Prepare(sh.input)
-	}
-	g, err := sh.opts.golden.get(sh.w, sh.inputIdx, !sh.opts.DisableReplay)
+	g, err := sh.opts.golden.get(sh.w, sh.inputIdx, !sh.opts.oracle)
 	if err != nil {
 		return err
 	}
-	sh.input = g.Input()
 	return inj.PrepareGolden(g)
 }
 
@@ -528,8 +503,6 @@ func (sh *shardState) ensureInjector() error {
 	}
 	if sh.inj == nil {
 		inj := inject.New(sh.w, sh.sampler)
-		inj.DisableReplay = sh.opts.DisableReplay
-		inj.DisableRegionSweep = sh.opts.DisableRegionSweep
 		if err := sh.prepare(inj); err != nil {
 			return err
 		}
@@ -619,121 +592,100 @@ func (sh *shardState) attempt(ctx context.Context, cur Cursor, id faultmodel.ID,
 	}
 }
 
-// step supervises the single experiment at cur: checkpoint boundary,
-// quarantine skip, recovery boundary, failure-budget accounting.
-func (sh *shardState) step(ctx context.Context, cur Cursor, id faultmodel.ID, execIdx int) error {
-	if err := sh.boundary(ctx, cur); err != nil {
-		return err
-	}
-	if sh.quarantined[cur] {
-		// Quarantined on a previous run: skip bit-identically. Experiment
-		// streams are cursor-derived, so no draws need replaying.
-		return nil
-	}
-	r, fault, err := sh.attempt(ctx, cur, id, execIdx)
-	if err != nil {
-		return err
-	}
-	if fault == nil {
-		if sh.opts.observe != nil {
-			sh.opts.observe(sh.index, cur, id, r)
-		}
-		sh.record(execIdx, id, r)
-		return nil
-	}
-	sh.quarantineExperiment(cur, id, fault)
-	if b := sh.opts.failureBudget(); b >= 0 && sh.failures > b {
-		sh.cursor = cur
-		sh.publish(cur)
-		if tel := sh.opts.Telemetry; tel != nil {
-			tel.SetShardBudget(sh.index, sh.failures, b, true)
-		}
-		return ErrShardExhausted
-	}
-	return nil
-}
-
-// batchEntry is one experiment of a site-grouped batch window.
-type batchEntry struct {
+// windowEntry is one experiment of a supervised window.
+type windowEntry struct {
 	cur   Cursor
-	exec  int  // predicted target execution: the grouping key
+	exec  int  // predicted target execution: the grouping key of flat windows
 	skip  bool // quarantined on a previous run: no attempt, no commit
 	r     inject.Result
 	fault *frameworkFault
 }
 
-// stepBatch supervises a window of n consecutive flat-mode experiments
-// starting at *cur, whose sample indices step by stride (1 in fixed-count
-// campaigns; adaptive campaigns batch one input lane at a time, whose
-// samples are Inputs apart). The window's experiments are pre-drawn (each
-// target is predicted from its cursor-derived stream without touching the
-// live sampler), stable-sorted by target execution so same-site experiments
-// run back to back against one golden prefix and a warm arena working set,
-// and executed in that grouped order. Shard state mutates only in the commit
-// phase, in cursor order — so tallies, quarantine lists, failure-budget
-// accounting and published checkpoints evolve exactly as n sequential steps
-// would, and a cancellation mid-execution discards the partial batch and
-// publishes the batch-start boundary. On success *cur advances past the
-// window.
-func (sh *shardState) stepBatch(ctx context.Context, cur *Cursor, id faultmodel.ID, n, stride int) error {
+// runWindow supervises a window of n consecutive experiments of one sample
+// loop starting at *cur, whose sample indices step by stride (1 in
+// fixed-count campaigns; adaptive campaigns run one input lane at a time,
+// whose samples are Inputs apart). It is the shard loop's only execution
+// primitive: checkpoint boundary, quarantine skip, recovery boundary and
+// failure-budget accounting exist here once.
+//
+// execIdx >= 0 pins every experiment to that layer execution (per-layer
+// strata). Flat windows (execIdx < 0) are pre-drawn — each target is
+// predicted from its cursor-derived stream without touching the live sampler
+// — stable-sorted by target execution so same-site experiments run back to
+// back against one golden prefix and a warm arena working set, and executed
+// in that grouped order. Global-control experiments classify without a
+// forward pass and never draw a target, so they have nothing to group.
+//
+// Shard state mutates only in the commit phase, in cursor order — so tallies,
+// quarantine lists, failure-budget accounting and published checkpoints
+// evolve exactly as n one-experiment windows would, and a cancellation
+// mid-execution discards the partial window and publishes the window-start
+// boundary. On success *cur advances past the window.
+func (sh *shardState) runWindow(ctx context.Context, cur *Cursor, id faultmodel.ID, execIdx, n, stride int) error {
 	start := *cur
-	if err := ctx.Err(); err != nil {
-		sh.cursor = start
-		sh.publish(start)
+	abort := func(err error) error {
+		if isCancellation(err) {
+			sh.cursor = start
+			sh.publish(start)
+		}
 		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return abort(err)
 	}
 	if err := sh.ensureInjector(); err != nil {
 		return err
 	}
 
-	// Pre-draw: predict each cursor's target execution. Prediction replays
-	// the first draw of the experiment's own cursor-derived stream, so
-	// grouping cannot change any value the experiment will draw.
-	entries := make([]batchEntry, n)
-	order := make([]*batchEntry, 0, n)
+	entries := make([]windowEntry, n)
+	order := make([]*windowEntry, 0, n)
+	grouped := execIdx < 0 && id != faultmodel.GlobalControl
 	for i := range entries {
 		c := start
 		c.Sample += i * stride
 		entries[i].cur = c
 		if sh.quarantined[c] {
+			// Quarantined on a previous run: skip bit-identically. Experiment
+			// streams are cursor-derived, so no draws need replaying.
 			entries[i].skip = true
 			continue
 		}
-		entries[i].exec = sh.inj.PredictTarget(experimentSeed(sh.seed, c))
+		if grouped {
+			// Prediction replays the first draw of the experiment's own
+			// cursor-derived stream, so grouping cannot change any value the
+			// experiment will draw.
+			entries[i].exec = sh.inj.PredictTarget(experimentSeed(sh.seed, c))
+		}
 		order = append(order, &entries[i])
 	}
-	sort.SliceStable(order, func(i, j int) bool { return order[i].exec < order[j].exec })
+	if grouped {
+		sort.SliceStable(order, func(i, j int) bool { return order[i].exec < order[j].exec })
+	}
 
-	// Execution phase, site-grouped order: results are buffered, nothing is
-	// committed yet.
-	groups := 0
-	for i, e := range order {
-		if i == 0 || e.exec != order[i-1].exec {
-			groups++
-		}
+	// Execution phase: results are buffered, nothing is committed yet.
+	for _, e := range order {
 		if err := ctx.Err(); err != nil {
-			sh.cursor = start
-			sh.publish(start)
-			return err
+			return abort(err)
 		}
-		r, fault, err := sh.attempt(ctx, e.cur, id, -1)
+		r, fault, err := sh.attempt(ctx, e.cur, id, execIdx)
 		if err != nil {
-			if isCancellation(err) {
-				sh.cursor = start
-				sh.publish(start)
-			}
-			return err
+			return abort(err)
 		}
 		e.r, e.fault = r, fault
 	}
-	if tel := sh.opts.Telemetry; tel != nil && len(order) > 0 {
+	if tel := sh.opts.Telemetry; tel != nil && grouped && len(order) > 0 {
+		groups := 1
+		for i := 1; i < len(order); i++ {
+			if order[i].exec != order[i-1].exec {
+				groups++
+			}
+		}
 		tel.RecordBatch(groups, len(order))
 	}
 
-	// Commit phase, cursor order: the identical state evolution n sequential
-	// step calls would produce, including the publish cadence and the
+	// Commit phase, cursor order, including the publish cadence and the
 	// failure-budget stop point (results past an exhausting cursor are
-	// discarded, exactly as a sequential shard would never have run them).
+	// discarded, exactly as a one-at-a-time shard would never have run them).
 	for i := range entries {
 		e := &entries[i]
 		if err := sh.boundary(ctx, e.cur); err != nil {
@@ -746,7 +698,7 @@ func (sh *shardState) stepBatch(ctx context.Context, cur *Cursor, id faultmodel.
 			if sh.opts.observe != nil {
 				sh.opts.observe(sh.index, e.cur, id, e.r)
 			}
-			sh.record(-1, id, e.r)
+			sh.record(execIdx, id, e.r)
 			continue
 		}
 		sh.quarantineExperiment(e.cur, id, e.fault)
@@ -760,6 +712,18 @@ func (sh *shardState) stepBatch(ctx context.Context, cur *Cursor, id faultmodel.
 		}
 	}
 	cur.Sample += n * stride
+	return nil
+}
+
+// runSamples runs the sample loop [cur.Sample, hi) of one (input, fault
+// model[, layer]) cell, stepping by stride, window by window.
+func (sh *shardState) runSamples(ctx context.Context, cur *Cursor, id faultmodel.ID, execIdx, hi, stride int) error {
+	for cur.Sample < hi {
+		n := min(ceilDiv(hi-cur.Sample, stride), sh.opts.windowSize())
+		if err := sh.runWindow(ctx, cur, id, execIdx, n, stride); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -799,46 +763,20 @@ func (sh *shardState) runFixed(ctx context.Context) error {
 			mine++
 		}
 		if opts.PerLayer && sh.perLayer == nil {
-			sh.perLayer = make([]map[faultmodel.ID]*Proportion, nexec)
-			for e := range sh.perLayer {
-				sh.perLayer[e] = map[faultmodel.ID]*Proportion{}
-				for _, id := range faultmodel.AllIDs() {
-					sh.perLayer[e][id] = &Proportion{}
-				}
-			}
+			sh.perLayer = newLayerTallies(nexec)
 		}
 		for ; cur.Model < len(ids); cur.Model, cur.Exec, cur.Sample = cur.Model+1, 0, 0 {
 			id := ids[cur.Model]
 			// Global-control faults are modeled as always failing and never
 			// pinned to a layer, so they take the flat loop in both modes.
-			if opts.PerLayer && id != faultmodel.GlobalControl {
-				for ; cur.Exec < nexec; cur.Exec, cur.Sample = cur.Exec+1, 0 {
-					for ; cur.Sample < mine; cur.Sample++ {
-						if err := sh.step(ctx, cur, id, cur.Exec); err != nil {
-							return err
-						}
-					}
+			if !opts.PerLayer || id == faultmodel.GlobalControl {
+				if err := sh.runSamples(ctx, &cur, id, -1, mine, 1); err != nil {
+					return err
 				}
 				continue
 			}
-			// Flat mode: batch the sample loop. Global-control experiments
-			// never draw a target (they classify without a forward pass), so
-			// site grouping has nothing to amortize — they stay sequential.
-			batch := opts.experimentBatch()
-			if batch <= 1 || id == faultmodel.GlobalControl {
-				for ; cur.Sample < mine; cur.Sample++ {
-					if err := sh.step(ctx, cur, id, -1); err != nil {
-						return err
-					}
-				}
-				continue
-			}
-			for cur.Sample < mine {
-				n := batch
-				if rem := mine - cur.Sample; n > rem {
-					n = rem
-				}
-				if err := sh.stepBatch(ctx, &cur, id, n, 1); err != nil {
+			for ; cur.Exec < nexec; cur.Exec, cur.Sample = cur.Exec+1, 0 {
+				if err := sh.runSamples(ctx, &cur, id, cur.Exec, mine, 1); err != nil {
 					return err
 				}
 			}
@@ -938,13 +876,11 @@ func Study(ctx context.Context, cfg *accel.Config, w *model.Workload, opts Study
 
 	// Build the logical shards, restoring from a matching checkpoint. All
 	// shards of this run share one golden trace per input.
-	if !opts.DisableGoldenShare {
-		opts.golden = &goldenCache{}
-	}
+	opts.golden = &goldenCache{}
 	shards := opts.shards()
 	states := make([]*shardState, shards)
 	resume := opts.Resume
-	if resume != nil && !resume.Matches(cfg, w, opts, shards) {
+	if resume != nil && !resume.Matches(cfg, w, opts) {
 		resume = nil
 	}
 	for s := range states {

@@ -24,10 +24,8 @@ import (
 // two consecutive lost reports before a shard is re-issued.
 const DefaultLeaseTTL = 30 * time.Second
 
-// stateVersion guards the coordinator's persisted state format. The
-// integrity additions (per-shard digests, audit records, checksum envelope)
-// are strictly additive and the envelope is self-describing, so version 1
-// still covers both pre- and post-integrity files.
+// stateVersion guards the coordinator's persisted state format (the payload
+// inside the checksum envelope; a file without a valid envelope is corrupt).
 const stateVersion = 1
 
 // CoordinatorOptions configures NewCoordinator.
@@ -77,7 +75,7 @@ type coordinatorState struct {
 	// Degraded lists shards whose final report was Exhausted.
 	Degraded []int `json:"degraded,omitempty"`
 	// Meta carries per-shard integrity and audit records for completed
-	// shards. Absent in legacy files.
+	// shards.
 	Meta []persistedShardMeta `json:"meta,omitempty"`
 	// Leases are the live primary leases at persist time. They survive a
 	// restart so in-flight workers keep streaming without interruption.
@@ -262,11 +260,11 @@ func (c *Coordinator) newTable(ttl time.Duration) *leaseTable {
 }
 
 // load restores the lease table from the persisted state file. Corruption —
-// a failed envelope checksum, an unparseable file, or a shard checkpoint
-// that no longer matches the digest recorded when it was accepted — returns
-// or absorbs campaign.ErrCorruptArtifact semantics: whole-file damage
-// errors out (the caller quarantines), per-shard damage drops just that
-// shard back to pending for re-issue.
+// a missing or failed envelope checksum, an unparseable file, or a shard
+// checkpoint that no longer matches the digest recorded when it was accepted
+// — returns or absorbs campaign.ErrCorruptArtifact semantics: whole-file
+// damage errors out (the caller quarantines), per-shard damage drops just
+// that shard back to pending for re-issue.
 func (c *Coordinator) load() error {
 	blob, err := os.ReadFile(c.statePath)
 	if err != nil {
@@ -287,7 +285,7 @@ func (c *Coordinator) load() error {
 	if st.Spec.Normalize() != c.spec {
 		return fmt.Errorf("distrib: state %s describes a different campaign spec; refusing to resume", c.statePath)
 	}
-	if !st.Checkpoint.Matches(c.cfg, c.w, c.opts, c.spec.Shards) {
+	if !st.Checkpoint.Matches(c.cfg, c.w, c.opts) {
 		return fmt.Errorf("distrib: state %s checkpoint does not match this campaign (config %s); refusing to resume",
 			c.statePath, c.cfg.Fingerprint())
 	}
@@ -360,9 +358,9 @@ func (c *Coordinator) load() error {
 				e.auditCkpt = campaign.AdaptiveAuditResume(i, e.ckpt.Adaptive.History)
 			}
 		default:
-			// No audit record (legacy file, or audit enabled after the
-			// shard completed): sample it now so the audit policy holds
-			// across restarts.
+			// No audit record (auditing was enabled after the shard
+			// completed): sample it now so the audit policy holds across
+			// restarts.
 			if c.table.auditFor != nil && c.table.auditFor(i) {
 				e.audit = auditPending
 				if e.ckpt.Adaptive != nil {

@@ -3,6 +3,7 @@ package distrib
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -46,54 +47,76 @@ func finishShards(t *testing.T, srv *httptest.Server, c *Coordinator, spec Campa
 }
 
 // TestCoordinatorStateCorruptQuarantine: a persisted state file whose sealed
-// payload was corrupted on disk must be *detected* at startup (checksum
-// mismatch), quarantined aside for inspection, and counted in telemetry —
-// and the restarted campaign must converge to the byte-identical baseline
-// from scratch, never silently resume from the corrupt bytes.
+// payload was corrupted on disk, or whose envelope was stripped, must be
+// *detected* at startup, quarantined aside for inspection, and counted in
+// telemetry — and the restarted campaign must converge to the byte-identical
+// baseline from scratch, never silently resume from unverifiable bytes.
 func TestCoordinatorStateCorruptQuarantine(t *testing.T) {
 	spec := chaosSpec()
 	want := baselineJSON(t, spec)
-	statePath := filepath.Join(t.TempDir(), "coordinator.json")
-	copts := CoordinatorOptions{Spec: spec, LeaseTTL: 2 * time.Second, StatePath: statePath}
 
-	c1, err := NewCoordinator(copts)
-	if err != nil {
-		t.Fatal(err)
+	// restart runs two shards, damages the persisted state with corrupt, and
+	// restarts the coordinator on it: the damage must be quarantined and the
+	// campaign start clean.
+	restart := func(corrupt func(statePath string)) *Coordinator {
+		t.Helper()
+		statePath := filepath.Join(t.TempDir(), "coordinator.json")
+		copts := CoordinatorOptions{Spec: spec, LeaseTTL: 2 * time.Second, StatePath: statePath}
+		c1, err := NewCoordinator(copts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv1 := httptest.NewServer(c1.Handler())
+		finishShards(t, srv1, c1, spec, "early", 2)
+		srv1.Close()
+		corrupt(statePath)
+
+		tel := telemetry.New()
+		copts.Telemetry = tel
+		c2, err := NewCoordinator(copts)
+		if err != nil {
+			t.Fatalf("corrupt state must be quarantined, not fatal: %v", err)
+		}
+		if _, err := os.Stat(statePath + ".corrupt"); err != nil {
+			t.Errorf("quarantine file missing: %v", err)
+		}
+		if st := c2.Status(); st.Experiments != 0 {
+			t.Errorf("restarted coordinator resumed %d experiments from corrupt state, want a clean start", st.Experiments)
+		}
+		snap := tel.Snapshot()
+		if snap.Recovery == nil || snap.Recovery.CorruptArtifacts == 0 {
+			t.Errorf("corrupt artifact not counted in telemetry: %+v", snap.Recovery)
+		}
+		return c2
 	}
-	srv1 := httptest.NewServer(c1.Handler())
-	finishShards(t, srv1, c1, spec, "early", 2)
-	srv1.Close()
+
+	// A valid payload stripped of its envelope is unverifiable, not legacy:
+	// every writer seals, so loading it would let tampering through.
+	restart(func(statePath string) {
+		var st coordinatorState
+		if err := campaign.ReadSealedJSON(statePath, &st); err != nil {
+			t.Fatal(err)
+		}
+		if err := campaign.AtomicWriteJSON(statePath, &st); err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	// Flip payload content without breaking the JSON: the envelope checksum
 	// must catch it.
-	blob, err := os.ReadFile(statePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutated := bytes.Replace(blob, []byte(`"seq"`), []byte(`"sEq"`), 1)
-	if bytes.Equal(mutated, blob) {
-		t.Fatal("corruption mutation found nothing to replace")
-	}
-	if err := os.WriteFile(statePath, mutated, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	tel := telemetry.New()
-	copts.Telemetry = tel
-	c2, err := NewCoordinator(copts)
-	if err != nil {
-		t.Fatalf("corrupt state must be quarantined, not fatal: %v", err)
-	}
-	if _, err := os.Stat(statePath + ".corrupt"); err != nil {
-		t.Errorf("quarantine file missing: %v", err)
-	}
-	if st := c2.Status(); st.Experiments != 0 {
-		t.Errorf("restarted coordinator resumed %d experiments from corrupt state, want a clean start", st.Experiments)
-	}
-	snap := tel.Snapshot()
-	if snap.Recovery == nil || snap.Recovery.CorruptArtifacts == 0 {
-		t.Errorf("corrupt artifact not counted in telemetry: %+v", snap.Recovery)
-	}
+	c2 := restart(func(statePath string) {
+		blob, err := os.ReadFile(statePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutated := bytes.Replace(blob, []byte(`"seq"`), []byte(`"sEq"`), 1)
+		if bytes.Equal(mutated, blob) {
+			t.Fatal("corruption mutation found nothing to replace")
+		}
+		if err := os.WriteFile(statePath, mutated, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	srv2 := httptest.NewServer(c2.Handler())
 	defer srv2.Close()
@@ -110,10 +133,12 @@ func TestCoordinatorStateCorruptQuarantine(t *testing.T) {
 	}
 }
 
-// TestCoordinatorStatePerShardCorruption: in a legacy (unsealed) state file
-// carrying per-shard acceptance digests, a tampered shard checkpoint must be
-// detected against its recorded digest, dropped, and re-issued — while the
-// intact shards resume untouched. The campaign still converges byte-identical.
+// TestCoordinatorStatePerShardCorruption: in a state file whose envelope
+// verifies (the damage predates the last seal — e.g. memory corruption
+// between acceptance and persist), a tampered shard checkpoint must still be
+// detected against the digest recorded at acceptance, dropped, and re-issued
+// — while the intact shards resume untouched. The campaign still converges
+// byte-identical.
 func TestCoordinatorStatePerShardCorruption(t *testing.T) {
 	spec := chaosSpec()
 	want := baselineJSON(t, spec)
@@ -128,14 +153,14 @@ func TestCoordinatorStatePerShardCorruption(t *testing.T) {
 	done := finishShards(t, srv1, c1, spec, "early", 2)
 	srv1.Close()
 
-	// Rewrite the state as a legacy plain-JSON file (no envelope) with one
-	// shard's tallies tampered. Only the per-shard digest can catch this.
+	// Tamper one shard's tallies and re-seal, so the envelope checksum
+	// passes. Only the per-shard acceptance digest can catch this.
 	var st coordinatorState
 	if err := campaign.ReadSealedJSON(statePath, &st); err != nil {
 		t.Fatal(err)
 	}
 	st.Checkpoint.Shard[done[0]].Experiments += 7
-	if err := campaign.AtomicWriteJSON(statePath, &st); err != nil {
+	if err := campaign.AtomicWriteSealedJSON(statePath, &st); err != nil {
 		t.Fatal(err)
 	}
 
@@ -169,11 +194,15 @@ func TestCoordinatorStatePerShardCorruption(t *testing.T) {
 	}
 }
 
-// TestCoordinatorStateLegacyCompat: a pre-integrity state file — plain JSON,
-// no envelope, no per-shard digests — must still load and resume without
-// being counted as corrupt.
-func TestCoordinatorStateLegacyCompat(t *testing.T) {
+// TestCoordinatorStateParentSpecResumes: a sealed state file written by the
+// previous release, whose spec still carries the retired execution knobs
+// ("experiment_batch", "disable_replay"), must resume — they were never part
+// of the campaign identity — and finish byte-identical to the baseline. The
+// previous release refused its own file whenever it was restarted with a
+// different -batch or -no-replay, because the spec comparison covered them.
+func TestCoordinatorStateParentSpecResumes(t *testing.T) {
 	spec := chaosSpec()
+	want := baselineJSON(t, spec)
 	statePath := filepath.Join(t.TempDir(), "coordinator.json")
 	copts := CoordinatorOptions{Spec: spec, LeaseTTL: 2 * time.Second, StatePath: statePath}
 
@@ -185,12 +214,21 @@ func TestCoordinatorStateLegacyCompat(t *testing.T) {
 	finishShards(t, srv1, c1, spec, "early", 2)
 	srv1.Close()
 
-	var st coordinatorState
+	// Splice the retired keys into the persisted spec, keeping every other
+	// byte of the payload, and re-seal.
+	var st, specJSON map[string]json.RawMessage
 	if err := campaign.ReadSealedJSON(statePath, &st); err != nil {
 		t.Fatal(err)
 	}
-	st.Meta = nil
-	if err := campaign.AtomicWriteJSON(statePath, &st); err != nil {
+	if err := json.Unmarshal(st["spec"], &specJSON); err != nil {
+		t.Fatal(err)
+	}
+	specJSON["experiment_batch"] = json.RawMessage("64")
+	specJSON["disable_replay"] = json.RawMessage("true")
+	if st["spec"], err = json.Marshal(specJSON); err != nil {
+		t.Fatal(err)
+	}
+	if err := campaign.AtomicWriteSealedJSON(statePath, st); err != nil {
 		t.Fatal(err)
 	}
 
@@ -198,12 +236,26 @@ func TestCoordinatorStateLegacyCompat(t *testing.T) {
 	copts.Telemetry = tel
 	c2, err := NewCoordinator(copts)
 	if err != nil {
-		t.Fatalf("legacy state must load: %v", err)
+		t.Fatalf("state written by the previous release must resume: %v", err)
 	}
 	if st := c2.Status(); st.Shards.Done != 2 || st.Experiments == 0 {
-		t.Errorf("legacy resume status = %+v, want both shards kept", st.Shards)
+		t.Errorf("resume status = %+v, want both finished shards kept", st.Shards)
 	}
 	if snap := tel.Snapshot(); snap.Recovery != nil && snap.Recovery.CorruptArtifacts != 0 {
-		t.Errorf("legacy file miscounted as corrupt: %+v", snap.Recovery)
+		t.Errorf("previous-release file miscounted as corrupt: %+v", snap.Recovery)
+	}
+
+	srv2 := httptest.NewServer(c2.Handler())
+	defer srv2.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	wait := startWorkers(ctx, t, srv2.URL, 2, "w")
+	res, err := c2.Result(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait()
+	if got := resultJSON(t, res); string(got) != string(want) {
+		t.Errorf("result resumed from the previous release's state differs from baseline:\n got %s\nwant %s", got, want)
 	}
 }

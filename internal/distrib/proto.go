@@ -57,30 +57,20 @@ type CampaignSpec struct {
 	Seed     int64   `json:"seed"`
 	Shards   int     `json:"shards"`
 	PerLayer bool    `json:"per_layer,omitempty"`
-	// Execution knobs that do not affect results.
-	DisableReplay bool `json:"disable_replay,omitempty"`
-	// ExperimentBatch is the shard loop's site-grouped batch window
-	// (0 = engine default, 1 = unbatched); byte-identical either way.
-	ExperimentBatch int `json:"experiment_batch,omitempty"`
 	// Supervision knobs (these DO affect a degraded campaign's quarantine
 	// list, so they are part of the spec, not per-worker choices).
 	ExperimentTimeout time.Duration `json:"experiment_timeout,omitempty"`
 	FailureBudget     int           `json:"failure_budget,omitempty"`
 }
 
-// Normalize resolves defaulted fields (shard count) so coordinator and
-// workers agree on the concrete campaign.
+// Normalize resolves defaulted fields (shard count, precision) so coordinator
+// and workers agree on the concrete campaign.
 func (s CampaignSpec) Normalize() CampaignSpec {
 	if s.Shards <= 0 {
 		s.Shards = campaign.DefaultShards
 	}
 	if s.Precision == "" {
 		s.Precision = numerics.FP16.String()
-	}
-	if s.ExperimentBatch == 0 {
-		// Resolve the engine default here so specs written before and after
-		// the CLIs started passing an explicit batch window compare equal.
-		s.ExperimentBatch = campaign.DefaultExperimentBatch
 	}
 	return s
 }
@@ -126,8 +116,6 @@ func (s CampaignSpec) Options() campaign.StudyOptions {
 		Seed:              s.Seed,
 		Shards:            s.Shards,
 		PerLayer:          s.PerLayer,
-		DisableReplay:     s.DisableReplay,
-		ExperimentBatch:   s.ExperimentBatch,
 		ExperimentTimeout: s.ExperimentTimeout,
 		FailureBudget:     s.FailureBudget,
 	}

@@ -5,13 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"fidelity/internal/accel"
 	"fidelity/internal/campaign"
 	"fidelity/internal/dataset"
+	"fidelity/internal/faultmodel"
 	"fidelity/internal/fit"
+	"fidelity/internal/inject"
 	"fidelity/internal/model"
 	"fidelity/internal/nn"
 	"fidelity/internal/numerics"
@@ -161,9 +164,10 @@ func TestConfigFingerprint(t *testing.T) {
 }
 
 // TestHardenedCampaignWorkerDeterminism: the hardened campaign's StudyResult
-// must be byte-identical across {1, 2, 4} workers and with replay on vs off
-// — clamps live inside the replay-aware forward path, so none of the
-// engine's determinism contracts may erode. Run with -race.
+// must be byte-identical across {1, 2, 4} workers, and every experiment on
+// the clamped network must come out the same on the replay engine and on the
+// plain-forward oracle — clamps live inside the replay-aware forward path, so
+// none of the engine's determinism contracts may erode. Run with -race.
 func TestHardenedCampaignWorkerDeterminism(t *testing.T) {
 	cfg := accel.NVDLASmall()
 	hw, hcfg := hardenedWorkload(t, "mobilenet", 2)
@@ -174,13 +178,12 @@ func TestHardenedCampaignWorkerDeterminism(t *testing.T) {
 	base := campaign.StudyOptions{
 		Samples: 60, Inputs: 2, Tolerance: 0.1, Seed: 9, Hardening: fp,
 	}
-	run := func(workers int, noReplay bool) []byte {
+	run := func(workers int) []byte {
 		opts := base
 		opts.Workers = workers
-		opts.DisableReplay = noReplay
 		res, err := campaign.Study(context.Background(), cfg, hw, opts)
 		if err != nil {
-			t.Fatalf("workers=%d replay=%v: %v", workers, !noReplay, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		enc, err := json.Marshal(res)
 		if err != nil {
@@ -188,14 +191,77 @@ func TestHardenedCampaignWorkerDeterminism(t *testing.T) {
 		}
 		return enc
 	}
-	ref := run(1, false)
+	ref := run(1)
 	for _, workers := range []int{2, 4} {
-		if got := run(workers, false); string(got) != string(ref) {
+		if got := run(workers); string(got) != string(ref) {
 			t.Errorf("workers=%d: hardened StudyResult bytes differ from workers=1", workers)
 		}
 	}
-	if got := run(4, true); string(got) != string(ref) {
-		t.Error("replay off: hardened StudyResult bytes differ from replay on")
+
+	// Replay vs oracle, experiment by experiment: two injectors over the same
+	// clamped network and input, one prepared from a golden trace with
+	// activations (replay, region sweeps) and one without (plain forward),
+	// reseeded identically before every run. Outcomes and saturation counts
+	// must agree exactly, flat and pinned (only the number of bounds-checked
+	// executions differs: replay skips the clean ones, on which the clamp is
+	// the identity), and the sweep must actually saturate.
+	models, err := faultmodel.Derive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := dataset.Sample(hw.Dataset, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var injs [2]*inject.Injector
+	for i, withReplay := range []bool{true, false} {
+		s, err := faultmodel.NewSampler(models, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := inject.TraceGolden(hw, x, withReplay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		injs[i] = inject.New(hw, s)
+		if err := injs[i].PrepareGolden(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var saturated int64
+	for _, id := range faultmodel.AllIDs() {
+		for seed := int64(0); seed < 40; seed++ {
+			var rs [2]inject.Result
+			for i, inj := range injs {
+				inj.Sampler.Reseed(seed)
+				if pinned := int(seed) % (2 * inj.Executions()); pinned < inj.Executions() {
+					rs[i], err = inj.RunAt(context.Background(), pinned, id, 0.1)
+				} else {
+					rs[i], err = inj.Run(context.Background(), id, 0.1)
+				}
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", id, seed, err)
+				}
+			}
+			replay, oracle := rs[0], rs[1]
+			if id != faultmodel.GlobalControl && (replay.Replay == nil || oracle.Replay != nil) {
+				t.Fatalf("%s seed %d: Replay blocks %v / %v, want replay-only", id, seed, replay.Replay, oracle.Replay)
+			}
+			if id != faultmodel.GlobalControl {
+				if replay.Harden.Saturated != oracle.Harden.Saturated {
+					t.Fatalf("%s seed %d: replay saturated %d values, oracle %d",
+						id, seed, replay.Harden.Saturated, oracle.Harden.Saturated)
+				}
+				saturated += oracle.Harden.Saturated
+			}
+			replay.Replay, replay.Harden, oracle.Harden = nil, nil, nil
+			if !reflect.DeepEqual(replay, oracle) {
+				t.Fatalf("%s seed %d: replay %+v != oracle %+v", id, seed, replay, oracle)
+			}
+		}
+	}
+	if saturated == 0 {
+		t.Error("no experiment saturated a clamp: the replay-vs-oracle leg never exercised the envelope")
 	}
 }
 
@@ -260,15 +326,15 @@ func TestHardenedInterruptResume(t *testing.T) {
 	// the hardened options.
 	plain := base
 	plain.Hardening = ""
-	if cp.Matches(cfg, hw, plain, cp.Shards) {
+	if cp.Matches(cfg, hw, plain) {
 		t.Error("hardened checkpoint matched unhardened options")
 	}
 	other := base
 	other.Hardening = "not-the-fingerprint"
-	if cp.Matches(cfg, hw, other, cp.Shards) {
+	if cp.Matches(cfg, hw, other) {
 		t.Error("hardened checkpoint matched a different hardening fingerprint")
 	}
-	if !cp.Matches(cfg, hw, base, cp.Shards) {
+	if !cp.Matches(cfg, hw, base) {
 		t.Error("hardened checkpoint did not match its own options")
 	}
 

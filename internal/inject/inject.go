@@ -56,8 +56,8 @@ func (o Outcome) String() string {
 func (o Outcome) Failed() bool { return o != Masked }
 
 // ReplayCost reports what the incremental replay engine did during one
-// experiment's forward pass. Nil on Results produced by the full-forward
-// path (replay disabled, or global-control shortcuts that run no forward).
+// experiment's forward pass. Nil on Results produced without it (the
+// plain-forward oracle, or global-control shortcuts that run no forward).
 type ReplayCost struct {
 	// Skipped counts layer executions served from the golden trace.
 	Skipped int
@@ -114,25 +114,10 @@ type Injector struct {
 	W       *model.Workload
 	Sampler *faultmodel.Sampler
 
-	// DisableReplay forces every experiment through the legacy full forward
-	// pass. The replay engine is bit-identical to it; the switch exists for
-	// differential testing and as an operational escape hatch.
-	DisableReplay bool
-
-	// DisableRegionSweep makes replayed recomputes cover whole layers instead
-	// of only the dirty output region. Bit-identical either way; the switch
-	// exists for differential testing and as an operational escape hatch.
-	DisableRegionSweep bool
-
-	// cached golden state per input
-	input   *tensor.Tensor
-	golden  model.AppOutput
-	execs   []nn.SiteExecution
-	weights []float64
-	total   float64
-
-	// replay state (nil when DisableReplay)
-	trace *nn.GoldenTrace
+	// g is the golden state of the prepared input; arena and rctx are the
+	// per-injector replay state over it (nil when g carries no activation
+	// trace).
+	g     *Golden
 	arena *nn.Arena
 	rctx  *nn.Context
 }
@@ -164,7 +149,9 @@ func (g *Golden) Input() *tensor.Tensor { return g.input }
 
 // TraceGolden runs the golden inference for x and records the shared golden
 // state. withReplay selects the activation-recording trace the replay engine
-// consumes; pass false only when every sharing injector sets DisableReplay.
+// consumes. Without it, injectors prepared from the Golden run every
+// experiment as a plain full forward pass: the bit-identical reference oracle
+// the differential tests hold the replay engine to, not a production mode.
 func TraceGolden(w *model.Workload, x *tensor.Tensor, withReplay bool) (*Golden, error) {
 	g := &Golden{input: x}
 	var out *tensor.Tensor
@@ -188,41 +175,32 @@ func TraceGolden(w *model.Workload, x *tensor.Tensor, withReplay bool) (*Golden,
 	return g, nil
 }
 
-// Prepare runs the golden inference for input x and caches the trace —
-// including, unless DisableReplay is set, the golden output tensor of every
-// layer execution, which subsequent Runs replay incrementally instead of
-// recomputing the full network. Must be called before Run; call again to
-// switch inputs. Campaigns with several injectors over the same input should
-// TraceGolden once and PrepareGolden each injector instead.
+// Prepare runs the golden inference for input x and caches the trace,
+// including the golden output tensor of every layer execution, which
+// subsequent Runs replay incrementally instead of recomputing the full
+// network. Must be called before Run; call again to switch inputs. Campaigns
+// with several injectors over the same input should TraceGolden once and
+// PrepareGolden each injector instead.
 func (in *Injector) Prepare(x *tensor.Tensor) error {
-	g, err := TraceGolden(in.W, x, !in.DisableReplay)
+	g, err := TraceGolden(in.W, x, true)
 	if err != nil {
 		return err
 	}
 	return in.PrepareGolden(g)
 }
 
-// PrepareGolden initializes the injector from a shared Golden, skipping the
-// golden forward pass. g must have been traced with withReplay matching
-// !in.DisableReplay, for the injector's own workload.
+// PrepareGolden initializes the injector from a shared Golden of its own
+// workload, skipping the golden forward pass. The injector's execution mode
+// follows g: incremental replay when g carries an activation trace, the
+// plain full forward otherwise. It cannot fail any more; the error result
+// stays because benchmark/ compiles against it.
 func (in *Injector) PrepareGolden(g *Golden) error {
-	if (g.trace == nil) != in.DisableReplay {
-		return fmt.Errorf("inject: golden trace recorded with withReplay=%v but injector has DisableReplay=%v",
-			g.trace != nil, in.DisableReplay)
+	in.g = g
+	in.arena, in.rctx = nil, nil
+	if g.trace != nil {
+		in.arena = nn.NewArena()
+		in.rctx = nn.NewReplayContext(g.trace, in.arena)
 	}
-	in.input = g.input
-	in.golden = g.golden
-	in.execs = g.execs
-	in.weights = g.weights
-	in.total = g.total
-	in.trace = g.trace
-	if in.DisableReplay {
-		in.arena, in.rctx = nil, nil
-		return nil
-	}
-	in.arena = nn.NewArena()
-	in.rctx = nn.NewReplayContext(in.trace, in.arena)
-	in.rctx.SetRegionSweep(!in.DisableRegionSweep)
 	return nil
 }
 
@@ -252,14 +230,14 @@ func execWork(e nn.SiteExecution) float64 {
 
 // pickExec samples a site execution proportionally to its work.
 func (in *Injector) pickExec() nn.SiteExecution {
-	r := in.Sampler.Rand().Float64() * in.total
-	for i, w := range in.weights {
+	r := in.Sampler.Rand().Float64() * in.g.total
+	for i, w := range in.g.weights {
 		r -= w
 		if r <= 0 {
-			return in.execs[i]
+			return in.g.execs[i]
 		}
 	}
-	return in.execs[len(in.execs)-1]
+	return in.g.execs[len(in.g.execs)-1]
 }
 
 // PredictTarget returns the execution index a Run whose experiment stream is
@@ -271,25 +249,25 @@ func (in *Injector) pickExec() nn.SiteExecution {
 // whole stream from its cursor seed, so execution order cannot change any
 // drawn value.
 func (in *Injector) PredictTarget(seed int64) int {
-	r := rand.New(faultmodel.NewStreamSource(seed)).Float64() * in.total
-	for i, w := range in.weights {
+	r := rand.New(faultmodel.NewStreamSource(seed)).Float64() * in.g.total
+	for i, w := range in.g.weights {
 		r -= w
 		if r <= 0 {
 			return i
 		}
 	}
-	return len(in.execs) - 1
+	return len(in.g.execs) - 1
 }
 
 // Golden returns the cached fault-free application output.
-func (in *Injector) Golden() model.AppOutput { return in.golden }
+func (in *Injector) Golden() model.AppOutput { return in.g.golden }
 
 // Executions returns the number of recorded site executions for the
 // prepared input.
-func (in *Injector) Executions() int { return len(in.execs) }
+func (in *Injector) Executions() int { return len(in.g.execs) }
 
 // Execution returns the i-th recorded site execution.
-func (in *Injector) Execution(i int) nn.SiteExecution { return in.execs[i] }
+func (in *Injector) Execution(i int) nn.SiteExecution { return in.g.execs[i] }
 
 // Run executes one experiment: sample a fault of model id at a work-weighted
 // site execution, inject it, and classify the outcome under tolerance tol.
@@ -304,8 +282,8 @@ func (in *Injector) Run(ctx context.Context, id faultmodel.ID, tol float64) (Res
 // used by per-layer campaigns that estimate Prob_SWmask(cat, r) separately
 // for every layer r.
 func (in *Injector) RunAt(ctx context.Context, execIdx int, id faultmodel.ID, tol float64) (Result, error) {
-	if execIdx < 0 || execIdx >= len(in.execs) {
-		return Result{}, fmt.Errorf("inject: execution %d outside [0,%d)", execIdx, len(in.execs))
+	if execIdx < 0 || execIdx >= len(in.g.execs) {
+		return Result{}, fmt.Errorf("inject: execution %d outside [0,%d)", execIdx, len(in.g.execs))
 	}
 	return in.run(ctx, id, tol, execIdx)
 }
@@ -314,7 +292,7 @@ func (in *Injector) run(ctx context.Context, id faultmodel.ID, tol float64, exec
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	if in.input == nil {
+	if in.g == nil {
 		return Result{}, fmt.Errorf("inject: Prepare must be called first")
 	}
 	res := Result{Model: id}
@@ -329,7 +307,7 @@ func (in *Injector) run(ctx context.Context, id faultmodel.ID, tol float64, exec
 	}
 	target := in.pickExec()
 	if execIdx >= 0 {
-		target = in.execs[execIdx]
+		target = in.g.execs[execIdx]
 	}
 	res.Site = target.Site.Name()
 
@@ -360,7 +338,7 @@ func (in *Injector) run(ctx context.Context, id faultmodel.ID, tol float64, exec
 		arenaBase := in.arena.Reuses()
 		fctx = in.rctx
 		fctx.SetTarget(target.Site, target.Visit, hook)
-		out = in.W.Net.ForwardWithContext(in.input, fctx)
+		out = in.W.Net.ForwardWithContext(in.g.input, fctx)
 		st := fctx.Stats()
 		res.Replay = &ReplayCost{
 			Skipped:     st.Skipped,
@@ -372,7 +350,7 @@ func (in *Injector) run(ctx context.Context, id faultmodel.ID, tol float64, exec
 		}
 	} else {
 		fctx = nn.NewContext(hook)
-		out = in.W.Net.ForwardWithContext(in.input, fctx)
+		out = in.W.Net.ForwardWithContext(in.g.input, fctx)
 	}
 	if in.W.Net.Hardened() {
 		hs := fctx.HardenStats()
@@ -403,8 +381,8 @@ func (in *Injector) run(ctx context.Context, id faultmodel.ID, tol float64, exec
 		return res, nil
 	}
 	faulty := in.W.Decode(out)
-	res.Score = in.W.Score(in.golden, faulty)
-	if in.W.Correct(in.golden, faulty, tol) {
+	res.Score = in.W.Score(in.g.golden, faulty)
+	if in.W.Correct(in.g.golden, faulty, tol) {
 		res.Outcome = Masked
 	} else {
 		res.Outcome = OutputError

@@ -225,7 +225,7 @@ func TestPredictTargetMatchesPick(t *testing.T) {
 			want := inj.PredictTarget(seed)
 			inj.Sampler.Reseed(seed)
 			got := inj.pickExec()
-			w := inj.execs[want]
+			w := inj.Execution(want)
 			if got.Site != w.Site || got.Visit != w.Visit {
 				t.Fatalf("%s seed %d: PredictTarget -> %s#%d, pickExec -> %s#%d",
 					net, seed, w.Site.Name(), w.Visit, got.Site.Name(), got.Visit)

@@ -9,8 +9,8 @@ import (
 // there loses both guarantees PR 2/5 established: atomicity (temp file +
 // fsync + rename, so a crash never leaves a torn checkpoint) and retry
 // (transient EBUSY/ENOSPC on network filesystems). Bench tooling
-// (cmd/benchjson) writes throwaway measurement files and is deliberately
-// out of scope.
+// (benchmark/) writes throwaway measurement files and is deliberately out
+// of scope.
 var ioRetryScope = []string{
 	"internal/campaign",
 	"internal/distrib",

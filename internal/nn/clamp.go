@@ -15,9 +15,10 @@ import (
 // argument: bounds are derived from golden-trace min/max profiles, so every
 // golden activation already satisfies Lo <= v <= Hi and the clamp is the
 // identity on clean data (golden traces never contain NaN). Only
-// fault-perturbed values can saturate. The clamp is applied at
-// value-equivalent points of every execution path — plain, record, replay
-// skip/seed/recompute, and the dirty-region sweep — so replay on/off stays
+// fault-perturbed values can saturate. The clamp is applied in Context.exec's
+// one post-step, which every route that produces a fresh output — plain,
+// record, the replayed target, the dirty-region sweep, the whole-layer
+// recompute — ends in, so the replay engine and the plain-forward oracle stay
 // bit-identical for the hardened network too (DESIGN.md §11).
 
 // Bound is a closed activation envelope for one compute site. Values below
@@ -38,8 +39,8 @@ type HardenStats struct {
 	Saturated int64
 }
 
-// clampSite saturates out to l's installed envelope, if any. It must run
-// after the injection hook has patched the output and before the tensor is
+// clampSite saturates out to l's installed envelope, if any. It runs after
+// the injection hook has patched the output and before the tensor is
 // recorded, canonicalized, or diff-scanned, so every execution mode sees the
 // same post-clamp values. NaN (fault-produced only: golden traces are
 // NaN-free) maps deterministically to Lo.

@@ -21,9 +21,9 @@ package nn
 // any tile decomposition produces bit-identical results.
 //
 // The reference kernels are the pre-tiling layer loops (including the
-// reference FP16 rounding path). They are kept both as the oracle for the
-// equivalence tests and as the honest "replay engine as of PR 4" baseline for
-// BENCH_campaign.json.
+// reference FP16 rounding path). They are kept as the oracle for the kernel
+// equivalence tests and the campaign differential suites; no production path
+// selects them.
 
 import (
 	"runtime"

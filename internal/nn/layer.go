@@ -145,10 +145,8 @@ type Context struct {
 	// spans tracks, for every dirty (non-golden) tensor produced during a
 	// replayed pass, the flat index span (and spatial box, for rank-4) that
 	// bounds its differences from the golden output. Region-capable layers use
-	// it to recompute only the output region the fault can reach. noRegion
-	// disables the sweep (see SetRegionSweep).
-	spans    map[*tensor.Tensor]span
-	noRegion bool
+	// it to recompute only the output region the fault can reach.
+	spans map[*tensor.Tensor]span
 
 	// clamps holds the per-site range-restriction envelopes of a hardened
 	// network (see clamp.go). Installed by Network.instrument; read-only

@@ -116,7 +116,8 @@ func boxify(od, gd []float32, sp span, n, h, w, c int) span {
 // diffSpanBox scans only the given spatial box of a rank-4 tensor (the region
 // a sweep recomputed; everything outside is a golden copy by construction)
 // and returns the tightened span of differing elements.
-func diffSpanBox(out, golden *tensor.Tensor, y0, y1, x0, x1 int) (sp span, equal bool) {
+func diffSpanBox(out, golden *tensor.Tensor, bx box) (sp span, equal bool) {
+	y0, y1, x0, x1 := bx.y0, bx.y1, bx.x0, bx.x1
 	od, gd := out.Data(), golden.Data()
 	n, h, w, c := out.Dim(0), out.Dim(1), out.Dim(2), out.Dim(3)
 	rowStride, imgStride := w*c, h*w*c
@@ -159,13 +160,18 @@ func diffSpanBox(out, golden *tensor.Tensor, y0, y1, x0, x1 int) (sp span, equal
 	return span{lo: lo, hi: hi, y0: ry0, y1: ry1, x0: rx0, x1: rx1, boxed: true}, false
 }
 
+// box is the spatial output region [y0,y1)×[x0,x1) (all batches, all
+// channels) of a rank-4 NHWC tensor. The zero box stands for "the whole
+// tensor", whatever its rank.
+type box struct{ y0, y1, x0, x1 int }
+
 // regionSite is implemented by layers that can recompute just the output
 // region reached by a dirty input span. forwardRegion returns the output
 // tensor (seeded from golden outside the region) plus the output box it
 // recomputed; ok is false when the dirty span maps to no output element
 // (e.g. it falls off a stride lattice), meaning the golden output stands.
 type regionSite interface {
-	forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (out *tensor.Tensor, oy0, oy1, ox0, ox1 int, ok bool)
+	forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (out *tensor.Tensor, swept box, ok bool)
 }
 
 // windowRange maps a dirty input row range [i0,i1) to the output rows whose
@@ -193,7 +199,7 @@ func (c *Context) goldenCopy(golden *tensor.Tensor) *tensor.Tensor {
 // forwardRegion implements regionSite for Conv2D: it maps the dirty input box
 // through the kernel window geometry, rounds only the input rows the output
 // box reads, and runs the tiled kernel over that box.
-func (l *Conv2D) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*tensor.Tensor, int, int, int, int, bool) {
+func (l *Conv2D) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*tensor.Tensor, box, bool) {
 	n, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
 	os := golden.Shape()
 	oh, ow := os[1], os[2]
@@ -201,7 +207,7 @@ func (l *Conv2D) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*
 	oy0, oy1 := windowRange(iy0, iy1, l.KH, l.Stride, l.Pad, oh)
 	ox0, ox1 := windowRange(ix0, ix1, l.KW, l.Stride, l.Pad, ow)
 	if oy0 >= oy1 || ox0 >= ox1 {
-		return nil, 0, 0, 0, 0, false
+		return nil, box{}, false
 	}
 	out := c.goldenCopy(golden)
 
@@ -243,42 +249,42 @@ func (l *Conv2D) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*
 	if scratch != nil {
 		c.arena.release(scratch)
 	}
-	return out, oy0, oy1, ox0, ox1, true
+	return out, box{oy0, oy1, ox0, ox1}, true
 }
 
 // forwardRegion implements regionSite for MaxPool.
-func (l *MaxPool) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*tensor.Tensor, int, int, int, int, bool) {
+func (l *MaxPool) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*tensor.Tensor, box, bool) {
 	h, w, ch := x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := golden.Dim(1), golden.Dim(2)
 	iy0, iy1, ix0, ix1 := sp.boxIn(h, w, w*ch, h*w*ch)
 	oy0, oy1 := windowRange(iy0, iy1, l.Size, l.Stride, 0, oh)
 	ox0, ox1 := windowRange(ix0, ix1, l.Size, l.Stride, 0, ow)
 	if oy0 >= oy1 || ox0 >= ox1 {
-		return nil, 0, 0, 0, 0, false
+		return nil, box{}, false
 	}
 	out := c.goldenCopy(golden)
 	maxPoolRegion(x, out, l.Size, l.Stride, oy0, oy1, ox0, ox1)
-	return out, oy0, oy1, ox0, ox1, true
+	return out, box{oy0, oy1, ox0, ox1}, true
 }
 
 // forwardRegion implements regionSite for AvgPool.
-func (l *AvgPool) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*tensor.Tensor, int, int, int, int, bool) {
+func (l *AvgPool) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*tensor.Tensor, box, bool) {
 	h, w, ch := x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := golden.Dim(1), golden.Dim(2)
 	iy0, iy1, ix0, ix1 := sp.boxIn(h, w, w*ch, h*w*ch)
 	oy0, oy1 := windowRange(iy0, iy1, l.Size, l.Stride, 0, oh)
 	ox0, ox1 := windowRange(ix0, ix1, l.Size, l.Stride, 0, ow)
 	if oy0 >= oy1 || ox0 >= ox1 {
-		return nil, 0, 0, 0, 0, false
+		return nil, box{}, false
 	}
 	out := c.goldenCopy(golden)
 	avgPoolRegion(x, out, l.Size, l.Stride, l.codec, oy0, oy1, ox0, ox1)
-	return out, oy0, oy1, ox0, ox1, true
+	return out, box{oy0, oy1, ox0, ox1}, true
 }
 
 // forwardRegion implements regionSite for Activation (elementwise: the output
 // region is the input span itself).
-func (l *Activation) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*tensor.Tensor, int, int, int, int, bool) {
+func (l *Activation) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*tensor.Tensor, box, bool) {
 	out := c.goldenCopy(golden)
 	od, xd := out.Data(), x.Data()
 	for i := sp.lo; i < sp.hi; i++ {
@@ -290,7 +296,7 @@ func (l *Activation) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span
 // forwardRegion implements regionSite for BatchNorm. The span is widened to
 // channel-row boundaries so the per-channel scale/shift lookup stays a simple
 // index.
-func (l *BatchNorm) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*tensor.Tensor, int, int, int, int, bool) {
+func (l *BatchNorm) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*tensor.Tensor, box, bool) {
 	ch := x.Dim(x.Rank() - 1)
 	out := c.goldenCopy(golden)
 	od, xd := out.Data(), x.Data()
@@ -313,13 +319,11 @@ func (l *BatchNorm) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span)
 // elementwiseBox converts an elementwise layer's recomputed input span into
 // the forwardRegion return convention: the scan box is the span's own box for
 // rank-4 outputs, or the full spatial extent (flat scan) otherwise.
-func elementwiseBox(out *tensor.Tensor, sp span) (*tensor.Tensor, int, int, int, int, bool) {
+func elementwiseBox(out *tensor.Tensor, sp span) (*tensor.Tensor, box, bool) {
 	if out.Rank() != 4 {
-		// Rank-2 and other outputs are scanned fully; exec treats a zero box
-		// as "scan everything".
-		return out, 0, 0, 0, 0, true
+		return out, box{}, true
 	}
 	h, w, c := out.Dim(1), out.Dim(2), out.Dim(3)
 	y0, y1, x0, x1 := sp.boxIn(h, w, w*c, h*w*c)
-	return out, y0, y1, x0, x1, true
+	return out, box{y0, y1, x0, x1}, true
 }

@@ -195,11 +195,6 @@ func NewReplayContext(trace *GoldenTrace, arena *Arena) *Context {
 	return c
 }
 
-// SetRegionSweep toggles the dirty-region sweep (on by default). With it off,
-// a dirty input recomputes the whole layer as in the original replay engine;
-// the differential suite uses this to prove region sweeps bit-neutral.
-func (c *Context) SetRegionSweep(on bool) { c.noRegion = !on }
-
 // SetTarget arms the replay context for one experiment: hook fires exactly
 // once, at the visit-th execution of site, with operands seeded from the
 // golden trace. All per-pass state is reset.
@@ -249,122 +244,94 @@ type seedFn func(out *tensor.Tensor) *Operands
 // fires the hook from inside, via Context.fire); seed, non-nil for sites,
 // builds the operand set without computing. in lists the input tensors the
 // execution reads, for the dirty test.
+//
+// Every route that produces a fresh output — plain, record, the seeded or
+// computed target, the dirty-region sweep, the whole-layer recompute — ends
+// in the same post-step: clamp the site's output to its hardening envelope,
+// then (replay only) diff it against golden to either converge back onto the
+// golden pointer or record the dirty span. The clamp comes first because
+// saturation can restore golden equality, and because the recorded span must
+// bound the final, post-clamp tensor.
 func (c *Context) exec(l Layer, compute func() *tensor.Tensor, seed seedFn, in ...*tensor.Tensor) *tensor.Tensor {
 	if c == nil {
 		return compute()
 	}
-	if c.mode == ctxPlain {
-		out := compute()
-		c.clampSite(l, out)
-		return out
-	}
-	v := c.execVisits[l]
-	c.execVisits[l] = v + 1
-	key := execKey{layer: l, visit: v}
-	if c.mode == ctxRecord {
-		out := compute()
-		c.clampSite(l, out)
-		c.trace.put(key, out)
-		return out
-	}
-	golden, ok := c.trace.outputs[key]
-	if !ok {
-		// Unrecorded execution (shouldn't happen for a trace of the same
-		// input): fall back to computing it.
-		out := compute()
-		c.clampSite(l, out)
-		return out
-	}
-	if !c.injected {
-		if l == c.target && v == c.targetVisit {
-			c.injected = true
-			c.stats.MACsAvoided += c.trace.work[key]
-			if seed != nil {
-				// Seed the output from golden instead of recomputing: the
-				// hook's fault models only read the operand tensors and
-				// patch Out via ComputeNeuron.
-				out := c.arena.get(golden.Shape()...)
-				copy(out.Data(), golden.Data())
-				op := seed(out)
-				c.pendingVisit = v
-				c.pendingFire = true
-				c.fire(l, op)
-				c.pendingFire = false
-				c.clampSite(l, out)
-				return c.canonicalize(out, golden)
-			}
-			c.pendingVisit = v
-			c.pendingFire = true
-			out := compute()
-			c.pendingFire = false
-			c.clampSite(l, out)
-			return c.canonicalize(out, golden)
+	var key execKey
+	var golden *tensor.Tensor
+	if c.mode != ctxPlain {
+		v := c.execVisits[l]
+		c.execVisits[l] = v + 1
+		key = execKey{layer: l, visit: v}
+		if c.mode == ctxReplay {
+			golden = c.trace.outputs[key]
 		}
-		// Before the target everything is golden by construction.
-		c.stats.Skipped++
-		c.stats.MACsAvoided += c.trace.work[key]
-		return golden
 	}
-	if c.allGolden(in) {
-		// Off the fault's downstream cone: clean inputs, golden output.
-		c.stats.Skipped++
+	var out *tensor.Tensor
+	var swept box
+	switch {
+	case golden == nil:
+		// Plain and record passes — and a replayed execution the trace never
+		// saw, which cannot happen for a trace of the same input — compute.
+		out = compute()
+	case !c.injected && l == c.target && key.visit == c.targetVisit:
+		c.injected = true
 		c.stats.MACsAvoided += c.trace.work[key]
-		return golden
+		c.pendingVisit, c.pendingFire = key.visit, true
+		if seed != nil {
+			// Seed the output from golden instead of recomputing: the hook's
+			// fault models only read the operand tensors and patch Out via
+			// ComputeNeuron.
+			out = c.goldenCopy(golden)
+			c.fire(l, seed(out))
+		} else {
+			out = compute()
+		}
+		c.pendingFire = false
+	case !c.injected || c.allGolden(in):
+		// Before the target everything is golden by construction; after it,
+		// clean inputs mean the execution is off the fault's downstream cone.
+		return c.skip(key, golden)
+	default:
+		if rs, sp, ok := c.dirtyRegion(l, in); ok {
+			if out, swept, ok = rs.forwardRegion(c, in[0], golden, sp); !ok {
+				// The dirty input reaches no output element (it fell off the
+				// stride lattice or the padding crop): the golden output
+				// stands.
+				return c.skip(key, golden)
+			}
+			c.stats.RegionSwept++
+		} else {
+			out = compute()
+		}
+		c.stats.Recomputed++
 	}
-	if out, handled := c.regionExec(l, key, golden, in); handled {
+	c.clampSite(l, out)
+	if c.mode == ctxRecord {
+		c.trace.put(key, out)
+	}
+	if golden == nil {
 		return out
 	}
-	out := compute()
-	c.stats.Recomputed++
-	c.clampSite(l, out)
-	return c.canonicalize(out, golden)
+	return c.canonicalize(out, golden, swept)
 }
 
-// regionExec attempts the dirty-region sweep for one execution with dirty
-// inputs: if the layer supports it and the dirty input's span is known, only
-// the output box the span reaches is recomputed. Returns handled=false to
-// fall back to a full recompute.
-func (c *Context) regionExec(l Layer, key execKey, golden *tensor.Tensor, in []*tensor.Tensor) (*tensor.Tensor, bool) {
-	if c.noRegion || c.arena == nil || len(in) != 1 || in[0] == nil {
-		return nil, false
-	}
+// skip serves one execution from the golden trace.
+func (c *Context) skip(key execKey, golden *tensor.Tensor) *tensor.Tensor {
+	c.stats.Skipped++
+	c.stats.MACsAvoided += c.trace.work[key]
+	return golden
+}
+
+// dirtyRegion reports whether l can sweep just the output region reached by
+// its single dirty input, and that input's recorded span; otherwise the whole
+// layer recomputes.
+func (c *Context) dirtyRegion(l Layer, in []*tensor.Tensor) (regionSite, span, bool) {
 	rs, ok := l.(regionSite)
-	if !ok {
-		return nil, false
+	if !ok || len(in) != 1 || in[0] == nil {
+		return nil, span{}, false
 	}
 	sp, ok := c.spans[in[0]]
-	if !ok {
-		return nil, false
-	}
-	out, oy0, oy1, ox0, ox1, ok := rs.forwardRegion(c, in[0], golden, sp)
-	if !ok {
-		// The dirty input reaches no output element (it fell off the stride
-		// lattice or the padding crop): the golden output stands.
-		c.stats.Skipped++
-		c.stats.MACsAvoided += c.trace.work[key]
-		return golden, true
-	}
-	c.stats.Recomputed++
-	c.stats.RegionSwept++
-	// Clamp before the diff scan: saturation can restore golden equality
-	// (converging the pass early), and the recorded span must bound the
-	// final, post-clamp tensor. Outside the recomputed box the data is a
-	// golden copy, on which the clamp is the identity.
-	c.clampSite(l, out)
-	var nsp span
-	var equal bool
-	if out.Rank() == 4 && oy1 > oy0 {
-		nsp, equal = diffSpanBox(out, golden, oy0, oy1, ox0, ox1)
-	} else {
-		nsp, equal = diffSpanFull(out, golden)
-	}
-	if equal {
-		c.stats.Converged++
-		c.arena.release(out)
-		return golden, true
-	}
-	c.spans[out] = nsp
-	return out, true
+	return rs, sp, ok
 }
 
 // glue wraps a composite layer's own work (residual add, branch concat,
@@ -393,7 +360,7 @@ func (c *Context) glue(l Layer, compute func() *tensor.Tensor, in ...*tensor.Ten
 	}
 	out := compute()
 	c.stats.Recomputed++
-	return c.canonicalize(out, golden)
+	return c.canonicalize(out, golden, box{})
 }
 
 // canonicalize maps a recomputed output that equals its golden value back
@@ -401,21 +368,25 @@ func (c *Context) glue(l Layer, compute func() *tensor.Tensor, in ...*tensor.Ten
 // again. The recomputed buffer goes back to the arena. The convergence scan
 // doubles as the span scan: when the output differs, the diff span is
 // recorded so a downstream region-capable layer can sweep only the dirty
-// region. This replaces the Equal scan the engine already paid, so span
-// maintenance is free.
-func (c *Context) canonicalize(out, golden *tensor.Tensor) *tensor.Tensor {
+// region. swept, when non-empty, is the output box a region sweep recomputed:
+// everything outside it is a golden copy, so only the box is scanned.
+func (c *Context) canonicalize(out, golden *tensor.Tensor, swept box) *tensor.Tensor {
 	if out == golden {
 		return out
 	}
-	sp, equal := diffSpanFull(out, golden)
+	var sp span
+	var equal bool
+	if out.Rank() == 4 && swept.y1 > swept.y0 {
+		sp, equal = diffSpanBox(out, golden, swept)
+	} else {
+		sp, equal = diffSpanFull(out, golden)
+	}
 	if equal {
 		c.stats.Converged++
 		c.arena.release(out)
 		return golden
 	}
-	if c.spans != nil {
-		c.spans[out] = sp
-	}
+	c.spans[out] = sp
 	return out
 }
 

@@ -428,10 +428,11 @@ type Snapshot struct {
 	// result-audit pass (CoordinatorOptions.AuditFraction > 0).
 	Audit *AuditSnapshot `json:"audit,omitempty"`
 	// Replay is present only when the incremental replay engine ran (it is
-	// omitted entirely when replay is disabled).
+	// omitted for global-control-only runs and on the test-only oracle).
 	Replay *ReplaySnapshot `json:"replay,omitempty"`
 	// Batch is present only when the campaign ran site-grouped experiment
-	// batches (omitted for unbatched runs).
+	// windows (omitted when every window pinned its site, as in per-layer
+	// campaigns).
 	Batch *BatchSnapshot `json:"batch,omitempty"`
 	// Kernels is present only when kernel tile counts were attributed to
 	// this collector.
