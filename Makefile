@@ -10,7 +10,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Coordinator address used by the `work` convenience target.
 COORDINATOR ?= http://127.0.0.1:9090
 
-.PHONY: build test race chaos chaos-distrib bench fmt vet fidelitylint lint verify serve work e2e-distrib harden e2e-harden ci
+.PHONY: build test race chaos chaos-distrib bench bench-smoke bce fmt vet fidelitylint lint verify serve work e2e-distrib harden e2e-harden ci
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,19 @@ chaos-distrib:
 # `go run ./benchmark compare` for parent-vs-change pairs.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
+
+# One iteration of the kernel benchmarks beside the code (internal/nn,
+# internal/numerics) — seconds, so they cannot rot between `make bench` runs.
+# For numbers: go test -run '^$$' -bench . -count 5 ./internal/nn ./internal/numerics
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/nn ./internal/numerics
+
+# The kernels' "bounds-check free" claim, checked: builds internal/nn and
+# internal/numerics with -gcflags=-d=ssa/check_bce and fails if the compiler
+# kept a bounds check inside an innermost loop of kernels.go or of a row
+# primitive in halfrow.go (cmd/bcecheck).
+bce:
+	$(GO) run ./cmd/bcecheck
 
 fmt:
 	@diff=$$(gofmt -l .); \
@@ -112,8 +125,9 @@ harden:
 e2e-harden:
 	$(GO) test -race -count=1 ./internal/harden/
 
-# The fast pre-commit gate: format, vet, the repo's own invariant checkers,
-# build, test. Everything here runs offline.
-verify: fmt vet fidelitylint build test
+# The fast pre-commit gate: format, vet, the repo's own invariant checkers
+# (fidelitylint, bce), build, test, kernel bench smoke. Everything here runs
+# offline.
+verify: fmt vet fidelitylint bce build test bench-smoke
 
-ci: fmt vet fidelitylint build test race chaos chaos-distrib bench
+ci: fmt vet fidelitylint bce build test race chaos chaos-distrib bench

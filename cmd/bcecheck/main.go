@@ -1,0 +1,130 @@
+// Command bcecheck fails when the compiler leaves a bounds check inside an
+// innermost loop of the kernel hot paths: internal/nn/kernels.go and the row
+// primitives of internal/numerics/halfrow.go. Their headers claim the MAC
+// loops are bounds-check free; this keeps the claim true.
+//
+// It builds the two packages with -gcflags=-d=ssa/check_bce, which reports
+// every check the compiler could not prove away as "file:line:col: Found
+// IsInBounds" (or IsSliceInBounds), and compares the positions with the
+// innermost for-statements of the two files. Checks outside a loop, or in a
+// loop that contains another loop, are per-row set-up and are allowed.
+//
+//	go run ./cmd/bcecheck        (from the module root; `make bce`)
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"os/exec"
+	"regexp"
+	"strconv"
+)
+
+// hotFiles are the files whose innermost loops must be check-free, with the
+// functions exempt in each: HalfDotStrided gathers w[i*stride], an index the
+// compiler cannot bound, and pays one check per element knowingly.
+var hotFiles = map[string]map[string]bool{
+	"internal/nn/kernels.go":       {},
+	"internal/numerics/halfrow.go": {"HalfDotStrided": true},
+}
+
+var hotPackages = []string{"./internal/nn", "./internal/numerics"}
+
+// span is the line range of one innermost loop.
+type span struct {
+	fn         string
+	start, end int
+}
+
+// innermostLoops returns the for-statements of file that contain no other
+// for-statement, skipping the exempt functions.
+func innermostLoops(file string, exempt map[string]bool) ([]span, error) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, file, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	var spans []span
+	for _, d := range f.Decls {
+		fd, ok := d.(*ast.FuncDecl)
+		if !ok || fd.Body == nil || exempt[fd.Name.Name] {
+			continue
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			var body *ast.BlockStmt
+			switch l := n.(type) {
+			case *ast.ForStmt:
+				body = l.Body
+			case *ast.RangeStmt:
+				body = l.Body
+			default:
+				return true
+			}
+			nested := false
+			ast.Inspect(body, func(m ast.Node) bool {
+				switch m.(type) {
+				case *ast.ForStmt, *ast.RangeStmt:
+					nested = true
+				}
+				return !nested
+			})
+			if !nested {
+				spans = append(spans, span{fd.Name.Name, fset.Position(n.Pos()).Line, fset.Position(n.End()).Line})
+			}
+			return true
+		})
+	}
+	return spans, nil
+}
+
+var found = regexp.MustCompile(`(?m)^(?:\./)?([^\s:]+\.go):(\d+):\d+: Found (Is\w*InBounds)`)
+
+func run() error {
+	// The flag applies to the named packages only, and the build cache
+	// replays the compiler's diagnostics, so a repeat run is instant.
+	args := append([]string{"build", "-gcflags=-d=ssa/check_bce"}, hotPackages...)
+	out, err := exec.Command("go", args...).CombinedOutput()
+	if err != nil {
+		return fmt.Errorf("go %v: %v\n%s", args, err, out)
+	}
+	loops := map[string][]span{}
+	for file, exempt := range hotFiles {
+		if loops[file], err = innermostLoops(file, exempt); err != nil {
+			return err
+		}
+		if len(loops[file]) == 0 {
+			return fmt.Errorf("%s: no loops found — has the file moved?", file)
+		}
+	}
+	matches := found.FindAllSubmatch(out, -1)
+	if len(matches) == 0 {
+		return fmt.Errorf("the compiler reported no bounds checks at all — has -d=ssa/check_bce changed?\n%s", bytes.TrimSpace(out))
+	}
+	bad := 0
+	for _, m := range matches {
+		file := string(m[1])
+		line, _ := strconv.Atoi(string(m[2]))
+		for _, s := range loops[file] {
+			if line >= s.start && line <= s.end {
+				fmt.Fprintf(os.Stderr, "%s:%d: %s inside an innermost loop of %s (lines %d–%d)\n", file, line, m[3], s.fn, s.start, s.end)
+				bad++
+			}
+		}
+	}
+	if bad > 0 {
+		return fmt.Errorf("%d bounds check(s) in kernel inner loops", bad)
+	}
+	return nil
+}
+
+func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "bcecheck:", err)
+		os.Exit(1)
+	}
+	fmt.Println("bcecheck: kernel inner loops are bounds-check free")
+}

@@ -4,7 +4,7 @@ package campaign
 // distributed fabric (internal/distrib) can relocate shards onto remote
 // workers. A logical shard is a perfectly relocatable unit of work: its
 // experiment stream is derived from (Seed, Shards, cursor) alone, its
-// resumable state is one ShardCheckpoint, and RunShard + AssembleResult are
+// resumable state is one ShardCheckpoint, and ShardRunner + AssembleResult are
 // the exact code paths the in-process Study uses — so a campaign fanned out
 // over any number of workers, with any pattern of lease expiries and
 // re-runs, assembles a StudyResult byte-identical to a single-process run.
@@ -24,7 +24,7 @@ import (
 	"fidelity/internal/nn"
 )
 
-// ShardRun configures one RunShard call.
+// ShardRun configures one ShardRunner.Run call.
 type ShardRun struct {
 	// Index is the logical shard to execute, in [0, opts.shards()).
 	Index int
@@ -47,10 +47,49 @@ type ShardRun struct {
 	PublishEvery int
 }
 
-// RunShard executes one logical shard of the campaign defined by
-// (cfg, w, opts) and returns its final published checkpoint. It is the
-// exported form of the per-shard run loop Study drives on its worker pool,
-// and obeys the same contract:
+// ShardRunner is the campaign state every shard run in one process shares:
+// the validated options, the derived fault models, and one recorded golden
+// trace per input. A process that runs many shards — Study's worker pool, a
+// distrib worker across all its leases — builds one and derives and traces
+// once, not once per shard. Run may be called from several goroutines.
+type ShardRunner struct {
+	w      *model.Workload
+	models []faultmodel.Model
+	opts   StudyOptions
+}
+
+// NewShardRunner validates opts and derives the fault models of cfg for the
+// campaign defined by (cfg, w, opts).
+func NewShardRunner(cfg *accel.Config, w *model.Workload, opts StudyOptions) (*ShardRunner, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	models, err := faultmodel.Derive(cfg)
+	if err != nil {
+		return nil, err
+	}
+	opts.golden = &goldenCache{}
+	return &ShardRunner{w: w, models: models, opts: opts}, nil
+}
+
+// newState returns the initial state of logical shard index.
+func (r *ShardRunner) newState(index int) *shardState {
+	return newShardState(index, shardSeed(r.opts.Seed, index), r.w, r.models, r.opts)
+}
+
+// RunShard is the one-shot form of NewShardRunner + Run, for a caller that
+// executes a single shard of the campaign.
+func RunShard(ctx context.Context, cfg *accel.Config, w *model.Workload, opts StudyOptions, run ShardRun) (ShardCheckpoint, error) {
+	r, err := NewShardRunner(cfg, w, opts)
+	if err != nil {
+		return ShardCheckpoint{}, err
+	}
+	return r.Run(ctx, run)
+}
+
+// Run executes one logical shard of the runner's campaign and returns its
+// final published checkpoint. It is the exported form of the per-shard run
+// loop Study drives on its worker pool, and obeys the same contract:
 //
 //   - nil error: the shard completed every experiment (checkpoint.Done).
 //   - ErrShardExhausted: the shard spent its failure budget and degraded;
@@ -65,23 +104,15 @@ type ShardRun struct {
 // every round its checkpoint records and is waiting at the round barrier for
 // the planner (the in-process barrier loop or a distributed coordinator) to
 // extend its History or finalize it.
-func RunShard(ctx context.Context, cfg *accel.Config, w *model.Workload, opts StudyOptions, run ShardRun) (ShardCheckpoint, error) {
-	if err := opts.validate(); err != nil {
-		return ShardCheckpoint{}, err
-	}
-	shards := opts.shards()
+func (r *ShardRunner) Run(ctx context.Context, run ShardRun) (ShardCheckpoint, error) {
+	shards := r.opts.shards()
 	if run.Index < 0 || run.Index >= shards {
 		return ShardCheckpoint{}, fmt.Errorf("campaign: shard index %d out of range [0, %d)", run.Index, shards)
 	}
 	if run.Resume != nil && run.Resume.Index != run.Index {
 		return ShardCheckpoint{}, fmt.Errorf("campaign: resume checkpoint is for shard %d, not %d", run.Resume.Index, run.Index)
 	}
-	models, err := faultmodel.Derive(cfg)
-	if err != nil {
-		return ShardCheckpoint{}, err
-	}
-	opts.golden = &goldenCache{}
-	sh := newShardState(run.Index, shardSeed(opts.Seed, run.Index), w, models, opts)
+	sh := r.newState(run.Index)
 	if run.PublishEvery > 0 {
 		sh.publishEvery = run.PublishEvery
 	}

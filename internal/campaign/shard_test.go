@@ -1,0 +1,80 @@
+package campaign
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"testing"
+
+	"fidelity/internal/accel"
+	"fidelity/internal/faultmodel"
+	"fidelity/internal/inject"
+	"fidelity/internal/model"
+	"fidelity/internal/numerics"
+)
+
+// TestShardRunnerTracesGoldenOncePerInput plays one distrib worker: every
+// shard of a campaign through a single ShardRunner, one lease after another,
+// one shard in two leases (cancelled mid-shard, then resumed from the
+// checkpoint it returned). The runner must call inject.TraceGolden once per
+// input — not once per lease, as a fresh RunShard per lease does — and the
+// shards must assemble to the bytes Study produces.
+func TestShardRunnerTracesGoldenOncePerInput(t *testing.T) {
+	w, err := model.Build("mobilenet", numerics.FP16, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := accel.NVDLASmall()
+	opts := StudyOptions{Samples: 240, Inputs: 3, Tolerance: 0.1, Seed: 9, Shards: 8}
+	want := studyJSON(t, w, opts)
+
+	const splitShard, splitAfter = 3, 40
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	seen := 0
+	leased := opts
+	leased.observe = func(shard int, _ Cursor, _ faultmodel.ID, _ inject.Result) {
+		if shard == splitShard {
+			if seen++; seen == splitAfter {
+				cancel()
+			}
+		}
+	}
+	r, err := NewShardRunner(cfg, w, leased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finals := make([]ShardCheckpoint, opts.Shards)
+	leases := 0
+	for s := range finals {
+		run := ShardRun{Index: s}
+		if s == splitShard {
+			part, err := r.Run(ctx, run)
+			if !errors.Is(err, context.Canceled) || part.Done {
+				t.Fatalf("shard %d: first lease ended with err=%v done=%v, want a cancelled partial shard", s, err, part.Done)
+			}
+			leases++
+			run.Resume = &part
+		}
+		if finals[s], err = r.Run(context.Background(), run); err != nil {
+			t.Fatalf("shard %d: %v", s, err)
+		}
+		leases++
+	}
+	// The cache traces exactly when it adds an entry, and never drops one.
+	if got := len(r.opts.golden.entries); got != opts.Inputs {
+		t.Errorf("%d leases traced golden inferences %d times, want once per input (%d)", leases, got, opts.Inputs)
+	}
+	res, err := AssembleResult(cfg, w, opts, finals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("shards run through one ShardRunner assemble differently from Study:\n got %s\nwant %s", got, want)
+	}
+}

@@ -129,7 +129,7 @@ type StudyOptions struct {
 	window int
 	// golden shares one recorded golden trace per input across every shard
 	// of a run (the trace is immutable during replay, so sharing is safe);
-	// set by Study and RunShard before the shard states copy the options.
+	// set by NewShardRunner before the shard states copy the options.
 	golden *goldenCache
 }
 
@@ -855,14 +855,13 @@ func phaseEnd(tel *telemetry.Collector, name string) {
 // which opts.Resume continues the study to the identical StudyResult an
 // uninterrupted run would have produced.
 func Study(ctx context.Context, cfg *accel.Config, w *model.Workload, opts StudyOptions) (*StudyResult, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	tel := opts.Telemetry
-	models, err := faultmodel.Derive(cfg)
+	// All shards of this run share one derivation of the fault models and
+	// one golden trace per input.
+	runner, err := NewShardRunner(cfg, w, opts)
 	if err != nil {
 		return nil, err
 	}
+	tel := opts.Telemetry
 
 	// Trace once for the Eq. 2 layer specs.
 	phaseStart(tel, "trace")
@@ -874,9 +873,7 @@ func Study(ctx context.Context, cfg *accel.Config, w *model.Workload, opts Study
 	_, execs := w.Net.Trace(x0)
 	phaseEnd(tel, "trace")
 
-	// Build the logical shards, restoring from a matching checkpoint. All
-	// shards of this run share one golden trace per input.
-	opts.golden = &goldenCache{}
+	// Build the logical shards, restoring from a matching checkpoint.
 	shards := opts.shards()
 	states := make([]*shardState, shards)
 	resume := opts.Resume
@@ -884,7 +881,7 @@ func Study(ctx context.Context, cfg *accel.Config, w *model.Workload, opts Study
 		resume = nil
 	}
 	for s := range states {
-		states[s] = newShardState(s, shardSeed(opts.Seed, s), w, models, opts)
+		states[s] = runner.newState(s)
 		if resume != nil {
 			states[s].restore(resume.Shard[s])
 		}
@@ -977,7 +974,7 @@ func Study(ctx context.Context, cfg *accel.Config, w *model.Workload, opts Study
 	for i, sh := range states {
 		finals[i] = sh.snapshot()
 	}
-	return assembleResult(cfg, w, opts, finals, execs, models)
+	return assembleResult(cfg, w, opts, finals, execs, runner.models)
 }
 
 // SensitivityBounds recomputes the FIT rate under perturbed estimates: the

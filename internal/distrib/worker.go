@@ -13,10 +13,8 @@ import (
 	"strings"
 	"time"
 
-	"fidelity/internal/accel"
 	"fidelity/internal/campaign"
 	"fidelity/internal/faultmodel"
-	"fidelity/internal/model"
 	"fidelity/internal/telemetry"
 )
 
@@ -58,10 +56,10 @@ type worker struct {
 	// posts never jitter), so no lock is needed.
 	rng *rand.Rand
 
-	cfg  *accel.Config
-	w    *model.Workload
-	opts campaign.StudyOptions
-	ttl  time.Duration
+	// runner is the campaign state shared by every lease this worker
+	// executes; built once from the coordinator's spec.
+	runner *campaign.ShardRunner
+	ttl    time.Duration
 }
 
 // workerSeed hashes a worker ID into a jitter stream seed.
@@ -83,7 +81,7 @@ func (wk *worker) jitter(d time.Duration) time.Duration {
 
 // Work runs a worker loop against the coordinator at o.BaseURL until the
 // campaign finishes or ctx is cancelled: fetch the campaign spec, then
-// repeatedly lease a shard, execute it via campaign.RunShard (streaming
+// repeatedly lease a shard, execute it on one campaign.ShardRunner (streaming
 // checkpoints back as heartbeats), and report its terminal state. A lease
 // the coordinator cancels (it lapsed and was re-issued elsewhere) is
 // abandoned mid-shard and the loop polls for fresh work; transient HTTP
@@ -130,10 +128,11 @@ func Work(ctx context.Context, o WorkerOptions) error {
 	if err != nil {
 		return err
 	}
-	wk.cfg = &hello.Config
-	wk.w = w
-	wk.opts = spec.Options()
-	wk.opts.Telemetry = wk.tel
+	opts := spec.Options()
+	opts.Telemetry = wk.tel
+	if wk.runner, err = campaign.NewShardRunner(&hello.Config, w, opts); err != nil {
+		return err
+	}
 
 	for {
 		var reply LeaseReply
@@ -174,7 +173,7 @@ func (wk *worker) execute(ctx context.Context, l *Lease) (done bool, err error) 
 	if heartbeat <= 0 {
 		heartbeat = wk.poll
 	}
-	sc, runErr := campaign.RunShard(leaseCtx, wk.cfg, wk.w, wk.opts, campaign.ShardRun{
+	sc, runErr := wk.runner.Run(leaseCtx, campaign.ShardRun{
 		Index:        l.Shard,
 		Resume:       l.Resume,
 		Interval:     heartbeat,

@@ -1,0 +1,125 @@
+package nn
+
+import (
+	"math/rand"
+	"testing"
+
+	"fidelity/internal/numerics"
+	"fidelity/internal/tensor"
+)
+
+// reportMACs turns a benchmark's elapsed time into the MAC/s the kernels are
+// measured by; ns/op stays what it is, the time of one tile or neuron.
+func reportMACs(b *testing.B, macsPerOp int) {
+	b.ReportMetric(float64(b.N)*float64(macsPerOp)/b.Elapsed().Seconds(), "MAC/s")
+}
+
+// benchConvTile times one full-output convTile of resnet-lite's res1/c1
+// shape (3×3, 16→16 channels, 16×16 map, FP16) with the given share of
+// activations zeroed, as a ReLU leaves them.
+func benchConvTile(b *testing.B, zeroFrac float64) {
+	rng := rand.New(rand.NewSource(31))
+	codec := numerics.MustCodec(numerics.FP16, 0)
+	l := NewConv2D("c", 3, 3, 16, 16, 1, 1, codec).InitRandom(rng, 0.1)
+	x := tensor.New(1, 16, 16, 16)
+	x.RandNormal(rng, 1)
+	for i, d := 0, x.Data(); i < len(d); i++ {
+		if rng.Float64() < zeroFrac {
+			d[i] = 0
+		}
+	}
+	out := tensor.New(l.OutputShape(x.Shape())...)
+	a := l.kernelArgs(x, out, codec.RoundSlice(x.Data()), 0)
+	accs := make([]float32, a.outC)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		convTile(a, 0, 0, a.oh, 0, a.ow, accs)
+	}
+	// Nominal MACs of the interior; the padded border does a few fewer.
+	reportMACs(b, a.oh*a.ow*a.outC*a.kh*a.kw*a.inC)
+}
+
+func BenchmarkConvTileDense(b *testing.B)    { benchConvTile(b, 0) }
+func BenchmarkConvTileSparse50(b *testing.B) { benchConvTile(b, 0.5) }
+
+// BenchmarkDenseTile times a 512→256 FP16 dense layer's whole output.
+func BenchmarkDenseTile(b *testing.B) {
+	rng := rand.New(rand.NewSource(32))
+	codec := numerics.MustCodec(numerics.FP16, 0)
+	l := NewDense("d", 512, 256, codec).InitRandom(rng, 0.05)
+	x := tensor.New(1, 512)
+	x.RandNormal(rng, 1)
+	rw := l.wcache.get(codec, l.W)
+	out := make([]float32, 256)
+	a := &denseArgs{
+		rin: codec.RoundSlice(x.Data()), rw: rw.rw, bias: l.B.Data(), out: out,
+		batch: 1, in: 512, outN: 256, fp16: true, skipZero: rw.finite, codec: codec,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(out)
+		denseTile(a, 0, 1, 0, 256)
+	}
+	reportMACs(b, 512*256)
+}
+
+// BenchmarkMatMulTile times a 64×64×64 FP16 product in both operand layouts.
+func BenchmarkMatMulTile(b *testing.B) {
+	rng := rand.New(rand.NewSource(33))
+	codec := numerics.MustCodec(numerics.FP16, 0)
+	ta, tb := tensor.New(64, 64), tensor.New(64, 64)
+	ta.RandNormal(rng, 1)
+	tb.RandNormal(rng, 1)
+	out := make([]float32, 64*64)
+	for _, transposeB := range []bool{false, true} {
+		name := "plain"
+		if transposeB {
+			name = "transposeB"
+		}
+		a := &matmulArgs{
+			ra: codec.RoundSlice(ta.Data()), rb: codec.RoundSlice(tb.Data()), out: out,
+			m: 64, k: 64, n: 64, transposeB: transposeB, fp16: true, codec: codec,
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				clear(out)
+				matmulTile(a, 0, 64, 0, 64)
+			}
+			reportMACs(b, 64*64*64)
+		})
+	}
+}
+
+// BenchmarkComputeNeuron times the per-neuron recompute a datapath fault
+// triggers, with and without an input override landing in the neuron's
+// receptive field, on the res1/c1 shape.
+func BenchmarkComputeNeuron(b *testing.B) {
+	rng := rand.New(rand.NewSource(34))
+	codec := numerics.MustCodec(numerics.FP16, 0)
+	l := NewConv2D("c", 3, 3, 16, 16, 1, 1, codec).InitRandom(rng, 0.1)
+	x := tensor.New(1, 16, 16, 16)
+	x.RandNormal(rng, 1)
+	codec.RoundInto(x.Data(), x.Data()) // a stored activation is a half already
+	op := &Operands{In: x, W: l.W, B: l.B, Out: l.Forward(x, nil)}
+	idx := []int{0, 8, 8, 3}
+	for _, bc := range []struct {
+		name string
+		ov   *Override
+	}{
+		{"clean", nil},
+		{"input-override", &Override{Kind: OperandInput, Flat: (8*16+8)*16 + 5, Value: 2}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sink float32
+			for i := 0; i < b.N; i++ {
+				sink += l.ComputeNeuron(op, idx, bc.ov)
+			}
+			_ = sink
+			reportMACs(b, 3*3*16)
+		})
+	}
+}

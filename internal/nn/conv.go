@@ -24,25 +24,44 @@ type Conv2D struct {
 	W *tensor.Tensor
 	B *tensor.Tensor // length OutC, may be nil
 
-	codec numerics.Codec
-	// wcache holds RoundSlice(W) so repeated forwards (and ComputeNeuron)
-	// skip re-rounding the full weight tensor. atomic: a Network is shared
-	// read-only across campaign shards; the recompute is idempotent.
-	wcache atomic.Pointer[[]float32]
+	codec  numerics.Codec
+	wcache weightCache
 }
 
-// roundedW returns the cached pre-rounded weight buffer, computing it once.
-func (l *Conv2D) roundedW() []float32 {
-	if p := l.wcache.Load(); p != nil {
-		return *p
+// roundedWeights is what a layer derives from its weight tensor once and
+// reuses on every forward and ComputeNeuron.
+type roundedWeights struct {
+	rw []float32 // RoundSlice(W)
+	// finite reports that no element of rw is ±Inf or NaN, which is what
+	// lets the tiled kernels skip a zero activation's weight row (0 × finite
+	// is ±0; 0 × Inf is NaN and must be computed).
+	finite bool
+}
+
+// weightCache holds a layer's roundedWeights. atomic: a Network is shared
+// read-only across campaign shards; the recompute is idempotent.
+type weightCache struct {
+	p atomic.Pointer[roundedWeights]
+}
+
+// get returns the cached derivation of w, computing it once.
+func (c *weightCache) get(codec numerics.Codec, w *tensor.Tensor) *roundedWeights {
+	if rw := c.p.Load(); rw != nil {
+		return rw
 	}
-	rw := l.codec.RoundSlice(l.W.Data())
-	l.wcache.Store(&rw)
+	rw := &roundedWeights{rw: codec.RoundSlice(w.Data()), finite: true}
+	for _, v := range rw.rw {
+		if v-v != 0 { // Inf-Inf and NaN-NaN are NaN
+			rw.finite = false
+			break
+		}
+	}
+	c.p.Store(rw)
 	return rw
 }
 
 // InvalidateWeights drops the rounded-weight cache. Call after mutating W.
-func (l *Conv2D) InvalidateWeights() { l.wcache.Store(nil) }
+func (l *Conv2D) InvalidateWeights() { l.wcache.p.Store(nil) }
 
 // NewConv2D builds a convolution layer with zero weights; use InitRandom or
 // assign W/B to populate parameters.
@@ -108,9 +127,8 @@ func (l *Conv2D) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 		op := &Operands{In: x, W: l.W, B: l.B, Out: out}
 
 		rin := l.codec.RoundSlice(x.Data())
-		rw := l.roundedW()
 		if UseReferenceKernels() {
-			convForwardRef(l, x, out, rin, rw)
+			convForwardRef(l, x, out, rin, l.wcache.get(l.codec, l.W).rw)
 		} else {
 			convForward(l.kernelArgs(x, out, rin, 0))
 		}
@@ -130,13 +148,14 @@ func (l *Conv2D) kernelArgs(x, out *tensor.Tensor, rin []float32, rinOff int) *c
 	if l.B != nil {
 		bias = l.B.Data()
 	}
+	rw := l.wcache.get(l.codec, l.W)
 	return &convArgs{
-		rin: rin, rw: l.roundedW(), bias: bias, out: out.Data(), rinOff: rinOff,
+		rin: rin, rw: rw.rw, bias: bias, out: out.Data(), rinOff: rinOff,
 		n: x.Dim(0), h: x.Dim(1), w: x.Dim(2), inC: l.InC,
 		oh: os[1], ow: os[2], outC: os[3],
 		kh: l.KH, kw: l.KW, stride: l.Stride, pd: l.Pad,
 		depthwise: l.Depthwise, fp16: l.codec.Precision() == numerics.FP16,
-		codec: l.codec,
+		skipZero: rw.finite, codec: l.codec,
 	}
 }
 
@@ -169,8 +188,9 @@ func (l *Conv2D) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
 	// so the result is bit-identical.
 	var rw []float32
 	if w == l.W {
-		rw = l.roundedW()
+		rw = l.wcache.get(l.codec, l.W).rw
 	}
+	fp16 := rw != nil && l.codec.Precision() == numerics.FP16
 	var acc float32
 	for ky := 0; ky < l.KH; ky++ {
 		iy := oy*l.Stride + ky - l.Pad
@@ -201,6 +221,12 @@ func (l *Conv2D) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
 				continue
 			}
 			wbase := (ky*l.KW + kx) * wc * woc
+			// A kernel position no override lands in takes the fused FP16
+			// primitive: the same products, rounded and added in the same order.
+			if fp16 && (inFlat < base || inFlat >= base+l.InC) && (wFlat < wbase || wFlat >= wbase+wc*woc) {
+				acc = numerics.HalfDotStrided(acc, ind[base:base+l.InC], rw[wbase+oc:], woc)
+				continue
+			}
 			for ic := 0; ic < l.InC; ic++ {
 				av := ind[base+ic]
 				if base+ic == inFlat {
@@ -219,7 +245,7 @@ func (l *Conv2D) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
 		}
 	}
 	if op.B != nil {
-		bv := op.B.At(oc)
+		bv := op.B.Data()[oc]
 		if ov != nil && ov.Kind == OperandBias && oc == ov.Flat {
 			bv = ov.Value
 		}

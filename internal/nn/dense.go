@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"fidelity/internal/numerics"
 	"fidelity/internal/tensor"
@@ -21,23 +20,12 @@ type Dense struct {
 	W *tensor.Tensor // (In, Out)
 	B *tensor.Tensor // (Out), may be nil
 
-	codec numerics.Codec
-	// wcache holds RoundSlice(W); see Conv2D.wcache.
-	wcache atomic.Pointer[[]float32]
-}
-
-// roundedW returns the cached pre-rounded weight buffer, computing it once.
-func (l *Dense) roundedW() []float32 {
-	if p := l.wcache.Load(); p != nil {
-		return *p
-	}
-	rw := l.codec.RoundSlice(l.W.Data())
-	l.wcache.Store(&rw)
-	return rw
+	codec  numerics.Codec
+	wcache weightCache
 }
 
 // InvalidateWeights drops the rounded-weight cache. Call after mutating W.
-func (l *Dense) InvalidateWeights() { l.wcache.Store(nil) }
+func (l *Dense) InvalidateWeights() { l.wcache.p.Store(nil) }
 
 // NewDense builds a fully connected layer with zero parameters.
 func NewDense(name string, in, out int, codec numerics.Codec) *Dense {
@@ -85,19 +73,19 @@ func (l *Dense) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 		// Fast path: pre-rounded operands, per-output-neuron accumulation in
 		// the same order as ComputeNeuron (bit-identical; see Conv2D.Forward).
 		rin := l.codec.RoundSlice(flat.Data())
-		rw := l.roundedW()
+		rw := l.wcache.get(l.codec, l.W)
 		if UseReferenceKernels() {
-			denseForwardRef(l, out, rin, rw, batch)
+			denseForwardRef(l, out, rin, rw.rw, batch)
 		} else {
 			var bias []float32
 			if l.B != nil {
 				bias = l.B.Data()
 			}
 			denseForward(&denseArgs{
-				rin: rin, rw: rw, bias: bias, out: out.Data(),
+				rin: rin, rw: rw.rw, bias: bias, out: out.Data(),
 				batch: batch, in: l.In, outN: l.Out,
-				fp16:  l.codec.Precision() == numerics.FP16,
-				codec: l.codec,
+				fp16:     l.codec.Precision() == numerics.FP16,
+				skipZero: rw.finite, codec: l.codec,
 			})
 		}
 		ctx.fire(l, op)
@@ -115,7 +103,7 @@ func (l *Dense) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
 	// invariant (see Conv2D.ComputeNeuron).
 	var rw []float32
 	if op.W == l.W {
-		rw = l.roundedW()
+		rw = l.wcache.get(l.codec, l.W).rw
 	}
 	// Flat row-major indexing: the variadic accessors allocate per call and
 	// this is the per-fault hot loop (see Conv2D.ComputeNeuron).
@@ -132,23 +120,30 @@ func (l *Dense) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
 	}
 	base := b * l.In
 	var acc float32
-	for i := 0; i < l.In; i++ {
-		av := ind[base+i]
-		if base+i == inFlat {
-			av = ov.Value
-		}
-		woff := i*wo + o
-		switch {
-		case woff == wFlat:
-			acc += l.codec.Mul(av, ov.Value)
-		case rw != nil:
-			acc += l.codec.MulPre(l.codec.Round(av), rw[woff])
-		default:
-			acc += l.codec.Mul(av, wdat[woff])
+	if rw != nil && l.codec.Precision() == numerics.FP16 &&
+		(inFlat < base || inFlat >= base+l.In) && (wFlat < 0 || wFlat%wo != o) {
+		// No override among this neuron's products: the fused FP16 primitive
+		// forms the same ones, rounded and added in the same order.
+		acc = numerics.HalfDotStrided(0, ind[base:base+l.In], rw[o:], wo)
+	} else {
+		for i := 0; i < l.In; i++ {
+			av := ind[base+i]
+			if base+i == inFlat {
+				av = ov.Value
+			}
+			woff := i*wo + o
+			switch {
+			case woff == wFlat:
+				acc += l.codec.Mul(av, ov.Value)
+			case rw != nil:
+				acc += l.codec.MulPre(l.codec.Round(av), rw[woff])
+			default:
+				acc += l.codec.Mul(av, wdat[woff])
+			}
 		}
 	}
 	if op.B != nil {
-		bv := op.B.At(o)
+		bv := op.B.Data()[o]
 		if ov != nil && ov.Kind == OperandBias && o == ov.Flat {
 			bv = ov.Value
 		}

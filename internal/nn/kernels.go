@@ -80,7 +80,12 @@ type convArgs struct {
 	oh, ow, outC       int
 	kh, kw, stride, pd int
 	depthwise, fp16    bool
-	codec              numerics.Codec
+	// skipZero is set when every rounded weight is finite (weightCache): a ±0
+	// activation then contributes ±0 to every accumulator of its weight row,
+	// and an accumulator that starts at +0 never holds -0, so the row can be
+	// skipped without changing a bit (DESIGN.md §7).
+	skipZero bool
+	codec    numerics.Codec
 }
 
 // convTile computes output rows [oy0,oy1) × columns [ox0,ox1) of batch bi,
@@ -133,9 +138,7 @@ func convTile(a *convArgs, bi, oy0, oy1, ox0, ox1 int, accs []float32) {
 						irow := rin[inBase : inBase+inC][:len(wrow)]
 						ac := accs[:len(wrow)]
 						if a.fp16 {
-							for c, wv := range wrow {
-								ac[c] += numerics.RoundHalf(irow[c] * wv)
-							}
+							numerics.HalfMulAddVec(ac, irow, wrow)
 						} else {
 							for c, wv := range wrow {
 								ac[c] += irow[c] * wv
@@ -149,34 +152,32 @@ func convTile(a *convArgs, bi, oy0, oy1, ox0, ox1 int, accs []float32) {
 					inBase := rowBase + ix*inC
 					irow := rin[inBase : inBase+inC]
 					wBase := (ky*kw + kx) * inC * outC
-					if a.fp16 {
-						for ic, av := range irow {
-							wo := wBase + ic*outC
-							wrow := rw[wo : wo+outC]
-							for c, wv := range wrow {
-								accs[c] += numerics.RoundHalf(av * wv)
-							}
+					for ic, av := range irow {
+						if av == 0 && a.skipZero {
+							continue
 						}
-					} else {
-						for ic, av := range irow {
-							wo := wBase + ic*outC
-							wrow := rw[wo : wo+outC]
-							for c, wv := range wrow {
-								accs[c] += av * wv
-							}
+						wo := wBase + ic*outC
+						wrow := rw[wo : wo+outC]
+						if a.fp16 {
+							numerics.HalfMulAddRow(accs, av, wrow)
+							continue
+						}
+						for c, wv := range wrow {
+							accs[c] += av * wv
 						}
 					}
 				}
 			}
 			outBase := ((bi*a.oh+oy)*a.ow + ox) * outC
-			orow := out[outBase : outBase+outC]
+			orow := out[outBase : outBase+outC][:len(accs)]
 			if bias != nil {
-				for c := range orow {
-					orow[c] = a.codec.Saturate(accs[c] + bias[c])
+				bias := bias[:len(accs)]
+				for c, acc := range accs {
+					orow[c] = a.codec.Saturate(acc + bias[c])
 				}
 			} else {
-				for c := range orow {
-					orow[c] = a.codec.Saturate(accs[c])
+				for c, acc := range accs {
+					orow[c] = a.codec.Saturate(acc)
 				}
 			}
 		}
@@ -230,7 +231,7 @@ func convForward(a *convArgs) {
 type denseArgs struct {
 	rin, rw, bias, out []float32
 	batch, in, outN    int
-	fp16               bool
+	fp16, skipZero     bool // skipZero: see convArgs
 	codec              numerics.Codec
 }
 
@@ -244,23 +245,21 @@ func denseTile(a *denseArgs, b0, b1, o0, o1 int) {
 	for b := b0; b < b1; b++ {
 		orow := out[b*outN+o0 : b*outN+o1]
 		irow := rin[b*in : (b+1)*in]
-		if a.fp16 {
-			for i, av := range irow {
-				wrow := rw[i*outN+o0 : i*outN+o1][:len(orow)]
-				for o, wv := range wrow {
-					orow[o] += numerics.RoundHalf(av * wv)
-				}
+		for i, av := range irow {
+			if av == 0 && a.skipZero {
+				continue
 			}
-		} else {
-			for i, av := range irow {
-				wrow := rw[i*outN+o0 : i*outN+o1][:len(orow)]
-				for o, wv := range wrow {
-					orow[o] += av * wv
-				}
+			wrow := rw[i*outN+o0 : i*outN+o1][:len(orow)]
+			if a.fp16 {
+				numerics.HalfMulAddRow(orow, av, wrow)
+				continue
+			}
+			for o, wv := range wrow {
+				orow[o] += av * wv
 			}
 		}
 		if a.bias != nil {
-			bias := a.bias[o0:o1]
+			bias := a.bias[o0:o1][:len(orow)]
 			for o := range orow {
 				orow[o] = a.codec.Saturate(orow[o] + bias[o])
 			}
@@ -328,32 +327,25 @@ func matmulTile(a *matmulArgs, i0, i1, j0, j1 int) {
 		if a.transposeB {
 			for j := range orow {
 				brow := rb[(j0+j)*k : (j0+j+1)*k][:len(arow)]
-				acc := orow[j]
 				if a.fp16 {
-					for p, av := range arow {
-						acc += numerics.RoundHalf(av * brow[p])
-					}
-				} else {
-					for p, av := range arow {
-						acc += av * brow[p]
-					}
+					orow[j] = numerics.HalfDot(orow[j], arow, brow)
+					continue
+				}
+				acc := orow[j]
+				for p, av := range arow {
+					acc += av * brow[p]
 				}
 				orow[j] = acc
 			}
 		} else {
-			if a.fp16 {
-				for p, av := range arow {
-					brow := rb[p*n+j0 : p*n+j1][:len(orow)]
-					for j, wv := range brow {
-						orow[j] += numerics.RoundHalf(av * wv)
-					}
+			for p, av := range arow {
+				brow := rb[p*n+j0 : p*n+j1][:len(orow)]
+				if a.fp16 {
+					numerics.HalfMulAddRow(orow, av, brow)
+					continue
 				}
-			} else {
-				for p, av := range arow {
-					brow := rb[p*n+j0 : p*n+j1][:len(orow)]
-					for j, wv := range brow {
-						orow[j] += av * wv
-					}
+				for j, wv := range brow {
+					orow[j] += av * wv
 				}
 			}
 		}

@@ -53,8 +53,72 @@ func runKernelModes(t *testing.T, label string, f func() *tensor.Tensor) {
 			t.Fatalf("%s/%s: shape %v, reference %v", label, m.name, got.Shape(), want.Shape())
 		}
 		for i, v := range got.Data() {
-			if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+			if !sameValue(v, want.Data()[i]) {
 				t.Fatalf("%s/%s: output[%d] = %v, reference %v", label, m.name, i, v, want.Data()[i])
+			}
+		}
+	}
+}
+
+// sameValue reports bit equality, except that any NaN equals any NaN: when
+// two NaNs of opposite sign meet in an accumulator the hardware keeps the
+// destination operand's sign, and which operand that is is the compiler's
+// choice in each loop — no kernel promises it.
+func sameValue(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b
+}
+
+// adversarial overwrites a share of data with the values that separate a
+// fused or skipping kernel from the reference if anything does: both zeros,
+// NaN, both infinities, products that land in the half-subnormal and
+// underflow bands, and float32 subnormals.
+func adversarial(data []float32, rng *rand.Rand) {
+	specials := []float32{
+		0, float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		6.1035156e-05, -5.9604645e-08, 2.9802322e-08, 1e-7, -3e-6, 1e-40, 65504, -70000,
+	}
+	for i := range data {
+		switch r := rng.Intn(10); {
+		case r < 4: // post-ReLU share of zeros
+			data[i] = specials[rng.Intn(2)]
+		case r < 6:
+			data[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+}
+
+// checkNeurons recomputes output neurons of out one by one through
+// site.ComputeNeuron — every one for small outputs, a stride sample above
+// 4096 — and requires each to equal the forward pass.
+func checkNeurons(t *testing.T, label string, site Site, op *Operands) {
+	t.Helper()
+	od := op.Out.Data()
+	step := 1 + len(od)/4096
+	for flat := 0; flat < len(od); flat += step {
+		if got := site.ComputeNeuron(op, op.Out.Unflatten(flat), nil); !sameValue(got, od[flat]) {
+			t.Fatalf("%s: ComputeNeuron(%v) = %v [%#08x], forward %v [%#08x]", label,
+				op.Out.Unflatten(flat), got, math.Float32bits(got), od[flat], math.Float32bits(od[flat]))
+		}
+	}
+}
+
+// weightVariants are the weight conditions every kernel equivalence test
+// runs under: as drawn; with ±Inf and NaN planted, which must turn the
+// zero-activation skip off (0 × Inf is NaN, not 0); and with zeros and tiny
+// values planted.
+var weightVariants = []string{"finite", "nonfinite", "sparse-tiny"}
+
+func plantWeights(variant string, w []float32, rng *rand.Rand) {
+	switch variant {
+	case "nonfinite":
+		for _, v := range []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), 1e30} {
+			w[rng.Intn(len(w))] = v
+		}
+	case "sparse-tiny":
+		adversarial(w, rng)
+		for i, v := range w { // keep this variant finite, also once rounded to FP16
+			if !(v > -60000 && v < 60000) {
+				w[i] = 1e-7
 			}
 		}
 	}
@@ -93,7 +157,72 @@ func TestConvKernelEquivalence(t *testing.T) {
 			x := tensor.New(2, g.h, g.w, g.inC)
 			x.RandNormal(rng, 1)
 			runKernelModes(t, label, func() *tensor.Tensor { return l.Forward(x, nil) })
+
+			// Adversarial activations under each weight condition, against
+			// the reference kernel and against per-neuron ComputeNeuron.
+			adversarial(x.Data(), rng)
+			for _, variant := range weightVariants {
+				plantWeights(variant, l.W.Data(), rng)
+				l.InvalidateWeights()
+				vlabel := label + "/adversarial/" + variant
+				// Quantizers store NaN as 0 and saturate Inf: only a float codec
+				// can hold a non-finite weight.
+				quantized := codec.Precision() == numerics.INT16 || codec.Precision() == numerics.INT8
+				if got, want := l.wcache.get(codec, l.W).finite, variant != "nonfinite" || quantized; got != want {
+					t.Fatalf("%s: weight cache reports finite=%v, want %v", vlabel, got, want)
+				}
+				runKernelModes(t, vlabel, func() *tensor.Tensor { return l.Forward(x, nil) })
+				checkNeurons(t, vlabel, l, &Operands{In: x, W: l.W, B: l.B, Out: l.Forward(x, nil)})
+			}
 		}
+	}
+}
+
+// TestZeroSkipGuardFollowsWeights walks one layer's weights finite → Inf →
+// finite again through InvalidateWeights: the skip guard must follow, and
+// while the Inf is there a zero activation against it must come out NaN, as
+// the reference computes it — the value a skipped row would lose.
+func TestZeroSkipGuardFollowsWeights(t *testing.T) {
+	codec := numerics.MustCodec(numerics.FP16, 0)
+	conv := NewConv2D("c", 1, 1, 2, 2, 1, 0, codec)
+	dense := NewDense("d", 2, 2, codec)
+	for _, w := range []*tensor.Tensor{conv.W, dense.W} {
+		copy(w.Data(), []float32{1, 2, 3, 4}) // (in, out): input 0 feeds both outputs
+	}
+	xc, xd := tensor.New(1, 1, 1, 2), tensor.New(1, 2)
+	for _, x := range []*tensor.Tensor{xc, xd} {
+		copy(x.Data(), []float32{0, 1}) // input 0 is the zero activation
+	}
+	forward := func() (c, d []float32) { return conv.Forward(xc, nil).Data(), dense.Forward(xd, nil).Data() }
+	finite := func() (c, d bool) {
+		return conv.wcache.get(codec, conv.W).finite, dense.wcache.get(codec, dense.W).finite
+	}
+	set := func(v float32) {
+		conv.W.Data()[0], dense.W.Data()[0] = v, v
+		conv.InvalidateWeights()
+		dense.InvalidateWeights()
+	}
+
+	set(1)
+	if c, d := finite(); !c || !d {
+		t.Fatalf("finite weights: guard conv=%v dense=%v, want both on", c, d)
+	}
+	if c, d := forward(); c[0] != 3 || d[0] != 3 {
+		t.Fatalf("finite weights: outputs %v %v, want 3 at neuron 0", c, d)
+	}
+	set(float32(math.Inf(1)))
+	if c, d := finite(); c || d {
+		t.Fatalf("Inf weight after InvalidateWeights: guard conv=%v dense=%v, want both off", c, d)
+	}
+	if c, d := forward(); c[0] == c[0] || d[0] == d[0] || c[1] != 4 || d[1] != 4 {
+		t.Fatalf("Inf weight × zero activation: outputs %v %v, want NaN at neuron 0 and 4 at neuron 1", c, d)
+	}
+	set(1)
+	if c, d := finite(); !c || !d {
+		t.Fatalf("weights finite again: guard conv=%v dense=%v, want both on", c, d)
+	}
+	if c, d := forward(); c[0] != 3 || d[0] != 3 {
+		t.Fatalf("weights finite again: outputs %v %v, want 3 at neuron 0", c, d)
 	}
 }
 
@@ -121,6 +250,15 @@ func TestDenseKernelEquivalence(t *testing.T) {
 			x := tensor.New(g.batch, g.in)
 			x.RandNormal(rng, 1)
 			runKernelModes(t, label, func() *tensor.Tensor { return l.Forward(x, nil) })
+
+			adversarial(x.Data(), rng)
+			for _, variant := range weightVariants {
+				plantWeights(variant, l.W.Data(), rng)
+				l.InvalidateWeights()
+				vlabel := label + "/adversarial/" + variant
+				runKernelModes(t, vlabel, func() *tensor.Tensor { return l.Forward(x, nil) })
+				checkNeurons(t, vlabel, l, &Operands{In: x, W: l.W, B: l.B, Out: l.Forward(x, nil)})
+			}
 		}
 	}
 }
@@ -153,6 +291,12 @@ func TestMatMulKernelEquivalence(t *testing.T) {
 			b := tensor.New(bd0, bd1)
 			b.RandNormal(rng, 1)
 			runKernelModes(t, label, func() *tensor.Tensor { return site.Run(a, b, nil) })
+
+			// Both operands of a matmul are activations: make both adversarial.
+			adversarial(a.Data(), rng)
+			adversarial(b.Data(), rng)
+			runKernelModes(t, label+"/adversarial", func() *tensor.Tensor { return site.Run(a, b, nil) })
+			checkNeurons(t, label+"/adversarial", site, &Operands{In: a, W: b, Out: site.Run(a, b, nil)})
 		}
 	}
 }

@@ -232,10 +232,7 @@ func (l *Conv2D) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*
 		rowStride := w * l.InC
 		scratch = c.arena.get((wy1 - wy0) * rowStride)
 		rin = scratch.Data()
-		src := x.Data()[wy0*rowStride : wy1*rowStride]
-		for i, v := range src {
-			rin[i] = l.codec.Round(v)
-		}
+		l.codec.RoundInto(rin, x.Data()[wy0*rowStride:wy1*rowStride])
 		rinOff = wy0 * rowStride
 	default:
 		rin = l.codec.RoundSlice(x.Data())

@@ -1,0 +1,57 @@
+package numerics
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// benchOperands returns n activations ~ N(0,1) and n weights ~ N(0, 0.1²),
+// both stored as halves: the zoo's conv layers in miniature. About 4% of the
+// products land in the half-subnormal band, so the benchmarks time the mix of
+// rounding paths a campaign sees, not the normal band alone.
+func benchOperands(n int) (a, w []float32) {
+	rng := rand.New(rand.NewSource(71))
+	a, w = make([]float32, n), make([]float32, n)
+	for i := range a {
+		a[i] = RoundHalf(float32(rng.NormFloat64()))
+		w[i] = RoundHalf(float32(rng.NormFloat64() * 0.1))
+	}
+	return a, w
+}
+
+// BenchmarkHalfMulAddRow times the three FP16 row primitives on the row
+// widths the zoo uses (16–32 output channels) and on one long row.
+func BenchmarkHalfMulAddRow(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		width int
+	}{{"row16", 16}, {"row32", 32}, {"row512", 512}} {
+		a, w := benchOperands(bc.width)
+		acc := make([]float32, bc.width)
+		run := func(name string, f func()) {
+			b.Run(name+"/"+bc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					f()
+				}
+				b.ReportMetric(float64(b.N)*float64(bc.width)/b.Elapsed().Seconds(), "MAC/s")
+			})
+		}
+		run("row", func() { HalfMulAddRow(acc, a[0], w) })
+		run("vec", func() { HalfMulAddVec(acc, a, w) })
+		run("dot", func() { acc[0] = HalfDot(0, a, w) })
+	}
+}
+
+func benchRoundSlice(b *testing.B, c Codec) {
+	data, _ := benchOperands(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.RoundSlice(data)
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e9/(float64(b.N)*float64(len(data))), "ns/value")
+}
+
+func BenchmarkRoundSliceFP16(b *testing.B) { benchRoundSlice(b, MustCodec(FP16, 0)) }
+func BenchmarkRoundSliceINT8(b *testing.B) { benchRoundSlice(b, MustCodec(INT8, 4)) }

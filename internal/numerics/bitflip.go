@@ -132,14 +132,24 @@ func (c Codec) MulPre(a, b float32) float32 {
 // codec's storage rounding.
 func (c Codec) RoundSlice(data []float32) []float32 {
 	out := make([]float32, len(data))
-	if c.prec == FP32 {
-		copy(out, data)
-		return out
-	}
-	for i, v := range data {
-		out[i] = c.Round(v)
-	}
+	c.RoundInto(out, data)
 	return out
+}
+
+// RoundInto stores Round(src[i]) in dst[i] for every i in src, one loop per
+// precision. dst must be at least as long as src.
+func (c Codec) RoundInto(dst, src []float32) {
+	dst = dst[:len(src)]
+	switch c.prec {
+	case FP32:
+		copy(dst, src)
+	case FP16:
+		for i, v := range src {
+			dst[i] = RoundHalf(v)
+		}
+	default:
+		c.quant.roundInto(dst, src)
+	}
 }
 
 // Saturate clamps f to the representable range of the codec, modeling the
@@ -151,11 +161,12 @@ func (c Codec) Saturate(f float32) float32 {
 	case FP32:
 		return f
 	case FP16:
-		if f > HalfMax.Float32() {
-			return HalfMax.Float32()
+		const halfMax = 65504 // HalfMax.Float32(), without decoding it per output
+		if f > halfMax {
+			return halfMax
 		}
-		if f < HalfMin.Float32() {
-			return HalfMin.Float32()
+		if f < -halfMax {
+			return -halfMax
 		}
 		return RoundHalf(f)
 	default:

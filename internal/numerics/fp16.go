@@ -141,30 +141,22 @@ func (h Half) FlipBit(i int) Half {
 // RoundHalf rounds f through the Half encoding and back, modeling a value
 // passing through an FP16 register or functional-unit output.
 //
-// This is the single hottest function of the injection datapath (one call per
-// MAC on FP16 networks), so the common case — a float32 whose exponent lands
-// in the normal half range — is handled with pure integer arithmetic on the
-// float32 bit pattern instead of a full encode/decode round trip: adding
-// 0x0fff plus the round bit performs round-to-nearest-even on the 13 mantissa
-// bits a half discards, with mantissa overflow carrying into the exponent
-// field for free. Exact zeros get their own branch: post-ReLU tensors are
-// about half zeros, and ±0 round-trips to itself. Values outside both cases
-// (subnormals, overflow, Inf/NaN) take the exact reference path.
-// RoundHalfRef proves the paths agree bit-for-bit; TestRoundHalfFastPath
-// sweeps the boundary cases.
+// A float32 in the normal half range is rounded with integer arithmetic on
+// its bit pattern, the half-subnormal band with one float32 add and subtract,
+// and only overflow, Inf and NaN take the encode/decode round trip;
+// halfrow.go derives the bands. RoundHalfRef proves the paths agree
+// bit-for-bit; TestRoundHalfFastPath sweeps the boundary cases.
 func RoundHalf(f float32) float32 {
 	b := math.Float32bits(f)
-	if e := b >> 23 & 0xff; e-113 < 30 { // exponent in [-14, 15]: normal half
-		r := (b + 0x0fff + (b >> 13 & 1)) &^ 0x1fff
-		if r&0x7fffffff > 0x477fe000 { // rounded past HalfMax: overflow to Inf
-			return math.Float32frombits(b&0x80000000 | 0x7f800000)
-		}
-		return math.Float32frombits(r)
+	abs := b &^ f32Sign
+	switch {
+	case abs-f32HalfNormal < f32HalfOver-f32HalfNormal:
+		return math.Float32frombits((b + 0x0fff + (b >> 13 & 1)) &^ 0x1fff)
+	case abs < f32HalfNormal:
+		return halfRoundSmall(b, abs)
+	default:
+		return RoundHalfRef(f)
 	}
-	if b&0x7fffffff == 0 { // ±0
-		return f
-	}
-	return HalfFromFloat32(f).Float32()
 }
 
 // RoundHalfRef is the reference implementation of RoundHalf via a full

@@ -1,0 +1,140 @@
+package numerics
+
+// halfrow.go holds the fused FP16 multiply-round-accumulate row primitives
+// behind the nn kernels' inner loops. Each one is a loop over
+//
+//	acc += RoundHalf(a * w)
+//
+// with the rounding written out as integer arithmetic on the product's bit
+// pattern instead of a call per MAC (RoundHalf is past the inliner's budget).
+// A float32 product p = a·w falls in one of four bands by magnitude:
+//
+//   - normal half, |p| ∈ [2⁻¹⁴, 65520): round-to-nearest-even on the 13
+//     mantissa bits a half drops is "add 0x0fff plus the keep-bit, clear the
+//     low 13 bits" on the bit pattern, the mantissa carry rippling into the
+//     exponent field for free. The band stops at 0x477ff000 — the first
+//     pattern that rounds past HalfMax — so no overflow test is needed inside
+//     it.
+//   - half subnormal, |p| ∈ [2⁻²⁴, 2⁻¹⁴): the result is a multiple of 2⁻²⁴.
+//     Floats in [0.5, 1) are exactly the multiples of 2⁻²⁴ there, so
+//     (|p| + 0.5) − 0.5 lets the float32 adder do the round-to-nearest-even:
+//     0.5 is an even multiple, so a tie lands on the even multiple of 2⁻²⁴
+//     just as HalfFromFloat32's shifted-mantissa tie does, and the subtraction
+//     is exact.
+//   - underflow, |p| < 2⁻²⁴ (float32 subnormals and ±0 included):
+//     HalfFromFloat32 flushes everything below its smallest subnormal to a
+//     signed zero — also (2⁻²⁵, 2⁻²⁴), which nearest-even would round up.
+//     The primitives reproduce that, not IEEE.
+//   - everything else (overflow, ±Inf, NaN) is rare and takes the reference
+//     encode/decode round trip.
+//
+// TestHalfRowMatchesRef proves every primitive equal to RoundHalfRef bit for
+// bit over all 65 536 half values times a multiplier set, and over every
+// float32 pattern around the band edges. `make bce` keeps the loops free of
+// bounds checks.
+
+import "math"
+
+// Bit patterns of the band edges above, on |p|.
+const (
+	f32HalfTiny   = 0x33800000 // 2⁻²⁴, the smallest half subnormal
+	f32HalfNormal = 0x38800000 // 2⁻¹⁴, the smallest normal half
+	f32HalfOver   = 0x477ff000 // first pattern that rounds past HalfMax
+	f32Sign       = 0x80000000
+)
+
+// halfRoundSmall rounds a product with |p| < 2⁻¹⁴ (bit pattern b, magnitude
+// pattern abs): a leaf small enough for the primitives to inline.
+func halfRoundSmall(b, abs uint32) float32 {
+	if abs < f32HalfTiny {
+		return math.Float32frombits(b & f32Sign)
+	}
+	r := float32(math.Float32frombits(abs)+0.5) - 0.5
+	return math.Float32frombits(math.Float32bits(r) | b&f32Sign)
+}
+
+// HalfMulAddRow computes acc[i] += RoundHalf(a * w[i]) for every i in w: one
+// activation against one contiguous weight row (pointwise convolution, dense,
+// plain matmul). acc must be at least as long as w.
+func HalfMulAddRow(acc []float32, a float32, w []float32) {
+	acc = acc[:len(w)]
+	for i, wv := range w {
+		b := math.Float32bits(a * wv)
+		abs := b &^ f32Sign
+		switch {
+		case abs-f32HalfNormal < f32HalfOver-f32HalfNormal:
+			acc[i] += math.Float32frombits((b + 0x0fff + (b >> 13 & 1)) &^ 0x1fff)
+		case abs < f32HalfNormal:
+			acc[i] += halfRoundSmall(b, abs)
+		default:
+			acc[i] += RoundHalfRef(math.Float32frombits(b))
+		}
+	}
+}
+
+// HalfMulAddVec computes acc[i] += RoundHalf(a[i] * w[i]) for every i in w,
+// the element-wise form a depthwise convolution needs. acc and a must be at
+// least as long as w.
+func HalfMulAddVec(acc, a, w []float32) {
+	acc, a = acc[:len(w)], a[:len(w)]
+	for i, wv := range w {
+		b := math.Float32bits(a[i] * wv)
+		abs := b &^ f32Sign
+		switch {
+		case abs-f32HalfNormal < f32HalfOver-f32HalfNormal:
+			acc[i] += math.Float32frombits((b + 0x0fff + (b >> 13 & 1)) &^ 0x1fff)
+		case abs < f32HalfNormal:
+			acc[i] += halfRoundSmall(b, abs)
+		default:
+			acc[i] += RoundHalfRef(math.Float32frombits(b))
+		}
+	}
+}
+
+// HalfDot returns acc + Σ RoundHalf(a[i] * w[i]), added in ascending i: the
+// dot form of a matmul against a transposed operand. a must be at least as
+// long as w.
+func HalfDot(acc float32, a, w []float32) float32 {
+	a = a[:len(w)]
+	for i, wv := range w {
+		b := math.Float32bits(a[i] * wv)
+		abs := b &^ f32Sign
+		switch {
+		case abs-f32HalfNormal < f32HalfOver-f32HalfNormal:
+			acc += math.Float32frombits((b + 0x0fff + (b >> 13 & 1)) &^ 0x1fff)
+		case abs < f32HalfNormal:
+			acc += halfRoundSmall(b, abs)
+		default:
+			acc += RoundHalfRef(math.Float32frombits(b))
+		}
+	}
+	return acc
+}
+
+// HalfDotStrided returns acc + Σ RoundHalf(RoundHalf(a[i]) * w[i*stride]),
+// added in ascending i: one output neuron of a convolution or dense layer,
+// whose weights sit a row apart in a (…, in, out) tensor. Unlike the tile
+// kernels' callers, a per-neuron recompute reads its activations as stored,
+// so they are rounded here; w is already rounded. w must reach index
+// (len(a)-1)*stride; the gather keeps one bounds check per element.
+func HalfDotStrided(acc float32, a, w []float32, stride int) float32 {
+	for i, av := range a {
+		// Almost every stored activation is already a normal half or ±0;
+		// only the rest pay for the call.
+		if ab := math.Float32bits(av); ab&0x1fff != 0 ||
+			ab&^f32Sign-f32HalfNormal >= f32HalfOver-f32HalfNormal && ab&^f32Sign != 0 {
+			av = RoundHalf(av)
+		}
+		b := math.Float32bits(av * w[i*stride])
+		abs := b &^ f32Sign
+		switch {
+		case abs-f32HalfNormal < f32HalfOver-f32HalfNormal:
+			acc += math.Float32frombits((b + 0x0fff + (b >> 13 & 1)) &^ 0x1fff)
+		case abs < f32HalfNormal:
+			acc += halfRoundSmall(b, abs)
+		default:
+			acc += RoundHalfRef(math.Float32frombits(b))
+		}
+	}
+	return acc
+}

@@ -237,3 +237,52 @@ func TestForPrecisionRejectsFloat(t *testing.T) {
 		t.Error("ForPrecision(FP16) should fail")
 	}
 }
+
+// TestQuantizeMatchesDefinition holds Quantize — precomputed saturation
+// bounds, magic-number rounding — and the INT slice loop of RoundInto to
+// quantizeRef, the definition, on every float32 within 8 neighbours of every
+// code boundary, on the special values, and on random bit patterns, across
+// scales from one that underflows to one near the float32 limit.
+func TestQuantizeMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for _, maxAbs := range []float32{1e-44, 1e-38, 3e-5, 0.37, 1, 8, 127, 1000.5, 3e38} {
+		for _, p := range []Precision{INT8, INT16} {
+			c := MustCodec(p, maxAbs)
+			q := c.Quantizer()
+			var probes []float32
+			lo, hi := q.qlimits()
+			for code := lo - 1; code <= hi+1; code++ {
+				f := (float32(code) + 0.5) * q.Scale
+				up, down := f, f
+				for i := 0; i < 8; i++ {
+					up, down = math.Nextafter32(up, float32(math.Inf(1))), math.Nextafter32(down, float32(math.Inf(-1)))
+					probes = append(probes, up, down)
+				}
+				probes = append(probes, f, float32(code)*q.Scale)
+			}
+			probes = append(probes, 0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+				float32(math.NaN()), math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32)
+			for i := 0; i < 20000; i++ {
+				probes = append(probes, math.Float32frombits(rng.Uint32()), float32(rng.NormFloat64())*maxAbs)
+			}
+			rounded := c.RoundSlice(probes)
+			for i, f := range probes {
+				want := q.quantizeRef(f)
+				if got := q.Quantize(f); got != want {
+					t.Fatalf("%v maxAbs=%v: Quantize(%v [%#08x]) = %d, definition gives %d", p, maxAbs, f, math.Float32bits(f), got, want)
+				}
+				if wantF := q.Dequantize(want); math.Float32bits(rounded[i]) != math.Float32bits(wantF) {
+					t.Fatalf("%v maxAbs=%v: RoundSlice(%v [%#08x]) = %v, definition gives %v", p, maxAbs, f, math.Float32bits(f), rounded[i], wantF)
+				}
+			}
+		}
+	}
+	// The zero Quantizer (the one a floating-point Codec carries) still
+	// quantizes everything to 0.
+	var zero Quantizer
+	for _, f := range []float32{0, 1, -1, float32(math.Inf(1)), float32(math.NaN())} {
+		if got := zero.Round(f); math.Float32bits(got) != 0 {
+			t.Errorf("zero Quantizer: Round(%v) = %v, want +0", f, got)
+		}
+	}
+}
