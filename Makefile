@@ -10,7 +10,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Coordinator address used by the `work` convenience target.
 COORDINATOR ?= http://127.0.0.1:9090
 
-.PHONY: build test race chaos chaos-distrib bench bench-smoke bce fmt vet fidelitylint lint verify serve work e2e-distrib harden e2e-harden ci
+.PHONY: build test race chaos chaos-distrib bench bench-smoke bce portable fmt vet fidelitylint lint verify serve work e2e-distrib harden e2e-harden ci
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,15 @@ bench-smoke:
 # primitive in halfrow.go (cmd/bcecheck).
 bce:
 	$(GO) run ./cmd/bcecheck
+
+# The non-amd64 file set (internal/numerics/halfrow_noasm.go beside
+# halfrow_amd64.s): cross-build everything and vet the two packages that see
+# the split, tests included, so the portable side cannot rot on an amd64-only
+# machine. `vet` below already checks the assembly's frames and argument
+# offsets (asmdecl). Mirrors the `portable` step of CI's build + test job.
+portable:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/numerics ./internal/nn
 
 fmt:
 	@diff=$$(gofmt -l .); \
@@ -126,8 +135,8 @@ e2e-harden:
 	$(GO) test -race -count=1 ./internal/harden/
 
 # The fast pre-commit gate: format, vet, the repo's own invariant checkers
-# (fidelitylint, bce), build, test, kernel bench smoke. Everything here runs
-# offline.
-verify: fmt vet fidelitylint bce build test bench-smoke
+# (fidelitylint, bce), build, the portable cross-build, test, kernel bench
+# smoke. Everything here runs offline.
+verify: fmt vet fidelitylint bce build portable test bench-smoke
 
-ci: fmt vet fidelitylint bce build test race chaos chaos-distrib bench
+ci: fmt vet fidelitylint bce build portable test race chaos chaos-distrib bench

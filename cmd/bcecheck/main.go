@@ -26,10 +26,16 @@ import (
 
 // hotFiles are the files whose innermost loops must be check-free, with the
 // functions exempt in each: HalfDotStrided gathers w[i*stride], an index the
-// compiler cannot bound, and pays one check per element knowingly.
+// compiler cannot bound, and pays one check per element knowingly; and the
+// four primitives that dispatch to the AVX2 lanes loop once per chunk the
+// lanes left to the Go loop, slicing as they go — their per-element loops are
+// the ...Go functions beside them, which are checked.
 var hotFiles = map[string]map[string]bool{
-	"internal/nn/kernels.go":       {},
-	"internal/numerics/halfrow.go": {"HalfDotStrided": true},
+	"internal/nn/kernels.go": {},
+	"internal/numerics/halfrow.go": {
+		"HalfDotStrided": true,
+		"HalfMulAddRow":  true, "HalfMulAddVec": true, "HalfDot": true, "halfRoundInto": true,
+	},
 }
 
 var hotPackages = []string{"./internal/nn", "./internal/numerics"}

@@ -23,12 +23,19 @@ func (l *Activation) Name() string { return l.name }
 func (l *Activation) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	return ctx.exec(l, func() *tensor.Tensor {
 		out := ctx.newTensor(x.Shape()...)
-		od, xd := out.Data(), x.Data()
-		for i, v := range xd {
-			od[i] = l.codec.Round(l.f(v))
-		}
+		l.apply(out.Data(), x.Data())
 		return out
 	}, nil, x)
+}
+
+// apply stores Round(f(x[i])) in out[i] for every i in x: the function value
+// by value, the rounding over the whole run at once (Codec.RoundInto).
+func (l *Activation) apply(out, x []float32) {
+	out = out[:len(x)]
+	for i, v := range x {
+		out[i] = l.f(v)
+	}
+	l.codec.RoundInto(out, out)
 }
 
 // NewReLU builds a rectified linear activation. ReLU is the dominant masking

@@ -115,19 +115,26 @@ func (l *BatchNorm) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	}
 	return ctx.exec(l, func() *tensor.Tensor {
 		out := ctx.newTensor(x.Shape()...)
-		od, xd := out.Data(), x.Data()
-		// Row-sliced with hoisted scale/shift buffers: no per-element modulo
-		// or bounds checks; same formula per element as the naive loop.
-		sc := l.Scale.Data()[:c]
-		sh := l.Shift.Data()[:c]
-		for base := 0; base+c <= len(xd); base += c {
-			xrow, orow := xd[base:base+c], od[base:base+c]
-			for i, v := range xrow {
-				orow[i] = l.codec.Round(v*sc[i] + sh[i])
-			}
-		}
+		l.apply(out.Data(), x.Data(), c)
 		return out
 	}, nil, x)
+}
+
+// apply stores Round(x[i]*scale + shift) in out[i] over a run of whole
+// c-channel rows, the rounding over the whole run at once (Codec.RoundInto).
+// Row-sliced with hoisted scale/shift buffers: no per-element modulo or
+// bounds checks; same formula per element as the naive loop.
+func (l *BatchNorm) apply(out, x []float32, c int) {
+	out = out[:len(x)]
+	sc := l.Scale.Data()[:c]
+	sh := l.Shift.Data()[:c]
+	for base := 0; base+c <= len(x); base += c {
+		xrow, orow := x[base:base+c], out[base:base+c]
+		for i, v := range xrow {
+			orow[i] = v*sc[i] + sh[i]
+		}
+	}
+	l.codec.RoundInto(out, out)
 }
 
 // LayerNorm normalizes over the last dimension with learned scale/shift —

@@ -130,7 +130,7 @@ func (l *Conv2D) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 		if UseReferenceKernels() {
 			convForwardRef(l, x, out, rin, l.wcache.get(l.codec, l.W).rw)
 		} else {
-			convForward(l.kernelArgs(x, out, rin, 0))
+			convForward(l.kernelArgs(x, out, rin, 0), ctx.convAccs(l.OutC))
 		}
 		ctx.fire(l, op)
 		return out

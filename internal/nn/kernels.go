@@ -184,11 +184,26 @@ func convTile(a *convArgs, bi, oy0, oy1, ox0, ox1 int, accs []float32) {
 	}
 }
 
+// convAccs returns the context's accumulator scratch for one serial convTile
+// sweep, n elements long (contents arbitrary: convTile zeroes it per pixel). A
+// nil context gets a fresh slice.
+func (c *Context) convAccs(n int) []float32 {
+	if c == nil {
+		return make([]float32, n)
+	}
+	if cap(c.accs) < n {
+		c.accs = make([]float32, n)
+	}
+	return c.accs[:n]
+}
+
 // convForward runs the tiled convolution over the whole output, splitting the
 // output rows of each batch image into goroutine bands when the machine and
 // the layer are big enough. Bands write disjoint output rows and accumulate
-// independently, so the split cannot change any output bit.
-func convForward(a *convArgs) {
+// independently, so the split cannot change any output bit. accs is the
+// caller's scratch of outC accumulators for the serial sweep; every band
+// makes its own.
+func convForward(a *convArgs, accs []float32) {
 	workers := kernelWorkers()
 	macs := a.oh * a.ow * a.outC * a.kh * a.kw
 	if !a.depthwise {
@@ -198,7 +213,6 @@ func convForward(a *convArgs) {
 		workers = a.oh
 	}
 	if workers <= 1 || macs < parallelMACThreshold {
-		accs := make([]float32, a.outC)
 		for bi := 0; bi < a.n; bi++ {
 			convTile(a, bi, 0, a.oh, 0, a.ow, accs)
 		}

@@ -5,10 +5,18 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"fidelity/internal/numerics"
 	"fidelity/internal/tensor"
 )
+
+// numericsHasAVX2 is numerics' unexported dispatch seam: true when the FP16
+// row primitives run their AVX2 lanes on this machine. The kernel tests turn
+// it off to hold the pure-Go loops to the same reference.
+//
+//go:linkname numericsHasAVX2 fidelity/internal/numerics.hasAVX2
+var numericsHasAVX2 bool
 
 // kernelCodecs covers every datapath precision the zoo instantiates: both
 // float widths (FP16 exercises the RoundHalf product-rounding path) and both
@@ -24,24 +32,32 @@ func kernelCodecs() []numerics.Codec {
 
 // runKernelModes evaluates f once per kernel configuration — reference
 // loops, tiled single-threaded, and tiled with forced goroutine bands (the
-// parallel path is unreachable on a single-CPU machine without the force) —
-// and requires every output to be bit-identical to the reference.
+// parallel path is unreachable on a single-CPU machine without the force),
+// the tiled ones with the FP16 primitives' AVX2 lanes as detected and again
+// with them off — and requires every output to be bit-identical to the
+// reference.
 func runKernelModes(t *testing.T, label string, f func() *tensor.Tensor) {
 	t.Helper()
 	modes := []struct {
 		name    string
 		ref     bool
 		workers int32
+		goLoops bool
 	}{
-		{"reference", true, 0},
-		{"tiled-serial", false, 1},
-		{"tiled-4-bands", false, 4},
-		{"tiled-7-bands", false, 7}, // ragged band split
+		{"reference", true, 0, false},
+		{"tiled-serial", false, 1, false},
+		{"tiled-4-bands", false, 4, false},
+		{"tiled-7-bands", false, 7, false}, // ragged band split
+		{"tiled-serial-go-loops", false, 1, true},
+		{"tiled-4-bands-go-loops", false, 4, true},
 	}
+	detected := numericsHasAVX2
+	defer func() { numericsHasAVX2 = detected }()
 	var want *tensor.Tensor
 	for _, m := range modes {
 		SetReferenceKernels(m.ref)
 		forceKernelWorkers.Store(m.workers)
+		numericsHasAVX2 = detected && !m.goLoops
 		got := f()
 		SetReferenceKernels(false)
 		forceKernelWorkers.Store(0)

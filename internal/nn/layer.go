@@ -153,6 +153,10 @@ type Context struct {
 	// during a pass. hstats counts what clamping did.
 	clamps map[Layer]Bound
 	hstats HardenStats
+
+	// accs is convolution accumulator scratch (convAccs), kept from one
+	// execution to the next: a context runs one layer at a time.
+	accs []float32
 }
 
 // NewContext builds a context that invokes hook at every compute site.

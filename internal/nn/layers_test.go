@@ -369,3 +369,54 @@ func TestClampActivation(t *testing.T) {
 	}()
 	NewClamp("bad", 0, c)
 }
+
+// TestElementwiseRegionSweep holds the region sweeps of the elementwise layers
+// to their full forward pass: whatever the dirty span — a box inside a
+// two-image rank-4 tensor, whose flat range also covers rows the box does not,
+// or a flat range over a rank-2 one — sweeping it over a copy of the golden
+// output gives the bits a forward over the dirty input gives.
+func TestElementwiseRegionSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, codec := range kernelCodecs() {
+		layers := []interface {
+			Layer
+			regionSite
+		}{NewBatchNorm("bn", 6, codec).InitRandom(rng), NewReLU("relu", codec), NewSigmoid("sig", codec)}
+		for _, l := range layers {
+			for _, shape := range [][]int{{2, 5, 7, 6}, {3, 6}} {
+				x := tensor.New(shape...)
+				x.RandNormal(rng, 2)
+				golden := l.Forward(x, nil)
+				dirty := x.Clone()
+				var sp span
+				if len(shape) == 4 {
+					// Rows 1–3, columns 2–4, of both images.
+					sp = span{y0: 1, y1: 4, x0: 2, x1: 5, boxed: true}
+					for b := 0; b < shape[0]; b++ {
+						for y := sp.y0; y < sp.y1; y++ {
+							for xx := sp.x0; xx < sp.x1; xx++ {
+								dirty.Set(float32(rng.NormFloat64()*3), b, y, xx, rng.Intn(shape[3]))
+							}
+						}
+					}
+					sp.lo, sp.hi = (1*7+2)*6, ((5+3)*7+5)*6
+				} else {
+					sp = span{lo: 4, hi: 15}
+					for i := sp.lo; i < sp.hi; i++ {
+						dirty.Data()[i] = float32(rng.NormFloat64() * 3)
+					}
+				}
+				want := l.Forward(dirty, nil)
+				got, _, ok := l.forwardRegion(&Context{arena: NewArena()}, dirty, golden, sp)
+				if !ok {
+					t.Fatalf("%s %v %v: sweep reported no output reached", l.Name(), codec.Precision(), shape)
+				}
+				for i, v := range got.Data() {
+					if !sameValue(v, want.Data()[i]) {
+						t.Fatalf("%s %v %v: swept[%d] = %v, forward %v", l.Name(), codec.Precision(), shape, i, v, want.Data()[i])
+					}
+				}
+			}
+		}
+	}
+}

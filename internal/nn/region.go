@@ -239,7 +239,7 @@ func (l *Conv2D) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*
 	}
 
 	args := l.kernelArgs(x, out, rin, rinOff)
-	accs := make([]float32, args.outC)
+	accs := c.convAccs(args.outC)
 	for bi := 0; bi < n; bi++ {
 		convTile(args, bi, oy0, oy1, ox0, ox1, accs)
 	}
@@ -279,37 +279,46 @@ func (l *AvgPool) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (
 	return out, box{oy0, oy1, ox0, ox1}, true
 }
 
+// segments calls f with the flat range of every part of t the span bounds:
+// one range per row of the box, in every batch image, for a boxed span (t is
+// rank-4 then) — the flat range [lo,hi) of such a span also covers every full
+// row between the box's first and last pixel, about twice the box on a narrow
+// map, and all of that equals golden — and the flat range itself otherwise.
+func (s span) segments(t *tensor.Tensor, f func(lo, hi int)) {
+	if !s.boxed {
+		f(s.lo, s.hi)
+		return
+	}
+	h, w, c := t.Dim(1), t.Dim(2), t.Dim(3)
+	for b := 0; b < t.Dim(0); b++ {
+		for y := s.y0; y < s.y1; y++ {
+			row := ((b*h + y) * w) * c
+			f(row+s.x0*c, row+s.x1*c)
+		}
+	}
+}
+
 // forwardRegion implements regionSite for Activation (elementwise: the output
 // region is the input span itself).
 func (l *Activation) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*tensor.Tensor, box, bool) {
 	out := c.goldenCopy(golden)
 	od, xd := out.Data(), x.Data()
-	for i := sp.lo; i < sp.hi; i++ {
-		od[i] = l.codec.Round(l.f(xd[i]))
-	}
+	sp.segments(out, func(lo, hi int) { l.apply(od[lo:hi], xd[lo:hi]) })
 	return elementwiseBox(out, sp)
 }
 
-// forwardRegion implements regionSite for BatchNorm. The span is widened to
-// channel-row boundaries so the per-channel scale/shift lookup stays a simple
-// index.
+// forwardRegion implements regionSite for BatchNorm. A flat span is widened
+// to channel-row boundaries so the per-channel scale/shift lookup stays a
+// simple index; box segments start and end on them already.
 func (l *BatchNorm) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*tensor.Tensor, box, bool) {
 	ch := x.Dim(x.Rank() - 1)
 	out := c.goldenCopy(golden)
 	od, xd := out.Data(), x.Data()
-	sc := l.Scale.Data()[:ch]
-	sh := l.Shift.Data()[:ch]
-	lo := sp.lo - sp.lo%ch
-	hi := sp.hi + (ch-sp.hi%ch)%ch
-	if hi > len(xd) {
-		hi = len(xd)
-	}
-	for base := lo; base+ch <= hi; base += ch {
-		xrow, orow := xd[base:base+ch], od[base:base+ch]
-		for i, v := range xrow {
-			orow[i] = l.codec.Round(v*sc[i] + sh[i])
-		}
-	}
+	sp.segments(out, func(lo, hi int) {
+		lo -= lo % ch
+		hi += (ch - hi%ch) % ch
+		l.apply(od[lo:hi], xd[lo:hi], ch)
+	})
 	return elementwiseBox(out, sp)
 }
 

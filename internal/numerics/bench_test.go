@@ -20,7 +20,8 @@ func benchOperands(n int) (a, w []float32) {
 }
 
 // BenchmarkHalfMulAddRow times the three FP16 row primitives on the row
-// widths the zoo uses (16–32 output channels) and on one long row.
+// widths the zoo uses (16–32 output channels) and on one long row, each with
+// the lanes off and on.
 func BenchmarkHalfMulAddRow(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
@@ -30,11 +31,13 @@ func BenchmarkHalfMulAddRow(b *testing.B) {
 		acc := make([]float32, bc.width)
 		run := func(name string, f func()) {
 			b.Run(name+"/"+bc.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					f()
-				}
-				b.ReportMetric(float64(b.N)*float64(bc.width)/b.Elapsed().Seconds(), "MAC/s")
+				eachDispatch(b, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						f()
+					}
+					b.ReportMetric(float64(b.N)*float64(bc.width)/b.Elapsed().Seconds(), "MAC/s")
+				})
 			})
 		}
 		run("row", func() { HalfMulAddRow(acc, a[0], w) })
@@ -53,5 +56,7 @@ func benchRoundSlice(b *testing.B, c Codec) {
 	b.ReportMetric(b.Elapsed().Seconds()*1e9/(float64(b.N)*float64(len(data))), "ns/value")
 }
 
-func BenchmarkRoundSliceFP16(b *testing.B) { benchRoundSlice(b, MustCodec(FP16, 0)) }
+func BenchmarkRoundSliceFP16(b *testing.B) {
+	eachDispatch(b, func(b *testing.B) { benchRoundSlice(b, MustCodec(FP16, 0)) })
+}
 func BenchmarkRoundSliceINT8(b *testing.B) { benchRoundSlice(b, MustCodec(INT8, 4)) }

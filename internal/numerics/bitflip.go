@@ -144,9 +144,7 @@ func (c Codec) RoundInto(dst, src []float32) {
 	case FP32:
 		copy(dst, src)
 	case FP16:
-		for i, v := range src {
-			dst[i] = RoundHalf(v)
-		}
+		halfRoundInto(dst, src)
 	default:
 		c.quant.roundInto(dst, src)
 	}

@@ -28,10 +28,15 @@ package numerics
 //   - everything else (overflow, ±Inf, NaN) is rare and takes the reference
 //     encode/decode round trip.
 //
+// On an amd64 CPU with AVX2 the first three bands run eight lanes at a time in
+// halfrow_amd64.s; the loops below stay the only implementation of the rare
+// band and of every tail, the whole implementation everywhere else, and the
+// reference the lanes are tested against (DESIGN.md §7.3).
+//
 // TestHalfRowMatchesRef proves every primitive equal to RoundHalfRef bit for
 // bit over all 65 536 half values times a multiplier set, and over every
-// float32 pattern around the band edges. `make bce` keeps the loops free of
-// bounds checks.
+// float32 pattern around the band edges, with the lanes on and off. `make bce`
+// keeps the loops free of bounds checks.
 
 import "math"
 
@@ -42,6 +47,15 @@ const (
 	f32HalfOver   = 0x477ff000 // first pattern that rounds past HalfMax
 	f32Sign       = 0x80000000
 )
+
+// laneChunk is how many elements one step of the AVX2 routines takes. Each
+// routine does whole chunks from the front of its operands and returns how
+// many elements it finished: every whole chunk, or fewer when it stopped
+// before a chunk with a lane in the rare band. The primitive's Go loop — the
+// one implementation of that band — then does that chunk and the lanes resume
+// behind it, so a faulty tensor full of Inf and NaN runs at the Go loop's
+// speed, not to different bits; the Go loop also does every tail.
+const laneChunk = 8
 
 // halfRoundSmall rounds a product with |p| < 2⁻¹⁴ (bit pattern b, magnitude
 // pattern abs): a leaf small enough for the primitives to inline.
@@ -57,6 +71,23 @@ func halfRoundSmall(b, abs uint32) float32 {
 // activation against one contiguous weight row (pointwise convolution, dense,
 // plain matmul). acc must be at least as long as w.
 func HalfMulAddRow(acc []float32, a float32, w []float32) {
+	acc = acc[:len(w)]
+	if hasAVX2 {
+		n := halfMulAddRowAVX2(acc, a, w)
+		for n+laneChunk <= len(w) {
+			halfMulAddRowGo(acc[n:n+laneChunk], a, w[n:n+laneChunk])
+			n += laneChunk
+			n += halfMulAddRowAVX2(acc[n:], a, w[n:])
+		}
+		acc, w = acc[n:], w[n:]
+	}
+	halfMulAddRowGo(acc, a, w)
+}
+
+// The ...Go functions are the primitives in pure Go: all of each primitive
+// where there are no lanes, and the rare band and the tails where there are.
+
+func halfMulAddRowGo(acc []float32, a float32, w []float32) {
 	acc = acc[:len(w)]
 	for i, wv := range w {
 		b := math.Float32bits(a * wv)
@@ -77,6 +108,20 @@ func HalfMulAddRow(acc []float32, a float32, w []float32) {
 // least as long as w.
 func HalfMulAddVec(acc, a, w []float32) {
 	acc, a = acc[:len(w)], a[:len(w)]
+	if hasAVX2 {
+		n := halfMulAddVecAVX2(acc, a, w)
+		for n+laneChunk <= len(w) {
+			halfMulAddVecGo(acc[n:n+laneChunk], a[n:n+laneChunk], w[n:n+laneChunk])
+			n += laneChunk
+			n += halfMulAddVecAVX2(acc[n:], a[n:], w[n:])
+		}
+		acc, a, w = acc[n:], a[n:], w[n:]
+	}
+	halfMulAddVecGo(acc, a, w)
+}
+
+func halfMulAddVecGo(acc, a, w []float32) {
+	acc, a = acc[:len(w)], a[:len(w)]
 	for i, wv := range w {
 		b := math.Float32bits(a[i] * wv)
 		abs := b &^ f32Sign
@@ -95,6 +140,22 @@ func HalfMulAddVec(acc, a, w []float32) {
 // dot form of a matmul against a transposed operand. a must be at least as
 // long as w.
 func HalfDot(acc float32, a, w []float32) float32 {
+	a = a[:len(w)]
+	if hasAVX2 {
+		var n, m int
+		acc, n = halfDotAVX2(acc, a, w)
+		for n+laneChunk <= len(w) {
+			acc = halfDotGo(acc, a[n:n+laneChunk], w[n:n+laneChunk])
+			n += laneChunk
+			acc, m = halfDotAVX2(acc, a[n:], w[n:])
+			n += m
+		}
+		a, w = a[n:], w[n:]
+	}
+	return halfDotGo(acc, a, w)
+}
+
+func halfDotGo(acc float32, a, w []float32) float32 {
 	a = a[:len(w)]
 	for i, wv := range w {
 		b := math.Float32bits(a[i] * wv)
@@ -137,4 +198,27 @@ func HalfDotStrided(acc float32, a, w []float32, stride int) float32 {
 		}
 	}
 	return acc
+}
+
+// halfRoundInto stores RoundHalf(src[i]) in dst[i] for every i in src: the
+// FP16 loop of Codec.RoundInto. dst must be at least as long as src.
+func halfRoundInto(dst, src []float32) {
+	dst = dst[:len(src)]
+	if hasAVX2 {
+		n := halfRoundAVX2(dst, src)
+		for n+laneChunk <= len(src) {
+			halfRoundIntoGo(dst[n:n+laneChunk], src[n:n+laneChunk])
+			n += laneChunk
+			n += halfRoundAVX2(dst[n:], src[n:])
+		}
+		dst, src = dst[n:], src[n:]
+	}
+	halfRoundIntoGo(dst, src)
+}
+
+func halfRoundIntoGo(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = RoundHalf(v)
+	}
 }

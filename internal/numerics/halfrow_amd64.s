@@ -1,0 +1,195 @@
+// AVX2 lanes for the FP16 row primitives of halfrow.go: eight float32 lanes
+// take the band arithmetic of DESIGN.md §7.1 at once (§7.3 argues why they
+// round like one). Every routine walks whole 8-element chunks from the front
+// of its operands and stops before the first chunk in which some lane is at
+// or past f32HalfOver — an overflowing product, ±Inf or NaN — returning how
+// many elements it finished; the Go loops own that band and every tail.
+//
+// VEX encodings only, and VZEROUPPER before every RET: one legacy-SSE
+// instruction with dirty upper YMM halves costs a state transition of about a
+// microsecond per call (measured). TestAsmIsVEXOnly holds the file to both.
+
+#include "textflag.h"
+
+// One dword per lane constant, broadcast at entry.
+DATA halfLanes<>+0(SB)/4, $0x7fffffff  // |p| mask
+DATA halfLanes<>+4(SB)/4, $0x477fefff  // f32HalfOver - 1
+DATA halfLanes<>+8(SB)/4, $0x00000001  // the keep-bit
+DATA halfLanes<>+12(SB)/4, $0x00000fff // half a dropped ulp, less one
+DATA halfLanes<>+16(SB)/4, $0xffffe000 // clears the 13 dropped bits
+DATA halfLanes<>+20(SB)/4, $0x3f000000 // 0.5
+DATA halfLanes<>+24(SB)/4, $0x337fffff // f32HalfTiny - 1
+DATA halfLanes<>+28(SB)/4, $0x387fffff // f32HalfNormal - 1
+GLOBL halfLanes<>(SB), RODATA|NOPTR, $32
+
+#define LANECONSTS \
+	VPBROADCASTD halfLanes<>+0(SB), Y15; \
+	VPBROADCASTD halfLanes<>+4(SB), Y14; \
+	VPBROADCASTD halfLanes<>+8(SB), Y13; \
+	VPBROADCASTD halfLanes<>+12(SB), Y12; \
+	VPBROADCASTD halfLanes<>+16(SB), Y11; \
+	VPBROADCASTD halfLanes<>+20(SB), Y10; \
+	VPBROADCASTD halfLanes<>+24(SB), Y9; \
+	VPBROADCASTD halfLanes<>+28(SB), Y8
+
+// ROUND8 rounds the eight float32 lanes of Y0 through the half encoding into
+// Y3, or jumps to bail with nothing written when a lane belongs to the Go
+// loop. Y1 = |p|; Y3 = the normal band's (b + 0x0fff + keep-bit) &^ 0x1fff;
+// Y4 = the small bands' (|p| + 0.5) - 0.5, zeroed below 2^-24, sign restored;
+// the blend picks per lane on |p| >= 2^-14. Clobbers Y1-Y5.
+#define ROUND8(bail) \
+	VPAND     Y15, Y0, Y1; \
+	VPCMPGTD  Y14, Y1, Y2; \
+	VPTEST    Y2, Y2; \
+	JNZ       bail; \
+	VPSRLD    $13, Y0, Y3; \
+	VPAND     Y13, Y3, Y3; \
+	VPADDD    Y0, Y3, Y3; \
+	VPADDD    Y12, Y3, Y3; \
+	VPAND     Y11, Y3, Y3; \
+	VADDPS    Y10, Y1, Y4; \
+	VSUBPS    Y10, Y4, Y4; \
+	VPCMPGTD  Y9, Y1, Y5; \
+	VPAND     Y5, Y4, Y4; \
+	VPXOR     Y1, Y0, Y5; \
+	VPOR      Y5, Y4, Y4; \
+	VPCMPGTD  Y8, Y1, Y5; \
+	VBLENDVPS Y5, Y3, Y4, Y3
+
+// func cpuHasAVX2() bool
+//
+// AVX2 is usable when the CPU has it (leaf 7 EBX bit 5) and the OS saves the
+// YMM state across context switches (OSXSAVE, and XCR0 bits 1 and 2).
+TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JLT  no
+	MOVL $1, AX
+	CPUID
+	ANDL $0x18000000, CX // OSXSAVE | AVX
+	CMPL CX, $0x18000000
+	JNE  no
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX // XMM and YMM state
+	CMPL AX, $6
+	JNE  no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	SHRL $5, BX
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
+no:
+	RET
+
+// func halfMulAddRowAVX2(acc []float32, a float32, w []float32) int
+TEXT ·halfMulAddRowAVX2(SB), NOSPLIT, $0-64
+	MOVQ         acc_base+0(FP), DI
+	MOVQ         w_base+32(FP), SI
+	MOVQ         w_len+40(FP), CX
+	VBROADCASTSS a+24(FP), Y7
+	LANECONSTS
+	XORQ         AX, AX
+	ANDQ         $-8, CX
+	JZ           done
+loop:
+	VMULPS       (SI)(AX*4), Y7, Y0
+	ROUND8(done)
+	VADDPS       (DI)(AX*4), Y3, Y3
+	VMOVUPS      Y3, (DI)(AX*4)
+	ADDQ         $8, AX
+	CMPQ         AX, CX
+	JLT          loop
+done:
+	MOVQ         AX, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// func halfMulAddVecAVX2(acc, a, w []float32) int
+TEXT ·halfMulAddVecAVX2(SB), NOSPLIT, $0-80
+	MOVQ    acc_base+0(FP), DI
+	MOVQ    a_base+24(FP), DX
+	MOVQ    w_base+48(FP), SI
+	MOVQ    w_len+56(FP), CX
+	LANECONSTS
+	XORQ    AX, AX
+	ANDQ    $-8, CX
+	JZ      done
+loop:
+	VMOVUPS (DX)(AX*4), Y0
+	VMULPS  (SI)(AX*4), Y0, Y0
+	ROUND8(done)
+	VADDPS  (DI)(AX*4), Y3, Y3
+	VMOVUPS Y3, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JLT     loop
+done:
+	MOVQ    AX, ret+72(FP)
+	VZEROUPPER
+	RET
+
+// func halfDotAVX2(acc float32, a, w []float32) (sum float32, n int)
+//
+// The lanes round eight products; the sum stays one scalar chain, added in
+// ascending element order as the Go loop adds it.
+TEXT ·halfDotAVX2(SB), NOSPLIT, $0-72
+	VMOVSS       acc+0(FP), X6
+	MOVQ         a_base+8(FP), DX
+	MOVQ         w_base+32(FP), SI
+	MOVQ         w_len+40(FP), CX
+	LANECONSTS
+	XORQ         AX, AX
+	ANDQ         $-8, CX
+	JZ           done
+loop:
+	VMOVUPS      (DX)(AX*4), Y0
+	VMULPS       (SI)(AX*4), Y0, Y0
+	ROUND8(done)
+	VEXTRACTF128 $1, Y3, X0
+	VADDSS       X3, X6, X6
+	VMOVSHDUP    X3, X4
+	VADDSS       X4, X6, X6
+	VPERMILPS    $2, X3, X4
+	VADDSS       X4, X6, X6
+	VPERMILPS    $3, X3, X4
+	VADDSS       X4, X6, X6
+	VADDSS       X0, X6, X6
+	VMOVSHDUP    X0, X4
+	VADDSS       X4, X6, X6
+	VPERMILPS    $2, X0, X4
+	VADDSS       X4, X6, X6
+	VPERMILPS    $3, X0, X4
+	VADDSS       X4, X6, X6
+	ADDQ         $8, AX
+	CMPQ         AX, CX
+	JLT          loop
+done:
+	VMOVSS       X6, sum+56(FP)
+	MOVQ         AX, n+64(FP)
+	VZEROUPPER
+	RET
+
+// func halfRoundAVX2(dst, src []float32) int
+TEXT ·halfRoundAVX2(SB), NOSPLIT, $0-56
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    src_base+24(FP), SI
+	MOVQ    src_len+32(FP), CX
+	LANECONSTS
+	XORQ    AX, AX
+	ANDQ    $-8, CX
+	JZ      done
+loop:
+	VMOVUPS (SI)(AX*4), Y0
+	ROUND8(done)
+	VMOVUPS Y3, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JLT     loop
+done:
+	MOVQ    AX, ret+48(FP)
+	VZEROUPPER
+	RET

@@ -1,0 +1,254 @@
+package numerics
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// primitiveResults is what the four lane-capable primitives make of one set
+// of operands.
+type primitiveResults struct {
+	row, vec, round []float32
+	dot             float32
+}
+
+// runPrimitives applies every lane-capable primitive to the operands: acc0
+// seeds the accumulators, a is the row form's activation, av the element-wise
+// one, w the weights. The operands are not written.
+func runPrimitives(acc0 []float32, a float32, av, w []float32) primitiveResults {
+	r := primitiveResults{
+		row:   append([]float32(nil), acc0...),
+		vec:   append([]float32(nil), acc0...),
+		round: make([]float32, len(w)),
+	}
+	HalfMulAddRow(r.row, a, w)
+	HalfMulAddVec(r.vec, av, w)
+	r.dot = HalfDot(0.25, av, w)
+	halfRoundInto(r.round, w)
+	return r
+}
+
+// diff names the first element on which r and o differ, bit for bit, or
+// returns "".
+func (r primitiveResults) diff(o primitiveResults) string {
+	for _, p := range []struct {
+		name string
+		a, b []float32
+	}{
+		{"HalfMulAddRow", r.row, o.row},
+		{"HalfMulAddVec", r.vec, o.vec},
+		{"halfRoundInto", r.round, o.round},
+		{"HalfDot", []float32{r.dot}, []float32{o.dot}},
+	} {
+		for i := range p.a {
+			if !sameBits(p.a[i], p.b[i]) {
+				return fmt.Sprintf("%s[%d] = %#08x with lanes, %#08x without",
+					p.name, i, math.Float32bits(p.a[i]), math.Float32bits(p.b[i]))
+			}
+		}
+	}
+	return ""
+}
+
+// TestLanesMatchGoLoops holds the AVX2 routines to the Go loops bit for bit,
+// NaN payloads included (a chunk with a NaN product is the Go loop's either
+// way): on random rows of every length from 0 to 70 starting at every offset
+// into their backing arrays, so the 32-byte loads are unaligned in every way,
+// and with a value from each rare or edge band — an overflowing product, ±Inf,
+// NaN, ±0, 2⁻²⁴, 1.5·2⁻²⁵, a float32 subnormal — planted in each lane of the
+// first, a middle and the last chunk, so a bail-out that resumed an element
+// early or late would show in the elements behind it.
+func TestLanesMatchGoLoops(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("no AVX2 lanes on this machine: the Go loops are the only implementation")
+	}
+	defer func() { hasAVX2 = true }()
+	both := func(label string, acc0 []float32, a float32, av, w []float32) {
+		t.Helper()
+		hasAVX2 = true
+		lanes := runPrimitives(acc0, a, av, w)
+		hasAVX2 = false
+		if d := lanes.diff(runPrimitives(acc0, a, av, w)); d != "" {
+			t.Fatalf("%s: %s (a = %v, av = %v, w = %v)", label, d, a, av, w)
+		}
+	}
+	rng := rand.New(rand.NewSource(73))
+	// draw returns n halves ~ N(0, sd²) that start off elements into their
+	// backing array.
+	draw := func(n, off int, sd float64) []float32 {
+		s := make([]float32, off+n)[off:]
+		for i := range s {
+			s[i] = RoundHalf(float32(rng.NormFloat64() * sd))
+		}
+		return s
+	}
+	for n := 0; n <= 70; n++ {
+		for off := 0; off < 8; off++ {
+			// sd 0.01: a good share of the products in the half-subnormal band.
+			both(fmt.Sprintf("random n=%d off=%d", n, off),
+				draw(n, off, 1), float32(rng.NormFloat64()), draw(n, (off+3)%8, 1), draw(n, (off+5)%8, 0.01))
+		}
+	}
+
+	// A product with 1 is exact, so the planted weight is the product; with 2
+	// the largest half overflows.
+	inf := float32(math.Inf(1))
+	specials := []float32{65504, inf, -inf, float32(math.NaN()), 0, float32(math.Copysign(0, -1)),
+		5.9604645e-08 /* 2⁻²⁴ */, 4.4703484e-08 /* 1.5·2⁻²⁵ */, -4.4703484e-08, 1e-40 /* float32 subnormal */}
+	const n = 5*laneChunk + 3
+	for _, a := range []float32{1, 2} {
+		for _, sp := range specials {
+			for _, chunk := range []int{0, 2, 4} {
+				for lane := 0; lane < laneChunk; lane++ {
+					acc0, av, w := draw(n, 1, 1), make([]float32, n), draw(n, 3, 0.1)
+					for i := range av {
+						av[i] = a
+					}
+					w[chunk*laneChunk+lane] = sp
+					both(fmt.Sprintf("%v × %v in lane %d of chunk %d", a, sp, lane, chunk), acc0, a, av, w)
+				}
+			}
+		}
+	}
+	// Two rare chunks in a row, and a rare value in the tail.
+	acc0, av, w := draw(n, 0, 1), draw(n, 0, 1), draw(n, 0, 0.1)
+	w[3], w[12], w[n-1] = inf, float32(math.NaN()), -inf
+	both("adjacent rare chunks", acc0, 1, av, w)
+}
+
+// FuzzHalfRow holds every row primitive and the FP16 RoundInto loop to
+// RoundHalfRef on arbitrary float32 bit patterns, with the lanes off and as
+// detected. The seed corpus is halfRowMultipliers against itself: every band,
+// both signs, every special operand, in every lane.
+func FuzzHalfRow(f *testing.F) {
+	ms := halfRowMultipliers()
+	row := make([]byte, 0, 4*len(ms))
+	for _, m := range ms {
+		row = binary.LittleEndian.AppendUint32(row, math.Float32bits(m))
+	}
+	for i, m := range ms {
+		// Rotated by one element per seed, so each value meets each lane.
+		f.Add(math.Float32bits(m), append(append([]byte(nil), row[4*i:]...), row[:4*i]...))
+	}
+	detected := hasAVX2
+	f.Fuzz(func(t *testing.T, abits uint32, data []byte) {
+		defer func() { hasAVX2 = detected }()
+		a := math.Float32frombits(abits)
+		w := make([]float32, len(data)/4)
+		for i := range w {
+			w[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		// The element-wise activations are the weights back to front.
+		av := make([]float32, len(w))
+		for i := range av {
+			av[i] = w[len(w)-1-i]
+		}
+		const acc0 = 0.25
+		wantRow, wantVec, wantRound := make([]float32, len(w)), make([]float32, len(w)), make([]float32, len(w))
+		var wantDot, wantStrided float32 = acc0, acc0
+		for i, wv := range w {
+			wantRow[i] = acc0 + RoundHalfRef(a*wv)
+			wantVec[i] = acc0 + RoundHalfRef(av[i]*wv)
+			wantRound[i] = RoundHalfRef(wv)
+			wantDot += RoundHalfRef(av[i] * wv)
+			wantStrided += RoundHalfRef(RoundHalfRef(av[i]) * wv)
+		}
+		acc := make([]float32, len(w))
+		for _, lanes := range []bool{false, detected} {
+			hasAVX2 = lanes
+			check := func(prim string, got, want []float32) {
+				for i := range want {
+					if !sameValue(got[i], want[i]) {
+						t.Fatalf("%s (lanes %v): element %d = %#08x, want %#08x (a = %#08x, w = %#08x, av = %#08x)", prim, lanes, i,
+							math.Float32bits(got[i]), math.Float32bits(want[i]), abits, math.Float32bits(w[i]), math.Float32bits(av[i]))
+					}
+				}
+			}
+			fill := func() {
+				for i := range acc {
+					acc[i] = acc0
+				}
+			}
+			fill()
+			HalfMulAddRow(acc, a, w)
+			check("HalfMulAddRow", acc, wantRow)
+			fill()
+			HalfMulAddVec(acc, av, w)
+			check("HalfMulAddVec", acc, wantVec)
+			MustCodec(FP16, 0).RoundInto(acc, w)
+			check("RoundInto", acc, wantRound)
+			// A NaN anywhere makes both sums NaN, so the dots compare whole.
+			check("HalfDot", []float32{HalfDot(acc0, av, w)}, []float32{wantDot})
+			check("HalfDotStrided", []float32{HalfDotStrided(acc0, av, w, 1)}, []float32{wantStrided})
+		}
+	})
+}
+
+// TestAsmIsVEXOnly scans halfrow_amd64.s for the two mistakes that cost a
+// microsecond a call and break nothing: a legacy-SSE instruction (any
+// mnemonic not starting with V) on an X or Y register, which makes the CPU
+// save the dirty upper YMM halves at the next VEX instruction, and a RET out
+// of a routine that used vector registers without a VZEROUPPER just before it,
+// which leaves them dirty for the Go code that follows.
+func TestAsmIsVEXOnly(t *testing.T) {
+	src, err := os.ReadFile("halfrow_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecReg := regexp.MustCompile(`\b[XY]([0-9]|1[0-5])\b`)
+	macros := map[string]bool{} // names of #define'd macros that use vector registers
+	var routine, prev, macro string
+	vector := false // the current routine has used a vector register
+	for ln, line := range strings.Split(string(src), "\n") {
+		if i := strings.Index(line, "//"); i >= 0 {
+			line = line[:i]
+		}
+		continued := strings.HasSuffix(strings.TrimSpace(line), `\`)
+		line = strings.TrimSuffix(strings.TrimSpace(line), `\`)
+		if name, ok := strings.CutPrefix(line, "#define "); ok {
+			macro = strings.FieldsFunc(name, func(r rune) bool { return r == '(' || r == ' ' })[0]
+			line = strings.TrimPrefix(name, macro)
+			if i := strings.Index(line, ")"); strings.HasPrefix(line, "(") && i >= 0 {
+				line = line[i+1:]
+			}
+		}
+		for _, ins := range strings.Split(line, ";") {
+			f := strings.Fields(ins)
+			if len(f) == 0 || strings.HasPrefix(f[0], "#") || strings.HasSuffix(f[0], ":") {
+				continue
+			}
+			op, args := f[0], strings.Join(f[1:], " ")
+			switch {
+			case op == "TEXT":
+				routine, prev, vector = args, "", false
+				continue
+			case op == "DATA" || op == "GLOBL":
+				continue
+			}
+			usesVec := vecReg.MatchString(args) || macros[strings.SplitN(op, "(", 2)[0]]
+			if usesVec && macro != "" {
+				macros[macro] = true
+			}
+			vector = vector || usesVec
+			if vecReg.MatchString(args) && !strings.HasPrefix(op, "V") {
+				t.Errorf("halfrow_amd64.s:%d: %s on a vector register is not VEX-encoded", ln+1, op)
+			}
+			if op == "RET" && vector && prev != "VZEROUPPER" {
+				t.Errorf("halfrow_amd64.s:%d: RET from %s without VZEROUPPER before it", ln+1, routine)
+			}
+			prev = op
+		}
+		if !continued {
+			macro = ""
+		}
+	}
+	if len(macros) == 0 || routine == "" {
+		t.Fatalf("found %d vector macros, last routine %q: has the file's layout changed?", len(macros), routine)
+	}
+}

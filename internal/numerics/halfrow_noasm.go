@@ -1,0 +1,16 @@
+//go:build !amd64
+
+package numerics
+
+// No lanes off amd64: hasAVX2 stays false and the Go loops of halfrow.go are
+// the whole implementation. The routines below only complete the call sites,
+// and "finished no element" is a correct answer from them.
+var hasAVX2 = false
+
+func halfMulAddRowAVX2(acc []float32, a float32, w []float32) int { return 0 }
+
+func halfMulAddVecAVX2(acc, a, w []float32) int { return 0 }
+
+func halfDotAVX2(acc float32, a, w []float32) (sum float32, n int) { return acc, 0 }
+
+func halfRoundAVX2(dst, src []float32) int { return 0 }

@@ -27,6 +27,20 @@ func halfRowMultipliers() []float32 {
 	return ms
 }
 
+// eachDispatch runs f as sub-test or sub-benchmark "go", with the AVX2 lanes
+// of halfrow_amd64.s off (the loops of halfrow.go alone, what every other
+// machine runs), and, where this machine has them, as "avx2", with them on.
+func eachDispatch[T interface{ Run(string, func(T)) bool }](t T, f func(T)) {
+	detected := hasAVX2
+	defer func() { hasAVX2 = detected }()
+	hasAVX2 = false
+	t.Run("go", f)
+	if detected {
+		hasAVX2 = true
+		t.Run("avx2", f)
+	}
+}
+
 func sameBits(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
 
 // sameValue is sameBits, except that any NaN equals any NaN. When two NaNs
@@ -39,7 +53,9 @@ func sameValue(a, b float32) bool { return sameBits(a, b) || a != a && b != b }
 // bit, on every FP16 value times a fixed multiplier set: 65 536 × 130
 // products per primitive, with subnormal, overflowing, ±0, ±Inf and NaN
 // operands on both sides.
-func TestHalfRowMatchesRef(t *testing.T) {
+func TestHalfRowMatchesRef(t *testing.T) { eachDispatch(t, testHalfRowMatchesRef) }
+
+func testHalfRowMatchesRef(t *testing.T) {
 	halves := make([]float32, 1<<16)
 	for h := range halves {
 		halves[h] = Half(h).Float32()
@@ -108,25 +124,14 @@ func TestHalfRowMatchesRef(t *testing.T) {
 // TestHalfRoundBandEdges sweeps every float32 pattern within 2¹³ of each
 // edge between rounding bands — and of every power of two from below the
 // underflow edge to above the overflow edge — plus every round-to-even tie of
-// the half-subnormal band with its two neighbours, through RoundHalf and
-// through a row primitive (as a product with 1, which is exact).
+// the half-subnormal band with its two neighbours, through RoundHalf, through
+// Codec.RoundInto, and through the row primitives (as products with 1, which
+// are exact). The patterns go in as one long row, so with the lanes on every
+// edge is crossed inside a chunk, the overflow edge included.
 func TestHalfRoundBandEdges(t *testing.T) {
-	one := []float32{1}
-	acc := []float32{0}
-	check := func(b uint32) {
-		for _, b := range [2]uint32{b, b | f32Sign} {
-			f := math.Float32frombits(b)
-			want := RoundHalfRef(f)
-			if got := RoundHalf(f); !sameBits(got, want) {
-				t.Fatalf("RoundHalf(%#08x) = %#08x, want %#08x", b, math.Float32bits(got), math.Float32bits(want))
-			}
-			acc[0] = 0
-			want += acc[0] // -0 + 0 is +0
-			HalfMulAddRow(acc, f, one)
-			if !sameBits(acc[0], want) {
-				t.Fatalf("HalfMulAddRow(%#08x × 1) = %#08x, want %#08x", b, math.Float32bits(acc[0]), math.Float32bits(want))
-			}
-		}
+	var pats []float32
+	add := func(b uint32) {
+		pats = append(pats, math.Float32frombits(b), math.Float32frombits(b|f32Sign))
 	}
 	edges := []uint32{0, f32HalfTiny, f32HalfNormal, f32HalfOver, 0x477fe000 /* HalfMax */, 0x7f800000 /* Inf */}
 	for exp := uint32(127 - 27); exp <= 127+17; exp++ {
@@ -138,16 +143,48 @@ func TestHalfRoundBandEdges(t *testing.T) {
 			lo = e - 1<<13
 		}
 		for b := lo; b <= e+1<<13 && b <= 0x7fffffff; b++ {
-			check(b)
+			add(b)
 		}
 	}
 	// (k + ½)·2⁻²⁴ is the tie between subnormal halves k and k+1.
 	for k := 0; k < 1024; k++ {
 		tie := math.Float32bits(float32(math.Ldexp(float64(k)+0.5, -24)))
-		check(tie - 1)
-		check(tie)
-		check(tie + 1)
+		add(tie - 1)
+		add(tie)
+		add(tie + 1)
 	}
+	want := make([]float32, len(pats))
+	for i, f := range pats {
+		want[i] = RoundHalfRef(f)
+		if got := RoundHalf(f); !sameBits(got, want[i]) {
+			t.Fatalf("RoundHalf(%#08x) = %#08x, want %#08x", math.Float32bits(f), math.Float32bits(got), math.Float32bits(want[i]))
+		}
+	}
+	ones := make([]float32, len(pats))
+	for i := range ones {
+		ones[i] = 1
+	}
+	got := make([]float32, len(pats))
+	eachDispatch(t, func(t *testing.T) {
+		check := func(prim string, accumulated bool) {
+			for i, w := range want {
+				if accumulated {
+					w += 0 // the accumulator starts at +0, and -0 + 0 is +0
+				}
+				if !sameBits(got[i], w) {
+					t.Fatalf("%s(%#08x) = %#08x, want %#08x", prim, math.Float32bits(pats[i]), math.Float32bits(got[i]), math.Float32bits(w))
+				}
+			}
+		}
+		MustCodec(FP16, 0).RoundInto(got, pats)
+		check("RoundInto", false)
+		clear(got)
+		HalfMulAddRow(got, 1, pats)
+		check("HalfMulAddRow", true)
+		clear(got)
+		HalfMulAddVec(got, pats, ones)
+		check("HalfMulAddVec", true)
+	})
 }
 
 // TestAccumulatorNeverNegativeZero pins the invariant the kernels' zero-
@@ -157,27 +194,44 @@ func TestHalfRoundBandEdges(t *testing.T) {
 // nearest x + y is -0 only when both x and y are. So "acc += ±0" never
 // changes acc, and leaving it out changes no bit.
 func TestAccumulatorNeverNegativeZero(t *testing.T) {
+	eachDispatch(t, testAccumulatorNeverNegativeZero)
+}
+
+func testAccumulatorNeverNegativeZero(t *testing.T) {
 	negZero := math.Float32frombits(f32Sign)
 	tiny := math.Float32frombits(1) // smallest float32 subnormal
 	addends := []float32{0, negZero, tiny, -tiny, 5.9604645e-08, -5.9604645e-08, 1, -1, 65504, -65504,
 		float32(math.Inf(1)), float32(math.Inf(-1))}
 	// Every sequence of four addends, through plain addition and through each
-	// accumulating primitive.
+	// accumulating primitive. The rows are a chunk and a tail wide, every
+	// element taking the same sequence, so each lane is held to it as well;
+	// the dot form takes the addend first in a row of zeros.
+	const width = laneChunk + 1
+	ones, vs, dots := make([]float32, width), make([]float32, width), make([]float32, width)
+	for i := range ones {
+		ones[i] = 1
+	}
 	n := len(addends)
 	for code := 0; code < n*n*n*n; code++ {
 		var plain float32
-		row, vec := []float32{0}, []float32{0}
+		row, vec := make([]float32, width), make([]float32, width)
 		var dot float32
 		for c, step := code, 0; step < 4; c, step = c/n, step+1 {
 			v := addends[c%n]
 			before := plain
 			plain += v
-			HalfMulAddRow(row, v, []float32{1})
-			HalfMulAddVec(vec, []float32{v}, []float32{1})
-			dot = HalfDot(dot, []float32{v}, []float32{1})
-			for _, acc := range [4]float32{plain, row[0], vec[0], dot} {
-				if math.Float32bits(acc) == f32Sign {
-					t.Fatalf("sequence %d step %d: accumulator is -0 after adding %v", code, step, v)
+			for i := range vs {
+				vs[i] = v
+			}
+			dots[0] = v
+			HalfMulAddRow(row, v, ones)
+			HalfMulAddVec(vec, vs, ones)
+			dot = HalfDot(dot, dots, ones)
+			for _, accs := range [][]float32{{plain, dot}, row, vec} {
+				for _, acc := range accs {
+					if math.Float32bits(acc) == f32Sign {
+						t.Fatalf("sequence %d step %d: accumulator is -0 after adding %v", code, step, v)
+					}
 				}
 			}
 			if v == 0 && !sameBits(plain, before) {
@@ -188,9 +242,9 @@ func TestAccumulatorNeverNegativeZero(t *testing.T) {
 	}
 	// A ±0 activation against a finite weight row is a row of ±0 products.
 	for _, a := range []float32{0, negZero} {
-		acc := []float32{0, 0, 0.5, -0.5}
-		HalfMulAddRow(acc, a, []float32{3, -3, 65504, -5.9604645e-08})
-		for i, want := range []float32{0, 0, 0.5, -0.5} {
+		acc := []float32{0, 0, 0.5, -0.5, 0, 0, 0.5, -0.5, 0}
+		HalfMulAddRow(acc, a, []float32{3, -3, 65504, -5.9604645e-08, -3, 3, -65504, 5.9604645e-08, 1})
+		for i, want := range []float32{0, 0, 0.5, -0.5, 0, 0, 0.5, -0.5, 0} {
 			if !sameBits(acc[i], want) {
 				t.Errorf("%#08x × finite row: acc[%d] = %#08x, want %#08x unchanged",
 					math.Float32bits(a), i, math.Float32bits(acc[i]), math.Float32bits(want))

@@ -38,7 +38,9 @@ func TestCodecAlgebraAllPrecisions(t *testing.T) {
 }
 
 // Property: RoundSlice(x)[i] == Round(x[i]) and input is not mutated.
-func TestRoundSliceProperty(t *testing.T) {
+func TestRoundSliceProperty(t *testing.T) { eachDispatch(t, testRoundSliceProperty) }
+
+func testRoundSliceProperty(t *testing.T) {
 	c := MustCodec(FP16, 0)
 	f := func(raw []float32) bool {
 		in := append([]float32(nil), raw...)
