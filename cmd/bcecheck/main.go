@@ -1,7 +1,8 @@
 // Command bcecheck fails when the compiler leaves a bounds check inside an
-// innermost loop of the kernel hot paths: internal/nn/kernels.go and the row
-// primitives of internal/numerics/halfrow.go. Their headers claim the MAC
-// loops are bounds-check free; this keeps the claim true.
+// innermost loop of the kernel hot paths: internal/nn/kernels.go, the row
+// primitives of internal/numerics/halfrow.go, and the replay engine's diff
+// scans in internal/nn/region.go. Their headers claim the per-element loops
+// are bounds-check free; this keeps the claim true.
 //
 // It builds the two packages with -gcflags=-d=ssa/check_bce, which reports
 // every check the compiler could not prove away as "file:line:col: Found
@@ -29,9 +30,12 @@ import (
 // compiler cannot bound, and pays one check per element knowingly; and the
 // four primitives that dispatch to the AVX2 lanes loop once per chunk the
 // lanes left to the Go loop, slicing as they go — their per-element loops are
-// the ...Go functions beside them, which are checked.
+// the ...Go functions beside them, which are checked. boxify and diffSpanBox
+// likewise loop once per tensor row, slicing it out; their per-element loops
+// are firstDiff and lastDiff, which are checked.
 var hotFiles = map[string]map[string]bool{
 	"internal/nn/kernels.go": {},
+	"internal/nn/region.go":  {"boxify": true, "diffSpanBox": true},
 	"internal/numerics/halfrow.go": {
 		"HalfDotStrided": true,
 		"HalfMulAddRow":  true, "HalfMulAddVec": true, "HalfDot": true, "halfRoundInto": true,

@@ -120,11 +120,48 @@ type Injector struct {
 	g     *Golden
 	arena *nn.Arena
 	rctx  *nn.Context
+
+	// exp is the experiment in flight and hook its injection hook, bound once
+	// (PrepareGolden) so a run allocates neither. Reusing the record cannot
+	// race a hung experiment's goroutine: a watchdog kill abandons the whole
+	// injector.
+	exp  experiment
+	hook nn.Hook
 }
 
 // New builds an injector for workload w with sampler s.
 func New(w *model.Workload, s *faultmodel.Sampler) *Injector {
 	return &Injector{W: w, Sampler: s}
+}
+
+// experiment is what one run shares with its injection hook: the fault to
+// plan and where, the context to detach from, and what the hook did.
+type experiment struct {
+	in     *Injector
+	id     faultmodel.ID
+	target nn.SiteExecution
+	fctx   *nn.Context
+
+	plan    *faultmodel.Plan
+	changes []faultmodel.Change
+	err     error
+}
+
+// inject is the experiment's hook: at the target execution it plans the fault
+// and applies it, exactly once.
+func (e *experiment) inject(site nn.Layer, visit int, op *nn.Operands) {
+	s, ok := site.(nn.Site)
+	if !ok || s != e.target.Site || visit != e.target.Visit || e.err != nil || e.plan != nil {
+		return
+	}
+	// One experiment injects exactly once: detach the hook so the rest of the
+	// traversal stops paying for dispatch and visit re-checks.
+	defer e.fctx.Detach()
+	e.plan, e.err = e.in.Sampler.Plan(e.id, s, visit, op)
+	if e.err != nil {
+		return
+	}
+	e.changes = faultmodel.Apply(e.plan, s, op)
 }
 
 // Golden is the recorded golden state for one input: the decoded clean
@@ -197,6 +234,9 @@ func (in *Injector) Prepare(x *tensor.Tensor) error {
 func (in *Injector) PrepareGolden(g *Golden) error {
 	in.g = g
 	in.arena, in.rctx = nil, nil
+	if in.hook == nil {
+		in.hook = in.exp.inject
+	}
 	if g.trace != nil {
 		in.arena = nn.NewArena()
 		in.rctx = nn.NewReplayContext(g.trace, in.arena)
@@ -311,24 +351,8 @@ func (in *Injector) run(ctx context.Context, id faultmodel.ID, tol float64, exec
 	}
 	res.Site = target.Site.Name()
 
-	var plan *faultmodel.Plan
-	var changes []faultmodel.Change
-	var planErr error
-	var fctx *nn.Context
-	hook := func(site nn.Layer, visit int, op *nn.Operands) {
-		s, ok := site.(nn.Site)
-		if !ok || s != target.Site || visit != target.Visit || planErr != nil || plan != nil {
-			return
-		}
-		// One experiment injects exactly once: detach the hook so the rest
-		// of the traversal stops paying for dispatch and visit re-checks.
-		defer fctx.Detach()
-		plan, planErr = in.Sampler.Plan(id, s, visit, op)
-		if planErr != nil {
-			return
-		}
-		changes = faultmodel.Apply(plan, s, op)
-	}
+	e := &in.exp
+	*e = experiment{in: in, id: id, target: target}
 	var out *tensor.Tensor
 	if in.rctx != nil {
 		// Incremental replay: reclaim last experiment's buffers (also after
@@ -336,10 +360,10 @@ func (in *Injector) run(ctx context.Context, id faultmodel.ID, tol float64, exec
 		// serve golden tensors for everything outside the fault's cone.
 		in.arena.Reset()
 		arenaBase := in.arena.Reuses()
-		fctx = in.rctx
-		fctx.SetTarget(target.Site, target.Visit, hook)
-		out = in.W.Net.ForwardWithContext(in.g.input, fctx)
-		st := fctx.Stats()
+		e.fctx = in.rctx
+		e.fctx.SetTarget(target.Site, target.Visit, in.hook)
+		out = in.W.Net.ForwardWithContext(in.g.input, e.fctx)
+		st := e.fctx.Stats()
 		res.Replay = &ReplayCost{
 			Skipped:     st.Skipped,
 			Recomputed:  st.Recomputed,
@@ -349,22 +373,22 @@ func (in *Injector) run(ctx context.Context, id faultmodel.ID, tol float64, exec
 			ArenaReuses: in.arena.Reuses() - arenaBase,
 		}
 	} else {
-		fctx = nn.NewContext(hook)
-		out = in.W.Net.ForwardWithContext(in.g.input, fctx)
+		e.fctx = nn.NewContext(in.hook)
+		out = in.W.Net.ForwardWithContext(in.g.input, e.fctx)
 	}
 	if in.W.Net.Hardened() {
-		hs := fctx.HardenStats()
+		hs := e.fctx.HardenStats()
 		res.Harden = &HardenCost{ClampApplications: hs.ClampApplications, Saturated: hs.Saturated}
 	}
-	if planErr != nil {
-		return Result{}, planErr
+	if e.err != nil {
+		return Result{}, e.err
 	}
-	if plan == nil {
+	if e.plan == nil {
 		return Result{}, fmt.Errorf("inject: target execution %s#%d not reached", target.Site.Name(), target.Visit)
 	}
 
-	res.FaultyNeurons = len(changes)
-	for _, c := range changes {
+	res.FaultyNeurons = len(e.changes)
+	for _, c := range e.changes {
 		d := math.Abs(float64(c.Faulty) - float64(c.Golden))
 		if math.IsNaN(d) {
 			d = math.Inf(1)
@@ -373,7 +397,7 @@ func (in *Injector) run(ctx context.Context, id faultmodel.ID, tol float64, exec
 			res.MaxPerturbation = d
 		}
 	}
-	if len(changes) == 0 {
+	if len(e.changes) == 0 {
 		// The flip did not alter any stored output value: architecturally
 		// masked at the layer itself.
 		res.Outcome = Masked

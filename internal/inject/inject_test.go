@@ -251,3 +251,36 @@ func TestPredictTargetMatchesRun(t *testing.T) {
 		}
 	}
 }
+
+// A steady-state replayed experiment on the mobilenet zoo network — the
+// workload whose time is all bookkeeping — stays under a committed allocation
+// ceiling. OutputPSum faults touch one neuron, so nearly every experiment is
+// masked and what is counted is the engine: the arena hands tensors back, the
+// hook and its captures live on the injector, the trace is walked by ordinal.
+func TestMaskedReplayExperimentAllocs(t *testing.T) {
+	inj := newInjector(t, "mobilenet", numerics.FP16, 3)
+	ctx := context.Background()
+	masked, runs := 0, 0
+	run := func() {
+		r, err := inj.Run(ctx, faultmodel.OutputPSum, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs++
+		if r.Outcome == Masked {
+			masked++
+		}
+	}
+	for i := 0; i < 200; i++ { // fill the arena's free lists
+		run()
+	}
+	got := testing.AllocsPerRun(400, run)
+	if masked*10 < runs*9 {
+		t.Errorf("%d of %d experiments masked: not the masked-experiment mix this ceiling is for", masked, runs)
+	}
+	// 11 when written (39 before the arena recycled headers and the hook
+	// moved onto the injector); the rest is the sampler's plan and the Result.
+	if got > 16 {
+		t.Errorf("%v allocs per replayed experiment, ceiling 16", got)
+	}
+}

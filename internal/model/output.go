@@ -30,11 +30,12 @@ func (w *Workload) Decode(out *tensor.Tensor) AppOutput {
 		ao.Label = out.ArgMax()
 	case MetricBLEU:
 		seq, vocab := out.Dim(0), out.Dim(1)
+		od := out.Data()
 		ao.Tokens = make([]int, seq)
-		for s := 0; s < seq; s++ {
+		for s := range ao.Tokens {
 			best, bestv := 0, float32(math.Inf(-1))
-			for v := 0; v < vocab; v++ {
-				if x := out.At(s, v); x > bestv {
+			for v, x := range od[s*vocab : (s+1)*vocab] {
+				if x > bestv {
 					best, bestv = v, x
 				}
 			}
@@ -52,22 +53,25 @@ func (w *Workload) Decode(out *tensor.Tensor) AppOutput {
 func (w *Workload) decodeBoxes(out *tensor.Tensor) []metrics.Box {
 	const objThreshold = 0.5
 	g, a, c := w.Grid, w.Anchors, w.Classes
+	// Flat NHWC indexing of batch image 0 (the variadic At allocates per call).
+	od, width, depth := out.Data(), out.Dim(2), out.Dim(3)
 	var boxes []metrics.Box
 	for gy := 0; gy < g; gy++ {
 		for gx := 0; gx < g; gx++ {
 			for an := 0; an < a; an++ {
-				base := an * (5 + c)
-				obj := sigmoid(out.At(0, gy, gx, base))
+				base := (gy*width+gx)*depth + an*(5+c)
+				cell := od[base : base+5+c]
+				obj := sigmoid(cell[0])
 				if obj < objThreshold {
 					continue
 				}
-				bx := (float64(gx) + sigmoid(out.At(0, gy, gx, base+1))) / float64(g)
-				by := (float64(gy) + sigmoid(out.At(0, gy, gx, base+2))) / float64(g)
-				bw := 0.05 + 0.5*sigmoid(out.At(0, gy, gx, base+3))
-				bh := 0.05 + 0.5*sigmoid(out.At(0, gy, gx, base+4))
+				bx := (float64(gx) + sigmoid(cell[1])) / float64(g)
+				by := (float64(gy) + sigmoid(cell[2])) / float64(g)
+				bw := 0.05 + 0.5*sigmoid(cell[3])
+				bh := 0.05 + 0.5*sigmoid(cell[4])
 				best, bestv := 0, float32(math.Inf(-1))
-				for cl := 0; cl < c; cl++ {
-					if v := out.At(0, gy, gx, base+5+cl); v > bestv {
+				for cl, v := range cell[5:] {
+					if v > bestv {
 						best, bestv = cl, v
 					}
 				}

@@ -135,6 +135,26 @@ func TestYoloEmitsBoxes(t *testing.T) {
 				t.Errorf("degenerate box %+v", b)
 			}
 		}
+		// decodeBoxes indexes the head output flat; the bounds-checked
+		// accessor is the oracle for which cells and anchors emit, in order.
+		var scores []float64
+		for gy := 0; gy < w.Grid; gy++ {
+			for gx := 0; gx < w.Grid; gx++ {
+				for an := 0; an < w.Anchors; an++ {
+					if obj := sigmoid(ao.Raw.At(0, gy, gx, an*(5+w.Classes))); obj >= 0.5 {
+						scores = append(scores, obj)
+					}
+				}
+			}
+		}
+		if len(scores) != len(ao.Boxes) {
+			t.Fatalf("scene %d: %d boxes decoded, %d anchors above threshold", i, len(ao.Boxes), len(scores))
+		}
+		for k, b := range ao.Boxes {
+			if b.Score != scores[k] {
+				t.Errorf("scene %d box %d: score %v, accessor %v", i, k, b.Score, scores[k])
+			}
+		}
 	}
 	if total == 0 {
 		t.Error("yolo produced no boxes on 6 scenes")
@@ -152,6 +172,18 @@ func TestTransformerDecode(t *testing.T) {
 	}
 	if metrics.BLEU(ao.Tokens, ao.Tokens) != 1 {
 		t.Error("self-BLEU must be 1")
+	}
+	// Decode indexes the output flat; the bounds-checked accessor is the
+	// oracle for the arg-max, and the token slice is all it may allocate.
+	for s, tok := range ao.Tokens {
+		for v := 0; v < ao.Raw.Dim(1); v++ {
+			if ao.Raw.At(s, v) > ao.Raw.At(s, tok) || ao.Raw.At(s, v) == ao.Raw.At(s, tok) && v < tok {
+				t.Fatalf("position %d decoded token %d, but token %d scores %v >= %v", s, tok, v, ao.Raw.At(s, v), ao.Raw.At(s, tok))
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(20, func() { w.Decode(ao.Raw) }); got > 1 {
+		t.Errorf("BLEU Decode: %v allocs, want the token slice only", got)
 	}
 }
 

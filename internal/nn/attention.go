@@ -87,12 +87,11 @@ func (l *MultiHeadAttention) Forward(x *tensor.Tensor, ctx *Context) *tensor.Ten
 
 // sliceCols copies columns [start, start+n) of a rank-2 tensor.
 func sliceCols(ctx *Context, t *tensor.Tensor, start, n int) *tensor.Tensor {
-	rows := t.Dim(0)
+	rows, cols := t.Dim(0), t.Dim(1)
 	out := ctx.newTensor(rows, n)
+	od, td := out.Data(), t.Data()
 	for r := 0; r < rows; r++ {
-		for c := 0; c < n; c++ {
-			out.Set(t.At(r, start+c), r, c)
-		}
+		copy(od[r*n:(r+1)*n], td[r*cols+start:r*cols+start+n])
 	}
 	return out
 }

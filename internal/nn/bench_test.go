@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -29,7 +30,7 @@ func benchConvTile(b *testing.B, zeroFrac float64) {
 		}
 	}
 	out := tensor.New(l.OutputShape(x.Shape())...)
-	a := l.kernelArgs(x, out, codec.RoundSlice(x.Data()), 0)
+	a := l.kernelArgs(new(convArgs), x, out, codec.RoundSlice(x.Data()), 0)
 	accs := make([]float32, a.outC)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -122,4 +123,69 @@ func BenchmarkComputeNeuron(b *testing.B) {
 			reportMACs(b, 3*3*16)
 		})
 	}
+}
+
+// diffSpanSink keeps the scans' results live.
+var diffSpanSink span
+
+// BenchmarkDiffSpan times the convergence-and-span scan of one swept box —
+// the whole map of an 8×8×64 and of a 32×32×16 output — in the three states
+// replay meets: equal to golden (a converged recompute), differing everywhere
+// (a dirty suffix layer), and differing in one pixel. ns/element is over the
+// box's element count, read or not.
+func BenchmarkDiffSpan(b *testing.B) {
+	rng := rand.New(rand.NewSource(16))
+	for _, shape := range [][]int{{1, 8, 8, 64}, {1, 32, 32, 16}} {
+		h, w, c := shape[1], shape[2], shape[3]
+		golden := tensor.New(shape...)
+		golden.RandNormal(rng, 1)
+		states := []struct {
+			name  string
+			dirty func(d []float32)
+		}{
+			{"equal", func(d []float32) {}},
+			{"dense-dirty", func(d []float32) {
+				for i := range d {
+					d[i] += 1
+				}
+			}},
+			{"one-pixel", func(d []float32) {
+				px := d[((h/2)*w+w/2)*c:][:c]
+				for i := range px {
+					px[i] += 1
+				}
+			}},
+		}
+		for _, st := range states {
+			out := golden.Clone()
+			st.dirty(out.Data())
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", st.name, h, w, c), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					diffSpanSink, _ = diffSpanBox(out, golden, box{0, h, 0, w})
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(h*w*c), "ns/element")
+			})
+		}
+	}
+}
+
+// BenchmarkReplaySkip times one replayed experiment whose fault is masked at
+// the site: the target is seeded from golden, converges at once, and every
+// other execution is a skip — the replay engine's bookkeeping and nothing
+// else. ns/layer is over the trace's executions.
+func BenchmarkReplaySkip(b *testing.B) {
+	n := replayNets()["residual-in-branches"]
+	_, execs, trace := n.net.TraceWithActivations(n.x)
+	arena := NewArena()
+	rctx := NewReplayContext(trace, arena)
+	hook := func(Layer, int, *Operands) {}
+	target := execs[len(execs)/2]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arena.Reset()
+		rctx.SetTarget(target.Site, target.Visit, hook)
+		n.net.ForwardWithContext(n.x, rctx)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(trace.steps)), "ns/layer")
 }

@@ -173,6 +173,7 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 }
 
 func (l *LayerNorm) normalize(data []float32, rows, d int) {
+	scale, shift := l.Scale.Data()[:d], l.Shift.Data()[:d]
 	for r := 0; r < rows; r++ {
 		row := data[r*d : (r+1)*d]
 		var mean float64
@@ -187,7 +188,7 @@ func (l *LayerNorm) normalize(data []float32, rows, d int) {
 		}
 		inv := 1 / float32(math.Sqrt(varsum/float64(d)+float64(l.Eps)))
 		for i, v := range row {
-			row[i] = (v-float32(mean))*inv*l.Scale.At(i) + l.Shift.At(i)
+			row[i] = (v-float32(mean))*inv*scale[i] + shift[i]
 		}
 	}
 }

@@ -130,7 +130,7 @@ func (l *Conv2D) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 		if UseReferenceKernels() {
 			convForwardRef(l, x, out, rin, l.wcache.get(l.codec, l.W).rw)
 		} else {
-			convForward(l.kernelArgs(x, out, rin, 0), ctx.convAccs(l.OutC))
+			convForward(l.kernelArgs(ctx.convArgs(), x, out, rin, 0), ctx.convAccs(l.OutC))
 		}
 		ctx.fire(l, op)
 		return out
@@ -139,17 +139,17 @@ func (l *Conv2D) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	}, x)
 }
 
-// kernelArgs assembles the tiled-kernel argument block for one forward pass
-// over input x into out. rin is the pre-rounded input buffer (a row window
-// when rinOff is non-zero; see convArgs.rinOff).
-func (l *Conv2D) kernelArgs(x, out *tensor.Tensor, rin []float32, rinOff int) *convArgs {
+// kernelArgs assembles, in a, the tiled-kernel argument block for one forward
+// pass over input x into out. rin is the pre-rounded input buffer (a row
+// window when rinOff is non-zero; see convArgs.rinOff).
+func (l *Conv2D) kernelArgs(a *convArgs, x, out *tensor.Tensor, rin []float32, rinOff int) *convArgs {
 	os := out.Shape()
 	var bias []float32
 	if l.B != nil {
 		bias = l.B.Data()
 	}
 	rw := l.wcache.get(l.codec, l.W)
-	return &convArgs{
+	*a = convArgs{
 		rin: rin, rw: rw.rw, bias: bias, out: out.Data(), rinOff: rinOff,
 		n: x.Dim(0), h: x.Dim(1), w: x.Dim(2), inC: l.InC,
 		oh: os[1], ow: os[2], outC: os[3],
@@ -157,6 +157,7 @@ func (l *Conv2D) kernelArgs(x, out *tensor.Tensor, rin []float32, rinOff int) *c
 		depthwise: l.Depthwise, fp16: l.codec.Precision() == numerics.FP16,
 		skipZero: rw.finite, codec: l.codec,
 	}
+	return a
 }
 
 // ComputeNeuron implements Site. The accumulation order is (kh, kw, ic)

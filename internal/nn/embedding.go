@@ -42,17 +42,16 @@ func (l *Embedding) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	seq := x.Dim(0)
 	return ctx.exec(l, func() *tensor.Tensor {
 		out := ctx.newTensor(seq, l.Dim)
-		for s := 0; s < seq; s++ {
-			tok := int(x.At(s, 0))
+		od, table := out.Data(), l.Table.Data()
+		for s, id := range x.Data() {
+			tok := int(id)
 			if tok < 0 {
 				tok = 0
 			}
 			if tok >= l.Vocab {
 				tok = l.Vocab - 1
 			}
-			for d := 0; d < l.Dim; d++ {
-				out.Set(l.Table.At(tok, d), s, d)
-			}
+			copy(od[s*l.Dim:(s+1)*l.Dim], table[tok*l.Dim:(tok+1)*l.Dim])
 		}
 		return out
 	}, nil, x)

@@ -197,6 +197,16 @@ func (c *Context) convAccs(n int) []float32 {
 	return c.accs[:n]
 }
 
+// convArgs returns the context's kernel argument block, kept beside accs for
+// the same reason (Conv2D.kernelArgs overwrites all of it). A nil context gets
+// a fresh one.
+func (c *Context) convArgs() *convArgs {
+	if c == nil {
+		return new(convArgs)
+	}
+	return &c.cargs
+}
+
 // convForward runs the tiled convolution over the whole output, splitting the
 // output rows of each batch image into goroutine bands when the machine and
 // the layer are big enough. Bands write disjoint output rows and accumulate

@@ -125,9 +125,12 @@ type Context struct {
 	hook   Hook
 	visits map[Layer]int
 
-	mode       ctxMode
+	mode ctxMode
+	// execVisits numbers each layer's leaf executions while recording; seq is
+	// the execution ordinal of a replayed pass, advanced on every exec/glue
+	// entry (see traceStep).
 	execVisits map[Layer]int
-	glueVisits map[Layer]int
+	seq        int
 	trace      *GoldenTrace
 	arena      *Arena
 
@@ -154,9 +157,11 @@ type Context struct {
 	clamps map[Layer]Bound
 	hstats HardenStats
 
-	// accs is convolution accumulator scratch (convAccs), kept from one
-	// execution to the next: a context runs one layer at a time.
-	accs []float32
+	// accs is convolution accumulator scratch (convAccs) and cargs the kernel
+	// argument block (convArgs), kept from one execution to the next: a
+	// context runs one layer at a time.
+	accs  []float32
+	cargs convArgs
 }
 
 // NewContext builds a context that invokes hook at every compute site.

@@ -61,21 +61,18 @@ func (l *LSTM) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	h := tensor.New(1, l.Hidden)
 	c := make([]float32, l.Hidden)
 	concat := tensor.New(1, l.In+l.Hidden)
+	hd, cd, xd := h.Data(), concat.Data(), x.Data()
 	for t := 0; t < seq; t++ {
-		for i := 0; i < l.In; i++ {
-			concat.Set(x.At(t, i), 0, i)
-		}
+		copy(cd[:l.In], xd[t*l.In:(t+1)*l.In])
+		copy(cd[l.In:], hd)
+		gd := l.Gates.Forward(concat, ctx).Data() // (1, 4*Hidden)
 		for i := 0; i < l.Hidden; i++ {
-			concat.Set(h.At(0, i), 0, l.In+i)
-		}
-		gates := l.Gates.Forward(concat, ctx) // (1, 4*Hidden)
-		for i := 0; i < l.Hidden; i++ {
-			ig := sigmoid(gates.At(0, i))
-			fg := sigmoid(gates.At(0, l.Hidden+i))
-			gg := float32(math.Tanh(float64(gates.At(0, 2*l.Hidden+i))))
-			og := sigmoid(gates.At(0, 3*l.Hidden+i))
+			ig := sigmoid(gd[i])
+			fg := sigmoid(gd[l.Hidden+i])
+			gg := float32(math.Tanh(float64(gd[2*l.Hidden+i])))
+			og := sigmoid(gd[3*l.Hidden+i])
 			c[i] = l.codec.Round(fg*c[i] + ig*gg)
-			h.Set(l.codec.Round(og*float32(math.Tanh(float64(c[i])))), 0, i)
+			hd[i] = l.codec.Round(og * float32(math.Tanh(float64(c[i]))))
 		}
 	}
 	return h

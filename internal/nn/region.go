@@ -57,56 +57,113 @@ func neq(a, b float32) bool {
 	return a != b && !(math.IsNaN(float64(a)) && math.IsNaN(float64(b)))
 }
 
+// bitsDiffer4 reports whether any of the four leading elements of a and b
+// differ as IEEE bit patterns. Equal bits are equal elements; differing bits
+// still are for +0 against -0 and for NaNs of two payloads, which is neq's
+// call to make.
+func bitsDiffer4(a, b []float32) bool {
+	return (math.Float32bits(a[0])^math.Float32bits(b[0]))|
+		(math.Float32bits(a[1])^math.Float32bits(b[1]))|
+		(math.Float32bits(a[2])^math.Float32bits(b[2]))|
+		(math.Float32bits(a[3])^math.Float32bits(b[3])) != 0
+}
+
+// firstDiff returns the index of the first element at which a and b differ
+// (neq), or len(a) when none does. b must be at least as long as a. Equal runs
+// are crossed four bit patterns at a time; a group with a bit mismatch is
+// settled element by element, so a false alarm costs four neq calls and the
+// scan goes on. Both slices shrink from the front as the scan advances, which
+// is what lets the compiler drop every bounds check of the two inner loops
+// (`make bce`).
+func firstDiff(a, b []float32) int {
+	n := len(a)
+	b = b[:n]
+	for len(a) > 0 {
+		for len(a) >= 4 && len(b) >= 4 {
+			if bitsDiffer4(a, b) {
+				break
+			}
+			a, b = a[4:], b[4:]
+		}
+		k := min(4, len(a))
+		head, bhead := a[:k], b[:k]
+		for j, v := range head {
+			if neq(v, bhead[j]) {
+				return n - len(a) + j
+			}
+		}
+		a, b = a[k:], b[k:]
+	}
+	return n
+}
+
+// lastDiff returns the index of the last element at which a and b differ
+// (neq), or -1 when none does: firstDiff from the right, the slices shrinking
+// from the back.
+func lastDiff(a, b []float32) int {
+	b = b[:len(a)]
+	for len(a) > 0 {
+		for len(a) >= 4 && len(b) >= 4 {
+			if bitsDiffer4(a[len(a)-4:], b[len(b)-4:]) {
+				break
+			}
+			a, b = a[:len(a)-4], b[:len(b)-4]
+		}
+		k := max(len(a)-4, 0)
+		tail, btail := a[k:], b[k:]
+		for j := len(tail) - 1; j >= 0 && j < len(btail); j-- {
+			if neq(tail[j], btail[j]) {
+				return k + j
+			}
+		}
+		a, b = a[:k], b[:k]
+	}
+	return -1
+}
+
+// diffEnds returns the first and the last index at which a and b differ,
+// scanning from both ends inwards so that nothing between the two is read;
+// differ is false when a equals b.
+func diffEnds(a, b []float32) (first, last int, differ bool) {
+	first = firstDiff(a, b)
+	if first == len(a) {
+		return 0, 0, false
+	}
+	return first, first + lastDiff(a[first:], b[first:]), true
+}
+
 // diffSpanFull scans out against golden and returns the span of differing
 // elements. equal is true (and the span meaningless) when none differ.
 func diffSpanFull(out, golden *tensor.Tensor) (sp span, equal bool) {
 	od, gd := out.Data(), golden.Data()
-	lo := 0
-	for ; lo < len(od); lo++ {
-		if neq(od[lo], gd[lo]) {
-			break
-		}
-	}
-	if lo == len(od) {
+	first, last, differ := diffEnds(od, gd)
+	if !differ {
 		return span{}, true
 	}
-	hi := len(od) - 1
-	for ; hi > lo; hi-- {
-		if neq(od[hi], gd[hi]) {
-			break
-		}
-	}
-	sp = span{lo: lo, hi: hi + 1}
+	sp = span{lo: first, hi: last + 1}
 	if out.Rank() == 4 {
-		h, w, c := out.Dim(1), out.Dim(2), out.Dim(3)
-		sp = boxify(od, gd, sp, out.Dim(0), h, w, c)
+		sp = boxify(od, gd, sp, out.Dim(1), out.Dim(2), out.Dim(3))
 	}
 	return sp, false
 }
 
-// boxify tightens a flat span over a rank-4 NHWC buffer into a spatial box by
-// scanning the flat range and tracking the row/column extent of differences.
-func boxify(od, gd []float32, sp span, n, h, w, c int) span {
-	rowStride, imgStride := w*c, h*w*c
+// boxify tightens a flat span over a rank-4 NHWC buffer into a spatial box:
+// the rows of the flat range that hold a difference, and the columns between
+// the leftmost first and the rightmost last difference of any row (diffEnds:
+// the interior of a dirty row is never read). Row r of the buffer is row r%h
+// of image r/h.
+func boxify(od, gd []float32, sp span, h, w, c int) span {
+	rowStride := w * c
 	y0, y1, x0, x1 := h, 0, w, 0
-	for i := sp.lo; i < sp.hi; i++ {
-		if !neq(od[i], gd[i]) {
+	for r := sp.lo / rowStride; r*rowStride < sp.hi; r++ {
+		lo, hi := max(sp.lo, r*rowStride), min(sp.hi, (r+1)*rowStride)
+		first, last, differ := diffEnds(od[lo:hi], gd[lo:hi])
+		if !differ {
 			continue
 		}
-		y := (i % imgStride) / rowStride
-		x := (i % rowStride) / c
-		if y < y0 {
-			y0 = y
-		}
-		if y >= y1 {
-			y1 = y + 1
-		}
-		if x < x0 {
-			x0 = x
-		}
-		if x >= x1 {
-			x1 = x + 1
-		}
+		y := r % h
+		y0, y1 = min(y0, y), max(y1, y+1)
+		x0, x1 = min(x0, (lo+first)%rowStride/c), max(x1, (lo+last)%rowStride/c+1)
 	}
 	sp.y0, sp.y1, sp.x0, sp.x1 = y0, y1, x0, x1
 	sp.boxed = true
@@ -115,49 +172,26 @@ func boxify(od, gd []float32, sp span, n, h, w, c int) span {
 
 // diffSpanBox scans only the given spatial box of a rank-4 tensor (the region
 // a sweep recomputed; everything outside is a golden copy by construction)
-// and returns the tightened span of differing elements.
+// and returns the tightened span of differing elements, each row of the box
+// scanned from both ends inwards as in boxify.
 func diffSpanBox(out, golden *tensor.Tensor, bx box) (sp span, equal bool) {
-	y0, y1, x0, x1 := bx.y0, bx.y1, bx.x0, bx.x1
 	od, gd := out.Data(), golden.Data()
 	n, h, w, c := out.Dim(0), out.Dim(1), out.Dim(2), out.Dim(3)
-	rowStride, imgStride := w*c, h*w*c
-	ry0, ry1, rx0, rx1 := h, 0, w, 0
-	lo, hi := len(od), 0
+	sp = span{lo: len(od), y0: h, x0: w, boxed: true}
 	for b := 0; b < n; b++ {
-		for y := y0; y < y1; y++ {
-			base := b*imgStride + y*rowStride + x0*c
-			row := od[base : base+(x1-x0)*c]
-			grow := gd[base : base+(x1-x0)*c]
-			for i, v := range row {
-				if !neq(v, grow[i]) {
-					continue
-				}
-				x := x0 + i/c
-				if y < ry0 {
-					ry0 = y
-				}
-				if y >= ry1 {
-					ry1 = y + 1
-				}
-				if x < rx0 {
-					rx0 = x
-				}
-				if x >= rx1 {
-					rx1 = x + 1
-				}
-				if base+i < lo {
-					lo = base + i
-				}
-				if base+i >= hi {
-					hi = base + i + 1
-				}
+		for y := bx.y0; y < bx.y1; y++ {
+			base := ((b*h+y)*w + bx.x0) * c
+			end := base + (bx.x1-bx.x0)*c
+			first, last, differ := diffEnds(od[base:end], gd[base:end])
+			if !differ {
+				continue
 			}
+			sp.lo, sp.hi = min(sp.lo, base+first), max(sp.hi, base+last+1)
+			sp.y0, sp.y1 = min(sp.y0, y), max(sp.y1, y+1)
+			sp.x0, sp.x1 = min(sp.x0, bx.x0+first/c), max(sp.x1, bx.x0+last/c+1)
 		}
 	}
-	if hi == 0 {
-		return span{}, true
-	}
-	return span{lo: lo, hi: hi, y0: ry0, y1: ry1, x0: rx0, x1: rx1, boxed: true}, false
+	return sp, sp.hi == 0
 }
 
 // box is the spatial output region [y0,y1)×[x0,x1) (all batches, all
@@ -238,7 +272,7 @@ func (l *Conv2D) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*
 		rin = l.codec.RoundSlice(x.Data())
 	}
 
-	args := l.kernelArgs(x, out, rin, rinOff)
+	args := l.kernelArgs(c.convArgs(), x, out, rin, rinOff)
 	accs := c.convAccs(args.outC)
 	for bi := 0; bi < n; bi++ {
 		convTile(args, bi, oy0, oy1, ox0, ox1, accs)

@@ -45,36 +45,47 @@ const (
 	ctxReplay
 )
 
-// execKey addresses one execution of one layer within a forward pass. glue
-// distinguishes a composite layer's own work (residual add, branch concat,
-// attention softmax) from leaf executions, which use separate visit
-// counters.
-type execKey struct {
+// traceStep is one recorded layer execution. A forward pass calls exec and
+// glue in an order fixed by the layer graph and the tensor shapes, never by
+// tensor values, so the position of a call in that order — its execution
+// ordinal — names the execution: step i of the trace is what the i-th
+// exec/glue entry of any later pass over the same input is (DESIGN.md §5.1).
+// glue distinguishes a composite layer's own work (residual add, branch
+// concat, attention softmax) from leaf executions; visit numbers the leaf
+// executions of one layer, which is what hooks and SetTarget speak.
+type traceStep struct {
 	layer Layer
 	visit int
 	glue  bool
+	out   *tensor.Tensor
+	work  float64
 }
 
 // GoldenTrace holds the recorded golden output of every layer execution of
-// one forward pass, plus the pointer-identity set of clean tensors.
+// one forward pass, in execution order, plus the pointer-identity set of
+// clean tensors. The clean set stays a set of pointers — a list of dirty
+// tensors instead would call a Reshape view of a dirty tensor clean.
 type GoldenTrace struct {
-	outputs map[execKey]*tensor.Tensor
-	golden  map[*tensor.Tensor]bool
-	work    map[execKey]float64
+	steps  []traceStep
+	golden map[*tensor.Tensor]bool
 }
 
 // newGoldenTrace builds an empty trace.
 func newGoldenTrace() *GoldenTrace {
-	return &GoldenTrace{
-		outputs: map[execKey]*tensor.Tensor{},
-		golden:  map[*tensor.Tensor]bool{},
-		work:    map[execKey]float64{},
-	}
+	return &GoldenTrace{golden: map[*tensor.Tensor]bool{}}
 }
 
-// put records the golden output of one execution.
-func (g *GoldenTrace) put(key execKey, out *tensor.Tensor) {
-	g.outputs[key] = out
+// begin appends the step of an execution that is starting and returns its
+// ordinal. The ordinal is taken at entry, as replay takes it, not when the
+// output exists.
+func (g *GoldenTrace) begin(l Layer, visit int, glue bool) int {
+	g.steps = append(g.steps, traceStep{layer: l, visit: visit, glue: glue})
+	return len(g.steps) - 1
+}
+
+// put records the golden output of execution ord.
+func (g *GoldenTrace) put(ord int, out *tensor.Tensor) {
+	g.steps[ord].out = out
 	g.golden[out] = true
 }
 
@@ -84,69 +95,110 @@ func (g *GoldenTrace) put(key execKey, out *tensor.Tensor) {
 func (g *GoldenTrace) MarkGolden(t *tensor.Tensor) { g.golden[t] = true }
 
 // SetWork attaches a MAC-work estimate to a site execution, so replay can
-// report how much compute each skip avoided.
+// report how much compute each skip avoided. A linear search: it runs once
+// per site execution when the trace is recorded, never during replay.
 func (g *GoldenTrace) SetWork(site Layer, visit int, work float64) {
-	g.work[execKey{layer: site, visit: visit}] = work
+	for i := range g.steps {
+		if st := &g.steps[i]; st.layer == site && st.visit == visit && !st.glue {
+			st.work = work
+			return
+		}
+	}
 }
 
-// Arena recycles output buffers across replayed experiments. Buffers are
-// keyed by element count and handed back wholesale by Reset at experiment
-// boundaries, so a steady-state experiment allocates nothing. The arena is
-// single-goroutine (one per injector); it is never used in record mode, so
-// golden tensors are never arena-owned.
+// Arena recycles output tensors across replayed experiments. Free tensors
+// are bucketed by element count and every lent one is handed back wholesale
+// by Reset at experiment boundaries, so a steady-state experiment allocates
+// nothing. The arena is single-goroutine (one per injector); it is never
+// used in record mode, so golden tensors are never arena-owned.
+//
+// The arena recycles the tensor header along with its buffer: get may return
+// a *tensor.Tensor an earlier release or Reset handed in, reshaped in place.
+// A released pointer is therefore dead to its former holder — in particular
+// it must not stay behind as a key of Context.spans. Only converged outputs
+// (canonicalize releases them instead of recording a span) and the
+// convolution row-window scratch (never an execution's output) are released
+// mid-pass, and SetTarget clears spans before the next pass reuses anything
+// Reset reclaimed.
 type Arena struct {
-	free   map[int][][]float32
-	lent   map[*tensor.Tensor][]float32
+	// free holds one bucket per element count ever requested — a few dozen for
+	// the largest zoo network — searched linearly; lent is every tensor handed
+	// out since the last Reset, in get order.
+	free   []arenaBucket
+	lent   []*tensor.Tensor
 	reuses int64
 }
 
-// NewArena builds an empty arena.
-func NewArena() *Arena {
-	return &Arena{free: map[int][][]float32{}, lent: map[*tensor.Tensor][]float32{}}
+// arenaBucket is the free list of one element count.
+type arenaBucket struct {
+	n  int
+	ts []*tensor.Tensor
 }
 
-// get returns a tensor backed by a recycled (not zeroed) buffer.
+// NewArena builds an empty arena.
+func NewArena() *Arena { return &Arena{} }
+
+// bucket returns the free list for element count n, adding an empty one the
+// first time n is seen.
+func (a *Arena) bucket(n int) *arenaBucket {
+	for i := range a.free {
+		if a.free[i].n == n {
+			return &a.free[i]
+		}
+	}
+	a.free = append(a.free, arenaBucket{n: n})
+	return &a.free[len(a.free)-1]
+}
+
+// putFree files t under its element count.
+func (a *Arena) putFree(t *tensor.Tensor) {
+	b := a.bucket(t.Size())
+	b.ts = append(b.ts, t)
+}
+
+// get returns a tensor of the given shape over a recycled (not zeroed)
+// buffer, or a fresh one when no free buffer has that element count.
 func (a *Arena) get(shape ...int) *tensor.Tensor {
 	n := 1
 	for _, d := range shape {
 		n *= d
 	}
-	var buf []float32
-	if bufs := a.free[n]; len(bufs) > 0 {
-		buf = bufs[len(bufs)-1]
-		a.free[n] = bufs[:len(bufs)-1]
+	var t *tensor.Tensor
+	if b := a.bucket(n); len(b.ts) > 0 {
+		t = b.ts[len(b.ts)-1]
+		b.ts = b.ts[:len(b.ts)-1]
+		t.ReshapeInPlace(shape...)
 		a.reuses++
 	} else {
-		buf = make([]float32, n)
+		t = tensor.New(shape...)
 	}
-	t := tensor.FromSlice(buf, shape...)
-	a.lent[t] = buf
+	a.lent = append(a.lent, t)
 	return t
 }
 
-// release returns t's buffer to the free list if the arena owns it; foreign
-// tensors (views, golden outputs, ad-hoc allocations) are ignored.
+// release returns t to the free list if the arena lent it; foreign tensors
+// (views, golden outputs, ad-hoc allocations) are ignored. The search runs
+// from the back: what gets released is the newest or second-newest loan.
 func (a *Arena) release(t *tensor.Tensor) {
-	buf, ok := a.lent[t]
-	if !ok {
-		return
+	for i := len(a.lent) - 1; i >= 0; i-- {
+		if a.lent[i] == t {
+			last := len(a.lent) - 1
+			a.lent[i] = a.lent[last]
+			a.lent = a.lent[:last]
+			a.putFree(t)
+			return
+		}
 	}
-	delete(a.lent, t)
-	a.free[len(buf)] = append(a.free[len(buf)], buf)
 }
 
-// Reset reclaims every buffer lent out since the last Reset. Call at an
+// Reset reclaims every tensor lent out since the last Reset. Call at an
 // experiment boundary, when no tensor from the previous experiment is
 // referenced anymore.
 func (a *Arena) Reset() {
-	// The free list hands out interchangeable buffers that every consumer
-	// fully overwrites before reading, so reclaim order never reaches
-	// results — and lent is keyed by pointer, so there is no stable sort key.
-	//lint:allow maporder free-list reclaim order is unobservable: buffers are fully overwritten before any read
-	for t, buf := range a.lent {
-		a.free[len(buf)] = append(a.free[len(buf)], buf)
-		delete(a.lent, t)
+	for _, t := range a.lent {
+		a.putFree(t)
 	}
+	a.lent = a.lent[:0]
 }
 
 // Reuses returns the cumulative count of buffer recycles.
@@ -175,24 +227,23 @@ func NewRecordContext(hook Hook) (*Context, *GoldenTrace) {
 	c := NewContext(hook)
 	c.mode = ctxRecord
 	c.execVisits = map[Layer]int{}
-	c.glueVisits = map[Layer]int{}
 	c.trace = newGoldenTrace()
 	return c, c.trace
 }
 
 // NewReplayContext builds a reusable replay context over a recorded trace.
-// Call SetTarget before each forward pass.
+// Call SetTarget before each forward pass. Replay draws every output it
+// recomputes from arena; a nil arena gives the context one of its own.
 func NewReplayContext(trace *GoldenTrace, arena *Arena) *Context {
-	c := &Context{
-		mode:       ctxReplay,
-		visits:     map[Layer]int{},
-		execVisits: map[Layer]int{},
-		glueVisits: map[Layer]int{},
-		trace:      trace,
-		arena:      arena,
-		spans:      map[*tensor.Tensor]span{},
+	if arena == nil {
+		arena = NewArena()
 	}
-	return c
+	return &Context{
+		mode:  ctxReplay,
+		trace: trace,
+		arena: arena,
+		spans: map[*tensor.Tensor]span{},
+	}
 }
 
 // SetTarget arms the replay context for one experiment: hook fires exactly
@@ -204,9 +255,7 @@ func (c *Context) SetTarget(site Layer, visit int, hook Hook) {
 	c.targetVisit = visit
 	c.injected = false
 	c.pendingFire = false
-	clear(c.visits)
-	clear(c.execVisits)
-	clear(c.glueVisits)
+	c.seq = 0
 	clear(c.spans)
 	c.stats = ReplayStats{}
 	c.hstats = HardenStats{}
@@ -228,7 +277,7 @@ func (c *Context) Detach() {
 // freshly otherwise (recorded golden tensors must outlive every experiment).
 // The buffer is zeroed either way, since accumulating layers rely on it.
 func (c *Context) newTensor(shape ...int) *tensor.Tensor {
-	if c == nil || c.mode != ctxReplay || c.arena == nil {
+	if c == nil || c.mode != ctxReplay {
 		return tensor.New(shape...)
 	}
 	t := c.arena.get(shape...)
@@ -239,6 +288,23 @@ func (c *Context) newTensor(shape ...int) *tensor.Tensor {
 // seedFn builds the hook operand set around a golden-seeded output tensor,
 // exactly as the layer's own compute path would.
 type seedFn func(out *tensor.Tensor) *Operands
+
+// step returns the recorded step of the replayed execution now entering — l's
+// own work when glue, a leaf execution otherwise — and advances the ordinal.
+// It returns nil when the trace has no such step at this ordinal (a trace of
+// another network, or a pass that ran past its end): the caller then computes,
+// so a mismatched trace costs speed, never correctness or an index panic.
+func (c *Context) step(l Layer, glue bool) *traceStep {
+	i := c.seq
+	c.seq++
+	if i >= len(c.trace.steps) {
+		return nil
+	}
+	if st := &c.trace.steps[i]; st.layer == l && st.glue == glue {
+		return st
+	}
+	return nil
+}
 
 // exec wraps one leaf-layer execution. compute runs the layer for real (and
 // fires the hook from inside, via Context.fire); seed, non-nil for sites,
@@ -256,32 +322,33 @@ func (c *Context) exec(l Layer, compute func() *tensor.Tensor, seed seedFn, in .
 	if c == nil {
 		return compute()
 	}
-	var key execKey
-	var golden *tensor.Tensor
-	if c.mode != ctxPlain {
+	var st *traceStep
+	ord := -1
+	switch c.mode {
+	case ctxRecord:
 		v := c.execVisits[l]
 		c.execVisits[l] = v + 1
-		key = execKey{layer: l, visit: v}
-		if c.mode == ctxReplay {
-			golden = c.trace.outputs[key]
-		}
+		ord = c.trace.begin(l, v, false)
+	case ctxReplay:
+		st = c.step(l, false)
 	}
 	var out *tensor.Tensor
 	var swept box
 	switch {
-	case golden == nil:
-		// Plain and record passes — and a replayed execution the trace never
-		// saw, which cannot happen for a trace of the same input — compute.
+	case st == nil:
+		// Plain and record passes — and a replayed execution the trace does
+		// not hold at this ordinal, which cannot happen for a trace of the
+		// same network and input — compute.
 		out = compute()
-	case !c.injected && l == c.target && key.visit == c.targetVisit:
+	case !c.injected && l == c.target && st.visit == c.targetVisit:
 		c.injected = true
-		c.stats.MACsAvoided += c.trace.work[key]
-		c.pendingVisit, c.pendingFire = key.visit, true
+		c.stats.MACsAvoided += st.work
+		c.pendingVisit, c.pendingFire = st.visit, true
 		if seed != nil {
 			// Seed the output from golden instead of recomputing: the hook's
 			// fault models only read the operand tensors and patch Out via
 			// ComputeNeuron.
-			out = c.goldenCopy(golden)
+			out = c.goldenCopy(st.out)
 			c.fire(l, seed(out))
 		} else {
 			out = compute()
@@ -290,14 +357,14 @@ func (c *Context) exec(l Layer, compute func() *tensor.Tensor, seed seedFn, in .
 	case !c.injected || c.allGolden(in):
 		// Before the target everything is golden by construction; after it,
 		// clean inputs mean the execution is off the fault's downstream cone.
-		return c.skip(key, golden)
+		return c.skip(st)
 	default:
 		if rs, sp, ok := c.dirtyRegion(l, in); ok {
-			if out, swept, ok = rs.forwardRegion(c, in[0], golden, sp); !ok {
+			if out, swept, ok = rs.forwardRegion(c, in[0], st.out, sp); !ok {
 				// The dirty input reaches no output element (it fell off the
 				// stride lattice or the padding crop): the golden output
 				// stands.
-				return c.skip(key, golden)
+				return c.skip(st)
 			}
 			c.stats.RegionSwept++
 		} else {
@@ -306,20 +373,20 @@ func (c *Context) exec(l Layer, compute func() *tensor.Tensor, seed seedFn, in .
 		c.stats.Recomputed++
 	}
 	c.clampSite(l, out)
-	if c.mode == ctxRecord {
-		c.trace.put(key, out)
+	if ord >= 0 {
+		c.trace.put(ord, out)
 	}
-	if golden == nil {
+	if st == nil {
 		return out
 	}
-	return c.canonicalize(out, golden, swept)
+	return c.canonicalize(out, st.out, swept)
 }
 
 // skip serves one execution from the golden trace.
-func (c *Context) skip(key execKey, golden *tensor.Tensor) *tensor.Tensor {
+func (c *Context) skip(st *traceStep) *tensor.Tensor {
 	c.stats.Skipped++
-	c.stats.MACsAvoided += c.trace.work[key]
-	return golden
+	c.stats.MACsAvoided += st.work
+	return st.out
 }
 
 // dirtyRegion reports whether l can sweep just the output region reached by
@@ -335,32 +402,30 @@ func (c *Context) dirtyRegion(l Layer, in []*tensor.Tensor) (regionSite, span, b
 }
 
 // glue wraps a composite layer's own work (residual add, branch concat,
-// attention slicing/softmax). Glue steps are never injection targets; they
-// memoize on a separate visit counter so leaf and composite numbering cannot
-// collide.
+// attention slicing/softmax). Glue steps are never injection targets and
+// carry no visit number; the glue flag keeps a composite's step from being
+// taken for a leaf execution of the same layer value.
 func (c *Context) glue(l Layer, compute func() *tensor.Tensor, in ...*tensor.Tensor) *tensor.Tensor {
 	if c == nil || c.mode == ctxPlain {
 		return compute()
 	}
-	v := c.glueVisits[l]
-	c.glueVisits[l] = v + 1
-	key := execKey{layer: l, visit: v, glue: true}
 	if c.mode == ctxRecord {
+		ord := c.trace.begin(l, 0, true)
 		out := compute()
-		c.trace.put(key, out)
+		c.trace.put(ord, out)
 		return out
 	}
-	golden, ok := c.trace.outputs[key]
-	if !ok {
+	st := c.step(l, true)
+	if st == nil {
 		return compute()
 	}
 	if !c.injected || c.allGolden(in) {
 		c.stats.Skipped++
-		return golden
+		return st.out
 	}
 	out := compute()
 	c.stats.Recomputed++
-	return c.canonicalize(out, golden, box{})
+	return c.canonicalize(out, st.out, box{})
 }
 
 // canonicalize maps a recomputed output that equals its golden value back

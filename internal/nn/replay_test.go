@@ -1,0 +1,370 @@
+package nn
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"fidelity/internal/numerics"
+	"fidelity/internal/tensor"
+)
+
+// The replay engine's own tests. Campaign-level suites hold replay to the
+// plain-forward oracle through whole studies; these hold its three
+// bookkeeping structures — the diff scans, the execution-ordinal trace, the
+// arena — directly.
+
+// --- diff scans against the per-element oracle ---------------------------
+
+// naiveSpan is the per-element scan the two-ended scans replaced, kept here
+// as their oracle: the flat range of differing elements and, for a rank-4
+// tensor, the rows and columns that hold one. bx limits the scan to a spatial
+// box (nil: everything).
+func naiveSpan(od, gd []float32, n, h, w, c int, bx *box) (sp span, equal bool) {
+	sp = span{lo: len(od), y0: h, x0: w, boxed: true}
+	for i := range od {
+		y, x := i/(w*c)%h, i/c%w
+		if bx != nil && (y < bx.y0 || y >= bx.y1 || x < bx.x0 || x >= bx.x1) {
+			continue
+		}
+		if !neq(od[i], gd[i]) {
+			continue
+		}
+		sp.lo, sp.hi = min(sp.lo, i), max(sp.hi, i+1)
+		sp.y0, sp.y1 = min(sp.y0, y), max(sp.y1, y+1)
+		sp.x0, sp.x1 = min(sp.x0, x), max(sp.x1, x+1)
+	}
+	return sp, sp.hi == 0
+}
+
+func TestDiffScansMatchNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	nanA := math.Float32frombits(0x7fc00001)
+	nanB := math.Float32frombits(0xffc00abc)
+	negZero := float32(math.Copysign(0, -1))
+	specials := []float32{0, negZero, nanA, nanB, float32(math.Inf(1)), float32(math.Inf(-1)), 1.5, -2}
+	cases := 20000
+	if testing.Short() {
+		cases = 2000
+	}
+	for tc := 0; tc < cases; tc++ {
+		n, h, w, c := 1+rng.Intn(2), 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
+		golden := tensor.New(n, h, w, c)
+		gd := golden.Data()
+		for i := range gd {
+			gd[i] = specials[rng.Intn(len(specials))]
+		}
+		out := golden.Clone()
+		od := out.Data()
+		// Equal-as-elements bit differences everywhere: the scans must see
+		// through them.
+		for i, v := range od {
+			switch {
+			case v == 0 && rng.Intn(3) == 0:
+				od[i] = -v
+			case v != v && rng.Intn(3) == 0:
+				od[i] = nanA
+			}
+		}
+		// A random box with 0–4 planted differences inside it.
+		bx := box{y0: rng.Intn(h), x0: rng.Intn(w)}
+		bx.y1, bx.x1 = bx.y0+1+rng.Intn(h-bx.y0), bx.x0+1+rng.Intn(w-bx.x0)
+		for k := rng.Intn(5); k > 0; k-- {
+			b, y, x, ch := rng.Intn(n), bx.y0+rng.Intn(bx.y1-bx.y0), bx.x0+rng.Intn(bx.x1-bx.x0), rng.Intn(c)
+			i := ((b*h+y)*w+x)*c + ch
+			switch g := gd[i]; {
+			case g != g:
+				od[i] = 3
+			case g == 0:
+				od[i] = nanB
+			default:
+				od[i] = -g
+			}
+		}
+
+		wantFull, wantEqual := naiveSpan(od, gd, n, h, w, c, nil)
+		wantFirst, wantLast := len(od), -1
+		if !wantEqual {
+			wantFirst, wantLast = wantFull.lo, wantFull.hi-1
+		}
+		if got := firstDiff(od, gd); got != wantFirst {
+			t.Fatalf("case %d: firstDiff = %d, want %d", tc, got, wantFirst)
+		}
+		if got := lastDiff(od, gd); got != wantLast {
+			t.Fatalf("case %d: lastDiff = %d, want %d", tc, got, wantLast)
+		}
+		gotFull, gotEqual := diffSpanFull(out, golden)
+		if gotEqual != wantEqual || !gotEqual && gotFull != wantFull {
+			t.Fatalf("case %d %v: diffSpanFull = %+v equal %v, want %+v equal %v", tc, out.Shape(), gotFull, gotEqual, wantFull, wantEqual)
+		}
+		if !wantEqual {
+			// boxify from the flat span alone, as diffSpanFull calls it.
+			if got := boxify(od, gd, span{lo: wantFull.lo, hi: wantFull.hi}, h, w, c); got != wantFull {
+				t.Fatalf("case %d %v: boxify = %+v, want %+v", tc, out.Shape(), got, wantFull)
+			}
+		}
+		wantBox, wantEqual := naiveSpan(od, gd, n, h, w, c, &bx)
+		gotBox, gotEqual := diffSpanBox(out, golden, bx)
+		if gotEqual != wantEqual || !gotEqual && gotBox != wantBox {
+			t.Fatalf("case %d %v box %+v: diffSpanBox = %+v equal %v, want %+v equal %v", tc, out.Shape(), bx, gotBox, gotEqual, wantBox, wantEqual)
+		}
+	}
+}
+
+// --- the ordinal contract -------------------------------------------------
+
+func fp16Codec() numerics.Codec { return numerics.MustCodec(numerics.FP16, 0) }
+
+// replayNet is a network and the input it is traced on.
+type replayNet struct {
+	net *Network
+	x   *tensor.Tensor
+}
+
+// replayNets builds one small network per traversal shape the ordinal has to
+// number: a plain chain, a residual block inside a branch-and-concat, an
+// attention block (per-head glue steps, shared MatMul sites visited once per
+// head), and an LSTM (one Dense site visited once per timestep).
+func replayNets() map[string]replayNet {
+	c := fp16Codec()
+	image := func(rng *rand.Rand) *tensor.Tensor {
+		x := tensor.New(1, 12, 12, 3)
+		x.RandNormal(rng, 1)
+		return x
+	}
+	nets := map[string]replayNet{}
+	add := func(name string, root Layer, x *tensor.Tensor) {
+		nets[name] = replayNet{NewNetwork(name, root, c), x}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	add("sequential", NewSequential("seq",
+		NewConv2D("c1", 3, 3, 3, 8, 1, 1, c).InitRandom(rng, 0.3),
+		NewBatchNorm("bn1", 8, c).InitRandom(rng),
+		NewReLU("r1", c),
+		NewMaxPool("mp", 2, 2),
+		NewDepthwiseConv2D("dw", 3, 3, 8, 1, 1, c).InitRandom(rng, 0.3),
+		NewRelu6("r2", c),
+		NewConv2D("pw", 1, 1, 8, 12, 2, 0, c).InitRandom(rng, 0.3),
+		NewReLU("r3", c),
+		NewAvgPool("ap", 3, 1, c),
+		NewFlatten("flat"),
+		NewDense("fc", 12, 5, c).InitRandom(rng, 0.3),
+		NewSoftmax("sm"),
+	), image(rng))
+
+	rng = rand.New(rand.NewSource(2))
+	body := NewSequential("res/body",
+		NewConv2D("res/c1", 3, 3, 8, 8, 1, 1, c).InitRandom(rng, 0.1),
+		NewReLU("res/r", c),
+		NewConv2D("res/c2", 3, 3, 8, 8, 1, 1, c).InitRandom(rng, 0.1),
+	)
+	add("residual-in-branches", NewSequential("rib",
+		NewConv2D("stem", 3, 3, 3, 8, 2, 1, c).InitRandom(rng, 0.3),
+		NewReLU("stem/r", c),
+		NewBranches("br", 3,
+			NewSequential("br/a", NewResidual("res", body, nil, c), NewReLU("br/a/r", c)),
+			NewSequential("br/b",
+				NewZeroPad("br/b/pad", 1),
+				NewMaxPool("br/b/mp", 3, 1),
+				NewConv2D("br/b/c", 1, 1, 8, 4, 1, 0, c).InitRandom(rng, 0.3),
+			),
+			NewResidual("br/c", NewBatchNorm("br/c/bn", 8, c).InitRandom(rng),
+				NewConv2D("br/c/proj", 1, 1, 8, 8, 1, 0, c).InitRandom(rng, 0.3), c),
+		),
+		NewGlobalAvgPool("gap", c),
+		NewDense("fc", 20, 5, c).InitRandom(rng, 0.3),
+		NewSoftmax("sm"),
+	), image(rng))
+
+	rng = rand.New(rand.NewSource(3))
+	tokens := tensor.New(6, 1)
+	for i := range tokens.Data() {
+		tokens.Data()[i] = float32(rng.Intn(16))
+	}
+	ffn := NewFeedForward("ffn", 8, 12, c)
+	ffn.InitRandom(rng, 0.3)
+	add("attention", NewSequential("att",
+		NewEmbedding("embed", 16, 8).InitRandom(rng, 0.5),
+		NewResidual("res1", NewMultiHeadAttention("mha", 8, 2, c).InitRandom(rng, 0.3), nil, c),
+		NewLayerNorm("ln1", 8),
+		NewResidual("res2", ffn, nil, c),
+		NewLayerNorm("ln2", 8),
+		NewDense("vocab", 8, 16, c).InitRandom(rng, 0.3),
+	), tokens)
+
+	rng = rand.New(rand.NewSource(4))
+	series := tensor.New(5, 4)
+	series.RandNormal(rng, 1)
+	add("lstm", NewSequential("rnn",
+		NewLSTM("lstm", 4, 6, c).InitRandom(rng, 0.3),
+		NewDense("fc", 6, 3, c).InitRandom(rng, 0.3),
+		NewSoftmax("sm"),
+	), series)
+	return nets
+}
+
+// replayFaults are the output patches each site execution is hit with: one
+// that changes nothing (masked at the site — pure bookkeeping), a large
+// value, a NaN, a sign flip of the last element, and a run of small nudges
+// that rounding and rectifiers mostly swallow again.
+var replayFaults = []func(out []float32){
+	func(out []float32) {},
+	func(out []float32) { out[len(out)/2] = 1000 },
+	func(out []float32) { out[0] = float32(math.NaN()) },
+	func(out []float32) { out[len(out)-1] = -out[len(out)-1] - 1 },
+	func(out []float32) {
+		for i := len(out) / 3; i < len(out)/3+3 && i < len(out); i++ {
+			out[i] -= 0.001
+		}
+	},
+}
+
+// replayTotals sums what a sweep of experiments did, the in-package twin of
+// the counters benchmark/expected.json pins.
+type replayTotals struct {
+	Experiments                                 int
+	Skipped, Recomputed, Converged, RegionSwept int
+	MACsAvoided                                 float64
+	ArenaReuses                                 int64
+}
+
+// sweepReplay records net on x, then replays every site execution under every
+// fault and requires each output to equal the plain hooked forward pass.
+func sweepReplay(t *testing.T, name string, net *Network, x *tensor.Tensor) replayTotals {
+	t.Helper()
+	_, execs, trace := net.TraceWithActivations(x)
+	if len(execs) == 0 {
+		t.Fatalf("%s: no site executions", name)
+	}
+	for _, e := range execs {
+		trace.SetWork(e.Site, e.Visit, float64(e.OutSize))
+	}
+	arena := NewArena()
+	rctx := NewReplayContext(trace, arena)
+	var tot replayTotals
+	for _, e := range execs {
+		for fi, fault := range replayFaults {
+			hook := func(site Layer, visit int, op *Operands) {
+				if site == Layer(e.Site) && visit == e.Visit {
+					fault(op.Out.Data())
+				}
+			}
+			want := net.ForwardWithHook(x, hook)
+			arena.Reset()
+			rctx.SetTarget(e.Site, e.Visit, hook)
+			got := net.ForwardWithContext(x, rctx)
+			if !got.SameShape(want) {
+				t.Fatalf("%s %s#%d fault %d: shape %v, plain forward %v", name, e.Site.Name(), e.Visit, fi, got.Shape(), want.Shape())
+			}
+			for i, v := range got.Data() {
+				if !sameValue(v, want.Data()[i]) {
+					t.Fatalf("%s %s#%d fault %d: replay[%d] = %v, plain forward %v", name, e.Site.Name(), e.Visit, fi, i, v, want.Data()[i])
+				}
+			}
+			st := rctx.Stats()
+			tot.Experiments++
+			tot.Skipped += st.Skipped
+			tot.Recomputed += st.Recomputed
+			tot.Converged += st.Converged
+			tot.RegionSwept += st.RegionSwept
+			tot.MACsAvoided += st.MACsAvoided
+		}
+	}
+	tot.ArenaReuses = arena.Reuses()
+	return tot
+}
+
+func TestReplayMatchesPlainForward(t *testing.T) {
+	// Captured at the commit before the trace, the scans and the arena were
+	// rebuilt (PR 15's tree): none of the three may move a count.
+	want := map[string]replayTotals{
+		"sequential":           {Experiments: 20, Skipped: 146, Recomputed: 74, Converged: 5, RegionSwept: 46, MACsAvoided: 29328, ArenaReuses: 70},
+		"residual-in-branches": {Experiments: 30, Skipped: 349, Recomputed: 131, Converged: 13, RegionSwept: 40, MACsAvoided: 35350, ArenaReuses: 116},
+		"attention":            {Experiments: 55, Skipped: 977, Recomputed: 398, Converged: 25, RegionSwept: 35, MACsAvoided: 19464, ArenaReuses: 396},
+		"lstm":                 {Experiments: 30, Skipped: 84, Recomputed: 96, Converged: 31, RegionSwept: 0, MACsAvoided: 2415, ArenaReuses: 99},
+	}
+	for name, n := range replayNets() {
+		got := sweepReplay(t, name, n.net, n.x)
+		if got != want[name] {
+			t.Errorf("%s: totals %+v, pinned %+v", name, got, want[name])
+		}
+	}
+}
+
+// A trace names executions by ordinal, so a trace of another network shares
+// no step with the pass: every execution must fall back to computing — past
+// the end of the shorter trace too — and the hook, armed only at a matched
+// target step, never fires.
+func TestReplayMismatchedTraceFallsBack(t *testing.T) {
+	nets := replayNets()
+	a, b := nets["sequential"], nets["residual-in-branches"]
+	_, _, traceA := a.net.TraceWithActivations(a.x)
+	rctx := NewReplayContext(traceA, NewArena())
+	fired := false
+	rctx.SetTarget(b.net.Sites()[0], 0, func(Layer, int, *Operands) { fired = true })
+	got, want := b.net.ForwardWithContext(b.x, rctx), b.net.Forward(b.x)
+	if !got.Equal(want) {
+		t.Error("replay over another network's trace differs from the plain forward pass")
+	}
+	if st := rctx.Stats(); fired || st != (ReplayStats{}) {
+		t.Errorf("fired %v, stats %+v: want no step of a foreign trace matched", fired, st)
+	}
+}
+
+// NewReplayContext(trace, nil) owns an arena: a seeded target (goldenCopy) and
+// a converged recompute (release) both go through it.
+func TestReplayContextOwnsArena(t *testing.T) {
+	n := replayNets()["sequential"]
+	want, execs, trace := n.net.TraceWithActivations(n.x)
+	rctx := NewReplayContext(trace, nil)
+	rctx.SetTarget(execs[0].Site, execs[0].Visit, func(Layer, int, *Operands) {})
+	if got := n.net.ForwardWithContext(n.x, rctx); got != want || rctx.Stats().Converged != 1 {
+		t.Errorf("masked replay: output is golden pointer %v, stats %+v", got == want, rctx.Stats())
+	}
+}
+
+// --- allocation ceilings --------------------------------------------------
+
+func TestHotLoopsAllocateOnlyTheirOutput(t *testing.T) {
+	// What one output tensor costs outside replay: header, shape, strides,
+	// data and the variadic shape argument.
+	tensorAllocs := testing.AllocsPerRun(20, func() { (*Context)(nil).newTensor(24, 8) })
+	rng := rand.New(rand.NewSource(5))
+	x := tensor.New(24, 32)
+	x.RandNormal(rng, 1)
+	if got := testing.AllocsPerRun(20, func() { sliceCols(nil, x, 8, 8) }); got > tensorAllocs {
+		t.Errorf("sliceCols: %v allocs, want its output tensor (%v)", got, tensorAllocs)
+	}
+	ln := NewLayerNorm("ln", 32)
+	if got := testing.AllocsPerRun(20, func() { ln.normalize(x.Data(), 24, 32) }); got != 0 {
+		t.Errorf("LayerNorm.normalize: %v allocs, want 0", got)
+	}
+	emb := NewEmbedding("embed", 64, 32).InitRandom(rng, 0.5)
+	tokens := tensor.New(24, 1)
+	if got := testing.AllocsPerRun(20, func() { emb.Forward(tokens, nil) }); got > tensorAllocs {
+		t.Errorf("Embedding.Forward: %v allocs, want its output tensor (%v)", got, tensorAllocs)
+	}
+}
+
+// A steady-state replayed experiment whose fault is masked at the site is
+// pure bookkeeping — SetTarget, one seeded target, a walk of skips — and draws
+// its one tensor from the arena: what is left is the operand set handed to the
+// hook (1) and, when the target is a Dense, its Reshape view of the input (4).
+func TestMaskedReplayAllocs(t *testing.T) {
+	n := replayNets()["sequential"]
+	_, execs, trace := n.net.TraceWithActivations(n.x)
+	arena := NewArena()
+	rctx := NewReplayContext(trace, arena)
+	hook := func(Layer, int, *Operands) {}
+	for _, e := range execs {
+		got := testing.AllocsPerRun(20, func() {
+			arena.Reset()
+			rctx.SetTarget(e.Site, e.Visit, hook)
+			n.net.ForwardWithContext(n.x, rctx)
+		})
+		if got > 5 {
+			t.Errorf("masked replay at %s: %v allocs per experiment, ceiling 5", e.Site.Name(), got)
+		}
+	}
+}

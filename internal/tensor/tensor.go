@@ -21,41 +21,45 @@ type Tensor struct {
 // New allocates a zero tensor of the given shape. Every dimension must be
 // positive.
 func New(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension %d in shape %v", d, shape))
-		}
-		n *= d
-	}
+	n := volume(shape)
 	t := &Tensor{
 		shape: append([]int(nil), shape...),
 		data:  make([]float32, n),
 	}
-	t.strides = computeStrides(t.shape)
+	t.strides = computeStrides(nil, t.shape)
 	return t
 }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); its length must equal the shape volume.
 func FromSlice(data []float32, shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension %d in shape %v", d, shape))
-		}
-		n *= d
-	}
+	n := volume(shape)
 	if len(data) != n {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (volume %d)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (volume %d)", len(data), append([]int(nil), shape...), n))
 	}
 	t := &Tensor{shape: append([]int(nil), shape...), data: data}
-	t.strides = computeStrides(t.shape)
+	t.strides = computeStrides(nil, t.shape)
 	return t
 }
 
-func computeStrides(shape []int) []int {
-	strides := make([]int, len(shape))
+// volume returns the element count of shape; every dimension must be
+// positive. The panic messages here and below format a copy of shape, so the
+// variadic shape of a caller on the replay path stays on its stack.
+func volume(shape []int) int {
+	n := 1
+	for _, d := range shape {
+		if d <= 0 {
+			panic(fmt.Sprintf("tensor: non-positive dimension %d in shape %v", d, append([]int(nil), shape...)))
+		}
+		n *= d
+	}
+	return n
+}
+
+// computeStrides returns the row-major strides of shape, written over dst
+// when it has the capacity.
+func computeStrides(dst, shape []int) []int {
+	strides := append(dst[:0], shape...)
 	s := 1
 	for i := len(shape) - 1; i >= 0; i-- {
 		strides[i] = s
@@ -119,6 +123,19 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: cannot reshape volume %d to %v", len(t.data), shape))
 	}
 	return FromSlice(t.data, shape...)
+}
+
+// ReshapeInPlace gives t itself a new shape of the same volume, rewriting the
+// shape and strides it already holds (nothing is allocated when the rank does
+// not grow). Unlike Reshape it invalidates every Shape() slice handed out
+// before, so it is only for an owner recycling a tensor nobody else
+// references — the replay arena's free list.
+func (t *Tensor) ReshapeInPlace(shape ...int) {
+	if volume(shape) != len(t.data) {
+		panic(fmt.Sprintf("tensor: cannot reshape volume %d to %v", len(t.data), append([]int(nil), shape...)))
+	}
+	t.shape = append(t.shape[:0], shape...)
+	t.strides = computeStrides(t.strides, t.shape)
 }
 
 // SameShape reports whether t and u have identical shapes.

@@ -59,6 +59,31 @@ func TestFromSliceAndReshape(t *testing.T) {
 	}
 }
 
+func TestReshapeInPlace(t *testing.T) {
+	x := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
+	x.ReshapeInPlace(1, 3, 2)
+	if x.Rank() != 3 || x.At(0, 2, 1) != 6 || x.Offset(0, 1, 0) != 2 {
+		t.Errorf("after ReshapeInPlace(1,3,2): shape %v, At(0,2,1) = %v", x.Shape(), x.At(0, 2, 1))
+	}
+	x.ReshapeInPlace(6)
+	if x.Rank() != 1 || x.At(5) != 6 {
+		t.Errorf("after ReshapeInPlace(6): shape %v", x.Shape())
+	}
+	if got := testing.AllocsPerRun(10, func() { x.ReshapeInPlace(3, 2) }); got != 0 {
+		t.Errorf("ReshapeInPlace within the rank already held: %v allocs, want 0", got)
+	}
+	for _, bad := range [][]int{{4}, {2, 0, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ReshapeInPlace(%v) of 6 elements did not panic", bad)
+				}
+			}()
+			x.ReshapeInPlace(bad...)
+		}()
+	}
+}
+
 func TestUnflattenRoundTrip(t *testing.T) {
 	x := New(3, 4, 5)
 	rng := rand.New(rand.NewSource(1))
