@@ -10,13 +10,23 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Coordinator address used by the `work` convenience target.
 COORDINATOR ?= http://127.0.0.1:9090
 
-.PHONY: build test race chaos chaos-distrib bench bench-smoke bce portable fmt vet fidelitylint lint verify serve work e2e-distrib harden e2e-harden ci
+.PHONY: build test cli-smoke race chaos chaos-distrib bench bench-smoke bce portable fmt vet fidelitylint lint verify serve work e2e-distrib harden e2e-harden ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The one campaign binary end to end, three subcommands that finish in
+# seconds: the study setup table, a 300-injection Sec. IV validation (exits
+# non-zero on any software-model mismatch), and Table II. study leaves its
+# (gitignored) study.manifest.json behind. Mirrors the `cli-smoke` step of
+# CI's build + test job.
+cli-smoke:
+	$(GO) run ./cmd/fidelity study -setup
+	$(GO) run ./cmd/fidelity validate -samples 50
+	$(GO) run ./cmd/fidelity table2
 
 # Race-detect the concurrency-critical packages: the sharded campaign engine,
 # the injector, the goroutine-tiled kernels (nn + tensor), and the distributed
@@ -110,11 +120,11 @@ lint: fidelitylint
 # Run a distributed-campaign coordinator on :9090 with durable state; point
 # one or more `make work` invocations (any machine) at it.
 serve:
-	$(GO) run ./cmd/fidelityd serve -state fidelityd.state.json $(SERVE_FLAGS)
+	$(GO) run ./cmd/fidelity serve -state fidelity.state.json $(SERVE_FLAGS)
 
 # Run a worker against $(COORDINATOR).
 work:
-	$(GO) run ./cmd/fidelityd work -coordinator $(COORDINATOR) $(WORK_FLAGS)
+	$(GO) run ./cmd/fidelity work -coordinator $(COORDINATOR) $(WORK_FLAGS)
 
 # The distributed-fabric end-to-end suite under -race: byte-identical results
 # at 1/2/4 workers, killed-worker lease recovery, coordinator restart.
@@ -135,8 +145,8 @@ e2e-harden:
 	$(GO) test -race -count=1 ./internal/harden/
 
 # The fast pre-commit gate: format, vet, the repo's own invariant checkers
-# (fidelitylint, bce), build, the portable cross-build, test, kernel bench
-# smoke. Everything here runs offline.
-verify: fmt vet fidelitylint bce build portable test bench-smoke
+# (fidelitylint, bce), build, the portable cross-build, test, the CLI smoke,
+# kernel bench smoke. Everything here runs offline.
+verify: fmt vet fidelitylint bce build portable test cli-smoke bench-smoke
 
-ci: fmt vet fidelitylint bce build portable test race chaos chaos-distrib bench
+ci: fmt vet fidelitylint bce build portable test cli-smoke race chaos chaos-distrib bench

@@ -15,8 +15,6 @@ package fidelity
 //	BenchmarkKeyResult5   — perturbation-magnitude split (Key Result 5)
 //	BenchmarkSpeedup      — Sec. VI per-injection cost comparison
 //	BenchmarkBaseline     — Sec. VI naive-FI underestimate
-//	BenchmarkInjection    — single software fault injection (the unit of the 46M study)
-//	BenchmarkRTLInjection — single cycle-level injection (the golden reference unit)
 //	BenchmarkAblation*    — design-choice ablations (see DESIGN.md §5)
 
 import (
@@ -30,14 +28,11 @@ import (
 	"fidelity/internal/baseline"
 	"fidelity/internal/campaign"
 	"fidelity/internal/core"
-	"fidelity/internal/dataset"
 	"fidelity/internal/faultmodel"
 	"fidelity/internal/fit"
-	"fidelity/internal/inject"
 	"fidelity/internal/model"
 	"fidelity/internal/numerics"
 	"fidelity/internal/reuse"
-	"fidelity/internal/rtlsim"
 )
 
 var printOnce sync.Map
@@ -244,7 +239,7 @@ func BenchmarkSpeedup(b *testing.B) {
 
 func BenchmarkBaseline(b *testing.B) {
 	cfg := accel.NVDLASmall()
-	w, err := model.Build("resnet", numerics.FP16, 42)
+	w, err := model.Build("resnet", numerics.FP16, model.StudySeed)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -261,61 +256,6 @@ func BenchmarkBaseline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := baseline.Run(cfg, w, baseline.Options{Samples: 4, Inputs: 1, Tolerance: 0.1, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkInjection measures the unit cost of the 46M-experiment study: one
-// software fault injection end to end.
-func BenchmarkInjection(b *testing.B) {
-	cfg := accel.NVDLASmall()
-	w, err := model.Build("resnet", numerics.FP16, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	models, err := faultmodel.Derive(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := faultmodel.NewSampler(models, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inj := inject.New(w, s)
-	x, err := dataset.Sample(w.Dataset, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := inj.Prepare(x); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := inj.Run(context.Background(), faultmodel.CBUFMACWeight, 0.1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRTLInjection measures the golden-reference unit cost for the
-// speedup comparison.
-func BenchmarkRTLInjection(b *testing.B) {
-	cfg := accel.NVDLASmall()
-	ws, err := campaign.TableIIIWorkloads()
-	if err != nil {
-		b.Fatal(err)
-	}
-	l := ws[0].RTL
-	start, end, err := rtlsim.ComputeWindow(cfg, l)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := &rtlsim.Fault{FF: rtlsim.FFWReg, Mac: i % cfg.AtomicK, Bit: i % 16,
-			Cycle: start + int64(i)%(end-start)}
-		if _, err := rtlsim.Run(cfg, l, f); err != nil {
 			b.Fatal(err)
 		}
 	}

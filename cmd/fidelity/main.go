@@ -1,17 +1,54 @@
-// Command fidelity prints the FIdelity framework's derived artifacts for an
-// accelerator design: the Reuse Factor Analysis summary (Table I), the
-// software fault models (Table II), and the Fig 2 worked examples.
+// Command fidelity is the FIdelity framework's one binary: the derived
+// artifacts of an accelerator design, the Sec. IV validation, the Sec. V
+// resilience study with the Sec. VI comparisons, the hardening loop, and the
+// distributed form of the same campaigns, on the NVDLA-small configuration.
 //
 // Usage:
 //
-//	fidelity table1
-//	fidelity table2 [-csv]
-//	fidelity fig2 [-k 4] [-t 16]
-//	fidelity census
+//	fidelity table1                                    # Reuse Factor Analysis summary (Table I)
+//	fidelity table2 [-csv]                             # software fault models (Table II)
+//	fidelity fig2 [-k 4] [-t 16]                       # Fig 2 worked examples
+//	fidelity census                                    # FF census
+//	fidelity sensitivity [-net yolo] [-ff D] [-act D]  # FIT bounds under perturbed estimates
+//	fidelity harden [-net mobilenet] [-budget FIT]     # campaign -> clamp -> re-measure -> report
+//	fidelity study -fig 4|5|6  [-samples N] [-inputs N] [-seed S]
+//	fidelity study -setup | -perturbation | -speedup [-iters N] | -baseline | -protect
+//	fidelity validate [-samples 1000] [-seed 1] [-v]   # Sec. IV: cycle-level golden vs fault models
+//	fidelity serve -addr :9090 -net mobilenet [-samples N] [-state F] ...
+//	fidelity work  -coordinator http://host:9090 [-id NAME] ...
 //
-// The injection campaign behind `sensitivity` runs in-process; cmd/study
-// runs the full study figures, and cmd/fidelityd distributes the same
-// campaigns over machines with byte-identical results.
+// `fidelity <subcommand> -h` lists a subcommand's flags; a campaign flag means
+// the same thing wherever it appears. -samples scales the per-model
+// experiment count (the paper's study is 46M experiments; Wilson 95% CIs are
+// reported so the statistical resolution is explicit). -target-ci W replaces
+// the fixed count with adaptive stratified sampling: planner rounds stop each
+// stratum once its 95% Wilson CI half-width reaches W, typically at a small
+// fraction of the fixed-count budget. -workers changes wall-clock time only.
+//
+// Campaigns are long-lived jobs, not function calls. SIGINT (Ctrl-C) stops
+// `study` at an experiment boundary and saves a resumable checkpoint to
+// -checkpoint; rerunning with -resume <file> continues it to a result
+// identical to an uninterrupted run. -progress <interval> emits JSONL
+// telemetry snapshots to stderr, and -manifest writes a machine-readable run
+// summary next to the report output.
+//
+// `serve` and `work` fan a campaign out over machines instead of local
+// -workers. `serve` runs the coordinator: it partitions the campaign into
+// the engine's deterministic logical shards, hands them to workers as
+// time-bounded leases over a JSON/HTTP API, collects streamed shard
+// checkpoints, re-leases shards whose heartbeats lapse, and assembles the
+// final StudyResult — byte identical to an in-process run with the same
+// -seed and -shards, whatever the worker count or failure pattern. With
+// -state the lease table and collected checkpoints persist through the
+// campaign engine's fsync'd checkpoint machinery, so a restarted coordinator
+// resumes the campaign instead of restarting it. `work` runs a worker: it
+// polls the coordinator for leases with retry/backoff (surviving coordinator
+// restarts), executes shards via the campaign engine, and streams
+// checkpoints and telemetry back as heartbeats.
+//
+// Exit codes, for every subcommand: 0 complete, 1 error, 2 usage, 3 partial
+// result (a shard exhausted its failure budget or failed its audit), 130
+// interrupted.
 package main
 
 import (
@@ -22,290 +59,236 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
+	"time"
 
-	"fidelity/internal/accel"
 	"fidelity/internal/campaign"
-	"fidelity/internal/core"
-	hardenpkg "fidelity/internal/harden"
-	"fidelity/internal/numerics"
-	"fidelity/internal/report"
-	"fidelity/internal/reuse"
+	"fidelity/internal/telemetry"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	// SIGINT/SIGTERM cancel the injection campaign behind `sensitivity`
-	// cleanly at an experiment boundary.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "table1":
-		err = table1()
-	case "table2":
-		err = table2(args)
-	case "fig2":
-		err = fig2(args)
-	case "census":
-		err = census()
-	case "sensitivity":
-		err = sensitivity(ctx, args)
-	case "harden":
-		err = harden(ctx, args)
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fidelity:", err)
-		if errors.Is(err, errPartial) {
-			os.Exit(3)
-		}
-		os.Exit(1)
-	}
+// subcommands is the whole CLI, in usage order. setup registers the
+// subcommand's flags on fs and returns its body; main parses between the
+// two, so a test can read a subcommand's flag surface without running it.
+var subcommands = []struct {
+	name, summary string
+	setup         func(fs *flag.FlagSet) func(context.Context) error
+}{
+	{"table1", "print the Reuse Factor Analysis summary (paper Table I)", table1},
+	{"table2", "print the derived NVDLA software fault models (paper Table II)", table2},
+	{"fig2", "run the Fig 2 reuse-factor examples (NVDLA-like and Eyeriss-like)", fig2},
+	{"census", "print the FF census of the NVDLA-small configuration", census},
+	{"sensitivity", "FIT bounds under perturbed FF-count/activeness estimates", sensitivity},
+	{"harden", "closed hardening loop: campaign -> rank -> mitigate -> re-measure", harden},
+	{"study", "Sec. V resilience study and Sec. VI comparisons (-fig 4|5|6, -setup, ...)", study},
+	{"validate", "Sec. IV validation against the cycle-level golden reference", validate},
+	{"serve", "run the campaign coordinator (lease shards to workers over HTTP)", serve},
+	{"work", "run a worker against a coordinator", work},
 }
 
-// errPartial marks a campaign degraded by an exhausted shard failure budget;
-// it maps to a distinct exit code so schedulers can tell flagged partial
-// results from hard failures.
-var errPartial = errors.New("partial result (a shard exhausted its failure budget)")
+func main() { os.Exit(run(os.Args[1:])) }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: fidelity <table1|table2|fig2|census|sensitivity|harden> [flags]
-
-  table1       print the Reuse Factor Analysis summary (paper Table I)
-  table2       print the derived NVDLA software fault models (paper Table II)
-  fig2         run the Fig 2 reuse-factor examples (NVDLA-like and Eyeriss-like)
-  census       print the FF census of the NVDLA-small configuration
-  sensitivity  FIT bounds under perturbed FF-count/activeness estimates
-  harden       closed hardening loop: campaign -> rank -> mitigate -> re-measure`)
-}
-
-func framework() (*core.Framework, error) {
-	return core.New(accel.NVDLASmall())
-}
-
-func table1() error {
-	fw, err := framework()
-	if err != nil {
-		return err
-	}
-	fmt.Print(fw.TableI().String())
-	return nil
-}
-
-func table2(args []string) error {
-	fs := flag.NewFlagSet("table2", flag.ExitOnError)
-	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	fw, err := framework()
-	if err != nil {
-		return err
-	}
-	if *csv {
-		fmt.Print(fw.TableII().CSV())
-	} else {
-		fmt.Print(fw.TableII().String())
-	}
-	return nil
-}
-
-func fig2(args []string) error {
-	fs := flag.NewFlagSet("fig2", flag.ExitOnError)
-	k := fs.Int("k", 4, "NVDLA-like k (k² MACs) / Eyeriss-like array dimension")
-	t := fs.Int("t", 16, "weight hold cycles")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	tab := report.NewTable(
-		fmt.Sprintf("Fig 2 reuse-factor examples (k=%d, t=%d)", *k, *t),
-		"Target", "Design", "Variable", "RF", "Faulty neuron pattern")
-	add := func(name, design, variable string, in reuse.Input, pattern string) error {
-		r, err := reuse.Analyze(in)
-		if err != nil {
-			return err
-		}
-		tab.Addf("%s|%s|%s|%d|%s", name, design, variable, r.RF, pattern)
-		return nil
-	}
-	k2 := (*k) * (*k)
-	if err := add("a1", "NVDLA-like", "weight", reuse.NVDLATargetA1(*t), "t consecutive neurons, one channel"); err != nil {
-		return err
-	}
-	if err := add("a2", "NVDLA-like", "weight", reuse.NVDLATargetA2(*t), "1..t consecutive neurons (random cycle)"); err != nil {
-		return err
-	}
-	if err := add("a3", "NVDLA-like", "weight", reuse.NVDLATargetA3(), "single neuron"); err != nil {
-		return err
-	}
-	if err := add("a4", "NVDLA-like", "input", reuse.NVDLATargetA4(k2), "same 2D position, k² consecutive channels"); err != nil {
-		return err
-	}
-	if err := add("b1", "Eyeriss-like", "weight", reuse.EyerissTargetB1(*k), "k consecutive rows, one column"); err != nil {
-		return err
-	}
-	if err := add("b2", "Eyeriss-like", "input", reuse.EyerissTargetB2(*k, *t), "k rows × t channels, last column"); err != nil {
-		return err
-	}
-	if err := add("b3", "Eyeriss-like", "bias", reuse.EyerissTargetB3(), "single neuron"); err != nil {
-		return err
-	}
-	fmt.Print(tab.String())
-	return nil
-}
-
-func sensitivity(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("sensitivity", flag.ExitOnError)
-	net := fs.String("net", "yolo", "workload")
-	samples := fs.Int("samples", 200, "experiments per fault model")
-	targetCI := fs.Float64("target-ci", 0, "adaptive stratified sampling: stop each stratum once its 95% Wilson CI half-width reaches this target (mutually exclusive with -samples; in (0, 0.5])")
-	ffDelta := fs.Float64("ff", 0.3, "relative uncertainty of the FF-count estimate")
-	actDelta := fs.Float64("act", 0.2, "relative uncertainty of the activeness estimates")
-	expTimeout := fs.Duration("experiment-timeout", 0, "per-experiment watchdog deadline (0 = off)")
-	failBudget := fs.Int("failure-budget", 0, "max quarantined experiments per shard (0 = default, negative = unlimited)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *targetCI != 0 {
-		samplesSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "samples" {
-				samplesSet = true
+func run(args []string) int {
+	if len(args) > 0 {
+		for _, sc := range subcommands {
+			if sc.name != args[0] {
+				continue
 			}
-		})
-		if samplesSet {
-			fmt.Fprintln(os.Stderr, "fidelity: -samples and -target-ci are mutually exclusive")
-			fs.Usage()
-			os.Exit(2)
+			// SIGINT/SIGTERM cancel the campaign context; workers stop at an
+			// experiment boundary and the engine saves a checkpoint.
+			ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+			defer stop()
+			fs := flag.NewFlagSet("fidelity "+sc.name, flag.ExitOnError)
+			body := sc.setup(fs)
+			fs.Parse(args[1:]) // ExitOnError: a bad flag exits 2 here
+			err := body(ctx)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "fidelity:", err)
+			}
+			if errors.As(err, new(*usageError)) {
+				fs.Usage()
+			}
+			return exitCode(err)
 		}
-		if *targetCI < 0 || *targetCI > 0.5 {
-			fmt.Fprintf(os.Stderr, "fidelity: -target-ci must be in (0, 0.5] (got %g)\n", *targetCI)
-			fs.Usage()
-			os.Exit(2)
-		}
-		*samples = 0
-	} else if *samples <= 0 {
-		fmt.Fprintf(os.Stderr, "fidelity: -samples must be positive (got %d)\n", *samples)
-		fs.Usage()
-		os.Exit(2)
 	}
-	cfg := accel.NVDLASmall()
-	fw, err := core.New(cfg)
-	if err != nil {
-		return err
+	fmt.Fprint(os.Stderr, "usage: fidelity <subcommand> [flags]\n\n")
+	for _, sc := range subcommands {
+		fmt.Fprintf(os.Stderr, "  %-12s %s\n", sc.name, sc.summary)
 	}
-	res, err := fw.Analyze(ctx, *net, numerics.FP16, campaign.StudyOptions{
-		Samples: *samples, TargetCI: *targetCI, Inputs: 2, Tolerance: 0.1, Seed: 1, Workers: runtime.NumCPU(),
-		ExperimentTimeout: *expTimeout, FailureBudget: *failBudget,
-	})
-	if err != nil {
-		return err
-	}
-	lo, hi, err := campaign.SensitivityBounds(ctx, cfg, res, *ffDelta, *actDelta)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s FP16 @10%%: FIT = %.2f\n", *net, res.FIT.Total)
-	fmt.Printf("sensitivity (FF count ±%.0f%%, activeness ±%.0f%%): FIT in [%.2f, %.2f]\n",
-		*ffDelta*100, *actDelta*100, lo, hi)
-	fmt.Printf("ASIL-D FF budget: %.2f — %s even at the optimistic bound\n",
-		0.2, verdict(lo))
-	if res.Partial {
-		return fmt.Errorf("%s: %w (%d experiments quarantined)", *net, errPartial, len(res.Quarantined))
-	}
-	return nil
+	fmt.Fprintln(os.Stderr, "\nrun \"fidelity <subcommand> -h\" for its flags")
+	return 2
 }
 
-// harden runs the closed mitigation loop of internal/harden: measure the
-// unhardened network per layer, derive and install golden-envelope clamps,
-// re-measure the hardened network under the identical campaign (its own
-// checkpoint identity), search duplication × global-control protection for
-// the cheapest config meeting the budget, and emit the before/after FIT
-// report as JSON.
-func harden(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("harden", flag.ExitOnError)
-	net := fs.String("net", "mobilenet", "workload to harden")
-	samples := fs.Int("samples", 20, "experiments per fault model per layer execution")
-	inputs := fs.Int("inputs", 2, "inputs per campaign (also the activation-profile set)")
-	seed := fs.Int64("seed", 1, "campaign sampling seed")
-	budget := fs.Float64("budget", 0, "FIT budget (0 = area-apportioned ASIL-D FF budget)")
-	workers := fs.Int("workers", runtime.NumCPU(), "worker goroutines (results are worker-count independent)")
-	out := fs.String("o", "", "write the JSON report to a file (default stdout)")
-	if err := fs.Parse(args); err != nil {
-		return err
+// errPartial marks a campaign that completed degraded — a shard exhausted
+// its failure budget or failed its audit re-run. It maps to a distinct exit
+// code so schedulers can tell flagged partial results from hard failures.
+var errPartial = errors.New("partial result (a shard exhausted its failure budget or failed its audit)")
+
+// usageError rejects nonsensical flag values before any campaign state is
+// touched: main prints the complaint and the subcommand's usage text and
+// exits 2, the same code as an unknown subcommand.
+type usageError struct{ msg string }
+
+func (e *usageError) Error() string { return e.msg }
+
+func usagef(format string, args ...any) error {
+	return &usageError{fmt.Sprintf(format, args...)}
+}
+
+// exitCode is the one mapping from a subcommand's error to the process exit
+// status: 0 ok, 1 failure, 2 usage, 3 partial, 130 interrupted.
+func exitCode(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, new(*usageError)):
+		return 2
+	case errors.Is(err, errPartial):
+		return 3
+	case errors.As(err, new(*campaign.Interrupted)), errors.Is(err, context.Canceled):
+		return 130
 	}
-	if *samples <= 0 {
-		fmt.Fprintf(os.Stderr, "fidelity: -samples must be positive (got %d)\n", *samples)
-		fs.Usage()
-		os.Exit(2)
+	return 1
+}
+
+// cli is what the shared flags bind: the engine's options plus the
+// run-level values that are not engine options.
+type cli struct {
+	opts     campaign.StudyOptions
+	net      string
+	progress time.Duration
+	manifest string
+}
+
+// flagDef declares one shared flag: its name and the cli field it fills.
+type flagDef struct {
+	name  string
+	field func(*cli) any
+}
+
+// Every flag that sets an engine option, or that more than one subcommand
+// takes, is declared here and nowhere else.
+var (
+	fSamples            = flagDef{"samples", func(c *cli) any { return &c.opts.Samples }}
+	fTargetCI           = flagDef{"target-ci", func(c *cli) any { return &c.opts.TargetCI }}
+	fInputs             = flagDef{"inputs", func(c *cli) any { return &c.opts.Inputs }}
+	fTolerance          = flagDef{"tolerance", func(c *cli) any { return &c.opts.Tolerance }}
+	fSeed               = flagDef{"seed", func(c *cli) any { return &c.opts.Seed }}
+	fWorkers            = flagDef{"workers", func(c *cli) any { return &c.opts.Workers }}
+	fShards             = flagDef{"shards", func(c *cli) any { return &c.opts.Shards }}
+	fPerLayer           = flagDef{"perlayer", func(c *cli) any { return &c.opts.PerLayer }}
+	fCheckpoint         = flagDef{"checkpoint", func(c *cli) any { return &c.opts.CheckpointPath }}
+	fCheckpointInterval = flagDef{"checkpoint-interval", func(c *cli) any { return &c.opts.CheckpointInterval }}
+	fExperimentTimeout  = flagDef{"experiment-timeout", func(c *cli) any { return &c.opts.ExperimentTimeout }}
+	fFailureBudget      = flagDef{"failure-budget", func(c *cli) any { return &c.opts.FailureBudget }}
+	fIORetries          = flagDef{"io-retries", func(c *cli) any { return &c.opts.IORetries }}
+	fIOBackoff          = flagDef{"io-backoff", func(c *cli) any { return &c.opts.IOBackoff }}
+	fNet                = flagDef{"net", func(c *cli) any { return &c.net }}
+	fProgress           = flagDef{"progress", func(c *cli) any { return &c.progress }}
+	fManifest           = flagDef{"manifest", func(c *cli) any { return &c.manifest }}
+)
+
+// on registers the flag for one subcommand. Its default is whatever the
+// subcommand put in the field beforehand, and the help is the subcommand's
+// own wording.
+func (d flagDef) on(fs *flag.FlagSet, c *cli, help string) {
+	switch p := d.field(c).(type) {
+	case *int:
+		fs.IntVar(p, d.name, *p, help)
+	case *int64:
+		fs.Int64Var(p, d.name, *p, help)
+	case *float64:
+		fs.Float64Var(p, d.name, *p, help)
+	case *bool:
+		fs.BoolVar(p, d.name, *p, help)
+	case *string:
+		fs.StringVar(p, d.name, *p, help)
+	case *time.Duration:
+		fs.DurationVar(p, d.name, *p, help)
 	}
-	if *inputs <= 0 {
-		fmt.Fprintf(os.Stderr, "fidelity: -inputs must be positive (got %d)\n", *inputs)
-		fs.Usage()
-		os.Exit(2)
-	}
-	if *budget < 0 {
-		fmt.Fprintf(os.Stderr, "fidelity: -budget must be non-negative (got %g)\n", *budget)
-		fs.Usage()
-		os.Exit(2)
-	}
-	rep, err := hardenpkg.Run(ctx, accel.NVDLASmall(), hardenpkg.Options{
-		Net:       *net,
-		Precision: numerics.FP16,
-		Samples:   *samples,
-		Inputs:    *inputs,
-		Tolerance: 0.1,
-		Seed:      *seed,
-		Workers:   *workers,
-		Budget:    *budget,
-	})
-	if err != nil {
-		if rep != nil && rep.Partial {
-			err = fmt.Errorf("%s: %w", *net, errPartial)
+}
+
+// finish runs after parsing. It applies the one rule the engine cannot see —
+// an explicit -samples beside -target-ci (a defaulted -samples just yields) —
+// and then holds the options to the engine's own sampling rule.
+func (c *cli) finish(fs *flag.FlagSet) error {
+	if c.opts.TargetCI != 0 {
+		explicit := false
+		fs.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == fSamples.name })
+		if explicit {
+			return usagef("-samples and -target-ci are mutually exclusive (the adaptive planner sizes each stratum itself)")
 		}
-		if rep == nil {
-			return err
-		}
+		c.opts.Samples = 0
 	}
-	if *out == "" {
-		enc, merr := json.MarshalIndent(rep, "", "  ")
-		if merr != nil {
-			return merr
-		}
-		os.Stdout.Write(append(enc, '\n'))
-	} else if werr := campaign.AtomicWriteJSON(*out, rep); werr != nil {
-		return werr
+	err := c.opts.Validate()
+	var bad *campaign.OptionError
+	if errors.As(err, &bad) {
+		return usagef("-%s %s", bad.Option, bad.Problem)
 	}
-	fmt.Fprintf(os.Stderr, "fidelity: %s FIT %.3f -> %.3f hardened (budget %.3f, meets=%v, dup time share %.1f%%)\n",
-		*net, rep.Before.FIT, rep.HardenedFIT, rep.BudgetFIT, rep.MeetsASILD, rep.DupTimeShare*100)
 	return err
 }
 
-func verdict(lo float64) string {
-	if lo > 0.2 {
-		return "fails"
-	}
-	return "may pass"
+// progressLine is one JSONL progress record: the cumulative telemetry
+// snapshot plus the experiments/sec over the last emission window.
+type progressLine struct {
+	telemetry.Snapshot
+	IntervalPerSec float64 `json:"interval_per_sec"`
 }
 
-func census() error {
-	cfg := accel.NVDLASmall()
-	tab := report.NewTable(
-		fmt.Sprintf("FF census of %s (%d FFs)", cfg.Name, cfg.NumFFs),
-		"Category", "Component", "%FF", "decompress", "FP-only", "INT-only")
-	for _, g := range cfg.Census {
-		tab.Addf("%s|%s|%.1f%%|%.0f%%|%.0f%%|%.0f%%",
-			g.Cat, g.Component, g.Frac*100,
-			g.DecompressFrac*100, g.FPOnlyFrac*100, g.IntOnlyFrac*100)
+// emitProgress starts the periodic JSONL telemetry emitter (stderr, one
+// snapshot per line, every -progress) and returns its stop function.
+func (c *cli) emitProgress(snap func() telemetry.Snapshot) (stop func()) {
+	enc := json.NewEncoder(os.Stderr)
+	var prev telemetry.Snapshot
+	return campaign.Every(c.progress, func() {
+		s := snap()
+		_ = enc.Encode(progressLine{Snapshot: s, IntervalPerSec: s.RateSince(prev)}) // stderr diagnostics
+		prev = s
+	})
+}
+
+// manifestHeader opens both run-manifest shapes: study's per-cell summary
+// and serve's lease-table summary.
+type manifestHeader struct {
+	Command string    `json:"command"`
+	Mode    string    `json:"mode"`
+	Args    []string  `json:"args"`
+	Start   time.Time `json:"start"`
+	End     time.Time `json:"end"`
+}
+
+func newManifestHeader(mode string, start time.Time) manifestHeader {
+	return manifestHeader{Command: "fidelity", Mode: mode, Args: os.Args[2:], Start: start, End: time.Now()}
+}
+
+// saveManifest persists the machine-readable run summary to -manifest under
+// the engine's I/O retry policy. A failure is reported, not fatal: the
+// report output it summarizes has already been produced.
+func (c *cli) saveManifest(tel *telemetry.Collector, m any) {
+	if c.manifest == "" {
+		return
 	}
-	fmt.Print(tab.String())
-	return nil
+	err := campaign.RetryIO(tel, c.opts.IORetries, c.opts.IOBackoff, func() error {
+		return campaign.AtomicWriteJSON(c.manifest, m)
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fidelity: manifest:", err)
+	}
+}
+
+// writeJSON writes v durably to path, or indented to stdout when path is
+// empty.
+func writeJSON(path string, v any, indent string) error {
+	if path != "" {
+		return campaign.AtomicWriteJSON(path, v)
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", indent)
+	return enc.Encode(v)
+}
+
+// removeFinished deletes a checkpoint or coordinator state file after its
+// campaign completed cleanly: left behind it would only replay the finished
+// run. Interrupted and partial runs keep theirs — it is what resumes them.
+func removeFinished(path string) {
+	_ = os.Remove(path) // best effort; an unset or already absent path is the common case
 }

@@ -158,22 +158,30 @@ func TestAdaptiveReachesTarget(t *testing.T) {
 	}
 }
 
-// TestAdaptiveValidation: the option-level mutual exclusion and range checks.
+// TestAdaptiveValidation: the sampling rule — mutual exclusion, ranges,
+// positivity — rejects a campaign before it starts and names the option at
+// fault, which is what the CLI and the wire spec report.
 func TestAdaptiveValidation(t *testing.T) {
 	w := engineWorkload(t)
 	cfg := accel.NVDLASmall()
 	cases := []struct {
-		name string
-		opts StudyOptions
+		name   string
+		opts   StudyOptions
+		option string
 	}{
-		{"both modes", StudyOptions{Samples: 10, TargetCI: 0.1, Inputs: 1, Tolerance: 0.1}},
-		{"target too wide", StudyOptions{TargetCI: 0.6, Inputs: 1, Tolerance: 0.1}},
-		{"negative target", StudyOptions{Samples: 10, TargetCI: -0.1, Inputs: 1, Tolerance: 0.1}},
-		{"adaptive without inputs", StudyOptions{TargetCI: 0.1, Tolerance: 0.1}},
+		{"both modes", StudyOptions{Samples: 10, TargetCI: 0.1, Inputs: 1, Tolerance: 0.1}, "samples"},
+		{"target too wide", StudyOptions{TargetCI: 0.6, Inputs: 1, Tolerance: 0.1}, "target-ci"},
+		{"negative target", StudyOptions{Samples: 10, TargetCI: -0.1, Inputs: 1, Tolerance: 0.1}, "target-ci"},
+		{"adaptive without inputs", StudyOptions{TargetCI: 0.1, Tolerance: 0.1}, "inputs"},
+		{"no samples", StudyOptions{Inputs: 1, Tolerance: 0.1}, "samples"},
+		{"fixed without inputs", StudyOptions{Samples: 10, Tolerance: 0.1}, "inputs"},
+		{"negative shards", StudyOptions{Samples: 10, Inputs: 1, Shards: -1, Tolerance: 0.1}, "shards"},
 	}
 	for _, tc := range cases {
-		if _, err := Study(context.Background(), cfg, w, tc.opts); err == nil {
-			t.Errorf("%s: Study accepted invalid options %+v", tc.name, tc.opts)
+		_, err := Study(context.Background(), cfg, w, tc.opts)
+		var bad *OptionError
+		if !errors.As(err, &bad) || bad.Option != tc.option {
+			t.Errorf("%s: Study(%+v) = %v, want an OptionError naming %q", tc.name, tc.opts, err, tc.option)
 		}
 	}
 }

@@ -61,7 +61,7 @@ type ShardRunner struct {
 // NewShardRunner validates opts and derives the fault models of cfg for the
 // campaign defined by (cfg, w, opts).
 func NewShardRunner(cfg *accel.Config, w *model.Workload, opts StudyOptions) (*ShardRunner, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	models, err := faultmodel.Derive(cfg)
@@ -122,25 +122,11 @@ func (r *ShardRunner) Run(ctx context.Context, run ShardRun) (ShardCheckpoint, e
 
 	var runErr error
 	if !sh.done {
-		stopStream := func() {}
-		if run.OnProgress != nil && run.Interval > 0 {
-			stop := make(chan struct{})
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				t := time.NewTicker(run.Interval)
-				defer t.Stop()
-				for {
-					select {
-					case <-t.C:
-						run.OnProgress(sh.snapshot())
-					case <-stop:
-						return
-					}
-				}
-			}()
-			stopStream = func() { close(stop); <-done }
+		every := run.Interval
+		if run.OnProgress == nil {
+			every = 0
 		}
+		stopStream := Every(every, func() { run.OnProgress(sh.snapshot()) })
 		runErr = sh.run(ctx)
 		stopStream()
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
+	"time"
 
 	"fidelity/internal/accel"
 	"fidelity/internal/faultmodel"
@@ -77,4 +78,30 @@ func TestShardRunnerTracesGoldenOncePerInput(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("shards run through one ShardRunner assemble differently from Study:\n got %s\nwant %s", got, want)
 	}
+}
+
+// TestEvery: the one periodic helper runs fn until stop, and stop returns
+// only after the goroutine exited — the plain counter below is then safe to
+// read (the race detector checks that claim); a non-positive interval never
+// starts it.
+func TestEvery(t *testing.T) {
+	calls := 0
+	tick := make(chan struct{}, 1)
+	stop := Every(time.Millisecond, func() {
+		calls++
+		select {
+		case tick <- struct{}{}:
+		default:
+		}
+	})
+	select {
+	case <-tick:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Every never called fn")
+	}
+	stop()
+	if calls == 0 {
+		t.Error("stop returned before a started call was counted")
+	}
+	Every(0, func() { t.Error("Every(0) called fn") })()
 }

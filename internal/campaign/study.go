@@ -171,28 +171,59 @@ func (o StudyOptions) shards() int {
 	return DefaultShards
 }
 
-// validate rejects inconsistent sampling options: exactly one of Samples
-// (fixed-count) and TargetCI (adaptive) must drive the campaign.
-func (o StudyOptions) validate() error {
-	if o.TargetCI > 0 {
-		if o.Samples != 0 {
-			return fmt.Errorf("campaign: Samples and TargetCI are mutually exclusive")
-		}
-		if o.TargetCI > 0.5 {
-			return fmt.Errorf("campaign: TargetCI must be in (0, 0.5], got %v", o.TargetCI)
-		}
-		if o.Inputs <= 0 {
-			return fmt.Errorf("campaign: Inputs must be positive")
-		}
-		return nil
-	}
-	if o.TargetCI < 0 {
-		return fmt.Errorf("campaign: TargetCI must be in (0, 0.5], got %v", o.TargetCI)
-	}
-	if o.Samples <= 0 || o.Inputs <= 0 {
-		return fmt.Errorf("campaign: Samples and Inputs must be positive")
+// OptionError is a StudyOptions value the sampling rule rejects. Option is
+// the field's lower-case hyphenated name — the spelling of the CLI flag that
+// sets it — so a front end can point at the flag without re-stating the rule.
+type OptionError struct{ Option, Problem string }
+
+func (e *OptionError) Error() string { return "campaign: " + e.Option + " " + e.Problem }
+
+// Validate is the sampling rule, stated once for the engine, the wire spec
+// (distrib.CampaignSpec.Validate) and the CLI: exactly one of Samples
+// (fixed-count) and TargetCI (adaptive, in (0, 0.5]) drives the campaign,
+// Inputs is positive and Shards is not negative (0 selects DefaultShards).
+func (o StudyOptions) Validate() error {
+	switch {
+	case o.TargetCI < 0 || o.TargetCI > 0.5:
+		return &OptionError{"target-ci", fmt.Sprintf("must be in (0, 0.5] (got %g)", o.TargetCI)}
+	case o.TargetCI > 0 && o.Samples != 0:
+		return &OptionError{"samples", "and target-ci are mutually exclusive"}
+	case o.TargetCI == 0 && o.Samples <= 0:
+		return &OptionError{"samples", fmt.Sprintf("must be positive (got %d)", o.Samples)}
+	case o.Inputs <= 0:
+		return &OptionError{"inputs", fmt.Sprintf("must be positive (got %d)", o.Inputs)}
+	case o.Shards < 0:
+		return &OptionError{"shards", fmt.Sprintf("must be non-negative (got %d; 0 selects the default)", o.Shards)}
 	}
 	return nil
+}
+
+// Every calls fn on its own goroutine once per interval until the returned
+// stop is called; stop returns only after the goroutine has exited, so fn
+// never overlaps what the caller does next. A non-positive interval starts
+// nothing. Every periodic loop of a campaign process is this one: Study's
+// checkpoint saver, ShardRunner.Run's progress streamer, the CLI's JSONL
+// progress emitter.
+func Every(interval time.Duration, fn func()) (stop func()) {
+	if interval <= 0 {
+		return func() {}
+	}
+	quit := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				fn()
+			case <-quit:
+				return
+			}
+		}
+	}()
+	return func() { close(quit); <-done }
 }
 
 // windowSize returns the resolved supervised window.
@@ -888,27 +919,15 @@ func Study(ctx context.Context, cfg *accel.Config, w *model.Workload, opts Study
 	}
 
 	// Periodic checkpoint saver: assembles the shards' published snapshots.
-	stopSaver := func() {}
-	if opts.CheckpointPath != "" && opts.CheckpointInterval > 0 {
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			t := time.NewTicker(opts.CheckpointInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					// Best-effort: a failed periodic save must not kill the
-					// campaign; the on-cancel save reports errors.
-					_ = saveCheckpoint(assembleCheckpoint(cfg, w, opts, states), opts.CheckpointPath, opts)
-				case <-stop:
-					return
-				}
-			}
-		}()
-		stopSaver = func() { close(stop); <-done }
+	saveEvery := opts.CheckpointInterval
+	if opts.CheckpointPath == "" {
+		saveEvery = 0
 	}
+	stopSaver := Every(saveEvery, func() {
+		// Best-effort: a failed periodic save must not kill the campaign;
+		// the on-cancel save reports errors.
+		_ = saveCheckpoint(assembleCheckpoint(cfg, w, opts, states), opts.CheckpointPath, opts)
+	})
 
 	// Worker pool: workers pull whole logical shards, so the partition of
 	// experiments onto random streams never depends on the worker count.

@@ -72,22 +72,6 @@ type chaosPolicy struct {
 	save       func(path string) error
 }
 
-// ioRetries resolves the transient-I/O retry count.
-func (o StudyOptions) ioRetries() int {
-	if o.IORetries > 0 {
-		return o.IORetries
-	}
-	return DefaultIORetries
-}
-
-// ioBackoff resolves the initial retry backoff.
-func (o StudyOptions) ioBackoff() time.Duration {
-	if o.IOBackoff > 0 {
-		return o.IOBackoff
-	}
-	return DefaultIOBackoff
-}
-
 // failureBudget resolves the per-shard quarantine cap; negative means
 // unlimited.
 func (o StudyOptions) failureBudget() int {
@@ -104,9 +88,17 @@ func (o StudyOptions) failureBudget() int {
 // RetryIO runs fn, retrying transient failures up to retries times with
 // exponential backoff starting at backoff. It is the shared guard for
 // checkpoint and manifest writes: a single NFS hiccup or EINTR must not kill
-// a multi-hour campaign. Each retry is counted on tel (when non-nil). The
-// last error propagates once the budget is spent.
+// a multi-hour campaign. Non-positive retries / backoff select
+// DefaultIORetries / DefaultIOBackoff — the zero values of
+// StudyOptions.IORetries / IOBackoff. Each retry is counted on tel (when
+// non-nil). The last error propagates once the budget is spent.
 func RetryIO(tel *telemetry.Collector, retries int, backoff time.Duration, fn func() error) error {
+	if retries <= 0 {
+		retries = DefaultIORetries
+	}
+	if backoff <= 0 {
+		backoff = DefaultIOBackoff
+	}
 	var err error
 	for attempt := 0; ; attempt++ {
 		if err = fn(); err == nil {
@@ -126,7 +118,7 @@ func RetryIO(tel *telemetry.Collector, retries int, backoff time.Duration, fn fu
 // context is deliberately not consulted: the save on interrupt runs after
 // cancellation, and its bounded retries must still happen.
 func saveCheckpoint(cp *Checkpoint, path string, opts StudyOptions) error {
-	return RetryIO(opts.Telemetry, opts.ioRetries(), opts.ioBackoff(), func() error {
+	return RetryIO(opts.Telemetry, opts.IORetries, opts.IOBackoff, func() error {
 		if c := opts.chaos; c != nil && c.save != nil {
 			if err := c.save(path); err != nil {
 				return fmt.Errorf("campaign: write checkpoint: %w", err)

@@ -41,7 +41,7 @@ func New(cfg *accel.Config) (*Framework, error) {
 // compute the FIT rate. Cancelling ctx interrupts the campaign cleanly; see
 // campaign.Study for checkpoint/resume semantics.
 func (f *Framework) Analyze(ctx context.Context, netName string, prec numerics.Precision, opts campaign.StudyOptions) (*campaign.StudyResult, error) {
-	w, err := model.Build(netName, prec, 42)
+	w, err := model.Build(netName, prec, model.StudySeed)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +60,7 @@ func (f *Framework) Validate(samplesPerWorkload int, seed int64) (*campaign.Vali
 // NaiveBaseline runs the naive single-bit-flip technique of Sec. VI for
 // comparison.
 func (f *Framework) NaiveBaseline(netName string, prec numerics.Precision, opts baseline.Options) (*baseline.Result, error) {
-	w, err := model.Build(netName, prec, 42)
+	w, err := model.Build(netName, prec, model.StudySeed)
 	if err != nil {
 		return nil, err
 	}

@@ -75,30 +75,17 @@ func (s CampaignSpec) Normalize() CampaignSpec {
 	return s
 }
 
-// Validate rejects specs the campaign engine would misbehave on.
+// Validate rejects specs the campaign engine would misbehave on: the fields
+// only a spec has are checked here, the sampling rule (samples / target_ci /
+// inputs / shards) is the engine's own StudyOptions.Validate.
 func (s CampaignSpec) Validate() error {
 	if s.Workload == "" {
 		return fmt.Errorf("distrib: spec names no workload")
 	}
-	if s.TargetCI > 0 {
-		if s.Samples != 0 {
-			return fmt.Errorf("distrib: samples and target_ci are mutually exclusive")
-		}
-		if s.TargetCI > 0.5 {
-			return fmt.Errorf("distrib: target_ci must be in (0, 0.5] (got %g)", s.TargetCI)
-		}
-	} else if s.TargetCI < 0 {
-		return fmt.Errorf("distrib: target_ci must be in (0, 0.5] (got %g)", s.TargetCI)
-	} else if s.Samples <= 0 {
-		return fmt.Errorf("distrib: samples must be positive (got %d)", s.Samples)
-	}
-	if s.Inputs <= 0 {
-		return fmt.Errorf("distrib: inputs must be positive (got %d)", s.Inputs)
-	}
-	if s.Shards < 0 {
-		return fmt.Errorf("distrib: shards must be non-negative (got %d)", s.Shards)
-	}
 	if _, err := numerics.ParsePrecision(s.Precision); s.Precision != "" && err != nil {
+		return fmt.Errorf("distrib: %w", err)
+	}
+	if err := s.Options().Validate(); err != nil {
 		return fmt.Errorf("distrib: %w", err)
 	}
 	return nil

@@ -12,11 +12,6 @@ import (
 	"fidelity/internal/telemetry"
 )
 
-// workloadSeed matches core.Framework.Analyze, so the hardened pipeline
-// measures the same deterministic networks as every other campaign entry
-// point.
-const workloadSeed = 42
-
 // Options configures the closed hardening loop.
 type Options struct {
 	// Net names the zoo workload; Precision its datapath format.
@@ -97,7 +92,7 @@ func Run(ctx context.Context, acfg *accel.Config, opts Options) (*Report, error)
 		Telemetry: opts.Telemetry,
 	}
 
-	w, err := model.Build(opts.Net, opts.Precision, workloadSeed)
+	w, err := model.Build(opts.Net, opts.Precision, model.StudySeed)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +114,7 @@ func Run(ctx context.Context, acfg *accel.Config, opts Options) (*Report, error)
 	// installed. The fingerprint at this point covers exactly the
 	// forward-path-changing part of the config (the clamp set), giving the
 	// hardened campaign its own checkpoint identity.
-	hw, err := model.Build(opts.Net, opts.Precision, workloadSeed)
+	hw, err := model.Build(opts.Net, opts.Precision, model.StudySeed)
 	if err != nil {
 		return nil, err
 	}

@@ -136,7 +136,7 @@ func Run(p *Package, analyzers []*Analyzer) []Diagnostic {
 
 // pathMatches reports whether pkgPath contains pattern as a slash-bounded
 // sub-path. pattern itself may span segments ("internal/campaign",
-// "cmd/study"). Matching is positional, not prefix-based, so the module
+// "cmd/fidelity"). Matching is positional, not prefix-based, so the module
 // root "fidelity" never matches "fidelity/internal/..." by accident.
 func pathMatches(pkgPath, pattern string) bool {
 	if pkgPath == pattern {

@@ -15,9 +15,7 @@ var ioRetryScope = []string{
 	"internal/campaign",
 	"internal/distrib",
 	"internal/telemetry",
-	"cmd/study",
 	"cmd/fidelity",
-	"cmd/fidelityd",
 }
 
 // ioWriteFuncs are the os entry points that create or truncate files.

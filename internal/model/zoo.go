@@ -62,6 +62,13 @@ func Names() []string {
 	return []string{"inception", "resnet", "resnet-bounded", "mobilenet", "yolo", "transformer", "rnn"}
 }
 
+// StudySeed is the weight seed of every study-scale workload: the library's
+// Analyze/NaiveBaseline, the hardening pipeline, the CLI and the distributed
+// coordinator all build their networks with it, so a result measured through
+// one entry point is comparable with — and a checkpoint resumable by — any
+// other.
+const StudySeed = 42
+
 // Build constructs a workload by name at the given precision with a
 // deterministic seed. The quantizer calibration range is fixed at 8, chosen
 // so the seeded networks' activations occupy most of the INT range.
