@@ -18,29 +18,24 @@ func TestMultiBitRegisterFaultsMatch(t *testing.T) {
 	}
 	cfg := accel.NVDLASmall()
 	w := ws[0] // inception conv
-	golden, err := rtlsim.Run(cfg, w.RTL, nil)
+	ref, err := rtlsim.NewReference(cfg, w.RTL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start, end, err := rtlsim.ComputeWindow(cfg, w.RTL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden := ref.Golden()
+	start, end := ref.ComputeWindow()
 	rng := rand.New(rand.NewSource(77))
 	rep := &ValidationReport{}
 	checked := 0
 	for trial := 0; trial < 200 && checked < 25; trial++ {
 		cyc := start + rng.Int63n(end-start)
-		si, err := rtlsim.Locate(cfg, w.RTL, cyc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		si := ref.Locate(cyc)
 		if si.Phase != rtlsim.PhaseMAC {
 			continue
 		}
 		mac := rng.Intn(cfg.AtomicK)
-		_, wIdx, err := si.OperandIndices(cfg, w.RTL, mac)
-		if err != nil || wIdx < 0 {
+		_, wIdx := ref.OperandIndices(si, mac)
+		if wIdx < 0 {
 			continue
 		}
 		f := &rtlsim.Fault{
@@ -49,16 +44,13 @@ func TestMultiBitRegisterFaultsMatch(t *testing.T) {
 			ExtraBits: []int{rng.Intn(16), rng.Intn(16)},
 			Cycle:     cyc,
 		}
-		faulty, err := rtlsim.Run(cfg, w.RTL, f)
-		if err != nil {
-			t.Fatal(err)
-		}
+		faulty := ref.Run(*f)
 		if faulty.TimedOut || len(golden.Out.DiffIndices(faulty.Out, 0)) == 0 {
 			continue
 		}
 		checked++
 		ov := &nn.Override{Kind: nn.OperandWeight, Flat: wIdx}
-		set := weightNeurons(cfg, w, si, mac, si.Dx)
+		set := weightNeurons(cfg, ref, si, mac, si.Dx)
 		if err := rep.checkRecomputeAt(w, golden.Out, faulty.Out, ov, f, set); err != nil {
 			t.Fatal(err)
 		}

@@ -181,14 +181,12 @@ func Validate(cfg *accel.Config, workloads []*ValWorkload, samplesPerWorkload in
 	rng := rand.New(faultmodel.NewStreamSource(seed))
 	rep := &ValidationReport{}
 	for _, w := range workloads {
-		golden, err := rtlsim.Run(cfg, w.RTL, nil)
+		// One golden run per workload; every injection resumes from it.
+		ref, err := rtlsim.NewReference(cfg, w.RTL)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: golden run of %s: %w", w.Name, err)
 		}
-		fetchEnd, computeEnd, err := rtlsim.ComputeWindow(cfg, w.RTL)
-		if err != nil {
-			return nil, err
-		}
+		fetchEnd, computeEnd := ref.ComputeWindow()
 		for i := 0; i < samplesPerWorkload; i++ {
 			// Sample an FF group by census weight, then a cycle in the
 			// design's full execution window and a random bit.
@@ -214,7 +212,7 @@ func Validate(cfg *accel.Config, workloads []*ValWorkload, samplesPerWorkload in
 				// Config/counter faults are only meaningful during compute.
 				f.Cycle = fetchEnd + rng.Int63n(computeEnd-fetchEnd)
 			}
-			if err := validateOne(cfg, w, golden.Out, f, rep); err != nil {
+			if err := validateOne(cfg, w, ref, f, rep); err != nil {
 				return nil, fmt.Errorf("campaign: %s fault %v: %w", w.Name, f, err)
 			}
 		}
@@ -224,12 +222,10 @@ func Validate(cfg *accel.Config, workloads []*ValWorkload, samplesPerWorkload in
 
 // validateOne runs one RTL injection and checks it against the software
 // fault model's prediction.
-func validateOne(cfg *accel.Config, w *ValWorkload, golden *tensor.Tensor, f *rtlsim.Fault, rep *ValidationReport) error {
+func validateOne(cfg *accel.Config, w *ValWorkload, ref *rtlsim.Reference, f *rtlsim.Fault, rep *ValidationReport) error {
 	rep.Total++
-	faulty, err := rtlsim.Run(cfg, w.RTL, f)
-	if err != nil {
-		return err
-	}
+	golden := ref.Golden().Out
+	faulty := ref.Run(*f)
 	if faulty.FaultApplied {
 		rep.Fired++
 	}
@@ -244,15 +240,16 @@ func validateOne(cfg *accel.Config, w *ValWorkload, golden *tensor.Tensor, f *rt
 		}
 		return nil
 	}
+	if !faulty.FaultApplied {
+		return nil // never fired: the output is the golden one
+	}
 	diffs := golden.DiffIndices(faulty.Out, 0)
 	if f.FF.Class() == accel.GlobalControl {
-		if faulty.FaultApplied {
-			rep.GlobalFired++
-			if len(diffs) == 0 {
-				rep.GlobalMasked++
-			} else {
-				rep.NonMasked++
-			}
+		rep.GlobalFired++
+		if len(diffs) == 0 {
+			rep.GlobalMasked++
+		} else {
+			rep.NonMasked++
 		}
 		return nil
 	}
@@ -261,31 +258,22 @@ func validateOne(cfg *accel.Config, w *ValWorkload, golden *tensor.Tensor, f *rt
 	}
 	rep.NonMasked++
 
-	si, err := rtlsim.Locate(cfg, w.RTL, f.Cycle)
-	if err != nil {
-		return err
-	}
+	si := ref.Locate(f.Cycle)
 	switch f.FF {
 	case rtlsim.FFCDMAIn0, rtlsim.FFCDMAIn1, rtlsim.FFCDMAWt0, rtlsim.FFCDMAWt1:
 		return rep.checkRecompute(w, golden, faulty.Out, cdmaOverride(w, f), f)
 	case rtlsim.FFInputReg:
-		inIdx, _, err := si.OperandIndices(cfg, w.RTL, 0)
-		if err != nil {
-			return err
-		}
+		inIdx, _ := ref.OperandIndices(si, 0)
 		if inIdx < 0 {
 			// Fault on a padding-zero operand: outside the software fault
 			// models (no stored tensor element corresponds); count as a
 			// set-only check of the affected position/group.
-			return rep.checkNeuronSet(cfg, w, golden, faulty.Out, groupNeurons(cfg, w, si))
+			return rep.checkNeuronSet(cfg, w, golden, faulty.Out, groupNeurons(cfg, ref, si))
 		}
 		ov := &nn.Override{Kind: nn.OperandInput, Flat: inIdx}
-		return rep.checkRecomputeAt(w, golden, faulty.Out, ov, f, groupNeurons(cfg, w, si))
+		return rep.checkRecomputeAt(w, golden, faulty.Out, ov, f, groupNeurons(cfg, ref, si))
 	case rtlsim.FFWLoad, rtlsim.FFWReg:
-		_, wIdx, err := si.OperandIndices(cfg, w.RTL, f.Mac)
-		if err != nil {
-			return err
-		}
+		_, wIdx := ref.OperandIndices(si, f.Mac)
 		if wIdx < 0 {
 			rep.Mismatches = append(rep.Mismatches,
 				fmt.Sprintf("%s: weight fault %v corrupted outputs without a live weight", w.Name, f))
@@ -296,20 +284,16 @@ func validateOne(cfg *accel.Config, w *ValWorkload, golden *tensor.Tensor, f *rt
 			start = 0
 		}
 		ov := &nn.Override{Kind: nn.OperandWeight, Flat: wIdx}
-		return rep.checkRecomputeAt(w, golden, faulty.Out, ov, f, weightNeurons(cfg, w, si, f.Mac, start))
+		return rep.checkRecomputeAt(w, golden, faulty.Out, ov, f, weightNeurons(cfg, ref, si, f.Mac, start))
 	case rtlsim.FFOutReg:
 		p := si.Position(cfg)
 		c := si.Channel(cfg, f.Mac)
-		idx, err := rtlsim.OutIndexOf(w.RTL, p, c)
+		idx, err := ref.OutIndexOf(p, c)
 		if err != nil {
 			return err
 		}
 		expect := golden.Clone()
-		v := expect.At(idx...)
-		for _, b := range append([]int{f.Bit}, f.ExtraBits...) {
-			v = w.Site.Codec().FlipBit(v, b)
-		}
-		expect.Set(v, idx...)
+		expect.Set(f.Flip(w.Site.Codec(), expect.At(idx...)), idx...)
 		rep.DatapathChecked++
 		if len(expect.DiffIndices(faulty.Out, 0)) == 0 {
 			rep.DatapathExact++
@@ -319,9 +303,9 @@ func validateOne(cfg *accel.Config, w *ValWorkload, golden *tensor.Tensor, f *rt
 		}
 		return nil
 	case rtlsim.FFProd:
-		return rep.checkNeuronSet(cfg, w, golden, faulty.Out, singleNeuron(cfg, w, si, f.Mac))
+		return rep.checkNeuronSet(cfg, w, golden, faulty.Out, singleNeuron(cfg, ref, si, f.Mac))
 	case rtlsim.FFValid:
-		set := singleNeuron(cfg, w, si, f.Mac)
+		set := singleNeuron(cfg, ref, si, f.Mac)
 		rep.LocalChecked++
 		if setCovers(golden, faulty.Out, set) {
 			rep.LocalMatch++
@@ -371,10 +355,7 @@ func (rep *ValidationReport) applyAndCompare(w *ValWorkload, op *nn.Operands, fa
 	case nn.OperandWeight:
 		stored = op.W.Data()[ov.Flat]
 	}
-	ov.Value = codec.FlipBit(stored, f.Bit)
-	for _, b := range f.ExtraBits {
-		ov.Value = codec.FlipBit(ov.Value, b)
-	}
+	ov.Value = f.Flip(codec, stored)
 	for _, idx := range neurons {
 		op.Out.Set(w.Site.ComputeNeuron(op, idx, ov), idx...)
 	}
@@ -420,16 +401,12 @@ func setCovers(golden, faulty *tensor.Tensor, set [][]int) bool {
 
 // groupNeurons is the Fig 2a target-a4 prediction: the position's full
 // channel group.
-func groupNeurons(cfg *accel.Config, w *ValWorkload, si rtlsim.SiteInfo) [][]int {
-	_, numCh, _, _ := rtlsim.Dims(cfg, w.RTL)
+func groupNeurons(cfg *accel.Config, ref *rtlsim.Reference, si rtlsim.SiteInfo) [][]int {
 	p := si.Position(cfg)
+	_, numCh, _ := ref.Dims()
 	var out [][]int
-	for m := 0; m < cfg.AtomicK; m++ {
-		c := si.Grp*cfg.AtomicK + m
-		if c >= numCh {
-			break
-		}
-		if idx, err := rtlsim.OutIndexOf(w.RTL, p, c); err == nil {
+	for c := si.Grp * cfg.AtomicK; c < min(numCh, (si.Grp+1)*cfg.AtomicK); c++ {
+		if idx, err := ref.OutIndexOf(p, c); err == nil {
 			out = append(out, idx)
 		}
 	}
@@ -438,19 +415,11 @@ func groupNeurons(cfg *accel.Config, w *ValWorkload, si rtlsim.SiteInfo) [][]int
 
 // weightNeurons is the Fig 2a target-a1/a2 prediction: the block positions
 // from start onward in MAC mac's channel.
-func weightNeurons(cfg *accel.Config, w *ValWorkload, si rtlsim.SiteInfo, mac, start int) [][]int {
-	numPos, numCh, _, _ := rtlsim.Dims(cfg, w.RTL)
+func weightNeurons(cfg *accel.Config, ref *rtlsim.Reference, si rtlsim.SiteInfo, mac, start int) [][]int {
 	c := si.Grp*cfg.AtomicK + mac
-	if c >= numCh {
-		return nil
-	}
 	var out [][]int
 	for dx := start; dx < si.BlockSize; dx++ {
-		p := si.Blk*cfg.WeightHoldCycles + dx
-		if p >= numPos {
-			break
-		}
-		if idx, err := rtlsim.OutIndexOf(w.RTL, p, c); err == nil {
+		if idx, err := ref.OutIndexOf(si.Blk*cfg.WeightHoldCycles+dx, c); err == nil {
 			out = append(out, idx)
 		}
 	}
@@ -458,15 +427,8 @@ func weightNeurons(cfg *accel.Config, w *ValWorkload, si rtlsim.SiteInfo, mac, s
 }
 
 // singleNeuron is the RF=1 prediction.
-func singleNeuron(cfg *accel.Config, w *ValWorkload, si rtlsim.SiteInfo, mac int) [][]int {
-	_, numCh, _, _ := rtlsim.Dims(cfg, w.RTL)
-	p := si.Position(cfg)
-	c := si.Channel(cfg, mac)
-	numPos, _, _, _ := rtlsim.Dims(cfg, w.RTL)
-	if p >= numPos || c >= numCh {
-		return nil
-	}
-	idx, err := rtlsim.OutIndexOf(w.RTL, p, c)
+func singleNeuron(cfg *accel.Config, ref *rtlsim.Reference, si rtlsim.SiteInfo, mac int) [][]int {
+	idx, err := ref.OutIndexOf(si.Position(cfg), si.Channel(cfg, mac))
 	if err != nil {
 		return nil
 	}

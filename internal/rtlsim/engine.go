@@ -75,7 +75,8 @@ func (f FF) Class() accel.FFClass {
 // bit-flips in a single register" — several bits flipped in the same cycle.
 type Fault struct {
 	FF FF
-	// Mac selects the MAC unit for per-MAC FFs (ignored otherwise).
+	// Mac selects the MAC unit for per-MAC FFs (ignored otherwise); it wraps
+	// modulo the design's MAC count.
 	Mac int
 	// Bit is the flipped bit position.
 	Bit int
@@ -86,9 +87,24 @@ type Fault struct {
 	Cycle int64
 }
 
-// bits returns all flipped bit positions.
-func (f *Fault) bits() []int {
-	return append([]int{f.Bit}, f.ExtraBits...)
+// Flip returns v, a value stored in codec c's format, after the fault's bit
+// flips (Bit, then every ExtraBits entry).
+func (f *Fault) Flip(c numerics.Codec, v float32) float32 {
+	v = c.FlipBit(v, f.Bit)
+	for _, b := range f.ExtraBits {
+		v = c.FlipBit(v, b)
+	}
+	return v
+}
+
+// flipCounter applies the fault's bit flips to a counter/config register,
+// masked to 20 bits to bound runaway loops (the watchdog catches the rest).
+func (f *Fault) flipCounter(v int64) int64 {
+	v ^= 1 << uint(f.Bit%20)
+	for _, b := range f.ExtraBits {
+		v ^= 1 << uint(b%20)
+	}
+	return v
 }
 
 // Outcome is the result of one simulation run.
@@ -108,34 +124,44 @@ type Outcome struct {
 
 // Engine simulates one layer execution.
 type Engine struct {
-	cfg   *accel.Config
 	l     *Layer
 	sched *schedule
 	codec numerics.Codec
+	half  bool // FP16 datapath: the lean MAC cycle is one fused row primitive
 	k, t  int
 
-	// CBUF contents (copied from DRAM through the CDMA registers).
+	// CBUF contents (copied from DRAM through the CDMA registers), stored in
+	// the datapath format. Engines resumed by a Reference share its buffers
+	// read-only.
 	cbufIn, cbufW []float32
 
-	// Datapath registers.
+	// Datapath registers. The multiplier output and valid bit of a MAC live
+	// for one cycle only and are locals of the MAC cycle.
 	inputReg float32
 	wload    []float32
 	wreg     []float32
-	prod     []float32
-	valid    []bool
-	acc      [][]float32 // acc[dx][m]
+	acc      []float32 // acc[dx*k+m]
 
-	// Config registers and sequencer counters (bit-flippable state).
+	// Config registers and sequencer counters (bit-flippable state); none
+	// of them ever goes negative (flips stay below bit 20).
 	cfgPos, cfgCh, cfgRed int64
 	blk, grp, r, dx, wb   int64
 	phase                 int
 
-	out       *tensor.Tensor
+	out *tensor.Tensor
+	// order, when non-nil, records the flat offset of every output write
+	// (NewReference's golden run).
+	order     []int32
 	cycle     int64
-	fault     *Fault
+	fault     Fault
+	hasFault  bool
 	memFaults []MemFault
 	fired     bool
 	maxCyc    int64
+
+	// detailed forces the per-MAC path on every cycle: the test seam that
+	// holds the lean cycle to it.
+	detailed bool
 }
 
 const (
@@ -146,7 +172,7 @@ const (
 )
 
 // NewEngine prepares a simulation of layer l on design cfg with an optional
-// fault (nil for a golden run).
+// fault (nil for a golden run). The fault is copied.
 func NewEngine(cfg *accel.Config, l *Layer, fault *Fault) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -155,106 +181,70 @@ func NewEngine(cfg *accel.Config, l *Layer, fault *Fault) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := cfg.AtomicK
-	t := cfg.WeightHoldCycles
-	e := &Engine{
-		cfg: cfg, l: l, sched: sched, codec: l.Codec,
-		k: k, t: t,
-		wload: make([]float32, k), wreg: make([]float32, k),
-		prod: make([]float32, k), valid: make([]bool, k),
-		acc:    make([][]float32, t),
-		cfgPos: int64(sched.numPos), cfgCh: int64(sched.numCh), cfgRed: int64(sched.numRed),
-		out:   tensor.New(sched.outShape()...),
-		fault: fault,
-	}
-	for i := range e.acc {
-		e.acc[i] = make([]float32, k)
-	}
+	e := newEngine(cfg, l, sched)
+	e.maxCyc = 4*sched.goldenCycles(e.k, e.t) + 1024
 	if fault != nil {
-		if fault.Mac < 0 || fault.Mac >= k {
-			fault.Mac = ((fault.Mac % k) + k) % k
-		}
+		e.arm(*fault)
 	}
 	return e, nil
 }
 
-// goldenCycles estimates the fault-free cycle count for the watchdog.
-func (e *Engine) goldenCycles() int64 {
-	s := e.sched
-	blocks := (s.numPos + e.t - 1) / e.t
-	groups := (s.numCh + e.k - 1) / e.k
-	var compute int64
-	for b := 0; b < blocks; b++ {
-		bs := s.numPos - b*e.t
-		if bs > e.t {
-			bs = e.t
-		}
-		perGroup := int64(s.numRed)*int64(1+bs) + int64(bs)*int64(e.k)
-		compute += int64(groups) * perGroup
+// newEngine builds an engine at the start of the compute phase with empty
+// CBUFs and no watchdog limit; fetch or a Reference fills the first, NewEngine
+// or a Reference sets the second.
+func newEngine(cfg *accel.Config, l *Layer, sched *schedule) *Engine {
+	k, t := cfg.AtomicK, cfg.WeightHoldCycles
+	regs := make([]float32, 2*k+t*k)
+	return &Engine{
+		l: l, sched: sched, codec: l.Codec, half: l.Codec.Precision() == numerics.FP16,
+		k: k, t: t,
+		wload: regs[:k:k], wreg: regs[k : 2*k : 2*k], acc: regs[2*k:],
+		cfgPos: int64(sched.numPos), cfgCh: int64(sched.numCh), cfgRed: int64(sched.numRed),
+		out:   tensor.New(sched.outShape()...),
+		cycle: sched.fetchCycles(),
 	}
-	return e.fetchCycles() + compute
 }
 
-// fetchCycles is the CDMA streaming time: input and weight streams run in
-// parallel, one element per cycle, through two pipeline registers.
-func (e *Engine) fetchCycles() int64 {
-	n := e.l.Input.Size()
-	if w := e.l.W.Size(); w > n {
-		n = w
-	}
-	return int64(n) + 2
+// arm installs the fault, wrapping its MAC index into range.
+func (e *Engine) arm(f Fault) {
+	f.Mac = ((f.Mac % e.k) + e.k) % e.k
+	e.fault, e.hasFault = f, true
 }
 
-// Run executes the simulation to completion or time-out.
+// Run executes the simulation from cycle 0 to completion or time-out.
 func (e *Engine) Run() (*Outcome, error) {
-	e.maxCyc = 4*e.goldenCycles() + 1024
 	e.fetch()
-	e.phase = phaseLoad
+	return e.simulate(nil), nil
+}
+
+// simulate steps the compute phase to completion or to the watchdog limit.
+// boundary, when non-nil, is called before every tile-boundary cycle (a
+// weight load with r == 0); returning an Outcome ends the simulation with it.
+func (e *Engine) simulate(boundary func() *Outcome) *Outcome {
 	for e.phase != phaseDone {
 		if e.cycle > e.maxCyc {
-			return &Outcome{Out: e.out, Cycles: e.cycle, TimedOut: true, FaultApplied: e.fired}, nil
+			return &Outcome{Out: e.out, Cycles: e.cycle, TimedOut: true, FaultApplied: e.fired}
+		}
+		if boundary != nil && e.phase == phaseLoad && e.r == 0 {
+			if o := boundary(); o != nil {
+				return o
+			}
 		}
 		e.step()
 		e.cycle++
 	}
-	return &Outcome{Out: e.out, Cycles: e.cycle, FaultApplied: e.fired}, nil
+	return &Outcome{Out: e.out, Cycles: e.cycle, FaultApplied: e.fired}
 }
 
 // fetch streams the operands into the CBUF through the CDMA registers,
 // applying CDMA faults to the element occupying the targeted register at the
-// fault cycle.
+// fault cycle, and leaves the engine at the first compute cycle.
 func (e *Engine) fetch() {
-	in := e.l.Input.Data()
-	w := e.l.W.Data()
-	e.cbufIn = append([]float32(nil), in...)
-	e.cbufW = append([]float32(nil), w...)
 	// Values are stored in the datapath format.
-	for i, v := range e.cbufIn {
-		e.cbufIn[i] = e.codec.Round(v)
-	}
-	for i, v := range e.cbufW {
-		e.cbufW[i] = e.codec.Round(v)
-	}
-	fc := e.fetchCycles()
-	if f := e.fault; f != nil && f.Cycle < fc {
-		var buf []float32
-		var elem int64
-		switch f.FF {
-		case FFCDMAIn0:
-			buf, elem = e.cbufIn, f.Cycle
-		case FFCDMAIn1:
-			buf, elem = e.cbufIn, f.Cycle-1
-		case FFCDMAWt0:
-			buf, elem = e.cbufW, f.Cycle
-		case FFCDMAWt1:
-			buf, elem = e.cbufW, f.Cycle-1
-		}
-		if buf != nil && elem >= 0 && elem < int64(len(buf)) {
-			for _, b := range f.bits() {
-				buf[elem] = e.codec.FlipBit(buf[elem], b)
-			}
-			e.fired = true
-		}
+	e.cbufIn = e.codec.RoundSlice(e.l.Input.Data())
+	e.cbufW = e.codec.RoundSlice(e.l.W.Data())
+	if buf, elem := e.cdmaTarget(); buf != nil {
+		(*buf)[elem] = e.flip32((*buf)[elem])
 	}
 	for _, m := range e.memFaults {
 		buf := e.cbufIn
@@ -269,48 +259,53 @@ func (e *Engine) fetch() {
 		}
 		e.fired = true
 	}
-	e.cycle = fc
 }
 
-// faultNow reports whether the fault targets ff (and MAC m, when >= 0) at
-// the current cycle.
-func (e *Engine) faultNow(ff FF, m int) bool {
-	f := e.fault
-	if f == nil || f.Cycle != e.cycle || f.FF != ff {
-		return false
+// cdmaTarget resolves a CDMA fault to the CBUF element passing through the
+// targeted pipeline register at the fault cycle: stage 0 holds element
+// Cycle, stage 1 element Cycle-1. buf points at the engine's buffer (a
+// Reference swaps in a private copy before striking it) and is nil when
+// there is no CDMA fault or the register holds no element of the stream then.
+func (e *Engine) cdmaTarget() (buf *[]float32, elem int64) {
+	switch e.fault.FF {
+	case FFCDMAIn0:
+		buf, elem = &e.cbufIn, e.fault.Cycle
+	case FFCDMAIn1:
+		buf, elem = &e.cbufIn, e.fault.Cycle-1
+	case FFCDMAWt0:
+		buf, elem = &e.cbufW, e.fault.Cycle
+	case FFCDMAWt1:
+		buf, elem = &e.cbufW, e.fault.Cycle-1
 	}
-	if m >= 0 && f.Mac != m {
-		return false
+	if buf == nil || elem < 0 || elem >= int64(len(*buf)) {
+		return nil, 0
 	}
-	return true
+	return buf, elem
+}
+
+// hit reports whether the fault targets ff (and MAC m, when >= 0). It is
+// consulted on the fault cycle only.
+func (e *Engine) hit(ff FF, m int) bool {
+	return e.fault.FF == ff && (m < 0 || e.fault.Mac == m)
 }
 
 // flip32 applies the codec bit flips and marks the fault as fired.
 func (e *Engine) flip32(v float32) float32 {
 	e.fired = true
-	for _, b := range e.fault.bits() {
-		v = e.codec.FlipBit(v, b)
-	}
-	return v
+	return e.fault.Flip(e.codec, v)
 }
 
-// flipCtr flips bits of a counter/config register, masked to 20 bits to
-// bound runaway loops (the watchdog catches the rest).
+// flipCtr flips bits of a counter/config register and marks the fault as
+// fired.
 func (e *Engine) flipCtr(v int64) int64 {
 	e.fired = true
-	for _, b := range e.fault.bits() {
-		v ^= 1 << uint(b%20)
-	}
-	return v
+	return e.fault.flipCounter(v)
 }
 
-// applyControlFaults handles config/counter targets at the start of a cycle.
+// applyControlFaults handles config/counter targets at the start of the
+// fault cycle.
 func (e *Engine) applyControlFaults() {
-	f := e.fault
-	if f == nil || f.Cycle != e.cycle {
-		return
-	}
-	switch f.FF {
+	switch e.fault.FF {
 	case FFCfgPos:
 		e.cfgPos = e.flipCtr(e.cfgPos)
 	case FFCfgCh:
@@ -380,22 +375,48 @@ func (e *Engine) readW(r, c int64) float32 {
 	return e.cbufW[s.wIndex(ri, ci)]
 }
 
-// step advances the state machine one cycle.
+// wrap is the address clamping of readIn and readW for a register that is
+// never negative, dividing only when a corrupted sequencer is out of range.
+func wrap(v int64, n int) int {
+	if v >= int64(n) {
+		v %= int64(n)
+	}
+	return int(v)
+}
+
+// step advances the state machine one cycle. A fault lives in one cycle, so
+// step decides once whether this is it: the fault cycle takes the per-MAC
+// path with its fault taps; every other cycle takes a lean path that computes
+// the same register values a row at a time.
 func (e *Engine) step() {
-	e.applyControlFaults()
+	s := e.sched
+	k, t := int64(e.k), int64(e.t)
+	hot := e.hasFault && e.cycle == e.fault.Cycle
+	if hot {
+		e.applyControlFaults()
+	}
+	slow := hot || e.detailed
 	switch e.phase {
 	case phaseLoad:
 		// Parallel load of the group's weights into the staging registers.
-		for m := 0; m < e.k; m++ {
-			c := e.grp*int64(e.k) + int64(m)
-			if c < e.cfgCh && c < int64(e.sched.numCh) {
-				e.wload[m] = e.readW(e.r, c)
-			} else {
-				e.wload[m] = 0
+		if slow {
+			for m := 0; m < e.k; m++ {
+				c := e.grp*k + int64(m)
+				if c < e.cfgCh && c < int64(s.numCh) {
+					e.wload[m] = e.readW(e.r, c)
+				} else {
+					e.wload[m] = 0
+				}
+				if hot && e.hit(FFWLoad, m) {
+					e.wload[m] = e.flip32(e.wload[m])
+				}
 			}
-			if e.faultNow(FFWLoad, m) {
-				e.wload[m] = e.flip32(e.wload[m])
+		} else {
+			n := 0 // MACs with a channel: a run of row r of the weights
+			if live := min(e.cfgCh, int64(s.numCh)) - e.grp*k; live > 0 {
+				n = copy(e.wload[:min(live, k)], e.cbufW[s.wIndex(wrap(e.r, s.numRed), int(e.grp*k)):])
 			}
+			clear(e.wload[n:])
 		}
 		e.dx = 0
 		e.phase = phaseMAC
@@ -404,34 +425,30 @@ func (e *Engine) step() {
 		if e.dx == 0 {
 			copy(e.wreg, e.wload)
 		}
-		// Held weight registers can be struck at any MAC cycle; the flip
-		// persists for the rest of the hold window (Fig 2a target a2).
-		for m := 0; m < e.k; m++ {
-			if e.faultNow(FFWReg, m) {
-				e.wreg[m] = e.flip32(e.wreg[m])
+		p := e.blk*t + e.dx
+		if slow {
+			e.macCycle(p, hot)
+		} else if idx := s.aIndex(wrap(p, s.numPos), wrap(e.r, s.numRed)); idx < 0 {
+			e.inputReg = 0 // padding: the sequencer gates every MAC
+		} else {
+			// Register operands are codec-representable, so the operand
+			// rounding of Codec.Mul is the identity and MulPre — fused with
+			// the accumulate for FP16 — yields the same bits. dx < t here:
+			// a flipped dx meets the block-size test below within its
+			// cycle, and a load resets it.
+			e.inputReg = e.cbufIn[idx]
+			acc := e.acc[e.dx*k : (e.dx+1)*k]
+			if e.half {
+				numerics.HalfMulAddRow(acc, e.inputReg, e.wreg)
+			} else {
+				for m, w := range e.wreg {
+					acc[m] += e.codec.MulPre(w, e.inputReg)
+				}
 			}
 		}
-		p := e.blk*int64(e.t) + e.dx
-		in, pad := e.readIn(p, e.r)
-		e.inputReg = in
-		if e.faultNow(FFInputReg, -1) {
-			e.inputReg = e.flip32(e.inputReg)
-		}
-		dxi := int(e.dx) % e.t
-		for m := 0; m < e.k; m++ {
-			e.prod[m] = e.codec.Mul(e.wreg[m], e.inputReg)
-			if e.faultNow(FFProd, m) {
-				e.prod[m] = e.flip32(e.prod[m])
-			}
-			e.valid[m] = !pad
-			if e.faultNow(FFValid, m) {
-				e.valid[m] = false // drop this product
-				e.fired = true
-			}
-			if e.valid[m] {
-				e.acc[dxi][m] += e.prod[m]
-			}
-		}
+		// One load cycle per reduction index, then blockSize MAC cycles on
+		// the held weights (a new input is fetched each cycle): the NVDLA
+		// schedule's single weight load per (r, group).
 		e.dx++
 		if e.dx >= e.blockSize() {
 			e.dx = 0
@@ -443,36 +460,30 @@ func (e *Engine) step() {
 			} else {
 				e.phase = phaseLoad
 			}
-		} else {
-			// Same weight value continues to be reused; next cycle stays in
-			// the MAC phase (a new input is fetched each cycle).
-			e.phase = phaseMAC
 		}
-		// NOTE: the NVDLA schedule interleaves the reduction loop over the
-		// full block with a single weight load per (r, group); the state
-		// transitions above reproduce that: one load cycle per reduction
-		// index, then blockSize MAC cycles.
 
 	case phaseWB:
 		bs := e.blockSize()
-		dxw := e.wb / int64(e.k)
-		m := int(e.wb % int64(e.k))
-		p := e.blk*int64(e.t) + dxw
-		c := e.grp*int64(e.k) + int64(m)
-		acc := e.acc[int(dxw)%e.t][m]
+		p := e.blk*t + e.wb/k
+		c := e.grp*k + e.wb%k
+		acc := e.acc[e.wb] // wb = dx*k + m, and dx < bs <= t
 		if e.l.Bias != nil && c >= 0 && c < int64(len(e.l.Bias)) {
 			acc += e.l.Bias[c]
 		}
 		outv := e.codec.Saturate(acc)
-		if e.faultNow(FFOutReg, -1) || e.faultNow(FFOutReg, m) {
+		if hot && e.hit(FFOutReg, -1) {
 			outv = e.flip32(outv)
 		}
-		if p >= 0 && p < int64(e.sched.numPos) && c >= 0 && c < int64(e.sched.numCh) {
-			e.out.Set(outv, e.sched.outIndex(int(p), int(c))...)
+		if p >= 0 && p < int64(s.numPos) && c >= 0 && c < int64(s.numCh) {
+			off := s.outOffset(int(p), int(c))
+			e.out.Data()[off] = outv
+			if e.order != nil {
+				e.order = append(e.order, int32(off))
+			}
 		}
-		e.acc[int(dxw)%e.t][m] = 0
+		e.acc[e.wb] = 0
 		e.wb++
-		if e.wb >= bs*int64(e.k) {
+		if e.wb >= bs*k {
 			e.grp++
 			if e.grp >= e.numGroups() {
 				e.grp = 0
@@ -483,6 +494,37 @@ func (e *Engine) step() {
 				}
 			}
 			e.phase = phaseLoad
+		}
+	}
+}
+
+// macCycle is one MAC cycle at per-MAC detail: the wrapped operand read and
+// every fault tap of the datapath (held weight, broadcast input, product,
+// valid bit).
+func (e *Engine) macCycle(p int64, hot bool) {
+	// Held weight registers can be struck at any MAC cycle; the flip
+	// persists for the rest of the hold window (Fig 2a target a2).
+	if hot && e.fault.FF == FFWReg {
+		e.wreg[e.fault.Mac] = e.flip32(e.wreg[e.fault.Mac])
+	}
+	in, pad := e.readIn(p, e.r)
+	e.inputReg = in
+	if hot && e.hit(FFInputReg, -1) {
+		e.inputReg = e.flip32(e.inputReg)
+	}
+	acc := e.acc[(int(e.dx)%e.t)*e.k:]
+	for m := 0; m < e.k; m++ {
+		prod := e.codec.Mul(e.wreg[m], e.inputReg)
+		if hot && e.hit(FFProd, m) {
+			prod = e.flip32(prod)
+		}
+		valid := !pad
+		if hot && e.hit(FFValid, m) {
+			valid = false // drop this product
+			e.fired = true
+		}
+		if valid {
+			acc[m] += prod
 		}
 	}
 }
@@ -509,15 +551,11 @@ func RunWithMemoryFaults(cfg *accel.Config, l *Layer, mems []MemFault) (*Outcome
 	return e.Run()
 }
 
-// Run is the package-level convenience: simulate layer l on cfg with fault f
-// (nil for golden).
+// Run is the package-level convenience: simulate layer l on cfg from cycle 0
+// with fault f (nil for golden), which it does not modify. A Reference gives
+// the same outcomes for many faults on one layer at a fraction of the cost.
 func Run(cfg *accel.Config, l *Layer, f *Fault) (*Outcome, error) {
-	var fc *Fault
-	if f != nil {
-		c := *f
-		fc = &c
-	}
-	e, err := NewEngine(cfg, l, fc)
+	e, err := NewEngine(cfg, l, f)
 	if err != nil {
 		return nil, err
 	}
@@ -527,31 +565,28 @@ func Run(cfg *accel.Config, l *Layer, f *Fault) (*Outcome, error) {
 // GoldenCycles returns the fault-free cycle count of layer l on cfg, used by
 // validation to sample fault cycles and by the speedup comparison.
 func GoldenCycles(cfg *accel.Config, l *Layer) (int64, error) {
-	e, err := NewEngine(cfg, l, nil)
-	if err != nil {
-		return 0, err
-	}
-	return e.goldenCycles(), nil
+	_, end, err := ComputeWindow(cfg, l)
+	return end, err
 }
 
 // ComputeWindow returns the [start, end) cycle range of the compute phase,
 // the live window for MAC-side fault targets.
 func ComputeWindow(cfg *accel.Config, l *Layer) (start, end int64, err error) {
-	e, err := NewEngine(cfg, l, nil)
+	if err := cfg.Validate(); err != nil {
+		return 0, 0, err
+	}
+	s, err := l.newSchedule()
 	if err != nil {
 		return 0, 0, err
 	}
-	return e.fetchCycles(), e.goldenCycles(), nil
+	return s.fetchCycles(), s.goldenCycles(cfg.AtomicK, cfg.WeightHoldCycles), nil
 }
 
 // FetchWindow returns the [0, end) cycle range of the CDMA fetch phase, the
 // live window for before-CBUF fault targets.
 func FetchWindow(cfg *accel.Config, l *Layer) (int64, error) {
-	e, err := NewEngine(cfg, l, nil)
-	if err != nil {
-		return 0, err
-	}
-	return e.fetchCycles(), nil
+	start, _, err := ComputeWindow(cfg, l)
+	return start, err
 }
 
 // String renders a fault for diagnostics.

@@ -60,16 +60,34 @@ func MatMulLayer(kind accel.LayerKind, a, w *tensor.Tensor, bias []float32, code
 // schedule captures the iteration-space mapping of the layer onto the
 // engine: positions (outer spatial scan), channels (parallel MACs), and
 // reduction indices (MAC operand pairs). This is precisely the information
-// the paper's "scheduling/reuse algorithm" input provides.
+// the paper's "scheduling/reuse algorithm" input provides. It is immutable
+// once built, so one schedule serves every run of a Reference.
 type schedule struct {
 	numPos, numCh, numRed int
+
+	// Operand element counts (the CDMA stream lengths).
+	inSize, wSize int
 
 	// conv geometry cache
 	conv               bool
 	batch, inH, inW    int
 	inC, outH, outW    int
 	kh, kw, stride, pd int
+
+	// Conv input addressing, split so that aIndex divides nothing per MAC
+	// cycle: the input-window origin of every position and the window
+	// offset of every reduction index.
+	pos []convPos
+	red []convRed
 }
+
+// convPos is the input-window origin of one output position: the flat offset
+// of its batch image and the (possibly negative) top-left input coordinate.
+type convPos struct{ base, y, x int }
+
+// convRed is the window offset (ky, kx) and input channel of one reduction
+// index.
+type convRed struct{ y, x, c int }
 
 func (l *Layer) newSchedule() (*schedule, error) {
 	s := &schedule{}
@@ -93,6 +111,18 @@ func (l *Layer) newSchedule() (*schedule, error) {
 		s.numPos = s.batch * s.outH * s.outW
 		s.numCh = l.W.Dim(3)
 		s.numRed = s.kh * s.kw * s.inC
+		// p -> (b, oy, ox); r -> (ky, kx, ic), both row-major.
+		s.pos = make([]convPos, s.numPos)
+		for p := range s.pos {
+			ox := p % s.outW
+			oy := (p / s.outW) % s.outH
+			b := p / (s.outW * s.outH)
+			s.pos[p] = convPos{base: b * s.inH * s.inW * s.inC, y: oy*s.stride - s.pd, x: ox*s.stride - s.pd}
+		}
+		s.red = make([]convRed, s.numRed)
+		for r := range s.red {
+			s.red[r] = convRed{y: r / (s.inC * s.kw), x: (r / s.inC) % s.kw, c: r % s.inC}
+		}
 	case accel.LayerFC, accel.LayerMatMul:
 		if l.Input.Rank() != 2 || l.W.Rank() != 2 {
 			return nil, fmt.Errorf("rtlsim: matmul needs rank-2 operands, got %v / %v",
@@ -110,6 +140,7 @@ func (l *Layer) newSchedule() (*schedule, error) {
 	if l.Bias != nil && len(l.Bias) != s.numCh {
 		return nil, fmt.Errorf("rtlsim: bias length %d != channels %d", len(l.Bias), s.numCh)
 	}
+	s.inSize, s.wSize = l.Input.Size(), l.W.Size()
 	return s, nil
 }
 
@@ -119,28 +150,18 @@ func (s *schedule) aIndex(p, r int) int {
 	if !s.conv {
 		return p*s.numRed + r
 	}
-	// p -> (b, oy, ox); r -> (ky, kx, ic), both row-major.
-	ox := p % s.outW
-	oy := (p / s.outW) % s.outH
-	b := p / (s.outW * s.outH)
-	ic := r % s.inC
-	kx := (r / s.inC) % s.kw
-	ky := r / (s.inC * s.kw)
-	iy := oy*s.stride + ky - s.pd
-	ix := ox*s.stride + kx - s.pd
+	pp, rr := s.pos[p], s.red[r]
+	iy, ix := pp.y+rr.y, pp.x+rr.x
 	if iy < 0 || iy >= s.inH || ix < 0 || ix >= s.inW {
 		return -1
 	}
-	return ((b*s.inH+iy)*s.inW+ix)*s.inC + ic
+	return pp.base + (iy*s.inW+ix)*s.inC + rr.c
 }
 
 // wIndex returns the flat index into the weight buffer of the operand used
-// at (reduction r, channel c).
+// at (reduction r, channel c): both W layouts, (KH, KW, InC, OutC) and
+// (K, N), are reduction-major, channel-minor.
 func (s *schedule) wIndex(r, c int) int {
-	if !s.conv {
-		return r*s.numCh + c
-	}
-	// W layout (KH, KW, InC, OutC) is exactly reduction-major, channel-minor.
 	return r*s.numCh + c
 }
 
@@ -152,6 +173,12 @@ func (s *schedule) outShape() []int {
 	return []int{s.numPos, s.numCh}
 }
 
+// outOffset converts (position, channel) to the flat output offset: both
+// output layouts, NHWC and (M, N), are position-major, channel-minor.
+func (s *schedule) outOffset(p, c int) int {
+	return p*s.numCh + c
+}
+
 // outIndex converts (position, channel) to the output multi-index.
 func (s *schedule) outIndex(p, c int) []int {
 	if s.conv {
@@ -161,4 +188,29 @@ func (s *schedule) outIndex(p, c int) []int {
 		return []int{b, oy, ox, c}
 	}
 	return []int{p, c}
+}
+
+// fetchCycles is the CDMA streaming time: input and weight streams run in
+// parallel, one element per cycle, through two pipeline registers.
+func (s *schedule) fetchCycles() int64 {
+	return int64(max(s.inSize, s.wSize)) + 2
+}
+
+// tileCycles is the length of one (block, group) tile with bs positions: a
+// weight-load cycle plus bs MAC cycles per reduction index, then one
+// write-back cycle per (position, MAC).
+func (s *schedule) tileCycles(k, bs int) int64 {
+	return int64(s.numRed)*int64(1+bs) + int64(bs)*int64(k)
+}
+
+// goldenCycles is the exact fault-free cycle count on a k-MAC, t-hold design
+// (TestGoldenCyclesExact holds it to the simulated run): the fetch, then
+// every block's groups × tileCycles; only the last block can be short.
+func (s *schedule) goldenCycles(k, t int) int64 {
+	groups := int64((s.numCh + k - 1) / k)
+	compute := int64(s.numPos/t) * groups * s.tileCycles(k, t)
+	if last := s.numPos % t; last > 0 {
+		compute += groups * s.tileCycles(k, last)
+	}
+	return s.fetchCycles() + compute
 }

@@ -65,46 +65,43 @@ func Locate(cfg *accel.Config, l *Layer, cycle int64) (SiteInfo, error) {
 	if err != nil {
 		return SiteInfo{}, err
 	}
-	e := Engine{l: l, sched: s, k: cfg.AtomicK, t: cfg.WeightHoldCycles}
-	fc := e.fetchCycles()
-	if cycle < fc {
-		return SiteInfo{Phase: PhaseFetch}, nil
+	return s.locate(cfg.AtomicK, cfg.WeightHoldCycles, cycle), nil
+}
+
+// locate is Locate on a built schedule: closed-form in the cycle, since every
+// block but the last runs the same tile length.
+func (s *schedule) locate(k, t int, cycle int64) SiteInfo {
+	c := cycle - s.fetchCycles()
+	if c < 0 {
+		return SiteInfo{Phase: PhaseFetch}
 	}
-	k, t := cfg.AtomicK, cfg.WeightHoldCycles
-	groups := (s.numCh + k - 1) / k
-	blocks := (s.numPos + t - 1) / t
-	c := cycle - fc
-	for blk := 0; blk < blocks; blk++ {
-		bs := s.numPos - blk*t
-		if bs > t {
-			bs = t
-		}
-		perGroup := int64(s.numRed)*int64(1+bs) + int64(bs)*int64(k)
-		for grp := 0; grp < groups; grp++ {
-			if c >= perGroup {
-				c -= perGroup
-				continue
-			}
-			info := SiteInfo{Blk: blk, Grp: grp, BlockSize: bs}
-			redPart := int64(s.numRed) * int64(1+bs)
-			if c < redPart {
-				r := int(c / int64(1+bs))
-				off := int(c % int64(1+bs))
-				info.R = r
-				if off == 0 {
-					info.Phase = PhaseLoad
-				} else {
-					info.Phase = PhaseMAC
-					info.Dx = off - 1
-				}
-				return info, nil
-			}
-			info.Phase = PhaseWB
-			info.WB = int(c - redPart)
-			return info, nil
-		}
+	groups := int64((s.numCh + k - 1) / k)
+	perBlk := groups * s.tileCycles(k, t)
+	bs := t
+	blk := c / perBlk
+	if full := int64(s.numPos / t); blk >= full {
+		blk, bs = full, s.numPos%t
 	}
-	return SiteInfo{Phase: PhaseIdle}, nil
+	c -= blk * perBlk
+	if bs == 0 || c >= groups*s.tileCycles(k, bs) {
+		return SiteInfo{Phase: PhaseIdle}
+	}
+	tile := s.tileCycles(k, bs)
+	info := SiteInfo{Blk: int(blk), Grp: int(c / tile), BlockSize: bs}
+	c %= tile
+	if wb := c - int64(s.numRed)*int64(1+bs); wb >= 0 {
+		info.Phase = PhaseWB
+		info.WB = int(wb)
+		return info
+	}
+	info.R = int(c / int64(1+bs))
+	if off := int(c % int64(1+bs)); off == 0 {
+		info.Phase = PhaseLoad
+	} else {
+		info.Phase = PhaseMAC
+		info.Dx = off - 1
+	}
+	return info
 }
 
 // Position returns the output position index the site touches (mac: the
@@ -137,6 +134,11 @@ func (si SiteInfo) OperandIndices(cfg *accel.Config, l *Layer, mac int) (inIdx, 
 	if err != nil {
 		return 0, 0, err
 	}
+	inIdx, wIdx = s.operandIndices(cfg, si, mac)
+	return inIdx, wIdx, nil
+}
+
+func (s *schedule) operandIndices(cfg *accel.Config, si SiteInfo, mac int) (inIdx, wIdx int) {
 	p := si.Position(cfg)
 	ch := si.Grp*cfg.AtomicK + mac
 	inIdx = -1
@@ -147,7 +149,7 @@ func (si SiteInfo) OperandIndices(cfg *accel.Config, l *Layer, mac int) (inIdx, 
 	if (si.Phase == PhaseLoad || si.Phase == PhaseMAC) && ch < s.numCh && si.R < s.numRed {
 		wIdx = s.wIndex(si.R, ch)
 	}
-	return inIdx, wIdx, nil
+	return inIdx, wIdx
 }
 
 // Dims exposes the schedule extents needed by validation harnesses.
@@ -165,6 +167,10 @@ func OutIndexOf(l *Layer, p, c int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.outIndexOf(p, c)
+}
+
+func (s *schedule) outIndexOf(p, c int) ([]int, error) {
 	if p < 0 || p >= s.numPos || c < 0 || c >= s.numCh {
 		return nil, fmt.Errorf("rtlsim: (p=%d, c=%d) outside %dx%d", p, c, s.numPos, s.numCh)
 	}

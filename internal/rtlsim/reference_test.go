@@ -1,0 +1,426 @@
+package rtlsim
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"fidelity/internal/accel"
+	"fidelity/internal/numerics"
+	"fidelity/internal/tensor"
+)
+
+var allFFs = []FF{
+	FFCDMAIn0, FFCDMAIn1, FFCDMAWt0, FFCDMAWt1, FFInputReg, FFWLoad, FFWReg, FFProd, FFOutReg, FFValid,
+	FFCfgPos, FFCfgCh, FFCfgRed, FFCtrBlk, FFCtrGrp, FFCtrR, FFCtrDx,
+}
+
+// perMAC reports whether a fault in ff selects its target by Fault.Mac.
+func perMAC(ff FF) bool {
+	return ff == FFWLoad || ff == FFWReg || ff == FFProd || ff == FFValid
+}
+
+// tinyDesign is nvdla-small shrunk to 4 MACs holding weights for 4 cycles, so
+// that a layer of a few hundred cycles still has several tiles, a ragged last
+// block and a ragged last channel group.
+func tinyDesign() *accel.Config {
+	cfg := nvdla()
+	cfg.AtomicK, cfg.WeightHoldCycles = 4, 4
+	return cfg
+}
+
+func matmulLayer(seed int64, codec numerics.Codec, m, kk, n int) *Layer {
+	rng := rand.New(rand.NewSource(seed))
+	a, b := tensor.New(m, kk), tensor.New(kk, n)
+	a.RandNormal(rng, 1)
+	b.RandNormal(rng, 1)
+	return MatMulLayer(accel.LayerMatMul, a, b, nil, codec)
+}
+
+// tableIIILayers builds the six Table III validation shapes (campaign's
+// TableIIIWorkloads) in the given datapath format.
+func tableIIILayers(codec numerics.Codec) map[string]*Layer {
+	conv := func(seed int64, h, w, inC, outC, stride int) *Layer {
+		l, _, _ := randConvLayer(seed, codec, h, w, inC, outC, 3, stride, 1)
+		return l
+	}
+	fc := func(seed int64, rows, in, out int) *Layer {
+		l, _, _ := fcLayer(seed, rows, in, out)
+		l.Codec = codec
+		return l
+	}
+	return map[string]*Layer{
+		"inception-conv3x3":  conv(101, 8, 8, 4, 18, 1),
+		"resnet-conv3x3":     conv(102, 9, 7, 3, 20, 1),
+		"yolo-conv3x3":       conv(103, 10, 10, 4, 12, 2),
+		"transformer-fc":     fc(104, 20, 24, 18),
+		"rnn-lstm-fc":        fc(105, 8, 30, 16),
+		"transformer-matmul": matmulLayer(106, codec, 18, 16, 18),
+	}
+}
+
+// runDetailed is the oracle: the from-cycle-0 simulation with every cycle on
+// the per-MAC path.
+func runDetailed(t testing.TB, cfg *accel.Config, l *Layer, f *Fault) *Outcome {
+	t.Helper()
+	e, err := NewEngine(cfg, l, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.detailed = true
+	o, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// sameOutcome compares two outcomes bit for bit (NaN payloads and zero signs
+// included).
+func sameOutcome(got, want *Outcome) error {
+	if got.Cycles != want.Cycles || got.TimedOut != want.TimedOut || got.FaultApplied != want.FaultApplied {
+		return fmt.Errorf("cycles %d, timed out %v, applied %v; want %d, %v, %v",
+			got.Cycles, got.TimedOut, got.FaultApplied, want.Cycles, want.TimedOut, want.FaultApplied)
+	}
+	g, w := got.Out.Data(), want.Out.Data()
+	if len(g) != len(w) {
+		return fmt.Errorf("%d outputs, want %d", len(g), len(w))
+	}
+	for i := range w {
+		if math.Float32bits(g[i]) != math.Float32bits(w[i]) {
+			return fmt.Errorf("out[%d] = %#08x, want %#08x", i, math.Float32bits(g[i]), math.Float32bits(w[i]))
+		}
+	}
+	return nil
+}
+
+// Reference.Run must return what the from-cycle-0 simulation returns for
+// every FF at every cycle — before, inside and past the run — on a conv with
+// padding, stride, a ragged last block and a channel count that is no
+// multiple of k, and on a matmul.
+func TestReferenceRunExhaustive(t *testing.T) {
+	cfg := tinyDesign()
+	codec := numerics.MustCodec(numerics.FP16, 0)
+	conv, _, _ := randConvLayer(51, codec, 5, 4, 2, 6, 2, 2, 1) // 3×3 output = 9 positions
+	layers := map[string]*Layer{"conv": conv, "matmul": matmulLayer(52, codec, 6, 5, 7)}
+	bits := []int{0, 1, 3, 9, 14, 15}
+	if testing.Short() {
+		bits = []int{1, 14}
+	}
+	for name, l := range layers {
+		ref, err := NewReference(cfg, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, converged := 0, 0
+		for _, ff := range allFFs {
+			macs := 1
+			if perMAC(ff) {
+				macs = cfg.AtomicK
+			}
+			for cycle := int64(-2); cycle < ref.Golden().Cycles+6; cycle++ {
+				for mac := 0; mac < macs; mac++ {
+					for _, bit := range bits {
+						f := Fault{FF: ff, Mac: mac, Bit: bit, Cycle: cycle}
+						got, want := ref.Run(f), runDetailed(t, cfg, l, &f)
+						if err := sameOutcome(got, want); err != nil {
+							t.Fatalf("%s: %v: %v", name, &f, err)
+						}
+						runs++
+						if want.FaultApplied && !want.TimedOut && want.Cycles == ref.Golden().Cycles {
+							converged++
+						}
+					}
+				}
+			}
+		}
+		if converged < runs/10 {
+			t.Errorf("%s: only %d of %d faults fired and finished on time", name, converged, runs)
+		}
+	}
+}
+
+// The same on the Table III shapes at every datapath format the study uses,
+// with multi-bit faults, wrapped MAC indices and out-of-range bit positions,
+// from four goroutines at once (a Reference is shared read-only).
+func TestReferenceRunRandom(t *testing.T) {
+	cfg := nvdla()
+	perLayer := 120
+	if testing.Short() {
+		perLayer = 30
+	}
+	for _, prec := range []numerics.Precision{numerics.FP16, numerics.INT8, numerics.INT16} {
+		for name, l := range tableIIILayers(numerics.MustCodec(prec, 4)) {
+			ref, err := NewReference(cfg, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameOutcome(ref.Golden(), runDetailed(t, cfg, l, nil)); err != nil {
+				t.Fatalf("%v %s: golden: %v", prec, name, err)
+			}
+			rng := rand.New(rand.NewSource(int64(len(name)) + int64(prec)))
+			faults := make([]Fault, perLayer)
+			for i := range faults {
+				faults[i] = Fault{
+					FF: allFFs[rng.Intn(len(allFFs))], Mac: rng.Intn(48) - 16,
+					Bit: rng.Intn(24) - 2, Cycle: rng.Int63n(ref.Golden().Cycles+40) - 20,
+				}
+				if rng.Intn(3) == 0 {
+					faults[i].ExtraBits = []int{rng.Intn(16), rng.Intn(16)}
+				}
+			}
+			got := make([]*Outcome, len(faults))
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := g; i < len(faults); i += 4 {
+						got[i] = ref.Run(faults[i])
+					}
+				}(g)
+			}
+			wg.Wait()
+			for i := range faults {
+				if err := sameOutcome(got[i], runDetailed(t, cfg, l, &faults[i])); err != nil {
+					t.Fatalf("%v %s: %v %v: %v", prec, name, &faults[i], faults[i].ExtraBits, err)
+				}
+			}
+		}
+	}
+}
+
+// A csc.dx flip on a tile's first MAC cycle skips the wload → wreg copy, so
+// the MACs multiply by the weights the previous tile left in the held
+// registers: a resumed run must start with them.
+func TestReferenceRestoresHeldWeights(t *testing.T) {
+	cfg := tinyDesign()
+	l := matmulLayer(53, numerics.MustCodec(numerics.FP16, 0), 6, 5, 7)
+	ref, err := NewReference(cfg, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tile := 1
+	f := Fault{FF: FFCtrDx, Bit: 0, Cycle: ref.snaps[tile].cycle + 1}
+	want := runDetailed(t, cfg, l, &f)
+	if err := sameOutcome(ref.Run(f), want); err != nil {
+		t.Fatalf("%v: %v", &f, err)
+	}
+	if len(want.Out.DiffIndices(ref.Golden().Out, 0)) == 0 {
+		t.Fatal("the flip is masked: the case does not reach the stale weights")
+	}
+	// The outcome depends on the snapshot's weights: forget them and it moves.
+	blank, err := NewReference(cfg, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(blank.snaps[tile].wreg)
+	if sameOutcome(blank.Run(f), want) == nil {
+		t.Error("a resume without the held weights gives the same outcome: the case does not pin them")
+	}
+}
+
+// Runs that end at the watchdog are simulated to it: a flipped config
+// register never matches a golden snapshot, and a re-converged run whose
+// projected length passes the limit reports the time-out, with the outputs
+// written until then, not a finish.
+func TestReferenceKeepsWatchdog(t *testing.T) {
+	cfg := tinyDesign()
+	l := matmulLayer(54, numerics.MustCodec(numerics.FP16, 0), 10, 5, 7)
+	ref, err := NewReference(cfg, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, _ := ref.ComputeWindow()
+	for _, f := range []Fault{
+		{FF: FFCfgRed, Bit: 19, Cycle: start + 5},
+		{FF: FFCfgPos, Bit: 18, Cycle: start + 30},
+	} {
+		want := runDetailed(t, cfg, l, &f)
+		if !want.TimedOut {
+			t.Fatalf("%v: expected a time-out", &f)
+		}
+		if err := sameOutcome(ref.Run(f), want); err != nil {
+			t.Errorf("%v: %v", &f, err)
+		}
+	}
+
+	// csc.blk 2 → 0 in the last block reruns the layer and re-converges at
+	// tile (0, 1); with the limit between the golden length and the
+	// projected one, the from-cycle-0 run times out on the way.
+	last := ref.snaps[2*ref.groups]
+	f := Fault{FF: FFCtrBlk, Bit: 1, Cycle: last.cycle + 3}
+	full := ref.Run(f)
+	if full.TimedOut || full.Cycles <= ref.Golden().Cycles {
+		t.Fatalf("%v: cycles %d, timed out %v: expected a longer run that finishes", &f, full.Cycles, full.TimedOut)
+	}
+	// A run of c cycles passes the watchdog check at cycles below c only.
+	for _, limit := range []int64{full.Cycles - 2, full.Cycles - 1} {
+		e, err := NewEngine(cfg, l, &f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.maxCyc, e.detailed = limit, true
+		want, _ := e.Run()
+		if want.TimedOut != (limit == full.Cycles-2) {
+			t.Fatalf("limit %d on a %d-cycle run: timed out %v", limit, full.Cycles, want.TimedOut)
+		}
+		ref.maxCyc = limit
+		if err := sameOutcome(ref.Run(f), want); err != nil {
+			t.Errorf("%v under limit %d: %v", &f, limit, err)
+		}
+	}
+}
+
+// The short-circuit is a state equality: config registers, a tile the golden
+// run visits, and an accumulator bank of +0 — a partial sum the write-back
+// did not drain, or a -0, is live state the golden run never had.
+func TestConvergedRequiresGoldenState(t *testing.T) {
+	cfg := tinyDesign()
+	ref, err := NewReference(cfg, matmulLayer(62, numerics.MustCodec(numerics.FP16, 0), 10, 5, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(change func(e *Engine)) *snapshot {
+		e := newEngine(ref.cfg, ref.l, ref.sched)
+		e.blk, e.grp = 1, 1
+		change(e)
+		return ref.converged(e)
+	}
+	if s := at(func(*Engine) {}); s != &ref.snaps[1*ref.groups+1] {
+		t.Fatalf("golden state at tile (1, 1) matched %v", s)
+	}
+	for name, change := range map[string]func(e *Engine){
+		"cfg.pos":      func(e *Engine) { e.cfgPos ^= 1 },
+		"cfg.ch":       func(e *Engine) { e.cfgCh ^= 8 },
+		"cfg.red":      func(e *Engine) { e.cfgRed ^= 2 },
+		"blk past end": func(e *Engine) { e.blk = 3 },
+		"grp past end": func(e *Engine) { e.grp = 2 },
+		"partial sum":  func(e *Engine) { e.acc[len(e.acc)-1] = 0.5 },
+		"negative 0":   func(e *Engine) { e.acc[0] = float32(math.Copysign(0, -1)) },
+	} {
+		if s := at(change); s != nil {
+			t.Errorf("%s: matched the snapshot at cycle %d", name, s.cycle)
+		}
+	}
+}
+
+// The lean cycle must leave the registers the per-MAC loop leaves, at every
+// datapath format, on a fault-free run.
+func TestLeanCycleMatchesDetailed(t *testing.T) {
+	for _, prec := range []numerics.Precision{numerics.FP32, numerics.FP16, numerics.INT16, numerics.INT8} {
+		codec := numerics.MustCodec(prec, 8)
+		conv, _, _ := randConvLayer(55, codec, 7, 6, 3, 21, 3, 2, 1)
+		for name, l := range map[string]*Layer{"conv": conv, "matmul": matmulLayer(56, codec, 19, 11, 17)} {
+			lean, err := Run(nvdla(), l, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameOutcome(lean, runDetailed(t, nvdla(), l, nil)); err != nil {
+				t.Errorf("%v %s: %v", prec, name, err)
+			}
+		}
+	}
+}
+
+// GoldenCycles — what Validate samples fault cycles from and the watchdog is
+// derived from — is the simulated golden run's length, exactly.
+func TestGoldenCyclesExact(t *testing.T) {
+	codec := numerics.MustCodec(numerics.FP16, 0)
+	layers := tableIIILayers(codec)
+	layers["conv-pad-stride"], _, _ = randConvLayer(57, codec, 7, 6, 3, 21, 3, 2, 1)
+	layers["conv-ragged-block"], _, _ = randConvLayer(58, codec, 5, 5, 2, 4, 3, 1, 0) // 9 positions
+	layers["matmul-ragged"] = matmulLayer(59, codec, 19, 11, 17)
+	for _, cfg := range []*accel.Config{nvdla(), tinyDesign()} {
+		for name, l := range layers {
+			gc, err := GoldenCycles(cfg, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewReference(cfg, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ref.Golden().Cycles; got != gc {
+				t.Errorf("%s on k=%d t=%d: golden run took %d cycles, GoldenCycles says %d",
+					name, cfg.AtomicK, cfg.WeightHoldCycles, got, gc)
+			}
+			// Every snapshot sits where the schedule arithmetic puts its tile.
+			for i, s := range ref.snaps {
+				si := ref.Locate(s.cycle)
+				if si.Phase != PhaseLoad || si.R != 0 || si.Blk*ref.groups+si.Grp != i {
+					t.Fatalf("%s: snapshot %d at cycle %d locates to %+v", name, i, s.cycle, si)
+				}
+			}
+			if si := ref.Locate(gc - 1); si.Phase != PhaseWB {
+				t.Errorf("%s: last cycle locates to %+v", name, si)
+			}
+			if si := ref.Locate(gc); si.Phase != PhaseIdle {
+				t.Errorf("%s: cycle past the end locates to %+v", name, si)
+			}
+		}
+	}
+}
+
+// Neither entry point writes through the caller's fault.
+func TestRunLeavesFaultAlone(t *testing.T) {
+	cfg := nvdla()
+	l := matmulLayer(60, numerics.MustCodec(numerics.FP16, 0), 6, 5, 7)
+	ref, err := NewReference(cfg, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, _ := ref.ComputeWindow()
+	f := Fault{FF: FFWReg, Mac: -3, Bit: 14, ExtraBits: []int{2}, Cycle: start + 2}
+	if _, err := Run(cfg, l, &f); err != nil {
+		t.Fatal(err)
+	}
+	ref.Run(f)
+	if f.Mac != -3 || len(f.ExtraBits) != 1 || f.ExtraBits[0] != 2 {
+		t.Errorf("fault changed to %+v", f)
+	}
+}
+
+// A re-converging injection allocates its engine and its outcome, nothing
+// per cycle.
+func TestReferenceRunAllocs(t *testing.T) {
+	cfg := nvdla()
+	l := tableIIILayers(numerics.MustCodec(numerics.FP16, 0))["inception-conv3x3"]
+	ref, err := NewReference(cfg, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := Fault{FF: FFWReg, Mac: 3, Bit: 14, ExtraBits: []int{3}, Cycle: ref.snaps[2].cycle + 40}
+	if o := ref.Run(f); !o.FaultApplied || o.Cycles != ref.Golden().Cycles {
+		t.Fatalf("%v: not a re-converging injection: %+v", &f, o)
+	}
+	const ceiling = 10
+	if n := testing.AllocsPerRun(50, func() { ref.Run(f) }); n > ceiling {
+		t.Errorf("Reference.Run allocates %v times, ceiling %d", n, ceiling)
+	} else {
+		t.Logf("Reference.Run allocates %v times", n)
+	}
+}
+
+// FuzzReferenceRun holds Reference.Run to the from-cycle-0 per-MAC simulation
+// on any (FF, MAC, bit, cycle).
+func FuzzReferenceRun(f *testing.F) {
+	cfg := tinyDesign()
+	l, _, _ := randConvLayer(61, numerics.MustCodec(numerics.FP16, 0), 5, 4, 2, 6, 2, 2, 1)
+	ref, err := NewReference(cfg, l)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// One seed per FF here; the hazards by name are in testdata/fuzz.
+	for i := range allFFs {
+		f.Add(uint8(i), 1, 14, ref.snaps[1].cycle+int64(3*i))
+	}
+	f.Fuzz(func(t *testing.T, ff uint8, mac, bit int, cycle int64) {
+		fault := Fault{FF: allFFs[int(ff)%len(allFFs)], Mac: mac, Bit: bit, Cycle: cycle}
+		if err := sameOutcome(ref.Run(fault), runDetailed(t, cfg, l, &fault)); err != nil {
+			t.Fatalf("%v: %v", &fault, err)
+		}
+	})
+}
