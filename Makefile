@@ -29,12 +29,15 @@ cli-smoke:
 	$(GO) run ./cmd/fidelity table2
 
 # Race-detect the concurrency-critical packages: the sharded campaign engine,
-# the injector, the goroutine-tiled kernels (nn + tensor), the distributed
-# fabric (coordinator + workers exchanging leases over loopback HTTP), and the
-# cycle-level reference (one rtlsim.Reference serving injections from several
-# goroutines). Slow: several minutes under -race.
+# the injector, the fault models' batch recompute over nn's pooled scratch
+# (faultmodel, and nn's ComputeNeurons differentials), the goroutine-tiled
+# kernels (nn + tensor) over the row primitives (numerics' panel
+# differentials), the distributed fabric (coordinator + workers exchanging
+# leases over loopback HTTP), and the cycle-level reference (one
+# rtlsim.Reference serving injections from several goroutines). Slow: several
+# minutes under -race.
 race:
-	$(GO) test -race -timeout 30m ./internal/campaign/... ./internal/inject/... ./internal/nn/... ./internal/tensor/... ./internal/distrib/... ./internal/rtlsim/...
+	$(GO) test -race -timeout 30m ./internal/campaign/... ./internal/inject/... ./internal/faultmodel/... ./internal/nn/... ./internal/numerics/... ./internal/tensor/... ./internal/distrib/... ./internal/rtlsim/...
 
 # The chaos self-test harness: synthetic panics, hangs, and I/O errors
 # injected into live campaigns; the supervisor must recover deterministically.
@@ -60,11 +63,11 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
 # One iteration of the kernel benchmarks beside the code (internal/nn,
-# internal/numerics, internal/rtlsim) — seconds, so they cannot rot between
-# `make bench` runs.
-# For numbers: go test -run '^$$' -bench . -count 5 ./internal/nn ./internal/numerics ./internal/rtlsim
+# internal/numerics, internal/faultmodel, internal/rtlsim) — seconds, so they
+# cannot rot between `make bench` runs.
+# For numbers: go test -run '^$$' -bench . -count 5 ./internal/nn ./internal/numerics ./internal/faultmodel ./internal/rtlsim
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/nn ./internal/numerics ./internal/rtlsim
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/nn ./internal/numerics ./internal/faultmodel ./internal/rtlsim
 
 # The kernels' "bounds-check free" claim, checked: builds internal/nn and
 # internal/numerics with -gcflags=-d=ssa/check_bce and fails if the compiler

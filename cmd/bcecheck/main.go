@@ -26,19 +26,20 @@ import (
 )
 
 // hotFiles are the files whose innermost loops must be check-free, with the
-// functions exempt in each: HalfDotStrided gathers w[i*stride], an index the
-// compiler cannot bound, and pays one check per element knowingly; and the
-// four primitives that dispatch to the AVX2 lanes loop once per chunk the
-// lanes left to the Go loop, slicing as they go — their per-element loops are
-// the ...Go functions beside them, which are checked. boxify and diffSpanBox
+// functions exempt in each: the primitives that dispatch to the AVX2 lanes
+// loop once per chunk — the panel once per row — the lanes left to the Go
+// loop, slicing as they go; their per-element loops are the ...Go functions
+// beside them, which are checked. dotRows likewise slices one operand row per
+// output for dotRow, which is checked, as are mulAddPanel and convPixel: the
+// loops behind every tile and every run of recompute.go. boxify and diffSpanBox
 // likewise loop once per tensor row, slicing it out; their per-element loops
 // are firstDiff and lastDiff, which are checked.
 var hotFiles = map[string]map[string]bool{
-	"internal/nn/kernels.go": {},
+	"internal/nn/kernels.go": {"dotRows": true},
 	"internal/nn/region.go":  {"boxify": true, "diffSpanBox": true},
 	"internal/numerics/halfrow.go": {
-		"HalfDotStrided": true,
-		"HalfMulAddRow":  true, "HalfMulAddVec": true, "HalfDot": true, "halfRoundInto": true,
+		"HalfMulAddPanel": true,
+		"HalfMulAddRow":   true, "HalfMulAddVec": true, "HalfDot": true, "halfRoundInto": true,
 	},
 }
 

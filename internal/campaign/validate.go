@@ -356,8 +356,10 @@ func (rep *ValidationReport) applyAndCompare(w *ValWorkload, op *nn.Operands, fa
 		stored = op.W.Data()[ov.Flat]
 	}
 	ov.Value = f.Flip(codec, stored)
-	for _, idx := range neurons {
-		op.Out.Set(w.Site.ComputeNeuron(op, idx, ov), idx...)
+	vals := make([]float32, len(neurons))
+	w.Site.ComputeNeurons(op, neurons, ov, vals)
+	for i, idx := range neurons {
+		op.Out.Set(vals[i], idx...)
 	}
 	rep.DatapathChecked++
 	if len(op.Out.DiffIndices(faulty, 0)) == 0 {

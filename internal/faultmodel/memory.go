@@ -106,16 +106,7 @@ func ApplyMemory(p *MemoryPlan, site nn.Site, op *nn.Operands) []Change {
 			wClone.Data()[e.Word] = v
 		}
 	}
-	var changes []Change
-	for _, idx := range p.Neurons {
-		old := op.Out.At(idx...)
-		faulty := site.ComputeNeuron(&work, idx, nil)
-		if faulty != old {
-			op.Out.Set(faulty, idx...)
-			changes = append(changes, Change{Flat: op.Out.Offset(idx...), Golden: old, Faulty: faulty})
-		}
-	}
-	return changes
+	return patchNeurons(site, &work, p.Neurons, nil)
 }
 
 // SampleMemoryErrors draws n independent memory errors, each flipping

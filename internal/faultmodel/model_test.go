@@ -382,3 +382,43 @@ func TestPlanQuantizedRepresentable(t *testing.T) {
 		}
 	}
 }
+
+// Apply reports the neurons that moved in the order the plan lists them, with
+// their row-major output offsets: an input fault under a 3×3 kernel reaches
+// all channels of nine pixels, pixel by pixel, and a flipped exponent bit
+// moves nearly every one of them.
+func TestApplyChangeOrder(t *testing.T) {
+	codec := numerics.MustCodec(numerics.FP16, 0)
+	site, op := convExec(t, codec, 9)
+	flat := op.In.Offset(0, 2, 3, 1)
+	p := &Plan{Model: BeforeCBUFInput, SiteName: site.Name(), Bit: 13,
+		Override: &nn.Override{Kind: nn.OperandInput, Flat: flat},
+		Neurons:  site.NeuronsUsingOperand(op, nn.OperandInput, flat)}
+	if want := 9 * op.Out.Dim(3); len(p.Neurons) != want {
+		t.Fatalf("reuse set has %d neurons, want %d", len(p.Neurons), want)
+	}
+	ov := *p.Override
+	ov.Value = codec.FlipBit(op.In.Data()[flat], p.Bit)
+	var want []Change
+	for _, idx := range p.Neurons {
+		golden := op.Out.At(idx...)
+		if faulty := site.ComputeNeuron(op, idx, &ov); faulty != golden {
+			want = append(want, Change{Flat: op.Out.Offset(idx...), Golden: golden, Faulty: faulty})
+		}
+	}
+	if len(want) < len(p.Neurons)/2 {
+		t.Fatalf("only %d of %d neurons moved: the fault is too weak to test an order", len(want), len(p.Neurons))
+	}
+	got := Apply(p, site, op)
+	if len(got) != len(want) {
+		t.Fatalf("Apply reports %d changes, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("change %d = %+v, want %+v", i, got[i], want[i])
+		}
+		if op.Out.Data()[got[i].Flat] != got[i].Faulty {
+			t.Fatalf("change %d: output holds %v, reported faulty %v", i, op.Out.Data()[got[i].Flat], got[i].Faulty)
+		}
+	}
+}

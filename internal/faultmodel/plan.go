@@ -278,49 +278,57 @@ func Apply(p *Plan, site nn.Site, op *nn.Operands) []Change {
 	if p.GlobalFailure {
 		return nil
 	}
-	var changes []Change
 	codec := site.Codec()
+	out := op.Out.Data()
 	switch p.Model {
 	case LocalControl:
-		idx := p.Neurons[0]
-		old := op.Out.At(idx...)
-		op.Out.Set(p.RandomValue, idx...)
-		changes = append(changes, Change{Flat: op.Out.Offset(idx...), Golden: old, Faulty: p.RandomValue})
+		off := op.Out.Offset(p.Neurons[0]...)
+		old := out[off]
+		out[off] = p.RandomValue
+		return []Change{{Flat: off, Golden: old, Faulty: p.RandomValue}}
 
 	case OutputPSum:
-		idx := p.Neurons[0]
-		old := op.Out.At(idx...)
+		off := op.Out.Offset(p.Neurons[0]...)
+		old := out[off]
 		faulty := codec.FlipBit(old, p.Bit)
 		for _, b := range p.ExtraBits {
 			faulty = codec.FlipBit(faulty, b)
 		}
-		op.Out.Set(faulty, idx...)
-		changes = append(changes, Change{Flat: op.Out.Offset(idx...), Golden: old, Faulty: faulty})
+		out[off] = faulty
+		return []Change{{Flat: off, Golden: old, Faulty: faulty}}
+	}
+	// Datapath recompute models: flip the stored operand bit and recompute
+	// every affected neuron with the override.
+	ov := *p.Override
+	var stored float32
+	switch ov.Kind {
+	case nn.OperandInput:
+		stored = op.In.Data()[ov.Flat]
+	case nn.OperandWeight:
+		stored = op.W.Data()[ov.Flat]
+	case nn.OperandBias:
+		stored = op.B.Data()[ov.Flat]
+	}
+	ov.Value = codec.FlipBit(stored, p.Bit)
+	for _, b := range p.ExtraBits {
+		ov.Value = codec.FlipBit(ov.Value, b)
+	}
+	return patchNeurons(site, op, p.Neurons, &ov)
+}
 
-	default:
-		// Datapath recompute models: flip the stored operand bit and
-		// recompute every affected neuron with the override.
-		ov := *p.Override
-		var stored float32
-		switch ov.Kind {
-		case nn.OperandInput:
-			stored = op.In.Data()[ov.Flat]
-		case nn.OperandWeight:
-			stored = op.W.Data()[ov.Flat]
-		case nn.OperandBias:
-			stored = op.B.Data()[ov.Flat]
-		}
-		ov.Value = codec.FlipBit(stored, p.Bit)
-		for _, b := range p.ExtraBits {
-			ov.Value = codec.FlipBit(ov.Value, b)
-		}
-		for _, idx := range p.Neurons {
-			old := op.Out.At(idx...)
-			faulty := site.ComputeNeuron(op, idx, &ov)
-			if faulty != old {
-				op.Out.Set(faulty, idx...)
-				changes = append(changes, Change{Flat: op.Out.Offset(idx...), Golden: old, Faulty: faulty})
-			}
+// patchNeurons recomputes neurons with ov (nil: from op as it stands) and
+// stores every value that moved in op.Out, returning the moves in the order
+// of neurons.
+func patchNeurons(site nn.Site, op *nn.Operands, neurons [][]int, ov *nn.Override) []Change {
+	faulty := make([]float32, len(neurons))
+	site.ComputeNeurons(op, neurons, ov, faulty)
+	out := op.Out.Data()
+	var changes []Change
+	for i, idx := range neurons {
+		off := op.Out.Offset(idx...)
+		if old := out[off]; faulty[i] != old {
+			out[off] = faulty[i]
+			changes = append(changes, Change{Flat: off, Golden: old, Faulty: faulty[i]})
 		}
 	}
 	return changes

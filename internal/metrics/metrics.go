@@ -7,6 +7,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 
 	"fidelity/internal/tensor"
 )
@@ -27,11 +28,13 @@ func BLEU(ref, hyp []int) float64 {
 		}
 		return 0
 	}
+	if slices.Equal(ref, hyp) {
+		return 1 // what the sums below come to, and what most experiments are
+	}
 	logSum := 0.0
-	for n := 1; n <= 4; n++ {
-		match, total := ngramOverlap(ref, hyp, n)
+	for _, m := range ngramOverlap(ref, hyp) {
 		// Add-one smoothing keeps short sentences meaningful.
-		p := (float64(match) + 1) / (float64(total) + 1)
+		p := (float64(m.match) + 1) / (float64(m.total) + 1)
 		logSum += math.Log(p)
 	}
 	bleu := math.Exp(logSum / 4)
@@ -41,36 +44,70 @@ func BLEU(ref, hyp []int) float64 {
 	return bleu
 }
 
-// ngramOverlap counts clipped n-gram matches of hyp against ref.
-func ngramOverlap(ref, hyp []int, n int) (match, total int) {
-	if len(hyp) < n {
-		return 0, 0
-	}
-	refCount := map[string]int{}
-	for i := 0; i+n <= len(ref); i++ {
-		refCount[key(ref[i:i+n])]++
-	}
-	hypCount := map[string]int{}
-	for i := 0; i+n <= len(hyp); i++ {
-		hypCount[key(hyp[i:i+n])]++
-		total++
-	}
-	for k, c := range hypCount {
-		if rc := refCount[k]; rc < c {
-			match += rc
-		} else {
-			match += c
+// overlap is hyp's n-gram count for one n, and how many of them ref matches.
+type overlap struct{ match, total int }
+
+// ngramOverlap counts the clipped n-gram matches of hyp against ref for n = 1
+// to 4. Every n-gram is named by a dense integer id — equal ids, equal
+// n-grams, whatever the token values — built one order from the last: the id
+// of the (n-1)-gram at a position packed with the id of the token behind it,
+// ranked again. Ids stay below the two lengths' sum, so the packing is exact
+// and the counts live in a slice indexed by id, reused from order to order.
+func ngramOverlap(ref, hyp []int) (out [4]overlap) {
+	size := len(ref) + len(hyp)
+	buf := make([]uint64, 4*size)
+	tok, gram, keys, sorted := buf[:size], buf[size:2*size], buf[2*size:3*size], buf[3*size:]
+	count := make([]int, size)
+	// rank replaces keys by their dense ranks.
+	rank := func(keys []uint64) {
+		uniq := sorted[:copy(sorted, keys)]
+		slices.Sort(uniq)
+		uniq = slices.Compact(uniq)
+		for i, k := range keys {
+			r, _ := slices.BinarySearch(uniq, k)
+			keys[i] = uint64(r)
 		}
 	}
-	return match, total
-}
-
-func key(gram []int) string {
-	b := make([]byte, 0, len(gram)*3)
-	for _, g := range gram {
-		b = append(b, byte(g), byte(g>>8), ',')
+	for i, t := range ref {
+		tok[i] = uint64(t)
 	}
-	return string(b)
+	for i, t := range hyp {
+		tok[len(ref)+i] = uint64(t)
+	}
+	rank(tok)
+	copy(gram, tok)
+	for n := 1; n <= 4 && n <= len(hyp); n++ {
+		// The n-grams start at the first nr tokens of ref and nh of hyp.
+		nr, nh := max(len(ref)-n+1, 0), len(hyp)-n+1
+		refGrams, hypGrams := gram[:nr], gram[len(ref):len(ref)+nh]
+		if n > 1 {
+			for i := range refGrams {
+				refGrams[i] = refGrams[i]<<32 | tok[i+n-1]
+			}
+			for i := range hypGrams {
+				hypGrams[i] = hypGrams[i]<<32 | tok[len(ref)+i+n-1]
+			}
+			ids := keys[:nr+nh]
+			copy(ids, refGrams)
+			copy(ids[nr:], hypGrams)
+			rank(ids)
+			copy(refGrams, ids)
+			copy(hypGrams, ids[nr:])
+		}
+		clear(count)
+		for _, g := range refGrams {
+			count[g]++
+		}
+		// Clipping: each n-gram of ref matches one of hyp at most.
+		for _, g := range hypGrams {
+			if count[g] > 0 {
+				count[g]--
+				out[n-1].match++
+			}
+		}
+		out[n-1].total = nh
+	}
+	return out
 }
 
 // Box is an axis-aligned detection with a class label.

@@ -154,3 +154,96 @@ func TestBLEUDegradesWithNoise(t *testing.T) {
 		prev = avg
 	}
 }
+
+// bleuByMaps is BLEU as it was first written: n-gram counts in maps keyed by
+// the two low bytes of every token id, so exact for ids below 65 536 only.
+func bleuByMaps(ref, hyp []int) float64 {
+	if len(hyp) == 0 {
+		if len(ref) == 0 {
+			return 1
+		}
+		return 0
+	}
+	key := func(gram []int) string {
+		var b []byte
+		for _, g := range gram {
+			b = append(b, byte(g), byte(g>>8), ',')
+		}
+		return string(b)
+	}
+	logSum := 0.0
+	for n := 1; n <= 4; n++ {
+		match, total := 0, 0
+		if len(hyp) >= n {
+			refCount, hypCount := map[string]int{}, map[string]int{}
+			for i := 0; i+n <= len(ref); i++ {
+				refCount[key(ref[i:i+n])]++
+			}
+			for i := 0; i+n <= len(hyp); i++ {
+				hypCount[key(hyp[i:i+n])]++
+				total++
+			}
+			for k, c := range hypCount {
+				match += min(c, refCount[k])
+			}
+		}
+		logSum += math.Log((float64(match) + 1) / (float64(total) + 1))
+	}
+	bleu := math.Exp(logSum / 4)
+	if len(hyp) < len(ref) {
+		bleu *= math.Exp(1 - float64(len(ref))/float64(len(hyp)))
+	}
+	return bleu
+}
+
+// Token ids that agree in their two low bytes are different tokens: a
+// hypothesis made of them shares no n-gram with the reference, and BLEU must
+// not depend on how large the ids are.
+func TestBLEULargeTokenIDs(t *testing.T) {
+	const big = 1 << 16
+	for _, tc := range []struct {
+		name           string
+		ref, hyp, same []int // BLEU(ref, hyp) must equal BLEU(same[0:n], same[n:]) of small ids
+	}{
+		{"ids 65536 apart", []int{1, 2, 3, 4, 5}, []int{1 + big, 2 + big, 3 + big, 4 + big, 5 + big},
+			[]int{1, 2, 3, 4, 5, 11, 12, 13, 14, 15}},
+		{"one large id off", []int{7, 8 + 3*big, 9, 10, 7, 8}, []int{7, 8, 9, 10, 7, 8},
+			[]int{7, 20, 9, 10, 7, 8, 7, 8, 9, 10, 7, 8}},
+		{"large ids, repeated n-grams", []int{big, big, 2 * big, big, big}, []int{big, big, big, 2 * big, 0},
+			[]int{1, 1, 2, 1, 1, 1, 1, 1, 2, 3}},
+		{"negative ids", []int{-1, -2, -3, -4}, []int{-1, -2, -3, 65535},
+			[]int{1, 2, 3, 4, 1, 2, 3, 5}},
+	} {
+		n := len(tc.ref)
+		got, want := BLEU(tc.ref, tc.hyp), bleuByMaps(tc.same[:n], tc.same[n:])
+		if got != want {
+			t.Errorf("%s: BLEU = %v, want %v (the same sentences in small ids)", tc.name, got, want)
+		}
+		if got == 1 {
+			t.Errorf("%s: BLEU = 1 for different sentences", tc.name)
+		}
+	}
+}
+
+// Below 65 536 the map-keyed original was exact: the rewritten count must
+// return its value bit for bit, on random short sentences over small and
+// large vocabularies, of equal and unequal length, down to the empty one.
+func TestBLEUMatchesMapCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 5000; trial++ {
+		vocab := []int{2, 5, 64, 65535}[trial%4]
+		ref, hyp := make([]int, rng.Intn(24)), make([]int, rng.Intn(24))
+		for i := range ref {
+			ref[i] = rng.Intn(vocab)
+		}
+		copy(hyp, ref) // a corrupted copy, as a faulty decode is
+		for i := range hyp {
+			if i >= len(ref) || rng.Intn(4) == 0 {
+				hyp[i] = rng.Intn(vocab)
+			}
+		}
+		if got, want := BLEU(ref, hyp), bleuByMaps(ref, hyp); got != want {
+			t.Fatalf("BLEU(%v, %v) = %v, the map count gives %v", ref, hyp, got, want)
+		}
+	}
+}

@@ -175,15 +175,7 @@ func (l *Conv2D) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
 	wc, woc := w.Dim(2), w.Dim(3)
 	// Flat override targets; -1 (matching no offset) when the override does
 	// not touch that operand, so the hot loop tests one integer per value.
-	inFlat, wFlat := -1, -1
-	if ov != nil {
-		switch ov.Kind {
-		case OperandInput:
-			inFlat = ov.Flat
-		case OperandWeight:
-			wFlat = ov.Flat
-		}
-	}
+	inFlat, wFlat := ov.targets()
 	// Reuse the pre-rounded weight cache when recomputing against the layer's
 	// own weights: MulPre(Round(a), Round(b)) == Mul(a, b) for every codec,
 	// so the result is bit-identical.
@@ -191,7 +183,6 @@ func (l *Conv2D) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
 	if w == l.W {
 		rw = l.wcache.get(l.codec, l.W).rw
 	}
-	fp16 := rw != nil && l.codec.Precision() == numerics.FP16
 	var acc float32
 	for ky := 0; ky < l.KH; ky++ {
 		iy := oy*l.Stride + ky - l.Pad
@@ -222,12 +213,6 @@ func (l *Conv2D) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
 				continue
 			}
 			wbase := (ky*l.KW + kx) * wc * woc
-			// A kernel position no override lands in takes the fused FP16
-			// primitive: the same products, rounded and added in the same order.
-			if fp16 && (inFlat < base || inFlat >= base+l.InC) && (wFlat < wbase || wFlat >= wbase+wc*woc) {
-				acc = numerics.HalfDotStrided(acc, ind[base:base+l.InC], rw[wbase+oc:], woc)
-				continue
-			}
 			for ic := 0; ic < l.InC; ic++ {
 				av := ind[base+ic]
 				if base+ic == inFlat {
@@ -245,14 +230,7 @@ func (l *Conv2D) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
 			}
 		}
 	}
-	if op.B != nil {
-		bv := op.B.Data()[oc]
-		if ov != nil && ov.Kind == OperandBias && oc == ov.Flat {
-			bv = ov.Value
-		}
-		acc += bv
-	}
-	return l.codec.Saturate(acc)
+	return finishNeuron(l.codec, op.B, ov, oc, acc)
 }
 
 // NeuronsUsingOperand implements Site.

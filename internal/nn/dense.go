@@ -109,47 +109,25 @@ func (l *Dense) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
 	// this is the per-fault hot loop (see Conv2D.ComputeNeuron).
 	ind, wdat := in.Data(), op.W.Data()
 	wo := op.W.Dim(1)
-	inFlat, wFlat := -1, -1
-	if ov != nil {
-		switch ov.Kind {
-		case OperandInput:
-			inFlat = ov.Flat
-		case OperandWeight:
-			wFlat = ov.Flat
-		}
-	}
+	inFlat, wFlat := ov.targets()
 	base := b * l.In
 	var acc float32
-	if rw != nil && l.codec.Precision() == numerics.FP16 &&
-		(inFlat < base || inFlat >= base+l.In) && (wFlat < 0 || wFlat%wo != o) {
-		// No override among this neuron's products: the fused FP16 primitive
-		// forms the same ones, rounded and added in the same order.
-		acc = numerics.HalfDotStrided(0, ind[base:base+l.In], rw[o:], wo)
-	} else {
-		for i := 0; i < l.In; i++ {
-			av := ind[base+i]
-			if base+i == inFlat {
-				av = ov.Value
-			}
-			woff := i*wo + o
-			switch {
-			case woff == wFlat:
-				acc += l.codec.Mul(av, ov.Value)
-			case rw != nil:
-				acc += l.codec.MulPre(l.codec.Round(av), rw[woff])
-			default:
-				acc += l.codec.Mul(av, wdat[woff])
-			}
+	for i := 0; i < l.In; i++ {
+		av := ind[base+i]
+		if base+i == inFlat {
+			av = ov.Value
+		}
+		woff := i*wo + o
+		switch {
+		case woff == wFlat:
+			acc += l.codec.Mul(av, ov.Value)
+		case rw != nil:
+			acc += l.codec.MulPre(l.codec.Round(av), rw[woff])
+		default:
+			acc += l.codec.Mul(av, wdat[woff])
 		}
 	}
-	if op.B != nil {
-		bv := op.B.Data()[o]
-		if ov != nil && ov.Kind == OperandBias && o == ov.Flat {
-			bv = ov.Value
-		}
-		acc += bv
-	}
-	return l.codec.Saturate(acc)
+	return finishNeuron(l.codec, op.B, ov, o, acc)
 }
 
 // NeuronsUsingOperand implements Site. Per Table II: a faulty input value

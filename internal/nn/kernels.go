@@ -88,86 +88,117 @@ type convArgs struct {
 	codec    numerics.Codec
 }
 
+// mulAddPanel is the row loop of every kernel but the depthwise one: for the
+// rows i of a in ascending order, acc[c] += a[i]·w[i*stride+c] for every c in
+// acc, the FP16 product rounded through the half encoding (one call into the
+// lanes for the whole run, numerics.HalfMulAddPanel). With skipZero the rows of
+// ±0 activations are skipped (convArgs.skipZero). a is one kernel row's
+// (kx, ic) run of a convolution, a dense layer's input features or a plain
+// matmul's inner dimension; acc is all of the output's last axis, or a window
+// of it when stride is wider.
+func mulAddPanel(fp16, skipZero bool, acc, a, w []float32, stride int) {
+	if fp16 {
+		numerics.HalfMulAddPanel(acc, a, w, stride, skipZero)
+		return
+	}
+	for i, av := range a {
+		if av == 0 && skipZero {
+			continue
+		}
+		wrow := w[i*stride:][:len(acc)]
+		acc := acc[:len(wrow)]
+		for c, wv := range wrow {
+			acc[c] += av * wv
+		}
+	}
+}
+
+// dotRow returns acc + Σ a[i]·w[i] added in ascending i, the FP16 product
+// rounded through the half encoding: one output of a matmul against a
+// transposed operand, or one neuron against its gathered weight column.
+func dotRow(fp16 bool, acc float32, a, w []float32) float32 {
+	if fp16 {
+		return numerics.HalfDot(acc, a, w)
+	}
+	a = a[:len(w)]
+	for i, wv := range w {
+		acc += a[i] * wv
+	}
+	return acc
+}
+
+// kernelSpan returns the kernel offsets [lo, hi) at which output coordinate o
+// reads inside an input axis of n elements (i = o*stride + k - pd in [0, n));
+// the reference kernel skips the others one by one. hi <= lo when every
+// offset falls into the padding.
+func kernelSpan(o, stride, pd, k, n int) (lo, hi int) {
+	return max(pd-o*stride, 0), min(n+pd-o*stride, k)
+}
+
+// dotRows adds to out[j] the dot product of a with row j of w, whose rows are
+// as long as a: dotRow per output, the matmul against a transposed operand.
+func dotRows(fp16 bool, out, a, w []float32) {
+	k := len(a)
+	for j := range out {
+		out[j] = dotRow(fp16, out[j], a, w[j*k:(j+1)*k])
+	}
+}
+
+// convPixel accumulates output channels [c0, c0+len(accs)) of pixel (oy, ox)
+// of batch image bi into accs, from +0 and in (ky, kx, ic) order: the neuron
+// before its bias and saturation. A depthwise layer takes all of its channels
+// at once (c0 = 0).
+func convPixel(a *convArgs, bi, oy, ox, c0 int, accs []float32) {
+	rin, rw := a.rin, a.rw
+	inC, outC := a.inC, a.outC
+	kw, stride, pd := a.kw, a.stride, a.pd
+	kyLo, kyHi := kernelSpan(oy, stride, pd, a.kh, a.h)
+	kxLo, kxHi := kernelSpan(ox, stride, pd, kw, a.w)
+	clear(accs)
+	if kxLo >= kxHi {
+		return
+	}
+	for ky := kyLo; ky < kyHi; ky++ {
+		iy := oy*stride + ky - pd
+		// The kx span is one contiguous run of rounded inputs
+		// against one contiguous block of weight rows.
+		inBase := ((bi*a.h+iy)*a.w+ox*stride+kxLo-pd)*inC - a.rinOff
+		irow := rin[inBase : inBase+(kxHi-kxLo)*inC]
+		wBase := (ky*kw + kxLo) * inC
+		if !a.depthwise {
+			mulAddPanel(a.fp16, a.skipZero, accs, irow, rw[wBase*outC+c0:], outC)
+			continue
+		}
+		wrow := rw[wBase : wBase+len(irow)]
+		for ; len(wrow) > 0; irow, wrow = irow[inC:], wrow[inC:] {
+			// Pin the operands to accs' length so the inner loop is
+			// bounds-check free (outC == inC for depthwise).
+			iv, wv := irow[:len(accs)], wrow[:len(accs)]
+			if a.fp16 {
+				numerics.HalfMulAddVec(accs, iv, wv)
+			} else {
+				for c, w := range wv {
+					accs[c] += iv[c] * w
+				}
+			}
+		}
+	}
+}
+
 // convTile computes output rows [oy0,oy1) × columns [ox0,ox1) of batch bi,
-// all output channels, accumulating each neuron in (ky, kx, ic) order. accs
-// must hold at least outC elements and is scratch owned by the caller (one
-// per goroutine band).
+// all output channels. accs must hold at least outC elements and is scratch
+// owned by the caller (one per goroutine band).
 func convTile(a *convArgs, bi, oy0, oy1, ox0, ox1 int, accs []float32) {
 	tileCount.Add(1)
-	rin, rw, out := a.rin, a.rw, a.out
-	inC, outC := a.inC, a.outC
-	kh, kw, stride, pd := a.kh, a.kw, a.stride, a.pd
-	h, w := a.h, a.w
+	out, outC := a.out, a.outC
 	accs = accs[:outC]
 	var bias []float32
 	if a.bias != nil {
 		bias = a.bias[:outC]
 	}
 	for oy := oy0; oy < oy1; oy++ {
-		// Clip the kernel row range so iy = oy*stride + ky - pd stays inside
-		// [0, h); the reference kernel skips the same iterations one by one.
-		kyLo, kyHi := 0, kh
-		if iy := oy*stride - pd; iy < 0 {
-			kyLo = -iy
-		}
-		if over := oy*stride - pd + kh - h; over > 0 {
-			kyHi = kh - over
-		}
 		for ox := ox0; ox < ox1; ox++ {
-			kxLo, kxHi := 0, kw
-			if ix := ox*stride - pd; ix < 0 {
-				kxLo = -ix
-			}
-			if over := ox*stride - pd + kw - w; over > 0 {
-				kxHi = kw - over
-			}
-			for c := range accs {
-				accs[c] = 0
-			}
-			for ky := kyLo; ky < kyHi; ky++ {
-				iy := oy*stride + ky - pd
-				rowBase := ((bi*h+iy)*w)*inC - a.rinOff
-				if a.depthwise {
-					for kx := kxLo; kx < kxHi; kx++ {
-						ix := ox*stride + kx - pd
-						inBase := rowBase + ix*inC
-						wBase := (ky*kw + kx) * inC
-						wrow := rw[wBase : wBase+inC]
-						// Pin irow/ac to wrow's length so the inner loop is
-						// bounds-check free (outC == inC for depthwise).
-						irow := rin[inBase : inBase+inC][:len(wrow)]
-						ac := accs[:len(wrow)]
-						if a.fp16 {
-							numerics.HalfMulAddVec(ac, irow, wrow)
-						} else {
-							for c, wv := range wrow {
-								ac[c] += irow[c] * wv
-							}
-						}
-					}
-					continue
-				}
-				for kx := kxLo; kx < kxHi; kx++ {
-					ix := ox*stride + kx - pd
-					inBase := rowBase + ix*inC
-					irow := rin[inBase : inBase+inC]
-					wBase := (ky*kw + kx) * inC * outC
-					for ic, av := range irow {
-						if av == 0 && a.skipZero {
-							continue
-						}
-						wo := wBase + ic*outC
-						wrow := rw[wo : wo+outC]
-						if a.fp16 {
-							numerics.HalfMulAddRow(accs, av, wrow)
-							continue
-						}
-						for c, wv := range wrow {
-							accs[c] += av * wv
-						}
-					}
-				}
-			}
+			convPixel(a, bi, oy, ox, 0, accs)
 			outBase := ((bi*a.oh+oy)*a.ow + ox) * outC
 			orow := out[outBase : outBase+outC][:len(accs)]
 			if bias != nil {
@@ -268,20 +299,7 @@ func denseTile(a *denseArgs, b0, b1, o0, o1 int) {
 	in, outN := a.in, a.outN
 	for b := b0; b < b1; b++ {
 		orow := out[b*outN+o0 : b*outN+o1]
-		irow := rin[b*in : (b+1)*in]
-		for i, av := range irow {
-			if av == 0 && a.skipZero {
-				continue
-			}
-			wrow := rw[i*outN+o0 : i*outN+o1][:len(orow)]
-			if a.fp16 {
-				numerics.HalfMulAddRow(orow, av, wrow)
-				continue
-			}
-			for o, wv := range wrow {
-				orow[o] += av * wv
-			}
-		}
+		mulAddPanel(a.fp16, a.skipZero, orow, rin[b*in:(b+1)*in], rw[o0:], outN)
 		if a.bias != nil {
 			bias := a.bias[o0:o1][:len(orow)]
 			for o := range orow {
@@ -349,29 +367,9 @@ func matmulTile(a *matmulArgs, i0, i1, j0, j1 int) {
 		arow := ra[i*k : (i+1)*k]
 		orow := out[i*n+j0 : i*n+j1]
 		if a.transposeB {
-			for j := range orow {
-				brow := rb[(j0+j)*k : (j0+j+1)*k][:len(arow)]
-				if a.fp16 {
-					orow[j] = numerics.HalfDot(orow[j], arow, brow)
-					continue
-				}
-				acc := orow[j]
-				for p, av := range arow {
-					acc += av * brow[p]
-				}
-				orow[j] = acc
-			}
+			dotRows(a.fp16, orow, arow, rb[j0*k:j1*k])
 		} else {
-			for p, av := range arow {
-				brow := rb[p*n+j0 : p*n+j1][:len(orow)]
-				if a.fp16 {
-					numerics.HalfMulAddRow(orow, av, brow)
-					continue
-				}
-				for j, wv := range brow {
-					orow[j] += av * wv
-				}
-			}
+			mulAddPanel(a.fp16, false, orow, arow, rb[j0:], n)
 		}
 		for j := range orow {
 			acc := orow[j]

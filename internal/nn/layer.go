@@ -207,6 +207,10 @@ type Site interface {
 	// ComputeNeuron recomputes the single output neuron at multi-index idx
 	// from the operand set, applying ov if non-nil.
 	ComputeNeuron(op *Operands, idx []int, ov *Override) float32
+	// ComputeNeurons stores in dst[i] what ComputeNeuron returns for
+	// neurons[i], bit for bit, recomputing a whole reuse set at the tile
+	// kernels' speed (recompute.go). dst must be as long as neurons.
+	ComputeNeurons(op *Operands, neurons [][]int, ov *Override, dst []float32)
 	// NeuronsUsingOperand returns the multi-indices of all output neurons
 	// whose computation consumes operand element (kind, flat), given the
 	// operand shapes in op. This is the full reuse set of the value.

@@ -93,15 +93,7 @@ func (l *MatMulSite) ComputeNeuron(op *Operands, idx []int, ov *Override) float3
 	// this is the per-fault hot loop (see Conv2D.ComputeNeuron).
 	ad, bd := a.Data(), b.Data()
 	bcols := b.Dim(1)
-	inFlat, wFlat := -1, -1
-	if ov != nil {
-		switch ov.Kind {
-		case OperandInput:
-			inFlat = ov.Flat
-		case OperandWeight:
-			wFlat = ov.Flat
-		}
-	}
+	inFlat, wFlat := ov.targets()
 	abase := i * k
 	var acc float32
 	for p := 0; p < k; p++ {

@@ -1,6 +1,7 @@
 package numerics
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -43,6 +44,34 @@ func BenchmarkHalfMulAddRow(b *testing.B) {
 		run("row", func() { HalfMulAddRow(acc, a[0], w) })
 		run("vec", func() { HalfMulAddVec(acc, a, w) })
 		run("dot", func() { acc[0] = HalfDot(0, a, w) })
+	}
+}
+
+// BenchmarkHalfMulAddPanel times the panel on the shapes the kernels hand it:
+// n output channels wide (72: a ninth chunk; the zoo's layers are 8–64), and
+// one pointwise position (16 rows), one 3×3×16 kernel row set (144) or one
+// 3×3×64 (576) long, a fifth of the activations zero and skipped, each with
+// the lanes off and on.
+func BenchmarkHalfMulAddPanel(b *testing.B) {
+	for _, n := range []int{8, 16, 32, 64, 72} {
+		for _, rows := range []int{16, 144, 576} {
+			a, _ := benchOperands(rows)
+			for i := 0; i < rows; i += 5 {
+				a[i] = 0
+			}
+			_, w := benchOperands(rows * n)
+			acc := make([]float32, n)
+			b.Run(fmt.Sprintf("n%d/rows%d", n, rows), func(b *testing.B) {
+				eachDispatch(b, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						clear(acc)
+						HalfMulAddPanel(acc, a, w, n, true)
+					}
+					b.ReportMetric(float64(b.N)*float64(rows*n)/b.Elapsed().Seconds(), "MAC/s")
+				})
+			})
+		}
 	}
 }
 

@@ -67,9 +67,49 @@ func halfRoundSmall(b, abs uint32) float32 {
 	return math.Float32frombits(math.Float32bits(r) | b&f32Sign)
 }
 
+// HalfMulAddPanel computes, for the rows i of a in ascending order,
+// acc[c] += RoundHalf(a[i] * w[i*stride+c]) for every c in acc: a run of
+// activations against the weight rows they meet, which is every row-shaped
+// inner loop of the nn kernels at once — the (kx, ic) run of one kernel row of
+// a convolution, the input features of a dense layer, the inner dimension of
+// a plain matmul — with acc a window of the output channels when stride is
+// wider than it. With skipZero, rows whose activation is +0 or -0 are skipped:
+// the caller vouches that every weight is finite and that acc started at +0
+// (DESIGN.md §7.2). Each accumulator takes its products in row order whoever
+// adds them (§7.4). w must reach index (len(a)-1)*stride + len(acc) - 1.
+func HalfMulAddPanel(acc, a, w []float32, stride int, skipZero bool) {
+	if len(a) == 0 || len(acc) == 0 {
+		return
+	}
+	_ = w[(len(a)-1)*stride+len(acc)-1]
+	if whole := len(acc) &^ (laneChunk - 1); hasAVX2 && whole > 0 {
+		for r := 0; r < len(a); r++ {
+			row, col := halfMulAddPanelAVX2(acc[:whole], a[r:], w[r*stride:], stride, skipZero)
+			if r += row; r == len(a) {
+				break
+			}
+			// The lanes stopped before chunk col of row r: the Go loop
+			// finishes that row's whole chunks and the lanes take the next.
+			halfMulAddRowGo(acc[col:whole], a[r], w[r*stride+col:r*stride+whole])
+		}
+		if whole == len(acc) {
+			return
+		}
+		acc, w = acc[whole:], w[whole:]
+	}
+	for i, av := range a {
+		if av == 0 && skipZero {
+			continue
+		}
+		halfMulAddRowGo(acc, av, w[i*stride:i*stride+len(acc)])
+	}
+}
+
 // HalfMulAddRow computes acc[i] += RoundHalf(a * w[i]) for every i in w: one
-// activation against one contiguous weight row (pointwise convolution, dense,
-// plain matmul). acc must be at least as long as w.
+// activation against one contiguous weight row, for a caller that holds one
+// activation at a time (the cycle-level reference's MAC cycle). It keeps its
+// own lanes: as a one-row panel a 16-wide call was 15% slower, all of it
+// argument traffic. acc must be at least as long as w.
 func HalfMulAddRow(acc []float32, a float32, w []float32) {
 	acc = acc[:len(w)]
 	if hasAVX2 {
@@ -159,34 +199,6 @@ func halfDotGo(acc float32, a, w []float32) float32 {
 	a = a[:len(w)]
 	for i, wv := range w {
 		b := math.Float32bits(a[i] * wv)
-		abs := b &^ f32Sign
-		switch {
-		case abs-f32HalfNormal < f32HalfOver-f32HalfNormal:
-			acc += math.Float32frombits((b + 0x0fff + (b >> 13 & 1)) &^ 0x1fff)
-		case abs < f32HalfNormal:
-			acc += halfRoundSmall(b, abs)
-		default:
-			acc += RoundHalfRef(math.Float32frombits(b))
-		}
-	}
-	return acc
-}
-
-// HalfDotStrided returns acc + Σ RoundHalf(RoundHalf(a[i]) * w[i*stride]),
-// added in ascending i: one output neuron of a convolution or dense layer,
-// whose weights sit a row apart in a (…, in, out) tensor. Unlike the tile
-// kernels' callers, a per-neuron recompute reads its activations as stored,
-// so they are rounded here; w is already rounded. w must reach index
-// (len(a)-1)*stride; the gather keeps one bounds check per element.
-func HalfDotStrided(acc float32, a, w []float32, stride int) float32 {
-	for i, av := range a {
-		// Almost every stored activation is already a normal half or ±0;
-		// only the rest pay for the call.
-		if ab := math.Float32bits(av); ab&0x1fff != 0 ||
-			ab&^f32Sign-f32HalfNormal >= f32HalfOver-f32HalfNormal && ab&^f32Sign != 0 {
-			av = RoundHalf(av)
-		}
-		b := math.Float32bits(av * w[i*stride])
 		abs := b &^ f32Sign
 		switch {
 		case abs-f32HalfNormal < f32HalfOver-f32HalfNormal:

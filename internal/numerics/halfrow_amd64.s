@@ -3,7 +3,8 @@
 // round like one). Every routine walks whole 8-element chunks from the front
 // of its operands and stops before the first chunk in which some lane is at
 // or past f32HalfOver — an overflowing product, ±Inf or NaN — returning how
-// many elements it finished; the Go loops own that band and every tail.
+// many elements it finished (the panel: the row and column it stopped at);
+// the Go loops own that band and every tail.
 //
 // VEX encodings only, and VZEROUPPER before every RET: one legacy-SSE
 // instruction with dirty upper YMM halves costs a state transition of about a
@@ -105,6 +106,60 @@ loop:
 	JLT          loop
 done:
 	MOVQ         AX, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// func halfMulAddPanelAVX2(acc, a, w []float32, stride int, skipZero bool) (row, col int)
+//
+// acc[c] += R(a[i]*w[i*stride+c]) for the rows i of a in ascending order and
+// the whole chunks c of acc, accumulators in memory: a row's second chunk does
+// not wait for its first, and the next row's load of a chunk forwards from
+// this row's store. With skipZero a row whose activation is +0 or -0 is
+// stepped over (DESIGN.md 7.2). Returns row = len(a) when every row is done,
+// or the (row, col) of the first chunk with a lane in the rare band, nothing
+// of that chunk stored: rows before it are finished, that row up to col.
+TEXT ·halfMulAddPanelAVX2(SB), NOSPLIT, $0-104
+	MOVQ         acc_base+0(FP), DI
+	MOVQ         acc_len+8(FP), CX
+	MOVQ         a_base+24(FP), DX
+	MOVQ         a_len+32(FP), R8
+	MOVQ         w_base+48(FP), SI
+	MOVQ         stride+72(FP), R9
+	MOVBLZX      skipZero+80(FP), R10
+	LANECONSTS
+	SHLQ         $2, R9 // a row of w, in bytes
+	XORQ         BX, BX
+	ANDQ         $-8, CX
+	JZ           alldone
+	TESTQ        R8, R8
+	JZ           alldone
+rowloop:
+	TESTQ        R10, R10
+	JZ           mul
+	MOVL         (DX)(BX*4), R11
+	SHLL         $1, R11 // drops the sign: ZF on +0 and -0
+	JZ           next
+mul:
+	VBROADCASTSS (DX)(BX*4), Y7
+	XORQ         AX, AX
+loop:
+	VMULPS       (SI)(AX*4), Y7, Y0
+	ROUND8(done)
+	VADDPS       (DI)(AX*4), Y3, Y3
+	VMOVUPS      Y3, (DI)(AX*4)
+	ADDQ         $8, AX
+	CMPQ         AX, CX
+	JLT          loop
+next:
+	ADDQ         R9, SI
+	INCQ         BX
+	CMPQ         BX, R8
+	JLT          rowloop
+alldone:
+	MOVQ         R8, BX
+done:
+	MOVQ         BX, row+88(FP)
+	MOVQ         AX, col+96(FP)
 	VZEROUPPER
 	RET
 

@@ -151,13 +151,12 @@ func FuzzHalfRow(f *testing.F) {
 		}
 		const acc0 = 0.25
 		wantRow, wantVec, wantRound := make([]float32, len(w)), make([]float32, len(w)), make([]float32, len(w))
-		var wantDot, wantStrided float32 = acc0, acc0
+		var wantDot float32 = acc0
 		for i, wv := range w {
 			wantRow[i] = acc0 + RoundHalfRef(a*wv)
 			wantVec[i] = acc0 + RoundHalfRef(av[i]*wv)
 			wantRound[i] = RoundHalfRef(wv)
 			wantDot += RoundHalfRef(av[i] * wv)
-			wantStrided += RoundHalfRef(RoundHalfRef(av[i]) * wv)
 		}
 		acc := make([]float32, len(w))
 		for _, lanes := range []bool{false, detected} {
@@ -183,10 +182,156 @@ func FuzzHalfRow(f *testing.F) {
 			check("HalfMulAddVec", acc, wantVec)
 			MustCodec(FP16, 0).RoundInto(acc, w)
 			check("RoundInto", acc, wantRound)
-			// A NaN anywhere makes both sums NaN, so the dots compare whole.
+			// A NaN anywhere makes the sum NaN, so the dot compares whole.
 			check("HalfDot", []float32{HalfDot(acc0, av, w)}, []float32{wantDot})
-			check("HalfDotStrided", []float32{HalfDotStrided(acc0, av, w, 1)}, []float32{wantStrided})
 		}
+	})
+}
+
+// panelRef is HalfMulAddPanel's definition through RoundHalfRef: one product,
+// one rounding and one add at a time, rows of ±0 activations left out under
+// skipZero.
+func panelRef(acc, a, w []float32, stride int, skipZero bool) {
+	for i, av := range a {
+		if av == 0 && skipZero {
+			continue
+		}
+		for c := range acc {
+			acc[c] += RoundHalfRef(av * w[i*stride+c])
+		}
+	}
+}
+
+// checkPanel holds HalfMulAddPanel to its definition and to HalfMulAddRow
+// taken row by row, with the lanes off and as detected, from accumulators
+// that start at acc0. It restores hasAVX2.
+func checkPanel(t *testing.T, label string, acc0, a, w []float32, stride int, skipZero bool) {
+	t.Helper()
+	detected := hasAVX2
+	defer func() { hasAVX2 = detected }()
+	want := append([]float32(nil), acc0...)
+	panelRef(want, a, w, stride, skipZero)
+	for _, lanes := range []bool{false, detected} {
+		hasAVX2 = lanes
+		panel, rows := append([]float32(nil), acc0...), append([]float32(nil), acc0...)
+		HalfMulAddPanel(panel, a, w, stride, skipZero)
+		for i, av := range a {
+			if av == 0 && skipZero {
+				continue
+			}
+			HalfMulAddRow(rows, av, w[i*stride:i*stride+len(rows)])
+		}
+		for c := range want {
+			if !sameValue(panel[c], want[c]) || !sameValue(rows[c], want[c]) {
+				t.Fatalf("%s (lanes %v, %d rows × %d, stride %d, skipZero %v): acc[%d] = %#08x as a panel, %#08x row by row, want %#08x",
+					label, lanes, len(a), len(acc0), stride, skipZero, c,
+					math.Float32bits(panel[c]), math.Float32bits(rows[c]), math.Float32bits(want[c]))
+			}
+		}
+	}
+}
+
+// TestPanelMatchesRows holds the panel to its rows and to RoundHalfRef: on
+// random panels of every width from 0 to 41 (no chunk, whole chunks, a tail)
+// at strides at and past the width, from no row to 20, a third of the
+// activations ±0, skipped and not; and with a value of the rare band planted so
+// that the lanes bail in the first chunk, the last chunk and the tail of the
+// first, a middle and the last row — the rows behind a bail, and the chunks of
+// its row before it, must come out as if it had not happened. Under skipZero a
+// zero activation meets an Inf weight too: skipped, its NaN must not appear.
+func TestPanelMatchesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	negZero := float32(math.Copysign(0, -1))
+	draw := func(n int, sd float64, zeros bool) []float32 {
+		s := make([]float32, n)
+		for i := range s {
+			s[i] = RoundHalf(float32(rng.NormFloat64() * sd))
+			if zeros && i%3 == 0 {
+				s[i] = []float32{0, negZero}[rng.Intn(2)]
+			}
+		}
+		return s
+	}
+	for n := 0; n <= 41; n++ {
+		for _, rows := range []int{0, 1, 2, 7, 20} {
+			stride := n + rng.Intn(3)*rng.Intn(9)
+			a, w := draw(rows, 1, true), draw(rows*stride+n, 0.05, false)
+			for _, skipZero := range []bool{false, true} {
+				checkPanel(t, "random", draw(n, 1, false), a, w, stride, skipZero)
+			}
+		}
+	}
+	inf := float32(math.Inf(1))
+	const n, rows, stride = 3*laneChunk + 3, 6, 3*laneChunk + 5
+	for _, sp := range []float32{inf, -inf, float32(math.NaN()), 65504 /* × 2 overflows */} {
+		for _, row := range []int{0, 3, rows - 1} {
+			for _, col := range []int{2, 2*laneChunk + 7, n - 1} {
+				a, w := draw(rows, 1, false), draw(rows*stride, 0.05, false)
+				a[row] = 2
+				w[row*stride+col] = sp
+				checkPanel(t, fmt.Sprintf("%v at row %d col %d", sp, row, col), draw(n, 1, false), a, w, stride, false)
+				// The same row skipped: the rare value is never multiplied.
+				a[row] = negZero
+				checkPanel(t, fmt.Sprintf("%v at skipped row %d col %d", sp, row, col), draw(n, 1, false), a, w, stride, true)
+			}
+		}
+	}
+}
+
+// FuzzHalfPanel holds HalfMulAddPanel to its definition and to its rows on
+// arbitrary float32 bit patterns: data is cut into the activations and then
+// the weight rows, width below and above a chunk, stride at or past it. The
+// seeds bail in the first chunk, the last chunk and the last row, run a panel
+// narrower than a chunk and one with stride past the width, and skip rows of
+// +0 and -0 activations against weights that would have made NaNs of them.
+func FuzzHalfPanel(f *testing.F) {
+	pack := func(vals ...float32) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+		}
+		return b
+	}
+	// panel returns rows activations (the given ones, then 1s) and rows×stride
+	// weights of 0.5 with sp at (row, col).
+	panel := func(rows, stride, row, col int, sp float32, a ...float32) []byte {
+		vals := make([]float32, rows+rows*stride)
+		for i := range vals {
+			vals[i] = 0.5
+			if i < rows {
+				vals[i] = 1
+			}
+		}
+		copy(vals, a)
+		vals[rows+row*stride+col] = sp
+		return pack(vals...)
+	}
+	inf, negZero := float32(math.Inf(1)), float32(math.Copysign(0, -1))
+	f.Add(uint8(16), uint8(0), false, panel(3, 16, 0, 1, inf))                     // bail in the first chunk
+	f.Add(uint8(16), uint8(0), false, panel(3, 16, 1, 15, float32(math.NaN())))    // bail in the last chunk
+	f.Add(uint8(19), uint8(0), false, panel(3, 19, 2, 9, 65536))                   // bail in the last row
+	f.Add(uint8(19), uint8(0), false, panel(3, 19, 1, 18, inf))                    // a rare value in the tail
+	f.Add(uint8(8), uint8(5), true, panel(4, 13, 2, 3, 1e-7))                      // stride > n
+	f.Add(uint8(5), uint8(0), true, panel(4, 5, 0, 0, -inf))                       // n < 8
+	f.Add(uint8(9), uint8(2), true, panel(3, 11, 1, 4, inf, 0, negZero, 0))        // all-zero rows, skipped
+	f.Add(uint8(9), uint8(2), false, panel(3, 11, 1, 4, inf, 0, negZero, 0))       // and multiplied: 0·Inf
+	f.Add(uint8(24), uint8(1), true, panel(5, 25, 4, 23, 3e-6, 2, negZero, -1, 0)) // -0 among live rows
+	f.Fuzz(func(t *testing.T, width, gap uint8, skipZero bool, data []byte) {
+		n, stride := int(width%42), int(width%42)+int(gap%7)
+		vals := make([]float32, len(data)/4)
+		for i := range vals {
+			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		rows := len(vals) / (1 + stride)
+		if stride == 0 {
+			rows = min(len(vals), 4)
+		}
+		a, w := vals[:rows], vals[rows:]
+		acc0 := make([]float32, n)
+		for c := range acc0 {
+			acc0[c] = 0.25
+		}
+		checkPanel(t, "fuzz", acc0, a, w, stride, skipZero)
 	})
 }
 

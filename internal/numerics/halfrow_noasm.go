@@ -9,6 +9,10 @@ var hasAVX2 = false
 
 func halfMulAddRowAVX2(acc []float32, a float32, w []float32) int { return 0 }
 
+func halfMulAddPanelAVX2(acc, a, w []float32, stride int, skipZero bool) (row, col int) {
+	return 0, 0
+}
+
 func halfMulAddVecAVX2(acc, a, w []float32) int { return 0 }
 
 func halfDotAVX2(acc float32, a, w []float32) (sum float32, n int) { return acc, 0 }

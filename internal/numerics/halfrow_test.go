@@ -68,11 +68,6 @@ func testHalfRowMatchesRef(t *testing.T) {
 	const acc0 = 0.25
 	acc := make([]float32, len(halves))
 	mvec := make([]float32, len(halves))
-	const stride = 3
-	strided := make([]float32, len(halves)*stride)
-	for i, h := range halves {
-		strided[i*stride] = h
-	}
 	for _, m := range ms {
 		want := func(i int) float32 { return acc0 + RoundHalfRef(m*halves[i]) }
 		fail := func(prim string, i int, got float32) {
@@ -100,22 +95,16 @@ func testHalfRowMatchesRef(t *testing.T) {
 			}
 		}
 
-		// The dot forms carry one accumulator through a run of products, so
+		// The dot form carries one accumulator through a run of products, so
 		// compare runs of 8 against the same sum taken product by product.
-		// HalfDotStrided rounds its activations itself: hand it m unrounded.
 		for lo := 0; lo < len(halves); lo += 8 {
-			var ref, refStrided float32 = acc0, acc0
+			var ref float32 = acc0
 			for i := lo; i < lo+8; i++ {
 				ref += RoundHalfRef(m * halves[i])
-				refStrided += RoundHalfRef(RoundHalfRef(m) * halves[i])
 			}
 			if got := HalfDot(acc0, mvec[lo:lo+8], halves[lo:lo+8]); !sameValue(got, ref) {
 				t.Fatalf("HalfDot: %v × halves %#04x…: %v [%#08x], want %v [%#08x]",
 					m, lo, got, math.Float32bits(got), ref, math.Float32bits(ref))
-			}
-			if got := HalfDotStrided(acc0, mvec[lo:lo+8], strided[lo*stride:], stride); !sameValue(got, refStrided) {
-				t.Fatalf("HalfDotStrided: %v × halves %#04x…: %v [%#08x], want %v [%#08x]",
-					m, lo, got, math.Float32bits(got), refStrided, math.Float32bits(refStrided))
 			}
 		}
 	}
