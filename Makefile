@@ -71,8 +71,10 @@ bench-smoke:
 
 # The kernels' "bounds-check free" claim, checked: builds internal/nn and
 # internal/numerics with -gcflags=-d=ssa/check_bce and fails if the compiler
-# kept a bounds check inside an innermost loop of kernels.go or of a row
-# primitive in halfrow.go (cmd/bcecheck).
+# kept a bounds check inside an innermost loop of kernels.go, of a row
+# primitive in halfrow.go, or of a row epilogue — Codec.SaturateInto
+# (bitflip.go), the rectifier rows (activation.go), the residual add and the
+# batch-norm rows (block.go) (cmd/bcecheck).
 bce:
 	$(GO) run ./cmd/bcecheck
 

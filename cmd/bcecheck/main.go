@@ -1,13 +1,16 @@
 // Command bcecheck fails when the compiler leaves a bounds check inside an
 // innermost loop of the kernel hot paths: internal/nn/kernels.go, the row
-// primitives of internal/numerics/halfrow.go, and the replay engine's diff
-// scans in internal/nn/region.go. Their headers claim the per-element loops
-// are bounds-check free; this keeps the claim true.
+// primitives of internal/numerics/halfrow.go, the row epilogues
+// (Codec.SaturateInto in internal/numerics/bitflip.go, the rectifier rows of
+// internal/nn/activation.go, the residual add and the batch-norm rows of
+// internal/nn/block.go) and the replay engine's diff scans in
+// internal/nn/region.go. Their headers claim the per-element loops are
+// bounds-check free; this keeps the claim true.
 //
 // It builds the two packages with -gcflags=-d=ssa/check_bce, which reports
 // every check the compiler could not prove away as "file:line:col: Found
 // IsInBounds" (or IsSliceInBounds), and compares the positions with the
-// innermost for-statements of the two files. Checks outside a loop, or in a
+// innermost for-statements of those files. Checks outside a loop, or in a
 // loop that contains another loop, are per-row set-up and are allowed.
 //
 //	go run ./cmd/bcecheck        (from the module root; `make bce`)
@@ -29,14 +32,18 @@ import (
 // functions exempt in each: the primitives that dispatch to the AVX2 lanes
 // loop once per chunk — the panel once per row — the lanes left to the Go
 // loop, slicing as they go; their per-element loops are the ...Go functions
-// beside them, which are checked. dotRows likewise slices one operand row per
-// output for dotRow, which is checked, as are mulAddPanel and convPixel: the
+// beside them, which are checked, as are mulAddPanel, dotRow and convPixel: the
 // loops behind every tile and every run of recompute.go. boxify and diffSpanBox
 // likewise loop once per tensor row, slicing it out; their per-element loops
-// are firstDiff and lastDiff, which are checked.
+// are firstDiff and lastDiff, which are checked; matmulTile loops once per
+// output row over mulAddPanel and scaleSaturate. InitRandom fills a layer's
+// parameters once, through the tensor's accessors.
 var hotFiles = map[string]map[string]bool{
-	"internal/nn/kernels.go": {"dotRows": true},
-	"internal/nn/region.go":  {"boxify": true, "diffSpanBox": true},
+	"internal/nn/kernels.go":       {"matmulTile": true},
+	"internal/nn/activation.go":    {},
+	"internal/nn/block.go":         {"InitRandom": true},
+	"internal/nn/region.go":        {"boxify": true, "diffSpanBox": true},
+	"internal/numerics/bitflip.go": {},
 	"internal/numerics/halfrow.go": {
 		"HalfMulAddPanel": true,
 		"HalfMulAddRow":   true, "HalfMulAddVec": true, "HalfDot": true, "halfRoundInto": true,

@@ -11,8 +11,10 @@ import (
 // Activation applies an elementwise function and rounds the result through
 // the datapath codec (activations pass through SDP registers in NVDLA).
 type Activation struct {
-	name  string
-	f     func(float32) float32
+	name string
+	// row stores f(x[i]) in out[i] for every i in x; out is as long as x and
+	// may be x itself.
+	row   func(out, x []float32)
 	codec numerics.Codec
 }
 
@@ -28,59 +30,73 @@ func (l *Activation) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	}, nil, x)
 }
 
-// apply stores Round(f(x[i])) in out[i] for every i in x: the function value
-// by value, the rounding over the whole run at once (Codec.RoundInto).
+// apply stores Round(f(x[i])) in out[i] for every i in x: the function and
+// the rounding (Codec.RoundInto) each over the whole run at once.
 func (l *Activation) apply(out, x []float32) {
 	out = out[:len(x)]
-	for i, v := range x {
-		out[i] = l.f(v)
-	}
+	l.row(out, x)
 	l.codec.RoundInto(out, out)
 }
+
+// The rectifiers are plain compares, not the min and max builtins: those
+// propagate NaN and order the zeros, and what a rectifier makes of NaN and of
+// -0 is part of what a fault propagates. ReLU sends both to +0; ReLU6 and the
+// clamp pass both through; the leaky rectifier scales them.
+// TestRectifierRowsMatchScalar pins each row to its scalar definition.
 
 // NewReLU builds a rectified linear activation. ReLU is the dominant masking
 // mechanism for negative-going faulty neurons in CNNs.
 func NewReLU(name string, codec numerics.Codec) *Activation {
-	return &Activation{name: name, codec: codec, f: func(v float32) float32 {
-		if v > 0 {
-			return v
+	return &Activation{name: name, codec: codec, row: func(out, x []float32) {
+		out = out[:len(x)]
+		for i, v := range x {
+			if v > 0 {
+				out[i] = v
+			} else {
+				out[i] = 0
+			}
 		}
-		return 0
 	}}
 }
 
 // NewLeakyReLU builds a leaky rectifier (used in Yolo backbones).
 func NewLeakyReLU(name string, alpha float32, codec numerics.Codec) *Activation {
-	return &Activation{name: name, codec: codec, f: func(v float32) float32 {
-		if v > 0 {
-			return v
+	return &Activation{name: name, codec: codec, row: func(out, x []float32) {
+		out = out[:len(x)]
+		for i, v := range x {
+			if v > 0 {
+				out[i] = v
+			} else {
+				out[i] = alpha * v
+			}
 		}
-		return alpha * v
 	}}
 }
 
 // NewSigmoid builds a logistic activation (Yolo heads, LSTM gates).
 func NewSigmoid(name string, codec numerics.Codec) *Activation {
-	return &Activation{name: name, codec: codec, f: sigmoid}
+	return &Activation{name: name, codec: codec, row: mapRow(sigmoid)}
 }
 
 // NewTanh builds a hyperbolic-tangent activation (LSTM cells).
 func NewTanh(name string, codec numerics.Codec) *Activation {
-	return &Activation{name: name, codec: codec, f: func(v float32) float32 {
+	return &Activation{name: name, codec: codec, row: mapRow(func(v float32) float32 {
 		return float32(math.Tanh(float64(v)))
-	}}
+	})}
 }
 
 // NewRelu6 builds the clipped rectifier used by MobileNet.
 func NewRelu6(name string, codec numerics.Codec) *Activation {
-	return &Activation{name: name, codec: codec, f: func(v float32) float32 {
-		switch {
-		case v < 0:
-			return 0
-		case v > 6:
-			return 6
-		default:
-			return v
+	return &Activation{name: name, codec: codec, row: func(out, x []float32) {
+		out = out[:len(x)]
+		for i, v := range x {
+			switch {
+			case v < 0:
+				v = 0
+			case v > 6:
+				v = 6
+			}
+			out[i] = v
 		}
 	}}
 }
@@ -95,16 +111,29 @@ func NewClamp(name string, bound float32, codec numerics.Codec) *Activation {
 	if bound <= 0 {
 		panic(fmt.Sprintf("nn: clamp bound must be positive, got %v", bound))
 	}
-	return &Activation{name: name, codec: codec, f: func(v float32) float32 {
-		switch {
-		case v > bound:
-			return bound
-		case v < -bound:
-			return -bound
-		default:
-			return v
+	return &Activation{name: name, codec: codec, row: func(out, x []float32) {
+		out = out[:len(x)]
+		for i, v := range x {
+			switch {
+			case v > bound:
+				v = bound
+			case v < -bound:
+				v = -bound
+			}
+			out[i] = v
 		}
 	}}
+}
+
+// mapRow is the row form of a function that has none of its own: one call per
+// element (the transcendentals, whose cost is the call's).
+func mapRow(f func(float32) float32) func(out, x []float32) {
+	return func(out, x []float32) {
+		out = out[:len(x)]
+		for i, v := range x {
+			out[i] = f(v)
+		}
+	}
 }
 
 func sigmoid(v float32) float32 {

@@ -64,7 +64,6 @@ func (l *MultiHeadAttention) Forward(x *tensor.Tensor, ctx *Context) *tensor.Ten
 	if x.Rank() != 2 || x.Dim(1) != l.DModel {
 		panic(fmt.Sprintf("nn: %s expects (seq,%d), got %v", l.name, l.DModel, x.Shape()))
 	}
-	seq := x.Dim(0)
 	q := l.WQ.Forward(x, ctx)
 	k := l.WK.Forward(x, ctx)
 	v := l.WV.Forward(x, ctx)
@@ -80,9 +79,7 @@ func (l *MultiHeadAttention) Forward(x *tensor.Tensor, ctx *Context) *tensor.Ten
 		headsOut[h] = l.AV.Run(attn, vh, ctx) // (seq, dHead)
 	}
 	concat := ctx.glue(l, func() *tensor.Tensor { return tensor.Concat(1, headsOut...) }, headsOut...)
-	out := l.WO.Forward(concat, ctx)
-	_ = seq
-	return out
+	return l.WO.Forward(concat, ctx)
 }
 
 // sliceCols copies columns [start, start+n) of a rank-2 tensor.

@@ -66,7 +66,9 @@ func BenchmarkDenseTile(b *testing.B) {
 	reportMACs(b, 512*256)
 }
 
-// BenchmarkMatMulTile times a 64×64×64 FP16 product in both operand layouts.
+// BenchmarkMatMulTile times a 64×64×64 FP16 product in both operand layouts:
+// the tile alone, and with what MatMulSite.Run adds for a TransposeB operand,
+// its once-per-execution transpose and rounding.
 func BenchmarkMatMulTile(b *testing.B) {
 	rng := rand.New(rand.NewSource(33))
 	codec := numerics.MustCodec(numerics.FP16, 0)
@@ -74,24 +76,65 @@ func BenchmarkMatMulTile(b *testing.B) {
 	ta.RandNormal(rng, 1)
 	tb.RandNormal(rng, 1)
 	out := make([]float32, 64*64)
+	a := &matmulArgs{
+		ra: codec.RoundSlice(ta.Data()), rb: codec.RoundSlice(tb.Data()), out: out,
+		m: 64, k: 64, n: 64, fp16: true, codec: codec,
+	}
 	for _, transposeB := range []bool{false, true} {
 		name := "plain"
 		if transposeB {
 			name = "transposeB"
 		}
-		a := &matmulArgs{
-			ra: codec.RoundSlice(ta.Data()), rb: codec.RoundSlice(tb.Data()), out: out,
-			m: 64, k: 64, n: 64, transposeB: transposeB, fp16: true, codec: codec,
-		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				if transposeB {
+					transposeInto(a.rb, tb.Data(), 64, 64)
+					codec.RoundInto(a.rb, a.rb)
+				}
 				clear(out)
 				matmulTile(a, 0, 64, 0, 64)
 			}
 			reportMACs(b, 64*64*64)
 		})
 	}
+}
+
+// BenchmarkActivationApply times the two rectifiers of the zoo over one
+// 16×16×16 FP16 map of N(0, 3²) values — half of them negative, a few past 6 —
+// function and rounding.
+func BenchmarkActivationApply(b *testing.B) {
+	rng := rand.New(rand.NewSource(35))
+	codec := numerics.MustCodec(numerics.FP16, 0)
+	x := tensor.New(1, 16, 16, 16)
+	x.RandNormal(rng, 3)
+	out := make([]float32, x.Size())
+	for _, l := range []*Activation{NewReLU("relu", codec), NewRelu6("relu6", codec)} {
+		b.Run(l.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l.apply(out, x.Data())
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(out)), "ns/element")
+		})
+	}
+}
+
+// BenchmarkResidualAdd times the add-and-round of a residual block whose body
+// and shortcut are both the identity, on a 16×16×16 FP16 map: one output
+// tensor allocated, the sum, the rounding.
+func BenchmarkResidualAdd(b *testing.B) {
+	rng := rand.New(rand.NewSource(36))
+	codec := numerics.MustCodec(numerics.FP16, 0)
+	x := tensor.New(1, 16, 16, 16)
+	x.RandNormal(rng, 1)
+	l := NewResidual("res", NewSequential("body"), nil, codec)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Forward(x, nil)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.Size()), "ns/element")
 }
 
 // BenchmarkComputeNeuron times the per-neuron recompute a datapath fault

@@ -38,10 +38,12 @@ func (l *Residual) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	}
 	return ctx.glue(l, func() *tensor.Tensor {
 		out := ctx.newTensor(b.Shape()...)
-		od, bd, sd := out.Data(), b.Data(), s.Data()
+		od := out.Data()
+		bd, sd := b.Data()[:len(od)], s.Data()[:len(od)]
 		for i := range od {
-			od[i] = l.codec.Round(bd[i] + sd[i])
+			od[i] = bd[i] + sd[i]
 		}
+		l.codec.RoundInto(od, od)
 		return out
 	}, b, s)
 }
@@ -70,9 +72,9 @@ func (l *Branches) children() []Layer { return l.Paths }
 
 // Forward implements Layer.
 func (l *Branches) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	outs := make([]*tensor.Tensor, len(l.Paths))
-	for i, p := range l.Paths {
-		outs[i] = p.Forward(x, ctx)
+	outs := make([]*tensor.Tensor, 0, len(l.Paths))
+	for _, p := range l.Paths {
+		outs = append(outs, p.Forward(x, ctx))
 	}
 	return ctx.glue(l, func() *tensor.Tensor {
 		return tensor.Concat(l.Axis, outs...)

@@ -233,69 +233,53 @@ func (l *Conv2D) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
 	return finishNeuron(l.codec, op.B, ov, oc, acc)
 }
 
-// NeuronsUsingOperand implements Site.
+// NeuronsUsingOperand implements Site. Every reuse set of a convolution is a
+// box of the output: batches × rows × columns × channels, enumerated in that
+// order.
 func (l *Conv2D) NeuronsUsingOperand(op *Operands, kind OperandKind, flat int) [][]int {
 	os := l.OutputShape(op.In.Shape())
 	n, oh, ow := os[0], os[1], os[2]
-	var out [][]int
+	b0, b1, oy0, oy1, ox0, ox1, c0, c1 := 0, n, 0, oh, 0, ow, 0, l.OutC
 	switch kind {
 	case OperandInput:
-		ii := op.In.Unflatten(flat)
-		b, iy, ix := ii[0], ii[1], ii[2]
-		ic := ii[3]
-		// Output rows oy with oy*Stride + ky - Pad == iy for some ky in [0,KH).
-		for oy := 0; oy < oh; oy++ {
-			ky := iy - oy*l.Stride + l.Pad
-			if ky < 0 || ky >= l.KH {
-				continue
-			}
-			for ox := 0; ox < ow; ox++ {
-				kx := ix - ox*l.Stride + l.Pad
-				if kx < 0 || kx >= l.KW {
-					continue
-				}
-				if l.Depthwise {
-					out = append(out, []int{b, oy, ox, ic})
-					continue
-				}
-				for oc := 0; oc < l.OutC; oc++ {
-					out = append(out, []int{b, oy, ox, oc})
-				}
-			}
+		h, w := op.In.Dim(1), op.In.Dim(2)
+		ic, ix, iy, b := flat%l.InC, flat/l.InC%w, flat/(l.InC*w)%h, flat/(l.InC*w*h)
+		// The output rows oy with oy*Stride + ky - Pad == iy for some ky in
+		// [0,KH) are one range, and the columns likewise; all output channels
+		// read the value, or its own one in a depthwise layer.
+		b0, b1 = b, b+1
+		oy0, oy1 = windowRange(iy, iy+1, l.KH, l.Stride, l.Pad, oh)
+		ox0, ox1 = windowRange(ix, ix+1, l.KW, l.Stride, l.Pad, ow)
+		if l.Depthwise {
+			c0, c1 = ic, ic+1
 		}
 	case OperandWeight:
-		wi := l.W.Unflatten(flat)
-		if l.Depthwise {
-			c := wi[2]
-			for b := 0; b < n; b++ {
-				for oy := 0; oy < oh; oy++ {
-					for ox := 0; ox < ow; ox++ {
-						out = append(out, []int{b, oy, ox, c})
-					}
-				}
-			}
-			break
-		}
-		oc := wi[3]
-		// Every spatial position of output channel oc, all batches.
-		for b := 0; b < n; b++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					out = append(out, []int{b, oy, ox, oc})
-				}
-			}
-		}
+		// Every spatial position of the weight's output channel, all batches:
+		// the last axis of W that is not 1 (InC of a depthwise layer).
+		c0 = flat % l.OutC
+		c1 = c0 + 1
 	case OperandBias:
-		oc := flat
-		for b := 0; b < n; b++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					out = append(out, []int{b, oy, ox, oc})
+		c0, c1 = flat, flat+1
+	case OperandOutput:
+		return [][]int{op.Out.Unflatten(flat)}
+	default:
+		return nil
+	}
+	if oy0 >= oy1 || ox0 >= ox1 {
+		return nil
+	}
+	out := indexTuples((b1-b0)*(oy1-oy0)*(ox1-ox0)*(c1-c0), 4)
+	i := 0
+	for b := b0; b < b1; b++ {
+		for oy := oy0; oy < oy1; oy++ {
+			for ox := ox0; ox < ox1; ox++ {
+				for oc := c0; oc < c1; oc++ {
+					idx := out[i]
+					idx[0], idx[1], idx[2], idx[3] = b, oy, ox, oc
+					i++
 				}
 			}
 		}
-	case OperandOutput:
-		out = append(out, op.Out.Unflatten(flat))
 	}
 	return out
 }

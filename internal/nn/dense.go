@@ -135,26 +135,26 @@ func (l *Dense) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
 // neuron o in every batch.
 func (l *Dense) NeuronsUsingOperand(op *Operands, kind OperandKind, flat int) [][]int {
 	batch := op.In.Dim(0)
-	var out [][]int
 	switch kind {
 	case OperandInput:
-		ii := op.In.Unflatten(flat)
-		b := ii[0]
-		for o := 0; o < l.Out; o++ {
-			out = append(out, []int{b, o})
+		b := flat / l.In
+		out := indexTuples(l.Out, 2)
+		for o, idx := range out {
+			idx[0], idx[1] = b, o
 		}
-	case OperandWeight:
-		wi := l.W.Unflatten(flat)
-		o := wi[1]
-		for b := 0; b < batch; b++ {
-			out = append(out, []int{b, o})
+		return out
+	case OperandWeight, OperandBias:
+		o := flat // the bias element is the neuron's column
+		if kind == OperandWeight {
+			o = flat % l.Out
 		}
-	case OperandBias:
-		for b := 0; b < batch; b++ {
-			out = append(out, []int{b, flat})
+		out := indexTuples(batch, 2)
+		for b, idx := range out {
+			idx[0], idx[1] = b, o
 		}
+		return out
 	case OperandOutput:
-		out = append(out, op.Out.Unflatten(flat))
+		return [][]int{op.Out.Unflatten(flat)}
 	}
-	return out
+	return nil
 }

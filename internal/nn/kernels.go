@@ -93,9 +93,9 @@ type convArgs struct {
 // acc, the FP16 product rounded through the half encoding (one call into the
 // lanes for the whole run, numerics.HalfMulAddPanel). With skipZero the rows of
 // ±0 activations are skipped (convArgs.skipZero). a is one kernel row's
-// (kx, ic) run of a convolution, a dense layer's input features or a plain
-// matmul's inner dimension; acc is all of the output's last axis, or a window
-// of it when stride is wider.
+// (kx, ic) run of a convolution, a dense layer's input features or a matmul's
+// inner dimension; acc is all of the output's last axis, or a window of it
+// when stride is wider.
 func mulAddPanel(fp16, skipZero bool, acc, a, w []float32, stride int) {
 	if fp16 {
 		numerics.HalfMulAddPanel(acc, a, w, stride, skipZero)
@@ -114,8 +114,8 @@ func mulAddPanel(fp16, skipZero bool, acc, a, w []float32, stride int) {
 }
 
 // dotRow returns acc + Σ a[i]·w[i] added in ascending i, the FP16 product
-// rounded through the half encoding: one output of a matmul against a
-// transposed operand, or one neuron against its gathered weight column.
+// rounded through the half encoding: one neuron against its gathered weight
+// column.
 func dotRow(fp16 bool, acc float32, a, w []float32) float32 {
 	if fp16 {
 		return numerics.HalfDot(acc, a, w)
@@ -133,15 +133,6 @@ func dotRow(fp16 bool, acc float32, a, w []float32) float32 {
 // offset falls into the padding.
 func kernelSpan(o, stride, pd, k, n int) (lo, hi int) {
 	return max(pd-o*stride, 0), min(n+pd-o*stride, k)
-}
-
-// dotRows adds to out[j] the dot product of a with row j of w, whose rows are
-// as long as a: dotRow per output, the matmul against a transposed operand.
-func dotRows(fp16 bool, out, a, w []float32) {
-	k := len(a)
-	for j := range out {
-		out[j] = dotRow(fp16, out[j], a, w[j*k:(j+1)*k])
-	}
 }
 
 // convPixel accumulates output channels [c0, c0+len(accs)) of pixel (oy, ox)
@@ -204,12 +195,11 @@ func convTile(a *convArgs, bi, oy0, oy1, ox0, ox1 int, accs []float32) {
 			if bias != nil {
 				bias := bias[:len(accs)]
 				for c, acc := range accs {
-					orow[c] = a.codec.Saturate(acc + bias[c])
+					orow[c] = acc + bias[c]
 				}
+				a.codec.SaturateInto(orow, orow)
 			} else {
-				for c, acc := range accs {
-					orow[c] = a.codec.Saturate(acc)
-				}
+				a.codec.SaturateInto(orow, accs)
 			}
 		}
 	}
@@ -303,13 +293,10 @@ func denseTile(a *denseArgs, b0, b1, o0, o1 int) {
 		if a.bias != nil {
 			bias := a.bias[o0:o1][:len(orow)]
 			for o := range orow {
-				orow[o] = a.codec.Saturate(orow[o] + bias[o])
-			}
-		} else {
-			for o := range orow {
-				orow[o] = a.codec.Saturate(orow[o])
+				orow[o] += bias[o]
 			}
 		}
+		a.codec.SaturateInto(orow, orow)
 	}
 }
 
@@ -344,41 +331,40 @@ func denseForward(a *denseArgs) {
 	wg.Wait()
 }
 
-// matmulArgs bundles one MatMulSite execution for the tiled kernel.
+// matmulArgs bundles one MatMulSite execution for the tiled kernel. rb is the
+// rounded second operand as a k×n matrix, whichever way the site was handed it
+// (MatMulSite.Run transposes a TransposeB operand once per execution).
 type matmulArgs struct {
 	ra, rb, out []float32
 	m, k, n     int
-	transposeB  bool
 	scaleOut    float32
 	fp16        bool
 	codec       numerics.Codec
 }
 
 // matmulTile computes output rows [i0,i1) × columns [j0,j1), accumulating
-// each neuron over p in ascending order. With TransposeB both operand rows
-// are contiguous, so the kernel runs j outer / p inner as a dot product —
-// same per-output order, far better locality than the reference's strided
-// column walk. The out buffer must be zeroed over the tile.
+// each neuron over p in ascending order from +0 (DESIGN.md §7.6). The out
+// buffer must be zeroed over the tile.
 func matmulTile(a *matmulArgs, i0, i1, j0, j1 int) {
 	tileCount.Add(1)
 	ra, rb, out := a.ra, a.rb, a.out
 	k, n := a.k, a.n
 	for i := i0; i < i1; i++ {
-		arow := ra[i*k : (i+1)*k]
 		orow := out[i*n+j0 : i*n+j1]
-		if a.transposeB {
-			dotRows(a.fp16, orow, arow, rb[j0*k:j1*k])
-		} else {
-			mulAddPanel(a.fp16, false, orow, arow, rb[j0:], n)
-		}
-		for j := range orow {
-			acc := orow[j]
-			if a.scaleOut != 0 {
-				acc *= a.scaleOut
-			}
-			orow[j] = a.codec.Saturate(acc)
+		mulAddPanel(a.fp16, false, orow, ra[i*k:(i+1)*k], rb[j0:], n)
+		scaleSaturate(a.codec, a.scaleOut, orow)
+	}
+}
+
+// scaleSaturate finishes a run of matmul accumulators in place: the site's
+// output scale (0 means none), then the converter's saturation.
+func scaleSaturate(codec numerics.Codec, scale float32, run []float32) {
+	if scale != 0 {
+		for j := range run {
+			run[j] *= scale
 		}
 	}
+	codec.SaturateInto(run, run)
 }
 
 // matmulForward runs the tiled matmul kernel, splitting output rows across

@@ -292,6 +292,14 @@ func TestMatMulKernelEquivalence(t *testing.T) {
 		{"transposed-scaled", 6, 8, 5, true, 0.125},
 		{"large-banded", 64, 64, 64, false, 0},
 		{"large-banded-T", 64, 64, 64, true, 0.5},
+		// A transposed operand goes through the panel like a plain one: widths
+		// with a tail behind the whole chunks, one narrower than a chunk beside
+		// a long inner dimension, and a single product per output.
+		{"ragged-T", 7, 9, 19, true, 0.25},
+		{"wide-ragged-T", 9, 16, 35, true, 0},
+		{"narrow-T", 4, 33, 3, true, 0.5},
+		{"k1-T", 5, 1, 11, true, 0},
+		{"k1", 5, 1, 11, false, 0},
 	}
 	for _, g := range geoms {
 		for _, codec := range kernelCodecs() {
@@ -307,6 +315,13 @@ func TestMatMulKernelEquivalence(t *testing.T) {
 			b := tensor.New(bd0, bd1)
 			b.RandNormal(rng, 1)
 			runKernelModes(t, label, func() *tensor.Tensor { return site.Run(a, b, nil) })
+
+			// ±Inf, NaN and an overflowing value in B alone: the lanes bail in
+			// the chunks that hold them and the Go loop takes those.
+			nb := b.Clone()
+			plantWeights("nonfinite", nb.Data(), rng)
+			runKernelModes(t, label+"/nonfinite-B", func() *tensor.Tensor { return site.Run(a, nb, nil) })
+			checkNeurons(t, label+"/nonfinite-B", site, &Operands{In: a, W: nb, Out: site.Run(a, nb, nil)})
 
 			// Both operands of a matmul are activations: make both adversarial.
 			adversarial(a.Data(), rng)

@@ -217,6 +217,19 @@ type Site interface {
 	NeuronsUsingOperand(op *Operands, kind OperandKind, flat int) [][]int
 }
 
+// indexTuples returns n multi-indices of the given rank, zeroed, for a
+// NeuronsUsingOperand to fill in: two allocations whatever n is, one backing
+// array and the slice of tuples over it, each capped at its own end so that an
+// append to one cannot run into the next.
+func indexTuples(n, rank int) [][]int {
+	flat := make([]int, n*rank)
+	out := make([][]int, n)
+	for i := range out {
+		out[i] = flat[i*rank : (i+1)*rank : (i+1)*rank]
+	}
+	return out
+}
+
 // Sequential chains layers.
 type Sequential struct {
 	name   string

@@ -420,3 +420,137 @@ func TestElementwiseRegionSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestRectifierRowsMatchScalar holds the rectifiers' row loops to the scalar
+// definitions they replaced, kept here as the oracle, bit for bit: what each
+// makes of NaN and of -0 is part of what a fault propagates (ReLU sends both
+// to +0, ReLU6 and the clamp pass both through, the leaky rectifier scales
+// them), and the min and max builtins would get every one of those wrong. The
+// inputs are both zeros, the subnormal ends, both infinities, NaNs of two
+// payloads and both signs, each bound and its two neighbours, and 10⁴ random
+// values, in rows of every length from 0 to 17, out of place and in place.
+func TestRectifierRowsMatchScalar(t *testing.T) {
+	const alpha, bound = 0.1, 2.5
+	c := fp32Codec()
+	rectifiers := []struct {
+		l      *Activation
+		scalar func(v float32) float32
+	}{
+		{NewReLU("relu", c), func(v float32) float32 {
+			if v > 0 {
+				return v
+			}
+			return 0
+		}},
+		{NewLeakyReLU("leaky", alpha, c), func(v float32) float32 {
+			if v > 0 {
+				return v
+			}
+			return alpha * v
+		}},
+		{NewRelu6("relu6", c), func(v float32) float32 {
+			switch {
+			case v < 0:
+				return 0
+			case v > 6:
+				return 6
+			default:
+				return v
+			}
+		}},
+		{NewClamp("clamp", bound, c), func(v float32) float32 {
+			switch {
+			case v > bound:
+				return bound
+			case v < -bound:
+				return -bound
+			default:
+				return v
+			}
+		}},
+	}
+	inf := float32(math.Inf(1))
+	vals := []float32{
+		0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-39, -1e-39,
+		inf, -inf, math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00000),
+		math.Float32frombits(0x7f800001), math.Float32frombits(0xffbfffff),
+	}
+	for _, b := range []float32{6, bound, -bound} {
+		vals = append(vals, b, math.Nextafter32(b, inf), math.Nextafter32(b, -inf))
+	}
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < 10000; i++ {
+		vals = append(vals, float32(rng.NormFloat64()*4))
+	}
+	for _, r := range rectifiers {
+		for lo, n := 0, 0; lo < len(vals); lo, n = lo+n, (n+1)%18 {
+			x := vals[lo:min(lo+n, len(vals))]
+			out, inPlace := make([]float32, len(x)), append([]float32(nil), x...)
+			r.l.row(out, x)
+			r.l.row(inPlace, inPlace)
+			for i, v := range x {
+				want := math.Float32bits(r.scalar(v))
+				if math.Float32bits(out[i]) != want || math.Float32bits(inPlace[i]) != want {
+					t.Fatalf("%s(%v [%#08x]) in a row of %d = %#08x (%#08x in place), scalar %#08x", r.l.Name(), v,
+						math.Float32bits(v), len(x), math.Float32bits(out[i]), math.Float32bits(inPlace[i]), want)
+				}
+			}
+		}
+	}
+	// The semantics themselves, so that oracle and rows cannot drift together.
+	nan, negZero := math.Float32frombits(0x7fc00000), float32(math.Copysign(0, -1))
+	row1 := func(l *Activation, v float32) float32 {
+		out := []float32{v}
+		l.row(out, out)
+		return out[0]
+	}
+	for _, tc := range []struct {
+		l    *Activation
+		in   float32
+		want uint32
+	}{
+		{rectifiers[0].l, nan, 0}, {rectifiers[0].l, negZero, 0},
+		{rectifiers[2].l, negZero, 0x80000000}, {rectifiers[3].l, negZero, 0x80000000},
+	} {
+		if got := math.Float32bits(row1(tc.l, tc.in)); got != tc.want {
+			t.Errorf("%s(%#08x) = %#08x, want %#08x", tc.l.Name(), math.Float32bits(tc.in), got, tc.want)
+		}
+	}
+	for _, r := range rectifiers[1:] {
+		if got := row1(r.l, nan); got == got {
+			t.Errorf("%s(NaN) = %v, want NaN", r.l.Name(), got)
+		}
+	}
+}
+
+// TestResidualMatchesScalarRound holds the residual block's add loop and row
+// rounding to Round(body + shortcut) element by element, in every precision,
+// over sums that land in every rounding band: in range, past the largest half
+// and the quantizers' range, ±Inf, Inf - Inf, and the zeros, with the FP16
+// lanes as detected and off.
+func TestResidualMatchesScalarRound(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	detected := numericsHasAVX2
+	defer func() { numericsHasAVX2 = detected }()
+	for _, codec := range kernelCodecs() {
+		x := tensor.New(2, 5, 7, 3) // 210 elements: whole chunks and a tail
+		x.RandNormal(rng, 4)
+		adversarial(x.Data(), rng)
+		scale := NewBatchNorm("bn", 3, numerics.MustCodec(numerics.FP32, 0)).InitRandom(rng)
+		scale.Scale.Data()[1] = -1 // the body of channel 1 is -x: x + (-x), Inf - Inf
+		scale.Shift.Data()[1] = 0
+		l := NewResidual("res", scale, nil, codec)
+		body := scale.Forward(x, nil)
+		for _, lanes := range []bool{detected, false} {
+			numericsHasAVX2 = lanes
+			got := l.Forward(x, nil)
+			for i, v := range x.Data() {
+				want := codec.Round(body.Data()[i] + v)
+				if !sameValue(got.Data()[i], want) {
+					t.Fatalf("%v (lanes %v): residual[%d] = %#08x, Round(%v + %v) = %#08x", codec.Precision(), lanes, i,
+						math.Float32bits(got.Data()[i]), body.Data()[i], v, math.Float32bits(want))
+				}
+			}
+		}
+	}
+}

@@ -63,25 +63,49 @@ func (l *MatMulSite) Run(a, b *tensor.Tensor, ctx *Context) *tensor.Tensor {
 
 		// Fast path (bit-identical to per-neuron ComputeNeuron; see
 		// Conv2D.Forward). No rounded-weight cache here: operand B is an
-		// activation that changes every pass.
-		ra := l.codec.RoundSlice(a.Data())
-		rb := l.codec.RoundSlice(b.Data())
+		// activation that changes every pass, so both operands are rounded
+		// into pooled scratch, given back before the hook (whose recompute
+		// draws on the same pool) runs.
+		sc := recomputePool.Get().(*recomputeScratch)
+		sc.in, sc.w = grow(sc.in, m*k), grow(sc.w, k*n)
+		ra, rb := sc.in, sc.w
+		l.codec.RoundInto(ra, a.Data())
 		if UseReferenceKernels() {
+			l.codec.RoundInto(rb, b.Data())
 			matmulForwardRef(l, out, ra, rb, m, k, n)
 		} else {
+			// The tiled kernel takes B as k×n: a TransposeB operand is
+			// transposed here, once, so that every row of the product is one
+			// panel (DESIGN.md §7.6). Rounding is element-wise: it commutes.
+			bd := b.Data()
+			if l.TransposeB {
+				transposeInto(rb, bd, n, k)
+				bd = rb
+			}
+			l.codec.RoundInto(rb, bd)
 			matmulForward(&matmulArgs{
 				ra: ra, rb: rb, out: out.Data(),
 				m: m, k: k, n: n,
-				transposeB: l.TransposeB, scaleOut: l.ScaleOut,
-				fp16:  l.codec.Precision() == numerics.FP16,
-				codec: l.codec,
+				scaleOut: l.ScaleOut,
+				fp16:     l.codec.Precision() == numerics.FP16,
+				codec:    l.codec,
 			})
 		}
+		recomputePool.Put(sc)
 		ctx.fire(l, op)
 		return out
 	}, func(out *tensor.Tensor) *Operands {
 		return &Operands{In: a, W: b, Out: out}
 	}, a, b)
+}
+
+// transposeInto stores the rows×cols matrix src in dst as cols×rows.
+func transposeInto(dst, src []float32, rows, cols int) {
+	for r := 0; r < rows; r++ {
+		for c, v := range src[r*cols : (r+1)*cols] {
+			dst[c*rows+r] = v
+		}
+	}
 }
 
 // ComputeNeuron implements Site.
@@ -124,31 +148,30 @@ func (l *MatMulSite) ComputeNeuron(op *Operands, idx []int, ov *Override) float3
 // neurons in its output column.
 func (l *MatMulSite) NeuronsUsingOperand(op *Operands, kind OperandKind, flat int) [][]int {
 	m := op.In.Dim(0)
-	var n int
+	n := op.W.Dim(1)
 	if l.TransposeB {
 		n = op.W.Dim(0)
-	} else {
-		n = op.W.Dim(1)
 	}
-	var out [][]int
 	switch kind {
 	case OperandInput:
-		ai := op.In.Unflatten(flat)
-		i := ai[0]
-		for j := 0; j < n; j++ {
-			out = append(out, []int{i, j})
+		i := flat / op.In.Dim(1)
+		out := indexTuples(n, 2)
+		for j, idx := range out {
+			idx[0], idx[1] = i, j
 		}
+		return out
 	case OperandWeight:
-		wi := op.W.Unflatten(flat)
-		j := wi[0] // column of the product
-		if !l.TransposeB {
-			j = wi[1]
+		j := flat % op.W.Dim(1) // column of the product
+		if l.TransposeB {
+			j = flat / op.W.Dim(1)
 		}
-		for i := 0; i < m; i++ {
-			out = append(out, []int{i, j})
+		out := indexTuples(m, 2)
+		for i, idx := range out {
+			idx[0], idx[1] = i, j
 		}
+		return out
 	case OperandOutput:
-		out = append(out, op.Out.Unflatten(flat))
+		return [][]int{op.Out.Unflatten(flat)}
 	}
-	return out
+	return nil
 }

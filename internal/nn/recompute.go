@@ -277,8 +277,8 @@ func (l *Dense) ComputeNeurons(op *Operands, neurons [][]int, ov *Override, dst 
 }
 
 // ComputeNeurons implements Site. Operand B is an activation: there is no
-// rounded cache, so the rows or columns of B a run multiplies by are rounded
-// here, as Run rounds all of it, and an override of B is patched into them.
+// rounded cache, so the columns of B a run multiplies by are rounded here, as
+// Run rounds all of it, and an override of B is patched into them.
 func (l *MatMulSite) ComputeNeurons(op *Operands, neurons [][]int, ov *Override, dst []float32) {
 	if len(neurons) == 0 {
 		return
@@ -290,18 +290,23 @@ func (l *MatMulSite) ComputeNeurons(op *Operands, neurons [][]int, ov *Override,
 	ad, bd := op.In.Data(), op.W.Data()
 	k, bcols := op.In.Dim(1), op.W.Dim(1)
 
-	// roundB stores in sc.w the part of B that output columns [j0, j1)
-	// multiply by: their k-long rows of Bᵀ back to back, or the k rows of B
-	// cut down to those columns (pitch j1-j0).
+	// roundB stores in sc.w, as a k×(j1-j0) panel, the part of B that output
+	// columns [j0, j1) multiply by: the k rows of B cut down to those columns,
+	// or their k-long rows of Bᵀ transposed as Run transposes all of them.
 	roundB := func(j0, j1 int) []float32 {
-		rb := grow(sc.w, k*(j1-j0))
+		w := j1 - j0
+		rb := grow(sc.w, k*w)
 		sc.w = rb
 		if l.TransposeB {
-			roundRow(l.codec, rb, bd[j0*k:j1*k], j0*k, wFlat, ov)
+			transposeInto(rb, bd[j0*k:j1*k], w, k)
+			if wFlat >= j0*k && wFlat < j1*k {
+				rb[wFlat%k*w+wFlat/k-j0] = ov.Value
+			}
+			l.codec.RoundInto(rb, rb)
 			return rb
 		}
 		for p := 0; p < k; p++ {
-			roundRow(l.codec, rb[p*(j1-j0):], bd[p*bcols+j0:p*bcols+j1], p*bcols+j0, wFlat, ov)
+			roundRow(l.codec, rb[p*w:], bd[p*bcols+j0:p*bcols+j1], p*bcols+j0, wFlat, ov)
 		}
 		return rb
 	}
@@ -324,20 +329,10 @@ func (l *MatMulSite) ComputeNeurons(op *Operands, neurons [][]int, ov *Override,
 		} else {
 			end = runEnd(neurons, i)
 			run := dst[i:end]
-			rb := roundB(j0, j0+len(run))
 			clear(run)
-			if l.TransposeB {
-				dotRows(fp16, run, rin, rb)
-			} else {
-				mulAddPanel(fp16, false, run, rin, rb, len(run))
-			}
+			mulAddPanel(fp16, false, run, rin, roundB(j0, j0+len(run)), len(run))
 		}
-		for j, acc := range dst[i:end] {
-			if l.ScaleOut != 0 {
-				acc *= l.ScaleOut
-			}
-			dst[i+j] = l.codec.Saturate(acc)
-		}
+		scaleSaturate(l.codec, l.ScaleOut, dst[i:end])
 		i = end
 	}
 }

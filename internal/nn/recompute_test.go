@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fidelity/internal/numerics"
@@ -214,6 +215,49 @@ func TestComputeNeuronsConcurrent(t *testing.T) {
 	for range jobs {
 		if err := <-done; err != nil {
 			t.Error(err)
+		}
+	}
+}
+
+// TestNeuronsUsingOperandAllocs pins the reuse-set enumeration at two
+// allocations — one backing array, one slice of tuples over it — whatever the
+// set's size: it runs once per datapath fault, ahead of the recompute.
+func TestNeuronsUsingOperandAllocs(t *testing.T) {
+	codec := numerics.MustCodec(numerics.FP16, 0)
+	conv := NewConv2D("c", 3, 3, 4, 16, 1, 1, codec)
+	x := tensor.New(1, 12, 12, 4)
+	dense := NewDense("d", 32, 24, codec)
+	dx := tensor.New(3, 32)
+	mm := NewMatMulSite("m", true, 0, codec)
+	a, b := tensor.New(9, 8), tensor.New(11, 8)
+	for _, tc := range []struct {
+		name string
+		site Site
+		op   *Operands
+		kind OperandKind
+		flat int
+		want int // neurons in the set
+	}{
+		{"conv input", conv, &Operands{In: x, W: conv.W, B: conv.B, Out: conv.Forward(x, nil)}, OperandInput, (5*12+5)*4 + 1, 9 * 16},
+		{"conv weight", conv, &Operands{In: x, W: conv.W, B: conv.B, Out: conv.Forward(x, nil)}, OperandWeight, 77, 144},
+		{"conv bias", conv, &Operands{In: x, W: conv.W, B: conv.B, Out: conv.Forward(x, nil)}, OperandBias, 5, 144},
+		{"dense input", dense, &Operands{In: dx, W: dense.W, B: dense.B, Out: dense.Forward(dx, nil)}, OperandInput, 40, 24},
+		{"dense weight", dense, &Operands{In: dx, W: dense.W, B: dense.B, Out: dense.Forward(dx, nil)}, OperandWeight, 100, 3},
+		{"matmul A", mm, &Operands{In: a, W: b, Out: mm.Run(a, b, nil)}, OperandInput, 20, 11},
+		{"matmul B", mm, &Operands{In: a, W: b, Out: mm.Run(a, b, nil)}, OperandWeight, 20, 9},
+	} {
+		var set [][]int
+		allocs := testing.AllocsPerRun(20, func() { set = tc.site.NeuronsUsingOperand(tc.op, tc.kind, tc.flat) })
+		if len(set) != tc.want || allocs > 2 {
+			t.Errorf("%s: %d neurons in %v allocations, want %d in 2", tc.name, len(set), allocs, tc.want)
+		}
+		// A tuple a caller appends to must not grow into its neighbour.
+		if len(set) > 1 {
+			next := slices.Clone(set[1])
+			_ = append(set[0], 99)
+			if !slices.Equal(set[1], next) {
+				t.Errorf("%s: appending to tuple 0 overwrote tuple 1", tc.name)
+			}
 		}
 	}
 }

@@ -89,3 +89,25 @@ func BenchmarkRoundSliceFP16(b *testing.B) {
 	eachDispatch(b, func(b *testing.B) { benchRoundSlice(b, MustCodec(FP16, 0)) })
 }
 func BenchmarkRoundSliceINT8(b *testing.B) { benchRoundSlice(b, MustCodec(INT8, 4)) }
+
+// BenchmarkSaturateInto times the converter over a 64-wide output row, the
+// epilogue of every kernel tile: conv-sized accumulators (N(0, 3²)), none of
+// which saturate in FP16 and a few of which do in INT8.
+func BenchmarkSaturateInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(72))
+	src, dst := make([]float32, 64), make([]float32, 64)
+	for i := range src {
+		src[i] = float32(rng.NormFloat64() * 3)
+	}
+	run := func(b *testing.B, c Codec) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.SaturateInto(dst, src)
+		}
+		b.ReportMetric(b.Elapsed().Seconds()*1e9/(float64(b.N)*float64(len(src))), "ns/value")
+	}
+	b.Run("fp16", func(b *testing.B) {
+		eachDispatch(b, func(b *testing.B) { run(b, MustCodec(FP16, 0)) })
+	})
+	b.Run("int8", func(b *testing.B) { run(b, MustCodec(INT8, 8)) })
+}

@@ -146,7 +146,7 @@ func (c Codec) RoundInto(dst, src []float32) {
 	case FP16:
 		halfRoundInto(dst, src)
 	default:
-		c.quant.roundInto(dst, src)
+		c.quant.roundInto(dst, src, float32(math.Inf(-1)))
 	}
 }
 
@@ -176,5 +176,32 @@ func (c Codec) Saturate(f float32) float32 {
 			return -m - c.quant.Scale
 		}
 		return c.quant.Round(f)
+	}
+}
+
+// SaturateInto stores Saturate(src[i]) in dst[i] for every i in src, one loop
+// per precision: the converter over a whole output row. dst must be at least
+// as long as src and may be src itself.
+func (c Codec) SaturateInto(dst, src []float32) {
+	dst = dst[:len(src)]
+	switch c.prec {
+	case FP32:
+		copy(dst, src)
+	case FP16:
+		// Saturate's two compares, then the rounding over the whole row:
+		// RoundHalf(±65504) is ±65504 (DESIGN.md §7.6).
+		const halfMax = 65504
+		for i, f := range src {
+			switch {
+			case f > halfMax:
+				f = halfMax
+			case f < -halfMax:
+				f = -halfMax
+			}
+			dst[i] = f
+		}
+		halfRoundInto(dst, dst)
+	default:
+		c.quant.roundInto(dst, src, -c.quant.MaxAbs()-c.quant.Scale)
 	}
 }

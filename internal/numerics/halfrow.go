@@ -28,8 +28,9 @@ package numerics
 //   - everything else (overflow, ±Inf, NaN) is rare and takes the reference
 //     encode/decode round trip.
 //
-// On an amd64 CPU with AVX2 the first three bands run eight lanes at a time in
-// halfrow_amd64.s; the loops below stay the only implementation of the rare
+// On an amd64 CPU with AVX2 and F16C the first three bands run eight lanes at a
+// time in halfrow_amd64.s, through the hardware converter and a mask for the
+// underflow band; the loops below stay the only implementation of the rare
 // band and of every tail, the whole implementation everywhere else, and the
 // reference the lanes are tested against (DESIGN.md §7.3).
 //
@@ -72,7 +73,7 @@ func halfRoundSmall(b, abs uint32) float32 {
 // activations against the weight rows they meet, which is every row-shaped
 // inner loop of the nn kernels at once — the (kx, ic) run of one kernel row of
 // a convolution, the input features of a dense layer, the inner dimension of
-// a plain matmul — with acc a window of the output channels when stride is
+// a matmul — with acc a window of the output channels when stride is
 // wider than it. With skipZero, rows whose activation is +0 or -0 are skipped:
 // the caller vouches that every weight is finite and that acc started at +0
 // (DESIGN.md §7.2). Each accumulator takes its products in row order whoever
@@ -176,9 +177,8 @@ func halfMulAddVecGo(acc, a, w []float32) {
 	}
 }
 
-// HalfDot returns acc + Σ RoundHalf(a[i] * w[i]), added in ascending i: the
-// dot form of a matmul against a transposed operand. a must be at least as
-// long as w.
+// HalfDot returns acc + Σ RoundHalf(a[i] * w[i]), added in ascending i: one
+// neuron against its gathered weight column. a must be at least as long as w.
 func HalfDot(acc float32, a, w []float32) float32 {
 	a = a[:len(w)]
 	if hasAVX2 {

@@ -1,8 +1,8 @@
 package numerics
 
 // hasAVX2 selects the 8-lane bodies of halfrow_amd64.s, once, from what the
-// CPU and the OS report. Tests flip it to run every primitive both ways;
-// nothing else writes it.
+// CPU (AVX2 and the F16C converter) and the OS report. Tests flip it to run
+// every primitive both ways; nothing else writes it.
 var hasAVX2 = cpuHasAVX2()
 
 // Implemented in halfrow_amd64.s; halfrow.go (laneChunk) has the contract of

@@ -1,10 +1,10 @@
 // AVX2 lanes for the FP16 row primitives of halfrow.go: eight float32 lanes
-// take the band arithmetic of DESIGN.md §7.1 at once (§7.3 argues why they
-// round like one). Every routine walks whole 8-element chunks from the front
-// of its operands and stops before the first chunk in which some lane is at
-// or past f32HalfOver — an overflowing product, ±Inf or NaN — returning how
-// many elements it finished (the panel: the row and column it stopped at);
-// the Go loops own that band and every tail.
+// go through the F16C converter and one mask at once (DESIGN.md §7.3 argues why
+// that rounds like HalfFromFloat32). Every routine walks whole 8-element chunks
+// from the front of its operands and stops before the first chunk in which some
+// lane is at or past f32HalfOver — an overflowing product, ±Inf or NaN —
+// returning how many elements it finished (the panel: the row and column it
+// stopped at); the Go loops own that band and every tail.
 //
 // VEX encodings only, and VZEROUPPER before every RET: one legacy-SSE
 // instruction with dirty upper YMM halves costs a state transition of about a
@@ -15,52 +15,38 @@
 // One dword per lane constant, broadcast at entry.
 DATA halfLanes<>+0(SB)/4, $0x7fffffff  // |p| mask
 DATA halfLanes<>+4(SB)/4, $0x477fefff  // f32HalfOver - 1
-DATA halfLanes<>+8(SB)/4, $0x00000001  // the keep-bit
-DATA halfLanes<>+12(SB)/4, $0x00000fff // half a dropped ulp, less one
-DATA halfLanes<>+16(SB)/4, $0xffffe000 // clears the 13 dropped bits
-DATA halfLanes<>+20(SB)/4, $0x3f000000 // 0.5
-DATA halfLanes<>+24(SB)/4, $0x337fffff // f32HalfTiny - 1
-DATA halfLanes<>+28(SB)/4, $0x387fffff // f32HalfNormal - 1
-GLOBL halfLanes<>(SB), RODATA|NOPTR, $32
+DATA halfLanes<>+8(SB)/4, $0x337fffff  // f32HalfTiny - 1
+DATA halfLanes<>+12(SB)/4, $0x80000000 // the sign bit
+GLOBL halfLanes<>(SB), RODATA|NOPTR, $16
 
 #define LANECONSTS \
 	VPBROADCASTD halfLanes<>+0(SB), Y15; \
 	VPBROADCASTD halfLanes<>+4(SB), Y14; \
 	VPBROADCASTD halfLanes<>+8(SB), Y13; \
-	VPBROADCASTD halfLanes<>+12(SB), Y12; \
-	VPBROADCASTD halfLanes<>+16(SB), Y11; \
-	VPBROADCASTD halfLanes<>+20(SB), Y10; \
-	VPBROADCASTD halfLanes<>+24(SB), Y9; \
-	VPBROADCASTD halfLanes<>+28(SB), Y8
+	VPBROADCASTD halfLanes<>+12(SB), Y12
 
 // ROUND8 rounds the eight float32 lanes of Y0 through the half encoding into
 // Y3, or jumps to bail with nothing written when a lane belongs to the Go
-// loop. Y1 = |p|; Y3 = the normal band's (b + 0x0fff + keep-bit) &^ 0x1fff;
-// Y4 = the small bands' (|p| + 0.5) - 0.5, zeroed below 2^-24, sign restored;
-// the blend picks per lane on |p| >= 2^-14. Clobbers Y1-Y5.
+// loop. Y1 = |p|; the converter rounds to nearest even whatever MXCSR says
+// (imm8 = 0) and expands the half back exactly; a lane with |p| < 2^-24 is then
+// masked down to its sign bit, which flushes (2^-25, 2^-24) as HalfFromFloat32
+// does and IEEE does not. Clobbers Y1-Y3 and Y5.
 #define ROUND8(bail) \
 	VPAND     Y15, Y0, Y1; \
 	VPCMPGTD  Y14, Y1, Y2; \
 	VPTEST    Y2, Y2; \
 	JNZ       bail; \
-	VPSRLD    $13, Y0, Y3; \
-	VPAND     Y13, Y3, Y3; \
-	VPADDD    Y0, Y3, Y3; \
-	VPADDD    Y12, Y3, Y3; \
-	VPAND     Y11, Y3, Y3; \
-	VADDPS    Y10, Y1, Y4; \
-	VSUBPS    Y10, Y4, Y4; \
-	VPCMPGTD  Y9, Y1, Y5; \
-	VPAND     Y5, Y4, Y4; \
-	VPXOR     Y1, Y0, Y5; \
-	VPOR      Y5, Y4, Y4; \
-	VPCMPGTD  Y8, Y1, Y5; \
-	VBLENDVPS Y5, Y3, Y4, Y3
+	VCVTPS2PH $0, Y0, X3; \
+	VCVTPH2PS X3, Y3; \
+	VPCMPGTD  Y13, Y1, Y5; \
+	VPOR      Y12, Y5, Y5; \
+	VPAND     Y5, Y3, Y3
 
 // func cpuHasAVX2() bool
 //
-// AVX2 is usable when the CPU has it (leaf 7 EBX bit 5) and the OS saves the
-// YMM state across context switches (OSXSAVE, and XCR0 bits 1 and 2).
+// The lanes are usable when the CPU has AVX2 (leaf 7 EBX bit 5) and the F16C
+// converter (leaf 1 ECX bit 29), and the OS saves the YMM state across context
+// switches (OSXSAVE, and XCR0 bits 1 and 2).
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	MOVB $0, ret+0(FP)
 	XORL AX, AX
@@ -69,8 +55,8 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	JLT  no
 	MOVL $1, AX
 	CPUID
-	ANDL $0x18000000, CX // OSXSAVE | AVX
-	CMPL CX, $0x18000000
+	ANDL $0x38000000, CX // OSXSAVE | AVX | F16C
+	CMPL CX, $0x38000000
 	JNE  no
 	XORL CX, CX
 	XGETBV

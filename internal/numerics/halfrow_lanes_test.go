@@ -122,6 +122,52 @@ func TestLanesMatchGoLoops(t *testing.T) {
 	both("adjacent rare chunks", acc0, 1, av, w)
 }
 
+// TestRoundLanesSmallBands sweeps the rounding the lanes share (ROUND8, through
+// halfRoundInto) against RoundHalfRef where the converter and HalfFromFloat32
+// could part: every float32 pattern of both signs with |p| in [2⁻²⁶, 2⁻¹³) —
+// the underflow edge with the (2⁻²⁵, 2⁻²⁴) band IEEE rounds up and the model
+// flushes, all of the half-subnormal band with each of its ties, the first
+// normal binade — and, for each of the 2¹⁹ settings of the bits a half keeps,
+// the dropped 13 at zero, just above it, just below the tie, on it, just above
+// it and all ones: every tie of every binade, into the overflow edge, Inf and
+// NaN, where the lanes must bail. Each block is rounded with the lanes off and
+// as detected against one pass of the reference (which is most of the test's
+// three seconds). The full 2³² sweep is in EXPERIMENTS.md.
+func TestRoundLanesSmallBands(t *testing.T) {
+	detected := hasAVX2
+	defer func() { hasAVX2 = detected }()
+	const block = 1 << 13
+	src, dst, want := make([]float32, 2*block), make([]float32, 2*block), make([]float32, 2*block)
+	check := func() {
+		for i, v := range src {
+			want[i] = RoundHalfRef(v)
+		}
+		for _, lanes := range []bool{false, detected} {
+			hasAVX2 = lanes
+			halfRoundInto(dst, src)
+			for i, w := range want[:len(src)] {
+				if !sameBits(dst[i], w) {
+					t.Fatalf("halfRoundInto(%#08x) = %#08x (lanes %v), want %#08x", math.Float32bits(src[i]), math.Float32bits(dst[i]), lanes, math.Float32bits(w))
+				}
+			}
+		}
+	}
+	for b := uint32(127-26) << 23; b < (127-13)<<23; b += block {
+		for i := uint32(0); i < block; i++ {
+			src[2*i], src[2*i+1] = math.Float32frombits(b+i), math.Float32frombits(b+i|f32Sign)
+		}
+		check()
+	}
+	lows := [...]uint32{0, 1, 0xfff, 0x1000, 0x1001, 0x1fff}
+	src, dst = src[:len(lows)*block/4], dst[:len(lows)*block/4]
+	for prefix := uint32(0); prefix < 1<<19; prefix += block / 4 {
+		for i := range src {
+			src[i] = math.Float32frombits((prefix+uint32(i/len(lows)))<<13 | lows[i%len(lows)])
+		}
+		check()
+	}
+}
+
 // FuzzHalfRow holds every row primitive and the FP16 RoundInto loop to
 // RoundHalfRef on arbitrary float32 bit patterns, with the lanes off and as
 // detected. The seed corpus is halfRowMultipliers against itself: every band,
@@ -135,6 +181,16 @@ func FuzzHalfRow(f *testing.F) {
 	for i, m := range ms {
 		// Rotated by one element per seed, so each value meets each lane.
 		f.Add(math.Float32bits(m), append(append([]byte(nil), row[4*i:]...), row[:4*i]...))
+	}
+	// Where the converter alone would differ from HalfFromFloat32 or must not
+	// be reached: inside (2⁻²⁵, 2⁻²⁴), on the 2⁻²⁵ tie, and on the two sides of
+	// the overflow edge, as exact products with 1 in each lane of a chunk.
+	for _, edge := range []uint32{0x33000001, 0x337fffff, 0x33400000, 0x33000000, f32HalfOver - 1, f32HalfOver} {
+		var chunk []byte
+		for lane := 0; lane < laneChunk; lane++ {
+			chunk = binary.LittleEndian.AppendUint32(chunk, edge|uint32(lane&1)<<31)
+		}
+		f.Add(math.Float32bits(1), chunk)
 	}
 	detected := hasAVX2
 	f.Fuzz(func(t *testing.T, abits uint32, data []byte) {
@@ -316,6 +372,11 @@ func FuzzHalfPanel(f *testing.F) {
 	f.Add(uint8(9), uint8(2), true, panel(3, 11, 1, 4, inf, 0, negZero, 0))        // all-zero rows, skipped
 	f.Add(uint8(9), uint8(2), false, panel(3, 11, 1, 4, inf, 0, negZero, 0))       // and multiplied: 0·Inf
 	f.Add(uint8(24), uint8(1), true, panel(5, 25, 4, 23, 3e-6, 2, negZero, -1, 0)) // -0 among live rows
+	// Products the converter alone would round differently or must not see:
+	// inside (2⁻²⁵, 2⁻²⁴), the 2⁻²⁵ tie, and either side of the overflow edge.
+	for _, edge := range []uint32{0x33400000, 0x337fffff, 0x33000000, f32HalfOver - 1, f32HalfOver} {
+		f.Add(uint8(16), uint8(0), false, panel(3, 16, 1, 9, math.Float32frombits(edge)))
+	}
 	f.Fuzz(func(t *testing.T, width, gap uint8, skipZero bool, data []byte) {
 		n, stride := int(width%42), int(width%42)+int(gap%7)
 		vals := make([]float32, len(data)/4)
@@ -340,7 +401,9 @@ func FuzzHalfPanel(f *testing.F) {
 // mnemonic not starting with V) on an X or Y register, which makes the CPU
 // save the dirty upper YMM halves at the next VEX instruction, and a RET out
 // of a routine that used vector registers without a VZEROUPPER just before it,
-// which leaves them dirty for the Go code that follows.
+// which leaves them dirty for the Go code that follows. It also pins the
+// converter's imm8: $4 would take the rounding mode from MXCSR, which no test
+// can set and nothing promises.
 func TestAsmIsVEXOnly(t *testing.T) {
 	src, err := os.ReadFile("halfrow_amd64.s")
 	if err != nil {
@@ -381,6 +444,9 @@ func TestAsmIsVEXOnly(t *testing.T) {
 				macros[macro] = true
 			}
 			vector = vector || usesVec
+			if op == "VCVTPS2PH" && !strings.HasPrefix(args, "$0,") {
+				t.Errorf("halfrow_amd64.s:%d: VCVTPS2PH %s: imm8 must be $0, round to nearest even whatever MXCSR holds", ln+1, args)
+			}
 			if vecReg.MatchString(args) && !strings.HasPrefix(op, "V") {
 				t.Errorf("halfrow_amd64.s:%d: %s on a vector register is not VEX-encoded", ln+1, op)
 			}

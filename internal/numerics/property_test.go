@@ -82,6 +82,56 @@ func TestSaturateProperties(t *testing.T) {
 	}
 }
 
+// TestSaturateIntoMatchesSaturate holds the row form of the converter to the
+// scalar one, bit for bit, in every precision: on all 65 536 halves, on every
+// float32 between HalfMax and the first pattern that would round to Inf (the
+// clamp must take them before the rounding does), on ±Inf and NaN, on the
+// neighbours of each quantizer's two clamps — Saturate returns its lower one
+// unrounded, an ulp off the bottom code's value for some scales — written to a
+// second slice and over the source, with the lanes off and on.
+func TestSaturateIntoMatchesSaturate(t *testing.T) { eachDispatch(t, testSaturateIntoMatchesSaturate) }
+
+func testSaturateIntoMatchesSaturate(t *testing.T) {
+	var probes []float32
+	for h := 0; h < 1<<16; h++ {
+		probes = append(probes, Half(h).Float32())
+	}
+	for b := uint32(0x477fe000); b <= f32HalfOver; b++ {
+		probes = append(probes, math.Float32frombits(b), math.Float32frombits(b|f32Sign))
+	}
+	probes = append(probes, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32)
+	codecs := []Codec{MustCodec(FP32, 0), MustCodec(FP16, 0)}
+	for _, maxAbs := range []float32{1e-44, 3e-5, 0.37, 1, 4, 8, 127, 1000.5, 3e38} {
+		codecs = append(codecs, MustCodec(INT8, maxAbs), MustCodec(INT16, maxAbs))
+	}
+	for _, c := range codecs {
+		in := probes
+		if q := c.Quantizer(); q.Bits != 0 {
+			in = append([]float32(nil), probes...)
+			for _, edge := range []float32{q.MaxAbs(), -q.MaxAbs() - q.Scale, q.satHi, q.satLo} {
+				up, down := edge, edge
+				for i := 0; i < 8; i++ {
+					up, down = math.Nextafter32(up, float32(math.Inf(1))), math.Nextafter32(down, float32(math.Inf(-1)))
+					in = append(in, up, down)
+				}
+				in = append(in, edge)
+			}
+		}
+		out := make([]float32, len(in))
+		c.SaturateInto(out, in)
+		inPlace := append([]float32(nil), in...)
+		c.SaturateInto(inPlace, inPlace)
+		for i, f := range in {
+			want := c.Saturate(f)
+			if !sameBits(out[i], want) || !sameBits(inPlace[i], want) {
+				t.Fatalf("%v scale=%v: SaturateInto(%v [%#08x]) = %#08x (%#08x in place), Saturate gives %#08x", c.Precision(),
+					c.Quantizer().Scale, f, math.Float32bits(f), math.Float32bits(out[i]), math.Float32bits(inPlace[i]), math.Float32bits(want))
+			}
+		}
+	}
+}
+
 // Property: a single-bit flip never yields the same stored encoding.
 func TestFlipBitAlwaysChangesEncoding(t *testing.T) {
 	for _, c := range []Codec{MustCodec(FP16, 0), MustCodec(INT16, 8), MustCodec(INT8, 8)} {

@@ -151,8 +151,12 @@ func (q Quantizer) Round(f float32) float32 {
 }
 
 // roundInto is Round over a slice with the quantizer's constants held in
-// registers; dst must be at least as long as src.
-func (q Quantizer) roundInto(dst, src []float32) {
+// registers, a value below floor stored as floor; dst must be at least as long
+// as src. Round has no floor (-Inf). Codec.Saturate's is -MaxAbs()-Scale, which
+// it returns unrounded and which may sit an ulp off the bottom code's value;
+// that is all Saturate adds to Round, its upper clamp being Round's own: MaxAbs
+// is the top code's value, so whatever exceeds it is at or past satHi.
+func (q Quantizer) roundInto(dst, src []float32, floor float32) {
 	dst = dst[:len(src)]
 	scale, scale64 := q.Scale, float64(q.Scale)
 	satLo, satHi := q.satLo, q.satHi
@@ -163,6 +167,9 @@ func (q Quantizer) roundInto(dst, src []float32) {
 			dst[i] = vHi
 		case f <= satLo:
 			dst[i] = vLo
+			if f < floor { // floor has the bottom code, so it is at or below satLo
+				dst[i] = floor
+			}
 		case f != f:
 			dst[i] = 0
 		default:
