@@ -64,7 +64,9 @@ bench:
 
 # One iteration of the kernel benchmarks beside the code (internal/nn,
 # internal/numerics, internal/faultmodel, internal/rtlsim) — seconds, so they
-# cannot rot between `make bench` runs.
+# cannot rot between `make bench` runs (HalfMulAddPanel, MulAddPanel,
+# QuantRoundInto, SaturateInto, MaxPoolRegion, ActivationApply, … each with
+# the lanes off and on where it has lanes).
 # For numbers: go test -run '^$$' -bench . -count 5 ./internal/nn ./internal/numerics ./internal/faultmodel ./internal/rtlsim
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/nn ./internal/numerics ./internal/faultmodel ./internal/rtlsim
@@ -72,14 +74,15 @@ bench-smoke:
 # The kernels' "bounds-check free" claim, checked: builds internal/nn and
 # internal/numerics with -gcflags=-d=ssa/check_bce and fails if the compiler
 # kept a bounds check inside an innermost loop of kernels.go, of a row
-# primitive in halfrow.go, or of a row epilogue — Codec.SaturateInto
-# (bitflip.go), the rectifier rows (activation.go), the residual add and the
-# batch-norm rows (block.go) (cmd/bcecheck).
+# primitive in halfrow.go or floatrow.go, of a row epilogue —
+# Codec.SaturateInto (bitflip.go), the rectifier rows (activation.go), the
+# residual add and the batch-norm rows (block.go) — or of a pooling window
+# (pool.go) (cmd/bcecheck).
 bce:
 	$(GO) run ./cmd/bcecheck
 
 # The non-amd64 file set (internal/numerics/halfrow_noasm.go beside
-# halfrow_amd64.s): cross-build everything and vet the two packages that see
+# halfrow_amd64.s and floatrow_amd64.s): cross-build everything and vet the two packages that see
 # the split, tests included, so the portable side cannot rot on an amd64-only
 # machine. `vet` below already checks the assembly's frames and argument
 # offsets (asmdecl). Mirrors the `portable` step of CI's build + test job.

@@ -1,10 +1,10 @@
 // Command bcecheck fails when the compiler leaves a bounds check inside an
 // innermost loop of the kernel hot paths: internal/nn/kernels.go, the row
-// primitives of internal/numerics/halfrow.go, the row epilogues
+// primitives of internal/numerics/halfrow.go and floatrow.go, the row epilogues
 // (Codec.SaturateInto in internal/numerics/bitflip.go, the rectifier rows of
 // internal/nn/activation.go, the residual add and the batch-norm rows of
-// internal/nn/block.go) and the replay engine's diff scans in
-// internal/nn/region.go. Their headers claim the per-element loops are
+// internal/nn/block.go), the pooling windows of internal/nn/pool.go and the
+// replay engine's diff scans in internal/nn/region.go. Their headers claim the per-element loops are
 // bounds-check free; this keeps the claim true.
 //
 // It builds the two packages with -gcflags=-d=ssa/check_bce, which reports
@@ -36,14 +36,18 @@ import (
 // loops behind every tile and every run of recompute.go. boxify and diffSpanBox
 // likewise loop once per tensor row, slicing it out; their per-element loops
 // are firstDiff and lastDiff, which are checked; matmulTile loops once per
-// output row over mulAddPanel and scaleSaturate. InitRandom fills a layer's
-// parameters once, through the tensor's accessors.
+// output row over mulAddPanel and scaleSaturate; maxPoolRegion once per window
+// cell over numerics.MaxRow, slicing the cell out. InitRandom fills a layer's
+// parameters once, through the tensor's accessors. floatrow.go needs no
+// exemption: its dispatchers do not loop, and its ...Go loops are checked.
 var hotFiles = map[string]map[string]bool{
-	"internal/nn/kernels.go":       {"matmulTile": true},
-	"internal/nn/activation.go":    {},
-	"internal/nn/block.go":         {"InitRandom": true},
-	"internal/nn/region.go":        {"boxify": true, "diffSpanBox": true},
-	"internal/numerics/bitflip.go": {},
+	"internal/nn/kernels.go":        {"matmulTile": true},
+	"internal/nn/activation.go":     {},
+	"internal/nn/block.go":          {"InitRandom": true},
+	"internal/nn/pool.go":           {"maxPoolRegion": true},
+	"internal/nn/region.go":         {"boxify": true, "diffSpanBox": true},
+	"internal/numerics/bitflip.go":  {},
+	"internal/numerics/floatrow.go": {},
 	"internal/numerics/halfrow.go": {
 		"HalfMulAddPanel": true,
 		"HalfMulAddRow":   true, "HalfMulAddVec": true, "HalfDot": true, "halfRoundInto": true,

@@ -41,22 +41,14 @@ func (l *Activation) apply(out, x []float32) {
 // The rectifiers are plain compares, not the min and max builtins: those
 // propagate NaN and order the zeros, and what a rectifier makes of NaN and of
 // -0 is part of what a fault propagates. ReLU sends both to +0; ReLU6 and the
-// clamp pass both through; the leaky rectifier scales them.
-// TestRectifierRowsMatchScalar pins each row to its scalar definition.
+// clamp pass both through; the leaky rectifier scales them. ReLU, ReLU6 and the
+// clamp are numerics' branch-free rows (floatrow.go), whose lanes keep exactly
+// that. TestRectifierRowsMatchScalar pins each row to its scalar definition.
 
 // NewReLU builds a rectified linear activation. ReLU is the dominant masking
 // mechanism for negative-going faulty neurons in CNNs.
 func NewReLU(name string, codec numerics.Codec) *Activation {
-	return &Activation{name: name, codec: codec, row: func(out, x []float32) {
-		out = out[:len(x)]
-		for i, v := range x {
-			if v > 0 {
-				out[i] = v
-			} else {
-				out[i] = 0
-			}
-		}
-	}}
+	return &Activation{name: name, codec: codec, row: numerics.ReLURow}
 }
 
 // NewLeakyReLU builds a leaky rectifier (used in Yolo backbones).
@@ -88,16 +80,7 @@ func NewTanh(name string, codec numerics.Codec) *Activation {
 // NewRelu6 builds the clipped rectifier used by MobileNet.
 func NewRelu6(name string, codec numerics.Codec) *Activation {
 	return &Activation{name: name, codec: codec, row: func(out, x []float32) {
-		out = out[:len(x)]
-		for i, v := range x {
-			switch {
-			case v < 0:
-				v = 0
-			case v > 6:
-				v = 6
-			}
-			out[i] = v
-		}
+		numerics.ClipRow(out, x, 0, 6)
 	}}
 }
 
@@ -112,16 +95,7 @@ func NewClamp(name string, bound float32, codec numerics.Codec) *Activation {
 		panic(fmt.Sprintf("nn: clamp bound must be positive, got %v", bound))
 	}
 	return &Activation{name: name, codec: codec, row: func(out, x []float32) {
-		out = out[:len(x)]
-		for i, v := range x {
-			switch {
-			case v > bound:
-				v = bound
-			case v < -bound:
-				v = -bound
-			}
-			out[i] = v
-		}
+		numerics.ClipRow(out, x, -bound, bound)
 	}}
 }
 

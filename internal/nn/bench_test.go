@@ -120,6 +120,26 @@ func BenchmarkActivationApply(b *testing.B) {
 	}
 }
 
+// BenchmarkMaxPoolRegion times the zoo's two max-pooling shapes on
+// inception-lite's maps, whole output: the 3/1 window over a padded 18×18×16
+// map and the 2/2 one over 16×16×32.
+func BenchmarkMaxPoolRegion(b *testing.B) {
+	rng := rand.New(rand.NewSource(37))
+	for _, g := range []struct{ size, stride, hw, c int }{{3, 1, 18, 16}, {2, 2, 16, 32}} {
+		x := tensor.New(1, g.hw, g.hw, g.c)
+		x.RandNormal(rng, 1)
+		o := (g.hw-g.size)/g.stride + 1
+		out := tensor.New(1, o, o, g.c)
+		b.Run(fmt.Sprintf("%dx%d-s%d-c%d", g.size, g.size, g.stride, g.c), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				maxPoolRegion(x, out, g.size, g.stride, 0, o, 0, o)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(out.Size()), "ns/output")
+		})
+	}
+}
+
 // BenchmarkResidualAdd times the add-and-round of a residual block whose body
 // and shortcut are both the identity, on a 16×16×16 FP16 map: one output
 // tensor allocated, the sum, the rounding.

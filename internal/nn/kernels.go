@@ -90,27 +90,19 @@ type convArgs struct {
 
 // mulAddPanel is the row loop of every kernel but the depthwise one: for the
 // rows i of a in ascending order, acc[c] += a[i]·w[i*stride+c] for every c in
-// acc, the FP16 product rounded through the half encoding (one call into the
-// lanes for the whole run, numerics.HalfMulAddPanel). With skipZero the rows of
-// ±0 activations are skipped (convArgs.skipZero). a is one kernel row's
-// (kx, ic) run of a convolution, a dense layer's input features or a matmul's
-// inner dimension; acc is all of the output's last axis, or a window of it
-// when stride is wider.
+// acc, the FP16 product rounded through the half encoding — one call into the
+// lanes for the whole run either way (numerics.HalfMulAddPanel, and
+// numerics.MulAddPanel for the precisions whose products are not rounded). With
+// skipZero the rows of ±0 activations are skipped (convArgs.skipZero). a is one
+// kernel row's (kx, ic) run of a convolution, a dense layer's input features or
+// a matmul's inner dimension; acc is all of the output's last axis, or a window
+// of it when stride is wider.
 func mulAddPanel(fp16, skipZero bool, acc, a, w []float32, stride int) {
 	if fp16 {
 		numerics.HalfMulAddPanel(acc, a, w, stride, skipZero)
 		return
 	}
-	for i, av := range a {
-		if av == 0 && skipZero {
-			continue
-		}
-		wrow := w[i*stride:][:len(acc)]
-		acc := acc[:len(wrow)]
-		for c, wv := range wrow {
-			acc[c] += av * wv
-		}
-	}
+	numerics.MulAddPanel(acc, a, w, stride, skipZero)
 }
 
 // dotRow returns acc + Σ a[i]·w[i] added in ascending i, the FP16 product

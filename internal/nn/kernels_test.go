@@ -11,9 +11,10 @@ import (
 	"fidelity/internal/tensor"
 )
 
-// numericsHasAVX2 is numerics' unexported dispatch seam: true when the FP16
-// row primitives run their AVX2 lanes on this machine. The kernel tests turn
-// it off to hold the pure-Go loops to the same reference.
+// numericsHasAVX2 is numerics' unexported dispatch seam: true when its row
+// primitives — the FP16 ones and the plain-float32 ones of every other
+// precision — run their AVX2 lanes on this machine. The kernel tests turn it
+// off to hold the pure-Go loops to the same reference.
 //
 //go:linkname numericsHasAVX2 fidelity/internal/numerics.hasAVX2
 var numericsHasAVX2 bool
@@ -33,9 +34,10 @@ func kernelCodecs() []numerics.Codec {
 // runKernelModes evaluates f once per kernel configuration — reference
 // loops, tiled single-threaded, and tiled with forced goroutine bands (the
 // parallel path is unreachable on a single-CPU machine without the force),
-// the tiled ones with the FP16 primitives' AVX2 lanes as detected and again
-// with them off — and requires every output to be bit-identical to the
-// reference.
+// the tiled ones with numerics' AVX2 lanes as detected and again with them off
+// (which is a lanes-off leg for every codec: the FP16 panel, the float32 panel
+// of INT8 / INT16 / FP32 and the quantizers' rounding all hang on the one
+// seam) — and requires every output to be bit-identical to the reference.
 func runKernelModes(t *testing.T, label string, f func() *tensor.Tensor) {
 	t.Helper()
 	modes := []struct {

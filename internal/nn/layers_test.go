@@ -104,6 +104,74 @@ func TestAvgPoolAndGlobal(t *testing.T) {
 	}
 }
 
+// TestPoolRegionsMatchNaive holds maxPoolRegion and avgPoolRegion — whole
+// output and a box inside it written over a filled tensor — to the loops they
+// stand for, one output element at a time: the window in (py, px) order under
+// `v > max` (a NaN never becomes the maximum, and a window of nothing but NaNs
+// pools to -Inf) or under a float32 running sum, rounded. Channel counts run
+// below, at and past numerics.MaxRow's lane width; the inputs carry both zeros,
+// NaN and both infinities; the lanes run as detected and off.
+func TestPoolRegionsMatchNaive(t *testing.T) {
+	detected := numericsHasAVX2
+	defer func() { numericsHasAVX2 = detected }()
+	rng := rand.New(rand.NewSource(45))
+	codec := numerics.MustCodec(numerics.INT8, 8)
+	for _, g := range []struct{ size, stride, h, w int }{{2, 2, 8, 6}, {3, 1, 7, 7}, {3, 2, 9, 11}, {1, 1, 3, 4}} {
+		for _, c := range []int{1, 3, 8, 12, 16, 21} {
+			x := tensor.New(2, g.h, g.w, c)
+			x.RandNormal(rng, 3)
+			adversarial(x.Data(), rng)
+			for i := 0; i < g.size*c; i++ { // in every channel, a window of nothing but NaNs
+				for py := 0; py < g.size; py++ {
+					x.Data()[py*g.w*c+i] = float32(math.NaN())
+				}
+			}
+			oh, ow := (g.h-g.size)/g.stride+1, (g.w-g.size)/g.stride+1
+			naive := func(b, y, xx, ch int, avg bool) float32 {
+				m, sum := float32(math.Inf(-1)), float32(0)
+				for py := 0; py < g.size; py++ {
+					for px := 0; px < g.size; px++ {
+						v := x.At(b, y*g.stride+py, xx*g.stride+px, ch)
+						if v > m {
+							m = v
+						}
+						sum += v
+					}
+				}
+				if avg {
+					return codec.Round(sum * (1 / float32(g.size*g.size)))
+				}
+				return m
+			}
+			for _, lanes := range []bool{detected, false} {
+				numericsHasAVX2 = lanes
+				for _, avg := range []bool{false, true} {
+					for _, bx := range [][4]int{{0, oh, 0, ow}, {1, oh - 1, 1, ow}} {
+						out := tensor.New(2, oh, ow, c)
+						out.Fill(7)
+						if avg {
+							avgPoolRegion(x, out, g.size, g.stride, codec, bx[0], bx[1], bx[2], bx[3])
+						} else {
+							maxPoolRegion(x, out, g.size, g.stride, bx[0], bx[1], bx[2], bx[3])
+						}
+						for i, got := range out.Data() {
+							idx := out.Unflatten(i)
+							want := float32(7)
+							if idx[1] >= bx[0] && idx[1] < bx[1] && idx[2] >= bx[2] && idx[2] < bx[3] {
+								want = naive(idx[0], idx[1], idx[2], idx[3], avg)
+							}
+							if math.Float32bits(got) != math.Float32bits(want) {
+								t.Fatalf("pool %d/%d over %dx%dx%d, avg %v, box %v, lanes %v: out%v = %v [%#08x], naive %v [%#08x]",
+									g.size, g.stride, g.h, g.w, c, avg, bx, lanes, idx, got, math.Float32bits(got), want, math.Float32bits(want))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestResidualIdentity(t *testing.T) {
 	c := fp32Codec()
 	l := NewConv2D("c", 1, 1, 1, 1, 1, 0, c)
@@ -428,8 +496,18 @@ func TestElementwiseRegionSweep(t *testing.T) {
 // them), and the min and max builtins would get every one of those wrong. The
 // inputs are both zeros, the subnormal ends, both infinities, NaNs of two
 // payloads and both signs, each bound and its two neighbours, and 10⁴ random
-// values, in rows of every length from 0 to 17, out of place and in place.
+// values, in rows of every length from 0 to 17, out of place and in place,
+// with numerics' AVX2 lanes as detected and off.
 func TestRectifierRowsMatchScalar(t *testing.T) {
+	detected := numericsHasAVX2
+	defer func() { numericsHasAVX2 = detected }()
+	for _, lanes := range []bool{detected, false} {
+		numericsHasAVX2 = lanes
+		testRectifierRowsMatchScalar(t)
+	}
+}
+
+func testRectifierRowsMatchScalar(t *testing.T) {
 	const alpha, bound = 0.1, 2.5
 	c := fp32Codec()
 	rectifiers := []struct {
@@ -491,8 +569,8 @@ func TestRectifierRowsMatchScalar(t *testing.T) {
 			for i, v := range x {
 				want := math.Float32bits(r.scalar(v))
 				if math.Float32bits(out[i]) != want || math.Float32bits(inPlace[i]) != want {
-					t.Fatalf("%s(%v [%#08x]) in a row of %d = %#08x (%#08x in place), scalar %#08x", r.l.Name(), v,
-						math.Float32bits(v), len(x), math.Float32bits(out[i]), math.Float32bits(inPlace[i]), want)
+					t.Fatalf("%s(%v [%#08x]) in a row of %d (lanes %v) = %#08x (%#08x in place), scalar %#08x", r.l.Name(), v,
+						math.Float32bits(v), len(x), numericsHasAVX2, math.Float32bits(out[i]), math.Float32bits(inPlace[i]), want)
 				}
 			}
 		}

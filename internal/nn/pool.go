@@ -43,34 +43,30 @@ func (l *MaxPool) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 }
 
 // maxPoolRegion computes max-pool output rows [y0,y1) × cols [x0,x1) with
-// flattened indexing. Window visit order is (py, px) ascending per channel,
+// flattened indexing. Each output cell starts at -Inf and takes its window's
+// cells one numerics.MaxRow at a time, in (py, px) ascending order per channel,
 // matching the naive loop (max is order-independent, but we keep the order
 // anyway so NaN tie behavior cannot drift).
 func maxPoolRegion(x, out *tensor.Tensor, size, stride, y0, y1, x0, x1 int) {
 	n, h, w, c := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	ow := out.Dim(2)
+	oh, ow := out.Dim(1), out.Dim(2)
 	xd, od := x.Data(), out.Data()
-	maxs := make([]float32, c)
+	negInf := float32(math.Inf(-1))
 	for b := 0; b < n; b++ {
 		for y := y0; y < y1; y++ {
 			for xx := x0; xx < x1; xx++ {
+				outBase := ((b*oh+y)*ow + xx) * c
+				maxs := od[outBase : outBase+c]
 				for ch := range maxs {
-					maxs[ch] = float32(math.Inf(-1))
+					maxs[ch] = negInf
 				}
 				for py := 0; py < size; py++ {
 					rowBase := ((b*h+y*stride+py)*w + xx*stride) * c
 					win := xd[rowBase : rowBase+size*c]
 					for px := 0; px < size; px++ {
-						cell := win[px*c : px*c+c]
-						for ch, v := range cell {
-							if v > maxs[ch] {
-								maxs[ch] = v
-							}
-						}
+						numerics.MaxRow(maxs, win[px*c:px*c+c])
 					}
 				}
-				outBase := ((b*out.Dim(1)+y)*ow + xx) * c
-				copy(od[outBase:outBase+c], maxs)
 			}
 		}
 	}
@@ -115,27 +111,26 @@ func avgPoolRegion(x, out *tensor.Tensor, size, stride int, codec numerics.Codec
 	oh, ow := out.Dim(1), out.Dim(2)
 	xd, od := x.Data(), out.Data()
 	inv := 1 / float32(size*size)
-	sums := make([]float32, c)
 	for b := 0; b < n; b++ {
 		for y := y0; y < y1; y++ {
 			for xx := x0; xx < x1; xx++ {
-				for ch := range sums {
-					sums[ch] = 0
-				}
+				// The sums accumulate in the output cell itself.
+				outBase := ((b*oh+y)*ow + xx) * c
+				orow := od[outBase : outBase+c]
+				clear(orow)
 				for py := 0; py < size; py++ {
 					rowBase := ((b*h+y*stride+py)*w + xx*stride) * c
 					win := xd[rowBase : rowBase+size*c]
 					for px := 0; px < size; px++ {
 						cell := win[px*c : px*c+c]
+						sums := orow[:len(cell)]
 						for ch, v := range cell {
 							sums[ch] += v
 						}
 					}
 				}
-				outBase := ((b*oh+y)*ow + xx) * c
-				orow := od[outBase : outBase+c]
-				for ch := range orow {
-					orow[ch] = codec.Round(sums[ch] * inv)
+				for ch, sum := range orow {
+					orow[ch] = codec.Round(sum * inv)
 				}
 			}
 		}
@@ -175,6 +170,7 @@ func (l *GlobalAvgPool) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 			img := xd[b*h*w*c : (b+1)*h*w*c]
 			for base := 0; base+c <= len(img); base += c {
 				cell := img[base : base+c]
+				sums := sums[:len(cell)]
 				for ch, v := range cell {
 					sums[ch] += float64(v)
 				}

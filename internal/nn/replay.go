@@ -275,13 +275,17 @@ func (c *Context) Detach() {
 
 // newTensor allocates a layer output buffer: from the arena during replay,
 // freshly otherwise (recorded golden tensors must outlive every experiment).
-// The buffer is zeroed either way, since accumulating layers rely on it.
+// The buffer is zeroed either way, since accumulating layers rely on it; an
+// arena miss is tensor.New's buffer, zeroed already.
 func (c *Context) newTensor(shape ...int) *tensor.Tensor {
 	if c == nil || c.mode != ctxReplay {
 		return tensor.New(shape...)
 	}
+	reuses := c.arena.reuses
 	t := c.arena.get(shape...)
-	clear(t.Data())
+	if c.arena.reuses != reuses {
+		clear(t.Data())
+	}
 	return t
 }
 

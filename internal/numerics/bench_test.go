@@ -3,6 +3,7 @@ package numerics
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -75,6 +76,33 @@ func BenchmarkHalfMulAddPanel(b *testing.B) {
 	}
 }
 
+// BenchmarkMulAddPanel times the float32 panel of the INT8, INT16 and FP32
+// kernels at the widths inception-lite's convolutions hand it — 4, 8, 12 and
+// 16 outputs, one column block each — and at 32, over 72 rows (a 3×3×8 kernel
+// row set), a fifth of the activations zero and skipped, with the lanes off
+// and on.
+func BenchmarkMulAddPanel(b *testing.B) {
+	const rows = 72
+	for _, n := range []int{4, 8, 12, 16, 32} {
+		a, _ := benchOperands(rows)
+		for i := 0; i < rows; i += 5 {
+			a[i] = 0
+		}
+		_, w := benchOperands(rows * n)
+		acc := make([]float32, n)
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			eachDispatch(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					clear(acc)
+					MulAddPanel(acc, a, w, n, true)
+				}
+				b.ReportMetric(float64(b.N)*float64(rows*n)/b.Elapsed().Seconds(), "MAC/s")
+			})
+		})
+	}
+}
+
 func benchRoundSlice(b *testing.B, c Codec) {
 	data, _ := benchOperands(4096)
 	b.ReportAllocs()
@@ -88,11 +116,35 @@ func benchRoundSlice(b *testing.B, c Codec) {
 func BenchmarkRoundSliceFP16(b *testing.B) {
 	eachDispatch(b, func(b *testing.B) { benchRoundSlice(b, MustCodec(FP16, 0)) })
 }
-func BenchmarkRoundSliceINT8(b *testing.B) { benchRoundSlice(b, MustCodec(INT8, 4)) }
+func BenchmarkRoundSliceINT8(b *testing.B) {
+	eachDispatch(b, func(b *testing.B) { benchRoundSlice(b, MustCodec(INT8, 4)) })
+}
+
+// BenchmarkQuantRoundInto times the quantizers' storage rounding in place over
+// one 16×16×16 activation map of N(0, 1) values in a range of ±4 (INT8: a few
+// saturate), with the lanes off and on: what every rectifier, batch-norm and
+// residual row ends on in a quantized network.
+func BenchmarkQuantRoundInto(b *testing.B) {
+	src, _ := benchOperands(4096)
+	dst := make([]float32, len(src))
+	for _, p := range []Precision{INT8, INT16} {
+		c := MustCodec(p, 4)
+		b.Run(strings.ToLower(p.String()), func(b *testing.B) {
+			eachDispatch(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c.RoundInto(dst, src)
+				}
+				b.ReportMetric(b.Elapsed().Seconds()*1e9/(float64(b.N)*float64(len(src))), "ns/value")
+			})
+		})
+	}
+}
 
 // BenchmarkSaturateInto times the converter over a 64-wide output row, the
 // epilogue of every kernel tile: conv-sized accumulators (N(0, 3²)), none of
-// which saturate in FP16 and a few of which do in INT8.
+// which saturate in FP16 and a few of which do in INT8, with the lanes off and
+// on.
 func BenchmarkSaturateInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(72))
 	src, dst := make([]float32, 64), make([]float32, 64)
@@ -109,5 +161,7 @@ func BenchmarkSaturateInto(b *testing.B) {
 	b.Run("fp16", func(b *testing.B) {
 		eachDispatch(b, func(b *testing.B) { run(b, MustCodec(FP16, 0)) })
 	})
-	b.Run("int8", func(b *testing.B) { run(b, MustCodec(INT8, 8)) })
+	b.Run("int8", func(b *testing.B) {
+		eachDispatch(b, func(b *testing.B) { run(b, MustCodec(INT8, 8)) })
+	})
 }

@@ -1,8 +1,9 @@
 package numerics
 
-// hasAVX2 selects the 8-lane bodies of halfrow_amd64.s, once, from what the
-// CPU (AVX2 and the F16C converter) and the OS report. Tests flip it to run
-// every primitive both ways; nothing else writes it.
+// hasAVX2 selects the AVX2 bodies of halfrow_amd64.s (eight FP16 lanes) and
+// floatrow_amd64.s (the plain-float32 rows and the quantizer lanes), once,
+// from what the CPU (AVX2 and the F16C converter) and the OS report. Tests flip
+// it to run every primitive both ways; nothing else writes it.
 var hasAVX2 = cpuHasAVX2()
 
 // Implemented in halfrow_amd64.s; halfrow.go (laneChunk) has the contract of
@@ -19,3 +20,17 @@ func halfMulAddVecAVX2(acc, a, w []float32) int
 func halfDotAVX2(acc float32, a, w []float32) (sum float32, n int)
 
 func halfRoundAVX2(dst, src []float32) int
+
+// Implemented in floatrow_amd64.s. None bails, so none returns a count: the
+// panel takes len(acc) a multiple of panelBlock and at least one row, the
+// others a length that is a multiple of laneChunk.
+
+func mulAddPanelAVX2(acc, a, w []float32, stride int, skipZero bool)
+
+func quantRoundAVX2(dst, src []float32, scale, satLo, satHi, vLo, vHi, floor float32)
+
+func maxRowAVX2(m, v []float32)
+
+func reluRowAVX2(out, x []float32)
+
+func clipRowAVX2(out, x []float32, lo, hi float32)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -396,16 +397,26 @@ func FuzzHalfPanel(f *testing.F) {
 	})
 }
 
-// TestAsmIsVEXOnly scans halfrow_amd64.s for the two mistakes that cost a
-// microsecond a call and break nothing: a legacy-SSE instruction (any
-// mnemonic not starting with V) on an X or Y register, which makes the CPU
+// TestAsmIsVEXOnly scans every *_amd64.s of the package for the two mistakes
+// that cost a microsecond a call and break nothing: a legacy-SSE instruction
+// (any mnemonic not starting with V) on an X or Y register, which makes the CPU
 // save the dirty upper YMM halves at the next VEX instruction, and a RET out
 // of a routine that used vector registers without a VZEROUPPER just before it,
 // which leaves them dirty for the Go code that follows. It also pins the
 // converter's imm8: $4 would take the rounding mode from MXCSR, which no test
 // can set and nothing promises.
 func TestAsmIsVEXOnly(t *testing.T) {
-	src, err := os.ReadFile("halfrow_amd64.s")
+	files, err := filepath.Glob("*_amd64.s")
+	if err != nil || len(files) < 2 {
+		t.Fatalf("found %v (%v): halfrow_amd64.s and floatrow_amd64.s at least", files, err)
+	}
+	for _, file := range files {
+		checkAsmIsVEXOnly(t, file)
+	}
+}
+
+func checkAsmIsVEXOnly(t *testing.T, file string) {
+	src, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,19 +450,23 @@ func TestAsmIsVEXOnly(t *testing.T) {
 			case op == "DATA" || op == "GLOBL":
 				continue
 			}
-			usesVec := vecReg.MatchString(args) || macros[strings.SplitN(op, "(", 2)[0]]
+			// A macro's own instructions were scanned where it is defined; its
+			// arguments may name the registers it works on.
+			name := strings.SplitN(op, "(", 2)[0]
+			isMacro := name != op
+			usesVec := vecReg.MatchString(args) || macros[name]
 			if usesVec && macro != "" {
 				macros[macro] = true
 			}
 			vector = vector || usesVec
 			if op == "VCVTPS2PH" && !strings.HasPrefix(args, "$0,") {
-				t.Errorf("halfrow_amd64.s:%d: VCVTPS2PH %s: imm8 must be $0, round to nearest even whatever MXCSR holds", ln+1, args)
+				t.Errorf("%s:%d: VCVTPS2PH %s: imm8 must be $0, round to nearest even whatever MXCSR holds", file, ln+1, args)
 			}
-			if vecReg.MatchString(args) && !strings.HasPrefix(op, "V") {
-				t.Errorf("halfrow_amd64.s:%d: %s on a vector register is not VEX-encoded", ln+1, op)
+			if vecReg.MatchString(args) && !strings.HasPrefix(op, "V") && !isMacro {
+				t.Errorf("%s:%d: %s on a vector register is not VEX-encoded", file, ln+1, op)
 			}
 			if op == "RET" && vector && prev != "VZEROUPPER" {
-				t.Errorf("halfrow_amd64.s:%d: RET from %s without VZEROUPPER before it", ln+1, routine)
+				t.Errorf("%s:%d: RET from %s without VZEROUPPER before it", file, ln+1, routine)
 			}
 			prev = op
 		}
@@ -460,6 +475,6 @@ func TestAsmIsVEXOnly(t *testing.T) {
 		}
 	}
 	if len(macros) == 0 || routine == "" {
-		t.Fatalf("found %d vector macros, last routine %q: has the file's layout changed?", len(macros), routine)
+		t.Fatalf("%s: found %d vector macros, last routine %q: has the file's layout changed?", file, len(macros), routine)
 	}
 }

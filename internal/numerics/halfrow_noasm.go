@@ -18,3 +18,16 @@ func halfMulAddVecAVX2(acc, a, w []float32) int { return 0 }
 func halfDotAVX2(acc float32, a, w []float32) (sum float32, n int) { return acc, 0 }
 
 func halfRoundAVX2(dst, src []float32) int { return 0 }
+
+// The plain-float32 bodies of floatrow_amd64.s are never reached: every call
+// is behind hasAVX2.
+
+func mulAddPanelAVX2(acc, a, w []float32, stride int, skipZero bool) {}
+
+func quantRoundAVX2(dst, src []float32, scale, satLo, satHi, vLo, vHi, floor float32) {}
+
+func maxRowAVX2(m, v []float32) {}
+
+func reluRowAVX2(out, x []float32) {}
+
+func clipRowAVX2(out, x []float32, lo, hi float32) {}

@@ -155,12 +155,24 @@ func (q Quantizer) Round(f float32) float32 {
 // as src. Round has no floor (-Inf). Codec.Saturate's is -MaxAbs()-Scale, which
 // it returns unrounded and which may sit an ulp off the bottom code's value;
 // that is all Saturate adds to Round, its upper clamp being Round's own: MaxAbs
-// is the top code's value, so whatever exceeds it is at or past satHi.
+// is the top code's value, so whatever exceeds it is at or past satHi. With
+// hasAVX2 the whole chunks of eight go through quantRoundAVX2
+// (floatrow_amd64.s): the default case's arithmetic in every lane, the other
+// cases blended over it (DESIGN.md §7.7).
 func (q Quantizer) roundInto(dst, src []float32, floor float32) {
+	dst = dst[:len(src)]
+	vLo, vHi := q.Dequantize(q.saturated(-1)), q.Dequantize(q.saturated(1))
+	n := laneWhole(len(src))
+	if n > 0 {
+		quantRoundAVX2(dst[:n], src[:n], q.Scale, q.satLo, q.satHi, vLo, vHi, floor)
+	}
+	q.roundIntoGo(dst[n:], src[n:], floor, vLo, vHi)
+}
+
+func (q Quantizer) roundIntoGo(dst, src []float32, floor, vLo, vHi float32) {
 	dst = dst[:len(src)]
 	scale, scale64 := q.Scale, float64(q.Scale)
 	satLo, satHi := q.satLo, q.satHi
-	vLo, vHi := q.Dequantize(q.saturated(-1)), q.Dequantize(q.saturated(1))
 	for i, f := range src {
 		switch {
 		case f >= satHi:
