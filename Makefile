@@ -10,7 +10,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Coordinator address used by the `work` convenience target.
 COORDINATOR ?= http://127.0.0.1:9090
 
-.PHONY: build test cli-smoke race chaos chaos-distrib bench bench-smoke bce portable fmt vet fidelitylint lint verify serve work e2e-distrib harden e2e-harden ci
+.PHONY: build test cli-smoke race chaos chaos-distrib bench bench-smoke fuzz-smoke bce portable fmt vet fidelitylint lint verify serve work e2e-distrib harden e2e-harden ci
 
 build:
 	$(GO) build ./...
@@ -51,10 +51,10 @@ chaos:
 # corruption, 5xx bursts at 1/2/4 workers must stay byte-identical to a
 # clean run), result audits catching a lying worker, graceful drain,
 # corrupted and parent-written state recovery, and the lease-table
-# dedup/stale/audit unit tests. Run twice under -race — retry and re-issue paths are exactly
-# where flakes would hide.
+# dedup/stale/audit/re-grant unit tests, and the lost-grant retries. Run twice under
+# -race — retry and re-issue paths are exactly where flakes would hide.
 chaos-distrib:
-	$(GO) test -race -timeout 30m -count=2 -run 'TestChaos|TestDistribAudit|TestDistribDrain|TestCoordinatorState|TestLeaseTable' ./internal/distrib/
+	$(GO) test -race -timeout 30m -count=2 -run 'TestChaos|TestDistribAudit|TestDistribDrain|TestDistribLostGrant|TestCoordinatorState|TestLeaseTable' ./internal/distrib/
 
 # One iteration of every paper-figure benchmark — smoke, not measurement.
 # Performance is measured by the repo benchmark: `go run ./benchmark`, and
@@ -70,6 +70,17 @@ bench:
 # For numbers: go test -run '^$$' -bench . -count 5 ./internal/nn ./internal/numerics ./internal/faultmodel ./internal/rtlsim
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/nn ./internal/numerics ./internal/faultmodel ./internal/rtlsim
+
+# Every native fuzz target for 5 s each, from its committed seed corpus: the
+# four arithmetic ones (row primitives vs their Go loops, Reference.Run vs
+# Run) and the two decoders a socket reaches (POST /v1/report, POST /v1/lease
+# through Coordinator.Handler()). `go test -fuzz` takes one target at a time.
+# Mirrors the `fuzz smoke` step of CI's bench-smoke job.
+FUZZ_TARGETS := numerics:FuzzHalfRow numerics:FuzzHalfPanel numerics:FuzzMulAddPanel rtlsim:FuzzReferenceRun distrib:FuzzReportBody distrib:FuzzLeaseBody
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 5s ./internal/$${t%%:*} || exit 1; \
+	done
 
 # The kernels' "bounds-check free" claim, checked: builds internal/nn and
 # internal/numerics with -gcflags=-d=ssa/check_bce and fails if the compiler
@@ -159,4 +170,4 @@ e2e-harden:
 # kernel bench smoke. Everything here runs offline.
 verify: fmt vet fidelitylint bce build portable test cli-smoke bench-smoke
 
-ci: fmt vet fidelitylint bce build portable test cli-smoke race chaos chaos-distrib bench
+ci: fmt vet fidelitylint bce build portable test cli-smoke race chaos chaos-distrib bench fuzz-smoke

@@ -34,11 +34,11 @@ type ShardRun struct {
 	// enclosing Checkpoint.Matches before handing shards out).
 	Resume *ShardCheckpoint
 	// OnProgress, when non-nil, receives consistent point-in-time shard
-	// checkpoints: every Interval while the shard runs, and one final call
-	// with the shard's terminal state before RunShard returns. Calls are
-	// never concurrent with each other.
+	// checkpoints every Interval while the shard runs. The terminal state is
+	// Run's return value, not a call. Calls are never concurrent with each
+	// other.
 	OnProgress func(ShardCheckpoint)
-	// Interval is the OnProgress streaming cadence (0 = final call only).
+	// Interval is the OnProgress streaming cadence (0 = never).
 	Interval time.Duration
 	// PublishEvery overrides the experiment cadence between published
 	// snapshots (0 = the engine default). Streamed checkpoints can be at
@@ -130,11 +130,7 @@ func (r *ShardRunner) Run(ctx context.Context, run ShardRun) (ShardCheckpoint, e
 		runErr = sh.run(ctx)
 		stopStream()
 	}
-	final := sh.snapshot()
-	if run.OnProgress != nil {
-		run.OnProgress(final)
-	}
-	return final, runErr
+	return sh.snapshot(), runErr
 }
 
 // AssembleResult computes the StudyResult of a campaign from its terminal

@@ -162,6 +162,10 @@ type Coordinator struct {
 	draining bool
 	done     chan struct{}
 	doneOnce sync.Once
+	// wake is closed and replaced whenever a held /v1/lease long-poll should
+	// look again: a final report was accepted (a shard may be pending) or
+	// drain started. Finishing closes done, which waiters also watch.
+	wake chan struct{}
 	// strataSnap is the latest round barrier's per-stratum telemetry block,
 	// attached to Status (coordinator-side planner state, not worker-merged).
 	strataSnap *telemetry.StrataSnapshot
@@ -205,6 +209,7 @@ func NewCoordinator(o CoordinatorOptions) (*Coordinator, error) {
 		table:     nil,
 		workers:   map[string]telemetry.Snapshot{},
 		done:      make(chan struct{}),
+		wake:      make(chan struct{}),
 	}
 	c.table = c.newTable(ttl)
 	c.opts.Telemetry = o.Telemetry
@@ -592,6 +597,13 @@ func (c *Coordinator) StartDrain() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.draining = true
+	c.wakeLocked()
+}
+
+// wakeLocked releases every held long-poll to re-check. Callers hold c.mu.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // Idle reports whether no lease is live — after StartDrain this means every
@@ -681,28 +693,55 @@ func (c *Coordinator) handleLease(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
+	// A long-poll (WaitMS) holds the request, outside c.mu, until there may be
+	// something to lease or the campaign ends; then it answers as any other.
+	var timeout <-chan time.Time
+	quarter := c.table.ttl / 4
+	retryMS := quarter.Milliseconds()
+	if wait := min(time.Duration(req.WaitMS)*time.Millisecond, quarter); wait > 0 {
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		timeout = t.C
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.finishedLocked() {
-		writeJSON(rw, http.StatusOK, LeaseReply{Done: true})
-		return
+	for {
+		if c.finishedLocked() {
+			writeJSON(rw, http.StatusOK, LeaseReply{Done: true})
+			return
+		}
+		if c.draining {
+			writeJSON(rw, http.StatusOK, LeaseReply{Draining: true, RetryAfterMS: quarter.Milliseconds()})
+			return
+		}
+		//lint:allow wallclock lease TTL is wall-clock liveness (DESIGN.md §6), not campaign identity
+		if lease := c.table.acquire(req.Worker, time.Now()); lease != nil {
+			if err := c.persistLocked(); err != nil {
+				c.failLocked(err)
+				http.Error(rw, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			writeJSON(rw, http.StatusOK, LeaseReply{Lease: lease})
+			return
+		}
+		if timeout == nil {
+			writeJSON(rw, http.StatusOK, LeaseReply{RetryAfterMS: retryMS})
+			return
+		}
+		wake := c.wake
+		c.mu.Unlock()
+		select {
+		case <-wake:
+		case <-c.done:
+		case <-timeout:
+			// Held for the whole wait: the worker may ask again at once.
+			timeout, retryMS = nil, 0
+		case <-r.Context().Done():
+			c.mu.Lock() // the client is gone: grant it nothing
+			return
+		}
+		c.mu.Lock()
 	}
-	if c.draining {
-		writeJSON(rw, http.StatusOK, LeaseReply{Draining: true, RetryAfterMS: c.table.ttl.Milliseconds() / 4})
-		return
-	}
-	//lint:allow wallclock lease TTL is wall-clock liveness (DESIGN.md §6), not campaign identity
-	lease := c.table.acquire(req.Worker, time.Now())
-	if lease == nil {
-		writeJSON(rw, http.StatusOK, LeaseReply{RetryAfterMS: c.table.ttl.Milliseconds() / 4})
-		return
-	}
-	if err := c.persistLocked(); err != nil {
-		c.failLocked(err)
-		http.Error(rw, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(rw, http.StatusOK, LeaseReply{Lease: lease})
 }
 
 func (c *Coordinator) handleReport(rw http.ResponseWriter, r *http.Request) {
@@ -727,23 +766,34 @@ func (c *Coordinator) handleReport(rw http.ResponseWriter, r *http.Request) {
 	}
 	prev := c.shardCheckpointLocked(req.Shard.Index)
 	//lint:allow wallclock lease TTL is wall-clock liveness (DESIGN.md §6), not campaign identity
-	ok := c.table.report(&req, time.Now())
+	now := time.Now()
+	ok := c.table.report(&req, now)
+	dirty := ok && (req.Final || prev == nil || prev.Experiments != req.Shard.Experiments || prev.Cursor != req.Shard.Cursor)
 	if ok {
 		// A parked final report may complete the round barrier: plan the next
-		// round (or finalize) before persisting, so the state file always
-		// reflects the post-barrier table.
+		// round (or finalize) before granting and persisting, so the state
+		// file always reflects the post-barrier table.
 		c.advanceRoundLocked()
-		advanced := prev == nil || prev.Experiments != req.Shard.Experiments || prev.Cursor != req.Shard.Cursor
-		if req.Final || advanced {
-			if err := c.persistLocked(); err != nil {
-				c.failLocked(err)
-				http.Error(rw, err.Error(), http.StatusInternalServerError)
-				return
-			}
-		}
-		c.maybeFinishLocked()
 	}
-	writeJSON(rw, http.StatusOK, ReportReply{OK: ok, Cancel: !ok, Done: c.finishedLocked()})
+	// Grant-on-report: the worker's next lease rides this reply, under the
+	// same lock and the same persist. A retry of a final report whose reply
+	// was lost is refused (the lease is gone) but is handed the same grant.
+	var lease *Lease
+	if req.WantLease && !c.draining {
+		lease = c.table.acquire(req.Worker, now)
+	}
+	if dirty || lease != nil {
+		if err := c.persistLocked(); err != nil {
+			c.failLocked(err)
+			http.Error(rw, err.Error(), http.StatusInternalServerError)
+			return
+		}
+	}
+	if ok && req.Final {
+		c.maybeFinishLocked()
+		c.wakeLocked()
+	}
+	writeJSON(rw, http.StatusOK, ReportReply{OK: ok, Cancel: !ok, Done: c.finishedLocked(), Lease: lease})
 }
 
 // shardCheckpointLocked returns shard i's last accepted checkpoint, nil when

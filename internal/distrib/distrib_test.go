@@ -168,6 +168,21 @@ func postJSON(t *testing.T, url string, in, out any) {
 	}
 }
 
+// countdownCtx reports itself cancelled from its left-th Err call on. The
+// shard loop checks Err before every experiment, so a run under it stops at a
+// fixed experiment boundary.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int32
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
+
 // TestDistribWorkerDeath kills a worker mid-shard: it leases a shard,
 // streams partial progress, and vanishes without a final report. The lease
 // must expire, the shard re-issue to a healthy worker resuming from the
@@ -185,10 +200,13 @@ func TestDistribWorkerDeath(t *testing.T) {
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
-	// The victim: lease shard 0 by hand, stream exactly one progress
-	// checkpoint, then die without finalizing. Deterministic regardless of
-	// shard runtime — the final report is simply never sent, so the only way
-	// the campaign can finish is lease expiry + re-issue.
+	// The victim: lease shard 0 by hand, run it part of the way, stream that
+	// mid-shard checkpoint as one heartbeat, then die without finalizing — the
+	// final report is simply never sent, so the only way the campaign can
+	// finish is lease expiry + re-issue. The shard takes about a millisecond,
+	// far too short to catch between two ticks of a progress stream, so the
+	// victim's context cancels itself after a fixed number of the engine's
+	// per-experiment checks instead: deterministic on any scheduler.
 	var reply LeaseReply
 	postJSON(t, srv.URL+"/v1/lease", LeaseRequest{Worker: "victim"}, &reply)
 	if reply.Lease == nil {
@@ -199,42 +217,20 @@ func TestDistribWorkerDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vctx, vcancel := context.WithCancel(context.Background())
-	defer vcancel()
-	var streamed atomic.Bool
-	_, runErr := campaign.RunShard(vctx, c.cfg, w, spec.Options(), campaign.ShardRun{
+	vctx := &countdownCtx{Context: context.Background()}
+	vctx.left.Store(40)
+	mid, runErr := campaign.RunShard(vctx, c.cfg, w, spec.Options(), campaign.ShardRun{
 		Index:        lease.Shard,
 		Resume:       lease.Resume,
-		Interval:     10 * time.Millisecond,
 		PublishEvery: 1,
-		OnProgress: func(s campaign.ShardCheckpoint) {
-			// Runs on the shard's streaming goroutine: report best-effort (no
-			// t.Fatal off the test goroutine) and die after the first accepted
-			// checkpoint.
-			if s.Experiments == 0 || streamed.Load() {
-				return
-			}
-			blob, err := json.Marshal(ReportRequest{Worker: "victim", LeaseID: lease.ID, Shard: s})
-			if err != nil {
-				return
-			}
-			resp, err := http.Post(srv.URL+"/v1/report", "application/json", bytes.NewReader(blob))
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			var rep ReportReply
-			if json.NewDecoder(resp.Body).Decode(&rep) == nil && rep.OK {
-				streamed.Store(true)
-				vcancel()
-			}
-		},
 	})
-	if !streamed.Load() {
-		t.Fatal("victim never streamed a progress checkpoint")
+	if !errors.Is(runErr, context.Canceled) || mid.Experiments == 0 || mid.Done {
+		t.Fatalf("victim stopped at %d experiments (done=%v, err=%v), want a mid-shard cancellation", mid.Experiments, mid.Done, runErr)
 	}
-	if runErr != nil && !errors.Is(runErr, context.Canceled) {
-		t.Fatalf("victim run error: %v", runErr)
+	var hb ReportReply
+	postJSON(t, srv.URL+"/v1/report", ReportRequest{Worker: "victim", LeaseID: lease.ID, Shard: mid}, &hb)
+	if !hb.OK {
+		t.Fatalf("victim's heartbeat refused: %+v", hb)
 	}
 
 	// Healthy workers finish the campaign, including the victim's abandoned

@@ -86,6 +86,10 @@ type leaseEntry struct {
 	// audit marks a verification re-run lease: its reports update the audit
 	// checkpoint, never the primary one.
 	audit bool
+	// reported is set by the first accepted report. Until then the grant may
+	// never have reached the worker, so acquire re-issues it (same ID) when
+	// that worker asks again instead of stranding the shard for a TTL.
+	reported bool
 }
 
 // leaseTable tracks shard ownership. It is not safe for concurrent use; the
@@ -136,45 +140,61 @@ func (t *leaseTable) sweep(now time.Time) {
 // shard is terminal, the lowest-indexed pending audit re-run. Audit leases
 // prefer a worker other than the one that produced the primary result — an
 // independent witness — falling back to self-audit only after a full TTL
-// with no other taker, so single-worker deployments still drain.
+// with no other taker, so single-worker deployments still drain. A worker
+// that already holds a lease it never reported against gets that lease again
+// with a fresh deadline: the reply that carried it was lost.
 func (t *leaseTable) acquire(worker string, now time.Time) *Lease {
 	t.sweep(now)
-	for i := range t.shards {
-		e := &t.shards[i]
-		if e.status != shardPending {
-			continue
+	for _, le := range t.leases {
+		if le.worker == worker && !le.reported {
+			return t.grant(le, now)
 		}
-		t.seq++
-		id := fmt.Sprintf("lease-%d", t.seq)
-		e.status = shardLeased
-		e.lease = id
-		t.leases[id] = &leaseEntry{id: id, shard: i, worker: worker, deadline: now.Add(t.ttl)}
-		return &Lease{ID: id, Shard: i, TTLMS: t.ttl.Milliseconds(), Resume: e.ckpt}
+	}
+	for i := range t.shards {
+		if e := &t.shards[i]; e.status == shardPending {
+			le := t.newLease(i, worker, false)
+			e.status, e.lease = shardLeased, le.id
+			return t.grant(le, now)
+		}
 	}
 	for i := range t.shards {
 		e := &t.shards[i]
-		if e.audit != auditPending {
+		if e.audit != auditPending || worker == e.worker && now.Before(e.auditSince.Add(t.ttl)) {
 			continue
 		}
-		if worker == e.worker && now.Before(e.auditSince.Add(t.ttl)) {
-			continue
-		}
-		t.seq++
-		id := fmt.Sprintf("lease-%d", t.seq)
-		e.audit = auditLeased
-		e.auditLease = id
-		t.leases[id] = &leaseEntry{id: id, shard: i, worker: worker, deadline: now.Add(t.ttl), audit: true}
-		return &Lease{ID: id, Shard: i, TTLMS: t.ttl.Milliseconds(), Resume: e.auditCkpt, Audit: true}
+		le := t.newLease(i, worker, true)
+		e.audit, e.auditLease = auditLeased, le.id
+		return t.grant(le, now)
 	}
 	return nil
+}
+
+// newLease registers the next lease ID for shard.
+func (t *leaseTable) newLease(shard int, worker string, audit bool) *leaseEntry {
+	t.seq++
+	le := &leaseEntry{id: fmt.Sprintf("lease-%d", t.seq), shard: shard, worker: worker, audit: audit}
+	t.leases[le.id] = le
+	return le
+}
+
+// grant starts (or restarts) le's TTL and returns its wire form, resuming
+// from the shard's last accepted checkpoint.
+func (t *leaseTable) grant(le *leaseEntry, now time.Time) *Lease {
+	le.deadline = now.Add(t.ttl)
+	resume := t.shards[le.shard].ckpt
+	if le.audit {
+		resume = t.shards[le.shard].auditCkpt
+	}
+	return &Lease{ID: le.id, Shard: le.shard, TTLMS: t.ttl.Milliseconds(), Resume: resume, Audit: le.audit}
 }
 
 // report applies a worker's checkpoint to the table. Only the shard's
 // current lease holder is accepted; anything else — an expired lease, a
 // lease superseded by a re-issue, a duplicate of an already-final report —
 // is rejected so a resurrected worker cannot clobber a shard that moved on.
-// Accepted non-final reports extend the lease (heartbeat); accepted final
-// reports make the shard terminal (or resolve its audit).
+// Accepted non-final reports extend the lease (heartbeat) and replace the
+// checkpoint unless they are behind it; accepted final reports make the
+// shard terminal (or resolve its audit).
 func (t *leaseTable) report(req *ReportRequest, now time.Time) bool {
 	t.sweep(now)
 	le := t.leases[req.LeaseID]
@@ -182,14 +202,18 @@ func (t *leaseTable) report(req *ReportRequest, now time.Time) bool {
 		return false
 	}
 	e := &t.shards[le.shard]
+	le.reported = true
 	if le.audit {
 		return t.reportAudit(le, e, req, now)
 	}
-	e.ckpt = &req.Shard
 	if !req.Final {
 		le.deadline = now.Add(t.ttl)
+		if !behind(&req.Shard, e.ckpt) {
+			e.ckpt = &req.Shard
+		}
 		return true
 	}
+	e.ckpt = &req.Shard
 	delete(t.leases, req.LeaseID)
 	e.lease = ""
 	switch {
@@ -224,15 +248,24 @@ func (t *leaseTable) report(req *ReportRequest, now time.Time) bool {
 	return true
 }
 
+// behind reports whether heartbeat sc is older than the accepted checkpoint:
+// a duplicated or delayed delivery, which must not roll the shard back.
+func behind(sc, accepted *campaign.ShardCheckpoint) bool {
+	return accepted != nil && sc.Experiments < accepted.Experiments
+}
+
 // reportAudit applies a report against an audit lease: heartbeats stream to
 // the audit checkpoint (never the primary), and the final report resolves
 // the audit by comparing canonical digests.
 func (t *leaseTable) reportAudit(le *leaseEntry, e *shardEntry, req *ReportRequest, now time.Time) bool {
-	e.auditCkpt = &req.Shard
 	if !req.Final {
 		le.deadline = now.Add(t.ttl)
+		if !behind(&req.Shard, e.auditCkpt) {
+			e.auditCkpt = &req.Shard
+		}
 		return true
 	}
+	e.auditCkpt = &req.Shard
 	delete(t.leases, le.id)
 	e.auditLease = ""
 	if !req.Shard.Done && !req.Exhausted {

@@ -1,9 +1,9 @@
 // Package distrib is the distributed campaign fabric: a coordinator daemon
 // that partitions a resilience study into the campaign engine's logical
 // shards and hands them to remote workers as time-bounded leases over a
-// small JSON/HTTP API, and a worker client that polls for leases, executes
-// them through campaign.RunShard, and streams checkpoints and telemetry
-// back.
+// small JSON/HTTP API, and a worker client that executes leases through a
+// campaign.ShardRunner, streams checkpoints and telemetry back, and is handed
+// its next lease in the reply to each final report (DESIGN.md §6.1).
 //
 // Correctness rests entirely on the engine's shard determinism: a shard's
 // experiment stream is a pure function of (Seed, Shards, cursor), its
@@ -17,8 +17,9 @@
 // Wire protocol (all bodies JSON):
 //
 //	GET  /v1/campaign -> HelloReply     the campaign spec + accelerator config
-//	POST /v1/lease    -> LeaseReply     request a shard lease
+//	POST /v1/lease    -> LeaseReply     request a shard lease (wait_ms: long-poll)
 //	POST /v1/report   -> ReportReply    stream a checkpoint / heartbeat / final
+//	                                    (want_lease: the reply carries the next lease)
 //	GET  /v1/status   -> StatusReply    progress, lease table, merged telemetry
 //	GET  /v1/result   -> StudyResult    the assembled result (404 until done)
 package distrib
@@ -130,6 +131,10 @@ type HelloReply struct {
 // LeaseRequest asks the coordinator for one shard lease.
 type LeaseRequest struct {
 	Worker string `json:"worker"`
+	// WaitMS, when positive, lets the coordinator hold the request until a
+	// shard becomes available, the campaign finishes or drain starts, for at
+	// most min(WaitMS, TTL/4). Absent (old clients) = answer immediately.
+	WaitMS int64 `json:"wait_ms,omitempty"`
 }
 
 // Lease grants one logical shard to one worker until Deadline. The worker
@@ -159,7 +164,8 @@ type LeaseReply struct {
 	// Done reports the campaign is finished (or failed); workers should
 	// exit their poll loop.
 	Done bool `json:"done,omitempty"`
-	// RetryAfterMS is the suggested poll delay when no lease was granted.
+	// RetryAfterMS is the suggested poll delay when no lease was granted;
+	// absent when the request was already held for its whole WaitMS.
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 	// Draining reports the coordinator is shutting down and refusing new
 	// leases; workers should keep polling (a restarted coordinator resumes
@@ -183,6 +189,9 @@ type ReportRequest struct {
 	// Error reports a terminal campaign failure on the worker (bad
 	// configuration, dataset error). The coordinator fails the campaign.
 	Error string `json:"error,omitempty"`
+	// WantLease asks for the worker's next lease in the reply, saving the
+	// separate POST /v1/lease round trip.
+	WantLease bool `json:"want_lease,omitempty"`
 	// Telemetry is the worker's current collector snapshot, merged into
 	// the coordinator's progress stream (attributed by Snapshot.Source).
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
@@ -197,6 +206,9 @@ type ReportReply struct {
 	Cancel bool `json:"cancel,omitempty"`
 	// Done reports the campaign is finished; the worker should exit.
 	Done bool `json:"done,omitempty"`
+	// Lease is the next lease of a worker that sent WantLease, nil when none
+	// is available (or the coordinator is draining): poll /v1/lease.
+	Lease *Lease `json:"lease,omitempty"`
 }
 
 // ShardCounts breaks the lease table down by shard status.

@@ -18,9 +18,13 @@ import (
 	"fidelity/internal/telemetry"
 )
 
-// DefaultPoll is the worker's lease-poll cadence and transient-error backoff
-// base when WorkerOptions.Poll is zero.
+// DefaultPoll is the worker's transient-error backoff base (and its poll
+// cadence against a draining coordinator) when WorkerOptions.Poll is zero.
 const DefaultPoll = 500 * time.Millisecond
+
+// leaseWait is how long a worker offers to be held on POST /v1/lease; the
+// coordinator caps it at a quarter of its lease TTL.
+const leaseWait = DefaultLeaseTTL
 
 // WorkerOptions configures Work.
 type WorkerOptions struct {
@@ -28,8 +32,9 @@ type WorkerOptions struct {
 	BaseURL string
 	// ID names this worker in leases, reports and telemetry attribution.
 	ID string
-	// Poll is the idle lease-poll cadence and the base of the transient
-	// retry backoff (0 = DefaultPoll).
+	// Poll is the base of the transient retry backoff and the poll cadence
+	// while the coordinator drains (0 = DefaultPoll). An idle worker does not
+	// poll: it is held at the coordinator until there is work.
 	Poll time.Duration
 	// HTTPClient overrides http.DefaultClient (tests, timeouts).
 	HTTPClient *http.Client
@@ -59,7 +64,6 @@ type worker struct {
 	// runner is the campaign state shared by every lease this worker
 	// executes; built once from the coordinator's spec.
 	runner *campaign.ShardRunner
-	ttl    time.Duration
 }
 
 // workerSeed hashes a worker ID into a jitter stream seed.
@@ -81,12 +85,13 @@ func (wk *worker) jitter(d time.Duration) time.Duration {
 
 // Work runs a worker loop against the coordinator at o.BaseURL until the
 // campaign finishes or ctx is cancelled: fetch the campaign spec, then
-// repeatedly lease a shard, execute it on one campaign.ShardRunner (streaming
-// checkpoints back as heartbeats), and report its terminal state. A lease
-// the coordinator cancels (it lapsed and was re-issued elsewhere) is
-// abandoned mid-shard and the loop polls for fresh work; transient HTTP
-// failures are retried with exponential backoff, so the worker survives
-// coordinator restarts.
+// repeatedly execute a leased shard on one campaign.ShardRunner (streaming
+// checkpoints back as heartbeats) and report its terminal state; the reply to
+// that report carries the next lease, so POST /v1/lease (a long-poll) is
+// needed only at start-up and when a reply came back empty. A lease the
+// coordinator cancels (it lapsed and was re-issued elsewhere) is abandoned
+// mid-shard; transient HTTP failures are retried with exponential backoff, so
+// the worker survives coordinator restarts.
 func Work(ctx context.Context, o WorkerOptions) error {
 	if o.BaseURL == "" {
 		return fmt.Errorf("distrib: worker needs a coordinator BaseURL")
@@ -134,42 +139,47 @@ func Work(ctx context.Context, o WorkerOptions) error {
 		return err
 	}
 
-	for {
-		var reply LeaseReply
-		if err := wk.retry(ctx, func() error { return wk.post(ctx, "/v1/lease", LeaseRequest{Worker: wk.id}, &reply) }); err != nil {
+	var lease *Lease
+	for done := false; !done; {
+		if lease == nil {
+			lease, done, err = wk.acquire(ctx)
+		} else {
+			lease, done, err = wk.execute(ctx, lease)
+		}
+		if err != nil {
 			return err
 		}
-		switch {
-		case reply.Done:
-			return nil
-		case reply.Lease == nil:
-			delay := wk.poll
-			if reply.RetryAfterMS > 0 {
-				delay = time.Duration(reply.RetryAfterMS) * time.Millisecond
-			}
-			if err := sleep(ctx, wk.jitter(delay)); err != nil {
-				return err
-			}
-		default:
-			done, err := wk.execute(ctx, reply.Lease)
-			if err != nil {
-				return err
-			}
-			if done {
-				return nil
-			}
-		}
 	}
+	return nil
+}
+
+// acquire asks for a lease, offering to be held until there is one. An empty
+// reply that names a delay — the coordinator is draining, or answers at once
+// instead of holding requests — is slept out, jittered, before returning.
+func (wk *worker) acquire(ctx context.Context) (l *Lease, done bool, err error) {
+	var reply LeaseReply
+	req := LeaseRequest{Worker: wk.id, WaitMS: leaseWait.Milliseconds()}
+	if err := wk.retry(ctx, func() error { return wk.post(ctx, "/v1/lease", req, &reply) }); err != nil {
+		return nil, false, err
+	}
+	if reply.Lease == nil && (reply.Draining || reply.RetryAfterMS > 0) {
+		delay := wk.poll
+		if reply.RetryAfterMS > 0 {
+			delay = time.Duration(reply.RetryAfterMS) * time.Millisecond
+		}
+		err = sleep(ctx, wk.jitter(delay))
+	}
+	return reply.Lease, reply.Done, err
 }
 
 // execute runs one leased shard to a terminal report (or abandons it when
-// the coordinator cancels the lease). It returns done=true once the
-// coordinator reports the campaign finished.
-func (wk *worker) execute(ctx context.Context, l *Lease) (done bool, err error) {
+// the coordinator cancels the lease). It returns the next lease when the
+// coordinator attached one to its reply, and done=true once the coordinator
+// reports the campaign finished.
+func (wk *worker) execute(ctx context.Context, l *Lease) (next *Lease, done bool, err error) {
 	leaseCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	wk.ttl = time.Duration(l.TTLMS) * time.Millisecond
-	heartbeat := wk.ttl / 3
+	heartbeat := time.Duration(l.TTLMS) * time.Millisecond / 3
 	if heartbeat <= 0 {
 		heartbeat = wk.poll
 	}
@@ -190,18 +200,18 @@ func (wk *worker) execute(ctx context.Context, l *Lease) (done bool, err error) 
 		},
 	})
 
-	final := ReportRequest{Worker: wk.id, LeaseID: l.ID, Shard: sc, Final: true, Telemetry: wk.snapshot()}
+	final := ReportRequest{Worker: wk.id, LeaseID: l.ID, Shard: sc, Final: true, WantLease: true, Telemetry: wk.snapshot()}
 	switch {
 	case runErr == nil || errors.Is(runErr, campaign.ErrShardExhausted):
 		final.Exhausted = errors.Is(runErr, campaign.ErrShardExhausted)
 	case leaseCtx.Err() != nil && ctx.Err() == nil:
 		// The coordinator cancelled the lease mid-shard: the shard has moved
 		// on, so there is nothing to finalize. Poll for fresh work.
-		return false, nil
+		return nil, false, nil
 	case ctx.Err() != nil:
 		// Worker shutdown: vanish without a final report. The lease expires
 		// and the coordinator re-issues the shard from our last heartbeat.
-		return false, ctx.Err()
+		return nil, false, ctx.Err()
 	default:
 		// Campaign failure (bad configuration, dataset error): report it so
 		// the coordinator fails the campaign, then exit.
@@ -209,12 +219,12 @@ func (wk *worker) execute(ctx context.Context, l *Lease) (done bool, err error) 
 	}
 	var rep ReportReply
 	if err := wk.retry(ctx, func() error { return wk.post(ctx, "/v1/report", final, &rep) }); err != nil {
-		return false, err
+		return nil, false, err
 	}
 	if final.Error != "" {
-		return false, runErr
+		return nil, false, runErr
 	}
-	return rep.Done, nil
+	return rep.Lease, rep.Done, nil
 }
 
 // snapshot returns the worker's current telemetry, nil when uncollected.
@@ -263,9 +273,12 @@ func (wk *worker) do(req *http.Request, out any) error {
 		return &transientError{err}
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxRequestBytes+1))
 	if err != nil {
 		return &transientError{err}
+	}
+	if len(body) > MaxRequestBytes {
+		return fmt.Errorf("distrib: %s: reply exceeds %d bytes", req.URL.Path, MaxRequestBytes)
 	}
 	if resp.StatusCode >= 500 {
 		return &transientError{fmt.Errorf("distrib: %s: %s: %s", req.URL.Path, resp.Status, bytes.TrimSpace(body))}
