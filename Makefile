@@ -10,7 +10,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Coordinator address used by the `work` convenience target.
 COORDINATOR ?= http://127.0.0.1:9090
 
-.PHONY: build test cli-smoke race chaos chaos-distrib bench bench-smoke fuzz-smoke bce portable fmt vet fidelitylint lint verify serve work e2e-distrib harden e2e-harden ci
+.PHONY: build test cli-smoke examples-smoke race chaos chaos-distrib bench bench-smoke fuzz-smoke bce portable fmt vet fidelitylint lint verify serve work e2e-distrib harden e2e-harden ci
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,25 @@ cli-smoke:
 	$(GO) run ./cmd/fidelity study -setup
 	$(GO) run ./cmd/fidelity validate -samples 50
 	$(GO) run ./cmd/fidelity table2
+
+# The eight examples/ programs — the root package's only callers and
+# DESIGN.md §3's route to Key Results 1 and 4 — each built, run (seconds in
+# total) and held to one line of its output that states its result. Mirrors
+# the `examples-smoke` step of CI's build + test job.
+examples-smoke:
+	@check() { \
+		out=$$($(GO) run ./examples/$$1) || { echo "examples-smoke: $$1 exited non-zero"; exit 1; }; \
+		echo "$$out" | grep -Eq -- "$$2" || { echo "examples-smoke: $$1: no output line matches '$$2'"; echo "$$out"; exit 1; }; \
+		echo "ok  	examples/$$1"; \
+	}; \
+	check quickstart 'does NOT meet ASIL-D \(Key Result 1\)' && \
+	check selfdriving 'with global control protected: FIT = [0-9.]+$$' && \
+	check protect_global '^inception +[0-9.]+ +[0-9.]+ +still FAILS$$' && \
+	check precision_sweep '^  INT8 +total FIT [0-9.]+ \| datapath\+local [0-9.]+$$' && \
+	check value_bounding '^bounding removes [0-9.]+ FIT' && \
+	check eyeriss_analysis '^16 +16 +\| RF=16 +RF=256 +RF=1 *$$' && \
+	check memory_errors '^3 words across both buffers .* EXACT MATCH vs cycle sim$$' && \
+	check systolic_array '^pe\.a +RF <= k \(one row\) +4 +[0-9]+$$'
 
 # Race-detect the concurrency-critical packages: the sharded campaign engine,
 # the injector, the fault models' batch recompute over nn's pooled scratch
@@ -56,8 +75,10 @@ chaos:
 chaos-distrib:
 	$(GO) test -race -timeout 30m -count=2 -run 'TestChaos|TestDistribAudit|TestDistribDrain|TestDistribLostGrant|TestCoordinatorState|TestLeaseTable' ./internal/distrib/
 
-# One iteration of every paper-figure benchmark — smoke, not measurement.
-# Performance is measured by the repo benchmark: `go run ./benchmark`, and
+# One iteration of every Benchmark* in the tree (the kernel, fault-model and
+# cycle-model ones beside the code) — smoke, not measurement. The paper's
+# tables and figures are `fidelity` subcommands (DESIGN.md §3); performance is
+# measured by the repo benchmark: `go run ./benchmark`, and
 # `go run ./benchmark compare` for parent-vs-change pairs.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
@@ -71,12 +92,13 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/nn ./internal/numerics ./internal/faultmodel ./internal/rtlsim
 
-# Every native fuzz target for 5 s each, from its committed seed corpus: the
-# four arithmetic ones (row primitives vs their Go loops, Reference.Run vs
-# Run) and the two decoders a socket reaches (POST /v1/report, POST /v1/lease
-# through Coordinator.Handler()). `go test -fuzz` takes one target at a time.
-# Mirrors the `fuzz smoke` step of CI's bench-smoke job.
-FUZZ_TARGETS := numerics:FuzzHalfRow numerics:FuzzHalfPanel numerics:FuzzMulAddPanel rtlsim:FuzzReferenceRun distrib:FuzzReportBody distrib:FuzzLeaseBody
+# Every native fuzz target for 5 s each, from its committed seeds: the four
+# arithmetic ones (row primitives vs their Go loops, Reference.Run vs Run),
+# the two decoders a socket reaches (POST /v1/report, POST /v1/lease through
+# Coordinator.Handler()), the two a file reaches (the sealed envelope and
+# checkpoint v3 restore) and the //lint:allow parser. `go test -fuzz` takes
+# one target at a time. Mirrors the `fuzz smoke` step of CI's bench-smoke job.
+FUZZ_TARGETS := numerics:FuzzHalfRow numerics:FuzzHalfPanel numerics:FuzzMulAddPanel rtlsim:FuzzReferenceRun distrib:FuzzReportBody distrib:FuzzLeaseBody campaign:FuzzOpenSealedJSON campaign:FuzzLoadCheckpoint lint:FuzzAllowDirective
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 5s ./internal/$${t%%:*} || exit 1; \
@@ -166,8 +188,8 @@ e2e-harden:
 	$(GO) test -race -count=1 ./internal/harden/
 
 # The fast pre-commit gate: format, vet, the repo's own invariant checkers
-# (fidelitylint, bce), build, the portable cross-build, test, the CLI smoke,
-# kernel bench smoke. Everything here runs offline.
-verify: fmt vet fidelitylint bce build portable test cli-smoke bench-smoke
+# (fidelitylint, bce), build, the portable cross-build, test, the CLI and
+# examples smokes, kernel bench smoke. Everything here runs offline.
+verify: fmt vet fidelitylint bce build portable test cli-smoke examples-smoke bench-smoke
 
-ci: fmt vet fidelitylint bce build portable test cli-smoke race chaos chaos-distrib bench fuzz-smoke
+ci: fmt vet fidelitylint bce build portable test cli-smoke examples-smoke race chaos chaos-distrib bench fuzz-smoke

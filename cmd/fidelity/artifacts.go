@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -9,8 +10,9 @@ import (
 
 	"fidelity/internal/accel"
 	"fidelity/internal/campaign"
-	"fidelity/internal/core"
+	"fidelity/internal/faultmodel"
 	hardenpkg "fidelity/internal/harden"
+	"fidelity/internal/model"
 	"fidelity/internal/numerics"
 	"fidelity/internal/report"
 	"fidelity/internal/reuse"
@@ -18,11 +20,7 @@ import (
 
 func table1(*flag.FlagSet) func(context.Context) error {
 	return func(context.Context) error {
-		fw, err := core.New(accel.NVDLASmall())
-		if err != nil {
-			return err
-		}
-		fmt.Print(fw.TableI().String())
+		fmt.Print(report.TableI().String())
 		return nil
 	}
 }
@@ -30,14 +28,16 @@ func table1(*flag.FlagSet) func(context.Context) error {
 func table2(fs *flag.FlagSet) func(context.Context) error {
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
 	return func(context.Context) error {
-		fw, err := core.New(accel.NVDLASmall())
+		cfg := accel.NVDLASmall()
+		models, err := faultmodel.Derive(cfg)
 		if err != nil {
 			return err
 		}
+		t := report.TableII(cfg, models)
 		if *csv {
-			fmt.Print(fw.TableII().CSV())
+			fmt.Print(t.CSV())
 		} else {
-			fmt.Print(fw.TableII().String())
+			fmt.Print(t.String())
 		}
 		return nil
 	}
@@ -105,11 +105,11 @@ func sensitivity(fs *flag.FlagSet) func(context.Context) error {
 			return err
 		}
 		cfg := accel.NVDLASmall()
-		fw, err := core.New(cfg)
+		w, err := model.Build(c.net, numerics.FP16, model.StudySeed)
 		if err != nil {
 			return err
 		}
-		res, err := fw.Analyze(ctx, c.net, numerics.FP16, c.opts)
+		res, err := campaign.Study(ctx, cfg, w, c.opts)
 		if err != nil {
 			return err
 		}
@@ -197,12 +197,12 @@ func validate(fs *flag.FlagSet) func(context.Context) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("validating %d workloads × %d injections on %s...\n", len(ws), c.opts.Samples, cfg.Name)
 		rep, err := campaign.Validate(cfg, ws, c.opts.Samples, c.opts.Seed)
 		if err != nil {
-			return err
+			return optionUsage(err)
 		}
-		fmt.Print(core.ValidationTable(rep).String())
+		fmt.Printf("validating %d workloads × %d injections on %s...\n", len(ws), c.opts.Samples, cfg.Name)
+		fmt.Print(report.ValidationTable(rep).String())
 		if *verbose {
 			for _, m := range rep.Mismatches {
 				fmt.Println("MISMATCH:", m)
@@ -211,6 +211,9 @@ func validate(fs *flag.FlagSet) func(context.Context) error {
 		if len(rep.Mismatches) > 0 {
 			fmt.Println()
 			return fmt.Errorf("FAIL: %d software-model mismatches", len(rep.Mismatches))
+		}
+		if rep.Total == 0 {
+			return errors.New("FAIL: no injection ran, nothing was checked")
 		}
 		fmt.Println("\nPASS: all checked cases match the software fault models" +
 			" (datapath exact; RF=1 sets exact; global-control mostly non-masked)")

@@ -219,7 +219,12 @@ func (c *cli) finish(fs *flag.FlagSet) error {
 		}
 		c.opts.Samples = 0
 	}
-	err := c.opts.Validate()
+	return optionUsage(c.opts.Validate())
+}
+
+// optionUsage turns the engine's rejection of an option into a usage error
+// naming the flag that sets it; any other error passes through.
+func optionUsage(err error) error {
 	var bad *campaign.OptionError
 	if errors.As(err, &bad) {
 		return usagef("-%s %s", bad.Option, bad.Problem)

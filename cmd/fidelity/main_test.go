@@ -125,6 +125,15 @@ func TestServeTargetCIExcludesSamples(t *testing.T)       { targetCIExcludesSamp
 func TestServeTargetCIRangeValidated(t *testing.T)        { targetCIRangeValidated(t, "serve") }
 func TestServeSamplesValidated(t *testing.T)              { samplesZeroRejected(t, "serve") }
 
+// The Sec. IV gate cannot be satisfied by checking nothing.
+func TestValidateSamplesValidated(t *testing.T) {
+	samplesZeroRejected(t, "validate")
+	out, code := runCLI(t, "validate", "-samples", "-5")
+	if code != 2 || !strings.Contains(out, "-samples must be positive") || strings.Contains(out, "PASS") {
+		t.Errorf("validate -samples -5: exit %d, want usage exit 2 and no PASS\n%s", code, out)
+	}
+}
+
 func TestStudyTargetCIAccepted(t *testing.T) {
 	// A valid -target-ci without -samples parses cleanly; -setup exits 0
 	// before any campaign runs.

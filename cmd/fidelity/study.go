@@ -12,7 +12,6 @@ import (
 	"fidelity/internal/accel"
 	"fidelity/internal/baseline"
 	"fidelity/internal/campaign"
-	"fidelity/internal/core"
 	"fidelity/internal/fit"
 	"fidelity/internal/model"
 	"fidelity/internal/numerics"
@@ -83,10 +82,6 @@ func study(fs *flag.FlagSet) func(context.Context) error {
 		default:
 			return usagef("study needs a mode: -fig 4|5|6, -setup, -perturbation, -speedup, -baseline or -protect")
 		}
-		var err error
-		if r.fw, err = core.New(r.cfg); err != nil {
-			return err
-		}
 		// Progress lines from an in-process campaign are attributed "local";
 		// distributed runs (serve/work) attribute per worker ID instead.
 		r.tel.SetSource("local")
@@ -104,7 +99,7 @@ func study(fs *flag.FlagSet) func(context.Context) error {
 				cp.Workload, cp.Precision, cp.Tolerance, *resume, cp.Experiments, cp.Quarantined)
 		}
 		stopProgress := c.emitProgress(r.tel.Snapshot)
-		err = mode(r)
+		err := mode(r)
 		stopProgress()
 
 		var intr *campaign.Interrupted
@@ -135,7 +130,6 @@ func study(fs *flag.FlagSet) func(context.Context) error {
 type runner struct {
 	*cli
 	ctx     context.Context
-	fw      *core.Framework
 	cfg     *accel.Config
 	tel     *telemetry.Collector
 	start   time.Time
@@ -148,7 +142,11 @@ type runner struct {
 func (r *runner) analyze(net string, prec numerics.Precision, tol float64) (*campaign.StudyResult, error) {
 	opts := r.opts
 	opts.Tolerance = tol
-	res, err := r.fw.Analyze(r.ctx, net, prec, opts)
+	w, err := model.Build(net, prec, model.StudySeed)
+	if err != nil {
+		return nil, err
+	}
+	res, err := campaign.Study(r.ctx, r.cfg, w, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +244,7 @@ func fig4(r *runner) error {
 		}
 	}
 	fmt.Println()
-	fmt.Print(core.FITChart("Fig 4: Accelerator FIT rate (Inception/ResNet/MobileNet)", results, false).String())
+	fmt.Print(report.FITChart("Fig 4: Accelerator FIT rate (Inception/ResNet/MobileNet)", results, false).String())
 	return nil
 }
 
@@ -262,7 +260,7 @@ func fig5(r *runner) error {
 			results = append(results, res)
 		}
 	}
-	fmt.Print(core.FITChart("Fig 5: Accelerator FIT rate (Transformer & Yolo, 10%/20% tolerance)", results, false).String())
+	fmt.Print(report.FITChart("Fig 5: Accelerator FIT rate (Transformer & Yolo, 10%/20% tolerance)", results, false).String())
 	return nil
 }
 
@@ -276,7 +274,7 @@ func fig6(r *runner) error {
 		}
 		results = append(results, res)
 	}
-	fmt.Print(core.FITChart("Fig 6: FIT with global control FFs protected", results, true).String())
+	fmt.Print(report.FITChart("Fig 6: FIT with global control FFs protected", results, true).String())
 	fmt.Println("note: datapath + local control alone still exceed the 0.2 ASIL-D FF budget (Key Result 2)")
 	return nil
 }
@@ -305,7 +303,11 @@ func keyResult5(r *runner) error {
 }
 
 func speedupCmp(r *runner, iters int) error {
-	reports, err := r.fw.Speedup(r.ctx, iters, r.opts.Seed)
+	ws, err := campaign.TableIIIWorkloads()
+	if err != nil {
+		return err
+	}
+	reports, err := campaign.MeasureSpeedup(r.ctx, r.cfg, ws, iters, r.opts.Seed)
 	if err != nil {
 		return err
 	}

@@ -32,17 +32,22 @@ import (
 	"fidelity/internal/accel"
 	"fidelity/internal/baseline"
 	"fidelity/internal/campaign"
-	"fidelity/internal/core"
 	"fidelity/internal/faultmodel"
 	"fidelity/internal/fit"
 	"fidelity/internal/model"
 	"fidelity/internal/numerics"
+	"fidelity/internal/report"
 	"fidelity/internal/reuse"
 	"fidelity/internal/telemetry"
 )
 
-// Framework is a FIdelity instance bound to an accelerator design.
-type Framework = core.Framework
+// Framework is a FIdelity instance bound to one accelerator design: the
+// Fig 3 flow (fault models → injection campaign → Eq. 2 FIT), the Sec. IV
+// validation and the Sec. VI comparisons over one Config.
+type Framework struct {
+	Config *Config
+	Models []FaultModel
+}
 
 // Config is a high-level accelerator description: hardware configuration,
 // scheduling parameters and FF census.
@@ -111,7 +116,59 @@ const (
 
 // New builds a FIdelity framework for an accelerator design, deriving its
 // software fault models via Reuse Factor Analysis.
-func New(cfg *Config) (*Framework, error) { return core.New(cfg) }
+func New(cfg *Config) (*Framework, error) {
+	models, err := faultmodel.Derive(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Framework{Config: cfg, Models: models}, nil
+}
+
+// Analyze runs the full Fig 3 flow for one workload: build the network at
+// the requested precision, inject faults per software fault model, and
+// compute the FIT rate. Cancelling ctx interrupts the campaign cleanly; see
+// campaign.Study for checkpoint/resume semantics.
+func (f *Framework) Analyze(ctx context.Context, netName string, prec Precision, opts StudyOptions) (*StudyResult, error) {
+	w, err := model.Build(netName, prec, model.StudySeed)
+	if err != nil {
+		return nil, err
+	}
+	return campaign.Study(ctx, f.Config, w, opts)
+}
+
+// Validate runs the Sec. IV validation campaign on the Table III workloads.
+func (f *Framework) Validate(samplesPerWorkload int, seed int64) (*ValidationReport, error) {
+	ws, err := campaign.TableIIIWorkloads()
+	if err != nil {
+		return nil, err
+	}
+	return campaign.Validate(f.Config, ws, samplesPerWorkload, seed)
+}
+
+// NaiveBaseline runs the naive single-bit-flip technique of Sec. VI for
+// comparison.
+func (f *Framework) NaiveBaseline(netName string, prec Precision, opts BaselineOptions) (*BaselineResult, error) {
+	w, err := model.Build(netName, prec, model.StudySeed)
+	if err != nil {
+		return nil, err
+	}
+	return baseline.Run(f.Config, w, opts)
+}
+
+// Speedup measures the Sec. VI per-injection cost comparison.
+func (f *Framework) Speedup(ctx context.Context, iters int, seed int64) ([]campaign.Speedup, error) {
+	ws, err := campaign.TableIIIWorkloads()
+	if err != nil {
+		return nil, err
+	}
+	return campaign.MeasureSpeedup(ctx, f.Config, ws, iters, seed)
+}
+
+// TableI renders the Reuse Factor Analysis summary (paper Table I).
+func (f *Framework) TableI() *report.Table { return report.TableI() }
+
+// TableII renders the derived software fault models (paper Table II).
+func (f *Framework) TableII() *report.Table { return report.TableII(f.Config, f.Models) }
 
 // NVDLASmall returns the paper's NVDLA case-study configuration (k² = 16
 // MACs, t = 16 weight-hold cycles, Table II census).

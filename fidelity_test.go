@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"fidelity/internal/core"
+	"fidelity/internal/report"
 )
 
 func TestPublicAPIFlow(t *testing.T) {
@@ -89,8 +89,75 @@ func TestWorkloadNames(t *testing.T) {
 
 func TestValidationChartHelpers(t *testing.T) {
 	rep := &ValidationReport{Total: 10, DatapathChecked: 3, DatapathExact: 3}
-	s := core.ValidationTable(rep).String()
+	s := report.ValidationTable(rep).String()
 	if !strings.Contains(s, "datapath exact matches") {
 		t.Errorf("validation table malformed:\n%s", s)
+	}
+}
+
+func TestNewRejectsBadConfig(t *testing.T) {
+	cfg := NVDLASmall()
+	cfg.AtomicK = 0
+	if _, err := New(cfg); err == nil {
+		t.Error("invalid config should fail")
+	}
+}
+
+func TestFrameworkAnalyze(t *testing.T) {
+	fw, err := New(NVDLASmall())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fw.Analyze(context.Background(), "mobilenet", FP16, StudyOptions{
+		Samples: 14, Inputs: 2, Tolerance: 0.1, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FIT.Total <= 0 {
+		t.Error("FIT must be positive")
+	}
+	if _, err := fw.Analyze(context.Background(), "vgg", FP16, StudyOptions{Samples: 1, Inputs: 1}); err == nil {
+		t.Error("unknown network should fail")
+	}
+}
+
+func TestFrameworkValidateSmall(t *testing.T) {
+	fw, err := New(NVDLASmall())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := fw.Validate(25, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DatapathExact != rep.DatapathChecked {
+		t.Errorf("datapath matches %d/%d: %v", rep.DatapathExact, rep.DatapathChecked, rep.Mismatches)
+	}
+	if !strings.Contains(report.ValidationTable(rep).String(), "RTL fault injections") {
+		t.Error("validation table malformed")
+	}
+}
+
+func TestFrameworkBaselineAndSpeedup(t *testing.T) {
+	fw, err := New(NVDLASmall())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, err := fw.NaiveBaseline("resnet", FP16, BaselineOptions{
+		Samples: 10, Inputs: 1, Tolerance: 0.1, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nb.Experiments != 10 {
+		t.Errorf("experiments = %d", nb.Experiments)
+	}
+	sp, err := fw.Speedup(context.Background(), 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sp) != 6 {
+		t.Errorf("speedup rows = %d, want 6 workloads", len(sp))
 	}
 }

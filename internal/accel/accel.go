@@ -292,24 +292,3 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
-
-// Group returns the census row for a category.
-func (c *Config) Group(cat Category) (FFGroup, error) {
-	for _, g := range c.Census {
-		if g.Cat == cat {
-			return g, nil
-		}
-	}
-	return FFGroup{}, fmt.Errorf("accel: %s: no census group for %v", c.Name, cat)
-}
-
-// DatapathGroups returns census rows for datapath FFs only.
-func (c *Config) DatapathGroups() []FFGroup {
-	var out []FFGroup
-	for _, g := range c.Census {
-		if g.Cat.Class == Datapath {
-			out = append(out, g)
-		}
-	}
-	return out
-}

@@ -70,20 +70,6 @@ func TestConfigValidateCatchesErrors(t *testing.T) {
 	}
 }
 
-func TestGroupLookup(t *testing.T) {
-	c := NVDLASmall()
-	g, err := c.Group(Category{Class: GlobalControl})
-	if err != nil || g.Frac != 0.113 {
-		t.Errorf("global control lookup: %v, %v", g, err)
-	}
-	if _, err := c.Group(Category{Class: Datapath, Var: VarBias, Pos: AfterMAC}); err == nil {
-		t.Error("missing category should error")
-	}
-	if dp := c.DatapathGroups(); len(dp) != 5 {
-		t.Errorf("datapath groups = %d, want 5", len(dp))
-	}
-}
-
 func TestEyerissLike(t *testing.T) {
 	c := EyerissLike(12, 7)
 	if err := c.Validate(); err != nil {

@@ -15,8 +15,6 @@
 package activeness
 
 import (
-	"fmt"
-
 	"fidelity/internal/accel"
 	"fidelity/internal/numerics"
 )
@@ -165,13 +163,4 @@ func Analyze(cfg *accel.Config, m *Model, l accel.LayerSpec) (*Analysis, error) 
 		a.ProbInactive[g.Cat] = prob
 	}
 	return a, nil
-}
-
-// Prob returns Prob_inactive for a category, failing on unknown categories.
-func (a *Analysis) Prob(cat accel.Category) (float64, error) {
-	p, ok := a.ProbInactive[cat]
-	if !ok {
-		return 0, fmt.Errorf("activeness: no analysis for category %v", cat)
-	}
-	return p, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"fidelity/internal/dataset"
@@ -165,9 +166,9 @@ func strataActive(tallies []Proportion, allocated []int, bound int, targetCI flo
 
 // PlanRound computes the next round's per-stratum allocation from the merged
 // tallies, or reports convergence. It is a pure function of its arguments —
-// evaluated only by the planner (the in-process barrier loop or the
-// distributed coordinator), never by shards, so float arithmetic happens at
-// exactly one place per campaign.
+// evaluated only at the round barrier (RoundBarrier, which both the
+// in-process loop and the distributed coordinator call), never by shards, so
+// float arithmetic happens at exactly one place per campaign.
 //
 // Round 0 seeds every stratum with adaptiveInitialSamples. Later rounds
 // double the active strata's spent budget and split it by Neyman weights
@@ -279,12 +280,48 @@ func AdaptiveParked(sc ShardCheckpoint) bool {
 
 // FinalizeAdaptiveShard mutates a parked shard checkpoint into the canonical
 // completed form — the exact bytes the shard itself would publish had it
-// known the campaign was converged. The planner (in-process or coordinator)
-// applies it to every parked shard at the converged barrier.
+// known the campaign was converged. RoundBarrier applies it to every parked
+// shard at the converged barrier.
 func FinalizeAdaptiveShard(sc *ShardCheckpoint, inputs int) {
 	sc.Done = true
 	sc.Cursor = Cursor{Input: inputs}
 	sc.Adaptive.Final = true
+}
+
+// RoundBarrier is the adaptive campaign's one round-barrier decision, shared
+// by the in-process loop (runAdaptiveCampaign) and the distributed
+// coordinator. shards holds every shard's checkpoint in index order — each
+// parked at the barrier (parked[i]), done, or degraded — and all of them
+// feed the merge, which walks shards and strata in index order (no map
+// iteration), so the plan is a deterministic function of the tallies. The
+// parked checkpoints are then rewritten in place: the next round's
+// allocation appended to the campaign history, or, once every stratum has
+// stopped, the canonical done form. A rewritten checkpoint gets a fresh
+// Adaptive; nothing is written through the old pointer, so callers may pass
+// shallow copies of checkpoints that concurrent readers still hold. It
+// returns the barrier's telemetry block (tallies and history as planned
+// from, before the rewrite) and whether the campaign converged.
+func RoundBarrier(strata []Stratum, shards []ShardCheckpoint, parked []bool, inputs int, targetCI float64) (telemetry.StrataSnapshot, bool) {
+	history := AdaptiveHistory(shards)
+	tallies := StrataTallies(strata, shards)
+	next, converged := PlanRound(strata, history, tallies, targetCI)
+	snap := StrataTelemetry(strata, tallies, history, targetCI)
+	if !converged {
+		history = append(CloneHistory(history), next)
+	}
+	for i := range shards {
+		if !parked[i] {
+			continue
+		}
+		sc := &shards[i]
+		sc.Adaptive = sc.Adaptive.clone()
+		if converged {
+			FinalizeAdaptiveShard(sc, inputs)
+		} else {
+			sc.Adaptive.History = CloneHistory(history)
+		}
+	}
+	return snap, converged
 }
 
 // AdaptiveAuditResume builds the resume state an audit re-run of shard index
@@ -327,9 +364,9 @@ func stratumForCursor(strata []Stratum, cur Cursor) int {
 	return -1
 }
 
-// markAdaptiveDone completes the shard in the canonical done form shared by
-// the in-process planner, the coordinator (FinalizeAdaptiveShard), and this
-// shard-side path — all three must publish identical bytes.
+// markAdaptiveDone completes a shard replaying a Final history in the
+// canonical done form — the bytes FinalizeAdaptiveShard writes at the
+// converged barrier.
 func (sh *shardState) markAdaptiveDone() {
 	sh.done = true
 	sh.cursor = Cursor{Input: sh.opts.Inputs}
@@ -479,40 +516,37 @@ func runAdaptiveCampaign(ctx context.Context, states []*shardState, workers int,
 			return // parked and unstarted shards keep resumable published state
 		}
 
-		// Round barrier: every shard is parked, done, or degraded. The merge
-		// walks shards and strata in index order — no map iteration — so the
-		// plan is a deterministic function of the tallies.
+		// Round barrier: every shard is parked, done, or degraded. With no
+		// shard parked there is nobody left to record a plan.
 		finals := make([]ShardCheckpoint, len(states))
+		parked := make([]bool, len(states))
 		for i, sh := range states {
 			finals[i] = sh.snapshot()
+			parked[i] = !sh.done && sh.err == nil
 		}
-		tallies := StrataTallies(strata, finals)
-		next, converged := PlanRound(strata, history, tallies, opts.TargetCI)
-		publishStrataTelemetry(opts.Telemetry, strata, tallies, history, opts.TargetCI)
-		if converged {
-			for _, sh := range states {
-				if !sh.done && sh.err == nil {
-					sh.adaptive.Final = true
-					sh.markAdaptiveDone()
-				}
-			}
+		if !slices.Contains(parked, true) {
 			return
 		}
-		history = append(CloneHistory(history), next)
-		for _, sh := range states {
-			if sh.done || sh.err != nil {
-				continue
-			}
-			sh.adaptive.History = CloneHistory(history)
-			sh.publish(sh.cursor)
+		snap, converged := RoundBarrier(strata, finals, parked, opts.Inputs, opts.TargetCI)
+		if opts.Telemetry != nil {
+			opts.Telemetry.SetStrata(snap)
 		}
+		for i, sh := range states {
+			if parked[i] {
+				sh.restore(finals[i])
+			}
+		}
+		if converged {
+			return
+		}
+		history = AdaptiveHistory(finals)
 	}
 }
 
 // StrataTelemetry builds the telemetry snapshot block of a round barrier:
 // every stratum's merged tally, interval, and stopped flag, in canonical
-// order. Both planners (the in-process barrier loop and the distributed
-// coordinator) publish it so progress streams show per-stratum convergence.
+// order. Both callers of RoundBarrier publish it so progress streams show
+// per-stratum convergence.
 func StrataTelemetry(strata []Stratum, tallies []Proportion, history [][]int, targetCI float64) telemetry.StrataSnapshot {
 	bound := SamplesFor(targetCI)
 	allocated := allocatedTotals(len(strata), history)
@@ -534,13 +568,4 @@ func StrataTelemetry(strata []Stratum, tallies []Proportion, history [][]int, ta
 		TargetCI: targetCI,
 		Strata:   states,
 	}
-}
-
-// publishStrataTelemetry refreshes the collector's per-stratum snapshot
-// block at a round barrier.
-func publishStrataTelemetry(tel *telemetry.Collector, strata []Stratum, tallies []Proportion, history [][]int, targetCI float64) {
-	if tel == nil {
-		return
-	}
-	tel.SetStrata(StrataTelemetry(strata, tallies, history, targetCI))
 }

@@ -141,8 +141,13 @@ type ffChoice struct {
 
 // Validate runs the Sec. IV validation campaign: samplesPerWorkload RTL
 // fault injections per Table III workload, with each non-masked case
-// compared against the corresponding software fault model.
+// compared against the corresponding software fault model. A non-positive
+// sample count is an *OptionError: a campaign that checks nothing must not
+// read as agreement.
 func Validate(cfg *accel.Config, workloads []*ValWorkload, samplesPerWorkload int, seed int64) (*ValidationReport, error) {
+	if samplesPerWorkload <= 0 {
+		return nil, &OptionError{"samples", fmt.Sprintf("must be positive (got %d)", samplesPerWorkload)}
+	}
 	models, err := faultmodel.Derive(cfg)
 	if err != nil {
 		return nil, err

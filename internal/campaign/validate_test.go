@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -147,6 +148,21 @@ func TestValidationTimeoutsAreGlobal(t *testing.T) {
 	}
 	if rep.Timeouts == 0 {
 		t.Log("no timeouts in this sample (acceptable but unusual)")
+	}
+}
+
+// A validation that injects nothing is rejected, not reported as agreement.
+func TestValidateRejectsNonPositiveSamples(t *testing.T) {
+	ws, err := TableIIIWorkloads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, -5} {
+		rep, err := Validate(accel.NVDLASmall(), ws, n, 1)
+		var bad *OptionError
+		if !errors.As(err, &bad) || bad.Option != "samples" || rep != nil {
+			t.Errorf("Validate(samples=%d) = %v, %v; want an OptionError naming samples", n, rep, err)
+		}
 	}
 }
 

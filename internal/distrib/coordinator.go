@@ -452,12 +452,12 @@ func (c *Coordinator) persistLocked() error {
 	return nil
 }
 
-// advanceRoundLocked is the adaptive campaign's round barrier, mirroring the
-// in-process runAdaptiveCampaign loop: once every shard is parked (waiting)
-// or terminal, merge the accepted checkpoints' tallies in canonical stratum
-// order and either record the next Neyman allocation in every waiting shard's
-// history (returning them to the lease pool) or finalize them in the
-// canonical done form. All planning floats are evaluated here and nowhere
+// advanceRoundLocked is the adaptive campaign's round barrier: once every
+// shard is parked (waiting) or terminal, campaign.RoundBarrier — the decision
+// the in-process loop makes through the same function — either records the
+// next Neyman allocation in every waiting shard's history (they return to the
+// lease pool) or writes their canonical done form (sealed and handed to the
+// audit sampler here). All planning floats are evaluated there and nowhere
 // else, so any worker fleet replays identical rounds. Callers hold c.mu.
 func (c *Coordinator) advanceRoundLocked() {
 	if c.spec.TargetCI <= 0 || c.finishedLocked() {
@@ -477,54 +477,46 @@ func (c *Coordinator) advanceRoundLocked() {
 		return
 	}
 	ckpts := make([]campaign.ShardCheckpoint, len(c.table.shards))
+	parked := make([]bool, len(c.table.shards))
 	for i := range c.table.shards {
-		if e := &c.table.shards[i]; e.ckpt != nil {
+		e := &c.table.shards[i]
+		if e.ckpt != nil {
 			ckpts[i] = *e.ckpt
 		} else {
 			ckpts[i] = campaign.NewShardCheckpoint(i)
 		}
+		parked[i] = e.status == shardWaiting
 	}
-	history := campaign.AdaptiveHistory(ckpts)
-	tallies := campaign.StrataTallies(c.strata, ckpts)
-	next, converged := campaign.PlanRound(c.strata, history, tallies, c.spec.TargetCI)
-	snap := campaign.StrataTelemetry(c.strata, tallies, history, c.spec.TargetCI)
+	snap, converged := campaign.RoundBarrier(c.strata, ckpts, parked, c.spec.Inputs, c.spec.TargetCI)
 	c.strataSnap = &snap
 	if c.tel != nil {
 		c.tel.SetStrata(snap)
 	}
-	if converged {
-		for i := range c.table.shards {
-			e := &c.table.shards[i]
-			if e.status != shardWaiting {
-				continue
-			}
-			// Synthesize the canonical done form — the exact bytes the shard
-			// itself would publish had it known the campaign was converged —
-			// and seal it like any accepted final checkpoint.
-			campaign.FinalizeAdaptiveShard(e.ckpt, c.spec.Inputs)
-			e.status = shardDone
-			if sum, err := digestJSON(e.ckpt); err == nil {
-				e.sum = sum
-				if c.table.auditFor != nil && c.table.auditFor(i) {
-					e.audit = auditPending
-					//lint:allow wallclock audit self-fallback gating is wall-clock liveness, not campaign identity
-					e.auditSince = time.Now()
-					// Audit re-runs replay the full recorded history from
-					// empty tallies; a from-scratch resume would just park.
-					e.auditCkpt = campaign.AdaptiveAuditResume(i, e.ckpt.Adaptive.History)
-				}
-			}
-		}
-		return
-	}
-	newHist := append(campaign.CloneHistory(history), next)
 	for i := range c.table.shards {
 		e := &c.table.shards[i]
-		if e.status != shardWaiting {
+		if !parked[i] {
 			continue
 		}
-		e.ckpt.Adaptive.History = campaign.CloneHistory(newHist)
-		e.status = shardPending
+		*e.ckpt = ckpts[i]
+		if !converged {
+			e.status = shardPending
+			continue
+		}
+		// The barrier wrote the canonical done form — the exact bytes the
+		// shard itself would publish had it known the campaign was converged
+		// — so seal it like any accepted final checkpoint.
+		e.status = shardDone
+		if sum, err := digestJSON(e.ckpt); err == nil {
+			e.sum = sum
+			if c.table.auditFor != nil && c.table.auditFor(i) {
+				e.audit = auditPending
+				//lint:allow wallclock audit self-fallback gating is wall-clock liveness, not campaign identity
+				e.auditSince = time.Now()
+				// Audit re-runs replay the full recorded history from
+				// empty tallies; a from-scratch resume would just park.
+				e.auditCkpt = campaign.AdaptiveAuditResume(i, e.ckpt.Adaptive.History)
+			}
+		}
 	}
 }
 

@@ -108,29 +108,3 @@ func ApplyMemory(p *MemoryPlan, site nn.Site, op *nn.Operands) []Change {
 	}
 	return patchNeurons(site, &work, p.Neurons, nil)
 }
-
-// SampleMemoryErrors draws n independent memory errors, each flipping
-// bitsPerWord distinct bits of a uniformly chosen word in a uniformly chosen
-// buffer.
-func (s *Sampler) SampleMemoryErrors(site nn.Site, op *nn.Operands, n, bitsPerWord int) ([]MemoryError, error) {
-	if n <= 0 || bitsPerWord <= 0 {
-		return nil, fmt.Errorf("faultmodel: n and bitsPerWord must be positive")
-	}
-	width := site.Codec().Bits()
-	if bitsPerWord > width {
-		return nil, fmt.Errorf("faultmodel: %d bits exceed the %d-bit word", bitsPerWord, width)
-	}
-	var out []MemoryError
-	for i := 0; i < n; i++ {
-		kind := nn.OperandInput
-		buf := op.In
-		if op.W != nil && s.rng.Intn(2) == 1 {
-			kind = nn.OperandWeight
-			buf = op.W
-		}
-		bits := s.rng.Perm(width)[:bitsPerWord]
-		sort.Ints(bits)
-		out = append(out, MemoryError{Kind: kind, Word: s.rng.Intn(buf.Size()), Bits: bits})
-	}
-	return out, nil
-}

@@ -127,32 +127,3 @@ func TestMemoryModelMatchesRTLSim(t *testing.T) {
 		}
 	}
 }
-
-func TestSampleMemoryErrors(t *testing.T) {
-	codec := numerics.MustCodec(numerics.INT8, 8)
-	site, op := convExec(t, codec, 35)
-	s := newSampler(t, 35)
-	errs, err := s.SampleMemoryErrors(site, op, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(errs) != 5 {
-		t.Fatalf("errors = %d", len(errs))
-	}
-	for _, e := range errs {
-		if len(e.Bits) != 2 {
-			t.Errorf("bits = %v", e.Bits)
-		}
-		for _, b := range e.Bits {
-			if b < 0 || b >= 8 {
-				t.Errorf("bit %d outside INT8 word", b)
-			}
-		}
-	}
-	if _, err := s.SampleMemoryErrors(site, op, 0, 1); err == nil {
-		t.Error("zero errors should fail")
-	}
-	if _, err := s.SampleMemoryErrors(site, op, 1, 99); err == nil {
-		t.Error("too many bits should fail")
-	}
-}

@@ -37,37 +37,12 @@ type Plan struct {
 	GlobalFailure bool
 }
 
-// countingSource wraps a math/rand source and counts state advances, so a
-// sampler's exact position in its deterministic random stream can be
-// exported (SamplerState) and restored (NewSamplerAt). Both Int63 and Uint64
-// advance the underlying generator by exactly one step, so a single draw
-// counter captures the position regardless of which rand.Rand methods pulled
-// from the source.
-type countingSource struct {
-	src   rand.Source64
-	draws uint64
-}
-
-func (c *countingSource) Int63() int64   { c.draws++; return c.src.Int63() }
-func (c *countingSource) Uint64() uint64 { c.draws++; return c.src.Uint64() }
-func (c *countingSource) Seed(s int64)   { c.src.Seed(s); c.draws = 0 }
-
-// SamplerState is an exportable position in a sampler's random stream: the
-// seed plus the number of source draws consumed so far. Restoring it with
-// NewSamplerAt continues the exact stream, which is what lets an interrupted
-// campaign resume without replaying completed experiments.
-type SamplerState struct {
-	Seed  int64  `json:"seed"`
-	Draws uint64 `json:"draws"`
-}
-
 // Sampler draws fault-injection plans using the accelerator's reuse
 // parameters (RF and neuron patterns per layer kind from Table II).
 type Sampler struct {
 	models map[ID]Model
 	rf     int // the CBUF→MAC reuse factor (16 for NVDLA)
-	seed   int64
-	src    *countingSource
+	src    rand.Source64
 	rng    *rand.Rand
 }
 
@@ -81,41 +56,15 @@ func NewSampler(models []Model, seed int64) (*Sampler, error) {
 	if !ok || cm.RF <= 0 {
 		return nil, fmt.Errorf("faultmodel: model set lacks a CBUF→MAC input model with positive RF")
 	}
-	src := &countingSource{src: NewStreamSource(seed)}
-	return &Sampler{models: byID, rf: cm.RF, seed: seed, src: src, rng: rand.New(src)}, nil
-}
-
-// NewSamplerAt builds a sampler positioned at a previously exported state by
-// fast-forwarding the stream past the consumed draws. The continuation is
-// bit-identical to the original sampler's.
-func NewSamplerAt(models []Model, st SamplerState) (*Sampler, error) {
-	s, err := NewSampler(models, st.Seed)
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < st.Draws; i++ {
-		s.src.src.Uint64()
-	}
-	s.src.draws = st.Draws
-	return s, nil
-}
-
-// State exports the sampler's stream position for checkpointing.
-func (s *Sampler) State() SamplerState {
-	return SamplerState{Seed: s.seed, Draws: s.src.draws}
+	src := NewStreamSource(seed)
+	return &Sampler{models: byID, rf: cm.RF, src: src, rng: rand.New(src)}, nil
 }
 
 // Reseed repositions the sampler at the start of a fresh stream without
 // rebuilding the model tables. Campaigns call it before every experiment to
 // give each one an independent, cursor-derived stream: a panicking or hung
 // experiment then cannot perturb the draws of any other experiment.
-func (s *Sampler) Reseed(seed int64) {
-	s.seed = seed
-	s.src.Seed(seed)
-}
-
-// RF returns the CBUF→MAC reuse factor of the sampled design.
-func (s *Sampler) RF() int { return s.rf }
+func (s *Sampler) Reseed(seed int64) { s.src.Seed(seed) }
 
 // Rand exposes the sampler's RNG for callers that need coordinated
 // randomness (e.g. input selection in campaigns).
@@ -259,7 +208,7 @@ func (s *Sampler) planCBUFWeight(p *Plan, m Model, site nn.Site, op *nn.Operands
 	p.Override = &nn.Override{Kind: nn.OperandWeight, Flat: flat}
 	// Model the random injection cycle within the hold window: choose an
 	// aligned RF window along the users sequence, then keep a random suffix
-	// (reuse.Result.SampleSubset semantics: neurons with timestamp >= p).
+	// (Sec. III-B1: neurons with timestamp >= p).
 	start := (s.rng.Intn(len(users)) / s.rf) * s.rf
 	end := start + s.rf
 	if end > len(users) {

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"fidelity/internal/accel"
+	"fidelity/internal/activeness"
+	"fidelity/internal/numerics"
 )
 
 // uniformStats builds LayerStats with constant probabilities for testing.
@@ -97,6 +99,35 @@ func TestComputeInactivity(t *testing.T) {
 	}
 	if math.Abs(half.Total-full.Total/2)/full.Total > 1e-9 {
 		t.Errorf("50%% inactivity should halve FIT: %v vs %v", half.Total, full.Total)
+	}
+}
+
+// Ablation of the FF activeness analysis: for one layer, the pessimistic
+// always-active assumption must give a strictly larger FIT than Eq. 1's
+// Prob_inactive from the performance model.
+func TestAlwaysActiveOverestimatesFIT(t *testing.T) {
+	cfg := accel.NVDLASmall()
+	perf, err := activeness.NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := activeness.Analyze(cfg, perf, accel.ConvSpec("c", 1, 16, 16, 64, 3, 3, 32, 1, numerics.FP16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq1 := uniformStats(cfg, "l", 1, 0, 0.9)
+	eq1.ProbInactive = an.ProbInactive
+	raw := RawFITPerFF(RawFFFITPerMB)
+	with, err := Compute(cfg, raw, []LayerStats{eq1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	always, err := Compute(cfg, raw, []LayerStats{uniformStats(cfg, "l", 1, 0, 0.9)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if always.Total <= with.Total {
+		t.Errorf("always-active FIT %v should exceed the Eq. 1 FIT %v", always.Total, with.Total)
 	}
 }
 

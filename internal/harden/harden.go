@@ -6,10 +6,9 @@
 // the same campaign engine, so the before/after FIT comparison rests on
 // injection experiments, not on modeling alone.
 //
-// The three mitigation families share the Mitigation interface: each one
-// extends a hardening Config from a measured campaign result. Range
-// restriction installs per-site activation clamps derived from golden-trace
-// min/max profiles; because the bounds contain every golden activation, the
+// Each mitigation family extends a hardening Config. Range restriction
+// installs per-site activation clamps derived from golden-trace min/max
+// profiles; because the bounds contain every golden activation, the
 // clamp is the identity on clean data and the hardened network's golden
 // behavior — and therefore replay bit-exactness and shard determinism — is
 // unchanged (DESIGN.md §11). Selective duplication ranks layer executions by
@@ -28,32 +27,12 @@ import (
 	"fidelity/internal/fit"
 )
 
-// Mitigation is one protection family: given the accelerator description
-// and a measured campaign result, it extends a hardening config with its own
-// protection choices. Implementations never mutate base's slices.
-type Mitigation interface {
-	// Name identifies the mitigation family.
-	Name() string
-	// Plan returns base extended with this family's choices, derived from
-	// the measured study.
-	Plan(acfg *accel.Config, study *campaign.StudyResult, base Config) (Config, error)
-}
-
-// RangeRestriction installs the profiled activation envelopes as per-site
-// clamps (Ranger-style). Its FIT effect is not modeled: the hardened
-// campaign re-run measures it directly, as higher Prob_SWmask.
-type RangeRestriction struct {
-	// Envelopes are the golden-trace min/max profiles (see Profile).
-	Envelopes []Envelope
-}
-
-// Name implements Mitigation.
-func (RangeRestriction) Name() string { return "range-restriction" }
-
-// Plan implements Mitigation. The study is unused: clamps are derived from
-// the golden profile, not from injection outcomes.
-func (m RangeRestriction) Plan(_ *accel.Config, _ *campaign.StudyResult, base Config) (Config, error) {
-	clamps := append([]Envelope(nil), m.Envelopes...)
+// RangeRestriction installs the profiled activation envelopes (see Profile)
+// as base's per-site clamps (Ranger-style). Its FIT effect is not modeled:
+// the hardened campaign re-run measures it directly, as higher Prob_SWmask.
+// It never mutates envelopes.
+func RangeRestriction(envelopes []Envelope, base Config) (Config, error) {
+	clamps := append([]Envelope(nil), envelopes...)
 	sort.Slice(clamps, func(i, j int) bool { return clamps[i].Site < clamps[j].Site })
 	for _, e := range clamps {
 		if e.Lo > e.Hi {
@@ -64,55 +43,17 @@ func (m RangeRestriction) Plan(_ *accel.Config, _ *campaign.StudyResult, base Co
 	return base, nil
 }
 
-// SelectiveDuplication duplicates the layer executions with the highest
-// measured FIT contribution until the residual fits Budget, ranking by
-// FIT-removed per duplicated-time-share (SentinelNN-style selective
-// protection, driven by measured sensitivity per Salami et al.).
-type SelectiveDuplication struct {
-	// Budget is the FIT target (0 = the area-apportioned ASIL-D FF budget).
-	Budget float64
-	// ProtectGlobal assumes hardened global-control FFs; without it the
-	// global-control floor usually exceeds any ASIL-D-class budget.
-	ProtectGlobal bool
-}
-
-// Name implements Mitigation.
-func (SelectiveDuplication) Name() string { return "selective-duplication" }
-
-// Plan implements Mitigation.
-func (m SelectiveDuplication) Plan(acfg *accel.Config, study *campaign.StudyResult, base Config) (Config, error) {
-	budget := m.Budget
-	if budget <= 0 {
-		budget = fit.FFBudget()
-	}
-	plan, err := fit.PlanDuplication(acfg, study.RawPerFF, study.Layers, budget, m.ProtectGlobal)
-	if err != nil {
-		return base, err
-	}
-	base.Duplicated = plan.Duplicated()
-	base.ProtectGlobal = m.ProtectGlobal
-	return base, nil
-}
-
 // RecommendationSearch explores protection configs — global-control
 // protection on/off crossed with the duplication fraction the greedy planner
-// needs under each — and keeps the cheapest one meeting Budget. Hardware
-// cost order: duplication time share first, hardened global-control FFs
-// second; so the search tries the cheaper no-global-protection variant
-// first and only escalates when it cannot meet the budget.
-type RecommendationSearch struct {
-	// Budget is the FIT target (0 = the area-apportioned ASIL-D FF budget).
-	Budget float64
-}
-
-// Name implements Mitigation.
-func (RecommendationSearch) Name() string { return "recommendation-search" }
-
-// Plan implements Mitigation. When no explored config meets the budget, the
-// most protective one (global protection plus full duplication) is returned
-// with its residual; the caller sees Meets=false in the final FIT check.
-func (m RecommendationSearch) Plan(acfg *accel.Config, study *campaign.StudyResult, base Config) (Config, error) {
-	budget := m.Budget
+// needs under each — and extends base with the cheapest one meeting budget
+// (0 = the area-apportioned ASIL-D FF budget). Hardware cost order:
+// duplication time share first, hardened global-control FFs second; so the
+// search tries the cheaper no-global-protection variant first and only
+// escalates when it cannot meet the budget. When no explored config meets
+// the budget, the most protective one (global protection plus full
+// duplication) is returned with its residual; the caller sees Meets=false
+// in the final FIT check.
+func RecommendationSearch(acfg *accel.Config, study *campaign.StudyResult, budget float64, base Config) (Config, error) {
 	if budget <= 0 {
 		budget = fit.FFBudget()
 	}

@@ -40,7 +40,7 @@ func hardenedWorkload(t *testing.T, name string, inputs int) (*model.Workload, C
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := RangeRestriction{Envelopes: prof}.Plan(nil, nil, Config{})
+	cfg, err := RangeRestriction(prof, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestRecommendationSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RecommendationSearch{}.Plan(cfg, study, hcfg)
+	out, err := RecommendationSearch(cfg, study, 0, hcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func Run(ctx context.Context, acfg *accel.Config, opts Options) (*Report, error)
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := RangeRestriction{Envelopes: prof}.Plan(acfg, baseline, Config{})
+	cfg, err := RangeRestriction(prof, Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +132,7 @@ func Run(ctx context.Context, acfg *accel.Config, opts Options) (*Report, error)
 
 	// Search duplication × global-control protection on the post-clamp
 	// measurement.
-	cfg, err = RecommendationSearch{Budget: opts.Budget}.Plan(acfg, clamped, cfg)
+	cfg, err = RecommendationSearch(acfg, clamped, opts.Budget, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -52,9 +52,6 @@ func (o Outcome) String() string {
 	}
 }
 
-// Failed reports whether the outcome counts as a system failure in Eq. 2.
-func (o Outcome) Failed() bool { return o != Masked }
-
 // ReplayCost reports what the incremental replay engine did during one
 // experiment's forward pass. Nil on Results produced without it (the
 // plain-forward oracle, or global-control shortcuts that run no forward).
@@ -179,11 +176,6 @@ type Golden struct {
 	trace   *nn.GoldenTrace // nil when traced without replay support
 }
 
-// Input returns the input tensor the golden state was recorded for. It is
-// read-only for the lifetime of the Golden: injection never mutates the
-// network input (faults land on operands and outputs of site executions).
-func (g *Golden) Input() *tensor.Tensor { return g.input }
-
 // TraceGolden runs the golden inference for x and records the shared golden
 // state. withReplay selects the activation-recording trace the replay engine
 // consumes. Without it, injectors prepared from the Golden run every
@@ -210,20 +202,6 @@ func TraceGolden(w *model.Workload, x *tensor.Tensor, withReplay bool) (*Golden,
 		}
 	}
 	return g, nil
-}
-
-// Prepare runs the golden inference for input x and caches the trace,
-// including the golden output tensor of every layer execution, which
-// subsequent Runs replay incrementally instead of recomputing the full
-// network. Must be called before Run; call again to switch inputs. Campaigns
-// with several injectors over the same input should TraceGolden once and
-// PrepareGolden each injector instead.
-func (in *Injector) Prepare(x *tensor.Tensor) error {
-	g, err := TraceGolden(in.W, x, true)
-	if err != nil {
-		return err
-	}
-	return in.PrepareGolden(g)
 }
 
 // PrepareGolden initializes the injector from a shared Golden of its own
@@ -299,15 +277,9 @@ func (in *Injector) PredictTarget(seed int64) int {
 	return len(in.g.execs) - 1
 }
 
-// Golden returns the cached fault-free application output.
-func (in *Injector) Golden() model.AppOutput { return in.g.golden }
-
 // Executions returns the number of recorded site executions for the
 // prepared input.
 func (in *Injector) Executions() int { return len(in.g.execs) }
-
-// Execution returns the i-th recorded site execution.
-func (in *Injector) Execution(i int) nn.SiteExecution { return in.g.execs[i] }
 
 // Run executes one experiment: sample a fault of model id at a work-weighted
 // site execution, inject it, and classify the outcome under tolerance tol.
@@ -333,7 +305,7 @@ func (in *Injector) run(ctx context.Context, id faultmodel.ID, tol float64, exec
 		return Result{}, err
 	}
 	if in.g == nil {
-		return Result{}, fmt.Errorf("inject: Prepare must be called first")
+		return Result{}, fmt.Errorf("inject: PrepareGolden must be called first")
 	}
 	res := Result{Model: id}
 	if id == faultmodel.GlobalControl {

@@ -14,7 +14,6 @@ var ctxFlowScope = []string{
 	"internal/campaign",
 	"internal/distrib",
 	"internal/inject",
-	"internal/core",
 }
 
 // CtxFlow requires engine API to accept and forward context.Context.
@@ -22,7 +21,7 @@ var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc: `ctxflow: engine API must accept and forward context.Context
 
-Two rules in campaign/distrib/inject/core:
+Two rules in campaign/distrib/inject:
 
   - Library code never conjures its own root context:
     context.Background() / context.TODO() sever the caller's cancellation

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/parser"
+	"go/token"
 	"go/types"
 	"strings"
 	"testing"
@@ -160,4 +161,47 @@ func helper() time.Time { return time.Now() }
 	if len(diags) != 0 {
 		t.Fatalf("test file was analyzed: %v", messages(diags))
 	}
+}
+
+// FuzzAllowDirective: whatever follows //lint:allow on a comment line, the
+// parser must classify it — malformed, unknown analyzer, missing reason, or a
+// well-formed allow (here unused: the line below it has no finding) — as
+// exactly one suppression finding, and never panic.
+func FuzzAllowDirective(f *testing.F) {
+	for _, tail := range []string{
+		"", " ", " wallclock", " wallclock liveness, not identity", "\twallclock\treason",
+		" nosuchanalyzer some reason", "wallclock glued to the prefix", " detrand x", " wallclock  ",
+		" ctxflow // nested", " maporder  ", ":", " \x00",
+	} {
+		f.Add(tail)
+	}
+	known := map[string]bool{}
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+	}
+	f.Fuzz(func(t *testing.T, tail string) {
+		if strings.ContainsAny(tail, "\n\r") {
+			t.Skip("the directive is one comment line")
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, "allow_fixture.go", "package allowfix\n\n//lint:allow"+tail+"\nvar a = 1\n", parser.ParseComments)
+		if err != nil {
+			t.Skip("not a Go comment: ", err)
+		}
+		want := "unused suppression for "
+		switch fields := strings.Fields(tail); {
+		case len(fields) == 0:
+			want = "malformed suppression"
+		case !known[fields[0]]:
+			want = "unknown analyzer " + fields[0]
+		case len(fields) == 1:
+			want = "lacks a reason"
+		default:
+			want += fields[0]
+		}
+		diags := applySuppressions(fset, []*ast.File{file}, Analyzers(), nil)
+		if len(diags) != 1 || diags[0].Analyzer != "suppression" || !strings.Contains(diags[0].Message, want) {
+			t.Fatalf("//lint:allow%q: findings %v, want one suppression finding containing %q", tail, messages(diags), want)
+		}
+	})
 }

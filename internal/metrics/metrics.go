@@ -1,6 +1,7 @@
-// Package metrics implements the application correctness metrics of paper
-// Table IV: Top-1 label match for classifiers, BLEU-score difference for
-// translation, and detection-precision difference for object detection.
+// Package metrics implements the scored application correctness metrics of
+// paper Table IV: BLEU-score difference for translation and
+// detection-precision difference for object detection (Top-1 is a label
+// comparison, done where outputs are decoded: model.Workload.Score).
 // Every metric compares a faulty application output against the fault-free
 // output of the same run, exactly as the paper's methodology does.
 package metrics
@@ -8,15 +9,7 @@ package metrics
 import (
 	"math"
 	"slices"
-
-	"fidelity/internal/tensor"
 )
-
-// Top1Match reports whether the faulty classifier output predicts the same
-// top-1 label as the golden output.
-func Top1Match(golden, faulty *tensor.Tensor) bool {
-	return golden.ArgMax() == faulty.ArgMax()
-}
 
 // BLEU computes a sentence-level BLEU score of hyp against ref: geometric
 // mean of modified n-gram precisions up to 4-grams with add-one smoothing

@@ -4,21 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"fidelity/internal/tensor"
 )
-
-func TestTop1Match(t *testing.T) {
-	g := tensor.FromSlice([]float32{0.1, 0.7, 0.2}, 3)
-	f1 := tensor.FromSlice([]float32{0.2, 0.5, 0.3}, 3)
-	f2 := tensor.FromSlice([]float32{0.5, 0.2, 0.3}, 3)
-	if !Top1Match(g, f1) {
-		t.Error("same argmax should match")
-	}
-	if Top1Match(g, f2) {
-		t.Error("different argmax should not match")
-	}
-}
 
 func TestBLEUIdentity(t *testing.T) {
 	s := []int{1, 2, 3, 4, 5, 6, 7, 8}

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"fmt"
 	"math"
 
 	"fidelity/internal/metrics"
@@ -117,9 +116,4 @@ func (w *Workload) Correct(golden, faulty AppOutput, tol float64) bool {
 		return score == 1
 	}
 	return metrics.WithinTolerance(score, tol)
-}
-
-// Describe summarizes the workload for reports.
-func (w *Workload) Describe() string {
-	return fmt.Sprintf("%s [%s, %s, %s]", w.Net.Name(), w.Net.Precision, w.Dataset, w.Metric)
 }

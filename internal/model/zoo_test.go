@@ -193,10 +193,6 @@ func TestMetricKindString(t *testing.T) {
 			t.Error("empty metric name")
 		}
 	}
-	w, _ := Build("rnn", numerics.INT8, 1)
-	if w.Describe() == "" {
-		t.Error("empty describe")
-	}
 }
 
 // The bounded variant must match the plain ResNet exactly on fault-free

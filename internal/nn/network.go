@@ -22,7 +22,7 @@ type Network struct {
 	sites []Site
 
 	// clamps holds the installed range-restriction envelopes (see clamp.go).
-	// Written only by SetClamp/ClearClamps during hardening setup; read-only
+	// Written only by SetClamp during hardening setup; read-only
 	// once forward passes start, so concurrent workers may share the network.
 	clamps map[Layer]Bound
 }
@@ -63,9 +63,6 @@ func (n *Network) SetClamp(s Site, b Bound) {
 	}
 	n.clamps[s] = b
 }
-
-// ClearClamps removes every installed envelope.
-func (n *Network) ClearClamps() { n.clamps = nil }
 
 // Hardened reports whether any range-restriction envelope is installed.
 func (n *Network) Hardened() bool { return len(n.clamps) > 0 }

@@ -37,7 +37,9 @@ import (
 type ctxMode int
 
 const (
-	// ctxPlain is the legacy mode: every layer computes.
+	// ctxPlain computes every layer and records nothing: the hooked full
+	// forward of Trace, the naive baseline and the envelope profiler, and the
+	// plain-forward oracle the tests hold replay to.
 	ctxPlain ctxMode = iota
 	// ctxRecord computes every layer and records its output as golden.
 	ctxRecord

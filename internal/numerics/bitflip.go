@@ -45,10 +45,6 @@ func MustCodec(p Precision, maxAbs float32) Codec {
 // Precision returns the codec's precision.
 func (c Codec) Precision() Precision { return c.prec }
 
-// Quantizer returns the calibrated quantizer for INT16/INT8 codecs; for
-// floating-point codecs it returns the zero Quantizer.
-func (c Codec) Quantizer() Quantizer { return c.quant }
-
 // Bits returns the stored width of one value.
 func (c Codec) Bits() int { return c.prec.Bits() }
 
@@ -75,18 +71,6 @@ func (c Codec) FlipBit(f float32, i int) float32 {
 		return HalfFromFloat32(f).FlipBit(i).Float32()
 	default:
 		return c.quant.FlipBit(f, i)
-	}
-}
-
-// Encode returns the stored bit pattern of f, masked to Bits() bits.
-func (c Codec) Encode(f float32) uint32 {
-	switch c.prec {
-	case FP32:
-		return math.Float32bits(f)
-	case FP16:
-		return uint32(HalfFromFloat32(f))
-	default:
-		return c.quant.Encode(f)
 	}
 }
 

@@ -33,9 +33,6 @@ const (
 	halfSignMask = 0x8000
 )
 
-// HalfBits is the number of bits in the Half encoding.
-const HalfBits = 16
-
 // HalfFromFloat32 converts f to the nearest Half using round-to-nearest-even,
 // the rounding mode used by NVDLA's FP16 datapath. Values whose magnitude
 // exceeds the Half range become infinities; NaN payloads are canonicalized.
@@ -121,16 +118,6 @@ func (h Half) Float32() float32 {
 	}
 }
 
-// IsNaN reports whether h encodes a NaN.
-func (h Half) IsNaN() bool {
-	return h&halfExpMask == halfExpMask && h&halfManMask != 0
-}
-
-// IsInf reports whether h encodes an infinity of either sign.
-func (h Half) IsInf() bool {
-	return h&halfExpMask == halfExpMask && h&halfManMask == 0
-}
-
 // FlipBit returns h with bit i (0 = LSB of the mantissa, 15 = sign) inverted.
 // This is the single-FF single-cycle bit-flip abstraction applied to a value
 // stored in an FP16 datapath register.
@@ -172,9 +159,4 @@ func RoundHalfRef(f float32) float32 {
 // fits), and the product rounded back to half precision.
 func HalfMul(a, b float32) float32 {
 	return RoundHalf(RoundHalf(a) * RoundHalf(b))
-}
-
-// HalfAdd adds two float32 values with FP16 operand and result rounding.
-func HalfAdd(a, b float32) float32 {
-	return RoundHalf(RoundHalf(a) + RoundHalf(b))
 }

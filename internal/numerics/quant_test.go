@@ -163,7 +163,7 @@ func TestCodecRoundDispatch(t *testing.T) {
 		t.Error("FP16 codec should round to half")
 	}
 	ci8 := MustCodec(INT8, 4)
-	if ci8.Round(0.5) != ci8.Quantizer().Round(0.5) {
+	if ci8.Round(0.5) != ci8.quant.Round(0.5) {
 		t.Error("INT8 codec should use quantizer rounding")
 	}
 	if _, err := NewCodec(Precision(42), 1); err == nil {
@@ -193,7 +193,7 @@ func TestCodecEncodeDecode(t *testing.T) {
 	for _, p := range []Precision{FP32, FP16, INT16, INT8} {
 		c := MustCodec(p, 8)
 		x := c.Round(2.5)
-		if got := c.Decode(c.Encode(x)); got != x {
+		if got := c.Decode(encodeBits(c, x)); got != x {
 			t.Errorf("%v: decode(encode(%v)) = %v", p, x, got)
 		}
 	}
@@ -223,7 +223,7 @@ func TestCodecSaturate(t *testing.T) {
 func TestCodecMul(t *testing.T) {
 	c := MustCodec(INT16, 16)
 	got := c.Mul(1.5, 2.0)
-	want := c.Quantizer().Round(1.5) * c.Quantizer().Round(2.0)
+	want := c.quant.Round(1.5) * c.quant.Round(2.0)
 	if got != want {
 		t.Errorf("INT16 Mul = %v, want %v", got, want)
 	}
@@ -248,7 +248,7 @@ func TestQuantizeMatchesDefinition(t *testing.T) {
 	for _, maxAbs := range []float32{1e-44, 1e-38, 3e-5, 0.37, 1, 8, 127, 1000.5, 3e38} {
 		for _, p := range []Precision{INT8, INT16} {
 			c := MustCodec(p, maxAbs)
-			q := c.Quantizer()
+			q := c.quant
 			var probes []float32
 			lo, hi := q.qlimits()
 			for code := lo - 1; code <= hi+1; code++ {

@@ -4,7 +4,6 @@ package report
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -220,11 +219,4 @@ func (c *BarChart) String() string {
 		fmt.Fprintf(&sb, "%-*s %s\n", labelW, "", fmt.Sprintf("| marks %s = %.3g", c.RefLabel, c.RefLine))
 	}
 	return sb.String()
-}
-
-// SortBarsByTotal orders bars descending by height.
-func (c *BarChart) SortBarsByTotal() {
-	sort.SliceStable(c.Bars, func(i, j int) bool {
-		return c.Bars[i].Total() > c.Bars[j].Total()
-	})
 }

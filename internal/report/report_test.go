@@ -78,16 +78,6 @@ func TestBarChart(t *testing.T) {
 	}
 }
 
-func TestBarChartSort(t *testing.T) {
-	c := &BarChart{}
-	c.Add("small", Segment{"x", 1})
-	c.Add("big", Segment{"x", 10})
-	c.SortBarsByTotal()
-	if c.Bars[0].Label != "big" {
-		t.Error("sort failed")
-	}
-}
-
 func TestBarChartEmpty(t *testing.T) {
 	c := &BarChart{Title: "empty"}
 	if s := c.String(); !strings.Contains(s, "empty") {

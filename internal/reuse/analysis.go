@@ -8,8 +8,6 @@ package reuse
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 
 	"fidelity/internal/accel"
 )
@@ -111,92 +109,4 @@ func Analyze(in Input) (Result, error) {
 		}
 	}
 	return Result{RF: len(faulty), Faulty: faulty}, nil // lines 11-12
-}
-
-// SampleSubset models a random fault-injection cycle (Sec. III-B1): when the
-// target FF holds its output for more than one cycle, the injection may land
-// p cycles into the hold window, in which case only neurons with timestamp
-// l >= p are corrupted. rng selects p uniformly from [0, FFValueCycles).
-// The returned slice preserves generation order.
-func (r Result) SampleSubset(ffValueCycles int, rng *rand.Rand) []FaultyNeuron {
-	if ffValueCycles <= 1 {
-		return append([]FaultyNeuron(nil), r.Faulty...)
-	}
-	p := rng.Intn(ffValueCycles)
-	var out []FaultyNeuron
-	for _, f := range r.Faulty {
-		if f.Loop >= p {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// Neurons returns just the neuron coordinates of the result, in generation
-// order.
-func (r Result) Neurons() []Neuron {
-	out := make([]Neuron, len(r.Faulty))
-	for i, f := range r.Faulty {
-		out[i] = f.Neuron
-	}
-	return out
-}
-
-// Union merges results from multiple datapath FFs, the combination rule for
-// local control FFs that are coupled with several datapath FFs (Sec. III-B3:
-// "we take the sum of the RF values and the union of FaultyNeurons").
-// Duplicate neurons are kept once with their earliest loop timestamp; RF is
-// the number of distinct neurons in the union.
-func Union(results ...Result) Result {
-	seen := make(map[Neuron]int) // neuron -> index in out
-	var out []FaultyNeuron
-	for _, r := range results {
-		for _, f := range r.Faulty {
-			if i, ok := seen[f.Neuron]; ok {
-				if f.Loop < out[i].Loop {
-					out[i].Loop = f.Loop
-				}
-				continue
-			}
-			seen[f.Neuron] = len(out)
-			out = append(out, f)
-		}
-	}
-	return Result{RF: len(out), Faulty: out}
-}
-
-// SortNeurons orders neurons lexicographically by (batch, h, w, c); useful
-// for comparing neuron sets from different derivations.
-func SortNeurons(ns []Neuron) {
-	sort.Slice(ns, func(i, j int) bool {
-		a, b := ns[i], ns[j]
-		switch {
-		case a.Batch != b.Batch:
-			return a.Batch < b.Batch
-		case a.H != b.H:
-			return a.H < b.H
-		case a.W != b.W:
-			return a.W < b.W
-		default:
-			return a.C < b.C
-		}
-	})
-}
-
-// EqualNeuronSets reports whether two neuron lists contain the same set of
-// coordinates, ignoring order.
-func EqualNeuronSets(a, b []Neuron) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := append([]Neuron(nil), a...)
-	bs := append([]Neuron(nil), b...)
-	SortNeurons(as)
-	SortNeurons(bs)
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
 }

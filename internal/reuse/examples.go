@@ -37,7 +37,8 @@ func NVDLATargetA1(t int) Input {
 // NVDLATargetA2 is Fig 2(a) target a2: the weight register that holds each
 // value for t cycles, feeding multiplier m00 one operation per cycle. Its
 // full faulty-neuron set equals a1's, but because FF_value_cycles = t, a
-// random injection cycle corrupts between 1 and t neurons (SampleSubset).
+// random injection cycle p corrupts between 1 and t neurons (those with
+// timestamp >= p; faultmodel's weight plan draws p).
 func NVDLATargetA2(t int) Input {
 	return Input{
 		Var:           accel.VarWeight,

@@ -582,13 +582,6 @@ func ComputeWindow(cfg *accel.Config, l *Layer) (start, end int64, err error) {
 	return s.fetchCycles(), s.goldenCycles(cfg.AtomicK, cfg.WeightHoldCycles), nil
 }
 
-// FetchWindow returns the [0, end) cycle range of the CDMA fetch phase, the
-// live window for before-CBUF fault targets.
-func FetchWindow(cfg *accel.Config, l *Layer) (int64, error) {
-	start, _, err := ComputeWindow(cfg, l)
-	return start, err
-}
-
 // String renders a fault for diagnostics.
 func (f *Fault) String() string {
 	return fmt.Sprintf("%s[mac=%d] bit %d @ cycle %d", f.FF, f.Mac, f.Bit, f.Cycle)

@@ -428,7 +428,7 @@ func TestGoldenCyclesAndWindows(t *testing.T) {
 	if o.Cycles != gc {
 		t.Errorf("golden run took %d cycles, estimate %d", o.Cycles, gc)
 	}
-	fw, err := FetchWindow(nvdla(), l)
+	fw, _, err := ComputeWindow(nvdla(), l)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,21 +55,8 @@ type SiteInfo struct {
 	BlockSize int
 }
 
-// Locate maps an absolute cycle to its schedule coordinates for layer l on
-// design cfg.
-func Locate(cfg *accel.Config, l *Layer, cycle int64) (SiteInfo, error) {
-	if err := cfg.Validate(); err != nil {
-		return SiteInfo{}, err
-	}
-	s, err := l.newSchedule()
-	if err != nil {
-		return SiteInfo{}, err
-	}
-	return s.locate(cfg.AtomicK, cfg.WeightHoldCycles, cycle), nil
-}
-
-// locate is Locate on a built schedule: closed-form in the cycle, since every
-// block but the last runs the same tile length.
+// locate maps an absolute cycle to its schedule coordinates: closed-form in
+// the cycle, since every block but the last runs the same tile length.
 func (s *schedule) locate(k, t int, cycle int64) SiteInfo {
 	c := cycle - s.fetchCycles()
 	if c < 0 {
@@ -126,18 +113,6 @@ func (si SiteInfo) Channel(cfg *accel.Config, mac int) int {
 	return si.Grp*cfg.AtomicK + mac
 }
 
-// OperandIndices resolves the input element (for the broadcast input
-// register) and weight element (for MAC m's weight registers) live at the
-// site. A negative input index means the operand is a padding zero.
-func (si SiteInfo) OperandIndices(cfg *accel.Config, l *Layer, mac int) (inIdx, wIdx int, err error) {
-	s, err := l.newSchedule()
-	if err != nil {
-		return 0, 0, err
-	}
-	inIdx, wIdx = s.operandIndices(cfg, si, mac)
-	return inIdx, wIdx, nil
-}
-
 func (s *schedule) operandIndices(cfg *accel.Config, si SiteInfo, mac int) (inIdx, wIdx int) {
 	p := si.Position(cfg)
 	ch := si.Grp*cfg.AtomicK + mac
@@ -150,24 +125,6 @@ func (s *schedule) operandIndices(cfg *accel.Config, si SiteInfo, mac int) (inId
 		wIdx = s.wIndex(si.R, ch)
 	}
 	return inIdx, wIdx
-}
-
-// Dims exposes the schedule extents needed by validation harnesses.
-func Dims(cfg *accel.Config, l *Layer) (numPos, numCh, numRed int, err error) {
-	s, err := l.newSchedule()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return s.numPos, s.numCh, s.numRed, nil
-}
-
-// OutIndexOf converts (position, channel) to the output tensor multi-index.
-func OutIndexOf(l *Layer, p, c int) ([]int, error) {
-	s, err := l.newSchedule()
-	if err != nil {
-		return nil, err
-	}
-	return s.outIndexOf(p, c)
 }
 
 func (s *schedule) outIndexOf(p, c int) ([]int, error) {

@@ -14,31 +14,23 @@ func TestLocateAgreesWithEngine(t *testing.T) {
 	codec := numerics.MustCodec(numerics.FP16, 0)
 	cfg := nvdla()
 	l, _, _ := randConvLayer(21, codec, 8, 8, 2, 4, 3, 1, 1)
-	start, end, err := ComputeWindow(cfg, l)
+	ref, err := NewReference(cfg, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden, err := Run(cfg, l, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	start, end := ref.ComputeWindow()
+	golden := ref.Golden()
 	rng := rand.New(rand.NewSource(21))
 	checked := 0
 	for trial := 0; trial < 60 && checked < 15; trial++ {
 		cyc := start + rng.Int63n(end-start)
-		si, err := Locate(cfg, l, cyc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		si := ref.Locate(cyc)
 		if si.Phase != PhaseMAC {
 			continue
 		}
 		mac := rng.Intn(4)
 		ch := si.Channel(cfg, mac)
-		_, wIdx, err := si.OperandIndices(cfg, l, mac)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, wIdx := ref.OperandIndices(si, mac)
 		if wIdx < 0 {
 			continue
 		}
@@ -52,7 +44,7 @@ func TestLocateAgreesWithEngine(t *testing.T) {
 			continue
 		}
 		checked++
-		numPos, _, _, _ := Dims(cfg, l)
+		numPos, _, _ := ref.Dims()
 		// Predicted faulty set: positions p = blk*t+dx .. block end, channel ch.
 		predicted := map[int]bool{}
 		for dx := si.Dx; dx < si.BlockSize; dx++ {
@@ -60,7 +52,7 @@ func TestLocateAgreesWithEngine(t *testing.T) {
 			if p >= numPos {
 				break
 			}
-			idx, err := OutIndexOf(l, p, ch)
+			idx, err := ref.OutIndexOf(p, ch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,17 +76,21 @@ func TestLocateInputRegGroup(t *testing.T) {
 	codec := numerics.MustCodec(numerics.FP16, 0)
 	cfg := nvdla()
 	l, _, _ := randConvLayer(22, codec, 6, 6, 2, 32, 3, 1, 1)
-	start, end, _ := ComputeWindow(cfg, l)
-	golden, _ := Run(cfg, l, nil)
+	ref, err := NewReference(cfg, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, end := ref.ComputeWindow()
+	golden := ref.Golden()
 	rng := rand.New(rand.NewSource(22))
 	checked := 0
 	for trial := 0; trial < 80 && checked < 10; trial++ {
 		cyc := start + rng.Int63n(end-start)
-		si, _ := Locate(cfg, l, cyc)
+		si := ref.Locate(cyc)
 		if si.Phase != PhaseMAC {
 			continue
 		}
-		inIdx, _, _ := si.OperandIndices(cfg, l, 0)
+		inIdx, _ := ref.OperandIndices(si, 0)
 		if inIdx < 0 {
 			continue // padding operand
 		}
@@ -128,20 +124,24 @@ func TestLocatePhases(t *testing.T) {
 	codec := numerics.MustCodec(numerics.FP16, 0)
 	cfg := nvdla()
 	l, _, _ := randConvLayer(23, codec, 5, 5, 2, 4, 3, 1, 1)
-	si, err := Locate(cfg, l, 0)
-	if err != nil || si.Phase != PhaseFetch {
-		t.Errorf("cycle 0: %v, %v", si.Phase, err)
+	ref, err := NewReference(cfg, l)
+	if err != nil {
+		t.Fatal(err)
 	}
-	start, end, _ := ComputeWindow(cfg, l)
-	si, _ = Locate(cfg, l, start)
+	si := ref.Locate(0)
+	if si.Phase != PhaseFetch {
+		t.Errorf("cycle 0: %v", si.Phase)
+	}
+	start, end := ref.ComputeWindow()
+	si = ref.Locate(start)
 	if si.Phase != PhaseLoad || si.Blk != 0 || si.Grp != 0 || si.R != 0 {
 		t.Errorf("first compute cycle: %+v", si)
 	}
-	si, _ = Locate(cfg, l, start+1)
+	si = ref.Locate(start + 1)
 	if si.Phase != PhaseMAC || si.Dx != 0 {
 		t.Errorf("second compute cycle: %+v", si)
 	}
-	si, _ = Locate(cfg, l, end)
+	si = ref.Locate(end)
 	if si.Phase != PhaseIdle {
 		t.Errorf("post-end cycle: %+v", si)
 	}
@@ -158,13 +158,14 @@ func TestLocateCoverageExhaustive(t *testing.T) {
 	codec := numerics.MustCodec(numerics.FP16, 0)
 	cfg := nvdla()
 	l, _, _ := randConvLayer(24, codec, 5, 5, 2, 4, 3, 1, 1)
-	start, end, _ := ComputeWindow(cfg, l)
-	numPos, numCh, _, _ := Dims(cfg, l)
+	ref, err := NewReference(cfg, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, end := ref.ComputeWindow()
+	numPos, numCh, _ := ref.Dims()
 	for cyc := start; cyc < end; cyc++ {
-		si, err := Locate(cfg, l, cyc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		si := ref.Locate(cyc)
 		if si.Phase == PhaseIdle || si.Phase == PhaseFetch {
 			t.Fatalf("compute cycle %d located as %v", cyc, si.Phase)
 		}

@@ -187,7 +187,10 @@ func (r *Reference) Locate(cycle int64) SiteInfo {
 	return r.sched.locate(r.cfg.AtomicK, r.cfg.WeightHoldCycles, cycle)
 }
 
-// OperandIndices is SiteInfo.OperandIndices on the reference's layer.
+// OperandIndices resolves the input element (for the broadcast input
+// register) and weight element (for MAC m's weight registers) live at the
+// site. A negative index means no such operand is live (for the input: a
+// padding zero).
 func (r *Reference) OperandIndices(si SiteInfo, mac int) (inIdx, wIdx int) {
 	return r.sched.operandIndices(r.cfg, si, mac)
 }

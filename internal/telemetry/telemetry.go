@@ -256,11 +256,6 @@ type OutcomeCounts struct {
 	Other          int64 `json:"other,omitempty"`
 }
 
-// Total sums all outcome classes.
-func (o OutcomeCounts) Total() int64 {
-	return o.Masked + o.OutputError + o.SystemAnomaly + o.FrameworkFault + o.Other
-}
-
 // ShardBudgetState is one shard's failure-budget snapshot.
 type ShardBudgetState struct {
 	Shard     int   `json:"shard"`
@@ -555,15 +550,4 @@ func (s Snapshot) RateSince(prev Snapshot) float64 {
 		return 0
 	}
 	return float64(s.Experiments-prev.Experiments) / dt
-}
-
-// ModelNames returns the snapshot's fault-model keys in sorted order, for
-// deterministic textual reports.
-func (s Snapshot) ModelNames() []string {
-	names := make([]string, 0, len(s.Models))
-	for n := range s.Models {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

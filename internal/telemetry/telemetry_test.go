@@ -19,7 +19,7 @@ func TestRecordAndSnapshot(t *testing.T) {
 		t.Errorf("experiments = %d", s.Experiments)
 	}
 	in := s.Models["cbuf2mac/input"]
-	if in.Masked != 1 || in.OutputError != 1 || in.Total() != 2 {
+	if in != (OutcomeCounts{Masked: 1, OutputError: 1}) {
 		t.Errorf("input tallies: %+v", in)
 	}
 	gc := s.Models["global-control"]
@@ -29,8 +29,8 @@ func TestRecordAndSnapshot(t *testing.T) {
 	if s.PerSec <= 0 {
 		t.Errorf("rate = %v", s.PerSec)
 	}
-	if got := s.ModelNames(); len(got) != 2 || got[0] != "cbuf2mac/input" {
-		t.Errorf("model names: %v", got)
+	if len(s.Models) != 2 {
+		t.Errorf("models: %v", s.Models)
 	}
 }
 
@@ -114,9 +114,6 @@ func TestRecoveryCounters(t *testing.T) {
 	s := c.Snapshot()
 	if s.Models["local-control"].FrameworkFault != 1 {
 		t.Errorf("framework-fault outcome tally: %+v", s.Models["local-control"])
-	}
-	if got := s.Models["local-control"].Total(); got != 1 {
-		t.Errorf("framework faults excluded from Total: %d", got)
 	}
 	rec := s.Recovery
 	if rec == nil {

@@ -17,35 +17,6 @@ func Add(t, u *Tensor) *Tensor {
 	return out
 }
 
-// Sub returns t - u elementwise.
-func Sub(t, u *Tensor) *Tensor {
-	if !t.SameShape(u) {
-		panic(fmt.Sprintf("tensor: Sub shape mismatch %v vs %v", t.shape, u.shape))
-	}
-	out := t.Clone()
-	for i := range out.data {
-		out.data[i] -= u.data[i]
-	}
-	return out
-}
-
-// Mul returns t * u elementwise (Hadamard product).
-func Mul(t, u *Tensor) *Tensor {
-	if !t.SameShape(u) {
-		panic(fmt.Sprintf("tensor: Mul shape mismatch %v vs %v", t.shape, u.shape))
-	}
-	out := t.Clone()
-	for i := range out.data {
-		out.data[i] *= u.data[i]
-	}
-	return out
-}
-
-// Scale returns t * s.
-func Scale(t *Tensor, s float32) *Tensor {
-	return t.Map(func(x float32) float32 { return x * s })
-}
-
 // MatMul panel sizes: one B panel (matMulBlockK × matMulBlockN float32s,
 // 128 KiB) plus the touched A and out stripes fit in L2, and the panel is
 // reused across every row of A before the next one is loaded.
@@ -120,21 +91,6 @@ func matMulRef(a, b *Tensor) *Tensor {
 			for j := 0; j < n; j++ {
 				orow[j] += av * brow[j]
 			}
-		}
-	}
-	return out
-}
-
-// Transpose returns the rank-2 transpose of t.
-func Transpose(t *Tensor) *Tensor {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose requires rank 2, got %v", t.shape))
-	}
-	m, n := t.shape[0], t.shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.data[j*m+i] = t.data[i*n+j]
 		}
 	}
 	return out
@@ -242,25 +198,4 @@ func Pad2D(t *Tensor, p int) *Tensor {
 		}
 	}
 	return out
-}
-
-// Sum returns the sum of all elements in float64 for accuracy.
-func Sum(t *Tensor) float64 {
-	var s float64
-	for _, x := range t.data {
-		s += float64(x)
-	}
-	return s
-}
-
-// Dot computes the float64 inner product of two equal-length tensors.
-func Dot(a, b *Tensor) float64 {
-	if a.Size() != b.Size() {
-		panic(fmt.Sprintf("tensor: Dot size mismatch %d vs %d", a.Size(), b.Size()))
-	}
-	var s float64
-	for i := range a.data {
-		s += float64(a.data[i]) * float64(b.data[i])
-	}
-	return s
 }

@@ -165,24 +165,10 @@ func (t *Tensor) Apply(f func(float32) float32) {
 	}
 }
 
-// Map returns a new tensor whose elements are f applied to t's elements.
-func (t *Tensor) Map(f func(float32) float32) *Tensor {
-	c := t.Clone()
-	c.Apply(f)
-	return c
-}
-
 // RandNormal fills the tensor with N(0, stddev²) values from rng.
 func (t *Tensor) RandNormal(rng *rand.Rand, stddev float32) {
 	for i := range t.data {
 		t.data[i] = float32(rng.NormFloat64()) * stddev
-	}
-}
-
-// RandUniform fills the tensor with uniform values in [lo, hi).
-func (t *Tensor) RandUniform(rng *rand.Rand, lo, hi float32) {
-	for i := range t.data {
-		t.data[i] = lo + (hi-lo)*rng.Float32()
 	}
 }
 
