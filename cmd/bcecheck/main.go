@@ -30,9 +30,11 @@ import (
 
 // hotFiles are the files whose innermost loops must be check-free, with the
 // functions exempt in each: the primitives that dispatch to the AVX2 lanes
-// loop once per chunk — the panel once per row — the lanes left to the Go
-// loop, slicing as they go; their per-element loops are the ...Go functions
-// beside them, which are checked, as are mulAddPanel, dotRow and convPixel: the
+// loop once per chunk the lanes left to the Go loop, slicing as they go — the
+// panel once per row of a column block the lanes did not store, and of the
+// tail, slicing the row's weights out (two slice checks a row, none per
+// element); their per-element loops are the ...Go functions beside them,
+// which are checked, as are mulAddPanel, dotRow and convPixel: the
 // loops behind every tile and every run of recompute.go. boxify and diffSpanBox
 // likewise loop once per tensor row, slicing it out; their per-element loops
 // are firstDiff and lastDiff, which are checked; matmulTile loops once per

@@ -2,6 +2,7 @@ package numerics
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -48,12 +49,64 @@ func BenchmarkHalfMulAddRow(b *testing.B) {
 	}
 }
 
-// BenchmarkHalfMulAddPanel times the panel on the shapes the kernels hand it:
-// n output channels wide (72: a ninth chunk; the zoo's layers are 8–64), and
-// one pointwise position (16 rows), one 3×3×16 kernel row set (144) or one
-// 3×3×64 (576) long, a fifth of the activations zero and skipped, each with
-// the lanes off and on.
+// BenchmarkHalfMulAddPanel times the panel, each case with the lanes off and
+// on:
+//
+//   - pixel/c16 and pixel/c32, the calls a campaign on resnet-lite makes (measured
+//     on the benchmark's resnet-fixed: 72 rows by 27.6 columns a call, 57% of
+//     the rows ±0 and skipped): the output pixels of a 3×3 convolution of a
+//     16×16×16 and of an 8×8×32 map in turn, borders clipped — up to three
+//     kernel rows a pixel, a fresh window of a post-ReLU map each time, against
+//     a 9 KB and a 36 KB weight tensor. This is the case to quote;
+//   - n<width>/rows<rows>, one fixed activation vector with every fifth entry
+//     zero over one cache-resident panel: an upper bound no campaign sees — the
+//     skip branch predicts perfectly and nothing misses;
+//   - oneInfRow and allNaN, the worst cases of the block rule on a 144×32
+//     panel: one Inf activation sends every column block through the Go loop
+//     after the lanes ran it for nothing, and a panel of NaN does the same
+//     where nothing is skipped.
 func BenchmarkHalfMulAddPanel(b *testing.B) {
+	run := func(name string, macs int, f func(i int)) {
+		b.Run(name, func(b *testing.B) {
+			eachDispatch(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					f(i)
+				}
+				b.ReportMetric(float64(b.N)*float64(macs)/b.Elapsed().Seconds(), "MAC/s")
+			})
+		})
+	}
+	for _, bc := range []struct{ size, ch int }{{16, 16}, {8, 32}} {
+		size, ch := bc.size, bc.ch
+		rng := rand.New(rand.NewSource(74))
+		const maps = 16
+		in := make([]float32, maps*size*size*ch)
+		for i := range in {
+			if rng.Float64() >= 0.57 {
+				in[i] = RoundHalf(float32(math.Abs(rng.NormFloat64())))
+			}
+		}
+		_, w := benchOperands(9 * ch * ch)
+		acc := make([]float32, ch)
+		// pixel accumulates output pixel (oy, ox) as nn's convPixel does and
+		// returns its multiply-adds.
+		pixel := func(m, oy, ox int) (macs int) {
+			clear(acc)
+			kxLo, kxHi := max(1-ox, 0), min(size+1-ox, 3)
+			for ky := max(1-oy, 0); ky < min(size+1-oy, 3); ky++ {
+				irow := in[((m*size+oy+ky-1)*size+ox+kxLo-1)*ch : ((m*size+oy+ky-1)*size+ox+kxHi-1)*ch]
+				HalfMulAddPanel(acc, irow, w[(ky*3+kxLo)*ch*ch:], ch, true)
+				macs += len(irow) * ch
+			}
+			return macs
+		}
+		total := 0
+		for p := 0; p < size*size; p++ {
+			total += pixel(0, p/size, p%size)
+		}
+		run(fmt.Sprintf("pixel/c%d", ch), total/(size*size), func(i int) { pixel(i/(size*size)%maps, i/size%size, i%size) })
+	}
 	for _, n := range []int{8, 16, 32, 64, 72} {
 		for _, rows := range []int{16, 144, 576} {
 			a, _ := benchOperands(rows)
@@ -62,18 +115,29 @@ func BenchmarkHalfMulAddPanel(b *testing.B) {
 			}
 			_, w := benchOperands(rows * n)
 			acc := make([]float32, n)
-			b.Run(fmt.Sprintf("n%d/rows%d", n, rows), func(b *testing.B) {
-				eachDispatch(b, func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						clear(acc)
-						HalfMulAddPanel(acc, a, w, n, true)
-					}
-					b.ReportMetric(float64(b.N)*float64(rows*n)/b.Elapsed().Seconds(), "MAC/s")
-				})
+			run(fmt.Sprintf("n%d/rows%d", n, rows), rows*n, func(int) {
+				clear(acc)
+				HalfMulAddPanel(acc, a, w, n, true)
 			})
 		}
 	}
+	const n, rows = 32, 144
+	a, w := benchOperands(rows * n)
+	acc := make([]float32, n)
+	bad := append([]float32(nil), a[:rows]...)
+	bad[rows/2] = float32(math.Inf(1))
+	run("oneInfRow", rows*n, func(int) {
+		clear(acc)
+		HalfMulAddPanel(acc, bad, w, n, true)
+	})
+	nan := make([]float32, rows)
+	for i := range nan {
+		nan[i] = float32(math.NaN())
+	}
+	run("allNaN", rows*n, func(int) {
+		clear(acc)
+		HalfMulAddPanel(acc, nan, w, n, true)
+	})
 }
 
 // BenchmarkMulAddPanel times the float32 panel of the INT8, INT16 and FP32

@@ -32,7 +32,8 @@ package numerics
 // time in halfrow_amd64.s, through the hardware converter and a mask for the
 // underflow band; the loops below stay the only implementation of the rare
 // band and of every tail, the whole implementation everywhere else, and the
-// reference the lanes are tested against (DESIGN.md §7.3).
+// reference the lanes are tested against (DESIGN.md §7.3; laneChunk and
+// HalfMulAddPanel say how the rare band gets back to them).
 //
 // TestHalfRowMatchesRef proves every primitive equal to RoundHalfRef bit for
 // bit over all 65 536 half values times a multiplier set, and over every
@@ -49,13 +50,15 @@ const (
 	f32Sign       = 0x80000000
 )
 
-// laneChunk is how many elements one step of the AVX2 routines takes. Each
-// routine does whole chunks from the front of its operands and returns how
-// many elements it finished: every whole chunk, or fewer when it stopped
-// before a chunk with a lane in the rare band. The primitive's Go loop — the
-// one implementation of that band — then does that chunk and the lanes resume
-// behind it, so a faulty tensor full of Inf and NaN runs at the Go loop's
-// speed, not to different bits; the Go loop also does every tail.
+// laneChunk is how many elements one step of the AVX2 routines takes. The row,
+// element-wise, dot and rounding routines do whole chunks from the front of
+// their operands and return how many elements they finished: every whole
+// chunk, or fewer when they stopped before a chunk with a lane in the rare
+// band. The primitive's Go loop — the one implementation of that band — then
+// does that chunk and the lanes resume behind it, so a faulty tensor full of
+// Inf and NaN runs at the Go loop's speed, not to different bits; the Go loop
+// also does every tail. The panel returns no position: it takes one column
+// block a call and says whether it stored it (HalfMulAddPanel).
 const laneChunk = 8
 
 // halfRoundSmall rounds a product with |p| < 2⁻¹⁴ (bit pattern b, magnitude
@@ -78,31 +81,33 @@ func halfRoundSmall(b, abs uint32) float32 {
 // the caller vouches that every weight is finite and that acc started at +0
 // (DESIGN.md §7.2). Each accumulator takes its products in row order whoever
 // adds them (§7.4). w must reach index (len(a)-1)*stride + len(acc) - 1.
+//
+// The lanes take the columns a block at a time — the widest of 32, 16 and 8
+// that fits — with the block's accumulators in registers across all the rows
+// and no test on any product, and store them only if every one came out finite.
+// A rare product leaves the converter as ±Inf or NaN and an accumulator that
+// has met one stays non-finite, so a block that was stored met none; any other
+// block is untouched in memory and the Go loop computes it whole, as it does
+// the tail, and stays the only code that produces a rare-band result.
 func HalfMulAddPanel(acc, a, w []float32, stride int, skipZero bool) {
 	if len(a) == 0 || len(acc) == 0 {
 		return
 	}
 	_ = w[(len(a)-1)*stride+len(acc)-1]
-	if whole := len(acc) &^ (laneChunk - 1); hasAVX2 && whole > 0 {
-		for r := 0; r < len(a); r++ {
-			row, col := halfMulAddPanelAVX2(acc[:whole], a[r:], w[r*stride:], stride, skipZero)
-			if r += row; r == len(a) {
-				break
+	for len(acc) > 0 {
+		n, ok := len(acc), false
+		if hasAVX2 && n >= laneChunk {
+			n, ok = halfMulAddPanelAVX2(acc, a, w, stride, skipZero)
+		}
+		if !ok {
+			for i, av := range a {
+				if av == 0 && skipZero {
+					continue
+				}
+				halfMulAddRowGo(acc[:n], av, w[i*stride:i*stride+n])
 			}
-			// The lanes stopped before chunk col of row r: the Go loop
-			// finishes that row's whole chunks and the lanes take the next.
-			halfMulAddRowGo(acc[col:whole], a[r], w[r*stride+col:r*stride+whole])
 		}
-		if whole == len(acc) {
-			return
-		}
-		acc, w = acc[whole:], w[whole:]
-	}
-	for i, av := range a {
-		if av == 0 && skipZero {
-			continue
-		}
-		halfMulAddRowGo(acc, av, w[i*stride:i*stride+len(acc)])
+		acc, w = acc[n:], w[n:]
 	}
 }
 

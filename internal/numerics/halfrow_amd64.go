@@ -7,13 +7,13 @@ package numerics
 var hasAVX2 = cpuHasAVX2()
 
 // Implemented in halfrow_amd64.s; halfrow.go (laneChunk) has the contract of
-// the four chunk routines, the panel states its own.
+// the four chunk routines, the panel (one column block a call) states its own.
 
 func cpuHasAVX2() bool
 
 func halfMulAddRowAVX2(acc []float32, a float32, w []float32) int
 
-func halfMulAddPanelAVX2(acc, a, w []float32, stride int, skipZero bool) (row, col int)
+func halfMulAddPanelAVX2(acc, a, w []float32, stride int, skipZero bool) (n int, ok bool)
 
 func halfMulAddVecAVX2(acc, a, w []float32) int
 

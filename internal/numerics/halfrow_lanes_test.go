@@ -259,88 +259,131 @@ func panelRef(acc, a, w []float32, stride int, skipZero bool) {
 	}
 }
 
-// checkPanel holds HalfMulAddPanel to its definition and to HalfMulAddRow
-// taken row by row, with the lanes off and as detected, from accumulators
-// that start at acc0. It restores hasAVX2.
+// checkPanel holds HalfMulAddPanel, as dispatched now, to its definition and
+// to HalfMulAddRow taken row by row, from accumulators that start at acc0 —
+// and, with the lanes on, to the Go loops bit for bit, NaN payloads included:
+// the converter keeps ten bits of a NaN's payload where RoundHalfRef
+// canonicalizes it, so a non-finite accumulator that the lanes stored shows.
 func checkPanel(t *testing.T, label string, acc0, a, w []float32, stride int, skipZero bool) {
 	t.Helper()
-	detected := hasAVX2
-	defer func() { hasAVX2 = detected }()
-	want := append([]float32(nil), acc0...)
-	panelRef(want, a, w, stride, skipZero)
-	for _, lanes := range []bool{false, detected} {
-		hasAVX2 = lanes
-		panel, rows := append([]float32(nil), acc0...), append([]float32(nil), acc0...)
-		HalfMulAddPanel(panel, a, w, stride, skipZero)
+	run := func(f func(acc []float32)) []float32 {
+		acc := append([]float32(nil), acc0...)
+		f(acc)
+		return acc
+	}
+	want := run(func(acc []float32) { panelRef(acc, a, w, stride, skipZero) })
+	panel := run(func(acc []float32) { HalfMulAddPanel(acc, a, w, stride, skipZero) })
+	rows := run(func(acc []float32) {
 		for i, av := range a {
 			if av == 0 && skipZero {
 				continue
 			}
-			HalfMulAddRow(rows, av, w[i*stride:i*stride+len(rows)])
+			HalfMulAddRow(acc, av, w[i*stride:i*stride+len(acc)])
 		}
-		for c := range want {
-			if !sameValue(panel[c], want[c]) || !sameValue(rows[c], want[c]) {
-				t.Fatalf("%s (lanes %v, %d rows × %d, stride %d, skipZero %v): acc[%d] = %#08x as a panel, %#08x row by row, want %#08x",
-					label, lanes, len(a), len(acc0), stride, skipZero, c,
-					math.Float32bits(panel[c]), math.Float32bits(rows[c]), math.Float32bits(want[c]))
-			}
+	})
+	loops := panel
+	if hasAVX2 {
+		hasAVX2 = false
+		loops = run(func(acc []float32) { HalfMulAddPanel(acc, a, w, stride, skipZero) })
+		hasAVX2 = true
+	}
+	for c := range want {
+		if !sameValue(panel[c], want[c]) || !sameValue(rows[c], want[c]) || !sameBits(panel[c], loops[c]) {
+			t.Fatalf("%s (lanes %v, %d rows × %d, stride %d, skipZero %v): acc[%d] = %#08x as a panel, %#08x by the Go loops, %#08x row by row, want %#08x",
+				label, hasAVX2, len(a), len(acc0), stride, skipZero, c, math.Float32bits(panel[c]),
+				math.Float32bits(loops[c]), math.Float32bits(rows[c]), math.Float32bits(want[c]))
 		}
 	}
 }
 
-// TestPanelMatchesRows holds the panel to its rows and to RoundHalfRef: on
-// random panels of every width from 0 to 41 (no chunk, whole chunks, a tail)
-// at strides at and past the width, from no row to 20, a third of the
-// activations ±0, skipped and not; and with a value of the rare band planted so
-// that the lanes bail in the first chunk, the last chunk and the tail of the
-// first, a middle and the last row — the rows behind a bail, and the chunks of
-// its row before it, must come out as if it had not happened. Under skipZero a
-// zero activation meets an Inf weight too: skipped, its NaN must not appear.
-func TestPanelMatchesRows(t *testing.T) {
+// TestPanelMatchesRows holds the panel to its rows and to RoundHalfRef, lanes
+// off and on: on random panels of every width from 0 to 59 (each sequence of
+// column blocks the lanes cut a width into, with and without a tail) at strides
+// at and past the width, from no row to 20, a third of the activations ±0,
+// skipped and not; and with whatever makes a column block fall back to the Go
+// loop planted in every chunk of a 32-, a 16- and an 8-column block and in the
+// tail — a block that was stored before its verdict, tested in part, or redone
+// from anywhere but its first row would show in that column, and in the
+// columns around it:
+//
+//   - a rare product (±Inf or NaN weight, a finite product past HalfMax) in
+//     the first, a middle and the last row, and the same row skipped, when the
+//     rare value is never multiplied;
+//   - ±Inf, a quiet and a signalling NaN in the incoming accumulator, under
+//     products that are all finite;
+//   - a -0 accumulator under rows of ±0 activations only, skipped (it stays
+//     -0) and multiplied (a +0 product makes it +0);
+//   - an Inf weight under a ±0 activation: skipped, its NaN must not appear;
+//     multiplied, it must.
+func TestPanelMatchesRows(t *testing.T) { eachDispatch(t, testPanelMatchesRows) }
+
+func testPanelMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	negZero := float32(math.Copysign(0, -1))
-	draw := func(n int, sd float64, zeros bool) []float32 {
+	draw := func(n int, sd float64, zeros int) []float32 {
 		s := make([]float32, n)
 		for i := range s {
 			s[i] = RoundHalf(float32(rng.NormFloat64() * sd))
-			if zeros && i%3 == 0 {
+			if zeros > 0 && i%zeros == 0 {
 				s[i] = []float32{0, negZero}[rng.Intn(2)]
 			}
 		}
 		return s
 	}
-	for n := 0; n <= 41; n++ {
+	for n := 0; n <= 59; n++ {
 		for _, rows := range []int{0, 1, 2, 7, 20} {
 			stride := n + rng.Intn(3)*rng.Intn(9)
-			a, w := draw(rows, 1, true), draw(rows*stride+n, 0.05, false)
+			a, w := draw(rows, 1, 3), draw(rows*stride+n, 0.05, 0)
 			for _, skipZero := range []bool{false, true} {
-				checkPanel(t, "random", draw(n, 1, false), a, w, stride, skipZero)
+				checkPanel(t, "random", draw(n, 1, 0), a, w, stride, skipZero)
 			}
 		}
 	}
-	inf := float32(math.Inf(1))
-	const n, rows, stride = 3*laneChunk + 3, 6, 3*laneChunk + 5
-	for _, sp := range []float32{inf, -inf, float32(math.NaN()), 65504 /* × 2 overflows */} {
-		for _, row := range []int{0, 3, rows - 1} {
-			for _, col := range []int{2, 2*laneChunk + 7, n - 1} {
-				a, w := draw(rows, 1, false), draw(rows*stride, 0.05, false)
+	// NaNs with payloads the converter would keep.
+	inf, nan, snan := float32(math.Inf(1)), math.Float32frombits(0xffc54000), math.Float32frombits(0x7fa54000)
+	// One 32-, one 16- and one 8-column block and a tail of three.
+	const n, rows, stride = 32 + 16 + 8 + 3, 6, 32 + 16 + 8 + 5
+	for _, col := range []int{3, 12, 21, 30, 32 + 5, 32 + 14, 48 + 7, n - 1} {
+		for _, sp := range []float32{inf, -inf, nan, snan, 65504 /* × 2 overflows */} {
+			for _, row := range []int{0, 3, rows - 1} {
+				a, w := draw(rows, 1, 0), draw(rows*stride, 0.05, 0)
 				a[row] = 2
 				w[row*stride+col] = sp
-				checkPanel(t, fmt.Sprintf("%v at row %d col %d", sp, row, col), draw(n, 1, false), a, w, stride, false)
-				// The same row skipped: the rare value is never multiplied.
+				checkPanel(t, fmt.Sprintf("%v at row %d col %d", sp, row, col), draw(n, 1, 0), a, w, stride, false)
 				a[row] = negZero
-				checkPanel(t, fmt.Sprintf("%v at skipped row %d col %d", sp, row, col), draw(n, 1, false), a, w, stride, true)
+				checkPanel(t, fmt.Sprintf("%v at skipped row %d col %d", sp, row, col), draw(n, 1, 0), a, w, stride, true)
+			}
+		}
+		for _, skipZero := range []bool{false, true} {
+			for _, sp := range []float32{inf, -inf, nan, snan} {
+				acc0 := draw(n, 1, 0)
+				acc0[col] = sp
+				checkPanel(t, fmt.Sprintf("%v in acc[%d]", sp, col), acc0, draw(rows, 1, 3), draw(rows*stride, 0.05, 0), stride, skipZero)
+			}
+			acc0 := draw(n, 1, 0)
+			acc0[col] = negZero
+			checkPanel(t, fmt.Sprintf("-0 in acc[%d] under ±0 rows", col), acc0, draw(rows, 1, 1), draw(rows*stride, 0.05, 0), stride, skipZero)
+			for _, zero := range []float32{0, negZero} {
+				a, w := draw(rows, 1, 0), draw(rows*stride, 0.05, 0)
+				a[2] = zero
+				w[2*stride+col] = inf
+				checkPanel(t, fmt.Sprintf("%v × Inf at col %d", zero, col), draw(n, 1, 0), a, w, stride, skipZero)
 			}
 		}
 	}
 }
 
 // FuzzHalfPanel holds HalfMulAddPanel to its definition and to its rows on
-// arbitrary float32 bit patterns: data is cut into the activations and then
-// the weight rows, width below and above a chunk, stride at or past it. The
-// seeds bail in the first chunk, the last chunk and the last row, run a panel
-// narrower than a chunk and one with stride past the width, and skip rows of
-// +0 and -0 activations against weights that would have made NaNs of them.
+// arbitrary float32 bit patterns (checkPanel holds the lanes, where there are
+// any, to the Go loops, and so both to the definition): data is cut into
+// the activations and then the weight rows, width below and above a column
+// block, stride at or past it; the accumulators start at 0.25 but for one, at
+// column accCol, which starts at accBits. The seeds put a rare product in the
+// first chunk, the last chunk and the last row, run a panel narrower than a
+// chunk and one with stride past the width, skip rows of +0 and -0 activations
+// against weights that would have made NaNs of them, and start an accumulator
+// of a 32-, a 16- and an 8-column block and of the tail at ±Inf, NaN, a
+// signalling NaN and -0.
 func FuzzHalfPanel(f *testing.F) {
 	pack := func(vals ...float32) []byte {
 		var b []byte
@@ -364,22 +407,33 @@ func FuzzHalfPanel(f *testing.F) {
 		return pack(vals...)
 	}
 	inf, negZero := float32(math.Inf(1)), float32(math.Copysign(0, -1))
-	f.Add(uint8(16), uint8(0), false, panel(3, 16, 0, 1, inf))                     // bail in the first chunk
-	f.Add(uint8(16), uint8(0), false, panel(3, 16, 1, 15, float32(math.NaN())))    // bail in the last chunk
-	f.Add(uint8(19), uint8(0), false, panel(3, 19, 2, 9, 65536))                   // bail in the last row
-	f.Add(uint8(19), uint8(0), false, panel(3, 19, 1, 18, inf))                    // a rare value in the tail
-	f.Add(uint8(8), uint8(5), true, panel(4, 13, 2, 3, 1e-7))                      // stride > n
-	f.Add(uint8(5), uint8(0), true, panel(4, 5, 0, 0, -inf))                       // n < 8
-	f.Add(uint8(9), uint8(2), true, panel(3, 11, 1, 4, inf, 0, negZero, 0))        // all-zero rows, skipped
-	f.Add(uint8(9), uint8(2), false, panel(3, 11, 1, 4, inf, 0, negZero, 0))       // and multiplied: 0·Inf
-	f.Add(uint8(24), uint8(1), true, panel(5, 25, 4, 23, 3e-6, 2, negZero, -1, 0)) // -0 among live rows
+	quarter := math.Float32bits(0.25)
+	f.Add(uint8(16), uint8(0), false, quarter, uint8(0), panel(3, 16, 0, 1, inf))                     // a rare product in the first chunk
+	f.Add(uint8(16), uint8(0), false, quarter, uint8(0), panel(3, 16, 1, 15, float32(math.NaN())))    // in the last chunk
+	f.Add(uint8(19), uint8(0), false, quarter, uint8(0), panel(3, 19, 2, 9, 65536))                   // in the last row
+	f.Add(uint8(19), uint8(0), false, quarter, uint8(0), panel(3, 19, 1, 18, inf))                    // in the tail
+	f.Add(uint8(8), uint8(5), true, quarter, uint8(0), panel(4, 13, 2, 3, 1e-7))                      // stride > n
+	f.Add(uint8(5), uint8(0), true, quarter, uint8(0), panel(4, 5, 0, 0, -inf))                       // n < 8
+	f.Add(uint8(9), uint8(2), true, quarter, uint8(0), panel(3, 11, 1, 4, inf, 0, negZero, 0))        // all-zero rows, skipped
+	f.Add(uint8(9), uint8(2), false, quarter, uint8(0), panel(3, 11, 1, 4, inf, 0, negZero, 0))       // and multiplied: 0·Inf
+	f.Add(uint8(24), uint8(1), true, quarter, uint8(0), panel(5, 25, 4, 23, 3e-6, 2, negZero, -1, 0)) // -0 among live rows
 	// Products the converter alone would round differently or must not see:
-	// inside (2⁻²⁵, 2⁻²⁴), the 2⁻²⁵ tie, and either side of the overflow edge.
+	// inside (2⁻²⁵, 2⁻²⁴), the 2⁻²⁵ tie, and either side of the overflow edge —
+	// in a panel of one row, where no later add rounds a wrong 2⁻²⁴ away.
 	for _, edge := range []uint32{0x33400000, 0x337fffff, 0x33000000, f32HalfOver - 1, f32HalfOver} {
-		f.Add(uint8(16), uint8(0), false, panel(3, 16, 1, 9, math.Float32frombits(edge)))
+		f.Add(uint8(16), uint8(0), false, quarter, uint8(0), panel(1, 16, 0, 9, math.Float32frombits(edge)))
 	}
-	f.Fuzz(func(t *testing.T, width, gap uint8, skipZero bool, data []byte) {
-		n, stride := int(width%42), int(width%42)+int(gap%7)
+	// What only the verdict after a block's last row sees: two halves whose
+	// product overflows in the last row of the second block, and an accumulator
+	// that comes in non-finite, or as -0 under rows of ±0 alone.
+	f.Add(uint8(40), uint8(0), false, quarter, uint8(0), panel(3, 40, 2, 37, 65504, 1, 1, 2))
+	for i, acc := range []uint32{0x7f800000, 0xff800000, 0x7fc00000, 0x7fa00000} {
+		f.Add(uint8(59), uint8(1), i%2 == 0, acc, []uint8{5, 37, 50, 57}[i], panel(4, 60, 1, 7, 0.25, 1, 0, -2))
+	}
+	f.Add(uint8(59), uint8(0), true, uint32(f32Sign), uint8(20), panel(3, 59, 1, 7, 0.25, 0, negZero, 0))
+	f.Add(uint8(59), uint8(0), false, uint32(f32Sign), uint8(40), panel(3, 59, 1, 7, 0.25, 0, negZero, 0))
+	f.Fuzz(func(t *testing.T, width, gap uint8, skipZero bool, accBits uint32, accCol uint8, data []byte) {
+		n, stride := int(width%60), int(width%60)+int(gap%7)
 		vals := make([]float32, len(data)/4)
 		for i := range vals {
 			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
@@ -392,6 +446,9 @@ func FuzzHalfPanel(f *testing.F) {
 		acc0 := make([]float32, n)
 		for c := range acc0 {
 			acc0[c] = 0.25
+		}
+		if n > 0 {
+			acc0[int(accCol)%n] = math.Float32frombits(accBits)
 		}
 		checkPanel(t, "fuzz", acc0, a, w, stride, skipZero)
 	})

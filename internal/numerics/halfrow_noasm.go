@@ -4,13 +4,14 @@ package numerics
 
 // No lanes off amd64: hasAVX2 stays false and the Go loops of halfrow.go are
 // the whole implementation. The routines below only complete the call sites,
-// and "finished no element" is a correct answer from them.
+// and "finished no element" — from the panel "stored no column" — is a correct
+// answer from them.
 var hasAVX2 = false
 
 func halfMulAddRowAVX2(acc []float32, a float32, w []float32) int { return 0 }
 
-func halfMulAddPanelAVX2(acc, a, w []float32, stride int, skipZero bool) (row, col int) {
-	return 0, 0
+func halfMulAddPanelAVX2(acc, a, w []float32, stride int, skipZero bool) (n int, ok bool) {
+	return len(acc), false
 }
 
 func halfMulAddVecAVX2(acc, a, w []float32) int { return 0 }
