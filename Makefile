@@ -54,14 +54,16 @@ examples-smoke:
 # differentials), the distributed fabric (coordinator + workers exchanging
 # leases over loopback HTTP), and the cycle-level reference (one
 # rtlsim.Reference serving injections from several goroutines). Slow: several
-# minutes under -race.
+# minutes under -race. The package list lives here only: CI's race job runs
+# this target.
 race:
 	$(GO) test -race -timeout 30m ./internal/campaign/... ./internal/inject/... ./internal/faultmodel/... ./internal/nn/... ./internal/numerics/... ./internal/tensor/... ./internal/distrib/... ./internal/rtlsim/...
 
 # The chaos self-test harness: synthetic panics, hangs, and I/O errors
 # injected into live campaigns; the supervisor must recover deterministically.
 # Run twice under -race — the watchdog's abandoned-goroutine protocol and the
-# resume paths are exactly where flakes would hide.
+# resume paths are exactly where flakes would hide. CI's chaos job runs this
+# target.
 chaos:
 	$(GO) test -race -timeout 30m -run 'Chaos' -count=2 ./internal/campaign/...
 
@@ -71,7 +73,8 @@ chaos:
 # clean run), result audits catching a lying worker, graceful drain,
 # corrupted and parent-written state recovery, and the lease-table
 # dedup/stale/audit/re-grant unit tests, and the lost-grant retries. Run twice under
-# -race — retry and re-issue paths are exactly where flakes would hide.
+# -race — retry and re-issue paths are exactly where flakes would hide. The
+# -run regexp lives here only: CI's chaos-distrib job runs this target.
 chaos-distrib:
 	$(GO) test -race -timeout 30m -count=2 -run 'TestChaos|TestDistribAudit|TestDistribDrain|TestDistribLostGrant|TestCoordinatorState|TestLeaseTable' ./internal/distrib/
 
@@ -94,11 +97,12 @@ bench-smoke:
 
 # Every native fuzz target for 5 s each, from its committed seeds: the four
 # arithmetic ones (row primitives vs their Go loops, Reference.Run vs Run),
-# the two decoders a socket reaches (POST /v1/report, POST /v1/lease through
-# Coordinator.Handler()), the two a file reaches (the sealed envelope and
-# checkpoint v3 restore) and the //lint:allow parser. `go test -fuzz` takes
-# one target at a time. Mirrors the `fuzz smoke` step of CI's bench-smoke job.
-FUZZ_TARGETS := numerics:FuzzHalfRow numerics:FuzzHalfPanel numerics:FuzzMulAddPanel rtlsim:FuzzReferenceRun distrib:FuzzReportBody distrib:FuzzLeaseBody campaign:FuzzOpenSealedJSON campaign:FuzzLoadCheckpoint lint:FuzzAllowDirective
+# the three decoders a socket reaches (POST /v1/report, POST /v1/lease through
+# Coordinator.Handler(), and the worker's GET /v1/campaign reply), the two a
+# file reaches (the sealed envelope and checkpoint v3 restore) and the
+# //lint:allow parser. `go test -fuzz` takes one target at a time. Mirrors the
+# `fuzz smoke` step of CI's bench-smoke job.
+FUZZ_TARGETS := numerics:FuzzHalfRow numerics:FuzzHalfPanel numerics:FuzzMulAddPanel rtlsim:FuzzReferenceRun distrib:FuzzReportBody distrib:FuzzLeaseBody distrib:FuzzHelloReply campaign:FuzzOpenSealedJSON campaign:FuzzLoadCheckpoint lint:FuzzAllowDirective
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 5s ./internal/$${t%%:*} || exit 1; \

@@ -2,10 +2,8 @@ package campaign
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"fidelity/internal/dataset"
@@ -166,9 +164,9 @@ func strataActive(tallies []Proportion, allocated []int, bound int, targetCI flo
 
 // PlanRound computes the next round's per-stratum allocation from the merged
 // tallies, or reports convergence. It is a pure function of its arguments —
-// evaluated only at the round barrier (RoundBarrier, which both the
-// in-process loop and the distributed coordinator call), never by shards, so
-// float arithmetic happens at exactly one place per campaign.
+// evaluated only at the round barrier (Schedule's, under Study and the
+// distributed coordinator alike), never by shards, so float arithmetic
+// happens at exactly one place per campaign.
 //
 // Round 0 seeds every stratum with adaptiveInitialSamples. Later rounds
 // double the active strata's spent budget and split it by Neyman weights
@@ -269,59 +267,21 @@ func AdaptiveHistory(shards []ShardCheckpoint) [][]int {
 	return history
 }
 
-// AdaptiveParked reports whether sc is parked at a round barrier: every
-// recorded round executed, not yet told whether the campaign converged. The
-// distributed coordinator holds such shards out of the lease pool until the
-// planner extends or finalizes them.
-func AdaptiveParked(sc ShardCheckpoint) bool {
+// adaptiveParked reports whether sc is parked at a round barrier: every
+// recorded round executed, not yet told whether the campaign converged.
+func adaptiveParked(sc ShardCheckpoint) bool {
 	a := sc.Adaptive
 	return a != nil && !sc.Done && !a.Final && sc.Cursor == (Cursor{}) && a.Round == len(a.History)
 }
 
 // FinalizeAdaptiveShard mutates a parked shard checkpoint into the canonical
 // completed form — the exact bytes the shard itself would publish had it
-// known the campaign was converged. RoundBarrier applies it to every parked
-// shard at the converged barrier.
+// known the campaign was converged. The Schedule's barrier applies it to
+// every parked shard once the campaign converges.
 func FinalizeAdaptiveShard(sc *ShardCheckpoint, inputs int) {
 	sc.Done = true
 	sc.Cursor = Cursor{Input: inputs}
 	sc.Adaptive.Final = true
-}
-
-// RoundBarrier is the adaptive campaign's one round-barrier decision, shared
-// by the in-process loop (runAdaptiveCampaign) and the distributed
-// coordinator. shards holds every shard's checkpoint in index order — each
-// parked at the barrier (parked[i]), done, or degraded — and all of them
-// feed the merge, which walks shards and strata in index order (no map
-// iteration), so the plan is a deterministic function of the tallies. The
-// parked checkpoints are then rewritten in place: the next round's
-// allocation appended to the campaign history, or, once every stratum has
-// stopped, the canonical done form. A rewritten checkpoint gets a fresh
-// Adaptive; nothing is written through the old pointer, so callers may pass
-// shallow copies of checkpoints that concurrent readers still hold. It
-// returns the barrier's telemetry block (tallies and history as planned
-// from, before the rewrite) and whether the campaign converged.
-func RoundBarrier(strata []Stratum, shards []ShardCheckpoint, parked []bool, inputs int, targetCI float64) (telemetry.StrataSnapshot, bool) {
-	history := AdaptiveHistory(shards)
-	tallies := StrataTallies(strata, shards)
-	next, converged := PlanRound(strata, history, tallies, targetCI)
-	snap := StrataTelemetry(strata, tallies, history, targetCI)
-	if !converged {
-		history = append(CloneHistory(history), next)
-	}
-	for i := range shards {
-		if !parked[i] {
-			continue
-		}
-		sc := &shards[i]
-		sc.Adaptive = sc.Adaptive.clone()
-		if converged {
-			FinalizeAdaptiveShard(sc, inputs)
-		} else {
-			sc.Adaptive.History = CloneHistory(history)
-		}
-	}
-	return snap, converged
 }
 
 // AdaptiveAuditResume builds the resume state an audit re-run of shard index
@@ -478,76 +438,10 @@ func (sh *shardState) runAdaptive(ctx context.Context) error {
 	return nil
 }
 
-// runAdaptiveCampaign is Study's round-barrier loop: dispatch every runnable
-// shard, wait for the barrier, merge tallies in stratum order, and either
-// record the next Neyman allocation in every parked shard or finalize them.
-// It leaves classification (interrupt, partial, campaign failure) to the
-// caller's inspection of the shard states, exactly like the fixed-count
-// dispatch.
-func runAdaptiveCampaign(ctx context.Context, states []*shardState, workers int, strata []Stratum, opts StudyOptions) {
-	history := make([][]int, 0)
-	for _, sh := range states {
-		if sh.adaptive != nil && len(sh.adaptive.History) > len(history) {
-			history = sh.adaptive.History
-		}
-	}
-	for {
-		// Runnable shards: not completed, not degraded. Heal short histories
-		// first (a periodic checkpoint can catch the barrier append halfway
-		// through the shard list): any shorter history is a prefix of the
-		// campaign's, so extending it replays exactly the recorded rounds.
-		var runnable []*shardState
-		for _, sh := range states {
-			if sh.done || sh.err != nil {
-				continue
-			}
-			if sh.adaptive != nil && len(sh.adaptive.History) < len(history) {
-				sh.adaptive.History = CloneHistory(history)
-			}
-			runnable = append(runnable, sh)
-		}
-		dispatchShards(ctx, runnable, workers)
-		for _, sh := range states {
-			if sh.err != nil && !errors.Is(sh.err, ErrShardExhausted) {
-				return // campaign failure or cancellation: the caller classifies
-			}
-		}
-		if ctx.Err() != nil {
-			return // parked and unstarted shards keep resumable published state
-		}
-
-		// Round barrier: every shard is parked, done, or degraded. With no
-		// shard parked there is nobody left to record a plan.
-		finals := make([]ShardCheckpoint, len(states))
-		parked := make([]bool, len(states))
-		for i, sh := range states {
-			finals[i] = sh.snapshot()
-			parked[i] = !sh.done && sh.err == nil
-		}
-		if !slices.Contains(parked, true) {
-			return
-		}
-		snap, converged := RoundBarrier(strata, finals, parked, opts.Inputs, opts.TargetCI)
-		if opts.Telemetry != nil {
-			opts.Telemetry.SetStrata(snap)
-		}
-		for i, sh := range states {
-			if parked[i] {
-				sh.restore(finals[i])
-			}
-		}
-		if converged {
-			return
-		}
-		history = AdaptiveHistory(finals)
-	}
-}
-
-// StrataTelemetry builds the telemetry snapshot block of a round barrier:
+// strataTelemetry builds the telemetry snapshot block of a round barrier:
 // every stratum's merged tally, interval, and stopped flag, in canonical
-// order. Both callers of RoundBarrier publish it so progress streams show
-// per-stratum convergence.
-func StrataTelemetry(strata []Stratum, tallies []Proportion, history [][]int, targetCI float64) telemetry.StrataSnapshot {
+// order, so progress streams show per-stratum convergence.
+func strataTelemetry(strata []Stratum, tallies []Proportion, history [][]int, targetCI float64) telemetry.StrataSnapshot {
 	bound := SamplesFor(targetCI)
 	allocated := allocatedTotals(len(strata), history)
 	active := strataActive(tallies, allocated, bound, targetCI)

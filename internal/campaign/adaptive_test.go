@@ -188,7 +188,7 @@ func TestAdaptiveValidation(t *testing.T) {
 
 // TestAdaptiveOffUnchanged: with TargetCI zero the engine must take the
 // fixed-count path bit-for-bit — the adaptive machinery (run dispatch, window
-// stride, extracted dispatchShards) is invisible to fixed-count campaigns.
+// stride, the shared Schedule) is invisible to fixed-count campaigns.
 func TestAdaptiveOffUnchanged(t *testing.T) {
 	w := engineWorkload(t)
 	base := StudyOptions{Samples: 24, Inputs: 2, Tolerance: 0.1, Seed: 7, Shards: 8}

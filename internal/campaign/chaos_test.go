@@ -328,7 +328,11 @@ func TestCheckpointV1Rejected(t *testing.T) {
 	w := engineWorkload(t)
 	cfg := accel.NVDLASmall()
 	opts := chaosBase()
-	cp := NewCheckpoint(cfg, w, opts, make([]ShardCheckpoint, opts.shards()))
+	shards := make([]ShardCheckpoint, opts.shards())
+	for i := range shards {
+		shards[i] = NewShardCheckpoint(i)
+	}
+	cp := NewCheckpoint(cfg, w, opts, shards)
 	cp.Version = 1
 	if cp.Matches(cfg, w, opts) {
 		t.Error("a v1 checkpoint matched a v2 campaign")

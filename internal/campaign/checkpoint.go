@@ -165,9 +165,18 @@ type Checkpoint struct {
 }
 
 // Matches reports whether the checkpoint belongs to the campaign defined by
-// (cfg, w, opts) and carries one state per logical shard.
+// (cfg, w, opts) and carries one state per logical shard, in index order: a
+// shard state in another shard's place would resume the wrong stream.
 func (c *Checkpoint) Matches(cfg *accel.Config, w *model.Workload, opts StudyOptions) bool {
-	return c != nil && c.identity == identityOf(cfg, w, opts) && len(c.Shard) == c.Shards
+	if c == nil || c.identity != identityOf(cfg, w, opts) || len(c.Shard) != c.Shards {
+		return false
+	}
+	for i, sc := range c.Shard {
+		if sc.Index != i {
+			return false
+		}
+	}
+	return true
 }
 
 // NewShardCheckpoint returns the canonical empty state of one logical shard:

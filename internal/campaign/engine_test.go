@@ -9,6 +9,7 @@ import (
 
 	"fidelity/internal/accel"
 	"fidelity/internal/faultmodel"
+	"fidelity/internal/inject"
 	"fidelity/internal/model"
 	"fidelity/internal/numerics"
 	"fidelity/internal/telemetry"
@@ -225,6 +226,37 @@ func TestStudyMismatchedResumeIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireEqualResults(t, "mismatched checkpoint ignored", fresh, res)
+
+	// This campaign's own mid-flight checkpoint with two shard states swapped:
+	// the identity matches, the shards do not sit in their places. Resuming it
+	// used to rerun shard 0 and take its tallies for shard 15's as well.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	mid := base
+	mid.Workers = 1
+	count := 0
+	mid.observe = func(int, Cursor, faultmodel.ID, inject.Result) {
+		if count++; count == 100 {
+			cancel()
+		}
+	}
+	_, err = Study(ctx, cfg, w, mid)
+	if !errors.As(err, &intr) {
+		t.Fatalf("got %v, want *Interrupted", err)
+	}
+	cp := intr.Checkpoint
+	if cp.Shard[0].Experiments == 0 || cp.Shard[15].Experiments != 0 {
+		t.Fatalf("fixture: shard 0 ran %d experiments, shard 15 %d; want some and none", cp.Shard[0].Experiments, cp.Shard[15].Experiments)
+	}
+	cp.Shard[0], cp.Shard[15] = cp.Shard[15], cp.Shard[0]
+	if cp.Matches(cfg, w, base) {
+		t.Error("a checkpoint with misplaced shards matches its campaign")
+	}
+	resume.Resume = cp
+	if res, err = Study(context.Background(), cfg, w, resume); err != nil {
+		t.Fatal(err)
+	}
+	requireEqualResults(t, "misplaced shards ignored", fresh, res)
 }
 
 // TestCheckpointConfigFingerprint: a checkpoint pins the accelerator config

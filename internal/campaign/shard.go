@@ -100,10 +100,9 @@ func RunShard(ctx context.Context, cfg *accel.Config, w *model.Workload, opts St
 //     the checkpoint carries the shard's state at the failure boundary.
 //
 // Adaptive campaigns (opts.TargetCI > 0) add one terminal form: a nil error
-// with a checkpoint that is not Done but AdaptiveParked — the shard executed
-// every round its checkpoint records and is waiting at the round barrier for
-// the planner (the in-process barrier loop or a distributed coordinator) to
-// extend its History or finalize it.
+// with a checkpoint that is not Done but parked — the shard executed every
+// round its checkpoint records and is waiting at the round barrier for the
+// Schedule's planner to extend its History or finalize it.
 func (r *ShardRunner) Run(ctx context.Context, run ShardRun) (ShardCheckpoint, error) {
 	shards := r.opts.shards()
 	if run.Index < 0 || run.Index >= shards {

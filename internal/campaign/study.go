@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -340,7 +341,6 @@ type shardState struct {
 	sincePublish int
 	publishEvery int // experiment cadence between published snapshots
 	done         bool
-	err          error
 
 	mu        sync.Mutex
 	published ShardCheckpoint
@@ -762,7 +762,7 @@ func (sh *shardState) runSamples(ctx context.Context, cur *Cursor, id faultmodel
 // On context cancellation it publishes a consistent snapshot and returns the
 // context's error; ErrShardExhausted degrades the shard; any other error is
 // a campaign failure. Adaptive campaigns may also return nil with the shard
-// not done: parked at a round barrier, waiting for the planner.
+// not done: parked at a round barrier, waiting for the Schedule's planner.
 func (sh *shardState) run(ctx context.Context) error {
 	if sh.opts.TargetCI > 0 {
 		return sh.runAdaptive(ctx)
@@ -819,46 +819,69 @@ func (sh *shardState) runFixed(ctx context.Context) error {
 	return nil
 }
 
-// dispatchShards runs every not-yet-done shard state through a pool of
-// workers. Workers pull whole logical shards, so the partition of
-// experiments onto random streams never depends on the worker count. On
-// cancellation, shards still queued keep their initial (resumable)
-// published state.
-func dispatchShards(ctx context.Context, states []*shardState, workers int) {
-	jobs := make(chan *shardState)
+// runSchedule drives sched over the in-process, function-call transport:
+// this goroutine owns sched and sends granted shard indices down a jobs
+// channel to worker goroutines, which run that shard's state — injector and
+// arena kept across rounds — and send (index, err) back. A run ending in
+// success or ErrShardExhausted reports the shard's snapshot, and the states
+// of the shards a round barrier rewrote are restored from the schedule; a
+// cancelled run releases its shard. Cancellation stops granting, and the
+// first campaign failure stops granting and is returned once every running
+// shard has come back.
+func runSchedule(ctx context.Context, sched *Schedule, states []*shardState, workers int) error {
+	type outcome struct {
+		i   int
+		err error
+	}
+	jobs := make(chan int)
+	outcomes := make(chan outcome)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for sh := range jobs {
-				if sh.done {
-					continue
-				}
-				sh.err = sh.run(ctx)
+			for i := range jobs {
+				outcomes <- outcome{i, states[i].run(ctx)}
 			}
 		}()
 	}
-feed:
-	for _, sh := range states {
-		select {
-		case jobs <- sh:
-		case <-ctx.Done():
-			break feed
+	defer func() { close(jobs); wg.Wait() }()
+
+	var failure error
+	for running := 0; ; running-- {
+		// A worker is idle whenever fewer shards than workers are running, so
+		// the send cannot block.
+		for ; running < workers && failure == nil && ctx.Err() == nil; running++ {
+			i, ok := sched.Grant()
+			if !ok {
+				break
+			}
+			jobs <- i
+		}
+		if running == 0 {
+			return failure
+		}
+		o := <-outcomes
+		if o.err != nil && !errors.Is(o.err, ErrShardExhausted) {
+			sched.Release(o.i)
+			if failure == nil && !isCancellation(o.err) {
+				failure = o.err
+			}
+			continue
+		}
+		for _, j := range sched.Report(o.i, states[o.i].snapshot(), o.err != nil) {
+			states[j].restore(*sched.Checkpoint(j))
 		}
 	}
-	close(jobs)
-	wg.Wait()
 }
 
-// assembleCheckpoint collects every shard's last published snapshot into one
-// resumable campaign checkpoint.
-func assembleCheckpoint(cfg *accel.Config, w *model.Workload, opts StudyOptions, states []*shardState) *Checkpoint {
-	finals := make([]ShardCheckpoint, len(states))
+// snapshots collects every shard's last published snapshot, in index order.
+func snapshots(states []*shardState) []ShardCheckpoint {
+	out := make([]ShardCheckpoint, len(states))
 	for i, sh := range states {
-		finals[i] = sh.snapshot()
+		out[i] = sh.snapshot()
 	}
-	return NewCheckpoint(cfg, w, opts, finals)
+	return out
 }
 
 func isCancellation(err error) bool {
@@ -904,17 +927,23 @@ func Study(ctx context.Context, cfg *accel.Config, w *model.Workload, opts Study
 	_, execs := w.Net.Trace(x0)
 	phaseEnd(tel, "trace")
 
-	// Build the logical shards, restoring from a matching checkpoint.
+	// Build the logical shards and their schedule, restoring from a matching
+	// checkpoint. The schedule may heal or advance what it restored, so the
+	// shard states start from its checkpoints.
 	shards := opts.shards()
-	states := make([]*shardState, shards)
-	resume := opts.Resume
-	if resume != nil && !resume.Matches(cfg, w, opts) {
-		resume = nil
+	var restored []*ShardCheckpoint
+	if resume := opts.Resume; resume.Matches(cfg, w, opts) {
+		restored = make([]*ShardCheckpoint, shards)
+		for s := range restored {
+			restored[s] = &resume.Shard[s]
+		}
 	}
+	sched := NewSchedule(StrataFor(opts.PerLayer, len(execs)), opts, restored, nil)
+	states := make([]*shardState, shards)
 	for s := range states {
 		states[s] = runner.newState(s)
-		if resume != nil {
-			states[s].restore(resume.Shard[s])
+		if sc := sched.Checkpoint(s); sc != nil {
+			states[s].restore(*sc)
 		}
 	}
 
@@ -926,7 +955,7 @@ func Study(ctx context.Context, cfg *accel.Config, w *model.Workload, opts Study
 	stopSaver := Every(saveEvery, func() {
 		// Best-effort: a failed periodic save must not kill the campaign;
 		// the on-cancel save reports errors.
-		_ = saveCheckpoint(assembleCheckpoint(cfg, w, opts, states), opts.CheckpointPath, opts)
+		_ = saveCheckpoint(NewCheckpoint(cfg, w, opts, snapshots(states)), opts.CheckpointPath, opts)
 	})
 
 	// Worker pool: workers pull whole logical shards, so the partition of
@@ -940,11 +969,7 @@ func Study(ctx context.Context, cfg *accel.Config, w *model.Workload, opts Study
 	}
 	phaseStart(tel, "inject")
 	tilesBase := nn.TileCount()
-	if opts.TargetCI > 0 {
-		runAdaptiveCampaign(ctx, states, workers, StrataFor(opts.PerLayer, len(execs)), opts)
-	} else {
-		dispatchShards(ctx, states, workers)
-	}
+	err = runSchedule(ctx, sched, states, workers)
 	phaseEnd(tel, "inject")
 	if tel != nil {
 		// Tile counts are process-wide; the delta attributes this study's
@@ -952,22 +977,12 @@ func Study(ctx context.Context, cfg *accel.Config, w *model.Workload, opts Study
 		tel.AddKernelTiles(nn.TileCount() - tilesBase)
 	}
 	stopSaver()
-
-	interrupted, partial := false, false
-	for _, sh := range states {
-		switch {
-		case errors.Is(sh.err, ErrShardExhausted):
-			partial = true // the shard degraded but its published state is consistent
-		case sh.err == nil && !sh.done:
-			interrupted = true // never started before cancellation
-		case sh.err != nil && isCancellation(sh.err):
-			interrupted = true
-		case sh.err != nil:
-			return nil, sh.err
-		}
+	if err != nil {
+		return nil, err
 	}
-	if interrupted {
-		cp := assembleCheckpoint(cfg, w, opts, states)
+
+	if !sched.Finished() {
+		cp := NewCheckpoint(cfg, w, opts, snapshots(states))
 		path := ""
 		if opts.CheckpointPath != "" {
 			if err := saveCheckpoint(cp, opts.CheckpointPath, opts); err != nil {
@@ -977,21 +992,19 @@ func Study(ctx context.Context, cfg *accel.Config, w *model.Workload, opts Study
 		}
 		return nil, &Interrupted{Checkpoint: cp, Path: path, Cause: context.Cause(ctx)}
 	}
-	if partial && opts.CheckpointPath != "" {
-		// Best-effort: the partial result is flagged either way, and the
-		// checkpoint lets a later run (with the failure fixed) complete it.
-		_ = saveCheckpoint(assembleCheckpoint(cfg, w, opts, states), opts.CheckpointPath, opts)
-	}
 	// Assemble the result from the shards' final published snapshots — the
 	// identical code path a distributed coordinator runs on the checkpoints
 	// it collected from remote workers, so an in-process study and a fabric
 	// run with the same (Seed, Shards) produce byte-identical StudyResult
-	// JSON. The snapshots are exact here: every terminal shard (done or
-	// budget-exhausted) published its final state before returning, and
-	// assembleResult re-derives Partial from the non-done shards.
-	finals := make([]ShardCheckpoint, len(states))
-	for i, sh := range states {
-		finals[i] = sh.snapshot()
+	// JSON. The snapshots are exact here: every terminal shard published its
+	// final state before returning, the barrier's rewrites were restored into
+	// the states, and assembleResult derives Partial from the non-done shards.
+	finals := snapshots(states)
+	partial := slices.ContainsFunc(finals, func(sc ShardCheckpoint) bool { return !sc.Done })
+	if partial && opts.CheckpointPath != "" {
+		// Best-effort: the partial result is flagged either way, and the
+		// checkpoint lets a later run (with the failure fixed) complete it.
+		_ = saveCheckpoint(NewCheckpoint(cfg, w, opts, finals), opts.CheckpointPath, opts)
 	}
 	return assembleResult(cfg, w, opts, finals, execs, runner.models)
 }

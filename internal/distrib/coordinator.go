@@ -149,7 +149,7 @@ type Coordinator struct {
 	audit     float64
 	tel       *telemetry.Collector
 	// strata is the adaptive campaign's canonical stratum order (nil for
-	// fixed-count campaigns). The coordinator is the campaign's planner:
+	// fixed-count campaigns), which the table's schedule plans rounds over:
 	// shards never plan, they replay the round history it records in their
 	// checkpoints, so distributed results stay byte-identical to in-process.
 	strata []campaign.Stratum
@@ -166,9 +166,6 @@ type Coordinator struct {
 	// look again: a final report was accepted (a shard may be pending) or
 	// drain started. Finishing closes done, which waiters also watch.
 	wake chan struct{}
-	// strataSnap is the latest round barrier's per-stratum telemetry block,
-	// attached to Status (coordinator-side planner state, not worker-merged).
-	strataSnap *telemetry.StrataSnapshot
 }
 
 // NewCoordinator builds a coordinator for o.Spec. If o.StatePath names an
@@ -206,18 +203,17 @@ func NewCoordinator(o CoordinatorOptions) (*Coordinator, error) {
 		statePath: o.StatePath,
 		audit:     o.AuditFraction,
 		tel:       o.Telemetry,
-		table:     nil,
 		workers:   map[string]telemetry.Snapshot{},
 		done:      make(chan struct{}),
 		wake:      make(chan struct{}),
 	}
-	c.table = c.newTable(ttl)
 	c.opts.Telemetry = o.Telemetry
 	if spec.TargetCI > 0 {
 		if c.strata, err = campaign.CampaignStrata(w, c.opts); err != nil {
 			return nil, err
 		}
 	}
+	c.table = c.newTable(ttl, nil, nil)
 	if c.statePath != "" {
 		if _, err := os.Stat(c.statePath); err == nil {
 			if err := c.load(); err != nil {
@@ -234,7 +230,7 @@ func NewCoordinator(o CoordinatorOptions) (*Coordinator, error) {
 				if rerr := os.Rename(c.statePath, c.statePath+".corrupt"); rerr != nil {
 					return nil, fmt.Errorf("distrib: quarantine corrupt state: %v (detected: %w)", rerr, err)
 				}
-				c.table = c.newTable(ttl)
+				c.table = c.newTable(ttl, nil, nil)
 			}
 		} else if !errors.Is(err, os.ErrNotExist) {
 			return nil, fmt.Errorf("distrib: state %s: %w", c.statePath, err)
@@ -242,9 +238,6 @@ func NewCoordinator(o CoordinatorOptions) (*Coordinator, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// A restored adaptive campaign may have persisted with every shard parked
-	// at the barrier; plan the next round before anything is leased.
-	c.advanceRoundLocked()
 	c.maybeFinishLocked()
 	if c.result == nil && c.failure == nil && c.statePath != "" {
 		if err := c.persistLocked(); err != nil {
@@ -254,9 +247,11 @@ func NewCoordinator(o CoordinatorOptions) (*Coordinator, error) {
 	return c, nil
 }
 
-// newTable builds a fresh lease table wired to the audit sampler.
-func (c *Coordinator) newTable(ttl time.Duration) *leaseTable {
-	t := newLeaseTable(c.spec.Shards, ttl)
+// newTable builds a lease table wired to the audit sampler, over the schedule
+// of the campaign's shards restored from shards and held (nil: a fresh
+// campaign).
+func (c *Coordinator) newTable(ttl time.Duration, shards []*campaign.ShardCheckpoint, held []campaign.ShardStatus) *leaseTable {
+	t := newLeaseTable(campaign.NewSchedule(c.strata, c.opts, shards, held), c.spec.Shards, ttl)
 	if c.audit > 0 {
 		seed, frac := c.spec.Seed, c.audit
 		t.auditFor = func(shard int) bool { return auditSelected(seed, frac, shard) }
@@ -294,58 +289,63 @@ func (c *Coordinator) load() error {
 		return fmt.Errorf("distrib: state %s checkpoint does not match this campaign (config %s); refusing to resume",
 			c.statePath, c.cfg.Fingerprint())
 	}
-	reported := map[int]bool{}
-	for _, i := range st.Reported {
-		reported[i] = true
-	}
-	degraded := map[int]bool{}
-	for _, i := range st.Degraded {
-		degraded[i] = true
-	}
-	for i := range c.table.shards {
-		sc := st.Checkpoint.Shard[i]
-		e := &c.table.shards[i]
-		if reported[i] {
-			scCopy := sc
-			e.ckpt = &scCopy
-		}
-		switch {
-		case degraded[i]:
-			e.status = shardDegraded
-		case sc.Done:
-			e.status = shardDone
-		case reported[i] && campaign.AdaptiveParked(sc):
-			e.status = shardWaiting
-		default:
-			e.status = shardPending
-		}
-	}
+	n := c.spec.Shards
+	inRange := func(i int) bool { return i >= 0 && i < n }
 	meta := map[int]persistedShardMeta{}
 	for _, m := range st.Meta {
 		meta[m.Shard] = m
 	}
-	for i := range c.table.shards {
-		e := &c.table.shards[i]
-		if e.status != shardDone || e.ckpt == nil {
+	shards := make([]*campaign.ShardCheckpoint, n)
+	for _, i := range st.Reported {
+		if !inRange(i) {
 			continue
 		}
-		sum, err := digestJSON(e.ckpt)
-		if err != nil {
-			continue
-		}
-		m, ok := meta[i]
-		if ok && m.Sum != "" && m.Sum != sum {
-			// The stored checkpoint no longer matches the digest recorded at
-			// acceptance: the shard's data was corrupted somewhere between
-			// acceptance and this reload. Drop it and re-issue the shard —
-			// determinism makes the re-run equivalent.
-			if c.tel != nil {
-				c.tel.RecordCorruptArtifact()
+		sc := &st.Checkpoint.Shard[i]
+		if m := meta[i]; m.Sum != "" {
+			if sum, err := digestJSON(sc); err == nil && sum != m.Sum {
+				// The stored checkpoint no longer matches the digest recorded
+				// at acceptance: the shard's data was corrupted somewhere
+				// between acceptance and this reload. Drop it and re-issue the
+				// shard — determinism makes the re-run equivalent.
+				if c.tel != nil {
+					c.tel.RecordCorruptArtifact()
+				}
+				continue
 			}
-			*e = shardEntry{status: shardPending}
+		}
+		shards[i] = sc
+	}
+	held := make([]campaign.ShardStatus, n)
+	for _, i := range st.Degraded {
+		if inRange(i) {
+			held[i] = campaign.ShardDegraded
+		}
+	}
+	for _, pl := range st.Leases {
+		if inRange(pl.Shard) && held[pl.Shard] == campaign.ShardPending {
+			held[pl.Shard] = campaign.ShardRunning
+		}
+	}
+	t := c.newTable(c.table.ttl, shards, held)
+	t.seq, t.expired = st.Seq, st.Expired
+	for _, pl := range st.Leases {
+		// The schedule keeps a persisted lease only on a shard its checkpoint
+		// leaves runnable: terminal shards never revert, and a parked shard's
+		// lease already ended with its final report.
+		if inRange(pl.Shard) && t.sched.Status(pl.Shard) == campaign.ShardRunning && t.shards[pl.Shard].lease == "" {
+			t.shards[pl.Shard].lease = pl.ID
+			t.leases[pl.ID] = &leaseEntry{id: pl.ID, shard: pl.Shard, worker: pl.Worker, deadline: pl.Deadline}
+		}
+	}
+	// Done shards get their audit records back; those without one are
+	// sealed and sampled as at acceptance (auditing may have been enabled
+	// since). A restored audit does not wait a TTL for an independent
+	// witness again: that wait was spent before the restart.
+	for i := range t.shards {
+		if t.sched.Status(i) != campaign.ShardDone {
 			continue
 		}
-		e.sum = sum
+		e, m := &t.shards[i], meta[i]
 		e.worker = m.Worker
 		switch m.Audit {
 		case "passed":
@@ -355,41 +355,11 @@ func (c *Coordinator) load() error {
 			e.audit = auditFailed
 			e.auditWorker, e.auditSum = m.AuditWorker, m.AuditSum
 		case "pending":
-			e.audit = auditPending
-			if e.ckpt.Adaptive != nil {
-				// Adaptive audits replay the recorded history from empty
-				// tallies (never persisted mid-flight; rebuild the resume
-				// state the audit lease hands out).
-				e.auditCkpt = campaign.AdaptiveAuditResume(i, e.ckpt.Adaptive.History)
-			}
-		default:
-			// No audit record (auditing was enabled after the shard
-			// completed): sample it now so the audit policy holds across
-			// restarts.
-			if c.table.auditFor != nil && c.table.auditFor(i) {
-				e.audit = auditPending
-				if e.ckpt.Adaptive != nil {
-					e.auditCkpt = campaign.AdaptiveAuditResume(i, e.ckpt.Adaptive.History)
-				}
-			}
+			t.openAudit(i, time.Time{})
 		}
 	}
-	for _, pl := range st.Leases {
-		if pl.Shard < 0 || pl.Shard >= len(c.table.shards) {
-			continue
-		}
-		e := &c.table.shards[pl.Shard]
-		if e.status != shardPending {
-			// Terminal shards never revert to leased, and a waiting shard's
-			// lease already ended with the parked final report.
-			continue
-		}
-		e.status = shardLeased
-		e.lease = pl.ID
-		c.table.leases[pl.ID] = &leaseEntry{id: pl.ID, shard: pl.Shard, worker: pl.Worker, deadline: pl.Deadline}
-	}
-	c.table.seq = st.Seq
-	c.table.expired = st.Expired
+	t.seal(time.Time{})
+	c.table = t
 	return nil
 }
 
@@ -405,16 +375,12 @@ func (c *Coordinator) persistLocked() error {
 		Seq:     c.table.seq,
 		Expired: c.table.expired,
 	}
-	shards := make([]campaign.ShardCheckpoint, len(c.table.shards))
 	for i := range c.table.shards {
 		e := &c.table.shards[i]
-		if e.ckpt != nil {
-			shards[i] = *e.ckpt
+		if c.table.sched.Checkpoint(i) != nil {
 			st.Reported = append(st.Reported, i)
-		} else {
-			shards[i] = campaign.NewShardCheckpoint(i)
 		}
-		if e.status == shardDegraded {
+		if c.table.sched.Status(i) == campaign.ShardDegraded {
 			st.Degraded = append(st.Degraded, i)
 		}
 		if e.sum == "" && e.audit == auditNone {
@@ -433,7 +399,7 @@ func (c *Coordinator) persistLocked() error {
 		}
 		st.Meta = append(st.Meta, m)
 	}
-	st.Checkpoint = campaign.NewCheckpoint(c.cfg, c.w, c.opts, shards)
+	st.Checkpoint = campaign.NewCheckpoint(c.cfg, c.w, c.opts, c.table.sched.Checkpoints())
 	for _, le := range c.table.leases {
 		if le.audit {
 			// Audit leases restart from scratch after a coordinator restart;
@@ -452,74 +418,6 @@ func (c *Coordinator) persistLocked() error {
 	return nil
 }
 
-// advanceRoundLocked is the adaptive campaign's round barrier: once every
-// shard is parked (waiting) or terminal, campaign.RoundBarrier — the decision
-// the in-process loop makes through the same function — either records the
-// next Neyman allocation in every waiting shard's history (they return to the
-// lease pool) or writes their canonical done form (sealed and handed to the
-// audit sampler here). All planning floats are evaluated there and nowhere
-// else, so any worker fleet replays identical rounds. Callers hold c.mu.
-func (c *Coordinator) advanceRoundLocked() {
-	if c.spec.TargetCI <= 0 || c.finishedLocked() {
-		return
-	}
-	waiting := 0
-	for i := range c.table.shards {
-		switch c.table.shards[i].status {
-		case shardWaiting:
-			waiting++
-		case shardDone, shardDegraded:
-		default:
-			return // a leased or pending shard has not reached the barrier
-		}
-	}
-	if waiting == 0 {
-		return
-	}
-	ckpts := make([]campaign.ShardCheckpoint, len(c.table.shards))
-	parked := make([]bool, len(c.table.shards))
-	for i := range c.table.shards {
-		e := &c.table.shards[i]
-		if e.ckpt != nil {
-			ckpts[i] = *e.ckpt
-		} else {
-			ckpts[i] = campaign.NewShardCheckpoint(i)
-		}
-		parked[i] = e.status == shardWaiting
-	}
-	snap, converged := campaign.RoundBarrier(c.strata, ckpts, parked, c.spec.Inputs, c.spec.TargetCI)
-	c.strataSnap = &snap
-	if c.tel != nil {
-		c.tel.SetStrata(snap)
-	}
-	for i := range c.table.shards {
-		e := &c.table.shards[i]
-		if !parked[i] {
-			continue
-		}
-		*e.ckpt = ckpts[i]
-		if !converged {
-			e.status = shardPending
-			continue
-		}
-		// The barrier wrote the canonical done form — the exact bytes the
-		// shard itself would publish had it known the campaign was converged
-		// — so seal it like any accepted final checkpoint.
-		e.status = shardDone
-		if sum, err := digestJSON(e.ckpt); err == nil {
-			e.sum = sum
-			if c.table.auditFor != nil && c.table.auditFor(i) {
-				e.audit = auditPending
-				//lint:allow wallclock audit self-fallback gating is wall-clock liveness, not campaign identity
-				e.auditSince = time.Now()
-				// Audit re-runs replay the full recorded history from
-				// empty tallies; a from-scratch resume would just park.
-				e.auditCkpt = campaign.AdaptiveAuditResume(i, e.ckpt.Adaptive.History)
-			}
-		}
-	}
-}
-
 // maybeFinishLocked assembles the StudyResult once every shard is terminal
 // and every sampled audit has resolved. A failed audit does not discard the
 // primary data — a digest mismatch proves one of the two runs is wrong, not
@@ -528,7 +426,7 @@ func (c *Coordinator) maybeFinishLocked() {
 	if c.result != nil || c.failure != nil || !c.table.terminal() {
 		return
 	}
-	res, err := campaign.AssembleResult(c.cfg, c.w, c.opts, c.table.checkpoints())
+	res, err := campaign.AssembleResult(c.cfg, c.w, c.opts, c.table.sched.Checkpoints())
 	if err != nil {
 		c.failLocked(err)
 		return
@@ -655,7 +553,7 @@ func (c *Coordinator) Status() StatusReply {
 	// The audit summary and adaptive strata are coordinator-side state, not
 	// worker-reported: attach them to the merged view directly.
 	st.Telemetry.Audit = c.table.auditSnapshot()
-	st.Telemetry.Strata = c.strataSnap
+	st.Telemetry.Strata = c.table.sched.Strata()
 	return st
 }
 
@@ -756,17 +654,17 @@ func (c *Coordinator) handleReport(rw http.ResponseWriter, r *http.Request) {
 		writeJSON(rw, http.StatusOK, ReportReply{Cancel: true, Done: true})
 		return
 	}
-	prev := c.shardCheckpointLocked(req.Shard.Index)
+	var prev *campaign.ShardCheckpoint
+	if i := req.Shard.Index; i >= 0 && i < c.spec.Shards {
+		prev = c.table.sched.Checkpoint(i)
+	}
 	//lint:allow wallclock lease TTL is wall-clock liveness (DESIGN.md §6), not campaign identity
 	now := time.Now()
+	// A parked final report may complete the round barrier: the schedule
+	// plans the next round (or finalizes) inside report, before the grant and
+	// the persist, so the state file always reflects the post-barrier table.
 	ok := c.table.report(&req, now)
 	dirty := ok && (req.Final || prev == nil || prev.Experiments != req.Shard.Experiments || prev.Cursor != req.Shard.Cursor)
-	if ok {
-		// A parked final report may complete the round barrier: plan the next
-		// round (or finalize) before granting and persisting, so the state
-		// file always reflects the post-barrier table.
-		c.advanceRoundLocked()
-	}
 	// Grant-on-report: the worker's next lease rides this reply, under the
 	// same lock and the same persist. A retry of a final report whose reply
 	// was lost is refused (the lease is gone) but is handed the same grant.
@@ -786,15 +684,6 @@ func (c *Coordinator) handleReport(rw http.ResponseWriter, r *http.Request) {
 		c.wakeLocked()
 	}
 	writeJSON(rw, http.StatusOK, ReportReply{OK: ok, Cancel: !ok, Done: c.finishedLocked(), Lease: lease})
-}
-
-// shardCheckpointLocked returns shard i's last accepted checkpoint, nil when
-// out of range or never reported. Callers hold c.mu.
-func (c *Coordinator) shardCheckpointLocked(i int) *campaign.ShardCheckpoint {
-	if i < 0 || i >= len(c.table.shards) {
-		return nil
-	}
-	return c.table.shards[i].ckpt
 }
 
 func (c *Coordinator) handleStatus(rw http.ResponseWriter, _ *http.Request) {

@@ -342,12 +342,19 @@ func TestCampaignSpecValidate(t *testing.T) {
 	}
 }
 
+// fixedTable is a lease table over the fresh schedule of an n-shard
+// fixed-count campaign.
+func fixedTable(n int, ttl time.Duration) *leaseTable {
+	opts := campaign.StudyOptions{Samples: 1, Inputs: 1, Shards: n}
+	return newLeaseTable(campaign.NewSchedule(nil, opts, nil, nil), n, ttl)
+}
+
 // TestLeaseTableStaleReport: once a lease expires and the shard is re-issued,
 // the original holder's reports are rejected so a resurrected worker cannot
 // clobber the shard's new owner.
 func TestLeaseTableStaleReport(t *testing.T) {
 	now := time.Unix(1000, 0)
-	tab := newLeaseTable(2, time.Second)
+	tab := fixedTable(2, time.Second)
 
 	l1 := tab.acquire("a", now)
 	if l1 == nil || l1.Shard != 0 {
@@ -375,8 +382,8 @@ func TestLeaseTableStaleReport(t *testing.T) {
 	if tab.report(&ReportRequest{Worker: "a", LeaseID: l1.ID, Shard: sc, Final: true}, now.Add(3*time.Second)) {
 		t.Error("stale lease report accepted")
 	}
-	if tab.shards[0].status != shardLeased || tab.shards[0].lease != l2.ID {
-		t.Errorf("shard 0 = %+v after stale report", tab.shards[0])
+	if tab.shards[0].lease != l2.ID || tab.leases[l2.ID] == nil {
+		t.Errorf("shard 0 = %+v after stale report, want lease %s live", tab.shards[0], l2.ID)
 	}
 }
 
@@ -386,7 +393,7 @@ func TestLeaseTableStaleReport(t *testing.T) {
 // holder.
 func TestLeaseTableExpiredFinalReport(t *testing.T) {
 	now := time.Unix(1000, 0)
-	tab := newLeaseTable(1, time.Second)
+	tab := fixedTable(1, time.Second)
 
 	l := tab.acquire("a", now)
 	if l == nil {
@@ -406,12 +413,11 @@ func TestLeaseTableExpiredFinalReport(t *testing.T) {
 	if tab.report(&ReportRequest{Worker: "a", LeaseID: l.ID, Shard: fin, Final: true}, late) {
 		t.Error("final report against an expired lease accepted")
 	}
-	e := &tab.shards[0]
-	if e.status != shardPending {
-		t.Errorf("shard status = %v, want pending after expiry", e.status)
+	if e := &tab.shards[0]; e.lease != "" || len(tab.leases) != 0 {
+		t.Errorf("shard 0 = %+v with leases %v after expiry, want no lease", e, tab.leases)
 	}
-	if e.ckpt == nil || e.ckpt.Experiments != 3 || e.ckpt.Done {
-		t.Errorf("shard checkpoint = %+v, want the last in-lease heartbeat", e.ckpt)
+	if ck := tab.sched.Checkpoint(0); ck == nil || ck.Experiments != 3 || ck.Done {
+		t.Errorf("shard checkpoint = %+v, want the last in-lease heartbeat", ck)
 	}
 	if c, _ := tab.counts(); c.Done != 0 || c.Pending != 1 {
 		t.Errorf("counts = %+v after rejected expired final", c)
@@ -424,7 +430,7 @@ func TestLeaseTableExpiredFinalReport(t *testing.T) {
 // contract that makes chaos transports survivable.
 func TestLeaseTableDuplicateFinalReport(t *testing.T) {
 	now := time.Unix(1000, 0)
-	tab := newLeaseTable(1, time.Second)
+	tab := fixedTable(1, time.Second)
 
 	l := tab.acquire("a", now)
 	if l == nil {
@@ -452,10 +458,8 @@ func TestLeaseTableDuplicateFinalReport(t *testing.T) {
 	if tab.report(&forged, now.Add(300*time.Millisecond)) {
 		t.Error("forged duplicate final report accepted")
 	}
-	e := &tab.shards[0]
-	if e.status != shardDone || e.ckpt.Experiments != 7 || e.sum != sumBefore {
-		t.Errorf("shard accounting disturbed by duplicates: status=%v ckpt=%+v sum changed=%v",
-			e.status, e.ckpt, e.sum != sumBefore)
+	if ck := tab.sched.Checkpoint(0); ck.Experiments != 7 || tab.shards[0].sum != sumBefore {
+		t.Errorf("shard accounting disturbed by duplicates: ckpt=%+v sum changed=%v", ck, tab.shards[0].sum != sumBefore)
 	}
 	if c, _ := tab.counts(); c.Done != 1 {
 		t.Errorf("counts = %+v, want one done shard", c)
@@ -470,7 +474,7 @@ func TestLeaseTableDuplicateFinalReport(t *testing.T) {
 // TTL with no other taker, the primary worker may audit its own shard.
 func TestLeaseTableAuditSelfFallback(t *testing.T) {
 	now := time.Unix(1000, 0)
-	tab := newLeaseTable(1, time.Second)
+	tab := fixedTable(1, time.Second)
 	tab.auditFor = func(int) bool { return true }
 
 	l := tab.acquire("solo", now)

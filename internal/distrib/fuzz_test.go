@@ -20,8 +20,9 @@ import (
 	"fidelity/internal/campaign"
 )
 
-// Fuzzing the two decoders a socket reaches: POST /v1/report and POST
-// /v1/lease, through Coordinator.Handler() — integrity layer included. Every
+// Fuzzing the decoders a socket reaches: POST /v1/report and POST /v1/lease,
+// through Coordinator.Handler() — integrity layer included — and the
+// worker's GET /v1/campaign reply (FuzzHelloReply, below). Every
 // input meets a coordinator in one fixed, mid-campaign state (the "rig"), so
 // the committed corpus of real bodies (testdata/fuzz) is accepted, not
 // bounced off the lease table, and mutations of it reach the planner.
@@ -143,9 +144,9 @@ func tableState(c *Coordinator) string {
 	}
 	for i := range c.table.shards {
 		e := &c.table.shards[i]
-		ck, _ := digestJSON(e.ckpt)
+		ck, _ := digestJSON(c.table.sched.Checkpoint(i))
 		ak, _ := digestJSON(e.auditCkpt)
-		fmt.Fprintf(&b, " [%d %d %s %s %d %s %s %s]", i, e.status, e.lease, e.sum, e.audit, e.auditLease, ck, ak)
+		fmt.Fprintf(&b, " [%d %d %s %s %d %s %s %s]", i, c.table.sched.Status(i), e.lease, e.sum, e.audit, e.auditLease, ck, ak)
 	}
 	return b.String()
 }
@@ -214,7 +215,34 @@ func FuzzLeaseBody(f *testing.F) {
 	})
 }
 
-// readSeed parses one committed corpus file of the two targets above.
+// FuzzHelloReply: the last decoder a socket reaches, on the worker's side of
+// GET /v1/campaign — json.Unmarshal into HelloReply (what worker.do runs),
+// then the fingerprint check, Normalize and Validate (HelloReply.campaign).
+// No body may panic it, and a spec it accepts survives its own encoding
+// unchanged: the campaign a worker runs is the one it would describe.
+func FuzzHelloReply(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var h HelloReply
+		if json.Unmarshal(body, &h) != nil {
+			return
+		}
+		spec, err := h.campaign()
+		if err != nil {
+			return
+		}
+		blob, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again CampaignSpec
+		if err := json.Unmarshal(blob, &again); err != nil || again != spec {
+			t.Fatalf("accepted spec %+v re-decodes as %+v (%v)", spec, again, err)
+		}
+	})
+}
+
+// readSeed parses one committed corpus file of the targets above: a body,
+// and for the two coordinator targets the rig it meets.
 func readSeed(t *testing.T, path string) (body []byte, adaptive bool) {
 	t.Helper()
 	blob, err := os.ReadFile(path)
@@ -222,21 +250,34 @@ func readSeed(t *testing.T, path string) (body []byte, adaptive bool) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
-	if len(lines) != 3 || lines[0] != "go test fuzz v1" {
-		t.Fatalf("%s: not a (body, adaptive) corpus file", path)
+	if len(lines) < 2 || len(lines) > 3 || lines[0] != "go test fuzz v1" {
+		t.Fatalf("%s: not a body corpus file", path)
 	}
 	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
-	return []byte(s), lines[2] == "bool(true)"
+	return []byte(s), len(lines) == 3 && lines[2] == "bool(true)"
 }
 
 // TestWireCorpusAccepted: the committed seeds named ok-* are bodies real
-// clients of this and the previous wire sequence send. A coordinator must
-// keep accepting them — a seed that starts bouncing is a broken wire, not a
-// stale corpus.
+// clients of this and the previous wire sequence send, and replies real
+// coordinators send. They must keep being accepted — a seed that starts
+// bouncing is a broken wire, not a stale corpus.
 func TestWireCorpusAccepted(t *testing.T) {
+	hellos, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzHelloReply", "ok-*"))
+	if err != nil || len(hellos) == 0 {
+		t.Fatalf("no ok-* seeds for FuzzHelloReply (%v)", err)
+	}
+	for _, seed := range hellos {
+		body, _ := readSeed(t, seed)
+		var h HelloReply
+		if err := json.Unmarshal(body, &h); err != nil {
+			t.Errorf("%s: %v", seed, err)
+		} else if _, err := h.campaign(); err != nil {
+			t.Errorf("%s: a worker refuses it: %v", seed, err)
+		}
+	}
 	for _, tc := range []struct{ target, path, want string }{
 		{"FuzzReportBody", "/v1/report", `"ok":true`},
 		{"FuzzLeaseBody", "/v1/lease", `"lease":{`},

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -191,6 +193,82 @@ func TestCoordinatorStatePerShardCorruption(t *testing.T) {
 	wait()
 	if got := resultJSON(t, res); string(got) != string(want) {
 		t.Errorf("result after per-shard recovery differs from baseline:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestCoordinatorStateMisplacedShardRefused: a state file whose envelope and
+// identity verify but whose shard checkpoints do not sit at their own indices
+// (hand-edited, or written by a broken tool) is refused, like a state file of
+// another campaign — not resumed into one shard's tallies counted twice, and
+// not quarantined as corrupt either.
+func TestCoordinatorStateMisplacedShardRefused(t *testing.T) {
+	spec := chaosSpec()
+	statePath := filepath.Join(t.TempDir(), "coordinator.json")
+	copts := CoordinatorOptions{Spec: spec, LeaseTTL: 2 * time.Second, StatePath: statePath}
+	c1, err := NewCoordinator(copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1 := httptest.NewServer(c1.Handler())
+	done := finishShards(t, srv1, c1, spec, "early", 1)
+	srv1.Close()
+
+	var st coordinatorState
+	if err := campaign.ReadSealedJSON(statePath, &st); err != nil {
+		t.Fatal(err)
+	}
+	last := spec.Shards - 1
+	sh := st.Checkpoint.Shard
+	sh[done[0]], sh[last] = sh[last], sh[done[0]]
+	if err := campaign.AtomicWriteSealedJSON(statePath, &st); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewCoordinator(copts)
+	if err == nil || errors.Is(err, campaign.ErrCorruptArtifact) || !strings.Contains(err.Error(), "refusing to resume") {
+		t.Fatalf("NewCoordinator on misplaced shards = %v, want a refusal", err)
+	}
+	if _, err := os.Stat(statePath + ".corrupt"); !os.IsNotExist(err) {
+		t.Errorf("refused state was quarantined (%v); it should stay where the operator left it", err)
+	}
+}
+
+// TestCoordinatorStateParentWrittenResumes: testdata/parent-adaptive.state.json
+// was written by the coordinator of the commit before campaign.Schedule, in
+// the middle of roundsSpec's first round: shards 0–4 parked at the barrier,
+// shard 5 leased after one streamed heartbeat, shards 6–7 leased and silent,
+// every deadline long past. It must load, re-issue the three lapsed shards
+// from what they streamed, and finish byte-equal to an in-process Study.
+func TestCoordinatorStateParentWrittenResumes(t *testing.T) {
+	spec := roundsSpec()
+	want := baselineJSON(t, spec)
+	blob, err := os.ReadFile(filepath.Join("testdata", "parent-adaptive.state.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	statePath := filepath.Join(t.TempDir(), "coordinator.json")
+	if err := os.WriteFile(statePath, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCoordinator(CoordinatorOptions{Spec: spec, LeaseTTL: 2 * time.Second, StatePath: statePath})
+	if err != nil {
+		t.Fatalf("state written by the parent commit must resume: %v", err)
+	}
+	if st := c.Status(); st.Shards.Waiting != 5 || st.Shards.Pending != 3 || st.Expired != 3 || st.Experiments == 0 {
+		t.Errorf("resume status = %+v (expired %d, %d experiments), want 5 parked and 3 lapsed shards", st.Shards, st.Expired, st.Experiments)
+	}
+
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	wait := startWorkers(ctx, t, srv.URL, 2, "w")
+	res, err := c.Result(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait()
+	if got := resultJSON(t, res); string(got) != string(want) {
+		t.Errorf("result resumed from the parent's state differs from baseline:\n got %s\nwant %s", got, want)
 	}
 }
 

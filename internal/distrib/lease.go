@@ -8,28 +8,6 @@ import (
 	"fidelity/internal/telemetry"
 )
 
-// shardStatus is one shard's place in the lease lifecycle.
-type shardStatus int
-
-const (
-	// shardPending: not currently leased; available for (re-)issue.
-	shardPending shardStatus = iota
-	// shardLeased: a live lease covers it.
-	shardLeased
-	// shardDone: a final report completed it.
-	shardDone
-	// shardDegraded: a final report marked it exhausted (failure budget
-	// spent). Terminal, but the assembled result will be Partial.
-	shardDegraded
-	// shardWaiting: an adaptive-campaign shard parked at the round barrier
-	// (campaign.AdaptiveParked): every recorded round executed, held out of
-	// the lease pool until the coordinator's planner extends its history
-	// (back to shardPending) or finalizes it (shardDone).
-	shardWaiting
-)
-
-func (s shardStatus) terminal() bool { return s == shardDone || s == shardDegraded }
-
 // auditState tracks a completed shard's independent re-verification. Shard
 // determinism (DESIGN.md §6) means a second worker re-running a shard from
 // scratch must reproduce the primary checkpoint byte for byte, so a digest
@@ -51,18 +29,15 @@ const (
 
 func (a auditState) resolved() bool { return a == auditNone || a == auditPassed || a == auditFailed }
 
+// shardEntry is what a network adds to one shard of the schedule.
 type shardEntry struct {
-	status shardStatus
-	// ckpt is the last coordinator-accepted checkpoint (nil until a worker
-	// first reports). Re-issued leases resume from it, so streamed progress
-	// survives a lapsed worker.
-	ckpt *campaign.ShardCheckpoint
-	// lease is the current lease ID while shardLeased.
+	// lease is the current lease ID while the schedule has the shard running.
 	lease string
-	// sum is the canonical-JSON digest of the accepted final checkpoint and
-	// worker who produced it, recorded at acceptance time. Verifying this at
-	// state load catches corruption across the shard's whole lifetime in
-	// coordinator memory, not just on disk.
+	// worker produced the shard's last accepted final report. sum is the
+	// canonical-JSON digest of its done checkpoint, recorded once the
+	// schedule completes it. Verifying sum at state load catches corruption
+	// across the shard's whole lifetime in coordinator memory, not just on
+	// disk.
 	sum    string
 	worker string
 	// audit fields mirror the primary ones for the verification re-run. The
@@ -92,11 +67,16 @@ type leaseEntry struct {
 	reported bool
 }
 
-// leaseTable tracks shard ownership. It is not safe for concurrent use; the
-// coordinator serializes access under its mutex. Expiry is lazy: lapsed
-// leases are swept at the head of every operation, so no background timer is
-// needed and the table is trivially restorable from a persisted snapshot.
+// leaseTable is what a network adds to a campaign.Schedule: lease IDs and
+// their TTLs, re-grant of a lease whose reply was lost, the heartbeat
+// `behind` rule, and audits. Which shard runs next and what a reported
+// checkpoint means are the schedule's decisions, including the adaptive round
+// barrier. It is not safe for concurrent use; the coordinator serializes
+// access under its mutex. Expiry is lazy: lapsed leases are swept at the head
+// of every operation, so no background timer is needed and the table is
+// trivially restorable from a persisted snapshot.
 type leaseTable struct {
+	sched   *campaign.Schedule
 	ttl     time.Duration
 	seq     int
 	shards  []shardEntry
@@ -107,15 +87,16 @@ type leaseTable struct {
 	auditFor func(shard int) bool
 }
 
-func newLeaseTable(n int, ttl time.Duration) *leaseTable {
+func newLeaseTable(sched *campaign.Schedule, n int, ttl time.Duration) *leaseTable {
 	return &leaseTable{
+		sched:  sched,
 		ttl:    ttl,
 		shards: make([]shardEntry, n),
 		leases: map[string]*leaseEntry{},
 	}
 }
 
-// sweep drops lapsed leases, returning their shards to the pending pool with
+// sweep drops lapsed leases, releasing their shards to the pending pool with
 // their last accepted checkpoints intact.
 func (t *leaseTable) sweep(now time.Time) {
 	for id, le := range t.leases {
@@ -127,7 +108,7 @@ func (t *leaseTable) sweep(now time.Time) {
 					e.auditLease = ""
 				}
 			} else if e.lease == id {
-				e.status = shardPending
+				t.sched.Release(le.shard)
 				e.lease = ""
 			}
 			delete(t.leases, id)
@@ -136,8 +117,8 @@ func (t *leaseTable) sweep(now time.Time) {
 	}
 }
 
-// acquire grants the lowest-indexed pending shard to worker, or, when every
-// shard is terminal, the lowest-indexed pending audit re-run. Audit leases
+// acquire leases the schedule's next shard to worker, or, when no shard is
+// pending, the lowest-indexed pending audit re-run. Audit leases
 // prefer a worker other than the one that produced the primary result — an
 // independent witness — falling back to self-audit only after a full TTL
 // with no other taker, so single-worker deployments still drain. A worker
@@ -150,12 +131,10 @@ func (t *leaseTable) acquire(worker string, now time.Time) *Lease {
 			return t.grant(le, now)
 		}
 	}
-	for i := range t.shards {
-		if e := &t.shards[i]; e.status == shardPending {
-			le := t.newLease(i, worker, false)
-			e.status, e.lease = shardLeased, le.id
-			return t.grant(le, now)
-		}
+	if i, ok := t.sched.Grant(); ok {
+		le := t.newLease(i, worker, false)
+		t.shards[i].lease = le.id
+		return t.grant(le, now)
 	}
 	for i := range t.shards {
 		e := &t.shards[i]
@@ -181,7 +160,7 @@ func (t *leaseTable) newLease(shard int, worker string, audit bool) *leaseEntry 
 // from the shard's last accepted checkpoint.
 func (t *leaseTable) grant(le *leaseEntry, now time.Time) *Lease {
 	le.deadline = now.Add(t.ttl)
-	resume := t.shards[le.shard].ckpt
+	resume := t.sched.Checkpoint(le.shard)
 	if le.audit {
 		resume = t.shards[le.shard].auditCkpt
 	}
@@ -193,8 +172,8 @@ func (t *leaseTable) grant(le *leaseEntry, now time.Time) *Lease {
 // lease superseded by a re-issue, a duplicate of an already-final report —
 // is rejected so a resurrected worker cannot clobber a shard that moved on.
 // Accepted non-final reports extend the lease (heartbeat) and replace the
-// checkpoint unless they are behind it; accepted final reports make the
-// shard terminal (or resolve its audit).
+// checkpoint unless they are behind it; accepted final reports end the lease
+// and hand the checkpoint to the schedule (or resolve its audit).
 func (t *leaseTable) report(req *ReportRequest, now time.Time) bool {
 	t.sweep(now)
 	le := t.leases[req.LeaseID]
@@ -208,44 +187,51 @@ func (t *leaseTable) report(req *ReportRequest, now time.Time) bool {
 	}
 	if !req.Final {
 		le.deadline = now.Add(t.ttl)
-		if !behind(&req.Shard, e.ckpt) {
-			e.ckpt = &req.Shard
+		if !behind(&req.Shard, t.sched.Checkpoint(le.shard)) {
+			t.sched.Progress(le.shard, req.Shard)
 		}
 		return true
 	}
-	e.ckpt = &req.Shard
 	delete(t.leases, req.LeaseID)
 	e.lease = ""
-	switch {
-	case req.Exhausted:
-		e.status = shardDegraded
-	case req.Shard.Done:
-		e.status = shardDone
-		// Seal the accepted result: digest + producer, recorded at the
-		// moment of acceptance. Degraded shards are excluded from audit —
-		// their quarantine lists can depend on wall-clock supervision
-		// (timeouts), so a re-run mismatch would not be proof of fault.
-		if sum, err := digestJSON(&req.Shard); err == nil {
-			e.sum = sum
-			e.worker = req.Worker
-			if t.auditFor != nil && t.auditFor(le.shard) {
-				e.audit = auditPending
-				e.auditSince = now
-			}
-		}
-	case campaign.AdaptiveParked(req.Shard):
-		// Parked at the adaptive round barrier: hold the shard out of the
-		// lease pool (re-leasing it would run zero experiments and park
-		// again). The coordinator's planner moves it on once every shard
-		// reaches the barrier.
-		e.status = shardWaiting
-		e.worker = req.Worker
-	default:
-		// A final report that neither completed nor degraded the shard:
-		// the worker gave the lease back. Re-issue from its checkpoint.
-		e.status = shardPending
-	}
+	e.worker = req.Worker
+	t.sched.Report(le.shard, req.Shard, req.Exhausted)
+	t.seal(now)
 	return true
+}
+
+// seal records the acceptance digest of every newly done shard — completed
+// by its own report or finalised at a round barrier — and samples it for
+// audit unless it has an audit record already. Degraded shards are never
+// sealed: their quarantine lists can depend on wall-clock supervision
+// (timeouts), so a re-run mismatch would not be proof of fault.
+func (t *leaseTable) seal(now time.Time) {
+	for i := range t.shards {
+		e := &t.shards[i]
+		if e.sum != "" || t.sched.Status(i) != campaign.ShardDone {
+			continue
+		}
+		sum, err := digestJSON(t.sched.Checkpoint(i))
+		if err != nil {
+			continue
+		}
+		e.sum = sum
+		if e.audit == auditNone && t.auditFor != nil && t.auditFor(i) {
+			t.openAudit(i, now)
+		}
+	}
+}
+
+// openAudit queues done shard i's verification re-run. since gates the
+// primary worker's self-audit fallback.
+func (t *leaseTable) openAudit(i int, since time.Time) {
+	e := &t.shards[i]
+	e.audit, e.auditSince = auditPending, since
+	if a := t.sched.Checkpoint(i).Adaptive; a != nil {
+		// Adaptive audits replay the recorded history from empty tallies;
+		// a from-scratch resume would just park.
+		e.auditCkpt = campaign.AdaptiveAuditResume(i, a.History)
+	}
 }
 
 // behind reports whether heartbeat sc is older than the accepted checkpoint:
@@ -293,11 +279,11 @@ func (t *leaseTable) reportAudit(le *leaseEntry, e *shardEntry, req *ReportReque
 // flight.
 func (t *leaseTable) terminal() bool {
 	for i := range t.shards {
-		if !t.shards[i].status.terminal() || !t.shards[i].audit.resolved() {
+		if !t.shards[i].audit.resolved() {
 			return false
 		}
 	}
-	return true
+	return t.sched.Finished()
 }
 
 // auditFailures counts unresolved-as-failed audits.
@@ -342,19 +328,6 @@ func (t *leaseTable) auditSnapshot() *telemetry.AuditSnapshot {
 	return &a
 }
 
-// checkpoints returns one terminal checkpoint per shard, in index order.
-// Only valid once terminal() holds (every terminal shard has reported at
-// least once, so every ckpt is non-nil). Audit checkpoints are never merged:
-// on a mismatch we know one copy is wrong but not which, so the primary data
-// is kept and the campaign flagged Partial instead.
-func (t *leaseTable) checkpoints() []campaign.ShardCheckpoint {
-	out := make([]campaign.ShardCheckpoint, len(t.shards))
-	for i := range t.shards {
-		out[i] = *t.shards[i].ckpt
-	}
-	return out
-}
-
 // counts summarizes shard statuses and total accepted experiments. A done
 // shard whose audit is still open counts as Auditing, not Done, so status
 // consumers see the campaign is not finished yet.
@@ -362,24 +335,24 @@ func (t *leaseTable) counts() (ShardCounts, int) {
 	var c ShardCounts
 	exps := 0
 	for i := range t.shards {
-		switch t.shards[i].status {
-		case shardPending:
+		switch t.sched.Status(i) {
+		case campaign.ShardPending:
 			c.Pending++
-		case shardLeased:
+		case campaign.ShardRunning:
 			c.Leased++
-		case shardDone:
+		case campaign.ShardDone:
 			if !t.shards[i].audit.resolved() {
 				c.Auditing++
 			} else {
 				c.Done++
 			}
-		case shardDegraded:
+		case campaign.ShardDegraded:
 			c.Degraded++
-		case shardWaiting:
+		case campaign.ShardParked:
 			c.Waiting++
 		}
-		if t.shards[i].ckpt != nil {
-			exps += t.shards[i].ckpt.Experiments
+		if sc := t.sched.Checkpoint(i); sc != nil {
+			exps += sc.Experiments
 		}
 	}
 	return c, exps

@@ -128,6 +128,17 @@ type HelloReply struct {
 	Fingerprint string       `json:"fingerprint"`
 }
 
+// campaign is a worker's check of a decoded HelloReply: the config must
+// fingerprint to what the coordinator sent (it decoded losslessly) and the
+// spec must be one the engine runs. It returns the normalized spec.
+func (h *HelloReply) campaign() (CampaignSpec, error) {
+	if fp := h.Config.Fingerprint(); fp != h.Fingerprint {
+		return CampaignSpec{}, fmt.Errorf("distrib: campaign config decoded with fingerprint %s, coordinator has %s", fp, h.Fingerprint)
+	}
+	spec := h.Spec.Normalize()
+	return spec, spec.Validate()
+}
+
 // LeaseRequest asks the coordinator for one shard lease.
 type LeaseRequest struct {
 	Worker string `json:"worker"`

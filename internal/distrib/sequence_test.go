@@ -228,7 +228,7 @@ func TestDistribMixedVersionDifferential(t *testing.T) {
 // anyone else, acquire moves on.
 func TestLeaseTableRegrant(t *testing.T) {
 	now := time.Unix(1000, 0)
-	tab := newLeaseTable(3, time.Second)
+	tab := fixedTable(3, time.Second)
 
 	l1 := tab.acquire("a", now)
 	again := tab.acquire("a", now.Add(900*time.Millisecond))
@@ -252,7 +252,7 @@ func TestLeaseTableRegrant(t *testing.T) {
 	}
 
 	// Audit leases ride the same path.
-	aud := newLeaseTable(1, time.Second)
+	aud := fixedTable(1, time.Second)
 	aud.auditFor = func(int) bool { return true }
 	p := aud.acquire("a", now)
 	fin := campaign.NewShardCheckpoint(0)
@@ -275,7 +275,7 @@ func TestLeaseTableStaleHeartbeat(t *testing.T) {
 		sc.Experiments = n
 		return sc
 	}
-	tab := newLeaseTable(1, time.Second)
+	tab := fixedTable(1, time.Second)
 	tab.auditFor = func(int) bool { return true }
 	l := tab.acquire("a", now)
 	if !tab.report(&ReportRequest{Worker: "a", LeaseID: l.ID, Shard: hb(0, 10)}, now) {
@@ -285,7 +285,7 @@ func TestLeaseTableStaleHeartbeat(t *testing.T) {
 	if !tab.report(&ReportRequest{Worker: "a", LeaseID: l.ID, Shard: hb(0, 5)}, late) {
 		t.Fatal("reordered heartbeat k rejected: it is a valid sign of life")
 	}
-	if got := tab.shards[0].ckpt.Experiments; got != 10 {
+	if got := tab.sched.Checkpoint(0).Experiments; got != 10 {
 		t.Errorf("accepted checkpoint rolled back to %d experiments, want 10", got)
 	}
 	if got := tab.leases[l.ID].deadline; !got.Equal(late.Add(time.Second)) {
@@ -294,8 +294,8 @@ func TestLeaseTableStaleHeartbeat(t *testing.T) {
 	// A final report is the shard's word, whatever it counts.
 	fin := hb(0, 7)
 	fin.Done = true
-	if !tab.report(&ReportRequest{Worker: "a", LeaseID: l.ID, Shard: fin, Final: true}, late) || tab.shards[0].ckpt.Experiments != 7 {
-		t.Errorf("final report did not replace the checkpoint: %+v", tab.shards[0].ckpt)
+	if !tab.report(&ReportRequest{Worker: "a", LeaseID: l.ID, Shard: fin, Final: true}, late) || tab.sched.Checkpoint(0).Experiments != 7 {
+		t.Errorf("final report did not replace the checkpoint: %+v", tab.sched.Checkpoint(0))
 	}
 
 	// The audit checkpoint obeys the same rule and never touches the primary.
@@ -305,8 +305,8 @@ func TestLeaseTableStaleHeartbeat(t *testing.T) {
 	}
 	tab.report(&ReportRequest{Worker: "b", LeaseID: al.ID, Shard: hb(0, 6)}, late)
 	tab.report(&ReportRequest{Worker: "b", LeaseID: al.ID, Shard: hb(0, 2)}, late)
-	if e := &tab.shards[0]; e.auditCkpt.Experiments != 6 || e.ckpt.Experiments != 7 {
-		t.Errorf("after a reordered audit heartbeat: audit %d, primary %d experiments, want 6 and 7", e.auditCkpt.Experiments, e.ckpt.Experiments)
+	if a, p := tab.shards[0].auditCkpt, tab.sched.Checkpoint(0); a.Experiments != 6 || p.Experiments != 7 {
+		t.Errorf("after a reordered audit heartbeat: audit %d, primary %d experiments, want 6 and 7", a.Experiments, p.Experiments)
 	}
 }
 

@@ -122,11 +122,8 @@ func Work(ctx context.Context, o WorkerOptions) error {
 	if err := wk.retry(ctx, func() error { return wk.get(ctx, "/v1/campaign", &hello) }); err != nil {
 		return err
 	}
-	if fp := hello.Config.Fingerprint(); fp != hello.Fingerprint {
-		return fmt.Errorf("distrib: campaign config decoded with fingerprint %s, coordinator has %s", fp, hello.Fingerprint)
-	}
-	spec := hello.Spec.Normalize()
-	if err := spec.Validate(); err != nil {
+	spec, err := hello.campaign()
+	if err != nil {
 		return err
 	}
 	w, err := spec.BuildWorkload()
