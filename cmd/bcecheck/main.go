@@ -4,8 +4,11 @@
 // (Codec.SaturateInto in internal/numerics/bitflip.go, the rectifier rows of
 // internal/nn/activation.go, the residual add and the batch-norm rows of
 // internal/nn/block.go), the pooling windows of internal/nn/pool.go and the
-// replay engine's diff scans in internal/nn/region.go. Their headers claim the per-element loops are
-// bounds-check free; this keeps the claim true.
+// replay engine's diff scans and glue regions in internal/nn/region.go
+// (glueRegion's union of input spans, box.runs' walk over a region's runs;
+// the residual add is also what a residual glue sweep runs per run). Their
+// headers claim the per-element loops are bounds-check free; this keeps the
+// claim true.
 //
 // It builds the two packages with -gcflags=-d=ssa/check_bce, which reports
 // every check the compiler could not prove away as "file:line:col: Found
@@ -39,13 +42,17 @@ import (
 // likewise loop once per tensor row, slicing it out; their per-element loops
 // are firstDiff and lastDiff, which are checked; matmulTile loops once per
 // output row over mulAddPanel and scaleSaturate; maxPoolRegion once per window
-// cell over numerics.MaxRow, slicing the cell out. InitRandom fills a layer's
+// cell over numerics.MaxRow, slicing the cell out. concatSweep, the branch and
+// head concat's glue sweep, loops once per input vector of a position, slicing
+// the vector and its place in the output out for one copy — the runtime's
+// memmove, as in tensor.Concat — and has no per-element loop of its own.
+// InitRandom fills a layer's
 // parameters once, through the tensor's accessors. floatrow.go needs no
 // exemption: its dispatchers do not loop, and its ...Go loops are checked.
 var hotFiles = map[string]map[string]bool{
 	"internal/nn/kernels.go":        {"matmulTile": true},
 	"internal/nn/activation.go":     {},
-	"internal/nn/block.go":          {"InitRandom": true},
+	"internal/nn/block.go":          {"InitRandom": true, "concatSweep": true},
 	"internal/nn/pool.go":           {"maxPoolRegion": true},
 	"internal/nn/region.go":         {"boxify": true, "diffSpanBox": true},
 	"internal/numerics/bitflip.go":  {},

@@ -100,7 +100,7 @@ func sensitivity(fs *flag.FlagSet) func(context.Context) error {
 	fTargetCI.on(fs, c, "adaptive stratified sampling: stop each stratum once its 95% Wilson CI half-width reaches this target (mutually exclusive with -samples; in (0, 0.5])")
 	fExperimentTimeout.on(fs, c, "per-experiment watchdog deadline (0 = off)")
 	fFailureBudget.on(fs, c, "max quarantined experiments per shard (0 = default, negative = unlimited)")
-	return func(ctx context.Context) error {
+	return c.profiled(fs, func(ctx context.Context) error {
 		if err := c.finish(fs); err != nil {
 			return err
 		}
@@ -129,7 +129,7 @@ func sensitivity(fs *flag.FlagSet) func(context.Context) error {
 			return fmt.Errorf("%s: %w (%d experiments quarantined)", c.net, errPartial, len(res.Quarantined))
 		}
 		return nil
-	}
+	})
 }
 
 // harden runs the closed mitigation loop of internal/harden: measure the
@@ -149,7 +149,7 @@ func harden(fs *flag.FlagSet) func(context.Context) error {
 	fInputs.on(fs, c, "inputs per campaign (also the activation-profile set)")
 	fSeed.on(fs, c, "campaign sampling seed")
 	fWorkers.on(fs, c, "worker goroutines (results are worker-count independent)")
-	return func(ctx context.Context) error {
+	return c.profiled(fs, func(ctx context.Context) error {
 		if err := c.finish(fs); err != nil {
 			return err
 		}
@@ -178,7 +178,7 @@ func harden(fs *flag.FlagSet) func(context.Context) error {
 		fmt.Fprintf(os.Stderr, "fidelity: %s FIT %.3f -> %.3f hardened (budget %.3f, meets=%v, dup time share %.1f%%)\n",
 			c.net, rep.Before.FIT, rep.HardenedFIT, rep.BudgetFIT, rep.MeetsASILD, rep.DupTimeShare*100)
 		return err
-	}
+	})
 }
 
 // validate runs the paper's Sec. IV validation campaign: RTL-style fault
@@ -191,7 +191,7 @@ func validate(fs *flag.FlagSet) func(context.Context) error {
 	verbose := fs.Bool("v", false, "print each mismatch (if any)")
 	fSamples.on(fs, c, "RTL fault injections per Table III workload")
 	fSeed.on(fs, c, "sampling seed")
-	return func(context.Context) error {
+	return c.profiled(fs, func(context.Context) error {
 		cfg := accel.NVDLASmall()
 		ws, err := campaign.TableIIIWorkloads()
 		if err != nil {
@@ -218,5 +218,5 @@ func validate(fs *flag.FlagSet) func(context.Context) error {
 		fmt.Println("\nPASS: all checked cases match the software fault models" +
 			" (datapath exact; RF=1 sets exact; global-control mostly non-masked)")
 		return nil
-	}
+	})
 }

@@ -39,7 +39,7 @@ func serve(fs *flag.FlagSet) func(context.Context) error {
 	fFailureBudget.on(fs, c, "max quarantined experiments per shard before it degrades (0 = default)")
 	fProgress.on(fs, c, "emit merged JSONL telemetry snapshots to stderr at this interval (0 = off)")
 	fManifest.on(fs, c, "write a machine-readable run manifest to this file (empty disables)")
-	return func(ctx context.Context) error {
+	return c.profiled(fs, func(ctx context.Context) error {
 		// Flag validation runs before any listener binds, so rejected
 		// invocations exit immediately without touching the network.
 		if err := c.finish(fs); err != nil {
@@ -158,7 +158,7 @@ func serve(fs *flag.FlagSet) func(context.Context) error {
 		}
 		removeFinished(*state)
 		return nil
-	}
+	})
 }
 
 // waitDrain blocks until the coordinator has no live leases (every in-flight
@@ -214,7 +214,7 @@ func work(fs *flag.FlagSet) func(context.Context) error {
 	poll := fs.Duration("poll", distrib.DefaultPoll, "lease poll cadence and retry backoff base")
 	publishEvery := fs.Int("publish-every", 16, "experiments between streamed shard checkpoints (bounds re-lease loss)")
 	fProgress.on(fs, c, "emit JSONL telemetry snapshots to stderr at this interval (0 = off)")
-	return func(ctx context.Context) error {
+	return c.profiled(fs, func(ctx context.Context) error {
 		if *coordinator == "" {
 			return usagef("-coordinator is required")
 		}
@@ -241,5 +241,5 @@ func work(fs *flag.FlagSet) func(context.Context) error {
 			Telemetry:    tel,
 			PublishEvery: *publishEvery,
 		})
-	}
+	})
 }

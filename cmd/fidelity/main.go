@@ -30,7 +30,10 @@
 // -checkpoint; rerunning with -resume <file> continues it to a result
 // identical to an uninterrupted run. -progress <interval> emits JSONL
 // telemetry snapshots to stderr, and -manifest writes a machine-readable run
-// summary next to the report output.
+// summary next to the report output. Every campaign subcommand (study,
+// sensitivity, harden, validate, serve, work) takes -cpuprofile, -memprofile
+// and -trace, which write stdlib pprof profiles and a runtime execution trace
+// of the run and change none of its output.
 //
 // `serve` and `work` fan a campaign out over machines instead of local
 // -workers. `serve` runs the coordinator: it partitions the campaign into
@@ -57,8 +60,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
+	"runtime/trace"
 	"syscall"
 	"time"
 
@@ -157,6 +164,8 @@ type cli struct {
 	net      string
 	progress time.Duration
 	manifest string
+
+	cpuProfile, memProfile, execTrace string
 }
 
 // flagDef declares one shared flag: its name and the cli field it fills.
@@ -185,6 +194,9 @@ var (
 	fNet                = flagDef{"net", func(c *cli) any { return &c.net }}
 	fProgress           = flagDef{"progress", func(c *cli) any { return &c.progress }}
 	fManifest           = flagDef{"manifest", func(c *cli) any { return &c.manifest }}
+	fCPUProfile         = flagDef{"cpuprofile", func(c *cli) any { return &c.cpuProfile }}
+	fMemProfile         = flagDef{"memprofile", func(c *cli) any { return &c.memProfile }}
+	fTrace              = flagDef{"trace", func(c *cli) any { return &c.execTrace }}
 )
 
 // on registers the flag for one subcommand. Its default is whatever the
@@ -249,6 +261,53 @@ func (c *cli) emitProgress(snap func() telemetry.Snapshot) (stop func()) {
 		_ = enc.Encode(progressLine{Snapshot: s, IntervalPerSec: s.RateSince(prev)}) // stderr diagnostics
 		prev = s
 	})
+}
+
+// profiled registers -cpuprofile, -memprofile and -trace on fs and returns
+// body run under them: a CPU profile and a runtime execution trace of the
+// whole body, a heap profile written once it returns. They write only their
+// own files, so what a run prints is the same bytes with them on or off.
+func (c *cli) profiled(fs *flag.FlagSet, body func(context.Context) error) func(context.Context) error {
+	fCPUProfile.on(fs, c, "write a CPU profile of the run to this file (go tool pprof; empty = off)")
+	fMemProfile.on(fs, c, "write a heap profile to this file when the run ends (go tool pprof; empty = off)")
+	fTrace.on(fs, c, "write a runtime execution trace of the run to this file (go tool trace; empty = off)")
+	return func(ctx context.Context) (err error) {
+		var stops []func() error
+		defer func() {
+			for i := len(stops) - 1; i >= 0; i-- {
+				if serr := stops[i](); err == nil {
+					err = serr
+				}
+			}
+		}()
+		// The heap profile comes first so that it is written last, after the
+		// CPU profile and the trace have stopped.
+		for _, p := range []struct {
+			path        string
+			start, stop func(io.Writer) error
+		}{
+			{c.memProfile, nil, func(w io.Writer) error { runtime.GC(); return pprof.Lookup("heap").WriteTo(w, 0) }},
+			{c.cpuProfile, pprof.StartCPUProfile, func(io.Writer) error { pprof.StopCPUProfile(); return nil }},
+			{c.execTrace, trace.Start, func(io.Writer) error { trace.Stop(); return nil }},
+		} {
+			if p.path == "" {
+				continue
+			}
+			//lint:allow ioretry a profile streams while the run goes on and is a diagnostic, not a campaign artifact
+			f, err := os.Create(p.path)
+			if err != nil {
+				return err
+			}
+			if p.start != nil {
+				if err := p.start(f); err != nil {
+					f.Close()
+					return err
+				}
+			}
+			stops = append(stops, func() error { return errors.Join(p.stop(f), f.Close()) })
+		}
+		return body(ctx)
+	}
 }
 
 // manifestHeader opens both run-manifest shapes: study's per-cell summary

@@ -214,7 +214,8 @@ func TestExitCode(t *testing.T) {
 // The fold moved entry points, not options: every subcommand registers
 // exactly the (name, default) set its parent binary had — this table is the
 // parents' -h output (study, validate, fidelity, fidelityd) at the commit
-// before the fold. A flag added, dropped, renamed or re-defaulted fails here.
+// before the fold — plus the three profile flags of every campaign
+// subcommand. A flag added, dropped, renamed or re-defaulted fails here.
 func TestFlagSurface(t *testing.T) {
 	ncpu := strconv.Itoa(runtime.NumCPU())
 	want := map[string]map[string]string{
@@ -237,6 +238,11 @@ func TestFlagSurface(t *testing.T) {
 			"seed": "1", "shards": "0", "state": "", "target-ci": "0", "tolerance": "0.1"},
 		"work": {"coordinator": "", "id": "", "poll": "500ms", "progress": "0s", "publish-every": "16"},
 	}
+	for _, sub := range []string{"sensitivity", "harden", "study", "validate", "serve", "work"} {
+		for _, f := range []string{"cpuprofile", "memprofile", "trace"} {
+			want[sub][f] = ""
+		}
+	}
 	if len(subcommands) != len(want) {
 		t.Errorf("%d subcommands, want %d", len(subcommands), len(want))
 	}
@@ -250,6 +256,36 @@ func TestFlagSurface(t *testing.T) {
 		} else if !reflect.DeepEqual(got, w) {
 			t.Errorf("%s flags (name: default)\n got %v\nwant %v", sc.name, got, w)
 		}
+	}
+}
+
+// The profile flags write a CPU and a heap profile pprof reads and a runtime
+// trace, and change no byte of what the run prints.
+func TestStudyProfileFlags(t *testing.T) {
+	gotool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go command to read the profiles with")
+	}
+	dir := t.TempDir()
+	stdout := func(profile ...string) []byte {
+		args := []string{"study", "-fig", "6", "-samples", "20", "-inputs", "1", "-workers", "1", "-checkpoint", "", "-manifest", ""}
+		out, err := cliCommand(t, dir, append(args, profile...)...).Output()
+		if err != nil {
+			t.Fatalf("study %v: %v", profile, err)
+		}
+		return out
+	}
+	off := stdout()
+	if on := stdout("-cpuprofile", "cpu.prof", "-memprofile", "mem.prof", "-trace", "run.trace"); !bytes.Equal(on, off) {
+		t.Errorf("stdout with the profile flags differs from without\n on: %s\noff: %s", on, off)
+	}
+	for _, p := range []string{"cpu.prof", "mem.prof"} {
+		if out, err := exec.Command(gotool, "tool", "pprof", "-raw", filepath.Join(dir, p)).CombinedOutput(); err != nil {
+			t.Errorf("go tool pprof cannot read %s: %v\n%s", p, err, out)
+		}
+	}
+	if b, err := os.ReadFile(filepath.Join(dir, "run.trace")); err != nil || !bytes.HasPrefix(b, []byte("go 1.")) {
+		t.Errorf("run.trace is not a runtime trace (err %v, %d bytes)", err, len(b))
 	}
 }
 

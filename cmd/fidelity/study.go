@@ -50,7 +50,7 @@ func study(fs *flag.FlagSet) func(context.Context) error {
 	fFailureBudget.on(fs, c, "max quarantined experiments per shard before the study degrades to a partial result (0 = default, negative = unlimited)")
 	fIORetries.on(fs, c, "retries for transient checkpoint/manifest write failures (0 = default)")
 	fIOBackoff.on(fs, c, "initial backoff between I/O retries, doubling per attempt (0 = default)")
-	return func(ctx context.Context) error {
+	return c.profiled(fs, func(ctx context.Context) error {
 		if err := c.finish(fs); err != nil {
 			return err
 		}
@@ -121,7 +121,7 @@ func study(fs *flag.FlagSet) func(context.Context) error {
 		}
 		removeFinished(r.opts.CheckpointPath)
 		return nil
-	}
+	})
 }
 
 // runner threads the shared campaign machinery — context, options,

@@ -71,25 +71,58 @@ func (l *MultiHeadAttention) Forward(x *tensor.Tensor, ctx *Context) *tensor.Ten
 	dHead := l.DModel / l.Heads
 	headsOut := make([]*tensor.Tensor, l.Heads)
 	for h := 0; h < l.Heads; h++ {
-		qh := ctx.glue(l, func() *tensor.Tensor { return sliceCols(ctx, q, h*dHead, dHead) }, q)
-		kh := ctx.glue(l, func() *tensor.Tensor { return sliceCols(ctx, k, h*dHead, dHead) }, k)
-		vh := ctx.glue(l, func() *tensor.Tensor { return sliceCols(ctx, v, h*dHead, dHead) }, v)
+		start := h * dHead
+		qh := ctx.glue(l, func() *tensor.Tensor { return sliceCols(ctx, q, start, dHead) },
+			func(g *tensor.Tensor, r box) *tensor.Tensor { return sliceSweep(ctx, g, r, q, start) }, q)
+		kh := ctx.glue(l, func() *tensor.Tensor { return sliceCols(ctx, k, start, dHead) },
+			func(g *tensor.Tensor, r box) *tensor.Tensor { return sliceSweep(ctx, g, r, k, start) }, k)
+		vh := ctx.glue(l, func() *tensor.Tensor { return sliceCols(ctx, v, start, dHead) },
+			func(g *tensor.Tensor, r box) *tensor.Tensor { return sliceSweep(ctx, g, r, v, start) }, v)
 		scores := l.QK.Run(qh, kh, ctx) // (seq, seq), scaled by 1/√dHead
-		attn := ctx.glue(l, func() *tensor.Tensor { return tensor.Softmax(scores) }, scores)
+		attn := ctx.glue(l, func() *tensor.Tensor { return tensor.Softmax(scores) },
+			func(g *tensor.Tensor, r box) *tensor.Tensor { return softmaxSweep(g, r, scores) }, scores)
 		headsOut[h] = l.AV.Run(attn, vh, ctx) // (seq, dHead)
 	}
-	concat := ctx.glue(l, func() *tensor.Tensor { return tensor.Concat(1, headsOut...) }, headsOut...)
+	concat := ctx.glue(l, func() *tensor.Tensor { return tensor.Concat(1, headsOut...) },
+		func(g *tensor.Tensor, r box) *tensor.Tensor { return concatSweep(g, r, headsOut) }, headsOut...)
 	return l.WO.Forward(concat, ctx)
 }
 
 // sliceCols copies columns [start, start+n) of a rank-2 tensor.
 func sliceCols(ctx *Context, t *tensor.Tensor, start, n int) *tensor.Tensor {
-	rows, cols := t.Dim(0), t.Dim(1)
-	out := ctx.newTensor(rows, n)
+	out := ctx.newTensor(t.Dim(0), n)
+	copyCols(out, t, start, 0, t.Dim(0))
+	return out
+}
+
+// sliceSweep is the glue sweep of sliceCols: a copy of golden from the arena,
+// where sliceCols takes its output, with the region's rows sliced anew from t.
+func sliceSweep(ctx *Context, golden *tensor.Tensor, r box, t *tensor.Tensor, start int) *tensor.Tensor {
+	out := ctx.goldenCopy(golden)
+	r.runs(out, func(r0, r1 int) { copyCols(out, t, start, r0, r1) })
+	return out
+}
+
+// copyCols copies columns [start, start+n) of rows [r0, r1) of t into the
+// same rows of out, n columns wide.
+func copyCols(out, t *tensor.Tensor, start, r0, r1 int) {
+	n, cols := out.Dim(1), t.Dim(1)
 	od, td := out.Data(), t.Data()
-	for r := 0; r < rows; r++ {
+	for r := r0; r < r1; r++ {
 		copy(od[r*n:(r+1)*n], td[r*cols+start:r*cols+start+n])
 	}
+}
+
+// softmaxSweep is the glue sweep of tensor.Softmax: a copy of golden from the
+// heap, where Softmax takes its output, with the region's rows of scores
+// recomputed.
+func softmaxSweep(golden *tensor.Tensor, r box, scores *tensor.Tensor) *tensor.Tensor {
+	out := golden.Clone()
+	od, sd, n := out.Data(), scores.Data(), out.Dim(1)
+	r.runs(out, func(r0, r1 int) {
+		copy(od[r0*n:r1*n], sd[r0*n:r1*n])
+		tensor.SoftmaxRows(out, r0, r1)
+	})
 	return out
 }
 

@@ -38,14 +38,23 @@ func (l *Residual) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	}
 	return ctx.glue(l, func() *tensor.Tensor {
 		out := ctx.newTensor(b.Shape()...)
-		od := out.Data()
-		bd, sd := b.Data()[:len(od)], s.Data()[:len(od)]
-		for i := range od {
-			od[i] = bd[i] + sd[i]
-		}
-		l.codec.RoundInto(od, od)
+		l.add(out.Data(), b.Data(), s.Data())
+		return out
+	}, func(golden *tensor.Tensor, r box) *tensor.Tensor {
+		out := ctx.goldenCopy(golden)
+		od, bd, sd, c := out.Data(), b.Data(), s.Data(), out.Dim(out.Rank()-1)
+		r.runs(out, func(p0, p1 int) { l.add(od[p0*c:p1*c], bd[p0*c:p1*c], sd[p0*c:p1*c]) })
 		return out
 	}, b, s)
+}
+
+// add stores Round(b[i] + s[i]) in out[i] over a run of elements.
+func (l *Residual) add(out, b, s []float32) {
+	b, s = b[:len(out)], s[:len(out)]
+	for i := range out {
+		out[i] = b[i] + s[i]
+	}
+	l.codec.RoundInto(out, out)
 }
 
 // Branches runs several paths on the same input and concatenates their
@@ -78,7 +87,28 @@ func (l *Branches) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	}
 	return ctx.glue(l, func() *tensor.Tensor {
 		return tensor.Concat(l.Axis, outs...)
+	}, func(golden *tensor.Tensor, r box) *tensor.Tensor {
+		return concatSweep(golden, r, outs)
 	}, outs...)
+}
+
+// concatSweep is the glue sweep of tensor.Concat along the last axis: a copy
+// of golden from the heap, where Concat takes its output, with the region's
+// positions concatenated anew from ts.
+func concatSweep(golden *tensor.Tensor, r box, ts []*tensor.Tensor) *tensor.Tensor {
+	out := golden.Clone()
+	od, w := out.Data(), out.Dim(out.Rank()-1)
+	r.runs(out, func(p0, p1 int) {
+		off := 0
+		for _, t := range ts {
+			td, c := t.Data(), t.Dim(t.Rank()-1)
+			for p := p0; p < p1; p++ {
+				copy(od[p*w+off:p*w+off+c], td[p*c:(p+1)*c])
+			}
+			off += c
+		}
+	})
+	return out
 }
 
 // BatchNorm applies a folded batch normalization: per-channel scale and

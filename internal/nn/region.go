@@ -132,15 +132,17 @@ func diffEnds(a, b []float32) (first, last int, differ bool) {
 	return first, first + lastDiff(a[first:], b[first:]), true
 }
 
-// diffSpanFull scans out against golden and returns the span of differing
-// elements. equal is true (and the span meaningless) when none differ.
-func diffSpanFull(out, golden *tensor.Tensor) (sp span, equal bool) {
+// diffSpanFlat scans elements [lo, hi) of out against golden — all of them,
+// or the rows a rank-2 glue sweep recomputed, everything outside being a
+// golden copy — and returns the span of differing elements. equal is true
+// (and the span meaningless) when none differ.
+func diffSpanFlat(out, golden *tensor.Tensor, lo, hi int) (sp span, equal bool) {
 	od, gd := out.Data(), golden.Data()
-	first, last, differ := diffEnds(od, gd)
+	first, last, differ := diffEnds(od[lo:hi], gd[lo:hi])
 	if !differ {
 		return span{}, true
 	}
-	sp = span{lo: first, hi: last + 1}
+	sp = span{lo: lo + first, hi: lo + last + 1}
 	if out.Rank() == 4 {
 		sp = boxify(od, gd, sp, out.Dim(1), out.Dim(2), out.Dim(3))
 	}
@@ -195,9 +197,65 @@ func diffSpanBox(out, golden *tensor.Tensor, bx box) (sp span, equal bool) {
 }
 
 // box is the spatial output region [y0,y1)×[x0,x1) (all batches, all
-// channels) of a rank-4 NHWC tensor. The zero box stands for "the whole
-// tensor", whatever its rank.
+// channels) of a rank-4 NHWC tensor, or the rows [y0,y1) of a rank-2 one (x0,
+// x1 = 0, 1, as grid views it). The zero box stands for "the whole tensor",
+// whatever its rank.
 type box struct{ y0, y1, x0, x1 int }
+
+// grid views t as n images of h×w positions, each a vector of c elements
+// along its last axis: NHWC at rank 4, (1, rows, 1, cols) at rank 2. ok is
+// false at any other rank.
+func grid(t *tensor.Tensor) (n, h, w, c int, ok bool) {
+	switch t.Rank() {
+	case 4:
+		return t.Dim(0), t.Dim(1), t.Dim(2), t.Dim(3), true
+	case 2:
+		return 1, t.Dim(0), 1, t.Dim(1), true
+	}
+	return 0, 0, 0, 0, false
+}
+
+// runs calls f with every run [p0, p1) of consecutive positions of t (flat
+// over grid's n, h, w) inside the box, in every image: one run per box row,
+// or one per image when the box spans whole rows.
+func (b box) runs(t *tensor.Tensor, f func(p0, p1 int)) {
+	n, h, w, _, _ := grid(t)
+	for i := 0; i < n; i++ {
+		img := i * h * w
+		if b.x0 == 0 && b.x1 == w {
+			f(img+b.y0*w, img+b.y1*w)
+			continue
+		}
+		for y := b.y0; y < b.y1; y++ {
+			f(img+y*w+b.x0, img+y*w+b.x1)
+		}
+	}
+}
+
+// glueRegion returns the union of a glue step's dirty inputs' recorded spans
+// as a box of out's positions. ok is false — the step computes in full — when
+// out is neither rank 4 nor rank 2, or a dirty input has no recorded span or
+// not out's positions (a concat along any but the last axis).
+func (c *Context) glueRegion(out *tensor.Tensor, in []*tensor.Tensor) (r box, ok bool) {
+	n, h, w, _, ok := grid(out)
+	if !ok {
+		return box{}, false
+	}
+	r = box{y0: h, x0: w}
+	for _, t := range in {
+		if t == nil || c.trace.golden[t] {
+			continue
+		}
+		sp, spanned := c.spans[t]
+		tn, th, tw, ch, _ := grid(t)
+		if !spanned || tn != n || th != h || tw != w {
+			return box{}, false
+		}
+		y0, y1, x0, x1 := sp.boxIn(h, w, w*ch, h*w*ch)
+		r = box{min(r.y0, y0), max(r.y1, y1), min(r.x0, x0), max(r.x1, x1)}
+	}
+	return r, true
+}
 
 // regionSite is implemented by layers that can recompute just the output
 // region reached by a dirty input span. forwardRegion returns the output

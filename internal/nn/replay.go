@@ -410,8 +410,13 @@ func (c *Context) dirtyRegion(l Layer, in []*tensor.Tensor) (regionSite, span, b
 // glue wraps a composite layer's own work (residual add, branch concat,
 // attention slicing/softmax). Glue steps are never injection targets and
 // carry no visit number; the glue flag keeps a composite's step from being
-// taken for a leaf execution of the same layer value.
-func (c *Context) glue(l Layer, compute func() *tensor.Tensor, in ...*tensor.Tensor) *tensor.Tensor {
+// taken for a leaf execution of the same layer value. sweep, non-nil for a
+// step whose output position p (an (n, y, x) pixel at rank 4, a row at rank 2)
+// reads only its inputs' last-axis vectors at p, lets a replayed step
+// recompute just the positions its dirty inputs' spans cover: it returns a
+// copy of golden, its buffer taken where compute takes its own, with every
+// position of region recomputed (DESIGN.md §5.2).
+func (c *Context) glue(l Layer, compute func() *tensor.Tensor, sweep func(golden *tensor.Tensor, region box) *tensor.Tensor, in ...*tensor.Tensor) *tensor.Tensor {
 	if c == nil || c.mode == ctxPlain {
 		return compute()
 	}
@@ -429,9 +434,13 @@ func (c *Context) glue(l Layer, compute func() *tensor.Tensor, in ...*tensor.Ten
 		c.stats.Skipped++
 		return st.out
 	}
-	out := compute()
 	c.stats.Recomputed++
-	return c.canonicalize(out, st.out, box{})
+	if sweep != nil {
+		if r, ok := c.glueRegion(st.out, in); ok {
+			return c.canonicalize(sweep(st.out, r), st.out, r)
+		}
+	}
+	return c.canonicalize(compute(), st.out, box{})
 }
 
 // canonicalize maps a recomputed output that equals its golden value back
@@ -439,18 +448,23 @@ func (c *Context) glue(l Layer, compute func() *tensor.Tensor, in ...*tensor.Ten
 // again. The recomputed buffer goes back to the arena. The convergence scan
 // doubles as the span scan: when the output differs, the diff span is
 // recorded so a downstream region-capable layer can sweep only the dirty
-// region. swept, when non-empty, is the output box a region sweep recomputed:
-// everything outside it is a golden copy, so only the box is scanned.
+// region. swept, when non-empty, is the output box a region sweep recomputed
+// (rows at rank 2, where only glue sweeps): everything outside it is a golden
+// copy, so only the box is scanned.
 func (c *Context) canonicalize(out, golden *tensor.Tensor, swept box) *tensor.Tensor {
 	if out == golden {
 		return out
 	}
 	var sp span
 	var equal bool
-	if out.Rank() == 4 && swept.y1 > swept.y0 {
+	switch {
+	case swept.y1 <= swept.y0:
+		sp, equal = diffSpanFlat(out, golden, 0, out.Size())
+	case out.Rank() == 4:
 		sp, equal = diffSpanBox(out, golden, swept)
-	} else {
-		sp, equal = diffSpanFull(out, golden)
+	default:
+		cols := out.Dim(1)
+		sp, equal = diffSpanFlat(out, golden, swept.y0*cols, swept.y1*cols)
 	}
 	if equal {
 		c.stats.Converged++

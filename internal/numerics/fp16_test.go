@@ -156,16 +156,16 @@ func TestRoundHalfErrorBound(t *testing.T) {
 // Property: a single bit flip always changes the encoded value, and flipping
 // the same bit twice restores it.
 func TestHalfFlipBitInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 2000; i++ {
-		h := Half(rng.Intn(1 << 16))
-		bit := rng.Intn(16)
-		flipped := h.FlipBit(bit)
-		if flipped == h {
-			t.Fatalf("FlipBit(%d) left %#04x unchanged", bit, uint16(h))
-		}
-		if back := flipped.FlipBit(bit); back != h {
-			t.Fatalf("double flip of bit %d: %#04x -> %#04x -> %#04x", bit, uint16(h), uint16(flipped), uint16(back))
+	for code := 0; code < 1<<16; code++ {
+		for bit := 0; bit < 16; bit++ {
+			h := Half(code)
+			flipped := h.FlipBit(bit)
+			if flipped == h {
+				t.Fatalf("FlipBit(%d) left %#04x unchanged", bit, uint16(h))
+			}
+			if back := flipped.FlipBit(bit); back != h {
+				t.Fatalf("double flip of bit %d: %#04x -> %#04x -> %#04x", bit, uint16(h), uint16(flipped), uint16(back))
+			}
 		}
 	}
 }

@@ -98,11 +98,18 @@ func matMulRef(a, b *Tensor) *Tensor {
 
 // Softmax applies a numerically stable softmax along the last dimension.
 func Softmax(t *Tensor) *Tensor {
-	last := t.shape[len(t.shape)-1]
-	rows := t.Size() / last
 	out := t.Clone()
-	for r := 0; r < rows; r++ {
-		row := out.data[r*last : (r+1)*last]
+	SoftmaxRows(out, 0, out.Size()/out.shape[len(out.shape)-1])
+	return out
+}
+
+// SoftmaxRows replaces rows [r0, r1) of t — its vectors along the last
+// dimension — by their softmax, in place; a row's result depends on that row
+// alone.
+func SoftmaxRows(t *Tensor, r0, r1 int) {
+	last := t.shape[len(t.shape)-1]
+	for r := r0; r < r1; r++ {
+		row := t.data[r*last : (r+1)*last]
 		maxv := float32(math.Inf(-1))
 		for _, x := range row {
 			if x > maxv {
@@ -127,7 +134,6 @@ func Softmax(t *Tensor) *Tensor {
 			row[i] /= float32(sum)
 		}
 	}
-	return out
 }
 
 // Concat concatenates tensors along the given axis. All other dimensions
