@@ -19,13 +19,13 @@ test:
 	$(GO) test ./...
 
 # The one campaign binary end to end, three subcommands that finish in
-# seconds: the study setup table, a 300-injection Sec. IV validation (exits
-# non-zero on any software-model mismatch), and Table II. study leaves its
+# seconds: the study setup table, the Sec. IV validation at the paper's 60K
+# injections (exits non-zero on any software-model mismatch), and Table II. study leaves its
 # (gitignored) study.manifest.json behind. Mirrors the `cli-smoke` step of
 # CI's build + test job.
 cli-smoke:
 	$(GO) run ./cmd/fidelity study -setup
-	$(GO) run ./cmd/fidelity validate -samples 50
+	$(GO) run ./cmd/fidelity validate
 	$(GO) run ./cmd/fidelity table2
 
 # The eight examples/ programs — the root package's only callers and

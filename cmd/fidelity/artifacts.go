@@ -185,9 +185,9 @@ func harden(fs *flag.FlagSet) func(context.Context) error {
 // injections in the cycle-level golden reference (package rtlsim) against
 // the Table III workloads, with every non-masked case checked against
 // FIdelity's software fault models. The paper's campaign is 60K injections
-// (10K per workload); -samples sets the per-workload count here.
+// (10K per workload), the default here; -samples sets the per-workload count.
 func validate(fs *flag.FlagSet) func(context.Context) error {
-	c := &cli{opts: campaign.StudyOptions{Samples: 1000, Seed: 1}}
+	c := &cli{opts: campaign.StudyOptions{Samples: 10000, Seed: 1}}
 	verbose := fs.Bool("v", false, "print each mismatch (if any)")
 	fSamples.on(fs, c, "RTL fault injections per Table III workload")
 	fSeed.on(fs, c, "sampling seed")

@@ -13,7 +13,7 @@
 //	fidelity harden [-net mobilenet] [-budget FIT]     # campaign -> clamp -> re-measure -> report
 //	fidelity study -fig 4|5|6  [-samples N] [-inputs N] [-seed S]
 //	fidelity study -setup | -perturbation | -speedup [-iters N] | -baseline | -protect
-//	fidelity validate [-samples 1000] [-seed 1] [-v]   # Sec. IV: cycle-level golden vs fault models
+//	fidelity validate [-samples 10000] [-seed 1] [-v]   # Sec. IV: cycle-level golden vs fault models
 //	fidelity serve -addr :9090 -net mobilenet [-samples N] [-state F] ...
 //	fidelity work  -coordinator http://host:9090 [-id NAME] ...
 //

@@ -231,7 +231,7 @@ func TestFlagSurface(t *testing.T) {
 			"io-retries": "0", "iters": "200", "manifest": "study.manifest.json", "perlayer": "false",
 			"perturbation": "false", "progress": "0s", "protect": "false", "resume": "", "samples": "400",
 			"seed": "1", "setup": "false", "shards": "0", "speedup": "false", "target-ci": "0", "workers": ncpu},
-		"validate": {"samples": "1000", "seed": "1", "v": "false"},
+		"validate": {"samples": "10000", "seed": "1", "v": "false"},
 		"serve": {"addr": ":9090", "audit-fraction": "0", "drain-timeout": "30s", "experiment-timeout": "0s",
 			"failure-budget": "0", "inputs": "4", "lease-ttl": "30s", "manifest": "", "net": "mobilenet",
 			"perlayer": "false", "precision": "fp16", "progress": "0s", "result": "", "samples": "400",

@@ -15,16 +15,21 @@ func benchLayer() *Layer {
 	return l
 }
 
-// benchFaults draws n held-weight-register faults over the compute window,
-// the fault family the repo benchmark's rtlsim.run_ms_p50 times.
-func benchFaults(ref *Reference, n int) []Fault {
+// benchFaults draws n faults on the given FFs at cycles in [lo, hi).
+func benchFaults(n int, ffs []FF, lo, hi int64) []Fault {
 	rng := rand.New(rand.NewSource(7))
-	start, end := ref.ComputeWindow()
 	fs := make([]Fault, n)
 	for i := range fs {
-		fs[i] = Fault{FF: FFWReg, Mac: rng.Intn(16), Bit: rng.Intn(16), Cycle: start + rng.Int63n(end-start)}
+		fs[i] = Fault{FF: ffs[rng.Intn(len(ffs))], Mac: rng.Intn(16), Bit: rng.Intn(16), Cycle: lo + rng.Int63n(hi-lo)}
 	}
 	return fs
+}
+
+// wregFaults are held-weight-register faults over the compute window, the
+// fault family the repo benchmark's rtlsim.run_ms_p50 times.
+func wregFaults(ref *Reference) []Fault {
+	start, end := ref.ComputeWindow()
+	return benchFaults(256, []FF{FFWReg}, start, end)
 }
 
 // BenchmarkRun times one from-cycle-0 injection.
@@ -34,7 +39,7 @@ func BenchmarkRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fs := benchFaults(ref, 256)
+	fs := wregFaults(ref)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -44,17 +49,30 @@ func BenchmarkRun(b *testing.B) {
 	}
 }
 
-// BenchmarkReferenceRun times the same injections resumed from a Reference.
+// BenchmarkReferenceRun times injections resumed from a Reference, by FF
+// family: held weights (re-converge within their tile), config registers
+// (run to the end or to the watchdog) and the CDMA registers (the whole
+// compute phase on a private CBUF).
 func BenchmarkReferenceRun(b *testing.B) {
 	ref, err := NewReference(nvdla(), benchLayer())
 	if err != nil {
 		b.Fatal(err)
 	}
-	fs := benchFaults(ref, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ref.Run(fs[i%len(fs)])
+	start, end := ref.ComputeWindow()
+	for _, bc := range []struct {
+		name string
+		fs   []Fault
+	}{
+		{"wreg", wregFaults(ref)},
+		{"cfg", benchFaults(256, []FF{FFCfgPos, FFCfgCh, FFCfgRed}, start, end)},
+		{"cdma", benchFaults(256, []FF{FFCDMAIn0, FFCDMAIn1, FFCDMAWt0, FFCDMAWt1}, 0, start-2)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ref.Run(bc.fs[i%len(bc.fs)])
+			}
+		})
 	}
 }
 

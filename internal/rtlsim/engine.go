@@ -127,7 +127,7 @@ type Engine struct {
 	l     *Layer
 	sched *schedule
 	codec numerics.Codec
-	half  bool // FP16 datapath: the lean MAC cycle is one fused row primitive
+	half  bool // FP16 datapath: advance's MAC is one fused row primitive
 	k, t  int
 
 	// CBUF contents (copied from DRAM through the CDMA registers), stored in
@@ -135,12 +135,12 @@ type Engine struct {
 	// read-only.
 	cbufIn, cbufW []float32
 
-	// Datapath registers. The multiplier output and valid bit of a MAC live
-	// for one cycle only and are locals of the MAC cycle.
-	inputReg float32
-	wload    []float32
-	wreg     []float32
-	acc      []float32 // acc[dx*k+m]
+	// Datapath registers. The broadcast input, the multiplier output and the
+	// valid bit of a MAC are rewritten before they are read, so they are
+	// locals of the MAC cycle.
+	wload []float32
+	wreg  []float32
+	acc   []float32 // acc[dx*k+m]
 
 	// Config registers and sequencer counters (bit-flippable state); none
 	// of them ever goes negative (flips stay below bit 20).
@@ -160,7 +160,7 @@ type Engine struct {
 	maxCyc    int64
 
 	// detailed forces the per-MAC path on every cycle: the test seam that
-	// holds the lean cycle to it.
+	// holds advance and the tile skip to it.
 	detailed bool
 }
 
@@ -217,7 +217,9 @@ func (e *Engine) Run() (*Outcome, error) {
 	return e.simulate(nil), nil
 }
 
-// simulate steps the compute phase to completion or to the watchdog limit.
+// simulate runs the compute phase to completion or to the watchdog limit: the
+// fault cycle (every cycle, when detailed) steps, a tile that writes nothing
+// is skipped, and advance runs the rest up to the next tile boundary.
 // boundary, when non-nil, is called before every tile-boundary cycle (a
 // weight load with r == 0); returning an Outcome ends the simulation with it.
 func (e *Engine) simulate(boundary func() *Outcome) *Outcome {
@@ -225,13 +227,26 @@ func (e *Engine) simulate(boundary func() *Outcome) *Outcome {
 		if e.cycle > e.maxCyc {
 			return &Outcome{Out: e.out, Cycles: e.cycle, TimedOut: true, FaultApplied: e.fired}
 		}
-		if boundary != nil && e.phase == phaseLoad && e.r == 0 {
+		atBoundary := e.phase == phaseLoad && e.r == 0
+		if boundary != nil && atBoundary {
 			if o := boundary(); o != nil {
 				return o
 			}
 		}
-		e.step()
-		e.cycle++
+		// stop is the first cycle advance must not run: the fault's or the
+		// first one past the watchdog limit.
+		stop := e.maxCyc + 1
+		if e.hasFault && e.fault.Cycle >= e.cycle && e.fault.Cycle < stop {
+			stop = e.fault.Cycle
+		}
+		switch {
+		case e.detailed || e.cycle == stop:
+			e.step()
+			e.cycle++
+		case atBoundary && e.skipTile(stop):
+		default:
+			e.advance(stop)
+		}
 	}
 	return &Outcome{Out: e.out, Cycles: e.cycle, FaultApplied: e.fired}
 }
@@ -384,39 +399,27 @@ func wrap(v int64, n int) int {
 	return int(v)
 }
 
-// step advances the state machine one cycle. A fault lives in one cycle, so
-// step decides once whether this is it: the fault cycle takes the per-MAC
-// path with its fault taps; every other cycle takes a lean path that computes
-// the same register values a row at a time.
+// step advances the state machine one cycle at per-MAC detail, with the
+// fault's taps: the fault cycle's path, and every cycle's when detailed.
 func (e *Engine) step() {
-	s := e.sched
-	k, t := int64(e.k), int64(e.t)
+	k := int64(e.k)
 	hot := e.hasFault && e.cycle == e.fault.Cycle
 	if hot {
 		e.applyControlFaults()
 	}
-	slow := hot || e.detailed
 	switch e.phase {
 	case phaseLoad:
 		// Parallel load of the group's weights into the staging registers.
-		if slow {
-			for m := 0; m < e.k; m++ {
-				c := e.grp*k + int64(m)
-				if c < e.cfgCh && c < int64(s.numCh) {
-					e.wload[m] = e.readW(e.r, c)
-				} else {
-					e.wload[m] = 0
-				}
-				if hot && e.hit(FFWLoad, m) {
-					e.wload[m] = e.flip32(e.wload[m])
-				}
+		for m := 0; m < e.k; m++ {
+			c := e.grp*k + int64(m)
+			if c < e.cfgCh && c < int64(e.sched.numCh) {
+				e.wload[m] = e.readW(e.r, c)
+			} else {
+				e.wload[m] = 0
 			}
-		} else {
-			n := 0 // MACs with a channel: a run of row r of the weights
-			if live := min(e.cfgCh, int64(s.numCh)) - e.grp*k; live > 0 {
-				n = copy(e.wload[:min(live, k)], e.cbufW[s.wIndex(wrap(e.r, s.numRed), int(e.grp*k)):])
+			if hot && e.hit(FFWLoad, m) {
+				e.wload[m] = e.flip32(e.wload[m])
 			}
-			clear(e.wload[n:])
 		}
 		e.dx = 0
 		e.phase = phaseMAC
@@ -425,56 +428,149 @@ func (e *Engine) step() {
 		if e.dx == 0 {
 			copy(e.wreg, e.wload)
 		}
-		p := e.blk*t + e.dx
-		if slow {
-			e.macCycle(p, hot)
-		} else if idx := s.aIndex(wrap(p, s.numPos), wrap(e.r, s.numRed)); idx < 0 {
-			e.inputReg = 0 // padding: the sequencer gates every MAC
-		} else {
-			// Register operands are codec-representable, so the operand
-			// rounding of Codec.Mul is the identity and MulPre — fused with
-			// the accumulate for FP16 — yields the same bits. dx < t here:
-			// a flipped dx meets the block-size test below within its
-			// cycle, and a load resets it.
-			e.inputReg = e.cbufIn[idx]
-			acc := e.acc[e.dx*k : (e.dx+1)*k]
-			if e.half {
-				numerics.HalfMulAddRow(acc, e.inputReg, e.wreg)
-			} else {
-				for m, w := range e.wreg {
-					acc[m] += e.codec.MulPre(w, e.inputReg)
-				}
-			}
-		}
+		e.macCycle(e.blk*int64(e.t)+e.dx, hot)
 		// One load cycle per reduction index, then blockSize MAC cycles on
 		// the held weights (a new input is fetched each cycle): the NVDLA
 		// schedule's single weight load per (r, group).
 		e.dx++
 		if e.dx >= e.blockSize() {
-			e.dx = 0
-			e.r++
-			if e.r >= e.cfgRed {
-				e.r = 0
-				e.wb = 0
-				e.phase = phaseWB
-			} else {
-				e.phase = phaseLoad
-			}
+			e.endRow()
 		}
 
 	case phaseWB:
-		bs := e.blockSize()
-		p := e.blk*t + e.wb/k
-		c := e.grp*k + e.wb%k
-		acc := e.acc[e.wb] // wb = dx*k + m, and dx < bs <= t
-		if e.l.Bias != nil && c >= 0 && c < int64(len(e.l.Bias)) {
+		e.drain(1, hot)
+	}
+}
+
+// advance runs the fault-free cycles before stop a row at a time, to the end
+// of the current tile at most: a weight load is one copy out of a CBUF row, a
+// MAC cycle one row update of the position's accumulators, the write-back
+// one drain. Each accumulator sees its products in the order step adds them.
+// When no fault cycle is left before the watchdog limit and the MAC phase
+// cannot reach its write-back by then, the run ends at once: a MAC phase
+// writes no output.
+func (e *Engine) advance(stop int64) {
+	s, k, bs := e.sched, int64(e.k), e.blockSize()
+	if e.phase != phaseWB && stop > e.maxCyc {
+		left := bs - e.dx // MAC cycles left in this row
+		if e.phase == phaseLoad {
+			left = 1 + bs
+		}
+		if e.cycle+left+max(e.cfgRed-e.r-1, 0)*(1+bs) > e.maxCyc {
+			e.cycle = e.maxCyc + 1
+			return
+		}
+	}
+	for e.phase != phaseWB {
+		if e.phase == phaseLoad {
+			if e.cycle >= stop {
+				return
+			}
+			e.load()
+			e.dx, e.phase = 0, phaseMAC
+			e.cycle++
+		}
+		// dx < bs: a flipped dx meets the block-size test within its cycle,
+		// and a load resets it.
+		end := min(bs, e.dx+stop-e.cycle)
+		if end <= e.dx {
+			return
+		}
+		if e.dx == 0 {
+			copy(e.wreg, e.wload)
+		}
+		ri := wrap(e.r, s.numRed)
+		for dx := e.dx; dx < end; dx++ {
+			idx := s.aIndex(wrap(e.blk*int64(e.t)+dx, s.numPos), ri)
+			if idx < 0 {
+				continue // padding: the sequencer gates every MAC
+			}
+			// Register operands are codec-representable, so the operand
+			// rounding of Codec.Mul is the identity and MulPre — fused with
+			// the accumulate for FP16 — yields the same bits.
+			in, acc := e.cbufIn[idx], e.acc[dx*k:(dx+1)*k]
+			if e.half {
+				numerics.HalfMulAddRow(acc, in, e.wreg)
+			} else {
+				for m, w := range e.wreg {
+					acc[m] += e.codec.MulPre(w, in)
+				}
+			}
+		}
+		e.cycle += end - e.dx
+		if e.dx = end; e.dx < bs {
+			return
+		}
+		e.endRow()
+	}
+	if n := min(bs*k-e.wb, stop-e.cycle); n > 0 {
+		e.drain(n, false)
+		e.cycle += n
+	}
+}
+
+// skipTile runs a tile that writes nothing — all its positions or all its
+// channels out of the layer's range — in one move when it ends by stop, and
+// reports whether it did. Its write-back drains what its MACs fill, so
+// of its cycles only the weights of its last load survive (DESIGN.md §12.1).
+func (e *Engine) skipTile(stop int64) bool {
+	s, k, bs := e.sched, int64(e.k), e.blockSize()
+	rows := max(e.cfgRed, 1)
+	end := e.cycle + rows*(1+bs) + bs*k
+	if e.blk*int64(e.t) < int64(s.numPos) && e.grp*k < int64(s.numCh) || end > stop {
+		return false
+	}
+	e.r = rows - 1
+	e.load()
+	copy(e.wreg, e.wload)
+	clear(e.acc[:bs*k])
+	e.r, e.cycle = 0, end
+	e.nextTile()
+	return true
+}
+
+// load fills the staging registers with row r of the group's weights, zero
+// for a MAC with no channel.
+func (e *Engine) load() {
+	s, k := e.sched, int64(e.k)
+	n := 0 // MACs with a channel: a run of row r of the weights
+	if live := min(e.cfgCh, int64(s.numCh)) - e.grp*k; live > 0 {
+		n = copy(e.wload[:min(live, k)], e.cbufW[s.wIndex(wrap(e.r, s.numRed), int(e.grp*k)):])
+	}
+	clear(e.wload[n:])
+}
+
+// endRow follows a reduction row's last MAC cycle: the next row's load, or
+// the write-back after the last.
+func (e *Engine) endRow() {
+	e.dx = 0
+	e.r++
+	if e.r >= e.cfgRed {
+		e.r, e.wb = 0, 0
+		e.phase = phaseWB
+	} else {
+		e.phase = phaseLoad
+	}
+}
+
+// drain runs n write-back cycles, one per entry wb: accumulator wb plus bias,
+// saturated, through the output register to its output when that is in
+// range. The last entry ends the tile. hot (n == 1) applies the fault's tap on
+// the output register.
+func (e *Engine) drain(n int64, hot bool) {
+	s, k := e.sched, int64(e.k)
+	p, m := e.blk*int64(e.t)+e.wb/k, e.wb%k // wb = dx*k + m, and dx < bs <= t
+	for end := e.wb + n; e.wb < end; e.wb++ {
+		c := e.grp*k + m
+		acc := e.acc[e.wb]
+		if e.l.Bias != nil && c < int64(len(e.l.Bias)) {
 			acc += e.l.Bias[c]
 		}
 		outv := e.codec.Saturate(acc)
 		if hot && e.hit(FFOutReg, -1) {
 			outv = e.flip32(outv)
 		}
-		if p >= 0 && p < int64(s.numPos) && c >= 0 && c < int64(s.numCh) {
+		if p < int64(s.numPos) && c < int64(s.numCh) {
 			off := s.outOffset(int(p), int(c))
 			e.out.Data()[off] = outv
 			if e.order != nil {
@@ -482,20 +578,28 @@ func (e *Engine) step() {
 			}
 		}
 		e.acc[e.wb] = 0
-		e.wb++
-		if e.wb >= bs*k {
-			e.grp++
-			if e.grp >= e.numGroups() {
-				e.grp = 0
-				e.blk++
-				if e.blk >= e.numBlocks() {
-					e.phase = phaseDone
-					return
-				}
-			}
-			e.phase = phaseLoad
+		if m++; m == k {
+			p, m = p+1, 0
 		}
 	}
+	if e.wb >= e.blockSize()*k {
+		e.nextTile()
+	}
+}
+
+// nextTile leaves a tile after its write-back: the next channel group, the
+// next block's first, or the end of the layer.
+func (e *Engine) nextTile() {
+	e.grp++
+	if e.grp >= e.numGroups() {
+		e.grp = 0
+		e.blk++
+		if e.blk >= e.numBlocks() {
+			e.phase = phaseDone
+			return
+		}
+	}
+	e.phase = phaseLoad
 }
 
 // macCycle is one MAC cycle at per-MAC detail: the wrapped operand read and
@@ -508,13 +612,12 @@ func (e *Engine) macCycle(p int64, hot bool) {
 		e.wreg[e.fault.Mac] = e.flip32(e.wreg[e.fault.Mac])
 	}
 	in, pad := e.readIn(p, e.r)
-	e.inputReg = in
 	if hot && e.hit(FFInputReg, -1) {
-		e.inputReg = e.flip32(e.inputReg)
+		in = e.flip32(in)
 	}
 	acc := e.acc[(int(e.dx)%e.t)*e.k:]
 	for m := 0; m < e.k; m++ {
-		prod := e.codec.Mul(e.wreg[m], e.inputReg)
+		prod := e.codec.Mul(e.wreg[m], in)
 		if hot && e.hit(FFProd, m) {
 			prod = e.flip32(prod)
 		}

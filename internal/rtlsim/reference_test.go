@@ -65,11 +65,21 @@ func tableIIILayers(codec numerics.Codec) map[string]*Layer {
 // the per-MAC path.
 func runDetailed(t testing.TB, cfg *accel.Config, l *Layer, f *Fault) *Outcome {
 	t.Helper()
+	return runLimited(t, cfg, l, f, 0, true)
+}
+
+// runLimited is the from-cycle-0 simulation under watchdog limit limit (0:
+// the design's), on the per-MAC path at every cycle when detailed.
+func runLimited(t testing.TB, cfg *accel.Config, l *Layer, f *Fault, limit int64, detailed bool) *Outcome {
+	t.Helper()
 	e, err := NewEngine(cfg, l, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.detailed = true
+	if limit > 0 {
+		e.maxCyc = limit
+	}
+	e.detailed = detailed
 	o, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -247,11 +257,40 @@ func TestReferenceKeepsWatchdog(t *testing.T) {
 		}
 	}
 
+	// cfg.red 5 → 7 in the first tile: every tile runs two more reduction
+	// rows, so the last tile (2 positions) writes back from end − 2k on. A
+	// limit on either side of that edge ends the run in its MAC phase or
+	// after its first write.
+	f := Fault{FF: FFCfgRed, Bit: 1, Cycle: start + 5}
+	long := runDetailed(t, cfg, l, &f)
+	if long.TimedOut || long.Cycles <= ref.Golden().Cycles+2*int64(cfg.AtomicK) {
+		t.Fatalf("%v: cycles %d, timed out %v: expected a longer run that finishes", &f, long.Cycles, long.TimedOut)
+	}
+	edge := long.Cycles - 2*int64(cfg.AtomicK)
+	var outs []*Outcome
+	for _, limit := range []int64{edge - 1, edge} {
+		want := runLimited(t, cfg, l, &f, limit, true)
+		if !want.TimedOut || want.Cycles != limit+1 {
+			t.Fatalf("%v under limit %d: cycles %d, timed out %v", &f, limit, want.Cycles, want.TimedOut)
+		}
+		r := *ref
+		r.maxCyc = limit
+		for name, got := range map[string]*Outcome{"Reference.Run": r.Run(f), "Run": runLimited(t, cfg, l, &f, limit, false)} {
+			if err := sameOutcome(got, want); err != nil {
+				t.Errorf("%s %v under limit %d: %v", name, &f, limit, err)
+			}
+		}
+		outs = append(outs, want)
+	}
+	if outs[0].Out.Equal(outs[1].Out) {
+		t.Error("the first write-back cycle wrote nothing visible: the case does not pin the edge")
+	}
+
 	// csc.blk 2 → 0 in the last block reruns the layer and re-converges at
 	// tile (0, 1); with the limit between the golden length and the
 	// projected one, the from-cycle-0 run times out on the way.
 	last := ref.snaps[2*ref.groups]
-	f := Fault{FF: FFCtrBlk, Bit: 1, Cycle: last.cycle + 3}
+	f = Fault{FF: FFCtrBlk, Bit: 1, Cycle: last.cycle + 3}
 	full := ref.Run(f)
 	if full.TimedOut || full.Cycles <= ref.Golden().Cycles {
 		t.Fatalf("%v: cycles %d, timed out %v: expected a longer run that finishes", &f, full.Cycles, full.TimedOut)
@@ -320,6 +359,60 @@ func TestLeanCycleMatchesDetailed(t *testing.T) {
 			}
 			if err := sameOutcome(lean, runDetailed(t, nvdla(), l, nil)); err != nil {
 				t.Errorf("%v %s: %v", prec, name, err)
+			}
+		}
+	}
+}
+
+// The tile skip and the watchdog jump must give what per-MAC stepping gives
+// from states no single fault reaches: a corrupted reduction length (0
+// included) together with tiles that write nothing, each with a csc.dx flip
+// at any later cycle — on a tile's first MAC cycle it multiplies by the
+// weights a skipped tile left in the held registers — and under lowered
+// limits.
+func TestSkipTileMatchesDetailed(t *testing.T) {
+	cfg := tinyDesign()
+	ref, err := NewReference(cfg, matmulLayer(63, numerics.MustCodec(numerics.FP16, 0), 10, 4, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, end := ref.ComputeWindow()
+	rows := map[string]func(e *Engine){
+		"cfg.red as is": func(*Engine) {},
+		"cfg.red 0":     func(e *Engine) { e.cfgRed = 0 },
+		"cfg.red 1":     func(e *Engine) { e.cfgRed = 1 },
+		"cfg.red up":    func(e *Engine) { e.cfgRed += 3 },
+	}
+	nothing := map[string]func(e *Engine){
+		"cfg.pos up":      func(e *Engine) { e.cfgPos += 8 },
+		"cfg.ch up":       func(e *Engine) { e.cfgCh += 8 },
+		"grp past groups": func(e *Engine) { e.grp = 2 },
+		"blk past blocks": func(e *Engine) { e.blk = 3 },
+	}
+	for rn, setRows := range rows {
+		for nn, setNothing := range nothing {
+			check := func(f *Fault, limit int64) {
+				var o [2]*Outcome
+				for i := range o {
+					e := ref.engine()
+					e.cycle = start
+					setRows(e)
+					setNothing(e)
+					if f != nil {
+						e.arm(*f)
+					}
+					e.maxCyc, e.detailed = limit, i == 1
+					o[i] = e.simulate(nil)
+				}
+				if err := sameOutcome(o[0], o[1]); err != nil {
+					t.Fatalf("%s, %s, limit %d, fault %v: %v", rn, nn, limit, f, err)
+				}
+			}
+			for _, limit := range []int64{start + 37, start + 61, end + 40, ref.maxCyc} {
+				check(nil, limit)
+			}
+			for cycle := start; cycle < 3*end; cycle++ {
+				check(&Fault{FF: FFCtrDx, Cycle: cycle}, ref.maxCyc)
 			}
 		}
 	}
@@ -404,8 +497,10 @@ func TestReferenceRunAllocs(t *testing.T) {
 	}
 }
 
-// FuzzReferenceRun holds Reference.Run to the from-cycle-0 per-MAC simulation
-// on any (FF, MAC, bit, cycle).
+// FuzzReferenceRun holds Reference.Run and the from-cycle-0 Run to the
+// from-cycle-0 per-MAC simulation on any (FF, MAC, bit, cycle) under a
+// watchdog limit of golden − 1 + extra cycles (the design's when extra is 0
+// or that is past it): a Reference serves no limit its golden run breaks.
 func FuzzReferenceRun(f *testing.F) {
 	cfg := tinyDesign()
 	l, _, _ := randConvLayer(61, numerics.MustCodec(numerics.FP16, 0), 5, 4, 2, 6, 2, 2, 1)
@@ -415,12 +510,20 @@ func FuzzReferenceRun(f *testing.F) {
 	}
 	// One seed per FF here; the hazards by name are in testdata/fuzz.
 	for i := range allFFs {
-		f.Add(uint8(i), 1, 14, ref.snaps[1].cycle+int64(3*i))
+		f.Add(uint8(i), 1, 14, ref.snaps[1].cycle+int64(3*i), uint16(0))
 	}
-	f.Fuzz(func(t *testing.T, ff uint8, mac, bit int, cycle int64) {
+	f.Fuzz(func(t *testing.T, ff uint8, mac, bit int, cycle int64, extra uint16) {
 		fault := Fault{FF: allFFs[int(ff)%len(allFFs)], Mac: mac, Bit: bit, Cycle: cycle}
-		if err := sameOutcome(ref.Run(fault), runDetailed(t, cfg, l, &fault)); err != nil {
-			t.Fatalf("%v: %v", &fault, err)
+		r := *ref
+		if extra > 0 {
+			r.maxCyc = min(ref.Golden().Cycles-1+int64(extra), ref.maxCyc)
+		}
+		want := runLimited(t, cfg, l, &fault, r.maxCyc, true)
+		if err := sameOutcome(r.Run(fault), want); err != nil {
+			t.Fatalf("Reference.Run %v under limit %d: %v", &fault, r.maxCyc, err)
+		}
+		if err := sameOutcome(runLimited(t, cfg, l, &fault, r.maxCyc, false), want); err != nil {
+			t.Fatalf("Run %v under limit %d: %v", &fault, r.maxCyc, err)
 		}
 	})
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fidelity/internal/numerics"
 )
 
 func TestNewAndIndexing(t *testing.T) {
@@ -142,6 +144,49 @@ func TestEqualAndDiff(t *testing.T) {
 	}
 	if diffs := a.DiffIndices(c, 0); len(diffs) != 1 || diffs[0] != 1 {
 		t.Errorf("NaN vs number should diff: %v", diffs)
+	}
+}
+
+// Equal is the exact-match verdict Validate takes from DiffIndices(u, 0):
+// NaN equals NaN whatever its sign and payload, +0 equals -0, each infinity
+// equals itself.
+func TestEqualMatchesEmptyDiff(t *testing.T) {
+	inf := math.Inf(1)
+	edges := []float32{
+		math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00000), // quiet NaNs, both signs
+		math.Float32frombits(0x7f800001), math.Float32frombits(0xff812345), // payloads
+		0, float32(math.Copysign(0, -1)), float32(inf), float32(-inf),
+		math.Float32frombits(1), math.Float32frombits(0x80000001), math.SmallestNonzeroFloat32 * 3, // float32 subnormals
+		5.9604645e-08, -6.097555e-05, // FP16 subnormals
+		math.MaxFloat32, 65504, -65504,
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 64; i++ {
+		edges = append(edges, numerics.RoundHalf(float32(rng.NormFloat64())))
+	}
+	check := func(a, b *Tensor) {
+		t.Helper()
+		want := len(a.DiffIndices(b, 0)) == 0
+		if a.Equal(b) != want || b.Equal(a) != want {
+			t.Fatalf("%v vs %v: Equal %v, %v; DiffIndices empty %v", a.Data(), b.Data(), a.Equal(b), b.Equal(a), want)
+		}
+	}
+	for _, x := range edges {
+		for _, y := range edges {
+			check(FromSlice([]float32{x}, 1), FromSlice([]float32{y}, 1))
+		}
+	}
+	// Longer tensors, equal but for the odd element.
+	for trial := 0; trial < 500; trial++ {
+		a, b := New(4), New(4)
+		for j := range a.Data() {
+			a.Data()[j] = edges[rng.Intn(len(edges))]
+			b.Data()[j] = a.Data()[j]
+		}
+		if rng.Intn(2) == 0 {
+			b.Data()[rng.Intn(4)] = edges[rng.Intn(len(edges))]
+		}
+		check(a, b)
 	}
 }
 
