@@ -87,13 +87,14 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
 # One iteration of the kernel benchmarks beside the code (internal/nn,
-# internal/numerics, internal/faultmodel, internal/rtlsim) — seconds, so they
-# cannot rot between `make bench` runs (HalfMulAddPanel, MulAddPanel,
-# QuantRoundInto, SaturateInto, MaxPoolRegion, ActivationApply, … each with
-# the lanes off and on where it has lanes).
-# For numbers: go test -run '^$$' -bench . -count 5 ./internal/nn ./internal/numerics ./internal/faultmodel ./internal/rtlsim
+# internal/numerics, internal/faultmodel, internal/inject, internal/rtlsim) —
+# seconds, so they cannot rot between `make bench` runs (HalfMulAddPanel,
+# MulAddPanel, QuantRoundInto, SaturateInto, MaxPoolRegion, ActivationApply, …
+# each with the lanes off and on where it has lanes; Experiment, one replayed
+# experiment per network and fault model, with its allocations).
+# For numbers: go test -run '^$$' -bench . -count 5 ./internal/nn ./internal/numerics ./internal/faultmodel ./internal/inject ./internal/rtlsim
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/nn ./internal/numerics ./internal/faultmodel ./internal/rtlsim
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/nn ./internal/numerics ./internal/faultmodel ./internal/inject ./internal/rtlsim
 
 # Every native fuzz target for 5 s each, from its committed seeds: the four
 # arithmetic ones (row primitives vs their Go loops, Reference.Run vs Run),

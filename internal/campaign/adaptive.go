@@ -1,10 +1,11 @@
 package campaign
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"fidelity/internal/dataset"
 	"fidelity/internal/faultmodel"
@@ -231,9 +232,9 @@ func PlanRound(strata []Stratum, history [][]int, tallies []Proportion, targetCI
 		floors += next[s]
 		order = append(order, s)
 	}
-	// Largest-remainder rounding; SliceStable keeps equal remainders in
+	// Largest-remainder rounding; a stable sort keeps equal remainders in
 	// ascending stratum order.
-	sort.SliceStable(order, func(i, j int) bool { return rem[order[i]] > rem[order[j]] })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(rem[b], rem[a]) })
 	for j := 0; j < budget-floors && j < len(order); j++ {
 		next[order[j]]++
 	}

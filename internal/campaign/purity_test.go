@@ -99,8 +99,8 @@ func TestExperimentPurity(t *testing.T) {
 						t.Fatalf("replay=%v shard %d cursor %+v %s: campaign observed %+v, alone it yields %+v",
 							withReplay, o.shard, o.cur, o.id, o.r, got)
 					}
-					if ranForward := o.id != faultmodel.GlobalControl; (got.Replay != nil) != (withReplay && ranForward) {
-						t.Fatalf("replay=%v %s: Result.Replay = %v", withReplay, o.id, got.Replay)
+					if ranForward := o.id != faultmodel.GlobalControl; got.Replayed != (withReplay && ranForward) {
+						t.Fatalf("replay=%v %s: Result.Replayed = %v", withReplay, o.id, got.Replayed)
 					}
 				}
 			}

@@ -67,12 +67,12 @@ func MeasureSpeedup(ctx context.Context, cfg *accel.Config, workloads []*ValWork
 		// Software fault injection: plan + apply + restore.
 		//lint:allow wallclock the Sec. VI speedup comparison IS a wall-clock measurement deliverable
 		swStart := time.Now()
+		var plan faultmodel.Plan // reused, as a campaign's injector reuses its own
 		for i := 0; i < iters; i++ {
-			plan, err := sampler.Plan(faultmodel.CBUFMACWeight, w.Site, 0, op)
-			if err != nil {
+			if err := sampler.PlanInto(&plan, faultmodel.CBUFMACWeight, w.Site, 0, op); err != nil {
 				return nil, err
 			}
-			changes := faultmodel.Apply(plan, w.Site, op)
+			changes := faultmodel.Apply(&plan, w.Site, op)
 			for _, c := range changes { // restore for the next iteration
 				op.Out.Data()[c.Flat] = c.Golden
 			}

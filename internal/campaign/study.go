@@ -1,11 +1,11 @@
 package campaign
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -341,6 +341,8 @@ type shardState struct {
 	sincePublish int
 	publishEvery int // experiment cadence between published snapshots
 	done         bool
+	window       []windowEntry  // runWindow's entries, kept across windows
+	order        []*windowEntry // and their execution order
 
 	mu        sync.Mutex
 	published ShardCheckpoint
@@ -492,7 +494,7 @@ func (sh *shardState) record(layer int, id faultmodel.ID, r inject.Result) {
 	}
 	if tel := sh.opts.Telemetry; tel != nil {
 		tel.RecordExperiment(id.String(), r.Outcome.String())
-		if r.Replay != nil {
+		if r.Replayed {
 			tel.RecordReplay(r.Replay.Skipped, r.Replay.Recomputed, r.Replay.RegionSwept,
 				r.Replay.ArenaReuses, r.Replay.MACsAvoided)
 		}
@@ -570,31 +572,15 @@ func (sh *shardState) attempt(ctx context.Context, cur Cursor, id faultmodel.ID,
 		return inject.Result{}, nil, err
 	}
 	sh.sampler.Reseed(experimentSeed(sh.seed, cur))
-	// Everything the experiment needs is captured by value or owned by it
-	// exclusively: on a watchdog kill the shard abandons inj and sampler to
-	// the zombie goroutine and continues on fresh ones, so they never race.
+	timeout := sh.opts.ExperimentTimeout
+	if timeout <= 0 {
+		return sh.experiment(ctx, sh.inj, cur, id, execIdx)
+	}
+	// The watchdog runs the experiment on a goroutine of its own, on the
+	// injector it was handed: on a watchdog kill the shard abandons inj and
+	// sampler to the zombie goroutine and continues on fresh ones, so they
+	// never race, and the rest of what it reads of sh never changes.
 	inj := sh.inj
-	shard, opts := sh.index, sh.opts
-	run := func() (r inject.Result, ff *frameworkFault, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				r, err = inject.Result{}, nil
-				ff = &frameworkFault{reason: ReasonPanic, detail: fmt.Sprint(p)}
-			}
-		}()
-		if c := opts.chaos; c != nil && c.experiment != nil {
-			c.experiment(shard, cur)
-		}
-		if execIdx >= 0 {
-			r, err = inj.RunAt(ctx, execIdx, id, opts.Tolerance)
-		} else {
-			r, err = inj.Run(ctx, id, opts.Tolerance)
-		}
-		return r, nil, err
-	}
-	if opts.ExperimentTimeout <= 0 {
-		return run()
-	}
 	type outcome struct {
 		r   inject.Result
 		ff  *frameworkFault
@@ -602,10 +588,10 @@ func (sh *shardState) attempt(ctx context.Context, cur Cursor, id faultmodel.ID,
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		r, ff, err := run()
+		r, ff, err := sh.experiment(ctx, inj, cur, id, execIdx)
 		ch <- outcome{r, ff, err}
 	}()
-	timer := time.NewTimer(opts.ExperimentTimeout)
+	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case o := <-ch:
@@ -618,9 +604,29 @@ func (sh *shardState) attempt(ctx context.Context, cur Cursor, id faultmodel.ID,
 		sh.inj, sh.sampler = nil, nil
 		return inject.Result{}, &frameworkFault{
 			reason: ReasonTimeout,
-			detail: fmt.Sprintf("exceeded %v", opts.ExperimentTimeout),
+			detail: fmt.Sprintf("exceeded %v", timeout),
 		}, nil
 	}
+}
+
+// experiment runs the experiment at cur on inj inside the recovery boundary:
+// a panic comes back as a frameworkFault.
+func (sh *shardState) experiment(ctx context.Context, inj *inject.Injector, cur Cursor, id faultmodel.ID, execIdx int) (r inject.Result, ff *frameworkFault, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			r, err = inject.Result{}, nil
+			ff = &frameworkFault{reason: ReasonPanic, detail: fmt.Sprint(p)}
+		}
+	}()
+	if c := sh.opts.chaos; c != nil && c.experiment != nil {
+		c.experiment(sh.index, cur)
+	}
+	if execIdx >= 0 {
+		r, err = inj.RunAt(ctx, execIdx, id, sh.opts.Tolerance)
+	} else {
+		r, err = inj.Run(ctx, id, sh.opts.Tolerance)
+	}
+	return r, nil, err
 }
 
 // windowEntry is one experiment of a supervised window.
@@ -668,13 +674,15 @@ func (sh *shardState) runWindow(ctx context.Context, cur *Cursor, id faultmodel.
 		return err
 	}
 
-	entries := make([]windowEntry, n)
-	order := make([]*windowEntry, 0, n)
+	if cap(sh.window) < n {
+		sh.window = make([]windowEntry, n)
+	}
+	entries, order := sh.window[:n], sh.order[:0]
 	grouped := execIdx < 0 && id != faultmodel.GlobalControl
 	for i := range entries {
 		c := start
 		c.Sample += i * stride
-		entries[i].cur = c
+		entries[i] = windowEntry{cur: c}
 		if sh.quarantined[c] {
 			// Quarantined on a previous run: skip bit-identically. Experiment
 			// streams are cursor-derived, so no draws need replaying.
@@ -689,8 +697,9 @@ func (sh *shardState) runWindow(ctx context.Context, cur *Cursor, id faultmodel.
 		}
 		order = append(order, &entries[i])
 	}
+	sh.order = order
 	if grouped {
-		sort.SliceStable(order, func(i, j int) bool { return order[i].exec < order[j].exec })
+		slices.SortStableFunc(order, func(a, b *windowEntry) int { return cmp.Compare(a.exec, b.exec) })
 	}
 
 	// Execution phase: results are buffered, nothing is committed yet.
@@ -917,15 +926,15 @@ func Study(ctx context.Context, cfg *accel.Config, w *model.Workload, opts Study
 	}
 	tel := opts.Telemetry
 
-	// Trace once for the Eq. 2 layer specs.
+	// The Eq. 2 layer specs come from input 0's golden trace, which the
+	// shards replay against anyway: the run's cache records it once.
 	phaseStart(tel, "trace")
-	x0, err := dataset.Sample(w.Dataset, 0)
+	g0, err := runner.opts.golden.get(w, 0, !opts.oracle)
+	phaseEnd(tel, "trace")
 	if err != nil {
-		phaseEnd(tel, "trace")
 		return nil, err
 	}
-	_, execs := w.Net.Trace(x0)
-	phaseEnd(tel, "trace")
+	execs := g0.Executions()
 
 	// Build the logical shards and their schedule, restoring from a matching
 	// checkpoint. The schedule may heal or advance what it restored, so the

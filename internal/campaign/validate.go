@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"fidelity/internal/accel"
 	"fidelity/internal/faultmodel"
@@ -340,18 +341,18 @@ func cdmaOverride(w *ValWorkload, f *rtlsim.Fault) *nn.Override {
 // uses the flipped element and require an exact full-tensor match.
 func (rep *ValidationReport) checkRecompute(w *ValWorkload, golden, faulty *tensor.Tensor, ov *nn.Override, f *rtlsim.Fault) error {
 	op := w.operands(golden)
-	neurons := w.Site.NeuronsUsingOperand(op, ov.Kind, ov.Flat)
+	neurons := w.Site.NeuronsUsingOperand(op, ov.Kind, ov.Flat, nil)
 	return rep.applyAndCompare(w, op, faulty, ov, f, neurons)
 }
 
 // checkRecomputeAt validates a windowed model: recompute exactly the
 // predicted neuron set.
-func (rep *ValidationReport) checkRecomputeAt(w *ValWorkload, golden, faulty *tensor.Tensor, ov *nn.Override, f *rtlsim.Fault, neurons [][]int) error {
+func (rep *ValidationReport) checkRecomputeAt(w *ValWorkload, golden, faulty *tensor.Tensor, ov *nn.Override, f *rtlsim.Fault, neurons []int) error {
 	op := w.operands(golden)
 	return rep.applyAndCompare(w, op, faulty, ov, f, neurons)
 }
 
-func (rep *ValidationReport) applyAndCompare(w *ValWorkload, op *nn.Operands, faulty *tensor.Tensor, ov *nn.Override, f *rtlsim.Fault, neurons [][]int) error {
+func (rep *ValidationReport) applyAndCompare(w *ValWorkload, op *nn.Operands, faulty *tensor.Tensor, ov *nn.Override, f *rtlsim.Fault, neurons []int) error {
 	codec := w.Site.Codec()
 	var stored float32
 	switch ov.Kind {
@@ -363,8 +364,8 @@ func (rep *ValidationReport) applyAndCompare(w *ValWorkload, op *nn.Operands, fa
 	ov.Value = f.Flip(codec, stored)
 	vals := make([]float32, len(neurons))
 	w.Site.ComputeNeurons(op, neurons, ov, vals)
-	for i, idx := range neurons {
-		op.Out.Set(vals[i], idx...)
+	for i, off := range neurons {
+		op.Out.Data()[off] = vals[i]
 	}
 	rep.DatapathChecked++
 	if op.Out.Equal(faulty) {
@@ -380,7 +381,7 @@ func (rep *ValidationReport) applyAndCompare(w *ValWorkload, op *nn.Operands, fa
 // checkNeuronSet validates set-only predictions (value is non-deterministic
 // in the software model): every RTL-corrupted neuron must be inside the
 // predicted set.
-func (rep *ValidationReport) checkNeuronSet(cfg *accel.Config, w *ValWorkload, golden, faulty *tensor.Tensor, set [][]int) error {
+func (rep *ValidationReport) checkNeuronSet(cfg *accel.Config, w *ValWorkload, golden, faulty *tensor.Tensor, set []int) error {
 	rep.SetChecked++
 	if setCovers(golden, faulty, set) {
 		rep.SetMatch++
@@ -393,13 +394,9 @@ func (rep *ValidationReport) checkNeuronSet(cfg *accel.Config, w *ValWorkload, g
 
 // setCovers reports whether all diffs between golden and faulty fall inside
 // the predicted neuron set.
-func setCovers(golden, faulty *tensor.Tensor, set [][]int) bool {
-	pred := map[int]bool{}
-	for _, idx := range set {
-		pred[golden.Offset(idx...)] = true
-	}
+func setCovers(golden, faulty *tensor.Tensor, set []int) bool {
 	for _, off := range golden.DiffIndices(faulty, 0) {
-		if !pred[off] {
+		if !slices.Contains(set, off) {
 			return false
 		}
 	}
@@ -408,13 +405,13 @@ func setCovers(golden, faulty *tensor.Tensor, set [][]int) bool {
 
 // groupNeurons is the Fig 2a target-a4 prediction: the position's full
 // channel group.
-func groupNeurons(cfg *accel.Config, ref *rtlsim.Reference, si rtlsim.SiteInfo) [][]int {
+func groupNeurons(cfg *accel.Config, ref *rtlsim.Reference, si rtlsim.SiteInfo) []int {
 	p := si.Position(cfg)
 	_, numCh, _ := ref.Dims()
-	var out [][]int
+	var out []int
 	for c := si.Grp * cfg.AtomicK; c < min(numCh, (si.Grp+1)*cfg.AtomicK); c++ {
 		if idx, err := ref.OutIndexOf(p, c); err == nil {
-			out = append(out, idx)
+			out = append(out, ref.Golden().Out.Offset(idx...))
 		}
 	}
 	return out
@@ -422,22 +419,22 @@ func groupNeurons(cfg *accel.Config, ref *rtlsim.Reference, si rtlsim.SiteInfo) 
 
 // weightNeurons is the Fig 2a target-a1/a2 prediction: the block positions
 // from start onward in MAC mac's channel.
-func weightNeurons(cfg *accel.Config, ref *rtlsim.Reference, si rtlsim.SiteInfo, mac, start int) [][]int {
+func weightNeurons(cfg *accel.Config, ref *rtlsim.Reference, si rtlsim.SiteInfo, mac, start int) []int {
 	c := si.Grp*cfg.AtomicK + mac
-	var out [][]int
+	var out []int
 	for dx := start; dx < si.BlockSize; dx++ {
 		if idx, err := ref.OutIndexOf(si.Blk*cfg.WeightHoldCycles+dx, c); err == nil {
-			out = append(out, idx)
+			out = append(out, ref.Golden().Out.Offset(idx...))
 		}
 	}
 	return out
 }
 
 // singleNeuron is the RF=1 prediction.
-func singleNeuron(cfg *accel.Config, ref *rtlsim.Reference, si rtlsim.SiteInfo, mac int) [][]int {
+func singleNeuron(cfg *accel.Config, ref *rtlsim.Reference, si rtlsim.SiteInfo, mac int) []int {
 	idx, err := ref.OutIndexOf(si.Position(cfg), si.Channel(cfg, mac))
 	if err != nil {
 		return nil
 	}
-	return [][]int{idx}
+	return []int{ref.Golden().Out.Offset(idx...)}
 }

@@ -2,7 +2,7 @@ package faultmodel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"fidelity/internal/nn"
 	"fidelity/internal/tensor"
@@ -29,8 +29,9 @@ type MemoryError struct {
 // MemoryPlan is the derived software fault model for a set of memory errors.
 type MemoryPlan struct {
 	Errors []MemoryError
-	// Neurons is the union of the per-word reuse sets, deduplicated.
-	Neurons [][]int
+	// Neurons is the union of the per-word reuse sets: output offsets,
+	// ascending and deduplicated.
+	Neurons []int
 }
 
 // PlanMemoryErrors derives the faulty neuron set for a set of memory errors
@@ -39,8 +40,7 @@ func PlanMemoryErrors(site nn.Site, op *nn.Operands, errs []MemoryError) (*Memor
 	if len(errs) == 0 {
 		return nil, fmt.Errorf("faultmodel: no memory errors given")
 	}
-	seen := map[int]bool{}
-	var neurons [][]int
+	var neurons []int
 	for _, e := range errs {
 		var buf *tensor.Tensor
 		switch e.Kind {
@@ -60,19 +60,11 @@ func PlanMemoryErrors(site nn.Site, op *nn.Operands, errs []MemoryError) (*Memor
 		if len(e.Bits) == 0 {
 			return nil, fmt.Errorf("faultmodel: memory error at word %d flips no bits", e.Word)
 		}
-		for _, idx := range site.NeuronsUsingOperand(op, e.Kind, e.Word) {
-			off := op.Out.Offset(idx...)
-			if !seen[off] {
-				seen[off] = true
-				neurons = append(neurons, idx)
-			}
-		}
+		neurons = site.NeuronsUsingOperand(op, e.Kind, e.Word, neurons)
 	}
 	// Deterministic order for reproducibility.
-	sort.Slice(neurons, func(i, j int) bool {
-		return op.Out.Offset(neurons[i]...) < op.Out.Offset(neurons[j]...)
-	})
-	return &MemoryPlan{Errors: errs, Neurons: neurons}, nil
+	slices.Sort(neurons)
+	return &MemoryPlan{Errors: errs, Neurons: slices.Compact(neurons)}, nil
 }
 
 // ApplyMemory executes a memory plan: flip the stored words, recompute every
@@ -106,5 +98,5 @@ func ApplyMemory(p *MemoryPlan, site nn.Site, op *nn.Operands) []Change {
 			wClone.Data()[e.Word] = v
 		}
 	}
-	return patchNeurons(site, &work, p.Neurons, nil)
+	return new(Plan).patch(site, &work, p.Neurons, nil)
 }

@@ -192,12 +192,13 @@ func TestPlanCBUFMACInputConv(t *testing.T) {
 	if len(p.Neurons) == 0 || len(p.Neurons) > 16 {
 		t.Fatalf("neuron window = %d, want 1..16", len(p.Neurons))
 	}
+	outC := op.Out.Dim(3)
 	first := p.Neurons[0]
-	for i, idx := range p.Neurons {
-		if idx[0] != first[0] || idx[1] != first[1] || idx[2] != first[2] {
-			t.Errorf("neuron %d not at same 2D position: %v vs %v", i, idx, first)
+	for i, off := range p.Neurons {
+		if off/outC != first/outC {
+			t.Errorf("neuron %d not at same 2D position: offset %d vs %d", i, off, first)
 		}
-		if i > 0 && idx[3] != p.Neurons[i-1][3]+1 {
+		if i > 0 && off != p.Neurons[i-1]+1 {
 			t.Errorf("channels not consecutive at %d", i)
 		}
 	}
@@ -207,9 +208,9 @@ func TestPlanCBUFMACInputConv(t *testing.T) {
 	x2.Data()[p.Override.Flat] = codec.FlipBit(x2.Data()[p.Override.Flat], p.Bit)
 	ref := conv.Forward(x2, nil)
 	Apply(p, site, op)
-	for _, idx := range p.Neurons {
-		if got, want := op.Out.At(idx...), ref.At(idx...); got != want {
-			t.Fatalf("patched %v = %v, want %v", idx, got, want)
+	for _, off := range p.Neurons {
+		if got, want := op.Out.Data()[off], ref.Data()[off]; got != want {
+			t.Fatalf("patched %d = %v, want %v", off, got, want)
 		}
 	}
 }
@@ -230,9 +231,10 @@ func TestPlanCBUFMACWeightConv(t *testing.T) {
 			t.Fatalf("neuron window = %d, want 1..16", len(p.Neurons))
 		}
 		sizes[len(p.Neurons)] = true
-		oc := p.Neurons[0][3]
-		for _, idx := range p.Neurons {
-			if idx[3] != oc {
+		outC := op.Out.Dim(3)
+		oc := p.Neurons[0] % outC
+		for _, off := range p.Neurons {
+			if off%outC != oc {
 				t.Fatalf("weight fault crossed output channels: %v", p.Neurons)
 			}
 		}
@@ -263,8 +265,8 @@ func TestPlanBeforeCBUFWeightConv(t *testing.T) {
 	changes := Apply(p, site, op)
 	// Every change must be inside the predicted set.
 	pred := map[int]bool{}
-	for _, idx := range p.Neurons {
-		pred[op.Out.Offset(idx...)] = true
+	for _, off := range p.Neurons {
+		pred[off] = true
 	}
 	for _, c := range changes {
 		if !pred[c.Flat] {
@@ -304,12 +306,12 @@ func TestPlanFCPatterns(t *testing.T) {
 	if len(p.Neurons) == 0 || len(p.Neurons) > 16 {
 		t.Fatalf("FC input window = %d", len(p.Neurons))
 	}
-	b := p.Neurons[0][0]
-	for i, idx := range p.Neurons {
-		if idx[0] != b {
+	b := p.Neurons[0] / 48
+	for i, off := range p.Neurons {
+		if off/48 != b {
 			t.Error("FC input fault crossed batch rows")
 		}
-		if i > 0 && idx[1] != p.Neurons[i-1][1]+1 {
+		if i > 0 && off != p.Neurons[i-1]+1 {
 			t.Error("FC input neurons not consecutive")
 		}
 	}
@@ -321,9 +323,9 @@ func TestPlanFCPatterns(t *testing.T) {
 	if len(p.Neurons) == 0 || len(p.Neurons) > 16 {
 		t.Fatalf("FC weight window = %d", len(p.Neurons))
 	}
-	o := p.Neurons[0][1]
-	for _, idx := range p.Neurons {
-		if idx[1] != o {
+	o := p.Neurons[0] % 48
+	for _, off := range p.Neurons {
+		if off%48 != o {
 			t.Error("FC weight fault must hit one output neuron index across rows")
 		}
 	}
@@ -346,9 +348,9 @@ func TestPlanMatMulPatterns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := p.Neurons[0][0]
-	for _, idx := range p.Neurons {
-		if idx[0] != row {
+	row := p.Neurons[0] / 24
+	for _, off := range p.Neurons {
+		if off/24 != row {
 			t.Error("matmul input fault crossed rows")
 		}
 	}
@@ -356,9 +358,9 @@ func TestPlanMatMulPatterns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := p.Neurons[0][1]
-	for _, idx := range p.Neurons {
-		if idx[1] != col {
+	col := p.Neurons[0] % 24
+	for _, off := range p.Neurons {
+		if off%24 != col {
 			t.Error("matmul weight fault crossed columns")
 		}
 	}
@@ -393,17 +395,17 @@ func TestApplyChangeOrder(t *testing.T) {
 	flat := op.In.Offset(0, 2, 3, 1)
 	p := &Plan{Model: BeforeCBUFInput, SiteName: site.Name(), Bit: 13,
 		Override: &nn.Override{Kind: nn.OperandInput, Flat: flat},
-		Neurons:  site.NeuronsUsingOperand(op, nn.OperandInput, flat)}
+		Neurons:  site.NeuronsUsingOperand(op, nn.OperandInput, flat, nil)}
 	if want := 9 * op.Out.Dim(3); len(p.Neurons) != want {
 		t.Fatalf("reuse set has %d neurons, want %d", len(p.Neurons), want)
 	}
 	ov := *p.Override
 	ov.Value = codec.FlipBit(op.In.Data()[flat], p.Bit)
 	var want []Change
-	for _, idx := range p.Neurons {
-		golden := op.Out.At(idx...)
-		if faulty := site.ComputeNeuron(op, idx, &ov); faulty != golden {
-			want = append(want, Change{Flat: op.Out.Offset(idx...), Golden: golden, Faulty: faulty})
+	for _, off := range p.Neurons {
+		golden := op.Out.Data()[off]
+		if faulty := site.ComputeNeuron(op, off, &ov); faulty != golden {
+			want = append(want, Change{Flat: off, Golden: golden, Faulty: faulty})
 		}
 	}
 	if len(want) < len(p.Neurons)/2 {

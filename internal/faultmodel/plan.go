@@ -28,13 +28,21 @@ type Plan struct {
 	// paper's "multiple single-cycle bit-flips in a single register"
 	// abstraction. Empty for plain SEUs.
 	ExtraBits []int
-	// Neurons are the output multi-indices to patch.
-	Neurons [][]int
+	// Neurons are the row-major output offsets to patch, ascending.
+	Neurons []int
 	// RandomValue is the replacement value for LocalControl plans.
 	RandomValue float32
 	// GlobalFailure marks a GlobalControl plan: the run is classified as a
 	// system failure without executing.
 	GlobalFailure bool
+
+	// A plan reused by PlanInto allocates nothing once warm: it owns the
+	// override Override points at, the buffer Neurons lies in (a reuse set,
+	// or the window cut from one), and Apply's recomputed values and changes.
+	ov      nn.Override
+	users   []int
+	faulty  []float32
+	changes []Change
 }
 
 // Sampler draws fault-injection plans using the accelerator's reuse
@@ -71,36 +79,48 @@ func (s *Sampler) Reseed(seed int64) { s.src.Seed(seed) }
 func (s *Sampler) Rand() *rand.Rand { return s.rng }
 
 // Plan samples a concrete injection for model id against one recorded layer
-// execution. op must be the operand set of that execution (shapes only are
-// used for sampling; values are read at apply time).
+// execution into a new Plan; see PlanInto.
 func (s *Sampler) Plan(id ID, site nn.Site, visit int, op *nn.Operands) (*Plan, error) {
-	m, ok := s.models[id]
-	if !ok {
-		return nil, fmt.Errorf("faultmodel: unknown model %v", id)
+	p := new(Plan)
+	if err := s.PlanInto(p, id, site, visit, op); err != nil {
+		return nil, err
 	}
-	p := &Plan{Model: id, SiteName: site.Name(), Visit: visit}
+	return p, nil
+}
+
+// PlanInto samples a concrete injection for model id against one recorded
+// layer execution into p, overwriting every field and reusing p's buffers:
+// the previous plan in p is gone, as are the changes its Apply returned. op
+// must be the operand set of that execution (shapes only are used for
+// sampling; values are read at apply time).
+func (s *Sampler) PlanInto(p *Plan, id ID, site nn.Site, visit int, op *nn.Operands) error {
+	if _, ok := s.models[id]; !ok {
+		return fmt.Errorf("faultmodel: unknown model %v", id)
+	}
+	*p = Plan{Model: id, SiteName: site.Name(), Visit: visit,
+		users: p.users[:0], faulty: p.faulty, changes: p.changes}
 	switch id {
 	case GlobalControl:
 		p.GlobalFailure = true
-		return p, nil
+		return nil
 
 	case LocalControl:
 		// RF = 1: one random output neuron receives a non-deterministic
 		// value, modeled as a uniformly random bit pattern of the datapath
 		// width (Sec. III-C).
-		flat := s.rng.Intn(op.Out.Size())
-		p.Neurons = [][]int{op.Out.Unflatten(flat)}
+		p.users = append(p.users, s.rng.Intn(op.Out.Size()))
+		p.Neurons = p.users
 		codec := site.Codec()
 		bits := uint32(s.rng.Int63()) & (uint32(1)<<uint(codec.Bits()) - 1)
 		p.RandomValue = codec.Decode(bits)
-		return p, nil
+		return nil
 
 	case OutputPSum:
 		// RF = 1: a bit-flip in the stored value of one output neuron.
-		flat := s.rng.Intn(op.Out.Size())
-		p.Neurons = [][]int{op.Out.Unflatten(flat)}
+		p.users = append(p.users, s.rng.Intn(op.Out.Size()))
+		p.Neurons = p.users
 		p.Bit = s.rng.Intn(site.Codec().Bits())
-		return p, nil
+		return nil
 
 	case BeforeCBUFInput, BeforeCBUFWeight:
 		kind := nn.OperandInput
@@ -110,119 +130,114 @@ func (s *Sampler) Plan(id ID, site nn.Site, visit int, op *nn.Operands) (*Plan, 
 			target = op.W
 		}
 		if target == nil {
-			return nil, fmt.Errorf("faultmodel: site %s has no %v operand", site.Name(), kind)
+			return fmt.Errorf("faultmodel: site %s has no %v operand", site.Name(), kind)
 		}
 		flat := s.rng.Intn(target.Size())
 		p.Bit = s.rng.Intn(site.Codec().Bits())
-		p.Override = &nn.Override{Kind: kind, Flat: flat}
+		p.override(kind, flat)
 		// All neurons that use the value (Table I row 1: determined by the
 		// scheduling/reuse algorithm — values in the on-chip buffer are
 		// reused for every MAC operation involving them). A buffer entry
 		// that no output consumes (e.g. an input pixel skipped by a strided
 		// kernel) yields an empty set: the fault is architecturally masked.
-		p.Neurons = site.NeuronsUsingOperand(op, kind, flat)
-		return p, nil
+		p.users = site.NeuronsUsingOperand(op, kind, flat, p.users)
+		p.Neurons = p.users
+		return nil
 
 	case CBUFMACInput:
-		return s.planCBUFInput(p, m, site, op)
+		return s.planCBUFInput(p, site, op)
 
 	case CBUFMACWeight:
-		return s.planCBUFWeight(p, m, site, op)
+		return s.planCBUFWeight(p, site, op)
 	}
-	return nil, fmt.Errorf("faultmodel: unhandled model %v", id)
+	return fmt.Errorf("faultmodel: unhandled model %v", id)
+}
+
+// override points p.Override at the plan's own override of operand element
+// (kind, flat).
+func (p *Plan) override(kind nn.OperandKind, flat int) {
+	p.ov = nn.Override{Kind: kind, Flat: flat}
+	p.Override = &p.ov
+}
+
+// drawUsed draws an element of the kind operand, of size elements, until some
+// output reads it (only values that stream through the register can be struck
+// there; strided kernels leave entries unread): the override's target, with
+// its reuse set in p.users.
+func (s *Sampler) drawUsed(p *Plan, site nn.Site, op *nn.Operands, kind nn.OperandKind, size int) error {
+	for try := 0; ; try++ {
+		flat := s.rng.Intn(size)
+		if p.users = site.NeuronsUsingOperand(op, kind, flat, p.users[:0]); len(p.users) > 0 {
+			p.override(kind, flat)
+			return nil
+		}
+		if try >= 64 {
+			return fmt.Errorf("faultmodel: no used %v element found at site %s", kind, site.Name())
+		}
+	}
 }
 
 // planCBUFInput realizes the Table II CBUF→MAC input row: the faulty input
 // value reaches the RF parallel compute units, so RF neurons that share the
 // value are corrupted. The RF-neuron window follows the layer kind's
 // schedule mapping.
-func (s *Sampler) planCBUFInput(p *Plan, m Model, site nn.Site, op *nn.Operands) (*Plan, error) {
+func (s *Sampler) planCBUFInput(p *Plan, site nn.Site, op *nn.Operands) error {
 	if op.In == nil {
-		return nil, fmt.Errorf("faultmodel: site %s has no input operand", site.Name())
+		return fmt.Errorf("faultmodel: site %s has no input operand", site.Name())
 	}
-	// Only values that actually stream through the broadcast register can be
-	// struck there, so resample until the element has users (strided kernels
-	// can leave some buffer entries unread).
-	var flat int
-	var users [][]int
-	for try := 0; ; try++ {
-		flat = s.rng.Intn(op.In.Size())
-		users = site.NeuronsUsingOperand(op, nn.OperandInput, flat)
-		if len(users) > 0 {
-			break
-		}
-		if try >= 64 {
-			return nil, fmt.Errorf("faultmodel: no used input element found at site %s", site.Name())
-		}
+	if err := s.drawUsed(p, site, op, nn.OperandInput, op.In.Size()); err != nil {
+		return err
 	}
 	p.Bit = s.rng.Intn(site.Codec().Bits())
-	p.Override = &nn.Override{Kind: nn.OperandInput, Flat: flat}
 	switch site.Kind() {
 	case nn.KindConv:
 		// RF neurons at the same 2-D position spanning RF consecutive
 		// channels (Fig 2a target a4). Pick one using position, then the
-		// aligned channel block containing its channel.
-		u := users[s.rng.Intn(len(users))]
+		// aligned channel block containing its channel, which takes the
+		// place of the users in their buffer.
+		u := p.users[s.rng.Intn(len(p.users))]
 		cdim := op.Out.Dim(op.Out.Rank() - 1)
-		c0 := (u[len(u)-1] / s.rf) * s.rf
-		p.Neurons = nil
+		pixel, c0 := u-u%cdim, u%cdim/s.rf*s.rf
+		p.Neurons = p.users[:0]
 		for c := c0; c < c0+s.rf && c < cdim; c++ {
-			idx := append(append([]int(nil), u[:len(u)-1]...), c)
-			p.Neurons = append(p.Neurons, idx)
+			p.Neurons = append(p.Neurons, pixel+c)
 		}
 	default:
 		// FC: RF consecutive output neurons of the using row; MatMul: RF
 		// consecutive neurons in the using output row. users are already
 		// ordered along that row.
-		start := (s.rng.Intn(len(users)) / s.rf) * s.rf
-		end := start + s.rf
-		if end > len(users) {
-			end = len(users)
-		}
-		p.Neurons = users[start:end]
+		start := (s.rng.Intn(len(p.users)) / s.rf) * s.rf
+		p.Neurons = p.users[start:min(start+s.rf, len(p.users))]
 	}
-	return p, nil
+	return nil
 }
 
 // planCBUFWeight realizes the Table II CBUF→MAC weight row: the weight
 // register holds its value for up to RF cycles, so a random injection cycle
 // corrupts a suffix of the RF-neuron window — "all or a subset of" the RF
 // consecutive neurons that reuse the weight (Fig 2a target a2).
-func (s *Sampler) planCBUFWeight(p *Plan, m Model, site nn.Site, op *nn.Operands) (*Plan, error) {
+func (s *Sampler) planCBUFWeight(p *Plan, site nn.Site, op *nn.Operands) error {
 	if op.W == nil {
-		return nil, fmt.Errorf("faultmodel: site %s has no weight operand", site.Name())
+		return fmt.Errorf("faultmodel: site %s has no weight operand", site.Name())
 	}
-	var flat int
-	var users [][]int
-	for try := 0; ; try++ {
-		flat = s.rng.Intn(op.W.Size())
-		users = site.NeuronsUsingOperand(op, nn.OperandWeight, flat)
-		if len(users) > 0 {
-			break
-		}
-		if try >= 64 {
-			return nil, fmt.Errorf("faultmodel: no used weight element found at site %s", site.Name())
-		}
+	if err := s.drawUsed(p, site, op, nn.OperandWeight, op.W.Size()); err != nil {
+		return err
 	}
 	p.Bit = s.rng.Intn(site.Codec().Bits())
-	p.Override = &nn.Override{Kind: nn.OperandWeight, Flat: flat}
 	// Model the random injection cycle within the hold window: choose an
 	// aligned RF window along the users sequence, then keep a random suffix
 	// (Sec. III-B1: neurons with timestamp >= p).
-	start := (s.rng.Intn(len(users)) / s.rf) * s.rf
-	end := start + s.rf
-	if end > len(users) {
-		end = len(users)
-	}
-	window := users[start:end]
+	start := (s.rng.Intn(len(p.users)) / s.rf) * s.rf
+	window := p.users[start:min(start+s.rf, len(p.users))]
 	suffix := s.rng.Intn(len(window)) // p in [0, window)
 	p.Neurons = window[suffix:]
-	return p, nil
+	return nil
 }
 
 // Apply executes a plan against a live layer execution, patching op.Out in
-// place. It returns the list of (flat index, golden, faulty) changes for
-// outcome analysis.
+// place and storing the faulty operand value in p.Override. It returns the
+// (flat index, golden, faulty) changes for outcome analysis, in a buffer of the
+// plan's that its next Apply or PlanInto overwrites.
 func Apply(p *Plan, site nn.Site, op *nn.Operands) []Change {
 	if p.GlobalFailure {
 		return nil
@@ -231,24 +246,25 @@ func Apply(p *Plan, site nn.Site, op *nn.Operands) []Change {
 	out := op.Out.Data()
 	switch p.Model {
 	case LocalControl:
-		off := op.Out.Offset(p.Neurons[0]...)
-		old := out[off]
+		off := p.Neurons[0]
+		p.changes = append(p.changes[:0], Change{Flat: off, Golden: out[off], Faulty: p.RandomValue})
 		out[off] = p.RandomValue
-		return []Change{{Flat: off, Golden: old, Faulty: p.RandomValue}}
+		return p.changes
 
 	case OutputPSum:
-		off := op.Out.Offset(p.Neurons[0]...)
+		off := p.Neurons[0]
 		old := out[off]
 		faulty := codec.FlipBit(old, p.Bit)
 		for _, b := range p.ExtraBits {
 			faulty = codec.FlipBit(faulty, b)
 		}
 		out[off] = faulty
-		return []Change{{Flat: off, Golden: old, Faulty: faulty}}
+		p.changes = append(p.changes[:0], Change{Flat: off, Golden: old, Faulty: faulty})
+		return p.changes
 	}
 	// Datapath recompute models: flip the stored operand bit and recompute
 	// every affected neuron with the override.
-	ov := *p.Override
+	ov := p.Override
 	var stored float32
 	switch ov.Kind {
 	case nn.OperandInput:
@@ -262,25 +278,27 @@ func Apply(p *Plan, site nn.Site, op *nn.Operands) []Change {
 	for _, b := range p.ExtraBits {
 		ov.Value = codec.FlipBit(ov.Value, b)
 	}
-	return patchNeurons(site, op, p.Neurons, &ov)
+	return p.patch(site, op, p.Neurons, ov)
 }
 
-// patchNeurons recomputes neurons with ov (nil: from op as it stands) and
-// stores every value that moved in op.Out, returning the moves in the order
-// of neurons.
-func patchNeurons(site nn.Site, op *nn.Operands, neurons [][]int, ov *nn.Override) []Change {
-	faulty := make([]float32, len(neurons))
+// patch recomputes neurons with ov (nil: from op as it stands) and stores
+// every value that moved in op.Out, returning the moves in the order of
+// neurons. The recomputed values and the moves go to the plan's buffers.
+func (p *Plan) patch(site nn.Site, op *nn.Operands, neurons []int, ov *nn.Override) []Change {
+	if cap(p.faulty) < len(neurons) {
+		p.faulty = make([]float32, len(neurons))
+	}
+	faulty := p.faulty[:len(neurons)]
 	site.ComputeNeurons(op, neurons, ov, faulty)
 	out := op.Out.Data()
-	var changes []Change
-	for i, idx := range neurons {
-		off := op.Out.Offset(idx...)
+	p.changes = p.changes[:0]
+	for i, off := range neurons {
 		if old := out[off]; faulty[i] != old {
 			out[off] = faulty[i]
-			changes = append(changes, Change{Flat: off, Golden: old, Faulty: faulty[i]})
+			p.changes = append(p.changes, Change{Flat: off, Golden: old, Faulty: faulty[i]})
 		}
 	}
-	return changes
+	return p.changes
 }
 
 // Change records one patched output neuron.

@@ -244,8 +244,8 @@ func TestHardenedCampaignWorkerDeterminism(t *testing.T) {
 				}
 			}
 			replay, oracle := rs[0], rs[1]
-			if id != faultmodel.GlobalControl && (replay.Replay == nil || oracle.Replay != nil) {
-				t.Fatalf("%s seed %d: Replay blocks %v / %v, want replay-only", id, seed, replay.Replay, oracle.Replay)
+			if id != faultmodel.GlobalControl && (!replay.Replayed || oracle.Replayed) {
+				t.Fatalf("%s seed %d: Replayed %v / %v, want replay-only", id, seed, replay.Replayed, oracle.Replayed)
 			}
 			if id != faultmodel.GlobalControl {
 				if replay.Harden.Saturated != oracle.Harden.Saturated {
@@ -254,7 +254,7 @@ func TestHardenedCampaignWorkerDeterminism(t *testing.T) {
 				}
 				saturated += oracle.Harden.Saturated
 			}
-			replay.Replay, replay.Harden, oracle.Harden = nil, nil, nil
+			replay.Replay, replay.Replayed, replay.Harden, oracle.Harden = inject.ReplayCost{}, false, nil, nil
 			if !reflect.DeepEqual(replay, oracle) {
 				t.Fatalf("%s seed %d: replay %+v != oracle %+v", id, seed, replay, oracle)
 			}

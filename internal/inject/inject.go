@@ -53,7 +53,7 @@ func (o Outcome) String() string {
 }
 
 // ReplayCost reports what the incremental replay engine did during one
-// experiment's forward pass. Nil on Results produced without it (the
+// experiment's forward pass. Zero on Results produced without it (the
 // plain-forward oracle, or global-control shortcuts that run no forward).
 type ReplayCost struct {
 	// Skipped counts layer executions served from the golden trace.
@@ -97,9 +97,10 @@ type Result struct {
 	MaxPerturbation float64
 	// Score is the application quality score vs. the golden output.
 	Score float64
-	// Replay carries the replay engine's per-experiment savings, nil when
-	// the experiment ran the full forward pass.
-	Replay *ReplayCost
+	// Replay carries the replay engine's per-experiment savings; Replayed is
+	// false when the experiment ran the full forward pass or none at all.
+	Replay   ReplayCost
+	Replayed bool
 	// Harden carries the clamp counters of a hardened network's forward
 	// pass, nil otherwise. Like Replay, it is run-cost telemetry, not part
 	// of the experiment outcome.
@@ -118,17 +119,19 @@ type Injector struct {
 	arena *nn.Arena
 	rctx  *nn.Context
 
-	// exp is the experiment in flight and hook its injection hook, bound once
-	// (PrepareGolden) so a run allocates neither. Reusing the record cannot
-	// race a hung experiment's goroutine: a watchdog kill abandons the whole
-	// injector.
-	exp  experiment
-	hook nn.Hook
+	// The experiment in flight, its hook (bound once, by PrepareGolden), the
+	// plan every experiment reuses and PredictTarget's stream: reusing them
+	// cannot race a hung experiment's goroutine, as a watchdog kill abandons
+	// the whole injector.
+	exp     experiment
+	hook    nn.Hook
+	plan    faultmodel.Plan
+	predict *rand.Rand
 }
 
 // New builds an injector for workload w with sampler s.
 func New(w *model.Workload, s *faultmodel.Sampler) *Injector {
-	return &Injector{W: w, Sampler: s}
+	return &Injector{W: w, Sampler: s, predict: rand.New(faultmodel.NewStreamSource(0))}
 }
 
 // experiment is what one run shares with its injection hook: the fault to
@@ -139,7 +142,7 @@ type experiment struct {
 	target nn.SiteExecution
 	fctx   *nn.Context
 
-	plan    *faultmodel.Plan
+	planned bool
 	changes []faultmodel.Change
 	err     error
 }
@@ -148,17 +151,18 @@ type experiment struct {
 // and applies it, exactly once.
 func (e *experiment) inject(site nn.Layer, visit int, op *nn.Operands) {
 	s, ok := site.(nn.Site)
-	if !ok || s != e.target.Site || visit != e.target.Visit || e.err != nil || e.plan != nil {
+	if !ok || s != e.target.Site || visit != e.target.Visit || e.err != nil || e.planned {
 		return
 	}
 	// One experiment injects exactly once: detach the hook so the rest of the
 	// traversal stops paying for dispatch and visit re-checks.
 	defer e.fctx.Detach()
-	e.plan, e.err = e.in.Sampler.Plan(e.id, s, visit, op)
-	if e.err != nil {
+	p := &e.in.plan
+	if e.err = e.in.Sampler.PlanInto(p, e.id, s, visit, op); e.err != nil {
 		return
 	}
-	e.changes = faultmodel.Apply(e.plan, s, op)
+	e.planned = true
+	e.changes = faultmodel.Apply(p, s, op)
 }
 
 // Golden is the recorded golden state for one input: the decoded clean
@@ -203,6 +207,9 @@ func TraceGolden(w *model.Workload, x *tensor.Tensor, withReplay bool) (*Golden,
 	}
 	return g, nil
 }
+
+// Executions returns the recorded site executions in order (shared: read only).
+func (g *Golden) Executions() []nn.SiteExecution { return g.execs }
 
 // PrepareGolden initializes the injector from a shared Golden of its own
 // workload, skipping the golden forward pass. The injector's execution mode
@@ -260,14 +267,15 @@ func (in *Injector) pickExec() nn.SiteExecution {
 
 // PredictTarget returns the execution index a Run whose experiment stream is
 // seeded at seed will target, without touching the injector's own sampler.
-// The target draw is the first Float64 of the stream (pickExec), so a scratch
-// generator over the same seed reproduces it exactly. Campaigns use this to
-// group a batch of cursor-derived experiments by target site before running
-// them: grouping is sound precisely because each experiment re-derives its
-// whole stream from its cursor seed, so execution order cannot change any
-// drawn value.
+// The target draw is the first Float64 of the stream (pickExec), so the
+// injector's scratch generator reseeded at the same seed reproduces it
+// exactly. Campaigns use this to group a batch of cursor-derived experiments
+// by target site before running them: grouping is sound precisely because
+// each experiment re-derives its whole stream from its cursor seed, so
+// execution order cannot change any drawn value.
 func (in *Injector) PredictTarget(seed int64) int {
-	r := rand.New(faultmodel.NewStreamSource(seed)).Float64() * in.g.total
+	in.predict.Seed(seed)
+	r := in.predict.Float64() * in.g.total
 	for i, w := range in.g.weights {
 		r -= w
 		if r <= 0 {
@@ -336,7 +344,7 @@ func (in *Injector) run(ctx context.Context, id faultmodel.ID, tol float64, exec
 		e.fctx.SetTarget(target.Site, target.Visit, in.hook)
 		out = in.W.Net.ForwardWithContext(in.g.input, e.fctx)
 		st := e.fctx.Stats()
-		res.Replay = &ReplayCost{
+		res.Replay = ReplayCost{
 			Skipped:     st.Skipped,
 			Recomputed:  st.Recomputed,
 			Converged:   st.Converged,
@@ -344,6 +352,7 @@ func (in *Injector) run(ctx context.Context, id faultmodel.ID, tol float64, exec
 			MACsAvoided: st.MACsAvoided,
 			ArenaReuses: in.arena.Reuses() - arenaBase,
 		}
+		res.Replayed = true
 	} else {
 		e.fctx = nn.NewContext(in.hook)
 		out = in.W.Net.ForwardWithContext(in.g.input, e.fctx)
@@ -355,7 +364,7 @@ func (in *Injector) run(ctx context.Context, id faultmodel.ID, tol float64, exec
 	if e.err != nil {
 		return Result{}, e.err
 	}
-	if e.plan == nil {
+	if !e.planned {
 		return Result{}, fmt.Errorf("inject: target execution %s#%d not reached", target.Site.Name(), target.Visit)
 	}
 

@@ -29,7 +29,8 @@ func benchConvTile(b *testing.B, zeroFrac float64) {
 			d[i] = 0
 		}
 	}
-	out := tensor.New(l.OutputShape(x.Shape())...)
+	oh, ow := l.outHW(x.Dim(1), x.Dim(2))
+	out := tensor.New(x.Dim(0), oh, ow, l.OutC)
 	a := l.kernelArgs(new(convArgs), x, out, codec.RoundSlice(x.Data()), 0)
 	accs := make([]float32, a.outC)
 	b.ReportAllocs()
@@ -168,7 +169,7 @@ func BenchmarkComputeNeuron(b *testing.B) {
 	x.RandNormal(rng, 1)
 	codec.RoundInto(x.Data(), x.Data()) // a stored activation is a half already
 	op := &Operands{In: x, W: l.W, B: l.B, Out: l.Forward(x, nil)}
-	idx := []int{0, 8, 8, 3}
+	off := (8*16+8)*16 + 3 // neuron (0, 8, 8, 3)
 	for _, bc := range []struct {
 		name string
 		ov   *Override
@@ -180,7 +181,7 @@ func BenchmarkComputeNeuron(b *testing.B) {
 			b.ReportAllocs()
 			var sink float32
 			for i := 0; i < b.N; i++ {
-				sink += l.ComputeNeuron(op, idx, bc.ov)
+				sink += l.ComputeNeuron(op, off, bc.ov)
 			}
 			_ = sink
 			reportMACs(b, 3*3*16)

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 
 	"fidelity/internal/numerics"
@@ -105,14 +106,6 @@ func (l *Conv2D) Kind() Kind { return KindConv }
 // Codec implements Site.
 func (l *Conv2D) Codec() numerics.Codec { return l.codec }
 
-// OutputShape returns the NHWC output shape for an NHWC input shape.
-func (l *Conv2D) OutputShape(in []int) []int {
-	n, h, w := in[0], in[1], in[2]
-	oh := (h+2*l.Pad-l.KH)/l.Stride + 1
-	ow := (w+2*l.Pad-l.KW)/l.Stride + 1
-	return []int{n, oh, ow, l.OutC}
-}
-
 // Forward implements Layer. The fast path below pre-rounds both operand
 // buffers once and accumulates with MulPre; it is bit-identical to calling
 // ComputeNeuron per output neuron (the per-channel accumulation order is the
@@ -122,21 +115,26 @@ func (l *Conv2D) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s expects NHWC input with %d channels, got %v", l.name, l.InC, x.Shape()))
 	}
 	return ctx.exec(l, func() *tensor.Tensor {
-		os := l.OutputShape(x.Shape())
-		out := ctx.newTensor(os...)
-		op := &Operands{In: x, W: l.W, B: l.B, Out: out}
-
-		rin := l.codec.RoundSlice(x.Data())
+		oh, ow := l.outHW(x.Dim(1), x.Dim(2))
+		out := ctx.newTensor(x.Dim(0), oh, ow, l.OutC)
+		sc := ctx.scratch()
+		rin := round(&sc.in, l.codec, x.Data())
 		if UseReferenceKernels() {
 			convForwardRef(l, x, out, rin, l.wcache.get(l.codec, l.W).rw)
 		} else {
-			convForward(l.kernelArgs(ctx.convArgs(), x, out, rin, 0), ctx.convAccs(l.OutC))
+			sc.accs = grow(sc.accs, l.OutC)
+			convForward(l.kernelArgs(&sc.cargs, x, out, rin, 0), sc.accs)
 		}
-		ctx.fire(l, op)
+		ctx.fire(l, sc.operands(x, l.W, l.B, out))
 		return out
 	}, func(out *tensor.Tensor) *Operands {
-		return &Operands{In: x, W: l.W, B: l.B, Out: out}
+		return ctx.scratch().operands(x, l.W, l.B, out)
 	}, x)
+}
+
+// outHW returns the output height and width for an h×w input.
+func (l *Conv2D) outHW(h, w int) (oh, ow int) {
+	return (h+2*l.Pad-l.KH)/l.Stride + 1, (w+2*l.Pad-l.KW)/l.Stride + 1
 }
 
 // kernelArgs assembles, in a, the tiled-kernel argument block for one forward
@@ -163,11 +161,13 @@ func (l *Conv2D) kernelArgs(a *convArgs, x, out *tensor.Tensor, rin []float32, r
 // ComputeNeuron implements Site. The accumulation order is (kh, kw, ic)
 // row-major, matching both the software convolution and the rtlsim MAC
 // sequencing so that faulty values agree bit-for-bit.
-func (l *Conv2D) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
-	b, oy, ox, oc := idx[0], idx[1], idx[2], idx[3]
+func (l *Conv2D) ComputeNeuron(op *Operands, off int, ov *Override) float32 {
 	in := op.In
 	w := op.W
 	h, wd := in.Dim(1), in.Dim(2)
+	oh, ow := l.outHW(h, wd)
+	oc, pix := off%l.OutC, off/l.OutC
+	b, oy, ox := pix/(oh*ow), pix/ow%oh, pix%ow
 	// Flat row-major indexing throughout: this runs once per affected neuron
 	// per datapath fault, and the variadic At/Offset accessors allocate their
 	// index slice per call — a quarter of campaign wall clock before this.
@@ -235,14 +235,13 @@ func (l *Conv2D) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
 
 // NeuronsUsingOperand implements Site. Every reuse set of a convolution is a
 // box of the output: batches × rows × columns × channels, enumerated in that
-// order.
-func (l *Conv2D) NeuronsUsingOperand(op *Operands, kind OperandKind, flat int) [][]int {
-	os := l.OutputShape(op.In.Shape())
-	n, oh, ow := os[0], os[1], os[2]
+// order, which is ascending offset order.
+func (l *Conv2D) NeuronsUsingOperand(op *Operands, kind OperandKind, flat int, dst []int) []int {
+	n, h, w := op.In.Dim(0), op.In.Dim(1), op.In.Dim(2)
+	oh, ow := l.outHW(h, w)
 	b0, b1, oy0, oy1, ox0, ox1, c0, c1 := 0, n, 0, oh, 0, ow, 0, l.OutC
 	switch kind {
 	case OperandInput:
-		h, w := op.In.Dim(1), op.In.Dim(2)
 		ic, ix, iy, b := flat%l.InC, flat/l.InC%w, flat/(l.InC*w)%h, flat/(l.InC*w*h)
 		// The output rows oy with oy*Stride + ky - Pad == iy for some ky in
 		// [0,KH) are one range, and the columns likewise; all output channels
@@ -261,25 +260,23 @@ func (l *Conv2D) NeuronsUsingOperand(op *Operands, kind OperandKind, flat int) [
 	case OperandBias:
 		c0, c1 = flat, flat+1
 	case OperandOutput:
-		return [][]int{op.Out.Unflatten(flat)}
+		return append(dst, flat)
 	default:
-		return nil
+		return dst
 	}
 	if oy0 >= oy1 || ox0 >= ox1 {
-		return nil
+		return dst
 	}
-	out := indexTuples((b1-b0)*(oy1-oy0)*(ox1-ox0)*(c1-c0), 4)
-	i := 0
+	dst = slices.Grow(dst, (b1-b0)*(oy1-oy0)*(ox1-ox0)*(c1-c0))
 	for b := b0; b < b1; b++ {
 		for oy := oy0; oy < oy1; oy++ {
 			for ox := ox0; ox < ox1; ox++ {
+				pixel := ((b*oh+oy)*ow + ox) * l.OutC
 				for oc := c0; oc < c1; oc++ {
-					idx := out[i]
-					idx[0], idx[1], idx[2], idx[3] = b, oy, ox, oc
-					i++
+					dst = append(dst, pixel+oc)
 				}
 			}
 		}
 	}
-	return out
+	return dst
 }

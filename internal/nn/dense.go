@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"fidelity/internal/numerics"
 	"fidelity/internal/tensor"
@@ -66,13 +67,11 @@ func (l *Dense) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s expects %d features, got shape %v", l.name, l.In, x.Shape()))
 	}
 	return ctx.exec(l, func() *tensor.Tensor {
-		flat := x.Reshape(batch, l.In)
 		out := ctx.newTensor(batch, l.Out)
-		op := &Operands{In: flat, W: l.W, B: l.B, Out: out}
-
 		// Fast path: pre-rounded operands, per-output-neuron accumulation in
 		// the same order as ComputeNeuron (bit-identical; see Conv2D.Forward).
-		rin := l.codec.RoundSlice(flat.Data())
+		sc := ctx.scratch()
+		rin := round(&sc.in, l.codec, x.Data())
 		rw := l.wcache.get(l.codec, l.W)
 		if UseReferenceKernels() {
 			denseForwardRef(l, out, rin, rw.rw, batch)
@@ -81,23 +80,33 @@ func (l *Dense) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 			if l.B != nil {
 				bias = l.B.Data()
 			}
-			denseForward(&denseArgs{
+			sc.dargs = denseArgs{
 				rin: rin, rw: rw.rw, bias: bias, out: out.Data(),
 				batch: batch, in: l.In, outN: l.Out,
 				fp16:     l.codec.Precision() == numerics.FP16,
 				skipZero: rw.finite, codec: l.codec,
-			})
+			}
+			denseForward(&sc.dargs)
 		}
-		ctx.fire(l, op)
+		ctx.fire(l, sc.operands(l.matrix(x), l.W, l.B, out))
 		return out
 	}, func(out *tensor.Tensor) *Operands {
-		return &Operands{In: x.Reshape(batch, l.In), W: l.W, B: l.B, Out: out}
+		return ctx.scratch().operands(l.matrix(x), l.W, l.B, out)
 	}, x)
 }
 
+// matrix returns x as the (batch, In) input the hook sees: x itself when it is
+// rank 2 already, a view otherwise.
+func (l *Dense) matrix(x *tensor.Tensor) *tensor.Tensor {
+	if x.Rank() == 2 {
+		return x
+	}
+	return x.Reshape(x.Dim(0), l.In)
+}
+
 // ComputeNeuron implements Site.
-func (l *Dense) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
-	b, o := idx[0], idx[1]
+func (l *Dense) ComputeNeuron(op *Operands, off int, ov *Override) float32 {
+	b, o := off/l.Out, off%l.Out
 	in := op.In
 	// Reuse the pre-rounded weight cache; bit-identical via the MulPre
 	// invariant (see Conv2D.ComputeNeuron).
@@ -133,28 +142,29 @@ func (l *Dense) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
 // NeuronsUsingOperand implements Site. Per Table II: a faulty input value
 // affects all neurons of its batch row; a faulty weight value W[i,o] affects
 // neuron o in every batch.
-func (l *Dense) NeuronsUsingOperand(op *Operands, kind OperandKind, flat int) [][]int {
-	batch := op.In.Dim(0)
+func (l *Dense) NeuronsUsingOperand(op *Operands, kind OperandKind, flat int, dst []int) []int {
 	switch kind {
 	case OperandInput:
-		b := flat / l.In
-		out := indexTuples(l.Out, 2)
-		for o, idx := range out {
-			idx[0], idx[1] = b, o
-		}
-		return out
+		row := flat / l.In * l.Out
+		return appendStrided(dst, row, 1, l.Out)
 	case OperandWeight, OperandBias:
 		o := flat // the bias element is the neuron's column
 		if kind == OperandWeight {
 			o = flat % l.Out
 		}
-		out := indexTuples(batch, 2)
-		for b, idx := range out {
-			idx[0], idx[1] = b, o
-		}
-		return out
+		return appendStrided(dst, o, l.Out, op.In.Dim(0))
 	case OperandOutput:
-		return [][]int{op.Out.Unflatten(flat)}
+		return append(dst, flat)
 	}
-	return nil
+	return dst
+}
+
+// appendStrided appends the n offsets first, first+stride, … to dst: a row of
+// a rank-2 output (stride 1) or a column of it (stride the row width).
+func appendStrided(dst []int, first, stride, n int) []int {
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, first+i*stride)
+	}
+	return dst
 }

@@ -67,41 +67,41 @@ func TestDenseComputeNeuronOverride(t *testing.T) {
 	l2.W, l2.B = w2, l.B
 	ref := l2.Forward(x, nil)
 
-	affected := l.NeuronsUsingOperand(op, OperandWeight, flat)
+	affected := l.NeuronsUsingOperand(op, OperandWeight, flat, nil)
 	if len(affected) != 2 { // one per batch
 		t.Fatalf("weight reuse set = %d, want 2", len(affected))
 	}
-	for _, idx := range affected {
-		if idx[1] != 2 {
-			t.Fatalf("weight W[3,2] should affect output neuron 2, got %v", idx)
+	for _, off := range affected {
+		if off%5 != 2 {
+			t.Fatalf("weight W[3,2] should affect output neuron 2, got offset %d", off)
 		}
-		got := l.ComputeNeuron(op, idx, ov)
-		if math.Abs(float64(got-ref.At(idx...))) > 1e-4 {
-			t.Fatalf("override mismatch at %v: %v vs %v", idx, got, ref.At(idx...))
+		got := l.ComputeNeuron(op, off, ov)
+		if math.Abs(float64(got-ref.Data()[off])) > 1e-4 {
+			t.Fatalf("override mismatch at %d: %v vs %v", off, got, ref.Data()[off])
 		}
 	}
 
 	// Input override: all output neurons of that batch are affected.
 	inFlat := x.Offset(1, 4)
-	inSet := l.NeuronsUsingOperand(op, OperandInput, inFlat)
+	inSet := l.NeuronsUsingOperand(op, OperandInput, inFlat, nil)
 	if len(inSet) != 5 {
 		t.Fatalf("input reuse set = %d, want 5", len(inSet))
 	}
-	for _, idx := range inSet {
-		if idx[0] != 1 {
-			t.Fatalf("input of batch 1 should only affect batch 1, got %v", idx)
+	for _, off := range inSet {
+		if off/5 != 1 {
+			t.Fatalf("input of batch 1 should only affect batch 1, got offset %d", off)
 		}
 	}
 
 	// Bias override affects neuron `flat` in every batch.
-	bSet := l.NeuronsUsingOperand(op, OperandBias, 3)
-	if len(bSet) != 2 || bSet[0][1] != 3 {
+	bSet := l.NeuronsUsingOperand(op, OperandBias, 3, nil)
+	if len(bSet) != 2 || bSet[0] != 3 || bSet[1] != 8 {
 		t.Fatalf("bias reuse set = %v", bSet)
 	}
 
 	// Output override is the neuron itself.
-	oSet := l.NeuronsUsingOperand(op, OperandOutput, 7)
-	if len(oSet) != 1 {
+	oSet := l.NeuronsUsingOperand(op, OperandOutput, 7, nil)
+	if len(oSet) != 1 || oSet[0] != 7 {
 		t.Fatalf("output reuse set = %v", oSet)
 	}
 }
@@ -163,23 +163,23 @@ func TestMatMulSiteReuseSets(t *testing.T) {
 	out := tensor.New(3, 5)
 	op := &Operands{In: a, W: b, Out: out}
 	// A[1,2] affects the whole output row 1.
-	set := m.NeuronsUsingOperand(op, OperandInput, a.Offset(1, 2))
+	set := m.NeuronsUsingOperand(op, OperandInput, a.Offset(1, 2), nil)
 	if len(set) != 5 {
 		t.Fatalf("input reuse = %d, want 5", len(set))
 	}
-	for _, idx := range set {
-		if idx[0] != 1 {
-			t.Fatalf("input reuse should stay in row 1: %v", idx)
+	for _, off := range set {
+		if off/5 != 1 {
+			t.Fatalf("input reuse should stay in row 1: offset %d", off)
 		}
 	}
 	// B[2,3] affects the whole output column 3.
-	set = m.NeuronsUsingOperand(op, OperandWeight, b.Offset(2, 3))
+	set = m.NeuronsUsingOperand(op, OperandWeight, b.Offset(2, 3), nil)
 	if len(set) != 3 {
 		t.Fatalf("weight reuse = %d, want 3", len(set))
 	}
-	for _, idx := range set {
-		if idx[1] != 3 {
-			t.Fatalf("weight reuse should stay in column 3: %v", idx)
+	for _, off := range set {
+		if off%5 != 3 {
+			t.Fatalf("weight reuse should stay in column 3: offset %d", off)
 		}
 	}
 }
@@ -207,10 +207,10 @@ func TestMatMulSiteOverride(t *testing.T) {
 	b2.Data()[flat] = 9
 	ref := m.Run(a, b2, nil)
 	ov := &Override{Kind: OperandWeight, Flat: flat, Value: 9}
-	for _, idx := range m.NeuronsUsingOperand(op, OperandWeight, flat) {
-		got := m.ComputeNeuron(op, idx, ov)
-		if math.Abs(float64(got-ref.At(idx...))) > 1e-4 {
-			t.Fatalf("override mismatch at %v", idx)
+	for _, off := range m.NeuronsUsingOperand(op, OperandWeight, flat, nil) {
+		got := m.ComputeNeuron(op, off, ov)
+		if math.Abs(float64(got-ref.Data()[off])) > 1e-4 {
+			t.Fatalf("override mismatch at %d", off)
 		}
 	}
 }

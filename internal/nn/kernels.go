@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 
 	"fidelity/internal/numerics"
+	"fidelity/internal/tensor"
 )
 
 // referenceKernels routes layer forwards through the pre-tiling reference
@@ -197,27 +198,43 @@ func convTile(a *convArgs, bi, oy0, oy1, ox0, ox1 int, accs []float32) {
 	}
 }
 
-// convAccs returns the context's accumulator scratch for one serial convTile
-// sweep, n elements long (contents arbitrary: convTile zeroes it per pixel). A
-// nil context gets a fresh slice.
-func (c *Context) convAccs(n int) []float32 {
-	if c == nil {
-		return make([]float32, n)
-	}
-	if cap(c.accs) < n {
-		c.accs = make([]float32, n)
-	}
-	return c.accs[:n]
+// scratch is what a context keeps from one execution to the next, so that an
+// execution allocates only its output: conv accumulators, rounded operands (in;
+// w, a matmul's second), kernel arguments, GlobalAvgPool's sums and the hook's
+// operand set, whose ComputeNeurons calls reuse in, w and cargs.
+type scratch struct {
+	accs, in, w []float32
+	cargs       convArgs
+	dargs       denseArgs
+	margs       matmulArgs
+	sums        []float64
+	ops         Operands
 }
 
-// convArgs returns the context's kernel argument block, kept beside accs for
-// the same reason (Conv2D.kernelArgs overwrites all of it). A nil context gets
-// a fresh one.
-func (c *Context) convArgs() *convArgs {
+// scratch returns the context's scratch, or fresh scratch for a nil context.
+func (c *Context) scratch() *scratch {
 	if c == nil {
-		return new(convArgs)
+		return new(scratch)
 	}
-	return &c.cargs
+	return &c.sc
+}
+
+// round returns the codec's rounding of src: src itself at FP32, where
+// rounding is the identity, else *buf grown to hold it.
+func round(buf *[]float32, codec numerics.Codec, src []float32) []float32 {
+	if codec.Precision() == numerics.FP32 {
+		return src
+	}
+	*buf = grow(*buf, len(src))
+	codec.RoundInto(*buf, src)
+	return *buf
+}
+
+// operands returns the operand set of one site execution for the hook, in the
+// block the next execution rewrites.
+func (s *scratch) operands(in, w, b, out *tensor.Tensor) *Operands {
+	s.ops = Operands{In: in, W: w, B: b, Out: out, sc: s}
+	return &s.ops
 }
 
 // convForward runs the tiled convolution over the whole output, splitting the

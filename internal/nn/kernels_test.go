@@ -113,9 +113,9 @@ func checkNeurons(t *testing.T, label string, site Site, op *Operands) {
 	od := op.Out.Data()
 	step := 1 + len(od)/4096
 	for flat := 0; flat < len(od); flat += step {
-		if got := site.ComputeNeuron(op, op.Out.Unflatten(flat), nil); !sameValue(got, od[flat]) {
-			t.Fatalf("%s: ComputeNeuron(%v) = %v [%#08x], forward %v [%#08x]", label,
-				op.Out.Unflatten(flat), got, math.Float32bits(got), od[flat], math.Float32bits(od[flat]))
+		if got := site.ComputeNeuron(op, flat, nil); !sameValue(got, od[flat]) {
+			t.Fatalf("%s: ComputeNeuron(%d) = %v [%#08x], forward %v [%#08x]", label,
+				flat, got, math.Float32bits(got), od[flat], math.Float32bits(od[flat]))
 		}
 	}
 }

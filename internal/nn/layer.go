@@ -96,8 +96,8 @@ type Override struct {
 	Value float32
 }
 
-// Operands is the full operand view of a compute layer execution handed to
-// the injection hook. Out may be patched in place.
+// Operands is the operand view of a compute layer execution handed to the
+// hook, reused by the next one: a hook copies what it keeps. Out may be patched.
 type Operands struct {
 	// In is the layer input (operand A of a matmul site).
 	In *tensor.Tensor
@@ -108,6 +108,8 @@ type Operands struct {
 	B *tensor.Tensor
 	// Out is the computed output; hooks may modify it in place.
 	Out *tensor.Tensor
+
+	sc *scratch // the context's, when it handed out this operand set
 }
 
 // Hook is invoked by a compute layer after it produces its output. site is
@@ -157,11 +159,7 @@ type Context struct {
 	clamps map[Layer]Bound
 	hstats HardenStats
 
-	// accs is convolution accumulator scratch (convAccs) and cargs the kernel
-	// argument block (convArgs), kept from one execution to the next: a
-	// context runs one layer at a time.
-	accs  []float32
-	cargs convArgs
+	sc scratch
 }
 
 // NewContext builds a context that invokes hook at every compute site.
@@ -204,30 +202,18 @@ type Site interface {
 	Kind() Kind
 	// Codec returns the datapath number format of the site.
 	Codec() numerics.Codec
-	// ComputeNeuron recomputes the single output neuron at multi-index idx
-	// from the operand set, applying ov if non-nil.
-	ComputeNeuron(op *Operands, idx []int, ov *Override) float32
+	// ComputeNeuron recomputes the single output neuron at row-major output
+	// offset off from the operand set, applying ov if non-nil.
+	ComputeNeuron(op *Operands, off int, ov *Override) float32
 	// ComputeNeurons stores in dst[i] what ComputeNeuron returns for
 	// neurons[i], bit for bit, recomputing a whole reuse set at the tile
 	// kernels' speed (recompute.go). dst must be as long as neurons.
-	ComputeNeurons(op *Operands, neurons [][]int, ov *Override, dst []float32)
-	// NeuronsUsingOperand returns the multi-indices of all output neurons
-	// whose computation consumes operand element (kind, flat), given the
-	// operand shapes in op. This is the full reuse set of the value.
-	NeuronsUsingOperand(op *Operands, kind OperandKind, flat int) [][]int
-}
-
-// indexTuples returns n multi-indices of the given rank, zeroed, for a
-// NeuronsUsingOperand to fill in: two allocations whatever n is, one backing
-// array and the slice of tuples over it, each capped at its own end so that an
-// append to one cannot run into the next.
-func indexTuples(n, rank int) [][]int {
-	flat := make([]int, n*rank)
-	out := make([][]int, n)
-	for i := range out {
-		out[i] = flat[i*rank : (i+1)*rank : (i+1)*rank]
-	}
-	return out
+	ComputeNeurons(op *Operands, neurons []int, ov *Override, dst []float32)
+	// NeuronsUsingOperand appends to dst, in ascending order, the output
+	// offsets of all neurons whose computation consumes operand element
+	// (kind, flat), given the operand shapes in op, and returns the extended
+	// slice. This is the full reuse set of the value.
+	NeuronsUsingOperand(op *Operands, kind OperandKind, flat int, dst []int) []int
 }
 
 // Sequential chains layers.

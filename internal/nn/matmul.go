@@ -59,44 +59,46 @@ func (l *MatMulSite) Run(a, b *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	}
 	return ctx.exec(l, func() *tensor.Tensor {
 		out := ctx.newTensor(m, n)
-		op := &Operands{In: a, W: b, Out: out}
-
 		// Fast path (bit-identical to per-neuron ComputeNeuron; see
 		// Conv2D.Forward). No rounded-weight cache here: operand B is an
 		// activation that changes every pass, so both operands are rounded
-		// into pooled scratch, given back before the hook (whose recompute
-		// draws on the same pool) runs.
-		sc := recomputePool.Get().(*recomputeScratch)
-		sc.in, sc.w = grow(sc.in, m*k), grow(sc.w, k*n)
-		ra, rb := sc.in, sc.w
-		l.codec.RoundInto(ra, a.Data())
+		// into the context's scratch.
+		sc := ctx.scratch()
+		ra := round(&sc.in, l.codec, a.Data())
 		if UseReferenceKernels() {
-			l.codec.RoundInto(rb, b.Data())
-			matmulForwardRef(l, out, ra, rb, m, k, n)
+			matmulForwardRef(l, out, ra, round(&sc.w, l.codec, b.Data()), m, k, n)
 		} else {
 			// The tiled kernel takes B as k×n: a TransposeB operand is
 			// transposed here, once, so that every row of the product is one
 			// panel (DESIGN.md §7.6). Rounding is element-wise: it commutes.
 			bd := b.Data()
 			if l.TransposeB {
-				transposeInto(rb, bd, n, k)
-				bd = rb
+				sc.w = grow(sc.w, k*n)
+				bd = sc.w
+				transposeInto(bd, b.Data(), n, k)
 			}
-			l.codec.RoundInto(rb, bd)
-			matmulForward(&matmulArgs{
-				ra: ra, rb: rb, out: out.Data(),
+			sc.margs = matmulArgs{
+				ra: ra, rb: round(&sc.w, l.codec, bd), out: out.Data(),
 				m: m, k: k, n: n,
 				scaleOut: l.ScaleOut,
 				fp16:     l.codec.Precision() == numerics.FP16,
 				codec:    l.codec,
-			})
+			}
+			matmulForward(&sc.margs)
 		}
-		recomputePool.Put(sc)
-		ctx.fire(l, op)
+		ctx.fire(l, sc.operands(a, b, nil, out))
 		return out
 	}, func(out *tensor.Tensor) *Operands {
-		return &Operands{In: a, W: b, Out: out}
+		return ctx.scratch().operands(a, b, nil, out)
 	}, a, b)
+}
+
+// cols returns the product's column count for second operand b.
+func (l *MatMulSite) cols(b *tensor.Tensor) int {
+	if l.TransposeB {
+		return b.Dim(0)
+	}
+	return b.Dim(1)
 }
 
 // transposeInto stores the rows×cols matrix src in dst as cols×rows.
@@ -109,9 +111,10 @@ func transposeInto(dst, src []float32, rows, cols int) {
 }
 
 // ComputeNeuron implements Site.
-func (l *MatMulSite) ComputeNeuron(op *Operands, idx []int, ov *Override) float32 {
-	i, j := idx[0], idx[1]
+func (l *MatMulSite) ComputeNeuron(op *Operands, off int, ov *Override) float32 {
 	a, b := op.In, op.W
+	n := l.cols(b)
+	i, j := off/n, off%n
 	k := a.Dim(1)
 	// Flat row-major indexing: the variadic accessors allocate per call and
 	// this is the per-fault hot loop (see Conv2D.ComputeNeuron).
@@ -146,32 +149,19 @@ func (l *MatMulSite) ComputeNeuron(op *Operands, idx []int, ov *Override) float3
 // NeuronsUsingOperand implements Site. Per Table II: a faulty A element
 // affects all neurons in its output row; a faulty B element affects all
 // neurons in its output column.
-func (l *MatMulSite) NeuronsUsingOperand(op *Operands, kind OperandKind, flat int) [][]int {
-	m := op.In.Dim(0)
-	n := op.W.Dim(1)
-	if l.TransposeB {
-		n = op.W.Dim(0)
-	}
+func (l *MatMulSite) NeuronsUsingOperand(op *Operands, kind OperandKind, flat int, dst []int) []int {
+	n := l.cols(op.W)
 	switch kind {
 	case OperandInput:
-		i := flat / op.In.Dim(1)
-		out := indexTuples(n, 2)
-		for j, idx := range out {
-			idx[0], idx[1] = i, j
-		}
-		return out
+		return appendStrided(dst, flat/op.In.Dim(1)*n, 1, n)
 	case OperandWeight:
 		j := flat % op.W.Dim(1) // column of the product
 		if l.TransposeB {
 			j = flat / op.W.Dim(1)
 		}
-		out := indexTuples(m, 2)
-		for i, idx := range out {
-			idx[0], idx[1] = i, j
-		}
-		return out
+		return appendStrided(dst, j, n, op.In.Dim(0))
 	case OperandOutput:
-		return [][]int{op.Out.Unflatten(flat)}
+		return append(dst, flat)
 	}
-	return nil
+	return dst
 }

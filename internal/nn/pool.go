@@ -159,7 +159,9 @@ func (l *GlobalAvgPool) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 		out := ctx.newTensor(n, c)
 		inv := 1 / float32(h*w)
 		xd, od := x.Data(), out.Data()
-		sums := make([]float64, c)
+		sc := ctx.scratch()
+		sc.sums = grow(sc.sums, c)
+		sums := sc.sums
 		// Flattened single pass; each channel's float64 sum still accumulates
 		// spatial positions in (y, x) ascending order, so the result is
 		// bit-identical to the naive per-channel walk.
@@ -175,7 +177,7 @@ func (l *GlobalAvgPool) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 					sums[ch] += float64(v)
 				}
 			}
-			orow := od[b*c : (b+1)*c]
+			orow := od[b*c : (b+1)*c][:len(sums)]
 			for ch := range orow {
 				orow[ch] = l.codec.Round(float32(sums[ch]) * inv)
 			}

@@ -21,29 +21,39 @@ import (
 	"fidelity/internal/tensor"
 )
 
-// recomputeScratch holds the rounded operand windows of one ComputeNeurons
-// call. Pooled: a call comes once per experiment from whichever shard
-// goroutine runs it, and the input window of a weight fault is a whole image.
-type recomputeScratch struct {
-	in, w []float32
-	cargs convArgs
+// recomputePool holds the scratch of ComputeNeurons calls on an operand set no
+// context handed out: the rounded operand windows (in, w) and cargs.
+var recomputePool = sync.Pool{New: func() any { return new(scratch) }}
+
+// scratch returns the scratch of one ComputeNeurons call on op: that of the
+// context whose hook op was handed to — the execution is over by then — or
+// one from the pool, which release gives back.
+func (op *Operands) scratch() *scratch {
+	if op.sc != nil {
+		return op.sc
+	}
+	return recomputePool.Get().(*scratch)
 }
 
-var recomputePool = sync.Pool{New: func() any { return new(recomputeScratch) }}
+func (op *Operands) release(sc *scratch) {
+	if op.sc == nil {
+		recomputePool.Put(sc)
+	}
+}
 
 // grow returns s with length n, reallocated when its capacity is short;
 // contents are arbitrary.
-func grow(s []float32, n int) []float32 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
 // computeEach is ComputeNeurons by definition: one ComputeNeuron per neuron.
-func computeEach(s Site, op *Operands, neurons [][]int, ov *Override, dst []float32) {
-	for i, idx := range neurons {
-		dst[i] = s.ComputeNeuron(op, idx, ov)
+func computeEach(s Site, op *Operands, neurons []int, ov *Override, dst []float32) {
+	for i, off := range neurons {
+		dst[i] = s.ComputeNeuron(op, off, ov)
 	}
 }
 
@@ -77,30 +87,24 @@ func finishNeuron(codec numerics.Codec, bias *tensor.Tensor, ov *Override, oc in
 }
 
 // runEnd returns the end of the maximal run that starts at neurons[lo]: the
-// neurons that share its leading indices and step its last index by one each.
-func runEnd(neurons [][]int, lo int) int {
+// neurons at the consecutive offsets after it that stay in its vector of the
+// output's last axis, width elements long.
+func runEnd(neurons []int, lo, width int) int {
 	first := neurons[lo]
-	last := len(first) - 1
-	for hi := lo + 1; hi < len(neurons); hi++ {
-		idx := neurons[hi]
-		if idx[last] != first[last]+hi-lo {
-			return hi
-		}
-		for d := 0; d < last; d++ {
-			if idx[d] != first[d] {
-				return hi
-			}
-		}
+	hi, end := lo+1, min(len(neurons), lo+width-first%width)
+	for hi < end && neurons[hi] == first+hi-lo {
+		hi++
 	}
-	return len(neurons)
+	return hi
 }
 
-// oneChannel reports whether every neuron has the same last index: the reuse
-// set of a weight, which the run split would cut into runs of one.
-func oneChannel(neurons [][]int) bool {
-	last := len(neurons[0]) - 1
-	for _, idx := range neurons[1:] {
-		if idx[last] != neurons[0][last] {
+// oneChannel reports whether every neuron lies at the same position of the
+// output's last axis, width elements long: the reuse set of a weight, which
+// the run split would cut into runs of one.
+func oneChannel(neurons []int, width int) bool {
+	c := neurons[0] % width
+	for _, off := range neurons[1:] {
+		if off%width != c {
 			return false
 		}
 	}
@@ -130,7 +134,7 @@ func weightColumn(codec numerics.Codec, col, rw []float32, stride, c, wFlat int,
 }
 
 // ComputeNeurons implements Site.
-func (l *Conv2D) ComputeNeurons(op *Operands, neurons [][]int, ov *Override, dst []float32) {
+func (l *Conv2D) ComputeNeurons(op *Operands, neurons []int, ov *Override, dst []float32) {
 	if len(neurons) == 0 {
 		return
 	}
@@ -138,30 +142,31 @@ func (l *Conv2D) ComputeNeurons(op *Operands, neurons [][]int, ov *Override, dst
 		computeEach(l, op, neurons, ov, dst)
 		return
 	}
-	sc := recomputePool.Get().(*recomputeScratch)
-	defer recomputePool.Put(sc)
+	sc := op.scratch()
+	defer op.release(sc)
 	a := l.kernelArgs(&sc.cargs, op.In, op.Out, nil, 0)
 	inFlat, wFlat := ov.targets()
 	ind := op.In.Data()
 	rowStride := a.w * a.inC
+	imgSize := a.oh * a.ow * a.outC
 
 	// A weight's reuse set: its output channel's weight column, contiguous,
 	// against each pixel's contiguous input.
 	var col []float32
-	if oneChannel(neurons) {
-		oc := neurons[0][3]
+	if oneChannel(neurons, a.outC) {
 		sc.w = grow(sc.w, a.kh*a.kw*a.inC)
 		col = sc.w
-		weightColumn(l.codec, col, a.rw, a.outC, oc, wFlat, ov)
+		weightColumn(l.codec, col, a.rw, a.outC, neurons[0]%a.outC, wFlat, ov)
 	}
 
 	for lo := 0; lo < len(neurons); {
 		// The neurons of one batch image, and the input box they read.
-		bi := neurons[lo][0]
+		bi := neurons[lo] / imgSize
 		hi := lo
 		oy0, oy1, ox0, ox1 := a.oh, -1, a.ow, -1
-		for ; hi < len(neurons) && neurons[hi][0] == bi; hi++ {
-			oy, ox := neurons[hi][1], neurons[hi][2]
+		for ; hi < len(neurons) && neurons[hi]/imgSize == bi; hi++ {
+			pix := neurons[hi] / a.outC
+			oy, ox := pix/a.ow%a.oh, pix%a.ow
 			oy0, oy1 = min(oy0, oy), max(oy1, oy)
 			ox0, ox1 = min(ox0, ox), max(ox1, ox)
 		}
@@ -181,13 +186,14 @@ func (l *Conv2D) ComputeNeurons(op *Operands, neurons [][]int, ov *Override, dst
 		}
 
 		for i := lo; i < hi; {
-			oy, ox, c0 := neurons[i][1], neurons[i][2], neurons[i][3]
+			pix, c0 := neurons[i]/a.outC, neurons[i]%a.outC
+			oy, ox := pix/a.ow%a.oh, pix%a.ow
 			if col != nil {
 				dst[i] = finishNeuron(l.codec, op.B, ov, c0, convColumn(a, col, bi, oy, ox))
 				i++
 				continue
 			}
-			end := runEnd(neurons[:hi], i)
+			end := runEnd(neurons[:hi], i, a.outC)
 			run := dst[i:end]
 			convPixel(a, bi, oy, ox, c0, run)
 			for c, acc := range run {
@@ -225,7 +231,7 @@ func convColumn(a *convArgs, col []float32, bi, oy, ox int) float32 {
 }
 
 // ComputeNeurons implements Site.
-func (l *Dense) ComputeNeurons(op *Operands, neurons [][]int, ov *Override, dst []float32) {
+func (l *Dense) ComputeNeurons(op *Operands, neurons []int, ov *Override, dst []float32) {
 	if len(neurons) == 0 {
 		return
 	}
@@ -233,25 +239,24 @@ func (l *Dense) ComputeNeurons(op *Operands, neurons [][]int, ov *Override, dst 
 		computeEach(l, op, neurons, ov, dst)
 		return
 	}
-	sc := recomputePool.Get().(*recomputeScratch)
-	defer recomputePool.Put(sc)
+	sc := op.scratch()
+	defer op.release(sc)
 	rw := l.wcache.get(l.codec, l.W)
 	fp16 := l.codec.Precision() == numerics.FP16
 	inFlat, wFlat := ov.targets()
 	ind := op.In.Data()
 
 	var col []float32
-	if oneChannel(neurons) {
-		o := neurons[0][1]
+	if oneChannel(neurons, l.Out) {
 		sc.w = grow(sc.w, l.In)
 		col = sc.w
-		weightColumn(l.codec, col, rw.rw, l.Out, o, wFlat, ov)
+		weightColumn(l.codec, col, rw.rw, l.Out, neurons[0]%l.Out, wFlat, ov)
 	}
 
 	sc.in = grow(sc.in, l.In)
 	rin, rounded := sc.in, -1
 	for i := 0; i < len(neurons); {
-		b, o0 := neurons[i][0], neurons[i][1]
+		b, o0 := neurons[i]/l.Out, neurons[i]%l.Out
 		if b != rounded {
 			roundRow(l.codec, rin, ind[b*l.In:(b+1)*l.In], b*l.In, inFlat, ov)
 			rounded = b
@@ -261,7 +266,7 @@ func (l *Dense) ComputeNeurons(op *Operands, neurons [][]int, ov *Override, dst 
 			i++
 			continue
 		}
-		end := runEnd(neurons, i)
+		end := runEnd(neurons, i, l.Out)
 		run := dst[i:end]
 		clear(run)
 		mulAddPanel(fp16, rw.finite, run, rin, rw.rw[o0:], l.Out)
@@ -279,16 +284,16 @@ func (l *Dense) ComputeNeurons(op *Operands, neurons [][]int, ov *Override, dst 
 // ComputeNeurons implements Site. Operand B is an activation: there is no
 // rounded cache, so the columns of B a run multiplies by are rounded here, as
 // Run rounds all of it, and an override of B is patched into them.
-func (l *MatMulSite) ComputeNeurons(op *Operands, neurons [][]int, ov *Override, dst []float32) {
+func (l *MatMulSite) ComputeNeurons(op *Operands, neurons []int, ov *Override, dst []float32) {
 	if len(neurons) == 0 {
 		return
 	}
-	sc := recomputePool.Get().(*recomputeScratch)
-	defer recomputePool.Put(sc)
+	sc := op.scratch()
+	defer op.release(sc)
 	fp16 := l.codec.Precision() == numerics.FP16
 	inFlat, wFlat := ov.targets()
 	ad, bd := op.In.Data(), op.W.Data()
-	k, bcols := op.In.Dim(1), op.W.Dim(1)
+	k, bcols, n := op.In.Dim(1), op.W.Dim(1), l.cols(op.W)
 
 	// roundB stores in sc.w, as a k×(j1-j0) panel, the part of B that output
 	// columns [j0, j1) multiply by: the k rows of B cut down to those columns,
@@ -311,14 +316,14 @@ func (l *MatMulSite) ComputeNeurons(op *Operands, neurons [][]int, ov *Override,
 		return rb
 	}
 	var col []float32
-	if oneChannel(neurons) {
-		col = roundB(neurons[0][1], neurons[0][1]+1)
+	if oneChannel(neurons, n) {
+		col = roundB(neurons[0]%n, neurons[0]%n+1)
 	}
 
 	sc.in = grow(sc.in, k)
 	rin, rounded := sc.in, -1
 	for i := 0; i < len(neurons); {
-		row, j0 := neurons[i][0], neurons[i][1]
+		row, j0 := neurons[i]/n, neurons[i]%n
 		if row != rounded {
 			roundRow(l.codec, rin, ad[row*k:(row+1)*k], row*k, inFlat, ov)
 			rounded = row
@@ -327,7 +332,7 @@ func (l *MatMulSite) ComputeNeurons(op *Operands, neurons [][]int, ov *Override,
 		if col != nil {
 			dst[i] = dotRow(fp16, 0, rin, col)
 		} else {
-			end = runEnd(neurons, i)
+			end = runEnd(neurons, i, n)
 			run := dst[i:end]
 			clear(run)
 			mulAddPanel(fp16, false, run, rin, roundB(j0, j0+len(run)), len(run))

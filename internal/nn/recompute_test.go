@@ -32,14 +32,14 @@ func checkComputeNeurons(t *testing.T, label string, rng *rand.Rand, site Site, 
 	defer func() { numericsHasAVX2 = detected }()
 	outSize := op.Out.Size()
 	lastDim := op.Out.Dim(op.Out.Rank() - 1)
-	sample := func(n int, channel int) [][]int {
-		set := make([][]int, n)
+	sample := func(n int, channel int) []int {
+		set := make([]int, n)
 		for i := range set {
 			flat := rng.Intn(outSize)
 			if channel >= 0 {
 				flat = flat/lastDim*lastDim + channel
 			}
-			set[i] = op.Out.Unflatten(flat)
+			set[i] = flat
 		}
 		return set
 	}
@@ -49,7 +49,7 @@ func checkComputeNeurons(t *testing.T, label string, rng *rand.Rand, site Site, 
 	}
 	for trial := 0; trial < 8; trial++ {
 		var ov *Override
-		sets := map[string][][]int{
+		sets := map[string][]int{
 			"sample":      sample(40, -1),
 			"one-channel": sample(12, rng.Intn(lastDim)),
 			"one-neuron":  sample(1, -1),
@@ -59,13 +59,13 @@ func checkComputeNeurons(t *testing.T, label string, rng *rand.Rand, site Site, 
 			kind := kinds[rng.Intn(len(kinds))]
 			operand := map[OperandKind]*tensor.Tensor{OperandInput: op.In, OperandWeight: op.W, OperandBias: op.B}[kind]
 			ov = &Override{Kind: kind, Flat: rng.Intn(operand.Size()), Value: overrideValues[rng.Intn(len(overrideValues))]}
-			reuse := site.NeuronsUsingOperand(op, kind, ov.Flat)
+			reuse := site.NeuronsUsingOperand(op, kind, ov.Flat, nil)
 			if len(reuse) > 600 { // a weight of a large map: a window of its users
 				lo := rng.Intn(len(reuse) - 600)
 				reuse = reuse[lo : lo+600]
 			}
 			sets["reuse"] = reuse
-			shuffled := append([][]int(nil), reuse...)
+			shuffled := append([]int(nil), reuse...)
 			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 			sets["reuse-shuffled"] = shuffled
 		}
@@ -74,10 +74,10 @@ func checkComputeNeurons(t *testing.T, label string, rng *rand.Rand, site Site, 
 				numericsHasAVX2 = lanes
 				got := make([]float32, len(set))
 				site.ComputeNeurons(op, set, ov, got)
-				for i, idx := range set {
-					if want := site.ComputeNeuron(op, idx, ov); !sameValue(got[i], want) {
-						t.Fatalf("%s: %s set, override %+v, lanes %v: ComputeNeurons[%d] (neuron %v) = %v [%#08x], ComputeNeuron %v [%#08x]",
-							label, name, ov, lanes, i, idx, got[i], math.Float32bits(got[i]), want, math.Float32bits(want))
+				for i, off := range set {
+					if want := site.ComputeNeuron(op, off, ov); !sameValue(got[i], want) {
+						t.Fatalf("%s: %s set, override %+v, lanes %v: ComputeNeurons[%d] (neuron %d) = %v [%#08x], ComputeNeuron %v [%#08x]",
+							label, name, ov, lanes, i, off, got[i], math.Float32bits(got[i]), want, math.Float32bits(want))
 					}
 				}
 				if !detected {
@@ -181,7 +181,7 @@ func TestComputeNeuronsConcurrent(t *testing.T) {
 	op := &Operands{In: x, W: l.W, B: l.B, Out: l.Forward(x, nil)}
 	type job struct {
 		ov   *Override
-		set  [][]int
+		set  []int
 		want []float32
 	}
 	jobs := make([]job, 16)
@@ -191,7 +191,7 @@ func TestComputeNeuronsConcurrent(t *testing.T) {
 			kind, operand = OperandWeight, op.W
 		}
 		ov := &Override{Kind: kind, Flat: rng.Intn(operand.Size()), Value: float32(rng.NormFloat64() * 8)}
-		set := l.NeuronsUsingOperand(op, kind, ov.Flat)
+		set := l.NeuronsUsingOperand(op, kind, ov.Flat, nil)
 		want := make([]float32, len(set))
 		computeEach(l, op, set, ov, want)
 		jobs[i] = job{ov, set, want}
@@ -219,9 +219,99 @@ func TestComputeNeuronsConcurrent(t *testing.T) {
 	}
 }
 
-// TestNeuronsUsingOperandAllocs pins the reuse-set enumeration at two
-// allocations — one backing array, one slice of tuples over it — whatever the
-// set's size: it runs once per datapath fault, ahead of the recompute.
+// TestNeuronsUsingOperandExact holds every reuse set to its definition: the
+// output neurons that move when the operand element moves. On FP32 operands
+// bounded away from zero a +10 perturbation of an element moves every neuron
+// that reads it by at least 10 and leaves every other bit of the output alone,
+// so for every element of every operand the set must be ascending and equal
+// DiffIndices of the forward pass over the perturbed operand — for strided,
+// padded and depthwise convolutions (a stride past the kernel leaves inputs
+// that nothing reads: empty sets), a dense layer and both matmul layouts. One
+// set is wider by design: a weight of a padded convolution reaches its whole
+// output channel, the neurons whose window puts a padding zero under it
+// included (the weight sits in its register while the zero streams past), so
+// there the moved neurons must lie inside that channel, which is the set.
+func TestNeuronsUsingOperandExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	codec := fp32Codec()
+	random := func(shape ...int) *tensor.Tensor {
+		x := tensor.New(shape...)
+		for i := range x.Data() {
+			x.Data()[i] = float32((1 + rng.Float64()) * float64(1-2*rng.Intn(2)))
+		}
+		return x
+	}
+	check := func(label string, site Site, op *Operands, padded bool, forward func() *tensor.Tensor, invalidate func()) {
+		t.Helper()
+		golden := forward()
+		op.Out = golden
+		kinds := []OperandKind{OperandInput, OperandWeight, OperandBias}
+		var set []int
+		for i, operand := range []*tensor.Tensor{op.In, op.W, op.B} {
+			if operand == nil {
+				continue
+			}
+			d := operand.Data()
+			for flat, v := range d {
+				d[flat] = v + 10
+				invalidate()
+				want := golden.DiffIndices(forward(), 0)
+				d[flat] = v
+				invalidate()
+				if padded && kinds[i] == OperandWeight {
+					outC := golden.Dim(3)
+					channel := appendStrided(nil, flat%outC, outC, golden.Size()/outC)
+					for _, off := range want {
+						if _, in := slices.BinarySearch(channel, off); !in {
+							t.Fatalf("%s: weight %d moves neuron %d outside its channel", label, flat, off)
+						}
+					}
+					want = channel
+				}
+				set = site.NeuronsUsingOperand(op, kinds[i], flat, set[:0])
+				if !slices.IsSorted(set) || !slices.Equal(set, want) {
+					t.Fatalf("%s: %v %d: reuse set %v, want %v", label, kinds[i], flat, set, want)
+				}
+			}
+		}
+	}
+	for _, g := range []struct {
+		name                   string
+		h, w, k, c, outC, s, p int
+		depthwise              bool
+	}{
+		{"strided padded", 7, 6, 3, 3, 4, 2, 1, false},
+		{"stride past the kernel", 7, 8, 2, 2, 3, 3, 0, false},
+		{"depthwise padded", 5, 5, 3, 4, 4, 1, 1, true},
+	} {
+		l := NewConv2D("c", g.k, g.k, g.c, g.outC, g.s, g.p, codec)
+		if g.depthwise {
+			l = NewDepthwiseConv2D("c", g.k, g.k, g.c, g.s, g.p, codec)
+		}
+		l.W, l.B = random(l.W.Shape()...), random(g.outC)
+		x := random(2, g.h, g.w, g.c)
+		check("conv "+g.name, l, &Operands{In: x, W: l.W, B: l.B}, g.p > 0,
+			func() *tensor.Tensor { return l.Forward(x, nil) }, l.InvalidateWeights)
+	}
+	d := NewDense("d", 7, 5, codec)
+	d.W, d.B = random(7, 5), random(5)
+	dx := random(3, 7)
+	check("dense", d, &Operands{In: dx, W: d.W, B: d.B}, false,
+		func() *tensor.Tensor { return d.Forward(dx, nil) }, d.InvalidateWeights)
+	for _, transposeB := range []bool{false, true} {
+		m := NewMatMulSite("m", transposeB, 0, codec)
+		a, b := random(4, 6), random(6, 5)
+		if transposeB {
+			b = random(5, 6)
+		}
+		check(fmt.Sprintf("matmul transposeB=%v", transposeB), m, &Operands{In: a, W: b}, false,
+			func() *tensor.Tensor { return m.Run(a, b, nil) }, func() {})
+	}
+}
+
+// TestNeuronsUsingOperandAllocs pins the reuse-set enumeration at zero
+// allocations into a warm buffer, whatever the set's size: it runs once per
+// datapath fault, ahead of the recompute.
 func TestNeuronsUsingOperandAllocs(t *testing.T) {
 	codec := numerics.MustCodec(numerics.FP16, 0)
 	conv := NewConv2D("c", 3, 3, 4, 16, 1, 1, codec)
@@ -246,18 +336,10 @@ func TestNeuronsUsingOperandAllocs(t *testing.T) {
 		{"matmul A", mm, &Operands{In: a, W: b, Out: mm.Run(a, b, nil)}, OperandInput, 20, 11},
 		{"matmul B", mm, &Operands{In: a, W: b, Out: mm.Run(a, b, nil)}, OperandWeight, 20, 9},
 	} {
-		var set [][]int
-		allocs := testing.AllocsPerRun(20, func() { set = tc.site.NeuronsUsingOperand(tc.op, tc.kind, tc.flat) })
-		if len(set) != tc.want || allocs > 2 {
-			t.Errorf("%s: %d neurons in %v allocations, want %d in 2", tc.name, len(set), allocs, tc.want)
-		}
-		// A tuple a caller appends to must not grow into its neighbour.
-		if len(set) > 1 {
-			next := slices.Clone(set[1])
-			_ = append(set[0], 99)
-			if !slices.Equal(set[1], next) {
-				t.Errorf("%s: appending to tuple 0 overwrote tuple 1", tc.name)
-			}
+		set := tc.site.NeuronsUsingOperand(tc.op, tc.kind, tc.flat, nil)
+		allocs := testing.AllocsPerRun(20, func() { set = tc.site.NeuronsUsingOperand(tc.op, tc.kind, tc.flat, set[:0]) })
+		if len(set) != tc.want || allocs != 0 {
+			t.Errorf("%s: %d neurons in %v allocations, want %d in 0", tc.name, len(set), allocs, tc.want)
 		}
 	}
 }

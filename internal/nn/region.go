@@ -327,13 +327,13 @@ func (l *Conv2D) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*
 		l.codec.RoundInto(rin, x.Data()[wy0*rowStride:wy1*rowStride])
 		rinOff = wy0 * rowStride
 	default:
-		rin = l.codec.RoundSlice(x.Data())
+		rin = round(&c.sc.in, l.codec, x.Data())
 	}
 
-	args := l.kernelArgs(c.convArgs(), x, out, rin, rinOff)
-	accs := c.convAccs(args.outC)
+	args := l.kernelArgs(&c.sc.cargs, x, out, rin, rinOff)
+	c.sc.accs = grow(c.sc.accs, args.outC)
 	for bi := 0; bi < n; bi++ {
-		convTile(args, bi, oy0, oy1, ox0, ox1, accs)
+		convTile(args, bi, oy0, oy1, ox0, ox1, c.sc.accs)
 	}
 	if scratch != nil {
 		c.arena.release(scratch)
