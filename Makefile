@@ -109,13 +109,14 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 5s ./internal/$${t%%:*} || exit 1; \
 	done
 
-# The kernels' "bounds-check free" claim, checked: builds internal/nn and
-# internal/numerics with -gcflags=-d=ssa/check_bce and fails if the compiler
-# kept a bounds check inside an innermost loop of kernels.go, of a row
-# primitive in halfrow.go or floatrow.go, of a row epilogue —
-# Codec.SaturateInto (bitflip.go), the rectifier rows (activation.go), the
-# residual add and the batch-norm rows (block.go) — or of a pooling window
-# (pool.go) (cmd/bcecheck).
+# The kernels' "bounds-check free" claim, checked: builds internal/nn,
+# internal/numerics and internal/rtlsim with -gcflags=-d=ssa/check_bce and
+# fails if the compiler kept a bounds check inside an innermost loop of
+# kernels.go, of a row primitive in halfrow.go or floatrow.go, of a row
+# epilogue — Codec.SaturateInto (bitflip.go), the rectifier rows
+# (activation.go), the residual add and the batch-norm rows (block.go) — of a
+# pooling window (pool.go), or of the cycle-level reference's lean runner
+# (rtlsim/engine.go) (cmd/bcecheck).
 bce:
 	$(GO) run ./cmd/bcecheck
 

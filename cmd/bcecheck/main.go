@@ -6,11 +6,13 @@
 // internal/nn/block.go), the pooling windows of internal/nn/pool.go and the
 // replay engine's diff scans and glue regions in internal/nn/region.go
 // (glueRegion's union of input spans, box.runs' walk over a region's runs;
-// the residual add is also what a residual glue sweep runs per run). Their
+// the residual add is also what a residual glue sweep runs per run), and the
+// cycle-level reference's lean runner in internal/rtlsim/engine.go (the
+// MAC-cycle row loop, the column gather of whole-row rectangles). Their
 // headers claim the per-element loops are bounds-check free; this keeps the
 // claim true.
 //
-// It builds the two packages with -gcflags=-d=ssa/check_bce, which reports
+// It builds the three packages with -gcflags=-d=ssa/check_bce, which reports
 // every check the compiler could not prove away as "file:line:col: Found
 // IsInBounds" (or IsSliceInBounds), and compares the positions with the
 // innermost for-statements of those files. Checks outside a loop, or in a
@@ -49,6 +51,14 @@ import (
 // InitRandom fills a layer's
 // parameters once, through the tensor's accessors. floatrow.go needs no
 // exemption: its dispatchers do not loop, and its ...Go loops are checked.
+// In the cycle-level engine, step and macCycle are the per-MAC path, which
+// runs the fault cycle alone (every cycle only under the test oracle) and
+// indexes registers by a possibly corrupted counter; drain runs one
+// write-back cycle per iteration — bias, saturation, the output register's
+// tap, a scattered output write. rows loops once per position and runs once
+// per run of a column between padding operands, slicing accumulators,
+// operands and weights out for one HalfMulAddPanel call; their per-element
+// loops are gather and the MAC-cycle row loop of advance, which are checked.
 var hotFiles = map[string]map[string]bool{
 	"internal/nn/kernels.go":        {"matmulTile": true},
 	"internal/nn/activation.go":     {},
@@ -61,9 +71,12 @@ var hotFiles = map[string]map[string]bool{
 		"HalfMulAddPanel": true,
 		"HalfMulAddRow":   true, "HalfMulAddVec": true, "HalfDot": true, "halfRoundInto": true,
 	},
+	"internal/rtlsim/engine.go": {
+		"step": true, "macCycle": true, "drain": true, "rows": true, "runs": true,
+	},
 }
 
-var hotPackages = []string{"./internal/nn", "./internal/numerics"}
+var hotPackages = []string{"./internal/nn", "./internal/numerics", "./internal/rtlsim"}
 
 // span is the line range of one innermost loop.
 type span struct {

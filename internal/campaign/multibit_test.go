@@ -27,6 +27,7 @@ func TestMultiBitRegisterFaultsMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	rep := &ValidationReport{}
 	checked := 0
+	out := golden.Out.Clone()
 	for trial := 0; trial < 200 && checked < 25; trial++ {
 		cyc := start + rng.Int63n(end-start)
 		si := ref.Locate(cyc)
@@ -44,7 +45,7 @@ func TestMultiBitRegisterFaultsMatch(t *testing.T) {
 			ExtraBits: []int{rng.Intn(16), rng.Intn(16)},
 			Cycle:     cyc,
 		}
-		faulty := ref.Run(*f)
+		faulty := ref.Run(*f, out)
 		if faulty.TimedOut || len(golden.Out.DiffIndices(faulty.Out, 0)) == 0 {
 			continue
 		}

@@ -193,6 +193,7 @@ func Validate(cfg *accel.Config, workloads []*ValWorkload, samplesPerWorkload in
 			return nil, fmt.Errorf("campaign: golden run of %s: %w", w.Name, err)
 		}
 		fetchEnd, computeEnd := ref.ComputeWindow()
+		out := tensor.New(ref.Golden().Out.Shape()...) // every injection's output
 		for i := 0; i < samplesPerWorkload; i++ {
 			// Sample an FF group by census weight, then a cycle in the
 			// design's full execution window and a random bit.
@@ -218,7 +219,7 @@ func Validate(cfg *accel.Config, workloads []*ValWorkload, samplesPerWorkload in
 				// Config/counter faults are only meaningful during compute.
 				f.Cycle = fetchEnd + rng.Int63n(computeEnd-fetchEnd)
 			}
-			if err := validateOne(cfg, w, ref, f, rep); err != nil {
+			if err := validateOne(cfg, w, ref, f, out, rep); err != nil {
 				return nil, fmt.Errorf("campaign: %s fault %v: %w", w.Name, f, err)
 			}
 		}
@@ -226,12 +227,12 @@ func Validate(cfg *accel.Config, workloads []*ValWorkload, samplesPerWorkload in
 	return rep, nil
 }
 
-// validateOne runs one RTL injection and checks it against the software
-// fault model's prediction.
-func validateOne(cfg *accel.Config, w *ValWorkload, ref *rtlsim.Reference, f *rtlsim.Fault, rep *ValidationReport) error {
+// validateOne runs one RTL injection into out and checks it against the
+// software fault model's prediction.
+func validateOne(cfg *accel.Config, w *ValWorkload, ref *rtlsim.Reference, f *rtlsim.Fault, out *tensor.Tensor, rep *ValidationReport) error {
 	rep.Total++
 	golden := ref.Golden().Out
-	faulty := ref.Run(*f)
+	faulty := ref.Run(*f, out)
 	if faulty.FaultApplied {
 		rep.Fired++
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fidelity/internal/numerics"
+	"fidelity/internal/tensor"
 )
 
 // benchLayer is the shape of Table III's inception 3×3 conv (8×8×4 → 18
@@ -49,16 +50,32 @@ func BenchmarkRun(b *testing.B) {
 	}
 }
 
+// groupFaults are wregFaults' kind restricted to the tiles of channel group
+// grp. benchLayer's group 1 holds 2 channels, which HalfMulAddPanel runs in
+// its Go tail; group 0 holds 16, which its lanes take.
+func groupFaults(ref *Reference, grp int) []Fault {
+	start, end := ref.ComputeWindow()
+	var fs []Fault
+	for _, f := range benchFaults(1024, []FF{FFWReg}, start, end) {
+		if ref.Locate(f.Cycle).Grp == grp {
+			fs = append(fs, f)
+		}
+	}
+	return fs
+}
+
 // BenchmarkReferenceRun times injections resumed from a Reference, by FF
 // family: held weights (re-converge within their tile), config registers
 // (run to the end or to the watchdog) and the CDMA registers (the whole
-// compute phase on a private CBUF).
+// compute phase on a private CBUF); and held weights by channel group, the
+// narrow second group of the 18-channel layer against the wide first.
 func BenchmarkReferenceRun(b *testing.B) {
 	ref, err := NewReference(nvdla(), benchLayer())
 	if err != nil {
 		b.Fatal(err)
 	}
 	start, end := ref.ComputeWindow()
+	out := tensor.New(ref.Golden().Out.Shape()...)
 	for _, bc := range []struct {
 		name string
 		fs   []Fault
@@ -66,11 +83,13 @@ func BenchmarkReferenceRun(b *testing.B) {
 		{"wreg", wregFaults(ref)},
 		{"cfg", benchFaults(256, []FF{FFCfgPos, FFCfgCh, FFCfgRed}, start, end)},
 		{"cdma", benchFaults(256, []FF{FFCDMAIn0, FFCDMAIn1, FFCDMAWt0, FFCDMAWt1}, 0, start-2)},
+		{"wide", groupFaults(ref, 0)},
+		{"narrow", groupFaults(ref, 1)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ref.Run(bc.fs[i%len(bc.fs)])
+				ref.Run(bc.fs[i%len(bc.fs)], out)
 			}
 		})
 	}
@@ -84,12 +103,15 @@ func BenchmarkGoldenStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	start, end := ref.ComputeWindow()
+	out := tensor.New(ref.Golden().Out.Shape()...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if o := ref.engine().simulate(nil); o.Cycles != end {
+		e := ref.engine(out)
+		if o := e.simulate(nil); o.Cycles != end {
 			b.Fatalf("golden run took %d cycles, want %d", o.Cycles, end)
 		}
+		ref.release(e)
 	}
 	b.ReportMetric(float64(b.N)*float64(end-start)/b.Elapsed().Seconds(), "cycles/s")
 }

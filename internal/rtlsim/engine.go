@@ -109,7 +109,8 @@ func (f *Fault) flipCounter(v int64) int64 {
 
 // Outcome is the result of one simulation run.
 type Outcome struct {
-	// Out is the layer output (valid even on time-out: whatever was written).
+	// Out is the layer output (valid even on time-out: whatever was written,
+	// zeros elsewhere). Reference.Run writes it into the caller's tensor.
 	Out *tensor.Tensor
 	// Cycles is the number of simulated cycles.
 	Cycles int64
@@ -141,6 +142,10 @@ type Engine struct {
 	wload []float32
 	wreg  []float32
 	acc   []float32 // acc[dx*k+m]
+
+	// col is rows' column of one position's input operands; priv is a
+	// Reference engine's private copy of the CBUF a CDMA fault strikes.
+	col, priv []float32
 
 	// Config registers and sequencer counters (bit-flippable state); none
 	// of them ever goes negative (flips stay below bit 20).
@@ -183,6 +188,7 @@ func NewEngine(cfg *accel.Config, l *Layer, fault *Fault) (*Engine, error) {
 	}
 	e := newEngine(cfg, l, sched)
 	e.maxCyc = 4*sched.goldenCycles(e.k, e.t) + 1024
+	e.out = tensor.New(sched.outShape()...)
 	if fault != nil {
 		e.arm(*fault)
 	}
@@ -190,19 +196,32 @@ func NewEngine(cfg *accel.Config, l *Layer, fault *Fault) (*Engine, error) {
 }
 
 // newEngine builds an engine at the start of the compute phase with empty
-// CBUFs and no watchdog limit; fetch or a Reference fills the first, NewEngine
-// or a Reference sets the second.
+// CBUFs, no output and no watchdog limit; fetch or a Reference fills the
+// first, NewEngine or a Reference sets the other two.
 func newEngine(cfg *accel.Config, l *Layer, sched *schedule) *Engine {
 	k, t := cfg.AtomicK, cfg.WeightHoldCycles
-	regs := make([]float32, 2*k+t*k)
-	return &Engine{
+	regs := make([]float32, 2*k+t*k+sched.numRed)
+	e := &Engine{
 		l: l, sched: sched, codec: l.Codec, half: l.Codec.Precision() == numerics.FP16,
 		k: k, t: t,
-		wload: regs[:k:k], wreg: regs[k : 2*k : 2*k], acc: regs[2*k:],
-		cfgPos: int64(sched.numPos), cfgCh: int64(sched.numCh), cfgRed: int64(sched.numRed),
-		out:   tensor.New(sched.outShape()...),
-		cycle: sched.fetchCycles(),
+		wload: regs[:k:k], wreg: regs[k : 2*k : 2*k], acc: regs[2*k : 2*k+t*k : 2*k+t*k], col: regs[2*k+t*k:],
 	}
+	e.reset()
+	return e
+}
+
+// reset puts the engine at the first compute cycle of a fault-free run: empty
+// registers, the layer's config, no fault, the lean path. It keeps the CBUFs,
+// the output and the watchdog limit.
+func (e *Engine) reset() {
+	s := e.sched
+	clear(e.wload)
+	clear(e.wreg)
+	clear(e.acc)
+	e.cfgPos, e.cfgCh, e.cfgRed = int64(s.numPos), int64(s.numCh), int64(s.numRed)
+	e.blk, e.grp, e.r, e.dx, e.wb, e.phase = 0, 0, 0, 0, 0, phaseLoad
+	e.cycle = s.fetchCycles()
+	e.fault, e.hasFault, e.fired, e.detailed = Fault{}, false, false, false
 }
 
 // arm installs the fault, wrapping its MAC index into range.
@@ -214,23 +233,25 @@ func (e *Engine) arm(f Fault) {
 // Run executes the simulation from cycle 0 to completion or time-out.
 func (e *Engine) Run() (*Outcome, error) {
 	e.fetch()
-	return e.simulate(nil), nil
+	o := e.simulate(nil)
+	return &o, nil
 }
 
 // simulate runs the compute phase to completion or to the watchdog limit: the
 // fault cycle (every cycle, when detailed) steps, a tile that writes nothing
 // is skipped, and advance runs the rest up to the next tile boundary.
 // boundary, when non-nil, is called before every tile-boundary cycle (a
-// weight load with r == 0); returning an Outcome ends the simulation with it.
-func (e *Engine) simulate(boundary func() *Outcome) *Outcome {
+// weight load with r == 0); when it reports done, the simulation ends there
+// with the cycle count it returns.
+func (e *Engine) simulate(boundary func() (cycles int64, done bool)) Outcome {
 	for e.phase != phaseDone {
 		if e.cycle > e.maxCyc {
-			return &Outcome{Out: e.out, Cycles: e.cycle, TimedOut: true, FaultApplied: e.fired}
+			return Outcome{Out: e.out, Cycles: e.cycle, TimedOut: true, FaultApplied: e.fired}
 		}
 		atBoundary := e.phase == phaseLoad && e.r == 0
 		if boundary != nil && atBoundary {
-			if o := boundary(); o != nil {
-				return o
+			if cycles, done := boundary(); done {
+				return Outcome{Out: e.out, Cycles: cycles, FaultApplied: e.fired}
 			}
 		}
 		// stop is the first cycle advance must not run: the fault's or the
@@ -248,7 +269,7 @@ func (e *Engine) simulate(boundary func() *Outcome) *Outcome {
 			e.advance(stop)
 		}
 	}
-	return &Outcome{Out: e.out, Cycles: e.cycle, FaultApplied: e.fired}
+	return Outcome{Out: e.out, Cycles: e.cycle, FaultApplied: e.fired}
 }
 
 // fetch streams the operands into the CBUF through the CDMA registers,
@@ -269,8 +290,9 @@ func (e *Engine) fetch() {
 		if m.Word < 0 || m.Word >= len(buf) {
 			continue
 		}
+		word := &buf[m.Word]
 		for _, b := range m.Bits {
-			buf[m.Word] = e.codec.FlipBit(buf[m.Word], b)
+			*word = e.codec.FlipBit(*word, b)
 		}
 		e.fired = true
 	}
@@ -445,7 +467,8 @@ func (e *Engine) step() {
 // advance runs the fault-free cycles before stop a row at a time, to the end
 // of the current tile at most: a weight load is one copy out of a CBUF row, a
 // MAC cycle one row update of the position's accumulators, the write-back
-// one drain. Each accumulator sees its products in the order step adds them.
+// one drain; whole FP16 rows go a position at a time (rows). Each
+// accumulator sees its products in the order step adds them.
 // When no fault cycle is left before the watchdog limit and the MAC phase
 // cannot reach its write-back by then, the run ends at once: a MAC phase
 // writes no output.
@@ -466,6 +489,9 @@ func (e *Engine) advance(stop int64) {
 			if e.cycle >= stop {
 				return
 			}
+			if e.rows(stop, bs) {
+				continue
+			}
 			e.load()
 			e.dx, e.phase = 0, phaseMAC
 			e.cycle++
@@ -479,21 +505,21 @@ func (e *Engine) advance(stop int64) {
 		if e.dx == 0 {
 			copy(e.wreg, e.wload)
 		}
-		ri := wrap(e.r, s.numRed)
+		ri, in, wreg := wrap(e.r, s.numRed), e.cbufIn, e.wreg
 		for dx := e.dx; dx < end; dx++ {
 			idx := s.aIndex(wrap(e.blk*int64(e.t)+dx, s.numPos), ri)
-			if idx < 0 {
-				continue // padding: the sequencer gates every MAC
+			if uint(idx) >= uint(len(in)) {
+				continue // padding (-1): the sequencer gates every MAC
 			}
 			// Register operands are codec-representable, so the operand
 			// rounding of Codec.Mul is the identity and MulPre — fused with
 			// the accumulate for FP16 — yields the same bits.
-			in, acc := e.cbufIn[idx], e.acc[dx*k:(dx+1)*k]
+			a, acc := in[idx], e.acc[dx*k:][:len(wreg)]
 			if e.half {
-				numerics.HalfMulAddRow(acc, in, e.wreg)
+				numerics.HalfMulAddRow(acc, a, wreg)
 			} else {
-				for m, w := range e.wreg {
-					acc[m] += e.codec.MulPre(w, in)
+				for m, w := range wreg {
+					acc[m] += e.codec.MulPre(w, a)
 				}
 			}
 		}
@@ -507,6 +533,74 @@ func (e *Engine) advance(stop int64) {
 		e.drain(n, false)
 		e.cycle += n
 	}
+}
+
+// rows runs, at a weight-load cycle of an FP16 layer, every whole reduction
+// row before stop in one move, position by position, and reports whether it
+// did: the rows from r on that lie in the layer (none wraps) and in cfg.red,
+// at least two, with cfg.ch at least the layer's channels. Each position's
+// column of input operands goes through HalfMulAddPanel against the rows'
+// weights, a run of rows between padding operands at a time (the sequencer
+// gates a padded MAC), so each accumulator still takes its products in
+// increasing r, as the row loop adds them (DESIGN.md §12.3). Only MACs with a
+// channel accumulate: the others' partial sums are never written and their
+// write-back clears them. The registers end as the row loop leaves them.
+func (e *Engine) rows(stop, bs int64) bool {
+	s, k := e.sched, int64(e.k)
+	n := min(min(e.cfgRed, int64(s.numRed))-e.r, (stop-e.cycle)/(1+bs))
+	if !e.half || e.cfgCh < int64(s.numCh) || n < 2 {
+		return false
+	}
+	if live := min(int64(s.numCh)-e.grp*k, k); live > 0 {
+		r, nr, stride := int(e.r), int(n), s.numCh
+		w := e.cbufW[s.wIndex(r, int(e.grp*k)):]
+		for dx := int64(0); dx < bs; dx++ {
+			acc := e.acc[dx*k:][:live]
+			p := wrap(e.blk*int64(e.t)+dx, s.numPos)
+			if !s.conv { // no padding: the column is a run of the input row
+				numerics.HalfMulAddPanel(acc, e.cbufIn[s.aIndex(p, r):][:nr], w, stride, false)
+				continue
+			}
+			e.runs(acc, s.pos[p], s.red[r:][:nr], w, stride)
+		}
+	}
+	e.r += n - 1
+	e.load()
+	copy(e.wreg, e.wload)
+	e.cycle += n * (1 + bs)
+	e.endRow()
+	return true
+}
+
+// runs adds to acc the products of one conv position, window origin pp, over
+// the reduction rows red against their weight rows w, stride apart: one
+// HalfMulAddPanel call per run of operands between padding ones.
+func (e *Engine) runs(acc []float32, pp convPos, red []convRed, w []float32, stride int) {
+	s, col := e.sched, e.col
+	for i := 0; i < len(red); {
+		i += s.padding(pp, red[i:])
+		j := i + e.gather(col[i:], pp, red[i:])
+		if j > i {
+			numerics.HalfMulAddPanel(acc, col[i:j], w[i*stride:], stride, false)
+		}
+		i = j
+	}
+}
+
+// gather copies into col the input operands of the position with window
+// origin pp over red, up to the first padding one, and returns how many it
+// copied. col must be at least as long as red.
+func (e *Engine) gather(col []float32, pp convPos, red []convRed) int {
+	s, in := e.sched, e.cbufIn
+	col = col[:len(red)]
+	for j, rr := range red {
+		off := s.inOffset(pp, rr)
+		if uint(off) >= uint(len(in)) { // -1: padding
+			return j
+		}
+		col[j] = in[off]
+	}
+	return len(red)
 }
 
 // skipTile runs a tile that writes nothing — all its positions or all its

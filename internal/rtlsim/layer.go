@@ -150,12 +150,28 @@ func (s *schedule) aIndex(p, r int) int {
 	if !s.conv {
 		return p*s.numRed + r
 	}
-	pp, rr := s.pos[p], s.red[r]
+	return s.inOffset(s.pos[p], s.red[r])
+}
+
+// inOffset is aIndex for a conv position's window origin pp and a reduction
+// index's window offset rr.
+func (s *schedule) inOffset(pp convPos, rr convRed) int {
 	iy, ix := pp.y+rr.y, pp.x+rr.x
 	if iy < 0 || iy >= s.inH || ix < 0 || ix >= s.inW {
 		return -1
 	}
 	return pp.base + (iy*s.inW+ix)*s.inC + rr.c
+}
+
+// padding returns how many of red's leading window offsets put the position
+// with window origin pp in the padding.
+func (s *schedule) padding(pp convPos, red []convRed) int {
+	for j, rr := range red {
+		if s.inOffset(pp, rr) >= 0 {
+			return j
+		}
+	}
+	return len(red)
 }
 
 // wIndex returns the flat index into the weight buffer of the operand used

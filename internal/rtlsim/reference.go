@@ -1,8 +1,9 @@
 package rtlsim
 
 import (
+	"fmt"
 	"math"
-	"slices"
+	"sync"
 
 	"fidelity/internal/accel"
 	"fidelity/internal/tensor"
@@ -15,7 +16,8 @@ import (
 // tile boundary (DESIGN.md, "rtlsim: resume and re-convergence"). Run returns
 // exactly what the from-cycle-0 package function Run returns.
 //
-// A Reference is immutable after NewReference and safe for concurrent use.
+// A Reference is immutable after NewReference and safe for concurrent use:
+// each Run borrows an idle engine from its pool.
 type Reference struct {
 	cfg   *accel.Config
 	l     *Layer
@@ -34,6 +36,9 @@ type Reference struct {
 	snaps  []snapshot
 	groups int
 	maxCyc int64 // the watchdog limit of every run
+
+	// engines holds the idle engines of Run (copies of a Reference share it).
+	engines *sync.Pool
 }
 
 // snapshot is the live engine state at a tile boundary — a weight-load cycle
@@ -60,69 +65,93 @@ func NewReference(cfg *accel.Config, l *Layer) (*Reference, error) {
 	r.cbufIn, r.cbufW = e.cbufIn, e.cbufW
 	e.order = make([]int32, 0, e.out.Size())
 	wregs := make([]float32, 0, int(e.numBlocks())*r.groups*e.k)
-	r.golden = e.simulate(func() *Outcome {
+	golden := e.simulate(func() (int64, bool) {
 		wregs = append(wregs, e.wreg...)
 		r.snaps = append(r.snaps, snapshot{cycle: e.cycle, written: len(e.order), wreg: wregs[len(wregs)-e.k:]})
-		return nil
+		return 0, false
 	})
-	r.order = e.order
+	r.golden, r.order = &golden, e.order
+	r.engines = &sync.Pool{New: func() any { return newEngine(cfg, l, r.sched) }}
 	return r, nil
 }
 
 // Golden returns the fault-free outcome. It is shared: do not modify it.
 func (r *Reference) Golden() *Outcome { return r.golden }
 
-// engine returns an engine at the first compute cycle of the golden run,
-// reading the reference's CBUFs.
-func (r *Reference) engine() *Engine {
-	e := newEngine(r.cfg, r.l, r.sched)
-	e.cbufIn, e.cbufW, e.maxCyc = r.cbufIn, r.cbufW, r.maxCyc
+// engine borrows an engine at the first compute cycle of the golden run,
+// reading the reference's CBUFs and writing out; release returns it.
+func (r *Reference) engine(out *tensor.Tensor) *Engine {
+	e := r.engines.Get().(*Engine)
+	e.reset()
+	e.cbufIn, e.cbufW, e.maxCyc, e.out = r.cbufIn, r.cbufW, r.maxCyc, out
 	return e
 }
 
-// Run simulates the layer with fault f and returns what the from-cycle-0
-// Run(cfg, l, &f) returns, bit for bit.
-func (r *Reference) Run(f Fault) *Outcome {
-	e := r.engine()
+func (r *Reference) release(e *Engine) {
+	e.out = nil
+	r.engines.Put(e)
+}
+
+// Run simulates the layer with fault f into out and returns what the
+// from-cycle-0 Run(cfg, l, &f) returns, bit for bit, with Out == out. out
+// must have the layer's output shape; Run defines every element of it. Run
+// allocates nothing: the engine is borrowed, and Run is small enough to
+// inline, so the Outcome lives in the caller's frame unless the caller keeps
+// it.
+func (r *Reference) Run(f Fault, out *tensor.Tensor) *Outcome {
+	o := r.run(f, out)
+	return &o
+}
+
+func (r *Reference) run(f Fault, out *tensor.Tensor) Outcome {
+	dst := out.Data()
+	if len(dst) != len(r.golden.Out.Data()) {
+		panic(fmt.Sprintf("rtlsim: Reference.Run into %v, the layer's output is %v", out.Shape(), r.golden.Out.Shape()))
+	}
+	e := r.engine(out)
+	defer r.release(e)
 	e.arm(f)
 	if buf, elem := e.cdmaTarget(); buf != nil {
 		// The corrupted element is in the CBUF for the whole compute phase:
-		// simulate all of it on a private copy of that buffer.
-		*buf = slices.Clone(*buf)
+		// simulate all of it on a private copy of that buffer. The schedule
+		// is the golden run's, so it writes every output.
+		e.priv = append(e.priv[:0], *buf...)
+		*buf = e.priv
 		(*buf)[elem] = e.flip32((*buf)[elem])
 		return e.simulate(nil)
 	}
 	si := r.Locate(f.Cycle)
 	if !f.FF.liveIn(si.Phase) {
 		// Never fires: the golden outcome, in the caller's own tensor.
-		copy(e.out.Data(), r.golden.Out.Data())
-		return &Outcome{Out: e.out, Cycles: r.golden.Cycles}
+		copy(dst, r.golden.Out.Data())
+		return Outcome{Out: out, Cycles: r.golden.Cycles}
 	}
 	// Resume from the boundary of the tile the fault cycle falls in.
 	s := &r.snaps[si.Blk*r.groups+si.Grp]
 	e.cycle, e.blk, e.grp = s.cycle, int64(si.Blk), int64(si.Grp)
 	copy(e.wreg, s.wreg)
-	r.fill(e.out, r.order[:s.written])
+	clear(dst)
+	r.fill(dst, r.order[:s.written])
 
-	return e.simulate(func() *Outcome {
+	return e.simulate(func() (int64, bool) {
 		// The fault is behind: if the engine is in a state the golden run
 		// passed through at a tile boundary, the rest is the golden run's.
 		if e.cycle <= f.Cycle {
-			return nil
+			return 0, false
 		}
 		s := r.converged(e)
 		if s == nil {
-			return nil
+			return 0, false
 		}
 		// A from-cycle-0 run finishing at cycle c has passed the watchdog
 		// check at every cycle below c; one that would not simulates on, so
 		// the time-out reports the outputs written until then.
 		cycles := e.cycle + r.golden.Cycles - s.cycle
 		if cycles-1 > e.maxCyc {
-			return nil
+			return 0, false
 		}
-		r.fill(e.out, r.order[s.written:])
-		return &Outcome{Out: e.out, Cycles: cycles, FaultApplied: e.fired}
+		r.fill(dst, r.order[s.written:])
+		return cycles, true
 	})
 }
 
@@ -145,9 +174,9 @@ func (r *Reference) converged(e *Engine) *snapshot {
 	return &r.snaps[int(e.blk)*r.groups+int(e.grp)]
 }
 
-// fill copies the golden outputs at the given offsets into out.
-func (r *Reference) fill(out *tensor.Tensor, offsets []int32) {
-	dst, src := out.Data(), r.golden.Out.Data()
+// fill copies the golden outputs at the given offsets into dst.
+func (r *Reference) fill(dst []float32, offsets []int32) {
+	src := r.golden.Out.Data()
 	for _, off := range offsets {
 		dst[off] = src[off]
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -87,6 +88,16 @@ func runLimited(t testing.TB, cfg *accel.Config, l *Layer, f *Fault, limit int64
 	return o
 }
 
+// staleOut returns a tensor of ref's output shape full of a NaN no run
+// produces, so an element Reference.Run leaves undefined shows.
+func staleOut(ref *Reference) *tensor.Tensor {
+	out := tensor.New(ref.Golden().Out.Shape()...)
+	for i := range out.Data() {
+		out.Data()[i] = math.Float32frombits(0x7fc0dead)
+	}
+	return out
+}
+
 // sameOutcome compares two outcomes bit for bit (NaN payloads and zero signs
 // included).
 func sameOutcome(got, want *Outcome) error {
@@ -109,7 +120,8 @@ func sameOutcome(got, want *Outcome) error {
 // Reference.Run must return what the from-cycle-0 simulation returns for
 // every FF at every cycle — before, inside and past the run — on a conv with
 // padding, stride, a ragged last block and a channel count that is no
-// multiple of k, and on a matmul.
+// multiple of k, and on a matmul. Every run reuses one output tensor, so an
+// element a run leaves undefined carries the previous run's value.
 func TestReferenceRunExhaustive(t *testing.T) {
 	cfg := tinyDesign()
 	codec := numerics.MustCodec(numerics.FP16, 0)
@@ -124,7 +136,7 @@ func TestReferenceRunExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs, converged := 0, 0
+		runs, converged, out := 0, 0, staleOut(ref)
 		for _, ff := range allFFs {
 			macs := 1
 			if perMAC(ff) {
@@ -134,7 +146,7 @@ func TestReferenceRunExhaustive(t *testing.T) {
 				for mac := 0; mac < macs; mac++ {
 					for _, bit := range bits {
 						f := Fault{FF: ff, Mac: mac, Bit: bit, Cycle: cycle}
-						got, want := ref.Run(f), runDetailed(t, cfg, l, &f)
+						got, want := ref.Run(f, out), runDetailed(t, cfg, l, &f)
 						if err := sameOutcome(got, want); err != nil {
 							t.Fatalf("%s: %v: %v", name, &f, err)
 						}
@@ -188,7 +200,7 @@ func TestReferenceRunRandom(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					for i := g; i < len(faults); i += 4 {
-						got[i] = ref.Run(faults[i])
+						got[i] = ref.Run(faults[i], staleOut(ref))
 					}
 				}(g)
 			}
@@ -215,7 +227,7 @@ func TestReferenceRestoresHeldWeights(t *testing.T) {
 	tile := 1
 	f := Fault{FF: FFCtrDx, Bit: 0, Cycle: ref.snaps[tile].cycle + 1}
 	want := runDetailed(t, cfg, l, &f)
-	if err := sameOutcome(ref.Run(f), want); err != nil {
+	if err := sameOutcome(ref.Run(f, staleOut(ref)), want); err != nil {
 		t.Fatalf("%v: %v", &f, err)
 	}
 	if len(want.Out.DiffIndices(ref.Golden().Out, 0)) == 0 {
@@ -227,7 +239,7 @@ func TestReferenceRestoresHeldWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	clear(blank.snaps[tile].wreg)
-	if sameOutcome(blank.Run(f), want) == nil {
+	if sameOutcome(blank.Run(f, staleOut(blank)), want) == nil {
 		t.Error("a resume without the held weights gives the same outcome: the case does not pin them")
 	}
 }
@@ -252,7 +264,7 @@ func TestReferenceKeepsWatchdog(t *testing.T) {
 		if !want.TimedOut {
 			t.Fatalf("%v: expected a time-out", &f)
 		}
-		if err := sameOutcome(ref.Run(f), want); err != nil {
+		if err := sameOutcome(ref.Run(f, staleOut(ref)), want); err != nil {
 			t.Errorf("%v: %v", &f, err)
 		}
 	}
@@ -275,7 +287,7 @@ func TestReferenceKeepsWatchdog(t *testing.T) {
 		}
 		r := *ref
 		r.maxCyc = limit
-		for name, got := range map[string]*Outcome{"Reference.Run": r.Run(f), "Run": runLimited(t, cfg, l, &f, limit, false)} {
+		for name, got := range map[string]*Outcome{"Reference.Run": r.Run(f, staleOut(&r)), "Run": runLimited(t, cfg, l, &f, limit, false)} {
 			if err := sameOutcome(got, want); err != nil {
 				t.Errorf("%s %v under limit %d: %v", name, &f, limit, err)
 			}
@@ -291,7 +303,7 @@ func TestReferenceKeepsWatchdog(t *testing.T) {
 	// projected one, the from-cycle-0 run times out on the way.
 	last := ref.snaps[2*ref.groups]
 	f = Fault{FF: FFCtrBlk, Bit: 1, Cycle: last.cycle + 3}
-	full := ref.Run(f)
+	full := ref.Run(f, staleOut(ref))
 	if full.TimedOut || full.Cycles <= ref.Golden().Cycles {
 		t.Fatalf("%v: cycles %d, timed out %v: expected a longer run that finishes", &f, full.Cycles, full.TimedOut)
 	}
@@ -307,7 +319,7 @@ func TestReferenceKeepsWatchdog(t *testing.T) {
 			t.Fatalf("limit %d on a %d-cycle run: timed out %v", limit, full.Cycles, want.TimedOut)
 		}
 		ref.maxCyc = limit
-		if err := sameOutcome(ref.Run(f), want); err != nil {
+		if err := sameOutcome(ref.Run(f, staleOut(ref)), want); err != nil {
 			t.Errorf("%v under limit %d: %v", &f, limit, err)
 		}
 	}
@@ -364,6 +376,175 @@ func TestLeanCycleMatchesDetailed(t *testing.T) {
 	}
 }
 
+// sameRegisters compares the live state of two engines bit for bit: got ran
+// rows from state before, want the same cycles per MAC. Accumulators of MACs
+// with a channel must match; the others must be as rows found them.
+func sameRegisters(got, want *Engine, before []float32) error {
+	if got.r != want.r || got.dx != want.dx || got.wb != want.wb || got.phase != want.phase ||
+		got.cycle != want.cycle || got.blk != want.blk || got.grp != want.grp {
+		return fmt.Errorf("r %d dx %d wb %d phase %d cycle %d tile (%d, %d); want %d %d %d %d %d (%d, %d)",
+			got.r, got.dx, got.wb, got.phase, got.cycle, got.blk, got.grp,
+			want.r, want.dx, want.wb, want.phase, want.cycle, want.blk, want.grp)
+	}
+	live := int(min(int64(got.sched.numCh)-got.grp*int64(got.k), int64(got.k)))
+	acc := slices.Clone(want.acc)
+	for i := range acc {
+		if i%got.k >= live {
+			acc[i] = before[i]
+		}
+	}
+	for _, reg := range []struct {
+		name      string
+		got, want []float32
+	}{{"wload", got.wload, want.wload}, {"wreg", got.wreg, want.wreg}, {"acc", got.acc, acc}} {
+		for i := range reg.want {
+			if math.Float32bits(reg.got[i]) != math.Float32bits(reg.want[i]) {
+				return fmt.Errorf("%s[%d] = %#08x, want %#08x", reg.name, i, math.Float32bits(reg.got[i]), math.Float32bits(reg.want[i]))
+			}
+		}
+	}
+	return nil
+}
+
+// nonFinite returns fuzzLayers' FP16 layers with zero, infinite and NaN
+// operands where the gating matters: on the conv a +Inf weight on row 0 (all
+// padding for the top row of positions), a -Inf one on row 6 that position 0
+// meets with the input +0 at element 0, a NaN weight on row 7 (padding for
+// the right column) and a -Inf input; on the FC layer inputs +0 and -0 meeting
+// a +Inf and a NaN weight.
+func nonFinite() (conv, fc *Layer) {
+	ls := fuzzLayers(numerics.MustCodec(numerics.FP16, 0))
+	conv, fc = ls[0], ls[1]
+	nan := math.Float32frombits(0x7fc01234)
+	inf := float32(math.Inf(1))
+	cw, ci := conv.W.Data(), conv.Input.Data() // W (2, 2, 2, 6): row r at r*6
+	cw[0*6+0], cw[6*6+1], cw[7*6+5], ci[0], ci[5] = inf, -inf, nan, 0, -inf
+	fw, fi := fc.W.Data(), fc.Input.Data() // W (6, 7), input (5, 6)
+	fw[0*7+2], fw[1*7+5], fi[0], fi[13] = inf, nan, 0, float32(math.Copysign(0, -1))
+	return conv, fc
+}
+
+// rows must leave every register where per-MAC stepping through the same
+// whole rows leaves it — from any row's load cycle of any tile, over any
+// number of rows up to the last, with stop at the rows' end — on a conv whose
+// columns have padding runs at their start, middle and end, on an FC layer,
+// both also with non-finite and zero operands, and on two Table III shapes,
+// where the panel's lanes take the wide group and its Go tail the narrow one.
+// With fewer than two rows before stop, or a format that rounds no product,
+// it declines.
+func TestRowsMatchDetailed(t *testing.T) {
+	type layerCase struct {
+		cfg *accel.Config
+		l   *Layer
+		// sparse keeps the first rows 0, 1 and the middle one, each with 2,
+		// 3 or all the rows left, instead of every (first row, rows) pair.
+		sparse bool
+	}
+	fp16 := numerics.MustCodec(numerics.FP16, 0)
+	tiny := fuzzLayers(fp16)
+	convInf, fcInf := nonFinite()
+	cases := map[string]layerCase{
+		"conv":              {tinyDesign(), tiny[0], false},
+		"fc":                {tinyDesign(), tiny[1], false},
+		"conv-non-finite":   {tinyDesign(), convInf, false},
+		"fc-non-finite":     {tinyDesign(), fcInf, false},
+		"inception-conv3x3": {nvdla(), tableIIILayers(fp16)["inception-conv3x3"], true},
+		"transformer-fc":    {nvdla(), tableIIILayers(fp16)["transformer-fc"], true},
+	}
+	for name, lc := range cases {
+		ref, err := NewReference(lc.cfg, lc.l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		numRed := ref.sched.numRed
+		out := tensor.New(ref.Golden().Out.Shape()...)
+		// at returns an engine stepped per MAC from tile ti's boundary to the
+		// load cycle of row r0.
+		at := func(ti, r0 int) *Engine {
+			s := &ref.snaps[ti]
+			e := ref.engine(out)
+			e.cycle, e.blk, e.grp, e.detailed = s.cycle, int64(ti/ref.groups), int64(ti%ref.groups), true
+			copy(e.wreg, s.wreg)
+			for e.phase != phaseLoad || e.r != int64(r0) {
+				e.step()
+				e.cycle++
+			}
+			return e
+		}
+		for ti := range ref.snaps {
+			for r0 := 0; r0 < numRed; r0++ {
+				for n := 2; r0+n <= numRed; n++ {
+					if lc.sparse && (r0 > 1 && r0 != numRed/2 || n > 3 && r0+n < numRed) {
+						continue
+					}
+					want, got := at(ti, r0), at(ti, r0)
+					bs := want.blockSize()
+					for c := int64(0); c < int64(n)*(1+bs); c++ {
+						want.step()
+						want.cycle++
+					}
+					stop := got.cycle + int64(n)*(1+bs)
+					if n == 2 && got.rows(stop-1, bs) {
+						t.Fatalf("%s: tile %d, row %d: ran rows with one whole row before stop", name, ti, r0)
+					}
+					before := slices.Clone(got.acc)
+					if !got.rows(stop, bs) {
+						t.Fatalf("%s: tile %d: %d rows from row %d declined", name, ti, n, r0)
+					}
+					if err := sameRegisters(got, want, before); err != nil {
+						t.Fatalf("%s: tile %d, %d rows from row %d: %v", name, ti, n, r0, err)
+					}
+					ref.release(want)
+					ref.release(got)
+				}
+			}
+		}
+	}
+	intRef, err := NewReference(tinyDesign(), fuzzLayers(numerics.MustCodec(numerics.INT8, 4))[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := intRef.engine(staleOut(intRef)); e.rows(e.maxCyc, e.blockSize()) {
+		t.Error("rows ran an INT8 layer")
+	}
+}
+
+// One Reference serves four goroutines at once — each borrowing engines
+// from its pool, CDMA faults on private CBUF copies, all reading the shared
+// CBUFs — and each gets, byte for byte, what the same runs give one at a time.
+func TestReferenceRunConcurrent(t *testing.T) {
+	ref, err := NewReference(nvdla(), tableIIILayers(numerics.MustCodec(numerics.FP16, 0))["resnet-conv3x3"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(65))
+	faults := make([]Fault, 160)
+	want := make([]Outcome, len(faults))
+	for i := range faults {
+		faults[i] = Fault{
+			FF: allFFs[rng.Intn(len(allFFs))], Mac: rng.Intn(16), Bit: rng.Intn(16),
+			Cycle: rng.Int63n(ref.Golden().Cycles+40) - 20,
+		}
+		want[i] = *ref.Run(faults[i], staleOut(ref))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := staleOut(ref)
+			for n := range faults {
+				i := (n + g*len(faults)/4) % len(faults)
+				if err := sameOutcome(ref.Run(faults[i], out), &want[i]); err != nil {
+					t.Errorf("goroutine %d: %v: %v", g, &faults[i], err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // The tile skip and the watchdog jump must give what per-MAC stepping gives
 // from states no single fault reaches: a corrupted reduction length (0
 // included) together with tiles that write nothing, each with a csc.dx flip
@@ -392,10 +573,9 @@ func TestSkipTileMatchesDetailed(t *testing.T) {
 	for rn, setRows := range rows {
 		for nn, setNothing := range nothing {
 			check := func(f *Fault, limit int64) {
-				var o [2]*Outcome
+				var o [2]Outcome
 				for i := range o {
-					e := ref.engine()
-					e.cycle = start
+					e := ref.engine(tensor.New(ref.Golden().Out.Shape()...))
 					setRows(e)
 					setNothing(e)
 					if f != nil {
@@ -403,8 +583,9 @@ func TestSkipTileMatchesDetailed(t *testing.T) {
 					}
 					e.maxCyc, e.detailed = limit, i == 1
 					o[i] = e.simulate(nil)
+					ref.release(e)
 				}
-				if err := sameOutcome(o[0], o[1]); err != nil {
+				if err := sameOutcome(&o[0], &o[1]); err != nil {
 					t.Fatalf("%s, %s, limit %d, fault %v: %v", rn, nn, limit, f, err)
 				}
 			}
@@ -470,59 +651,104 @@ func TestRunLeavesFaultAlone(t *testing.T) {
 	if _, err := Run(cfg, l, &f); err != nil {
 		t.Fatal(err)
 	}
-	ref.Run(f)
+	ref.Run(f, staleOut(ref))
 	if f.Mac != -3 || len(f.ExtraBits) != 1 || f.ExtraBits[0] != 2 {
 		t.Errorf("fault changed to %+v", f)
 	}
 }
 
-// A re-converging injection allocates its engine and its outcome, nothing
-// per cycle.
+// raceEnabled is set under the race detector, whose sync.Pool drops a
+// quarter of what it is handed.
+var raceEnabled bool
+
+// An injection allocates nothing — a re-converging one, one that runs to the
+// end, a CDMA one on its private CBUF, one that never fires: the engine is
+// the pool's and the outcome the caller's.
 func TestReferenceRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops engines")
+	}
 	cfg := nvdla()
 	l := tableIIILayers(numerics.MustCodec(numerics.FP16, 0))["inception-conv3x3"]
 	ref, err := NewReference(cfg, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := Fault{FF: FFWReg, Mac: 3, Bit: 14, ExtraBits: []int{3}, Cycle: ref.snaps[2].cycle + 40}
-	if o := ref.Run(f); !o.FaultApplied || o.Cycles != ref.Golden().Cycles {
-		t.Fatalf("%v: not a re-converging injection: %+v", &f, o)
+	out := staleOut(ref)
+	wreg := Fault{FF: FFWReg, Mac: 3, Bit: 14, ExtraBits: []int{3}, Cycle: ref.snaps[2].cycle + 40}
+	if o := ref.Run(wreg, out); !o.FaultApplied || o.Cycles != ref.Golden().Cycles {
+		t.Fatalf("%v: not a re-converging injection: %+v", &wreg, o)
 	}
-	const ceiling = 10
-	if n := testing.AllocsPerRun(50, func() { ref.Run(f) }); n > ceiling {
-		t.Errorf("Reference.Run allocates %v times, ceiling %d", n, ceiling)
-	} else {
-		t.Logf("Reference.Run allocates %v times", n)
+	for name, f := range map[string]Fault{
+		"re-converging": wreg,
+		"cfg.ch":        {FF: FFCfgCh, Bit: 1, Cycle: ref.snaps[1].cycle + 3},
+		"cdma":          {FF: FFCDMAWt1, Bit: 12, Cycle: 40},
+		"never fires":   {FF: FFOutReg, Bit: 2, Cycle: ref.snaps[1].cycle + 3},
+	} {
+		if n := testing.AllocsPerRun(50, func() { ref.Run(f, out) }); n != 0 {
+			t.Errorf("%s: Reference.Run allocates %v times, want 0", name, n)
+		}
 	}
 }
 
+// fuzzLayers are FuzzReferenceRun's layers on tinyDesign in codec's format:
+// a conv with padding, stride 2, a ragged last block and channel group (9
+// positions, 6 channels, 8 reduction rows), and an FC layer without padding
+// (5 rows, 6 inputs, 7 channels) whose input element 8 is exactly 1, so that
+// flipping its bit 14 in FP16 makes it +Inf.
+func fuzzLayers(codec numerics.Codec) []*Layer {
+	conv, _, _ := randConvLayer(61, codec, 5, 4, 2, 6, 2, 2, 1)
+	fc, _, _ := fcLayer(64, 5, 6, 7)
+	fc.Codec = codec
+	fc.Input.Data()[8] = 1
+	return []*Layer{conv, fc}
+}
+
+// fuzzPrecisions are the datapath formats FuzzReferenceRun's prec selects:
+// FP16 takes the rows rectangle, the integer formats the MulPre row loop.
+var fuzzPrecisions = []numerics.Precision{numerics.FP16, numerics.INT16, numerics.INT8}
+
 // FuzzReferenceRun holds Reference.Run and the from-cycle-0 Run to the
-// from-cycle-0 per-MAC simulation on any (FF, MAC, bit, cycle) under a
-// watchdog limit of golden − 1 + extra cycles (the design's when extra is 0
-// or that is past it): a Reference serves no limit its golden run breaks.
+// from-cycle-0 per-MAC simulation on any (FF, MAC, bit, cycle) of either
+// fuzzLayers layer in any fuzzPrecisions format, under a watchdog limit of
+// golden − 1 + extra cycles (the design's when extra is 0 or that is past
+// it): a Reference serves no limit its golden run breaks.
 func FuzzReferenceRun(f *testing.F) {
 	cfg := tinyDesign()
-	l, _, _ := randConvLayer(61, numerics.MustCodec(numerics.FP16, 0), 5, 4, 2, 6, 2, 2, 1)
-	ref, err := NewReference(cfg, l)
-	if err != nil {
-		f.Fatal(err)
+	var refs [][]*Reference // [layer][precision]
+	for pi, p := range fuzzPrecisions {
+		for li, l := range fuzzLayers(numerics.MustCodec(p, 4)) {
+			ref, err := NewReference(cfg, l)
+			if err != nil {
+				f.Fatal(err)
+			}
+			if pi == 0 {
+				refs = append(refs, nil)
+			}
+			refs[li] = append(refs[li], ref)
+		}
 	}
-	// One seed per FF here; the hazards by name are in testdata/fuzz.
-	for i := range allFFs {
-		f.Add(uint8(i), 1, 14, ref.snaps[1].cycle+int64(3*i), uint16(0))
+	// One seed per FF, layer and format here; the hazards by name are in
+	// testdata/fuzz.
+	for li := range refs {
+		for pi, ref := range refs[li] {
+			for i := range allFFs {
+				f.Add(uint8(i), 1, 14, ref.snaps[1].cycle+int64(3*i), uint16(0), uint8(li), uint8(pi))
+			}
+		}
 	}
-	f.Fuzz(func(t *testing.T, ff uint8, mac, bit int, cycle int64, extra uint16) {
+	f.Fuzz(func(t *testing.T, ff uint8, mac, bit int, cycle int64, extra uint16, layer, prec uint8) {
+		ref := refs[int(layer)%len(refs)][int(prec)%len(fuzzPrecisions)]
 		fault := Fault{FF: allFFs[int(ff)%len(allFFs)], Mac: mac, Bit: bit, Cycle: cycle}
 		r := *ref
 		if extra > 0 {
 			r.maxCyc = min(ref.Golden().Cycles-1+int64(extra), ref.maxCyc)
 		}
-		want := runLimited(t, cfg, l, &fault, r.maxCyc, true)
-		if err := sameOutcome(r.Run(fault), want); err != nil {
+		want := runLimited(t, cfg, ref.l, &fault, r.maxCyc, true)
+		if err := sameOutcome(r.Run(fault, staleOut(ref)), want); err != nil {
 			t.Fatalf("Reference.Run %v under limit %d: %v", &fault, r.maxCyc, err)
 		}
-		if err := sameOutcome(runLimited(t, cfg, l, &fault, r.maxCyc, false), want); err != nil {
+		if err := sameOutcome(runLimited(t, cfg, ref.l, &fault, r.maxCyc, false), want); err != nil {
 			t.Fatalf("Run %v under limit %d: %v", &fault, r.maxCyc, err)
 		}
 	})
