@@ -89,21 +89,22 @@ bench:
 # One iteration of the kernel benchmarks beside the code (internal/nn,
 # internal/numerics, internal/faultmodel, internal/inject, internal/rtlsim) —
 # seconds, so they cannot rot between `make bench` runs (HalfMulAddPanel,
-# MulAddPanel, QuantRoundInto, SaturateInto, MaxPoolRegion, ActivationApply, …
-# each with the lanes off and on where it has lanes; Experiment, one replayed
+# MulAddPanel, QuantRoundInto, SaturateInto, ExpRow, MaxPoolRegion,
+# ActivationApply, … each with the lanes off and on where it has lanes; Experiment, one replayed
 # experiment per network and fault model, with its allocations).
 # For numbers: go test -run '^$$' -bench . -count 5 ./internal/nn ./internal/numerics ./internal/faultmodel ./internal/inject ./internal/rtlsim
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/nn ./internal/numerics ./internal/faultmodel ./internal/inject ./internal/rtlsim
 
-# Every native fuzz target for 5 s each, from its committed seeds: the four
-# arithmetic ones (row primitives vs their Go loops, Reference.Run vs Run),
+# Every native fuzz target for 5 s each, from its committed seeds: the five
+# arithmetic ones (row primitives and ExpRow vs their Go loops, Reference.Run
+# vs Run),
 # the three decoders a socket reaches (POST /v1/report, POST /v1/lease through
 # Coordinator.Handler(), and the worker's GET /v1/campaign reply), the two a
 # file reaches (the sealed envelope and checkpoint v3 restore) and the
 # //lint:allow parser. `go test -fuzz` takes one target at a time. Mirrors the
 # `fuzz smoke` step of CI's bench-smoke job.
-FUZZ_TARGETS := numerics:FuzzHalfRow numerics:FuzzHalfPanel numerics:FuzzMulAddPanel rtlsim:FuzzReferenceRun distrib:FuzzReportBody distrib:FuzzLeaseBody distrib:FuzzHelloReply campaign:FuzzOpenSealedJSON campaign:FuzzLoadCheckpoint lint:FuzzAllowDirective
+FUZZ_TARGETS := numerics:FuzzHalfRow numerics:FuzzHalfPanel numerics:FuzzMulAddPanel numerics:FuzzExpRow rtlsim:FuzzReferenceRun distrib:FuzzReportBody distrib:FuzzLeaseBody distrib:FuzzHelloReply campaign:FuzzOpenSealedJSON campaign:FuzzLoadCheckpoint lint:FuzzAllowDirective
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 5s ./internal/$${t%%:*} || exit 1; \
@@ -112,8 +113,8 @@ fuzz-smoke:
 # The kernels' "bounds-check free" claim, checked: builds internal/nn,
 # internal/numerics and internal/rtlsim with -gcflags=-d=ssa/check_bce and
 # fails if the compiler kept a bounds check inside an innermost loop of
-# kernels.go, of a row primitive in halfrow.go or floatrow.go, of a row
-# epilogue — Codec.SaturateInto (bitflip.go), the rectifier rows
+# kernels.go, of a row primitive in halfrow.go or floatrow.go, of the softmax's
+# exponential row (exprow.go), of a row epilogue — the rectifier rows
 # (activation.go), the residual add and the batch-norm rows (block.go) — of a
 # pooling window (pool.go), or of the cycle-level reference's lean runner
 # (rtlsim/engine.go) (cmd/bcecheck).
@@ -121,7 +122,7 @@ bce:
 	$(GO) run ./cmd/bcecheck
 
 # The non-amd64 file set (internal/numerics/halfrow_noasm.go beside
-# halfrow_amd64.s and floatrow_amd64.s): cross-build everything and vet the two packages that see
+# halfrow_amd64.s, floatrow_amd64.s and exprow_amd64.s): cross-build everything and vet the two packages that see
 # the split, tests included, so the portable side cannot rot on an amd64-only
 # machine. `vet` below already checks the assembly's frames and argument
 # offsets (asmdecl). Mirrors the `portable` step of CI's build + test job.

@@ -1,16 +1,16 @@
 // Command bcecheck fails when the compiler leaves a bounds check inside an
 // innermost loop of the kernel hot paths: internal/nn/kernels.go, the row
-// primitives of internal/numerics/halfrow.go and floatrow.go, the row epilogues
-// (Codec.SaturateInto in internal/numerics/bitflip.go, the rectifier rows of
-// internal/nn/activation.go, the residual add and the batch-norm rows of
-// internal/nn/block.go), the pooling windows of internal/nn/pool.go and the
-// replay engine's diff scans and glue regions in internal/nn/region.go
-// (glueRegion's union of input spans, box.runs' walk over a region's runs;
-// the residual add is also what a residual glue sweep runs per run), and the
-// cycle-level reference's lean runner in internal/rtlsim/engine.go (the
-// MAC-cycle row loop, the column gather of whole-row rectangles). Their
-// headers claim the per-element loops are bounds-check free; this keeps the
-// claim true.
+// primitives of internal/numerics/halfrow.go and floatrow.go, the softmax's
+// exponential row in internal/numerics/exprow.go, the row epilogues (the
+// rectifier rows of internal/nn/activation.go, the residual add and the
+// batch-norm rows of internal/nn/block.go), the pooling windows of
+// internal/nn/pool.go and the replay engine's diff scans and glue regions in
+// internal/nn/region.go (glueRegion's union of input spans, box.runs' walk
+// over a region's runs; the residual add is also what a residual glue sweep
+// runs per run), and the cycle-level reference's lean runner in
+// internal/rtlsim/engine.go (the MAC-cycle row loop, the column gather of
+// whole-row rectangles). Their headers claim the per-element loops are
+// bounds-check free; this keeps the claim true.
 //
 // It builds the three packages with -gcflags=-d=ssa/check_bce, which reports
 // every check the compiler could not prove away as "file:line:col: Found
@@ -51,6 +51,8 @@ import (
 // InitRandom fills a layer's
 // parameters once, through the tensor's accessors. floatrow.go needs no
 // exemption: its dispatchers do not loop, and its ...Go loops are checked.
+// ExpRow loops once per chunk the lanes left to expRowGo, as halfRoundInto
+// does. Codec.SaturateInto has no loop of its own: its FP16 clamp is ClipRow.
 // In the cycle-level engine, step and macCycle are the per-MAC path, which
 // runs the fault cycle alone (every cycle only under the test oracle) and
 // indexes registers by a possibly corrupted counter; drain runs one
@@ -65,7 +67,7 @@ var hotFiles = map[string]map[string]bool{
 	"internal/nn/block.go":          {"InitRandom": true, "concatSweep": true},
 	"internal/nn/pool.go":           {"maxPoolRegion": true},
 	"internal/nn/region.go":         {"boxify": true, "diffSpanBox": true},
-	"internal/numerics/bitflip.go":  {},
+	"internal/numerics/exprow.go":   {"ExpRow": true},
 	"internal/numerics/floatrow.go": {},
 	"internal/numerics/halfrow.go": {
 		"HalfMulAddPanel": true,

@@ -360,38 +360,31 @@ func TestChaosCheckpointIOErrors(t *testing.T) {
 		}
 
 		// Interrupt mid-flight with a save path that fails twice per write:
-		// the on-cancel checkpoint save must retry through it.
-		var attempts atomic.Int64
+		// the on-cancel checkpoint save must retry through it. The cancel comes
+		// from inside the campaign, as half the clean run's experiments have
+		// started, so the other half cannot finish first however fast they run.
+		var attempts, started atomic.Int64
 		tel := telemetry.New()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		stop := make(chan struct{})
-		go func() {
-			defer cancel()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if tel.Experiments() >= int64(clean.Experiments)/2 {
-					return
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}()
 		ckptPath := filepath.Join(t.TempDir(), "transient.json")
 		opts := base
 		opts.Telemetry = tel
 		opts.CheckpointPath = ckptPath
-		opts.chaos = &chaosPolicy{save: func(string) error {
-			if attempts.Add(1)%3 != 0 {
-				return errors.New("chaos: synthetic EIO")
-			}
-			return nil
-		}}
+		opts.chaos = &chaosPolicy{
+			experiment: func(int, Cursor) {
+				if started.Add(1) == int64(clean.Experiments)/2 {
+					cancel()
+				}
+			},
+			save: func(string) error {
+				if attempts.Add(1)%3 != 0 {
+					return errors.New("chaos: synthetic EIO")
+				}
+				return nil
+			},
+		}
 		_, err = Study(ctx, cfg, w, opts)
-		close(stop)
 		var intr *Interrupted
 		if !errors.As(err, &intr) {
 			t.Fatalf("got %v, want *Interrupted (the transient failures must be retried through)", err)

@@ -172,18 +172,11 @@ func (c Codec) SaturateInto(dst, src []float32) {
 	case FP32:
 		copy(dst, src)
 	case FP16:
-		// Saturate's two compares, then the rounding over the whole row:
-		// RoundHalf(±65504) is ±65504 (DESIGN.md §7.6).
+		// Saturate's two compares as one clip, NaN passing through, then the
+		// rounding over the whole row: RoundHalf(±65504) is ±65504 (DESIGN.md
+		// §7.6).
 		const halfMax = 65504
-		for i, f := range src {
-			switch {
-			case f > halfMax:
-				f = halfMax
-			case f < -halfMax:
-				f = -halfMax
-			}
-			dst[i] = f
-		}
+		ClipRow(dst, src, -halfMax, halfMax)
 		halfRoundInto(dst, dst)
 	default:
 		c.quant.roundInto(dst, src, -c.quant.MaxAbs()-c.quant.Scale)

@@ -1,9 +1,10 @@
 package numerics
 
-// hasAVX2 selects the AVX2 bodies of halfrow_amd64.s (eight FP16 lanes) and
-// floatrow_amd64.s (the plain-float32 rows and the quantizer lanes), once,
-// from what the CPU (AVX2 and the F16C converter) and the OS report. Tests flip
-// it to run every primitive both ways; nothing else writes it.
+// hasAVX2 selects the AVX2 bodies of halfrow_amd64.s (eight FP16 lanes),
+// floatrow_amd64.s (the plain-float32 rows and the quantizer lanes) and
+// exprow_amd64.s (the exponentials), once, from what the CPU (AVX2, the F16C
+// converter and FMA) and the OS report. Tests flip it to run every primitive
+// both ways; nothing else writes it.
 var hasAVX2 = cpuHasAVX2()
 
 // Implemented in halfrow_amd64.s; halfrow.go (laneChunk) has the contract of
@@ -34,3 +35,9 @@ func maxRowAVX2(m, v []float32)
 func reluRowAVX2(out, x []float32)
 
 func clipRowAVX2(out, x []float32, lo, hi float32)
+
+// Implemented in exprow_amd64.s, under the chunk contract of laneChunk. dst is
+// a caller's stack block (tensor.SoftmaxRows), which must not escape.
+
+//go:noescape
+func expRowAVX2(dst []float64, x []float32, shift float32) int

@@ -54,9 +54,11 @@ GLOBL halfLanes<>(SB), RODATA|NOPTR, $20
 
 // func cpuHasAVX2() bool
 //
-// The lanes are usable when the CPU has AVX2 (leaf 7 EBX bit 5) and the F16C
-// converter (leaf 1 ECX bit 29), and the OS saves the YMM state across context
-// switches (OSXSAVE, and XCR0 bits 1 and 2).
+// The lanes are usable when the CPU has AVX2 (leaf 7 EBX bit 5), the F16C
+// converter (leaf 1 ECX bit 29) and FMA (leaf 1 ECX bit 12), and the OS saves
+// the YMM state across context switches (OSXSAVE, and XCR0 bits 1 and 2). FMA
+// is what math.Exp itself requires of its fused path, the one exprow_amd64.s
+// copies: with it the lanes run only where math.Exp runs that path too.
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	MOVB $0, ret+0(FP)
 	XORL AX, AX
@@ -65,8 +67,8 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	JLT  no
 	MOVL $1, AX
 	CPUID
-	ANDL $0x38000000, CX // OSXSAVE | AVX | F16C
-	CMPL CX, $0x38000000
+	ANDL $0x38001000, CX // OSXSAVE | AVX | F16C | FMA
+	CMPL CX, $0x38001000
 	JNE  no
 	XORL CX, CX
 	XGETBV

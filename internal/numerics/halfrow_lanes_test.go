@@ -464,8 +464,8 @@ func FuzzHalfPanel(f *testing.F) {
 // can set and nothing promises.
 func TestAsmIsVEXOnly(t *testing.T) {
 	files, err := filepath.Glob("*_amd64.s")
-	if err != nil || len(files) < 2 {
-		t.Fatalf("found %v (%v): halfrow_amd64.s and floatrow_amd64.s at least", files, err)
+	if err != nil || len(files) < 3 {
+		t.Fatalf("found %v (%v): halfrow_amd64.s, floatrow_amd64.s and exprow_amd64.s at least", files, err)
 	}
 	for _, file := range files {
 		checkAsmIsVEXOnly(t, file)

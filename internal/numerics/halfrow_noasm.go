@@ -20,6 +20,8 @@ func halfDotAVX2(acc float32, a, w []float32) (sum float32, n int) { return acc,
 
 func halfRoundAVX2(dst, src []float32) int { return 0 }
 
+func expRowAVX2(dst []float64, x []float32, shift float32) int { return 0 }
+
 // The plain-float32 bodies of floatrow_amd64.s are never reached: every call
 // is behind hasAVX2.
 

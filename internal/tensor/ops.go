@@ -3,6 +3,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+
+	"fidelity/internal/numerics"
 )
 
 // Add returns t + u elementwise. Shapes must match.
@@ -103,11 +105,18 @@ func Softmax(t *Tensor) *Tensor {
 	return out
 }
 
+// softmaxBlock is how many exponentials SoftmaxRows takes from
+// numerics.ExpRow at a time, into a block on its stack: a row of any length
+// allocates nothing.
+const softmaxBlock = 64
+
 // SoftmaxRows replaces rows [r0, r1) of t — its vectors along the last
 // dimension — by their softmax, in place; a row's result depends on that row
-// alone.
+// alone. The exponentials are math.Exp's bits, through numerics.ExpRow; the
+// sum is one float64 chain in index order (DESIGN.md §7.8).
 func SoftmaxRows(t *Tensor, r0, r1 int) {
 	last := t.shape[len(t.shape)-1]
+	var block [softmaxBlock]float64
 	for r := r0; r < r1; r++ {
 		row := t.data[r*last : (r+1)*last]
 		maxv := float32(math.Inf(-1))
@@ -117,10 +126,14 @@ func SoftmaxRows(t *Tensor, r0, r1 int) {
 			}
 		}
 		var sum float64
-		for i, x := range row {
-			e := math.Exp(float64(x - maxv))
-			row[i] = float32(e)
-			sum += e
+		for i := 0; i < len(row); i += softmaxBlock {
+			part := row[i:min(i+softmaxBlock, len(row))]
+			e := block[:len(part)]
+			numerics.ExpRow(e, part, maxv)
+			for j, v := range e {
+				part[j] = float32(v)
+				sum += v
+			}
 		}
 		if sum == 0 || math.IsNaN(sum) {
 			// Degenerate row (all -Inf or NaN): emit uniform distribution so

@@ -106,10 +106,14 @@ func (t *Tensor) At(idx ...int) float32 { return t.data[t.Offset(idx...)] }
 // Set stores v at a multi-index.
 func (t *Tensor) Set(v float32, idx ...int) { t.data[t.Offset(idx...)] = v }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. Its buffer is written once, by the copy: New
+// would zero it first.
 func (t *Tensor) Clone() *Tensor {
-	c := New(t.shape...)
-	copy(c.data, t.data)
+	c := &Tensor{
+		shape: append([]int(nil), t.shape...),
+		data:  append(t.data[:0:0], t.data...),
+	}
+	c.strides = computeStrides(nil, c.shape)
 	return c
 }
 
