@@ -42,17 +42,18 @@ import (
 // which are checked, as are mulAddPanel, dotRow and convPixel: the
 // loops behind every tile and every run of recompute.go. boxify and diffSpanBox
 // likewise loop once per tensor row, slicing it out; their per-element loops
-// are firstDiff and lastDiff, which are checked; matmulTile loops once per
+// are numerics' firstDiffGo and lastDiffGo, which are checked; matmulTile loops once per
 // output row over mulAddPanel and scaleSaturate; maxPoolRegion once per window
 // cell over numerics.MaxRow, slicing the cell out. concatSweep, the branch and
 // head concat's glue sweep, loops once per input vector of a position, slicing
 // the vector and its place in the output out for one copy — the runtime's
 // memmove, as in tensor.Concat — and has no per-element loop of its own.
 // InitRandom fills a layer's
-// parameters once, through the tensor's accessors. floatrow.go needs no
-// exemption: its dispatchers do not loop, and its ...Go loops are checked.
-// ExpRow loops once per chunk the lanes left to expRowGo, as halfRoundInto
-// does. Codec.SaturateInto has no loop of its own: its FP16 clamp is ClipRow.
+// parameters once, through the tensor's accessors. In floatrow.go, FirstDiff
+// and LastDiff loop once per chunk the lanes handed back to firstDiffGo and
+// lastDiffGo, as halfRoundInto does; the other dispatchers do not loop, and
+// every ...Go loop is checked. ExpRow loops once per chunk the lanes left to
+// expRowGo, as halfRoundInto does. Codec.SaturateInto has no loop of its own: its FP16 clamp is ClipRow.
 // In the cycle-level engine, step and macCycle are the per-MAC path, which
 // runs the fault cycle alone (every cycle only under the test oracle) and
 // indexes registers by a possibly corrupted counter; drain runs one
@@ -68,7 +69,7 @@ var hotFiles = map[string]map[string]bool{
 	"internal/nn/pool.go":           {"maxPoolRegion": true},
 	"internal/nn/region.go":         {"boxify": true, "diffSpanBox": true},
 	"internal/numerics/exprow.go":   {"ExpRow": true},
-	"internal/numerics/floatrow.go": {},
+	"internal/numerics/floatrow.go": {"FirstDiff": true, "LastDiff": true},
 	"internal/numerics/halfrow.go": {
 		"HalfMulAddPanel": true,
 		"HalfMulAddRow":   true, "HalfMulAddVec": true, "HalfDot": true, "halfRoundInto": true,

@@ -157,10 +157,15 @@ func TestChaosRecoversToCleanTallies(t *testing.T) {
 
 	// The deadline must sit far above a legitimate experiment's duration
 	// (tens of ms, but 10-100x that under -race with loaded workers): only
-	// the synthetic hang — which blocks until cleanup — may trip it.
+	// the synthetic hang may trip it, and the test trips it as soon as the
+	// hang is reached — the hung experiment's timer comes out of the policy's
+	// factory and its hook fires it. The hang blocks until cleanup, or for
+	// twice the deadline: a watchdog that never fires lets the experiment
+	// finish, which the quarantine count below catches.
 	const deadline = 5 * time.Second
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
+	hangTimer := make(chan *time.Timer, 1)
 	chaos := &chaosPolicy{
 		experiment: func(shard int, cur Cursor) {
 			k := chaosKey{shard, cur}
@@ -168,8 +173,19 @@ func TestChaosRecoversToCleanTallies(t *testing.T) {
 				panic("chaos: synthetic panic")
 			}
 			if k == hangAt {
-				<-release
+				(<-hangTimer).Reset(0)
+				select {
+				case <-release:
+				case <-time.After(2 * deadline):
+				}
 			}
+		},
+		timer: func(shard int, cur Cursor, timeout time.Duration) *time.Timer {
+			tm := time.NewTimer(timeout)
+			if (chaosKey{shard, cur}) == hangAt {
+				hangTimer <- tm
+			}
+			return tm
 		},
 	}
 

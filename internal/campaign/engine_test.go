@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"fidelity/internal/accel"
 	"fidelity/internal/faultmodel"
@@ -77,7 +77,8 @@ func TestStudyWorkerDeterminism(t *testing.T) {
 // TestStudyInterruptResume interrupts a campaign mid-flight, then resumes it —
 // from the in-memory checkpoint, from the auto-saved checkpoint file, and from
 // an explicit Save/LoadCheckpoint round trip — and requires every resumed run
-// to reproduce the uninterrupted StudyResult exactly.
+// to reproduce the uninterrupted StudyResult exactly, running only the
+// experiments the checkpoint had not done.
 func TestStudyInterruptResume(t *testing.T) {
 	w := engineWorkload(t)
 	cfg := accel.NVDLASmall()
@@ -88,31 +89,21 @@ func TestStudyInterruptResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupt once the campaign is demonstrably mid-flight.
+	// Interrupt mid-flight from inside the campaign: the experiment hook
+	// cancels as the 200th experiment starts, so the rest cannot finish first
+	// however fast they run.
 	ckptPath := filepath.Join(t.TempDir(), "study.checkpoint.json")
-	tel := telemetry.New()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	stop := make(chan struct{})
-	go func() {
-		defer cancel()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if tel.Experiments() >= 200 {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
+	var started atomic.Int64
 	opts := base
-	opts.Telemetry = tel
 	opts.CheckpointPath = ckptPath
+	opts.chaos = &chaosPolicy{experiment: func(int, Cursor) {
+		if started.Add(1) == 200 {
+			cancel()
+		}
+	}}
 	_, err = Study(ctx, cfg, w, opts)
-	close(stop)
 	var intr *Interrupted
 	if !errors.As(err, &intr) {
 		t.Fatalf("interrupted study returned %v, want *Interrupted", err)
@@ -129,26 +120,31 @@ func TestStudyInterruptResume(t *testing.T) {
 		t.Errorf("Interrupted.Path = %q, want %q", intr.Path, ckptPath)
 	}
 
-	// Resume from the in-memory checkpoint.
-	resume := base
-	resume.Resume = cp
-	res, err := Study(context.Background(), cfg, w, resume)
-	if err != nil {
-		t.Fatal(err)
+	// resume continues from cp and must reach the uninterrupted result by
+	// running only the experiments cp has not done: a resume that restarts
+	// from zero reaches the same result, but runs them all.
+	resume := func(label string, cp *Checkpoint) {
+		t.Helper()
+		opts := base
+		opts.Resume = cp
+		opts.Telemetry = telemetry.New()
+		res, err := Study(context.Background(), cfg, w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireEqualResults(t, label, baseline, res)
+		if ran, want := opts.Telemetry.Experiments(), int64(baseline.Experiments-cp.Experiments); ran != want {
+			t.Errorf("%s: ran %d experiments, want the %d the checkpoint had not done", label, ran, want)
+		}
 	}
-	requireEqualResults(t, "in-memory resume", baseline, res)
+	resume("in-memory resume", cp)
 
 	// Resume from the checkpoint file Study saved on cancellation.
 	saved, err := LoadCheckpoint(ckptPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resume.Resume = saved
-	res, err = Study(context.Background(), cfg, w, resume)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualResults(t, "auto-saved file resume", baseline, res)
+	resume("auto-saved file resume", saved)
 
 	// Explicit Save → LoadCheckpoint round trip.
 	rtPath := filepath.Join(t.TempDir(), "roundtrip.json")
@@ -159,12 +155,7 @@ func TestStudyInterruptResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resume.Resume = rt
-	res, err = Study(context.Background(), cfg, w, resume)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualResults(t, "save/load round trip resume", baseline, res)
+	resume("save/load round trip resume", rt)
 }
 
 // TestStudyCancelBeforeStart: a context cancelled before the first experiment

@@ -591,7 +591,7 @@ func (sh *shardState) attempt(ctx context.Context, cur Cursor, id faultmodel.ID,
 		r, ff, err := sh.experiment(ctx, inj, cur, id, execIdx)
 		ch <- outcome{r, ff, err}
 	}()
-	timer := time.NewTimer(timeout)
+	timer := sh.opts.chaos.newTimer(sh.index, cur, timeout)
 	defer timer.Stop()
 	select {
 	case o := <-ch:

@@ -66,10 +66,22 @@ func experimentSeed(shardSeed int64, cur Cursor) int64 {
 // immediately before the injection executes — it may panic (recovered and
 // quarantined) or block (watchdog fires and quarantines). save runs before
 // every checkpoint write and may return a synthetic I/O error, which is
-// retried exactly like a real one.
+// retried exactly like a real one. timer, when set, builds the watchdog's
+// deadline timer of each experiment in place of time.NewTimer, so that a test
+// can fire it the moment its hang is reached.
 type chaosPolicy struct {
 	experiment func(shard int, cur Cursor)
 	save       func(path string) error
+	timer      func(shard int, cur Cursor, timeout time.Duration) *time.Timer
+}
+
+// newTimer starts the watchdog's deadline timer for the experiment at cur:
+// time.NewTimer(timeout), unless the chaos policy builds it.
+func (c *chaosPolicy) newTimer(shard int, cur Cursor, timeout time.Duration) *time.Timer {
+	if c == nil || c.timer == nil {
+		return time.NewTimer(timeout)
+	}
+	return c.timer(shard, cur, timeout)
 }
 
 // failureBudget resolves the per-shard quarantine cap; negative means

@@ -92,6 +92,36 @@ func startWorkers(ctx context.Context, t *testing.T, base string, n int, prefix 
 	}
 }
 
+// gateFirstLeases sends h's answers to the first n POST /v1/lease requests
+// only once h has answered all n of them; everything else passes straight
+// through. No worker can then start a shard before n workers hold a lease,
+// which each of them gets while at least n shards are pending.
+func gateFirstLeases(h http.Handler, n int) http.Handler {
+	var arrived, answered atomic.Int64
+	all := make(chan struct{})
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/lease" || arrived.Add(1) > int64(n) {
+			h.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if answered.Add(1) == int64(n) {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-r.Context().Done():
+			return
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	})
+}
+
 // TestDistribDeterminism is the fabric's core contract: a campaign executed
 // through the coordinator by 1, 2, or 4 workers assembles a StudyResult
 // byte-identical to an in-process campaign.Study with the same (Seed,
@@ -106,7 +136,10 @@ func TestDistribDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := httptest.NewServer(c.Handler())
+			// Every worker must contribute, so none starts a shard before all
+			// of them hold a lease: a campaign of a few milliseconds is
+			// otherwise over before the last worker's first request is served.
+			srv := httptest.NewServer(gateFirstLeases(c.Handler(), workers))
 			defer srv.Close()
 
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

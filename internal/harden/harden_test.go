@@ -6,8 +6,8 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"fidelity/internal/accel"
 	"fidelity/internal/campaign"
@@ -288,30 +288,14 @@ func TestHardenedInterruptResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Interrupt mid-flight from inside the campaign, a fixed number of
+	// experiments in, however fast they run (cancelAfter).
 	ckptPath := filepath.Join(t.TempDir(), "harden.checkpoint.json")
-	tel := telemetry.New()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stop := make(chan struct{})
-	go func() {
-		defer cancel()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if tel.Experiments() >= 150 {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
+	ctx := newCancelAfter(300)
+	defer ctx.cancel()
 	opts := base
-	opts.Telemetry = tel
 	opts.CheckpointPath = ckptPath
 	_, err = campaign.Study(ctx, cfg, hw, opts)
-	close(stop)
 	var intr *campaign.Interrupted
 	if !errors.As(err, &intr) {
 		t.Fatalf("interrupted hardened study returned %v, want *Interrupted", err)
@@ -319,6 +303,9 @@ func TestHardenedInterruptResume(t *testing.T) {
 	cp := intr.Checkpoint
 	if cp.Hardening != fp {
 		t.Fatalf("checkpoint hardening = %q, want %q", cp.Hardening, fp)
+	}
+	if cp.Experiments <= 0 || cp.Experiments >= baseline.Experiments {
+		t.Fatalf("checkpoint holds %d experiments, want mid-campaign (0, %d)", cp.Experiments, baseline.Experiments)
 	}
 
 	// The hardened checkpoint must not match an unhardened campaign (or a
@@ -338,8 +325,11 @@ func TestHardenedInterruptResume(t *testing.T) {
 		t.Error("hardened checkpoint did not match its own options")
 	}
 
+	// The resume runs only what the checkpoint had not done: one that
+	// restarted from zero would reach the same bytes, running everything.
 	resume := base
 	resume.Resume = cp
+	resume.Telemetry = telemetry.New()
 	res, err := campaign.Study(context.Background(), cfg, hw, resume)
 	if err != nil {
 		t.Fatal(err)
@@ -351,6 +341,33 @@ func TestHardenedInterruptResume(t *testing.T) {
 	if string(got) != string(want) {
 		t.Error("resumed hardened StudyResult bytes differ from uninterrupted run")
 	}
+	if ran, rest := resume.Telemetry.Experiments(), int64(baseline.Experiments-cp.Experiments); ran != rest {
+		t.Errorf("resume ran %d experiments, want the %d the checkpoint had not done", ran, rest)
+	}
+}
+
+// cancelAfter is a context that cancels itself on the n-th call of its Err.
+// The campaign engine asks before every experiment, on the goroutine about to
+// run it, so the cancel comes from inside the campaign, at the same point of
+// it whatever the machine's speed — no goroutine polls progress beside it.
+type cancelAfter struct {
+	context.Context
+	cancel context.CancelFunc
+	left   atomic.Int64
+}
+
+func newCancelAfter(n int64) *cancelAfter {
+	ctx, cancel := context.WithCancel(context.Background())
+	c := &cancelAfter{Context: ctx, cancel: cancel}
+	c.left.Store(n)
+	return c
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
 }
 
 // TestHardenTelemetry: hardened campaigns must surface the harden snapshot

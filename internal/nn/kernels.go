@@ -83,8 +83,8 @@ type convArgs struct {
 	depthwise, fp16    bool
 	// skipZero is set when every rounded weight is finite (weightCache): a ±0
 	// activation then contributes ±0 to every accumulator of its weight row,
-	// and an accumulator that starts at +0 never holds -0, so the row can be
-	// skipped without changing a bit (DESIGN.md §7).
+	// and an accumulator that starts at +0 never holds -0, so the FP16 panel
+	// may skip the row without changing a bit (DESIGN.md §7.2).
 	skipZero bool
 	codec    numerics.Codec
 }
@@ -94,7 +94,8 @@ type convArgs struct {
 // acc, the FP16 product rounded through the half encoding — one call into the
 // lanes for the whole run either way (numerics.HalfMulAddPanel, and
 // numerics.MulAddPanel for the precisions whose products are not rounded). With
-// skipZero the rows of ±0 activations are skipped (convArgs.skipZero). a is one
+// skipZero the FP16 panel skips the rows of ±0 activations (convArgs.skipZero);
+// the float32 panel computes every row, which gives the same bits. a is one
 // kernel row's (kx, ic) run of a convolution, a dense layer's input features or
 // a matmul's inner dimension; acc is all of the output's last axis, or a window
 // of it when stride is wider.
@@ -103,7 +104,7 @@ func mulAddPanel(fp16, skipZero bool, acc, a, w []float32, stride int) {
 		numerics.HalfMulAddPanel(acc, a, w, stride, skipZero)
 		return
 	}
-	numerics.MulAddPanel(acc, a, w, stride, skipZero)
+	numerics.MulAddPanel(acc, a, w, stride)
 }
 
 // dotRow returns acc + Σ a[i]·w[i] added in ascending i, the FP16 product

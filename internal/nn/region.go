@@ -20,8 +20,6 @@ package nn
 // detection), and the recorded span covers all differing elements.
 
 import (
-	"math"
-
 	"fidelity/internal/numerics"
 	"fidelity/internal/tensor"
 )
@@ -51,85 +49,16 @@ func (s span) boxIn(h, w, rowStride, imgStride int) (y0, y1, x0, x1 int) {
 	return 0, h, 0, w
 }
 
-// neq reports whether a and b differ as tensor elements (NaN equals NaN, as
-// in tensor.Equal).
-func neq(a, b float32) bool {
-	return a != b && !(math.IsNaN(float64(a)) && math.IsNaN(float64(b)))
-}
-
-// bitsDiffer4 reports whether any of the four leading elements of a and b
-// differ as IEEE bit patterns. Equal bits are equal elements; differing bits
-// still are for +0 against -0 and for NaNs of two payloads, which is neq's
-// call to make.
-func bitsDiffer4(a, b []float32) bool {
-	return (math.Float32bits(a[0])^math.Float32bits(b[0]))|
-		(math.Float32bits(a[1])^math.Float32bits(b[1]))|
-		(math.Float32bits(a[2])^math.Float32bits(b[2]))|
-		(math.Float32bits(a[3])^math.Float32bits(b[3])) != 0
-}
-
-// firstDiff returns the index of the first element at which a and b differ
-// (neq), or len(a) when none does. b must be at least as long as a. Equal runs
-// are crossed four bit patterns at a time; a group with a bit mismatch is
-// settled element by element, so a false alarm costs four neq calls and the
-// scan goes on. Both slices shrink from the front as the scan advances, which
-// is what lets the compiler drop every bounds check of the two inner loops
-// (`make bce`).
-func firstDiff(a, b []float32) int {
-	n := len(a)
-	b = b[:n]
-	for len(a) > 0 {
-		for len(a) >= 4 && len(b) >= 4 {
-			if bitsDiffer4(a, b) {
-				break
-			}
-			a, b = a[4:], b[4:]
-		}
-		k := min(4, len(a))
-		head, bhead := a[:k], b[:k]
-		for j, v := range head {
-			if neq(v, bhead[j]) {
-				return n - len(a) + j
-			}
-		}
-		a, b = a[k:], b[k:]
-	}
-	return n
-}
-
-// lastDiff returns the index of the last element at which a and b differ
-// (neq), or -1 when none does: firstDiff from the right, the slices shrinking
-// from the back.
-func lastDiff(a, b []float32) int {
-	b = b[:len(a)]
-	for len(a) > 0 {
-		for len(a) >= 4 && len(b) >= 4 {
-			if bitsDiffer4(a[len(a)-4:], b[len(b)-4:]) {
-				break
-			}
-			a, b = a[:len(a)-4], b[:len(b)-4]
-		}
-		k := max(len(a)-4, 0)
-		tail, btail := a[k:], b[k:]
-		for j := len(tail) - 1; j >= 0 && j < len(btail); j-- {
-			if neq(tail[j], btail[j]) {
-				return k + j
-			}
-		}
-		a, b = a[:k], b[:k]
-	}
-	return -1
-}
-
-// diffEnds returns the first and the last index at which a and b differ,
-// scanning from both ends inwards so that nothing between the two is read;
-// differ is false when a equals b.
+// diffEnds returns the first and the last index at which a and b differ as
+// tensor elements (NaN equals NaN, +0 equals -0), scanning from both ends
+// inwards so that nothing between the two is read; differ is false when a
+// equals b.
 func diffEnds(a, b []float32) (first, last int, differ bool) {
-	first = firstDiff(a, b)
+	first = numerics.FirstDiff(a, b)
 	if first == len(a) {
 		return 0, 0, false
 	}
-	return first, first + lastDiff(a[first:], b[first:]), true
+	return first, first + numerics.LastDiff(a[first:], b[first:]), true
 }
 
 // diffSpanFlat scans elements [lo, hi) of out against golden — all of them,
@@ -281,11 +210,15 @@ func windowRange(i0, i1, k, s, p, on int) (o0, o1 int) {
 	return o0, o1
 }
 
-// goldenCopy returns an arena-backed copy of golden.
+// goldenCopy returns an arena-backed copy of golden: a recycled buffer when
+// the arena has one of its size, else golden.Clone(), whose buffer is not
+// zeroed before the copy overwrites it, lent like any other.
 func (c *Context) goldenCopy(golden *tensor.Tensor) *tensor.Tensor {
-	out := c.arena.get(golden.Shape()...)
-	copy(out.Data(), golden.Data())
-	return out
+	if out := c.arena.recycled(golden.Shape()...); out != nil {
+		copy(out.Data(), golden.Data())
+		return out
+	}
+	return c.arena.lend(golden.Clone())
 }
 
 // forwardRegion implements regionSite for Conv2D: it maps the dirty input box

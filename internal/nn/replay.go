@@ -161,19 +161,32 @@ func (a *Arena) putFree(t *tensor.Tensor) {
 // get returns a tensor of the given shape over a recycled (not zeroed)
 // buffer, or a fresh one when no free buffer has that element count.
 func (a *Arena) get(shape ...int) *tensor.Tensor {
+	if t := a.recycled(shape...); t != nil {
+		return t
+	}
+	return a.lend(tensor.New(shape...))
+}
+
+// recycled returns a tensor of the given shape over a free buffer, lent and
+// counted as a reuse, or nil when no free buffer has that element count.
+func (a *Arena) recycled(shape ...int) *tensor.Tensor {
 	n := 1
 	for _, d := range shape {
 		n *= d
 	}
-	var t *tensor.Tensor
-	if b := a.bucket(n); len(b.ts) > 0 {
-		t = b.ts[len(b.ts)-1]
-		b.ts = b.ts[:len(b.ts)-1]
-		t.ReshapeInPlace(shape...)
-		a.reuses++
-	} else {
-		t = tensor.New(shape...)
+	b := a.bucket(n)
+	if len(b.ts) == 0 {
+		return nil
 	}
+	t := b.ts[len(b.ts)-1]
+	b.ts = b.ts[:len(b.ts)-1]
+	t.ReshapeInPlace(shape...)
+	a.reuses++
+	return a.lend(t)
+}
+
+// lend records t as handed out until the next Reset and returns it.
+func (a *Arena) lend(t *tensor.Tensor) *tensor.Tensor {
 	a.lent = append(a.lent, t)
 	return t
 }
@@ -283,12 +296,11 @@ func (c *Context) newTensor(shape ...int) *tensor.Tensor {
 	if c == nil || c.mode != ctxReplay {
 		return tensor.New(shape...)
 	}
-	reuses := c.arena.reuses
-	t := c.arena.get(shape...)
-	if c.arena.reuses != reuses {
+	if t := c.arena.recycled(shape...); t != nil {
 		clear(t.Data())
+		return t
 	}
-	return t
+	return c.arena.lend(tensor.New(shape...))
 }
 
 // seedFn builds the hook operand set around a golden-seeded output tensor,

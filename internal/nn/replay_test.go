@@ -27,7 +27,7 @@ func naiveSpan(od, gd []float32, n, h, w, c int, bx *box) (sp span, equal bool) 
 		if bx != nil && (y < bx.y0 || y >= bx.y1 || x < bx.x0 || x >= bx.x1) {
 			continue
 		}
-		if !neq(od[i], gd[i]) {
+		if od[i] == gd[i] || od[i] != od[i] && gd[i] != gd[i] {
 			continue
 		}
 		sp.lo, sp.hi = min(sp.lo, i), max(sp.hi, i+1)
@@ -37,6 +37,11 @@ func naiveSpan(od, gd []float32, n, h, w, c int, bx *box) (sp span, equal bool) 
 	return sp, sp.hi == 0
 }
 
+// TestDiffScansMatchNaive holds the span scans — diffSpanFlat, boxify,
+// diffSpanBox, over numerics.FirstDiff and LastDiff — to naiveSpan on random
+// tensors whose elements are equal through bit differences (the other zero,
+// another NaN payload) around 0–4 real differences. numerics' test of the
+// same name holds the two row scans to their oracle with the lanes off and on.
 func TestDiffScansMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	nanA := math.Float32frombits(0x7fc00001)
@@ -87,11 +92,11 @@ func TestDiffScansMatchNaive(t *testing.T) {
 		if !wantEqual {
 			wantFirst, wantLast = wantFull.lo, wantFull.hi-1
 		}
-		if got := firstDiff(od, gd); got != wantFirst {
-			t.Fatalf("case %d: firstDiff = %d, want %d", tc, got, wantFirst)
+		if got := numerics.FirstDiff(od, gd); got != wantFirst {
+			t.Fatalf("case %d: FirstDiff = %d, want %d", tc, got, wantFirst)
 		}
-		if got := lastDiff(od, gd); got != wantLast {
-			t.Fatalf("case %d: lastDiff = %d, want %d", tc, got, wantLast)
+		if got := numerics.LastDiff(od, gd); got != wantLast {
+			t.Fatalf("case %d: LastDiff = %d, want %d", tc, got, wantLast)
 		}
 		gotFull, gotEqual := diffSpanFlat(out, golden, 0, len(od))
 		if gotEqual != wantEqual || !gotEqual && gotFull != wantFull {

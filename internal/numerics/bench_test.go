@@ -66,46 +66,11 @@ func BenchmarkHalfMulAddRow(b *testing.B) {
 //     after the lanes ran it for nothing, and a panel of NaN does the same
 //     where nothing is skipped.
 func BenchmarkHalfMulAddPanel(b *testing.B) {
-	run := func(name string, macs int, f func(i int)) {
-		b.Run(name, func(b *testing.B) {
-			eachDispatch(b, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					f(i)
-				}
-				b.ReportMetric(float64(b.N)*float64(macs)/b.Elapsed().Seconds(), "MAC/s")
-			})
-		})
-	}
 	for _, bc := range []struct{ size, ch int }{{16, 16}, {8, 32}} {
-		size, ch := bc.size, bc.ch
-		rng := rand.New(rand.NewSource(74))
-		const maps = 16
-		in := make([]float32, maps*size*size*ch)
-		for i := range in {
-			if rng.Float64() >= 0.57 {
-				in[i] = RoundHalf(float32(math.Abs(rng.NormFloat64())))
-			}
-		}
-		_, w := benchOperands(9 * ch * ch)
-		acc := make([]float32, ch)
-		// pixel accumulates output pixel (oy, ox) as nn's convPixel does and
-		// returns its multiply-adds.
-		pixel := func(m, oy, ox int) (macs int) {
-			clear(acc)
-			kxLo, kxHi := max(1-ox, 0), min(size+1-ox, 3)
-			for ky := max(1-oy, 0); ky < min(size+1-oy, 3); ky++ {
-				irow := in[((m*size+oy+ky-1)*size+ox+kxLo-1)*ch : ((m*size+oy+ky-1)*size+ox+kxHi-1)*ch]
-				HalfMulAddPanel(acc, irow, w[(ky*3+kxLo)*ch*ch:], ch, true)
-				macs += len(irow) * ch
-			}
-			return macs
-		}
-		total := 0
-		for p := 0; p < size*size; p++ {
-			total += pixel(0, p/size, p%size)
-		}
-		run(fmt.Sprintf("pixel/c%d", ch), total/(size*size), func(i int) { pixel(i/(size*size)%maps, i/size%size, i%size) })
+		pixel, macs := convPixels(bc.size, bc.ch, bc.ch, 0.57, func(acc, a, w []float32, stride int) {
+			HalfMulAddPanel(acc, a, w, stride, true)
+		})
+		benchMACs(b, fmt.Sprintf("pixel/c%d", bc.ch), macs, func(i int) { pixel(i) })
 	}
 	for _, n := range []int{8, 16, 32, 64, 72} {
 		for _, rows := range []int{16, 144, 576} {
@@ -115,7 +80,7 @@ func BenchmarkHalfMulAddPanel(b *testing.B) {
 			}
 			_, w := benchOperands(rows * n)
 			acc := make([]float32, n)
-			run(fmt.Sprintf("n%d/rows%d", n, rows), rows*n, func(int) {
+			benchMACs(b, fmt.Sprintf("n%d/rows%d", n, rows), rows*n, func(int) {
 				clear(acc)
 				HalfMulAddPanel(acc, a, w, n, true)
 			})
@@ -126,7 +91,7 @@ func BenchmarkHalfMulAddPanel(b *testing.B) {
 	acc := make([]float32, n)
 	bad := append([]float32(nil), a[:rows]...)
 	bad[rows/2] = float32(math.Inf(1))
-	run("oneInfRow", rows*n, func(int) {
+	benchMACs(b, "oneInfRow", rows*n, func(int) {
 		clear(acc)
 		HalfMulAddPanel(acc, bad, w, n, true)
 	})
@@ -134,18 +99,76 @@ func BenchmarkHalfMulAddPanel(b *testing.B) {
 	for i := range nan {
 		nan[i] = float32(math.NaN())
 	}
-	run("allNaN", rows*n, func(int) {
+	benchMACs(b, "allNaN", rows*n, func(int) {
 		clear(acc)
 		HalfMulAddPanel(acc, nan, w, n, true)
 	})
 }
 
+// benchMACs runs f(i) for the i-th iteration of the named case, with the
+// lanes off and on, and reports macs multiply-adds an iteration as MAC/s.
+func benchMACs(b *testing.B, name string, macs int, f func(i int)) {
+	b.Run(name, func(b *testing.B) {
+		eachDispatch(b, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f(i)
+			}
+			b.ReportMetric(float64(b.N)*float64(macs)/b.Elapsed().Seconds(), "MAC/s")
+		})
+	})
+}
+
+// convPixels returns pixel, which computes one output pixel of a 3×3
+// convolution (padding 1) of one of 16 size×size×inC post-ReLU maps to outC
+// channels as nn's convPixel does — up to three kernel rows, borders clipped,
+// each a fresh window of the map, through panel — and returns its
+// multiply-adds; pixel(i) takes the pixels of each map in turn. A map value is
+// 0 with probability zeros, at random, else |N(0,1)| stored as a half; macs is
+// the mean multiply-adds of a pixel.
+func convPixels(size, inC, outC int, zeros float64, panel func(acc, a, w []float32, stride int)) (pixel func(i int) int, macs int) {
+	rng := rand.New(rand.NewSource(74))
+	const maps = 16
+	in := make([]float32, maps*size*size*inC)
+	for i := range in {
+		if rng.Float64() >= zeros {
+			in[i] = RoundHalf(float32(math.Abs(rng.NormFloat64())))
+		}
+	}
+	_, w := benchOperands(9 * inC * outC)
+	acc := make([]float32, outC)
+	pixel = func(i int) (macs int) {
+		m, oy, ox := i/(size*size)%maps, i/size%size, i%size
+		clear(acc)
+		kxLo, kxHi := max(1-ox, 0), min(size+1-ox, 3)
+		for ky := max(1-oy, 0); ky < min(size+1-oy, 3); ky++ {
+			irow := in[((m*size+oy+ky-1)*size+ox+kxLo-1)*inC : ((m*size+oy+ky-1)*size+ox+kxHi-1)*inC]
+			panel(acc, irow, w[(ky*3+kxLo)*inC*outC:], outC)
+			macs += len(irow) * outC
+		}
+		return macs
+	}
+	for p := 0; p < size*size; p++ {
+		macs += pixel(p)
+	}
+	return pixel, macs / (size * size)
+}
+
 // BenchmarkMulAddPanel times the float32 panel of the INT8, INT16 and FP32
-// kernels at the widths inception-lite's convolutions hand it — 4, 8, 12 and
-// 16 outputs, one column block each — and at 32, over 72 rows (a 3×3×8 kernel
-// row set), a fifth of the activations zero and skipped, with the lanes off
-// and on.
+// kernels, each case with the lanes off and on:
+//
+//   - pixel/c4, pixel/c8 and pixel/c12, the calls a campaign on
+//     inception-lite makes: the output pixels of a 3×3 convolution of a
+//     16×16×8 post-ReLU map, half its values 0 at random, to the 4, 8 and 12
+//     channels of its branches (convPixels). This is the case to quote;
+//   - n<width>, one fixed vector of 72 activations (a 3×3×8 kernel row set),
+//     every fifth 0, over one cache-resident panel of 4, 8, 12, 16 and 32
+//     outputs: an upper bound, where nothing misses.
 func BenchmarkMulAddPanel(b *testing.B) {
+	for _, n := range []int{4, 8, 12} {
+		pixel, macs := convPixels(16, 8, n, 0.5, MulAddPanel)
+		benchMACs(b, fmt.Sprintf("pixel/c%d", n), macs, func(i int) { pixel(i) })
+	}
 	const rows = 72
 	for _, n := range []int{4, 8, 12, 16, 32} {
 		a, _ := benchOperands(rows)
@@ -154,15 +177,9 @@ func BenchmarkMulAddPanel(b *testing.B) {
 		}
 		_, w := benchOperands(rows * n)
 		acc := make([]float32, n)
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			eachDispatch(b, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					clear(acc)
-					MulAddPanel(acc, a, w, n, true)
-				}
-				b.ReportMetric(float64(b.N)*float64(rows*n)/b.Elapsed().Seconds(), "MAC/s")
-			})
+		benchMACs(b, fmt.Sprintf("n%d", n), rows*n, func(int) {
+			clear(acc)
+			MulAddPanel(acc, a, w, n)
 		})
 	}
 }

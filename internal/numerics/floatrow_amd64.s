@@ -14,18 +14,9 @@
 DATA quantMagic<>+0(SB)/8, $0x4338000000000000
 GLOBL quantMagic<>(SB), RODATA|NOPTR, $8
 
-// SKIPROW opens one row of a column block — R11 the block's weights in this
-// row, BX the row — with its activation broadcast into Y7, or jumps to next
-// when the row is skipped: under skipZero (R10 = 0) that is an activation of +0
-// or -0, the shift dropping the sign; R10 = 1 keeps the result from ever being
-// zero when rows may not be skipped. NEXTROW closes the row.
-#define SKIPROW(next) \
-	MOVL         (DX)(BX*4), R13; \
-	SHLL         $1, R13; \
-	ORL          R10, R13; \
-	JZ           next; \
-	VBROADCASTSS (DX)(BX*4), Y7
-
+// NEXTROW closes one row of a column block: R11 steps to the block's weights
+// in the next row, BX to the next row. A row opens with its activation
+// broadcast into Y7; every row is computed, ±0 activations included.
 #define NEXTROW(row) \
 	ADDQ R9, R11; \
 	INCQ BX; \
@@ -42,22 +33,20 @@ GLOBL quantMagic<>(SB), RODATA|NOPTR, $8
 	VMULPS  A, P, P; \
 	VADDPS  ACC, P, ACC
 
-// func mulAddPanelAVX2(acc, a, w []float32, stride int, skipZero bool)
+// func mulAddPanelAVX2(acc, a, w []float32, stride int)
 //
 // acc[c] += a[i]*w[i*stride+c] for the rows i of a in ascending order, len(acc)
-// a multiple of 4 and len(a) > 0. The columns go in blocks of 16, 8 and 4; a
+// a multiple of 4 and len(a) > 0. The columns go in blocks of 16, 12, 8 and 4; a
 // block's accumulators are loaded once, stay in registers across all the rows
 // and are stored once, so a row's add waits for the previous row's add and
 // for nothing in memory.
-TEXT ·mulAddPanelAVX2(SB), NOSPLIT, $0-81
+TEXT ·mulAddPanelAVX2(SB), NOSPLIT, $0-80
 	MOVQ    acc_base+0(FP), DI
 	MOVQ    acc_len+8(FP), CX
 	MOVQ    a_base+24(FP), DX
 	MOVQ    a_len+32(FP), R8
 	MOVQ    w_base+48(FP), SI
 	MOVQ    stride+72(FP), R9
-	MOVBLZX skipZero+80(FP), R10
-	XORL    $1, R10
 	SHLQ    $2, R9 // a row of w, in bytes
 	XORQ    AX, AX
 cols:
@@ -79,10 +68,9 @@ block16:
 	VMOVUPS (DI)(AX*4), Y0
 	VMOVUPS 32(DI)(AX*4), Y1
 row16:
-	SKIPROW(next16)
+	VBROADCASTSS (DX)(BX*4), Y7
 	MAC(0, Y7, Y2, Y0)
 	MAC(32, Y7, Y3, Y1)
-next16:
 	NEXTROW(row16)
 	VMOVUPS Y0, (DI)(AX*4)
 	VMOVUPS Y1, 32(DI)(AX*4)
@@ -92,10 +80,9 @@ block12:
 	VMOVUPS (DI)(AX*4), Y0
 	VMOVUPS 32(DI)(AX*4), X1
 row12:
-	SKIPROW(next12)
+	VBROADCASTSS (DX)(BX*4), Y7
 	MAC(0, Y7, Y2, Y0)
 	MAC(32, X7, X3, X1)
-next12:
 	NEXTROW(row12)
 	VMOVUPS Y0, (DI)(AX*4)
 	VMOVUPS X1, 32(DI)(AX*4)
@@ -104,9 +91,8 @@ next12:
 block8:
 	VMOVUPS (DI)(AX*4), Y0
 row8:
-	SKIPROW(next8)
+	VBROADCASTSS (DX)(BX*4), Y7
 	MAC(0, Y7, Y2, Y0)
-next8:
 	NEXTROW(row8)
 	VMOVUPS Y0, (DI)(AX*4)
 	ADDQ    $8, AX
@@ -114,9 +100,8 @@ next8:
 block4:
 	VMOVUPS (DI)(AX*4), X0
 row4:
-	SKIPROW(next4)
+	VBROADCASTSS (DX)(BX*4), Y7
 	MAC(0, X7, X2, X0)
-next4:
 	NEXTROW(row4)
 	VMOVUPS X0, (DI)(AX*4)
 	ADDQ    $4, AX
@@ -246,5 +231,102 @@ loop:
 	CMPQ    AX, CX
 	JLT     loop
 done:
+	VZEROUPPER
+	RET
+
+// The diff scans compare bit patterns, eight elements a chunk: VPXOR of the
+// two chunks, VPTEST of the difference. The main loops take four chunks a step
+// and OR the differences into one test; a step with a mismatch falls through
+// to the one-chunk loop, which finds its chunk among the next four. A scan
+// returns where it stopped and leaves the chunk there to the Go loop
+// (FirstDiff, LastDiff).
+
+// DIFF8(off, D) is the bit difference of the chunks at off(SI)(AX*4) and
+// off(DI)(AX*4), in D.
+#define DIFF8(off, D) \
+	VMOVDQU off(SI)(AX*4), D; \
+	VPXOR   off(DI)(AX*4), D, D
+
+// func firstDiffAVX2(a, b []float32) int
+//
+// Returns n, a multiple of 8: the chunks before n have equal bits, and either
+// the chunk at n has a mismatch or no whole chunk is left after n. len(b) ≥
+// len(a).
+TEXT ·firstDiffAVX2(SB), NOSPLIT, $0-56
+	MOVQ a_base+0(FP), SI
+	MOVQ a_len+8(FP), CX
+	MOVQ b_base+24(FP), DI
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-32, DX // the end of the whole four-chunk steps
+	ANDQ $-8, CX  // the end of the whole chunks
+	CMPQ AX, DX
+	JGE  chunks
+loop32:
+	DIFF8(0, Y0)
+	DIFF8(32, Y1)
+	DIFF8(64, Y2)
+	DIFF8(96, Y3)
+	VPOR   Y0, Y1, Y0
+	VPOR   Y2, Y3, Y2
+	VPOR   Y0, Y2, Y0
+	VPTEST Y0, Y0
+	JNZ    chunks
+	ADDQ   $32, AX
+	CMPQ   AX, DX
+	JLT    loop32
+chunks:
+	CMPQ AX, CX
+	JGE  done
+loop8:
+	DIFF8(0, Y0)
+	VPTEST Y0, Y0
+	JNZ    done
+	ADDQ   $8, AX
+	CMPQ   AX, CX
+	JLT    loop8
+done:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func lastDiffAVX2(a, b []float32) int
+//
+// Returns n ≡ len(a) mod 8: the chunks from n to len(a) have equal bits, and
+// either the chunk ending at n has a mismatch or n < 8. len(b) ≥ len(a).
+TEXT ·lastDiffAVX2(SB), NOSPLIT, $0-56
+	MOVQ a_base+0(FP), SI
+	MOVQ a_len+8(FP), AX
+	MOVQ b_base+24(FP), DI
+	MOVQ AX, CX
+	ANDQ $7, CX      // the head the chunks stop at
+	LEAQ 32(CX), DX // a four-chunk step needs AX ≥ DX
+	CMPQ AX, DX
+	JLT  chunks
+loop32:
+	DIFF8(-32, Y0)
+	DIFF8(-64, Y1)
+	DIFF8(-96, Y2)
+	DIFF8(-128, Y3)
+	VPOR   Y0, Y1, Y0
+	VPOR   Y2, Y3, Y2
+	VPOR   Y0, Y2, Y0
+	VPTEST Y0, Y0
+	JNZ    chunks
+	SUBQ   $32, AX
+	CMPQ   AX, DX
+	JGE    loop32
+chunks:
+	CMPQ AX, CX
+	JLE  done
+loop8:
+	DIFF8(-32, Y0)
+	VPTEST Y0, Y0
+	JNZ    done
+	SUBQ   $8, AX
+	CMPQ   AX, CX
+	JGT    loop8
+done:
+	MOVQ AX, ret+48(FP)
 	VZEROUPPER
 	RET

@@ -34,11 +34,8 @@ func drawSpecial(rng *rand.Rand, n int, sd, p float64) []float32 {
 }
 
 // panelDef is MulAddPanel from its definition, one indexed product at a time.
-func panelDef(acc, a, w []float32, stride int, skipZero bool) {
+func panelDef(acc, a, w []float32, stride int) {
 	for i, av := range a {
-		if av == 0 && skipZero {
-			continue
-		}
 		for c := range acc {
 			acc[c] += av * w[i*stride+c]
 		}
@@ -49,18 +46,18 @@ func panelDef(acc, a, w []float32, stride int, skipZero bool) {
 // bit — NaN payloads included: the lanes give VMULPS and VADDPS the operand
 // order the compiler gives the loop's MULSS and ADDSS — and to the definition
 // up to payloads, from accumulators that start at acc0.
-func checkFloatPanel(t *testing.T, label string, acc0, a, w []float32, stride int, skipZero bool) {
+func checkFloatPanel(t *testing.T, label string, acc0, a, w []float32, stride int) {
 	t.Helper()
 	got, want, def := append([]float32(nil), acc0...), append([]float32(nil), acc0...), append([]float32(nil), acc0...)
-	MulAddPanel(got, a, w, stride, skipZero)
+	MulAddPanel(got, a, w, stride)
 	if len(a) > 0 {
-		mulAddPanelGo(want, a, w, stride, skipZero)
-		panelDef(def, a, w, stride, skipZero)
+		mulAddPanelGo(want, a, w, stride)
+		panelDef(def, a, w, stride)
 	}
 	for c := range want {
 		if !sameBits(got[c], want[c]) || !sameValue(got[c], def[c]) {
-			t.Fatalf("%s (lanes %v, %d rows × %d, stride %d, skipZero %v): acc[%d] = %#08x, Go loop %#08x, definition %#08x",
-				label, hasAVX2, len(a), len(acc0), stride, skipZero, c,
+			t.Fatalf("%s (lanes %v, %d rows × %d, stride %d): acc[%d] = %#08x, Go loop %#08x, definition %#08x",
+				label, hasAVX2, len(a), len(acc0), stride, c,
 				math.Float32bits(got[c]), math.Float32bits(want[c]), math.Float32bits(def[c]))
 		}
 	}
@@ -69,12 +66,13 @@ func checkFloatPanel(t *testing.T, label string, acc0, a, w []float32, stride in
 // TestMulAddPanelMatchesGo holds the float32 panel to its Go loop on every
 // width from 0 to 41 — no block, each of the 16-, 12-, 8- and 4-wide blocks
 // alone and in every combination, a tail behind them — times every row count
-// from 0 to 30, strides at and past the width, a third of the activations ±0,
-// skipped and not: first on ordinary values, then with ±0, NaNs of several
-// payloads, ±Inf, subnormals and overflowing values strewn over activations,
-// weights and the starting accumulators, so that NaN meets NaN in multiplies
-// and in adds. Then an Inf weight under a -0 activation in a column of each
-// block and of the tail: skipped, its NaN must not appear; multiplied, it must.
+// from 0 to 30, strides at and past the width, a third of the activations ±0:
+// first on ordinary values, then with ±0, NaNs of several payloads, ±Inf,
+// subnormals and overflowing values strewn over activations, weights and the
+// starting accumulators, so that NaN meets NaN in multiplies and in adds. Then
+// an Inf weight under a -0 activation in a column of each block and of the
+// tail: the row is multiplied like any other, so its NaN must reach that
+// column's accumulator and no other.
 func TestMulAddPanelMatchesGo(t *testing.T) { eachDispatch(t, testMulAddPanelMatchesGo) }
 
 func testMulAddPanelMatchesGo(t *testing.T) {
@@ -88,9 +86,7 @@ func testMulAddPanelMatchesGo(t *testing.T) {
 				for i := 0; i < rows; i += 3 {
 					a[i] = []float32{0, negZero}[rng.Intn(2)]
 				}
-				for _, skipZero := range []bool{false, true} {
-					checkFloatPanel(t, fmt.Sprintf("random (specials %v)", p), acc0, a, w, stride, skipZero)
-				}
+				checkFloatPanel(t, fmt.Sprintf("random (specials %v)", p), acc0, a, w, stride)
 			}
 		}
 	}
@@ -100,15 +96,13 @@ func testMulAddPanelMatchesGo(t *testing.T) {
 		for _, row := range []int{0, 2, rows - 1} {
 			a, w, acc0 := drawSpecial(rng, rows, 1, 0), drawSpecial(rng, rows*stride, 0.1, 0), make([]float32, n)
 			a[row], w[row*stride+col] = negZero, inf
-			for _, skipZero := range []bool{false, true} {
-				label := fmt.Sprintf("-0 × Inf at row %d col %d", row, col)
-				checkFloatPanel(t, label, acc0, a, w, stride, skipZero)
-				got := make([]float32, n)
-				MulAddPanel(got, a, w, stride, skipZero)
-				for c, v := range got {
-					if isNaN := v != v; isNaN != (c == col && !skipZero) {
-						t.Fatalf("%s, skipZero %v: acc[%d] = %v", label, skipZero, c, v)
-					}
+			label := fmt.Sprintf("-0 × Inf at row %d col %d", row, col)
+			checkFloatPanel(t, label, acc0, a, w, stride)
+			got := make([]float32, n)
+			MulAddPanel(got, a, w, stride)
+			for c, v := range got {
+				if isNaN := v != v; isNaN != (c == col) {
+					t.Fatalf("%s: acc[%d] = %v", label, c, v)
 				}
 			}
 		}
@@ -119,8 +113,8 @@ func testMulAddPanelMatchesGo(t *testing.T) {
 // arbitrary bit patterns: data is cut into the starting accumulators, the
 // activations and the weight rows, stride at or past the width. The seeds run
 // each block size alone, blocks in a row, and the tail, with an Inf weight
-// under a skipped and a multiplied -0, NaNs of two payloads meeting in the
-// multiply and in the add, and an overflowing sum.
+// under a -0 or +0 activation (0·Inf = NaN reaches the accumulator), NaNs of
+// two payloads meeting in the multiply and in the add, and an overflowing sum.
 func FuzzMulAddPanel(f *testing.F) {
 	inf, negZero := float32(math.Inf(1)), float32(math.Copysign(0, -1))
 	nanA, nanB := math.Float32frombits(0x7fc12345), math.Float32frombits(0xffd00001)
@@ -147,17 +141,17 @@ func FuzzMulAddPanel(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(uint8(16), uint8(0), true, seed(16, 0, 3, 1, 9, 0, inf, 2, negZero))            // the 16-block, the Inf skipped
-	f.Add(uint8(16), uint8(0), false, seed(16, 0, 3, 1, 9, 0, inf, 2, negZero))           // and multiplied
-	f.Add(uint8(12), uint8(3), false, seed(12, 3, 4, 2, 11, nanA, nanB))                  // the 12-block: NaN + NaN
-	f.Add(uint8(8), uint8(0), false, seed(8, 0, 3, 0, 7, 1, nanB, nanA))                  // the 8-block: NaN × NaN
-	f.Add(uint8(4), uint8(1), true, seed(4, 1, 5, 4, 3, math.MaxFloat32, 3e38, 2, 0))     // the 4-block: overflow
-	f.Add(uint8(3), uint8(0), true, seed(3, 0, 2, 1, 2, -inf, 1e-40))                     // the tail alone
-	f.Add(uint8(41), uint8(2), true, seed(41, 2, 3, 2, 40, 0.25, -inf, 1e-40, 0, -1))     // 16, 16, 8 and a tail
-	f.Add(uint8(31), uint8(0), false, seed(31, 0, 2, 1, 27, inf, -inf, 1, 1))             // 16, 12 and a tail: Inf - Inf
-	f.Add(uint8(20), uint8(6), true, seed(20, 6, 3, 0, 16, 0, nanA, negZero, 0, negZero)) // 16 and 4, all rows skipped
+	f.Add(uint8(16), uint8(0), seed(16, 0, 3, 1, 9, 0, inf, 2, negZero))            // the 16-block: -0 × Inf
+	f.Add(uint8(16), uint8(2), seed(16, 2, 3, 0, 15, 0, -inf, 0, 2))                // and +0 × -Inf, the last column
+	f.Add(uint8(12), uint8(3), seed(12, 3, 4, 2, 11, nanA, nanB))                   // the 12-block: NaN + NaN
+	f.Add(uint8(8), uint8(0), seed(8, 0, 3, 0, 7, 1, nanB, nanA))                   // the 8-block: NaN × NaN
+	f.Add(uint8(4), uint8(1), seed(4, 1, 5, 4, 3, math.MaxFloat32, 3e38, 2, 0))     // the 4-block: overflow
+	f.Add(uint8(3), uint8(0), seed(3, 0, 2, 1, 2, -inf, 1e-40))                     // the tail alone
+	f.Add(uint8(41), uint8(2), seed(41, 2, 3, 2, 40, 0.25, -inf, 1e-40, 0, -1))     // 16, 16, 8 and a tail
+	f.Add(uint8(31), uint8(0), seed(31, 0, 2, 1, 27, inf, -inf, 1, 1))              // 16, 12 and a tail: Inf - Inf
+	f.Add(uint8(20), uint8(6), seed(20, 6, 3, 0, 16, 0, nanA, negZero, 0, negZero)) // 16 and 4, every row ±0
 	detected := hasAVX2
-	f.Fuzz(func(t *testing.T, width, gap uint8, skipZero bool, data []byte) {
+	f.Fuzz(func(t *testing.T, width, gap uint8, data []byte) {
 		defer func() { hasAVX2 = detected }()
 		n, stride := int(width%42), int(width%42)+int(gap%7)
 		vals := make([]float32, len(data)/4)
@@ -172,7 +166,7 @@ func FuzzMulAddPanel(f *testing.F) {
 		}
 		for _, lanes := range []bool{false, detected} {
 			hasAVX2 = lanes
-			checkFloatPanel(t, "fuzz", acc0, vals[:rows], vals[rows:], stride, skipZero)
+			checkFloatPanel(t, "fuzz", acc0, vals[:rows], vals[rows:], stride)
 		}
 	})
 }
@@ -338,6 +332,159 @@ func TestMaxRowMatchesScalar(t *testing.T) {
 						math.Float32bits(ms[lo+i]), math.Float32bits(v), hi-lo, hasAVX2, math.Float32bits(got[i]), math.Float32bits(want))
 				}
 			}
+		}
+	})
+}
+
+// naiveDiffs is the diff scans' oracle, one element at a time: the first and
+// the last index at which a and b differ as tensor elements (len(a) and -1
+// when none does).
+func naiveDiffs(a, b []float32) (first, last int) {
+	first, last = len(a), -1
+	for i, v := range a {
+		if v == b[i] || v != v && b[i] != b[i] {
+			continue
+		}
+		first, last = min(first, i), i
+	}
+	return first, last
+}
+
+// checkDiffs holds FirstDiff and LastDiff, as dispatched now, to naiveDiffs.
+func checkDiffs(t *testing.T, label string, a, b []float32) {
+	t.Helper()
+	wantFirst, wantLast := naiveDiffs(a, b)
+	if got := FirstDiff(a, b); got != wantFirst {
+		t.Fatalf("%s (lanes %v, len %d): FirstDiff = %d, want %d", label, hasAVX2, len(a), got, wantFirst)
+	}
+	if got := LastDiff(a, b); got != wantLast {
+		t.Fatalf("%s (lanes %v, len %d): LastDiff = %d, want %d", label, hasAVX2, len(a), got, wantLast)
+	}
+}
+
+// equalFlip returns v with other bits that are the same tensor element: the
+// other zero for ±0, another payload for a NaN, v itself otherwise.
+func equalFlip(v float32) float32 {
+	switch {
+	case v == 0:
+		return -v
+	case v != v:
+		return math.Float32frombits(math.Float32bits(v) ^ 0x80000001)
+	}
+	return v
+}
+
+// TestDiffScansMatchNaive holds FirstDiff and LastDiff to the per-element
+// oracle on rows of every length from 0 to 140 — no chunk, a chunk, the
+// four-chunk steps of the lanes and a tail — of ±0, NaNs of two payloads, ±Inf
+// and ordinary values, where b repeats a with equal-as-element bit changes
+// (the other zero, another NaN payload) strewn at random, so that the lanes
+// hand false alarms back to the Go loop, and with 0–3 real differences; then
+// with one real difference at every position of every length to 72, behind a
+// false alarm in every chunk; and with b longer than a.
+func TestDiffScansMatchNaive(t *testing.T) {
+	eachDispatch(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(16))
+		negZero := float32(math.Copysign(0, -1))
+		specials := []float32{0, negZero, math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00abc),
+			float32(math.Inf(1)), float32(math.Inf(-1)), 1.5, -2}
+		for n := 0; n <= 140; n++ {
+			for rep := 0; rep < 40; rep++ {
+				a := make([]float32, n, n+rng.Intn(9))
+				for i := range a {
+					a[i] = specials[rng.Intn(len(specials))]
+				}
+				b := append([]float32(nil), a[:cap(a)]...)
+				for i := range a {
+					if rng.Intn(4) == 0 {
+						b[i] = equalFlip(b[i])
+					}
+				}
+				for k := rng.Intn(4); k > 0 && n > 0; k-- {
+					i := rng.Intn(n)
+					if b[i] == b[i] {
+						b[i] = -b[i] - 1
+					} else {
+						b[i] = 3
+					}
+				}
+				checkDiffs(t, "random", a, b)
+			}
+		}
+		for n := 1; n <= 72; n++ {
+			a := drawSpecial(rng, n, 1, 0)
+			for i := 0; i < n; i += 5 {
+				a[i] = []float32{0, negZero, float32(math.NaN())}[rng.Intn(3)]
+			}
+			for p := 0; p < n; p++ {
+				b := append([]float32(nil), a...)
+				for i := 0; i < n; i += 5 {
+					b[i] = equalFlip(b[i])
+				}
+				b[p] = math.Nextafter32(b[p], float32(math.Inf(1)))
+				if a[p] != a[p] {
+					b[p] = 1
+				}
+				checkDiffs(t, fmt.Sprintf("one difference at %d", p), a, b)
+			}
+		}
+	})
+}
+
+// FuzzDiffRow holds FirstDiff and LastDiff to the per-element oracle, with the
+// lanes off and on: data is the row a, and b repeats it with the bit patterns
+// of flips — records of a 2-byte index and a 4-byte XOR mask — changed. A
+// sign flip on a zero and a payload change on a NaN are no difference; the
+// seeds put them in every chunk around a real mismatch in the first, the last
+// and the tail chunk.
+func FuzzDiffRow(f *testing.F) {
+	row := func(vals ...float32) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+		}
+		return b
+	}
+	flip := func(at ...[2]uint32) []byte {
+		var b []byte
+		for _, r := range at {
+			b = binary.LittleEndian.AppendUint16(b, uint16(r[0]))
+			b = binary.LittleEndian.AppendUint32(b, r[1])
+		}
+		return b
+	}
+	const sign, payload, low = 0x80000000, 0x00000003, 0x00000001
+	zeros := make([]float32, 45) // five chunks and a tail of 5
+	nans := make([]float32, 45)
+	for i := range nans {
+		nans[i] = math.Float32frombits(0x7fc00000 | uint32(i))
+	}
+	ones := append([]float32(nil), zeros...)
+	for i := range ones {
+		ones[i] = float32(i)
+	}
+	f.Add(row(zeros...), flip([2]uint32{0, sign}, [2]uint32{3, low}, [2]uint32{9, sign}, [2]uint32{44, sign}))        // a difference in the first chunk
+	f.Add(row(zeros...), flip([2]uint32{1, sign}, [2]uint32{17, sign}, [2]uint32{36, low}, [2]uint32{38, sign}))      // in the last chunk
+	f.Add(row(nans...), flip([2]uint32{2, payload}, [2]uint32{30, sign}, [2]uint32{42, 0x7fc00000}))                  // in the tail, NaN → 0
+	f.Add(row(nans...), flip([2]uint32{0, payload}, [2]uint32{8, payload}, [2]uint32{16, payload}, [2]uint32{40, 1})) // false alarms only
+	f.Add(row(ones...), flip([2]uint32{0, sign}))                                                                     // +0 → -0 at the front, 1 → -1 nowhere
+	f.Add(row(ones...), flip([2]uint32{33, low}, [2]uint32{35, sign}))
+	f.Add(row(ones[:7]...), flip([2]uint32{6, sign})) // no chunk at all
+	detected := hasAVX2
+	f.Fuzz(func(t *testing.T, data, flips []byte) {
+		defer func() { hasAVX2 = detected }()
+		a := make([]float32, len(data)/4)
+		for i := range a {
+			a[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		b := append([]float32(nil), a...)
+		for ; len(flips) >= 6 && len(b) > 0; flips = flips[6:] {
+			i := int(binary.LittleEndian.Uint16(flips)) % len(b)
+			b[i] = math.Float32frombits(math.Float32bits(b[i]) ^ binary.LittleEndian.Uint32(flips[2:]))
+		}
+		for _, lanes := range []bool{false, detected} {
+			hasAVX2 = lanes
+			checkDiffs(t, "fuzz", a, b)
 		}
 	})
 }

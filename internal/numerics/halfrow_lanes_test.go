@@ -459,9 +459,12 @@ func FuzzHalfPanel(f *testing.F) {
 // (any mnemonic not starting with V) on an X or Y register, which makes the CPU
 // save the dirty upper YMM halves at the next VEX instruction, and a RET out
 // of a routine that used vector registers without a VZEROUPPER just before it,
-// which leaves them dirty for the Go code that follows. It also pins the
-// converter's imm8: $4 would take the rounding mode from MXCSR, which no test
-// can set and nothing promises.
+// which leaves them dirty for the Go code that follows. A macro that takes its
+// registers as parameters (MAC, DIFF8) is held to the same rule where it is
+// used: no vector register may be passed to a parameter that a non-VEX
+// instruction of its body operates on. It also pins the converter's imm8: $4
+// would take the rounding mode from MXCSR, which no test can set and nothing
+// promises.
 func TestAsmIsVEXOnly(t *testing.T) {
 	files, err := filepath.Glob("*_amd64.s")
 	if err != nil || len(files) < 3 {
@@ -479,6 +482,9 @@ func checkAsmIsVEXOnly(t *testing.T, file string) {
 	}
 	vecReg := regexp.MustCompile(`\b[XY]([0-9]|1[0-5])\b`)
 	macros := map[string]bool{} // names of #define'd macros that use vector registers
+	// params holds each macro's parameter names; legacy the positions of those
+	// a non-VEX instruction of its body names.
+	params, legacy := map[string][]string{}, map[string]map[int]bool{}
 	var routine, prev, macro string
 	vector := false // the current routine has used a vector register
 	for ln, line := range strings.Split(string(src), "\n") {
@@ -491,6 +497,7 @@ func checkAsmIsVEXOnly(t *testing.T, file string) {
 			macro = strings.FieldsFunc(name, func(r rune) bool { return r == '(' || r == ' ' })[0]
 			line = strings.TrimPrefix(name, macro)
 			if i := strings.Index(line, ")"); strings.HasPrefix(line, "(") && i >= 0 {
+				params[macro] = macroArgs(line[:i+1])
 				line = line[i+1:]
 			}
 		}
@@ -511,9 +518,25 @@ func checkAsmIsVEXOnly(t *testing.T, file string) {
 			// arguments may name the registers it works on.
 			name := strings.SplitN(op, "(", 2)[0]
 			isMacro := name != op
-			usesVec := vecReg.MatchString(args) || macros[name]
+			usesVec := vecReg.MatchString(args) || macros[name] || strings.HasPrefix(op, "V")
 			if usesVec && macro != "" {
 				macros[macro] = true
+			}
+			if isMacro {
+				for j, arg := range macroArgs(strings.TrimSpace(ins)[len(name):]) {
+					if legacy[name][j] && vecReg.MatchString(arg) {
+						t.Errorf("%s:%d: %s passes %s to a non-VEX instruction", file, ln+1, name, arg)
+					}
+				}
+			} else if macro != "" && !strings.HasPrefix(op, "V") {
+				for j, p := range params[macro] {
+					if regexp.MustCompile(`\b` + regexp.QuoteMeta(p) + `\b`).MatchString(args) {
+						if legacy[macro] == nil {
+							legacy[macro] = map[int]bool{}
+						}
+						legacy[macro][j] = true
+					}
+				}
 			}
 			vector = vector || usesVec
 			if op == "VCVTPS2PH" && !strings.HasPrefix(args, "$0,") {
@@ -534,4 +557,18 @@ func checkAsmIsVEXOnly(t *testing.T, file string) {
 	if len(macros) == 0 || routine == "" {
 		t.Fatalf("%s: found %d vector macros, last routine %q: has the file's layout changed?", file, len(macros), routine)
 	}
+}
+
+// macroArgs splits the parenthesised argument list that opens s, "(a, b)", into
+// its trimmed arguments.
+func macroArgs(s string) []string {
+	i := strings.Index(s, ")")
+	if !strings.HasPrefix(s, "(") || i < 0 {
+		return nil
+	}
+	args := strings.Split(s[1:i], ",")
+	for j := range args {
+		args[j] = strings.TrimSpace(args[j])
+	}
+	return args
 }

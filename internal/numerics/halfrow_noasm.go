@@ -25,7 +25,7 @@ func expRowAVX2(dst []float64, x []float32, shift float32) int { return 0 }
 // The plain-float32 bodies of floatrow_amd64.s are never reached: every call
 // is behind hasAVX2.
 
-func mulAddPanelAVX2(acc, a, w []float32, stride int, skipZero bool) {}
+func mulAddPanelAVX2(acc, a, w []float32, stride int) {}
 
 func quantRoundAVX2(dst, src []float32, scale, satLo, satHi, vLo, vHi, floor float32) {}
 
@@ -34,3 +34,7 @@ func maxRowAVX2(m, v []float32) {}
 func reluRowAVX2(out, x []float32) {}
 
 func clipRowAVX2(out, x []float32, lo, hi float32) {}
+
+func firstDiffAVX2(a, b []float32) int { return 0 }
+
+func lastDiffAVX2(a, b []float32) int { return len(a) }
