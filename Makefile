@@ -69,12 +69,13 @@ chaos:
 
 # The tests that interrupt a live campaign or fire its watchdog from inside
 # it — interrupt/resume in campaign and harden, the chaos watchdog and the
-# transient checkpoint errors — and the fleet determinism test, which needs
-# every worker to take part in a campaign of milliseconds, 50 times at 1, 2
-# and 4 Ps each, beside a busy loop that holds one CPU: a test that races the
+# transient checkpoint errors — the fleet determinism test, which needs
+# every worker to take part in a campaign of milliseconds, and the two
+# coordinator restarts, which swap coordinators at an accepted report, 50
+# times at 1, 2 and 4 Ps each, beside a busy loop that holds one CPU: a test that races the
 # engine instead of steering it from inside fails here. About a minute; not
 # part of `make ci`.
-FLAKE_TESTS := TestStudyInterruptResume|TestChaosRecoversToCleanTallies|TestChaosCheckpointIOErrors|TestHardenedInterruptResume|TestDistribDeterminism
+FLAKE_TESTS := TestStudyInterruptResume|TestChaosRecoversToCleanTallies|TestChaosCheckpointIOErrors|TestHardenedInterruptResume|TestDistribDeterminism|TestDistribCoordinatorRestart|TestDistribAdaptiveCoordinatorRestart
 flake:
 	@sh -c 'while :; do :; done' & hog=$$!; \
 	trap "kill $$hog" EXIT; \
@@ -101,16 +102,18 @@ bench:
 
 # One iteration of the kernel benchmarks beside the code (internal/nn,
 # internal/numerics, internal/faultmodel, internal/inject, internal/rtlsim) —
-# seconds, so they cannot rot between `make bench` runs (HalfMulAddPanel,
-# MulAddPanel, QuantRoundInto, SaturateInto, ExpRow, MaxPoolRegion,
-# ActivationApply, … each with the lanes off and on where it has lanes; Experiment, one replayed
+# seconds, so they cannot rot between `make bench` runs (numerics'
+# BenchmarkLanes runs every case of every row of the lane table,
+# BenchmarkLanes/<row>/<case>/{go,avx2}; nn's MaxPoolRegion, ActivationApply,
+# … with the lanes off and on where they have lanes; Experiment, one replayed
 # experiment per network and fault model, with its allocations).
 # For numbers: go test -run '^$$' -bench . -count 5 ./internal/nn ./internal/numerics ./internal/faultmodel ./internal/inject ./internal/rtlsim
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/nn ./internal/numerics ./internal/faultmodel ./internal/inject ./internal/rtlsim
 
 # Every native fuzz target for 5 s each, from its committed seeds: the six
-# arithmetic ones (row primitives, the diff scans and ExpRow vs their Go loops,
+# arithmetic ones (the five numerics targets, each the rows of the lane table
+# that decode its bytes, held to the lane contract of DESIGN.md §7.1;
 # Reference.Run vs Run),
 # the three decoders a socket reaches (POST /v1/report, POST /v1/lease through
 # Coordinator.Handler(), and the worker's GET /v1/campaign reply), the two a
@@ -130,15 +133,19 @@ fuzz-smoke:
 # exponential row (exprow.go), of a row epilogue — the rectifier rows
 # (activation.go), the residual add and the batch-norm rows (block.go) — of a
 # pooling window (pool.go), or of the cycle-level reference's lean runner
-# (rtlsim/engine.go) (cmd/bcecheck).
+# (rtlsim/engine.go) (cmd/bcecheck). The numerics exemptions are the lane
+# dispatchers that loop once per chunk; cmd/bcecheck's TestNumericsExemptions
+# derives them from the source.
 bce:
 	$(GO) run ./cmd/bcecheck
 
-# The non-amd64 file set (internal/numerics/halfrow_noasm.go beside
-# halfrow_amd64.s, floatrow_amd64.s and exprow_amd64.s): cross-build everything and vet the two packages that see
-# the split, tests included, so the portable side cannot rot on an amd64-only
-# machine. `vet` below already checks the assembly's frames and argument
-# offsets (asmdecl). Mirrors the `portable` step of CI's build + test job.
+# The non-amd64 file set (internal/numerics/halfrow_noasm.go, a stub for every
+# body halfrow_amd64.go declares — numerics' TestLaneRegistryComplete holds
+# the two lists equal): cross-build everything and vet the two packages that
+# see the split, tests included, so the portable side cannot rot on an
+# amd64-only machine. `vet` below already checks the assembly's frames and
+# argument offsets (asmdecl). Mirrors the `portable` step of CI's build + test
+# job.
 portable:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/numerics ./internal/nn

@@ -34,34 +34,21 @@ import (
 )
 
 // hotFiles are the files whose innermost loops must be check-free, with the
-// functions exempt in each: the primitives that dispatch to the AVX2 lanes
-// loop once per chunk the lanes left to the Go loop, slicing as they go — the
-// panel once per row of a column block the lanes did not store, and of the
-// tail, slicing the row's weights out (two slice checks a row, none per
-// element); their per-element loops are the ...Go functions beside them,
-// which are checked, as are mulAddPanel, dotRow and convPixel: the
-// loops behind every tile and every run of recompute.go. boxify and diffSpanBox
-// likewise loop once per tensor row, slicing it out; their per-element loops
-// are numerics' firstDiffGo and lastDiffGo, which are checked; matmulTile loops once per
-// output row over mulAddPanel and scaleSaturate; maxPoolRegion once per window
-// cell over numerics.MaxRow, slicing the cell out. concatSweep, the branch and
-// head concat's glue sweep, loops once per input vector of a position, slicing
-// the vector and its place in the output out for one copy — the runtime's
-// memmove, as in tensor.Concat — and has no per-element loop of its own.
-// InitRandom fills a layer's
-// parameters once, through the tensor's accessors. In floatrow.go, FirstDiff
-// and LastDiff loop once per chunk the lanes handed back to firstDiffGo and
-// lastDiffGo, as halfRoundInto does; the other dispatchers do not loop, and
-// every ...Go loop is checked. ExpRow loops once per chunk the lanes left to
-// expRowGo, as halfRoundInto does. Codec.SaturateInto has no loop of its own: its FP16 clamp is ClipRow.
-// In the cycle-level engine, step and macCycle are the per-MAC path, which
-// runs the fault cycle alone (every cycle only under the test oracle) and
-// indexes registers by a possibly corrupted counter; drain runs one
-// write-back cycle per iteration — bias, saturation, the output register's
-// tap, a scattered output write. rows loops once per position and runs once
-// per run of a column between padding operands, slicing accumulators,
-// operands and weights out for one HalfMulAddPanel call; their per-element
-// loops are gather and the MAC-cycle row loop of advance, which are checked.
+// functions exempt in each. In internal/numerics the exempt functions are
+// exactly the lane dispatchers that loop once per chunk the lanes hand back
+// to their ...Go loop (DESIGN.md §7.1); TestNumericsExemptions derives that
+// set from the source. Elsewhere: boxify and diffSpanBox loop once per tensor
+// row, slicing it out for numerics' diff scans; matmulTile loops once per
+// output row over mulAddPanel and scaleSaturate; maxPoolRegion once per
+// window cell over numerics.MaxRow; concatSweep once per input vector of a
+// position, for one copy; InitRandom fills a layer's parameters once,
+// through the tensor's accessors. In the cycle-level engine, step and
+// macCycle are the per-MAC path, which runs the fault cycle alone and indexes
+// registers by a possibly corrupted counter; drain runs one write-back cycle
+// per iteration; rows and runs loop once per position and per run of a
+// column, slicing operands out for one HalfMulAddPanel call — their
+// per-element loops are gather and advance's MAC-cycle row loop, which are
+// checked.
 var hotFiles = map[string]map[string]bool{
 	"internal/nn/kernels.go":        {"matmulTile": true},
 	"internal/nn/activation.go":     {},

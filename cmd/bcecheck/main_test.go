@@ -1,9 +1,13 @@
 package main
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -42,5 +46,57 @@ func exempt(a []int) {
 	m := found.FindSubmatch([]byte("# pkg\n./internal/nn/kernels.go:175:43: Found IsInBounds\n"))
 	if m == nil || string(m[1]) != "internal/nn/kernels.go" || string(m[2]) != "175" || string(m[3]) != "IsInBounds" {
 		t.Errorf("diagnostic pattern matched %q", m)
+	}
+}
+
+// TestNumericsExemptions holds hotFiles' numerics exemptions to what they
+// stand for: the functions of those files that call an assembly routine (a
+// declaration of halfrow_amd64.go without a body) and contain a loop — the
+// dispatchers that loop once per chunk the lanes hand back. A new dispatcher
+// of that kind must be listed, and a listed one that stops being one must go.
+func TestNumericsExemptions(t *testing.T) {
+	root := filepath.Join("..", "..")
+	asm := map[string]bool{}
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(root, "internal/numerics/halfrow_amd64.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body == nil {
+			asm[fd.Name.Name] = true
+		}
+	}
+	for file, exempt := range hotFiles {
+		if !strings.HasPrefix(file, "internal/numerics/") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(root, file), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]bool{}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			calls, loops := false, false
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					id, ok := n.Fun.(*ast.Ident)
+					calls = calls || ok && asm[id.Name]
+				case *ast.ForStmt, *ast.RangeStmt:
+					loops = true
+				}
+				return true
+			})
+			if calls && loops {
+				want[fd.Name.Name] = true
+			}
+		}
+		if !reflect.DeepEqual(exempt, want) {
+			t.Errorf("%s: hotFiles exempts %v, the dispatchers that loop are %v", file, exempt, want)
+		}
 	}
 }

@@ -3,10 +3,7 @@ package distrib
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
-	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -75,50 +72,7 @@ func TestDistribAdaptiveDeterminism(t *testing.T) {
 func TestDistribAdaptiveCoordinatorRestart(t *testing.T) {
 	spec := adaptiveSpec()
 	want := baselineJSON(t, spec)
-	statePath := filepath.Join(t.TempDir(), "coordinator.state.json")
-
-	c1, err := NewCoordinator(CoordinatorOptions{Spec: spec, LeaseTTL: 2 * time.Second, StatePath: statePath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A stable URL whose backing handler we can swap: c1 → c2.
-	type hbox struct{ h http.Handler }
-	var handler atomic.Value
-	handler.Store(hbox{c1.Handler()})
-	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		handler.Load().(hbox).h.ServeHTTP(rw, r)
-	}))
-	defer srv.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	wait := startWorkers(ctx, t, srv.URL, 2, "rw")
-
-	// Wait for accepted progress, then "crash" the first coordinator by
-	// swapping in its successor loaded from the state file.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if st := c1.Status(); st.Experiments > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no accepted progress before restart")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	c2, err := NewCoordinator(CoordinatorOptions{Spec: spec, LeaseTTL: 2 * time.Second, StatePath: statePath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	handler.Store(hbox{c2.Handler()})
-
-	res, err := c2.Result(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wait()
-
-	if got := resultJSON(t, res); string(got) != string(want) {
+	if got := resultJSON(t, runWithRestart(t, spec, "rw")); string(got) != string(want) {
 		t.Errorf("adaptive result after coordinator restart differs from baseline:\n got %s\nwant %s", got, want)
 	}
 }

@@ -31,7 +31,7 @@ func chaosSpec() CampaignSpec {
 
 // startChaosWorkers launches n Work loops whose HTTP clients route through
 // per-worker seeded ChaosTransports.
-func startChaosWorkers(ctx context.Context, t *testing.T, base string, n int, profile ChaosProfile, seedBase int64) func() {
+func startChaosWorkers(ctx context.Context, t *testing.T, base string, n int, profile chaosProfile, seedBase int64) func() {
 	t.Helper()
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -44,7 +44,7 @@ func startChaosWorkers(ctx context.Context, t *testing.T, base string, n int, pr
 				ID:      fmt.Sprintf("chaos-%d", i),
 				Poll:    10 * time.Millisecond,
 				HTTPClient: &http.Client{
-					Transport: NewChaosTransport(seedBase+int64(i), profile, nil),
+					Transport: newChaosTransport(seedBase+int64(i), profile, nil),
 				},
 				Telemetry:    telemetry.New(),
 				PublishEvery: 4,
@@ -75,14 +75,14 @@ func TestChaosTransportDifferential(t *testing.T) {
 
 	profiles := []struct {
 		name string
-		p    ChaosProfile
+		p    chaosProfile
 	}{
-		{"drop", ChaosProfile{DropBefore: 0.08, DropAfter: 0.05}},
-		{"delay", ChaosProfile{Delay: 0.4, MaxDelay: 3 * time.Millisecond}},
-		{"duplicate", ChaosProfile{Duplicate: 0.15}},
-		{"truncate", ChaosProfile{Truncate: 0.12}},
-		{"corrupt", ChaosProfile{Corrupt: 0.12}},
-		{"5xx", ChaosProfile{ServerError: 0.08, BurstLen: 3}},
+		{"drop", chaosProfile{DropBefore: 0.08, DropAfter: 0.05}},
+		{"delay", chaosProfile{Delay: 0.4, MaxDelay: 3 * time.Millisecond}},
+		{"duplicate", chaosProfile{Duplicate: 0.15}},
+		{"truncate", chaosProfile{Truncate: 0.12}},
+		{"corrupt", chaosProfile{Corrupt: 0.12}},
+		{"5xx", chaosProfile{ServerError: 0.08, BurstLen: 3}},
 	}
 	for pi, pr := range profiles {
 		for _, workers := range []int{1, 2, 4} {
@@ -92,7 +92,7 @@ func TestChaosTransportDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Server-side chaos rides the same profile on its own stream.
-				srv := httptest.NewServer(ChaosMiddleware(int64(1000*pi+workers), pr.p, c.Handler()))
+				srv := httptest.NewServer(chaosMiddleware(int64(1000*pi+workers), pr.p, c.Handler()))
 				defer srv.Close()
 
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)

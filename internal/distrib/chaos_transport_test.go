@@ -12,12 +12,12 @@ import (
 	"fidelity/internal/faultmodel"
 )
 
-// ChaosProfile describes one adversarial transport regime. Probabilities are
+// chaosProfile describes one adversarial transport regime. Probabilities are
 // per-request in [0,1]; zero fields inject nothing. The same profile drives
-// both the client-side ChaosTransport and the server-side ChaosMiddleware,
+// both the client-side chaosTransport and the server-side chaosMiddleware,
 // which draw from independent seeded streams so a run's fault schedule is a
 // pure function of (seed, request order).
-type ChaosProfile struct {
+type chaosProfile struct {
 	// DropBefore is the probability a request never reaches the server
 	// (connection refused / reset before delivery).
 	DropBefore float64
@@ -60,28 +60,28 @@ type chaosPlan struct {
 	flipReq, flipResp float64
 }
 
-// ChaosTransport is a deterministic, seedable http.RoundTripper that
-// perturbs traffic according to a ChaosProfile: dropped requests, lost
+// chaosTransport is a deterministic, seedable http.RoundTripper that
+// perturbs traffic according to a chaosProfile: dropped requests, lost
 // replies, latency, duplicated deliveries, truncated and bit-corrupted JSON
 // bodies. It exists to prove the distributed campaign path end to end: under
 // every profile the final StudyResult must stay byte-identical to a clean
 // in-process Study, because every perturbation is either retried, rejected
 // by the coordinator's lease accounting, or caught by the body digests.
-type ChaosTransport struct {
+type chaosTransport struct {
 	inner   http.RoundTripper
-	profile ChaosProfile
+	profile chaosProfile
 
 	mu  sync.Mutex
 	rng *rand.Rand
 }
 
-// NewChaosTransport wraps inner (nil = http.DefaultTransport) with the
+// newChaosTransport wraps inner (nil = http.DefaultTransport) with the
 // profile's fault schedule, drawn from a faultmodel stream seeded with seed.
-func NewChaosTransport(seed int64, profile ChaosProfile, inner http.RoundTripper) *ChaosTransport {
+func newChaosTransport(seed int64, profile chaosProfile, inner http.RoundTripper) *chaosTransport {
 	if inner == nil {
 		inner = http.DefaultTransport
 	}
-	return &ChaosTransport{
+	return &chaosTransport{
 		inner:   inner,
 		profile: profile,
 		rng:     rand.New(faultmodel.NewStreamSource(seed)),
@@ -89,7 +89,7 @@ func NewChaosTransport(seed int64, profile ChaosProfile, inner http.RoundTripper
 }
 
 // plan draws every decision for one request in a fixed order.
-func (t *ChaosTransport) plan() chaosPlan {
+func (t *chaosTransport) plan() chaosPlan {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p, r := t.profile, t.rng
@@ -112,7 +112,7 @@ func (t *ChaosTransport) plan() chaosPlan {
 // RoundTrip applies the drawn plan. Perturbed request bodies keep their
 // original DigestHeader, so the server detects the damage and answers 503 —
 // which the worker's transient-retry loop turns into a clean re-send.
-func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+func (t *chaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	pl := t.plan()
 
 	var body []byte
@@ -185,12 +185,12 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// ChaosMiddleware wraps h with server-side chaos: latency, aborted
+// chaosMiddleware wraps h with server-side chaos: latency, aborted
 // connections, and deterministic 5xx bursts, drawn from a faultmodel stream
 // seeded with seed. Aborts and 5xxs fire *before* h runs, so they model an
 // overloaded or crashing front end, never a half-applied state change (the
-// lost-reply case is ChaosTransport's DropAfter).
-func ChaosMiddleware(seed int64, profile ChaosProfile, h http.Handler) http.Handler {
+// lost-reply case is chaosTransport's DropAfter).
+func chaosMiddleware(seed int64, profile chaosProfile, h http.Handler) http.Handler {
 	var mu sync.Mutex
 	rng := rand.New(faultmodel.NewStreamSource(seed))
 	burst := 0

@@ -293,40 +293,47 @@ func TestDistribWorkerDeath(t *testing.T) {
 func TestDistribCoordinatorRestart(t *testing.T) {
 	spec := testSpec()
 	want := baselineJSON(t, spec)
-	statePath := filepath.Join(t.TempDir(), "coordinator.json")
+	if got := resultJSON(t, runWithRestart(t, spec, "w")); string(got) != string(want) {
+		t.Errorf("result after coordinator restart differs from in-process baseline:\n got %s\nwant %s", got, want)
+	}
+}
 
-	copts := CoordinatorOptions{Spec: spec, LeaseTTL: 2 * time.Second, StatePath: statePath}
+// runWithRestart runs spec on two workers against a coordinator that goes
+// down at its restartReport-th accepted report of progress — a point in the
+// campaign, not a moment in time (restartProxy) — and returns what a
+// replacement loaded from the first one's state file assembles after the
+// outage.
+func runWithRestart(t *testing.T, spec CampaignSpec, prefix string) *campaign.StudyResult {
+	t.Helper()
+	const restartReport = 3
+	copts := CoordinatorOptions{Spec: spec, LeaseTTL: 2 * time.Second, StatePath: filepath.Join(t.TempDir(), "coordinator.json")}
 	c1, err := NewCoordinator(copts)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A stable URL whose backing handler we can swap: c1 → outage → c2.
-	type hbox struct{ h http.Handler }
-	var handler atomic.Value
-	handler.Store(hbox{c1.Handler()})
-	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		handler.Load().(hbox).h.ServeHTTP(rw, r)
-	}))
+	down := make(chan struct{})
+	proxy := &restartProxy{t: t, first: c1, h: c1.Handler(), n: restartReport, restart: func() http.Handler {
+		close(down)
+		return http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+			http.Error(rw, "coordinator restarting", http.StatusServiceUnavailable)
+		})
+	}}
+	srv := httptest.NewServer(proxy)
 	defer srv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	wait := startWorkers(ctx, t, srv.URL, 2, "w")
-
-	// Let the campaign make real progress, then take the coordinator down.
-	for deadline := time.Now().Add(30 * time.Second); ; {
-		if st := c1.Status(); st.Experiments > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("campaign made no progress under c1")
-		}
-		time.Sleep(5 * time.Millisecond)
+	wait := startWorkers(ctx, t, srv.URL, 2, prefix)
+	finished := make(chan struct{})
+	go func() {
+		c1.Result(ctx)
+		close(finished)
+	}()
+	select {
+	case <-down:
+	case <-finished:
+		t.Fatalf("the campaign finished under the first coordinator before its report %d", restartReport)
 	}
-	handler.Store(hbox{http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
-		http.Error(rw, "coordinator restarting", http.StatusServiceUnavailable)
-	})})
 
 	// The replacement loads the persisted lease table and checkpoints...
 	c2, err := NewCoordinator(copts)
@@ -337,16 +344,68 @@ func TestDistribCoordinatorRestart(t *testing.T) {
 		t.Error("restarted coordinator resumed with zero experiments; persisted checkpoints were lost")
 	}
 	// ...and the workers, which retried through the outage, finish against it.
-	handler.Store(hbox{c2.Handler()})
+	proxy.set(c2.Handler())
 	res, err := c2.Result(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wait()
+	return res
+}
 
-	if got := resultJSON(t, res); string(got) != string(want) {
-		t.Errorf("result after coordinator restart differs from in-process baseline:\n got %s\nwant %s", got, want)
+// restartProxy serves through first until first has accepted its n-th report
+// of progress, and from inside that report's handler, once first has answered
+// it, sends every later request to what restart returns (then to what set
+// installs). Reports to first are served one at a time, so the swap sees first
+// as that report left it — with shards still to finish, or the test fails: a
+// restart after the campaign ended tests nothing.
+type restartProxy struct {
+	t       *testing.T
+	first   *Coordinator
+	h       http.Handler // first's
+	n       int
+	restart func() http.Handler
+
+	mu       sync.Mutex
+	accepted int
+	next     http.Handler
+}
+
+func (p *restartProxy) set(h http.Handler) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.next = h
+}
+
+func (p *restartProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	p.mu.Lock()
+	if next := p.next; next != nil || r.URL.Path != "/v1/report" {
+		p.mu.Unlock()
+		if next == nil {
+			next = p.h
+		}
+		next.ServeHTTP(w, r)
+		return
 	}
+	defer p.mu.Unlock()
+	rec := httptest.NewRecorder()
+	p.h.ServeHTTP(rec, r)
+	var reply ReportReply
+	if rec.Code == http.StatusOK && json.Unmarshal(rec.Body.Bytes(), &reply) == nil && reply.OK {
+		if st := p.first.Status(); st.Experiments > 0 {
+			if p.accepted++; p.accepted == p.n {
+				if st.Completed || st.Shards.Done == st.Spec.Shards {
+					p.t.Errorf("restart at report %d: the campaign had finished (%+v)", p.n, st.Shards)
+				}
+				p.next = p.restart()
+			}
+		}
+	}
+	for k, v := range rec.Header() {
+		w.Header()[k] = v
+	}
+	w.WriteHeader(rec.Code)
+	w.Write(rec.Body.Bytes())
 }
 
 // TestCampaignSpecValidate covers the spec's input rejection.

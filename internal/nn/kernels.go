@@ -84,7 +84,7 @@ type convArgs struct {
 	// skipZero is set when every rounded weight is finite (weightCache): a ±0
 	// activation then contributes ±0 to every accumulator of its weight row,
 	// and an accumulator that starts at +0 never holds -0, so the FP16 panel
-	// may skip the row without changing a bit (DESIGN.md §7.2).
+	// may skip the row without changing a bit (DESIGN.md §7.1.4).
 	skipZero bool
 	codec    numerics.Codec
 }
@@ -353,7 +353,7 @@ type matmulArgs struct {
 }
 
 // matmulTile computes output rows [i0,i1) × columns [j0,j1), accumulating
-// each neuron over p in ascending order from +0 (DESIGN.md §7.6). The out
+// each neuron over p in ascending order from +0 (DESIGN.md §7.1.2). The out
 // buffer must be zeroed over the tile.
 func matmulTile(a *matmulArgs, i0, i1, j0, j1 int) {
 	tileCount.Add(1)

@@ -70,7 +70,7 @@ func (l *MatMulSite) Run(a, b *tensor.Tensor, ctx *Context) *tensor.Tensor {
 		} else {
 			// The tiled kernel takes B as k×n: a TransposeB operand is
 			// transposed here, once, so that every row of the product is one
-			// panel (DESIGN.md §7.6). Rounding is element-wise: it commutes.
+			// panel (DESIGN.md §7.1.2). Rounding is element-wise: it commutes.
 			bd := b.Data()
 			if l.TransposeB {
 				sc.w = grow(sc.w, k*n)

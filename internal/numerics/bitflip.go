@@ -174,7 +174,7 @@ func (c Codec) SaturateInto(dst, src []float32) {
 	case FP16:
 		// Saturate's two compares as one clip, NaN passing through, then the
 		// rounding over the whole row: RoundHalf(±65504) is ±65504 (DESIGN.md
-		// §7.6).
+		// §7.1.5).
 		const halfMax = 65504
 		ClipRow(dst, src, -halfMax, halfMax)
 		halfRoundInto(dst, dst)

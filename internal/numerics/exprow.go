@@ -1,15 +1,10 @@
 package numerics
 
-// exprow.go holds the exponential row of the softmax: ExpRow and its Go loop.
-// Where hasAVX2 is set, exprow_amd64.s takes whole 8-element chunks through a
-// lane copy of the FMA path of math.Exp's own amd64 assembly, so a lane and
-// the Go loop store the same bits (DESIGN.md §7.8). The lanes run only on
-// chunks whose every exponent lies in [-expBand, expBand], where that path
-// takes no branch; a chunk with a lane outside it — NaN, ±Inf, an overflow, an
-// underflow to a subnormal or zero — stops them, the Go loop does that chunk,
-// and the lanes resume behind it, as halfRoundInto does. The Go loop is also
-// every tail, the whole implementation where there are no lanes, and the
-// oracle of TestExpRowMatchesExp.
+// exprow.go holds the exponential row of the softmax: ExpRow and its Go loop,
+// under the lane contract (DESIGN.md §7.1). exprow_amd64.s is a lane copy of
+// the FMA path of math.Exp's own amd64 assembly, and hands back every chunk
+// with an exponent outside [-expBand, expBand], where that path would branch
+// (§7.1.6).
 
 import "math"
 

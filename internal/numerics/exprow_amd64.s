@@ -2,7 +2,7 @@
 // four float64, each lane the FMA path of math.Exp's amd64 assembly
 // (src/math/exp_amd64.s, label avxfma) op for op — the same constants, the
 // same rounding steps in the same order — so a lane stores the bits the
-// scalar call returns (DESIGN.md §7.8). The routine walks whole chunks from
+// scalar call returns (DESIGN.md §7.1.6). The routine walks whole chunks from
 // the front and stops before the first one with a lane outside the band
 // |x - shift| <= 700, returning how many elements it finished; the Go loop
 // takes that chunk and every tail.

@@ -4,15 +4,10 @@ package numerics
 // path that no FP16 rounding runs through — the acc += a·w panel of the INT8,
 // INT16 and FP32 kernels (their operands are rounded once, before the loop),
 // the branch-free max-pool, ReLU and clip rows of every precision, and the
-// scans that find where a replayed tensor departs from golden. Each is a Go
-// loop and, where hasAVX2 is set, an AVX2 body in floatrow_amd64.s for the
-// whole chunks, under the rules of the FP16 lanes (DESIGN.md §7.3, §7.7): the
-// Go loop is the whole implementation everywhere else, every tail, and the
-// oracle of every differential test. Nothing here rounds: a lane's VMULPS,
-// VADDPS, VMAXPS or VMINPS is the scalar instruction the Go loop compiles to,
-// NaN and Inf included, so there is no rare band to hand back. Only the diff
-// scans bail, because their lanes compare bit patterns and elements compare
-// otherwise on ±0 and NaN.
+// scans that find where a replayed tensor departs from golden — each a Go loop
+// and an AVX2 body in floatrow_amd64.s under the lane contract (DESIGN.md
+// §7.1). Nothing here rounds, so only the diff scans bail: their lanes compare
+// bit patterns, and elements compare otherwise on ±0 and NaN.
 
 import "math"
 
@@ -26,9 +21,9 @@ const panelBlock = 4
 // the rounding, for operands that are already stored values of an INT8, INT16
 // or FP32 datapath. Every row is computed, ±0 activations included: at the
 // widths the kernels call it with, a branch that skips a row costs more than
-// the row (DESIGN.md §7.2). Each accumulator takes its products in row order
+// the row (DESIGN.md §7.1.4). Each accumulator takes its products in row order
 // whoever adds them — the lanes hold a block of accumulators in registers
-// across all rows, the Go loop walks row by row (§7.7). w must reach index
+// across all rows, the Go loop walks row by row (§7.1.2). w must reach index
 // (len(a)-1)*stride + len(acc) - 1.
 func MulAddPanel(acc, a, w []float32, stride int) {
 	if len(a) == 0 || len(acc) == 0 {
@@ -71,7 +66,7 @@ func laneWhole(n int) int {
 // makes of NaN and of -0 is part of what a fault propagates. VMAXPS and VMINPS
 // return their second source when either operand is NaN or both are zeros,
 // which is each compare's else branch once the operands are in the order
-// floatrow_amd64.s gives them (the table is in DESIGN.md §7.7).
+// floatrow_amd64.s gives them (the table is in DESIGN.md §7.1.3).
 
 // MaxRow stores v[i] in m[i] wherever v[i] > m[i], for every i in v: one
 // window cell folded into a max-pooling output cell. A NaN in v never

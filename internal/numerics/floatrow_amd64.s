@@ -3,7 +3,7 @@
 // through a narrower format and none bails: every lane does what the scalar
 // instruction of the Go loop does, NaN and Inf included, so each routine takes
 // every whole block of its operands and the Go loops take only the tails
-// (DESIGN.md 7.7). No FMA: a lane is MULSS then ADDSS, twice rounded.
+// (DESIGN.md §7.1.3). No FMA: a lane is MULSS then ADDSS, twice rounded.
 //
 // VEX encodings only, and VZEROUPPER before every RET (halfrow_amd64.s says
 // why); TestAsmIsVEXOnly scans this file with that one.

@@ -1,44 +1,19 @@
 package numerics
 
 // halfrow.go holds the fused FP16 multiply-round-accumulate row primitives
-// behind the nn kernels' inner loops. Each one is a loop over
+// behind the nn kernels' inner loops, each a loop over
 //
 //	acc += RoundHalf(a * w)
 //
-// with the rounding written out as integer arithmetic on the product's bit
-// pattern instead of a call per MAC (RoundHalf is past the inliner's budget).
-// A float32 product p = a·w falls in one of four bands by magnitude:
-//
-//   - normal half, |p| ∈ [2⁻¹⁴, 65520): round-to-nearest-even on the 13
-//     mantissa bits a half drops is "add 0x0fff plus the keep-bit, clear the
-//     low 13 bits" on the bit pattern, the mantissa carry rippling into the
-//     exponent field for free. The band stops at 0x477ff000 — the first
-//     pattern that rounds past HalfMax — so no overflow test is needed inside
-//     it.
-//   - half subnormal, |p| ∈ [2⁻²⁴, 2⁻¹⁴): the result is a multiple of 2⁻²⁴.
-//     Floats in [0.5, 1) are exactly the multiples of 2⁻²⁴ there, so
-//     (|p| + 0.5) − 0.5 lets the float32 adder do the round-to-nearest-even:
-//     0.5 is an even multiple, so a tie lands on the even multiple of 2⁻²⁴
-//     just as HalfFromFloat32's shifted-mantissa tie does, and the subtraction
-//     is exact.
-//   - underflow, |p| < 2⁻²⁴ (float32 subnormals and ±0 included):
-//     HalfFromFloat32 flushes everything below its smallest subnormal to a
-//     signed zero — also (2⁻²⁵, 2⁻²⁴), which nearest-even would round up.
-//     The primitives reproduce that, not IEEE.
-//   - everything else (overflow, ±Inf, NaN) is rare and takes the reference
-//     encode/decode round trip.
-//
-// On an amd64 CPU with AVX2 and F16C the first three bands run eight lanes at a
-// time in halfrow_amd64.s, through the hardware converter and a mask for the
-// underflow band; the loops below stay the only implementation of the rare
-// band and of every tail, the whole implementation everywhere else, and the
-// reference the lanes are tested against (DESIGN.md §7.3; laneChunk and
-// HalfMulAddPanel say how the rare band gets back to them).
-//
-// TestHalfRowMatchesRef proves every primitive equal to RoundHalfRef bit for
-// bit over all 65 536 half values times a multiplier set, and over every
-// float32 pattern around the band edges, with the lanes on and off. `make bce`
-// keeps the loops free of bounds checks.
+// with the rounding written out on the product's bit pattern instead of a
+// call per MAC (RoundHalf is past the inliner's budget), by band of |p|: a
+// normal half [2⁻¹⁴, 65520) is "add 0x0fff plus the keep-bit, clear the low
+// 13 bits"; a half subnormal [2⁻²⁴, 2⁻¹⁴) is (|p| + 0.5) − 0.5; below 2⁻²⁴ a
+// signed zero, as HalfFromFloat32 flushes it; the rest (overflow, ±Inf, NaN)
+// RoundHalfRef. DESIGN.md §7.1.1 says why each is exact. Every primitive
+// keeps the lane contract (§7.1): with hasAVX2, halfrow_amd64.s takes the
+// whole chunks and hands back those with a lane in the rest, and the loops
+// below are the fallback, the tail and the oracle.
 
 import "math"
 
@@ -79,8 +54,8 @@ func halfRoundSmall(b, abs uint32) float32 {
 // a matmul — with acc a window of the output channels when stride is
 // wider than it. With skipZero, rows whose activation is +0 or -0 are skipped:
 // the caller vouches that every weight is finite and that acc started at +0
-// (DESIGN.md §7.2). Each accumulator takes its products in row order whoever
-// adds them (§7.4). w must reach index (len(a)-1)*stride + len(acc) - 1.
+// (DESIGN.md §7.1.4). Each accumulator takes its products in row order whoever
+// adds them (§7.1.2). w must reach index (len(a)-1)*stride + len(acc) - 1.
 //
 // The lanes take the columns a block at a time — the widest of 32, 16 and 8
 // that fits — with the block's accumulators in registers across all the rows

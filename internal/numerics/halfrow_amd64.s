@@ -1,12 +1,12 @@
 // AVX2 lanes for the FP16 row primitives of halfrow.go: eight float32 lanes
-// go through the F16C converter and one mask at once (DESIGN.md §7.3 argues why
+// go through the F16C converter and one mask at once (DESIGN.md §7.1.1 argues why
 // that rounds like HalfFromFloat32). The row, element-wise, dot and rounding
 // routines walk whole 8-element chunks from the front of their operands and
 // stop before the first chunk in which some lane is at or past f32HalfOver — an
 // overflowing product, ±Inf or NaN — returning how many elements they finished.
 // The panel tests no product: it keeps a column block's accumulators in
 // registers across every row, stores them only if all came out finite and says
-// which it did (§7.4). The Go loops own the rare band and every tail.
+// which it did (§7.1.2). The Go loops own the rare band and every tail.
 //
 // VEX encodings only, and VZEROUPPER before every RET: one legacy-SSE
 // instruction with dirty upper YMM halves costs a state transition of about a
@@ -133,7 +133,7 @@ done:
 // BLOCK is the panel over one block of width columns. The accumulators are
 // loaded once and take every row in registers; with R10 = 0 (skipZero) a row
 // whose activation is +0 or -0 is stepped over, the shift dropping the sign
-// (DESIGN.md 7.2). After the last row they are stored if every lane is finite
+// (DESIGN.md §7.1.4). After the last row they are stored if every lane is finite
 // and left as they were in memory if not: ZF at done says which.
 #define BLOCK(COLS, width, row, next) \
 	COLS(PLOAD); \

@@ -158,7 +158,7 @@ func (q Quantizer) Round(f float32) float32 {
 // is the top code's value, so whatever exceeds it is at or past satHi. With
 // hasAVX2 the whole chunks of eight go through quantRoundAVX2
 // (floatrow_amd64.s): the default case's arithmetic in every lane, the other
-// cases blended over it (DESIGN.md §7.7).
+// cases blended over it (DESIGN.md §7.1.5).
 func (q Quantizer) roundInto(dst, src []float32, floor float32) {
 	dst = dst[:len(src)]
 	vLo, vHi := q.Dequantize(q.saturated(-1)), q.Dequantize(q.saturated(1))

@@ -113,7 +113,7 @@ const softmaxBlock = 64
 // SoftmaxRows replaces rows [r0, r1) of t — its vectors along the last
 // dimension — by their softmax, in place; a row's result depends on that row
 // alone. The exponentials are math.Exp's bits, through numerics.ExpRow; the
-// sum is one float64 chain in index order (DESIGN.md §7.8).
+// sum is one float64 chain in index order (DESIGN.md §7.1.6).
 func SoftmaxRows(t *Tensor, r0, r1 int) {
 	last := t.shape[len(t.shape)-1]
 	var block [softmaxBlock]float64
