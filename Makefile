@@ -68,14 +68,15 @@ chaos:
 	$(GO) test -race -timeout 30m -run 'Chaos' -count=2 ./internal/campaign/...
 
 # The tests that interrupt a live campaign or fire its watchdog from inside
-# it — interrupt/resume in campaign and harden, the chaos watchdog and the
-# transient checkpoint errors — the fleet determinism test, which needs
-# every worker to take part in a campaign of milliseconds, and the two
+# it — interrupt/resume in campaign and harden, the chaos watchdog (and the
+# executor it abandons, never lent again) and the transient checkpoint
+# errors — the fleet determinism test, which needs every worker to take part
+# in a campaign of milliseconds, and the two
 # coordinator restarts, which swap coordinators at an accepted report, 50
 # times at 1, 2 and 4 Ps each, beside a busy loop that holds one CPU: a test that races the
 # engine instead of steering it from inside fails here. About a minute; not
 # part of `make ci`.
-FLAKE_TESTS := TestStudyInterruptResume|TestChaosRecoversToCleanTallies|TestChaosCheckpointIOErrors|TestHardenedInterruptResume|TestDistribDeterminism|TestDistribCoordinatorRestart|TestDistribAdaptiveCoordinatorRestart
+FLAKE_TESTS := TestStudyInterruptResume|TestChaosRecoversToCleanTallies|TestChaosWatchdogNeverLendsZombie|TestChaosCheckpointIOErrors|TestHardenedInterruptResume|TestDistribDeterminism|TestDistribCoordinatorRestart|TestDistribAdaptiveCoordinatorRestart
 flake:
 	@sh -c 'while :; do :; done' & hog=$$!; \
 	trap "kill $$hog" EXIT; \

@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -235,6 +236,83 @@ func TestChaosRecoversToCleanTallies(t *testing.T) {
 	serial := run(1)
 	compareTallies(t, "chaos vs clean-minus-quarantined", expected, serial)
 	requireEqualResults(t, "chaos workers=1 vs workers=8", serial, run(8))
+}
+
+// TestChaosWatchdogNeverLendsZombie plays one distrib worker through a hang:
+// every shard of the chaos campaign runs through one ShardRunner, one lease
+// after another, and the hung experiment's timer fires the moment the hang is
+// reached. The executor the watchdog abandons to the wedged goroutine must
+// never come back from the runner's idle list — the shard finishes on a new
+// one, which every later lease reuses — and the shards must assemble to the
+// clean run's tallies minus the hung experiment.
+func TestChaosWatchdogNeverLendsZombie(t *testing.T) {
+	base := chaosBase()
+	hangAt := chaosKey{shard: 9, cur: Cursor{Input: 1, Model: 2, Sample: 0}}
+	clean, seen := observeClean(t, base, map[chaosKey]bool{hangAt: true})
+	expected := cloneTallies(clean)
+	subtractExperiment(expected, seen[hangAt])
+
+	// The deadline and the hang are TestChaosRecoversToCleanTallies's: only
+	// the synthetic hang may trip the watchdog, and its timer fires at once.
+	const deadline = 5 * time.Second
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	hangTimer := make(chan *time.Timer, 1)
+	opts := base
+	opts.ExperimentTimeout = deadline
+	opts.chaos = &chaosPolicy{
+		experiment: func(shard int, cur Cursor) {
+			if (chaosKey{shard, cur}) == hangAt {
+				(<-hangTimer).Reset(0)
+				select {
+				case <-release:
+				case <-time.After(2 * deadline):
+				}
+			}
+		},
+		timer: func(shard int, cur Cursor, timeout time.Duration) *time.Timer {
+			tm := time.NewTimer(timeout)
+			if (chaosKey{shard, cur}) == hangAt {
+				hangTimer <- tm
+			}
+			return tm
+		},
+	}
+	cfg := accel.NVDLASmall()
+	w := engineWorkload(t)
+	r, err := NewShardRunner(cfg, w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finals := make([]ShardCheckpoint, opts.shards())
+	var zombie *inject.Injector
+	for s := range finals {
+		if s == hangAt.shard {
+			// Shards run one at a time, so the one idle executor is the one
+			// the hanging shard borrows.
+			if len(r.idle) != 1 {
+				t.Fatalf("before shard %d: %d idle executors, want 1", s, len(r.idle))
+			}
+			zombie = r.idle[0]
+		}
+		if finals[s], err = r.Run(context.Background(), ShardRun{Index: s}); err != nil {
+			t.Fatalf("shard %d: %v", s, err)
+		}
+		if zombie != nil && slices.Contains(r.idle, zombie) {
+			t.Fatalf("after shard %d the executor abandoned to the hung experiment is idle again", s)
+		}
+	}
+	if len(r.idle) != 1 {
+		t.Errorf("%d idle executors after the last lease, want 1: the one replacing the abandoned one", len(r.idle))
+	}
+	res, err := AssembleResult(cfg, w, opts, finals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Quarantined) != 1 || res.Quarantined[0].Reason != ReasonTimeout {
+		t.Fatalf("quarantined %+v, want the hung experiment alone, as a timeout", res.Quarantined)
+	}
+	compareTallies(t, "leases through a hang vs clean-minus-quarantined", expected, res)
 }
 
 // res1Recovery fetches the telemetry recovery snapshot, failing if absent.

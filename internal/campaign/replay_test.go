@@ -79,6 +79,68 @@ func TestReplayDifferentialZoo(t *testing.T) {
 	}
 }
 
+// TestReplayDifferentialInputSwitch holds the replay path to the oracle where
+// its executors switch inputs most: a per-layer adaptive INT8 campaign on two
+// inputs, whose every stratum alternates between them, so each shard's
+// executor rebinds its arena to the other input's trace again and again. The
+// StudyResult must be byte-identical at Workers 1 and 4, and a checkpoint cut
+// at the same experiment byte-identical too, resuming at Workers 4 to the
+// uninterrupted result.
+func TestReplayDifferentialInputSwitch(t *testing.T) {
+	w, err := model.Build("inception", numerics.INT8, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := accel.NVDLASmall()
+	base := StudyOptions{TargetCI: 0.3, Inputs: 2, Tolerance: 0.1, Seed: 7, Shards: 4, PerLayer: true}
+	want := studyJSONWith(t, oracleStudy, w, base)
+	for _, workers := range []int{1, 4} {
+		opts := base
+		opts.Workers = workers
+		if got := studyJSON(t, w, opts); !bytes.Equal(got, want) {
+			t.Errorf("Workers=%d: StudyResult JSON differs between replay and the oracle:\nreplay: %s\noracle: %s", workers, got, want)
+		}
+	}
+
+	cut := func(study studyFunc) *Checkpoint {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		opts := base
+		opts.Workers = 1
+		count := 0
+		opts.observe = func(int, Cursor, faultmodel.ID, inject.Result) {
+			if count++; count == 300 {
+				cancel()
+			}
+		}
+		_, err := study(ctx, cfg, w, opts)
+		var intr *Interrupted
+		if !errors.As(err, &intr) {
+			t.Fatalf("interrupted study returned %v, want *Interrupted", err)
+		}
+		return intr.Checkpoint
+	}
+	cpOn, cpOff := cut(Study), cut(oracleStudy)
+	bOn, err := json.Marshal(cpOn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bOff, err := json.Marshal(cpOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bOn, bOff) {
+		t.Errorf("checkpoints differ between replay and the oracle:\nreplay: %s\noracle: %s", bOn, bOff)
+	}
+	opts := base
+	opts.Workers = 4
+	opts.Resume = cpOn
+	if got := studyJSON(t, w, opts); !bytes.Equal(got, want) {
+		t.Errorf("replay checkpoint resumed at Workers=4 differs from the oracle:\nresumed: %s\noracle:  %s", got, want)
+	}
+}
+
 // TestReplayCheckpointIdentity interrupts the same campaign deterministically
 // on the replay path and on the oracle, requires the two checkpoints to be
 // byte-identical, and then cross-resumes each checkpoint on the opposite

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"fidelity/internal/accel"
@@ -20,6 +21,7 @@ import (
 	"fidelity/internal/dataset"
 	"fidelity/internal/faultmodel"
 	"fidelity/internal/fit"
+	"fidelity/internal/inject"
 	"fidelity/internal/model"
 	"fidelity/internal/nn"
 )
@@ -48,14 +50,23 @@ type ShardRun struct {
 }
 
 // ShardRunner is the campaign state every shard run in one process shares:
-// the validated options, the derived fault models, and one recorded golden
-// trace per input. A process that runs many shards — Study's worker pool, a
-// distrib worker across all its leases — builds one and derives and traces
-// once, not once per shard. Run may be called from several goroutines.
+// the validated options, the derived fault models, one recorded golden trace
+// per input, and the idle replay executors. A process that runs many shards
+// — Study's worker pool, a distrib worker across all its leases — builds one
+// and derives and traces once, not once per shard, and keeps one warm
+// executor per goroutine that runs shards. Run may be called from several
+// goroutines.
 type ShardRunner struct {
 	w      *model.Workload
 	models []faultmodel.Model
 	opts   StudyOptions
+
+	// idle holds the executors no shard run holds. An executor carries no
+	// shard identity — attempt reseeds its sampler from the experiment's
+	// cursor before every experiment, and PredictTarget draws from a stream
+	// of its own — so any shard may run on any of them.
+	mu   sync.Mutex
+	idle []*inject.Injector
 }
 
 // NewShardRunner validates opts and derives the fault models of cfg for the
@@ -72,9 +83,31 @@ func NewShardRunner(cfg *accel.Config, w *model.Workload, opts StudyOptions) (*S
 	return &ShardRunner{w: w, models: models, opts: opts}, nil
 }
 
-// newState returns the initial state of logical shard index.
-func (r *ShardRunner) newState(index int) *shardState {
-	return newShardState(index, shardSeed(r.opts.Seed, index), r.w, r.models, r.opts)
+// borrow lends an idle executor, or builds one when none is idle.
+func (r *ShardRunner) borrow() (*inject.Injector, error) {
+	r.mu.Lock()
+	if n := len(r.idle); n > 0 {
+		inj := r.idle[n-1]
+		r.idle = r.idle[:n-1]
+		r.mu.Unlock()
+		return inj, nil
+	}
+	r.mu.Unlock()
+	s, err := faultmodel.NewSampler(r.models, r.opts.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return inject.New(r.w, s), nil
+}
+
+// giveBack returns a borrowed executor to the idle list; nil is ignored.
+func (r *ShardRunner) giveBack(inj *inject.Injector) {
+	if inj == nil {
+		return
+	}
+	r.mu.Lock()
+	r.idle = append(r.idle, inj)
+	r.mu.Unlock()
 }
 
 // RunShard is the one-shot form of NewShardRunner + Run, for a caller that

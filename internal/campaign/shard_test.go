@@ -105,3 +105,29 @@ func TestEvery(t *testing.T) {
 	}
 	Every(0, func() { t.Error("Every(0) called fn") })()
 }
+
+// TestStudyBuildsOneExecutorPerWorker: executors belong to the runner, not
+// to a shard or an input. A per-layer adaptive campaign on two inputs runs
+// every shard once per round and switches inputs in every stratum, yet at
+// Workers=2 it must build no more than two executors.
+// TestReplayDifferentialInputSwitch holds the same shape to the oracle.
+func TestStudyBuildsOneExecutorPerWorker(t *testing.T) {
+	w, err := model.Build("inception", numerics.INT8, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := accel.NVDLASmall()
+	opts := StudyOptions{TargetCI: 0.3, Inputs: 2, Tolerance: 0.1, Seed: 7, Shards: 8, PerLayer: true, Workers: 2}
+	r, err := NewShardRunner(cfg, w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.study(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	// Every executor is back once the study returns: the idle ones are all
+	// it built.
+	if n := len(r.idle); n < 1 || n > opts.Workers {
+		t.Errorf("Workers=%d: %d executors idle after the study, want 1 to %d, every one it built", opts.Workers, n, opts.Workers)
+	}
+}

@@ -318,14 +318,14 @@ type shardState struct {
 	seed  int64
 
 	// Campaign bindings, set once before the workers start.
-	w      *model.Workload
-	models []faultmodel.Model
+	runner *ShardRunner
 	opts   StudyOptions
 
-	// Owned by the worker executing the shard. sampler and inj are replaced
-	// wholesale after a watchdog kill: the abandoned experiment goroutine
-	// may still be touching the old pair, so they are never reused.
-	sampler  *faultmodel.Sampler
+	// Owned by the worker executing the shard. inj is the replay executor
+	// (injector, sampler, arena, replay context) borrowed from the runner for
+	// one run and given back when it returns; nil between runs. A watchdog
+	// kill abandons it to the wedged experiment goroutine instead, so it is
+	// never lent again.
 	inj      *inject.Injector
 	inputIdx int
 
@@ -355,13 +355,13 @@ type shardState struct {
 // (rather than completed or failed) shard to their coordinator.
 var ErrShardExhausted = errors.New("campaign: shard failure budget exhausted")
 
-func newShardState(index int, seed int64, w *model.Workload, models []faultmodel.Model, opts StudyOptions) *shardState {
+// newState returns the initial state of logical shard index.
+func (r *ShardRunner) newState(index int) *shardState {
 	sh := &shardState{
 		index:        index,
-		seed:         seed,
-		w:            w,
-		models:       models,
-		opts:         opts,
+		seed:         shardSeed(r.opts.Seed, index),
+		runner:       r,
+		opts:         r.opts,
 		masked:       newTallies(),
 		publishEvery: defaultPublishEvery,
 	}
@@ -504,7 +504,7 @@ func (sh *shardState) record(layer int, id faultmodel.ID, r inject.Result) {
 	}
 }
 
-// setInput points the live injector at input idx.
+// setInput points the shard's executor at input idx.
 func (sh *shardState) setInput(idx int) error {
 	sh.inputIdx = idx
 	if sh.inj == nil {
@@ -513,35 +513,30 @@ func (sh *shardState) setInput(idx int) error {
 	return sh.prepare(sh.inj)
 }
 
-// prepare initializes inj for the shard's current input from the run's
-// shared golden cache, so all shards reuse one sampled input and one recorded
-// trace per input instead of re-running the golden inference sixteen times.
+// prepare points inj at the shard's current input from the run's shared
+// golden cache, so all shards reuse one sampled input and one recorded trace
+// per input instead of re-running the golden inference sixteen times.
 func (sh *shardState) prepare(inj *inject.Injector) error {
-	g, err := sh.opts.golden.get(sh.w, sh.inputIdx, !sh.opts.oracle)
+	g, err := sh.opts.golden.get(sh.runner.w, sh.inputIdx, !sh.opts.oracle)
 	if err != nil {
 		return err
 	}
 	return inj.PrepareGolden(g)
 }
 
-// ensureInjector (re)builds the shard's sampler and injector — lazily after
-// a watchdog kill abandoned the previous pair to a wedged goroutine.
+// ensureInjector borrows an executor from the runner when the shard holds
+// none — at the start of a run, or after a watchdog kill abandoned the last
+// one to a wedged goroutine — and prepares it for the current input.
 func (sh *shardState) ensureInjector() error {
-	if sh.sampler == nil {
-		s, err := faultmodel.NewSampler(sh.models, sh.seed)
-		if err != nil {
-			return err
-		}
-		sh.sampler = s
+	if sh.inj != nil {
+		return nil
 	}
-	if sh.inj == nil {
-		inj := inject.New(sh.w, sh.sampler)
-		if err := sh.prepare(inj); err != nil {
-			return err
-		}
-		sh.inj = inj
+	inj, err := sh.runner.borrow()
+	if err != nil {
+		return err
 	}
-	return nil
+	sh.inj = inj
+	return sh.prepare(inj)
 }
 
 // quarantineExperiment removes the experiment at cur from the campaign after
@@ -571,15 +566,15 @@ func (sh *shardState) attempt(ctx context.Context, cur Cursor, id faultmodel.ID,
 	if err := sh.ensureInjector(); err != nil {
 		return inject.Result{}, nil, err
 	}
-	sh.sampler.Reseed(experimentSeed(sh.seed, cur))
+	sh.inj.Sampler.Reseed(experimentSeed(sh.seed, cur))
 	timeout := sh.opts.ExperimentTimeout
 	if timeout <= 0 {
 		return sh.experiment(ctx, sh.inj, cur, id, execIdx)
 	}
 	// The watchdog runs the experiment on a goroutine of its own, on the
-	// injector it was handed: on a watchdog kill the shard abandons inj and
-	// sampler to the zombie goroutine and continues on fresh ones, so they
-	// never race, and the rest of what it reads of sh never changes.
+	// executor it was handed: on a watchdog kill the shard abandons inj to
+	// the zombie goroutine and continues on another, so they never race, and
+	// the rest of what it reads of sh never changes.
 	inj := sh.inj
 	type outcome struct {
 		r   inject.Result
@@ -598,10 +593,10 @@ func (sh *shardState) attempt(ctx context.Context, cur Cursor, id faultmodel.ID,
 		return o.r, o.ff, o.err
 	case <-timer.C:
 		// The experiment goroutine may be wedged, and Go cannot kill it:
-		// abandon its injector and sampler so the shard continues on fresh
-		// ones without racing the zombie, and let it exit into the buffered
-		// channel whenever (if ever) it completes.
-		sh.inj, sh.sampler = nil, nil
+		// abandon its executor — never given back to the runner — so the
+		// shard continues on another without racing the zombie, and let it
+		// exit into the buffered channel whenever (if ever) it completes.
+		sh.inj = nil
 		return inject.Result{}, &frameworkFault{
 			reason: ReasonTimeout,
 			detail: fmt.Sprintf("exceeded %v", timeout),
@@ -772,7 +767,14 @@ func (sh *shardState) runSamples(ctx context.Context, cur *Cursor, id faultmodel
 // context's error; ErrShardExhausted degrades the shard; any other error is
 // a campaign failure. Adaptive campaigns may also return nil with the shard
 // not done: parked at a round barrier, waiting for the Schedule's planner.
+//
+// The shard runs on an executor borrowed from the runner, given back on
+// return, so a worker that runs shard after shard keeps one warm arena.
 func (sh *shardState) run(ctx context.Context) error {
+	defer func() {
+		sh.runner.giveBack(sh.inj)
+		sh.inj = nil
+	}()
 	if sh.opts.TargetCI > 0 {
 		return sh.runAdaptive(ctx)
 	}
@@ -791,7 +793,7 @@ func (sh *shardState) runFixed(ctx context.Context) error {
 			return err
 		}
 		// The execution count is a function of the input alone, so it stays
-		// valid across watchdog-forced injector rebuilds.
+		// valid when a watchdog kill swaps the executor.
 		nexec := sh.inj.Executions()
 		// This shard's share of the per-(input, model) sample count.
 		per := opts.Samples / opts.Inputs
@@ -830,13 +832,14 @@ func (sh *shardState) runFixed(ctx context.Context) error {
 
 // runSchedule drives sched over the in-process, function-call transport:
 // this goroutine owns sched and sends granted shard indices down a jobs
-// channel to worker goroutines, which run that shard's state — injector and
-// arena kept across rounds — and send (index, err) back. A run ending in
-// success or ErrShardExhausted reports the shard's snapshot, and the states
-// of the shards a round barrier rewrote are restored from the schedule; a
-// cancelled run releases its shard. Cancellation stops granting, and the
-// first campaign failure stops granting and is returned once every running
-// shard has come back.
+// channel to worker goroutines, which run that shard's state on an executor
+// borrowed from the shards' runner — so one warm arena per worker serves
+// every shard, input and round — and send (index, err) back. A run ending
+// in success or ErrShardExhausted reports the shard's snapshot, and the
+// states of the shards a round barrier rewrote are restored from the
+// schedule; a cancelled run releases its shard. Cancellation stops
+// granting, and the first campaign failure stops granting and is returned
+// once every running shard has come back.
 func runSchedule(ctx context.Context, sched *Schedule, states []*shardState, workers int) error {
 	type outcome struct {
 		i   int
@@ -918,18 +921,24 @@ func phaseEnd(tel *telemetry.Collector, name string) {
 // which opts.Resume continues the study to the identical StudyResult an
 // uninterrupted run would have produced.
 func Study(ctx context.Context, cfg *accel.Config, w *model.Workload, opts StudyOptions) (*StudyResult, error) {
-	// All shards of this run share one derivation of the fault models and
-	// one golden trace per input.
+	// All shards of this run share one derivation of the fault models, one
+	// golden trace per input and the workers' executors.
 	runner, err := NewShardRunner(cfg, w, opts)
 	if err != nil {
 		return nil, err
 	}
+	return runner.study(ctx, cfg)
+}
+
+// study runs every shard of r's campaign on cfg in process: Study's body.
+func (r *ShardRunner) study(ctx context.Context, cfg *accel.Config) (*StudyResult, error) {
+	w, opts := r.w, r.opts
 	tel := opts.Telemetry
 
 	// The Eq. 2 layer specs come from input 0's golden trace, which the
 	// shards replay against anyway: the run's cache records it once.
 	phaseStart(tel, "trace")
-	g0, err := runner.opts.golden.get(w, 0, !opts.oracle)
+	g0, err := opts.golden.get(w, 0, !opts.oracle)
 	phaseEnd(tel, "trace")
 	if err != nil {
 		return nil, err
@@ -950,7 +959,7 @@ func Study(ctx context.Context, cfg *accel.Config, w *model.Workload, opts Study
 	sched := NewSchedule(StrataFor(opts.PerLayer, len(execs)), opts, restored, nil)
 	states := make([]*shardState, shards)
 	for s := range states {
-		states[s] = runner.newState(s)
+		states[s] = r.newState(s)
 		if sc := sched.Checkpoint(s); sc != nil {
 			states[s].restore(*sc)
 		}
@@ -1015,7 +1024,7 @@ func Study(ctx context.Context, cfg *accel.Config, w *model.Workload, opts Study
 		// checkpoint lets a later run (with the failure fixed) complete it.
 		_ = saveCheckpoint(NewCheckpoint(cfg, w, opts, finals), opts.CheckpointPath, opts)
 	}
-	return assembleResult(cfg, w, opts, finals, execs, runner.models)
+	return assembleResult(cfg, w, opts, finals, execs, r.models)
 }
 
 // SensitivityBounds recomputes the FIT rate under perturbed estimates: the

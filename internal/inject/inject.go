@@ -112,14 +112,16 @@ type Injector struct {
 	W       *model.Workload
 	Sampler *faultmodel.Sampler
 
-	// g is the golden state of the prepared input; arena and rctx are the
-	// per-injector replay state over it (nil when g carries no activation
-	// trace).
+	// g is the golden state of the prepared input. arena and rctx are the
+	// injector's replay state, built at its first traced PrepareGolden and
+	// rebound to every later input's trace, so they stay warm for the
+	// injector's lifetime; they are nil until then, and unused while g
+	// carries no activation trace.
 	g     *Golden
 	arena *nn.Arena
 	rctx  *nn.Context
 
-	// The experiment in flight, its hook (bound once, by PrepareGolden), the
+	// The experiment in flight, its hook (bound once, by New), the
 	// plan every experiment reuses and PredictTarget's stream: reusing them
 	// cannot race a hung experiment's goroutine, as a watchdog kill abandons
 	// the whole injector.
@@ -131,7 +133,9 @@ type Injector struct {
 
 // New builds an injector for workload w with sampler s.
 func New(w *model.Workload, s *faultmodel.Sampler) *Injector {
-	return &Injector{W: w, Sampler: s, predict: rand.New(faultmodel.NewStreamSource(0))}
+	in := &Injector{W: w, Sampler: s, predict: rand.New(faultmodel.NewStreamSource(0))}
+	in.hook = in.exp.inject
+	return in
 }
 
 // experiment is what one run shares with its injection hook: the fault to
@@ -211,20 +215,26 @@ func TraceGolden(w *model.Workload, x *tensor.Tensor, withReplay bool) (*Golden,
 // Executions returns the recorded site executions in order (shared: read only).
 func (g *Golden) Executions() []nn.SiteExecution { return g.execs }
 
-// PrepareGolden initializes the injector from a shared Golden of its own
-// workload, skipping the golden forward pass. The injector's execution mode
-// follows g: incremental replay when g carries an activation trace, the
-// plain full forward otherwise. It cannot fail any more; the error result
-// stays because benchmark/ compiles against it.
+// PrepareGolden points the injector at a shared Golden of its own workload,
+// skipping the golden forward pass. The injector's execution mode follows g:
+// incremental replay when g carries an activation trace, the plain full
+// forward otherwise. The first traced g builds the injector's one arena and
+// replay context; every later one rebinds that context, so switching inputs
+// keeps the arena's buffers warm. Preparing the Golden already prepared does
+// nothing. It cannot fail any more; the error result stays because
+// benchmark/ compiles against it.
 func (in *Injector) PrepareGolden(g *Golden) error {
-	in.g = g
-	in.arena, in.rctx = nil, nil
-	if in.hook == nil {
-		in.hook = in.exp.inject
+	if g == in.g {
+		return nil
 	}
-	if g.trace != nil {
+	in.g = g
+	switch {
+	case g.trace == nil:
+	case in.rctx == nil:
 		in.arena = nn.NewArena()
 		in.rctx = nn.NewReplayContext(g.trace, in.arena)
+	default:
+		in.rctx.Rebind(g.trace)
 	}
 	return nil
 }
@@ -334,7 +344,7 @@ func (in *Injector) run(ctx context.Context, id faultmodel.ID, tol float64, exec
 	e := &in.exp
 	*e = experiment{in: in, id: id, target: target}
 	var out *tensor.Tensor
-	if in.rctx != nil {
+	if in.g.trace != nil {
 		// Incremental replay: reclaim last experiment's buffers (also after
 		// a recovered panic mid-pass), arm the target, and let the context
 		// serve golden tensors for everything outside the fault's cone.

@@ -1,7 +1,9 @@
 package inject
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"fidelity/internal/accel"
@@ -299,6 +301,82 @@ func TestMaskedReplayExperimentAllocs(t *testing.T) {
 			}
 			if id != faultmodel.GlobalControl && converged == 0 {
 				t.Errorf("%s %v: no experiment converged; the zero ceiling went untested", net, id)
+			}
+		}
+	}
+}
+
+// TestPrepareGoldenKeepsArenaWarm prepares one injector on input 0, then 1,
+// then 0 again, and runs the same experiments on it as on a fresh injector
+// per input. Every Result must be byte-identical but for ArenaReuses, the one
+// field warmth exists to move; and the first replayed experiment after each
+// switch must recycle more buffers than it does on a cold arena, which only an
+// arena kept across the switch can do.
+func TestPrepareGoldenKeepsArenaWarm(t *testing.T) {
+	w, err := model.Build("inception", numerics.INT8, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models, err := faultmodel.Derive(accel.NVDLASmall())
+	if err != nil {
+		t.Fatal(err)
+	}
+	newInj := func() *Injector {
+		s, err := faultmodel.NewSampler(models, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return New(w, s)
+	}
+	var goldens [2]*Golden
+	for i := range goldens {
+		x, err := dataset.Sample(w.Dataset, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if goldens[i], err = TraceGolden(w, x, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := faultmodel.AllIDs()
+	ids = ids[:len(ids)-1] // every model but GlobalControl, which runs no forward pass
+	// run makes one experiment and returns its Result, ArenaReuses apart.
+	run := func(in *Injector, e int, seed int64) ([]byte, int64) {
+		in.Sampler.Reseed(seed)
+		r, err := in.RunAt(context.Background(), e, ids[e%len(ids)], 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reuses := r.Replay.ArenaReuses
+		r.Replay.ArenaReuses = 0
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, reuses
+	}
+	warm := newInj()
+	for phase, input := range []int{0, 1, 0} {
+		if err := warm.PrepareGolden(goldens[input]); err != nil {
+			t.Fatal(err)
+		}
+		fresh := newInj()
+		if err := fresh.PrepareGolden(goldens[input]); err != nil {
+			t.Fatal(err)
+		}
+		for e := 0; e < warm.Executions(); e++ {
+			seed := int64(1000*phase + e)
+			got, warmReuses := run(warm, e, seed)
+			want, coldReuses := run(fresh, e, seed)
+			// The fresh injector's first experiment runs on a cold arena, so
+			// it must lend at least its target's output fresh; a warm one has
+			// a buffer of every size the last input's sweep used.
+			if phase > 0 && e == 0 && warmReuses <= coldReuses {
+				t.Errorf("phase %d (input %d): the first experiment after the switch recycled %d buffers, a cold arena %d",
+					phase, input, warmReuses, coldReuses)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("phase %d (input %d) execution %d: warm injector %s, fresh injector %s", phase, input, e, got, want)
 			}
 		}
 	}

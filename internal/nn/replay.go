@@ -111,7 +111,8 @@ func (g *GoldenTrace) SetWork(site Layer, visit int, work float64) {
 // Arena recycles output tensors across replayed experiments. Free tensors
 // are bucketed by element count and every lent one is handed back wholesale
 // by Reset at experiment boundaries, so a steady-state experiment allocates
-// nothing. The arena is single-goroutine (one per injector); it is never
+// nothing. The arena is single-goroutine (one per replay executor: an
+// injector and its context, kept across inputs by Context.Rebind); it is never
 // used in record mode, so golden tensors are never arena-owned.
 //
 // The arena recycles the tensor header along with its buffer: get may return
@@ -260,6 +261,13 @@ func NewReplayContext(trace *GoldenTrace, arena *Arena) *Context {
 		spans: map[*tensor.Tensor]span{},
 	}
 }
+
+// Rebind points the replay context at another recorded trace of the same
+// network — another input's golden state — keeping its arena's free lists and
+// its scratch; SetTarget clears the spans before the next pass. The clean set
+// is the new trace's alone; arena tensors never enter a trace's clean set, so
+// no recycled buffer can pass as golden.
+func (c *Context) Rebind(trace *GoldenTrace) { c.trace = trace }
 
 // SetTarget arms the replay context for one experiment: hook fires exactly
 // once, at the visit-th execution of site, with operands seeded from the

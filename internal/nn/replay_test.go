@@ -359,6 +359,46 @@ func TestReplayContextOwnsArena(t *testing.T) {
 	}
 }
 
+// One replay context rebound from trace to trace of the same network — two
+// inputs, A → B → A — must replay every site execution under every fault
+// exactly as the plain hooked forward pass of the bound input: the clean set
+// and the golden outputs are the bound trace's alone, whatever the arena kept.
+func TestReplayRebind(t *testing.T) {
+	n := replayNets()["residual-in-branches"]
+	x2 := n.x.Clone()
+	for i, v := range x2.Data() {
+		x2.Data()[i] = -v / 2
+	}
+	_, execs, traceA := n.net.TraceWithActivations(n.x)
+	_, _, traceB := n.net.TraceWithActivations(x2)
+	arena := NewArena()
+	rctx := NewReplayContext(traceA, arena)
+	for pass, in := range []struct {
+		x     *tensor.Tensor
+		trace *GoldenTrace
+	}{{n.x, traceA}, {x2, traceB}, {n.x, traceA}} {
+		rctx.Rebind(in.trace)
+		for _, e := range execs {
+			for fi, fault := range replayFaults {
+				hook := func(site Layer, visit int, op *Operands) {
+					if site == Layer(e.Site) && visit == e.Visit {
+						fault(op.Out.Data())
+					}
+				}
+				want := n.net.ForwardWithHook(in.x, hook)
+				arena.Reset()
+				rctx.SetTarget(e.Site, e.Visit, hook)
+				got := n.net.ForwardWithContext(in.x, rctx)
+				for i, v := range got.Data() {
+					if !sameValue(v, want.Data()[i]) {
+						t.Fatalf("pass %d %s#%d fault %d: replay[%d] = %v, plain forward %v", pass, e.Site.Name(), e.Visit, fi, i, v, want.Data()[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // --- allocation ceilings --------------------------------------------------
 
 func TestHotLoopsAllocateOnlyTheirOutput(t *testing.T) {
