@@ -118,10 +118,11 @@ bench-smoke:
 # Reference.Run vs Run),
 # the three decoders a socket reaches (POST /v1/report, POST /v1/lease through
 # Coordinator.Handler(), and the worker's GET /v1/campaign reply), the two a
-# file reaches (the sealed envelope and checkpoint v3 restore) and the
+# file reaches (the sealed envelope and checkpoint v3 restore), the shard
+# checkpoint codec against encoding/json (DESIGN.md §9.5) and the
 # //lint:allow parser. `go test -fuzz` takes one target at a time. Mirrors the
 # `fuzz smoke` step of CI's bench-smoke job.
-FUZZ_TARGETS := numerics:FuzzHalfRow numerics:FuzzHalfPanel numerics:FuzzMulAddPanel numerics:FuzzDiffRow numerics:FuzzExpRow rtlsim:FuzzReferenceRun distrib:FuzzReportBody distrib:FuzzLeaseBody distrib:FuzzHelloReply campaign:FuzzOpenSealedJSON campaign:FuzzLoadCheckpoint lint:FuzzAllowDirective
+FUZZ_TARGETS := numerics:FuzzHalfRow numerics:FuzzHalfPanel numerics:FuzzMulAddPanel numerics:FuzzDiffRow numerics:FuzzExpRow rtlsim:FuzzReferenceRun distrib:FuzzReportBody distrib:FuzzLeaseBody distrib:FuzzHelloReply campaign:FuzzOpenSealedJSON campaign:FuzzLoadCheckpoint campaign:FuzzShardCheckpointJSON lint:FuzzAllowDirective
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 5s ./internal/$${t%%:*} || exit 1; \

@@ -635,8 +635,8 @@ func (c *Coordinator) handleLease(rw http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleReport(rw http.ResponseWriter, r *http.Request) {
-	var req ReportRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := decodeReport(r.Body)
+	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -706,7 +706,7 @@ func (c *Coordinator) handleResult(rw http.ResponseWriter, _ *http.Request) {
 // writeJSON sends v with a body digest header, so clients detect replies
 // corrupted in transit and retry instead of decoding garbage.
 func writeJSON(rw http.ResponseWriter, code int, v any) {
-	blob, err := json.Marshal(v)
+	blob, err := encodeBody(v)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusInternalServerError)
 		return

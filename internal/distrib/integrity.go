@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+
+	"fidelity/internal/campaign"
 )
 
 // DigestHeader carries the hex SHA-256 of an HTTP body. Both sides of the
@@ -33,9 +35,17 @@ func digestBytes(b []byte) string {
 
 // digestJSON canonicalizes v (compact json.Marshal form) and digests it.
 // Two values digest equal exactly when their canonical JSON is byte-equal,
-// which is the same equivalence the differential suites assert.
+// which is the same equivalence the differential suites assert. A shard
+// checkpoint's bytes come from its codec directly: json.Marshal would
+// re-scan them to compact what is already compact.
 func digestJSON(v any) (string, error) {
-	blob, err := json.Marshal(v)
+	var blob []byte
+	var err error
+	if sc, ok := v.(*campaign.ShardCheckpoint); ok && sc != nil {
+		blob, err = sc.AppendJSON(nil)
+	} else {
+		blob, err = json.Marshal(v)
+	}
 	if err != nil {
 		return "", err
 	}

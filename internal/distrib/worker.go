@@ -3,7 +3,6 @@ package distrib
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -242,7 +241,7 @@ func (wk *worker) get(ctx context.Context, path string, out any) error {
 }
 
 func (wk *worker) post(ctx context.Context, path string, in, out any) error {
-	blob, err := json.Marshal(in)
+	blob, err := encodeBody(in)
 	if err != nil {
 		return err
 	}
@@ -290,7 +289,7 @@ func (wk *worker) do(req *http.Request, out any) error {
 	if out == nil {
 		return nil
 	}
-	if err := json.Unmarshal(body, out); err != nil {
+	if err := decodeReply(body, out); err != nil {
 		return fmt.Errorf("distrib: %s: decode reply: %w", req.URL.Path, err)
 	}
 	return nil

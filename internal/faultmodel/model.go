@@ -43,36 +43,35 @@ const (
 	GlobalControl
 )
 
+// names holds each model's short name, indexed by ID.
+var names = [...]string{
+	BeforeCBUFInput:  "beforeCBUF/input",
+	BeforeCBUFWeight: "beforeCBUF/weight",
+	CBUFMACInput:     "cbuf2mac/input",
+	CBUFMACWeight:    "cbuf2mac/weight",
+	OutputPSum:       "output/psum",
+	LocalControl:     "local-control",
+	GlobalControl:    "global-control",
+}
+
 // String returns a short model name.
 func (id ID) String() string {
-	switch id {
-	case BeforeCBUFInput:
-		return "beforeCBUF/input"
-	case BeforeCBUFWeight:
-		return "beforeCBUF/weight"
-	case CBUFMACInput:
-		return "cbuf2mac/input"
-	case CBUFMACWeight:
-		return "cbuf2mac/weight"
-	case OutputPSum:
-		return "output/psum"
-	case LocalControl:
-		return "local-control"
-	case GlobalControl:
-		return "global-control"
-	default:
-		return fmt.Sprintf("ID(%d)", int(id))
+	if id >= 0 && int(id) < len(names) {
+		return names[id]
 	}
+	return fmt.Sprintf("ID(%d)", int(id))
 }
 
 // MarshalText encodes the ID as its short name, so maps keyed by ID
 // serialize to readable JSON in campaign checkpoints and manifests.
 func (id ID) MarshalText() ([]byte, error) { return []byte(id.String()), nil }
 
-// UnmarshalText parses a short model name produced by MarshalText.
+// UnmarshalText parses a short model name produced by MarshalText. A known
+// name allocates nothing: every tally key a checkpoint decodes comes here.
 func (id *ID) UnmarshalText(b []byte) error {
-	parsed, err := ParseID(string(b))
-	if err != nil {
+	parsed, ok := lookupID(string(b))
+	if !ok {
+		_, err := ParseID(string(b))
 		return err
 	}
 	*id = parsed
@@ -81,12 +80,20 @@ func (id *ID) UnmarshalText(b []byte) error {
 
 // ParseID resolves a short model name (the String form) back to its ID.
 func ParseID(s string) (ID, error) {
-	for _, id := range AllIDs() {
-		if id.String() == s {
-			return id, nil
-		}
+	if id, ok := lookupID(s); ok {
+		return id, nil
 	}
 	return 0, fmt.Errorf("faultmodel: unknown model name %q", s)
+}
+
+// lookupID is ParseID without the error.
+func lookupID(s string) (ID, bool) {
+	for id, name := range names {
+		if name == s {
+			return ID(id), true
+		}
+	}
+	return 0, false
 }
 
 // AllIDs lists every model in Table II row order.

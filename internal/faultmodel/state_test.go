@@ -36,8 +36,35 @@ func TestIDTextMarshal(t *testing.T) {
 			t.Errorf("%v round-tripped to %v", id, back)
 		}
 	}
-	if _, err := ParseID("no-such-model"); err == nil {
-		t.Error("unknown name should fail")
+	for _, id := range AllIDs() {
+		if back, err := ParseID(id.String()); err != nil || back != id {
+			t.Errorf("ParseID(%q) = %v, %v", id, back, err)
+		}
+	}
+	const unknown = `faultmodel: unknown model name "no-such-model"`
+	if _, err := ParseID("no-such-model"); err == nil || err.Error() != unknown {
+		t.Errorf("unknown name: %v, want %s", err, unknown)
+	}
+	var id ID
+	if err := id.UnmarshalText([]byte("no-such-model")); err == nil || err.Error() != unknown {
+		t.Errorf("unknown text: %v, want %s", err, unknown)
+	}
+	if _, err := ParseID(ID(7).String()); err == nil || err.Error() != `faultmodel: unknown model name "ID(7)"` {
+		t.Errorf("ID(7): %v", err)
+	}
+	// Every tally key a checkpoint decodes comes through here.
+	names := make([][]byte, 0, len(AllIDs()))
+	for _, id := range AllIDs() {
+		names = append(names, []byte(id.String()))
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		for _, name := range names {
+			if id.UnmarshalText(name) != nil {
+				t.Fatal(string(name))
+			}
+		}
+	}); a != 0 {
+		t.Errorf("UnmarshalText of a known name allocates %.1f times", a)
 	}
 	// Maps keyed by ID must serialize with readable keys.
 	m := map[ID]int{CBUFMACInput: 3, GlobalControl: 1}
