@@ -397,7 +397,7 @@ func (in *Injector) run(ctx context.Context, id faultmodel.ID, tol float64, exec
 	}
 	faulty := in.W.Decode(out)
 	res.Score = in.W.Score(in.g.golden, faulty)
-	if in.W.Correct(in.g.golden, faulty, tol) {
+	if in.W.CorrectScore(res.Score, tol) {
 		res.Outcome = Masked
 	} else {
 		res.Outcome = OutputError

@@ -111,7 +111,11 @@ func (w *Workload) Score(golden, faulty AppOutput) float64 {
 // exact label match; BLEU/detection require the score within tol of the
 // fault-free score.
 func (w *Workload) Correct(golden, faulty AppOutput, tol float64) bool {
-	score := w.Score(golden, faulty)
+	return w.CorrectScore(w.Score(golden, faulty), tol)
+}
+
+// CorrectScore is Correct's criterion on a score Score already computed.
+func (w *Workload) CorrectScore(score, tol float64) bool {
 	if w.Metric == MetricTop1 {
 		return score == 1
 	}

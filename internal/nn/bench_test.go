@@ -56,7 +56,7 @@ func BenchmarkDenseTile(b *testing.B) {
 	out := make([]float32, 256)
 	a := &denseArgs{
 		rin: codec.RoundSlice(x.Data()), rw: rw.rw, bias: l.B.Data(), out: out,
-		batch: 1, in: 512, outN: 256, fp16: true, skipZero: rw.finite, codec: codec,
+		batch: 1, in: 512, outN: 256, fp16: true, thr: rw.thr, codec: codec,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -33,10 +33,13 @@ type Conv2D struct {
 // reuses on every forward and ComputeNeuron.
 type roundedWeights struct {
 	rw []float32 // RoundSlice(W)
-	// finite reports that no element of rw is ±Inf or NaN, which is what
-	// lets the tiled kernels skip a zero activation's weight row (0 × finite
-	// is ±0; 0 × Inf is NaN and must be computed).
-	finite bool
+	// thr is numerics.HalfPanelThresholds of rw's rows (W's last axis is a
+	// row), filled at FP16 when no element of rw is ±Inf or NaN: that is what
+	// lets the FP16 panel skip a zero activation's weight row (0 × finite is
+	// ±0; 0 × Inf is NaN and must be computed), and the thresholds let it
+	// leave out the underflow mask where it is idle (DESIGN.md §7.1.4). nil
+	// otherwise: every row is computed.
+	thr []uint32
 }
 
 // weightCache holds a layer's roundedWeights. atomic: a Network is shared
@@ -50,15 +53,22 @@ func (c *weightCache) get(codec numerics.Codec, w *tensor.Tensor) *roundedWeight
 	if rw := c.p.Load(); rw != nil {
 		return rw
 	}
-	rw := &roundedWeights{rw: codec.RoundSlice(w.Data()), finite: true}
-	for _, v := range rw.rw {
-		if v-v != 0 { // Inf-Inf and NaN-NaN are NaN
-			rw.finite = false
-			break
-		}
+	rw := &roundedWeights{rw: codec.RoundSlice(w.Data())}
+	if codec.Precision() == numerics.FP16 && allFinite(rw.rw) {
+		rw.thr = numerics.HalfPanelThresholds(rw.rw, w.Dim(w.Rank()-1))
 	}
 	c.p.Store(rw)
 	return rw
+}
+
+// allFinite reports that no element of s is ±Inf or NaN.
+func allFinite(s []float32) bool {
+	for _, v := range s {
+		if v-v != 0 { // Inf-Inf and NaN-NaN are NaN
+			return false
+		}
+	}
+	return true
 }
 
 // InvalidateWeights drops the rounded-weight cache. Call after mutating W.
@@ -153,7 +163,7 @@ func (l *Conv2D) kernelArgs(a *convArgs, x, out *tensor.Tensor, rin []float32, r
 		oh: os[1], ow: os[2], outC: os[3],
 		kh: l.KH, kw: l.KW, stride: l.Stride, pd: l.Pad,
 		depthwise: l.Depthwise, fp16: l.codec.Precision() == numerics.FP16,
-		skipZero: rw.finite, codec: l.codec,
+		thr: rw.thr, codec: l.codec,
 	}
 	return a
 }

@@ -83,8 +83,8 @@ func (l *Dense) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 			sc.dargs = denseArgs{
 				rin: rin, rw: rw.rw, bias: bias, out: out.Data(),
 				batch: batch, in: l.In, outN: l.Out,
-				fp16:     l.codec.Precision() == numerics.FP16,
-				skipZero: rw.finite, codec: l.codec,
+				fp16: l.codec.Precision() == numerics.FP16,
+				thr:  rw.thr, codec: l.codec,
 			}
 			denseForward(&sc.dargs)
 		}

@@ -81,12 +81,12 @@ type convArgs struct {
 	oh, ow, outC       int
 	kh, kw, stride, pd int
 	depthwise, fp16    bool
-	// skipZero is set when every rounded weight is finite (weightCache): a ±0
-	// activation then contributes ±0 to every accumulator of its weight row,
-	// and an accumulator that starts at +0 never holds -0, so the FP16 panel
-	// may skip the row without changing a bit (DESIGN.md §7.1.4).
-	skipZero bool
-	codec    numerics.Codec
+	// thr is roundedWeights.thr: set when every rounded FP16 weight is finite,
+	// a ±0 activation then contributes ±0 to every accumulator of its weight
+	// row, and an accumulator that starts at +0 never holds -0, so the FP16
+	// panel may skip the row without changing a bit (DESIGN.md §7.1.4).
+	thr   []uint32
+	codec numerics.Codec
 }
 
 // mulAddPanel is the row loop of every kernel but the depthwise one: for the
@@ -94,17 +94,26 @@ type convArgs struct {
 // acc, the FP16 product rounded through the half encoding — one call into the
 // lanes for the whole run either way (numerics.HalfMulAddPanel, and
 // numerics.MulAddPanel for the precisions whose products are not rounded). With
-// skipZero the FP16 panel skips the rows of ±0 activations (convArgs.skipZero);
-// the float32 panel computes every row, which gives the same bits. a is one
-// kernel row's (kx, ic) run of a convolution, a dense layer's input features or
-// a matmul's inner dimension; acc is all of the output's last axis, or a window
-// of it when stride is wider.
-func mulAddPanel(fp16, skipZero bool, acc, a, w []float32, stride int) {
+// thr, one threshold a row of w, the FP16 panel skips the rows of ±0
+// activations (convArgs.thr); the float32 panel computes every row, which gives
+// the same bits. a is one kernel row's (kx, ic) run of a convolution, a dense
+// layer's input features or a matmul's inner dimension; acc is all of the
+// output's last axis, or a window of it when stride is wider.
+func mulAddPanel(fp16 bool, thr []uint32, acc, a, w []float32, stride int) {
 	if fp16 {
-		numerics.HalfMulAddPanel(acc, a, w, stride, skipZero)
+		numerics.HalfMulAddPanel(acc, a, w, stride, thr)
 		return
 	}
 	numerics.MulAddPanel(acc, a, w, stride)
+}
+
+// rowsFrom returns the thresholds of the weight rows from row i on: nil for
+// nil.
+func rowsFrom(thr []uint32, i int) []uint32 {
+	if thr == nil {
+		return nil
+	}
+	return thr[i:]
 }
 
 // dotRow returns acc + Σ a[i]·w[i] added in ascending i, the FP16 product
@@ -151,7 +160,7 @@ func convPixel(a *convArgs, bi, oy, ox, c0 int, accs []float32) {
 		irow := rin[inBase : inBase+(kxHi-kxLo)*inC]
 		wBase := (ky*kw + kxLo) * inC
 		if !a.depthwise {
-			mulAddPanel(a.fp16, a.skipZero, accs, irow, rw[wBase*outC+c0:], outC)
+			mulAddPanel(a.fp16, rowsFrom(a.thr, wBase), accs, irow, rw[wBase*outC+c0:], outC)
 			continue
 		}
 		wrow := rw[wBase : wBase+len(irow)]
@@ -286,7 +295,8 @@ func convForward(a *convArgs, accs []float32) {
 type denseArgs struct {
 	rin, rw, bias, out []float32
 	batch, in, outN    int
-	fp16, skipZero     bool // skipZero: see convArgs
+	fp16               bool
+	thr                []uint32 // see convArgs
 	codec              numerics.Codec
 }
 
@@ -299,7 +309,7 @@ func denseTile(a *denseArgs, b0, b1, o0, o1 int) {
 	in, outN := a.in, a.outN
 	for b := b0; b < b1; b++ {
 		orow := out[b*outN+o0 : b*outN+o1]
-		mulAddPanel(a.fp16, a.skipZero, orow, rin[b*in:(b+1)*in], rw[o0:], outN)
+		mulAddPanel(a.fp16, a.thr, orow, rin[b*in:(b+1)*in], rw[o0:], outN)
 		if a.bias != nil {
 			bias := a.bias[o0:o1][:len(orow)]
 			for o := range orow {
@@ -361,7 +371,7 @@ func matmulTile(a *matmulArgs, i0, i1, j0, j1 int) {
 	k, n := a.k, a.n
 	for i := i0; i < i1; i++ {
 		orow := out[i*n+j0 : i*n+j1]
-		mulAddPanel(a.fp16, false, orow, ra[i*k:(i+1)*k], rb[j0:], n)
+		mulAddPanel(a.fp16, nil, orow, ra[i*k:(i+1)*k], rb[j0:], n)
 		scaleSaturate(a.codec, a.scaleOut, orow)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	_ "unsafe" // go:linkname
 
@@ -126,17 +127,35 @@ func checkNeurons(t *testing.T, label string, site Site, op *Operands) {
 // values planted.
 var weightVariants = []string{"finite", "nonfinite", "sparse-tiny"}
 
-func plantWeights(variant string, w []float32, rng *rand.Rand) {
+// plantWeights plants variant into w, whose last axis is a weight row.
+// sparse-tiny makes w finite, also once rounded to FP16, and gives the FP16
+// panel both of its row forms: the even rows get zeros alone, so that their
+// thresholds stay far below the activations; the odd rows get the
+// adversarial values and 2⁻²⁴, the smallest half subnormal, which puts their
+// threshold at 1, above most of them.
+func plantWeights(variant string, w *tensor.Tensor, rng *rand.Rand) {
+	d, stride := w.Data(), w.Dim(w.Rank()-1)
 	switch variant {
 	case "nonfinite":
 		for _, v := range []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), 1e30} {
-			w[rng.Intn(len(w))] = v
+			d[rng.Intn(len(d))] = v
 		}
 	case "sparse-tiny":
-		adversarial(w, rng)
-		for i, v := range w { // keep this variant finite, also once rounded to FP16
-			if !(v > -60000 && v < 60000) {
-				w[i] = 1e-7
+		for lo := 0; lo < len(d); lo += stride {
+			row, odd := d[lo:lo+stride], lo/stride%2 == 1
+			if odd {
+				adversarial(row, rng)
+			}
+			for i, v := range row {
+				switch {
+				case !(v > -60000 && v < 60000): // what an earlier variant planted too
+					row[i] = 1
+				case !odd && rng.Intn(3) == 0:
+					row[i] = 0
+				}
+			}
+			if odd {
+				row[rng.Intn(stride)] = 0x1p-24
 			}
 		}
 	}
@@ -159,6 +178,7 @@ func TestConvKernelEquivalence(t *testing.T) {
 		{"large-banded", 3, 3, 16, 32, 1, 1, 24, 24, false},
 		{"depthwise-banded", 3, 3, 48, 48, 1, 1, 32, 32, true},
 	}
+	kinds := rowKinds{}
 	for _, g := range geoms {
 		for _, codec := range kernelCodecs() {
 			label := fmt.Sprintf("conv/%s/%s", g.name, codec.Precision())
@@ -180,26 +200,31 @@ func TestConvKernelEquivalence(t *testing.T) {
 			// the reference kernel and against per-neuron ComputeNeuron.
 			adversarial(x.Data(), rng)
 			for _, variant := range weightVariants {
-				plantWeights(variant, l.W.Data(), rng)
+				plantWeights(variant, l.W, rng)
 				l.InvalidateWeights()
 				vlabel := label + "/adversarial/" + variant
-				// Quantizers store NaN as 0 and saturate Inf: only a float codec
-				// can hold a non-finite weight.
-				quantized := codec.Precision() == numerics.INT16 || codec.Precision() == numerics.INT8
-				if got, want := l.wcache.get(codec, l.W).finite, variant != "nonfinite" || quantized; got != want {
-					t.Fatalf("%s: weight cache reports finite=%v, want %v", vlabel, got, want)
+				// Thresholds exist at FP16 alone, and only over finite weights.
+				if got, want := l.wcache.get(codec, l.W).thr != nil, codec.Precision() == numerics.FP16 && variant != "nonfinite"; got != want {
+					t.Fatalf("%s: weight cache has thresholds %v, want %v", vlabel, got, want)
+				}
+				if variant == "sparse-tiny" && !g.depthwise {
+					kinds.add(codec, l.W, func(visit func(a float32, row int)) {
+						convVisits(l, codec.RoundSlice(x.Data()), x.Dim(1), x.Dim(2), visit)
+					})
 				}
 				runKernelModes(t, vlabel, func() *tensor.Tensor { return l.Forward(x, nil) })
 				checkNeurons(t, vlabel, l, &Operands{In: x, W: l.W, B: l.B, Out: l.Forward(x, nil)})
 			}
 		}
 	}
+	kinds.check(t)
 }
 
 // TestZeroSkipGuardFollowsWeights walks one layer's weights finite → Inf →
-// finite again through InvalidateWeights: the skip guard must follow, and
-// while the Inf is there a zero activation against it must come out NaN, as
-// the reference computes it — the value a skipped row would lose.
+// other finite weights through InvalidateWeights: the skip guard, the
+// thresholds, must follow, and while the Inf is there a zero activation
+// against it must come out NaN, as the reference computes it — the value a
+// skipped row would lose.
 func TestZeroSkipGuardFollowsWeights(t *testing.T) {
 	codec := numerics.MustCodec(numerics.FP16, 0)
 	conv := NewConv2D("c", 1, 1, 2, 2, 1, 0, codec)
@@ -212,8 +237,23 @@ func TestZeroSkipGuardFollowsWeights(t *testing.T) {
 		copy(x.Data(), []float32{0, 1}) // input 0 is the zero activation
 	}
 	forward := func() (c, d []float32) { return conv.Forward(xc, nil).Data(), dense.Forward(xd, nil).Data() }
-	finite := func() (c, d bool) {
-		return conv.wcache.get(codec, conv.W).finite, dense.wcache.get(codec, dense.W).finite
+	// guard checks that both layers hold the thresholds of their weights as
+	// they are now, or none.
+	guard := func(when string, on bool) {
+		t.Helper()
+		for _, l := range []struct {
+			name string
+			w    *tensor.Tensor
+			thr  []uint32
+		}{{"conv", conv.W, conv.wcache.get(codec, conv.W).thr}, {"dense", dense.W, dense.wcache.get(codec, dense.W).thr}} {
+			want := []uint32(nil)
+			if on {
+				want = numerics.HalfPanelThresholds(codec.RoundSlice(l.w.Data()), 2)
+			}
+			if (l.thr == nil) != (want == nil) || !slices.Equal(l.thr, want) {
+				t.Fatalf("%s: %s thresholds %#x, want %#x", when, l.name, l.thr, want)
+			}
+		}
 	}
 	set := func(v float32) {
 		conv.W.Data()[0], dense.W.Data()[0] = v, v
@@ -222,23 +262,17 @@ func TestZeroSkipGuardFollowsWeights(t *testing.T) {
 	}
 
 	set(1)
-	if c, d := finite(); !c || !d {
-		t.Fatalf("finite weights: guard conv=%v dense=%v, want both on", c, d)
-	}
+	guard("finite weights", true)
 	if c, d := forward(); c[0] != 3 || d[0] != 3 {
 		t.Fatalf("finite weights: outputs %v %v, want 3 at neuron 0", c, d)
 	}
 	set(float32(math.Inf(1)))
-	if c, d := finite(); c || d {
-		t.Fatalf("Inf weight after InvalidateWeights: guard conv=%v dense=%v, want both off", c, d)
-	}
+	guard("Inf weight after InvalidateWeights", false)
 	if c, d := forward(); c[0] == c[0] || d[0] == d[0] || c[1] != 4 || d[1] != 4 {
 		t.Fatalf("Inf weight × zero activation: outputs %v %v, want NaN at neuron 0 and 4 at neuron 1", c, d)
 	}
-	set(1)
-	if c, d := finite(); !c || !d {
-		t.Fatalf("weights finite again: guard conv=%v dense=%v, want both on", c, d)
-	}
+	set(0.5) // row 0's threshold doubles: 2⁻²³ where it was 2⁻²⁴
+	guard("weights finite again", true)
 	if c, d := forward(); c[0] != 3 || d[0] != 3 {
 		t.Fatalf("weights finite again: outputs %v %v, want 3 at neuron 0", c, d)
 	}
@@ -257,6 +291,7 @@ func TestDenseKernelEquivalence(t *testing.T) {
 		{"no-bias", 16, 9, 3, false},
 		{"large-banded", 512, 300, 1, true},
 	}
+	kinds := rowKinds{}
 	for _, g := range geoms {
 		for _, codec := range kernelCodecs() {
 			label := fmt.Sprintf("dense/%s/%s", g.name, codec.Precision())
@@ -271,11 +306,81 @@ func TestDenseKernelEquivalence(t *testing.T) {
 
 			adversarial(x.Data(), rng)
 			for _, variant := range weightVariants {
-				plantWeights(variant, l.W.Data(), rng)
+				plantWeights(variant, l.W, rng)
 				l.InvalidateWeights()
 				vlabel := label + "/adversarial/" + variant
+				if variant == "sparse-tiny" {
+					kinds.add(codec, l.W, func(visit func(a float32, row int)) {
+						for i, a := range codec.RoundSlice(x.Data()) {
+							visit(a, i%g.in)
+						}
+					})
+				}
 				runKernelModes(t, vlabel, func() *tensor.Tensor { return l.Forward(x, nil) })
 				checkNeurons(t, vlabel, l, &Operands{In: x, W: l.W, B: l.B, Out: l.Forward(x, nil)})
+			}
+		}
+	}
+	kinds.check(t)
+}
+
+// rowKinds counts the rows the FP16 panel visits, the nonzero rounded
+// activations against the weight rows they meet, by the form they take
+// against the thresholds of the rounded weights: at or above the row's
+// threshold, without the underflow mask, or below it, with. The kernel tests
+// count them per precision over the sparse-tiny variant of every geometry.
+type rowKinds map[numerics.Precision]*struct{ above, below int }
+
+// add counts what visits calls visit with: each (activation, weight row)
+// pair of a forward of weights w at codec's precision.
+func (k rowKinds) add(codec numerics.Codec, w *tensor.Tensor, visits func(visit func(a float32, row int))) {
+	thr := numerics.HalfPanelThresholds(codec.RoundSlice(w.Data()), w.Dim(w.Rank()-1))
+	n := k[codec.Precision()]
+	if n == nil {
+		n = &struct{ above, below int }{}
+		k[codec.Precision()] = n
+	}
+	visits(func(a float32, row int) {
+		switch abs := math.Float32bits(a) &^ (1 << 31); {
+		case abs == 0:
+		case abs >= thr[row]:
+			n.above++
+		default:
+			n.below++
+		}
+	})
+}
+
+// check requires both forms at the float precisions (at FP32 the same
+// weights and activations stand for what they would be at FP16). The
+// quantized grids have none below: two quanta multiply to 2⁻²⁴ or more.
+func (k rowKinds) check(t *testing.T) {
+	for p, n := range k {
+		t.Logf("%v sparse-tiny: %d visited rows at or above their threshold, %d below", p, n.above, n.below)
+		if (p == numerics.FP16 || p == numerics.FP32) && (n.above == 0 || n.below == 0) {
+			t.Errorf("%v sparse-tiny: %d visited rows at or above their threshold and %d below, want both", p, n.above, n.below)
+		}
+	}
+}
+
+// convVisits calls visit with every (activation, weight row) pair of l's
+// convolution over the rounded input rin of h×w maps, padding left out.
+func convVisits(l *Conv2D, rin []float32, h, w int, visit func(a float32, row int)) {
+	oh, ow := l.outHW(h, w)
+	for bi := 0; bi < len(rin)/(h*w*l.InC); bi++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				for ky := 0; ky < l.KH; ky++ {
+					for kx := 0; kx < l.KW; kx++ {
+						iy, ix := oy*l.Stride+ky-l.Pad, ox*l.Stride+kx-l.Pad
+						if iy < 0 || iy >= h || ix < 0 || ix >= w {
+							continue
+						}
+						for ic := 0; ic < l.InC; ic++ {
+							visit(rin[((bi*h+iy)*w+ix)*l.InC+ic], (ky*l.KW+kx)*l.InC+ic)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -321,7 +426,7 @@ func TestMatMulKernelEquivalence(t *testing.T) {
 			// ±Inf, NaN and an overflowing value in B alone: the lanes bail in
 			// the chunks that hold them and the Go loop takes those.
 			nb := b.Clone()
-			plantWeights("nonfinite", nb.Data(), rng)
+			plantWeights("nonfinite", nb, rng)
 			runKernelModes(t, label+"/nonfinite-B", func() *tensor.Tensor { return site.Run(a, nb, nil) })
 			checkNeurons(t, label+"/nonfinite-B", site, &Operands{In: a, W: nb, Out: site.Run(a, nb, nil)})
 

@@ -269,7 +269,7 @@ func (l *Dense) ComputeNeurons(op *Operands, neurons []int, ov *Override, dst []
 		end := runEnd(neurons, i, l.Out)
 		run := dst[i:end]
 		clear(run)
-		mulAddPanel(fp16, rw.finite, run, rin, rw.rw[o0:], l.Out)
+		mulAddPanel(fp16, rw.thr, run, rin, rw.rw[o0:], l.Out)
 		for c, acc := range run {
 			run[c] = finishNeuron(l.codec, op.B, ov, o0+c, acc)
 		}
@@ -335,7 +335,7 @@ func (l *MatMulSite) ComputeNeurons(op *Operands, neurons []int, ov *Override, d
 			end = runEnd(neurons, i, n)
 			run := dst[i:end]
 			clear(run)
-			mulAddPanel(fp16, false, run, rin, roundB(j0, j0+len(run)), len(run))
+			mulAddPanel(fp16, nil, run, rin, roundB(j0, j0+len(run)), len(run))
 		}
 		scaleSaturate(l.codec, l.ScaleOut, dst[i:end])
 		i = end

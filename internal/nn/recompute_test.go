@@ -116,7 +116,7 @@ func TestComputeNeuronsMatchesComputeNeuron(t *testing.T) {
 				l.B = nil
 			}
 			if float && trial%4 == 3 {
-				plantWeights("nonfinite", l.W.Data(), rng)
+				plantWeights("nonfinite", l.W, rng)
 			}
 			l.InvalidateWeights()
 			x := tensor.New(2, 5+rng.Intn(4), 5+rng.Intn(4), l.InC)
@@ -134,7 +134,7 @@ func TestComputeNeuronsMatchesComputeNeuron(t *testing.T) {
 					l.B = nil
 				}
 				if float && bias {
-					plantWeights("nonfinite", l.W.Data(), rng)
+					plantWeights("nonfinite", l.W, rng)
 					l.InvalidateWeights()
 				}
 				x := tensor.New(3, g[0])

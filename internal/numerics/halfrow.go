@@ -23,6 +23,7 @@ const (
 	f32HalfNormal = 0x38800000 // 2⁻¹⁴, the smallest normal half
 	f32HalfOver   = 0x477ff000 // first pattern that rounds past HalfMax
 	f32Sign       = 0x80000000
+	f32Inf        = 0x7f800000
 )
 
 // laneChunk is how many elements one step of the AVX2 routines takes. The row,
@@ -52,10 +53,13 @@ func halfRoundSmall(b, abs uint32) float32 {
 // inner loop of the nn kernels at once — the (kx, ic) run of one kernel row of
 // a convolution, the input features of a dense layer, the inner dimension of
 // a matmul — with acc a window of the output channels when stride is
-// wider than it. With skipZero, rows whose activation is +0 or -0 are skipped:
-// the caller vouches that every weight is finite and that acc started at +0
-// (DESIGN.md §7.1.4). Each accumulator takes its products in row order whoever
-// adds them (§7.1.2). w must reach index (len(a)-1)*stride + len(acc) - 1.
+// wider than it. w must reach index (len(a)-1)*stride + len(acc) - 1.
+//
+// thr is nil, and every row is computed, or it holds at least len(a) entries,
+// thr[i] HalfPanelThresholds' entry for the weight row a[i] meets, and the
+// rows whose activation is +0 or -0 are skipped: the caller vouches that every
+// weight is finite and that acc started at +0 (DESIGN.md §7.1.4). Each
+// accumulator takes its products in row order whoever adds them (§7.1.2).
 //
 // The lanes take the columns a block at a time — the widest of 32, 16 and 8
 // that fits — with the block's accumulators in registers across all the rows
@@ -63,20 +67,26 @@ func halfRoundSmall(b, abs uint32) float32 {
 // A rare product leaves the converter as ±Inf or NaN and an accumulator that
 // has met one stays non-finite, so a block that was stored met none; any other
 // block is untouched in memory and the Go loop computes it whole, as it does
-// the tail, and stays the only code that produces a rare-band result.
-func HalfMulAddPanel(acc, a, w []float32, stride int, skipZero bool) {
+// the tail, and stays the only code that produces a rare-band result. With thr
+// the lanes find the rows to visit by bitmask and leave out the underflow mask
+// on a row whose |a[i]| is at least thr[i], where it changes no bit.
+func HalfMulAddPanel(acc, a, w []float32, stride int, thr []uint32) {
 	if len(a) == 0 || len(acc) == 0 {
 		return
 	}
 	_ = w[(len(a)-1)*stride+len(acc)-1]
+	skip := thr != nil
+	if skip {
+		thr = thr[:len(a)]
+	}
 	for len(acc) > 0 {
 		n, ok := len(acc), false
 		if hasAVX2 && n >= laneChunk {
-			n, ok = halfMulAddPanelAVX2(acc, a, w, stride, skipZero)
+			n, ok = halfMulAddPanelAVX2(acc, a, w, stride, thr)
 		}
 		if !ok {
 			for i, av := range a {
-				if av == 0 && skipZero {
+				if av == 0 && skip {
 					continue
 				}
 				halfMulAddRowGo(acc[:n], av, w[i*stride:i*stride+n])
@@ -84,6 +94,44 @@ func HalfMulAddPanel(acc, a, w []float32, stride int, skipZero bool) {
 		}
 		acc, w = acc[n:], w[n:]
 	}
+}
+
+// HalfPanelThresholds returns, for each of the len(w)/stride rows of w, the
+// bit pattern of ⌈2⁻²⁴ / m⌉, m the smallest magnitude of the row's nonzero
+// finite weights: the smallest float32 t with t·m ≥ 2⁻²⁴, the product taken
+// exactly. An activation a with |a| ≥ t meets the row's finite weights in
+// products that are ±0 or at least 2⁻²⁴ in magnitude (float rounding is
+// monotone and 2⁻²⁴ is a float32), where the underflow mask changes nothing;
+// HalfMulAddPanel takes these as its thr. A row with no nonzero finite weight
+// gives 0 (a ±Inf or NaN weight makes every product of a row it is in
+// non-finite or NaN whichever way it is rounded). t is at most 2¹²⁵, for the
+// smallest float32 subnormal: every row has a finite threshold.
+func HalfPanelThresholds(w []float32, stride int) []uint32 {
+	thr := make([]uint32, len(w)/stride)
+	for i := range thr {
+		row := w[i*stride : (i+1)*stride]
+		m := uint32(f32Inf) // the smallest nonzero finite |v| so far, as a pattern
+		for _, v := range row {
+			if b := math.Float32bits(v) &^ f32Sign; b-1 < m-1 { // 0 wraps round
+				m = b
+			}
+		}
+		if m != f32Inf {
+			thr[i] = halfThreshold(float64(math.Float32frombits(m)))
+		}
+	}
+	return thr
+}
+
+// halfThreshold returns the pattern of ⌈2⁻²⁴ / m⌉ for a float32 m > 0. The
+// float64 quotient's nearest float32 is that ceiling or the float32 below it,
+// and float64 holds the product of two float32s exactly.
+func halfThreshold(m float64) uint32 {
+	t := float32(0x1p-24 / m)
+	if float64(t)*m < 0x1p-24 {
+		t = math.Nextafter32(t, float32(math.Inf(1)))
+	}
+	return math.Float32bits(t)
 }
 
 // HalfMulAddRow computes acc[i] += RoundHalf(a * w[i]) for every i in w: one

@@ -15,7 +15,7 @@ func cpuHasAVX2() bool
 
 func halfMulAddRowAVX2(acc []float32, a float32, w []float32) int
 
-func halfMulAddPanelAVX2(acc, a, w []float32, stride int, skipZero bool) (n int, ok bool)
+func halfMulAddPanelAVX2(acc, a, w []float32, stride int, thr []uint32) (n int, ok bool)
 
 func halfMulAddVecAVX2(acc, a, w []float32) int
 

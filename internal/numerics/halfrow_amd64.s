@@ -6,7 +6,9 @@
 // overflowing product, ±Inf or NaN — returning how many elements they finished.
 // The panel tests no product: it keeps a column block's accumulators in
 // registers across every row, stores them only if all came out finite and says
-// which it did (§7.1.2). The Go loops own the rare band and every tail.
+// which it did (§7.1.2); with thresholds it visits the rows that are not ±0 by
+// bitmask and leaves the mask out where it is idle (§7.1.4). The Go loops own
+// the rare band and every tail.
 //
 // VEX encodings only, and VZEROUPPER before every RET: one legacy-SSE
 // instruction with dirty upper YMM halves costs a state transition of about a
@@ -30,15 +32,20 @@ GLOBL halfLanes<>(SB), RODATA|NOPTR, $20
 	VPBROADCASTD halfLanes<>+8(SB), Y13; \
 	VPBROADCASTD halfLanes<>+12(SB), Y12
 
-// HALF8 rounds the eight float32 lanes of Y0, |p| in Y1, through the half
-// encoding into Y3: the converter rounds to nearest even whatever MXCSR says
-// (imm8 = 0) and expands the half back exactly; a lane with |p| < 2^-24 is then
-// masked down to its sign bit, which flushes (2^-25, 2^-24) as HalfFromFloat32
-// does and IEEE does not. A lane at or past f32HalfOver comes out ±Inf or NaN.
-// Clobbers Y1.
-#define HALF8 \
+// CVT8 rounds the eight float32 lanes of Y0 through the half encoding into
+// Y3: the converter rounds to nearest even whatever MXCSR says (imm8 = 0) and
+// expands the half back exactly. For |p| in [2^-24, 65520) and for ±0 that is
+// the model's rounding (DESIGN.md §7.1.1).
+#define CVT8 \
 	VCVTPS2PH $0, Y0, X3; \
-	VCVTPH2PS X3, Y3; \
+	VCVTPH2PS X3, Y3
+
+// HALF8 is CVT8 with the underflow mask, |p| in Y1: a lane with |p| < 2^-24
+// is masked down to its sign bit, which flushes (2^-25, 2^-24) as
+// HalfFromFloat32 does and IEEE does not. A lane at or past f32HalfOver comes
+// out ±Inf or NaN. Clobbers Y1.
+#define HALF8 \
+	CVT8; \
 	VPCMPGTD  Y13, Y1, Y1; \
 	VPOR      Y12, Y1, Y1; \
 	VPAND     Y1, Y3, Y3
@@ -124,71 +131,183 @@ done:
 	HALF8; \
 	VADDPS ACC, Y3, ACC
 
+// PMACF is PMAC without the underflow mask, for a row whose activation is at
+// or above its weight row's threshold: every product is then ±0 or at least
+// 2^-24 in magnitude (or of the rare band), where the mask is the identity
+// (DESIGN.md §7.1.4).
+#define PMACF(off, ACC) \
+	VMULPS off(SI), Y7, Y0; \
+	CVT8; \
+	VADDPS ACC, Y3, ACC
+
 // PTEST ors into Y1 the lanes of ACC whose exponent field (Y14) is all ones.
 #define PTEST(off, ACC) \
 	VPAND    Y14, ACC, Y0; \
 	VPCMPEQD Y14, Y0, Y0; \
 	VPOR     Y0, Y1, Y1
 
-// BLOCK is the panel over one block of width columns. The accumulators are
-// loaded once and take every row in registers; with R10 = 0 (skipZero) a row
-// whose activation is +0 or -0 is stepped over, the shift dropping the sign
-// (DESIGN.md §7.1.4). After the last row they are stored if every lane is finite
-// and left as they were in memory if not: ZF at done says which.
-#define BLOCK(COLS, width, row, next) \
+// FINISH ends a block after its last row: the accumulators are stored if
+// every lane is finite and left as they were in memory if not; ZF at done
+// says which.
+#define FINISH(COLS, width) \
+	MOVQ   $width, AX; \
+	VPXOR  Y1, Y1, Y1; \
+	COLS(PTEST); \
+	VPTEST Y1, Y1; \
+	JNZ    done; \
+	COLS(PSTORE); \
+	JMP    done
+
+// BLOCK is the panel over one block of width columns with no thresholds
+// (thr == nil): the accumulators are loaded once and take every row, each
+// product masked, in registers.
+#define BLOCK(COLS, width, row) \
 	COLS(PLOAD); \
 row: \
-	MOVL         (DX), R11; \
-	SHLL         $1, R11; \
-	ORL          R10, R11; \
-	JZ           next; \
 	VBROADCASTSS (DX), Y7; \
 	COLS(PMAC); \
-next: \
 	ADDQ         R9, SI; \
 	ADDQ         $4, DX; \
 	DECQ         R8; \
 	JNZ          row; \
-	MOVQ         $width, AX; \
-	VPXOR        Y1, Y1, Y1; \
-	COLS(PTEST); \
-	VPTEST       Y1, Y1; \
-	JNZ          done; \
-	COLS(PSTORE); \
-	JMP          done
+	FINISH(COLS, width)
 
-// func halfMulAddPanelAVX2(acc, a, w []float32, stride int, skipZero bool) (n int, ok bool)
+// MASK sets M to a bit a row for the CX rows at off(DX) whose activation is
+// not ±0, CX counting down to 0: the rows past the last whole 8-row step one
+// at a time, top down (NEGL sets the carry iff the pattern shifted left one,
+// sign dropped, is not zero), then the 8-row steps top down (|a|'s pattern
+// compared greater than zero, VMOVMSKPS). A NaN is not zero.
+#define MASK(off, M, tail, steps, step, done) \
+	XORL      M, M; \
+tail: \
+	TESTQ     $7, CX; \
+	JZ        steps; \
+	DECQ      CX; \
+	MOVL      off(DX)(CX*4), R11; \
+	SHLL      $1, R11; \
+	NEGL      R11; \
+	ADCQ      M, M; \
+	JMP       tail; \
+steps: \
+	TESTQ     CX, CX; \
+	JZ        done; \
+step: \
+	SUBQ      $8, CX; \
+	VPAND     off(DX)(CX*4), Y15, Y0; \
+	VPCMPGTD  Y6, Y0, Y0; \
+	VMOVMSKPS Y0, R11; \
+	SHLQ      $8, M; \
+	ORQ       R11, M; \
+	TESTQ     CX, CX; \
+	JNZ       step; \
+done:
+
+// GROUP sets CX to the rows of a group, min(R, 64).
+#define GROUP(R) \
+	MOVQ    $64, CX; \
+	CMPQ    R, CX; \
+	CMOVQLT R, CX
+
+// SBLOCK is the panel over one block of width columns with thresholds: the
+// rows go by in groups of 64, DX, R12 and AX at a group's activations,
+// thresholds and first weight row, R14 the mask of its rows that are not ±0
+// (MASK). Each group first masks the next one into R13, work that overlaps
+// this one's rows, then visits R14's set bits in ascending order, BSFQ
+// (after XORL, so that it does not wait on the previous BSFQ) and
+// R14 &= R14-1: a row whose |a| is at or above its threshold takes PMACF, one
+// below it PMAC (DESIGN.md §7.1.4).
+#define SBLOCK(COLS, width, t0, s0, p0, d0, group, t1, s1, p1, visit, vrow, masked, next) \
+	COLS(PLOAD); \
+	MOVQ         SI, AX; \
+	GROUP(R8); \
+	MASK(0, R14, t0, s0, p0, d0); \
+group: \
+	LEAQ         -64(R8), R10; \
+	TESTQ        R10, R10; \
+	JLE          visit; \
+	GROUP(R10); \
+	MASK(256, R13, t1, s1, p1, visit); \
+	XORL         BX, BX; \
+	BSFQ         R14, BX; \
+	JZ           next; \
+vrow: \
+	LEAQ         -1(R14), R11; \
+	ANDQ         R11, R14; \
+	MOVQ         BX, SI; \
+	IMULQ        R9, SI; \
+	ADDQ         AX, SI; \
+	VBROADCASTSS (DX)(BX*4), Y7; \
+	MOVL         (DX)(BX*4), R11; \
+	ANDL         $0x7fffffff, R11; \
+	CMPL         R11, (R12)(BX*4); \
+	JCS          masked; \
+	COLS(PMACF); \
+	XORL         BX, BX; \
+	BSFQ         R14, BX; \
+	JNZ          vrow; \
+	JMP          next; \
+masked: \
+	COLS(PMAC); \
+	XORL         BX, BX; \
+	BSFQ         R14, BX; \
+	JNZ          vrow; \
+next: \
+	MOVQ         R13, R14; \
+	ADDQ         $256, DX; \
+	ADDQ         $256, R12; \
+	MOVQ         R9, R11; \
+	SHLQ         $6, R11; \
+	ADDQ         R11, AX; \
+	SUBQ         $64, R8; \
+	JGT          group; \
+	FINISH(COLS, width)
+
+// func halfMulAddPanelAVX2(acc, a, w []float32, stride int, thr []uint32) (n int, ok bool)
 //
 // acc[c] += R(a[i]*w[i*stride+c]) for the rows i of a in ascending order and
 // the first n columns c, n the widest block of 32, 16 and 8 columns that
-// len(acc) holds; len(acc) >= 8 and len(a) > 0. ok reports that every
-// accumulator of the block came out finite and was stored. If not, nothing was:
-// some product was of the rare band or an accumulator came in non-finite (or
-// neither, and the Go loop will overflow the sum the same way), and the block
-// is the Go loop's, from its first row.
-TEXT ·halfMulAddPanelAVX2(SB), NOSPLIT, $0-97
-	MOVQ    acc_base+0(FP), DI
-	MOVQ    acc_len+8(FP), CX
-	MOVQ    a_base+24(FP), DX
-	MOVQ    a_len+32(FP), R8
-	MOVQ    w_base+48(FP), SI
-	MOVQ    stride+72(FP), R9
-	MOVBLZX skipZero+80(FP), R10
-	XORL    $1, R10
-	SHLQ    $2, R9 // a row of w, in bytes
+// len(acc) holds; len(acc) >= 8 and len(a) > 0. With thr (len(thr) >=
+// len(a)) the rows whose activation is ±0 are skipped and a row with
+// |a[i]| >= thr[i] goes unmasked. ok reports that every accumulator of the
+// block came out finite and was stored. If not, nothing was: some product was
+// of the rare band or an accumulator came in non-finite (or neither, and the
+// Go loop will overflow the sum the same way), and the block is the Go
+// loop's, from its first row.
+TEXT ·halfMulAddPanelAVX2(SB), NOSPLIT, $0-113
+	MOVQ  acc_base+0(FP), DI
+	MOVQ  acc_len+8(FP), CX
+	MOVQ  a_base+24(FP), DX
+	MOVQ  a_len+32(FP), R8
+	MOVQ  w_base+48(FP), SI
+	MOVQ  stride+72(FP), R9
+	MOVQ  thr_base+80(FP), R12
+	SHLQ  $2, R9 // a row of w, in bytes
 	LANECONSTS(16)
-	CMPQ    CX, $32
-	JGE     block32
-	CMPQ    CX, $16
-	JGE     block16
-	BLOCK(COLS8, 8, row8, next8)
+	TESTQ R12, R12
+	JNZ   skip
+	CMPQ  CX, $32
+	JGE   block32
+	CMPQ  CX, $16
+	JGE   block16
+	BLOCK(COLS8, 8, row8)
 block16:
-	BLOCK(COLS16, 16, row16, next16)
+	BLOCK(COLS16, 16, row16)
 block32:
-	BLOCK(COLS32, 32, row32, next32)
+	BLOCK(COLS32, 32, row32)
+skip:
+	VPXOR Y6, Y6, Y6
+	CMPQ  CX, $32
+	JGE   sblock32
+	CMPQ  CX, $16
+	JGE   sblock16
+	SBLOCK(COLS8, 8, t08, s08, p08, d08, group8, t18, s18, p18, visit8, vrow8, masked8, next8)
+sblock16:
+	SBLOCK(COLS16, 16, t016, s016, p016, d016, group16, t116, s116, p116, visit16, vrow16, masked16, next16)
+sblock32:
+	SBLOCK(COLS32, 32, t032, s032, p032, d032, group32, t132, s132, p132, visit32, vrow32, masked32, next32)
 done:
-	MOVQ    AX, n+88(FP)
-	SETEQ   ok+96(FP) // ZF is still the block's VPTEST
+	MOVQ  AX, n+104(FP)
+	SETEQ ok+112(FP) // ZF is still the block's VPTEST
 	VZEROUPPER
 	RET
 

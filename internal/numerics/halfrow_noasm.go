@@ -10,7 +10,7 @@ var hasAVX2 = false
 
 func halfMulAddRowAVX2(acc []float32, a float32, w []float32) int { return 0 }
 
-func halfMulAddPanelAVX2(acc, a, w []float32, stride int, skipZero bool) (n int, ok bool) {
+func halfMulAddPanelAVX2(acc, a, w []float32, stride int, thr []uint32) (n int, ok bool) {
 	return len(acc), false
 }
 

@@ -27,7 +27,7 @@ type operands struct {
 	x, w   []float32 // activations and weights; the row to round, rectify or exponentiate; a diff scan's rows
 	s      float32   // HalfMulAddRow's activation, HalfDot's accumulator, ExpRow's shift
 	stride int
-	skip   bool // HalfMulAddPanel's skipZero
+	thr    []uint32 // HalfMulAddPanel's thresholds: nil, or its weights' (withThresholds)
 	q      Quantizer
 	lo, hi float32 // ClipRow's bounds; lo is Quantizer.roundInto's floor
 }
@@ -188,35 +188,35 @@ var primitives = []*primitive{
 	},
 	{
 		name: "HalfMulAddPanel", body: "halfMulAddPanelAVX2", nanEq: true,
-		run: onAcc(func(acc []float32, o *operands) { HalfMulAddPanel(acc, o.x, o.w, o.stride, o.skip) }),
+		run: onAcc(func(acc []float32, o *operands) { HalfMulAddPanel(acc, o.x, o.w, o.stride, o.thr) }),
 		def: onAcc(func(acc []float32, o *operands) {
 			for i, a := range o.x {
 				for c := range acc {
-					if a != 0 || !o.skip {
+					if a != 0 || o.thr == nil {
 						acc[c] += RoundHalfRef(a * o.w[i*o.stride+c])
 					}
 				}
 			}
 		}),
-		gen: func(rng *rand.Rand, n, off int) operands {
-			rows, stride := 1+rng.Intn(8), n+rng.Intn(3)*rng.Intn(9)
-			return operands{acc: halves(rng, n, off, 1), x: halvesZeros(rng, rows, 3), w: halves(rng, rows*stride+n, (off+5)%8, 0.05),
-				stride: stride, skip: rng.Intn(2) == 0}
-		},
-		specials: halfSpecials,
+		gen: halfPanelOperands, specials: halfSpecials,
 		plant: func(o *operands, i int, v float32) {
 			r := i % len(o.x)
 			o.x[r], o.w[r*o.stride+i] = 1, v
+			withThresholds(o, o.thr != nil)
 		},
-		whole: func(n int) (done int) { // a column block a call, as the dispatcher calls it
-			for acc, w := make([]float32, n), filled(3*n, 0.5); done < n; {
-				k, ok := halfMulAddPanelAVX2(acc[done:], filled(3, 1), w[done:], n, false)
-				if !ok {
-					break
+		whole: func(n int) int { // a column block a call, as the dispatcher calls it; without thresholds and with
+			w := filled(3*n, 0.5)
+			for _, thr := range [][]uint32{nil, HalfPanelThresholds(w, n)} {
+				done, acc := 0, make([]float32, n)
+				for done < n {
+					k, ok := halfMulAddPanelAVX2(acc[done:], filled(3, 1), w[done:], n, thr)
+					if !ok {
+						return done
+					}
+					done += k
 				}
-				done += k
 			}
-			return done
+			return n
 		},
 		sweeps: []sweep{{"TestPanelMatchesRows", halfPanels}},
 		fuzz:   "FuzzHalfPanel", decode: decodeHalfPanel, seeds: halfPanelSeeds(),
@@ -460,9 +460,9 @@ func (p *primitive) compare(t testing.TB, where string, o *operands, by string, 
 				return fmt.Sprintf("%d long", len(s))
 			}
 			t.Fatalf("%s (lanes %v), %s: result %d is %#08x by the %s, %#08x by the %s\n"+
-				"operands: acc %s, x %s, w %s, s %#08x, stride %d, skip %v, q %+v, lo %v, hi %v",
+				"operands: acc %s, x %s, w %s, s %#08x, stride %d, thresholds %v, q %+v, lo %v, hi %v",
 				p.name, hasAVX2, where, i, math.Float32bits(g), by, math.Float32bits(w), against,
-				el(o.acc), el(o.x), el(o.w), math.Float32bits(o.s), o.stride, o.skip, o.q, o.lo, o.hi)
+				el(o.acc), el(o.x), el(o.w), math.Float32bits(o.s), o.stride, o.thr, o.q, o.lo, o.hi)
 		}
 	}
 }
@@ -854,60 +854,110 @@ func halfRowBench(f func(acc, a, w []float32)) (cs []benchCase) {
 	return cs
 }
 
-// halfPanels: panels of every width 0–59, strides at and past it, 0–20 rows,
-// a third of the activations ±0, skipped and not; then, in every chunk of a
-// 32-, a 16- and an 8-column block and the tail, each cause of a refused
-// block: a rare product in the first, a middle and the last row (and that
-// row skipped); ±Inf or a quiet or signalling NaN coming in in an
-// accumulator; a -0 accumulator under ±0 rows; Inf under a ±0 activation.
+// halfPanels: panels of every width 0–59, strides at and past it, 0–130
+// rows (a 64-row group, 8-row steps, the rows past them), a third of the
+// activations ±0, without thresholds and with; then, in every chunk of a 32-,
+// a 16- and an 8-column block and the tail, each cause of a refused block: a
+// rare product in the first, a middle and the last row (and that row
+// skipped); ±Inf or a quiet or signalling NaN coming in in an accumulator; a
+// -0 accumulator under ±0 rows; Inf under a ±0 activation.
 func halfPanels(yield func(operands)) {
 	rng := rand.New(rand.NewSource(79))
 	for n := 0; n <= 59; n++ {
-		for _, rows := range []int{0, 1, 2, 7, 20} {
+		for _, rows := range []int{0, 1, 2, 7, 20, 64, 71, 130} {
 			stride := n + rng.Intn(3)*rng.Intn(9)
-			a, w := halvesZeros(rng, rows, 3), halves(rng, rows*stride+n, 0, 0.05)
-			for _, skip := range []bool{false, true} {
-				yield(operands{acc: halves(rng, n, 0, 1), x: a, w: w, stride: stride, skip: skip})
-			}
+			o := operands{acc: halves(rng, n, 0, 1), x: halvesZeros(rng, rows, 3), w: halves(rng, rows*stride+n, 0, 0.05), stride: stride}
+			yield(o)
+			withThresholds(&o, true)
+			yield(o)
 		}
 	}
 	qnan, snan := math.Float32frombits(0xffc54000), math.Float32frombits(0x7fa54000)
 	const n, rows, stride = 32 + 16 + 8 + 3, 6, 32 + 16 + 8 + 5
-	panel := func(zeros int, skip bool) operands {
+	panel := func(zeros int) operands {
 		return operands{acc: halves(rng, n, 0, 1), x: halvesZeros(rng, rows, zeros), w: halves(rng, rows*stride, 0, 0.05),
-			stride: stride, skip: skip}
+			stride: stride}
 	}
 	for _, col := range []int{3, 12, 21, 30, 32 + 5, 32 + 14, 48 + 7, n - 1} {
 		for _, sp := range []float32{inf, -inf, qnan, snan, 65504 /* × 2 overflows */} {
 			for _, row := range []int{0, 3, rows - 1} {
-				o := panel(0, false)
+				o := panel(0)
 				o.x[row], o.w[row*stride+col] = 2, sp
 				yield(o)
-				o.x[row], o.skip = negZero, true
+				o.x[row] = negZero
+				withThresholds(&o, true)
 				yield(o)
 			}
 		}
 		for _, skip := range []bool{false, true} {
 			for _, sp := range []float32{inf, -inf, qnan, snan} {
-				o := panel(3, skip)
+				o := panel(3)
 				o.acc[col] = sp
-				yield(o)
+				yield(withThresholds(&o, skip))
 			}
-			o := panel(1, skip)
+			o := panel(1)
 			o.acc[col] = negZero
-			yield(o)
+			yield(withThresholds(&o, skip))
 			for _, zero := range []float32{0, negZero} {
-				o := panel(0, skip)
+				o := panel(0)
 				o.x[2], o.w[2*stride+col] = zero, inf
-				yield(o)
+				yield(withThresholds(&o, skip))
 			}
 		}
 	}
 }
 
-// decodeHalfPanel: width, gap, skipZero and the column of one accumulator (a
-// byte each) and that accumulator's bits, then the activations and the
-// weight rows; the other accumulators start at 0.25.
+// withThresholds gives o the thresholds of its weight rows if on, none if
+// not, and returns it.
+func withThresholds(o *operands, on bool) operands {
+	o.thr = nil
+	switch {
+	case on && o.stride == 0: // no columns: any thresholds will do
+		o.thr = make([]uint32, len(o.x))
+	case on:
+		o.thr = HalfPanelThresholds(o.w, o.stride)
+	}
+	return *o
+}
+
+// tinyWeights are half subnormals and the smallest normal half, both signs:
+// a row that holds one has a threshold from 2⁻¹⁰ to 1, which activations
+// ~ N(0, 1) fall on either side of.
+var tinyWeights = []float32{5.9604645e-08, -1.1920929e-07, 1.7881393e-07, -2.9802322e-07, 9.536743e-07,
+	-3.8146973e-06, 6.0975552e-05, -6.1035156e-05}
+
+// halfPanelOperands: 1–160 rows by n columns at stride n or past it, weights
+// ~ N(0, 0.05²) with one in 24 a tiny weight; half the panels with their
+// thresholds. Activations ~ N(0, 1), a third of them ±0; with thresholds a
+// sixth sit exactly on their row's threshold or one ulp below it; a quarter
+// of the panels have one ±Inf or NaN activation.
+func halfPanelOperands(rng *rand.Rand, n, off int) operands {
+	rows, stride := 1+rng.Intn(160), n+rng.Intn(3)*rng.Intn(9)
+	o := operands{acc: halves(rng, n, off, 1), x: halves(rng, rows, 0, 1), w: halves(rng, rows*stride+n, (off+5)%8, 0.05), stride: stride}
+	for i := range o.w {
+		if rng.Intn(24) == 0 {
+			o.w[i] = tinyWeights[rng.Intn(len(tinyWeights))]
+		}
+	}
+	withThresholds(&o, rng.Intn(2) == 0)
+	for i := range o.x {
+		sign := uint32(rng.Intn(2)) << 31
+		switch r := rng.Intn(12); {
+		case r < 4:
+			o.x[i] = math.Float32frombits(sign)
+		case r < 6 && o.thr != nil && o.thr[i] != 0:
+			o.x[i] = math.Float32frombits(o.thr[i] - uint32(r-4) | sign)
+		}
+	}
+	if rng.Intn(4) == 0 {
+		o.x[rng.Intn(rows)] = []float32{nan, inf, -inf}[rng.Intn(3)]
+	}
+	return o
+}
+
+// decodeHalfPanel: width, gap, thresholds or not and the column of one
+// accumulator (a byte each) and that accumulator's bits, then the activations
+// and the weight rows; the other accumulators start at 0.25.
 func decodeHalfPanel(data []byte) operands {
 	head, rest := split(data, 8)
 	acc := filled(int(head[0]%60), 0.25)
@@ -915,8 +965,7 @@ func decodeHalfPanel(data []byte) operands {
 		acc[int(head[3])%len(acc)] = math.Float32frombits(binary.LittleEndian.Uint32(head[4:]))
 	}
 	o := panelRows(acc, words(rest), len(acc)+int(head[1]%7))
-	o.skip = head[2]&1 == 1
-	return o
+	return withThresholds(&o, head[2]&1 == 1)
 }
 
 // panelRows cuts vals into the activations and the weight rows of a panel.
@@ -940,7 +989,8 @@ func panelBytes(head []byte, rows, stride, row, col int, sp float32, a ...float3
 
 // halfPanelSeeds: rare products in the first and last chunk, row and tail;
 // narrow and strided panels; ±0 rows over NaN-making weights; the converter's
-// wrong products; overflow in a block's last row; odd accumulators.
+// wrong products; overflow in a block's last row; odd accumulators; the
+// threshold's edge over two row groups.
 func halfPanelSeeds() [][]byte {
 	seed := func(width, gap uint8, skip bool, accBits uint32, accCol uint8, rows, row, col int, sp float32, a ...float32) []byte {
 		head := []byte{width, gap, 0, accCol}
@@ -964,21 +1014,39 @@ func halfPanelSeeds() [][]byte {
 	for i, acc := range []uint32{0x7f800000, 0xff800000, 0x7fc00000, 0x7fa00000} {
 		seeds = append(seeds, seed(59, 1, i%2 == 0, acc, []uint8{5, 37, 50, 57}[i], 4, 1, 7, 0.25, 1, 0, -2))
 	}
-	return append(seeds, seed(59, 0, true, f32Sign, 20, 3, 1, 7, 0.25, 0, negZero, 0),
+	seeds = append(seeds, seed(59, 0, true, f32Sign, 20, 3, 1, 7, 0.25, 0, negZero, 0),
 		seed(59, 0, false, f32Sign, 40, 3, 1, 7, 0.25, 0, negZero, 0))
+	// With thresholds, over a 64-row group and a second one, rows 0 and row
+	// alone not ±0, so that a flushed product shows in a sum of 0.75: a 2⁻²⁴
+	// weight met by 0.75 (masked, the product flushes) and by the float32
+	// just below 1 (one ulp under its row's threshold of 1), and a NaN; then
+	// every row 1.
+	group := func(row int, a float32) []float32 {
+		acts := make([]float32, 72)
+		acts[0], acts[row] = 1, a
+		return acts
+	}
+	return append(seeds, seed(16, 0, true, q, 0, 72, 69, 5, 0x1p-24, group(69, 0.75)...),
+		seed(16, 0, true, q, 0, 72, 70, 5, 0x1p-24, group(70, math.Nextafter32(1, 0))...),
+		seed(16, 0, true, q, 0, 72, 3, 5, 0.5, group(66, nan)...), seed(16, 0, true, q, 0, 72, 3, 5, 0.5))
 }
 
 // halfPanelBench: pixel/c* are resnet-lite's calls (72 rows by 27.6 columns,
-// 57% of rows ±0), the case to quote; oneInfRow and allNaN are the block
-// rule's worst cases, every block run by the lanes and then the Go loop.
+// 57% of rows ±0), the case to quote; like n*/rows* they run with the
+// weights' thresholds, as the conv and dense kernels call the panel, and
+// unskipped/n32/rows144 without, as matmul and the cycle-level reference do.
+// oneInfRow and allNaN are the block rule's worst cases, every block run by
+// the lanes and then the Go loop.
 func halfPanelBench() []benchCase {
-	panel := func(acc, a, w []float32, stride int) { HalfMulAddPanel(acc, a, w, stride, true) }
+	panel := HalfMulAddPanel
 	cs := []benchCase{pixels("pixel/c16", 16, 16, 0.57, panel), pixels("pixel/c32", 8, 32, 0.57, panel)}
 	for _, n := range []int{8, 16, 32, 64, 72} {
 		for _, rows := range []int{16, 144, 576} {
 			cs = append(cs, onPanel(fmt.Sprintf("n%d/rows%d", n, rows), n, fixedPanel(n, rows), panel))
 		}
 	}
+	unskipped := func(acc, a, w []float32, stride int, _ []uint32) { HalfMulAddPanel(acc, a, w, stride, nil) }
+	cs = append(cs, onPanel("unskipped/n32/rows144", 32, fixedPanel(32, 144), unskipped))
 	const n, rows = 32, 144
 	oneInf := func() (a, w []float32) {
 		a, w = benchOperands(rows * n)
@@ -1060,10 +1128,10 @@ func floatPanelSeeds() [][]byte {
 // 0 to its branches' channels, the case to quote; n<width> is 72 activations.
 func floatPanelBench() (cs []benchCase) {
 	for _, n := range []int{4, 8, 12} {
-		cs = append(cs, pixels(fmt.Sprintf("pixel/c%d", n), 16, 8, 0.5, MulAddPanel, n))
+		cs = append(cs, pixels(fmt.Sprintf("pixel/c%d", n), 16, 8, 0.5, mulAddPanel, n))
 	}
 	for _, n := range []int{4, 8, 12, 16, 32} {
-		cs = append(cs, onPanel(fmt.Sprintf("n%d", n), n, fixedPanel(n, 72), MulAddPanel))
+		cs = append(cs, onPanel(fmt.Sprintf("n%d", n), n, fixedPanel(n, 72), mulAddPanel))
 	}
 	return cs
 }
@@ -1366,10 +1434,17 @@ func normals(seed int64, n int, sd float64) []float32 {
 	return s
 }
 
+// panelFunc is a panel under benchmark: HalfMulAddPanel, or a form that
+// ignores the thresholds it is handed.
+type panelFunc func(acc, a, w []float32, stride int, thr []uint32)
+
+// mulAddPanel is MulAddPanel as a panelFunc.
+func mulAddPanel(acc, a, w []float32, stride int, _ []uint32) { MulAddPanel(acc, a, w, stride) }
+
 // pixels is a case of one output pixel an iteration, as nn's convPixel
 // computes it, of a 3×3 convolution of one of 16 size×size×in post-ReLU maps
 // (a value 0 with probability zeros) to out channels (in, unless given).
-func pixels(name string, size, in int, zeros float64, panel func(acc, a, w []float32, stride int), out ...int) benchCase {
+func pixels(name string, size, in int, zeros float64, panel panelFunc, out ...int) benchCase {
 	return benchCase{name, "MAC/s", func() (func(int), int) {
 		outC, rng := append(out, in)[0], rand.New(rand.NewSource(74))
 		const maps = 16
@@ -1380,6 +1455,7 @@ func pixels(name string, size, in int, zeros float64, panel func(acc, a, w []flo
 			}
 		}
 		_, w := benchOperands(9 * in * outC)
+		thr := HalfPanelThresholds(w, outC)
 		acc := make([]float32, outC)
 		pixel := func(i int) (macs int) {
 			m, oy, ox := i/(size*size)%maps, i/size%size, i%size
@@ -1387,7 +1463,7 @@ func pixels(name string, size, in int, zeros float64, panel func(acc, a, w []flo
 			kxLo, kxHi := max(1-ox, 0), min(size+1-ox, 3)
 			for ky := max(1-oy, 0); ky < min(size+1-oy, 3); ky++ {
 				irow := src[((m*size+oy+ky-1)*size+ox+kxLo-1)*in : ((m*size+oy+ky-1)*size+ox+kxHi-1)*in]
-				panel(acc, irow, w[(ky*3+kxLo)*in*outC:], outC)
+				panel(acc, irow, w[(ky*3+kxLo)*in*outC:], outC, thr[(ky*3+kxLo)*in:])
 				macs += len(irow) * outC
 			}
 			return macs
@@ -1401,21 +1477,22 @@ func pixels(name string, size, in int, zeros float64, panel func(acc, a, w []flo
 }
 
 // onPanel is a case of panel over operands into n accumulators cleared each
-// iteration.
-func onPanel(name string, n int, operands func() (a, w []float32), panel func(acc, a, w []float32, stride int)) benchCase {
+// iteration, with the weights' thresholds.
+func onPanel(name string, n int, operands func() (a, w []float32), panel panelFunc) benchCase {
 	return benchCase{name, "MAC/s", func() (func(int), int) {
 		a, w := operands()
+		thr := HalfPanelThresholds(w, n)
 		acc := make([]float32, n)
 		return func(int) {
 			clear(acc)
-			panel(acc, a, w, n)
+			panel(acc, a, w, n, thr)
 		}, len(a) * n
 	}}
 }
 
 // fixedPanel is one vector of rows activations, every fifth 0, over one
-// cache-resident panel of n columns: nothing misses and the skip branch
-// predicts perfectly, an upper bound no campaign sees.
+// cache-resident panel of n columns: nothing misses and the zeros come in a
+// fixed pattern, an upper bound no campaign sees.
 func fixedPanel(n, rows int) func() (a, w []float32) {
 	return func() (a, w []float32) {
 		a, _ = benchOperands(rows)

@@ -558,7 +558,7 @@ func (e *Engine) rows(stop, bs int64) bool {
 			acc := e.acc[dx*k:][:live]
 			p := wrap(e.blk*int64(e.t)+dx, s.numPos)
 			if !s.conv { // no padding: the column is a run of the input row
-				numerics.HalfMulAddPanel(acc, e.cbufIn[s.aIndex(p, r):][:nr], w, stride, false)
+				numerics.HalfMulAddPanel(acc, e.cbufIn[s.aIndex(p, r):][:nr], w, stride, nil)
 				continue
 			}
 			e.runs(acc, s.pos[p], s.red[r:][:nr], w, stride)
@@ -581,7 +581,7 @@ func (e *Engine) runs(acc []float32, pp convPos, red []convRed, w []float32, str
 		i += s.padding(pp, red[i:])
 		j := i + e.gather(col[i:], pp, red[i:])
 		if j > i {
-			numerics.HalfMulAddPanel(acc, col[i:j], w[i*stride:], stride, false)
+			numerics.HalfMulAddPanel(acc, col[i:j], w[i*stride:], stride, nil)
 		}
 		i = j
 	}
