@@ -61,37 +61,47 @@ race:
 
 # The chaos self-test harness: synthetic panics, hangs, and I/O errors
 # injected into live campaigns; the supervisor must recover deterministically.
-# Run twice under -race — the watchdog's abandoned-goroutine protocol and the
-# resume paths are exactly where flakes would hide. CI's chaos job runs this
-# target.
+# The conformance suite's disruption cells (interrupt + resume, supervised
+# panics and timeouts, one warm executor) hold each such campaign byte for
+# byte to the oracle. Run twice under -race — the watchdog's
+# abandoned-goroutine protocol and the resume paths are exactly where flakes
+# would hide. CI's chaos job runs this target. A -run pattern here that
+# selects nothing fails the root package's TestMakefileSelectsTests.
 chaos:
 	$(GO) test -race -timeout 30m -run 'Chaos' -count=2 ./internal/campaign/...
+	$(GO) test -race -timeout 30m -run '^TestConformance$$/^($(CAMPAIGN_CELLS))$$' -count=2 ./internal/campaign/
 
 # The tests that interrupt a live campaign or fire its watchdog from inside
-# it — interrupt/resume in campaign and harden, the chaos watchdog (and the
-# executor it abandons, never lent again) and the transient checkpoint
-# errors — the fleet determinism test, which needs every worker to take part
-# in a campaign of milliseconds, and the two
-# coordinator restarts, which swap coordinators at an accepted report, 50
-# times at 1, 2 and 4 Ps each, beside a busy loop that holds one CPU: a test that races the
-# engine instead of steering it from inside fails here. About a minute; not
-# part of `make ci`.
-FLAKE_TESTS := TestStudyInterruptResume|TestChaosRecoversToCleanTallies|TestChaosWatchdogNeverLendsZombie|TestChaosCheckpointIOErrors|TestHardenedInterruptResume|TestDistribDeterminism|TestDistribCoordinatorRestart|TestDistribAdaptiveCoordinatorRestart
+# it — the conformance suite's disruption cells (interrupt + resume,
+# supervised panics and timeouts, one warm executor, worker death,
+# coordinator restart at an accepted report), the chaos watchdog (and the
+# executor it abandons, never lent again), the transient checkpoint errors
+# and interrupt/resume in harden — 50 times at 1, 2 and 4 Ps each, beside a
+# busy loop that holds one CPU: a test that races the engine instead of
+# steering it from inside fails here. Then both packages whole, 20 times in
+# a row. A few minutes; not part of `make ci`.
+FLAKE_TESTS := TestChaosWatchdogNeverLendsZombie|TestChaosCheckpointIOErrors|TestHardenedInterruptResume
+CAMPAIGN_CELLS := interrupt|supervised|warm-executor
+FLEET_CELLS := worker-death|coordinator-restart
 flake:
 	@sh -c 'while :; do :; done' & hog=$$!; \
 	trap "kill $$hog" EXIT; \
-	$(GO) test -count=50 -cpu 1,2,4 -run '^($(FLAKE_TESTS))$$' ./internal/campaign/ ./internal/harden/ ./internal/distrib/
+	$(GO) test -count=50 -cpu 1,2,4 -run '^($(FLAKE_TESTS))$$' ./internal/campaign/ ./internal/harden/ && \
+	$(GO) test -count=50 -cpu 1,2,4 -run '^TestConformance$$/^($(CAMPAIGN_CELLS)|$(FLEET_CELLS))$$' ./internal/campaign/ ./internal/distrib/ && \
+	$(GO) test -count=20 ./internal/campaign/ ./internal/distrib/
 
-# The distribution-layer chaos + integrity suite (DESIGN.md §9): the seeded
-# transport-chaos differential (drops, delays, duplicates, truncation, bit
-# corruption, 5xx bursts at 1/2/4 workers must stay byte-identical to a
-# clean run), result audits catching a lying worker, graceful drain,
-# corrupted and parent-written state recovery, and the lease-table
+# The distribution-layer chaos + integrity suite (DESIGN.md §9): the
+# conformance suite's chaos-transport cells (drops, delays, duplicates,
+# truncation, bit corruption, 5xx bursts, across worker counts, planners and
+# disruptions, must stay byte-identical to an in-process Study), result
+# audits catching a lying worker, graceful drain, corrupted and
+# parent-written state recovery, and the lease-table
 # dedup/stale/audit/re-grant unit tests, and the lost-grant retries. Run twice under
 # -race — retry and re-issue paths are exactly where flakes would hide. The
-# -run regexp lives here only: CI's chaos-distrib job runs this target.
+# -run regexps live here only: CI's chaos-distrib job runs this target.
 chaos-distrib:
-	$(GO) test -race -timeout 30m -count=2 -run 'TestChaos|TestDistribAudit|TestDistribDrain|TestDistribLostGrant|TestCoordinatorState|TestLeaseTable' ./internal/distrib/
+	$(GO) test -race -timeout 30m -count=2 -run 'TestDistribAudit|TestDistribDrain|TestDistribLostGrant|TestCoordinatorState|TestLeaseTable' ./internal/distrib/
+	$(GO) test -race -timeout 30m -count=2 -run '^TestConformance$$/.*/^chaos-' ./internal/distrib/
 
 # One iteration of every Benchmark* in the tree (the kernel, fault-model and
 # cycle-model ones beside the code) — smoke, not measurement. The paper's
@@ -198,10 +208,12 @@ serve:
 work:
 	$(GO) run ./cmd/fidelity work -coordinator $(COORDINATOR) $(WORK_FLAGS)
 
-# The distributed-fabric end-to-end suite under -race: byte-identical results
-# at 1/2/4 workers, killed-worker lease recovery, coordinator restart.
+# The distributed-fabric end-to-end suite under -race: the conformance
+# suite (byte-identical results across transports, worker counts, audits,
+# killed-worker lease recovery, coordinator restart) and the TestDistrib*
+# protocol tests.
 e2e-distrib:
-	$(GO) test -race -count=1 -run 'TestDistrib' ./internal/distrib/
+	$(GO) test -race -count=1 -run 'TestConformance|TestDistrib' ./internal/distrib/
 
 # The closed hardening loop (README "Hardening", DESIGN.md §11): baseline
 # campaign → golden-envelope clamps → re-campaign → recommendation, emitting

@@ -1,109 +1,23 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 
 	"fidelity/internal/accel"
-	"fidelity/internal/faultmodel"
-	"fidelity/internal/inject"
 	"fidelity/internal/telemetry"
 )
 
-// The adaptive-sampling differential suite. The adaptive engine's determinism
-// contract mirrors the fixed-count engine's: StudyResult JSON is a pure
-// function of (Seed, Shards, TargetCI) — never of Workers, the batch window,
-// or where an interrupt landed.
-
-// TestAdaptiveWorkerDeterminism: the round-barrier design must make adaptive
-// results byte-identical across worker counts, and independent of the
-// experiment batch window.
-func TestAdaptiveWorkerDeterminism(t *testing.T) {
-	w := engineWorkload(t)
-	base := StudyOptions{TargetCI: 0.15, Inputs: 2, Tolerance: 0.1, Seed: 9, Shards: 8}
-
-	var want []byte
-	for _, workers := range []int{1, 2, 4} {
-		opts := base
-		opts.Workers = workers
-		got := studyJSON(t, w, opts)
-		if want == nil {
-			want = got
-			continue
-		}
-		if !bytes.Equal(want, got) {
-			t.Errorf("adaptive StudyResult JSON differs at Workers=%d:\nworkers=1: %s\nworkers=%d: %s",
-				workers, want, workers, got)
-		}
-	}
-	// The window is an execution-order optimization in adaptive rounds too:
-	// one experiment per window must match exactly.
-	opts := base
-	opts.Workers = 4
-	opts.window = 1
-	if got := studyJSON(t, w, opts); !bytes.Equal(want, got) {
-		t.Errorf("adaptive StudyResult JSON differs at window 1:\nwindow 64: %s\nwindow 1:  %s", want, got)
-	}
-}
-
-// TestAdaptiveInterruptResume: an adaptive campaign interrupted at an
-// arbitrary experiment boundary must resume from its checkpoint (format v3,
-// carrying the round history) to the byte-identical result of an
-// uninterrupted run — including when the interrupt lands at a round barrier.
-func TestAdaptiveInterruptResume(t *testing.T) {
-	w := engineWorkload(t)
-	cfg := accel.NVDLASmall()
-	base := StudyOptions{TargetCI: 0.15, Inputs: 2, Tolerance: 0.1, Seed: 9, Shards: 8}
-
-	baseline, err := Study(context.Background(), cfg, w, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, err := json.Marshal(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, stopAt := range []int{25, 150} {
-		ctx, cancel := context.WithCancel(context.Background())
-		opts := base
-		opts.Workers = 1
-		count := 0
-		opts.observe = func(int, Cursor, faultmodel.ID, inject.Result) {
-			if count++; count == stopAt {
-				cancel()
-			}
-		}
-		_, err := Study(ctx, cfg, w, opts)
-		cancel()
-		var intr *Interrupted
-		if !errors.As(err, &intr) {
-			t.Fatalf("stopAt=%d: interrupted adaptive study returned %v, want *Interrupted", stopAt, err)
-		}
-
-		resume := base
-		resume.Workers = 3
-		resume.Resume = intr.Checkpoint
-		res, err := Study(context.Background(), cfg, w, resume)
-		if err != nil {
-			t.Fatalf("stopAt=%d: resume: %v", stopAt, err)
-		}
-		gotJSON, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wantJSON, gotJSON) {
-			t.Errorf("stopAt=%d: resumed adaptive result differs:\nbaseline: %s\nresumed:  %s",
-				stopAt, wantJSON, gotJSON)
-		}
-	}
-}
+// The adaptive engine's own checks. Its determinism contract — StudyResult
+// JSON is a pure function of (Seed, Shards, TargetCI), never of Workers, the
+// window or where an interrupt landed — is TestConformance's, for flat
+// strata; per-layer strata are held to it here.
 
 // TestAdaptivePerLayerDeterminism: per-layer strata (the mode the paper's
-// Eq. 2 needs) keep the same worker-count independence.
+// Eq. 2 needs) keep the same worker-count independence. Their windows pin
+// their site, so nothing is grouped: no batch telemetry.
 func TestAdaptivePerLayerDeterminism(t *testing.T) {
 	w := engineWorkload(t)
 	base := StudyOptions{TargetCI: 0.3, Inputs: 1, Tolerance: 0.1, Seed: 11, Shards: 4, PerLayer: true}
@@ -111,15 +25,19 @@ func TestAdaptivePerLayerDeterminism(t *testing.T) {
 	var want []byte
 	for _, workers := range []int{1, 3} {
 		opts := base
-		opts.Workers = workers
-		got := studyJSON(t, w, opts)
+		opts.Workers, opts.Telemetry = workers, telemetry.New()
+		res, err := Study(context.Background(), accel.NVDLASmall(), w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := opts.Telemetry.Snapshot().Batch; b != nil {
+			t.Errorf("per-layer study produced a telemetry Batch block: %+v", b)
+		}
 		if want == nil {
-			want = got
+			want = marshal(t, res)
 			continue
 		}
-		if !bytes.Equal(want, got) {
-			t.Errorf("per-layer adaptive StudyResult JSON differs at Workers=%d", workers)
-		}
+		requireSameJSON(t, fmt.Sprintf("per-layer adaptive StudyResult at Workers=%d", workers), want, res)
 	}
 }
 
@@ -182,28 +100,6 @@ func TestAdaptiveValidation(t *testing.T) {
 		var bad *OptionError
 		if !errors.As(err, &bad) || bad.Option != tc.option {
 			t.Errorf("%s: Study(%+v) = %v, want an OptionError naming %q", tc.name, tc.opts, err, tc.option)
-		}
-	}
-}
-
-// TestAdaptiveOffUnchanged: with TargetCI zero the engine must take the
-// fixed-count path bit-for-bit — the adaptive machinery (run dispatch, window
-// stride, the shared Schedule) is invisible to fixed-count campaigns.
-func TestAdaptiveOffUnchanged(t *testing.T) {
-	w := engineWorkload(t)
-	base := StudyOptions{Samples: 24, Inputs: 2, Tolerance: 0.1, Seed: 7, Shards: 8}
-
-	var want []byte
-	for _, workers := range []int{1, 4} {
-		opts := base
-		opts.Workers = workers
-		got := studyJSON(t, w, opts)
-		if want == nil {
-			want = got
-			continue
-		}
-		if !bytes.Equal(want, got) {
-			t.Errorf("fixed-count StudyResult JSON differs at Workers=%d", workers)
 		}
 	}
 }

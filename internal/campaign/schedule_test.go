@@ -14,9 +14,8 @@ import (
 // TestSchedule holds the Schedule to each of its transitions on real shard
 // checkpoints: three shards of a flat adaptive campaign, each parked after
 // executing round 0 (base). Every case rearranges a deep copy of that fixture.
-// The TestAdaptive*, TestDistribAdaptive*, chaos and audit suites are the
-// differential that Study and the coordinator drive it alike; this is the
-// type's own contract.
+// The two packages' TestConformance suites are the differential that Study
+// and the coordinator drive it alike; this is the type's own contract.
 func TestSchedule(t *testing.T) {
 	const (
 		shards = 3

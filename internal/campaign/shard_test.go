@@ -1,9 +1,7 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"testing"
 	"time"
@@ -28,7 +26,11 @@ func TestShardRunnerTracesGoldenOncePerInput(t *testing.T) {
 	}
 	cfg := accel.NVDLASmall()
 	opts := StudyOptions{Samples: 240, Inputs: 3, Tolerance: 0.1, Seed: 9, Shards: 8}
-	want := studyJSON(t, w, opts)
+	res, err := Study(context.Background(), cfg, w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := marshal(t, res)
 
 	const splitShard, splitAfter = 3, 40
 	ctx, cancel := context.WithCancel(context.Background())
@@ -67,17 +69,10 @@ func TestShardRunnerTracesGoldenOncePerInput(t *testing.T) {
 	if got := len(r.opts.golden.entries); got != opts.Inputs {
 		t.Errorf("%d leases traced golden inferences %d times, want once per input (%d)", leases, got, opts.Inputs)
 	}
-	res, err := AssembleResult(cfg, w, opts, finals)
-	if err != nil {
+	if res, err = AssembleResult(cfg, w, opts, finals); err != nil {
 		t.Fatal(err)
 	}
-	got, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("shards run through one ShardRunner assemble differently from Study:\n got %s\nwant %s", got, want)
-	}
+	requireSameJSON(t, "shards run through one ShardRunner, assembled", want, res)
 }
 
 // TestEvery: the one periodic helper runs fn until stop, and stop returns
@@ -104,30 +99,4 @@ func TestEvery(t *testing.T) {
 		t.Error("stop returned before a started call was counted")
 	}
 	Every(0, func() { t.Error("Every(0) called fn") })()
-}
-
-// TestStudyBuildsOneExecutorPerWorker: executors belong to the runner, not
-// to a shard or an input. A per-layer adaptive campaign on two inputs runs
-// every shard once per round and switches inputs in every stratum, yet at
-// Workers=2 it must build no more than two executors.
-// TestReplayDifferentialInputSwitch holds the same shape to the oracle.
-func TestStudyBuildsOneExecutorPerWorker(t *testing.T) {
-	w, err := model.Build("inception", numerics.INT8, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := accel.NVDLASmall()
-	opts := StudyOptions{TargetCI: 0.3, Inputs: 2, Tolerance: 0.1, Seed: 7, Shards: 8, PerLayer: true, Workers: 2}
-	r, err := NewShardRunner(cfg, w, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.study(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	// Every executor is back once the study returns: the idle ones are all
-	// it built.
-	if n := len(r.idle); n < 1 || n > opts.Workers {
-		t.Errorf("Workers=%d: %d executors idle after the study, want 1 to %d, every one it built", opts.Workers, n, opts.Workers)
-	}
 }

@@ -32,8 +32,9 @@ const DefaultShards = 16
 // one golden prefix and one arena working set. Windowing changes execution
 // order only — every experiment draws its whole stream from a cursor-derived
 // seed and tallies commit in cursor order at window boundaries, so results
-// and checkpoints are byte-identical for every window size (the differential
-// suite pins 1, 5 and 64).
+// and checkpoints are byte-identical for every window size (the conformance
+// suite pins 1, 5 and 64 on campaigns whose sample loops hold more than one
+// window, which it checks from telemetry).
 const experimentWindow = 64
 
 // StudyOptions parameterizes a Sec. V resilience study for one workload.
@@ -123,7 +124,7 @@ type StudyOptions struct {
 	observe func(shard int, cur Cursor, id faultmodel.ID, r inject.Result)
 	// oracle is the test-only reference seam: golden traces are recorded
 	// without activations, so every experiment runs the plain full forward
-	// pass instead of the replay engine. The differential suites require
+	// pass instead of the replay engine. The conformance suite requires
 	// byte-identical results and checkpoints either way.
 	oracle bool
 	// window is a test-only override of experimentWindow (0 = the constant).

@@ -25,13 +25,6 @@ func runStudy(t *testing.T, net string, prec numerics.Precision, samples int, to
 	return res
 }
 
-func TestStudyValidation(t *testing.T) {
-	w, _ := model.Build("resnet", numerics.FP16, 1)
-	if _, err := Study(context.Background(), accel.NVDLASmall(), w, StudyOptions{Samples: 0, Inputs: 1}); err == nil {
-		t.Error("zero samples should fail")
-	}
-}
-
 func TestStudyBasics(t *testing.T) {
 	res := runStudy(t, "resnet", numerics.FP16, 30, 0.1)
 	if res.Workload != "resnet-lite" || res.Precision != "FP16" {
@@ -125,38 +118,6 @@ func TestStudyQuantizedPath(t *testing.T) {
 	res := runStudy(t, "mobilenet", numerics.INT8, 20, 0.1)
 	if res.FIT.Total <= 0 {
 		t.Error("INT8 study failed to produce FIT")
-	}
-}
-
-// Parallel execution must produce valid statistics and the same experiment
-// count as sequential.
-func TestStudyParallelWorkers(t *testing.T) {
-	w, err := model.Build("resnet", numerics.FP16, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Study(context.Background(), accel.NVDLASmall(), w, StudyOptions{
-		Samples: 24, Inputs: 2, Tolerance: 0.1, Seed: 9, Workers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Study(context.Background(), accel.NVDLASmall(), w, StudyOptions{
-		Samples: 24, Inputs: 2, Tolerance: 0.1, Seed: 9, Workers: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Experiments != seq.Experiments {
-		t.Errorf("parallel experiments %d != sequential %d", par.Experiments, seq.Experiments)
-	}
-	for id, p := range par.Masked {
-		if p.Trials != seq.Masked[id].Trials {
-			t.Errorf("%v: parallel trials %d != sequential %d", id, p.Trials, seq.Masked[id].Trials)
-		}
-	}
-	if par.FIT.Total <= 0 {
-		t.Error("parallel FIT missing")
 	}
 }
 

@@ -35,7 +35,7 @@ func digestBytes(b []byte) string {
 
 // digestJSON canonicalizes v (compact json.Marshal form) and digests it.
 // Two values digest equal exactly when their canonical JSON is byte-equal,
-// which is the same equivalence the differential suites assert. A shard
+// which is the same equivalence the conformance suites assert. A shard
 // checkpoint's bytes come from its codec directly: json.Marshal would
 // re-scan them to compact what is already compact.
 func digestJSON(v any) (string, error) {

@@ -122,17 +122,8 @@ func TestCoordinatorStateCorruptQuarantine(t *testing.T) {
 
 	srv2 := httptest.NewServer(c2.Handler())
 	defer srv2.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	wait := startWorkers(ctx, t, srv2.URL, 2, "w")
-	res, err := c2.Result(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wait()
-	if got := resultJSON(t, res); string(got) != string(want) {
-		t.Errorf("result after quarantine differs from baseline:\n got %s\nwant %s", got, want)
-	}
+	res := finish(t, srv2.URL, c2, 2)
+	requireSameJSON(t, "result after quarantine", want, res)
 }
 
 // TestCoordinatorStatePerShardCorruption: in a state file whose envelope
@@ -183,17 +174,8 @@ func TestCoordinatorStatePerShardCorruption(t *testing.T) {
 
 	srv2 := httptest.NewServer(c2.Handler())
 	defer srv2.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	wait := startWorkers(ctx, t, srv2.URL, 2, "w")
-	res, err := c2.Result(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wait()
-	if got := resultJSON(t, res); string(got) != string(want) {
-		t.Errorf("result after per-shard recovery differs from baseline:\n got %s\nwant %s", got, want)
-	}
+	res := finish(t, srv2.URL, c2, 2)
+	requireSameJSON(t, "result after per-shard recovery", want, res)
 }
 
 // TestCoordinatorStateMisplacedShardRefused: a state file whose envelope and
@@ -259,17 +241,8 @@ func TestCoordinatorStateParentWrittenResumes(t *testing.T) {
 
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	wait := startWorkers(ctx, t, srv.URL, 2, "w")
-	res, err := c.Result(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wait()
-	if got := resultJSON(t, res); string(got) != string(want) {
-		t.Errorf("result resumed from the parent's state differs from baseline:\n got %s\nwant %s", got, want)
-	}
+	res := finish(t, srv.URL, c, 2)
+	requireSameJSON(t, "result resumed from the parent's state", want, res)
 }
 
 // TestCoordinatorStateParentSpecResumes: a sealed state file written by the
@@ -325,15 +298,6 @@ func TestCoordinatorStateParentSpecResumes(t *testing.T) {
 
 	srv2 := httptest.NewServer(c2.Handler())
 	defer srv2.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	wait := startWorkers(ctx, t, srv2.URL, 2, "w")
-	res, err := c2.Result(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wait()
-	if got := resultJSON(t, res); string(got) != string(want) {
-		t.Errorf("result resumed from the previous release's state differs from baseline:\n got %s\nwant %s", got, want)
-	}
+	res := finish(t, srv2.URL, c2, 2)
+	requireSameJSON(t, "result resumed from the previous release's state", want, res)
 }

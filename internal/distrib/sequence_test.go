@@ -133,19 +133,10 @@ func TestDistribWorkAgainstOldCoordinator(t *testing.T) {
 	var polls atomic.Int32
 	srv := httptest.NewServer(oldCoordinator(c.Handler(), &polls))
 	defer srv.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
 	start := time.Now()
-	wait := startWorkers(ctx, t, srv.URL, 2, "ow")
-	res, err := c.Result(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wait()
+	res := finish(t, srv.URL, c, 2)
 	elapsed := time.Since(start)
-	if got := resultJSON(t, res); string(got) != string(want) {
-		t.Errorf("result against an old coordinator differs from the baseline:\n got %s\nwant %s", got, want)
-	}
+	requireSameJSON(t, "result against an old coordinator", want, res)
 	leases := leaseCount(c)
 	// One poll per lease plus the empty ones, which a pacing worker spaces a
 	// jittered TTL/4 apart (50 ms at the closest); allow each of the two
@@ -203,9 +194,7 @@ func TestDistribMixedVersionDifferential(t *testing.T) {
 						t.Errorf("%s worker: %v", fleet, err)
 					}
 				}
-				if got := resultJSON(t, res); string(got) != string(want) {
-					t.Errorf("%s fleet diverged from the in-process baseline:\n got %s\nwant %s", fleet, got, want)
-				}
+				requireSameJSON(t, fleet+" fleet's result", want, res)
 				st := c.Status()
 				if st.Expired != 0 {
 					t.Errorf("expired = %d, want 0", st.Expired)
@@ -394,9 +383,7 @@ func TestDistribLostGrant(t *testing.T) {
 			if st := c.Status(); st.Expired != 0 {
 				t.Errorf("expired = %d, want 0", st.Expired)
 			}
-			if got := resultJSON(t, res); string(got) != string(want) {
-				t.Errorf("result after a lost grant differs from the baseline:\n got %s\nwant %s", got, want)
-			}
+			requireSameJSON(t, "result after a lost grant", want, res)
 		})
 	}
 }

@@ -22,7 +22,7 @@ package nn
 //
 // The reference kernels are the pre-tiling layer loops (including the
 // reference FP16 rounding path). They are kept as the oracle for the kernel
-// equivalence tests and the campaign differential suites; no production path
+// equivalence tests and the campaign conformance suite; no production path
 // selects them.
 
 import (

@@ -3,7 +3,7 @@ package nn
 // kernels_ref.go preserves the pre-tiling layer loops exactly as they shipped
 // with the replay engine (PR 4), including the reference FP16 rounding path.
 // They are the oracle for the kernel equivalence tests and the campaign
-// differential suites; production forwards run the tiled kernels in
+// conformance suite; production forwards run the tiled kernels in
 // kernels.go. Do not "optimize" these: their value is being the slow, known-
 // good implementation.
 
