@@ -75,12 +75,12 @@ chaos:
 # it — the conformance suite's disruption cells (interrupt + resume,
 # supervised panics and timeouts, one warm executor, worker death,
 # coordinator restart at an accepted report), the chaos watchdog (and the
-# executor it abandons, never lent again), the transient checkpoint errors
-# and interrupt/resume in harden — 50 times at 1, 2 and 4 Ps each, beside a
+# executor it abandons, never lent again), the transient checkpoint errors,
+# the periodic save of a running shard and interrupt/resume in harden — 50 times at 1, 2 and 4 Ps each, beside a
 # busy loop that holds one CPU: a test that races the engine instead of
 # steering it from inside fails here. Then both packages whole, 20 times in
 # a row. A few minutes; not part of `make ci`.
-FLAKE_TESTS := TestChaosWatchdogNeverLendsZombie|TestChaosCheckpointIOErrors|TestHardenedInterruptResume
+FLAKE_TESTS := TestChaosWatchdogNeverLendsZombie|TestChaosCheckpointIOErrors|TestChaosPeriodicSave|TestHardenedInterruptResume
 CAMPAIGN_CELLS := interrupt|supervised|warm-executor
 FLEET_CELLS := worker-death|coordinator-restart
 flake:
@@ -100,7 +100,7 @@ flake:
 # -race — retry and re-issue paths are exactly where flakes would hide. The
 # -run regexps live here only: CI's chaos-distrib job runs this target.
 chaos-distrib:
-	$(GO) test -race -timeout 30m -count=2 -run 'TestDistribAudit|TestDistribDrain|TestDistribLostGrant|TestCoordinatorState|TestLeaseTable' ./internal/distrib/
+	$(GO) test -race -timeout 30m -count=2 -run 'TestDistribAudit|TestDistribDrain|TestDistribLostGrant|TestDistribStall|TestCoordinatorState|TestLeaseTable' ./internal/distrib/
 	$(GO) test -race -timeout 30m -count=2 -run '^TestConformance$$/.*/^chaos-' ./internal/distrib/
 
 # One iteration of every Benchmark* in the tree (the kernel, fault-model and

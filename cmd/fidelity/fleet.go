@@ -212,7 +212,6 @@ func work(fs *flag.FlagSet) func(context.Context) error {
 	coordinator := fs.String("coordinator", "", "coordinator base URL, e.g. http://host:9090 (required)")
 	id := fs.String("id", "", "worker name for leases and telemetry attribution (default host-pid)")
 	poll := fs.Duration("poll", distrib.DefaultPoll, "lease poll cadence and retry backoff base")
-	publishEvery := fs.Int("publish-every", 16, "experiments between streamed shard checkpoints (bounds re-lease loss)")
 	fProgress.on(fs, c, "emit JSONL telemetry snapshots to stderr at this interval (0 = off)")
 	return c.profiled(fs, func(ctx context.Context) error {
 		if *coordinator == "" {
@@ -220,9 +219,6 @@ func work(fs *flag.FlagSet) func(context.Context) error {
 		}
 		if *poll <= 0 {
 			return usagef("-poll must be positive (got %v)", *poll)
-		}
-		if *publishEvery < 0 {
-			return usagef("-publish-every must be non-negative (got %d)", *publishEvery)
 		}
 		if *id == "" {
 			host, _ := os.Hostname()
@@ -235,11 +231,10 @@ func work(fs *flag.FlagSet) func(context.Context) error {
 		defer c.emitProgress(tel.Snapshot)()
 		fmt.Fprintf(os.Stderr, "fidelity: worker %s polling %s\n", *id, *coordinator)
 		return distrib.Work(ctx, distrib.WorkerOptions{
-			BaseURL:      *coordinator,
-			ID:           *id,
-			Poll:         *poll,
-			Telemetry:    tel,
-			PublishEvery: *publishEvery,
+			BaseURL:   *coordinator,
+			ID:        *id,
+			Poll:      *poll,
+			Telemetry: tel,
 		})
 	})
 }

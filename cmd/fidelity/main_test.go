@@ -166,7 +166,6 @@ func TestServeDrainTimeoutValidated(t *testing.T) {
 func TestWorkFlagsValidated(t *testing.T) {
 	wantUsage(t, "-coordinator is required", "work")
 	wantUsage(t, "-poll must be positive", "work", "-coordinator", "http://127.0.0.1:1", "-poll", "0s")
-	wantUsage(t, "-publish-every must be non-negative", "work", "-coordinator", "http://127.0.0.1:1", "-publish-every", "-1")
 }
 
 func TestUnknownSubcommandExitsTwo(t *testing.T) {
@@ -236,7 +235,7 @@ func TestFlagSurface(t *testing.T) {
 			"failure-budget": "0", "inputs": "4", "lease-ttl": "30s", "manifest": "", "net": "mobilenet",
 			"perlayer": "false", "precision": "fp16", "progress": "0s", "result": "", "samples": "400",
 			"seed": "1", "shards": "0", "state": "", "target-ci": "0", "tolerance": "0.1"},
-		"work": {"coordinator": "", "id": "", "poll": "500ms", "progress": "0s", "publish-every": "16"},
+		"work": {"coordinator": "", "id": "", "poll": "500ms", "progress": "0s"},
 	}
 	for _, sub := range []string{"sensitivity", "harden", "study", "validate", "serve", "work"} {
 		for _, f := range []string{"cpuprofile", "memprofile", "trace"} {

@@ -346,7 +346,7 @@ func naiveCmp(r *runner) error {
 		factor := fmt.Sprintf("%.1fx", baseline.Underestimate(st.FIT.Total, nb))
 		if nb.FIT == 0 {
 			// Zero observed naive failures: report the Wilson-bounded floor.
-			factor = fmt.Sprintf(">%.0fx", baseline.UnderestimateBound(r.cfg, st.FIT.Total, nb, 0))
+			factor = fmt.Sprintf(">%.0fx", baseline.UnderestimateBound(r.cfg, st.FIT.Total, nb))
 		}
 		t.Addf("%s|%.3f|%.3f|%s", net, nb.FIT, st.FIT.Total, factor)
 	}

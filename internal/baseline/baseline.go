@@ -27,8 +27,6 @@ type Options struct {
 	Inputs    int
 	Tolerance float64
 	Seed      int64
-	// RawFITPerMB defaults to the paper's 600/MB.
-	RawFITPerMB float64
 }
 
 // Result is the naive technique's estimate.
@@ -50,9 +48,6 @@ func Run(cfg *accel.Config, w *model.Workload, opts Options) (*Result, error) {
 	}
 	if opts.Samples <= 0 || opts.Inputs <= 0 {
 		return nil, fmt.Errorf("baseline: Samples and Inputs must be positive")
-	}
-	if opts.RawFITPerMB == 0 {
-		opts.RawFITPerMB = fit.RawFFFITPerMB
 	}
 	rng := rand.New(faultmodel.NewStreamSource(opts.Seed))
 	res := &Result{}
@@ -101,7 +96,7 @@ func Run(cfg *accel.Config, w *model.Workload, opts Options) (*Result, error) {
 			res.Experiments++
 		}
 	}
-	raw := fit.RawFITPerFF(opts.RawFITPerMB)
+	raw := fit.RawFITPerFF(fit.RawFFFITPerMB)
 	res.FIT = raw * float64(cfg.NumFFs) * (1 - res.Masked.Mean())
 	return res, nil
 }
@@ -120,12 +115,9 @@ func Underestimate(fidelityFIT float64, naive *Result) float64 {
 // point-estimate FIT is 0 and the plain ratio diverges, so the bound uses
 // the Wilson 95% lower limit of the masking probability (i.e. the largest
 // failure rate consistent with the sample) to cap the naive FIT from above.
-func UnderestimateBound(cfg *accel.Config, fidelityFIT float64, naive *Result, rawPerMB float64) float64 {
-	if rawPerMB == 0 {
-		rawPerMB = fit.RawFFFITPerMB
-	}
+func UnderestimateBound(cfg *accel.Config, fidelityFIT float64, naive *Result) float64 {
 	lo, _ := naive.Masked.Wilson(1.96)
-	upper := fit.RawFITPerFF(rawPerMB) * float64(cfg.NumFFs) * (1 - lo)
+	upper := fit.RawFITPerFF(fit.RawFFFITPerMB) * float64(cfg.NumFFs) * (1 - lo)
 	if upper <= 0 {
 		return 0
 	}

@@ -58,13 +58,6 @@ type AdaptiveShardState struct {
 	Final bool `json:"final,omitempty"`
 }
 
-func (a *AdaptiveShardState) clone() *AdaptiveShardState {
-	if a == nil {
-		return nil
-	}
-	return &AdaptiveShardState{Round: a.Round, History: CloneHistory(a.History), Final: a.Final}
-}
-
 // CloneHistory deep-copies a per-round allocation history, preserving nil.
 func CloneHistory(h [][]int) [][]int {
 	if h == nil {
@@ -126,8 +119,7 @@ func StrataTallies(strata []Stratum, shards []ShardCheckpoint) []Proportion {
 			} else if st.Exec < len(sc.PerLayer) && sc.PerLayer[st.Exec] != nil {
 				p = sc.PerLayer[st.Exec][id]
 			}
-			out[si].Successes += p.Successes
-			out[si].Trials += p.Trials
+			out[si].merge(p)
 		}
 	}
 	return out
@@ -276,9 +268,9 @@ func adaptiveParked(sc ShardCheckpoint) bool {
 }
 
 // FinalizeAdaptiveShard mutates a parked shard checkpoint into the canonical
-// completed form — the exact bytes the shard itself would publish had it
-// known the campaign was converged. The Schedule's barrier applies it to
-// every parked shard once the campaign converges.
+// completed form — the exact bytes the shard itself returns when it replays a
+// converged history. The Schedule's barrier applies it to every parked shard
+// once the campaign converges.
 func FinalizeAdaptiveShard(sc *ShardCheckpoint, inputs int) {
 	sc.Done = true
 	sc.Cursor = Cursor{Input: inputs}
@@ -314,7 +306,7 @@ func encExec(st Stratum) int {
 	return st.Exec
 }
 
-// stratumForCursor inverts encExec: the index of the stratum a published
+// stratumForCursor inverts encExec: the index of the stratum a checkpoint
 // cursor points into, or -1.
 func stratumForCursor(strata []Stratum, cur Cursor) int {
 	for si, st := range strata {
@@ -323,15 +315,6 @@ func stratumForCursor(strata []Stratum, cur Cursor) int {
 		}
 	}
 	return -1
-}
-
-// markAdaptiveDone completes a shard replaying a Final history in the
-// canonical done form — the bytes FinalizeAdaptiveShard writes at the
-// converged barrier.
-func (sh *shardState) markAdaptiveDone() {
-	sh.done = true
-	sh.cursor = Cursor{Input: sh.opts.Inputs}
-	sh.publish(sh.cursor)
 }
 
 // runAdaptive executes the shard's slice of every recorded adaptive round
@@ -346,10 +329,10 @@ func (sh *shardState) runAdaptive(ctx context.Context) error {
 	opts := sh.opts
 	shards := opts.shards()
 	ids := faultmodel.AllIDs()
-	if sh.adaptive == nil {
-		sh.adaptive = &AdaptiveShardState{}
+	if sh.st.Adaptive == nil {
+		sh.st.Adaptive = &AdaptiveShardState{}
 	}
-	a := sh.adaptive
+	a := sh.st.Adaptive
 
 	nexec := 0
 	activeInput := -1
@@ -361,8 +344,8 @@ func (sh *shardState) runAdaptive(ctx context.Context) error {
 		}
 		activeInput = 0
 		nexec = sh.inj.Executions()
-		if sh.perLayer == nil {
-			sh.perLayer = newLayerTallies(nexec)
+		if sh.st.PerLayer == nil {
+			sh.st.PerLayer = cloneLayers(make([]map[faultmodel.ID]Proportion, nexec))
 		}
 	}
 	strata := StrataFor(opts.PerLayer, nexec)
@@ -379,10 +362,10 @@ func (sh *shardState) runAdaptive(ctx context.Context) error {
 
 	for a.Round < len(a.History) {
 		alloc := a.History[a.Round]
-		// The in-round resume position: published cursors name the next
+		// The in-round resume position: checkpoint cursors name the next
 		// experiment in (stratum, input, sample) order, and the zero cursor
 		// (a fresh round) precedes everything.
-		pos := sh.cursor
+		pos := sh.st.Cursor
 		posSi := stratumForCursor(strata, pos)
 		if posSi < 0 {
 			return fmt.Errorf("campaign: shard %d cursor %+v names no stratum of round %d", sh.index, pos, a.Round)
@@ -423,19 +406,16 @@ func (sh *shardState) runAdaptive(ctx context.Context) error {
 			}
 		}
 		a.Round++
-		sh.cursor = Cursor{}
-		sh.publish(sh.cursor)
+		sh.st.Cursor = Cursor{}
 	}
-	if !a.Final {
-		// Parked at the round barrier: the planner either appends the next
-		// round's allocation or finalizes the shard. Publish the parked state
-		// explicitly — a shard leased before any round is planned (empty
-		// history) skips the round loop entirely, and its final report must
-		// still carry the parked form, not a never-published zero checkpoint.
-		sh.publish(sh.cursor)
-		return nil
+	if a.Final {
+		// Replaying a converged history ends in the canonical done form: the
+		// bytes the converged barrier writes.
+		FinalizeAdaptiveShard(&sh.st, opts.Inputs)
 	}
-	sh.markAdaptiveDone()
+	// Otherwise parked at the round barrier, which a shard leased before any
+	// round is planned (empty history) reaches at once: the planner either
+	// appends the next round's allocation or finalizes the shard.
 	return nil
 }
 

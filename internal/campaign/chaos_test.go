@@ -149,6 +149,76 @@ func TestChaosWatchdogNeverLendsZombie(t *testing.T) {
 	requireSameJSON(t, "leases through a hang vs clean-minus-quarantined", want, res)
 }
 
+// TestChaosPeriodicSave covers the periodic checkpoint save. At an interval
+// of a nanosecond the running shards stream their checkpoints to the
+// dispatcher from the experiment boundaries of each window's commit phase,
+// and the dispatcher saves whenever it is idle. Shard 0's first experiment of
+// fault model 1 waits until two saves have begun since it was reached: the
+// first of them was written while the shard ran, holding its last streamed
+// checkpoint. A boundary streams before it commits the experiment at its
+// cursor, so that checkpoint is fault model 0's window short of at least its
+// last experiment. The save must hold the shard's progress within fault model
+// 0, and resuming from it must give the clean result byte for byte.
+func TestChaosPeriodicSave(t *testing.T) {
+	cfg, w := accel.NVDLASmall(), engineWorkload(t)
+	base := StudyOptions{Samples: 16, Inputs: 1, Tolerance: 0.1, Seed: 21, Shards: 2, Workers: 2}
+	clean, err := Study(context.Background(), cfg, w, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "periodic.json")
+	var armed atomic.Bool
+	saved := make(chan struct{})
+	saves := 0
+	var mid *Checkpoint
+	opts := base
+	opts.CheckpointPath, opts.CheckpointInterval = path, time.Nanosecond
+	opts.chaos = &chaosPolicy{
+		experiment: func(shard int, cur Cursor) {
+			if shard == 0 && cur == (Cursor{Model: 1}) {
+				armed.Store(true)
+				select {
+				case <-saved:
+				case <-time.After(time.Minute):
+					t.Error("no periodic save while shard 0 waited")
+				}
+			}
+		},
+		// Saves run on the dispatcher, which is Study's caller: this test's
+		// goroutine.
+		save: func(string) error {
+			if armed.Load() {
+				if saves++; saves == 2 {
+					cp, err := LoadCheckpoint(path)
+					if err != nil {
+						t.Error(err)
+					}
+					mid = cp
+					close(saved)
+				}
+			}
+			return nil
+		},
+	}
+	if _, err := Study(context.Background(), cfg, w, opts); err != nil {
+		t.Fatal(err)
+	}
+	if mid == nil {
+		t.Fatal("no periodic save was captured")
+	}
+	if sc := mid.Shard[0]; sc.Experiments == 0 || sc.Done || sc.Cursor.Input != 0 || sc.Cursor.Model != 0 {
+		t.Fatalf("the periodic save holds running shard 0 at %d experiments, cursor %+v (done=%v), want its progress within fault model 0", sc.Experiments, sc.Cursor, sc.Done)
+	}
+	resume := base
+	resume.Resume = mid
+	res, err := Study(context.Background(), cfg, w, resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameJSON(t, "resume from a periodic save", marshal(t, clean), res)
+}
+
 // res1Recovery fetches the telemetry recovery snapshot, failing if absent.
 func res1Recovery(t *testing.T, tel *telemetry.Collector) *telemetry.RecoverySnapshot {
 	t.Helper()

@@ -180,8 +180,8 @@ func (c *Checkpoint) Matches(cfg *accel.Config, w *model.Workload, opts StudyOpt
 }
 
 // NewShardCheckpoint returns the canonical empty state of one logical shard:
-// the checkpoint a shard publishes before running its first experiment, with
-// every fault model's tally present and zero.
+// the checkpoint a shard with nothing to resume starts from, with every fault
+// model's tally present and zero.
 func NewShardCheckpoint(index int) ShardCheckpoint {
 	sc := ShardCheckpoint{
 		Index:  index,

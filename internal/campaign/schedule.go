@@ -109,8 +109,8 @@ func (s *Schedule) Progress(i int, sc ShardCheckpoint) { s.shards[i] = &sc }
 // run spent its failure budget) degrades it, a Done checkpoint completes it, a
 // parked one waits at the round barrier, and anything else — a run handed back
 // unfinished — returns it to the pending pool. If that parks the last
-// non-terminal shard the barrier runs; Report returns the shards it rewrote.
-func (s *Schedule) Report(i int, sc ShardCheckpoint, exhausted bool) (rewritten []int) {
+// non-terminal shard the barrier runs.
+func (s *Schedule) Report(i int, sc ShardCheckpoint, exhausted bool) {
 	s.shards[i] = &sc
 	switch {
 	case exhausted:
@@ -122,7 +122,7 @@ func (s *Schedule) Report(i int, sc ShardCheckpoint, exhausted bool) (rewritten 
 	default:
 		s.status[i] = ShardPending
 	}
-	return s.barrier()
+	s.barrier()
 }
 
 // barrier is the adaptive campaign's round barrier. It runs when no shard is
@@ -134,10 +134,10 @@ func (s *Schedule) Report(i int, sc ShardCheckpoint, exhausted bool) (rewritten 
 // merge and are never written. A rewritten checkpoint is a fresh value with a
 // fresh Adaptive, so whoever still holds the old one sees it unchanged. All
 // planning floats are evaluated here and nowhere else.
-func (s *Schedule) barrier() (rewritten []int) {
+func (s *Schedule) barrier() {
 	if s.targetCI <= 0 || !slices.Contains(s.status, ShardParked) ||
 		slices.Contains(s.status, ShardPending) || slices.Contains(s.status, ShardRunning) {
-		return nil
+		return
 	}
 	all := s.Checkpoints()
 	history := AdaptiveHistory(all)
@@ -165,9 +165,7 @@ func (s *Schedule) barrier() (rewritten []int) {
 			s.status[i] = ShardPending
 		}
 		s.shards[i] = &sc
-		rewritten = append(rewritten, i)
 	}
-	return rewritten
 }
 
 // Status returns shard i's status.

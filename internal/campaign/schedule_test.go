@@ -88,9 +88,9 @@ func TestSchedule(t *testing.T) {
 
 	// barrier checks the schedule after a barrier planned from before, in
 	// which the parked shards were rewritten and every other shard left as it
-	// was, and returns the rewritten indices. in holds the values the caller
-	// handed over: nothing may be written through them.
-	barrier := func(t *testing.T, s *Schedule, target float64, in, before []ShardCheckpoint, parked []bool) []int {
+	// was. in holds the values the caller handed over: nothing may be written
+	// through them.
+	barrier := func(t *testing.T, s *Schedule, target float64, in, before []ShardCheckpoint, parked []bool) {
 		t.Helper()
 		history := AdaptiveHistory(before)
 		tallies := StrataTallies(strata, before)
@@ -103,7 +103,6 @@ func TestSchedule(t *testing.T) {
 				t.Errorf("shard %d: the schedule wrote through the caller's checkpoint", i)
 			}
 		}
-		var rewritten []int
 		for i := range before {
 			got := blob(*s.Checkpoint(i))
 			if !parked[i] {
@@ -112,12 +111,11 @@ func TestSchedule(t *testing.T) {
 				}
 				continue
 			}
-			rewritten = append(rewritten, i)
 			if converged {
-				// The canonical done form: what the shard itself publishes
+				// The canonical done form: what the shard itself returns
 				// when it replays the campaign's Final history from nothing.
 				if want := blob(run(*AdaptiveAuditResume(i, history))); s.Status(i) != ShardDone || !bytes.Equal(got, want) {
-					t.Errorf("shard %d finalised to %v\n%s\nits own Final replay publishes\n%s", i, s.Status(i), got, want)
+					t.Errorf("shard %d finalised to %v\n%s\nits own Final replay returns\n%s", i, s.Status(i), got, want)
 				}
 				continue
 			}
@@ -127,7 +125,6 @@ func TestSchedule(t *testing.T) {
 				t.Errorf("shard %d extended to %v\n%s\nwant pending, its parked state plus PlanRound's row\n%s", i, s.Status(i), got, blob(want))
 			}
 		}
-		return rewritten
 	}
 	all := []bool{true, true, true}
 
@@ -177,8 +174,9 @@ func TestSchedule(t *testing.T) {
 				exhausted bool
 				want      ShardStatus
 			}{{done, false, ShardDone}, {in[1], true, ShardDegraded}, {handBack, false, ShardPending}} {
-				if rw := s.Report(i, r.sc, r.exhausted); rw != nil || s.Status(i) != r.want {
-					t.Fatalf("shard %d reported: %v (rewrote %v), want %v", i, s.Status(i), rw, r.want)
+				s.Report(i, r.sc, r.exhausted)
+				if s.Status(i) != r.want || !bytes.Equal(blob(*s.Checkpoint(i)), blob(r.sc)) {
+					t.Fatalf("shard %d reported: %v %s, want %v with the reported checkpoint", i, s.Status(i), blob(*s.Checkpoint(i)), r.want)
 				}
 			}
 			if s.Strata() != nil {
@@ -187,11 +185,8 @@ func TestSchedule(t *testing.T) {
 			if i, _ := s.Grant(); i != 2 {
 				t.Fatalf("re-grant = %d, want the handed-back shard", i)
 			}
-			rw := s.Report(2, in[2], false)
-			before := []ShardCheckpoint{done, in[1], in[2]}
-			if want := barrier(t, s, tight, nil, before, []bool{false, false, true}); !slices.Equal(rw, want) {
-				t.Errorf("Report rewrote %v, want %v", rw, want)
-			}
+			s.Report(2, in[2], false)
+			barrier(t, s, tight, nil, []ShardCheckpoint{done, in[1], in[2]}, []bool{false, false, true})
 			if want := []ShardStatus{ShardDone, ShardDegraded, ShardPending}; !slices.Equal(statuses(s), want) || s.Finished() {
 				t.Errorf("statuses %v, want %v", statuses(s), want)
 			}
@@ -199,14 +194,14 @@ func TestSchedule(t *testing.T) {
 		{"empty campaign plans round 0", func(t *testing.T) {
 			s := NewSchedule(strata, opts, nil, nil)
 			var before []ShardCheckpoint
-			var rw []int
 			for i := 0; i < shards; i++ {
 				s.Grant()
 				before = append(before, run(NewShardCheckpoint(i)))
-				rw = s.Report(i, before[i], false)
+				s.Report(i, before[i], false)
 			}
-			if want := barrier(t, s, tight, nil, before, all); !slices.Equal(rw, want) || s.Strata().Rounds != 0 {
-				t.Errorf("last park rewrote %v after %d rounds, want %v after 0", rw, s.Strata().Rounds, want)
+			barrier(t, s, tight, nil, before, all)
+			if n := s.Strata().Rounds; n != 0 {
+				t.Errorf("the last park planned after %d rounds, want 0", n)
 			}
 			if got := s.Checkpoint(0).Adaptive.History; !reflect.DeepEqual(got, [][]int{round0}) {
 				t.Errorf("planned history %v, want [round0]", got)

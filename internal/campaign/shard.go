@@ -30,23 +30,20 @@ import (
 type ShardRun struct {
 	// Index is the logical shard to execute, in [0, opts.shards()).
 	Index int
-	// Resume, when non-nil, is a previously published checkpoint of this
-	// shard; execution continues bit-identically from its cursor. The caller
-	// is responsible for campaign-identity matching (a coordinator checks the
-	// enclosing Checkpoint.Matches before handing shards out).
+	// Resume, when non-nil, is a checkpoint of this shard that an earlier run
+	// returned or streamed; execution continues bit-identically from its
+	// cursor, and Resume itself is never written. The caller is responsible
+	// for campaign-identity matching (a coordinator checks the enclosing
+	// Checkpoint.Matches before handing shards out).
 	Resume *ShardCheckpoint
-	// OnProgress, when non-nil, receives consistent point-in-time shard
-	// checkpoints every Interval while the shard runs. The terminal state is
-	// Run's return value, not a call. Calls are never concurrent with each
-	// other.
+	// OnProgress, when non-nil, receives a copy of the shard's checkpoint at
+	// the first experiment boundary after each Interval, on the goroutine
+	// running the shard: the shard waits while it runs, and a context it
+	// cancels stops the shard at the next boundary. The terminal state is
+	// Run's return value, not a call.
 	OnProgress func(ShardCheckpoint)
 	// Interval is the OnProgress streaming cadence (0 = never).
 	Interval time.Duration
-	// PublishEvery overrides the experiment cadence between published
-	// snapshots (0 = the engine default). Streamed checkpoints can be at
-	// most this many experiments stale; distributed workers lower it so a
-	// re-leased shard loses little work.
-	PublishEvery int
 }
 
 // ShardRunner is the campaign state every shard run in one process shares:
@@ -121,8 +118,9 @@ func RunShard(ctx context.Context, cfg *accel.Config, w *model.Workload, opts St
 }
 
 // Run executes one logical shard of the runner's campaign and returns its
-// final published checkpoint. It is the exported form of the per-shard run
-// loop Study drives on its worker pool, and obeys the same contract:
+// checkpoint as the run left it. It is the one way a shard executes: Study's
+// workers call it for each shard they are granted, a fleet worker for each
+// lease. The contract:
 //
 //   - nil error: the shard completed every experiment (checkpoint.Done).
 //   - ErrShardExhausted: the shard spent its failure budget and degraded;
@@ -144,32 +142,19 @@ func (r *ShardRunner) Run(ctx context.Context, run ShardRun) (ShardCheckpoint, e
 	if run.Resume != nil && run.Resume.Index != run.Index {
 		return ShardCheckpoint{}, fmt.Errorf("campaign: resume checkpoint is for shard %d, not %d", run.Resume.Index, run.Index)
 	}
-	sh := r.newState(run.Index)
-	if run.PublishEvery > 0 {
-		sh.publishEvery = run.PublishEvery
+	sh := r.newState(run)
+	if sh.st.Done {
+		return sh.st, nil
 	}
-	if run.Resume != nil {
-		sh.restore(*run.Resume)
-	}
-
-	var runErr error
-	if !sh.done {
-		every := run.Interval
-		if run.OnProgress == nil {
-			every = 0
-		}
-		stopStream := Every(every, func() { run.OnProgress(sh.snapshot()) })
-		runErr = sh.run(ctx)
-		stopStream()
-	}
-	return sh.snapshot(), runErr
+	err := sh.run(ctx)
+	return sh.st, err
 }
 
 // AssembleResult computes the StudyResult of a campaign from its terminal
 // per-shard checkpoints — one entry per logical shard, in index order, each
 // either completed (Done) or degraded by an exhausted failure budget (not
 // Done; the result is flagged Partial). It is the same assembly an
-// in-process Study performs on its own shards' final snapshots, so a
+// in-process Study performs on its schedule's terminal checkpoints, so a
 // coordinator that collected checkpoints from remote workers produces a
 // byte-identical StudyResult.
 func AssembleResult(cfg *accel.Config, w *model.Workload, opts StudyOptions, shards []ShardCheckpoint) (*StudyResult, error) {
@@ -195,9 +180,6 @@ func AssembleResult(cfg *accel.Config, w *model.Workload, opts StudyOptions, sha
 // number is a pure function of the tallies.
 func assembleResult(cfg *accel.Config, w *model.Workload, opts StudyOptions, shards []ShardCheckpoint,
 	execs []nn.SiteExecution, models []faultmodel.Model) (*StudyResult, error) {
-	if opts.RawFITPerMB == 0 {
-		opts.RawFITPerMB = fit.RawFFFITPerMB
-	}
 	if n := opts.shards(); len(shards) != n {
 		return nil, fmt.Errorf("campaign: assembling %d shard checkpoints, campaign has %d shards", len(shards), n)
 	}
@@ -222,22 +204,18 @@ func assembleResult(cfg *accel.Config, w *model.Workload, opts StudyOptions, sha
 			res.Partial = true
 		}
 		for id, p := range sc.Masked {
-			res.Masked[id].Successes += p.Successes
-			res.Masked[id].Trials += p.Trials
+			res.Masked[id].merge(p)
 		}
 		for e, m := range sc.PerLayer {
 			if perLayer == nil || e >= len(perLayer) {
 				return nil, fmt.Errorf("campaign: shard %d carries per-layer tallies the campaign options do not", i)
 			}
 			for id, p := range m {
-				perLayer[e][id].Successes += p.Successes
-				perLayer[e][id].Trials += p.Trials
+				perLayer[e][id].merge(p)
 			}
 		}
-		res.Perturb.SmallFail.Successes += sc.Perturb.SmallFail.Successes
-		res.Perturb.SmallFail.Trials += sc.Perturb.SmallFail.Trials
-		res.Perturb.LargeFail.Successes += sc.Perturb.LargeFail.Successes
-		res.Perturb.LargeFail.Trials += sc.Perturb.LargeFail.Trials
+		res.Perturb.SmallFail.merge(sc.Perturb.SmallFail)
+		res.Perturb.LargeFail.merge(sc.Perturb.LargeFail)
 		res.Experiments += sc.Experiments
 		res.Quarantined = append(res.Quarantined, sc.Quarantine...)
 	}
@@ -285,7 +263,7 @@ func assembleResult(cfg *accel.Config, w *model.Workload, opts StudyOptions, sha
 		}
 		layers = append(layers, ls)
 	}
-	raw := fit.RawFITPerFF(opts.RawFITPerMB)
+	raw := fit.RawFITPerFF(fit.RawFFFITPerMB)
 	res.Layers = layers
 	res.RawPerFF = raw
 	res.FIT, err = fit.Compute(cfg, raw, layers)

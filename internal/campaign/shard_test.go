@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -73,6 +74,47 @@ func TestShardRunnerTracesGoldenOncePerInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameJSON(t, "shards run through one ShardRunner, assembled", want, res)
+}
+
+// TestShardCheckpointClone: a run tallies into a clone of its Resume and
+// streams clones of its state while it keeps running, so a clone shares
+// nothing with its source — no tally or per-layer map, quarantine array or
+// round state — and holds every fault model's tally, zero where the source
+// has none.
+func TestShardCheckpointClone(t *testing.T) {
+	ids := faultmodel.AllIDs()
+	src := NewShardCheckpoint(1)
+	src.Masked[ids[2]] = Proportion{Successes: 3, Trials: 5}
+	src.PerLayer = []map[faultmodel.ID]Proportion{nil, {ids[1]: {Successes: 1, Trials: 2}}}
+	src.Quarantine = append(make([]QuarantinedExperiment, 0, 2), QuarantinedExperiment{Shard: 1, Reason: ReasonPanic})
+	src.Adaptive = &AdaptiveShardState{Round: 1, History: [][]int{{3, 4}}}
+	before := marshal(t, src)
+
+	c := src.clone()
+	for e, m := range append([]map[faultmodel.ID]Proportion{c.Masked}, c.PerLayer...) {
+		want := src.Masked
+		if e > 0 {
+			want = src.PerLayer[e-1]
+		}
+		for _, id := range ids {
+			if p, ok := m[id]; !ok || p != want[id] {
+				t.Errorf("tally map %d: %v = %+v (present %v), want %+v", e, id, p, ok, want[id])
+			}
+		}
+	}
+	for _, m := range append([]map[faultmodel.ID]Proportion{c.Masked}, c.PerLayer...) {
+		for _, id := range ids {
+			tally(m, id, true)
+		}
+	}
+	c.Quarantine[0].Detail = "written through the clone"
+	c.Quarantine = append(c.Quarantine, QuarantinedExperiment{Shard: 1, Reason: ReasonTimeout})
+	c.Adaptive.Round++
+	c.Adaptive.History[0][0]++
+	c.Adaptive.Final = true
+	if got := marshal(t, src); !bytes.Equal(got, before) {
+		t.Errorf("writing the clone changed its source:\n got %s\nwant %s", got, before)
+	}
 }
 
 // TestEvery: the one periodic helper runs fn until stop, and stop returns

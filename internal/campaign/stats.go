@@ -23,6 +23,12 @@ func (p *Proportion) Add(success bool) {
 	}
 }
 
+// merge adds q's trials and successes to p: how shard tallies combine.
+func (p *Proportion) merge(q Proportion) {
+	p.Successes += q.Successes
+	p.Trials += q.Trials
+}
+
 // Mean returns the point estimate (0 for empty samples).
 func (p Proportion) Mean() float64 {
 	if p.Trials == 0 {

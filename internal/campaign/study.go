@@ -60,8 +60,6 @@ type StudyOptions struct {
 	Tolerance float64
 	// Seed drives all sampling.
 	Seed int64
-	// RawFITPerMB is the raw FF FIT rate; 0 selects the paper's 600/MB.
-	RawFITPerMB float64
 	// Workers runs the injection experiments on this many goroutines
 	// (0/1 = sequential). Workload networks are read-only during injection,
 	// so sharding is safe. The worker count affects only wall-clock time:
@@ -203,9 +201,10 @@ func (o StudyOptions) Validate() error {
 // Every calls fn on its own goroutine once per interval until the returned
 // stop is called; stop returns only after the goroutine has exited, so fn
 // never overlaps what the caller does next. A non-positive interval starts
-// nothing. Every periodic loop of a campaign process is this one: Study's
-// checkpoint saver, ShardRunner.Run's progress streamer, the CLI's JSONL
-// progress emitter.
+// nothing. The CLI's JSONL progress emitter and a fleet worker's lease
+// heartbeat run on it. ShardRunner.Run starts none: it streams progress from
+// the shard's experiment boundaries, and Study's dispatcher saves checkpoints
+// from the loop that owns the schedule.
 func Every(interval time.Duration, fn func()) (stop func()) {
 	if interval <= 0 {
 		return func() {}
@@ -311,63 +310,104 @@ func specsFromTrace(w *model.Workload, execs []nn.SiteExecution) ([]accel.LayerS
 	return specs, nil
 }
 
-// shardState is the runtime state of one logical shard. The running worker
-// owns the tally fields exclusively; concurrent observers (the periodic
-// checkpoint saver) read only the published snapshot under mu.
+// shardState is one run of one logical shard, owned by the goroutine that
+// runs it. st is the shard's checkpoint as of its latest experiment boundary —
+// the tallies, cursor, round state and quarantine list the loop updates in
+// place — and is what Run returns and clones for OnProgress.
 type shardState struct {
 	index int
 	seed  int64
 
-	// Campaign bindings, set once before the workers start.
+	// Campaign bindings, set once before the run starts.
 	runner *ShardRunner
 	opts   StudyOptions
 
-	// Owned by the worker executing the shard. inj is the replay executor
-	// (injector, sampler, arena, replay context) borrowed from the runner for
-	// one run and given back when it returns; nil between runs. A watchdog
-	// kill abandons it to the wedged experiment goroutine instead, so it is
-	// never lent again.
+	// inj is the replay executor (injector, sampler, arena, replay context)
+	// borrowed from the runner for the run and given back when it returns. A
+	// watchdog kill abandons it to the wedged experiment goroutine instead, so
+	// it is never lent again, and the run borrows another.
 	inj      *inject.Injector
 	inputIdx int
 
-	masked       map[faultmodel.ID]*Proportion
-	perLayer     []map[faultmodel.ID]*Proportion
-	perturb      PerturbationStats
-	experiments  int
-	cursor       Cursor
-	adaptive     *AdaptiveShardState // round state; nil in fixed-count campaigns
-	quarantine   []QuarantinedExperiment
-	quarantined  map[Cursor]bool
-	failures     int // quarantines charged to this run's failure budget
-	sincePublish int
-	publishEvery int // experiment cadence between published snapshots
-	done         bool
-	window       []windowEntry  // runWindow's entries, kept across windows
-	order        []*windowEntry // and their execution order
+	st          ShardCheckpoint
+	quarantined map[Cursor]bool
+	failures    int            // quarantines charged to this run's failure budget
+	window      []windowEntry  // runWindow's entries, kept across windows
+	order       []*windowEntry // and their execution order
 
-	mu        sync.Mutex
-	published ShardCheckpoint
+	// progress receives a clone of st at the first experiment boundary at or
+	// after due, which then moves interval on; nil streams nothing.
+	progress func(ShardCheckpoint)
+	interval time.Duration
+	due      time.Time
 }
 
 // ErrShardExhausted aborts a shard's run after its failure budget is spent:
-// the shard's published checkpoint stays consistent and resumable, and a
-// study containing such a shard degrades to a partial result instead of
-// failing. RunShard surfaces it so distributed workers can report a degraded
-// (rather than completed or failed) shard to their coordinator.
+// the shard's checkpoint stays consistent and resumable, and a study
+// containing such a shard degrades to a partial result instead of failing.
+// RunShard surfaces it so distributed workers can report a degraded (rather
+// than completed or failed) shard to their coordinator.
 var ErrShardExhausted = errors.New("campaign: shard failure budget exhausted")
 
-// newState returns the initial state of logical shard index.
-func (r *ShardRunner) newState(index int) *shardState {
+// newState returns the state run starts from: its Resume checkpoint, cloned so
+// the caller's copy is never written, or the shard's canonical empty state.
+func (r *ShardRunner) newState(run ShardRun) *shardState {
 	sh := &shardState{
-		index:        index,
-		seed:         shardSeed(r.opts.Seed, index),
-		runner:       r,
-		opts:         r.opts,
-		masked:       newTallies(),
-		publishEvery: defaultPublishEvery,
+		index:  run.Index,
+		seed:   shardSeed(r.opts.Seed, run.Index),
+		runner: r,
+		opts:   r.opts,
+		st:     NewShardCheckpoint(run.Index),
 	}
-	sh.publish(Cursor{})
+	if run.Resume != nil {
+		sh.st = run.Resume.clone()
+	}
+	sh.quarantined = make(map[Cursor]bool, len(sh.st.Quarantine))
+	for _, q := range sh.st.Quarantine {
+		sh.quarantined[q.Cursor] = true
+	}
+	if run.OnProgress != nil && run.Interval > 0 {
+		//lint:allow wallclock liveness: when progress is next streamed, never what a shard computes
+		sh.progress, sh.interval, sh.due = run.OnProgress, run.Interval, time.Now().Add(run.Interval)
+	}
 	return sh
+}
+
+// clone returns a deep copy of sc whose tally maps hold every fault model —
+// zero where sc has none — so the copy shares nothing with sc and a run can
+// tally into it directly.
+func (sc ShardCheckpoint) clone() ShardCheckpoint {
+	c := sc
+	c.Masked = cloneTallies(sc.Masked)
+	c.PerLayer = cloneLayers(sc.PerLayer)
+	c.Quarantine = slices.Clone(sc.Quarantine)
+	if a := sc.Adaptive; a != nil {
+		c.Adaptive = &AdaptiveShardState{Round: a.Round, History: CloneHistory(a.History), Final: a.Final}
+	}
+	return c
+}
+
+// cloneTallies returns a tally map holding every fault model, copied from m.
+func cloneTallies(m map[faultmodel.ID]Proportion) map[faultmodel.ID]Proportion {
+	ids := faultmodel.AllIDs()
+	out := make(map[faultmodel.ID]Proportion, len(ids))
+	for _, id := range ids {
+		out[id] = m[id]
+	}
+	return out
+}
+
+// cloneLayers applies cloneTallies to every layer execution's map,
+// preserving nil.
+func cloneLayers(layers []map[faultmodel.ID]Proportion) []map[faultmodel.ID]Proportion {
+	if layers == nil {
+		return nil
+	}
+	out := make([]map[faultmodel.ID]Proportion, len(layers))
+	for e, m := range layers {
+		out[e] = cloneTallies(m)
+	}
+	return out
 }
 
 // newTallies returns a tally map with every fault model present and zero.
@@ -388,109 +428,45 @@ func newLayerTallies(nexec int) []map[faultmodel.ID]*Proportion {
 	return out
 }
 
-// restore loads a shard checkpoint into the live state.
-func (sh *shardState) restore(sc ShardCheckpoint) {
-	sh.cursor = sc.Cursor
-	sh.done = sc.Done
-	sh.experiments = sc.Experiments
-	sh.perturb = sc.Perturb
-	for id, p := range sc.Masked {
-		cp := p
-		sh.masked[id] = &cp
-	}
-	if sc.PerLayer != nil {
-		sh.perLayer = newLayerTallies(len(sc.PerLayer))
-		for e, m := range sc.PerLayer {
-			for id, p := range sh.perLayer[e] {
-				*p = m[id]
-			}
-		}
-	}
-	sh.adaptive = sc.Adaptive.clone()
-	sh.quarantine = append([]QuarantinedExperiment(nil), sc.Quarantine...)
-	if len(sh.quarantine) > 0 {
-		sh.quarantined = make(map[Cursor]bool, len(sh.quarantine))
-		for _, q := range sh.quarantine {
-			sh.quarantined[q.Cursor] = true
-		}
-	}
-	sh.publish(sh.cursor)
-}
-
-// publish snapshots the live state as a consistent ShardCheckpoint whose
-// cursor names the next experiment to run. Called by the owning worker at
-// experiment boundaries only, so tallies, quarantine and cursor always
-// agree.
-func (sh *shardState) publish(cur Cursor) {
-	sc := ShardCheckpoint{
-		Index:       sh.index,
-		Done:        sh.done,
-		Cursor:      cur,
-		Experiments: sh.experiments,
-		Perturb:     sh.perturb,
-		Masked:      make(map[faultmodel.ID]Proportion, len(sh.masked)),
-		Quarantine:  append([]QuarantinedExperiment(nil), sh.quarantine...),
-		Adaptive:    sh.adaptive.clone(),
-	}
-	for id, p := range sh.masked {
-		sc.Masked[id] = *p
-	}
-	if sh.perLayer != nil {
-		sc.PerLayer = make([]map[faultmodel.ID]Proportion, len(sh.perLayer))
-		for e, m := range sh.perLayer {
-			sc.PerLayer[e] = make(map[faultmodel.ID]Proportion, len(m))
-			for id, p := range m {
-				sc.PerLayer[e][id] = *p
-			}
-		}
-	}
-	sh.mu.Lock()
-	sh.published = sc
-	sh.mu.Unlock()
-}
-
-// snapshot returns the last published consistent state.
-func (sh *shardState) snapshot() ShardCheckpoint {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.published
-}
-
-// defaultPublishEvery is the experiment cadence at which a running shard
-// refreshes its published snapshot for the periodic checkpoint saver.
-// ShardRun.PublishEvery overrides it for distributed workers that stream
-// finer-grained checkpoints to their coordinator.
-const defaultPublishEvery = 64
-
-// boundary pauses at an experiment boundary: ctx is checked and the
-// published snapshot refreshed before the cursor's experiment runs.
+// boundary pauses at an experiment boundary: the cursor's experiment is the
+// next to run, ctx is checked, and progress is streamed when it is due.
 func (sh *shardState) boundary(ctx context.Context, cur Cursor) error {
+	sh.st.Cursor = cur
 	if err := ctx.Err(); err != nil {
-		sh.cursor = cur
-		sh.publish(cur)
 		return err
 	}
-	if sh.sincePublish++; sh.sincePublish >= sh.publishEvery {
-		sh.sincePublish = 0
-		sh.publish(cur)
+	if sh.progress != nil {
+		//lint:allow wallclock liveness: when progress is next streamed, never what a shard computes
+		if now := time.Now(); !now.Before(sh.due) {
+			sh.due = now.Add(sh.interval)
+			sh.progress(sh.st.clone())
+		}
 	}
 	return nil
 }
 
+// tally adds one trial to id's proportion in m.
+func tally(m map[faultmodel.ID]Proportion, id faultmodel.ID, success bool) {
+	p := m[id]
+	p.Add(success)
+	m[id] = p
+}
+
 // record tallies one completed experiment.
 func (sh *shardState) record(layer int, id faultmodel.ID, r inject.Result) {
-	sh.experiments++
+	st := &sh.st
+	st.Experiments++
 	masked := r.Outcome == inject.Masked
-	sh.masked[id].Add(masked)
-	if layer >= 0 && sh.perLayer != nil {
-		sh.perLayer[layer][id].Add(masked)
+	tally(st.Masked, id, masked)
+	if layer >= 0 && st.PerLayer != nil {
+		tally(st.PerLayer[layer], id, masked)
 	}
 	if r.FaultyNeurons == 1 {
 		failed := !masked
 		if r.MaxPerturbation <= 100 {
-			sh.perturb.SmallFail.Add(failed)
+			st.Perturb.SmallFail.Add(failed)
 		} else {
-			sh.perturb.LargeFail.Add(failed)
+			st.Perturb.LargeFail.Add(failed)
 		}
 	}
 	if tel := sh.opts.Telemetry; tel != nil {
@@ -543,13 +519,10 @@ func (sh *shardState) ensureInjector() error {
 // quarantineExperiment removes the experiment at cur from the campaign after
 // a framework failure, recording it for the checkpoint and telemetry.
 func (sh *shardState) quarantineExperiment(cur Cursor, id faultmodel.ID, ff *frameworkFault) {
-	sh.quarantine = append(sh.quarantine, QuarantinedExperiment{
+	sh.st.Quarantine = append(sh.st.Quarantine, QuarantinedExperiment{
 		Shard: sh.index, Cursor: cur, Model: id.String(),
 		Reason: ff.reason, Detail: ff.detail,
 	})
-	if sh.quarantined == nil {
-		sh.quarantined = map[Cursor]bool{}
-	}
 	sh.quarantined[cur] = true
 	sh.failures++
 	if tel := sh.opts.Telemetry; tel != nil {
@@ -650,24 +623,21 @@ type windowEntry struct {
 // forward pass and never draw a target, so they have nothing to group.
 //
 // Shard state mutates only in the commit phase, in cursor order — so tallies,
-// quarantine lists, failure-budget accounting and published checkpoints
-// evolve exactly as n one-experiment windows would, and a cancellation
-// mid-execution discards the partial window and publishes the window-start
-// boundary. On success *cur advances past the window.
+// quarantine lists, failure-budget accounting and streamed checkpoints evolve
+// exactly as n one-experiment windows would, and an error mid-execution
+// discards the partial window and leaves the shard at the window-start
+// boundary. On success *cur, and the shard's cursor, advance past the window.
 func (sh *shardState) runWindow(ctx context.Context, cur *Cursor, id faultmodel.ID, execIdx, n, stride int) error {
 	start := *cur
 	abort := func(err error) error {
-		if isCancellation(err) {
-			sh.cursor = start
-			sh.publish(start)
-		}
+		sh.st.Cursor = start
 		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return abort(err)
 	}
 	if err := sh.ensureInjector(); err != nil {
-		return err
+		return abort(err)
 	}
 
 	if cap(sh.window) < n {
@@ -719,7 +689,7 @@ func (sh *shardState) runWindow(ctx context.Context, cur *Cursor, id faultmodel.
 		tel.RecordBatch(groups, len(order))
 	}
 
-	// Commit phase, cursor order, including the publish cadence and the
+	// Commit phase, cursor order, including progress streaming and the
 	// failure-budget stop point (results past an exhausting cursor are
 	// discarded, exactly as a one-at-a-time shard would never have run them).
 	for i := range entries {
@@ -739,8 +709,6 @@ func (sh *shardState) runWindow(ctx context.Context, cur *Cursor, id faultmodel.
 		}
 		sh.quarantineExperiment(e.cur, id, e.fault)
 		if b := sh.opts.failureBudget(); b >= 0 && sh.failures > b {
-			sh.cursor = e.cur
-			sh.publish(e.cur)
 			if tel := sh.opts.Telemetry; tel != nil {
 				tel.SetShardBudget(sh.index, sh.failures, b, true)
 			}
@@ -748,6 +716,7 @@ func (sh *shardState) runWindow(ctx context.Context, cur *Cursor, id faultmodel.
 		}
 	}
 	cur.Sample += n * stride
+	sh.st.Cursor = *cur
 	return nil
 }
 
@@ -764,7 +733,7 @@ func (sh *shardState) runSamples(ctx context.Context, cur *Cursor, id faultmodel
 }
 
 // run executes the shard's slice of the experiment space from its cursor.
-// On context cancellation it publishes a consistent snapshot and returns the
+// On context cancellation it stops at an experiment boundary and returns the
 // context's error; ErrShardExhausted degrades the shard; any other error is
 // a campaign failure. Adaptive campaigns may also return nil with the shard
 // not done: parked at a round barrier, waiting for the Schedule's planner.
@@ -787,7 +756,7 @@ func (sh *shardState) runFixed(ctx context.Context) error {
 	opts := sh.opts
 	shards := opts.shards()
 	ids := faultmodel.AllIDs()
-	cur := sh.cursor
+	cur := sh.st.Cursor
 
 	for ; cur.Input < opts.Inputs; cur.Input, cur.Model = cur.Input+1, 0 {
 		if err := sh.setInput(cur.Input); err != nil {
@@ -805,8 +774,8 @@ func (sh *shardState) runFixed(ctx context.Context) error {
 		if sh.index < per%shards {
 			mine++
 		}
-		if opts.PerLayer && sh.perLayer == nil {
-			sh.perLayer = newLayerTallies(nexec)
+		if opts.PerLayer && sh.st.PerLayer == nil {
+			sh.st.PerLayer = cloneLayers(make([]map[faultmodel.ID]Proportion, nexec))
 		}
 		for ; cur.Model < len(ids); cur.Model, cur.Exec, cur.Sample = cur.Model+1, 0, 0 {
 			id := ids[cur.Model]
@@ -825,43 +794,52 @@ func (sh *shardState) runFixed(ctx context.Context) error {
 			}
 		}
 	}
-	sh.done = true
-	sh.cursor = Cursor{Input: opts.Inputs}
-	sh.publish(sh.cursor)
+	sh.st.Done, sh.st.Cursor = true, Cursor{Input: opts.Inputs}
 	return nil
 }
 
-// runSchedule drives sched over the in-process, function-call transport:
-// this goroutine owns sched and sends granted shard indices down a jobs
-// channel to worker goroutines, which run that shard's state on an executor
-// borrowed from the shards' runner — so one warm arena per worker serves
-// every shard, input and round — and send (index, err) back. A run ending
-// in success or ErrShardExhausted reports the shard's snapshot, and the
-// states of the shards a round barrier rewrote are restored from the
-// schedule; a cancelled run releases its shard. Cancellation stops
-// granting, and the first campaign failure stops granting and is returned
-// once every running shard has come back.
-func runSchedule(ctx context.Context, sched *Schedule, states []*shardState, workers int) error {
-	type outcome struct {
-		i   int
-		err error
+// runSchedule drives sched over the in-process, function-call transport. This
+// goroutine owns sched and sends each granted shard, resumed from its
+// schedule checkpoint, down a jobs channel to worker goroutines that run it
+// through r.Run — the call a fleet worker makes per lease — on an executor
+// borrowed from r, so one warm arena per worker serves every shard, input and
+// round. Workers send back what Run streams and what it returns: a streamed
+// checkpoint is recorded as the shard's progress, a cancelled run's cut is
+// recorded and its shard released, and every other run is reported, which may
+// run the round barrier. With a positive every, running shards stream
+// progress and save is called that often. Cancellation stops granting, and
+// the first campaign failure stops granting and is returned once every
+// running shard has come back.
+func (r *ShardRunner) runSchedule(ctx context.Context, sched *Schedule, workers int, every time.Duration, save func()) error {
+	type message struct {
+		i        int
+		sc       ShardCheckpoint
+		err      error
+		streamed bool // an OnProgress checkpoint of a run still going
 	}
-	jobs := make(chan int)
-	outcomes := make(chan outcome)
+	jobs := make(chan ShardRun)
+	msgs := make(chan message)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				outcomes <- outcome{i, states[i].run(ctx)}
+			for run := range jobs {
+				sc, err := r.Run(ctx, run)
+				msgs <- message{i: run.Index, sc: sc, err: err}
 			}
 		}()
 	}
 	defer func() { close(jobs); wg.Wait() }()
+	var tick <-chan time.Time
+	if every > 0 {
+		t := time.NewTicker(every)
+		defer t.Stop()
+		tick = t.C
+	}
 
 	var failure error
-	for running := 0; ; running-- {
+	for running := 0; ; {
 		// A worker is idle whenever fewer shards than workers are running, so
 		// the send cannot block.
 		for ; running < workers && failure == nil && ctx.Err() == nil; running++ {
@@ -869,32 +847,35 @@ func runSchedule(ctx context.Context, sched *Schedule, states []*shardState, wor
 			if !ok {
 				break
 			}
-			jobs <- i
+			jobs <- ShardRun{Index: i, Resume: sched.Checkpoint(i), Interval: every,
+				OnProgress: func(sc ShardCheckpoint) { msgs <- message{i: i, sc: sc, streamed: true} }}
 		}
 		if running == 0 {
 			return failure
 		}
-		o := <-outcomes
-		if o.err != nil && !errors.Is(o.err, ErrShardExhausted) {
-			sched.Release(o.i)
-			if failure == nil && !isCancellation(o.err) {
-				failure = o.err
-			}
+		var m message
+		select {
+		case <-tick:
+			save()
+			continue
+		case m = <-msgs:
+		}
+		if m.streamed {
+			sched.Progress(m.i, m.sc)
 			continue
 		}
-		for _, j := range sched.Report(o.i, states[o.i].snapshot(), o.err != nil) {
-			states[j].restore(*sched.Checkpoint(j))
+		running--
+		if isCancellation(m.err) {
+			sched.Progress(m.i, m.sc)
+			sched.Release(m.i)
+			continue
+		}
+		exhausted := errors.Is(m.err, ErrShardExhausted)
+		sched.Report(m.i, m.sc, exhausted)
+		if m.err != nil && !exhausted && failure == nil {
+			failure = m.err
 		}
 	}
-}
-
-// snapshots collects every shard's last published snapshot, in index order.
-func snapshots(states []*shardState) []ShardCheckpoint {
-	out := make([]ShardCheckpoint, len(states))
-	for i, sh := range states {
-		out[i] = sh.snapshot()
-	}
-	return out
 }
 
 func isCancellation(err error) bool {
@@ -946,9 +927,9 @@ func (r *ShardRunner) study(ctx context.Context, cfg *accel.Config) (*StudyResul
 	}
 	execs := g0.Executions()
 
-	// Build the logical shards and their schedule, restoring from a matching
-	// checkpoint. The schedule may heal or advance what it restored, so the
-	// shard states start from its checkpoints.
+	// The logical shards' schedule, restored from a matching checkpoint. The
+	// schedule may heal or advance what it restored; shards resume from its
+	// checkpoints.
 	shards := opts.shards()
 	var restored []*ShardCheckpoint
 	if resume := opts.Resume; resume.Matches(cfg, w, opts) {
@@ -958,24 +939,18 @@ func (r *ShardRunner) study(ctx context.Context, cfg *accel.Config) (*StudyResul
 		}
 	}
 	sched := NewSchedule(StrataFor(opts.PerLayer, len(execs)), opts, restored, nil)
-	states := make([]*shardState, shards)
-	for s := range states {
-		states[s] = r.newState(s)
-		if sc := sched.Checkpoint(s); sc != nil {
-			states[s].restore(*sc)
-		}
-	}
 
-	// Periodic checkpoint saver: assembles the shards' published snapshots.
+	// Periodic checkpoint saves: the schedule's checkpoints, running shards as
+	// of their latest streamed progress.
 	saveEvery := opts.CheckpointInterval
 	if opts.CheckpointPath == "" {
 		saveEvery = 0
 	}
-	stopSaver := Every(saveEvery, func() {
+	save := func() {
 		// Best-effort: a failed periodic save must not kill the campaign;
 		// the on-cancel save reports errors.
-		_ = saveCheckpoint(NewCheckpoint(cfg, w, opts, snapshots(states)), opts.CheckpointPath, opts)
-	})
+		_ = saveCheckpoint(NewCheckpoint(cfg, w, opts, sched.Checkpoints()), opts.CheckpointPath, opts)
+	}
 
 	// Worker pool: workers pull whole logical shards, so the partition of
 	// experiments onto random streams never depends on the worker count.
@@ -988,20 +963,19 @@ func (r *ShardRunner) study(ctx context.Context, cfg *accel.Config) (*StudyResul
 	}
 	phaseStart(tel, "inject")
 	tilesBase := nn.TileCount()
-	err = runSchedule(ctx, sched, states, workers)
+	err = r.runSchedule(ctx, sched, workers, saveEvery, save)
 	phaseEnd(tel, "inject")
 	if tel != nil {
 		// Tile counts are process-wide; the delta attributes this study's
 		// inject phase (approximate when studies run concurrently).
 		tel.AddKernelTiles(nn.TileCount() - tilesBase)
 	}
-	stopSaver()
 	if err != nil {
 		return nil, err
 	}
 
 	if !sched.Finished() {
-		cp := NewCheckpoint(cfg, w, opts, snapshots(states))
+		cp := NewCheckpoint(cfg, w, opts, sched.Checkpoints())
 		path := ""
 		if opts.CheckpointPath != "" {
 			if err := saveCheckpoint(cp, opts.CheckpointPath, opts); err != nil {
@@ -1011,14 +985,12 @@ func (r *ShardRunner) study(ctx context.Context, cfg *accel.Config) (*StudyResul
 		}
 		return nil, &Interrupted{Checkpoint: cp, Path: path, Cause: context.Cause(ctx)}
 	}
-	// Assemble the result from the shards' final published snapshots — the
+	// Assemble the result from the shards' terminal checkpoints — the
 	// identical code path a distributed coordinator runs on the checkpoints
 	// it collected from remote workers, so an in-process study and a fabric
 	// run with the same (Seed, Shards) produce byte-identical StudyResult
-	// JSON. The snapshots are exact here: every terminal shard published its
-	// final state before returning, the barrier's rewrites were restored into
-	// the states, and assembleResult derives Partial from the non-done shards.
-	finals := snapshots(states)
+	// JSON. assembleResult derives Partial from the non-done shards.
+	finals := sched.Checkpoints()
 	partial := slices.ContainsFunc(finals, func(sc ShardCheckpoint) bool { return !sc.Done })
 	if partial && opts.CheckpointPath != "" {
 		// Best-effort: the partial result is flagged either way, and the

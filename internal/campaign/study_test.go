@@ -6,6 +6,7 @@ import (
 
 	"fidelity/internal/accel"
 	"fidelity/internal/faultmodel"
+	"fidelity/internal/fit"
 	"fidelity/internal/model"
 	"fidelity/internal/numerics"
 )
@@ -154,32 +155,37 @@ func TestStudyPerLayer(t *testing.T) {
 
 // The paper notes that other raw FF FIT rates (voltage noise, other nodes)
 // can be substituted "and the general conclusions remain the same": Eq. 2 is
-// linear in the raw rate, so all FIT ratios are invariant.
+// linear in the raw rate, so all FIT ratios are invariant. A study reports
+// Eq. 2 at the paper's 600 FIT/MB; its Layers recompute it at any other rate.
 func TestRawRateScaleInvariance(t *testing.T) {
 	w, err := model.Build("resnet", numerics.FP16, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Study(context.Background(), accel.NVDLASmall(), w, StudyOptions{
-		Samples: 20, Inputs: 1, Tolerance: 0.1, Seed: 13, RawFITPerMB: 600,
-	})
+	cfg := accel.NVDLASmall()
+	res, err := Study(context.Background(), cfg, w, StudyOptions{Samples: 20, Inputs: 1, Tolerance: 0.1, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, err := Study(context.Background(), accel.NVDLASmall(), w, StudyOptions{
-		Samples: 20, Inputs: 1, Tolerance: 0.1, Seed: 13, RawFITPerMB: 6000,
-	})
+	base, err := fit.Compute(cfg, fit.RawFITPerFF(600), res.Layers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := scaled.FIT.Total / base.FIT.Total
+	if base.Total != res.FIT.Total {
+		t.Errorf("FIT at 600 FIT/MB is %v, the study reported %v", base.Total, res.FIT.Total)
+	}
+	scaled, err := fit.Compute(cfg, fit.RawFITPerFF(6000), res.Layers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio := scaled.Total / base.Total
 	if ratio < 9.99 || ratio > 10.01 {
 		t.Errorf("10x raw rate should scale FIT 10x, got %v", ratio)
 	}
 	// The class breakdown shares are invariant.
-	for class, v := range base.FIT.ByClass {
-		bs := v / base.FIT.Total
-		ss := scaled.FIT.ByClass[class] / scaled.FIT.Total
+	for class, v := range base.ByClass {
+		bs := v / base.Total
+		ss := scaled.ByClass[class] / scaled.Total
 		if bs-ss > 1e-9 || ss-bs > 1e-9 {
 			t.Errorf("%v share changed: %v vs %v", class, bs, ss)
 		}

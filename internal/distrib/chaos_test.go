@@ -2,11 +2,15 @@ package distrib
 
 import (
 	"context"
+	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fidelity/internal/campaign"
+	"fidelity/internal/faultmodel"
 )
 
 // chaosSpec is testSpec made compact for the audit, drain, integrity and
@@ -135,5 +139,76 @@ func TestDistribDrain(t *testing.T) {
 	}
 	if st := c.Status(); !st.Draining {
 		t.Errorf("status = %+v, want Draining", st)
+	}
+}
+
+// stallRunner runs shards on a real runner under a context whose Err, which
+// the shard loop calls at every experiment boundary, blocks once, on its
+// at-th call, for hold: the shard's goroutine stalls mid-shard, as behind a
+// hung experiment, and streams nothing meanwhile.
+type stallRunner struct {
+	*campaign.ShardRunner
+	at    int32
+	hold  time.Duration
+	calls atomic.Int32
+}
+
+func (r *stallRunner) Run(ctx context.Context, run campaign.ShardRun) (campaign.ShardCheckpoint, error) {
+	return r.ShardRunner.Run(stallCtx{ctx, r}, run)
+}
+
+type stallCtx struct {
+	context.Context
+	r *stallRunner
+}
+
+func (c stallCtx) Err() error {
+	if c.r.calls.Add(1) == c.r.at {
+		time.Sleep(c.r.hold)
+	}
+	return c.Context.Err()
+}
+
+// TestDistribStallKeepsLease: a shard whose goroutine stalls for four lease
+// TTLs keeps its lease, because the worker heartbeats on its own clock, not
+// from the shard's experiment boundaries. No lease lapses and the fleet's
+// result is campaign.Study's.
+func TestDistribStallKeepsLease(t *testing.T) {
+	spec := chaosSpec()
+	want := baselineJSON(t, spec)
+	const ttl = 300 * time.Millisecond
+	c, err := NewCoordinator(CoordinatorOptions{Spec: spec, LeaseTTL: ttl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	w, err := spec.BuildWorkload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := campaign.NewShardRunner(c.cfg, w, spec.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stall := &stallRunner{ShardRunner: runner, at: 3, hold: 4 * ttl}
+	wk := &worker{base: srv.URL, id: "w", poll: 10 * time.Millisecond, hc: http.DefaultClient,
+		rng: rand.New(faultmodel.NewStreamSource(workerSeed("w"))), runner: stall}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if err := wk.loop(ctx); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Result(ctx)
+	if err != nil {
+		t.Fatalf("%v (status %+v)", err, c.Status())
+	}
+	requireSameJSON(t, "StudyResult", want, res)
+	if n := stall.calls.Load(); n < stall.at {
+		t.Fatalf("the shard loop checked its context %d times, never stalled", n)
+	}
+	if st := c.Status(); st.Expired != 0 {
+		t.Errorf("expired leases = %d, want 0: the heartbeat stopped while the shard stalled", st.Expired)
 	}
 }

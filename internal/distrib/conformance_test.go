@@ -219,7 +219,7 @@ func killWorker(t *testing.T, srv *httptest.Server, c *Coordinator) {
 	}
 	vctx := &countdownCtx{Context: context.Background()}
 	vctx.left.Store(20)
-	mid, err := campaign.RunShard(vctx, c.cfg, w, c.spec.Options(), campaign.ShardRun{Index: l.Shard, Resume: l.Resume, PublishEvery: 1})
+	mid, err := campaign.RunShard(vctx, c.cfg, w, c.spec.Options(), campaign.ShardRun{Index: l.Shard, Resume: l.Resume})
 	if !errors.Is(err, context.Canceled) || mid.Experiments == 0 || mid.Done {
 		t.Fatalf("the victim stopped at %d experiments (done=%v, err=%v), want a mid-shard cancellation", mid.Experiments, mid.Done, err)
 	}

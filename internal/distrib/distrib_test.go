@@ -90,11 +90,10 @@ func startFleet(ctx context.Context, t *testing.T, base string, n int, prefix st
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		opts := WorkerOptions{
-			BaseURL:      base,
-			ID:           fmt.Sprintf("%s-%d", prefix, i),
-			Poll:         10 * time.Millisecond,
-			Telemetry:    telemetry.New(),
-			PublishEvery: 4,
+			BaseURL:   base,
+			ID:        fmt.Sprintf("%s-%d", prefix, i),
+			Poll:      10 * time.Millisecond,
+			Telemetry: telemetry.New(),
 		}
 		if profile != nil {
 			opts.HTTPClient = &http.Client{Transport: newChaosTransport(seed+int64(i), *profile, nil)}

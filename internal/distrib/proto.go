@@ -190,7 +190,8 @@ type LeaseReply struct {
 type ReportRequest struct {
 	Worker  string `json:"worker"`
 	LeaseID string `json:"lease_id"`
-	// Shard is a consistent published checkpoint of the leased shard.
+	// Shard is a consistent checkpoint of the leased shard: streamed by Run's
+	// OnProgress in a heartbeat, returned by Run in a final report.
 	Shard campaign.ShardCheckpoint `json:"shard"`
 	// Final marks the shard terminal under this lease.
 	Final bool `json:"final,omitempty"`

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"fidelity/internal/campaign"
@@ -40,10 +41,6 @@ type WorkerOptions struct {
 	// Telemetry, when non-nil, collects this worker's execution telemetry;
 	// its source is set to ID and snapshots ride along on every report.
 	Telemetry *telemetry.Collector
-	// PublishEvery overrides the experiment cadence between streamed shard
-	// checkpoints (0 = the engine default). Lower means a re-leased shard
-	// loses less work, at the cost of chattier reports.
-	PublishEvery int
 }
 
 // worker is the resolved client state for one Work call.
@@ -53,16 +50,18 @@ type worker struct {
 	poll time.Duration
 	hc   *http.Client
 	tel  *telemetry.Collector
-	pub  int
 	// rng feeds the poll/backoff jitter that de-synchronizes a restarted
 	// fleet. Seeded from the worker ID so each worker's cadence is distinct
 	// but reproducible; only the Work goroutine draws from it (heartbeat
 	// posts never jitter), so no lock is needed.
 	rng *rand.Rand
 
-	// runner is the campaign state shared by every lease this worker
-	// executes; built once from the coordinator's spec.
-	runner *campaign.ShardRunner
+	// runner executes every lease on the campaign state they share: a
+	// campaign.ShardRunner built once from the coordinator's spec (tests wrap
+	// it to stall a shard).
+	runner interface {
+		Run(context.Context, campaign.ShardRun) (campaign.ShardCheckpoint, error)
+	}
 }
 
 // workerSeed hashes a worker ID into a jitter stream seed.
@@ -104,7 +103,6 @@ func Work(ctx context.Context, o WorkerOptions) error {
 		poll: o.Poll,
 		hc:   o.HTTPClient,
 		tel:  o.Telemetry,
-		pub:  o.PublishEvery,
 		rng:  rand.New(faultmodel.NewStreamSource(workerSeed(o.ID))),
 	}
 	if wk.poll <= 0 {
@@ -134,8 +132,13 @@ func Work(ctx context.Context, o WorkerOptions) error {
 	if wk.runner, err = campaign.NewShardRunner(&hello.Config, w, opts); err != nil {
 		return err
 	}
+	return wk.loop(ctx)
+}
 
+// loop executes leases until the campaign finishes or ctx is cancelled.
+func (wk *worker) loop(ctx context.Context) error {
 	var lease *Lease
+	var err error
 	for done := false; !done; {
 		if lease == nil {
 			lease, done, err = wk.acquire(ctx)
@@ -179,22 +182,34 @@ func (wk *worker) execute(ctx context.Context, l *Lease) (next *Lease, done bool
 	if heartbeat <= 0 {
 		heartbeat = wk.poll
 	}
-	sc, runErr := wk.runner.Run(leaseCtx, campaign.ShardRun{
-		Index:        l.Shard,
-		Resume:       l.Resume,
-		Interval:     heartbeat,
-		PublishEvery: wk.pub,
-		OnProgress: func(s campaign.ShardCheckpoint) {
-			// Heartbeat: stream the checkpoint; a Cancel or Done reply stops
-			// the shard at its next experiment boundary. Send errors are
-			// tolerated — the lease simply risks expiry until one gets through.
-			var rep ReportReply
-			req := ReportRequest{Worker: wk.id, LeaseID: l.ID, Shard: s, Telemetry: wk.snapshot()}
-			if err := wk.post(leaseCtx, "/v1/report", req, &rep); err == nil && (rep.Cancel || rep.Done) {
-				cancel()
-			}
-		},
+	// Heartbeat on its own clock: a shard can sit between experiment
+	// boundaries for longer than a TTL (a window's execution phase, a hung
+	// experiment under the watchdog), and its lease must outlive that. Run
+	// streams a clone of the shard's checkpoint into latest every quarter
+	// heartbeat; each heartbeat posts the newest, so a re-leased shard loses
+	// little more than a heartbeat of work. A Cancel or Done reply stops the
+	// shard at its next experiment boundary. Send errors are tolerated — the
+	// lease simply risks expiry until one gets through.
+	var latest atomic.Pointer[campaign.ShardCheckpoint]
+	start := campaign.NewShardCheckpoint(l.Shard)
+	if l.Resume != nil {
+		start = *l.Resume
+	}
+	latest.Store(&start)
+	stopHeartbeat := campaign.Every(heartbeat, func() {
+		var rep ReportReply
+		req := ReportRequest{Worker: wk.id, LeaseID: l.ID, Shard: *latest.Load(), Telemetry: wk.snapshot()}
+		if err := wk.post(leaseCtx, "/v1/report", req, &rep); err == nil && (rep.Cancel || rep.Done) {
+			cancel()
+		}
 	})
+	sc, runErr := wk.runner.Run(leaseCtx, campaign.ShardRun{
+		Index:      l.Shard,
+		Resume:     l.Resume,
+		Interval:   heartbeat / 4,
+		OnProgress: func(s campaign.ShardCheckpoint) { latest.Store(&s) },
+	})
+	stopHeartbeat()
 
 	final := ReportRequest{Worker: wk.id, LeaseID: l.ID, Shard: sc, Final: true, WantLease: true, Telemetry: wk.snapshot()}
 	switch {

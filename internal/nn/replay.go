@@ -417,10 +417,11 @@ func (c *Context) skip(st *traceStep) *tensor.Tensor {
 
 // dirtyRegion reports whether l can sweep just the output region reached by
 // its single dirty input, and that input's recorded span; otherwise the whole
-// layer recomputes.
+// layer recomputes. A Conv2D sweeps with the tiled kernel, so under the
+// reference kernels it recomputes through them instead.
 func (c *Context) dirtyRegion(l Layer, in []*tensor.Tensor) (regionSite, span, bool) {
 	rs, ok := l.(regionSite)
-	if !ok || len(in) != 1 || in[0] == nil {
+	if _, conv := l.(*Conv2D); !ok || conv && UseReferenceKernels() || len(in) != 1 || in[0] == nil {
 		return nil, span{}, false
 	}
 	sp, ok := c.spans[in[0]]
