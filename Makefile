@@ -49,13 +49,13 @@ examples-smoke:
 
 # Race-detect the concurrency-critical packages: the sharded campaign engine,
 # the injector, the fault models' batch recompute over nn's pooled scratch
-# (faultmodel, and nn's ComputeNeurons differentials), the goroutine-tiled
-# kernels (nn + tensor) over the row primitives (numerics' panel
-# differentials), the distributed fabric (coordinator + workers exchanging
-# leases over loopback HTTP), and the cycle-level reference (one
-# rtlsim.Reference serving injections from several goroutines). Slow: several
-# minutes under -race. The package list lives here only: CI's race job runs
-# this target.
+# (faultmodel, and nn's ComputeNeurons differentials), nn's goroutine-tiled
+# kernels over the row primitives (numerics' panel differentials) and the
+# tensor ops every worker calls (tensor itself starts no goroutine), the
+# distributed fabric (coordinator + workers exchanging leases over loopback
+# HTTP), and the cycle-level reference (one rtlsim.Reference serving
+# injections from several goroutines). Slow: several minutes under -race.
+# The package list lives here only: CI's race job runs this target.
 race:
 	$(GO) test -race -timeout 30m ./internal/campaign/... ./internal/inject/... ./internal/faultmodel/... ./internal/nn/... ./internal/numerics/... ./internal/tensor/... ./internal/distrib/... ./internal/rtlsim/...
 

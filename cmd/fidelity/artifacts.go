@@ -11,6 +11,7 @@ import (
 	"fidelity/internal/accel"
 	"fidelity/internal/campaign"
 	"fidelity/internal/faultmodel"
+	"fidelity/internal/fit"
 	hardenpkg "fidelity/internal/harden"
 	"fidelity/internal/model"
 	"fidelity/internal/numerics"
@@ -120,11 +121,11 @@ func sensitivity(fs *flag.FlagSet) func(context.Context) error {
 		fmt.Printf("%s FP16 @10%%: FIT = %.2f\n", c.net, res.FIT.Total)
 		fmt.Printf("sensitivity (FF count ±%.0f%%, activeness ±%.0f%%): FIT in [%.2f, %.2f]\n",
 			*ffDelta*100, *actDelta*100, lo, hi)
-		verdict := "may pass"
-		if lo > 0.2 {
+		verdict, budget := "may pass", fit.FFBudget()
+		if lo > budget {
 			verdict = "fails"
 		}
-		fmt.Printf("ASIL-D FF budget: %.2f — %s even at the optimistic bound\n", 0.2, verdict)
+		fmt.Printf("ASIL-D FF budget: %.2f — %s even at the optimistic bound\n", budget, verdict)
 		if res.Partial {
 			return fmt.Errorf("%s: %w (%d experiments quarantined)", c.net, errPartial, len(res.Quarantined))
 		}

@@ -126,10 +126,10 @@ type identity struct {
 	Seed     int64   `json:"seed"`
 	Shards   int     `json:"shards"`
 	PerLayer bool    `json:"per_layer,omitempty"`
-	// Hardening fingerprints the mitigation config installed on the network
-	// (empty for unhardened campaigns): clamps change every experiment's
-	// forward pass, so a hardened and an unhardened campaign must never share
-	// checkpoints.
+	// Hardening fingerprints the clamps installed on the workload's network
+	// (nn.Network.ClampFingerprint; empty for an unhardened one): clamps
+	// change every experiment's forward pass, so a hardened and an unhardened
+	// campaign must never share checkpoints.
 	Hardening string `json:"hardening,omitempty"`
 }
 
@@ -147,7 +147,7 @@ func identityOf(cfg *accel.Config, w *model.Workload, opts StudyOptions) identit
 		Seed:      opts.Seed,
 		Shards:    opts.shards(),
 		PerLayer:  opts.PerLayer,
-		Hardening: opts.Hardening,
+		Hardening: w.Net.ClampFingerprint(),
 	}
 }
 

@@ -61,7 +61,10 @@ func (e execution) run(ctx context.Context, w *model.Workload, opts StudyOptions
 }
 
 // cut runs opts on e at Workers 1 and cancels from inside as the k-th
-// experiment commits, so every execution stops after the same experiments.
+// experiment commits, so every execution stops after the same experiments:
+// the checkpoint holds exactly those k. A reference cut is made by the same
+// Study code as the cell's, so only the count shows a cut that was dropped
+// and rerun from the shard's grant on resume.
 func (e execution) cut(t *testing.T, w *model.Workload, opts StudyOptions, k int) *Checkpoint {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -80,6 +83,9 @@ func (e execution) cut(t *testing.T, w *model.Workload, opts StudyOptions, k int
 	var intr *Interrupted
 	if !errors.As(err, &intr) {
 		t.Fatalf("%s: cut at experiment %d returned %v, want *Interrupted", e.name, k, err)
+	}
+	if got := intr.Checkpoint.Experiments; got != k {
+		t.Fatalf("%s: cut at experiment %d checkpoints %d experiments", e.name, k, got)
 	}
 	return intr.Checkpoint
 }

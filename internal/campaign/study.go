@@ -75,14 +75,6 @@ type StudyOptions struct {
 	// experiment count multiplies by the number of layer executions.
 	PerLayer bool
 
-	// Hardening fingerprints the mitigation config installed on the
-	// workload's network (harden.Config.Fingerprint; empty for unhardened
-	// campaigns). It joins the checkpoint identity: clamps change every
-	// experiment's forward pass, so a hardened campaign must never resume
-	// from — or be resumed by — an unhardened one's checkpoint. It does not
-	// otherwise affect execution; installing the clamps on the network is
-	// the caller's job.
-	Hardening string
 	// CheckpointPath, when non-empty, is where the engine saves a resumable
 	// JSON checkpoint: always on cancellation, and periodically every
 	// CheckpointInterval while running (0 disables periodic saves).
@@ -90,9 +82,10 @@ type StudyOptions struct {
 	CheckpointInterval time.Duration
 	// Resume continues a previously interrupted study. A checkpoint whose
 	// identity (workload, precision, tolerance, samples, inputs, seed,
-	// shards, per-layer) does not match this study is ignored and the study
-	// runs from scratch — so one checkpoint file can safely be offered to
-	// every cell of a multi-workload figure.
+	// shards, per-layer, the clamps installed on the network) does not match
+	// this study is ignored and the study runs from scratch — so one
+	// checkpoint file can safely be offered to every cell of a multi-workload
+	// figure.
 	Resume *Checkpoint
 	// Telemetry, when non-nil, receives per-experiment outcome counts,
 	// per-phase wall-clock timings, and the supervisor's recovery counters.

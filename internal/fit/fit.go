@@ -144,9 +144,3 @@ func ComputeProtected(cfg *accel.Config, rawPerFF float64, layers []LayerStats) 
 	}
 	return Compute(cfg, rawPerFF, masked)
 }
-
-// MeetsASILD reports whether a FIT result fits the area-apportioned ASIL-D
-// budget for the accelerator's FFs.
-func MeetsASILD(r *Result) bool {
-	return r.Total < FFBudget()
-}

@@ -186,15 +186,6 @@ func TestComputeProtected(t *testing.T) {
 	}
 }
 
-func TestMeetsASILD(t *testing.T) {
-	if MeetsASILD(&Result{Total: 9.5}) {
-		t.Error("9.5 FIT must fail the 0.2 budget")
-	}
-	if !MeetsASILD(&Result{Total: 0.1}) {
-		t.Error("0.1 FIT must pass")
-	}
-}
-
 // Class and category breakdowns must sum to the total.
 func TestBreakdownConsistency(t *testing.T) {
 	cfg := accel.NVDLASmall()

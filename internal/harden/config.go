@@ -12,7 +12,7 @@ import (
 // the forward path, the layer executions marked for duplicated execution,
 // and whether global-control FFs are assumed hardened. It serializes
 // canonically (Clamps sorted by site, Duplicated sorted), so its fingerprint
-// is stable and can join a campaign's checkpoint identity.
+// is stable.
 type Config struct {
 	// Clamps are the per-site range-restriction envelopes, sorted by site.
 	Clamps []Envelope `json:"clamps,omitempty"`
@@ -31,11 +31,9 @@ func (c *Config) Zero() bool {
 }
 
 // Fingerprint returns the content digest of the canonicalized config, or ""
-// for the zero config — so an unhardened campaign's checkpoint identity is
-// byte-identical to one written before hardening existed. Campaigns over a
-// hardened network must carry this in StudyOptions.Hardening: clamps change
-// every experiment's forward pass, so checkpoints of different configs must
-// never be interchangeable.
+// for the zero config. It names the config as one artifact; a campaign's
+// checkpoint identity fingerprints only what changes its forward passes, the
+// clamps installed on its network (nn.Network.ClampFingerprint).
 func (c *Config) Fingerprint() (string, error) {
 	if c.Zero() {
 		return "", nil

@@ -170,14 +170,8 @@ func TestConfigFingerprint(t *testing.T) {
 // none of the engine's determinism contracts may erode. Run with -race.
 func TestHardenedCampaignWorkerDeterminism(t *testing.T) {
 	cfg := accel.NVDLASmall()
-	hw, hcfg := hardenedWorkload(t, "mobilenet", 2)
-	fp, err := hcfg.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := campaign.StudyOptions{
-		Samples: 60, Inputs: 2, Tolerance: 0.1, Seed: 9, Hardening: fp,
-	}
+	hw, _ := hardenedWorkload(t, "mobilenet", 2)
+	base := campaign.StudyOptions{Samples: 60, Inputs: 2, Tolerance: 0.1, Seed: 9}
 	run := func(workers int) []byte {
 		opts := base
 		opts.Workers = workers
@@ -267,18 +261,13 @@ func TestHardenedCampaignWorkerDeterminism(t *testing.T) {
 
 // TestHardenedInterruptResume: a hardened campaign interrupted mid-flight
 // and resumed from its checkpoint reproduces the uninterrupted result
-// byte-for-byte, and its checkpoint carries the hardening fingerprint so an
-// unhardened campaign refuses to resume from it (and vice versa).
+// byte-for-byte, and its checkpoint carries the fingerprint of the installed
+// clamps, so a campaign on the unhardened or a differently clamped network
+// refuses to resume from it.
 func TestHardenedInterruptResume(t *testing.T) {
 	cfg := accel.NVDLASmall()
-	hw, hcfg := hardenedWorkload(t, "mobilenet", 2)
-	fp, err := hcfg.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := campaign.StudyOptions{
-		Samples: 240, Inputs: 2, Tolerance: 0.1, Seed: 11, Workers: 4, Hardening: fp,
-	}
+	hw, _ := hardenedWorkload(t, "mobilenet", 2)
+	base := campaign.StudyOptions{Samples: 240, Inputs: 2, Tolerance: 0.1, Seed: 11, Workers: 4}
 	baseline, err := campaign.Study(context.Background(), cfg, hw, base)
 	if err != nil {
 		t.Fatal(err)
@@ -301,25 +290,20 @@ func TestHardenedInterruptResume(t *testing.T) {
 		t.Fatalf("interrupted hardened study returned %v, want *Interrupted", err)
 	}
 	cp := intr.Checkpoint
-	if cp.Hardening != fp {
-		t.Fatalf("checkpoint hardening = %q, want %q", cp.Hardening, fp)
+	if fp := hw.Net.ClampFingerprint(); fp == "" || cp.Hardening != fp {
+		t.Fatalf("checkpoint hardening = %q, want the clamps' fingerprint %q", cp.Hardening, fp)
 	}
 	if cp.Experiments <= 0 || cp.Experiments >= baseline.Experiments {
 		t.Fatalf("checkpoint holds %d experiments, want mid-campaign (0, %d)", cp.Experiments, baseline.Experiments)
 	}
 
-	// The hardened checkpoint must not match an unhardened campaign (or a
-	// differently hardened one), and an unhardened checkpoint must not match
-	// the hardened options.
-	plain := base
-	plain.Hardening = ""
-	if cp.Matches(cfg, hw, plain) {
-		t.Error("hardened checkpoint matched unhardened options")
+	// The hardened checkpoint must not match the unhardened network or one
+	// clamped to other envelopes (profiled over one input, not two).
+	if cp.Matches(cfg, buildWorkload(t, "mobilenet"), base) {
+		t.Error("hardened checkpoint matched the unhardened network")
 	}
-	other := base
-	other.Hardening = "not-the-fingerprint"
-	if cp.Matches(cfg, hw, other) {
-		t.Error("hardened checkpoint matched a different hardening fingerprint")
+	if other, _ := hardenedWorkload(t, "mobilenet", 1); cp.Matches(cfg, other, base) {
+		t.Error("hardened checkpoint matched a differently clamped network")
 	}
 	if !cp.Matches(cfg, hw, base) {
 		t.Error("hardened checkpoint did not match its own options")
@@ -343,6 +327,47 @@ func TestHardenedInterruptResume(t *testing.T) {
 	}
 	if ran, rest := resume.Telemetry.Experiments(), int64(baseline.Experiments-cp.Experiments); ran != rest {
 		t.Errorf("resume ran %d experiments, want the %d the checkpoint had not done", ran, rest)
+	}
+}
+
+// TestClampedStudyIgnoresUnclampedCheckpoint: the clamps installed on the
+// network are the campaign's hardening identity. A study on a clamped network
+// offered an unclamped run's interrupt checkpoint, under the same options,
+// must run from scratch and equal a clean clamped study byte for byte. The
+// cut holds over half the campaign, where the clamps change outcomes, so a
+// study that resumed it would differ.
+func TestClampedStudyIgnoresUnclampedCheckpoint(t *testing.T) {
+	cfg := accel.NVDLASmall()
+	hw, _ := hardenedWorkload(t, "mobilenet", 2)
+	base := campaign.StudyOptions{Samples: 240, Inputs: 2, Tolerance: 0.1, Seed: 11, Workers: 1}
+	ctx := newCancelAfter(3000)
+	defer ctx.cancel()
+	_, err := campaign.Study(ctx, cfg, buildWorkload(t, "mobilenet"), base)
+	var intr *campaign.Interrupted
+	if !errors.As(err, &intr) {
+		t.Fatalf("interrupted unclamped study returned %v, want *Interrupted", err)
+	}
+
+	clean, err := campaign.Study(context.Background(), cfg, hw, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offered := base
+	offered.Resume = intr.Checkpoint
+	resumed, err := campaign.Study(context.Background(), cfg, hw, offered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Error("a clamped study resumed an unclamped run's checkpoint: its bytes differ from a clean clamped study")
 	}
 }
 
@@ -410,12 +435,8 @@ func TestHardenTelemetry(t *testing.T) {
 func TestRecommendationSearch(t *testing.T) {
 	cfg := accel.NVDLASmall()
 	hw, hcfg := hardenedWorkload(t, "mobilenet", 1)
-	fp, err := hcfg.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
 	study, err := campaign.Study(context.Background(), cfg, hw, campaign.StudyOptions{
-		Samples: 12, Inputs: 1, Tolerance: 0.1, Seed: 7, Workers: 2, PerLayer: true, Hardening: fp,
+		Samples: 12, Inputs: 1, Tolerance: 0.1, Seed: 7, Workers: 2, PerLayer: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -435,7 +456,7 @@ func TestRecommendationSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fit.MeetsASILD(res) {
+	if res.Total >= fit.FFBudget() {
 		t.Errorf("recommended config's modeled residual %.4f misses the FF budget %.4f", res.Total, fit.FFBudget())
 	}
 }

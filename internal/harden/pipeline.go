@@ -49,8 +49,9 @@ type Report struct {
 	Workload  string  `json:"workload"`
 	Precision string  `json:"precision"`
 	BudgetFIT float64 `json:"budget_fit"`
-	// Config is the recommended mitigation config; Fingerprint its content
-	// digest (the hardened campaign's checkpoint-identity component).
+	// Config is the recommended mitigation config; Fingerprint the digest of
+	// the whole config (Config.Fingerprint: clamps, duplicated layers and
+	// global-control protection), not the campaign's checkpoint identity.
 	Config      Config `json:"config"`
 	Fingerprint string `json:"fingerprint"`
 	// Before measures the unhardened network; After re-measures it with the
@@ -63,8 +64,8 @@ type Report struct {
 	HardenedFIT float64 `json:"hardened_fit"`
 	// DupTimeShare is the execution-time share the duplicated layers re-run.
 	DupTimeShare float64 `json:"duplicated_time_share"`
-	// MeetsASILD reports whether HardenedFIT fits the budget-equivalent
-	// ASIL-D check (fit.MeetsASILD when BudgetFIT is the FF budget).
+	// MeetsASILD reports whether HardenedFIT is below BudgetFIT: with the
+	// default budget, the area-apportioned ASIL-D budget for the FFs.
 	MeetsASILD bool `json:"meets_asil_d"`
 	// Partial marks a degraded run: a shard of either campaign exhausted
 	// its failure budget.
@@ -111,9 +112,7 @@ func Run(ctx context.Context, acfg *accel.Config, opts Options) (*Report, error)
 	}
 
 	// Re-measure on a freshly built copy of the workload with the clamps
-	// installed. The fingerprint at this point covers exactly the
-	// forward-path-changing part of the config (the clamp set), giving the
-	// hardened campaign its own checkpoint identity.
+	// installed; they give the hardened campaign its own checkpoint identity.
 	hw, err := model.Build(opts.Net, opts.Precision, model.StudySeed)
 	if err != nil {
 		return nil, err
@@ -121,11 +120,7 @@ func Run(ctx context.Context, acfg *accel.Config, opts Options) (*Report, error)
 	if err := cfg.Apply(hw.Net); err != nil {
 		return nil, err
 	}
-	hardenedOpts := base
-	if hardenedOpts.Hardening, err = cfg.Fingerprint(); err != nil {
-		return nil, err
-	}
-	clamped, err := campaign.Study(ctx, acfg, hw, hardenedOpts)
+	clamped, err := campaign.Study(ctx, acfg, hw, base)
 	if err != nil {
 		return nil, err
 	}
@@ -171,10 +166,8 @@ func Run(ctx context.Context, acfg *accel.Config, opts Options) (*Report, error)
 			Experiments:        clamped.Experiments,
 		},
 		HardenedFIT: hardened.Total,
-		// With the default budget this is exactly fit.MeetsASILD(hardened);
-		// a custom budget substitutes its own threshold.
-		MeetsASILD: hardened.Total < opts.Budget,
-		Partial:    baseline.Partial || clamped.Partial,
+		MeetsASILD:  hardened.Total < opts.Budget,
+		Partial:     baseline.Partial || clamped.Partial,
 	}
 	if rep.Fingerprint, err = cfg.Fingerprint(); err != nil {
 		return nil, err

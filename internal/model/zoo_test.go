@@ -64,7 +64,8 @@ func TestModelsExposeExpectedSites(t *testing.T) {
 			t.Fatal(err)
 		}
 		have := map[nn.Kind]bool{}
-		for _, s := range w.Net.Sites() {
+		sites := nn.Sites(w.Net.Root)
+		for _, s := range sites {
 			have[s.Kind()] = true
 		}
 		for _, k := range kinds {
@@ -72,7 +73,7 @@ func TestModelsExposeExpectedSites(t *testing.T) {
 				t.Errorf("%s: missing %v sites (have %v)", name, k, have)
 			}
 		}
-		if len(w.Net.Sites()) == 0 {
+		if len(sites) == 0 {
 			t.Errorf("%s: no injection sites", name)
 		}
 	}
@@ -213,7 +214,7 @@ func TestBoundedResNet(t *testing.T) {
 	if plain.Decode(po).Label != bounded.Decode(bo).Label {
 		t.Error("bounding must not change the fault-free prediction")
 	}
-	if len(plain.Net.Sites()) != len(bounded.Net.Sites()) {
-		t.Errorf("site counts differ: %d vs %d", len(plain.Net.Sites()), len(bounded.Net.Sites()))
+	if p, b := len(nn.Sites(plain.Net.Root)), len(nn.Sites(bounded.Net.Root)); p != b {
+		t.Errorf("site counts differ: %d vs %d", p, b)
 	}
 }

@@ -65,18 +65,6 @@ func NewLeakyReLU(name string, alpha float32, codec numerics.Codec) *Activation 
 	}}
 }
 
-// NewSigmoid builds a logistic activation (Yolo heads, LSTM gates).
-func NewSigmoid(name string, codec numerics.Codec) *Activation {
-	return &Activation{name: name, codec: codec, row: mapRow(sigmoid)}
-}
-
-// NewTanh builds a hyperbolic-tangent activation (LSTM cells).
-func NewTanh(name string, codec numerics.Codec) *Activation {
-	return &Activation{name: name, codec: codec, row: mapRow(func(v float32) float32 {
-		return float32(math.Tanh(float64(v)))
-	})}
-}
-
 // NewRelu6 builds the clipped rectifier used by MobileNet.
 func NewRelu6(name string, codec numerics.Codec) *Activation {
 	return &Activation{name: name, codec: codec, row: func(out, x []float32) {
@@ -97,17 +85,6 @@ func NewClamp(name string, bound float32, codec numerics.Codec) *Activation {
 	return &Activation{name: name, codec: codec, row: func(out, x []float32) {
 		numerics.ClipRow(out, x, -bound, bound)
 	}}
-}
-
-// mapRow is the row form of a function that has none of its own: one call per
-// element (the transcendentals, whose cost is the call's).
-func mapRow(f func(float32) float32) func(out, x []float32) {
-	return func(out, x []float32) {
-		out = out[:len(x)]
-		for i, v := range x {
-			out[i] = f(v)
-		}
-	}
 }
 
 func sigmoid(v float32) float32 {

@@ -243,24 +243,3 @@ func (l *ZeroPad) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 		return tensor.Pad2D(x, l.P)
 	}, nil, x)
 }
-
-// Flatten reshapes (N, ...) to (N, features).
-type Flatten struct {
-	name string
-}
-
-// NewFlatten builds a flatten layer.
-func NewFlatten(name string) *Flatten { return &Flatten{name: name} }
-
-// Name implements Layer.
-func (l *Flatten) Name() string { return l.name }
-
-// Forward implements Layer. The reshape is a view over x's data, so it must
-// still go through exec: the view object's identity is what downstream dirty
-// tests see, and only recorded views count as golden.
-func (l *Flatten) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	n := x.Dim(0)
-	return ctx.exec(l, func() *tensor.Tensor {
-		return x.Reshape(n, x.Size()/n)
-	}, nil, x)
-}

@@ -92,8 +92,7 @@ func TestDeepSiteEnumeration(t *testing.T) {
 	inner := NewConv2D("inner", 1, 1, 2, 2, 1, 0, c).InitRandom(rng, 1)
 	res := NewResidual("res", NewSequential("body", inner), nil, c)
 	br := NewBranches("br", 3, res, NewConv2D("side", 1, 1, 2, 2, 1, 0, c))
-	top := NewSequential("top", br, NewFlatten("f"),
-		NewDense("head", 16, 4, c))
+	top := NewSequential("top", br, NewDense("head", 16, 4, c))
 	sites := Sites(top)
 	if len(sites) != 3 {
 		t.Fatalf("sites = %d, want 3", len(sites))

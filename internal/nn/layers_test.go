@@ -30,19 +30,6 @@ func TestActivations(t *testing.T) {
 	if r6.At(5) != 6 || r6.At(0) != 0 || r6.At(4) != 2 {
 		t.Errorf("relu6 = %v", r6.Data())
 	}
-
-	sig := NewSigmoid("s", c).Forward(x, nil)
-	if math.Abs(float64(sig.At(2)-0.5)) > 1e-6 {
-		t.Errorf("sigmoid(0) = %v", sig.At(2))
-	}
-	if sig.At(0) >= sig.At(4) {
-		t.Error("sigmoid not monotone")
-	}
-
-	tanh := NewTanh("t", c).Forward(x, nil)
-	if tanh.At(2) != 0 || tanh.At(4) <= 0 || tanh.At(0) >= 0 {
-		t.Errorf("tanh = %v", tanh.Data())
-	}
 }
 
 func TestSoftmaxLayer(t *testing.T) {
@@ -91,31 +78,26 @@ func TestMaxPoolMasksSmallFaults(t *testing.T) {
 	}
 }
 
-func TestAvgPoolAndGlobal(t *testing.T) {
+func TestGlobalAvgPool(t *testing.T) {
 	c := fp32Codec()
 	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2, 1)
-	y := NewAvgPool("a", 2, 2, c).Forward(x, nil)
-	if y.At(0, 0, 0, 0) != 2.5 {
-		t.Errorf("avgpool = %v", y.Data())
-	}
 	g := NewGlobalAvgPool("g", c).Forward(x, nil)
 	if g.At(0, 0) != 2.5 {
 		t.Errorf("global avgpool = %v", g.Data())
 	}
 }
 
-// TestPoolRegionsMatchNaive holds maxPoolRegion and avgPoolRegion — whole
-// output and a box inside it written over a filled tensor — to the loops they
-// stand for, one output element at a time: the window in (py, px) order under
-// `v > max` (a NaN never becomes the maximum, and a window of nothing but NaNs
-// pools to -Inf) or under a float32 running sum, rounded. Channel counts run
-// below, at and past numerics.MaxRow's lane width; the inputs carry both zeros,
-// NaN and both infinities; the lanes run as detected and off.
+// TestPoolRegionsMatchNaive holds maxPoolRegion — whole output and a box
+// inside it written over a filled tensor — to the loop it stands for, one
+// output element at a time: the window in (py, px) order under `v > max` (a
+// NaN never becomes the maximum, and a window of nothing but NaNs pools to
+// -Inf). Channel counts run below, at and past numerics.MaxRow's lane width;
+// the inputs carry both zeros, NaN and both infinities; the lanes run as
+// detected and off.
 func TestPoolRegionsMatchNaive(t *testing.T) {
 	detected := numericsHasAVX2
 	defer func() { numericsHasAVX2 = detected }()
 	rng := rand.New(rand.NewSource(45))
-	codec := numerics.MustCodec(numerics.INT8, 8)
 	for _, g := range []struct{ size, stride, h, w int }{{2, 2, 8, 6}, {3, 1, 7, 7}, {3, 2, 9, 11}, {1, 1, 3, 4}} {
 		for _, c := range []int{1, 3, 8, 12, 16, 21} {
 			x := tensor.New(2, g.h, g.w, c)
@@ -127,43 +109,32 @@ func TestPoolRegionsMatchNaive(t *testing.T) {
 				}
 			}
 			oh, ow := (g.h-g.size)/g.stride+1, (g.w-g.size)/g.stride+1
-			naive := func(b, y, xx, ch int, avg bool) float32 {
-				m, sum := float32(math.Inf(-1)), float32(0)
+			naive := func(b, y, xx, ch int) float32 {
+				m := float32(math.Inf(-1))
 				for py := 0; py < g.size; py++ {
 					for px := 0; px < g.size; px++ {
-						v := x.At(b, y*g.stride+py, xx*g.stride+px, ch)
-						if v > m {
+						if v := x.At(b, y*g.stride+py, xx*g.stride+px, ch); v > m {
 							m = v
 						}
-						sum += v
 					}
-				}
-				if avg {
-					return codec.Round(sum * (1 / float32(g.size*g.size)))
 				}
 				return m
 			}
 			for _, lanes := range []bool{detected, false} {
 				numericsHasAVX2 = lanes
-				for _, avg := range []bool{false, true} {
-					for _, bx := range [][4]int{{0, oh, 0, ow}, {1, oh - 1, 1, ow}} {
-						out := tensor.New(2, oh, ow, c)
-						out.Fill(7)
-						if avg {
-							avgPoolRegion(x, out, g.size, g.stride, codec, bx[0], bx[1], bx[2], bx[3])
-						} else {
-							maxPoolRegion(x, out, g.size, g.stride, bx[0], bx[1], bx[2], bx[3])
+				for _, bx := range [][4]int{{0, oh, 0, ow}, {1, oh - 1, 1, ow}} {
+					out := tensor.New(2, oh, ow, c)
+					out.Fill(7)
+					maxPoolRegion(x, out, g.size, g.stride, bx[0], bx[1], bx[2], bx[3])
+					for i, got := range out.Data() {
+						idx := out.Unflatten(i)
+						want := float32(7)
+						if idx[1] >= bx[0] && idx[1] < bx[1] && idx[2] >= bx[2] && idx[2] < bx[3] {
+							want = naive(idx[0], idx[1], idx[2], idx[3])
 						}
-						for i, got := range out.Data() {
-							idx := out.Unflatten(i)
-							want := float32(7)
-							if idx[1] >= bx[0] && idx[1] < bx[1] && idx[2] >= bx[2] && idx[2] < bx[3] {
-								want = naive(idx[0], idx[1], idx[2], idx[3], avg)
-							}
-							if math.Float32bits(got) != math.Float32bits(want) {
-								t.Fatalf("pool %d/%d over %dx%dx%d, avg %v, box %v, lanes %v: out%v = %v [%#08x], naive %v [%#08x]",
-									g.size, g.stride, g.h, g.w, c, avg, bx, lanes, idx, got, math.Float32bits(got), want, math.Float32bits(want))
-							}
+						if math.Float32bits(got) != math.Float32bits(want) {
+							t.Fatalf("pool %d/%d over %dx%dx%d, box %v, lanes %v: out%v = %v [%#08x], naive %v [%#08x]",
+								g.size, g.stride, g.h, g.w, c, bx, lanes, idx, got, math.Float32bits(got), want, math.Float32bits(want))
 						}
 					}
 				}
@@ -240,14 +211,6 @@ func TestLayerNorm(t *testing.T) {
 	variance /= 4
 	if math.Abs(mean) > 1e-4 || math.Abs(variance-1) > 1e-2 {
 		t.Errorf("layernorm mean=%v var=%v", mean, variance)
-	}
-}
-
-func TestFlatten(t *testing.T) {
-	f := NewFlatten("f")
-	y := f.Forward(tensor.New(2, 3, 4), nil)
-	if y.Dim(0) != 2 || y.Dim(1) != 12 {
-		t.Errorf("flatten = %v", y.Shape())
 	}
 }
 
@@ -365,10 +328,10 @@ func TestNetworkTraceAndSites(t *testing.T) {
 	conv := NewConv2D("conv1", 3, 3, 1, 4, 1, 1, c).InitRandom(rng, 0.5)
 	fcl := NewDense("fc1", 4*4*4, 10, c).InitRandom(rng, 0.2)
 	net := NewNetwork("tiny", NewSequential("tiny",
-		conv, NewReLU("r1", c), NewFlatten("f"), fcl,
+		conv, NewReLU("r1", c), fcl,
 	), c)
-	if len(net.Sites()) != 2 {
-		t.Fatalf("sites = %d, want 2", len(net.Sites()))
+	if sites := Sites(net.Root); len(sites) != 2 {
+		t.Fatalf("sites = %d, want 2", len(sites))
 	}
 	if _, err := net.SiteByName("conv1"); err != nil {
 		t.Error(err)
@@ -449,7 +412,7 @@ func TestElementwiseRegionSweep(t *testing.T) {
 		layers := []interface {
 			Layer
 			regionSite
-		}{NewBatchNorm("bn", 6, codec).InitRandom(rng), NewReLU("relu", codec), NewSigmoid("sig", codec)}
+		}{NewBatchNorm("bn", 6, codec).InitRandom(rng), NewReLU("relu", codec), NewRelu6("relu6", codec)}
 		for _, l := range layers {
 			for _, shape := range [][]int{{2, 5, 7, 6}, {3, 6}} {
 				x := tensor.New(shape...)

@@ -2,6 +2,8 @@ package nn
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math"
 
 	"fidelity/internal/numerics"
 	"fidelity/internal/tensor"
@@ -41,9 +43,6 @@ func NewNetwork(name string, root Layer, codec numerics.Codec) *Network {
 // Name returns the network name.
 func (n *Network) Name() string { return n.NetName }
 
-// Sites returns the injection sites in graph order.
-func (n *Network) Sites() []Site { return n.sites }
-
 // SiteByName returns the site with the given name.
 func (n *Network) SiteByName(name string) (Site, error) {
 	for _, s := range n.sites {
@@ -66,6 +65,23 @@ func (n *Network) SetClamp(s Site, b Bound) {
 
 // Hardened reports whether any range-restriction envelope is installed.
 func (n *Network) Hardened() bool { return len(n.clamps) > 0 }
+
+// ClampFingerprint digests the installed range-restriction envelopes, site
+// by site in graph order, or returns "" when none is installed. Clamps change
+// every experiment's forward pass, so a campaign's checkpoint identity
+// carries it.
+func (n *Network) ClampFingerprint() string {
+	if len(n.clamps) == 0 {
+		return ""
+	}
+	h := fnv.New64a()
+	for i, s := range n.sites {
+		if b, ok := n.clamps[s]; ok {
+			fmt.Fprintf(h, "%d:%s:%08x:%08x|", i, s.Name(), math.Float32bits(b.Lo), math.Float32bits(b.Hi))
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
 
 // instrument threads the installed clamp set into ctx so every execution
 // path (plain, record, replay) applies the envelopes. An unhardened network

@@ -72,71 +72,6 @@ func maxPoolRegion(x, out *tensor.Tensor, size, stride, y0, y1, x0, x1 int) {
 	}
 }
 
-// AvgPool is a 2-D average pooling layer.
-type AvgPool struct {
-	name         string
-	Size, Stride int
-	codec        numerics.Codec
-}
-
-// NewAvgPool builds an average-pooling layer.
-func NewAvgPool(name string, size, stride int, codec numerics.Codec) *AvgPool {
-	if size <= 0 || stride <= 0 {
-		panic(fmt.Sprintf("nn: invalid AvgPool size=%d stride=%d", size, stride))
-	}
-	return &AvgPool{name: name, Size: size, Stride: stride, codec: codec}
-}
-
-// Name implements Layer.
-func (l *AvgPool) Name() string { return l.name }
-
-// Forward implements Layer.
-func (l *AvgPool) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	n, h, w, c := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh := (h-l.Size)/l.Stride + 1
-	ow := (w-l.Size)/l.Stride + 1
-	return ctx.exec(l, func() *tensor.Tensor {
-		out := ctx.newTensor(n, oh, ow, c)
-		avgPoolRegion(x, out, l.Size, l.Stride, l.codec, 0, oh, 0, ow)
-		return out
-	}, nil, x)
-}
-
-// avgPoolRegion computes avg-pool output rows [y0,y1) × cols [x0,x1) with
-// flattened indexing. Each channel's sum accumulates window cells in
-// (py, px) ascending order — the same float addition sequence as the naive
-// loop, so results are bit-identical.
-func avgPoolRegion(x, out *tensor.Tensor, size, stride int, codec numerics.Codec, y0, y1, x0, x1 int) {
-	n, h, w, c := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh, ow := out.Dim(1), out.Dim(2)
-	xd, od := x.Data(), out.Data()
-	inv := 1 / float32(size*size)
-	for b := 0; b < n; b++ {
-		for y := y0; y < y1; y++ {
-			for xx := x0; xx < x1; xx++ {
-				// The sums accumulate in the output cell itself.
-				outBase := ((b*oh+y)*ow + xx) * c
-				orow := od[outBase : outBase+c]
-				clear(orow)
-				for py := 0; py < size; py++ {
-					rowBase := ((b*h+y*stride+py)*w + xx*stride) * c
-					win := xd[rowBase : rowBase+size*c]
-					for px := 0; px < size; px++ {
-						cell := win[px*c : px*c+c]
-						sums := orow[:len(cell)]
-						for ch, v := range cell {
-							sums[ch] += v
-						}
-					}
-				}
-				for ch, sum := range orow {
-					orow[ch] = codec.Round(sum * inv)
-				}
-			}
-		}
-	}
-}
-
 // GlobalAvgPool averages each channel over all spatial positions, producing
 // (N, C). Used ahead of the classifier head in the CNN models.
 type GlobalAvgPool struct {

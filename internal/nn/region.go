@@ -289,21 +289,6 @@ func (l *MaxPool) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (
 	return out, box{oy0, oy1, ox0, ox1}, true
 }
 
-// forwardRegion implements regionSite for AvgPool.
-func (l *AvgPool) forwardRegion(c *Context, x, golden *tensor.Tensor, sp span) (*tensor.Tensor, box, bool) {
-	h, w, ch := x.Dim(1), x.Dim(2), x.Dim(3)
-	oh, ow := golden.Dim(1), golden.Dim(2)
-	iy0, iy1, ix0, ix1 := sp.boxIn(h, w, w*ch, h*w*ch)
-	oy0, oy1 := windowRange(iy0, iy1, l.Size, l.Stride, 0, oh)
-	ox0, ox1 := windowRange(ix0, ix1, l.Size, l.Stride, 0, ow)
-	if oy0 >= oy1 || ox0 >= ox1 {
-		return nil, box{}, false
-	}
-	out := c.goldenCopy(golden)
-	avgPoolRegion(x, out, l.Size, l.Stride, l.codec, oy0, oy1, ox0, ox1)
-	return out, box{oy0, oy1, ox0, ox1}, true
-}
-
 // segments calls f with the flat range of every part of t the span bounds:
 // one range per row of the box, in every batch image, for a boxed span (t is
 // rank-4 then) — the flat range [lo,hi) of such a span also covers every full

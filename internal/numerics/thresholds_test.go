@@ -49,7 +49,7 @@ func TestHalfPanelThresholds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range wl.Net.Sites() {
+		for _, s := range nn.Sites(wl.Net.Root) {
 			var w *tensor.Tensor
 			switch l := s.(type) {
 			case *nn.Conv2D:
