@@ -468,7 +468,7 @@ func (sh *shardState) record(layer int, id faultmodel.ID, r inject.Result) {
 			tel.RecordReplay(r.Replay.Skipped, r.Replay.Recomputed, r.Replay.RegionSwept,
 				r.Replay.ArenaReuses, r.Replay.MACsAvoided)
 		}
-		if r.Harden != nil {
+		if r.Harden != (inject.HardenCost{}) {
 			tel.RecordHarden(r.Harden.ClampApplications, r.Harden.Saturated)
 		}
 	}

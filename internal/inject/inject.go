@@ -73,7 +73,7 @@ type ReplayCost struct {
 }
 
 // HardenCost reports what range-restriction clamping did during one
-// experiment's forward pass. Nil for unhardened networks and for
+// experiment's forward pass. Zero for unhardened networks and for
 // global-control shortcuts that run no forward pass.
 type HardenCost struct {
 	// ClampApplications counts site executions whose output was
@@ -102,9 +102,9 @@ type Result struct {
 	Replay   ReplayCost
 	Replayed bool
 	// Harden carries the clamp counters of a hardened network's forward
-	// pass, nil otherwise. Like Replay, it is run-cost telemetry, not part
+	// pass, zero otherwise. Like Replay, it is run-cost telemetry, not part
 	// of the experiment outcome.
-	Harden *HardenCost
+	Harden HardenCost
 }
 
 // Injector runs fault-injection experiments against one workload.
@@ -129,6 +129,9 @@ type Injector struct {
 	hook    nn.Hook
 	plan    faultmodel.Plan
 	predict *rand.Rand
+	// faulty is the decoded output of the experiment in flight; its token
+	// and box storage is reused from one experiment to the next.
+	faulty model.AppOutput
 }
 
 // New builds an injector for workload w with sampler s.
@@ -154,8 +157,8 @@ type experiment struct {
 // inject is the experiment's hook: at the target execution it plans the fault
 // and applies it, exactly once.
 func (e *experiment) inject(site nn.Layer, visit int, op *nn.Operands) {
-	s, ok := site.(nn.Site)
-	if !ok || s != e.target.Site || visit != e.target.Visit || e.err != nil || e.planned {
+	s := e.target.Site
+	if site != s || visit != e.target.Visit || e.err != nil || e.planned {
 		return
 	}
 	// One experiment injects exactly once: detach the hook so the rest of the
@@ -369,7 +372,7 @@ func (in *Injector) run(ctx context.Context, id faultmodel.ID, tol float64, exec
 	}
 	if in.W.Net.Hardened() {
 		hs := e.fctx.HardenStats()
-		res.Harden = &HardenCost{ClampApplications: hs.ClampApplications, Saturated: hs.Saturated}
+		res.Harden = HardenCost{ClampApplications: hs.ClampApplications, Saturated: hs.Saturated}
 	}
 	if e.err != nil {
 		return Result{}, e.err
@@ -395,8 +398,8 @@ func (in *Injector) run(ctx context.Context, id faultmodel.ID, tol float64, exec
 		res.Score = 1
 		return res, nil
 	}
-	faulty := in.W.Decode(out)
-	res.Score = in.W.Score(in.g.golden, faulty)
+	in.W.DecodeInto(&in.faulty, out)
+	res.Score = in.W.Score(in.g.golden, in.faulty)
 	if in.W.CorrectScore(res.Score, tol) {
 		res.Outcome = Masked
 	} else {

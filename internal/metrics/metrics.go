@@ -37,6 +37,10 @@ func BLEU(ref, hyp []int) float64 {
 	return bleu
 }
 
+// stackLen bounds the tokens of a sentence pair, and the boxes of a golden
+// detection set, whose scratch the metrics keep on the stack.
+const stackLen = 64
+
 // overlap is hyp's n-gram count for one n, and how many of them ref matches.
 type overlap struct{ match, total int }
 
@@ -46,11 +50,18 @@ type overlap struct{ match, total int }
 // of the (n-1)-gram at a position packed with the id of the token behind it,
 // ranked again. Ids stay below the two lengths' sum, so the packing is exact
 // and the counts live in a slice indexed by id, reused from order to order.
+// Both buffers live on the stack while the two sentences hold at most
+// stackLen tokens together, so scoring them allocates nothing.
 func ngramOverlap(ref, hyp []int) (out [4]overlap) {
 	size := len(ref) + len(hyp)
-	buf := make([]uint64, 4*size)
-	tok, gram, keys, sorted := buf[:size], buf[size:2*size], buf[2*size:3*size], buf[3*size:]
-	count := make([]int, size)
+	var bufStack [4 * stackLen]uint64
+	var countStack [stackLen]int
+	buf, count := bufStack[:], countStack[:]
+	if size > stackLen {
+		buf, count = make([]uint64, 4*size), make([]int, size)
+	}
+	tok, gram, keys, sorted := buf[:size], buf[size:2*size], buf[2*size:3*size], buf[3*size:4*size]
+	count = count[:size]
 	// rank replaces keys by their dense ranks.
 	rank := func(keys []uint64) {
 		uniq := sorted[:copy(sorted, keys)]
@@ -138,7 +149,11 @@ func DetectionF1(golden, faulty []Box) float64 {
 	if len(golden) == 0 || len(faulty) == 0 {
 		return 0
 	}
-	used := make([]bool, len(golden))
+	var usedStack [stackLen]bool
+	used := usedStack[:]
+	if len(golden) > len(used) {
+		used = make([]bool, len(golden))
+	}
 	matched := 0
 	for _, f := range faulty {
 		best, bestIoU := -1, 0.5

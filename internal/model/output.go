@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"slices"
 
 	"fidelity/internal/metrics"
 	"fidelity/internal/tensor"
@@ -23,14 +24,23 @@ type AppOutput struct {
 // Decode converts a raw network output into the workload's application
 // output.
 func (w *Workload) Decode(out *tensor.Tensor) AppOutput {
-	ao := AppOutput{Raw: out}
+	var ao AppOutput
+	w.DecodeInto(&ao, out)
+	return ao
+}
+
+// DecodeInto is Decode into ao, reusing the storage of its Tokens and Boxes:
+// decoding one output after another into the same ao allocates nothing once
+// those have grown to size.
+func (w *Workload) DecodeInto(ao *AppOutput, out *tensor.Tensor) {
+	*ao = AppOutput{Tokens: ao.Tokens[:0], Boxes: ao.Boxes[:0], Raw: out}
 	switch w.Metric {
 	case MetricTop1:
 		ao.Label = out.ArgMax()
 	case MetricBLEU:
 		seq, vocab := out.Dim(0), out.Dim(1)
 		od := out.Data()
-		ao.Tokens = make([]int, seq)
+		ao.Tokens = slices.Grow(ao.Tokens, seq)[:seq]
 		for s := range ao.Tokens {
 			best, bestv := 0, float32(math.Inf(-1))
 			for v, x := range od[s*vocab : (s+1)*vocab] {
@@ -41,20 +51,18 @@ func (w *Workload) Decode(out *tensor.Tensor) AppOutput {
 			ao.Tokens[s] = best
 		}
 	case MetricDetection:
-		ao.Boxes = w.decodeBoxes(out)
+		ao.Boxes = w.decodeBoxes(ao.Boxes, out)
 	}
-	return ao
 }
 
 // decodeBoxes interprets the Yolo head output (1, g, g, A·(5+C)): per cell
 // and anchor, [objectness, cx, cy, w, h, class scores...]. Cells with
-// sigmoid(objectness) above threshold emit a box.
-func (w *Workload) decodeBoxes(out *tensor.Tensor) []metrics.Box {
+// sigmoid(objectness) above threshold emit a box, appended to boxes.
+func (w *Workload) decodeBoxes(boxes []metrics.Box, out *tensor.Tensor) []metrics.Box {
 	const objThreshold = 0.5
 	g, a, c := w.Grid, w.Anchors, w.Classes
 	// Flat NHWC indexing of batch image 0 (the variadic At allocates per call).
 	od, width, depth := out.Data(), out.Dim(2), out.Dim(3)
-	var boxes []metrics.Box
 	for gy := 0; gy < g; gy++ {
 		for gx := 0; gx < g; gx++ {
 			for an := 0; an < a; an++ {

@@ -105,6 +105,7 @@ func (l *SoftmaxLayer) Name() string { return l.name }
 // Forward implements Layer.
 func (l *SoftmaxLayer) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	return ctx.exec(l, func() *tensor.Tensor {
-		return tensor.Softmax(x)
+		o := ctx.slot(l)
+		return o.keep(tensor.Softmax(o.buf(), x))
 	}, nil, x)
 }

@@ -69,7 +69,7 @@ func (l *MultiHeadAttention) Forward(x *tensor.Tensor, ctx *Context) *tensor.Ten
 	v := l.WV.Forward(x, ctx)
 
 	dHead := l.DModel / l.Heads
-	headsOut := make([]*tensor.Tensor, l.Heads)
+	headsOut := ctx.pathOuts(l.Heads)
 	for h := 0; h < l.Heads; h++ {
 		start := h * dHead
 		qh := ctx.glue(l, func() *tensor.Tensor { return sliceCols(ctx, q, start, dHead) },
@@ -78,13 +78,14 @@ func (l *MultiHeadAttention) Forward(x *tensor.Tensor, ctx *Context) *tensor.Ten
 			func(g *tensor.Tensor, r box) *tensor.Tensor { return sliceSweep(ctx, g, r, k, start) }, k)
 		vh := ctx.glue(l, func() *tensor.Tensor { return sliceCols(ctx, v, start, dHead) },
 			func(g *tensor.Tensor, r box) *tensor.Tensor { return sliceSweep(ctx, g, r, v, start) }, v)
-		scores := l.QK.Run(qh, kh, ctx) // (seq, seq), scaled by 1/√dHead
-		attn := ctx.glue(l, func() *tensor.Tensor { return tensor.Softmax(scores) },
-			func(g *tensor.Tensor, r box) *tensor.Tensor { return softmaxSweep(g, r, scores) }, scores)
-		headsOut[h] = l.AV.Run(attn, vh, ctx) // (seq, dHead)
+		scores := l.QK.Run(qh, kh, ctx)                         // (seq, seq), scaled by 1/√dHead
+		headsOut[h] = l.AV.Run(l.softmax(ctx, scores), vh, ctx) // (seq, dHead)
 	}
-	concat := ctx.glue(l, func() *tensor.Tensor { return tensor.Concat(1, headsOut...) },
-		func(g *tensor.Tensor, r box) *tensor.Tensor { return concatSweep(g, r, headsOut) }, headsOut...)
+	concat := ctx.glue(l, func() *tensor.Tensor {
+		o := ctx.slot(l)
+		return o.keep(tensor.Concat(o.buf(), 1, headsOut...))
+	}, func(g *tensor.Tensor, r box) *tensor.Tensor { return concatSweep(ctx, l, g, r, headsOut) }, headsOut...)
+	ctx.dropPaths(headsOut)
 	return l.WO.Forward(concat, ctx)
 }
 
@@ -113,11 +114,19 @@ func copyCols(out, t *tensor.Tensor, start, r0, r1 int) {
 	}
 }
 
-// softmaxSweep is the glue sweep of tensor.Softmax: a copy of golden from the
-// heap, where Softmax takes its output, with the region's rows of scores
-// recomputed.
-func softmaxSweep(golden *tensor.Tensor, r box, scores *tensor.Tensor) *tensor.Tensor {
-	out := golden.Clone()
+// softmax is the glue step of one head's row softmax over its scores.
+func (l *MultiHeadAttention) softmax(ctx *Context, scores *tensor.Tensor) *tensor.Tensor {
+	return ctx.glue(l, func() *tensor.Tensor {
+		o := ctx.slot(l)
+		return o.keep(tensor.Softmax(o.buf(), scores))
+	}, func(g *tensor.Tensor, r box) *tensor.Tensor { return softmaxSweep(ctx, l, g, r, scores) }, scores)
+}
+
+// softmaxSweep is l's glue sweep of tensor.Softmax: the step's owned buffer,
+// where the full compute writes too, equal to golden but in the region's
+// rows, which it recomputes from scores.
+func softmaxSweep(ctx *Context, l Layer, golden *tensor.Tensor, r box, scores *tensor.Tensor) *tensor.Tensor {
+	out := ctx.sweepBuf(l, golden, r)
 	od, sd, n := out.Data(), scores.Data(), out.Dim(1)
 	r.runs(out, func(r0, r1 int) {
 		copy(od[r0*n:r1*n], sd[r0*n:r1*n])

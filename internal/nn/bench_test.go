@@ -253,3 +253,64 @@ func BenchmarkReplaySkip(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(trace.steps)), "ns/layer")
 }
+
+// glueSink keeps BenchmarkGlueSweep's steps from being optimised away.
+var glueSink *tensor.Tensor
+
+// BenchmarkGlueSweep times one dirty replay step of each kind whose output the
+// replay context owns: a branch concat's glue sweep (inception-lite's inc1
+// concat, 16×16×32, from four branches of 8 channels, a 3×3 dirty box),
+// attention's softmax glue sweep (transformer-lite's 24×24 scores, two dirty
+// rows) and ZeroPad's recompute (inc1's pool branch, 16×16×16 padded by 1).
+// One op is the step as replay runs it — the trace lookup, the sweep or the
+// compute, the convergence scan — on a context whose one dirty input carries
+// its recorded span, as after the injection.
+func BenchmarkGlueSweep(b *testing.B) {
+	rng := rand.New(rand.NewSource(33))
+	id := func(name string) Layer { return NewSequential(name) }
+	br := NewBranches("br", 3, id("a"), id("b"), id("c"), id("d"))
+	mha := NewMultiHeadAttention("mha", 32, 4, fp16Codec())
+	pad := NewZeroPad("pad", 1)
+	// A span over rows [y0, y1) and columns [x0, x1) of a one-image map of
+	// width w and c channels.
+	boxed := func(y0, y1, x0, x1, w, c int) span {
+		return span{lo: (y0*w + x0) * c, hi: ((y1-1)*w + x1) * c, y0: y0, y1: y1, x0: x0, x1: x1, boxed: true}
+	}
+	cases := []struct {
+		name string
+		x    *tensor.Tensor
+		sp   span
+		step func(ctx *Context, x *tensor.Tensor) *tensor.Tensor
+	}{
+		{"concat", tensor.New(1, 16, 16, 8), boxed(6, 9, 6, 9, 16, 8),
+			func(ctx *Context, x *tensor.Tensor) *tensor.Tensor { return br.Forward(x, ctx) }},
+		{"softmax", tensor.New(24, 24), span{lo: 5 * 24, hi: 7 * 24},
+			func(ctx *Context, x *tensor.Tensor) *tensor.Tensor { return mha.softmax(ctx, x) }},
+		{"zeropad", tensor.New(1, 16, 16, 16), boxed(6, 9, 6, 9, 16, 16),
+			func(ctx *Context, x *tensor.Tensor) *tensor.Tensor { return pad.Forward(x, ctx) }},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			tc.x.RandNormal(rng, 1)
+			rec, trace := NewRecordContext(nil)
+			trace.MarkGolden(tc.x)
+			tc.step(rec, tc.x)
+			dirty := tc.x.Clone()
+			tc.sp.segments(dirty, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					dirty.Data()[i]++
+				}
+			})
+			ctx := NewReplayContext(trace, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ctx.arena.Reset()
+				ctx.seq, ctx.injected = 0, true
+				clear(ctx.spans)
+				ctx.spans[dirty] = tc.sp
+				glueSink = tc.step(ctx, dirty)
+			}
+		})
+	}
+}

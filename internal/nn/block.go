@@ -81,22 +81,25 @@ func (l *Branches) children() []Layer { return l.Paths }
 
 // Forward implements Layer.
 func (l *Branches) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	outs := make([]*tensor.Tensor, 0, len(l.Paths))
-	for _, p := range l.Paths {
-		outs = append(outs, p.Forward(x, ctx))
+	outs := ctx.pathOuts(len(l.Paths))
+	for i, p := range l.Paths {
+		outs[i] = p.Forward(x, ctx)
 	}
-	return ctx.glue(l, func() *tensor.Tensor {
-		return tensor.Concat(l.Axis, outs...)
+	out := ctx.glue(l, func() *tensor.Tensor {
+		o := ctx.slot(l)
+		return o.keep(tensor.Concat(o.buf(), l.Axis, outs...))
 	}, func(golden *tensor.Tensor, r box) *tensor.Tensor {
-		return concatSweep(golden, r, outs)
+		return concatSweep(ctx, l, golden, r, outs)
 	}, outs...)
+	ctx.dropPaths(outs)
+	return out
 }
 
-// concatSweep is the glue sweep of tensor.Concat along the last axis: a copy
-// of golden from the heap, where Concat takes its output, with the region's
-// positions concatenated anew from ts.
-func concatSweep(golden *tensor.Tensor, r box, ts []*tensor.Tensor) *tensor.Tensor {
-	out := golden.Clone()
+// concatSweep is l's glue sweep of tensor.Concat along the last axis: the
+// step's owned buffer, where the full compute writes too, equal to golden
+// but at the region's positions, which it concatenates anew from ts.
+func concatSweep(ctx *Context, l Layer, golden *tensor.Tensor, r box, ts []*tensor.Tensor) *tensor.Tensor {
+	out := ctx.sweepBuf(l, golden, r)
 	od, w := out.Data(), out.Dim(out.Rank()-1)
 	r.runs(out, func(p0, p1 int) {
 		off := 0
@@ -240,6 +243,7 @@ func (l *ZeroPad) Name() string { return l.name }
 // Forward implements Layer.
 func (l *ZeroPad) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 	return ctx.exec(l, func() *tensor.Tensor {
-		return tensor.Pad2D(x, l.P)
+		o := ctx.slot(l)
+		return o.keep(tensor.Pad2D(o.buf(), x, l.P))
 	}, nil, x)
 }

@@ -86,7 +86,7 @@ func TestConv2DMatchesReference(t *testing.T) {
 
 // referenceConv computes convolution via explicit padding.
 func referenceConv(x *tensor.Tensor, l *Conv2D) *tensor.Tensor {
-	p := tensor.Pad2D(x, l.Pad)
+	p := tensor.Pad2D(nil, x, l.Pad)
 	oh, ow := l.outHW(x.Dim(1), x.Dim(2))
 	os := []int{x.Dim(0), oh, ow, l.OutC}
 	out := tensor.New(os...)

@@ -210,14 +210,17 @@ func convTile(a *convArgs, bi, oy0, oy1, ox0, ox1 int, accs []float32) {
 
 // scratch is what a context keeps from one execution to the next, so that an
 // execution allocates only its output: conv accumulators, rounded operands (in;
-// w, a matmul's second), kernel arguments, GlobalAvgPool's sums and the hook's
-// operand set, whose ComputeNeurons calls reuse in, w and cargs.
+// w, a matmul's second), kernel arguments, GlobalAvgPool's sums, the LSTM's
+// cell state and gate input, and the hook's operand set, whose ComputeNeurons
+// calls reuse in, w and cargs.
 type scratch struct {
 	accs, in, w []float32
 	cargs       convArgs
 	dargs       denseArgs
 	margs       matmulArgs
 	sums        []float64
+	cell        []float32
+	gatesIn     *tensor.Tensor
 	ops         Operands
 }
 

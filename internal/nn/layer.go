@@ -159,7 +159,12 @@ type Context struct {
 	clamps map[Layer]Bound
 	hstats HardenStats
 
-	sc scratch
+	// sc is per-call scratch (kernels.go). own holds, by trace ordinal, the
+	// replayed outputs the arena does not lend, and paths is the stack of a
+	// composite layer's path outputs (replay.go).
+	sc    scratch
+	own   []owned
+	paths []*tensor.Tensor
 }
 
 // NewContext builds a context that invokes hook at every compute site.

@@ -58,10 +58,23 @@ func (l *LSTM) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s expects (seq,%d), got %v", l.name, l.In, x.Shape()))
 	}
 	seq := x.Dim(0)
-	h := tensor.New(1, l.Hidden)
-	c := make([]float32, l.Hidden)
-	concat := tensor.New(1, l.In+l.Hidden)
+	// The hidden state is the output, kept by the context like a concat's
+	// (entrySlot); the cell state and the gates' input [x_t ; h_{t-1}] are
+	// per-call scratch.
+	o := ctx.entrySlot(l)
+	h := o.buf()
+	if h == nil {
+		h = o.keep(tensor.New(1, l.Hidden))
+	}
+	sc := ctx.scratch()
+	sc.cell = grow(sc.cell, l.Hidden)
+	if sc.gatesIn == nil || sc.gatesIn.Size() != l.In+l.Hidden {
+		sc.gatesIn = tensor.New(1, l.In+l.Hidden)
+	}
+	c, concat := sc.cell, sc.gatesIn
+	clear(c)
 	hd, cd, xd := h.Data(), concat.Data(), x.Data()
+	clear(hd)
 	for t := 0; t < seq; t++ {
 		copy(cd[:l.In], xd[t*l.In:(t+1)*l.In])
 		copy(cd[l.In:], hd)

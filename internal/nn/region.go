@@ -221,6 +221,28 @@ func (c *Context) goldenCopy(golden *tensor.Tensor) *tensor.Tensor {
 	return c.arena.lend(golden.Clone())
 }
 
+// sweepBuf returns the owned buffer of l's glue step now running, equal to
+// golden outside r, for the step's sweep to write r's positions into. When
+// the buffer last held golden outside some box, only that box is copied
+// back, so a sweep costs the old box and the new one; otherwise — a fresh
+// buffer, a full compute, another trace since Rebind (another golden), a
+// shape change — golden is copied whole. The buffer then records golden and
+// r, which its sweep must write in full and nothing outside of.
+func (c *Context) sweepBuf(l Layer, golden *tensor.Tensor, r box) *tensor.Tensor {
+	o := c.slot(l)
+	switch {
+	case o.t == nil || !o.t.SameShape(golden):
+		o.t = golden.Clone()
+	case o.golden != golden:
+		copy(o.t.Data(), golden.Data())
+	default:
+		od, gd, ch := o.t.Data(), golden.Data(), golden.Dim(golden.Rank()-1)
+		o.box.runs(o.t, func(p0, p1 int) { copy(od[p0*ch:p1*ch], gd[p0*ch:p1*ch]) })
+	}
+	o.golden, o.box = golden, r
+	return o.t
+}
+
 // forwardRegion implements regionSite for Conv2D: it maps the dirty input box
 // through the kernel window geometry, rounds only the input rows the output
 // box reads, and runs the tiled kernel over that box.

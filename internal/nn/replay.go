@@ -61,6 +61,11 @@ type traceStep struct {
 	glue  bool
 	out   *tensor.Tensor
 	work  float64
+	// region is layer as a regionSite, nil when it cannot sweep a region:
+	// asserted once, at record time, because an interface assertion in the
+	// replay loop allocates now and then (the runtime rebuilds a call site's
+	// cache on a miss).
+	region regionSite
 }
 
 // GoldenTrace holds the recorded golden output of every layer execution of
@@ -81,7 +86,11 @@ func newGoldenTrace() *GoldenTrace {
 // ordinal. The ordinal is taken at entry, as replay takes it, not when the
 // output exists.
 func (g *GoldenTrace) begin(l Layer, visit int, glue bool) int {
-	g.steps = append(g.steps, traceStep{layer: l, visit: visit, glue: glue})
+	st := traceStep{layer: l, visit: visit, glue: glue}
+	if !glue {
+		st.region, _ = l.(regionSite)
+	}
+	g.steps = append(g.steps, st)
 	return len(g.steps) - 1
 }
 
@@ -110,10 +119,16 @@ func (g *GoldenTrace) SetWork(site Layer, visit int, work float64) {
 
 // Arena recycles output tensors across replayed experiments. Free tensors
 // are bucketed by element count and every lent one is handed back wholesale
-// by Reset at experiment boundaries, so a steady-state experiment allocates
-// nothing. The arena is single-goroutine (one per replay executor: an
-// injector and its context, kept across inputs by Context.Rebind); it is never
-// used in record mode, so golden tensors are never arena-owned.
+// by Reset at experiment boundaries. It lends what Context.newTensor and
+// goldenCopy take: leaf outputs, region sweeps, the residual add and
+// attention's column slices. The other replayed outputs — the concats, the
+// softmaxes, the zero pads and the LSTM's hidden state — are the context's
+// own (owned), one buffer per trace ordinal, and take no loan, so Reuses
+// counts the first kind alone; together the two make a steady-state
+// experiment allocate nothing. The arena is single-goroutine (one per replay
+// executor: an injector and its context, kept across inputs by
+// Context.Rebind); it is never used in record mode, so golden tensors are
+// never arena-owned.
 //
 // The arena recycles the tensor header along with its buffer: get may return
 // a *tensor.Tensor an earlier release or Reset handed in, reshaped in place.
@@ -220,6 +235,103 @@ func (a *Arena) Reset() {
 // Reuses returns the cumulative count of buffer recycles.
 func (a *Arena) Reuses() int64 { return a.reuses }
 
+// owned is the output buffer a replay context keeps for one trace ordinal
+// whose output the arena does not lend: a concat, a softmax or a zero pad,
+// each written whole by its full compute, or the LSTM's hidden state. Every
+// replayed pass that runs the step writes into it, so a warm pass allocates
+// nothing there; the buffer's life, like an arena loan's, ends with the
+// experiment. layer is the layer that wrote it: a buffer is reused by that
+// layer only (a zero pad relies on a border it wrote itself). golden, when
+// non-nil, is the golden tensor t equals outside box — the positions the last
+// glue sweep wrote — so the next sweep restores that box and writes its own
+// (sweepBuf); nil means nothing is known of t (fresh, or written whole by a
+// full compute).
+type owned struct {
+	layer     Layer
+	t, golden *tensor.Tensor
+	box       box
+}
+
+// slot returns the owned buffer of l's replayed execution now running — the
+// ordinal step just took — or nil outside replay, where every output is a
+// fresh tensor (a recorded golden must outlive every experiment).
+func (c *Context) slot(l Layer) *owned {
+	if c == nil || c.mode != ctxReplay {
+		return nil
+	}
+	return c.ownedAt(c.seq-1, l)
+}
+
+// entrySlot is slot for a composite l that builds its output around the steps
+// it runs rather than in one (the LSTM's hidden state): the slot of the
+// ordinal its first step will take. That step is a leaf Dense, which holds
+// no slot, so the two never share one. (With no step at all, it is the next
+// layer's: a slot holder there empties the slot, which costs a new buffer,
+// never a shared one.)
+func (c *Context) entrySlot(l Layer) *owned {
+	if c == nil || c.mode != ctxReplay {
+		return nil
+	}
+	return c.ownedAt(c.seq, l)
+}
+
+// ownedAt returns l's owned buffer at ordinal i, emptied if another layer
+// held it.
+func (c *Context) ownedAt(i int, l Layer) *owned {
+	if i >= len(c.own) {
+		c.own = append(c.own, make([]owned, i+1-len(c.own))...)
+	}
+	o := &c.own[i]
+	if o.layer != l {
+		*o = owned{layer: l}
+	}
+	return o
+}
+
+// buf returns the buffer a full compute writes into: o's, or nil — a fresh
+// tensor — when there is none yet or outside replay (a nil o).
+func (o *owned) buf() *tensor.Tensor {
+	if o == nil {
+		return nil
+	}
+	return o.t
+}
+
+// keep records t, which a full compute wrote whole — into buf(), or into a
+// fresh tensor when the shape changed — as o's buffer, and returns it.
+func (o *owned) keep(t *tensor.Tensor) *tensor.Tensor {
+	if o != nil {
+		o.t, o.golden = t, nil
+	}
+	return t
+}
+
+// pathOuts returns n slots for the outputs of a composite layer's paths, from
+// the context's stack (a fresh slice for a nil context). Paths nest — a
+// branch may hold branches — and each composite gives its slots back with
+// dropPaths before it returns, so the stack is as deep as the nesting. A
+// nested reservation that grows the stack leaves the outer slots where they
+// were, still the outer layer's alone.
+func (c *Context) pathOuts(n int) []*tensor.Tensor {
+	if c == nil {
+		return make([]*tensor.Tensor, n)
+	}
+	base := len(c.paths)
+	for range n {
+		// One at a time: append of a make allocates the make under -race.
+		c.paths = append(c.paths, nil)
+	}
+	return c.paths[base : base+n : base+n]
+}
+
+// dropPaths gives back the slots pathOuts returned last.
+func (c *Context) dropPaths(outs []*tensor.Tensor) {
+	if c != nil {
+		clear(outs)
+		c.paths = c.paths[:len(c.paths)-len(outs)]
+	}
+}
+
 // ReplayStats counts what one replayed forward pass did and avoided.
 type ReplayStats struct {
 	// Skipped counts executions served from the golden trace.
@@ -263,10 +375,12 @@ func NewReplayContext(trace *GoldenTrace, arena *Arena) *Context {
 }
 
 // Rebind points the replay context at another recorded trace of the same
-// network — another input's golden state — keeping its arena's free lists and
-// its scratch; SetTarget clears the spans before the next pass. The clean set
-// is the new trace's alone; arena tensors never enter a trace's clean set, so
-// no recycled buffer can pass as golden.
+// network — another input's golden state — keeping its arena's free lists,
+// its owned buffers and its scratch; SetTarget clears the spans before the
+// next pass. The clean set is the new trace's alone; neither arena tensors nor
+// owned buffers ever enter a trace's clean set, so no recycled buffer can pass
+// as golden, and an owned buffer that last copied the old trace's golden is
+// restored in full before its next sweep (sweepBuf).
 func (c *Context) Rebind(trace *GoldenTrace) { c.trace = trace }
 
 // SetTarget arms the replay context for one experiment: hook fires exactly
@@ -279,6 +393,7 @@ func (c *Context) SetTarget(site Layer, visit int, hook Hook) {
 	c.injected = false
 	c.pendingFire = false
 	c.seq = 0
+	c.paths = c.paths[:0] // what a panicked pass left reserved
 	clear(c.spans)
 	c.stats = ReplayStats{}
 	c.hstats = HardenStats{}
@@ -385,7 +500,7 @@ func (c *Context) exec(l Layer, compute func() *tensor.Tensor, seed seedFn, in .
 		// clean inputs mean the execution is off the fault's downstream cone.
 		return c.skip(st)
 	default:
-		if rs, sp, ok := c.dirtyRegion(l, in); ok {
+		if rs, sp, ok := c.dirtyRegion(st, in); ok {
 			if out, swept, ok = rs.forwardRegion(c, in[0], st.out, sp); !ok {
 				// The dirty input reaches no output element (it fell off the
 				// stride lattice or the padding crop): the golden output
@@ -415,13 +530,13 @@ func (c *Context) skip(st *traceStep) *tensor.Tensor {
 	return st.out
 }
 
-// dirtyRegion reports whether l can sweep just the output region reached by
-// its single dirty input, and that input's recorded span; otherwise the whole
-// layer recomputes. A Conv2D sweeps with the tiled kernel, so under the
-// reference kernels it recomputes through them instead.
-func (c *Context) dirtyRegion(l Layer, in []*tensor.Tensor) (regionSite, span, bool) {
-	rs, ok := l.(regionSite)
-	if _, conv := l.(*Conv2D); !ok || conv && UseReferenceKernels() || len(in) != 1 || in[0] == nil {
+// dirtyRegion reports whether st's layer can sweep just the output region
+// reached by its single dirty input, and that input's recorded span;
+// otherwise the whole layer recomputes. A Conv2D sweeps with the tiled
+// kernel, so under the reference kernels it recomputes through them instead.
+func (c *Context) dirtyRegion(st *traceStep, in []*tensor.Tensor) (regionSite, span, bool) {
+	rs := st.region
+	if _, conv := st.layer.(*Conv2D); rs == nil || conv && UseReferenceKernels() || len(in) != 1 || in[0] == nil {
 		return nil, span{}, false
 	}
 	sp, ok := c.spans[in[0]]

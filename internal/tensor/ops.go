@@ -98,11 +98,17 @@ func matMulRef(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Softmax applies a numerically stable softmax along the last dimension.
-func Softmax(t *Tensor) *Tensor {
-	out := t.Clone()
-	SoftmaxRows(out, 0, out.Size()/out.shape[len(out.shape)-1])
-	return out
+// Softmax applies a numerically stable softmax along the last dimension. The
+// result is written into dst and dst returned when dst has t's shape;
+// otherwise (a nil dst included) into a new tensor.
+func Softmax(dst, t *Tensor) *Tensor {
+	if dst == nil || !dst.SameShape(t) {
+		dst = t.Clone()
+	} else {
+		copy(dst.data, t.data)
+	}
+	SoftmaxRows(dst, 0, dst.Size()/dst.shape[len(dst.shape)-1])
+	return dst
 }
 
 // softmaxBlock is how many exponentials SoftmaxRows takes from
@@ -150,30 +156,36 @@ func SoftmaxRows(t *Tensor, r0, r1 int) {
 }
 
 // Concat concatenates tensors along the given axis. All other dimensions
-// must match.
-func Concat(axis int, ts ...*Tensor) *Tensor {
+// must match. The result is written into dst and dst returned when dst has
+// the result's shape; otherwise (a nil dst included) into a new tensor.
+func Concat(dst *Tensor, axis int, ts ...*Tensor) *Tensor {
 	if len(ts) == 0 {
 		panic("tensor: Concat of nothing")
 	}
-	rank := ts[0].Rank()
+	first := ts[0].shape
+	rank := len(first)
 	if axis < 0 || axis >= rank {
 		panic(fmt.Sprintf("tensor: Concat axis %d out of range for rank %d", axis, rank))
 	}
-	outShape := append([]int(nil), ts[0].shape...)
-	total := ts[0].shape[axis]
+	total := first[axis]
 	for _, t := range ts[1:] {
 		if t.Rank() != rank {
 			panic("tensor: Concat rank mismatch")
 		}
 		for d := 0; d < rank; d++ {
-			if d != axis && t.shape[d] != outShape[d] {
-				panic(fmt.Sprintf("tensor: Concat shape mismatch at dim %d: %v vs %v", d, t.shape, outShape))
+			if d != axis && t.shape[d] != first[d] {
+				panic(fmt.Sprintf("tensor: Concat shape mismatch at dim %d: %v vs %v", d, t.shape, first))
 			}
 		}
 		total += t.shape[axis]
 	}
-	outShape[axis] = total
-	out := New(outShape...)
+	out := dst
+	if !concatShaped(out, first, axis, total) {
+		shape := append([]int(nil), first...)
+		shape[axis] = total
+		out = New(shape...)
+	}
+	outShape := out.shape
 
 	// Copy block by block: outer = product of dims before axis,
 	// inner = product of dims after axis.
@@ -191,29 +203,50 @@ func Concat(axis int, ts ...*Tensor) *Tensor {
 		blk := t.shape[axis] * inner
 		for o := 0; o < outer; o++ {
 			src := t.data[o*blk : (o+1)*blk]
-			dst := out.data[o*outAxisStride+offset*inner:]
-			copy(dst[:blk], src)
+			to := out.data[o*outAxisStride+offset*inner:]
+			copy(to[:blk], src)
 		}
 		offset += t.shape[axis]
 	}
 	return out
 }
 
-// Pad2D zero-pads an NHWC tensor by p rows/cols on each spatial side.
-func Pad2D(t *Tensor, p int) *Tensor {
+// concatShaped reports whether t is non-nil and shaped like first with
+// dimension axis widened to total.
+func concatShaped(t *Tensor, first []int, axis, total int) bool {
+	if t == nil || len(t.shape) != len(first) {
+		return false
+	}
+	for d, n := range first {
+		if d == axis {
+			n = total
+		}
+		if t.shape[d] != n {
+			return false
+		}
+	}
+	return true
+}
+
+// Pad2D zero-pads an NHWC tensor by p rows/cols on each spatial side. When
+// dst has the padded shape it must be what an earlier Pad2D by the same p
+// returned: its border is zero already, so only the interior is written and
+// dst returned. Otherwise (a nil dst included) the result is a new tensor.
+func Pad2D(dst, t *Tensor, p int) *Tensor {
 	if t.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: Pad2D requires NHWC rank 4, got %v", t.shape))
 	}
-	if p == 0 {
-		return t.Clone()
-	}
 	n, h, w, c := t.shape[0], t.shape[1], t.shape[2], t.shape[3]
-	out := New(n, h+2*p, w+2*p, c)
+	out := dst
+	if out == nil || !out.hasShape(n, h+2*p, w+2*p, c) {
+		out = New(n, h+2*p, w+2*p, c)
+	}
+	row, pw := w*c, w+2*p
 	for b := 0; b < n; b++ {
 		for y := 0; y < h; y++ {
-			srcOff := t.Offset(b, y, 0, 0)
-			dstOff := out.Offset(b, y+p, p, 0)
-			copy(out.data[dstOff:dstOff+w*c], t.data[srcOff:srcOff+w*c])
+			src := (b*h + y) * row
+			to := ((b*(h+2*p)+y+p)*pw + p) * c
+			copy(out.data[to:to+row], t.data[src:src+row])
 		}
 	}
 	return out

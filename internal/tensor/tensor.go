@@ -143,12 +143,15 @@ func (t *Tensor) ReshapeInPlace(shape ...int) {
 }
 
 // SameShape reports whether t and u have identical shapes.
-func (t *Tensor) SameShape(u *Tensor) bool {
-	if len(t.shape) != len(u.shape) {
+func (t *Tensor) SameShape(u *Tensor) bool { return t.hasShape(u.shape...) }
+
+// hasShape reports whether t has exactly the given shape.
+func (t *Tensor) hasShape(shape ...int) bool {
+	if len(t.shape) != len(shape) {
 		return false
 	}
 	for i := range t.shape {
-		if t.shape[i] != u.shape[i] {
+		if t.shape[i] != shape[i] {
 			return false
 		}
 	}

@@ -248,7 +248,10 @@ func TestMatMulValidation(t *testing.T) {
 
 func TestSoftmaxProperties(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 1000, 1001, 1002}, 2, 3)
-	s := Softmax(x)
+	s := Softmax(nil, x)
+	if Softmax(s, x) != s || Softmax(New(3, 2), x) == s {
+		t.Error("Softmax must write a dst of t's shape and no other")
+	}
 	for r := 0; r < 2; r++ {
 		var sum float32
 		for j := 0; j < 3; j++ {
@@ -271,7 +274,7 @@ func TestSoftmaxProperties(t *testing.T) {
 func TestSoftmaxDegenerateRow(t *testing.T) {
 	inf := float32(math.Inf(-1))
 	x := FromSlice([]float32{inf, inf, inf}, 1, 3)
-	s := Softmax(x)
+	s := Softmax(nil, x)
 	for j := 0; j < 3; j++ {
 		if got := s.At(0, j); math.Abs(float64(got)-1.0/3) > 1e-6 {
 			t.Errorf("degenerate softmax[%d] = %v, want 1/3", j, got)
@@ -282,17 +285,24 @@ func TestSoftmaxDegenerateRow(t *testing.T) {
 func TestConcat(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
 	b := FromSlice([]float32{5, 6, 7, 8}, 1, 2, 2)
-	c := Concat(2, a, b) // channels
+	c := Concat(nil, 2, a, b) // channels
 	if c.Dim(2) != 4 {
 		t.Fatalf("concat dim = %d", c.Dim(2))
 	}
+	dst := New(1, 2, 4)
+	dst.Fill(9)
 	want := []float32{1, 2, 5, 6, 3, 4, 7, 8}
-	for i, w := range want {
-		if c.Data()[i] != w {
-			t.Errorf("Concat[%d] = %v, want %v", i, c.Data()[i], w)
+	for _, got := range []*Tensor{c, Concat(dst, 2, a, b)} {
+		for i, w := range want {
+			if got.Data()[i] != w {
+				t.Errorf("Concat[%d] = %v, want %v", i, got.Data()[i], w)
+			}
 		}
 	}
-	c0 := Concat(0, a, b)
+	if Concat(dst, 2, a, b) != dst || Concat(dst, 1, a, b) == dst {
+		t.Error("Concat must write a dst of the result's shape and no other")
+	}
+	c0 := Concat(nil, 0, a, b)
 	if c0.Dim(0) != 2 || c0.At(1, 0, 0) != 5 {
 		t.Errorf("Concat axis 0 wrong: %v", c0)
 	}
@@ -301,12 +311,21 @@ func TestConcat(t *testing.T) {
 func TestPad2D(t *testing.T) {
 	x := New(1, 2, 2, 1)
 	x.Fill(3)
-	p := Pad2D(x, 1)
+	p := Pad2D(nil, x, 1)
 	if p.Dim(1) != 4 || p.Dim(2) != 4 {
 		t.Fatalf("pad shape = %v", p.Shape())
 	}
 	if p.At(0, 0, 0, 0) != 0 || p.At(0, 1, 1, 0) != 3 || p.At(0, 3, 3, 0) != 0 {
 		t.Error("padding content wrong")
+	}
+	// A dst an earlier Pad2D returned gets its interior rewritten, and only a
+	// dst of the padded shape is reused.
+	x.Fill(5)
+	if Pad2D(p, x, 1) != p || p.At(0, 0, 0, 0) != 0 || p.At(0, 2, 2, 0) != 5 {
+		t.Error("Pad2D into its own earlier result: wrong buffer or content")
+	}
+	if Pad2D(p, x, 2) == p {
+		t.Error("Pad2D reused a dst of another shape")
 	}
 	// Property: padded sum equals original sum.
 	sum := func(t *Tensor) (s float64) {
