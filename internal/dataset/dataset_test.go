@@ -104,3 +104,14 @@ func TestSampleAllDatasets(t *testing.T) {
 		t.Error("unknown dataset should fail")
 	}
 }
+
+// TestSampleAllocations bounds what one sample costs the heap: the tensor
+// and its buffers, not an allocation per element written (the accessors'
+// index stays on the stack).
+func TestSampleAllocations(t *testing.T) {
+	for _, name := range []Name{Cifar10Like, IWSLTLike, HARLike} {
+		if got := testing.AllocsPerRun(10, func() { Sample(name, 3) }); got > 10 {
+			t.Errorf("Sample(%s): %v allocs, want at most 10", name, got)
+		}
+	}
+}

@@ -45,6 +45,43 @@ func benchConvTile(b *testing.B, zeroFrac float64) {
 func BenchmarkConvTileDense(b *testing.B)    { benchConvTile(b, 0) }
 func BenchmarkConvTileSparse50(b *testing.B) { benchConvTile(b, 0.5) }
 
+// BenchmarkConvTileDepthwise times one full-output convTile of each of
+// mobilenet-lite's 3×3 depthwise layers — ds1 8×8×8, ds2 8×8×16 at stride 2,
+// ds3 4×4×32, pad 1 — at FP16 and INT8: MAC/s over the taps that fall inside
+// the map, and ns per output pixel.
+func BenchmarkConvTileDepthwise(b *testing.B) {
+	for _, p := range []numerics.Precision{numerics.FP16, numerics.INT8} {
+		for _, s := range []struct{ hw, c, stride int }{{8, 8, 1}, {8, 16, 2}, {4, 32, 1}} {
+			b.Run(fmt.Sprintf("%v/%dx%dx%d/s%d", p, s.hw, s.hw, s.c, s.stride), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(35))
+				codec := numerics.MustCodec(p, 6)
+				l := NewDepthwiseConv2D("dw", 3, 3, s.c, s.stride, 1, codec).InitRandom(rng, 0.3)
+				x := tensor.New(1, s.hw, s.hw, s.c)
+				x.RandNormal(rng, 1)
+				oh, ow := l.outHW(s.hw, s.hw)
+				out := tensor.New(1, oh, ow, s.c)
+				a := l.kernelArgs(new(convArgs), x, out, codec.RoundSlice(x.Data()), 0)
+				accs := make([]float32, a.outC)
+				macs := 0
+				for oy := 0; oy < oh; oy++ {
+					for ox := 0; ox < ow; ox++ {
+						kyLo, kyHi := kernelSpan(oy, a.stride, a.pd, a.kh, a.h)
+						kxLo, kxHi := kernelSpan(ox, a.stride, a.pd, a.kw, a.w)
+						macs += (kyHi - kyLo) * (kxHi - kxLo) * s.c
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					convTile(a, 0, 0, oh, 0, ow, accs)
+				}
+				reportMACs(b, macs)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*oh*ow), "ns/pixel")
+			})
+		}
+	}
+}
+
 // BenchmarkDenseTile times a 512→256 FP16 dense layer's whole output.
 func BenchmarkDenseTile(b *testing.B) {
 	rng := rand.New(rand.NewSource(32))
@@ -185,6 +222,33 @@ func BenchmarkComputeNeuron(b *testing.B) {
 			}
 			_ = sink
 			reportMACs(b, 3*3*16)
+		})
+	}
+	// The reuse sets of mobilenet-lite's ds1 (8×8×8 depthwise, 3×3),
+	// recomputed as a Before-CBUF fault recomputes them; ns/neuron is over
+	// the set. An input fault's: one channel of the nine pixels around it.
+	dw := NewDepthwiseConv2D("dw", 3, 3, 8, 1, 1, codec).InitRandom(rng, 0.3)
+	xd := tensor.New(1, 8, 8, 8)
+	xd.RandNormal(rng, 1)
+	codec.RoundInto(xd.Data(), xd.Data())
+	dop := &Operands{In: xd, W: dw.W, B: dw.B, Out: dw.Forward(xd, nil)}
+	ov := &Override{Kind: OperandInput, Flat: (4*8+4)*8 + 5, Value: 2}
+	set := dw.NeuronsUsingOperand(dop, OperandInput, ov.Flat, nil)
+	// A weight fault's: one channel of every pixel.
+	wov := &Override{Kind: OperandWeight, Flat: 4*8 + 5, Value: 2}
+	wset := dw.NeuronsUsingOperand(dop, OperandWeight, wov.Flat, nil)
+	for _, bc := range []struct {
+		name string
+		ov   *Override
+		set  []int
+	}{{"input-set", ov, set}, {"weight-set", wov, wset}} {
+		dst := make([]float32, len(bc.set))
+		b.Run("depthwise/"+bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dw.ComputeNeurons(dop, bc.set, bc.ov, dst)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bc.set)), "ns/neuron")
 		})
 	}
 }

@@ -81,8 +81,9 @@ func (l *Branches) children() []Layer { return l.Paths }
 
 // Forward implements Layer.
 func (l *Branches) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	outs := ctx.pathOuts(len(l.Paths))
-	for i, p := range l.Paths {
+	paths := l.Paths
+	outs := ctx.pathOuts(len(paths))[:len(paths)]
+	for i, p := range paths {
 		outs[i] = p.Forward(x, ctx)
 	}
 	out := ctx.glue(l, func() *tensor.Tensor {

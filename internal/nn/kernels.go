@@ -140,8 +140,8 @@ func kernelSpan(o, stride, pd, k, n int) (lo, hi int) {
 
 // convPixel accumulates output channels [c0, c0+len(accs)) of pixel (oy, ox)
 // of batch image bi into accs, from +0 and in (ky, kx, ic) order: the neuron
-// before its bias and saturation. A depthwise layer takes all of its channels
-// at once (c0 = 0).
+// before its bias and saturation: of a depthwise layer too, whose channel c
+// reads input channel c alone.
 func convPixel(a *convArgs, bi, oy, ox, c0 int, accs []float32) {
 	rin, rw := a.rin, a.rw
 	inC, outC := a.inC, a.outC
@@ -163,17 +163,19 @@ func convPixel(a *convArgs, bi, oy, ox, c0 int, accs []float32) {
 			mulAddPanel(a.fp16, rowsFrom(a.thr, wBase), accs, irow, rw[wBase*outC+c0:], outC)
 			continue
 		}
-		wrow := rw[wBase : wBase+len(irow)]
-		for ; len(wrow) > 0; irow, wrow = irow[inC:], wrow[inC:] {
+		// Depthwise: channel c of each kx tap against its own weight, the
+		// taps inC apart in both operands (outC == inC).
+		irow, wrow := irow[c0:], rw[wBase+c0:wBase+len(irow)]
+		if a.fp16 {
+			numerics.HalfMulAddVec(accs, irow, wrow, inC, kxHi-kxLo)
+			continue
+		}
+		for o := 0; o < len(wrow); o += inC {
 			// Pin the operands to accs' length so the inner loop is
-			// bounds-check free (outC == inC for depthwise).
-			iv, wv := irow[:len(accs)], wrow[:len(accs)]
-			if a.fp16 {
-				numerics.HalfMulAddVec(accs, iv, wv)
-			} else {
-				for c, w := range wv {
-					accs[c] += iv[c] * w
-				}
+			// bounds-check free.
+			iv, wv := irow[o:o+len(accs)], wrow[o:o+len(accs)]
+			for c, w := range wv {
+				accs[c] += iv[c] * w
 			}
 		}
 	}

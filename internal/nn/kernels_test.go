@@ -177,6 +177,11 @@ func TestConvKernelEquivalence(t *testing.T) {
 		{"depthwise", 3, 3, 8, 8, 1, 1, 10, 10, true},
 		{"large-banded", 3, 3, 16, 32, 1, 1, 24, 24, false},
 		{"depthwise-banded", 3, 3, 48, 48, 1, 1, 32, 32, true},
+		// mobilenet-lite's depthwise layers: one 8-, 16- and 32-column
+		// block of the run lanes, every edge pixel padded.
+		{"mobilenet-ds1", 3, 3, 8, 8, 1, 1, 8, 8, true},
+		{"mobilenet-ds2", 3, 3, 16, 16, 2, 1, 8, 8, true},
+		{"mobilenet-ds3", 3, 3, 32, 32, 1, 1, 4, 4, true},
 	}
 	kinds := rowKinds{}
 	for _, g := range geoms {

@@ -7,12 +7,11 @@ package nn
 // the neurons a faulty weight reaches are one channel of every pixel, whose
 // weight column is gathered once. Either way the operands are rounded once per
 // set, not once per product, and the products are formed by the tile kernels'
-// own loops (mulAddPanel, dotRow) in ComputeNeuron's order, so every value
-// equals ComputeNeuron's bit for bit (DESIGN.md §7.5). ComputeNeuron stays the
-// definition, and the path of what the runs do not cover: a layer handed
-// weights that are not its own (no rounded cache to read), the depthwise
-// convolution (kh·kw products a neuron: nothing to amortize), and the one
-// neuron of a run whose own weight is overridden.
+// own loops (mulAddPanel, convPixel, dotRow) in ComputeNeuron's order, so
+// every value equals ComputeNeuron's bit for bit (DESIGN.md §7.5).
+// ComputeNeuron stays the definition, and the path of what the runs do not
+// cover: a layer handed weights that are not its own (no rounded cache to
+// read), and the one neuron of a run whose own weight is overridden.
 
 import (
 	"sync"
@@ -138,7 +137,7 @@ func (l *Conv2D) ComputeNeurons(op *Operands, neurons []int, ov *Override, dst [
 	if len(neurons) == 0 {
 		return
 	}
-	if op.W != l.W || l.Depthwise {
+	if op.W != l.W {
 		computeEach(l, op, neurons, ov, dst)
 		return
 	}
@@ -146,14 +145,23 @@ func (l *Conv2D) ComputeNeurons(op *Operands, neurons []int, ov *Override, dst [
 	defer op.release(sc)
 	a := l.kernelArgs(&sc.cargs, op.In, op.Out, nil, 0)
 	inFlat, wFlat := ov.targets()
+	if l.Depthwise && wFlat >= 0 {
+		// Every neuron a depthwise weight reaches multiplies by it: the runs
+		// read a private copy of the rounded weights with Round(ov.Value)
+		// in its place, as the column route patches its column.
+		sc.w = append(sc.w[:0], a.rw...)
+		sc.w[wFlat] = l.codec.Round(ov.Value)
+		a.rw, wFlat = sc.w, -1
+	}
 	ind := op.In.Data()
 	rowStride := a.w * a.inC
 	imgSize := a.oh * a.ow * a.outC
 
 	// A weight's reuse set: its output channel's weight column, contiguous,
-	// against each pixel's contiguous input.
+	// against each pixel's contiguous input. A depthwise channel's column is
+	// its own kh·kw taps, which convPixel reads in place.
 	var col []float32
-	if oneChannel(neurons, a.outC) {
+	if !l.Depthwise && oneChannel(neurons, a.outC) {
 		sc.w = grow(sc.w, a.kh*a.kw*a.inC)
 		col = sc.w
 		weightColumn(l.codec, col, a.rw, a.outC, neurons[0]%a.outC, wFlat, ov)
@@ -162,11 +170,10 @@ func (l *Conv2D) ComputeNeurons(op *Operands, neurons []int, ov *Override, dst [
 	for lo := 0; lo < len(neurons); {
 		// The neurons of one batch image, and the input box they read.
 		bi := neurons[lo] / imgSize
-		hi := lo
+		img, hi := bi*imgSize, lo
 		oy0, oy1, ox0, ox1 := a.oh, -1, a.ow, -1
-		for ; hi < len(neurons) && neurons[hi]/imgSize == bi; hi++ {
-			pix := neurons[hi] / a.outC
-			oy, ox := pix/a.ow%a.oh, pix%a.ow
+		for ; hi < len(neurons) && uint(neurons[hi]-img) < uint(imgSize); hi++ {
+			oy, ox, _ := a.position(neurons[hi] - img)
 			oy0, oy1 = min(oy0, oy), max(oy1, oy)
 			ox0, ox1 = min(ox0, ox), max(ox1, ox)
 		}
@@ -186,8 +193,7 @@ func (l *Conv2D) ComputeNeurons(op *Operands, neurons []int, ov *Override, dst [
 		}
 
 		for i := lo; i < hi; {
-			pix, c0 := neurons[i]/a.outC, neurons[i]%a.outC
-			oy, ox := pix/a.ow%a.oh, pix%a.ow
+			oy, ox, c0 := a.position(neurons[i] - img)
 			if col != nil {
 				dst[i] = finishNeuron(l.codec, op.B, ov, c0, convColumn(a, col, bi, oy, ox))
 				i++
@@ -208,6 +214,14 @@ func (l *Conv2D) ComputeNeurons(op *Operands, neurons []int, ov *Override, dst [
 		}
 		lo = hi
 	}
+}
+
+// position returns the output row, column and channel of offset off into
+// one batch image of the output.
+func (a *convArgs) position(off int) (oy, ox, c int) {
+	pix := off / a.outC
+	oy = pix / a.ow
+	return oy, pix - oy*a.ow, off - pix*a.outC
 }
 
 // convColumn accumulates the neuron at pixel (oy, ox) of batch image bi whose

@@ -25,7 +25,8 @@ var overrideValues = []float32{
 // hands it — for no override and for an override of every operand kind drawn
 // from overrideValues: the target's whole reuse set, that set shuffled (runs
 // of one, in no order), a random sample of the output with repeats, one
-// channel of it, and one neuron; with the FP16 lanes as detected and off.
+// channel of it, every channel of one position (a run as wide as the layer),
+// and one neuron; with the FP16 lanes as detected and off.
 func checkComputeNeurons(t *testing.T, label string, rng *rand.Rand, site Site, op *Operands) {
 	t.Helper()
 	detected := numericsHasAVX2
@@ -49,11 +50,16 @@ func checkComputeNeurons(t *testing.T, label string, rng *rand.Rand, site Site, 
 	}
 	for trial := 0; trial < 8; trial++ {
 		var ov *Override
+		position := sample(1, 0)
+		for c := 1; c < lastDim; c++ {
+			position = append(position, position[0]+c)
+		}
 		sets := map[string][]int{
-			"sample":      sample(40, -1),
-			"one-channel": sample(12, rng.Intn(lastDim)),
-			"one-neuron":  sample(1, -1),
-			"empty":       nil,
+			"sample":       sample(40, -1),
+			"one-channel":  sample(12, rng.Intn(lastDim)),
+			"one-position": position,
+			"one-neuron":   sample(1, -1),
+			"empty":        nil,
 		}
 		if trial > 0 {
 			kind := kinds[rng.Intn(len(kinds))]
@@ -91,10 +97,12 @@ func checkComputeNeurons(t *testing.T, label string, rng *rand.Rand, site Site, 
 // TestComputeNeuronsMatchesComputeNeuron generates convolution, dense and
 // matmul sites — stride 1 and 2, padding 0 to 2 (past a 1×1 kernel: neurons
 // that read nothing), kernels 1, 3 and 5, channel counts below, at and off
-// the lane width, depthwise, with and without bias, both matmul layouts, at
-// every precision — with adversarial stored activations (zeros, Inf and NaN
-// already in the input, so the lanes bail mid-row) under finite and non-finite
-// weights, and holds the batch recompute to the per-neuron definition.
+// the lane width, depthwise (and mobilenet-lite's three depthwise layers:
+// the 8-, 16- and 32-column blocks of the run lanes), with and without bias,
+// both matmul layouts, at every precision — with adversarial stored
+// activations (zeros, Inf and NaN already in the input, so the lanes bail
+// mid-row) under finite and non-finite weights, and holds the batch recompute
+// to the per-neuron definition.
 func TestComputeNeuronsMatchesComputeNeuron(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	channels := [][2]int{{3, 5}, {8, 8}, {5, 20}, {16, 16}, {4, 1}}
@@ -106,6 +114,7 @@ func TestComputeNeuronsMatchesComputeNeuron(t *testing.T) {
 			ch := channels[rng.Intn(len(channels))]
 			var l *Conv2D
 			if trial%9 == 8 {
+				k = []int{1, 3, 5}[trial/9%3]
 				l = NewDepthwiseConv2D("c", k, k, ch[1], stride, pad, codec)
 				l.W.RandNormal(rng, 1)
 				l.B.RandNormal(rng, 0.25)
@@ -125,6 +134,30 @@ func TestComputeNeuronsMatchesComputeNeuron(t *testing.T) {
 			label := fmt.Sprintf("conv %s k%d s%d p%d %d->%d depthwise=%v bias=%v",
 				codec.Precision(), k, stride, pad, l.InC, l.OutC, l.Depthwise, l.B != nil)
 			checkComputeNeurons(t, label, rng, l, &Operands{In: x, W: l.W, B: l.B, Out: l.Forward(x, nil)})
+		}
+
+		// Plain operands as well: an adversarial window of 3×3×32 inputs
+		// holds a non-finite value almost always, and a block that meets one
+		// is the Go loop's.
+		for _, s := range []struct{ hw, c, stride int }{{8, 8, 1}, {8, 16, 2}, {4, 32, 1}} {
+			for _, variant := range []string{"plain", "adversarial", "nonfinite"} {
+				if variant == "nonfinite" && !float {
+					continue
+				}
+				l := NewDepthwiseConv2D("dw", 3, 3, s.c, s.stride, 1, codec).InitRandom(rng, 1)
+				if variant == "nonfinite" {
+					plantWeights("nonfinite", l.W, rng)
+					l.InvalidateWeights()
+				}
+				x := tensor.New(1, s.hw, s.hw, s.c)
+				x.RandNormal(rng, 1)
+				if variant == "adversarial" {
+					adversarial(x.Data(), rng)
+				}
+				label := fmt.Sprintf("mobilenet depthwise %s %dx%dx%d s%d %s",
+					codec.Precision(), s.hw, s.hw, s.c, s.stride, variant)
+				checkComputeNeurons(t, label, rng, l, &Operands{In: x, W: l.W, B: l.B, Out: l.Forward(x, nil)})
+			}
 		}
 
 		for _, g := range [][2]int{{5, 3}, {32, 8}, {70, 20}, {9, 16}} {

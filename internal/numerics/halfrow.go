@@ -27,14 +27,15 @@ const (
 )
 
 // laneChunk is how many elements one step of the AVX2 routines takes. The row,
-// element-wise, dot and rounding routines do whole chunks from the front of
-// their operands and return how many elements they finished: every whole
-// chunk, or fewer when they stopped before a chunk with a lane in the rare
-// band. The primitive's Go loop — the one implementation of that band — then
-// does that chunk and the lanes resume behind it, so a faulty tensor full of
-// Inf and NaN runs at the Go loop's speed, not to different bits; the Go loop
-// also does every tail. The panel returns no position: it takes one column
-// block a call and says whether it stored it (HalfMulAddPanel).
+// dot and rounding routines do whole chunks from the front of their operands
+// and return how many elements they finished: every whole chunk, or fewer
+// when they stopped before a chunk with a lane in the rare band. The
+// primitive's Go loop — the one implementation of that band — then does that
+// chunk and the lanes resume behind it, so a faulty tensor full of Inf and
+// NaN runs at the Go loop's speed, not to different bits; the Go loop also
+// does every tail. The panel and the element-wise run return no
+// position: they take one column block a call and say whether they stored it
+// (HalfMulAddPanel).
 const laneChunk = 8
 
 // halfRoundSmall rounds a product with |p| < 2⁻¹⁴ (bit pattern b, magnitude
@@ -172,36 +173,60 @@ func halfMulAddRowGo(acc []float32, a float32, w []float32) {
 	}
 }
 
-// HalfMulAddVec computes acc[i] += RoundHalf(a[i] * w[i]) for every i in w,
-// the element-wise form a depthwise convolution needs. acc and a must be at
-// least as long as w.
-func HalfMulAddVec(acc, a, w []float32) {
-	acc, a = acc[:len(w)], a[:len(w)]
-	if hasAVX2 {
-		n := halfMulAddVecAVX2(acc, a, w)
-		for n+laneChunk <= len(w) {
-			halfMulAddVecGo(acc[n:n+laneChunk], a[n:n+laneChunk], w[n:n+laneChunk])
-			n += laneChunk
-			n += halfMulAddVecAVX2(acc[n:], a[n:], w[n:])
+// HalfMulAddVec computes, for the taps t from 0 to taps-1 in ascending order,
+// acc[c] += RoundHalf(a[t*stride+c] * w[t*stride+c]) for every c in acc: the
+// element-wise run a depthwise convolution's kernel row is, each channel
+// against its own weight at every kx tap, stride the channel count. a and w
+// must reach index (taps-1)*stride + len(acc) - 1, and stride must not be
+// negative.
+//
+// The lanes keep HalfMulAddPanel's block rule: the columns a block of 32, 16
+// or 8 at a time, the block's accumulators in registers across every tap,
+// every product masked and none tested, stored only if all came out finite;
+// any other block, and the tail, the Go loop computes whole from its first
+// tap. Each accumulator takes its products in tap order whoever adds them
+// (DESIGN.md §7.1.2).
+func HalfMulAddVec(acc, a, w []float32, stride, taps int) {
+	if taps <= 0 || len(acc) == 0 {
+		return
+	}
+	if stride < 0 {
+		panic("numerics: HalfMulAddVec with a negative stride")
+	}
+	end := (taps-1)*stride + len(acc)
+	a, w = a[:end], w[:end]
+	for len(acc) > 0 {
+		n, ok := len(acc), false
+		if hasAVX2 && n >= laneChunk {
+			n, ok = halfMulAddVecAVX2(acc, a, w, stride, taps)
+		}
+		if !ok {
+			halfMulAddVecGo(acc[:n], a, w, stride, taps)
 		}
 		acc, a, w = acc[n:], a[n:], w[n:]
 	}
-	halfMulAddVecGo(acc, a, w)
 }
 
-func halfMulAddVecGo(acc, a, w []float32) {
-	acc, a = acc[:len(w)], a[:len(w)]
-	for i, wv := range w {
-		b := math.Float32bits(a[i] * wv)
-		abs := b &^ f32Sign
-		switch {
-		case abs-f32HalfNormal < f32HalfOver-f32HalfNormal:
-			acc[i] += math.Float32frombits((b + 0x0fff + (b >> 13 & 1)) &^ 0x1fff)
-		case abs < f32HalfNormal:
-			acc[i] += halfRoundSmall(b, abs)
-		default:
-			acc[i] += RoundHalfRef(math.Float32frombits(b))
+// halfMulAddVecGo takes the columns one at a time, each accumulator in a
+// register across its taps; o < len(a) holds for every tap and tells the
+// compiler so.
+func halfMulAddVecGo(acc, a, w []float32, stride, taps int) {
+	a = a[:(taps-1)*stride+len(acc)]
+	w = w[:len(a)]
+	for c, s := range acc {
+		for t, o := taps, uint(c); t > 0 && o < uint(len(a)); t, o = t-1, o+uint(stride) {
+			b := math.Float32bits(a[o] * w[o])
+			abs := b &^ f32Sign
+			switch {
+			case abs-f32HalfNormal < f32HalfOver-f32HalfNormal:
+				s += math.Float32frombits((b + 0x0fff + (b >> 13 & 1)) &^ 0x1fff)
+			case abs < f32HalfNormal:
+				s += halfRoundSmall(b, abs)
+			default:
+				s += RoundHalfRef(math.Float32frombits(b))
+			}
 		}
+		acc[c] = s
 	}
 }
 

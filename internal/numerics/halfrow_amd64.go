@@ -9,7 +9,8 @@ package numerics
 var hasAVX2 = cpuHasAVX2()
 
 // Implemented in halfrow_amd64.s; halfrow.go (laneChunk) has the contract of
-// the four chunk routines, the panel (one column block a call) states its own.
+// the three chunk routines, the panel and the element-wise run (one column
+// block a call) state their own.
 
 func cpuHasAVX2() bool
 
@@ -17,7 +18,7 @@ func halfMulAddRowAVX2(acc []float32, a float32, w []float32) int
 
 func halfMulAddPanelAVX2(acc, a, w []float32, stride int, thr []uint32) (n int, ok bool)
 
-func halfMulAddVecAVX2(acc, a, w []float32) int
+func halfMulAddVecAVX2(acc, a, w []float32, stride, taps int) (n int, ok bool)
 
 func halfDotAVX2(acc float32, a, w []float32) (sum float32, n int)
 

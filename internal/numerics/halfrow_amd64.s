@@ -1,14 +1,14 @@
 // AVX2 lanes for the FP16 row primitives of halfrow.go: eight float32 lanes
 // go through the F16C converter and one mask at once (DESIGN.md §7.1.1 argues why
-// that rounds like HalfFromFloat32). The row, element-wise, dot and rounding
-// routines walk whole 8-element chunks from the front of their operands and
-// stop before the first chunk in which some lane is at or past f32HalfOver — an
-// overflowing product, ±Inf or NaN — returning how many elements they finished.
-// The panel tests no product: it keeps a column block's accumulators in
-// registers across every row, stores them only if all came out finite and says
-// which it did (§7.1.2); with thresholds it visits the rows that are not ±0 by
-// bitmask and leaves the mask out where it is idle (§7.1.4). The Go loops own
-// the rare band and every tail.
+// that rounds like HalfFromFloat32). The row, dot and rounding routines walk
+// whole 8-element chunks from the front of their operands and stop before the
+// first chunk in which some lane is at or past f32HalfOver — an overflowing
+// product, ±Inf or NaN — returning how many elements they finished. The panel
+// and the element-wise run test no product: they keep a column block's
+// accumulators in registers across every row or tap, store them only if all
+// came out finite and say which they did (§7.1.2); with thresholds the panel
+// visits the rows that are not ±0 by bitmask and leaves the mask out where it
+// is idle (§7.1.4). The Go loops own the rare band and every tail.
 //
 // VEX encodings only, and VZEROUPPER before every RET: one legacy-SSE
 // instruction with dirty upper YMM halves costs a state transition of about a
@@ -18,7 +18,7 @@
 
 // One dword per lane constant, broadcast at entry. Y14 takes the one at the
 // offset LANECONSTS is given: the bail threshold (4) of the chunk routines or,
-// in the panel, the exponent field (16).
+// in the panel and the element-wise run, the exponent field (16).
 DATA halfLanes<>+0(SB)/4, $0x7fffffff  // |p| mask
 DATA halfLanes<>+4(SB)/4, $0x477fefff  // f32HalfOver - 1
 DATA halfLanes<>+8(SB)/4, $0x337fffff  // f32HalfTiny - 1
@@ -311,27 +311,56 @@ done:
 	VZEROUPPER
 	RET
 
-// func halfMulAddVecAVX2(acc, a, w []float32) int
-TEXT ·halfMulAddVecAVX2(SB), NOSPLIT, $0-80
-	MOVQ    acc_base+0(FP), DI
-	MOVQ    a_base+24(FP), DX
-	MOVQ    w_base+48(FP), SI
-	MOVQ    w_len+56(FP), CX
-	LANECONSTS(4)
-	XORQ    AX, AX
-	ANDQ    $-8, CX
-	JZ      done
-loop:
-	VMOVUPS (DX)(AX*4), Y0
-	VMULPS  (SI)(AX*4), Y0, Y0
-	ROUND8(done)
-	VADDPS  (DI)(AX*4), Y3, Y3
-	VMOVUPS Y3, (DI)(AX*4)
-	ADDQ    $8, AX
-	CMPQ    AX, CX
-	JLT     loop
+// VMAC is PMAC for the element-wise run: the activations are a chunk of
+// their own, at the same offset as the weights.
+#define VMAC(off, ACC) \
+	VMOVUPS off(DX), Y0; \
+	VMULPS  off(SI), Y0, Y0; \
+	VPAND   Y15, Y0, Y1; \
+	HALF8; \
+	VADDPS  ACC, Y3, ACC
+
+// VBLOCK is the element-wise run over one block of width columns: the
+// accumulators are loaded once and take every tap, each product masked, in
+// registers; both operands step a tap (R9 bytes) at a time.
+#define VBLOCK(COLS, width, tap) \
+	COLS(PLOAD); \
+tap: \
+	COLS(VMAC); \
+	ADDQ R9, DX; \
+	ADDQ R9, SI; \
+	DECQ R8; \
+	JNZ  tap; \
+	FINISH(COLS, width)
+
+// func halfMulAddVecAVX2(acc, a, w []float32, stride, taps int) (n int, ok bool)
+//
+// acc[c] += R(a[t*stride+c]*w[t*stride+c]) for the taps t in ascending order
+// and the first n columns c, n the widest block of 32, 16 and 8 columns that
+// len(acc) holds; len(acc) >= 8 and taps > 0. ok and what was stored are the
+// panel's block rule: all finite, stored; else nothing, and the block is the
+// Go loop's from its first tap.
+TEXT ·halfMulAddVecAVX2(SB), NOSPLIT, $0-97
+	MOVQ  acc_base+0(FP), DI
+	MOVQ  acc_len+8(FP), CX
+	MOVQ  a_base+24(FP), DX
+	MOVQ  w_base+48(FP), SI
+	MOVQ  stride+72(FP), R9
+	MOVQ  taps+80(FP), R8
+	SHLQ  $2, R9 // a tap, in bytes
+	LANECONSTS(16)
+	CMPQ  CX, $32
+	JGE   vblock32
+	CMPQ  CX, $16
+	JGE   vblock16
+	VBLOCK(COLS8, 8, tap8)
+vblock16:
+	VBLOCK(COLS16, 16, tap16)
+vblock32:
+	VBLOCK(COLS32, 32, tap32)
 done:
-	MOVQ    AX, ret+72(FP)
+	MOVQ  AX, n+88(FP)
+	SETEQ ok+96(FP) // ZF is still the block's VPTEST
 	VZEROUPPER
 	RET
 

@@ -14,7 +14,9 @@ func halfMulAddPanelAVX2(acc, a, w []float32, stride int, thr []uint32) (n int, 
 	return len(acc), false
 }
 
-func halfMulAddVecAVX2(acc, a, w []float32) int { return 0 }
+func halfMulAddVecAVX2(acc, a, w []float32, stride, taps int) (n int, ok bool) {
+	return len(acc), false
+}
 
 func halfDotAVX2(acc float32, a, w []float32) (sum float32, n int) { return acc, 0 }
 

@@ -43,7 +43,7 @@ func testAccumulatorNeverNegativeZero(t *testing.T) {
 			}
 			dots[0] = v
 			HalfMulAddRow(row, v, ones)
-			HalfMulAddVec(vec, vs, ones)
+			HalfMulAddVec(vec, vs, ones, width, 1)
 			dot = HalfDot(dot, dots, ones)
 			for _, accs := range [][]float32{{plain, dot}, row, vec} {
 				for _, acc := range accs {

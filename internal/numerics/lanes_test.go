@@ -27,6 +27,7 @@ type operands struct {
 	x, w   []float32 // activations and weights; the row to round, rectify or exponentiate; a diff scan's rows
 	s      float32   // HalfMulAddRow's activation, HalfDot's accumulator, ExpRow's shift
 	stride int
+	taps   int      // HalfMulAddVec's
 	thr    []uint32 // HalfMulAddPanel's thresholds: nil, or its weights' (withThresholds)
 	q      Quantizer
 	lo, hi float32 // ClipRow's bounds; lo is Quantizer.roundInto's floor
@@ -122,17 +123,31 @@ var primitives = []*primitive{
 	},
 	{
 		name: "HalfMulAddVec", body: "halfMulAddVecAVX2", nanEq: true,
-		run: onAcc(func(acc []float32, o *operands) { HalfMulAddVec(acc, o.x, o.w) }),
+		run: onAcc(func(acc []float32, o *operands) { HalfMulAddVec(acc, o.x, o.w, o.stride, o.taps) }),
 		def: onAcc(func(acc []float32, o *operands) {
-			for i, w := range o.w {
-				acc[i] += RoundHalfRef(o.x[i] * w)
+			for t := 0; t < o.taps; t++ {
+				for c := range acc {
+					acc[c] += RoundHalfRef(o.x[t*o.stride+c] * o.w[t*o.stride+c])
+				}
 			}
 		}),
-		gen: halfOperands, specials: halfSpecials, plant: plantProduct,
-		whole:  func(n int) int { return halfMulAddVecAVX2(make([]float32, n), filled(n, 1), filled(n, 0.5)) },
-		sweeps: []sweep{{"TestHalfRowMatchesRef", halvesTimesMultipliers}, {"TestHalfRoundBandEdges", bandEdgeProducts}},
-		fuzz:   "FuzzHalfRow", decode: decodeHalfRow,
-		bench: halfRowBench(func(acc, a, w []float32) { HalfMulAddVec(acc, a, w) }),
+		gen: halfRunOperands, specials: halfSpecials, plant: plantMiddleTap,
+		whole: func(n int) int { // a column block a call, as the dispatcher calls it
+			const taps, stride = 3, laneChunk*5 + 1
+			acc, a, w := make([]float32, n), filled(2*stride+n, 1), filled(2*stride+n, 0.5)
+			for done := 0; done < n; {
+				k, ok := halfMulAddVecAVX2(acc[done:], a[done:], w[done:], stride, taps)
+				if !ok {
+					return done
+				}
+				done += k
+			}
+			return n
+		},
+		sweeps: []sweep{{"TestHalfRowMatchesRef", oneTap(halvesTimesMultipliers)},
+			{"TestHalfRoundBandEdges", oneTap(bandEdgeProducts)}, {"TestVecRunsMatchRows", halfRuns}},
+		fuzz: "FuzzHalfRow", decode: decodeHalfRun,
+		bench: halfRunBench(),
 	},
 	{
 		name: "HalfDot", body: "halfDotAVX2", nanEq: true,
@@ -460,9 +475,9 @@ func (p *primitive) compare(t testing.TB, where string, o *operands, by string, 
 				return fmt.Sprintf("%d long", len(s))
 			}
 			t.Fatalf("%s (lanes %v), %s: result %d is %#08x by the %s, %#08x by the %s\n"+
-				"operands: acc %s, x %s, w %s, s %#08x, stride %d, thresholds %v, q %+v, lo %v, hi %v",
+				"operands: acc %s, x %s, w %s, s %#08x, stride %d, taps %d, thresholds %v, q %+v, lo %v, hi %v",
 				p.name, hasAVX2, where, i, math.Float32bits(g), by, math.Float32bits(w), against,
-				el(o.acc), el(o.x), el(o.w), math.Float32bits(o.s), o.stride, o.thr, o.q, o.lo, o.hi)
+				el(o.acc), el(o.x), el(o.w), math.Float32bits(o.s), o.stride, o.taps, o.thr, o.q, o.lo, o.hi)
 		}
 	}
 }
@@ -505,6 +520,30 @@ func TestLaneContract(t *testing.T) {
 	}
 }
 
+// TestVecRunsRefuseNaN holds the run body to its block rule directly, where
+// the table could not tell: a block with a NaN accumulator in any column is
+// refused and left as it was. (A stored NaN block passes the table wherever
+// the compiler happens to give the Go loop the lanes' operand order.)
+func TestVecRunsRefuseNaN(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("no lanes on this machine")
+	}
+	for _, n := range []int{8, 16, 32} {
+		for col := 0; col < n; col++ {
+			acc := filled(n, 0.25)
+			acc[col] = nan
+			if k, ok := halfMulAddVecAVX2(acc, filled(2*n, 1), filled(2*n, 0.5), n, 2); k != n || ok {
+				t.Fatalf("%d columns, NaN in column %d: finished %d, ok %v; want %d refused", n, col, k, ok, n)
+			}
+			for c, v := range acc {
+				if c != col && v != 0.25 {
+					t.Fatalf("%d columns, NaN in column %d: refused block's column %d is %v", n, col, c, v)
+				}
+			}
+		}
+	}
+}
+
 // runSweeps runs the sweeps the table files under t's name, lanes off and on.
 func runSweeps(t *testing.T) { eachDispatch(t, sweepsOf(t.Name(), false)) }
 
@@ -529,6 +568,7 @@ func TestHalfRowMatchesRef(t *testing.T)    { runSweeps(t) }
 func TestHalfRoundBandEdges(t *testing.T)   { runSweeps(t) }
 func TestRoundLanesSmallBands(t *testing.T) { runSweepsOnce(t) }
 func TestPanelMatchesRows(t *testing.T)     { runSweeps(t) }
+func TestVecRunsMatchRows(t *testing.T)     { runSweeps(t) }
 func TestMulAddPanelMatchesGo(t *testing.T) { runSweeps(t) }
 func TestQuantLanesMatchGo(t *testing.T)    { runSweeps(t) }
 func TestMaxRowMatchesScalar(t *testing.T)  { runSweeps(t) }
@@ -849,6 +889,109 @@ func halfRowBench(f func(acc, a, w []float32)) (cs []benchCase) {
 			a, w := benchOperands(width)
 			acc := make([]float32, width)
 			return func(int) { f(acc, a, w) }, width
+		}})
+	}
+	return cs
+}
+
+// oneTap is each's operands as one-tap runs: the element-wise products of
+// the rows' sweeps, each lane alone.
+func oneTap(each func(yield func(operands))) func(yield func(operands)) {
+	return func(yield func(operands)) {
+		each(func(o operands) {
+			o.stride, o.taps = len(o.acc), 1
+			yield(o)
+		})
+	}
+}
+
+// halfRunOperands: a run of 1–9 taps at a stride at or past n, halves ~ N(0,
+// 1) as accumulators and activations and weights ~ N(0, 0.01²), as
+// halfOperands; a quarter of the runs with one ±Inf or NaN operand.
+func halfRunOperands(rng *rand.Rand, n, off int) operands {
+	o := halfRun(rng, n, off, 1+rng.Intn(9), n+rng.Intn(3)*rng.Intn(9))
+	if n > 0 && rng.Intn(4) == 0 {
+		xw := [][]float32{o.x, o.w}[rng.Intn(2)]
+		xw[rng.Intn(len(xw))] = []float32{nan, inf, -inf}[rng.Intn(3)]
+	}
+	return o
+}
+
+// halfRun is a run of n columns, taps taps apart by stride, whose
+// accumulators start off elements in.
+func halfRun(rng *rand.Rand, n, off, taps, stride int) operands {
+	m := (taps-1)*stride + n
+	return operands{acc: halves(rng, n, off, 1), x: halves(rng, m, (off+3)%8, 1), w: halves(rng, m, (off+5)%8, 0.01),
+		stride: stride, taps: taps}
+}
+
+// plantMiddleTap makes v the product at column i of the middle tap, as v
+// times 1: v the activation in even columns, the weight in odd ones.
+func plantMiddleTap(o *operands, i int, v float32) {
+	j := o.taps/2*o.stride + i
+	o.x[j], o.w[j] = v, 1
+	if i%2 == 1 {
+		o.x[j], o.w[j] = 1, v
+	}
+}
+
+// halfRuns: runs of the widths a depthwise layer meets and those around them
+// — 1–7, 8, 16, 24, 32, 40 — at 1–9 taps and strides past the width; then, in
+// every column of a 40-wide run (a 32- and an 8-column block), each cause of a
+// refused block: a ±Inf or a quiet or signalling NaN activation or weight, or
+// an overflowing product, in the first, the middle and the last tap; ±Inf or
+// NaN coming in in an accumulator.
+func halfRuns(yield func(operands)) {
+	rng := rand.New(rand.NewSource(83))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 40} {
+		for taps := 1; taps <= 9; taps++ {
+			yield(halfRun(rng, n, 0, taps, n+1+rng.Intn(9)))
+		}
+	}
+	qnan, snan := math.Float32frombits(0xffc54000), math.Float32frombits(0x7fa54000)
+	const n, taps, stride = 40, 5, 43
+	for col := 0; col < n; col++ {
+		for _, t := range []int{0, taps / 2, taps - 1} {
+			j := t*stride + col
+			for _, sp := range []float32{inf, -inf, qnan, snan} {
+				o := halfRun(rng, n, 0, taps, stride)
+				o.x[j] = sp
+				yield(o)
+				o.x[j], o.w[j] = 1, sp
+				yield(o)
+			}
+			o := halfRun(rng, n, 0, taps, stride)
+			o.x[j], o.w[j] = 2, 65504
+			yield(o)
+		}
+		for _, sp := range []float32{inf, -inf, qnan, snan} {
+			o := halfRun(rng, n, 0, taps, stride)
+			o.acc[col] = sp
+			yield(o)
+		}
+	}
+}
+
+// decodeHalfRun: decodeHalfRow's operands as a run of 1–9 taps that split
+// the weights evenly, 0–2 columns narrower than its stride, both from the
+// multiplier's bits.
+func decodeHalfRun(data []byte) operands {
+	o := decodeHalfRow(data)
+	b := math.Float32bits(o.s)
+	o.taps = 1 + int(b%9)
+	o.stride = len(o.w) / o.taps
+	o.acc = o.acc[:max(o.stride-int(b/9%3), 0)]
+	return o
+}
+
+// halfRunBench: one kernel row of mobilenet-lite's 3×3 depthwise layers,
+// three taps of 8, 16 and 32 channels.
+func halfRunBench() (cs []benchCase) {
+	for _, c := range []int{8, 16, 32} {
+		cs = append(cs, benchCase{fmt.Sprintf("taps3/c%d", c), "MAC/s", func() (func(int), int) {
+			a, w := benchOperands(3 * c)
+			acc := make([]float32, c)
+			return func(int) { HalfMulAddVec(acc, a, w, c, 3) }, 3 * c
 		}})
 	}
 	return cs

@@ -93,11 +93,18 @@ func (t *Tensor) Offset(idx ...int) int {
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
+			panic(t.outOfRange(idx))
 		}
 		off += x * t.strides[i]
 	}
 	return off
+}
+
+// outOfRange is Offset's panic message. It formats a copy of idx, so that
+// the index of an At or Set call does not escape and stays on the caller's
+// stack.
+func (t *Tensor) outOfRange(idx []int) string {
+	return fmt.Sprintf("tensor: index %v out of range for shape %v", append([]int(nil), idx...), t.shape)
 }
 
 // At returns the element at a multi-index.

@@ -86,6 +86,23 @@ func TestReshapeInPlace(t *testing.T) {
 	}
 }
 
+// TestAtSetAllocateNothing holds the accessors' variadic index on the
+// caller's stack: Offset's panic message formats a copy of it, so that it
+// does not escape (a dataset sample is hundreds of Set calls).
+func TestAtSetAllocateNothing(t *testing.T) {
+	x := New(2, 3, 4)
+	i, j, k := 1, 2, 3
+	if got := testing.AllocsPerRun(100, func() { x.Set(x.At(i, j, k)+1, i, j, k) }); got != 0 {
+		t.Errorf("At and Set: %v allocs, want 0", got)
+	}
+	defer func() {
+		if msg, _ := recover().(string); msg != "tensor: index [1 3 3] out of range for shape [2 3 4]" {
+			t.Errorf("out-of-range At panicked with %q", msg)
+		}
+	}()
+	x.At(1, 3, 3)
+}
+
 func TestUnflattenRoundTrip(t *testing.T) {
 	x := New(3, 4, 5)
 	rng := rand.New(rand.NewSource(1))
