@@ -78,9 +78,10 @@ chaos:
 # executor it abandons, never lent again), the transient checkpoint errors,
 # the periodic save of a running shard and interrupt/resume in harden — 50 times at 1, 2 and 4 Ps each, beside a
 # busy loop that holds one CPU: a test that races the engine instead of
-# steering it from inside fails here. Then those two packages, and nn and
-# inject (the replay engine and its allocation ceilings), whole, 20 times in
-# a row. A few minutes; not part of `make ci`.
+# steering it from inside fails here. Then those two packages, nn and inject
+# (the replay engine and its allocation ceilings), and faultmodel (the seeded
+# χ² test of the sampler), whole, 20 times in a row. A few minutes; not part
+# of `make ci`.
 FLAKE_TESTS := TestChaosWatchdogNeverLendsZombie|TestChaosCheckpointIOErrors|TestChaosPeriodicSave|TestHardenedInterruptResume
 CAMPAIGN_CELLS := interrupt|supervised|warm-executor
 FLEET_CELLS := worker-death|coordinator-restart
@@ -89,7 +90,7 @@ flake:
 	trap "kill $$hog" EXIT; \
 	$(GO) test -count=50 -cpu 1,2,4 -run '^($(FLAKE_TESTS))$$' ./internal/campaign/ ./internal/harden/ && \
 	$(GO) test -count=50 -cpu 1,2,4 -run '^TestConformance$$/^($(CAMPAIGN_CELLS)|$(FLEET_CELLS))$$' ./internal/campaign/ ./internal/distrib/ && \
-	$(GO) test -count=20 ./internal/campaign/ ./internal/distrib/ ./internal/nn/ ./internal/inject/
+	$(GO) test -count=20 ./internal/campaign/ ./internal/distrib/ ./internal/nn/ ./internal/inject/ ./internal/faultmodel/
 
 # The distribution-layer chaos + integrity suite (DESIGN.md §9): the
 # conformance suite's chaos-transport cells (drops, delays, duplicates,

@@ -179,8 +179,10 @@ func Validate(cfg *accel.Config, workloads []*ValWorkload, samplesPerWorkload in
 		{rtlsim.FFCtrR, frac(faultmodel.GlobalControl) / 7},
 		{rtlsim.FFCtrDx, frac(faultmodel.GlobalControl) / 7},
 	}
+	weights := make([]float64, len(choices))
 	var totalW float64
-	for _, c := range choices {
+	for i, c := range choices {
+		weights[i] = c.weight
 		totalW += c.weight
 	}
 
@@ -197,18 +199,7 @@ func Validate(cfg *accel.Config, workloads []*ValWorkload, samplesPerWorkload in
 		for i := 0; i < samplesPerWorkload; i++ {
 			// Sample an FF group by census weight, then a cycle in the
 			// design's full execution window and a random bit.
-			r := rng.Float64() * totalW
-			var ff rtlsim.FF
-			for _, c := range choices {
-				r -= c.weight
-				if r <= 0 {
-					ff = c.ff
-					break
-				}
-			}
-			if ff == "" {
-				ff = choices[len(choices)-1].ff
-			}
+			ff := choices[faultmodel.Weighted(rng, weights, totalW)].ff
 			f := &rtlsim.Fault{
 				FF:    ff,
 				Mac:   rng.Intn(cfg.AtomicK),

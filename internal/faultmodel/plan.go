@@ -92,65 +92,126 @@ func (s *Sampler) Plan(id ID, site nn.Site, visit int, op *nn.Operands) (*Plan, 
 // layer execution into p, overwriting every field and reusing p's buffers:
 // the previous plan in p is gone, as are the changes its Apply returned. op
 // must be the operand set of that execution (shapes only are used for
-// sampling; values are read at apply time).
+// sampling; values are read at apply time). The draws are walk's, from the
+// sampler's stream.
 func (s *Sampler) PlanInto(p *Plan, id ID, site nn.Site, visit int, op *nn.Operands) error {
 	if _, ok := s.models[id]; !ok {
 		return fmt.Errorf("faultmodel: unknown model %v", id)
 	}
 	*p = Plan{Model: id, SiteName: site.Name(), Visit: visit,
 		users: p.users[:0], faulty: p.faulty, changes: p.changes}
+	return walk(s, p, id, site, op, s.rf)
+}
+
+// A chooser makes the draws a fault model's walk is written in. The sampler
+// draws each from its stream; a test-side enumerator takes every branch
+// instead, so the walk is the one definition of what a campaign samples
+// (DESIGN.md §5.3 renders it). what names a draw in that table.
+type chooser interface {
+	// index is uniform in [0, n).
+	index(what string, n int) int
+	// used is an element of the kind operand, of size elements, that some
+	// output reads, uniform among those; its reuse set goes to users' buffer.
+	used(site nn.Site, op *nn.Operands, kind nn.OperandKind, size int, users []int) (flat int, _ []int, err error)
+	// word is a datapath word of the given width, uniform.
+	word(bits int) uint32
+}
+
+func (s *Sampler) index(_ string, n int) int { return s.rng.Intn(n) }
+
+func (s *Sampler) word(bits int) uint32 {
+	return uint32(s.rng.Int63()) & (uint32(1)<<uint(bits) - 1)
+}
+
+// used draws elements until some output reads one (only values that stream
+// through the register can be struck there; strided kernels leave entries
+// unread), and gives up after 64 misses.
+func (s *Sampler) used(site nn.Site, op *nn.Operands, kind nn.OperandKind, size int, users []int) (int, []int, error) {
+	for try := 0; ; try++ {
+		flat := s.rng.Intn(size)
+		if users = site.NeuronsUsingOperand(op, kind, flat, users[:0]); len(users) > 0 {
+			return flat, users, nil
+		}
+		if try >= 64 {
+			return 0, users, fmt.Errorf("faultmodel: no used %v element found at site %s", kind, site.Name())
+		}
+	}
+}
+
+// walk is model id's Table II row at one layer execution, written into p as
+// the draws of c in stream order; rf is the CBUF→MAC reuse factor.
+func walk(c chooser, p *Plan, id ID, site nn.Site, op *nn.Operands, rf int) error {
+	codec := site.Codec()
 	switch id {
 	case GlobalControl:
 		p.GlobalFailure = true
 		return nil
-
-	case LocalControl:
-		// RF = 1: one random output neuron receives a non-deterministic
-		// value, modeled as a uniformly random bit pattern of the datapath
-		// width (Sec. III-C).
-		p.users = append(p.users, s.rng.Intn(op.Out.Size()))
+	case LocalControl, OutputPSum:
+		// RF = 1: one output neuron, which a local-control fault gives a
+		// uniformly random word of the datapath width (its effect is
+		// non-deterministic, Sec. III-C) and a psum fault one flipped bit.
+		p.users = append(p.users, c.index("output neuron, uniform", op.Out.Size()))
 		p.Neurons = p.users
-		codec := site.Codec()
-		bits := uint32(s.rng.Int63()) & (uint32(1)<<uint(codec.Bits()) - 1)
-		p.RandomValue = codec.Decode(bits)
-		return nil
-
-	case OutputPSum:
-		// RF = 1: a bit-flip in the stored value of one output neuron.
-		p.users = append(p.users, s.rng.Intn(op.Out.Size()))
-		p.Neurons = p.users
-		p.Bit = s.rng.Intn(site.Codec().Bits())
-		return nil
-
-	case BeforeCBUFInput, BeforeCBUFWeight:
-		kind := nn.OperandInput
-		target := op.In
-		if id == BeforeCBUFWeight {
-			kind = nn.OperandWeight
-			target = op.W
+		if id == LocalControl {
+			p.RandomValue = codec.Decode(c.word(codec.Bits()))
+		} else {
+			p.Bit = c.index("bit in codec width, uniform", codec.Bits())
 		}
-		if target == nil {
-			return fmt.Errorf("faultmodel: site %s has no %v operand", site.Name(), kind)
-		}
-		flat := s.rng.Intn(target.Size())
-		p.Bit = s.rng.Intn(site.Codec().Bits())
-		p.override(kind, flat)
-		// All neurons that use the value (Table I row 1: determined by the
-		// scheduling/reuse algorithm — values in the on-chip buffer are
-		// reused for every MAC operation involving them). A buffer entry
-		// that no output consumes (e.g. an input pixel skipped by a strided
-		// kernel) yields an empty set: the fault is architecturally masked.
-		p.users = site.NeuronsUsingOperand(op, kind, flat, p.users)
-		p.Neurons = p.users
 		return nil
-
-	case CBUFMACInput:
-		return s.planCBUFInput(p, site, op)
-
-	case CBUFMACWeight:
-		return s.planCBUFWeight(p, site, op)
 	}
-	return fmt.Errorf("faultmodel: unhandled model %v", id)
+	kind, target := nn.OperandInput, op.In
+	if id == BeforeCBUFWeight || id == CBUFMACWeight {
+		kind, target = nn.OperandWeight, op.W
+	}
+	if target == nil {
+		return fmt.Errorf("faultmodel: site %s has no %v operand", site.Name(), kind)
+	}
+	if id == BeforeCBUFInput || id == BeforeCBUFWeight {
+		// All neurons that use the value (Table I row 1: values in the
+		// on-chip buffer are reused for every MAC operation involving
+		// them). A buffer entry that no output consumes (e.g. an input
+		// pixel skipped by a strided kernel) yields an empty set: the
+		// fault is architecturally masked.
+		p.override(kind, c.index("operand element, uniform", target.Size()))
+		p.Bit = c.index("bit in codec width, uniform", codec.Bits())
+		p.users = site.NeuronsUsingOperand(op, kind, p.ov.Flat, p.users)
+		p.Neurons = p.users
+		return nil
+	}
+	// CBUF→MAC: only a value that streams through the register can be struck
+	// there, and it reaches at most RF of its users.
+	flat, users, err := c.used(site, op, kind, target.Size(), p.users)
+	if p.users = users; err != nil {
+		return err
+	}
+	p.override(kind, flat)
+	p.Bit = c.index("bit in codec width, uniform", codec.Bits())
+	if id == CBUFMACInput && site.Kind() == nn.KindConv {
+		// The input reaches RF neurons at one 2-D position spanning RF
+		// consecutive channels (Fig 2a target a4): the aligned channel
+		// block of a user, which takes the users' place in their buffer.
+		u := p.users[c.index("user, uniform (its aligned RF-channel block)", len(p.users))]
+		cdim := op.Out.Dim(op.Out.Rank() - 1)
+		pixel, c0 := u-u%cdim, u%cdim/rf*rf
+		p.Neurons = p.users[:0]
+		for ch := c0; ch < c0+rf && ch < cdim; ch++ {
+			p.Neurons = append(p.Neurons, pixel+ch)
+		}
+		return nil
+	}
+	// FC and MatMul inputs, and every weight: RF consecutive users (the users
+	// are ordered along the output row or column), in the aligned window of a
+	// uniform user.
+	start := c.index("RF window ∝ its users", len(p.users)) / rf * rf
+	p.Neurons = p.users[start:min(start+rf, len(p.users))]
+	if id == CBUFMACWeight {
+		// The weight register holds its value for up to RF cycles, so a
+		// random injection cycle corrupts a suffix of the window: "all or a
+		// subset of" its neurons (Fig 2a target a2; Sec. III-B1: neurons with
+		// timestamp >= p).
+		p.Neurons = p.Neurons[c.index("suffix of the window, uniform", len(p.Neurons)):]
+	}
+	return nil
 }
 
 // override points p.Override at the plan's own override of operand element
@@ -158,80 +219,6 @@ func (s *Sampler) PlanInto(p *Plan, id ID, site nn.Site, visit int, op *nn.Opera
 func (p *Plan) override(kind nn.OperandKind, flat int) {
 	p.ov = nn.Override{Kind: kind, Flat: flat}
 	p.Override = &p.ov
-}
-
-// drawUsed draws an element of the kind operand, of size elements, until some
-// output reads it (only values that stream through the register can be struck
-// there; strided kernels leave entries unread): the override's target, with
-// its reuse set in p.users.
-func (s *Sampler) drawUsed(p *Plan, site nn.Site, op *nn.Operands, kind nn.OperandKind, size int) error {
-	for try := 0; ; try++ {
-		flat := s.rng.Intn(size)
-		if p.users = site.NeuronsUsingOperand(op, kind, flat, p.users[:0]); len(p.users) > 0 {
-			p.override(kind, flat)
-			return nil
-		}
-		if try >= 64 {
-			return fmt.Errorf("faultmodel: no used %v element found at site %s", kind, site.Name())
-		}
-	}
-}
-
-// planCBUFInput realizes the Table II CBUF→MAC input row: the faulty input
-// value reaches the RF parallel compute units, so RF neurons that share the
-// value are corrupted. The RF-neuron window follows the layer kind's
-// schedule mapping.
-func (s *Sampler) planCBUFInput(p *Plan, site nn.Site, op *nn.Operands) error {
-	if op.In == nil {
-		return fmt.Errorf("faultmodel: site %s has no input operand", site.Name())
-	}
-	if err := s.drawUsed(p, site, op, nn.OperandInput, op.In.Size()); err != nil {
-		return err
-	}
-	p.Bit = s.rng.Intn(site.Codec().Bits())
-	switch site.Kind() {
-	case nn.KindConv:
-		// RF neurons at the same 2-D position spanning RF consecutive
-		// channels (Fig 2a target a4). Pick one using position, then the
-		// aligned channel block containing its channel, which takes the
-		// place of the users in their buffer.
-		u := p.users[s.rng.Intn(len(p.users))]
-		cdim := op.Out.Dim(op.Out.Rank() - 1)
-		pixel, c0 := u-u%cdim, u%cdim/s.rf*s.rf
-		p.Neurons = p.users[:0]
-		for c := c0; c < c0+s.rf && c < cdim; c++ {
-			p.Neurons = append(p.Neurons, pixel+c)
-		}
-	default:
-		// FC: RF consecutive output neurons of the using row; MatMul: RF
-		// consecutive neurons in the using output row. users are already
-		// ordered along that row.
-		start := (s.rng.Intn(len(p.users)) / s.rf) * s.rf
-		p.Neurons = p.users[start:min(start+s.rf, len(p.users))]
-	}
-	return nil
-}
-
-// planCBUFWeight realizes the Table II CBUF→MAC weight row: the weight
-// register holds its value for up to RF cycles, so a random injection cycle
-// corrupts a suffix of the RF-neuron window — "all or a subset of" the RF
-// consecutive neurons that reuse the weight (Fig 2a target a2).
-func (s *Sampler) planCBUFWeight(p *Plan, site nn.Site, op *nn.Operands) error {
-	if op.W == nil {
-		return fmt.Errorf("faultmodel: site %s has no weight operand", site.Name())
-	}
-	if err := s.drawUsed(p, site, op, nn.OperandWeight, op.W.Size()); err != nil {
-		return err
-	}
-	p.Bit = s.rng.Intn(site.Codec().Bits())
-	// Model the random injection cycle within the hold window: choose an
-	// aligned RF window along the users sequence, then keep a random suffix
-	// (Sec. III-B1: neurons with timestamp >= p).
-	start := (s.rng.Intn(len(p.users)) / s.rf) * s.rf
-	window := p.users[start:min(start+s.rf, len(p.users))]
-	suffix := s.rng.Intn(len(window)) // p in [0, window)
-	p.Neurons = window[suffix:]
-	return nil
 }
 
 // Apply executes a plan against a live layer execution, patching op.Out in

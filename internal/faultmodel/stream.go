@@ -32,3 +32,17 @@ func (s *splitMix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 func NewStreamSource(seed int64) rand.Source64 {
 	return &splitMix64{state: uint64(seed)}
 }
+
+// Weighted draws i with probability weights[i]/total from one Float64 of r:
+// the layer execution an experiment strikes (∝ its work) and the FF group a
+// validation injection strikes (∝ its census share). A draw that rounding
+// carries past every weight falls to the last element.
+func Weighted(r *rand.Rand, weights []float64, total float64) int {
+	x := r.Float64() * total
+	for i, w := range weights {
+		if x -= w; x <= 0 {
+			return i
+		}
+	}
+	return len(weights) - 1
+}

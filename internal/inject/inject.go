@@ -266,16 +266,10 @@ func execWork(e nn.SiteExecution) float64 {
 	return float64(e.OutSize) * red
 }
 
-// pickExec samples a site execution proportionally to its work.
+// pickExec samples a site execution proportionally to its work: the first
+// draw of an experiment's stream.
 func (in *Injector) pickExec() nn.SiteExecution {
-	r := in.Sampler.Rand().Float64() * in.g.total
-	for i, w := range in.g.weights {
-		r -= w
-		if r <= 0 {
-			return in.g.execs[i]
-		}
-	}
-	return in.g.execs[len(in.g.execs)-1]
+	return in.g.execs[faultmodel.Weighted(in.Sampler.Rand(), in.g.weights, in.g.total)]
 }
 
 // PredictTarget returns the execution index a Run whose experiment stream is
@@ -288,14 +282,7 @@ func (in *Injector) pickExec() nn.SiteExecution {
 // execution order cannot change any drawn value.
 func (in *Injector) PredictTarget(seed int64) int {
 	in.predict.Seed(seed)
-	r := in.predict.Float64() * in.g.total
-	for i, w := range in.g.weights {
-		r -= w
-		if r <= 0 {
-			return i
-		}
-	}
-	return len(in.g.execs) - 1
+	return faultmodel.Weighted(in.predict, in.g.weights, in.g.total)
 }
 
 // Executions returns the number of recorded site executions for the
