@@ -330,7 +330,7 @@ func naiveCmp(r *runner) error {
 		if err != nil {
 			return err
 		}
-		nb, err := baseline.Run(r.cfg, w, baseline.Options{
+		nb, err := baseline.Run(r.ctx, r.cfg, w, baseline.Options{
 			Samples: r.opts.Samples, Inputs: r.opts.Inputs, Tolerance: 0.1, Seed: r.opts.Seed,
 		})
 		if err != nil {

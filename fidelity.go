@@ -146,13 +146,13 @@ func (f *Framework) Validate(samplesPerWorkload int, seed int64) (*ValidationRep
 }
 
 // NaiveBaseline runs the naive single-bit-flip technique of Sec. VI for
-// comparison.
-func (f *Framework) NaiveBaseline(netName string, prec Precision, opts BaselineOptions) (*BaselineResult, error) {
+// comparison. Cancelling ctx stops it between experiments.
+func (f *Framework) NaiveBaseline(ctx context.Context, netName string, prec Precision, opts BaselineOptions) (*BaselineResult, error) {
 	w, err := model.Build(netName, prec, model.StudySeed)
 	if err != nil {
 		return nil, err
 	}
-	return baseline.Run(f.Config, w, opts)
+	return baseline.Run(ctx, f.Config, w, opts)
 }
 
 // Speedup measures the Sec. VI per-injection cost comparison.
@@ -173,9 +173,6 @@ func (f *Framework) TableII() *report.Table { return report.TableII(f.Config, f.
 // NVDLASmall returns the paper's NVDLA case-study configuration (k² = 16
 // MACs, t = 16 weight-hold cycles, Table II census).
 func NVDLASmall() *Config { return accel.NVDLASmall() }
-
-// EyerissLike returns a k×k systolic-array configuration (paper Fig 2b).
-func EyerissLike(k, t int) *Config { return accel.EyerissLike(k, t) }
 
 // AnalyzeReuse executes Reuse Factor Analysis (Algorithm 1) on a target FF
 // description.

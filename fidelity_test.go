@@ -62,10 +62,6 @@ func TestPublicReuseAnalysis(t *testing.T) {
 	if res.RF != 4 {
 		t.Errorf("RF = %d, want 4", res.RF)
 	}
-	cfg := EyerissLike(12, 7)
-	if cfg.AtomicK != 12 {
-		t.Error("EyerissLike config wrong")
-	}
 	models, err := DeriveModels(NVDLASmall())
 	if err != nil || len(models) != 7 {
 		t.Fatalf("DeriveModels: %v, %d", err, len(models))
@@ -144,7 +140,7 @@ func TestFrameworkBaselineAndSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := fw.NaiveBaseline("resnet", FP16, BaselineOptions{
+	nb, err := fw.NaiveBaseline(context.Background(), "resnet", FP16, BaselineOptions{
 		Samples: 10, Inputs: 1, Tolerance: 0.1, Seed: 1,
 	})
 	if err != nil {

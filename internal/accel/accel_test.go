@@ -70,16 +70,6 @@ func TestConfigValidateCatchesErrors(t *testing.T) {
 	}
 }
 
-func TestEyerissLike(t *testing.T) {
-	c := EyerissLike(12, 7)
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if c.AtomicK != 12 || c.WeightHoldCycles != 7 {
-		t.Errorf("eyeriss atomics = %d/%d", c.AtomicK, c.WeightHoldCycles)
-	}
-}
-
 func TestLayerSpecCounts(t *testing.T) {
 	l := ConvSpec("c", 1, 8, 8, 32, 3, 3, 16, 1, numerics.FP16)
 	if l.OutNeurons() != 8*8*32 {

@@ -71,16 +71,3 @@ func NVDLASmall() *Config {
 		},
 	}
 }
-
-// EyerissLike returns a configuration for the Fig 2(b) systolic design:
-// a k × k MAC array in which weights travel horizontally (reused across k
-// output rows) and inputs travel diagonally (reused across t output
-// channels within a column). Only the reuse parameters matter for the Fig 2
-// reuse-factor examples; the census reuses NVDLA-like proportions.
-func EyerissLike(k, t int) *Config {
-	c := NVDLASmall()
-	c.Name = "eyeriss-like"
-	c.AtomicK = k
-	c.WeightHoldCycles = t
-	return c
-}

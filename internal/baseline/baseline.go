@@ -8,6 +8,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 
 	"fidelity/internal/accel"
@@ -41,8 +42,10 @@ type Result struct {
 	Experiments int
 }
 
-// Run executes the naive campaign for a workload on design cfg.
-func Run(cfg *accel.Config, w *model.Workload, opts Options) (*Result, error) {
+// Run executes the naive campaign for a workload on design cfg. It checks ctx
+// before each experiment; once ctx is done it returns the experiments run so
+// far with ctx's error.
+func Run(ctx context.Context, cfg *accel.Config, w *model.Workload, opts Options) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -56,8 +59,8 @@ func Run(cfg *accel.Config, w *model.Workload, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		golden := w.Decode(w.Net.Forward(x))
-		_, execs := w.Net.Trace(x)
+		out, execs := w.Net.Trace(x)
+		golden := w.Decode(out)
 		if len(execs) == 0 {
 			return nil, fmt.Errorf("baseline: workload %s has no compute sites", w.Net.Name())
 		}
@@ -72,6 +75,9 @@ func Run(cfg *accel.Config, w *model.Workload, opts Options) (*Result, error) {
 			per++
 		}
 		for s := 0; s < per; s++ {
+			if err := ctx.Err(); err != nil {
+				return res, err
+			}
 			pick := rng.Intn(total)
 			var target nn.SiteExecution
 			for _, e := range execs {

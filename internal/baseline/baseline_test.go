@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"fidelity/internal/accel"
@@ -12,13 +13,30 @@ import (
 
 func TestRunValidation(t *testing.T) {
 	w, _ := model.Build("resnet", numerics.FP16, 1)
-	if _, err := Run(accel.NVDLASmall(), w, Options{Samples: 0, Inputs: 1}); err == nil {
+	if _, err := Run(context.Background(), accel.NVDLASmall(), w, Options{Samples: 0, Inputs: 1}); err == nil {
 		t.Error("zero samples should fail")
 	}
 	bad := accel.NVDLASmall()
 	bad.NumFFs = 0
-	if _, err := Run(bad, w, Options{Samples: 1, Inputs: 1}); err == nil {
+	if _, err := Run(context.Background(), bad, w, Options{Samples: 1, Inputs: 1}); err == nil {
 		t.Error("invalid config should fail")
+	}
+}
+
+// A context cancelled before the call stops Run before its first experiment.
+func TestRunCancelled(t *testing.T) {
+	w, err := model.Build("resnet", numerics.FP16, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Run(ctx, accel.NVDLASmall(), w, Options{Samples: 60, Inputs: 2, Tolerance: 0.1, Seed: 3})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res.Experiments != 0 {
+		t.Errorf("%d experiments ran after cancellation", res.Experiments)
 	}
 }
 
@@ -27,7 +45,7 @@ func TestNaiveCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(accel.NVDLASmall(), w, Options{Samples: 60, Inputs: 2, Tolerance: 0.1, Seed: 3})
+	res, err := Run(context.Background(), accel.NVDLASmall(), w, Options{Samples: 60, Inputs: 2, Tolerance: 0.1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +70,7 @@ func TestNaiveUnderestimatesFIdelity(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := accel.NVDLASmall()
-	naive, err := Run(cfg, w, Options{Samples: 50, Inputs: 2, Tolerance: 0.1, Seed: 4})
+	naive, err := Run(context.Background(), cfg, w, Options{Samples: 50, Inputs: 2, Tolerance: 0.1, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,22 +136,29 @@ type SiteExecution struct {
 func (n *Network) Trace(x *tensor.Tensor) (*tensor.Tensor, []SiteExecution) {
 	var execs []SiteExecution
 	out := n.ForwardWithHook(x, func(site Layer, visit int, op *Operands) {
-		e := SiteExecution{Visit: visit, OutSize: op.Out.Size(), OutShape: append([]int(nil), op.Out.Shape()...)}
-		if s, ok := site.(Site); ok {
-			e.Site = s
-		}
-		if op.In != nil {
-			e.InShape = append([]int(nil), op.In.Shape()...)
-		}
-		if op.W != nil {
-			e.WShape = append([]int(nil), op.W.Shape()...)
-		}
-		if op.B != nil {
-			e.BSize = op.B.Size()
-		}
-		execs = append(execs, e)
+		execs = append(execs, siteExecution(site, visit, op))
 	})
 	return out, execs
+}
+
+// siteExecution describes one execution of site from its operands, the
+// recording step of Trace and TraceWithActivations. Shapes are copied, so the
+// record aliases no operand tensor.
+func siteExecution(site Layer, visit int, op *Operands) SiteExecution {
+	e := SiteExecution{Visit: visit, OutSize: op.Out.Size(), OutShape: append([]int(nil), op.Out.Shape()...)}
+	if s, ok := site.(Site); ok {
+		e.Site = s
+	}
+	if op.In != nil {
+		e.InShape = append([]int(nil), op.In.Shape()...)
+	}
+	if op.W != nil {
+		e.WShape = append([]int(nil), op.W.Shape()...)
+	}
+	if op.B != nil {
+		e.BSize = op.B.Size()
+	}
+	return e
 }
 
 // TraceWithActivations runs a clean forward pass in record mode: like Trace,
@@ -162,19 +169,7 @@ func (n *Network) Trace(x *tensor.Tensor) (*tensor.Tensor, []SiteExecution) {
 func (n *Network) TraceWithActivations(x *tensor.Tensor) (*tensor.Tensor, []SiteExecution, *GoldenTrace) {
 	var execs []SiteExecution
 	ctx, trace := NewRecordContext(func(site Layer, visit int, op *Operands) {
-		e := SiteExecution{Visit: visit, OutSize: op.Out.Size(), OutShape: append([]int(nil), op.Out.Shape()...)}
-		if s, ok := site.(Site); ok {
-			e.Site = s
-		}
-		if op.In != nil {
-			e.InShape = append([]int(nil), op.In.Shape()...)
-		}
-		if op.W != nil {
-			e.WShape = append([]int(nil), op.W.Shape()...)
-		}
-		if op.B != nil {
-			e.BSize = op.B.Size()
-		}
+		e := siteExecution(site, visit, op)
 		e.Golden = op.Out
 		execs = append(execs, e)
 	})
