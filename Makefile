@@ -23,20 +23,24 @@ test:
 # package, -run pattern). The runner, selected by the mutants build tag,
 # writes each mutated file to a temporary directory and applies it with
 # `go test -overlay`, so the tree is never edited; it fails on a mutant that
-# survives or does not build and prints each row's wall time. Tier-1's
+# survives or does not build and prints each row's wall time. A row of an
+# AVX2 lane body (a *_amd64.s file) is skipped on a machine that does not run
+# the lanes (numerics.HasLanes, built under the same tag). Tier-1's
 # TestMutantRows checks only that every row still applies.
 mutants:
 	$(GO) test -v -tags mutants -count=1 -timeout 30m -run '^TestMutants$$' .
 
-# The one campaign binary end to end, three subcommands that finish in
+# The one campaign binary end to end, four subcommands that finish in
 # seconds: the study setup table, the Sec. IV validation at the paper's 60K
-# injections (exits non-zero on any software-model mismatch), and Table II. study leaves its
+# injections (exits non-zero on any software-model mismatch), Table II, and a
+# two-sample hardening loop (its JSON report on stdout). study leaves its
 # (gitignored) study.manifest.json behind. Mirrors the `cli-smoke` step of
 # CI's build + test job.
 cli-smoke:
 	$(GO) run ./cmd/fidelity study -setup
 	$(GO) run ./cmd/fidelity validate
 	$(GO) run ./cmd/fidelity table2
+	$(GO) run ./cmd/fidelity harden -samples 2 -inputs 1
 
 # The seven examples/ programs — the root package's only callers and
 # DESIGN.md §3's route to Key Results 1 and 4 — each built, run (seconds in

@@ -158,14 +158,7 @@ func harden(fs *flag.FlagSet) func(context.Context) error {
 			return usagef("-budget must be non-negative (got %g)", *budget)
 		}
 		rep, err := hardenpkg.Run(ctx, accel.NVDLASmall(), hardenpkg.Options{
-			Net:       c.net,
-			Precision: numerics.FP16,
-			Samples:   c.opts.Samples,
-			Inputs:    c.opts.Inputs,
-			Tolerance: c.opts.Tolerance,
-			Seed:      c.opts.Seed,
-			Workers:   c.opts.Workers,
-			Budget:    *budget,
+			Net: c.net, Precision: numerics.FP16, Budget: *budget, Study: c.opts,
 		})
 		if rep == nil {
 			return err

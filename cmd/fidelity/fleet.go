@@ -57,20 +57,7 @@ func serve(fs *flag.FlagSet) func(context.Context) error {
 
 		tel := telemetry.New()
 		tel.SetSource("coordinator")
-		spec := distrib.CampaignSpec{
-			Workload:          c.net,
-			Precision:         *precision,
-			WorkloadSeed:      model.StudySeed,
-			Tolerance:         c.opts.Tolerance,
-			Samples:           c.opts.Samples,
-			TargetCI:          c.opts.TargetCI,
-			Inputs:            c.opts.Inputs,
-			Seed:              c.opts.Seed,
-			Shards:            c.opts.Shards,
-			PerLayer:          c.opts.PerLayer,
-			ExperimentTimeout: c.opts.ExperimentTimeout,
-			FailureBudget:     c.opts.FailureBudget,
-		}
+		spec := distrib.NewCampaignSpec(c.net, *precision, model.StudySeed, c.opts)
 		co, err := distrib.NewCoordinator(distrib.CoordinatorOptions{
 			Spec:          spec,
 			LeaseTTL:      *leaseTTL,

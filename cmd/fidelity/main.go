@@ -189,8 +189,6 @@ var (
 	fCheckpointInterval = flagDef{"checkpoint-interval", func(c *cli) any { return &c.opts.CheckpointInterval }}
 	fExperimentTimeout  = flagDef{"experiment-timeout", func(c *cli) any { return &c.opts.ExperimentTimeout }}
 	fFailureBudget      = flagDef{"failure-budget", func(c *cli) any { return &c.opts.FailureBudget }}
-	fIORetries          = flagDef{"io-retries", func(c *cli) any { return &c.opts.IORetries }}
-	fIOBackoff          = flagDef{"io-backoff", func(c *cli) any { return &c.opts.IOBackoff }}
 	fNet                = flagDef{"net", func(c *cli) any { return &c.net }}
 	fProgress           = flagDef{"progress", func(c *cli) any { return &c.progress }}
 	fManifest           = flagDef{"manifest", func(c *cli) any { return &c.manifest }}
@@ -331,7 +329,7 @@ func (c *cli) saveManifest(tel *telemetry.Collector, m any) {
 	if c.manifest == "" {
 		return
 	}
-	err := campaign.RetryIO(tel, c.opts.IORetries, c.opts.IOBackoff, func() error {
+	err := campaign.RetryIO(tel, func() error {
 		return campaign.AtomicWriteJSON(c.manifest, m)
 	})
 	if err != nil {

@@ -214,7 +214,9 @@ func TestExitCode(t *testing.T) {
 // exactly the (name, default) set its parent binary had — this table is the
 // parents' -h output (study, validate, fidelity, fidelityd) at the commit
 // before the fold — plus the three profile flags of every campaign
-// subcommand. A flag added, dropped, renamed or re-defaulted fails here.
+// subcommand, less study's -io-retries and -io-backoff (the retry policy is
+// the engine's constants now). A flag added, dropped, renamed or
+// re-defaulted fails here.
 func TestFlagSurface(t *testing.T) {
 	ncpu := strconv.Itoa(runtime.NumCPU())
 	want := map[string]map[string]string{
@@ -226,8 +228,8 @@ func TestFlagSurface(t *testing.T) {
 			"net": "yolo", "samples": "200", "target-ci": "0"},
 		"harden": {"budget": "0", "inputs": "2", "net": "mobilenet", "o": "", "samples": "20", "seed": "1", "workers": ncpu},
 		"study": {"baseline": "false", "checkpoint": "study.checkpoint.json", "checkpoint-interval": "30s",
-			"experiment-timeout": "0s", "failure-budget": "0", "fig": "0", "inputs": "4", "io-backoff": "0s",
-			"io-retries": "0", "iters": "200", "manifest": "study.manifest.json", "perlayer": "false",
+			"experiment-timeout": "0s", "failure-budget": "0", "fig": "0", "inputs": "4",
+			"iters": "200", "manifest": "study.manifest.json", "perlayer": "false",
 			"perturbation": "false", "progress": "0s", "protect": "false", "resume": "", "samples": "400",
 			"seed": "1", "setup": "false", "shards": "0", "speedup": "false", "target-ci": "0", "workers": ncpu},
 		"validate": {"samples": "10000", "seed": "1", "v": "false"},

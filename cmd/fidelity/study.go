@@ -48,8 +48,6 @@ func study(fs *flag.FlagSet) func(context.Context) error {
 	fManifest.on(fs, c, "write a machine-readable run manifest to this file (empty disables)")
 	fExperimentTimeout.on(fs, c, "per-experiment watchdog deadline; hung experiments are quarantined (0 = off)")
 	fFailureBudget.on(fs, c, "max quarantined experiments per shard before the study degrades to a partial result (0 = default, negative = unlimited)")
-	fIORetries.on(fs, c, "retries for transient checkpoint/manifest write failures (0 = default)")
-	fIOBackoff.on(fs, c, "initial backoff between I/O retries, doubling per attempt (0 = default)")
 	return c.profiled(fs, func(ctx context.Context) error {
 		if err := c.finish(fs); err != nil {
 			return err

@@ -237,7 +237,6 @@ func TestChaosCheckpointIOErrors(t *testing.T) {
 	cfg := accel.NVDLASmall()
 	base := chaosBase()
 	base.Workers = 4
-	base.IOBackoff = time.Millisecond
 
 	t.Run("transient", func(t *testing.T) {
 		clean, err := Study(context.Background(), cfg, w, base)
@@ -301,7 +300,6 @@ func TestChaosCheckpointIOErrors(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		opts := base
-		opts.IORetries = 2
 		opts.CheckpointPath = filepath.Join(t.TempDir(), "never.json")
 		opts.chaos = &chaosPolicy{save: func(string) error {
 			return errors.New("chaos: synthetic EIO")

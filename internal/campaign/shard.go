@@ -57,6 +57,9 @@ type ShardRunner struct {
 	w      *model.Workload
 	models []faultmodel.Model
 	opts   StudyOptions
+	// golden shares one recorded golden trace per input across every shard
+	// of the run (the trace is immutable during replay, so sharing is safe).
+	golden goldenCache
 
 	// idle holds the executors no shard run holds. An executor carries no
 	// shard identity — attempt reseeds its sampler from the experiment's
@@ -76,7 +79,6 @@ func NewShardRunner(cfg *accel.Config, w *model.Workload, opts StudyOptions) (*S
 	if err != nil {
 		return nil, err
 	}
-	opts.golden = &goldenCache{}
 	return &ShardRunner{w: w, models: models, opts: opts}, nil
 }
 

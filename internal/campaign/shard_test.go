@@ -67,7 +67,7 @@ func TestShardRunnerTracesGoldenOncePerInput(t *testing.T) {
 		leases++
 	}
 	// The cache traces exactly when it adds an entry, and never drops one.
-	if got := len(r.opts.golden.entries); got != opts.Inputs {
+	if got := len(r.golden.entries); got != opts.Inputs {
 		t.Errorf("%d leases traced golden inferences %d times, want once per input (%d)", leases, got, opts.Inputs)
 	}
 	if res, err = AssembleResult(cfg, w, opts, finals); err != nil {

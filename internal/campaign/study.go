@@ -102,11 +102,6 @@ type StudyOptions struct {
 	// (StudyResult.Partial). 0 selects DefaultFailureBudget; negative means
 	// unlimited.
 	FailureBudget int
-	// IORetries and IOBackoff bound the retry-with-exponential-backoff loop
-	// around checkpoint saves, for transient I/O failures. Zero values
-	// select DefaultIORetries and DefaultIOBackoff.
-	IORetries int
-	IOBackoff time.Duration
 	// chaos is the test-only failure injector of the chaos self-test
 	// harness; always nil in production.
 	chaos *chaosPolicy
@@ -120,10 +115,6 @@ type StudyOptions struct {
 	oracle bool
 	// window is a test-only override of experimentWindow (0 = the constant).
 	window int
-	// golden shares one recorded golden trace per input across every shard
-	// of a run (the trace is immutable during replay, so sharing is safe);
-	// set by NewShardRunner before the shard states copy the options.
-	golden *goldenCache
 }
 
 // goldenCache memoizes the per-input golden state (sampled input tensor,
@@ -487,7 +478,7 @@ func (sh *shardState) setInput(idx int) error {
 // golden cache, so all shards reuse one sampled input and one recorded trace
 // per input instead of re-running the golden inference sixteen times.
 func (sh *shardState) prepare(inj *inject.Injector) error {
-	g, err := sh.opts.golden.get(sh.runner.w, sh.inputIdx, !sh.opts.oracle)
+	g, err := sh.runner.golden.get(sh.runner.w, sh.inputIdx, !sh.opts.oracle)
 	if err != nil {
 		return err
 	}
@@ -913,7 +904,7 @@ func (r *ShardRunner) study(ctx context.Context, cfg *accel.Config) (*StudyResul
 	// The Eq. 2 layer specs come from input 0's golden trace, which the
 	// shards replay against anyway: the run's cache records it once.
 	phaseStart(tel, "trace")
-	g0, err := opts.golden.get(w, 0, !opts.oracle)
+	g0, err := r.golden.get(w, 0, !opts.oracle)
 	phaseEnd(tel, "trace")
 	if err != nil {
 		return nil, err

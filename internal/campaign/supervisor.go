@@ -26,17 +26,18 @@ import (
 	"fidelity/internal/telemetry"
 )
 
-// Supervision defaults, selected by zero values in StudyOptions.
+// Supervision defaults: the failure budget a zero StudyOptions.FailureBudget
+// selects, and RetryIO's policy.
 const (
 	// DefaultFailureBudget is the per-shard quarantine cap: one shard may
 	// lose this many experiments to panics/timeouts before it stops
 	// contributing and the study degrades to a partial result.
 	DefaultFailureBudget = 16
-	// DefaultIORetries is how many times a failed checkpoint/manifest write
-	// is retried before the error propagates.
-	DefaultIORetries = 3
-	// DefaultIOBackoff is the initial retry backoff; it doubles per attempt.
-	DefaultIOBackoff = 100 * time.Millisecond
+	// ioRetries is how many times RetryIO retries a failed write before the
+	// error propagates.
+	ioRetries = 3
+	// ioBackoff is RetryIO's initial retry backoff; it doubles per attempt.
+	ioBackoff = 100 * time.Millisecond
 )
 
 // frameworkFault describes a supervised failure of the framework itself
@@ -97,32 +98,24 @@ func (o StudyOptions) failureBudget() int {
 	}
 }
 
-// RetryIO runs fn, retrying transient failures up to retries times with
-// exponential backoff starting at backoff. It is the shared guard for
-// checkpoint and manifest writes: a single NFS hiccup or EINTR must not kill
-// a multi-hour campaign. Non-positive retries / backoff select
-// DefaultIORetries / DefaultIOBackoff — the zero values of
-// StudyOptions.IORetries / IOBackoff. Each retry is counted on tel (when
-// non-nil). The last error propagates once the budget is spent.
-func RetryIO(tel *telemetry.Collector, retries int, backoff time.Duration, fn func() error) error {
-	if retries <= 0 {
-		retries = DefaultIORetries
-	}
-	if backoff <= 0 {
-		backoff = DefaultIOBackoff
-	}
+// RetryIO runs fn, retrying transient failures ioRetries times with
+// exponential backoff starting at ioBackoff. It is the shared guard
+// for checkpoint, manifest and coordinator-state writes: a single NFS hiccup
+// or EINTR must not kill a multi-hour campaign. Each retry is counted on tel
+// (when non-nil). The last error propagates once the budget is spent.
+func RetryIO(tel *telemetry.Collector, fn func() error) error {
 	var err error
 	for attempt := 0; ; attempt++ {
 		if err = fn(); err == nil {
 			return nil
 		}
-		if attempt >= retries {
+		if attempt >= ioRetries {
 			return err
 		}
 		if tel != nil {
 			tel.RecordIORetry()
 		}
-		time.Sleep(backoff << attempt)
+		time.Sleep(ioBackoff << attempt)
 	}
 }
 
@@ -130,7 +123,7 @@ func RetryIO(tel *telemetry.Collector, retries int, backoff time.Duration, fn fu
 // context is deliberately not consulted: the save on interrupt runs after
 // cancellation, and its bounded retries must still happen.
 func saveCheckpoint(cp *Checkpoint, path string, opts StudyOptions) error {
-	return RetryIO(opts.Telemetry, opts.IORetries, opts.IOBackoff, func() error {
+	return RetryIO(opts.Telemetry, func() error {
 		if c := opts.chaos; c != nil && c.save != nil {
 			if err := c.save(path); err != nil {
 				return fmt.Errorf("campaign: write checkpoint: %w", err)

@@ -32,8 +32,6 @@ const stateVersion = 1
 type CoordinatorOptions struct {
 	// Spec defines the campaign. Normalized and validated by NewCoordinator.
 	Spec CampaignSpec
-	// Config is the accelerator under study (nil = accel.NVDLASmall()).
-	Config *accel.Config
 	// LeaseTTL is the per-lease heartbeat budget (0 = DefaultLeaseTTL).
 	LeaseTTL time.Duration
 	// StatePath, when non-empty, is where the coordinator durably persists
@@ -142,7 +140,7 @@ func auditSelected(seed int64, frac float64, shard int) bool {
 // the result is byte-identical.
 type Coordinator struct {
 	spec      CampaignSpec
-	cfg       *accel.Config
+	cfg       *accel.Config // the accelerator under study: accel.NVDLASmall()
 	w         *model.Workload
 	opts      campaign.StudyOptions
 	statePath string
@@ -183,10 +181,6 @@ func NewCoordinator(o CoordinatorOptions) (*Coordinator, error) {
 	if o.AuditFraction < 0 || o.AuditFraction > 1 {
 		return nil, fmt.Errorf("distrib: audit fraction must be in [0,1] (got %g)", o.AuditFraction)
 	}
-	cfg := o.Config
-	if cfg == nil {
-		cfg = accel.NVDLASmall()
-	}
 	w, err := spec.BuildWorkload()
 	if err != nil {
 		return nil, err
@@ -197,7 +191,7 @@ func NewCoordinator(o CoordinatorOptions) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		spec:      spec,
-		cfg:       cfg,
+		cfg:       accel.NVDLASmall(),
 		w:         w,
 		opts:      spec.Options(),
 		statePath: o.StatePath,
@@ -409,7 +403,7 @@ func (c *Coordinator) persistLocked() error {
 		st.Leases = append(st.Leases, persistedLease{ID: le.id, Shard: le.shard, Worker: le.worker, Deadline: le.deadline})
 	}
 	sort.Slice(st.Leases, func(i, j int) bool { return st.Leases[i].ID < st.Leases[j].ID })
-	err := campaign.RetryIO(c.tel, campaign.DefaultIORetries, campaign.DefaultIOBackoff, func() error {
+	err := campaign.RetryIO(c.tel, func() error {
 		return campaign.AtomicWriteSealedJSON(c.statePath, &st)
 	})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -256,6 +257,73 @@ func TestDistribAdaptiveSpecValidate(t *testing.T) {
 		{"target_ci too wide", func(s *CampaignSpec) { s.Samples = 0; s.TargetCI = 0.7 }},
 		{"negative target_ci", func(s *CampaignSpec) { s.TargetCI = -0.1 }},
 	})
+}
+
+// TestCampaignSpecOptionsInverse holds NewCampaignSpec to being the inverse
+// of Options, field by field by reflection, so a field added to one side of
+// the mapping only fails here. A spec comes back whole from its options, and
+// an options value keeps exactly the fields the spec has a namesake for.
+func TestCampaignSpecOptionsInverse(t *testing.T) {
+	var full CampaignSpec
+	fillNonZero(t, reflect.ValueOf(&full).Elem())
+	for _, tc := range []struct {
+		name string
+		spec CampaignSpec
+	}{
+		{"every field", full},
+		{"fixed", testSpec()},
+		{"adaptive", adaptiveSpec()},
+	} {
+		back := NewCampaignSpec(tc.spec.Workload, tc.spec.Precision, tc.spec.WorkloadSeed, tc.spec.Options())
+		want, got := reflect.ValueOf(tc.spec), reflect.ValueOf(back)
+		for i := range want.NumField() {
+			if w, g := want.Field(i).Interface(), got.Field(i).Interface(); w != g {
+				t.Errorf("%s: %s %v came back %v", tc.name, want.Type().Field(i).Name, w, g)
+			}
+		}
+	}
+
+	var opts campaign.StudyOptions
+	fillNonZero(t, reflect.ValueOf(&opts).Elem())
+	want, got := reflect.ValueOf(opts), reflect.ValueOf(NewCampaignSpec("w", "fp16", 1, opts).Options())
+	for i := range want.NumField() {
+		f := want.Type().Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		w := want.Field(i)
+		if _, inSpec := reflect.TypeOf(full).FieldByName(f.Name); !inSpec {
+			w = reflect.Zero(f.Type)
+		}
+		if g := got.Field(i); w.Interface() != g.Interface() {
+			t.Errorf("StudyOptions.%s: %v came back %v", f.Name, w, g)
+		}
+	}
+}
+
+// fillNonZero sets every exported field of the struct v to a non-zero value.
+func fillNonZero(t *testing.T, v reflect.Value) {
+	t.Helper()
+	for i := range v.NumField() {
+		f, sf := v.Field(i), v.Type().Field(i)
+		if !sf.IsExported() {
+			continue
+		}
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString(sf.Name)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i+1) / 64)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		default:
+			t.Fatalf("%s.%s: no non-zero value for a %v", v.Type(), sf.Name, f.Kind())
+		}
+	}
 }
 
 // specCase is one way of spoiling the fixed-count test spec.

@@ -109,6 +109,27 @@ func (s CampaignSpec) Options() campaign.StudyOptions {
 	}
 }
 
+// NewCampaignSpec is the inverse of Options: the spec of the campaign that
+// runs opts on the workload named by (workload, precision, workloadSeed).
+// The options a spec does not carry — workers, checkpointing, resume and
+// telemetry — are dropped.
+func NewCampaignSpec(workload, precision string, workloadSeed int64, opts campaign.StudyOptions) CampaignSpec {
+	return CampaignSpec{
+		Workload:          workload,
+		Precision:         precision,
+		WorkloadSeed:      workloadSeed,
+		Tolerance:         opts.Tolerance,
+		Samples:           opts.Samples,
+		TargetCI:          opts.TargetCI,
+		Inputs:            opts.Inputs,
+		Seed:              opts.Seed,
+		Shards:            opts.Shards,
+		PerLayer:          opts.PerLayer,
+		ExperimentTimeout: opts.ExperimentTimeout,
+		FailureBudget:     opts.FailureBudget,
+	}
+}
+
 // BuildWorkload constructs the spec's workload. Both sides build it from the
 // spec alone, so a worker's network is bit-identical to the coordinator's.
 func (s CampaignSpec) BuildWorkload() (*model.Workload, error) {

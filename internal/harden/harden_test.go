@@ -6,6 +6,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -462,18 +463,34 @@ func TestRecommendationSearch(t *testing.T) {
 }
 
 // TestPipelineRun: the closed loop end to end on the cheapest workload, with
-// determinism across repeat runs.
+// determinism across repeat runs. The options leave PerLayer off: Run turns
+// it on for both campaigns, and reports through the options' telemetry.
 func TestPipelineRun(t *testing.T) {
+	tel := telemetry.New()
 	opts := Options{
 		Net: "mobilenet", Precision: numerics.FP16,
-		Samples: 8, Inputs: 1, Tolerance: 0.1, Seed: 3, Workers: 2,
+		Study: campaign.StudyOptions{Samples: 8, Inputs: 1, Tolerance: 0.1, Seed: 3, Workers: 2, Telemetry: tel},
 	}
 	rep, err := Run(context.Background(), accel.NVDLASmall(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Before.Experiments == 0 || rep.After.Experiments == 0 {
-		t.Fatal("pipeline ran no experiments")
+	perLayer := opts.Study
+	perLayer.PerLayer, perLayer.Telemetry = true, nil
+	before, err := campaign.Study(context.Background(), accel.NVDLASmall(), buildWorkload(t, opts.Net), perLayer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Before.Experiments != before.Experiments || rep.Before.FIT != before.FIT.Total {
+		t.Errorf("baseline campaign ran %d experiments for FIT %g, want the per-layer study's %d for %g",
+			rep.Before.Experiments, rep.Before.FIT, before.Experiments, before.FIT.Total)
+	}
+	if rep.After.Experiments != before.Experiments {
+		t.Errorf("hardened campaign ran %d experiments, want the baseline's %d (the same campaign shape)",
+			rep.After.Experiments, before.Experiments)
+	}
+	if h := tel.Snapshot().Harden; h == nil || h.DuplicatedSites != int64(len(rep.Config.Duplicated)) {
+		t.Errorf("telemetry harden block %+v, want %d duplicated sites", h, len(rep.Config.Duplicated))
 	}
 	if rep.Fingerprint == "" {
 		t.Error("pipeline produced an empty hardening fingerprint")
@@ -496,5 +513,21 @@ func TestPipelineRun(t *testing.T) {
 	b, _ := json.Marshal(again)
 	if string(a) != string(b) {
 		t.Error("pipeline report is not deterministic across identical runs")
+	}
+}
+
+// TestRunRejectsCheckpointing: Run refuses the campaign options its two
+// campaigns cannot share, before it runs either.
+func TestRunRejectsCheckpointing(t *testing.T) {
+	for name, set := range map[string]func(*campaign.StudyOptions){
+		"checkpoint-path": func(o *campaign.StudyOptions) { o.CheckpointPath = filepath.Join(t.TempDir(), "c.json") },
+		"resume":          func(o *campaign.StudyOptions) { o.Resume = &campaign.Checkpoint{} },
+		"target-ci":       func(o *campaign.StudyOptions) { o.Samples, o.TargetCI = 0, 0.1 },
+	} {
+		opts := Options{Net: "mobilenet", Precision: numerics.FP16, Study: campaign.StudyOptions{Samples: 8, Inputs: 1}}
+		set(&opts.Study)
+		if _, err := Run(context.Background(), accel.NVDLASmall(), opts); err == nil || !strings.Contains(err.Error(), "may not set") {
+			t.Errorf("%s: Run returned %v, want the options rejected", name, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package harden
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"fidelity/internal/accel"
@@ -9,7 +10,6 @@ import (
 	"fidelity/internal/fit"
 	"fidelity/internal/model"
 	"fidelity/internal/numerics"
-	"fidelity/internal/telemetry"
 )
 
 // Options configures the closed hardening loop.
@@ -17,20 +17,18 @@ type Options struct {
 	// Net names the zoo workload; Precision its datapath format.
 	Net       string
 	Precision numerics.Precision
-	// Samples, Inputs, Tolerance, Seed, Workers configure both campaigns
-	// (campaign.StudyOptions semantics). The baseline and hardened runs use
-	// identical options except for the hardening fingerprint.
-	Samples   int
-	Inputs    int
-	Tolerance float64
-	Seed      int64
-	Workers   int
 	// Budget is the FIT target (0 = the area-apportioned ASIL-D FF budget,
 	// fit.FFBudget()).
 	Budget float64
-	// Telemetry, when non-nil, collects both campaigns' counters plus the
-	// harden block (clamp activity, duplicated-site count).
-	Telemetry *telemetry.Collector
+	// Study configures both campaigns. The baseline and hardened runs use
+	// it unchanged except that Run forces PerLayer, and the hardened run has
+	// the hardening fingerprint in its checkpoint identity. Its Telemetry,
+	// when non-nil, collects both campaigns' counters plus the harden block
+	// (clamp activity, duplicated-site count). Run rejects CheckpointPath,
+	// Resume and TargetCI: the loop checkpoints neither campaign (one path
+	// and one checkpoint cannot serve two identities), and an adaptive plan
+	// would size the two campaigns differently.
+	Study campaign.StudyOptions
 }
 
 // FITSummary is one campaign's FIT view in the hardening report.
@@ -80,18 +78,14 @@ type Report struct {
 // shard-deterministic, so the whole report is a pure function of
 // (accelerator config, Options).
 func Run(ctx context.Context, acfg *accel.Config, opts Options) (*Report, error) {
+	if s := opts.Study; s.CheckpointPath != "" || s.Resume != nil || s.TargetCI != 0 {
+		return nil, errors.New("harden: Options.Study may not set CheckpointPath, Resume or TargetCI")
+	}
 	if opts.Budget <= 0 {
 		opts.Budget = fit.FFBudget()
 	}
-	base := campaign.StudyOptions{
-		Samples:   opts.Samples,
-		Inputs:    opts.Inputs,
-		Tolerance: opts.Tolerance,
-		Seed:      opts.Seed,
-		Workers:   opts.Workers,
-		PerLayer:  true, // duplication ranks layer executions, so Eq. 2 needs per-layer Prob_SWmask
-		Telemetry: opts.Telemetry,
-	}
+	base := opts.Study
+	base.PerLayer = true // duplication ranks layer executions, so Eq. 2 needs per-layer Prob_SWmask
 
 	w, err := model.Build(opts.Net, opts.Precision, model.StudySeed)
 	if err != nil {
@@ -102,7 +96,7 @@ func Run(ctx context.Context, acfg *accel.Config, opts Options) (*Report, error)
 		return nil, err
 	}
 
-	prof, err := Profile(w, opts.Inputs)
+	prof, err := Profile(w, base.Inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -131,8 +125,8 @@ func Run(ctx context.Context, acfg *accel.Config, opts Options) (*Report, error)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Telemetry != nil {
-		opts.Telemetry.SetDuplicatedSites(len(cfg.Duplicated))
+	if tel := base.Telemetry; tel != nil {
+		tel.SetDuplicatedSites(len(cfg.Duplicated))
 	}
 
 	dup := make(map[string]bool, len(cfg.Duplicated))

@@ -12,7 +12,8 @@ import (
 // mutant is one row of testdata/mutants.json: a recorded fault in the
 // program that its tests once killed. Replacing Old, which occurs exactly
 // once in File, by New must make `go test -run Run Pkg` fail. `make mutants`
-// (the mutants build tag) checks that; TestMutantRows checks only that every
+// (the mutants build tag) checks that, where the mutated code runs (a
+// *_amd64.s row needs the AVX2 lanes); TestMutantRows checks only that every
 // row still applies.
 type mutant struct {
 	Name string `json:"name"`
