@@ -23,10 +23,11 @@ test:
 # package, -run pattern). The runner, selected by the mutants build tag,
 # writes each mutated file to a temporary directory and applies it with
 # `go test -overlay`, so the tree is never edited; it fails on a mutant that
-# survives or does not build and prints each row's wall time. A row of an
-# AVX2 lane body (a *_amd64.s file) is skipped on a machine that does not run
-# the lanes (numerics.HasLanes, built under the same tag). Tier-1's
-# TestMutantRows checks only that every row still applies.
+# survives or does not build and prints each row's wall time. A row of a
+# lane body (a *_amd64.s file) names its instruction set, avx2 or avx512, and
+# is skipped, saying so, on a machine that does not run that set
+# (numerics.HasLanes, built under the same tag). Tier-1's TestMutantRows
+# checks only that every row still applies.
 mutants:
 	$(GO) test -v -tags mutants -count=1 -timeout 30m -run '^TestMutants$$' .
 
@@ -92,9 +93,10 @@ chaos:
 # the periodic save of a running shard and interrupt/resume in harden — 50 times at 1, 2 and 4 Ps each, beside a
 # busy loop that holds one CPU: a test that races the engine instead of
 # steering it from inside fails here. Then those two packages, nn and inject
-# (the replay engine and its allocation ceilings), and faultmodel (the seeded
-# χ² test of the sampler), whole, 20 times in a row. A few minutes; not part
-# of `make ci`.
+# (the replay engine and its allocation ceilings), faultmodel (the seeded χ²
+# test of the sampler) and numerics (the lane table on its go, avx2 and
+# avx512 legs, which share the package's dispatch selectors), whole, 20 times
+# in a row. A few minutes; not part of `make ci`.
 FLAKE_TESTS := TestChaosWatchdogNeverLendsZombie|TestChaosCheckpointIOErrors|TestChaosPeriodicSave|TestHardenedInterruptResume
 CAMPAIGN_CELLS := interrupt|supervised|warm-executor
 FLEET_CELLS := worker-death|coordinator-restart
@@ -103,7 +105,7 @@ flake:
 	trap "kill $$hog" EXIT; \
 	$(GO) test -count=50 -cpu 1,2,4 -run '^($(FLAKE_TESTS))$$' ./internal/campaign/ ./internal/harden/ && \
 	$(GO) test -count=50 -cpu 1,2,4 -run '^TestConformance$$/^($(CAMPAIGN_CELLS)|$(FLEET_CELLS))$$' ./internal/campaign/ ./internal/distrib/ && \
-	$(GO) test -count=20 ./internal/campaign/ ./internal/distrib/ ./internal/nn/ ./internal/inject/ ./internal/faultmodel/
+	$(GO) test -count=20 ./internal/campaign/ ./internal/distrib/ ./internal/nn/ ./internal/inject/ ./internal/faultmodel/ ./internal/numerics/
 
 # The distribution-layer chaos + integrity suite (DESIGN.md §9): the
 # conformance suite's chaos-transport cells (drops, delays, duplicates,

@@ -214,10 +214,11 @@ func convTile(a *convArgs, bi, oy0, oy1, ox0, ox1 int, accs []float32) {
 // execution allocates only its output: conv accumulators, rounded operands (in;
 // w, a matmul's second), kernel arguments, GlobalAvgPool's sums, the LSTM's
 // cell state and gate input, and the hook's operand set, whose ComputeNeurons
-// calls reuse in, w and cargs.
+// calls reuse in, w, cargs and pos (a conv's decoded neuron positions).
 type scratch struct {
 	accs, in, w []float32
 	cargs       convArgs
+	pos         []outPos
 	dargs       denseArgs
 	margs       matmulArgs
 	sums        []float64

@@ -14,11 +14,43 @@ import (
 
 // numericsHasAVX2 is numerics' unexported dispatch seam: true when its row
 // primitives — the FP16 ones and the plain-float32 ones of every other
-// precision — run their AVX2 lanes on this machine. The kernel tests turn it
-// off to hold the pure-Go loops to the same reference.
+// precision — run their AVX2 lanes on this machine (and the FP16 panel its
+// AVX-512 body, which numerics selects only under it). The kernel tests turn
+// it off to hold the pure-Go loops to the same reference.
 //
 //go:linkname numericsHasAVX2 fidelity/internal/numerics.hasAVX2
 var numericsHasAVX2 bool
+
+// numericsHasAVX512 is the second seam: true when the FP16 panel's blocks of
+// 16 columns or more run its AVX-512 body. The tests that reach the panel
+// turn it off on such a CPU to hold the AVX2 body, the one every AVX2-only
+// CPU runs, to the same reference.
+//
+//go:linkname numericsHasAVX512 fidelity/internal/numerics.hasAVX512
+var numericsHasAVX512 bool
+
+// laneLeg is one setting of the two seams.
+type laneLeg struct {
+	name         string
+	avx2, avx512 bool
+}
+
+// laneLegs returns the legs this machine has: the lanes as detected, the
+// AVX2 bodies alone where the CPU has AVX-512 too, and the pure-Go loops.
+// The returned func restores the detected setting.
+func laneLegs() ([]laneLeg, func()) {
+	detected := laneLeg{"detected", numericsHasAVX2, numericsHasAVX512}
+	legs := []laneLeg{detected}
+	if detected.avx512 {
+		legs = append(legs, laneLeg{"avx2", true, false})
+	}
+	if detected.avx2 {
+		legs = append(legs, laneLeg{"go", false, false})
+	}
+	return legs, detected.set
+}
+
+func (l laneLeg) set() { numericsHasAVX2, numericsHasAVX512 = l.avx2, l.avx512 }
 
 // kernelCodecs covers every datapath precision the zoo instantiates: both
 // float widths (FP16 exercises the RoundHalf product-rounding path) and both
@@ -35,32 +67,35 @@ func kernelCodecs() []numerics.Codec {
 // runKernelModes evaluates f once per kernel configuration — reference
 // loops, tiled single-threaded, and tiled with forced goroutine bands (the
 // parallel path is unreachable on a single-CPU machine without the force),
-// the tiled ones with numerics' AVX2 lanes as detected and again with them off
-// (which is a lanes-off leg for every codec: the FP16 panel, the float32 panel
-// of INT8 / INT16 / FP32 and the quantizers' rounding all hang on the one
-// seam) — and requires every output to be bit-identical to the reference.
+// the tiled ones with numerics' lanes as detected, then single-threaded and
+// in four bands on each other leg of laneLegs (the "go" one is a lanes-off
+// leg for every codec: the FP16 panel, the float32 panel of INT8 / INT16 /
+// FP32 and the quantizers' rounding all hang on the one seam) — and requires
+// every output to be bit-identical to the reference.
 func runKernelModes(t *testing.T, label string, f func() *tensor.Tensor) {
 	t.Helper()
-	modes := []struct {
+	type mode struct {
 		name    string
 		ref     bool
 		workers int32
-		goLoops bool
-	}{
-		{"reference", true, 0, false},
-		{"tiled-serial", false, 1, false},
-		{"tiled-4-bands", false, 4, false},
-		{"tiled-7-bands", false, 7, false}, // ragged band split
-		{"tiled-serial-go-loops", false, 1, true},
-		{"tiled-4-bands-go-loops", false, 4, true},
+		lanes   laneLeg
 	}
-	detected := numericsHasAVX2
-	defer func() { numericsHasAVX2 = detected }()
+	legs, restore := laneLegs()
+	defer restore()
+	modes := []mode{
+		{"reference", true, 0, legs[0]},
+		{"tiled-serial", false, 1, legs[0]},
+		{"tiled-4-bands", false, 4, legs[0]},
+		{"tiled-7-bands", false, 7, legs[0]}, // ragged band split
+	}
+	for _, l := range legs[1:] {
+		modes = append(modes, mode{"tiled-serial-" + l.name, false, 1, l}, mode{"tiled-4-bands-" + l.name, false, 4, l})
+	}
 	var want *tensor.Tensor
 	for _, m := range modes {
 		SetReferenceKernels(m.ref)
 		forceKernelWorkers.Store(m.workers)
-		numericsHasAVX2 = detected && !m.goLoops
+		m.lanes.set()
 		got := f()
 		SetReferenceKernels(false)
 		forceKernelWorkers.Store(0)

@@ -168,12 +168,15 @@ func (l *Conv2D) ComputeNeurons(op *Operands, neurons []int, ov *Override, dst [
 	}
 
 	for lo := 0; lo < len(neurons); {
-		// The neurons of one batch image, and the input box they read.
+		// The neurons of one batch image, the input box they read and each
+		// one's position, decoded once for both passes.
 		bi := neurons[lo] / imgSize
 		img, hi := bi*imgSize, lo
 		oy0, oy1, ox0, ox1 := a.oh, -1, a.ow, -1
+		sc.pos = sc.pos[:0]
 		for ; hi < len(neurons) && uint(neurons[hi]-img) < uint(imgSize); hi++ {
-			oy, ox, _ := a.position(neurons[hi] - img)
+			oy, ox, c := a.position(neurons[hi] - img)
+			sc.pos = append(sc.pos, outPos{oy, ox, c})
 			oy0, oy1 = min(oy0, oy), max(oy1, oy)
 			ox0, ox1 = min(ox0, ox), max(ox1, ox)
 		}
@@ -193,7 +196,8 @@ func (l *Conv2D) ComputeNeurons(op *Operands, neurons []int, ov *Override, dst [
 		}
 
 		for i := lo; i < hi; {
-			oy, ox, c0 := a.position(neurons[i] - img)
+			p := sc.pos[i-lo]
+			oy, ox, c0 := p.oy, p.ox, p.c
 			if col != nil {
 				dst[i] = finishNeuron(l.codec, op.B, ov, c0, convColumn(a, col, bi, oy, ox))
 				i++
@@ -215,6 +219,9 @@ func (l *Conv2D) ComputeNeurons(op *Operands, neurons []int, ov *Override, dst [
 		lo = hi
 	}
 }
+
+// outPos is an output offset's position, as position decodes it.
+type outPos struct{ oy, ox, c int }
 
 // position returns the output row, column and channel of offset off into
 // one batch image of the output.

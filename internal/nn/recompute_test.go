@@ -26,11 +26,11 @@ var overrideValues = []float32{
 // from overrideValues: the target's whole reuse set, that set shuffled (runs
 // of one, in no order), a random sample of the output with repeats, one
 // channel of it, every channel of one position (a run as wide as the layer),
-// and one neuron; with the FP16 lanes as detected and off.
+// and one neuron; on every leg of laneLegs.
 func checkComputeNeurons(t *testing.T, label string, rng *rand.Rand, site Site, op *Operands) {
 	t.Helper()
-	detected := numericsHasAVX2
-	defer func() { numericsHasAVX2 = detected }()
+	legs, restore := laneLegs()
+	defer restore()
 	outSize := op.Out.Size()
 	lastDim := op.Out.Dim(op.Out.Rank() - 1)
 	sample := func(n int, channel int) []int {
@@ -76,18 +76,15 @@ func checkComputeNeurons(t *testing.T, label string, rng *rand.Rand, site Site, 
 			sets["reuse-shuffled"] = shuffled
 		}
 		for name, set := range sets {
-			for _, lanes := range []bool{detected, false} {
-				numericsHasAVX2 = lanes
+			for _, l := range legs {
+				l.set()
 				got := make([]float32, len(set))
 				site.ComputeNeurons(op, set, ov, got)
 				for i, off := range set {
 					if want := site.ComputeNeuron(op, off, ov); !sameValue(got[i], want) {
-						t.Fatalf("%s: %s set, override %+v, lanes %v: ComputeNeurons[%d] (neuron %d) = %v [%#08x], ComputeNeuron %v [%#08x]",
-							label, name, ov, lanes, i, off, got[i], math.Float32bits(got[i]), want, math.Float32bits(want))
+						t.Fatalf("%s: %s set, override %+v, lanes %s: ComputeNeurons[%d] (neuron %d) = %v [%#08x], ComputeNeuron %v [%#08x]",
+							label, name, ov, l.name, i, off, got[i], math.Float32bits(got[i]), want, math.Float32bits(want))
 					}
-				}
-				if !detected {
-					break
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package numerics
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -13,14 +14,21 @@ import (
 
 // TestLaneRegistryComplete keeps the lane table (lanes_test.go) whole, so
 // that no body lands without the checks its row derives: every TEXT routine
-// but the CPU probe is the body of exactly one row, and every row's body is a
-// TEXT routine; every routine halfrow_amd64.go declares has a stub in
-// halfrow_noasm.go; every row, sweep and fuzz target names a function.
+// but the two CPU probes is the body of exactly one (row, instruction set)
+// cell, named for its set, and every body a row names is a TEXT routine;
+// every routine halfrow_amd64.go declares has a stub in halfrow_noasm.go;
+// every row, sweep and fuzz target names a function.
 func TestLaneRegistryComplete(t *testing.T) {
-	const probe = "cpuHasAVX2"
+	probes := map[string]bool{"cpuHasAVX2": true, "cpuHasAVX512": true}
 	bodies, routines, funcs := map[string]int{}, map[string]bool{}, map[string]bool{}
 	for _, p := range primitives {
 		bodies[p.body]++
+		if p.body512 != "" {
+			bodies[p.body512]++
+		}
+		if !strings.HasSuffix(p.body, "AVX2") || p.body512 != "" && !strings.HasSuffix(p.body512, "AVX512") {
+			t.Errorf("row %s: bodies %s and %q, each not named for its instruction set", p.name, p.body, p.body512)
+		}
 	}
 	files, _ := filepath.Glob("*_amd64.s")
 	for _, file := range files {
@@ -29,15 +37,15 @@ func TestLaneRegistryComplete(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range regexp.MustCompile(`(?m)^TEXT\s+·(\w+)\(SB\)`).FindAllSubmatch(src, -1) {
-			if name := string(m[1]); name != probe && bodies[name] != 1 {
-				t.Errorf("%s: TEXT ·%s is the body of %d rows, want 1", file, name, bodies[name])
+			if name := string(m[1]); !probes[name] && bodies[name] != 1 {
+				t.Errorf("%s: TEXT ·%s is the body of %d cells, want 1", file, name, bodies[name])
 			}
 			routines[string(m[1])] = true
 		}
 	}
 	stubs := funcNames(t, "halfrow_noasm.go")
 	for name := range funcNames(t, "halfrow_amd64.go") {
-		if !routines[name] || !stubs[name] && name != probe {
+		if !routines[name] || !stubs[name] && !probes[name] {
 			t.Errorf("halfrow_amd64.go declares %s: no TEXT routine, or no stub in halfrow_noasm.go", name)
 		}
 	}
@@ -60,8 +68,10 @@ func TestLaneRegistryComplete(t *testing.T) {
 				t.Errorf("row %s names %s, which is no function of the package", p.name, name)
 			}
 		}
-		if !routines[p.body] {
-			t.Errorf("row %s names %s, which is no TEXT routine", p.name, p.body)
+		for _, body := range []string{p.body, p.body512} {
+			if body != "" && !routines[body] {
+				t.Errorf("row %s names body %q, which is no TEXT routine", p.name, body)
+			}
 		}
 	}
 }
@@ -89,38 +99,61 @@ func funcNames(t *testing.T, file string) map[string]bool {
 
 // TestAsmIsVEXOnly scans every *_amd64.s of the package for the two mistakes
 // that cost a microsecond a call and break nothing: a legacy-SSE instruction
-// (any mnemonic not starting with V) on an X or Y register, which makes the CPU
-// save the dirty upper YMM halves at the next VEX instruction, and a RET out
-// of a routine that used vector registers without a VZEROUPPER just before it,
-// which leaves them dirty for the Go code that follows. A macro that takes its
-// registers as parameters (MAC, DIFF8) is held to the same rule where it is
-// used: no vector register may be passed to a parameter that a non-VEX
-// instruction of its body operates on. It also pins the converter's imm8: $4
-// would take the rounding mode from MXCSR, which no test can set and nothing
-// promises.
+// (any mnemonic not starting with V) on an X, Y or Z register, 0–31, which
+// makes the CPU save the dirty upper halves at the next VEX instruction, and a
+// RET out of a routine that used vector registers without a VZEROUPPER just
+// before it, which leaves them dirty for the Go code that follows. The opmask
+// instructions (KORW, KORTESTW, …) name no vector register and pass. A
+// macro that takes its registers as parameters (MAC, DIFF8, the column lists
+// COLS and ZCOLS) is held to the same rule where it is used: no vector
+// register may be passed to a parameter that a non-VEX instruction of its
+// body operates on. It also pins the converter's imm8: $4 would take the
+// rounding mode from MXCSR, which no test can set and nothing promises.
 func TestAsmIsVEXOnly(t *testing.T) {
 	files, err := filepath.Glob("*_amd64.s")
 	if err != nil || len(files) < 3 {
 		t.Fatalf("found %v (%v): halfrow_amd64.s, floatrow_amd64.s and exprow_amd64.s at least", files, err)
 	}
 	for _, file := range files {
-		checkAsmIsVEXOnly(t, file)
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range asmProblems(file, string(src)) {
+			t.Error(p)
+		}
 	}
 }
 
-func checkAsmIsVEXOnly(t *testing.T, file string) {
-	src, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
+// TestAsmIsVEXOnlyCatchesZMM plants the routines the scan must reject: one
+// whose only vector register is a ZMM one named through two macros, and one
+// that moves an upper-bank XMM register with a legacy instruction.
+func TestAsmIsVEXOnlyCatchesZMM(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"#define LOAD(off, R) VMOVUPS off(DI), R\n#define ROWS(M) M(0, Z8)\n" +
+			"TEXT ·zmmOnly(SB), NOSPLIT, $0-8\n\tROWS(LOAD)\n\tRET\n", "RET from ·zmmOnly(SB), NOSPLIT, $0-8 without VZEROUPPER"},
+		{"#define ROWS(M) M(0, Y8)\nTEXT ·upperBank(SB), NOSPLIT, $0-8\n\tMOVQ X17, AX\n\tVZEROUPPER\n\tRET\n",
+			"MOVQ on a vector register is not VEX-encoded"},
+	} {
+		if ps := asmProblems("planted.s", c.src); len(ps) != 1 || !strings.Contains(ps[0], c.want) {
+			t.Errorf("planted routine %q: the scan reports %q, want one problem: %s", c.src, ps, c.want)
+		}
 	}
-	vecReg := regexp.MustCompile(`\b[XY]([0-9]|1[0-5])\b`)
+}
+
+// asmProblems returns what is wrong with assembly file src by the rules of
+// TestAsmIsVEXOnly.
+func asmProblems(file, src string) []string {
+	var problems []string
+	report := func(format string, args ...any) { problems = append(problems, fmt.Sprintf(format, args...)) }
+	vecReg := regexp.MustCompile(`\b[XYZ]([0-9]|[12][0-9]|3[01])\b`)
 	macros := map[string]bool{} // names of #define'd macros that use vector registers
 	// params holds each macro's parameter names; legacy the positions of those
 	// a non-VEX instruction of its body names.
 	params, legacy := map[string][]string{}, map[string]map[int]bool{}
 	var routine, prev, macro string
 	vector := false // the current routine has used a vector register
-	for ln, line := range strings.Split(string(src), "\n") {
+	for ln, line := range strings.Split(src, "\n") {
 		if i := strings.Index(line, "//"); i >= 0 {
 			line = line[:i]
 		}
@@ -158,7 +191,7 @@ func checkAsmIsVEXOnly(t *testing.T, file string) {
 			if isMacro {
 				for j, arg := range macroArgs(strings.TrimSpace(ins)[len(name):]) {
 					if legacy[name][j] && vecReg.MatchString(arg) {
-						t.Errorf("%s:%d: %s passes %s to a non-VEX instruction", file, ln+1, name, arg)
+						report("%s:%d: %s passes %s to a non-VEX instruction", file, ln+1, name, arg)
 					}
 				}
 			} else if macro != "" && !strings.HasPrefix(op, "V") {
@@ -173,13 +206,13 @@ func checkAsmIsVEXOnly(t *testing.T, file string) {
 			}
 			vector = vector || usesVec
 			if op == "VCVTPS2PH" && !strings.HasPrefix(args, "$0,") {
-				t.Errorf("%s:%d: VCVTPS2PH %s: imm8 must be $0, round to nearest even whatever MXCSR holds", file, ln+1, args)
+				report("%s:%d: VCVTPS2PH %s: imm8 must be $0, round to nearest even whatever MXCSR holds", file, ln+1, args)
 			}
 			if vecReg.MatchString(args) && !strings.HasPrefix(op, "V") && !isMacro {
-				t.Errorf("%s:%d: %s on a vector register is not VEX-encoded", file, ln+1, op)
+				report("%s:%d: %s on a vector register is not VEX-encoded", file, ln+1, op)
 			}
 			if op == "RET" && vector && prev != "VZEROUPPER" {
-				t.Errorf("%s:%d: RET from %s without VZEROUPPER before it", file, ln+1, routine)
+				report("%s:%d: RET from %s without VZEROUPPER before it", file, ln+1, routine)
 			}
 			prev = op
 		}
@@ -188,8 +221,9 @@ func checkAsmIsVEXOnly(t *testing.T, file string) {
 		}
 	}
 	if len(macros) == 0 || routine == "" {
-		t.Fatalf("%s: found %d vector macros, last routine %q: has the file's layout changed?", file, len(macros), routine)
+		report("%s: found %d vector macros, last routine %q: has the file's layout changed?", file, len(macros), routine)
 	}
+	return problems
 }
 
 // macroArgs splits the parenthesised argument list that opens s, "(a, b)", into

@@ -38,6 +38,11 @@ const (
 // (HalfMulAddPanel).
 const laneChunk = 8
 
+// zmmChunk is the lanes of one ZMM register: the narrowest column block of the
+// panel's AVX-512 body, which takes every block of that width or more where
+// the CPU has it (hasAVX512).
+const zmmChunk = 16
+
 // halfRoundSmall rounds a product with |p| < 2⁻¹⁴ (bit pattern b, magnitude
 // pattern abs): a leaf small enough for the primitives to inline.
 func halfRoundSmall(b, abs uint32) float32 {
@@ -63,8 +68,9 @@ func halfRoundSmall(b, abs uint32) float32 {
 // accumulator takes its products in row order whoever adds them (§7.1.2).
 //
 // The lanes take the columns a block at a time — the widest of 32, 16 and 8
-// that fits — with the block's accumulators in registers across all the rows
-// and no test on any product, and store them only if every one came out finite.
+// that fits, or with AVX-512 of 64, 32 and 16 and then 8 — with the block's
+// accumulators in registers across all the rows and no test on any product,
+// and store them only if every one came out finite.
 // A rare product leaves the converter as ±Inf or NaN and an accumulator that
 // has met one stays non-finite, so a block that was stored met none; any other
 // block is untouched in memory and the Go loop computes it whole, as it does
@@ -82,7 +88,10 @@ func HalfMulAddPanel(acc, a, w []float32, stride int, thr []uint32) {
 	}
 	for len(acc) > 0 {
 		n, ok := len(acc), false
-		if hasAVX2 && n >= laneChunk {
+		switch {
+		case hasAVX2 && hasAVX512 && n >= zmmChunk:
+			n, ok = halfMulAddPanelAVX512(acc, a, w, stride, thr)
+		case hasAVX2 && n >= laneChunk:
 			n, ok = halfMulAddPanelAVX2(acc, a, w, stride, thr)
 		}
 		if !ok {

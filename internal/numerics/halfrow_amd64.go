@@ -8,15 +8,25 @@ package numerics
 // both ways; nothing else writes it.
 var hasAVX2 = cpuHasAVX2()
 
+// hasAVX512 selects the one AVX-512 body, halfMulAddPanelAVX512 (sixteen FP16
+// lanes a register), for column blocks of 16 and more: where the CPU has
+// AVX-512F and the OS saves the opmask and ZMM state. It is read only under
+// hasAVX2, so turning that off turns every body off; tests flip both.
+var hasAVX512 = hasAVX2 && cpuHasAVX512()
+
 // Implemented in halfrow_amd64.s; halfrow.go (laneChunk) has the contract of
 // the three chunk routines, the panel and the element-wise run (one column
 // block a call) state their own.
 
 func cpuHasAVX2() bool
 
+func cpuHasAVX512() bool
+
 func halfMulAddRowAVX2(acc []float32, a float32, w []float32) int
 
 func halfMulAddPanelAVX2(acc, a, w []float32, stride int, thr []uint32) (n int, ok bool)
+
+func halfMulAddPanelAVX512(acc, a, w []float32, stride int, thr []uint32) (n int, ok bool)
 
 func halfMulAddVecAVX2(acc, a, w []float32, stride, taps int) (n int, ok bool)
 

@@ -10,9 +10,14 @@
 // visits the rows that are not ±0 by bitmask and leaves the mask out where it
 // is idle (§7.1.4). The Go loops own the rare band and every tail.
 //
-// VEX encodings only, and VZEROUPPER before every RET: one legacy-SSE
-// instruction with dirty upper YMM halves costs a state transition of about a
-// microsecond per call (measured). TestAsmIsVEXOnly holds the file to both.
+// The panel has a second body, halfMulAddPanelAVX512, for blocks of 16
+// columns and more where the CPU has AVX-512F: the same walk of the rows and
+// the same block rule, sixteen lanes a register (DESIGN.md §7.3).
+//
+// VEX encodings only (EVEX for the ZMM body), and VZEROUPPER before every
+// RET: one legacy-SSE instruction with dirty upper YMM halves costs a state
+// transition of about a microsecond per call (measured). TestAsmIsVEXOnly
+// holds the file to both.
 
 #include "textflag.h"
 
@@ -91,6 +96,28 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 no:
 	RET
 
+// func cpuHasAVX512() bool
+//
+// Called only where cpuHasAVX2 said yes, so that leaf 7 and XGETBV exist: the
+// ZMM body is usable when the CPU has AVX-512F (leaf 7 EBX bit 16) and the OS
+// saves the opmask and both upper parts of the ZMM state besides the XMM and
+// YMM state (XCR0 bits 1, 2, 5, 6 and 7).
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	MOVB   $0, ret+0(FP)
+	XORL   CX, CX
+	XGETBV
+	ANDL   $0xe6, AX
+	CMPL   AX, $0xe6
+	JNE    no
+	MOVL   $7, AX
+	XORL   CX, CX
+	CPUID
+	SHRL   $16, BX
+	ANDL   $1, BX
+	MOVB   BX, ret+0(FP)
+no:
+	RET
+
 // func halfMulAddRowAVX2(acc []float32, a float32, w []float32) int
 TEXT ·halfMulAddRowAVX2(SB), NOSPLIT, $0-64
 	MOVQ         acc_base+0(FP), DI
@@ -158,19 +185,19 @@ done:
 	COLS(PSTORE); \
 	JMP    done
 
-// BLOCK is the panel over one block of width columns with no thresholds
-// (thr == nil): the accumulators are loaded once and take every row, each
-// product masked, in registers.
-#define BLOCK(COLS, width, row) \
+// BLOCK is the panel over one block of columns with no thresholds (thr ==
+// nil): the accumulators are loaded once and take every row, each product
+// masked (MAC, the activation broadcast to A), in registers; FIN ends it.
+#define BLOCK(COLS, A, MAC, FIN, row) \
 	COLS(PLOAD); \
 row: \
-	VBROADCASTSS (DX), Y7; \
-	COLS(PMAC); \
+	VBROADCASTSS (DX), A; \
+	COLS(MAC); \
 	ADDQ         R9, SI; \
 	ADDQ         $4, DX; \
 	DECQ         R8; \
 	JNZ          row; \
-	FINISH(COLS, width)
+	FIN
 
 // MASK sets M to a bit a row for the CX rows at off(DX) whose activation is
 // not ±0, CX counting down to 0: the rows past the last whole 8-row step one
@@ -208,15 +235,15 @@ done:
 	CMPQ    R, CX; \
 	CMOVQLT R, CX
 
-// SBLOCK is the panel over one block of width columns with thresholds: the
-// rows go by in groups of 64, DX, R12 and AX at a group's activations,
-// thresholds and first weight row, R14 the mask of its rows that are not ±0
-// (MASK). Each group first masks the next one into R13, work that overlaps
-// this one's rows, then visits R14's set bits in ascending order, BSFQ
-// (after XORL, so that it does not wait on the previous BSFQ) and
-// R14 &= R14-1: a row whose |a| is at or above its threshold takes PMACF, one
-// below it PMAC (DESIGN.md §7.1.4).
-#define SBLOCK(COLS, width, t0, s0, p0, d0, group, t1, s1, p1, visit, vrow, masked, next) \
+// SBLOCK is the panel over one block of columns with thresholds: the rows go
+// by in groups of 64, DX, R12 and AX at a group's activations, thresholds and
+// first weight row, R14 the mask of its rows that are not ±0 (MASK). Each
+// group first masks the next one into R13, work that overlaps this one's
+// rows, then visits R14's set bits in ascending order, BSFQ (after XORL, so
+// that it does not wait on the previous BSFQ) and R14 &= R14-1: a row whose
+// |a| is at or above its threshold takes MACF, one below it MAC (DESIGN.md
+// §7.1.4). A, MAC and FIN are BLOCK's.
+#define SBLOCK(COLS, A, MAC, MACF, FIN, t0, s0, p0, d0, group, t1, s1, p1, visit, vrow, masked, next) \
 	COLS(PLOAD); \
 	MOVQ         SI, AX; \
 	GROUP(R8); \
@@ -236,18 +263,18 @@ vrow: \
 	MOVQ         BX, SI; \
 	IMULQ        R9, SI; \
 	ADDQ         AX, SI; \
-	VBROADCASTSS (DX)(BX*4), Y7; \
+	VBROADCASTSS (DX)(BX*4), A; \
 	MOVL         (DX)(BX*4), R11; \
 	ANDL         $0x7fffffff, R11; \
 	CMPL         R11, (R12)(BX*4); \
 	JCS          masked; \
-	COLS(PMACF); \
+	COLS(MACF); \
 	XORL         BX, BX; \
 	BSFQ         R14, BX; \
 	JNZ          vrow; \
 	JMP          next; \
 masked: \
-	COLS(PMAC); \
+	COLS(MAC); \
 	XORL         BX, BX; \
 	BSFQ         R14, BX; \
 	JNZ          vrow; \
@@ -260,7 +287,7 @@ next: \
 	ADDQ         R11, AX; \
 	SUBQ         $64, R8; \
 	JGT          group; \
-	FINISH(COLS, width)
+	FIN
 
 // func halfMulAddPanelAVX2(acc, a, w []float32, stride int, thr []uint32) (n int, ok bool)
 //
@@ -289,25 +316,120 @@ TEXT ·halfMulAddPanelAVX2(SB), NOSPLIT, $0-113
 	JGE   block32
 	CMPQ  CX, $16
 	JGE   block16
-	BLOCK(COLS8, 8, row8)
+	BLOCK(COLS8, Y7, PMAC, FINISH(COLS8, 8), row8)
 block16:
-	BLOCK(COLS16, 16, row16)
+	BLOCK(COLS16, Y7, PMAC, FINISH(COLS16, 16), row16)
 block32:
-	BLOCK(COLS32, 32, row32)
+	BLOCK(COLS32, Y7, PMAC, FINISH(COLS32, 32), row32)
 skip:
 	VPXOR Y6, Y6, Y6
 	CMPQ  CX, $32
 	JGE   sblock32
 	CMPQ  CX, $16
 	JGE   sblock16
-	SBLOCK(COLS8, 8, t08, s08, p08, d08, group8, t18, s18, p18, visit8, vrow8, masked8, next8)
+	SBLOCK(COLS8, Y7, PMAC, PMACF, FINISH(COLS8, 8), t08, s08, p08, d08, group8, t18, s18, p18, visit8, vrow8, masked8, next8)
 sblock16:
-	SBLOCK(COLS16, 16, t016, s016, p016, d016, group16, t116, s116, p116, visit16, vrow16, masked16, next16)
+	SBLOCK(COLS16, Y7, PMAC, PMACF, FINISH(COLS16, 16), t016, s016, p016, d016, group16, t116, s116, p116, visit16, vrow16, masked16, next16)
 sblock32:
-	SBLOCK(COLS32, 32, t032, s032, p032, d032, group32, t132, s132, p132, visit32, vrow32, masked32, next32)
+	SBLOCK(COLS32, Y7, PMAC, PMACF, FINISH(COLS32, 32), t032, s032, p032, d032, group32, t132, s132, p132, visit32, vrow32, masked32, next32)
 done:
 	MOVQ  AX, n+104(FP)
 	SETEQ ok+112(FP) // ZF is still the block's VPTEST
+	VZEROUPPER
+	RET
+
+// The ZMM body's column blocks: ZCOLSn applies M to the byte offset and the
+// accumulator register of each 16-lane chunk of an n-column block. Z8–Z11 are
+// never the destination of a VEX instruction, which would zero their upper
+// lanes: MASK writes Y0, and its zero is Y6.
+#define ZCOLS16(M) M(0, Z8)
+#define ZCOLS32(M) ZCOLS16(M); M(64, Z9)
+#define ZCOLS64(M) ZCOLS32(M); M(128, Z10); M(192, Z11)
+
+// CVT16 is CVT8 on the sixteen lanes of Z0, into Z3.
+#define CVT16 \
+	VCVTPS2PH $0, Z0, Y3; \
+	VCVTPH2PS Y3, Z3
+
+// ZMAC is PMAC on sixteen lanes, the underflow mask an opmask: K1 is the lanes
+// with |p| (Z1) at or past 2^-24, KNOTW turns it to those below, and in those
+// a merge-masked VPANDD keeps only the sign bit.
+#define ZMAC(off, ACC) \
+	VMULPS   off(SI), Z7, Z0; \
+	VPANDD   Z15, Z0, Z1; \
+	CVT16; \
+	VPCMPGTD Z13, Z1, K1; \
+	KNOTW    K1, K1; \
+	VPANDD   Z12, Z3, K1, Z3; \
+	VADDPS   ACC, Z3, ACC
+
+// ZMACF is PMACF on sixteen lanes.
+#define ZMACF(off, ACC) \
+	VMULPS off(SI), Z7, Z0; \
+	CVT16; \
+	VADDPS ACC, Z3, ACC
+
+// ZTEST ors into K3 the lanes of ACC whose exponent field (Z14) is all ones.
+#define ZTEST(off, ACC) \
+	VPANDD   Z14, ACC, Z0; \
+	VPCMPEQD Z14, Z0, K2; \
+	KORW     K2, K3, K3
+
+// ZFINISH is FINISH for the ZMM body: KORTESTW leaves ZF set at done iff no
+// lane of the block is non-finite.
+#define ZFINISH(COLS, width) \
+	MOVQ     $width, AX; \
+	KXORW    K3, K3, K3; \
+	COLS(ZTEST); \
+	KORTESTW K3, K3; \
+	JNZ      done; \
+	COLS(PSTORE); \
+	JMP      done
+
+// func halfMulAddPanelAVX512(acc, a, w []float32, stride int, thr []uint32) (n int, ok bool)
+//
+// halfMulAddPanelAVX2 on blocks of 64, 32 and 16 columns, the widest that
+// len(acc) holds; len(acc) >= 16. The rows, the thresholds and ok are the
+// AVX2 body's, and so is every instruction but the lanes' own: four ZMM
+// accumulators, the underflow mask as an opmask, the verdict in K3.
+TEXT ·halfMulAddPanelAVX512(SB), NOSPLIT, $0-113
+	MOVQ         acc_base+0(FP), DI
+	MOVQ         acc_len+8(FP), CX
+	MOVQ         a_base+24(FP), DX
+	MOVQ         a_len+32(FP), R8
+	MOVQ         w_base+48(FP), SI
+	MOVQ         stride+72(FP), R9
+	MOVQ         thr_base+80(FP), R12
+	SHLQ         $2, R9 // a row of w, in bytes
+	VPBROADCASTD halfLanes<>+0(SB), Z15
+	VPBROADCASTD halfLanes<>+16(SB), Z14
+	VPBROADCASTD halfLanes<>+8(SB), Z13
+	VPBROADCASTD halfLanes<>+12(SB), Z12
+	TESTQ        R12, R12
+	JNZ          skip
+	CMPQ         CX, $64
+	JGE          block64
+	CMPQ         CX, $32
+	JGE          block32
+	BLOCK(ZCOLS16, Z7, ZMAC, ZFINISH(ZCOLS16, 16), row16)
+block32:
+	BLOCK(ZCOLS32, Z7, ZMAC, ZFINISH(ZCOLS32, 32), row32)
+block64:
+	BLOCK(ZCOLS64, Z7, ZMAC, ZFINISH(ZCOLS64, 64), row64)
+skip:
+	VPXOR        Y6, Y6, Y6
+	CMPQ         CX, $64
+	JGE          sblock64
+	CMPQ         CX, $32
+	JGE          sblock32
+	SBLOCK(ZCOLS16, Z7, ZMAC, ZMACF, ZFINISH(ZCOLS16, 16), t016, s016, p016, d016, group16, t116, s116, p116, visit16, vrow16, masked16, next16)
+sblock32:
+	SBLOCK(ZCOLS32, Z7, ZMAC, ZMACF, ZFINISH(ZCOLS32, 32), t032, s032, p032, d032, group32, t132, s132, p132, visit32, vrow32, masked32, next32)
+sblock64:
+	SBLOCK(ZCOLS64, Z7, ZMAC, ZMACF, ZFINISH(ZCOLS64, 64), t064, s064, p064, d064, group64, t164, s164, p164, visit64, vrow64, masked64, next64)
+done:
+	MOVQ         AX, n+104(FP)
+	SETEQ        ok+112(FP) // ZF is still the block's KORTESTW
 	VZEROUPPER
 	RET
 

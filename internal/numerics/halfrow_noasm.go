@@ -2,15 +2,19 @@
 
 package numerics
 
-// No lanes off amd64: hasAVX2 stays false and the Go loops of halfrow.go are
-// the whole implementation. The routines below only complete the call sites,
-// and "finished no element" — from the panel "stored no column" — is a correct
-// answer from them.
-var hasAVX2 = false
+// No lanes off amd64: both selectors stay false and the Go loops of halfrow.go
+// are the whole implementation. The routines below only complete the call
+// sites, and "finished no element" — from the panel "stored no column" — is a
+// correct answer from them.
+var hasAVX2, hasAVX512 = false, false
 
 func halfMulAddRowAVX2(acc []float32, a float32, w []float32) int { return 0 }
 
 func halfMulAddPanelAVX2(acc, a, w []float32, stride int, thr []uint32) (n int, ok bool) {
+	return len(acc), false
+}
+
+func halfMulAddPanelAVX512(acc, a, w []float32, stride int, thr []uint32) (n int, ok bool) {
 	return len(acc), false
 }
 

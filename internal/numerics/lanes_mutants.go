@@ -2,8 +2,17 @@
 
 package numerics
 
-// HasLanes reports whether this machine runs the AVX2 lane bodies of the
-// *_amd64.s files. The mutants runner (the root package's TestMutants, built
-// under the same tag) skips a recorded mutant of those bodies where it is
-// false: there no test can reach the mutated code.
-func HasLanes() bool { return hasAVX2 }
+// HasLanes reports whether this machine runs the lane bodies of the
+// *_amd64.s files written for isa, "avx2" or "avx512". The mutants runner
+// (the root package's TestMutants, built under the same tag) skips a recorded
+// mutant of such a body where it is false: there no test can reach the
+// mutated code.
+func HasLanes(isa string) bool {
+	switch isa {
+	case "avx2":
+		return hasAVX2
+	case "avx512":
+		return hasAVX512
+	}
+	return false
+}

@@ -1,15 +1,17 @@
 package numerics
 
 // The lane contract (DESIGN.md §7.1), enforced from one table: every
-// dispatcher with an AVX2 body is a row of primitives. TestLaneContract holds
-// each row, lanes off and on, on random operands of every length 0–70 at every
-// offset 0–7 and with its specials planted in every lane of the first, a
-// middle and the last chunk and in the tail, to (a) lanes ≡ Go loop bit for
-// bit, (b) Go loop ≡ definition, (c) in place ≡ out of place and (d) a body
-// that bails finishing an in-band input, so that a closed band cannot pass as
-// the Go loop. The sweep tests hold the rows' exhaustive inputs to (a) and
-// (b), the fuzz targets what rows decode to (a)–(c); TestLaneRegistryComplete
-// (asm_test.go) keeps the table complete.
+// dispatcher with an AVX2 body is a row of primitives, and a row names its
+// body per instruction set, AVX2 and, where it has one, AVX-512.
+// TestLaneContract holds each row on every dispatch leg (eachDispatch), on
+// random operands of every length 0–70 at every offset 0–7 and with its
+// specials planted in every lane of the first, a middle and the last chunk and
+// in the tail, to (a) lanes ≡ Go loop bit for bit, (b) Go loop ≡ definition,
+// (c) in place ≡ out of place and (d) a body that bails finishing an in-band
+// input, so that a closed band cannot pass as the Go loop. The sweep tests
+// hold the rows' exhaustive inputs to (a) and (b), the fuzz targets what rows
+// decode to (a)–(c); TestLaneRegistryComplete (asm_test.go) keeps the table
+// complete.
 
 import (
 	"encoding/binary"
@@ -39,8 +41,10 @@ type call func(dst []float32, o *operands, inPlace bool) []float32
 
 // primitive is a row of the table.
 type primitive struct {
-	name, body string // the dispatcher and the assembly routine it dispatches to
-	run, def   call   // through the dispatcher; the scalar definition
+	name     string // the dispatcher
+	body     string // the AVX2 routine it dispatches to
+	body512  string // the AVX-512 one, where it has one: the row's avx512 leg
+	run, def call   // through the dispatcher; the scalar definition
 	// nanEq compares the Go loop with the definition as NaN = NaN: where two
 	// NaNs meet, the sign and payload kept are the compiler's choice in each
 	// loop. The lanes always equal the Go loop bit for bit.
@@ -202,7 +206,7 @@ var primitives = []*primitive{
 		}}, saturateBench(FP16, 0)},
 	},
 	{
-		name: "HalfMulAddPanel", body: "halfMulAddPanelAVX2", nanEq: true,
+		name: "HalfMulAddPanel", body: "halfMulAddPanelAVX2", body512: "halfMulAddPanelAVX512", nanEq: true,
 		run: onAcc(func(acc []float32, o *operands) { HalfMulAddPanel(acc, o.x, o.w, o.stride, o.thr) }),
 		def: onAcc(func(acc []float32, o *operands) {
 			for i, a := range o.x {
@@ -219,12 +223,16 @@ var primitives = []*primitive{
 			o.x[r], o.w[r*o.stride+i] = 1, v
 			withThresholds(o, o.thr != nil)
 		},
-		whole: func(n int) int { // a column block a call, as the dispatcher calls it; without thresholds and with
+		whole: func(n int) int { // a column block a call, to the body the dispatcher picks; without thresholds and with
 			w := filled(3*n, 0.5)
 			for _, thr := range [][]uint32{nil, HalfPanelThresholds(w, n)} {
 				done, acc := 0, make([]float32, n)
 				for done < n {
-					k, ok := halfMulAddPanelAVX2(acc[done:], filled(3, 1), w[done:], n, thr)
+					body := halfMulAddPanelAVX2
+					if hasAVX512 && n-done >= zmmChunk {
+						body = halfMulAddPanelAVX512
+					}
+					k, ok := body(acc[done:], filled(3, 1), w[done:], n, thr)
 					if !ok {
 						return done
 					}
@@ -441,17 +449,18 @@ func onExp(f func(d []float64, o *operands)) call {
 }
 
 // check holds one call of p on o to the contract: with the lanes off, the Go
-// loop to the definition (b); with them on, the lanes to the Go loop bit for
-// bit (a), and the Go loop to the definition too when this is the only pass
-// (alone) — under eachDispatch the "go" leg did that on the same operands;
-// with inPlace, the call in place to the call out of place (c).
+// loop to the definition (b); with them on, the lanes of the leg set to the Go
+// loop bit for bit (a), and the Go loop to the definition too when this is the
+// only pass (alone) — under eachDispatch the "go" leg did that on the same
+// operands; with inPlace, the call in place to the call out of place (c).
 func (p *primitive) check(t testing.TB, where string, o *operands, inPlace, alone bool) {
 	p.got = p.run(p.got, o, false)
 	loop := p.got
 	if hasAVX2 {
-		hasAVX2 = false
+		on := leg{"", hasAVX2, hasAVX512}
+		leg{}.set()
 		p.loop = p.run(p.loop, o, false)
-		hasAVX2 = true
+		on.set()
 		loop = p.loop
 		p.compare(t, where, o, "lanes", p.got, "Go loop", loop, false)
 	}
@@ -474,9 +483,9 @@ func (p *primitive) compare(t testing.TB, where string, o *operands, by string, 
 				}
 				return fmt.Sprintf("%d long", len(s))
 			}
-			t.Fatalf("%s (lanes %v), %s: result %d is %#08x by the %s, %#08x by the %s\n"+
+			t.Fatalf("%s (leg %s), %s: result %d is %#08x by the %s, %#08x by the %s\n"+
 				"operands: acc %s, x %s, w %s, s %#08x, stride %d, taps %d, thresholds %v, q %+v, lo %v, hi %v",
-				p.name, hasAVX2, where, i, math.Float32bits(g), by, math.Float32bits(w), against,
+				p.name, legName(), where, i, math.Float32bits(g), by, math.Float32bits(w), against,
 				el(o.acc), el(o.x), el(o.w), math.Float32bits(o.s), o.stride, o.taps, o.thr, o.q, o.lo, o.hi)
 		}
 	}
@@ -485,7 +494,7 @@ func (p *primitive) compare(t testing.TB, where string, o *operands, by string, 
 func TestLaneContract(t *testing.T) {
 	for _, p := range primitives {
 		t.Run(p.name, func(t *testing.T) {
-			eachDispatch(t, func(t *testing.T) {
+			eachDispatch(t, p.body512 != "", func(t *testing.T) {
 				rng := rand.New(rand.NewSource(73))
 				for n := 0; n <= 70; n++ {
 					for off := 0; off < 8; off++ {
@@ -510,9 +519,9 @@ func TestLaneContract(t *testing.T) {
 					p.plant(&o, n-1, p.specials[(k+2)%len(p.specials)])
 					p.check(t, fmt.Sprintf("%v in chunks 0 and 1 and the tail", v), &o, true, false)
 				}
-				for n := laneChunk; hasAVX2 && p.whole != nil && n <= 5*laneChunk; n += laneChunk {
+				for n := laneChunk; hasAVX2 && p.whole != nil && n <= 8*laneChunk; n += laneChunk {
 					if done := p.whole(n); done != n {
-						t.Fatalf("%s finished %d of %d in-band elements", p.body, done, n)
+						t.Fatalf("%s (leg %s) finished %d of %d in-band elements", p.name, legName(), done, n)
 					}
 				}
 			})
@@ -544,8 +553,17 @@ func TestVecRunsRefuseNaN(t *testing.T) {
 	}
 }
 
-// runSweeps runs the sweeps the table files under t's name, lanes off and on.
-func runSweeps(t *testing.T) { eachDispatch(t, sweepsOf(t.Name(), false)) }
+// runSweeps runs the sweeps the table files under t's name on every leg, the
+// avx512 one if a row they sweep has an AVX-512 body.
+func runSweeps(t *testing.T) {
+	zmm := false
+	for _, p := range primitives {
+		for _, s := range p.sweeps {
+			zmm = zmm || s.test == t.Name() && p.body512 != ""
+		}
+	}
+	eachDispatch(t, zmm, sweepsOf(t.Name(), false))
+}
 
 // runSweepsOnce runs them as detected only, for sweeps too long to run twice.
 func runSweepsOnce(t *testing.T) { sweepsOf(t.Name(), true)(t) }
@@ -595,7 +613,7 @@ func TestRectifierRowsMatchScalar(t *testing.T) {
 }
 
 // fuzzRows holds what the rows of f's name decode from its bytes to (a)–(c),
-// from every seed of those rows.
+// from every seed of those rows, on every lane leg of each row.
 func fuzzRows(f *testing.F) {
 	var rows []*primitive
 	for _, p := range primitives {
@@ -607,9 +625,13 @@ func fuzzRows(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		defer detected.set()
 		for _, p := range rows {
 			o := p.decode(data)
-			p.check(t, "fuzz", &o, true, true)
+			for _, l := range legsOf(p.body512 != "") {
+				l.set()
+				p.check(t, "fuzz", &o, true, true)
+			}
 		}
 	})
 }
@@ -620,14 +642,14 @@ func FuzzMulAddPanel(f *testing.F) { fuzzRows(f) }
 func FuzzDiffRow(f *testing.F)     { fuzzRows(f) }
 func FuzzExpRow(f *testing.F)      { fuzzRows(f) }
 
-// BenchmarkLanes times every case of every row, lanes off and on:
-// BenchmarkLanes/<row>/<case>/{go,avx2}.
+// BenchmarkLanes times every case of every row on every leg:
+// BenchmarkLanes/<row>/<case>/{go,avx2,avx512}.
 func BenchmarkLanes(b *testing.B) {
 	for _, p := range primitives {
 		for _, c := range p.bench {
 			b.Run(p.name+"/"+c.name, func(b *testing.B) {
 				f, per := c.setup()
-				eachDispatch(b, func(b *testing.B) {
+				eachDispatch(b, p.body512 != "", func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						f(i)
@@ -643,17 +665,49 @@ func BenchmarkLanes(b *testing.B) {
 	}
 }
 
-// eachDispatch runs f as sub-test or sub-benchmark "go", with the lanes off
-// (the Go loops alone, what every other machine runs), and, where this
-// machine has them, as "avx2", with them on.
-func eachDispatch[T interface{ Run(string, func(T)) bool }](t T, f func(T)) {
-	detected := hasAVX2
-	defer func() { hasAVX2 = detected }()
-	hasAVX2 = false
-	t.Run("go", f)
-	if detected {
-		hasAVX2 = true
-		t.Run("avx2", f)
+// A leg is one way the dispatchers run, and the selectors that make it.
+type leg struct {
+	name         string
+	avx2, avx512 bool
+}
+
+// detected is the leg this machine runs outside the tests.
+var detected = leg{"", hasAVX2, hasAVX512}
+
+func (l leg) set() { hasAVX2, hasAVX512 = l.avx2, l.avx512 }
+
+// legName names the leg the selectors make.
+func legName() string {
+	switch {
+	case !hasAVX2:
+		return "go"
+	case hasAVX512:
+		return "avx512"
+	}
+	return "avx2"
+}
+
+// legsOf returns the legs this machine has: "go", the lanes off (the Go loops
+// alone, what every other machine runs); "avx2", the AVX2 bodies with the
+// AVX-512 ones off; and, for a row with an AVX-512 body (zmm), "avx512", both
+// on, as the dispatchers run on such a CPU.
+func legsOf(zmm bool) []leg {
+	ls := []leg{{name: "go"}}
+	if detected.avx2 {
+		ls = append(ls, leg{"avx2", true, false})
+	}
+	if zmm && detected.avx512 {
+		ls = append(ls, leg{"avx512", true, true})
+	}
+	return ls
+}
+
+// eachDispatch runs f as a sub-test or sub-benchmark per leg of legsOf(zmm).
+func eachDispatch[T interface{ Run(string, func(T)) bool }](t T, zmm bool, f func(T)) {
+	defer detected.set()
+	for _, l := range legsOf(zmm) {
+		l.set()
+		t.Run(l.name, f)
 	}
 }
 
@@ -997,16 +1051,19 @@ func halfRunBench() (cs []benchCase) {
 	return cs
 }
 
-// halfPanels: panels of every width 0–59, strides at and past it, 0–130
-// rows (a 64-row group, 8-row steps, the rows past them), a third of the
-// activations ±0, without thresholds and with; then, in every chunk of a 32-,
-// a 16- and an 8-column block and the tail, each cause of a refused block: a
-// rare product in the first, a middle and the last row (and that row
-// skipped); ±Inf or a quiet or signalling NaN coming in in an accumulator; a
-// -0 accumulator under ±0 rows; Inf under a ±0 activation.
+// halfPanels: panels of every width 0–123 (each mix of either body's blocks
+// and a tail), strides at and past it, 0–130 rows (a 64-row group, 8-row
+// steps, the rows past them), a third of the activations ±0, without
+// thresholds and with; then, in every register chunk of both bodies' blocks
+// (ZMM: 64, 32 and 16 columns; YMM: 32, 32, 32, 16 and 8 — every chunk of the
+// first 32-column block and of the 16-column one), the AVX2 8-column block
+// behind them and the tail, each cause of a refused block: a rare product in
+// the first, a middle and the last row (and that row skipped); ±Inf or a
+// quiet or signalling NaN coming in in an accumulator; a -0 accumulator under
+// ±0 rows; Inf under a ±0 activation.
 func halfPanels(yield func(operands)) {
 	rng := rand.New(rand.NewSource(79))
-	for n := 0; n <= 59; n++ {
+	for n := 0; n <= 123; n++ {
 		for _, rows := range []int{0, 1, 2, 7, 20, 64, 71, 130} {
 			stride := n + rng.Intn(3)*rng.Intn(9)
 			o := operands{acc: halves(rng, n, 0, 1), x: halvesZeros(rng, rows, 3), w: halves(rng, rows*stride+n, 0, 0.05), stride: stride}
@@ -1016,12 +1073,12 @@ func halfPanels(yield func(operands)) {
 		}
 	}
 	qnan, snan := math.Float32frombits(0xffc54000), math.Float32frombits(0x7fa54000)
-	const n, rows, stride = 32 + 16 + 8 + 3, 6, 32 + 16 + 8 + 5
+	const n, rows, stride = 64 + 32 + 16 + 8 + 3, 6, 64 + 32 + 16 + 8 + 5
 	panel := func(zeros int) operands {
 		return operands{acc: halves(rng, n, 0, 1), x: halvesZeros(rng, rows, zeros), w: halves(rng, rows*stride, 0, 0.05),
 			stride: stride}
 	}
-	for _, col := range []int{3, 12, 21, 30, 32 + 5, 32 + 14, 48 + 7, n - 1} {
+	for _, col := range []int{3, 12, 21, 30, 37, 44, 60, 64 + 5, 64 + 30, 96 + 7, 96 + 12, 112 + 3, n - 1} {
 		for _, sp := range []float32{inf, -inf, qnan, snan, 65504 /* × 2 overflows */} {
 			for _, row := range []int{0, 3, rows - 1} {
 				o := panel(0)
@@ -1098,12 +1155,13 @@ func halfPanelOperands(rng *rand.Rand, n, off int) operands {
 	return o
 }
 
-// decodeHalfPanel: width, gap, thresholds or not and the column of one
-// accumulator (a byte each) and that accumulator's bits, then the activations
+// decodeHalfPanel: width (0–123, each mix of either body's blocks), gap,
+// thresholds or not and the column of one accumulator (a byte each) and that
+// accumulator's bits, then the activations
 // and the weight rows; the other accumulators start at 0.25.
 func decodeHalfPanel(data []byte) operands {
 	head, rest := split(data, 8)
-	acc := filled(int(head[0]%60), 0.25)
+	acc := filled(int(head[0]%124), 0.25)
 	if len(acc) > 0 {
 		acc[int(head[3])%len(acc)] = math.Float32frombits(binary.LittleEndian.Uint32(head[4:]))
 	}
@@ -1132,8 +1190,9 @@ func panelBytes(head []byte, rows, stride, row, col int, sp float32, a ...float3
 
 // halfPanelSeeds: rare products in the first and last chunk, row and tail;
 // narrow and strided panels; ±0 rows over NaN-making weights; the converter's
-// wrong products; overflow in a block's last row; odd accumulators; the
-// threshold's edge over two row groups.
+// wrong products; overflow in a block's last row; rare products in the last
+// register of a 64-column block and in the 32-column block behind one; odd
+// accumulators; the threshold's edge over two row groups.
 func halfPanelSeeds() [][]byte {
 	seed := func(width, gap uint8, skip bool, accBits uint32, accCol uint8, rows, row, col int, sp float32, a ...float32) []byte {
 		head := []byte{width, gap, 0, accCol}
@@ -1153,7 +1212,8 @@ func halfPanelSeeds() [][]byte {
 	for _, edge := range []uint32{0x33400000, 0x337fffff, 0x33000000, f32HalfOver - 1, f32HalfOver} {
 		seeds = append(seeds, seed(16, 0, false, q, 0, 1, 0, 9, math.Float32frombits(edge)))
 	}
-	seeds = append(seeds, seed(40, 0, false, q, 0, 3, 2, 37, 65504, 1, 1, 2))
+	seeds = append(seeds, seed(40, 0, false, q, 0, 3, 2, 37, 65504, 1, 1, 2),
+		seed(80, 0, false, q, 0, 3, 1, 60, inf), seed(123, 1, true, q, 0, 4, 2, 100, nan, 1, 0, 2))
 	for i, acc := range []uint32{0x7f800000, 0xff800000, 0x7fc00000, 0x7fa00000} {
 		seeds = append(seeds, seed(59, 1, i%2 == 0, acc, []uint8{5, 37, 50, 57}[i], 4, 1, 7, 0.25, 1, 0, -2))
 	}

@@ -51,7 +51,7 @@ func encodeBits(c Codec, f float32) uint32 {
 }
 
 // Property: RoundSlice(x)[i] == Round(x[i]) and input is not mutated.
-func TestRoundSliceProperty(t *testing.T) { eachDispatch(t, testRoundSliceProperty) }
+func TestRoundSliceProperty(t *testing.T) { eachDispatch(t, false, testRoundSliceProperty) }
 
 func testRoundSliceProperty(t *testing.T) {
 	c := MustCodec(FP16, 0)
@@ -102,7 +102,9 @@ func TestSaturateProperties(t *testing.T) {
 // neighbours of each quantizer's two clamps — Saturate returns its lower one
 // unrounded, an ulp off the bottom code's value for some scales — written to a
 // second slice and over the source, with the lanes off and on.
-func TestSaturateIntoMatchesSaturate(t *testing.T) { eachDispatch(t, testSaturateIntoMatchesSaturate) }
+func TestSaturateIntoMatchesSaturate(t *testing.T) {
+	eachDispatch(t, false, testSaturateIntoMatchesSaturate)
+}
 
 func testSaturateIntoMatchesSaturate(t *testing.T) {
 	var probes []float32

@@ -18,18 +18,18 @@ import (
 // TestMutants runs every row of testdata/mutants.json: it writes the mutated
 // file to a temporary directory, runs the row's tests with `go test -overlay`
 // — the tree is never edited — and fails on a mutant that survives or does
-// not build. A row that mutates an AVX2 lane body (a *_amd64.s file) is
-// skipped where numerics.HasLanes is false, off amd64 or on a CPU without the
-// lanes: no test reaches that code there. Rows run in parallel up to
-// -parallel (GOMAXPROCS by default); each logs its wall time. `make mutants`
-// runs it.
+// not build. A row that mutates a lane body (a *_amd64.s file) is skipped
+// where numerics.HasLanes(row.ISA) is false, off amd64 or on a CPU without
+// that instruction set: no test reaches that code there. Rows run in parallel
+// up to -parallel (GOMAXPROCS by default); each logs its wall time. `make
+// mutants` runs it.
 func TestMutants(t *testing.T) {
 	dir := t.TempDir()
 	for i, m := range loadMutants(t) {
 		t.Run(m.Name, func(t *testing.T) {
 			t.Parallel()
-			if strings.HasSuffix(m.File, "_amd64.s") && !numerics.HasLanes() {
-				t.Skipf("%s holds AVX2 lane bodies, which this machine does not run", m.File)
+			if m.ISA != "" && !numerics.HasLanes(m.ISA) {
+				t.Skipf("mutates an %s body of %s, which this machine does not run", m.ISA, m.File)
 			}
 			src, err := m.apply()
 			if err != nil {

@@ -13,11 +13,12 @@ import (
 // program that its tests once killed. Replacing Old, which occurs exactly
 // once in File, by New must make `go test -run Run Pkg` fail. `make mutants`
 // (the mutants build tag) checks that, where the mutated code runs (a
-// *_amd64.s row needs the AVX2 lanes); TestMutantRows checks only that every
-// row still applies.
+// *_amd64.s row names the instruction set its tests need, ISA: "avx2" or
+// "avx512"); TestMutantRows checks only that every row still applies.
 type mutant struct {
 	Name string `json:"name"`
 	File string `json:"file"`
+	ISA  string `json:"isa,omitempty"`
 	Old  string `json:"old"`
 	New  string `json:"new"`
 	Pkg  string `json:"pkg"`
@@ -53,8 +54,9 @@ func (m mutant) apply() ([]byte, error) {
 
 // TestMutantRows holds every recorded mutant to the tree: its old snippet
 // occurs exactly once in its file, so a change that rewrites mutated code
-// must update or retire the row, and its -run pattern selects a test of its
-// package, since one that selects nothing passes and no mutant would die.
+// must update or retire the row; its -run pattern selects a test of its
+// package, since one that selects nothing passes and no mutant would die; and
+// a row names an instruction set iff it mutates a *_amd64.s file.
 func TestMutantRows(t *testing.T) {
 	ms := loadMutants(t)
 	if len(ms) == 0 {
@@ -69,6 +71,13 @@ func TestMutantRows(t *testing.T) {
 		names[m.Name] = true
 		if m.Old == m.New {
 			t.Errorf("%s: new equals old", m.Name)
+		}
+		named := m.ISA == ""
+		if strings.HasSuffix(m.File, "_amd64.s") {
+			named = m.ISA == "avx2" || m.ISA == "avx512"
+		}
+		if !named {
+			t.Errorf("%s: isa %q for %s, want avx2 or avx512 for a *_amd64.s file and none elsewhere", m.Name, m.ISA, m.File)
 		}
 		if _, err := m.apply(); err != nil {
 			t.Error(err)
