@@ -5,61 +5,50 @@ import (
 	"testing"
 
 	"fidelity/internal/accel"
-	"fidelity/internal/nn"
+	"fidelity/internal/faultmodel"
 	"fidelity/internal/rtlsim"
 )
 
 // Multi-bit single-register faults (the paper's extended abstraction) must
-// still match the software fault models exactly for datapath registers.
+// still match the software fault models exactly for datapath registers:
+// Validate's check applies the plan with the fault's extra bits.
 func TestMultiBitRegisterFaultsMatch(t *testing.T) {
 	ws, err := TableIIIWorkloads()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := accel.NVDLASmall()
-	w := ws[0] // inception conv
-	ref, err := rtlsim.NewReference(cfg, w.RTL)
+	models, err := faultmodel.Derive(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := ref.Golden()
-	start, end := ref.ComputeWindow()
+	sampler, err := faultmodel.NewSampler(models, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := newValidator(cfg, sampler, ws[0]) // inception conv
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, end := v.ref.ComputeWindow()
 	rng := rand.New(rand.NewSource(77))
 	rep := &ValidationReport{}
-	checked := 0
-	out := golden.Out.Clone()
-	for trial := 0; trial < 200 && checked < 25; trial++ {
+	for trial := 0; trial < 200 && rep.DatapathChecked < 25; trial++ {
 		cyc := start + rng.Int63n(end-start)
-		si := ref.Locate(cyc)
-		if si.Phase != rtlsim.PhaseMAC {
+		if v.ref.Locate(cyc).Phase != rtlsim.PhaseMAC {
 			continue
 		}
-		mac := rng.Intn(cfg.AtomicK)
-		_, wIdx := ref.OperandIndices(si, mac)
-		if wIdx < 0 {
-			continue
-		}
-		f := &rtlsim.Fault{
-			FF: rtlsim.FFWReg, Mac: mac,
+		v.validateOne(&rtlsim.Fault{
+			FF: rtlsim.FFWReg, Mac: rng.Intn(cfg.AtomicK),
 			Bit:       rng.Intn(16),
 			ExtraBits: []int{rng.Intn(16), rng.Intn(16)},
 			Cycle:     cyc,
-		}
-		faulty := ref.Run(*f, out)
-		if faulty.TimedOut || len(golden.Out.DiffIndices(faulty.Out, 0)) == 0 {
-			continue
-		}
-		checked++
-		ov := &nn.Override{Kind: nn.OperandWeight, Flat: wIdx}
-		set := weightNeurons(cfg, ref, si, mac, si.Dx)
-		if err := rep.checkRecomputeAt(w, golden.Out, faulty.Out, ov, f, set); err != nil {
-			t.Fatal(err)
-		}
+		}, rep)
 	}
-	if checked < 10 {
-		t.Fatalf("only %d multi-bit faults checked", checked)
+	if rep.DatapathChecked < 10 {
+		t.Fatalf("only %d multi-bit faults checked", rep.DatapathChecked)
 	}
-	if rep.DatapathExact != rep.DatapathChecked {
+	if rep.DatapathExact != rep.DatapathChecked || len(rep.Mismatches) > 0 {
 		t.Errorf("multi-bit exact matches %d/%d: %v", rep.DatapathExact, rep.DatapathChecked, rep.Mismatches)
 	}
 }

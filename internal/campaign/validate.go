@@ -133,18 +133,40 @@ func (r *ValidationReport) GlobalMaskedFrac() float64 {
 	return float64(r.GlobalMasked) / float64(r.GlobalFired)
 }
 
-// datapathFFs lists the (FF, weight) sampling choices for datapath faults,
-// weighted by the census fractions of their categories.
-type ffChoice struct {
-	ff     rtlsim.FF
-	weight float64
+// validationFFs lists the simulated FF groups Validate strikes.
+var validationFFs = []rtlsim.FF{
+	rtlsim.FFCDMAIn0, rtlsim.FFCDMAIn1, rtlsim.FFCDMAWt0, rtlsim.FFCDMAWt1,
+	rtlsim.FFInputReg, rtlsim.FFWLoad, rtlsim.FFWReg, rtlsim.FFProd, rtlsim.FFOutReg,
+	rtlsim.FFValid,
+	rtlsim.FFCfgPos, rtlsim.FFCfgCh, rtlsim.FFCfgRed,
+	rtlsim.FFCtrBlk, rtlsim.FFCtrGrp, rtlsim.FFCtrR, rtlsim.FFCtrDx,
+}
+
+// ffModel maps a simulated FF group to the Table II model that covers it.
+func ffModel(ff rtlsim.FF) faultmodel.ID {
+	switch ff {
+	case rtlsim.FFCDMAIn0, rtlsim.FFCDMAIn1:
+		return faultmodel.BeforeCBUFInput
+	case rtlsim.FFCDMAWt0, rtlsim.FFCDMAWt1:
+		return faultmodel.BeforeCBUFWeight
+	case rtlsim.FFInputReg:
+		return faultmodel.CBUFMACInput
+	case rtlsim.FFWLoad, rtlsim.FFWReg:
+		return faultmodel.CBUFMACWeight
+	case rtlsim.FFProd, rtlsim.FFOutReg:
+		return faultmodel.OutputPSum
+	case rtlsim.FFValid:
+		return faultmodel.LocalControl
+	}
+	return faultmodel.GlobalControl
 }
 
 // Validate runs the Sec. IV validation campaign: samplesPerWorkload RTL
 // fault injections per Table III workload, with each non-masked case
-// compared against the corresponding software fault model. A non-positive
-// sample count is an *OptionError: a campaign that checks nothing must not
-// read as agreement.
+// compared against the plan of its Table II model — the campaign's own walk
+// and Apply, at the RFs Derive gives cfg — fixed to where the fault landed.
+// A non-positive sample count is an *OptionError: a campaign that checks
+// nothing must not read as agreement.
 func Validate(cfg *accel.Config, workloads []*ValWorkload, samplesPerWorkload int, seed int64) (*ValidationReport, error) {
 	if samplesPerWorkload <= 0 {
 		return nil, &OptionError{"samples", fmt.Sprintf("must be positive (got %d)", samplesPerWorkload)}
@@ -153,53 +175,37 @@ func Validate(cfg *accel.Config, workloads []*ValWorkload, samplesPerWorkload in
 	if err != nil {
 		return nil, err
 	}
-	frac := func(id faultmodel.ID) float64 {
-		m, err := faultmodel.ByID(models, id)
-		if err != nil {
-			return 0
-		}
-		return m.FFFrac
+	// PlanAt fixes every draw: the sampler's stream is never read.
+	sampler, err := faultmodel.NewSampler(models, 0)
+	if err != nil {
+		return nil, err
 	}
-	choices := []ffChoice{
-		{rtlsim.FFCDMAIn0, frac(faultmodel.BeforeCBUFInput) / 2},
-		{rtlsim.FFCDMAIn1, frac(faultmodel.BeforeCBUFInput) / 2},
-		{rtlsim.FFCDMAWt0, frac(faultmodel.BeforeCBUFWeight) / 2},
-		{rtlsim.FFCDMAWt1, frac(faultmodel.BeforeCBUFWeight) / 2},
-		{rtlsim.FFInputReg, frac(faultmodel.CBUFMACInput)},
-		{rtlsim.FFWLoad, frac(faultmodel.CBUFMACWeight) / 2},
-		{rtlsim.FFWReg, frac(faultmodel.CBUFMACWeight) / 2},
-		{rtlsim.FFProd, frac(faultmodel.OutputPSum) / 2},
-		{rtlsim.FFOutReg, frac(faultmodel.OutputPSum) / 2},
-		{rtlsim.FFValid, frac(faultmodel.LocalControl)},
-		{rtlsim.FFCfgPos, frac(faultmodel.GlobalControl) / 7},
-		{rtlsim.FFCfgCh, frac(faultmodel.GlobalControl) / 7},
-		{rtlsim.FFCfgRed, frac(faultmodel.GlobalControl) / 7},
-		{rtlsim.FFCtrBlk, frac(faultmodel.GlobalControl) / 7},
-		{rtlsim.FFCtrGrp, frac(faultmodel.GlobalControl) / 7},
-		{rtlsim.FFCtrR, frac(faultmodel.GlobalControl) / 7},
-		{rtlsim.FFCtrDx, frac(faultmodel.GlobalControl) / 7},
+	// Each FF group is drawn with its model's census fraction, split evenly
+	// among the groups of that model.
+	groups := map[faultmodel.ID]float64{}
+	for _, ff := range validationFFs {
+		groups[ffModel(ff)]++
 	}
-	weights := make([]float64, len(choices))
+	weights := make([]float64, len(validationFFs))
 	var totalW float64
-	for i, c := range choices {
-		weights[i] = c.weight
-		totalW += c.weight
+	for i, ff := range validationFFs {
+		m, _ := faultmodel.ByID(models, ffModel(ff)) // a model cfg lacks weighs 0
+		weights[i] = m.FFFrac / groups[ffModel(ff)]
+		totalW += weights[i]
 	}
 
 	rng := rand.New(faultmodel.NewStreamSource(seed))
 	rep := &ValidationReport{}
 	for _, w := range workloads {
-		// One golden run per workload; every injection resumes from it.
-		ref, err := rtlsim.NewReference(cfg, w.RTL)
+		v, err := newValidator(cfg, sampler, w)
 		if err != nil {
-			return nil, fmt.Errorf("campaign: golden run of %s: %w", w.Name, err)
+			return nil, err
 		}
-		fetchEnd, computeEnd := ref.ComputeWindow()
-		out := tensor.New(ref.Golden().Out.Shape()...) // every injection's output
+		fetchEnd, computeEnd := v.ref.ComputeWindow()
 		for i := 0; i < samplesPerWorkload; i++ {
 			// Sample an FF group by census weight, then a cycle in the
 			// design's full execution window and a random bit.
-			ff := choices[faultmodel.Weighted(rng, weights, totalW)].ff
+			ff := validationFFs[faultmodel.Weighted(rng, weights, totalW)]
 			f := &rtlsim.Fault{
 				FF:    ff,
 				Mac:   rng.Intn(cfg.AtomicK),
@@ -210,20 +216,43 @@ func Validate(cfg *accel.Config, workloads []*ValWorkload, samplesPerWorkload in
 				// Config/counter faults are only meaningful during compute.
 				f.Cycle = fetchEnd + rng.Int63n(computeEnd-fetchEnd)
 			}
-			if err := validateOne(cfg, w, ref, f, out, rep); err != nil {
-				return nil, fmt.Errorf("campaign: %s fault %v: %w", w.Name, f, err)
-			}
+			v.validateOne(f, rep)
 		}
 	}
 	return rep, nil
 }
 
-// validateOne runs one RTL injection into out and checks it against the
-// software fault model's prediction.
-func validateOne(cfg *accel.Config, w *ValWorkload, ref *rtlsim.Reference, f *rtlsim.Fault, out *tensor.Tensor, rep *ValidationReport) error {
-	rep.Total++
+// validator checks RTL injections into one workload against the plans of
+// the campaign's fault models.
+type validator struct {
+	cfg     *accel.Config
+	sampler *faultmodel.Sampler
+	w       *ValWorkload
+	ref     *rtlsim.Reference // the golden run every injection resumes from
+	op      *nn.Operands      // golden; Apply's changes are undone after each check
+	out     *tensor.Tensor    // every injection's output
+	plan    faultmodel.Plan
+}
+
+func newValidator(cfg *accel.Config, sampler *faultmodel.Sampler, w *ValWorkload) (*validator, error) {
+	ref, err := rtlsim.NewReference(cfg, w.RTL)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: golden run of %s: %w", w.Name, err)
+	}
 	golden := ref.Golden().Out
-	faulty := ref.Run(*f, out)
+	return &validator{cfg: cfg, sampler: sampler, w: w, ref: ref,
+		op: w.operands(golden), out: tensor.New(golden.Shape()...)}, nil
+}
+
+// validateOne runs one RTL injection and checks it against the plan of its
+// FF's model that reaches the struck element and the first neuron the fault
+// does: exactly, by Apply, where the fault's value is the struck register's;
+// by the corrupted set where it is not (products, valid bits, a padding
+// zero in the input register).
+func (v *validator) validateOne(f *rtlsim.Fault, rep *ValidationReport) {
+	rep.Total++
+	golden := v.ref.Golden().Out
+	faulty := v.ref.Run(*f, v.out)
 	if faulty.FaultApplied {
 		rep.Fired++
 	}
@@ -234,12 +263,12 @@ func validateOne(cfg *accel.Config, w *ValWorkload, ref *rtlsim.Reference, f *rt
 			rep.GlobalFired++
 		} else {
 			rep.Mismatches = append(rep.Mismatches,
-				fmt.Sprintf("%s: non-global fault %v timed out", w.Name, f))
+				fmt.Sprintf("%s: non-global fault %v timed out", v.w.Name, f))
 		}
-		return nil
+		return
 	}
 	if !faulty.FaultApplied {
-		return nil // never fired: the output is the golden one
+		return // never fired: the output is the golden one
 	}
 	masked := golden.Equal(faulty.Out)
 	if f.FF.Class() == accel.GlobalControl {
@@ -249,139 +278,74 @@ func validateOne(cfg *accel.Config, w *ValWorkload, ref *rtlsim.Reference, f *rt
 		} else {
 			rep.NonMasked++
 		}
-		return nil
+		return
 	}
 	if masked {
-		return nil // masked; software models only describe non-masked behaviour
+		return // masked; software models only describe non-masked behaviour
 	}
 	rep.NonMasked++
 
-	si := ref.Locate(f.Cycle)
-	switch f.FF {
-	case rtlsim.FFCDMAIn0, rtlsim.FFCDMAIn1, rtlsim.FFCDMAWt0, rtlsim.FFCDMAWt1:
-		return rep.checkRecompute(w, golden, faulty.Out, cdmaOverride(w, f), f)
-	case rtlsim.FFInputReg:
-		inIdx, _ := ref.OperandIndices(si, 0)
-		if inIdx < 0 {
-			// Fault on a padding-zero operand: outside the software fault
-			// models (no stored tensor element corresponds); count as a
-			// set-only check of the affected position/group.
-			return rep.checkNeuronSet(cfg, w, golden, faulty.Out, groupNeurons(cfg, ref, si))
-		}
-		ov := &nn.Override{Kind: nn.OperandInput, Flat: inIdx}
-		return rep.checkRecomputeAt(w, golden, faulty.Out, ov, f, groupNeurons(cfg, ref, si))
-	case rtlsim.FFWLoad, rtlsim.FFWReg:
-		_, wIdx := ref.OperandIndices(si, f.Mac)
-		if wIdx < 0 {
-			rep.Mismatches = append(rep.Mismatches,
-				fmt.Sprintf("%s: weight fault %v corrupted outputs without a live weight", w.Name, f))
-			return nil
-		}
-		start := si.Dx
-		if f.FF == rtlsim.FFWLoad {
-			start = 0
-		}
-		ov := &nn.Override{Kind: nn.OperandWeight, Flat: wIdx}
-		return rep.checkRecomputeAt(w, golden, faulty.Out, ov, f, weightNeurons(cfg, ref, si, f.Mac, start))
-	case rtlsim.FFOutReg:
-		p := si.Position(cfg)
-		c := si.Channel(cfg, f.Mac)
-		idx, err := ref.OutIndexOf(p, c)
-		if err != nil {
-			return err
-		}
-		expect := golden.Clone()
-		expect.Set(f.Flip(w.Site.Codec(), expect.At(idx...)), idx...)
-		rep.DatapathChecked++
-		if expect.Equal(faulty.Out) {
-			rep.DatapathExact++
-		} else {
-			rep.Mismatches = append(rep.Mismatches,
-				fmt.Sprintf("%s: out-reg fault %v value mismatch at %v", w.Name, f, idx))
-		}
-		return nil
-	case rtlsim.FFProd:
-		return rep.checkNeuronSet(cfg, w, golden, faulty.Out, singleNeuron(cfg, ref, si, f.Mac))
-	case rtlsim.FFValid:
-		set := singleNeuron(cfg, ref, si, f.Mac)
-		rep.LocalChecked++
-		if setCovers(golden, faulty.Out, set) {
-			rep.LocalMatch++
-		} else {
-			rep.Mismatches = append(rep.Mismatches,
-				fmt.Sprintf("%s: valid fault %v outside predicted neuron", w.Name, f))
-		}
-		return nil
+	id := ffModel(f.FF)
+	si := v.ref.Locate(f.Cycle)
+	mac := f.Mac
+	if f.FF == rtlsim.FFInputReg {
+		mac = 0 // the input register is broadcast: its group's first MAC
 	}
-	return nil
+	// Codec.FlipBit takes a wider register's bit modulo the codec's width.
+	at := faultmodel.Located{Flat: -1, Neuron: -1, Bit: f.Bit % v.w.Site.Codec().Bits()}
+	if idx, err := v.ref.OutIndexOf(si.Position(v.cfg), si.Channel(v.cfg, mac)); err == nil {
+		at.Neuron = golden.Offset(idx...)
+	}
+	switch id {
+	case faultmodel.BeforeCBUFInput, faultmodel.BeforeCBUFWeight:
+		// Fetch stage 0 holds element Cycle, stage 1 the one before it.
+		at.Flat = int(f.Cycle)
+		if f.FF == rtlsim.FFCDMAIn1 || f.FF == rtlsim.FFCDMAWt1 {
+			at.Flat--
+		}
+	case faultmodel.CBUFMACInput:
+		at.Flat, _ = v.ref.OperandIndices(si, 0)
+	case faultmodel.CBUFMACWeight:
+		_, at.Flat = v.ref.OperandIndices(si, f.Mac)
+	}
+	checked, matched, exact := &rep.DatapathChecked, &rep.DatapathExact, true
+	switch {
+	case f.FF == rtlsim.FFValid:
+		checked, matched, exact = &rep.LocalChecked, &rep.LocalMatch, false
+	case f.FF == rtlsim.FFProd || id == faultmodel.CBUFMACInput && at.Flat < 0:
+		checked, matched, exact = &rep.SetChecked, &rep.SetMatch, false
+	}
+	*checked++
+	err := v.sampler.PlanAt(&v.plan, id, v.w.Site, v.op, at)
+	switch {
+	case err != nil:
+	case exact:
+		err = v.apply(f, faulty.Out)
+	case !setCovers(golden, faulty.Out, v.plan.Neurons):
+		err = fmt.Errorf("corrupted neurons outside the %d predicted", len(v.plan.Neurons))
+	}
+	if err != nil {
+		rep.Mismatches = append(rep.Mismatches, fmt.Sprintf("%s: %v fault %v: %v", v.w.Name, id, f, err))
+		return
+	}
+	*matched++
 }
 
-// cdmaOverride maps a CDMA fault to its software operand override.
-func cdmaOverride(w *ValWorkload, f *rtlsim.Fault) *nn.Override {
-	elem := int(f.Cycle)
-	if f.FF == rtlsim.FFCDMAIn1 || f.FF == rtlsim.FFCDMAWt1 {
-		elem--
+// apply runs the plan, with the fault's extra bits, on the golden operands
+// and compares the result with the RTL's; the operands are golden again
+// after.
+func (v *validator) apply(f *rtlsim.Fault, rtl *tensor.Tensor) error {
+	v.plan.ExtraBits = f.ExtraBits
+	changes := faultmodel.Apply(&v.plan, v.w.Site, v.op)
+	var err error
+	if !v.op.Out.Equal(rtl) {
+		err = fmt.Errorf("software model diverges from RTL at %d neurons", len(v.op.Out.DiffIndices(rtl, 0)))
 	}
-	kind := nn.OperandInput
-	if f.FF == rtlsim.FFCDMAWt0 || f.FF == rtlsim.FFCDMAWt1 {
-		kind = nn.OperandWeight
+	out := v.op.Out.Data()
+	for _, c := range changes {
+		out[c.Flat] = c.Golden
 	}
-	return &nn.Override{Kind: kind, Flat: elem}
-}
-
-// checkRecompute validates an "all users" model: recompute every neuron that
-// uses the flipped element and require an exact full-tensor match.
-func (rep *ValidationReport) checkRecompute(w *ValWorkload, golden, faulty *tensor.Tensor, ov *nn.Override, f *rtlsim.Fault) error {
-	op := w.operands(golden)
-	neurons := w.Site.NeuronsUsingOperand(op, ov.Kind, ov.Flat, nil)
-	return rep.applyAndCompare(w, op, faulty, ov, f, neurons)
-}
-
-// checkRecomputeAt validates a windowed model: recompute exactly the
-// predicted neuron set.
-func (rep *ValidationReport) checkRecomputeAt(w *ValWorkload, golden, faulty *tensor.Tensor, ov *nn.Override, f *rtlsim.Fault, neurons []int) error {
-	op := w.operands(golden)
-	return rep.applyAndCompare(w, op, faulty, ov, f, neurons)
-}
-
-func (rep *ValidationReport) applyAndCompare(w *ValWorkload, op *nn.Operands, faulty *tensor.Tensor, ov *nn.Override, f *rtlsim.Fault, neurons []int) error {
-	codec := w.Site.Codec()
-	var stored float32
-	switch ov.Kind {
-	case nn.OperandInput:
-		stored = op.In.Data()[ov.Flat]
-	case nn.OperandWeight:
-		stored = op.W.Data()[ov.Flat]
-	}
-	ov.Value = f.Flip(codec, stored)
-	vals := make([]float32, len(neurons))
-	w.Site.ComputeNeurons(op, neurons, ov, vals)
-	for i, off := range neurons {
-		op.Out.Data()[off] = vals[i]
-	}
-	rep.DatapathChecked++
-	if op.Out.Equal(faulty) {
-		rep.DatapathExact++
-	} else {
-		rep.Mismatches = append(rep.Mismatches,
-			fmt.Sprintf("%s: fault %v: software model diverges from RTL at %d neurons",
-				w.Name, f, len(op.Out.DiffIndices(faulty, 0))))
-	}
-	return nil
-}
-
-// checkNeuronSet validates set-only predictions (value is non-deterministic
-// in the software model): every RTL-corrupted neuron must be inside the
-// predicted set.
-func (rep *ValidationReport) checkNeuronSet(cfg *accel.Config, w *ValWorkload, golden, faulty *tensor.Tensor, set []int) error {
-	rep.SetChecked++
-	if setCovers(golden, faulty, set) {
-		rep.SetMatch++
-	} else {
-		rep.Mismatches = append(rep.Mismatches,
-			fmt.Sprintf("%s: corrupted neurons outside predicted set of %d", w.Name, len(set)))
-	}
-	return nil
+	return err
 }
 
 // setCovers reports whether all diffs between golden and faulty fall inside
@@ -393,40 +357,4 @@ func setCovers(golden, faulty *tensor.Tensor, set []int) bool {
 		}
 	}
 	return true
-}
-
-// groupNeurons is the Fig 2a target-a4 prediction: the position's full
-// channel group.
-func groupNeurons(cfg *accel.Config, ref *rtlsim.Reference, si rtlsim.SiteInfo) []int {
-	p := si.Position(cfg)
-	_, numCh, _ := ref.Dims()
-	var out []int
-	for c := si.Grp * cfg.AtomicK; c < min(numCh, (si.Grp+1)*cfg.AtomicK); c++ {
-		if idx, err := ref.OutIndexOf(p, c); err == nil {
-			out = append(out, ref.Golden().Out.Offset(idx...))
-		}
-	}
-	return out
-}
-
-// weightNeurons is the Fig 2a target-a1/a2 prediction: the block positions
-// from start onward in MAC mac's channel.
-func weightNeurons(cfg *accel.Config, ref *rtlsim.Reference, si rtlsim.SiteInfo, mac, start int) []int {
-	c := si.Grp*cfg.AtomicK + mac
-	var out []int
-	for dx := start; dx < si.BlockSize; dx++ {
-		if idx, err := ref.OutIndexOf(si.Blk*cfg.WeightHoldCycles+dx, c); err == nil {
-			out = append(out, ref.Golden().Out.Offset(idx...))
-		}
-	}
-	return out
-}
-
-// singleNeuron is the RF=1 prediction.
-func singleNeuron(cfg *accel.Config, ref *rtlsim.Reference, si rtlsim.SiteInfo, mac int) []int {
-	idx, err := ref.OutIndexOf(si.Position(cfg), si.Channel(cfg, mac))
-	if err != nil {
-		return nil
-	}
-	return []int{ref.Golden().Out.Offset(idx...)}
 }

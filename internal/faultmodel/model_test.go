@@ -113,6 +113,18 @@ func TestSamplerRejectsIncompleteSet(t *testing.T) {
 	if _, err := NewSampler(nil, 1); err == nil {
 		t.Error("empty model set should fail")
 	}
+	// Each CBUF→MAC model is walked at its own RF, so each must have one.
+	for _, id := range []ID{CBUFMACInput, CBUFMACWeight} {
+		models := deriveNVDLA(t)
+		for i := range models {
+			if models[i].ID == id {
+				models[i].RF = 0
+			}
+		}
+		if _, err := NewSampler(models, 1); err == nil {
+			t.Errorf("a %v model without an RF should fail", id)
+		}
+	}
 }
 
 func TestPlanGlobalControl(t *testing.T) {

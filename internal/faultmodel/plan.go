@@ -3,6 +3,7 @@ package faultmodel
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"fidelity/internal/nn"
 )
@@ -49,23 +50,24 @@ type Plan struct {
 // parameters (RF and neuron patterns per layer kind from Table II).
 type Sampler struct {
 	models map[ID]Model
-	rf     int // the CBUF→MAC reuse factor (16 for NVDLA)
 	src    rand.Source64
 	rng    *rand.Rand
 }
 
-// NewSampler builds a sampler over a derived model set.
+// NewSampler builds a sampler over a derived model set, which must hold both
+// CBUF→MAC models with a positive RF: each is walked at its own.
 func NewSampler(models []Model, seed int64) (*Sampler, error) {
 	byID := make(map[ID]Model, len(models))
 	for _, m := range models {
 		byID[m.ID] = m
 	}
-	cm, ok := byID[CBUFMACInput]
-	if !ok || cm.RF <= 0 {
-		return nil, fmt.Errorf("faultmodel: model set lacks a CBUF→MAC input model with positive RF")
+	for _, id := range []ID{CBUFMACInput, CBUFMACWeight} {
+		if m, ok := byID[id]; !ok || m.RF <= 0 {
+			return nil, fmt.Errorf("faultmodel: model set lacks a %v model with positive RF", id)
+		}
 	}
 	src := NewStreamSource(seed)
-	return &Sampler{models: byID, rf: cm.RF, src: src, rng: rand.New(src)}, nil
+	return &Sampler{models: byID, src: src, rng: rand.New(src)}, nil
 }
 
 // Reseed repositions the sampler at the start of a fresh stream without
@@ -95,18 +97,50 @@ func (s *Sampler) Plan(id ID, site nn.Site, visit int, op *nn.Operands) (*Plan, 
 // sampling; values are read at apply time). The draws are walk's, from the
 // sampler's stream.
 func (s *Sampler) PlanInto(p *Plan, id ID, site nn.Site, visit int, op *nn.Operands) error {
-	if _, ok := s.models[id]; !ok {
+	return s.plan(s, p, id, site, visit, op)
+}
+
+// Located is where a fault that a cycle-level reference injected landed, in
+// the terms of a layer execution's operands.
+type Located struct {
+	// Flat is the struck operand element (row-major), or -1 for a padding
+	// zero of the input, which no tensor stores.
+	Flat int
+	// Neuron is the first output neuron the fault reaches (row-major).
+	Neuron int
+	// Bit is the flipped bit.
+	Bit int
+}
+
+// PlanAt builds into p, as PlanInto does, the plan of model id whose draws
+// are fixed by at: its element and bit, and for a CBUF→MAC model the window
+// (or a weight's suffix) that starts at Neuron's place among the element's
+// users — a padding zero's users are Neuron alone. A local-control word is
+// left 0. It fails when the model cannot reach the location.
+func (s *Sampler) PlanAt(p *Plan, id ID, site nn.Site, op *nn.Operands, at Located) error {
+	l := &located{Located: at, p: p}
+	if err := s.plan(l, p, id, site, 0, op); err != nil {
+		return err
+	}
+	return l.err
+}
+
+// plan resets p and walks model id at its own RF with c's draws.
+func (s *Sampler) plan(c chooser, p *Plan, id ID, site nn.Site, visit int, op *nn.Operands) error {
+	m, ok := s.models[id]
+	if !ok {
 		return fmt.Errorf("faultmodel: unknown model %v", id)
 	}
 	*p = Plan{Model: id, SiteName: site.Name(), Visit: visit,
 		users: p.users[:0], faulty: p.faulty, changes: p.changes}
-	return walk(s, p, id, site, op, s.rf)
+	return walk(c, p, id, site, op, m.RF)
 }
 
 // A chooser makes the draws a fault model's walk is written in. The sampler
-// draws each from its stream; a test-side enumerator takes every branch
-// instead, so the walk is the one definition of what a campaign samples
-// (DESIGN.md §5.3 renders it). what names a draw in that table.
+// draws each from its stream, PlanAt's chooser reads each off a located
+// fault, and a test-side enumerator takes every branch, so the walk is the
+// one definition of what a campaign samples and Validate checks (DESIGN.md
+// §5.3 renders it). what names a draw in that table.
 type chooser interface {
 	// index is uniform in [0, n).
 	index(what string, n int) int
@@ -138,8 +172,53 @@ func (s *Sampler) used(site nn.Site, op *nn.Operands, kind nn.OperandKind, size 
 	}
 }
 
+// located is PlanAt's chooser: every draw is the location's, by the draw's
+// name in walk, and err keeps the first one that falls outside its range.
+type located struct {
+	Located
+	p   *Plan // the plan walked: its users, then its window, at each draw
+	err error
+}
+
+func (l *located) index(what string, n int) int {
+	i := -1
+	switch what {
+	case "output neuron, uniform":
+		i = l.Neuron
+	case "operand element, uniform":
+		i = l.Flat
+	case "bit in codec width, uniform":
+		i = l.Bit
+	case "user, uniform (its aligned RF-channel block)", "RF window ∝ its users":
+		i = slices.Index(l.p.users, l.Neuron)
+	case "suffix of the window, uniform":
+		i = slices.Index(l.p.Neurons, l.Neuron)
+	}
+	if i < 0 || i >= n {
+		if l.err == nil {
+			l.err = fmt.Errorf("faultmodel: no %q draw in [0, %d) reaches %+v", what, n, l.Located)
+		}
+		return 0
+	}
+	return i
+}
+
+func (l *located) used(site nn.Site, op *nn.Operands, kind nn.OperandKind, size int, users []int) (int, []int, error) {
+	switch {
+	case l.Flat < 0 && kind == nn.OperandInput && l.Neuron >= 0 && l.Neuron < op.Out.Size():
+		return l.Flat, append(users[:0], l.Neuron), nil // a padding zero
+	case l.Flat >= 0 && l.Flat < size:
+		if users = site.NeuronsUsingOperand(op, kind, l.Flat, users[:0]); len(users) > 0 {
+			return l.Flat, users, nil
+		}
+	}
+	return 0, users, fmt.Errorf("faultmodel: no output of site %s reads %v element %d", site.Name(), kind, l.Flat)
+}
+
+func (l *located) word(int) uint32 { return 0 }
+
 // walk is model id's Table II row at one layer execution, written into p as
-// the draws of c in stream order; rf is the CBUF→MAC reuse factor.
+// the draws of c in stream order; rf is the model's reuse factor.
 func walk(c chooser, p *Plan, id ID, site nn.Site, op *nn.Operands, rf int) error {
 	codec := site.Codec()
 	switch id {

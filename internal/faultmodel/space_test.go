@@ -180,12 +180,13 @@ func faultSpaceExecs(t *testing.T) []execution {
 	}
 }
 
-// faultSpaceSampler samples with the NVDLA model set at the given RF.
+// faultSpaceSampler samples with the NVDLA model set, both CBUF→MAC models
+// at the given RF.
 func faultSpaceSampler(t *testing.T, rf int, seed int64) *Sampler {
 	t.Helper()
 	models := deriveNVDLA(t)
 	for i := range models {
-		if models[i].ID == CBUFMACInput {
+		if models[i].ID == CBUFMACInput || models[i].ID == CBUFMACWeight {
 			models[i].RF = rf
 		}
 	}
@@ -341,6 +342,51 @@ func TestPlanMatchesFaultSpace(t *testing.T) {
 		chi2, df := pearson(got, want, n)
 		if limit := chi2Quantile(df, 4.753); chi2 > limit {
 			t.Errorf("%v: χ² = %.1f over %d degrees of freedom, above %.1f", id, chi2, df, limit)
+		}
+	}
+}
+
+// PlanAt inverts PlanInto: the plan located at a sampled plan's struck
+// element, first neuron and bit is that plan, its local-control word aside
+// (a value has no location). A location no walk reaches fails.
+func TestPlanAtLocatesSampledPlans(t *testing.T) {
+	execs := faultSpaceExecs(t)
+	s := faultSpaceSampler(t, 2, 56)
+	var p, at Plan
+	for _, id := range AllIDs() {
+		for i := range 300 {
+			x := execs[i%len(execs)]
+			if err := s.PlanInto(&p, id, x.site, 0, x.op); err != nil {
+				t.Fatal(err)
+			}
+			loc := Located{Flat: -1, Neuron: -1, Bit: p.Bit}
+			if p.Override != nil {
+				loc.Flat = p.Override.Flat
+			}
+			if len(p.Neurons) > 0 {
+				loc.Neuron = p.Neurons[0]
+			}
+			if err := s.PlanAt(&at, id, x.site, x.op, loc); err != nil {
+				t.Fatalf("%v at %+v: %v", id, loc, err)
+			}
+			open := id == LocalControl
+			if got, want := (branch{plan: &at, open: open}).key(), (branch{plan: &p, open: open}).key(); got != want {
+				t.Fatalf("%v at %+v: located plan %s, sampled %s", id, loc, got, want)
+			}
+		}
+	}
+	conv := execs[0]
+	for _, tc := range []struct {
+		id ID
+		at Located
+	}{
+		{CBUFMACWeight, Located{Flat: -1, Neuron: 0}},             // a weight is never padding
+		{CBUFMACWeight, Located{Flat: 0, Neuron: 1}},              // neuron 1 is another channel's
+		{CBUFMACInput, Located{Flat: 0, Neuron: 0, Bit: 16}},      // FP16 has 16 bits
+		{OutputPSum, Located{Neuron: conv.op.Out.Size(), Bit: 0}}, // past the output
+	} {
+		if err := s.PlanAt(&at, tc.id, conv.site, conv.op, tc.at); err == nil {
+			t.Errorf("%v at %+v: no error", tc.id, tc.at)
 		}
 	}
 }

@@ -87,16 +87,6 @@ type Fault struct {
 	Cycle int64
 }
 
-// Flip returns v, a value stored in codec c's format, after the fault's bit
-// flips (Bit, then every ExtraBits entry).
-func (f *Fault) Flip(c numerics.Codec, v float32) float32 {
-	v = c.FlipBit(v, f.Bit)
-	for _, b := range f.ExtraBits {
-		v = c.FlipBit(v, b)
-	}
-	return v
-}
-
 // flipCounter applies the fault's bit flips to a counter/config register,
 // masked to 20 bits to bound runaway loops (the watchdog catches the rest).
 func (f *Fault) flipCounter(v int64) int64 {
@@ -326,10 +316,15 @@ func (e *Engine) hit(ff FF, m int) bool {
 	return e.fault.FF == ff && (m < 0 || e.fault.Mac == m)
 }
 
-// flip32 applies the codec bit flips and marks the fault as fired.
+// flip32 applies the fault's bit flips (Bit, then every ExtraBits entry) to
+// a value stored in the codec's format and marks the fault as fired.
 func (e *Engine) flip32(v float32) float32 {
 	e.fired = true
-	return e.fault.Flip(e.codec, v)
+	v = e.codec.FlipBit(v, e.fault.Bit)
+	for _, b := range e.fault.ExtraBits {
+		v = e.codec.FlipBit(v, b)
+	}
+	return v
 }
 
 // flipCtr flips bits of a counter/config register and marks the fault as

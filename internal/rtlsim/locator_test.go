@@ -44,7 +44,7 @@ func TestLocateAgreesWithEngine(t *testing.T) {
 			continue
 		}
 		checked++
-		numPos, _, _ := ref.Dims()
+		numPos := ref.sched.numPos
 		// Predicted faulty set: positions p = blk*t+dx .. block end, channel ch.
 		predicted := map[int]bool{}
 		for dx := si.Dx; dx < si.BlockSize; dx++ {
@@ -163,7 +163,7 @@ func TestLocateCoverageExhaustive(t *testing.T) {
 		t.Fatal(err)
 	}
 	start, end := ref.ComputeWindow()
-	numPos, numCh, _ := ref.Dims()
+	numPos, numCh := ref.sched.numPos, ref.sched.numCh
 	for cyc := start; cyc < end; cyc++ {
 		si := ref.Locate(cyc)
 		if si.Phase == PhaseIdle || si.Phase == PhaseFetch {

@@ -205,11 +205,6 @@ func (r *Reference) ComputeWindow() (start, end int64) {
 	return r.sched.fetchCycles(), r.golden.Cycles
 }
 
-// Dims returns the schedule extents: positions, channels, reduction length.
-func (r *Reference) Dims() (numPos, numCh, numRed int) {
-	return r.sched.numPos, r.sched.numCh, r.sched.numRed
-}
-
 // Locate maps an absolute cycle of the golden run to its schedule
 // coordinates.
 func (r *Reference) Locate(cycle int64) SiteInfo {
