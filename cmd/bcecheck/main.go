@@ -38,7 +38,7 @@ import (
 // exactly the lane dispatchers that loop once per chunk the lanes hand back
 // to their ...Go loop (DESIGN.md §7.1); TestNumericsExemptions derives that
 // set from the source. Elsewhere: boxify and diffSpanBox loop once per tensor
-// row, slicing it out for numerics' diff scans; matmulTile loops once per
+// row, slicing it out for numerics.DiffEnds; matmulTile loops once per
 // output row over mulAddPanel and scaleSaturate; maxPoolRegion once per
 // window cell over numerics.MaxRow; concatSweep once per input vector of a
 // position, for one copy; InitRandom fills a layer's parameters once,
@@ -56,7 +56,7 @@ var hotFiles = map[string]map[string]bool{
 	"internal/nn/pool.go":           {"maxPoolRegion": true},
 	"internal/nn/region.go":         {"boxify": true, "diffSpanBox": true},
 	"internal/numerics/exprow.go":   {"ExpRow": true},
-	"internal/numerics/floatrow.go": {"FirstDiff": true, "LastDiff": true},
+	"internal/numerics/floatrow.go": {},
 	"internal/numerics/halfrow.go": {
 		"HalfMulAddPanel": true,
 		"HalfMulAddRow":   true, "HalfMulAddVec": true, "HalfDot": true, "halfRoundInto": true,

@@ -49,26 +49,14 @@ func (s span) boxIn(h, w, rowStride, imgStride int) (y0, y1, x0, x1 int) {
 	return 0, h, 0, w
 }
 
-// diffEnds returns the first and the last index at which a and b differ as
-// tensor elements (NaN equals NaN, +0 equals -0), scanning from both ends
-// inwards so that nothing between the two is read; differ is false when a
-// equals b.
-func diffEnds(a, b []float32) (first, last int, differ bool) {
-	first = numerics.FirstDiff(a, b)
-	if first == len(a) {
-		return 0, 0, false
-	}
-	return first, first + numerics.LastDiff(a[first:], b[first:]), true
-}
-
 // diffSpanFlat scans elements [lo, hi) of out against golden — all of them,
 // or the rows a rank-2 glue sweep recomputed, everything outside being a
 // golden copy — and returns the span of differing elements. equal is true
 // (and the span meaningless) when none differ.
 func diffSpanFlat(out, golden *tensor.Tensor, lo, hi int) (sp span, equal bool) {
 	od, gd := out.Data(), golden.Data()
-	first, last, differ := diffEnds(od[lo:hi], gd[lo:hi])
-	if !differ {
+	first, last := numerics.DiffEnds(od[lo:hi], gd[lo:hi])
+	if last < 0 {
 		return span{}, true
 	}
 	sp = span{lo: lo + first, hi: lo + last + 1}
@@ -80,23 +68,27 @@ func diffSpanFlat(out, golden *tensor.Tensor, lo, hi int) (sp span, equal bool) 
 
 // boxify tightens a flat span over a rank-4 NHWC buffer into a spatial box:
 // the rows of the flat range that hold a difference, and the columns between
-// the leftmost first and the rightmost last difference of any row (diffEnds:
-// the interior of a dirty row is never read). Row r of the buffer is row r%h
-// of image r/h.
+// the leftmost first and the rightmost last difference of any row
+// (numerics.DiffEnds scans a row from both ends inwards: the interior of a
+// dirty row is never read). Row r of the buffer is row r%h of image r/h. The
+// ends are kept as element offsets into their rows and turned into columns
+// once: division by c is monotone, so the column of the leftmost offset is the
+// leftmost column.
 func boxify(od, gd []float32, sp span, h, w, c int) span {
 	rowStride := w * c
-	y0, y1, x0, x1 := h, 0, w, 0
+	y0, y1, left, right := h, 0, rowStride, -1
 	for r := sp.lo / rowStride; r*rowStride < sp.hi; r++ {
-		lo, hi := max(sp.lo, r*rowStride), min(sp.hi, (r+1)*rowStride)
-		first, last, differ := diffEnds(od[lo:hi], gd[lo:hi])
-		if !differ {
+		row := r * rowStride
+		lo, hi := max(sp.lo, row), min(sp.hi, row+rowStride)
+		first, last := numerics.DiffEnds(od[lo:hi], gd[lo:hi])
+		if last < 0 {
 			continue
 		}
 		y := r % h
 		y0, y1 = min(y0, y), max(y1, y+1)
-		x0, x1 = min(x0, (lo+first)%rowStride/c), max(x1, (lo+last)%rowStride/c+1)
+		left, right = min(left, lo-row+first), max(right, lo-row+last)
 	}
-	sp.y0, sp.y1, sp.x0, sp.x1 = y0, y1, x0, x1
+	sp.y0, sp.y1, sp.x0, sp.x1 = y0, y1, left/c, right/c+1
 	sp.boxed = true
 	return sp
 }
@@ -104,25 +96,30 @@ func boxify(od, gd []float32, sp span, h, w, c int) span {
 // diffSpanBox scans only the given spatial box of a rank-4 tensor (the region
 // a sweep recomputed; everything outside is a golden copy by construction)
 // and returns the tightened span of differing elements, each row of the box
-// scanned from both ends inwards as in boxify.
+// scanned from both ends inwards and its columns found once, as in boxify.
 func diffSpanBox(out, golden *tensor.Tensor, bx box) (sp span, equal bool) {
 	od, gd := out.Data(), golden.Data()
 	n, h, w, c := out.Dim(0), out.Dim(1), out.Dim(2), out.Dim(3)
-	sp = span{lo: len(od), y0: h, x0: w, boxed: true}
+	width := (bx.x1 - bx.x0) * c
+	sp = span{lo: len(od), y0: h, boxed: true}
+	left, right := width, -1 // offsets into a row of the box
 	for b := 0; b < n; b++ {
 		for y := bx.y0; y < bx.y1; y++ {
 			base := ((b*h+y)*w + bx.x0) * c
-			end := base + (bx.x1-bx.x0)*c
-			first, last, differ := diffEnds(od[base:end], gd[base:end])
-			if !differ {
+			first, last := numerics.DiffEnds(od[base:base+width], gd[base:base+width])
+			if last < 0 {
 				continue
 			}
 			sp.lo, sp.hi = min(sp.lo, base+first), max(sp.hi, base+last+1)
 			sp.y0, sp.y1 = min(sp.y0, y), max(sp.y1, y+1)
-			sp.x0, sp.x1 = min(sp.x0, bx.x0+first/c), max(sp.x1, bx.x0+last/c+1)
+			left, right = min(left, first), max(right, last)
 		}
 	}
-	return sp, sp.hi == 0
+	if right < 0 {
+		return sp, true
+	}
+	sp.x0, sp.x1 = bx.x0+left/c, bx.x0+right/c+1
+	return sp, false
 }
 
 // box is the spatial output region [y0,y1)×[x0,x1) (all batches, all

@@ -39,10 +39,10 @@ func naiveSpan(od, gd []float32, n, h, w, c int, bx *box) (sp span, equal bool) 
 }
 
 // TestDiffScansMatchNaive holds the span scans — diffSpanFlat, boxify,
-// diffSpanBox, over numerics.FirstDiff and LastDiff — to naiveSpan on random
-// tensors whose elements are equal through bit differences (the other zero,
-// another NaN payload) around 0–4 real differences. numerics' test of the
-// same name holds the two row scans to their oracle with the lanes off and on.
+// diffSpanBox, over numerics.DiffEnds — to naiveSpan on random tensors whose
+// elements are equal through bit differences (the other zero, another NaN
+// payload) around 0–4 real differences. numerics' test of the same name holds
+// the row scan to its oracle with the lanes off and on.
 func TestDiffScansMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	nanA := math.Float32frombits(0x7fc00001)
@@ -93,11 +93,8 @@ func TestDiffScansMatchNaive(t *testing.T) {
 		if !wantEqual {
 			wantFirst, wantLast = wantFull.lo, wantFull.hi-1
 		}
-		if got := numerics.FirstDiff(od, gd); got != wantFirst {
-			t.Fatalf("case %d: FirstDiff = %d, want %d", tc, got, wantFirst)
-		}
-		if got := numerics.LastDiff(od, gd); got != wantLast {
-			t.Fatalf("case %d: LastDiff = %d, want %d", tc, got, wantLast)
+		if first, last := numerics.DiffEnds(od, gd); first != wantFirst || last != wantLast {
+			t.Fatalf("case %d: DiffEnds = %d, %d, want %d, %d", tc, first, last, wantFirst, wantLast)
 		}
 		gotFull, gotEqual := diffSpanFlat(out, golden, 0, len(od))
 		if gotEqual != wantEqual || !gotEqual && gotFull != wantFull {

@@ -14,17 +14,22 @@ import (
 
 // TestLaneRegistryComplete keeps the lane table (lanes_test.go) whole, so
 // that no body lands without the checks its row derives: every TEXT routine
-// but the two CPU probes is the body of exactly one (row, instruction set)
-// cell, named for its set, and every body a row names is a TEXT routine;
+// but the two CPU probes is the body of exactly one (dispatcher, instruction
+// set) cell, named for its set — the rows of one dispatcher's results share
+// its cells — and every body a row names is a TEXT routine;
 // every routine halfrow_amd64.go declares has a stub in halfrow_noasm.go;
 // every row, sweep and fuzz target names a function.
 func TestLaneRegistryComplete(t *testing.T) {
 	probes := map[string]bool{"cpuHasAVX2": true, "cpuHasAVX512": true}
-	bodies, routines, funcs := map[string]int{}, map[string]bool{}, map[string]bool{}
+	bodies, routines, funcs := map[string]map[string]bool{}, map[string]bool{}, map[string]bool{}
 	for _, p := range primitives {
-		bodies[p.body]++
-		if p.body512 != "" {
-			bodies[p.body512]++
+		for _, body := range []string{p.body, p.body512} {
+			if body != "" {
+				if bodies[body] == nil {
+					bodies[body] = map[string]bool{}
+				}
+				bodies[body][p.dispatcher()] = true
+			}
 		}
 		if !strings.HasSuffix(p.body, "AVX2") || p.body512 != "" && !strings.HasSuffix(p.body512, "AVX512") {
 			t.Errorf("row %s: bodies %s and %q, each not named for its instruction set", p.name, p.body, p.body512)
@@ -37,8 +42,8 @@ func TestLaneRegistryComplete(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range regexp.MustCompile(`(?m)^TEXT\s+·(\w+)\(SB\)`).FindAllSubmatch(src, -1) {
-			if name := string(m[1]); !probes[name] && bodies[name] != 1 {
-				t.Errorf("%s: TEXT ·%s is the body of %d cells, want 1", file, name, bodies[name])
+			if name := string(m[1]); !probes[name] && len(bodies[name]) != 1 {
+				t.Errorf("%s: TEXT ·%s is the body of %d cells, want 1", file, name, len(bodies[name]))
 			}
 			routines[string(m[1])] = true
 		}
@@ -56,7 +61,7 @@ func TestLaneRegistryComplete(t *testing.T) {
 		}
 	}
 	for _, p := range primitives {
-		names := []string{p.name}
+		names := []string{p.dispatcher()}
 		for _, s := range p.sweeps {
 			names = append(names, s.test)
 		}

@@ -4,12 +4,9 @@ package numerics
 // path that no FP16 rounding runs through — the acc += a·w panel of the INT8,
 // INT16 and FP32 kernels (their operands are rounded once, before the loop),
 // the branch-free max-pool, ReLU and clip rows of every precision, and the
-// scans that find where a replayed tensor departs from golden — each a Go loop
+// scan that finds where a replayed tensor departs from golden — each a Go loop
 // and an AVX2 body in floatrow_amd64.s under the lane contract (DESIGN.md
-// §7.1). Nothing here rounds, so only the diff scans bail: their lanes compare
-// bit patterns, and elements compare otherwise on ±0 and NaN.
-
-import "math"
+// §7.1). Nothing here rounds and nothing bails.
 
 // panelBlock is the narrowest column block the AVX2 panel takes (one XMM of
 // accumulators; it prefers 16, 12 and 8). Columns past the last whole block are
@@ -139,111 +136,43 @@ func clipRowGo(out, x []float32, lo, hi float32) {
 	}
 }
 
-// The diff scans below find where a replayed tensor departs from its golden
-// copy. Elements compare as tensor elements: NaN equals NaN and +0 equals -0,
-// so two bit patterns can differ while their elements do not. The lanes
-// compare whole chunks as bit patterns and stop at the first (last) chunk with
-// a mismatch; the Go loop settles that chunk element by element and the lanes
-// resume behind it, as in halfRoundInto, so a false alarm costs one chunk of
-// the Go loop and the scan goes on.
-
-// FirstDiff returns the index of the first element at which a and b differ,
-// or len(a) when none does. b must be at least as long as a.
-func FirstDiff(a, b []float32) int {
-	b = b[:len(a)]
-	n := 0
-	if hasAVX2 {
-		n = firstDiffAVX2(a, b)
-		for n+laneChunk <= len(a) {
-			if i := firstDiffGo(a[n:n+laneChunk], b[n:n+laneChunk]); i < laneChunk {
-				return n + i
-			}
-			n += laneChunk
-			n += firstDiffAVX2(a[n:], b[n:])
-		}
-	}
-	return n + firstDiffGo(a[n:], b[n:])
-}
-
-// LastDiff returns the index of the last element at which a and b differ, or
-// -1 when none does: FirstDiff from the right. b must be at least as long as
+// DiffEnds returns the first and the last index at which a and b differ as
+// tensor elements, or len(a) and -1 when none does: NaN equals NaN and +0
+// equals -0, so two bit patterns can differ while their elements do not. The
+// lanes cross equal runs as bit patterns and settle a chunk whose bits differ
+// as elements in the lanes themselves, so one call finds both ends of a row of
+// eight or more; a shorter row is the Go loop's. b must be at least as long as
 // a.
-func LastDiff(a, b []float32) int {
+func DiffEnds(a, b []float32) (first, last int) {
 	b = b[:len(a)]
-	if hasAVX2 {
-		n := lastDiffAVX2(a, b)
-		for n >= laneChunk {
-			if i := lastDiffGo(a[n-laneChunk:n], b[n-laneChunk:n]); i >= 0 {
-				return n - laneChunk + i
-			}
-			n = lastDiffAVX2(a[:n-laneChunk], b[:n-laneChunk])
-		}
-		a, b = a[:n], b[:n]
+	if hasAVX2 && len(a) >= laneChunk {
+		return diffEndsAVX2(a, b)
 	}
-	return lastDiffGo(a, b)
+	return diffEndsGo(a, b)
 }
 
-// neq reports whether a and b differ as tensor elements.
-func neq(a, b float32) bool {
-	return a != b && !(a != a && b != b)
-}
-
-// bitsDiffer4 reports whether any of the four leading elements of a and b
-// differ as bit patterns. Equal bits are equal elements; differing bits still
-// are for +0 against -0 and for NaNs of two payloads, which is neq's call to
-// make.
-func bitsDiffer4(a, b []float32) bool {
-	return (math.Float32bits(a[0])^math.Float32bits(b[0]))|
-		(math.Float32bits(a[1])^math.Float32bits(b[1]))|
-		(math.Float32bits(a[2])^math.Float32bits(b[2]))|
-		(math.Float32bits(a[3])^math.Float32bits(b[3])) != 0
-}
-
-// firstDiffGo is FirstDiff's Go loop. Equal runs are crossed four bit patterns
-// at a time; a group with a bit mismatch is settled element by element. Both
-// slices shrink from the front as the scan advances, which is what lets the
-// compiler drop every bounds check of the two inner loops (`make bce`).
-func firstDiffGo(a, b []float32) int {
-	n := len(a)
-	b = b[:n]
-	for len(a) > 0 {
-		for len(a) >= 4 && len(b) >= 4 {
-			if bitsDiffer4(a, b) {
-				break
-			}
-			a, b = a[4:], b[4:]
-		}
-		k := min(4, len(a))
-		head, bhead := a[:k], b[:k]
-		for j, v := range head {
-			if neq(v, bhead[j]) {
-				return n - len(a) + j
-			}
-		}
-		a, b = a[k:], b[k:]
-	}
-	return n
-}
-
-// lastDiffGo is LastDiff's Go loop: firstDiffGo from the right, the slices
-// shrinking from the back.
-func lastDiffGo(a, b []float32) int {
+// diffEndsGo is DiffEnds' Go loop: from the front to the first difference,
+// then from the back down to it. The slices are cut to the same length before
+// each loop, which is what lets the compiler drop their bounds checks (`make
+// bce`).
+func diffEndsGo(a, b []float32) (first, last int) {
 	b = b[:len(a)]
-	for len(a) > 0 {
-		for len(a) >= 4 && len(b) >= 4 {
-			if bitsDiffer4(a[len(a)-4:], b[len(b)-4:]) {
-				break
-			}
-			a, b = a[:len(a)-4], b[:len(b)-4]
+	first = len(a)
+	for i, v := range a {
+		if w := b[i]; v != w && (v == v || w == w) {
+			first = i
+			break
 		}
-		k := max(len(a)-4, 0)
-		tail, btail := a[k:], b[k:]
-		for j := len(tail) - 1; j >= 0 && j < len(btail); j-- {
-			if neq(tail[j], btail[j]) {
-				return k + j
-			}
-		}
-		a, b = a[:k], b[:k]
 	}
-	return -1
+	if first == len(a) {
+		return first, -1
+	}
+	a, b = a[first:], b[first:]
+	b = b[:len(a)]
+	for last = len(a) - 1; last > 0; last-- {
+		if v, w := a[last], b[last]; v != w && (v == v || w == w) {
+			break
+		}
+	}
+	return first, first + last
 }

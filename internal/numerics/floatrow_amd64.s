@@ -234,99 +234,128 @@ done:
 	VZEROUPPER
 	RET
 
-// The diff scans compare bit patterns, eight elements a chunk: VPXOR of the
-// two chunks, VPTEST of the difference. The main loops take four chunks a step
-// and OR the differences into one test; a step with a mismatch falls through
-// to the one-chunk loop, which finds its chunk among the next four. A scan
-// returns where it stopped and leaves the chunk there to the Go loop
-// (FirstDiff, LastDiff).
+// The diff scan settles a chunk of eight as tensor elements in the lanes
+// (NEQ8): a zero mask means only ±0 or NaN payloads differ there. It settles
+// the row's end chunk first in each direction, since a row the replay finds
+// dirty is most often dirty at both ends, then crosses equal runs as bit
+// patterns four chunks a step (DIFF32: VPXOR of each pair of chunks, the four
+// differences ORed into one VPTEST), and from a step with a mismatch goes a
+// chunk at a time, back to the steps after a chunk that settles equal.
 
-// DIFF8(off, D) is the bit difference of the chunks at off(SI)(AX*4) and
-// off(DI)(AX*4), in D.
-#define DIFF8(off, D) \
-	VMOVDQU off(SI)(AX*4), D; \
-	VPXOR   off(DI)(AX*4), D, D
+// NEQ8(off, I) is the mask, in BX, of the lanes of the chunks at off(SI)(I*4)
+// and off(DI)(I*4) whose elements differ: unordered-or-unequal (so +0 equals
+// -0) and not NaN on both sides.
+#define NEQ8(off, I) \
+	VMOVUPS   off(SI)(I*4), Y4; \
+	VMOVUPS   off(DI)(I*4), Y5; \
+	VCMPPS    $4, Y5, Y4, Y6; \
+	VCMPPS    $3, Y4, Y4, Y7; \
+	VCMPPS    $3, Y5, Y5, Y8; \
+	VANDPS    Y7, Y8, Y7; \
+	VANDNPS   Y6, Y7, Y6; \
+	VMOVMSKPS Y6, BX
 
-// func firstDiffAVX2(a, b []float32) int
+// DIFF8(off, I, D) is the bit difference of the chunks at off(SI)(I*4) and
+// off(DI)(I*4), in D.
+#define DIFF8(off, I, D) \
+	VMOVDQU off(SI)(I*4), D; \
+	VPXOR   off(DI)(I*4), D, D
+
+// DIFF32(off, I) tests the bit differences of the four chunks from
+// off(SI)(I*4) on.
+#define DIFF32(off, I) \
+	DIFF8(off, I, Y0); \
+	DIFF8(off+32, I, Y1); \
+	DIFF8(off+64, I, Y2); \
+	DIFF8(off+96, I, Y3); \
+	VPOR   Y0, Y1, Y0; \
+	VPOR   Y2, Y3, Y2; \
+	VPOR   Y0, Y2, Y0; \
+	VPTEST Y0, Y0
+
+// func diffEndsAVX2(a, b []float32) (first, last int)
 //
-// Returns n, a multiple of 8: the chunks before n have equal bits, and either
-// the chunk at n has a mismatch or no whole chunk is left after n. len(b) ≥
-// len(a).
-TEXT ·firstDiffAVX2(SB), NOSPLIT, $0-56
+// DiffEnds for len(a) ≥ 8, len(b) ≥ len(a). Forward, AX is the next chunk or
+// step. Fewer than 32 elements after the last step are tested as one step
+// over [len-32, len), and fewer than 8 as the chunk [len-8, len): either may
+// overlap what came before, which is safe, since the scan only reads and an
+// element settled equal once is equal the second time. Backward, R10 is the
+// end of the next chunk or step, and the scan stops at the chunk that holds
+// first, whose mask R11 keeps.
+TEXT ·diffEndsAVX2(SB), NOSPLIT, $0-64
 	MOVQ a_base+0(FP), SI
 	MOVQ a_len+8(FP), CX
 	MOVQ b_base+24(FP), DI
 	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-32, DX // the end of the whole four-chunk steps
-	ANDQ $-8, CX  // the end of the whole chunks
-	CMPQ AX, DX
-	JGE  chunks
-loop32:
-	DIFF8(0, Y0)
-	DIFF8(32, Y1)
-	DIFF8(64, Y2)
-	DIFF8(96, Y3)
-	VPOR   Y0, Y1, Y0
-	VPOR   Y2, Y3, Y2
-	VPOR   Y0, Y2, Y0
-	VPTEST Y0, Y0
-	JNZ    chunks
-	ADDQ   $32, AX
+	LEAQ -32(CX), DX // the last step starts here
+	LEAQ -8(CX), R8  // the last chunk starts here
+	NEQ8(0, AX)
+	BSFL BX, R9
+	JNZ  found
+fwd32:
 	CMPQ   AX, DX
-	JLT    loop32
-chunks:
-	CMPQ AX, CX
-	JGE  done
-loop8:
-	DIFF8(0, Y0)
-	VPTEST Y0, Y0
-	JNZ    done
-	ADDQ   $8, AX
+	JGT    fwdtail
+	DIFF32(0, AX)
+	JNZ    fwdchunk
+	ADDQ   $32, AX
+	JMP    fwd32
+fwdtail:
 	CMPQ   AX, CX
-	JLT    loop8
-done:
-	MOVQ AX, ret+48(FP)
+	JGE    equal
+	TESTQ  DX, DX
+	JL     fwdlast
+	DIFF32(0, DX)
+	JZ     equal
+fwdlast:
+	CMPQ AX, R8
+	JLE  fwdchunk
+	MOVQ R8, AX
+fwdchunk:
+	NEQ8(0, AX)
+	BSFL BX, R9
+	JNZ  found
+	ADDQ $8, AX
+	JMP  fwd32
+found:
+	ADDQ AX, R9
+	MOVQ R9, first+48(FP)
+	MOVQ BX, R11
+	MOVQ CX, R10
+	LEAQ 32(AX), DX // a step needs R10 ≥ DX
+	LEAQ 8(AX), R8  // a chunk needs R10 > R8
+	CMPQ R10, R8
+	JLE  inchunk
+	NEQ8(-32, R10)
+	BSRL BX, R9
+	JNZ  bwdfound
+bwd32:
+	CMPQ   R10, DX
+	JLT    bwd8
+	DIFF32(-128, R10)
+	JNZ    bwd8
+	SUBQ   $32, R10
+	JMP    bwd32
+bwd8:
+	CMPQ R10, R8
+	JLE  inchunk
+	NEQ8(-32, R10)
+	BSRL BX, R9
+	JNZ  bwdfound
+	SUBQ $8, R10
+	JMP  bwd32
+bwdfound:
+	LEAQ -8(R10)(R9*1), R9
+	MOVQ R9, last+56(FP)
 	VZEROUPPER
 	RET
-
-// func lastDiffAVX2(a, b []float32) int
-//
-// Returns n ≡ len(a) mod 8: the chunks from n to len(a) have equal bits, and
-// either the chunk ending at n has a mismatch or n < 8. len(b) ≥ len(a).
-TEXT ·lastDiffAVX2(SB), NOSPLIT, $0-56
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), AX
-	MOVQ b_base+24(FP), DI
-	MOVQ AX, CX
-	ANDQ $7, CX      // the head the chunks stop at
-	LEAQ 32(CX), DX // a four-chunk step needs AX ≥ DX
-	CMPQ AX, DX
-	JLT  chunks
-loop32:
-	DIFF8(-32, Y0)
-	DIFF8(-64, Y1)
-	DIFF8(-96, Y2)
-	DIFF8(-128, Y3)
-	VPOR   Y0, Y1, Y0
-	VPOR   Y2, Y3, Y2
-	VPOR   Y0, Y2, Y0
-	VPTEST Y0, Y0
-	JNZ    chunks
-	SUBQ   $32, AX
-	CMPQ   AX, DX
-	JGE    loop32
-chunks:
-	CMPQ AX, CX
-	JLE  done
-loop8:
-	DIFF8(-32, Y0)
-	VPTEST Y0, Y0
-	JNZ    done
-	SUBQ   $8, AX
-	CMPQ   AX, CX
-	JGT    loop8
-done:
-	MOVQ AX, ret+48(FP)
+inchunk:
+	BSRL R11, R9
+	ADDQ AX, R9
+	MOVQ R9, last+56(FP)
+	VZEROUPPER
+	RET
+equal:
+	MOVQ CX, first+48(FP)
+	MOVQ $-1, last+56(FP)
 	VZEROUPPER
 	RET

@@ -1,11 +1,10 @@
 package numerics
 
 // hasAVX2 selects the AVX2 bodies of halfrow_amd64.s (eight FP16 lanes),
-// floatrow_amd64.s (the plain-float32 rows, the diff scans and the quantizer
-// lanes) and
-// exprow_amd64.s (the exponentials), once, from what the CPU (AVX2, the F16C
-// converter and FMA) and the OS report. Tests flip it to run every primitive
-// both ways; nothing else writes it.
+// floatrow_amd64.s (the plain-float32 rows, the diff scan and the quantizer
+// lanes) and exprow_amd64.s (the exponentials), once, from what the CPU (AVX2,
+// the F16C converter and FMA) and the OS report. Tests flip it to run every
+// primitive both ways; nothing else writes it.
 var hasAVX2 = cpuHasAVX2()
 
 // hasAVX512 selects the one AVX-512 body, halfMulAddPanelAVX512 (sixteen FP16
@@ -36,8 +35,8 @@ func halfRoundAVX2(dst, src []float32) int
 
 // Implemented in floatrow_amd64.s. The panel takes len(acc) a multiple of
 // panelBlock and at least one row, the rows below a length that is a multiple
-// of laneChunk; none of them bails, so none returns a count. The diff scans
-// take any length and return where they stopped (FirstDiff, LastDiff).
+// of laneChunk; none of them bails, so none returns a count. The diff scan
+// takes a row of at least laneChunk and returns both ends (DiffEnds).
 
 func mulAddPanelAVX2(acc, a, w []float32, stride int)
 
@@ -49,9 +48,7 @@ func reluRowAVX2(out, x []float32)
 
 func clipRowAVX2(out, x []float32, lo, hi float32)
 
-func firstDiffAVX2(a, b []float32) int
-
-func lastDiffAVX2(a, b []float32) int
+func diffEndsAVX2(a, b []float32) (first, last int)
 
 // Implemented in exprow_amd64.s, under the chunk contract of laneChunk. dst is
 // a caller's stack block (tensor.SoftmaxRows), which must not escape.

@@ -41,6 +41,4 @@ func reluRowAVX2(out, x []float32) {}
 
 func clipRowAVX2(out, x []float32, lo, hi float32) {}
 
-func firstDiffAVX2(a, b []float32) int { return 0 }
-
-func lastDiffAVX2(a, b []float32) int { return len(a) }
+func diffEndsAVX2(a, b []float32) (first, last int) { return len(a), -1 }

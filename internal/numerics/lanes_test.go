@@ -1,8 +1,9 @@
 package numerics
 
 // The lane contract (DESIGN.md §7.1), enforced from one table: every
-// dispatcher with an AVX2 body is a row of primitives, and a row names its
-// body per instruction set, AVX2 and, where it has one, AVX-512.
+// dispatcher with an AVX2 body is a row of primitives (DiffEnds is a row per
+// result), and a row names its body per instruction set, AVX2 and, where it
+// has one, AVX-512.
 // TestLaneContract holds each row on every dispatch leg (eachDispatch), on
 // random operands of every length 0–70 at every offset 0–7 and with its
 // specials planted in every lane of the first, a middle and the last chunk and
@@ -41,7 +42,8 @@ type call func(dst []float32, o *operands, inPlace bool) []float32
 
 // primitive is a row of the table.
 type primitive struct {
-	name     string // the dispatcher
+	name     string // the dispatcher, or the one of its results the row checks (of)
+	of       string // the dispatcher, where the row checks one of its results
 	body     string // the AVX2 routine it dispatches to
 	body512  string // the AVX-512 one, where it has one: the row's avx512 leg
 	run, def call   // through the dispatcher; the scalar definition
@@ -60,6 +62,14 @@ type primitive struct {
 	bench          []benchCase
 
 	got, loop, want, in []float32 // scratch
+}
+
+// dispatcher is the function p calls through.
+func (p *primitive) dispatcher() string {
+	if p.of != "" {
+		return p.of
+	}
+	return p.name
 }
 
 // sweep is a set of exhaustive inputs, run by the test named test.
@@ -109,7 +119,8 @@ var (
 		math.Float32frombits(0x007fffff), math.Float32frombits(0x807fffff), math.MaxFloat32, -math.MaxFloat32}
 )
 
-// primitives is the table: one row per dispatcher with an AVX2 body.
+// primitives is the table: one row per dispatcher with an AVX2 body, or per
+// result of one.
 var primitives = []*primitive{
 	{
 		name: "HalfMulAddRow", body: "halfMulAddRowAVX2", nanEq: true,
@@ -359,10 +370,24 @@ var primitives = []*primitive{
 			}
 		}}},
 	},
-	diffScan("FirstDiff", "firstDiffAVX2", FirstDiff, func(first, _ int) int { return first },
-		func(n int) int { return firstDiffAVX2(filled(n, 1), filled(n, 1)) }, diffSeeds()),
-	diffScan("LastDiff", "lastDiffAVX2", LastDiff, func(_, last int) int { return last },
-		func(n int) int { return n - lastDiffAVX2(filled(n, 1), filled(n, 1)) }, nil),
+	// DiffEnds is two rows, one per result: the forward scan to the first
+	// difference and the backward scan down to it.
+	diffEnd("FirstDiff", func(first, _ int) int { return first },
+		// Rows of n equal elements whose bits differ in every lane: the body
+		// must settle every chunk and scan on to the end.
+		func(n int) int {
+			first, _ := diffEndsAVX2(filled(n, 0), filled(n, negZero))
+			return first
+		}, diffSeeds()),
+	diffEnd("LastDiff", func(_, last int) int { return last },
+		// The same rows with one real difference, in element 0: the backward
+		// scan must settle every chunk down to it.
+		func(n int) int {
+			b := filled(n, negZero)
+			b[0] = 1
+			_, last := diffEndsAVX2(filled(n, 0), b)
+			return n - last
+		}, nil),
 	{
 		name: "ExpRow", body: "expRowAVX2",
 		run: onExp(func(d []float64, o *operands) { ExpRow(d, o.x, o.s) }),
@@ -387,10 +412,11 @@ var primitives = []*primitive{
 	},
 }
 
-// diffScan is the row of a diff scan, whose definition is end of naiveDiffs.
-func diffScan(name, body string, scan func(a, b []float32) int, end func(first, last int) int, whole func(n int) int, seeds [][]byte) *primitive {
-	return &primitive{name: name, body: body,
-		run: one(func(o *operands) float32 { return float32(scan(o.x, o.w)) }),
+// diffEnd is the row of one result of DiffEnds, whose definition is that end
+// of naiveDiffs.
+func diffEnd(name string, end func(first, last int) int, whole func(n int) int, seeds [][]byte) *primitive {
+	return &primitive{name: name, of: "DiffEnds", body: "diffEndsAVX2",
+		run: one(func(o *operands) float32 { return float32(end(DiffEnds(o.x, o.w))) }),
 		def: one(func(o *operands) float32 { return float32(end(naiveDiffs(o.x, o.w))) }),
 		gen: diffOperands, specials: diffSpecials, plant: plantDiff, whole: whole,
 		sweeps: []sweep{{"TestDiffScansMatchNaive", diffRows}}, fuzz: "FuzzDiffRow", decode: decodeDiff, seeds: seeds}
@@ -1357,7 +1383,8 @@ var quantCases = func() []Quantizer {
 
 // quantTies: every quantizer under both floors (Round's -Inf, Saturate's
 // -MaxAbs()-Scale) on every tie (k+½)·Scale from two codes below the range to
-// two above and its neighbours, floatRowSpecials and 2¹⁶ random patterns.
+// two above and its neighbours, floatRowSpecials and 2¹⁶ random patterns; then
+// every tie inside the code range of 2000 INT8 quantizers of random scale.
 func quantTies(yield func(operands)) {
 	rng := rand.New(rand.NewSource(89))
 	random := make([]float32, 1<<16)
@@ -1378,6 +1405,20 @@ func quantTies(yield func(operands)) {
 		for _, floor := range floors {
 			yield(operands{q: q, x: vals, lo: floor})
 		}
+	}
+	// The ties of INT8 quantizers of random scales: a quotient that is not
+	// correctly rounded (a multiply by the reciprocal, say) puts a few hundred
+	// of these half a million ties on the wrong code, at a few dozen of the
+	// scales, and none of the ranges above.
+	var ties []float32
+	for i := 0; i < 2000; i++ {
+		q := MustQuantizer(float32(math.Ldexp(1+rng.Float64(), rng.Intn(40)-20)), 8)
+		lo, hi := q.qlimits()
+		ties = ties[:0]
+		for k := lo; k < hi; k++ {
+			ties = append(ties, float32((float64(k)+0.5)*float64(q.Scale)))
+		}
+		yield(operands{q: q, x: ties, lo: -inf})
 	}
 }
 
@@ -1432,7 +1473,7 @@ func rectifierRows(bounds []float32, f func(x []float32)) {
 	eachRow(len(vals), func(lo, hi int) { f(vals[lo:hi]) })
 }
 
-// naiveDiffs is the diff scans' definition: the first and the last index at
+// naiveDiffs is DiffEnds' definition: the first and the last index at
 // which a and b differ as tensor elements (len(a) and -1 when none does).
 func naiveDiffs(a, b []float32) (first, last int) {
 	first, last = len(a), -1
@@ -1489,7 +1530,9 @@ func plantDiff(o *operands, i int, v float32) {
 
 // diffRows: diffOperands of every length 0–140 (no chunk, a chunk, the
 // four-chunk steps of the lanes, tails), then one real difference at every
-// position of every length to 72, behind a false alarm in every chunk.
+// position of every length to 72, and two at every pair of positions of every
+// length to 40 (the backward scan's stop; the overlapped last chunk), behind
+// a false alarm in every chunk.
 func diffRows(yield func(operands)) {
 	rng := rand.New(rand.NewSource(16))
 	for n := 0; n <= 140; n++ {
@@ -1502,16 +1545,26 @@ func diffRows(yield func(operands)) {
 		for i := 0; i < n; i += 5 {
 			a[i] = []float32{0, negZero, nan}[rng.Intn(3)]
 		}
-		for p := 0; p < n; p++ {
-			b := append([]float32(nil), a...)
+		b := make([]float32, n)
+		// differ returns b: a with its false alarms and real differences at ps.
+		differ := func(ps ...int) []float32 {
+			copy(b, a)
 			for i := 0; i < n; i += 5 {
 				b[i] = equalFlip(b[i])
 			}
-			b[p] = math.Nextafter32(b[p], inf)
-			if a[p] != a[p] {
-				b[p] = 1
+			for _, p := range ps {
+				b[p] = math.Nextafter32(b[p], inf)
+				if a[p] != a[p] {
+					b[p] = 1
+				}
 			}
-			yield(operands{x: a, w: b})
+			return b
+		}
+		for p := 0; p < n; p++ {
+			yield(operands{x: a, w: differ(p)})
+			for q := p + 1; q < n && n <= 40; q++ {
+				yield(operands{x: a, w: differ(p, q)})
+			}
 		}
 	}
 }
@@ -1531,7 +1584,8 @@ func decodeDiff(data []byte) operands {
 }
 
 // diffSeeds: false alarms in every chunk around a real mismatch in the first,
-// the last and the tail chunk; false alarms alone; no chunk at all.
+// the last and the tail chunk; false alarms alone; no chunk at all; a false
+// alarm before a real mismatch, both in the overlapped last chunk.
 func diffSeeds() [][]byte {
 	seed := func(vals []float32, flips ...uint32) []byte {
 		row := pack(vals...)
@@ -1550,6 +1604,7 @@ func diffSeeds() [][]byte {
 		seed(zeros, 0, sign, 3, low, 9, sign, 44, sign), seed(zeros, 1, sign, 17, sign, 36, low, 38, sign),
 		seed(nans, 2, payload, 30, sign, 42, 0x7fc00000), seed(nans, 0, payload, 8, payload, 16, payload, 40, 1),
 		seed(ones, 0, sign), seed(ones, 33, low, 35, sign), seed(ones[:7], 6, sign),
+		seed(zeros, 38, sign, 43, low),
 	}
 }
 
