@@ -5,7 +5,7 @@
 // rectifier rows of internal/nn/activation.go, the residual add and the
 // batch-norm rows of internal/nn/block.go), the pooling windows of
 // internal/nn/pool.go and the replay engine's diff scans and glue regions in
-// internal/nn/region.go (glueRegion's union of input spans, box.runs' walk
+// internal/nn/region.go (glueRegion's union of input boxes, box.runs' walk
 // over a region's runs; the residual add is also what a residual glue sweep
 // runs per run), and the cycle-level reference's lean runner in
 // internal/rtlsim/engine.go (the MAC-cycle row loop, the column gather of
@@ -37,7 +37,7 @@ import (
 // functions exempt in each. In internal/numerics the exempt functions are
 // exactly the lane dispatchers that loop once per chunk the lanes hand back
 // to their ...Go loop (DESIGN.md §7.1); TestNumericsExemptions derives that
-// set from the source. Elsewhere: boxify and diffSpanBox loop once per tensor
+// set from the source. Elsewhere: boxify and diffBox loop once per tensor
 // row, slicing it out for numerics.DiffEnds; matmulTile loops once per
 // output row over mulAddPanel and scaleSaturate; maxPoolRegion once per
 // window cell over numerics.MaxRow; concatSweep once per input vector of a
@@ -54,7 +54,7 @@ var hotFiles = map[string]map[string]bool{
 	"internal/nn/activation.go":     {},
 	"internal/nn/block.go":          {"InitRandom": true, "concatSweep": true},
 	"internal/nn/pool.go":           {"maxPoolRegion": true},
-	"internal/nn/region.go":         {"boxify": true, "diffSpanBox": true},
+	"internal/nn/region.go":         {"boxify": true, "diffBox": true},
 	"internal/numerics/exprow.go":   {"ExpRow": true},
 	"internal/numerics/floatrow.go": {},
 	"internal/numerics/halfrow.go": {

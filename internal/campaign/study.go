@@ -459,7 +459,7 @@ func (sh *shardState) record(layer int, id faultmodel.ID, r inject.Result) {
 			tel.RecordReplay(r.Replay.Skipped, r.Replay.Recomputed, r.Replay.RegionSwept,
 				r.Replay.ArenaReuses, r.Replay.MACsAvoided)
 		}
-		if r.Harden != (inject.HardenCost{}) {
+		if r.Harden != (nn.HardenStats{}) {
 			tel.RecordHarden(r.Harden.ClampApplications, r.Harden.Saturated)
 		}
 	}

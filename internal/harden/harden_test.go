@@ -249,7 +249,7 @@ func TestHardenedCampaignWorkerDeterminism(t *testing.T) {
 				}
 				saturated += oracle.Harden.Saturated
 			}
-			replay.Replay, replay.Replayed, replay.Harden, oracle.Harden = inject.ReplayCost{}, false, inject.HardenCost{}, inject.HardenCost{}
+			replay.Replay, replay.Replayed, replay.Harden, oracle.Harden = nn.ReplayStats{}, false, nn.HardenStats{}, nn.HardenStats{}
 			if !reflect.DeepEqual(replay, oracle) {
 				t.Fatalf("%s seed %d: replay %+v != oracle %+v", id, seed, replay, oracle)
 			}

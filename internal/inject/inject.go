@@ -52,38 +52,6 @@ func (o Outcome) String() string {
 	}
 }
 
-// ReplayCost reports what the incremental replay engine did during one
-// experiment's forward pass. Zero on Results produced without it (the
-// plain-forward oracle, or global-control shortcuts that run no forward).
-type ReplayCost struct {
-	// Skipped counts layer executions served from the golden trace.
-	Skipped int
-	// Recomputed counts layer executions in the fault's downstream cone.
-	Recomputed int
-	// Converged counts recomputed executions whose output matched golden
-	// again, re-enabling skips downstream.
-	Converged int
-	// RegionSwept counts recomputed executions served by the dirty-region
-	// sweep: only the output box reached by the fault was recomputed.
-	RegionSwept int
-	// MACsAvoided estimates the MAC work of skipped site executions.
-	MACsAvoided float64
-	// ArenaReuses counts output buffers recycled instead of allocated.
-	ArenaReuses int64
-}
-
-// HardenCost reports what range-restriction clamping did during one
-// experiment's forward pass. Zero for unhardened networks and for
-// global-control shortcuts that run no forward pass.
-type HardenCost struct {
-	// ClampApplications counts site executions whose output was
-	// bounds-checked.
-	ClampApplications int64
-	// Saturated counts individual output values forced back into the
-	// profiled envelope.
-	Saturated int64
-}
-
 // Result records one experiment.
 type Result struct {
 	Outcome Outcome
@@ -97,14 +65,16 @@ type Result struct {
 	MaxPerturbation float64
 	// Score is the application quality score vs. the golden output.
 	Score float64
-	// Replay carries the replay engine's per-experiment savings; Replayed is
-	// false when the experiment ran the full forward pass or none at all.
-	Replay   ReplayCost
+	// Replay carries the replay engine's counters of the experiment's pass;
+	// Replayed is false, and Replay zero, when the experiment ran the full
+	// forward pass (the plain-forward oracle) or none at all (a global-control
+	// shortcut).
+	Replay   nn.ReplayStats
 	Replayed bool
 	// Harden carries the clamp counters of a hardened network's forward
 	// pass, zero otherwise. Like Replay, it is run-cost telemetry, not part
 	// of the experiment outcome.
-	Harden HardenCost
+	Harden nn.HardenStats
 }
 
 // Injector runs fault-injection experiments against one workload.
@@ -339,27 +309,16 @@ func (in *Injector) run(ctx context.Context, id faultmodel.ID, tol float64, exec
 		// a recovered panic mid-pass), arm the target, and let the context
 		// serve golden tensors for everything outside the fault's cone.
 		in.arena.Reset()
-		arenaBase := in.arena.Reuses()
 		e.fctx = in.rctx
 		e.fctx.SetTarget(target.Site, target.Visit, in.hook)
 		out = in.W.Net.ForwardWithContext(in.g.input, e.fctx)
-		st := e.fctx.Stats()
-		res.Replay = ReplayCost{
-			Skipped:     st.Skipped,
-			Recomputed:  st.Recomputed,
-			Converged:   st.Converged,
-			RegionSwept: st.RegionSwept,
-			MACsAvoided: st.MACsAvoided,
-			ArenaReuses: in.arena.Reuses() - arenaBase,
-		}
-		res.Replayed = true
+		res.Replay, res.Replayed = e.fctx.Stats(), true
 	} else {
 		e.fctx = nn.NewContext(in.hook)
 		out = in.W.Net.ForwardWithContext(in.g.input, e.fctx)
 	}
 	if in.W.Net.Hardened() {
-		hs := e.fctx.HardenStats()
-		res.Harden = HardenCost{ClampApplications: hs.ClampApplications, Saturated: hs.Saturated}
+		res.Harden = e.fctx.HardenStats()
 	}
 	if e.err != nil {
 		return Result{}, e.err

@@ -253,15 +253,15 @@ func BenchmarkComputeNeuron(b *testing.B) {
 	}
 }
 
-// diffSpanSink keeps the scans' results live.
-var diffSpanSink span
+// diffBoxSink keeps the scans' results live.
+var diffBoxSink box
 
-// BenchmarkDiffSpan times the convergence-and-span scan of one swept box —
+// BenchmarkDiffBox times the convergence-and-region scan of one swept box —
 // the whole map of an 8×8×64 and of a 32×32×16 output — in the three states
 // replay meets: equal to golden (a converged recompute), differing everywhere
 // (a dirty suffix layer), and differing in one pixel. ns/element is over the
 // box's element count, read or not.
-func BenchmarkDiffSpan(b *testing.B) {
+func BenchmarkDiffBox(b *testing.B) {
 	rng := rand.New(rand.NewSource(16))
 	for _, shape := range [][]int{{1, 8, 8, 64}, {1, 32, 32, 16}} {
 		h, w, c := shape[1], shape[2], shape[3]
@@ -289,7 +289,7 @@ func BenchmarkDiffSpan(b *testing.B) {
 			st.dirty(out.Data())
 			b.Run(fmt.Sprintf("%s/%dx%dx%d", st.name, h, w, c), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					diffSpanSink, _ = diffSpanBox(out, golden, box{0, h, 0, w})
+					diffBoxSink, _ = diffBox(out, golden, box{0, h, 0, w})
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(h*w*c), "ns/element")
 			})
@@ -328,29 +328,24 @@ var glueSink *tensor.Tensor
 // rows) and ZeroPad's recompute (inc1's pool branch, 16×16×16 padded by 1).
 // One op is the step as replay runs it — the trace lookup, the sweep or the
 // compute, the convergence scan — on a context whose one dirty input carries
-// its recorded span, as after the injection.
+// its recorded box, as after the injection.
 func BenchmarkGlueSweep(b *testing.B) {
 	rng := rand.New(rand.NewSource(33))
 	id := func(name string) Layer { return NewSequential(name) }
 	br := NewBranches("br", 3, id("a"), id("b"), id("c"), id("d"))
 	mha := NewMultiHeadAttention("mha", 32, 4, fp16Codec())
 	pad := NewZeroPad("pad", 1)
-	// A span over rows [y0, y1) and columns [x0, x1) of a one-image map of
-	// width w and c channels.
-	boxed := func(y0, y1, x0, x1, w, c int) span {
-		return span{lo: (y0*w + x0) * c, hi: ((y1-1)*w + x1) * c, y0: y0, y1: y1, x0: x0, x1: x1, boxed: true}
-	}
 	cases := []struct {
 		name string
 		x    *tensor.Tensor
-		sp   span
+		bx   box
 		step func(ctx *Context, x *tensor.Tensor) *tensor.Tensor
 	}{
-		{"concat", tensor.New(1, 16, 16, 8), boxed(6, 9, 6, 9, 16, 8),
+		{"concat", tensor.New(1, 16, 16, 8), box{6, 9, 6, 9},
 			func(ctx *Context, x *tensor.Tensor) *tensor.Tensor { return br.Forward(x, ctx) }},
-		{"softmax", tensor.New(24, 24), span{lo: 5 * 24, hi: 7 * 24},
+		{"softmax", tensor.New(24, 24), box{5, 7, 0, 1},
 			func(ctx *Context, x *tensor.Tensor) *tensor.Tensor { return mha.softmax(ctx, x) }},
-		{"zeropad", tensor.New(1, 16, 16, 16), boxed(6, 9, 6, 9, 16, 16),
+		{"zeropad", tensor.New(1, 16, 16, 16), box{6, 9, 6, 9},
 			func(ctx *Context, x *tensor.Tensor) *tensor.Tensor { return pad.Forward(x, ctx) }},
 	}
 	for _, tc := range cases {
@@ -360,8 +355,9 @@ func BenchmarkGlueSweep(b *testing.B) {
 			trace.MarkGolden(tc.x)
 			tc.step(rec, tc.x)
 			dirty := tc.x.Clone()
-			tc.sp.segments(dirty, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
+			c := dirty.Dim(dirty.Rank() - 1)
+			tc.bx.runs(dirty, func(p0, p1 int) {
+				for i := p0 * c; i < p1*c; i++ {
 					dirty.Data()[i]++
 				}
 			})
@@ -371,8 +367,7 @@ func BenchmarkGlueSweep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ctx.arena.Reset()
 				ctx.seq, ctx.injected = 0, true
-				clear(ctx.spans)
-				ctx.spans[dirty] = tc.sp
+				ctx.dirty = append(ctx.dirty[:0], dirtyOut{dirty, tc.bx})
 				glueSink = tc.step(ctx, dirty)
 			}
 		})

@@ -147,11 +147,13 @@ type Context struct {
 	pendingVisit int
 	stats        ReplayStats
 
-	// spans tracks, for every dirty (non-golden) tensor produced during a
-	// replayed pass, the flat index span (and spatial box, for rank-4) that
-	// bounds its differences from the golden output. Region-capable layers use
-	// it to recompute only the output region the fault can reach.
-	spans map[*tensor.Tensor]span
+	// dirty lists, for every dirty (non-golden) output of a replayed pass
+	// that grid views, the box of positions that bounds its differences from
+	// the golden output, in the order the pass recorded them. Region-capable
+	// layers use it to recompute only the output region the fault can reach.
+	// reusesBase is the arena's reuse count at SetTarget.
+	dirty      []dirtyOut
+	reusesBase int64
 
 	// clamps holds the per-site range-restriction envelopes of a hardened
 	// network (see clamp.go). Installed by Network.instrument; read-only

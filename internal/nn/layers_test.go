@@ -402,10 +402,11 @@ func TestClampActivation(t *testing.T) {
 }
 
 // TestElementwiseRegionSweep holds the region sweeps of the elementwise layers
-// to their full forward pass: whatever the dirty span — a box inside a
-// two-image rank-4 tensor, whose flat range also covers rows the box does not,
-// or a flat range over a rank-2 one — sweeping it over a copy of the golden
-// output gives the bits a forward over the dirty input gives.
+// to their full forward pass: whatever the dirty box — rows and columns of a
+// two-image rank-4 tensor, or rows of a rank-2 one whose differences start
+// and end inside a row — sweeping it over a copy of the golden output gives
+// the bits a forward over the dirty input gives, and the swept box is the
+// dirty box.
 func TestElementwiseRegionSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, codec := range kernelCodecs() {
@@ -414,33 +415,33 @@ func TestElementwiseRegionSweep(t *testing.T) {
 			regionSite
 		}{NewBatchNorm("bn", 6, codec).InitRandom(rng), NewReLU("relu", codec), NewRelu6("relu6", codec)}
 		for _, l := range layers {
-			for _, shape := range [][]int{{2, 5, 7, 6}, {3, 6}} {
+			for _, shape := range [][]int{{2, 5, 7, 6}, {5, 6}} {
 				x := tensor.New(shape...)
 				x.RandNormal(rng, 2)
 				golden := l.Forward(x, nil)
 				dirty := x.Clone()
-				var sp span
+				var bx box
 				if len(shape) == 4 {
 					// Rows 1–3, columns 2–4, of both images.
-					sp = span{y0: 1, y1: 4, x0: 2, x1: 5, boxed: true}
+					bx = box{1, 4, 2, 5}
 					for b := 0; b < shape[0]; b++ {
-						for y := sp.y0; y < sp.y1; y++ {
-							for xx := sp.x0; xx < sp.x1; xx++ {
+						for y := bx.y0; y < bx.y1; y++ {
+							for xx := bx.x0; xx < bx.x1; xx++ {
 								dirty.Set(float32(rng.NormFloat64()*3), b, y, xx, rng.Intn(shape[3]))
 							}
 						}
 					}
-					sp.lo, sp.hi = (1*7+2)*6, ((5+3)*7+5)*6
 				} else {
-					sp = span{lo: 4, hi: 15}
-					for i := sp.lo; i < sp.hi; i++ {
+					// Rows 1–3, dirty from column 2 of row 1 to column 3 of row 3.
+					bx = box{1, 4, 0, 1}
+					for i := 8; i < 22; i++ {
 						dirty.Data()[i] = float32(rng.NormFloat64() * 3)
 					}
 				}
 				want := l.Forward(dirty, nil)
-				got, _, ok := l.forwardRegion(&Context{arena: NewArena()}, dirty, golden, sp)
-				if !ok {
-					t.Fatalf("%s %v %v: sweep reported no output reached", l.Name(), codec.Precision(), shape)
+				got, swept, ok := l.forwardRegion(&Context{arena: NewArena()}, dirty, golden, bx)
+				if !ok || swept != bx {
+					t.Fatalf("%s %v %v: sweep of %+v swept %+v, ok %v", l.Name(), codec.Precision(), shape, bx, swept, ok)
 				}
 				for i, v := range got.Data() {
 					if !sameValue(v, want.Data()[i]) {

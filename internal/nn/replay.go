@@ -123,25 +123,26 @@ func (g *GoldenTrace) SetWork(site Layer, visit int, work float64) {
 // goldenCopy take: leaf outputs, region sweeps, the residual add and
 // attention's column slices. The other replayed outputs — the concats, the
 // softmaxes, the zero pads and the LSTM's hidden state — are the context's
-// own (owned), one buffer per trace ordinal, and take no loan, so Reuses
-// counts the first kind alone; together the two make a steady-state
-// experiment allocate nothing. The arena is single-goroutine (one per replay
-// executor: an injector and its context, kept across inputs by
-// Context.Rebind); it is never used in record mode, so golden tensors are
+// own (owned), one buffer per trace ordinal, and take no loan, so
+// ReplayStats.ArenaReuses counts the first kind alone; together the two make
+// a steady-state experiment allocate nothing. The arena is single-goroutine
+// (one per replay executor: an injector and its context, kept across inputs
+// by Context.Rebind); it is never used in record mode, so golden tensors are
 // never arena-owned.
 //
 // The arena recycles the tensor header along with its buffer: get may return
 // a *tensor.Tensor an earlier release or Reset handed in, reshaped in place.
 // A released pointer is therefore dead to its former holder — in particular
-// it must not stay behind as a key of Context.spans. Only converged outputs
-// (canonicalize releases them instead of recording a span) and the
+// it must not stay behind in Context.dirty. Only converged outputs
+// (canonicalize releases them instead of recording a box) and the
 // convolution row-window scratch (never an execution's output) are released
-// mid-pass, and SetTarget clears spans before the next pass reuses anything
+// mid-pass, and SetTarget empties dirty before the next pass reuses anything
 // Reset reclaimed.
 type Arena struct {
 	// free holds one bucket per element count ever requested — a few dozen for
 	// the largest zoo network — searched linearly; lent is every tensor handed
-	// out since the last Reset, in get order.
+	// out since the last Reset, in get order; reuses counts the recycles
+	// since the arena was built.
 	free   []arenaBucket
 	lent   []*tensor.Tensor
 	reuses int64
@@ -231,9 +232,6 @@ func (a *Arena) Reset() {
 	}
 	a.lent = a.lent[:0]
 }
-
-// Reuses returns the cumulative count of buffer recycles.
-func (a *Arena) Reuses() int64 { return a.reuses }
 
 // owned is the output buffer a replay context keeps for one trace ordinal
 // whose output the arena does not lend: a concat, a softmax or a zero pad,
@@ -347,6 +345,9 @@ type ReplayStats struct {
 	RegionSwept int
 	// MACsAvoided estimates the MAC work of the skipped site executions.
 	MACsAvoided float64
+	// ArenaReuses counts output buffers the arena recycled instead of
+	// allocating.
+	ArenaReuses int64
 }
 
 // NewRecordContext builds a context that computes every layer, fires hook at
@@ -366,21 +367,16 @@ func NewReplayContext(trace *GoldenTrace, arena *Arena) *Context {
 	if arena == nil {
 		arena = NewArena()
 	}
-	return &Context{
-		mode:  ctxReplay,
-		trace: trace,
-		arena: arena,
-		spans: map[*tensor.Tensor]span{},
-	}
+	return &Context{mode: ctxReplay, trace: trace, arena: arena}
 }
 
 // Rebind points the replay context at another recorded trace of the same
 // network — another input's golden state — keeping its arena's free lists,
-// its owned buffers and its scratch; SetTarget clears the spans before the
-// next pass. The clean set is the new trace's alone; neither arena tensors nor
-// owned buffers ever enter a trace's clean set, so no recycled buffer can pass
-// as golden, and an owned buffer that last copied the old trace's golden is
-// restored in full before its next sweep (sweepBuf).
+// its owned buffers and its scratch; SetTarget empties the dirty list before
+// the next pass. The clean set is the new trace's alone; neither arena tensors
+// nor owned buffers ever enter a trace's clean set, so no recycled buffer can
+// pass as golden, and an owned buffer that last copied the old trace's golden
+// is restored in full before its next sweep (sweepBuf).
 func (c *Context) Rebind(trace *GoldenTrace) { c.trace = trace }
 
 // SetTarget arms the replay context for one experiment: hook fires exactly
@@ -394,13 +390,18 @@ func (c *Context) SetTarget(site Layer, visit int, hook Hook) {
 	c.pendingFire = false
 	c.seq = 0
 	c.paths = c.paths[:0] // what a panicked pass left reserved
-	clear(c.spans)
+	c.dirty = c.dirty[:0]
 	c.stats = ReplayStats{}
 	c.hstats = HardenStats{}
+	c.reusesBase = c.arena.reuses
 }
 
 // Stats returns the counters of the last replayed pass.
-func (c *Context) Stats() ReplayStats { return c.stats }
+func (c *Context) Stats() ReplayStats {
+	st := c.stats
+	st.ArenaReuses = c.arena.reuses - c.reusesBase
+	return st
+}
 
 // Detach disables the hook for the remainder of the pass. The injector calls
 // this once its plan is applied, so the traversal stops paying for hook
@@ -456,8 +457,8 @@ func (c *Context) step(l Layer, glue bool) *traceStep {
 // computed target, the dirty-region sweep, the whole-layer recompute — ends
 // in the same post-step: clamp the site's output to its hardening envelope,
 // then (replay only) diff it against golden to either converge back onto the
-// golden pointer or record the dirty span. The clamp comes first because
-// saturation can restore golden equality, and because the recorded span must
+// golden pointer or record the dirty box. The clamp comes first because
+// saturation can restore golden equality, and because the recorded box must
 // bound the final, post-clamp tensor.
 func (c *Context) exec(l Layer, compute func() *tensor.Tensor, seed seedFn, in ...*tensor.Tensor) *tensor.Tensor {
 	if c == nil {
@@ -500,8 +501,8 @@ func (c *Context) exec(l Layer, compute func() *tensor.Tensor, seed seedFn, in .
 		// clean inputs mean the execution is off the fault's downstream cone.
 		return c.skip(st)
 	default:
-		if rs, sp, ok := c.dirtyRegion(st, in); ok {
-			if out, swept, ok = rs.forwardRegion(c, in[0], st.out, sp); !ok {
+		if rs, b, ok := c.dirtyRegion(st, in); ok {
+			if out, swept, ok = rs.forwardRegion(c, in[0], st.out, b); !ok {
 				// The dirty input reaches no output element (it fell off the
 				// stride lattice or the padding crop): the golden output
 				// stands.
@@ -531,16 +532,16 @@ func (c *Context) skip(st *traceStep) *tensor.Tensor {
 }
 
 // dirtyRegion reports whether st's layer can sweep just the output region
-// reached by its single dirty input, and that input's recorded span;
+// reached by its single dirty input, and that input's recorded box;
 // otherwise the whole layer recomputes. A Conv2D sweeps with the tiled
 // kernel, so under the reference kernels it recomputes through them instead.
-func (c *Context) dirtyRegion(st *traceStep, in []*tensor.Tensor) (regionSite, span, bool) {
+func (c *Context) dirtyRegion(st *traceStep, in []*tensor.Tensor) (regionSite, box, bool) {
 	rs := st.region
 	if _, conv := st.layer.(*Conv2D); rs == nil || conv && UseReferenceKernels() || len(in) != 1 || in[0] == nil {
-		return nil, span{}, false
+		return nil, box{}, false
 	}
-	sp, ok := c.spans[in[0]]
-	return rs, sp, ok
+	b, ok := c.region(in[0])
+	return rs, b, ok
 }
 
 // glue wraps a composite layer's own work (residual add, branch concat,
@@ -549,7 +550,7 @@ func (c *Context) dirtyRegion(st *traceStep, in []*tensor.Tensor) (regionSite, s
 // taken for a leaf execution of the same layer value. sweep, non-nil for a
 // step whose output position p (an (n, y, x) pixel at rank 4, a row at rank 2)
 // reads only its inputs' last-axis vectors at p, lets a replayed step
-// recompute just the positions its dirty inputs' spans cover: it returns a
+// recompute just the positions its dirty inputs' boxes cover: it returns a
 // copy of golden, its buffer taken where compute takes its own, with every
 // position of region recomputed (DESIGN.md §5.2).
 func (c *Context) glue(l Layer, compute func() *tensor.Tensor, sweep func(golden *tensor.Tensor, region box) *tensor.Tensor, in ...*tensor.Tensor) *tensor.Tensor {
@@ -582,32 +583,34 @@ func (c *Context) glue(l Layer, compute func() *tensor.Tensor, sweep func(golden
 // canonicalize maps a recomputed output that equals its golden value back
 // onto the golden tensor pointer, so downstream dirty tests see it as clean
 // again. The recomputed buffer goes back to the arena. The convergence scan
-// doubles as the span scan: when the output differs, the diff span is
-// recorded so a downstream region-capable layer can sweep only the dirty
-// region. swept, when non-empty, is the output box a region sweep recomputed
-// (rows at rank 2, where only glue sweeps): everything outside it is a golden
-// copy, so only the box is scanned.
+// doubles as the region scan: when the output differs, the box of its
+// differing positions is recorded so a downstream region-capable layer can
+// sweep only the dirty region. swept, when not the zero box, is the output
+// box a region sweep recomputed (rows at rank 2): everything outside it is a
+// golden copy, so only the box is scanned.
 func (c *Context) canonicalize(out, golden *tensor.Tensor, swept box) *tensor.Tensor {
 	if out == golden {
 		return out
 	}
-	var sp span
+	var b box
 	var equal bool
 	switch {
-	case swept.y1 <= swept.y0:
-		sp, equal = diffSpanFlat(out, golden, 0, out.Size())
+	case swept == box{}:
+		b, equal = diffFlat(out, golden, 0, out.Size())
 	case out.Rank() == 4:
-		sp, equal = diffSpanBox(out, golden, swept)
+		b, equal = diffBox(out, golden, swept)
 	default:
 		cols := out.Dim(1)
-		sp, equal = diffSpanFlat(out, golden, swept.y0*cols, swept.y1*cols)
+		b, equal = diffFlat(out, golden, swept.y0*cols, swept.y1*cols)
 	}
 	if equal {
 		c.stats.Converged++
 		c.arena.release(out)
 		return golden
 	}
-	c.spans[out] = sp
+	if b != (box{}) {
+		c.dirty = append(c.dirty, dirtyOut{out, b})
+	}
 	return out
 }
 

@@ -17,12 +17,13 @@ import (
 
 // --- diff scans against the per-element oracle ---------------------------
 
-// naiveSpan is the per-element scan the two-ended scans replaced, kept here
-// as their oracle: the flat range of differing elements and, for a rank-4
-// tensor, the rows and columns that hold one. bx limits the scan to a spatial
-// box (nil: everything).
-func naiveSpan(od, gd []float32, n, h, w, c int, bx *box) (sp span, equal bool) {
-	sp = span{lo: len(od), y0: h, x0: w, boxed: true}
+// naiveDiff is the per-element scan the two-ended scans replaced, kept here
+// as their oracle over grid's view of a tensor, n images of h×w positions of
+// c elements: the first and last differing elements (-1, -1 when none) and
+// the box of the positions that hold one. bx limits the scan to a box (nil:
+// everything).
+func naiveDiff(od, gd []float32, n, h, w, c int, bx *box) (first, last int, b box) {
+	first, last, b = -1, -1, box{y0: h, x0: w}
 	for i := range od {
 		y, x := i/(w*c)%h, i/c%w
 		if bx != nil && (y < bx.y0 || y >= bx.y1 || x < bx.x0 || x >= bx.x1) {
@@ -31,18 +32,25 @@ func naiveSpan(od, gd []float32, n, h, w, c int, bx *box) (sp span, equal bool) 
 		if od[i] == gd[i] || od[i] != od[i] && gd[i] != gd[i] {
 			continue
 		}
-		sp.lo, sp.hi = min(sp.lo, i), max(sp.hi, i+1)
-		sp.y0, sp.y1 = min(sp.y0, y), max(sp.y1, y+1)
-		sp.x0, sp.x1 = min(sp.x0, x), max(sp.x1, x+1)
+		if first < 0 {
+			first = i
+		}
+		last = i
+		b.y0, b.y1 = min(b.y0, y), max(b.y1, y+1)
+		b.x0, b.x1 = min(b.x0, x), max(b.x1, x+1)
 	}
-	return sp, sp.hi == 0
+	return first, last, b
 }
 
-// TestDiffScansMatchNaive holds the span scans — diffSpanFlat, boxify,
-// diffSpanBox, over numerics.DiffEnds — to naiveSpan on random tensors whose
-// elements are equal through bit differences (the other zero, another NaN
-// payload) around 0–4 real differences. numerics' test of the same name holds
-// the row scan to its oracle with the lanes off and on.
+// TestDiffScansMatchNaive holds the region scans — diffFlat, boxify, diffBox,
+// over numerics.DiffEnds — to naiveDiff on random rank-4 and rank-2 tensors
+// whose elements are equal through bit differences (the other zero, another
+// NaN payload) around 0–4 real differences: at rank 4 the whole-tensor scan,
+// boxify from the flat range of differences and the box scan of a sweep; at
+// rank 2, where grid views a (rows, cols) tensor as (1, rows, 1, cols),
+// diffFlat's row box of the whole tensor and of a sweep's rows. numerics'
+// test of the same name holds the row scan to its oracle with the lanes off
+// and on.
 func TestDiffScansMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	nanA := math.Float32frombits(0x7fc00001)
@@ -54,8 +62,11 @@ func TestDiffScansMatchNaive(t *testing.T) {
 		cases = 2000
 	}
 	for tc := 0; tc < cases; tc++ {
-		n, h, w, c := 1+rng.Intn(2), 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
-		golden := tensor.New(n, h, w, c)
+		golden := tensor.New(1+rng.Intn(2), 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6))
+		if tc%3 == 0 {
+			golden = tensor.New(1+rng.Intn(8), 1+rng.Intn(12))
+		}
+		n, h, w, c, _ := grid(golden)
 		gd := golden.Data()
 		for i := range gd {
 			gd[i] = specials[rng.Intn(len(specials))]
@@ -72,7 +83,8 @@ func TestDiffScansMatchNaive(t *testing.T) {
 				od[i] = nanA
 			}
 		}
-		// A random box with 0–4 planted differences inside it.
+		// A random box (whole rows at rank 2) with 0–4 planted differences
+		// inside it.
 		bx := box{y0: rng.Intn(h), x0: rng.Intn(w)}
 		bx.y1, bx.x1 = bx.y0+1+rng.Intn(h-bx.y0), bx.x0+1+rng.Intn(w-bx.x0)
 		for k := rng.Intn(5); k > 0; k-- {
@@ -88,28 +100,34 @@ func TestDiffScansMatchNaive(t *testing.T) {
 			}
 		}
 
-		wantFull, wantEqual := naiveSpan(od, gd, n, h, w, c, nil)
-		wantFirst, wantLast := len(od), -1
-		if !wantEqual {
-			wantFirst, wantLast = wantFull.lo, wantFull.hi-1
+		first, last, want := naiveDiff(od, gd, n, h, w, c, nil)
+		wantFirst, wantEqual := first, last < 0
+		if wantEqual {
+			wantFirst = len(od)
 		}
-		if first, last := numerics.DiffEnds(od, gd); first != wantFirst || last != wantLast {
-			t.Fatalf("case %d: DiffEnds = %d, %d, want %d, %d", tc, first, last, wantFirst, wantLast)
+		if gotFirst, gotLast := numerics.DiffEnds(od, gd); gotFirst != wantFirst || gotLast != last {
+			t.Fatalf("case %d: DiffEnds = %d, %d, want %d, %d", tc, gotFirst, gotLast, wantFirst, last)
 		}
-		gotFull, gotEqual := diffSpanFlat(out, golden, 0, len(od))
-		if gotEqual != wantEqual || !gotEqual && gotFull != wantFull {
-			t.Fatalf("case %d %v: diffSpanFlat = %+v equal %v, want %+v equal %v", tc, out.Shape(), gotFull, gotEqual, wantFull, wantEqual)
+		got, gotEqual := diffFlat(out, golden, 0, len(od))
+		if gotEqual != wantEqual || !gotEqual && got != want {
+			t.Fatalf("case %d %v: diffFlat = %+v equal %v, want %+v equal %v", tc, out.Shape(), got, gotEqual, want, wantEqual)
 		}
-		if !wantEqual {
-			// boxify from the flat span alone, as diffSpanFlat calls it.
-			if got := boxify(od, gd, span{lo: wantFull.lo, hi: wantFull.hi}, h, w, c); got != wantFull {
-				t.Fatalf("case %d %v: boxify = %+v, want %+v", tc, out.Shape(), got, wantFull)
+		if out.Rank() == 4 && !wantEqual {
+			// boxify from the flat range of differences alone, as diffFlat
+			// calls it.
+			if got := boxify(od, gd, first, last+1, h, w, c); got != want {
+				t.Fatalf("case %d %v: boxify = %+v, want %+v", tc, out.Shape(), got, want)
 			}
 		}
-		wantBox, wantEqual := naiveSpan(od, gd, n, h, w, c, &bx)
-		gotBox, gotEqual := diffSpanBox(out, golden, bx)
-		if gotEqual != wantEqual || !gotEqual && gotBox != wantBox {
-			t.Fatalf("case %d %v box %+v: diffSpanBox = %+v equal %v, want %+v equal %v", tc, out.Shape(), bx, gotBox, gotEqual, wantBox, wantEqual)
+		_, last, want = naiveDiff(od, gd, n, h, w, c, &bx)
+		wantEqual = last < 0
+		if out.Rank() == 4 {
+			got, gotEqual = diffBox(out, golden, bx)
+		} else {
+			got, gotEqual = diffFlat(out, golden, bx.y0*c, bx.y1*c)
+		}
+		if gotEqual != wantEqual || !gotEqual && got != want {
+			t.Fatalf("case %d %v box %+v: scan = %+v equal %v, want %+v equal %v", tc, out.Shape(), bx, got, gotEqual, want, wantEqual)
 		}
 	}
 }
@@ -297,9 +315,9 @@ func sweepReplay(t *testing.T, name string, net *Network, x *tensor.Tensor) repl
 			tot.Converged += st.Converged
 			tot.RegionSwept += st.RegionSwept
 			tot.MACsAvoided += st.MACsAvoided
+			tot.ArenaReuses += st.ArenaReuses
 		}
 	}
-	tot.ArenaReuses = arena.Reuses()
 	return tot
 }
 
