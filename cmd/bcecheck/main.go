@@ -39,7 +39,10 @@ import (
 // to their ...Go loop (DESIGN.md §7.1); TestNumericsExemptions derives that
 // set from the source. Elsewhere: boxify and diffBox loop once per tensor
 // row, slicing it out for numerics.DiffEnds; matmulTile loops once per
-// output row over mulAddPanel and scaleSaturate; maxPoolRegion once per
+// output row over mulAddPanel and scaleSaturate, denseTile likewise over
+// mulAddPanel, numerics.AddRow (the bias) and SaturateInto, and convTile once
+// per output pixel over one numerics.HalfMulAddVecSaturate (FP16 depthwise)
+// or convPixel, AddRow and SaturateInto; maxPoolRegion once per
 // window cell over numerics.MaxRow; concatSweep once per input vector of a
 // position, for one copy; InitRandom fills a layer's parameters once,
 // through the tensor's accessors. In the cycle-level engine, step and
@@ -50,7 +53,7 @@ import (
 // per-element loops are gather and advance's MAC-cycle row loop, which are
 // checked.
 var hotFiles = map[string]map[string]bool{
-	"internal/nn/kernels.go":        {"matmulTile": true},
+	"internal/nn/kernels.go":        {"matmulTile": true, "denseTile": true, "convTile": true},
 	"internal/nn/activation.go":     {},
 	"internal/nn/block.go":          {"InitRandom": true, "concatSweep": true},
 	"internal/nn/pool.go":           {"maxPoolRegion": true},
@@ -59,7 +62,7 @@ var hotFiles = map[string]map[string]bool{
 	"internal/numerics/floatrow.go": {},
 	"internal/numerics/halfrow.go": {
 		"HalfMulAddPanel": true,
-		"HalfMulAddRow":   true, "HalfMulAddVec": true, "HalfDot": true, "halfRoundInto": true,
+		"HalfMulAddRow":   true, "halfMulAddVec": true, "HalfDot": true, "halfRoundInto": true,
 	},
 	"internal/rtlsim/engine.go": {
 		"step": true, "macCycle": true, "drain": true, "rows": true, "runs": true,

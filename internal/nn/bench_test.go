@@ -82,26 +82,32 @@ func BenchmarkConvTileDepthwise(b *testing.B) {
 	}
 }
 
-// BenchmarkDenseTile times a 512→256 FP16 dense layer's whole output.
+// BenchmarkDenseTile times an FP16 dense layer's whole output, with its bias:
+// 512→256 on one input, and transformer-lite's two shapes, 32→64 and 64→32
+// on 24 tokens, where the bias add is a share of the tile to see.
 func BenchmarkDenseTile(b *testing.B) {
-	rng := rand.New(rand.NewSource(32))
-	codec := numerics.MustCodec(numerics.FP16, 0)
-	l := NewDense("d", 512, 256, codec).InitRandom(rng, 0.05)
-	x := tensor.New(1, 512)
-	x.RandNormal(rng, 1)
-	rw := l.wcache.get(codec, l.W)
-	out := make([]float32, 256)
-	a := &denseArgs{
-		rin: codec.RoundSlice(x.Data()), rw: rw.rw, bias: l.B.Data(), out: out,
-		batch: 1, in: 512, outN: 256, fp16: true, thr: rw.thr, codec: codec,
+	for _, s := range []struct{ batch, in, out int }{{1, 512, 256}, {24, 32, 64}, {24, 64, 32}} {
+		b.Run(fmt.Sprintf("%dx%dx%d", s.batch, s.in, s.out), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(32))
+			codec := numerics.MustCodec(numerics.FP16, 0)
+			l := NewDense("d", s.in, s.out, codec).InitRandom(rng, 0.05)
+			x := tensor.New(s.batch, s.in)
+			x.RandNormal(rng, 1)
+			rw := l.wcache.get(codec, l.W)
+			out := make([]float32, s.batch*s.out)
+			a := &denseArgs{
+				rin: codec.RoundSlice(x.Data()), rw: rw.rw, bias: l.B.Data(), out: out,
+				batch: s.batch, in: s.in, outN: s.out, fp16: true, thr: rw.thr, codec: codec,
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clear(out)
+				denseTile(a, 0, s.batch, 0, s.out)
+			}
+			reportMACs(b, s.batch*s.in*s.out)
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clear(out)
-		denseTile(a, 0, 1, 0, 256)
-	}
-	reportMACs(b, 512*256)
 }
 
 // BenchmarkMatMulTile times a 64×64×64 FP16 product in both operand layouts:

@@ -50,10 +50,7 @@ func (l *Residual) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 
 // add stores Round(b[i] + s[i]) in out[i] over a run of elements.
 func (l *Residual) add(out, b, s []float32) {
-	b, s = b[:len(out)], s[:len(out)]
-	for i := range out {
-		out[i] = b[i] + s[i]
-	}
+	numerics.AddRow(out, b[:len(out)], s)
 	l.codec.RoundInto(out, out)
 }
 

@@ -138,11 +138,28 @@ func kernelSpan(o, stride, pd, k, n int) (lo, hi int) {
 	return max(pd-o*stride, 0), min(n+pd-o*stride, k)
 }
 
+// wholeSpans returns the output coordinates [lo, hi) within [o0, o1) whose
+// kernelSpan is all k offsets; lo == hi when there are none.
+func wholeSpans(o0, o1, stride, pd, k, n int) (lo, hi int) {
+	lo = max(o0, (pd+stride-1)/stride)
+	if n+pd < k {
+		return lo, lo
+	}
+	return lo, max(lo, min(o1, (n+pd-k)/stride+1))
+}
+
 // convPixel accumulates output channels [c0, c0+len(accs)) of pixel (oy, ox)
 // of batch image bi into accs, from +0 and in (ky, kx, ic) order: the neuron
 // before its bias and saturation: of a depthwise layer too, whose channel c
-// reads input channel c alone.
+// reads input channel c alone — at FP16 one element-wise run over the whole
+// window (depthwiseRun).
 func convPixel(a *convArgs, bi, oy, ox, c0 int, accs []float32) {
+	if a.depthwise && a.fp16 {
+		r := a.depthwiseRows(bi, oy)
+		in, w, g := a.depthwiseRun(&r, ox, c0)
+		numerics.HalfMulAddVec(accs, a.rin[in:], a.rw[w:], g)
+		return
+	}
 	rin, rw := a.rin, a.rw
 	inC, outC := a.inC, a.outC
 	kw, stride, pd := a.kw, a.stride, a.pd
@@ -166,10 +183,6 @@ func convPixel(a *convArgs, bi, oy, ox, c0 int, accs []float32) {
 		// Depthwise: channel c of each kx tap against its own weight, the
 		// taps inC apart in both operands (outC == inC).
 		irow, wrow := irow[c0:], rw[wBase+c0:wBase+len(irow)]
-		if a.fp16 {
-			numerics.HalfMulAddVec(accs, irow, wrow, inC, kxHi-kxLo)
-			continue
-		}
 		for o := 0; o < len(wrow); o += inC {
 			// Pin the operands to accs' length so the inner loop is
 			// bounds-check free.
@@ -181,9 +194,45 @@ func convPixel(a *convArgs, bi, oy, ox, c0 int, accs []float32) {
 	}
 }
 
+// dwRows is what an output row of an FP16 depthwise layer fixes of its
+// pixels' element-wise runs: the offsets of the first kernel row inside the
+// map in the rounded input (its map row, column 0) and in the weights (its
+// kx = 0 tap), and the geometry but the taps — those kernel rows, w·inC apart
+// in the input and kw·inC in the weights, their taps inC apart.
+type dwRows struct {
+	in, w int
+	g     numerics.VecRun
+}
+
+// depthwiseRows returns output row oy of batch image bi's dwRows.
+func (a *convArgs) depthwiseRows(bi, oy int) dwRows {
+	kyLo, kyHi := kernelSpan(oy, a.stride, a.pd, a.kh, a.h)
+	inC := a.inC
+	return dwRows{
+		in: (bi*a.h+oy*a.stride+kyLo-a.pd)*a.w*inC - a.rinOff, w: kyLo * a.kw * inC,
+		g: numerics.VecRun{Stride: inC, Rows: kyHi - kyLo, ARow: a.w * inC, WRow: a.kw * inC},
+	}
+}
+
+// depthwiseRun returns the kernel window of pixel ox of the row r is of, as
+// one element-wise run from channel c0 on: the offsets of its first tap in
+// the rounded input and in the weights, and its geometry, r's with the taps
+// of its kx span inside the map. A window wholly in the padding is a run of
+// no rows or no taps, at offsets 0.
+func (a *convArgs) depthwiseRun(r *dwRows, ox, c0 int) (in, w int, g numerics.VecRun) {
+	lo, hi := kernelSpan(ox, a.stride, a.pd, a.kw, a.w)
+	if g = r.g; g.Rows > 0 && lo < hi {
+		g.Taps = hi - lo
+		in, w = r.in+(ox*a.stride+lo-a.pd)*a.inC+c0, r.w+lo*a.inC+c0
+	}
+	return in, w, g
+}
+
 // convTile computes output rows [oy0,oy1) × columns [ox0,ox1) of batch bi,
 // all output channels. accs must hold at least outC elements and is scratch
-// owned by the caller (one per goroutine band).
+// owned by the caller (one per goroutine band). At FP16 a depthwise row's
+// pixels with whole kernel windows are one call, and each other pixel one,
+// that also adds the bias and saturates (numerics.HalfMulAddVecSaturate).
 func convTile(a *convArgs, bi, oy0, oy1, ox0, ox1 int, accs []float32) {
 	tileCount.Add(1)
 	out, outC := a.out, a.outC
@@ -192,16 +241,32 @@ func convTile(a *convArgs, bi, oy0, oy1, ox0, ox1 int, accs []float32) {
 	if a.bias != nil {
 		bias = a.bias[:outC]
 	}
+	if a.depthwise && a.fp16 {
+		// The pixels whose kx span is whole share their taps: one call for
+		// all of them, one for each other pixel.
+		wholeLo, wholeHi := wholeSpans(ox0, ox1, a.stride, a.pd, a.kw, a.w)
+		for oy := oy0; oy < oy1; oy++ {
+			r := a.depthwiseRows(bi, oy)
+			for ox := ox0; ox < ox1; {
+				in, w, g := a.depthwiseRun(&r, ox, 0)
+				g.Pixels = 1
+				if ox == wholeLo && wholeHi > wholeLo {
+					g.Pixels, g.APixel = wholeHi-wholeLo, a.stride*a.inC
+				}
+				outBase := ((bi*a.oh+oy)*a.ow + ox) * outC
+				numerics.HalfMulAddVecSaturate(out[outBase:outBase+g.Pixels*outC], a.rin[in:], a.rw[w:], bias, g)
+				ox += g.Pixels
+			}
+		}
+		return
+	}
 	for oy := oy0; oy < oy1; oy++ {
 		for ox := ox0; ox < ox1; ox++ {
 			convPixel(a, bi, oy, ox, 0, accs)
 			outBase := ((bi*a.oh+oy)*a.ow + ox) * outC
 			orow := out[outBase : outBase+outC][:len(accs)]
 			if bias != nil {
-				bias := bias[:len(accs)]
-				for c, acc := range accs {
-					orow[c] = acc + bias[c]
-				}
+				numerics.AddRow(orow, accs, bias)
 				a.codec.SaturateInto(orow, orow)
 			} else {
 				a.codec.SaturateInto(orow, accs)
@@ -317,10 +382,7 @@ func denseTile(a *denseArgs, b0, b1, o0, o1 int) {
 		orow := out[b*outN+o0 : b*outN+o1]
 		mulAddPanel(a.fp16, a.thr, orow, rin[b*in:(b+1)*in], rw[o0:], outN)
 		if a.bias != nil {
-			bias := a.bias[o0:o1][:len(orow)]
-			for o := range orow {
-				orow[o] += bias[o]
-			}
+			numerics.AddRow(orow, orow, a.bias[o0:o1])
 		}
 		a.codec.SaturateInto(orow, orow)
 	}

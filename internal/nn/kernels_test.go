@@ -260,6 +260,47 @@ func TestConvKernelEquivalence(t *testing.T) {
 	kinds.check(t)
 }
 
+// TestDepthwiseHalfPixels holds FP16 depthwise tiles, whose pixels are one
+// lane call that walks the kernel window, adds the bias and saturates, to the
+// reference on every leg of laneLegs, and their neurons to ComputeNeuron and
+// to the tile (checkComputeNeurons): mobilenet-lite's three shapes, whose
+// edge pixels read two kernel rows or columns (at stride 2 only the top and
+// left ones), with and without a bias; plain, with one +Inf input in a
+// corner, on an edge and inside (the block of each pixel that reads it is
+// refused and the Go loop computes it: Inf, or NaN against a zero weight),
+// and with biases of ±60000, which take sums past HalfMax for the clip.
+func TestDepthwiseHalfPixels(t *testing.T) {
+	codec := numerics.MustCodec(numerics.FP16, 0)
+	for _, s := range []struct{ hw, c, stride int }{{8, 8, 1}, {8, 16, 2}, {4, 32, 1}} {
+		for _, bias := range []bool{true, false} {
+			for _, variant := range []string{"plain", "inf-corner", "inf-edge", "inf-inside", "past-halfmax"} {
+				if variant == "past-halfmax" && !bias {
+					continue
+				}
+				rng := rand.New(rand.NewSource(23))
+				l := NewDepthwiseConv2D("dw", 3, 3, s.c, s.stride, 1, codec).InitRandom(rng, 1)
+				if !bias {
+					l.B = nil
+				}
+				x := tensor.New(1, s.hw, s.hw, s.c)
+				x.RandNormal(rng, 1)
+				pixel := map[string]int{"inf-corner": 0, "inf-edge": 2, "inf-inside": s.hw + 2}
+				if p, ok := pixel[variant]; ok {
+					x.Data()[p*s.c+rng.Intn(s.c)] = float32(math.Inf(1))
+				}
+				if variant == "past-halfmax" {
+					for c, b := range l.B.Data() {
+						l.B.Data()[c] = []float32{60000, -60000}[c%2] + b
+					}
+				}
+				label := fmt.Sprintf("depthwise FP16 %dx%dx%d s%d bias=%v %s", s.hw, s.hw, s.c, s.stride, bias, variant)
+				runKernelModes(t, label, func() *tensor.Tensor { return l.Forward(x, nil) })
+				checkComputeNeurons(t, label, rng, l, &Operands{In: x, W: l.W, B: l.B, Out: l.Forward(x, nil)})
+			}
+		}
+	}
+}
+
 // TestZeroSkipGuardFollowsWeights walks one layer's weights finite → Inf →
 // other finite weights through InvalidateWeights: the skip guard, the
 // thresholds, must follow, and while the Inf is there a zero activation

@@ -26,9 +26,13 @@ var overrideValues = []float32{
 // from overrideValues: the target's whole reuse set, that set shuffled (runs
 // of one, in no order), a random sample of the output with repeats, one
 // channel of it, every channel of one position (a run as wide as the layer),
-// and one neuron; on every leg of laneLegs.
+// and one neuron; on every leg of laneLegs. A depthwise layer's neurons, which
+// an FP16 tile finishes in its lane call and ComputeNeurons in finishNeuron,
+// are held to the tile's op.Out as well where nothing is overridden.
 func checkComputeNeurons(t *testing.T, label string, rng *rand.Rand, site Site, op *Operands) {
 	t.Helper()
+	dw, _ := site.(*Conv2D)
+	tile := dw != nil && dw.Depthwise && op.W == dw.W
 	legs, restore := laneLegs()
 	defer restore()
 	outSize := op.Out.Size()
@@ -84,6 +88,10 @@ func checkComputeNeurons(t *testing.T, label string, rng *rand.Rand, site Site, 
 					if want := site.ComputeNeuron(op, off, ov); !sameValue(got[i], want) {
 						t.Fatalf("%s: %s set, override %+v, lanes %s: ComputeNeurons[%d] (neuron %d) = %v [%#08x], ComputeNeuron %v [%#08x]",
 							label, name, ov, l.name, i, off, got[i], math.Float32bits(got[i]), want, math.Float32bits(want))
+					}
+					if want := op.Out.Data()[off]; tile && ov == nil && !sameValue(got[i], want) {
+						t.Fatalf("%s: %s set, lanes %s: ComputeNeurons[%d] (neuron %d) = %v [%#08x], the tile %v [%#08x]",
+							label, name, l.name, i, off, got[i], math.Float32bits(got[i]), want, math.Float32bits(want))
 					}
 				}
 			}

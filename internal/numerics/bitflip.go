@@ -172,13 +172,17 @@ func (c Codec) SaturateInto(dst, src []float32) {
 	case FP32:
 		copy(dst, src)
 	case FP16:
-		// Saturate's two compares as one clip, NaN passing through, then the
-		// rounding over the whole row: RoundHalf(±65504) is ±65504 (DESIGN.md
-		// §7.1.5).
-		const halfMax = 65504
-		ClipRow(dst, src, -halfMax, halfMax)
-		halfRoundInto(dst, dst)
+		saturateHalf(dst, src)
 	default:
 		c.quant.roundInto(dst, src, -c.quant.MaxAbs()-c.quant.Scale)
 	}
+}
+
+// saturateHalf is SaturateInto's FP16 leg: Saturate's two compares as one
+// clip, NaN passing through, then the rounding over the whole row:
+// RoundHalf(±65504) is ±65504 (DESIGN.md §7.1.5).
+func saturateHalf(dst, src []float32) {
+	const halfMax = 65504
+	ClipRow(dst, src, -halfMax, halfMax)
+	halfRoundInto(dst, dst)
 }

@@ -3,10 +3,11 @@ package numerics
 // floatrow.go holds the plain-float32 row primitives: the loops of the replay
 // path that no FP16 rounding runs through — the acc += a·w panel of the INT8,
 // INT16 and FP32 kernels (their operands are rounded once, before the loop),
-// the branch-free max-pool, ReLU and clip rows of every precision, and the
-// scan that finds where a replayed tensor departs from golden — each a Go loop
-// and an AVX2 body in floatrow_amd64.s under the lane contract (DESIGN.md
-// §7.1). Nothing here rounds and nothing bails.
+// the branch-free max-pool, ReLU and clip rows of every precision, the add of
+// a bias or a residual sum, and the scan that finds where a replayed tensor
+// departs from golden — each a Go loop and an AVX2 body in floatrow_amd64.s
+// under the lane contract (DESIGN.md §7.1). Nothing here rounds and nothing
+// bails.
 
 // panelBlock is the narrowest column block the AVX2 panel takes (one XMM of
 // accumulators; it prefers 16, 12 and 8). Columns past the last whole block are
@@ -133,6 +134,25 @@ func clipRowGo(out, x []float32, lo, hi float32) {
 			v = hi
 		}
 		out[i] = v
+	}
+}
+
+// AddRow stores a[i] + b[i] in out[i] for every i in a: a bias added to a
+// row of accumulators, a residual sum. out and b must be at least as long as
+// a; out may be a or b.
+func AddRow(out, a, b []float32) {
+	out, b = out[:len(a)], b[:len(a)]
+	n := laneWhole(len(a))
+	if n > 0 {
+		addRowAVX2(out[:n], a[:n], b[:n])
+	}
+	addRowGo(out[n:], a[n:], b[n:])
+}
+
+func addRowGo(out, a, b []float32) {
+	out, b = out[:len(a)], b[:len(a)]
+	for i, v := range a {
+		out[i] = v + b[i]
 	}
 }
 

@@ -234,6 +234,29 @@ done:
 	VZEROUPPER
 	RET
 
+// func addRowAVX2(out, a, b []float32)
+//
+// out[i] = a[i] + b[i], a the add's first source as in the Go loop: where two
+// NaNs meet, a's payload is kept.
+TEXT ·addRowAVX2(SB), NOSPLIT, $0-72
+	MOVQ    out_base+0(FP), DI
+	MOVQ    a_base+24(FP), SI
+	MOVQ    a_len+32(FP), CX
+	MOVQ    b_base+48(FP), DX
+	XORQ    AX, AX
+	ANDQ    $-8, CX
+	JZ      done
+loop:
+	VMOVUPS (SI)(AX*4), Y0
+	VADDPS  (DX)(AX*4), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JLT     loop
+done:
+	VZEROUPPER
+	RET
+
 // The diff scan settles a chunk of eight as tensor elements in the lanes
 // (NEQ8): a zero mask means only ±0 or NaN payloads differ there. It settles
 // the row's end chunk first in each direction, since a row the replay finds

@@ -35,7 +35,7 @@ const (
 // NaN runs at the Go loop's speed, not to different bits; the Go loop also
 // does every tail. The panel and the element-wise run return no
 // position: they take one column block a call and say whether they stored it
-// (HalfMulAddPanel).
+// (HalfMulAddPanel) or, the run, how many of its pixels (halfMulAddVec).
 const laneChunk = 8
 
 // zmmChunk is the lanes of one ZMM register: the narrowest column block of the
@@ -182,60 +182,134 @@ func halfMulAddRowGo(acc []float32, a float32, w []float32) {
 	}
 }
 
-// HalfMulAddVec computes, for the taps t from 0 to taps-1 in ascending order,
-// acc[c] += RoundHalf(a[t*stride+c] * w[t*stride+c]) for every c in acc: the
-// element-wise run a depthwise convolution's kernel row is, each channel
-// against its own weight at every kx tap, stride the channel count. a and w
-// must reach index (taps-1)*stride + len(acc) - 1, and stride must not be
-// negative.
+// VecRun is the shape of an element-wise run: Rows rows of Taps taps, the
+// taps Stride apart in both operands, the rows ARow apart in the activations
+// and WRow apart in the weights; and max(Pixels, 1) such runs, APixel apart in
+// the activations over the same weights, whose sums are Stride apart in the
+// output. A depthwise convolution's output pixel is one run: its kernel rows
+// inside the map, the kx taps of each, Stride the channel count inC, ARow a
+// row of the input map (w·inC) and WRow a kernel row of weights (kw·inC); and
+// the pixels of an output row whose windows lie whole inside the map are
+// runs APixel = stride·inC apart.
+type VecRun struct{ Stride, Taps, Rows, ARow, WRow, Pixels, APixel int }
+
+// HalfMulAddVec stores in acc[p·Stride+c], for each pixel p and every column
+// c of a pixel, the sum from +0 of RoundHalf(a[o+c] * w[q+c]), o = p·APixel +
+// r·ARow + t·Stride and q = r·WRow + t·Stride, over the rows r in ascending
+// order and in each row the taps t in ascending order: each channel of a
+// depthwise pixel against its own weights, before its bias and saturation. A
+// pixel has len(acc) - (Pixels-1)·Stride columns, at most Stride when there
+// are two pixels or more; a and w must reach the last pixel's last row's last
+// tap of its last column; no field of g may be negative.
+func HalfMulAddVec(acc, a, w []float32, g VecRun) { halfMulAddVec(acc, a, w, nil, g, false) }
+
+// HalfMulAddVecSaturate stores in out[p·Stride+c] Saturate(s + bias[c]) of
+// the FP16 codec, s what HalfMulAddVec stores there: the whole of depthwise
+// pixels' output channels. bias is nil (no bias) or at least as long as a
+// pixel's columns.
+func HalfMulAddVecSaturate(out, a, w, bias []float32, g VecRun) {
+	halfMulAddVec(out, a, w, bias, g, true)
+}
+
+// halfMulAddVec is both forms, finish selecting HalfMulAddVecSaturate's.
 //
-// The lanes keep HalfMulAddPanel's block rule: the columns a block of 32, 16
-// or 8 at a time, the block's accumulators in registers across every tap,
-// every product masked and none tested, stored only if all came out finite;
-// any other block, and the tail, the Go loop computes whole from its first
-// tap. Each accumulator takes its products in tap order whoever adds them
-// (DESIGN.md §7.1.2).
-func HalfMulAddVec(acc, a, w []float32, stride, taps int) {
-	if taps <= 0 || len(acc) == 0 {
+// The lanes keep HalfMulAddPanel's block rule, per pixel: the columns a
+// block of 32, 16 or 8 at a time, the block's accumulators in registers from
+// +0 across every tap of every row, every product masked and none tested. The
+// raw form stores them only if all came out finite. The finishing form first
+// adds the bias, then tests, and only if every lane is finite clips to
+// ±HalfMax and rounds on the way to the store: a sum the bias makes ±Inf or
+// NaN is refused as a rare product is. One call walks a block through every
+// pixel and stops at the first it refuses; the Go loop computes that pixel's
+// block whole (halfMulAddVecGo, then AddRow and saturateHalf), as it does the
+// tail, and stays the only code that produces a non-finite result, and the
+// lanes resume at the next pixel. Each accumulator takes its products in
+// (row, tap) order whoever adds them (DESIGN.md §7.1.2).
+func halfMulAddVec(out, a, w, bias []float32, g VecRun, finish bool) {
+	g.Pixels = max(g.Pixels, 1)
+	cols := len(out) - (g.Pixels-1)*g.Stride
+	if cols <= 0 {
 		return
 	}
-	if stride < 0 {
+	if bias != nil {
+		bias = bias[:cols]
+	}
+	if g.Stride < 0 || g.ARow < 0 || g.WRow < 0 || g.APixel < 0 {
 		panic("numerics: HalfMulAddVec with a negative stride")
 	}
-	end := (taps-1)*stride + len(acc)
-	a, w = a[:end], w[:end]
-	for len(acc) > 0 {
-		n, ok := len(acc), false
-		if hasAVX2 && n >= laneChunk {
-			n, ok = halfMulAddVecAVX2(acc, a, w, stride, taps)
+	if g.Pixels > 1 && g.Stride < cols {
+		panic("numerics: HalfMulAddVec with overlapping pixels")
+	}
+	if g.Rows <= 0 || g.Taps <= 0 { // no products: every sum is +0
+		for p := 0; p < g.Pixels; p++ {
+			o := out[p*g.Stride:][:cols]
+			clear(o)
+			if finish {
+				finishHalf(o, bias)
+			}
 		}
-		if !ok {
-			halfMulAddVecGo(acc[:n], a, w, stride, taps)
+		return
+	}
+	span := (g.Taps-1)*g.Stride + cols
+	a, w = a[:(g.Pixels-1)*g.APixel+(g.Rows-1)*g.ARow+span], w[:(g.Rows-1)*g.WRow+span]
+	for c := 0; c < cols; {
+		n, bc := cols-c, bias
+		if bias != nil {
+			bc = bias[c:]
 		}
-		acc, a, w = acc[n:], a[n:], w[n:]
+		for p := 0; p < g.Pixels; p++ {
+			if hasAVX2 && n >= laneChunk {
+				rest := g
+				rest.Pixels -= p
+				var done int
+				n, done = halfMulAddVecAVX2(out[p*g.Stride+c:], a[p*g.APixel+c:], w[c:], bc, rest, finish)
+				if p += done; p == g.Pixels {
+					break
+				}
+			}
+			o := out[p*g.Stride+c:][:n]
+			halfMulAddVecGo(o, a[p*g.APixel+c:], w[c:], g)
+			if finish {
+				finishHalf(o, bc)
+			}
+		}
+		c += n
 	}
 }
 
-// halfMulAddVecGo takes the columns one at a time, each accumulator in a
-// register across its taps; o < len(a) holds for every tap and tells the
-// compiler so.
-func halfMulAddVecGo(acc, a, w []float32, stride, taps int) {
-	a = a[:(taps-1)*stride+len(acc)]
-	w = w[:len(a)]
-	for c, s := range acc {
-		for t, o := taps, uint(c); t > 0 && o < uint(len(a)); t, o = t-1, o+uint(stride) {
-			b := math.Float32bits(a[o] * w[o])
-			abs := b &^ f32Sign
-			switch {
-			case abs-f32HalfNormal < f32HalfOver-f32HalfNormal:
-				s += math.Float32frombits((b + 0x0fff + (b >> 13 & 1)) &^ 0x1fff)
-			case abs < f32HalfNormal:
-				s += halfRoundSmall(b, abs)
-			default:
-				s += RoundHalfRef(math.Float32frombits(b))
+// finishHalf stores Saturate(out[c] + bias[c]) of the FP16 codec in out[c],
+// bias nil for none: Codec.SaturateInto's FP16 leg behind the bias add.
+func finishHalf(out, bias []float32) {
+	if bias != nil {
+		AddRow(out, out, bias)
+	}
+	saturateHalf(out, out)
+}
+
+// halfMulAddVecGo takes the rows in turn and, in each, the columns one at a
+// time, each accumulator in a register across the row's taps; o < len(ar)
+// holds for every tap and tells the compiler so.
+func halfMulAddVecGo(acc, a, w []float32, g VecRun) {
+	clear(acc)
+	span := (g.Taps-1)*g.Stride + len(acc)
+	for r := 0; r < g.Rows; r++ {
+		ar := a[r*g.ARow:][:span]
+		wr := w[r*g.WRow:][:len(ar)]
+		for c, s := range acc {
+			for t, o := g.Taps, uint(c); t > 0 && o < uint(len(ar)); t, o = t-1, o+uint(g.Stride) {
+				b := math.Float32bits(ar[o] * wr[o])
+				abs := b &^ f32Sign
+				switch {
+				case abs-f32HalfNormal < f32HalfOver-f32HalfNormal:
+					s += math.Float32frombits((b + 0x0fff + (b >> 13 & 1)) &^ 0x1fff)
+				case abs < f32HalfNormal:
+					s += halfRoundSmall(b, abs)
+				default:
+					s += RoundHalfRef(math.Float32frombits(b))
+				}
 			}
+			acc[c] = s
 		}
-		acc[c] = s
 	}
 }
 

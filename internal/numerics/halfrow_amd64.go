@@ -15,7 +15,7 @@ var hasAVX512 = hasAVX2 && cpuHasAVX512()
 
 // Implemented in halfrow_amd64.s; halfrow.go (laneChunk) has the contract of
 // the three chunk routines, the panel and the element-wise run (one column
-// block a call) state their own.
+// block a call, over every pixel for the run) state their own.
 
 func cpuHasAVX2() bool
 
@@ -27,7 +27,7 @@ func halfMulAddPanelAVX2(acc, a, w []float32, stride int, thr []uint32) (n int, 
 
 func halfMulAddPanelAVX512(acc, a, w []float32, stride int, thr []uint32) (n int, ok bool)
 
-func halfMulAddVecAVX2(acc, a, w []float32, stride, taps int) (n int, ok bool)
+func halfMulAddVecAVX2(out, a, w, bias []float32, g VecRun, finish bool) (n, done int)
 
 func halfDotAVX2(acc float32, a, w []float32) (sum float32, n int)
 
@@ -47,6 +47,8 @@ func maxRowAVX2(m, v []float32)
 func reluRowAVX2(out, x []float32)
 
 func clipRowAVX2(out, x []float32, lo, hi float32)
+
+func addRowAVX2(out, a, b []float32)
 
 func diffEndsAVX2(a, b []float32) (first, last int)
 

@@ -6,9 +6,10 @@
 // product, ±Inf or NaN — returning how many elements they finished. The panel
 // and the element-wise run test no product: they keep a column block's
 // accumulators in registers across every row or tap, store them only if all
-// came out finite and say which they did (§7.1.2); with thresholds the panel
-// visits the rows that are not ±0 by bitmask and leaves the mask out where it
-// is idle (§7.1.4). The Go loops own the rare band and every tail.
+// came out finite and say which they did — the run pixel by pixel, saying
+// how many pixels it stored (§7.1.2); with thresholds the panel visits the
+// rows that are not ±0 by bitmask and leaves the mask out where it is idle
+// (§7.1.4). The Go loops own the rare band and every tail.
 //
 // The panel has a second body, halfMulAddPanelAVX512, for blocks of 16
 // columns and more where the CPU has AVX-512F: the same walk of the rows and
@@ -23,13 +24,15 @@
 
 // One dword per lane constant, broadcast at entry. Y14 takes the one at the
 // offset LANECONSTS is given: the bail threshold (4) of the chunk routines or,
-// in the panel and the element-wise run, the exponent field (16).
+// in the panel and the element-wise run, the exponent field (16). HalfMax is
+// the element-wise run's clip, which it broadcasts itself.
 DATA halfLanes<>+0(SB)/4, $0x7fffffff  // |p| mask
 DATA halfLanes<>+4(SB)/4, $0x477fefff  // f32HalfOver - 1
 DATA halfLanes<>+8(SB)/4, $0x337fffff  // f32HalfTiny - 1
 DATA halfLanes<>+12(SB)/4, $0x80000000 // the sign bit
 DATA halfLanes<>+16(SB)/4, $0x7f800000 // the exponent field
-GLOBL halfLanes<>(SB), RODATA|NOPTR, $20
+DATA halfLanes<>+20(SB)/4, $0x477fe000 // HalfMax, 65504
+GLOBL halfLanes<>(SB), RODATA|NOPTR, $24
 
 #define LANECONSTS(y14) \
 	VPBROADCASTD halfLanes<>+0(SB), Y15; \
@@ -442,47 +445,154 @@ done:
 	HALF8; \
 	VADDPS  ACC, Y3, ACC
 
-// VBLOCK is the element-wise run over one block of width columns: the
-// accumulators are loaded once and take every tap, each product masked, in
-// registers; both operands step a tap (R9 bytes) at a time.
-#define VBLOCK(COLS, width, tap) \
-	COLS(PLOAD); \
+// PZERO starts an accumulator at +0.
+#define PZERO(off, ACC) VPXOR ACC, ACC, ACC
+
+// BADD adds the bias to an accumulator, the accumulator first as in the Go
+// loop's acc + bias[c].
+#define BADD(off, ACC) VADDPS off(BX), ACC, ACC
+
+// PSAT stores an accumulator as the converter does: clipped to ±HalfMax (Y6,
+// Y7; MAX then MIN, as ClipRow) and through HALF8. The accumulator is finite
+// and the bounds are not zero, so the operands' order changes nothing, the
+// clip is exact and HALF8 is RoundHalf.
+#define PSAT(off, ACC) \
+	VMAXPS  Y6, ACC, Y0; \
+	VMINPS  Y7, Y0, Y0; \
+	VPAND   Y15, Y0, Y1; \
+	HALF8; \
+	VMOVUPS Y3, off(DI)
+
+// VFINISH ends a pixel's block after its last row, jumping to done with
+// nothing stored when some sum is not finite. The raw form (R14 zero) tests
+// and stores the sums. The finishing form does three things in order: adds
+// the bias where there is one (BX not nil), tests every lane for a
+// non-finite sum, and only when there is none clips, rounds and stores
+// (PSAT).
+#define VFINISH(COLS, width, sat, nobias, next) \
+	MOVQ   $width, AX; \
+	VPXOR  Y1, Y1, Y1; \
+	TESTQ  R14, R14; \
+	JNZ    sat; \
+	COLS(PTEST); \
+	VPTEST Y1, Y1; \
+	JNZ    done; \
+	COLS(PSTORE); \
+	JMP    next; \
+sat: \
+	TESTQ  BX, BX; \
+	JZ     nobias; \
+	COLS(BADD); \
+nobias: \
+	COLS(PTEST); \
+	VPTEST Y1, Y1; \
+	JNZ    done; \
+	COLS(PSAT)
+
+// VBLOCK is the element-wise run over one block of width columns, pixel by
+// pixel, CX the pixels left. A pixel's accumulators start at +0 and take
+// every tap of every row, each product masked, in registers. Both operands
+// step a tap (R9 bytes) at a time; at a row's end a steps on R12 bytes and w
+// R13 to the row's next, R11 counting the rows down from vrows. After
+// VFINISH a steps on vapixel bytes to the next pixel's first tap, w back by
+// vwback to its first, and out a tap's width to the next pixel.
+#define VBLOCK(COLS, width, pixel, row, tap, sat, nobias, next) \
+pixel: \
+	MOVQ vrows(SP), R11; \
+	COLS(PZERO); \
+row: \
+	MOVQ R10, R8; \
 tap: \
 	COLS(VMAC); \
 	ADDQ R9, DX; \
 	ADDQ R9, SI; \
 	DECQ R8; \
 	JNZ  tap; \
-	FINISH(COLS, width)
+	ADDQ R12, DX; \
+	ADDQ R13, SI; \
+	DECQ R11; \
+	JNZ  row; \
+	VFINISH(COLS, width, sat, nobias, next); \
+next: \
+	ADDQ vapixel(SP), DX; \
+	SUBQ vwback(SP), SI; \
+	ADDQ R9, DI; \
+	DECQ CX; \
+	JNZ  pixel; \
+	JMP  done
 
-// func halfMulAddVecAVX2(acc, a, w []float32, stride, taps int) (n int, ok bool)
+// The frame's locals: a pixel's rows, and the steps from one pixel's last row
+// to the next pixel's first tap in a (vapixel) and back to the first tap in w
+// (vwback), in bytes.
+#define vrows 0
+#define vapixel 8
+#define vwback 16
+
+// func halfMulAddVecAVX2(out, a, w, bias []float32, g VecRun, finish bool) (n, done int)
 //
-// acc[c] += R(a[t*stride+c]*w[t*stride+c]) for the taps t in ascending order
-// and the first n columns c, n the widest block of 32, 16 and 8 columns that
-// len(acc) holds; len(acc) >= 8 and taps > 0. ok and what was stored are the
-// panel's block rule: all finite, stored; else nothing, and the block is the
-// Go loop's from its first tap.
-TEXT ·halfMulAddVecAVX2(SB), NOSPLIT, $0-97
-	MOVQ  acc_base+0(FP), DI
-	MOVQ  acc_len+8(FP), CX
-	MOVQ  a_base+24(FP), DX
-	MOVQ  w_base+48(FP), SI
-	MOVQ  stride+72(FP), R9
-	MOVQ  taps+80(FP), R8
-	SHLQ  $2, R9 // a tap, in bytes
+// For the g.Pixels pixels p in turn: the sums from +0 of
+// R(a[p*APixel+r*ARow+t*Stride+c]*w[r*WRow+t*Stride+c]) over the rows r and
+// in each the taps t in ascending order, for the first n columns c, n the
+// widest block of 32, 16 and 8 columns that the len(out) - (Pixels-1)*Stride
+// columns of a pixel hold (at least 8); g.Pixels, g.Taps and g.Rows > 0.
+// Raw (finish false), a pixel's sums are stored at out[p*Stride+c] under the
+// panel's block rule: all finite, stored; else nothing. With finish, bias[c]
+// (bias nil: none) is added to each first, and what is stored is the sum
+// clipped to ±HalfMax and rounded, only if every sum of the block is finite
+// after the add. done is how many pixels were stored: the walk stops at the
+// first it refuses, which is the Go loop's from its first row.
+TEXT ·halfMulAddVecAVX2(SB), NOSPLIT, $24-176
+	MOVQ         out_base+0(FP), DI
+	MOVQ         out_len+8(FP), CX
+	MOVQ         a_base+24(FP), DX
+	MOVQ         w_base+48(FP), SI
+	MOVQ         bias_base+72(FP), BX
+	MOVQ         g_Stride+96(FP), R9
+	MOVQ         g_Taps+104(FP), R10
+	MOVQ         g_Rows+112(FP), R11
+	MOVBQZX      finish+152(FP), R14
+	SHLQ         $2, R9 // a tap, in bytes
+	MOVQ         R11, vrows(SP)
+	MOVQ         R10, R8
+	IMULQ        R9, R8 // a row's taps, in bytes
+	MOVQ         g_ARow+120(FP), R12
+	SHLQ         $2, R12
+	MOVQ         g_APixel+144(FP), AX
+	SHLQ         $2, AX
+	MOVQ         R12, R13
+	IMULQ        R11, R13
+	SUBQ         R13, AX
+	MOVQ         AX, vapixel(SP)
+	SUBQ         R8, R12
+	MOVQ         g_WRow+128(FP), R13
+	SHLQ         $2, R13
+	MOVQ         R13, AX
+	IMULQ        R11, AX
+	MOVQ         AX, vwback(SP)
+	SUBQ         R8, R13
+	MOVQ         g_Pixels+136(FP), AX
+	DECQ         AX
+	IMULQ        g_Stride+96(FP), AX
+	SUBQ         AX, CX
+	MOVQ         CX, R8 // a pixel's columns
+	MOVQ         g_Pixels+136(FP), CX
 	LANECONSTS(16)
-	CMPQ  CX, $32
-	JGE   vblock32
-	CMPQ  CX, $16
-	JGE   vblock16
-	VBLOCK(COLS8, 8, tap8)
+	VPBROADCASTD halfLanes<>+20(SB), Y7
+	VXORPS       Y12, Y7, Y6
+	CMPQ         R8, $32
+	JGE          vblock32
+	CMPQ         R8, $16
+	JGE          vblock16
+	VBLOCK(COLS8, 8, pixel8, row8, tap8, sat8, nobias8, next8)
 vblock16:
-	VBLOCK(COLS16, 16, tap16)
+	VBLOCK(COLS16, 16, pixel16, row16, tap16, sat16, nobias16, next16)
 vblock32:
-	VBLOCK(COLS32, 32, tap32)
+	VBLOCK(COLS32, 32, pixel32, row32, tap32, sat32, nobias32, next32)
 done:
-	MOVQ  AX, n+88(FP)
-	SETEQ ok+96(FP) // ZF is still the block's VPTEST
+	MOVQ         g_Pixels+136(FP), R8
+	SUBQ         CX, R8 // CX pixels left, the first of them refused
+	MOVQ         AX, n+160(FP)
+	MOVQ         R8, done+168(FP)
 	VZEROUPPER
 	RET
 

@@ -4,8 +4,8 @@ package numerics
 
 // No lanes off amd64: both selectors stay false and the Go loops of halfrow.go
 // are the whole implementation. The routines below only complete the call
-// sites, and "finished no element" — from the panel "stored no column" — is a
-// correct answer from them.
+// sites, and "finished no element" — from the panel "stored no column", from
+// the run "stored no pixel" — is a correct answer from them.
 var hasAVX2, hasAVX512 = false, false
 
 func halfMulAddRowAVX2(acc []float32, a float32, w []float32) int { return 0 }
@@ -18,8 +18,8 @@ func halfMulAddPanelAVX512(acc, a, w []float32, stride int, thr []uint32) (n int
 	return len(acc), false
 }
 
-func halfMulAddVecAVX2(acc, a, w []float32, stride, taps int) (n int, ok bool) {
-	return len(acc), false
+func halfMulAddVecAVX2(out, a, w, bias []float32, g VecRun, finish bool) (n, done int) {
+	return len(out) - (g.Pixels-1)*g.Stride, 0
 }
 
 func halfDotAVX2(acc float32, a, w []float32) (sum float32, n int) { return acc, 0 }
@@ -40,5 +40,7 @@ func maxRowAVX2(m, v []float32) {}
 func reluRowAVX2(out, x []float32) {}
 
 func clipRowAVX2(out, x []float32, lo, hi float32) {}
+
+func addRowAVX2(out, a, b []float32) {}
 
 func diffEndsAVX2(a, b []float32) (first, last int) { return len(a), -1 }

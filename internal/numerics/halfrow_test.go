@@ -23,12 +23,10 @@ func testAccumulatorNeverNegativeZero(t *testing.T) {
 	// Every sequence of four addends, through plain addition and through each
 	// accumulating primitive. The rows are a chunk and a tail wide, every
 	// element taking the same sequence, so each lane is held to it as well;
-	// the dot form takes the addend first in a row of zeros.
+	// the dot form takes the addend first in a row of zeros, the run form the
+	// sequence so far as its taps.
 	const width = laneChunk + 1
-	ones, vs, dots := make([]float32, width), make([]float32, width), make([]float32, width)
-	for i := range ones {
-		ones[i] = 1
-	}
+	ones, vs, dots := filled(4*width, 1), make([]float32, 4*width), make([]float32, width)
 	n := len(addends)
 	for code := 0; code < n*n*n*n; code++ {
 		var plain float32
@@ -38,13 +36,13 @@ func testAccumulatorNeverNegativeZero(t *testing.T) {
 			v := addends[c%n]
 			before := plain
 			plain += v
-			for i := range vs {
+			for i := step * width; i < (step+1)*width; i++ {
 				vs[i] = v
 			}
 			dots[0] = v
-			HalfMulAddRow(row, v, ones)
-			HalfMulAddVec(vec, vs, ones, width, 1)
-			dot = HalfDot(dot, dots, ones)
+			HalfMulAddRow(row, v, ones[:width])
+			HalfMulAddVec(vec, vs, ones, VecRun{Stride: width, Taps: step + 1, Rows: 1})
+			dot = HalfDot(dot, dots, ones[:width])
 			for _, accs := range [][]float32{{plain, dot}, row, vec} {
 				for _, acc := range accs {
 					if math.Float32bits(acc) == f32Sign {

@@ -30,8 +30,10 @@ type operands struct {
 	x, w   []float32 // activations and weights; the row to round, rectify or exponentiate; a diff scan's rows
 	s      float32   // HalfMulAddRow's activation, HalfDot's accumulator, ExpRow's shift
 	stride int
-	taps   int      // HalfMulAddVec's
-	thr    []uint32 // HalfMulAddPanel's thresholds: nil, or its weights' (withThresholds)
+	run    VecRun    // halfMulAddVec's geometry
+	finish bool      // halfMulAddVec's finishing form
+	bias   []float32 // its bias: nil, or as long as acc
+	thr    []uint32  // HalfMulAddPanel's thresholds: nil, or its weights' (withThresholds)
 	q      Quantizer
 	lo, hi float32 // ClipRow's bounds; lo is Quantizer.roundInto's floor
 }
@@ -137,25 +139,48 @@ var primitives = []*primitive{
 		bench: halfRowBench(func(acc, a, w []float32) { HalfMulAddRow(acc, a[0], w) }),
 	},
 	{
+		// Both forms, HalfMulAddVec's and HalfMulAddVecSaturate's (finish),
+		// through their one dispatcher.
 		name: "HalfMulAddVec", body: "halfMulAddVecAVX2", nanEq: true,
-		run: onAcc(func(acc []float32, o *operands) { HalfMulAddVec(acc, o.x, o.w, o.stride, o.taps) }),
+		run: onAcc(func(acc []float32, o *operands) { halfMulAddVec(acc, o.x, o.w, o.bias, o.run, o.finish) }),
 		def: onAcc(func(acc []float32, o *operands) {
-			for t := 0; t < o.taps; t++ {
-				for c := range acc {
-					acc[c] += RoundHalfRef(o.x[t*o.stride+c] * o.w[t*o.stride+c])
+			g := o.run
+			pixels := max(g.Pixels, 1)
+			for p := 0; p < pixels; p++ {
+				for c := 0; c < len(acc)-(pixels-1)*g.Stride; c++ {
+					s := float32(0)
+					for r := 0; r < g.Rows; r++ {
+						for t := 0; t < g.Taps; t++ {
+							s += RoundHalfRef(o.x[p*g.APixel+r*g.ARow+t*g.Stride+c] * o.w[r*g.WRow+t*g.Stride+c])
+						}
+					}
+					if o.finish {
+						if o.bias != nil {
+							s += o.bias[c]
+						}
+						s = max(min(s, 65504), -65504) // NaN passes
+						if s == s {
+							s = RoundHalfRef(s)
+						}
+					}
+					acc[p*g.Stride+c] = s
 				}
 			}
 		}),
-		gen: halfRunOperands, specials: halfSpecials, plant: plantMiddleTap,
-		whole: func(n int) int { // a column block a call, as the dispatcher calls it
-			const taps, stride = 3, laneChunk*5 + 1
-			acc, a, w := make([]float32, n), filled(2*stride+n, 1), filled(2*stride+n, 0.5)
-			for done := 0; done < n; {
-				k, ok := halfMulAddVecAVX2(acc[done:], a[done:], w[done:], stride, taps)
-				if !ok {
-					return done
+		gen: halfRunOperands, specials: append(append([]float32(nil), halfSpecials...), vecSpecials...), plant: plantMiddleTap,
+		whole: func(n int) int { // a column block a call over three pixels, as the dispatcher calls it, in both forms
+			const stride = laneChunk*5 + 1
+			g := VecRun{Stride: stride, Taps: 3, Rows: 2, ARow: 4 * stride, WRow: 3 * stride, Pixels: 3, APixel: stride + 3}
+			m := 2*g.APixel + g.ARow + 2*g.Stride + n
+			for _, finish := range []bool{false, true} {
+				out, a, w, bias := make([]float32, 2*stride+n), filled(m, 1), filled(m, 0.5), filled(n, 0.25)
+				for c := 0; c < n; {
+					k, done := halfMulAddVecAVX2(out[c:], a[c:], w[c:], bias[c:], g, finish)
+					if done != g.Pixels {
+						return c
+					}
+					c += k
 				}
-				done += k
 			}
 			return n
 		},
@@ -370,6 +395,29 @@ var primitives = []*primitive{
 			}
 		}}},
 	},
+	{
+		// Held to its definition bit for bit, no nanEq: v + o.w[i] compiles as
+		// the Go loop's add does, v the first source, so that a Go loop with
+		// its operands swapped fails where there are no lanes as well.
+		name: "AddRow", body: "addRowAVX2", inPlace: true,
+		run: onX(func(dst, src []float32, o *operands) { AddRow(dst, src, o.w) }),
+		def: onX(func(dst, src []float32, o *operands) {
+			for i, v := range src {
+				dst[i] = v + o.w[i]
+			}
+		}),
+		gen: func(rng *rand.Rand, n, off int) operands {
+			return operands{x: drawSpecial(rng, n, off, 4, 0.1), w: drawSpecial(rng, n, (off+5)%8, 4, 0.1)}
+		},
+		// v against -v: 0 from a finite value, NaN from an infinity, and a
+		// NaN against the NaN of the other sign, whose bits the sum keeps.
+		specials: floatRowSpecials, plant: func(o *operands, i int, v float32) { o.x[i], o.w[i] = v, -v },
+		sweeps: []sweep{{"TestAddRowMatchesScalar", addPairs}},
+		bench: []benchCase{{"bias64", "ns/value", func() (func(int), int) {
+			acc, bias := normals(76, 64, 3), normals(77, 64, 0.1)
+			return func(int) { AddRow(acc, acc, bias) }, len(acc)
+		}}},
+	},
 	// DiffEnds is two rows, one per result: the forward scan to the first
 	// difference and the backward scan down to it.
 	diffEnd("FirstDiff", func(first, _ int) int { return first },
@@ -510,9 +558,9 @@ func (p *primitive) compare(t testing.TB, where string, o *operands, by string, 
 				return fmt.Sprintf("%d long", len(s))
 			}
 			t.Fatalf("%s (leg %s), %s: result %d is %#08x by the %s, %#08x by the %s\n"+
-				"operands: acc %s, x %s, w %s, s %#08x, stride %d, taps %d, thresholds %v, q %+v, lo %v, hi %v",
+				"operands: acc %s, x %s, w %s, s %#08x, stride %d, run %+v, finish %v, bias %s, thresholds %v, q %+v, lo %v, hi %v",
 				p.name, legName(), where, i, math.Float32bits(g), by, math.Float32bits(w), against,
-				el(o.acc), el(o.x), el(o.w), math.Float32bits(o.s), o.stride, o.taps, o.thr, o.q, o.lo, o.hi)
+				el(o.acc), el(o.x), el(o.w), math.Float32bits(o.s), o.stride, o.run, o.finish, el(o.bias), o.thr, o.q, o.lo, o.hi)
 		}
 	}
 }
@@ -556,23 +604,39 @@ func TestLaneContract(t *testing.T) {
 }
 
 // TestVecRunsRefuseNaN holds the run body to its block rule directly, where
-// the table could not tell: a block with a NaN accumulator in any column is
-// refused and left as it was. (A stored NaN block passes the table wherever
-// the compiler happens to give the Go loop the lanes' operand order.)
+// the table could not tell: over three pixels, a block with a NaN sum in any
+// column of the middle one is refused and left as it was, and the walk stops
+// there, the first pixel stored and the last untouched — a NaN activation in
+// the raw and the finishing form, and in the finishing form a NaN bias in
+// every pixel, which makes the sum NaN only after the add and stops the walk
+// at the first. (A stored NaN block passes the table wherever the compiler
+// happens to give the Go loop the lanes' operand order; a clipped NaN bias
+// would not, but this names the cause.)
 func TestVecRunsRefuseNaN(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("no lanes on this machine")
 	}
 	for _, n := range []int{8, 16, 32} {
+		g := VecRun{Stride: n, Taps: 2, Rows: 2, ARow: 3 * n, WRow: 2 * n, Pixels: 3, APixel: n}
 		for col := 0; col < n; col++ {
-			acc := filled(n, 0.25)
-			acc[col] = nan
-			if k, ok := halfMulAddVecAVX2(acc, filled(2*n, 1), filled(2*n, 0.5), n, 2); k != n || ok {
-				t.Fatalf("%d columns, NaN in column %d: finished %d, ok %v; want %d refused", n, col, k, ok, n)
-			}
-			for c, v := range acc {
-				if c != col && v != 0.25 {
-					t.Fatalf("%d columns, NaN in column %d: refused block's column %d is %v", n, col, c, v)
+			for _, c := range []struct {
+				name        string
+				finish, nan bool // the finishing form; the NaN in the bias, not an activation
+			}{{"raw", false, false}, {"finish", true, false}, {"finish, bias", true, true}} {
+				out, a, bias := filled(3*n, 0.25), filled(7*n, 1), filled(n, 1)
+				refused := 1
+				if c.nan {
+					bias[col], refused = nan, 0
+				} else {
+					a[g.APixel+g.ARow+g.Stride+col] = nan // the last tap of the middle pixel's last row
+				}
+				if k, done := halfMulAddVecAVX2(out, a, filled(4*n, 0.5), bias, g, c.finish); k != n || done != refused {
+					t.Fatalf("%d columns, %s, NaN in column %d: %d columns, %d pixels done; want %d columns, %d", n, c.name, col, k, done, n, refused)
+				}
+				for i, v := range out {
+					if stored := i < refused*n; stored == (v == 0.25) {
+						t.Fatalf("%d columns, %s, NaN in column %d: element %d of the pixels is %v, stored %v", n, c.name, col, i, v, stored)
+					}
 				}
 			}
 		}
@@ -616,6 +680,7 @@ func TestVecRunsMatchRows(t *testing.T)     { runSweeps(t) }
 func TestMulAddPanelMatchesGo(t *testing.T) { runSweeps(t) }
 func TestQuantLanesMatchGo(t *testing.T)    { runSweeps(t) }
 func TestMaxRowMatchesScalar(t *testing.T)  { runSweeps(t) }
+func TestAddRowMatchesScalar(t *testing.T)  { runSweeps(t) }
 func TestDiffScansMatchNaive(t *testing.T)  { runSweeps(t) }
 func TestExpRowMatchesExp(t *testing.T)     { runSweeps(t) }
 
@@ -974,22 +1039,39 @@ func halfRowBench(f func(acc, a, w []float32)) (cs []benchCase) {
 	return cs
 }
 
-// oneTap is each's operands as one-tap runs: the element-wise products of
-// the rows' sweeps, each lane alone.
+// oneTap is each's operands as one-tap, one-row raw runs: the element-wise
+// products of the rows' sweeps, each lane alone (from +0, where the rows start
+// from their accumulators).
 func oneTap(each func(yield func(operands))) func(yield func(operands)) {
 	return func(yield func(operands)) {
 		each(func(o operands) {
-			o.stride, o.taps = len(o.acc), 1
+			o.run = VecRun{Stride: len(o.acc), Taps: 1, Rows: 1}
 			yield(o)
 		})
 	}
 }
 
-// halfRunOperands: a run of 1–9 taps at a stride at or past n, halves ~ N(0,
-// 1) as accumulators and activations and weights ~ N(0, 0.01²), as
-// halfOperands; a quarter of the runs with one ±Inf or NaN operand.
+// vecSpecials are the finishing form's: sums past HalfMax (the clip), and
+// the largest float32, beside which every sum of half products is absorbed.
+var vecSpecials = []float32{60000, -60000, 3e4, math.MaxFloat32}
+
+// halfRunOperands: 0–3 pixels (0 is one) of n columns, each a run of 1–3
+// rows of 1–9 taps at a stride at or past n, the rows apart by a tap or more
+// and the two operands' row strides drawn apart, the pixels a tap or two
+// apart; halves ~ N(0, 1) as activations and weights ~ N(0, 0.01²), as
+// halfOperands. Half the runs finish, half of those with a bias ~ N(0, 1); a
+// quarter of the runs with one ±Inf or NaN operand.
 func halfRunOperands(rng *rand.Rand, n, off int) operands {
-	o := halfRun(rng, n, off, 1+rng.Intn(9), n+rng.Intn(3)*rng.Intn(9))
+	taps, stride := 1+rng.Intn(9), n+rng.Intn(3)*rng.Intn(9)
+	g := VecRun{Stride: stride, Taps: taps, Rows: 1 + rng.Intn(3), ARow: (taps + rng.Intn(3)) * stride, WRow: (taps+rng.Intn(2))*stride + rng.Intn(3),
+		Pixels: rng.Intn(4), APixel: (1+rng.Intn(2))*stride + rng.Intn(2)}
+	o := halfRun(rng, n, off, g)
+	switch rng.Intn(4) {
+	case 0:
+		o.finish = true
+	case 1:
+		o.finish, o.bias = true, halves(rng, n, (off+1)%8, 1)
+	}
 	if n > 0 && rng.Intn(4) == 0 {
 		xw := [][]float32{o.x, o.w}[rng.Intn(2)]
 		xw[rng.Intn(len(xw))] = []float32{nan, inf, -inf}[rng.Intn(3)]
@@ -997,82 +1079,140 @@ func halfRunOperands(rng *rand.Rand, n, off int) operands {
 	return o
 }
 
-// halfRun is a run of n columns, taps taps apart by stride, whose
+// halfRun is a raw run of n columns a pixel of geometry g, whose
 // accumulators start off elements in.
-func halfRun(rng *rand.Rand, n, off, taps, stride int) operands {
-	m := (taps-1)*stride + n
-	return operands{acc: halves(rng, n, off, 1), x: halves(rng, m, (off+3)%8, 1), w: halves(rng, m, (off+5)%8, 0.01),
-		stride: stride, taps: taps}
+func halfRun(rng *rand.Rand, n, off int, g VecRun) operands {
+	span, pixels := (g.Taps-1)*g.Stride+n, max(g.Pixels, 1)
+	return operands{acc: halves(rng, (pixels-1)*g.Stride+n, off, 1), x: halves(rng, (pixels-1)*g.APixel+(g.Rows-1)*g.ARow+span, (off+3)%8, 1),
+		w: halves(rng, (g.Rows-1)*g.WRow+span, (off+5)%8, 0.01), run: g}
 }
 
-// plantMiddleTap makes v the product at column i of the middle tap, as v
-// times 1: v the activation in even columns, the weight in odd ones.
+// plantMiddleTap makes v the product at column i of the middle tap of the
+// middle row of the last pixel, as v times 1: v the activation in even
+// columns, the weight in odd ones; a finishing run's bias there 0.25.
 func plantMiddleTap(o *operands, i int, v float32) {
-	j := o.taps/2*o.stride + i
-	o.x[j], o.w[j] = v, 1
+	g := o.run
+	ja, jw := (max(g.Pixels, 1)-1)*g.APixel+g.Rows/2*g.ARow+g.Taps/2*g.Stride+i, g.Rows/2*g.WRow+g.Taps/2*g.Stride+i
+	o.x[ja], o.w[jw] = v, 1
 	if i%2 == 1 {
-		o.x[j], o.w[j] = 1, v
+		o.x[ja], o.w[jw] = 1, v
+	}
+	if o.bias != nil {
+		o.bias[i] = 0.25
 	}
 }
 
-// halfRuns: runs of the widths a depthwise layer meets and those around them
-// — 1–7, 8, 16, 24, 32, 40 — at 1–9 taps and strides past the width; then, in
-// every column of a 40-wide run (a 32- and an 8-column block), each cause of a
+// halfRuns: raw and finishing runs, with and without a bias, of the widths a
+// depthwise layer meets and those around them — 1–7, 8, 16, 24, 32, 40 — at
+// 1–3 pixels of 1–3 rows of 1–9 taps, strides past the width and unequal row
+// strides; then, in every column of the middle of three pixels 40 columns
+// wide (a 32- and an 8-column block) of 3 rows of 5 taps, each cause of a
 // refused block: a ±Inf or a quiet or signalling NaN activation or weight, or
-// an overflowing product, in the first, the middle and the last tap; ±Inf or
-// NaN coming in in an accumulator.
+// an overflowing product, in the first, the middle and the last tap of the
+// first and the last row (the specials taking turns over the columns); a
+// ±Inf or NaN bias (every pixel's); and sums the finishing form must clip:
+// past HalfMax from the products alone and from the bias, and beside the
+// largest float32 bias.
 func halfRuns(yield func(operands)) {
 	rng := rand.New(rand.NewSource(83))
+	forms := func(o operands) {
+		yield(o)
+		o.finish = true
+		yield(o)
+		o.bias = halves(rng, len(o.acc), 0, 1)
+		yield(o)
+	}
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 40} {
-		for taps := 1; taps <= 9; taps++ {
-			yield(halfRun(rng, n, 0, taps, n+1+rng.Intn(9)))
+		for rows := 1; rows <= 3; rows++ {
+			for taps := 1; taps <= 9; taps++ {
+				stride := n + 1 + rng.Intn(9)
+				forms(halfRun(rng, n, 0, VecRun{Stride: stride, Taps: taps, Rows: rows, ARow: (taps + 2) * stride, WRow: taps*stride + rng.Intn(5),
+					Pixels: 1 + (rows+taps)%3, APixel: stride + rng.Intn(3)}))
+			}
 		}
 	}
 	qnan, snan := math.Float32frombits(0xffc54000), math.Float32frombits(0x7fa54000)
 	const n, taps, stride = 40, 5, 43
+	g := VecRun{Stride: stride, Taps: taps, Rows: 3, ARow: 7 * stride, WRow: taps * stride, Pixels: 3, APixel: 2 * stride}
+	run := func() operands {
+		o := halfRun(rng, n, 0, g)
+		o.finish, o.bias = true, halves(rng, n, 0, 1)
+		return o
+	}
+	specials := []float32{inf, -inf, qnan, snan}
 	for col := 0; col < n; col++ {
-		for _, t := range []int{0, taps / 2, taps - 1} {
-			j := t*stride + col
-			for _, sp := range []float32{inf, -inf, qnan, snan} {
-				o := halfRun(rng, n, 0, taps, stride)
-				o.x[j] = sp
-				yield(o)
-				o.x[j], o.w[j] = 1, sp
-				yield(o)
+		for _, r := range []int{0, g.Rows - 1} {
+			for _, t := range []int{0, taps / 2, taps - 1} {
+				ja, jw := g.APixel+r*g.ARow+t*stride+col, r*g.WRow+t*stride+col
+				sp := specials[(col+r+t)%len(specials)]
+				o := run()
+				o.x[ja] = sp
+				forms(o)
+				o.x[ja], o.w[jw] = 1, sp
+				forms(o)
+				o = run()
+				o.x[ja], o.w[jw] = 2, 65504
+				forms(o)
 			}
-			o := halfRun(rng, n, 0, taps, stride)
-			o.x[j], o.w[j] = 2, 65504
-			yield(o)
 		}
-		for _, sp := range []float32{inf, -inf, qnan, snan} {
-			o := halfRun(rng, n, 0, taps, stride)
-			o.acc[col] = sp
+		o := run()
+		o.bias[col] = specials[col%len(specials)]
+		yield(o)
+		// Past HalfMax: from products of 65504 in one tap of each row, and
+		// from a finite sum the bias takes past it; the largest float32 bias.
+		for _, sign := range []float32{1, -1} {
+			o := run()
+			for r := 0; r < g.Rows; r++ {
+				o.x[g.APixel+r*g.ARow+col], o.w[r*g.WRow+col] = sign, 65504
+			}
+			forms(o)
+			o = run()
+			o.x[g.APixel+col], o.w[col] = sign, 60000
+			o.bias[col] = sign * 30000
+			yield(o)
+			o.bias[col] = sign * math.MaxFloat32
 			yield(o)
 		}
 	}
 }
 
-// decodeHalfRun: decodeHalfRow's operands as a run of 1–9 taps that split
-// the weights evenly, 0–2 columns narrower than its stride, both from the
-// multiplier's bits.
+// decodeHalfRun: decodeHalfRow's operands as a run whose geometry the
+// multiplier's bits draw: 1–3 pixels a tap apart of 1–3 rows of 1–9 taps that
+// split the weights evenly, 0–2 columns narrower than its stride, the weight
+// rows a tap closer than the activation rows or not; raw, or finishing
+// without a bias or with the bias 0.25.
 func decodeHalfRun(data []byte) operands {
 	o := decodeHalfRow(data)
 	b := math.Float32bits(o.s)
-	o.taps = 1 + int(b%9)
-	o.stride = len(o.w) / o.taps
-	o.acc = o.acc[:max(o.stride-int(b/9%3), 0)]
+	g := VecRun{Taps: 1 + int(b%9), Rows: 1 + int(b/9%3), Pixels: 1 + int(b/486%3)}
+	g.Stride = len(o.w) / (g.Taps*g.Rows + g.Pixels - 1)
+	g.ARow, g.APixel = g.Taps*g.Stride, g.Stride
+	g.WRow = g.ARow - int(b/81%2)*g.Stride
+	o.acc, o.run = o.acc[:(g.Pixels-1)*g.Stride+max(g.Stride-int(b/27%3), 0)], g
+	switch b / 162 % 3 {
+	case 1:
+		o.finish = true
+	case 2:
+		o.finish, o.bias = true, o.acc
+	}
 	return o
 }
 
-// halfRunBench: one kernel row of mobilenet-lite's 3×3 depthwise layers,
-// three taps of 8, 16 and 32 channels.
+// halfRunBench: mobilenet-lite's 3×3 depthwise layers of 8, 16 and 32
+// channels in a map 8 pixels wide, biased and saturated as convTile stores
+// them: one pixel a call, as an edge pixel is, and the six whole windows of
+// an output row in one call.
 func halfRunBench() (cs []benchCase) {
 	for _, c := range []int{8, 16, 32} {
-		cs = append(cs, benchCase{fmt.Sprintf("taps3/c%d", c), "MAC/s", func() (func(int), int) {
-			a, w := benchOperands(3 * c)
-			acc := make([]float32, c)
-			return func(int) { HalfMulAddVec(acc, a, w, c, 3) }, 3 * c
-		}})
+		for _, pixels := range []int{1, 6} {
+			cs = append(cs, benchCase{fmt.Sprintf("pixels%d/c%d", pixels, c), "MAC/s", func() (func(int), int) {
+				g := VecRun{Stride: c, Taps: 3, Rows: 3, ARow: 8 * c, WRow: 3 * c, Pixels: pixels, APixel: c}
+				a, _ := benchOperands(2*g.ARow + (pixels+2)*c)
+				_, w := benchOperands(9 * c)
+				out, bias := make([]float32, pixels*c), normals(78, c, 0.1)
+				return func(int) { HalfMulAddVecSaturate(out, a, w, bias, g) }, 9 * c * pixels
+			}})
+		}
 	}
 	return cs
 }
@@ -1458,6 +1598,20 @@ func maxPairs(yield func(operands)) {
 	rng := rand.New(rand.NewSource(101))
 	ms, vs = append(ms, drawSpecial(rng, 5000, 0, 2, 0.05)...), append(vs, drawSpecial(rng, 5000, 0, 2, 0.05)...)
 	eachRow(len(vs), func(lo, hi int) { yield(operands{acc: ms[lo:hi], x: vs[lo:hi]}) })
+}
+
+// addPairs: every pair of floatRowSpecials — NaN meets NaN of every payload
+// and sign, each infinity the other — then random pairs.
+func addPairs(yield func(operands)) {
+	var as, bs []float32
+	for _, a := range floatRowSpecials {
+		for _, b := range floatRowSpecials {
+			as, bs = append(as, a), append(bs, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(102))
+	as, bs = append(as, drawSpecial(rng, 5000, 0, 2, 0.05)...), append(bs, drawSpecial(rng, 5000, 0, 2, 0.05)...)
+	eachRow(len(as), func(lo, hi int) { yield(operands{x: as[lo:hi], w: bs[lo:hi]}) })
 }
 
 var clipBounds = [][2]float32{{0, 6}, {-2.5, 2.5}, {-1e-40, math.MaxFloat32}}
