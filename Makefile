@@ -63,9 +63,9 @@ examples-smoke:
 
 # Race-detect the concurrency-critical packages: the sharded campaign engine,
 # the injector, the fault models' batch recompute over nn's pooled scratch
-# (faultmodel, and nn's ComputeNeurons differentials), nn's goroutine-tiled
-# kernels over the row primitives (numerics' panel differentials) and the
-# tensor ops every worker calls (tensor itself starts no goroutine), the
+# (faultmodel, and nn's ComputeNeurons differentials), nn's kernels over the
+# row primitives (numerics' panel differentials) and the tensor ops, which
+# every worker shares (nn and tensor themselves start no goroutine), the
 # distributed fabric (coordinator + workers exchanging leases over loopback
 # HTTP), and the cycle-level reference (one rtlsim.Reference serving
 # injections from several goroutines). Slow: several minutes under -race.

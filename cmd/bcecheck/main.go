@@ -39,10 +39,11 @@ import (
 // to their ...Go loop (DESIGN.md §7.1); TestNumericsExemptions derives that
 // set from the source. Elsewhere: boxify and diffBox loop once per tensor
 // row, slicing it out for numerics.DiffEnds; matmulTile loops once per
-// output row over mulAddPanel and scaleSaturate, denseTile likewise over
-// mulAddPanel, numerics.AddRow (the bias) and SaturateInto, and convTile once
-// per output pixel over one numerics.HalfMulAddVecSaturate (FP16 depthwise)
-// or convPixel, AddRow and SaturateInto; maxPoolRegion once per
+// output row of the whole product over mulAddPanel and scaleSaturate,
+// denseTile once per input row over mulAddPanel, numerics.AddRow (the bias)
+// and SaturateInto, and convTile once per output pixel of its rectangle over
+// one numerics.HalfMulAddVecSaturate (FP16 depthwise) or convPixel, AddRow
+// and SaturateInto; maxPoolRegion once per
 // window cell over numerics.MaxRow; concatSweep once per input vector of a
 // position, for one copy; InitRandom fills a layer's parameters once,
 // through the tensor's accessors. In the cycle-level engine, step and

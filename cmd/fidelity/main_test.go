@@ -22,6 +22,7 @@ import (
 	"fidelity/internal/accel"
 	"fidelity/internal/campaign"
 	"fidelity/internal/distrib"
+	"fidelity/internal/fit"
 	"fidelity/internal/model"
 )
 
@@ -358,5 +359,23 @@ func TestServeWorkLoopback(t *testing.T) {
 	}
 	if !bytes.Equal(bytes.TrimSpace(got), want) {
 		t.Errorf("r.json differs from the in-process StudyResult\n got %d bytes\nwant %d bytes", len(got), len(want))
+	}
+}
+
+// TestKeyResult2Note: the note under Fig 6 states Key Result 2 only when every
+// row's protected FIT is above the ASIL-D FF budget, and otherwise names the
+// rows at or under it.
+func TestKeyResult2Note(t *testing.T) {
+	row := func(net string, total float64) *campaign.StudyResult {
+		return &campaign.StudyResult{Workload: net, Precision: "FP16", FITProtected: &fit.Result{Total: total}}
+	}
+	over := []*campaign.StudyResult{row("inception", 0.9), row("resnet", 0.35), row("mobilenet", 0.21)}
+	if got, want := keyResult2Note(over), "note: datapath + local control alone still exceed the 0.2 ASIL-D FF budget (Key Result 2)"; got != want {
+		t.Errorf("every row over the budget: %q, want %q", got, want)
+	}
+	mixed := []*campaign.StudyResult{row("inception", 0.9), row("resnet", 0.2), row("mobilenet", 0.139)}
+	got := keyResult2Note(mixed)
+	if strings.Contains(got, "still exceed") || !strings.Contains(got, "resnet/FP16 0.2,") || !strings.Contains(got, "mobilenet/FP16 0.139 ") || strings.Contains(got, "inception") {
+		t.Errorf("rows at or under the budget: %q, want resnet and mobilenet named, inception not, no Key Result 2 claim", got)
 	}
 }

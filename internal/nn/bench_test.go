@@ -36,7 +36,7 @@ func benchConvTile(b *testing.B, zeroFrac float64) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		convTile(a, 0, 0, a.oh, 0, a.ow, accs)
+		convTile(a, 0, a.oh, 0, a.ow, accs)
 	}
 	// Nominal MACs of the interior; the padded border does a few fewer.
 	reportMACs(b, a.oh*a.ow*a.outC*a.kh*a.kw*a.inC)
@@ -73,7 +73,7 @@ func BenchmarkConvTileDepthwise(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					convTile(a, 0, 0, oh, 0, ow, accs)
+					convTile(a, 0, oh, 0, ow, accs)
 				}
 				reportMACs(b, macs)
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*oh*ow), "ns/pixel")
@@ -93,17 +93,13 @@ func BenchmarkDenseTile(b *testing.B) {
 			l := NewDense("d", s.in, s.out, codec).InitRandom(rng, 0.05)
 			x := tensor.New(s.batch, s.in)
 			x.RandNormal(rng, 1)
-			rw := l.wcache.get(codec, l.W)
+			rw, rin := l.wcache.get(codec, l.W), codec.RoundSlice(x.Data())
 			out := make([]float32, s.batch*s.out)
-			a := &denseArgs{
-				rin: codec.RoundSlice(x.Data()), rw: rw.rw, bias: l.B.Data(), out: out,
-				batch: s.batch, in: s.in, outN: s.out, fp16: true, thr: rw.thr, codec: codec,
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				clear(out)
-				denseTile(a, 0, s.batch, 0, s.out)
+				denseTile(l, rw, rin, out, s.batch)
 			}
 			reportMACs(b, s.batch*s.in*s.out)
 		})
@@ -120,10 +116,8 @@ func BenchmarkMatMulTile(b *testing.B) {
 	ta.RandNormal(rng, 1)
 	tb.RandNormal(rng, 1)
 	out := make([]float32, 64*64)
-	a := &matmulArgs{
-		ra: codec.RoundSlice(ta.Data()), rb: codec.RoundSlice(tb.Data()), out: out,
-		m: 64, k: 64, n: 64, fp16: true, codec: codec,
-	}
+	site := NewMatMulSite("mm", false, 0, codec)
+	ra, rb := codec.RoundSlice(ta.Data()), codec.RoundSlice(tb.Data())
 	for _, transposeB := range []bool{false, true} {
 		name := "plain"
 		if transposeB {
@@ -133,11 +127,11 @@ func BenchmarkMatMulTile(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if transposeB {
-					transposeInto(a.rb, tb.Data(), 64, 64)
-					codec.RoundInto(a.rb, a.rb)
+					transposeInto(rb, tb.Data(), 64, 64)
+					codec.RoundInto(rb, rb)
 				}
 				clear(out)
-				matmulTile(a, 0, 64, 0, 64)
+				matmulTile(site, ra, rb, out, 64, 64, 64)
 			}
 			reportMACs(b, 64*64*64)
 		})

@@ -121,19 +121,19 @@ func (l *Conv2D) Codec() numerics.Codec { return l.codec }
 // ComputeNeuron per output neuron (the per-channel accumulation order is the
 // same, and MulPre(Round(a), Round(b)) == Mul(a, b)).
 func (l *Conv2D) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	if x.Rank() != 4 || x.Dim(3) != l.InC {
-		panic(fmt.Sprintf("nn: %s expects NHWC input with %d channels, got %v", l.name, l.InC, x.Shape()))
+	if x.Rank() != 4 || x.Dim(0) != 1 || x.Dim(3) != l.InC {
+		panic(fmt.Sprintf("nn: %s expects one NHWC image with %d channels, got %v", l.name, l.InC, x.Shape()))
 	}
 	return ctx.exec(l, func() *tensor.Tensor {
 		oh, ow := l.outHW(x.Dim(1), x.Dim(2))
-		out := ctx.newTensor(x.Dim(0), oh, ow, l.OutC)
+		out := ctx.newTensor(1, oh, ow, l.OutC)
 		sc := ctx.scratch()
 		rin := round(&sc.in, l.codec, x.Data())
 		if UseReferenceKernels() {
 			convForwardRef(l, x, out, rin, l.wcache.get(l.codec, l.W).rw)
 		} else {
 			sc.accs = grow(sc.accs, l.OutC)
-			convForward(l.kernelArgs(&sc.cargs, x, out, rin, 0), sc.accs)
+			convTile(l.kernelArgs(&sc.cargs, x, out, rin, 0), 0, oh, 0, ow, sc.accs)
 		}
 		ctx.fire(l, sc.operands(x, l.W, l.B, out))
 		return out
@@ -159,7 +159,7 @@ func (l *Conv2D) kernelArgs(a *convArgs, x, out *tensor.Tensor, rin []float32, r
 	rw := l.wcache.get(l.codec, l.W)
 	*a = convArgs{
 		rin: rin, rw: rw.rw, bias: bias, out: out.Data(), rinOff: rinOff,
-		n: x.Dim(0), h: x.Dim(1), w: x.Dim(2), inC: l.InC,
+		h: x.Dim(1), w: x.Dim(2), inC: l.InC,
 		oh: os[1], ow: os[2], outC: os[3],
 		kh: l.KH, kw: l.KW, stride: l.Stride, pd: l.Pad,
 		depthwise: l.Depthwise, fp16: l.codec.Precision() == numerics.FP16,
@@ -175,9 +175,9 @@ func (l *Conv2D) ComputeNeuron(op *Operands, off int, ov *Override) float32 {
 	in := op.In
 	w := op.W
 	h, wd := in.Dim(1), in.Dim(2)
-	oh, ow := l.outHW(h, wd)
+	_, ow := l.outHW(h, wd)
 	oc, pix := off%l.OutC, off/l.OutC
-	b, oy, ox := pix/(oh*ow), pix/ow%oh, pix%ow
+	oy, ox := pix/ow, pix%ow
 	// Flat row-major indexing throughout: this runs once per affected neuron
 	// per datapath fault, and the variadic At/Offset accessors allocate their
 	// index slice per call — a quarter of campaign wall clock before this.
@@ -204,7 +204,7 @@ func (l *Conv2D) ComputeNeuron(op *Operands, off int, ov *Override) float32 {
 			if ix < 0 || ix >= wd {
 				continue
 			}
-			base := ((b*h+iy)*wd + ix) * l.InC
+			base := (iy*wd + ix) * l.InC
 			if l.Depthwise {
 				ioff := base + oc
 				av := ind[ioff]
@@ -244,27 +244,26 @@ func (l *Conv2D) ComputeNeuron(op *Operands, off int, ov *Override) float32 {
 }
 
 // NeuronsUsingOperand implements Site. Every reuse set of a convolution is a
-// box of the output: batches × rows × columns × channels, enumerated in that
-// order, which is ascending offset order.
+// box of the output: rows × columns × channels, enumerated in that order,
+// which is ascending offset order.
 func (l *Conv2D) NeuronsUsingOperand(op *Operands, kind OperandKind, flat int, dst []int) []int {
-	n, h, w := op.In.Dim(0), op.In.Dim(1), op.In.Dim(2)
+	h, w := op.In.Dim(1), op.In.Dim(2)
 	oh, ow := l.outHW(h, w)
-	b0, b1, oy0, oy1, ox0, ox1, c0, c1 := 0, n, 0, oh, 0, ow, 0, l.OutC
+	oy0, oy1, ox0, ox1, c0, c1 := 0, oh, 0, ow, 0, l.OutC
 	switch kind {
 	case OperandInput:
-		ic, ix, iy, b := flat%l.InC, flat/l.InC%w, flat/(l.InC*w)%h, flat/(l.InC*w*h)
+		ic, ix, iy := flat%l.InC, flat/l.InC%w, flat/(l.InC*w)
 		// The output rows oy with oy*Stride + ky - Pad == iy for some ky in
 		// [0,KH) are one range, and the columns likewise; all output channels
 		// read the value, or its own one in a depthwise layer.
-		b0, b1 = b, b+1
 		oy0, oy1 = windowRange(iy, iy+1, l.KH, l.Stride, l.Pad, oh)
 		ox0, ox1 = windowRange(ix, ix+1, l.KW, l.Stride, l.Pad, ow)
 		if l.Depthwise {
 			c0, c1 = ic, ic+1
 		}
 	case OperandWeight:
-		// Every spatial position of the weight's output channel, all batches:
-		// the last axis of W that is not 1 (InC of a depthwise layer).
+		// Every spatial position of the weight's output channel: the last
+		// axis of W that is not 1 (InC of a depthwise layer).
 		c0 = flat % l.OutC
 		c1 = c0 + 1
 	case OperandBias:
@@ -277,14 +276,12 @@ func (l *Conv2D) NeuronsUsingOperand(op *Operands, kind OperandKind, flat int, d
 	if oy0 >= oy1 || ox0 >= ox1 {
 		return dst
 	}
-	dst = slices.Grow(dst, (b1-b0)*(oy1-oy0)*(ox1-ox0)*(c1-c0))
-	for b := b0; b < b1; b++ {
-		for oy := oy0; oy < oy1; oy++ {
-			for ox := ox0; ox < ox1; ox++ {
-				pixel := ((b*oh+oy)*ow + ox) * l.OutC
-				for oc := c0; oc < c1; oc++ {
-					dst = append(dst, pixel+oc)
-				}
+	dst = slices.Grow(dst, (oy1-oy0)*(ox1-ox0)*(c1-c0))
+	for oy := oy0; oy < oy1; oy++ {
+		for ox := ox0; ox < ox1; ox++ {
+			pixel := (oy*ow + ox) * l.OutC
+			for oc := c0; oc < c1; oc++ {
+				dst = append(dst, pixel+oc)
 			}
 		}
 	}

@@ -76,17 +76,7 @@ func (l *Dense) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 		if UseReferenceKernels() {
 			denseForwardRef(l, out, rin, rw.rw, batch)
 		} else {
-			var bias []float32
-			if l.B != nil {
-				bias = l.B.Data()
-			}
-			sc.dargs = denseArgs{
-				rin: rin, rw: rw.rw, bias: bias, out: out.Data(),
-				batch: batch, in: l.In, outN: l.Out,
-				fp16: l.codec.Precision() == numerics.FP16,
-				thr:  rw.thr, codec: l.codec,
-			}
-			denseForward(&sc.dargs)
+			denseTile(l, rw, rin, out.Data(), batch)
 		}
 		ctx.fire(l, sc.operands(l.matrix(x), l.W, l.B, out))
 		return out

@@ -1,17 +1,16 @@
 package nn
 
 // kernels.go implements the tiled compute kernels behind Conv2D, Dense and
-// MatMulSite. Each kernel computes an arbitrary rectangular tile of the
-// output tensor with hoisted slice bounds and flattened index math (verified
-// bounds-check-free with `go build -gcflags=-d=ssa/check_bce`), so the same
-// code serves three callers:
+// MatMulSite, with hoisted slice bounds and flattened index math (verified
+// bounds-check-free with `go build -gcflags=-d=ssa/check_bce`). Every kernel
+// runs on the calling goroutine: a campaign's parallelism is its shard
+// workers, each running one single-image inference at a time. A Dense or
+// MatMulSite forward is one tile, its whole output; the convolution's tile is
+// any rectangle of output pixels of its one image, which serves two callers:
 //
-//   - the full forward pass (the whole output is one tile, optionally split
-//     into row bands across goroutines when GOMAXPROCS allows);
+//   - the full forward pass, whose tile is the whole output;
 //   - the replay engine's region sweep, which recomputes only the output box
-//     reached by a fault's dirty input region (region.go);
-//   - the kernel equivalence tests, which sweep random tiles against the
-//     reference implementations below.
+//     reached by a fault's dirty input region (region.go).
 //
 // Bit-exactness contract: for every output neuron the accumulation order over
 // (ky, kx, ic) — or p for matmul, i for dense — is identical to the reference
@@ -26,8 +25,6 @@ package nn
 // selects them.
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"fidelity/internal/numerics"
@@ -46,38 +43,22 @@ func SetReferenceKernels(on bool) { referenceKernels.Store(on) }
 // UseReferenceKernels reports whether the reference kernels are active.
 func UseReferenceKernels() bool { return referenceKernels.Load() }
 
-// tileCount counts kernel tile executions process-wide (one full forward is
-// at least one tile; goroutine bands and region sweeps add more). Telemetry
-// reads it to report tiling activity.
+// tileCount counts kernel tile executions process-wide (a full forward is one
+// tile, a region sweep another). Telemetry reads it to report tiling
+// activity.
 var tileCount atomic.Int64
 
 // TileCount returns the cumulative number of kernel tiles executed.
 func TileCount() int64 { return tileCount.Load() }
 
-// forceKernelWorkers overrides the goroutine-tiling worker count in tests, so
-// the parallel band path is exercised even on single-CPU machines.
-var forceKernelWorkers atomic.Int32
-
-// kernelWorkers returns how many goroutines a kernel may fan out to.
-func kernelWorkers() int {
-	if w := int(forceKernelWorkers.Load()); w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// parallelMACThreshold is the minimum per-forward MAC estimate before a
-// kernel fans out to goroutine row bands; below it the spawn overhead wins.
-const parallelMACThreshold = 1 << 17
-
 // convArgs bundles the resolved geometry and pre-rounded operand buffers of
-// one Conv2D forward pass. rinOff is subtracted from every flattened input
-// index, letting rin be a row window rather than the full tensor (the region
-// sweep rounds only the rows a tile reads).
+// one Conv2D forward pass over one h×w image. rinOff is subtracted from every
+// flattened input index, letting rin be a row window rather than the full
+// tensor (the region sweep rounds only the rows a tile reads).
 type convArgs struct {
 	rin, rw, bias, out []float32
 	rinOff             int
-	n, h, w, inC       int
+	h, w, inC          int
 	oh, ow, outC       int
 	kh, kw, stride, pd int
 	depthwise, fp16    bool
@@ -149,13 +130,13 @@ func wholeSpans(o0, o1, stride, pd, k, n int) (lo, hi int) {
 }
 
 // convPixel accumulates output channels [c0, c0+len(accs)) of pixel (oy, ox)
-// of batch image bi into accs, from +0 and in (ky, kx, ic) order: the neuron
-// before its bias and saturation: of a depthwise layer too, whose channel c
-// reads input channel c alone — at FP16 one element-wise run over the whole
-// window (depthwiseRun).
-func convPixel(a *convArgs, bi, oy, ox, c0 int, accs []float32) {
+// into accs, from +0 and in (ky, kx, ic) order: the neuron before its bias
+// and saturation: of a depthwise layer too, whose channel c reads input
+// channel c alone — at FP16 one element-wise run over the whole window
+// (depthwiseRun).
+func convPixel(a *convArgs, oy, ox, c0 int, accs []float32) {
 	if a.depthwise && a.fp16 {
-		r := a.depthwiseRows(bi, oy)
+		r := a.depthwiseRows(oy)
 		in, w, g := a.depthwiseRun(&r, ox, c0)
 		numerics.HalfMulAddVec(accs, a.rin[in:], a.rw[w:], g)
 		return
@@ -173,7 +154,7 @@ func convPixel(a *convArgs, bi, oy, ox, c0 int, accs []float32) {
 		iy := oy*stride + ky - pd
 		// The kx span is one contiguous run of rounded inputs
 		// against one contiguous block of weight rows.
-		inBase := ((bi*a.h+iy)*a.w+ox*stride+kxLo-pd)*inC - a.rinOff
+		inBase := (iy*a.w+ox*stride+kxLo-pd)*inC - a.rinOff
 		irow := rin[inBase : inBase+(kxHi-kxLo)*inC]
 		wBase := (ky*kw + kxLo) * inC
 		if !a.depthwise {
@@ -204,12 +185,12 @@ type dwRows struct {
 	g     numerics.VecRun
 }
 
-// depthwiseRows returns output row oy of batch image bi's dwRows.
-func (a *convArgs) depthwiseRows(bi, oy int) dwRows {
+// depthwiseRows returns output row oy's dwRows.
+func (a *convArgs) depthwiseRows(oy int) dwRows {
 	kyLo, kyHi := kernelSpan(oy, a.stride, a.pd, a.kh, a.h)
 	inC := a.inC
 	return dwRows{
-		in: (bi*a.h+oy*a.stride+kyLo-a.pd)*a.w*inC - a.rinOff, w: kyLo * a.kw * inC,
+		in: (oy*a.stride+kyLo-a.pd)*a.w*inC - a.rinOff, w: kyLo * a.kw * inC,
 		g: numerics.VecRun{Stride: inC, Rows: kyHi - kyLo, ARow: a.w * inC, WRow: a.kw * inC},
 	}
 }
@@ -228,12 +209,12 @@ func (a *convArgs) depthwiseRun(r *dwRows, ox, c0 int) (in, w int, g numerics.Ve
 	return in, w, g
 }
 
-// convTile computes output rows [oy0,oy1) × columns [ox0,ox1) of batch bi,
-// all output channels. accs must hold at least outC elements and is scratch
-// owned by the caller (one per goroutine band). At FP16 a depthwise row's
+// convTile computes output rows [oy0,oy1) × columns [ox0,ox1), all output
+// channels. accs must hold at least outC elements and is the caller's
+// scratch. At FP16 a depthwise row's
 // pixels with whole kernel windows are one call, and each other pixel one,
 // that also adds the bias and saturates (numerics.HalfMulAddVecSaturate).
-func convTile(a *convArgs, bi, oy0, oy1, ox0, ox1 int, accs []float32) {
+func convTile(a *convArgs, oy0, oy1, ox0, ox1 int, accs []float32) {
 	tileCount.Add(1)
 	out, outC := a.out, a.outC
 	accs = accs[:outC]
@@ -246,14 +227,14 @@ func convTile(a *convArgs, bi, oy0, oy1, ox0, ox1 int, accs []float32) {
 		// all of them, one for each other pixel.
 		wholeLo, wholeHi := wholeSpans(ox0, ox1, a.stride, a.pd, a.kw, a.w)
 		for oy := oy0; oy < oy1; oy++ {
-			r := a.depthwiseRows(bi, oy)
+			r := a.depthwiseRows(oy)
 			for ox := ox0; ox < ox1; {
 				in, w, g := a.depthwiseRun(&r, ox, 0)
 				g.Pixels = 1
 				if ox == wholeLo && wholeHi > wholeLo {
 					g.Pixels, g.APixel = wholeHi-wholeLo, a.stride*a.inC
 				}
-				outBase := ((bi*a.oh+oy)*a.ow + ox) * outC
+				outBase := (oy*a.ow + ox) * outC
 				numerics.HalfMulAddVecSaturate(out[outBase:outBase+g.Pixels*outC], a.rin[in:], a.rw[w:], bias, g)
 				ox += g.Pixels
 			}
@@ -262,8 +243,8 @@ func convTile(a *convArgs, bi, oy0, oy1, ox0, ox1 int, accs []float32) {
 	}
 	for oy := oy0; oy < oy1; oy++ {
 		for ox := ox0; ox < ox1; ox++ {
-			convPixel(a, bi, oy, ox, 0, accs)
-			outBase := ((bi*a.oh+oy)*a.ow + ox) * outC
+			convPixel(a, oy, ox, 0, accs)
+			outBase := (oy*a.ow + ox) * outC
 			orow := out[outBase : outBase+outC][:len(accs)]
 			if bias != nil {
 				numerics.AddRow(orow, accs, bias)
@@ -277,15 +258,14 @@ func convTile(a *convArgs, bi, oy0, oy1, ox0, ox1 int, accs []float32) {
 
 // scratch is what a context keeps from one execution to the next, so that an
 // execution allocates only its output: conv accumulators, rounded operands (in;
-// w, a matmul's second), kernel arguments, GlobalAvgPool's sums, the LSTM's
-// cell state and gate input, and the hook's operand set, whose ComputeNeurons
-// calls reuse in, w, cargs and pos (a conv's decoded neuron positions).
+// w, a matmul's second), the conv kernel's arguments, GlobalAvgPool's sums, the
+// LSTM's cell state and gate input, and the hook's operand set, whose
+// ComputeNeurons calls reuse in, w, cargs and pos (a conv's decoded neuron
+// positions).
 type scratch struct {
 	accs, in, w []float32
 	cargs       convArgs
 	pos         []outPos
-	dargs       denseArgs
-	margs       matmulArgs
 	sums        []float64
 	cell        []float32
 	gatesIn     *tensor.Tensor
@@ -318,129 +298,36 @@ func (s *scratch) operands(in, w, b, out *tensor.Tensor) *Operands {
 	return &s.ops
 }
 
-// convForward runs the tiled convolution over the whole output, splitting the
-// output rows of each batch image into goroutine bands when the machine and
-// the layer are big enough. Bands write disjoint output rows and accumulate
-// independently, so the split cannot change any output bit. accs is the
-// caller's scratch of outC accumulators for the serial sweep; every band
-// makes its own.
-func convForward(a *convArgs, accs []float32) {
-	workers := kernelWorkers()
-	macs := a.oh * a.ow * a.outC * a.kh * a.kw
-	if !a.depthwise {
-		macs *= a.inC
-	}
-	if workers > a.oh {
-		workers = a.oh
-	}
-	if workers <= 1 || macs < parallelMACThreshold {
-		for bi := 0; bi < a.n; bi++ {
-			convTile(a, bi, 0, a.oh, 0, a.ow, accs)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	band := (a.oh + workers - 1) / workers
-	for g := 0; g < workers; g++ {
-		oy0 := g * band
-		oy1 := oy0 + band
-		if oy1 > a.oh {
-			oy1 = a.oh
-		}
-		if oy0 >= oy1 {
-			break
-		}
-		wg.Add(1)
-		go func(oy0, oy1 int) {
-			defer wg.Done()
-			accs := make([]float32, a.outC)
-			for bi := 0; bi < a.n; bi++ {
-				convTile(a, bi, oy0, oy1, 0, a.ow, accs)
-			}
-		}(oy0, oy1)
-	}
-	wg.Wait()
-}
-
-// denseArgs bundles one Dense forward pass for the tiled kernel.
-type denseArgs struct {
-	rin, rw, bias, out []float32
-	batch, in, outN    int
-	fp16               bool
-	thr                []uint32 // see convArgs
-	codec              numerics.Codec
-}
-
-// denseTile computes output rows [b0,b1) × columns [o0,o1), accumulating each
-// neuron over the input features in ascending order. The out buffer must be
-// zeroed over the tile (accumulation happens in place, as in the reference).
-func denseTile(a *denseArgs, b0, b1, o0, o1 int) {
+// denseTile computes the batch output rows of l into out, which must be
+// zeroed (accumulation happens in place, as in the reference): each neuron
+// over the input features in ascending order, then the bias and the
+// converter's saturation.
+func denseTile(l *Dense, rw *roundedWeights, rin, out []float32, batch int) {
 	tileCount.Add(1)
-	rin, rw, out := a.rin, a.rw, a.out
-	in, outN := a.in, a.outN
-	for b := b0; b < b1; b++ {
-		orow := out[b*outN+o0 : b*outN+o1]
-		mulAddPanel(a.fp16, a.thr, orow, rin[b*in:(b+1)*in], rw[o0:], outN)
-		if a.bias != nil {
-			numerics.AddRow(orow, orow, a.bias[o0:o1])
+	fp16 := l.codec.Precision() == numerics.FP16
+	in, outN := l.In, l.Out
+	for b := 0; b < batch; b++ {
+		orow := out[b*outN : (b+1)*outN]
+		mulAddPanel(fp16, rw.thr, orow, rin[b*in:(b+1)*in], rw.rw, outN)
+		if l.B != nil {
+			numerics.AddRow(orow, orow, l.B.Data())
 		}
-		a.codec.SaturateInto(orow, orow)
+		l.codec.SaturateInto(orow, orow)
 	}
 }
 
-// denseForward runs the tiled dense kernel, splitting output columns across
-// goroutines for large layers (columns, not rows: inference batch is 1).
-func denseForward(a *denseArgs) {
-	workers := kernelWorkers()
-	if workers > a.outN {
-		workers = a.outN
-	}
-	if workers <= 1 || a.batch*a.in*a.outN < parallelMACThreshold {
-		denseTile(a, 0, a.batch, 0, a.outN)
-		return
-	}
-	var wg sync.WaitGroup
-	band := (a.outN + workers - 1) / workers
-	for g := 0; g < workers; g++ {
-		o0 := g * band
-		o1 := o0 + band
-		if o1 > a.outN {
-			o1 = a.outN
-		}
-		if o0 >= o1 {
-			break
-		}
-		wg.Add(1)
-		go func(o0, o1 int) {
-			defer wg.Done()
-			denseTile(a, 0, a.batch, o0, o1)
-		}(o0, o1)
-	}
-	wg.Wait()
-}
-
-// matmulArgs bundles one MatMulSite execution for the tiled kernel. rb is the
-// rounded second operand as a k×n matrix, whichever way the site was handed it
-// (MatMulSite.Run transposes a TransposeB operand once per execution).
-type matmulArgs struct {
-	ra, rb, out []float32
-	m, k, n     int
-	scaleOut    float32
-	fp16        bool
-	codec       numerics.Codec
-}
-
-// matmulTile computes output rows [i0,i1) × columns [j0,j1), accumulating
-// each neuron over p in ascending order from +0 (DESIGN.md §7.1.2). The out
-// buffer must be zeroed over the tile.
-func matmulTile(a *matmulArgs, i0, i1, j0, j1 int) {
+// matmulTile computes the m×n product of l's rounded operands ra (m×k) and rb
+// (k×n, whichever way the site was handed it: MatMulSite.Run transposes a
+// TransposeB operand once per execution) into out, which must be zeroed,
+// accumulating each neuron over p in ascending order from +0 (DESIGN.md
+// §7.1.2).
+func matmulTile(l *MatMulSite, ra, rb, out []float32, m, k, n int) {
 	tileCount.Add(1)
-	ra, rb, out := a.ra, a.rb, a.out
-	k, n := a.k, a.n
-	for i := i0; i < i1; i++ {
-		orow := out[i*n+j0 : i*n+j1]
-		mulAddPanel(a.fp16, nil, orow, ra[i*k:(i+1)*k], rb[j0:], n)
-		scaleSaturate(a.codec, a.scaleOut, orow)
+	fp16 := l.codec.Precision() == numerics.FP16
+	for i := 0; i < m; i++ {
+		orow := out[i*n : (i+1)*n]
+		mulAddPanel(fp16, nil, orow, ra[i*k:(i+1)*k], rb, n)
+		scaleSaturate(l.codec, l.ScaleOut, orow)
 	}
 }
 
@@ -453,35 +340,4 @@ func scaleSaturate(codec numerics.Codec, scale float32, run []float32) {
 		}
 	}
 	codec.SaturateInto(run, run)
-}
-
-// matmulForward runs the tiled matmul kernel, splitting output rows across
-// goroutines for large products.
-func matmulForward(a *matmulArgs) {
-	workers := kernelWorkers()
-	if workers > a.m {
-		workers = a.m
-	}
-	if workers <= 1 || a.m*a.k*a.n < parallelMACThreshold {
-		matmulTile(a, 0, a.m, 0, a.n)
-		return
-	}
-	var wg sync.WaitGroup
-	band := (a.m + workers - 1) / workers
-	for g := 0; g < workers; g++ {
-		i0 := g * band
-		i1 := i0 + band
-		if i1 > a.m {
-			i1 = a.m
-		}
-		if i0 >= i1 {
-			break
-		}
-		wg.Add(1)
-		go func(i0, i1 int) {
-			defer wg.Done()
-			matmulTile(a, i0, i1, 0, a.n)
-		}(i0, i1)
-	}
-	wg.Wait()
 }

@@ -64,41 +64,30 @@ func kernelCodecs() []numerics.Codec {
 	}
 }
 
-// runKernelModes evaluates f once per kernel configuration — reference
-// loops, tiled single-threaded, and tiled with forced goroutine bands (the
-// parallel path is unreachable on a single-CPU machine without the force),
-// the tiled ones with numerics' lanes as detected, then single-threaded and
-// in four bands on each other leg of laneLegs (the "go" one is a lanes-off
-// leg for every codec: the FP16 panel, the float32 panel of INT8 / INT16 /
-// FP32 and the quantizers' rounding all hang on the one seam) — and requires
-// every output to be bit-identical to the reference.
+// runKernelModes evaluates f once per kernel configuration — the reference
+// loops, then the tiled kernels on every leg of laneLegs (the "go" one is a
+// lanes-off leg for every codec: the FP16 panel, the float32 panel of INT8 /
+// INT16 / FP32 and the quantizers' rounding all hang on the one seam) — and
+// requires every output to be bit-identical to the reference.
 func runKernelModes(t *testing.T, label string, f func() *tensor.Tensor) {
 	t.Helper()
 	type mode struct {
-		name    string
-		ref     bool
-		workers int32
-		lanes   laneLeg
+		name  string
+		ref   bool
+		lanes laneLeg
 	}
 	legs, restore := laneLegs()
 	defer restore()
-	modes := []mode{
-		{"reference", true, 0, legs[0]},
-		{"tiled-serial", false, 1, legs[0]},
-		{"tiled-4-bands", false, 4, legs[0]},
-		{"tiled-7-bands", false, 7, legs[0]}, // ragged band split
-	}
-	for _, l := range legs[1:] {
-		modes = append(modes, mode{"tiled-serial-" + l.name, false, 1, l}, mode{"tiled-4-bands-" + l.name, false, 4, l})
+	modes := []mode{{"reference", true, legs[0]}}
+	for _, l := range legs {
+		modes = append(modes, mode{"tiled-" + l.name, false, l})
 	}
 	var want *tensor.Tensor
 	for _, m := range modes {
 		SetReferenceKernels(m.ref)
-		forceKernelWorkers.Store(m.workers)
 		m.lanes.set()
 		got := f()
 		SetReferenceKernels(false)
-		forceKernelWorkers.Store(0)
 		if want == nil {
 			want = got
 			continue
@@ -197,8 +186,8 @@ func plantWeights(variant string, w *tensor.Tensor, rng *rand.Rand) {
 }
 
 // TestConvKernelEquivalence sweeps convolution geometries — padded, strided,
-// 1×1, depthwise, and one large enough to clear parallelMACThreshold so the
-// forced goroutine bands actually engage — across every codec.
+// 1×1, depthwise, and two of a few hundred thousand MACs — across every
+// codec.
 func TestConvKernelEquivalence(t *testing.T) {
 	geoms := []struct {
 		name                         string
@@ -210,8 +199,8 @@ func TestConvKernelEquivalence(t *testing.T) {
 		{"5x3-stride2", 5, 3, 3, 5, 2, 2, 11, 13, false},
 		{"1x1", 1, 1, 8, 8, 1, 0, 6, 6, false},
 		{"depthwise", 3, 3, 8, 8, 1, 1, 10, 10, true},
-		{"large-banded", 3, 3, 16, 32, 1, 1, 24, 24, false},
-		{"depthwise-banded", 3, 3, 48, 48, 1, 1, 32, 32, true},
+		{"large", 3, 3, 16, 32, 1, 1, 24, 24, false},
+		{"depthwise-large", 3, 3, 48, 48, 1, 1, 32, 32, true},
 		// mobilenet-lite's depthwise layers: one 8-, 16- and 32-column
 		// block of the run lanes, every edge pixel padded.
 		{"mobilenet-ds1", 3, 3, 8, 8, 1, 1, 8, 8, true},
@@ -232,7 +221,7 @@ func TestConvKernelEquivalence(t *testing.T) {
 			} else {
 				l = NewConv2D("c", g.kh, g.kw, g.inC, g.outC, g.stride, g.p, codec).InitRandom(rng, 1)
 			}
-			x := tensor.New(2, g.h, g.w, g.inC)
+			x := tensor.New(1, g.h, g.w, g.inC)
 			x.RandNormal(rng, 1)
 			runKernelModes(t, label, func() *tensor.Tensor { return l.Forward(x, nil) })
 
@@ -359,8 +348,8 @@ func TestZeroSkipGuardFollowsWeights(t *testing.T) {
 	}
 }
 
-// TestDenseKernelEquivalence covers small and band-splitting dense layers
-// across every codec, including a no-bias variant.
+// TestDenseKernelEquivalence covers small and large dense layers across every
+// codec, including a no-bias variant over a batch of rows.
 func TestDenseKernelEquivalence(t *testing.T) {
 	geoms := []struct {
 		name    string
@@ -370,7 +359,7 @@ func TestDenseKernelEquivalence(t *testing.T) {
 	}{
 		{"small", 7, 5, 1, true},
 		{"no-bias", 16, 9, 3, false},
-		{"large-banded", 512, 300, 1, true},
+		{"large", 512, 300, 1, true},
 	}
 	kinds := rowKinds{}
 	for _, g := range geoms {
@@ -445,21 +434,19 @@ func (k rowKinds) check(t *testing.T) {
 }
 
 // convVisits calls visit with every (activation, weight row) pair of l's
-// convolution over the rounded input rin of h×w maps, padding left out.
+// convolution over the rounded input rin of one h×w map, padding left out.
 func convVisits(l *Conv2D, rin []float32, h, w int, visit func(a float32, row int)) {
 	oh, ow := l.outHW(h, w)
-	for bi := 0; bi < len(rin)/(h*w*l.InC); bi++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				for ky := 0; ky < l.KH; ky++ {
-					for kx := 0; kx < l.KW; kx++ {
-						iy, ix := oy*l.Stride+ky-l.Pad, ox*l.Stride+kx-l.Pad
-						if iy < 0 || iy >= h || ix < 0 || ix >= w {
-							continue
-						}
-						for ic := 0; ic < l.InC; ic++ {
-							visit(rin[((bi*h+iy)*w+ix)*l.InC+ic], (ky*l.KW+kx)*l.InC+ic)
-						}
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			for ky := 0; ky < l.KH; ky++ {
+				for kx := 0; kx < l.KW; kx++ {
+					iy, ix := oy*l.Stride+ky-l.Pad, ox*l.Stride+kx-l.Pad
+					if iy < 0 || iy >= h || ix < 0 || ix >= w {
+						continue
+					}
+					for ic := 0; ic < l.InC; ic++ {
+						visit(rin[(iy*w+ix)*l.InC+ic], (ky*l.KW+kx)*l.InC+ic)
 					}
 				}
 			}
@@ -468,7 +455,7 @@ func convVisits(l *Conv2D, rin []float32, h, w int, visit func(a float32, row in
 }
 
 // TestMatMulKernelEquivalence covers plain and transposed-B matmuls with and
-// without output scaling, including a product large enough to band.
+// without output scaling, including a 64×64×64 product.
 func TestMatMulKernelEquivalence(t *testing.T) {
 	geoms := []struct {
 		name       string
@@ -478,8 +465,8 @@ func TestMatMulKernelEquivalence(t *testing.T) {
 	}{
 		{"plain", 5, 7, 6, false, 0},
 		{"transposed-scaled", 6, 8, 5, true, 0.125},
-		{"large-banded", 64, 64, 64, false, 0},
-		{"large-banded-T", 64, 64, 64, true, 0.5},
+		{"large", 64, 64, 64, false, 0},
+		{"large-T", 64, 64, 64, true, 0.5},
 		// A transposed operand goes through the panel like a plain one: widths
 		// with a tail behind the whole chunks, one narrower than a chunk beside
 		// a long inner dimension, and a single product per output.
@@ -520,26 +507,31 @@ func TestMatMulKernelEquivalence(t *testing.T) {
 	}
 }
 
-// TestKernelTileCounting checks that every forward accounts at least one tile
-// and that forced bands multiply the count — the counter feeding the
-// telemetry Kernels block.
+// TestKernelTileCounting checks that a conv, dense and matmul forward of one
+// image each account exactly one tile, whatever GOMAXPROCS is — the counter
+// feeding the telemetry Kernels block.
 func TestKernelTileCounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	l := NewConv2D("c", 3, 3, 16, 32, 1, 1, numerics.MustCodec(numerics.FP16, 0)).InitRandom(rng, 1)
-	x := tensor.New(1, 24, 24, 16)
-	x.RandNormal(rng, 1)
-
-	base := TileCount()
-	l.Forward(x, nil)
-	serial := TileCount() - base
-	if serial < 1 {
-		t.Fatalf("serial forward executed %d tiles, want >= 1", serial)
+	codec := numerics.MustCodec(numerics.FP16, 0)
+	conv := NewConv2D("c", 3, 3, 16, 32, 1, 1, codec).InitRandom(rng, 1)
+	dense := NewDense("d", 512, 300, codec).InitRandom(rng, 1)
+	mm := NewMatMulSite("mm", true, 0, codec)
+	x, v, a := tensor.New(1, 24, 24, 16), tensor.New(1, 512), tensor.New(64, 64)
+	for _, in := range []*tensor.Tensor{x, v, a} {
+		in.RandNormal(rng, 1)
 	}
-	forceKernelWorkers.Store(4)
-	defer forceKernelWorkers.Store(0)
-	base = TileCount()
-	l.Forward(x, nil)
-	if banded := TileCount() - base; banded < 4 {
-		t.Errorf("4-band forward executed %d tiles, want >= 4", banded)
+	for _, f := range []struct {
+		name    string
+		forward func()
+	}{
+		{"conv", func() { conv.Forward(x, nil) }},
+		{"dense", func() { dense.Forward(v, nil) }},
+		{"matmul", func() { mm.Run(a, a, nil) }},
+	} {
+		base := TileCount()
+		f.forward()
+		if tiles := TileCount() - base; tiles != 1 {
+			t.Errorf("%s forward executed %d tiles, want 1", f.name, tiles)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fidelity/internal/numerics"
@@ -78,6 +79,23 @@ func TestMaxPoolMasksSmallFaults(t *testing.T) {
 	}
 }
 
+// TestImageLayersRejectBatches: Conv2D and the pools compute one image, and
+// a batch of two panics with a message naming the layer.
+func TestImageLayersRejectBatches(t *testing.T) {
+	c := fp32Codec()
+	x := tensor.New(2, 4, 4, 2)
+	for _, l := range []Layer{NewConv2D("conv", 3, 3, 2, 2, 1, 1, c), NewMaxPool("maxpool", 2, 2), NewGlobalAvgPool("avgpool", c)} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, l.Name()) {
+					t.Errorf("%s over %v: panic %q, want one naming the layer", l.Name(), x.Shape(), msg)
+				}
+			}()
+			l.Forward(x, nil)
+		}()
+	}
+}
+
 func TestGlobalAvgPool(t *testing.T) {
 	c := fp32Codec()
 	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2, 1)
@@ -100,7 +118,7 @@ func TestPoolRegionsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for _, g := range []struct{ size, stride, h, w int }{{2, 2, 8, 6}, {3, 1, 7, 7}, {3, 2, 9, 11}, {1, 1, 3, 4}} {
 		for _, c := range []int{1, 3, 8, 12, 16, 21} {
-			x := tensor.New(2, g.h, g.w, c)
+			x := tensor.New(1, g.h, g.w, c)
 			x.RandNormal(rng, 3)
 			adversarial(x.Data(), rng)
 			for i := 0; i < g.size*c; i++ { // in every channel, a window of nothing but NaNs
@@ -123,7 +141,7 @@ func TestPoolRegionsMatchNaive(t *testing.T) {
 			for _, lanes := range []bool{detected, false} {
 				numericsHasAVX2 = lanes
 				for _, bx := range [][4]int{{0, oh, 0, ow}, {1, oh - 1, 1, ow}} {
-					out := tensor.New(2, oh, ow, c)
+					out := tensor.New(1, oh, ow, c)
 					out.Fill(7)
 					maxPoolRegion(x, out, g.size, g.stride, bx[0], bx[1], bx[2], bx[3])
 					for i, got := range out.Data() {
@@ -403,10 +421,9 @@ func TestClampActivation(t *testing.T) {
 
 // TestElementwiseRegionSweep holds the region sweeps of the elementwise layers
 // to their full forward pass: whatever the dirty box — rows and columns of a
-// two-image rank-4 tensor, or rows of a rank-2 one whose differences start
-// and end inside a row — sweeping it over a copy of the golden output gives
-// the bits a forward over the dirty input gives, and the swept box is the
-// dirty box.
+// rank-4 image, or rows of a rank-2 tensor whose differences start and end
+// inside a row — sweeping it over a copy of the golden output gives the bits
+// a forward over the dirty input gives, and the swept box is the dirty box.
 func TestElementwiseRegionSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, codec := range kernelCodecs() {
@@ -415,20 +432,18 @@ func TestElementwiseRegionSweep(t *testing.T) {
 			regionSite
 		}{NewBatchNorm("bn", 6, codec).InitRandom(rng), NewReLU("relu", codec), NewRelu6("relu6", codec)}
 		for _, l := range layers {
-			for _, shape := range [][]int{{2, 5, 7, 6}, {5, 6}} {
+			for _, shape := range [][]int{{1, 5, 7, 6}, {5, 6}} {
 				x := tensor.New(shape...)
 				x.RandNormal(rng, 2)
 				golden := l.Forward(x, nil)
 				dirty := x.Clone()
 				var bx box
 				if len(shape) == 4 {
-					// Rows 1–3, columns 2–4, of both images.
+					// Rows 1–3, columns 2–4.
 					bx = box{1, 4, 2, 5}
-					for b := 0; b < shape[0]; b++ {
-						for y := bx.y0; y < bx.y1; y++ {
-							for xx := bx.x0; xx < bx.x1; xx++ {
-								dirty.Set(float32(rng.NormFloat64()*3), b, y, xx, rng.Intn(shape[3]))
-							}
+					for y := bx.y0; y < bx.y1; y++ {
+						for xx := bx.x0; xx < bx.x1; xx++ {
+							dirty.Set(float32(rng.NormFloat64()*3), 0, y, xx, rng.Intn(shape[3]))
 						}
 					}
 				} else {

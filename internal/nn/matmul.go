@@ -77,14 +77,7 @@ func (l *MatMulSite) Run(a, b *tensor.Tensor, ctx *Context) *tensor.Tensor {
 				bd = sc.w
 				transposeInto(bd, b.Data(), n, k)
 			}
-			sc.margs = matmulArgs{
-				ra: ra, rb: round(&sc.w, l.codec, bd), out: out.Data(),
-				m: m, k: k, n: n,
-				scaleOut: l.ScaleOut,
-				fp16:     l.codec.Precision() == numerics.FP16,
-				codec:    l.codec,
-			}
-			matmulForward(&sc.margs)
+			matmulTile(l, ra, round(&sc.w, l.codec, bd), out.Data(), m, k, n)
 		}
 		ctx.fire(l, sc.operands(a, b, nil, out))
 		return out

@@ -29,14 +29,14 @@ func (l *MaxPool) Name() string { return l.name }
 
 // Forward implements Layer.
 func (l *MaxPool) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	n, h, w, c := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	h, w, c := x.Dim(1), x.Dim(2), x.Dim(3)
 	oh := (h-l.Size)/l.Stride + 1
 	ow := (w-l.Size)/l.Stride + 1
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: %s input %v too small for pool %d/%d", l.name, x.Shape(), l.Size, l.Stride))
+	if x.Dim(0) != 1 || oh <= 0 || ow <= 0 {
+		panic(fmt.Sprintf("nn: %s expects one NHWC image of at least pool %d/%d, got %v", l.name, l.Size, l.Stride, x.Shape()))
 	}
 	return ctx.exec(l, func() *tensor.Tensor {
-		out := ctx.newTensor(n, oh, ow, c)
+		out := ctx.newTensor(1, oh, ow, c)
 		maxPoolRegion(x, out, l.Size, l.Stride, 0, oh, 0, ow)
 		return out
 	}, nil, x)
@@ -48,32 +48,30 @@ func (l *MaxPool) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 // matching the naive loop (max is order-independent, but we keep the order
 // anyway so NaN tie behavior cannot drift).
 func maxPoolRegion(x, out *tensor.Tensor, size, stride, y0, y1, x0, x1 int) {
-	n, h, w, c := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh, ow := out.Dim(1), out.Dim(2)
+	w, c := x.Dim(2), x.Dim(3)
+	ow := out.Dim(2)
 	xd, od := x.Data(), out.Data()
 	negInf := float32(math.Inf(-1))
-	for b := 0; b < n; b++ {
-		for y := y0; y < y1; y++ {
-			for xx := x0; xx < x1; xx++ {
-				outBase := ((b*oh+y)*ow + xx) * c
-				maxs := od[outBase : outBase+c]
-				for ch := range maxs {
-					maxs[ch] = negInf
-				}
-				for py := 0; py < size; py++ {
-					rowBase := ((b*h+y*stride+py)*w + xx*stride) * c
-					win := xd[rowBase : rowBase+size*c]
-					for px := 0; px < size; px++ {
-						numerics.MaxRow(maxs, win[px*c:px*c+c])
-					}
+	for y := y0; y < y1; y++ {
+		for xx := x0; xx < x1; xx++ {
+			outBase := (y*ow + xx) * c
+			maxs := od[outBase : outBase+c]
+			for ch := range maxs {
+				maxs[ch] = negInf
+			}
+			for py := 0; py < size; py++ {
+				rowBase := ((y*stride+py)*w + xx*stride) * c
+				win := xd[rowBase : rowBase+size*c]
+				for px := 0; px < size; px++ {
+					numerics.MaxRow(maxs, win[px*c:px*c+c])
 				}
 			}
 		}
 	}
 }
 
-// GlobalAvgPool averages each channel over all spatial positions, producing
-// (N, C). Used ahead of the classifier head in the CNN models.
+// GlobalAvgPool averages each channel over all spatial positions of one NHWC
+// image, producing (1, C). Used ahead of the classifier head in the CNN models.
 type GlobalAvgPool struct {
 	name  string
 	codec numerics.Codec
@@ -89,33 +87,31 @@ func (l *GlobalAvgPool) Name() string { return l.name }
 
 // Forward implements Layer.
 func (l *GlobalAvgPool) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
-	n, h, w, c := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	if x.Rank() != 4 || x.Dim(0) != 1 {
+		panic(fmt.Sprintf("nn: %s expects one NHWC image, got %v", l.name, x.Shape()))
+	}
+	h, w, c := x.Dim(1), x.Dim(2), x.Dim(3)
 	return ctx.exec(l, func() *tensor.Tensor {
-		out := ctx.newTensor(n, c)
+		out := ctx.newTensor(1, c)
 		inv := 1 / float32(h*w)
 		xd, od := x.Data(), out.Data()
 		sc := ctx.scratch()
 		sc.sums = grow(sc.sums, c)
 		sums := sc.sums
+		clear(sums)
 		// Flattened single pass; each channel's float64 sum still accumulates
 		// spatial positions in (y, x) ascending order, so the result is
 		// bit-identical to the naive per-channel walk.
-		for b := 0; b < n; b++ {
-			for ch := range sums {
-				sums[ch] = 0
+		for base := 0; base+c <= len(xd); base += c {
+			cell := xd[base : base+c]
+			sums := sums[:len(cell)]
+			for ch, v := range cell {
+				sums[ch] += float64(v)
 			}
-			img := xd[b*h*w*c : (b+1)*h*w*c]
-			for base := 0; base+c <= len(img); base += c {
-				cell := img[base : base+c]
-				sums := sums[:len(cell)]
-				for ch, v := range cell {
-					sums[ch] += float64(v)
-				}
-			}
-			orow := od[b*c : (b+1)*c][:len(sums)]
-			for ch := range orow {
-				orow[ch] = l.codec.Round(float32(sums[ch]) * inv)
-			}
+		}
+		od = od[:len(sums)]
+		for ch := range od {
+			od[ch] = l.codec.Round(float32(sums[ch]) * inv)
 		}
 		return out
 	}, nil, x)

@@ -155,7 +155,6 @@ func (l *Conv2D) ComputeNeurons(op *Operands, neurons []int, ov *Override, dst [
 	}
 	ind := op.In.Data()
 	rowStride := a.w * a.inC
-	imgSize := a.oh * a.ow * a.outC
 
 	// A weight's reuse set: its output channel's weight column, contiguous,
 	// against each pixel's contiguous input. A depthwise channel's column is
@@ -167,56 +166,50 @@ func (l *Conv2D) ComputeNeurons(op *Operands, neurons []int, ov *Override, dst [
 		weightColumn(l.codec, col, a.rw, a.outC, neurons[0]%a.outC, wFlat, ov)
 	}
 
-	for lo := 0; lo < len(neurons); {
-		// The neurons of one batch image, the input box they read and each
-		// one's position, decoded once for both passes.
-		bi := neurons[lo] / imgSize
-		img, hi := bi*imgSize, lo
-		oy0, oy1, ox0, ox1 := a.oh, -1, a.ow, -1
-		sc.pos = sc.pos[:0]
-		for ; hi < len(neurons) && uint(neurons[hi]-img) < uint(imgSize); hi++ {
-			oy, ox, c := a.position(neurons[hi] - img)
-			sc.pos = append(sc.pos, outPos{oy, ox, c})
-			oy0, oy1 = min(oy0, oy), max(oy1, oy)
-			ox0, ox1 = min(ox0, ox), max(ox1, ox)
+	// The input box the neurons read and each one's position, decoded once
+	// for both passes.
+	oy0, oy1, ox0, ox1 := a.oh, -1, a.ow, -1
+	sc.pos = grow(sc.pos, len(neurons))
+	for i, off := range neurons {
+		p := a.position(off)
+		sc.pos[i] = p
+		oy0, oy1 = min(oy0, p.oy), max(oy1, p.oy)
+		ox0, ox1 = min(ox0, p.ox), max(ox1, p.ox)
+	}
+	iy0, iy1 := max(oy0*a.stride-a.pd, 0), min(oy1*a.stride-a.pd+a.kh, a.h)
+	ix0, ix1 := max(ox0*a.stride-a.pd, 0), min(ox1*a.stride-a.pd+a.kw, a.w)
+	// Round that box once, at full-row pitch so that convPixel's indexing
+	// holds; what lies outside the box is never read.
+	a.rinOff = iy0 * rowStride
+	if iy1 > iy0 && ix1 > ix0 {
+		sc.in = grow(sc.in, (iy1-iy0)*rowStride)
+		a.rin = sc.in
+		for iy := iy0; iy < iy1; iy++ {
+			base := (iy*a.w + ix0) * a.inC
+			seg := ind[base : base+(ix1-ix0)*a.inC]
+			roundRow(l.codec, a.rin[base-a.rinOff:], seg, base, inFlat, ov)
 		}
-		iy0, iy1 := max(oy0*a.stride-a.pd, 0), min(oy1*a.stride-a.pd+a.kh, a.h)
-		ix0, ix1 := max(ox0*a.stride-a.pd, 0), min(ox1*a.stride-a.pd+a.kw, a.w)
-		// Round that box once, at full-row pitch so that convPixel's indexing
-		// holds; what lies outside the box is never read.
-		a.rinOff = (bi*a.h + iy0) * rowStride
-		if iy1 > iy0 && ix1 > ix0 {
-			sc.in = grow(sc.in, (iy1-iy0)*rowStride)
-			a.rin = sc.in
-			for iy := iy0; iy < iy1; iy++ {
-				base := ((bi*a.h+iy)*a.w + ix0) * a.inC
-				seg := ind[base : base+(ix1-ix0)*a.inC]
-				roundRow(l.codec, a.rin[base-a.rinOff:], seg, base, inFlat, ov)
-			}
-		}
+	}
 
-		for i := lo; i < hi; {
-			p := sc.pos[i-lo]
-			oy, ox, c0 := p.oy, p.ox, p.c
-			if col != nil {
-				dst[i] = finishNeuron(l.codec, op.B, ov, c0, convColumn(a, col, bi, oy, ox))
-				i++
-				continue
-			}
-			end := runEnd(neurons[:hi], i, a.outC)
-			run := dst[i:end]
-			convPixel(a, bi, oy, ox, c0, run)
-			for c, acc := range run {
-				run[c] = finishNeuron(l.codec, op.B, ov, c0+c, acc)
-			}
-			// The cached weights cannot carry a weight override: the one
-			// neuron of the run that multiplies by it is taken by definition.
-			if oc := wFlat % a.outC; wFlat >= 0 && oc >= c0 && oc < c0+len(run) {
-				run[oc-c0] = l.ComputeNeuron(op, neurons[i+oc-c0], ov)
-			}
-			i = end
+	for i := 0; i < len(neurons); {
+		p := sc.pos[i]
+		if col != nil {
+			dst[i] = finishNeuron(l.codec, op.B, ov, p.c, convColumn(a, col, p.oy, p.ox))
+			i++
+			continue
 		}
-		lo = hi
+		end := runEnd(neurons, i, a.outC)
+		run := dst[i:end]
+		convPixel(a, p.oy, p.ox, p.c, run)
+		for c, acc := range run {
+			run[c] = finishNeuron(l.codec, op.B, ov, p.c+c, acc)
+		}
+		// The cached weights cannot carry a weight override: the one neuron
+		// of the run that multiplies by it is taken by definition.
+		if oc := wFlat % a.outC; wFlat >= 0 && oc >= p.c && oc < p.c+len(run) {
+			run[oc-p.c] = l.ComputeNeuron(op, neurons[i+oc-p.c], ov)
+		}
+		i = end
 	}
 }
 
@@ -224,17 +217,17 @@ func (l *Conv2D) ComputeNeurons(op *Operands, neurons []int, ov *Override, dst [
 type outPos struct{ oy, ox, c int }
 
 // position returns the output row, column and channel of offset off into
-// one batch image of the output.
-func (a *convArgs) position(off int) (oy, ox, c int) {
+// the output.
+func (a *convArgs) position(off int) outPos {
 	pix := off / a.outC
-	oy = pix / a.ow
-	return oy, pix - oy*a.ow, off - pix*a.outC
+	oy := pix / a.ow
+	return outPos{oy, pix - oy*a.ow, off - pix*a.outC}
 }
 
-// convColumn accumulates the neuron at pixel (oy, ox) of batch image bi whose
-// kh·kw·inC weights are col, in (ky, kx, ic) order: convPixel for one output
-// channel, with the strided weight gather already done.
-func convColumn(a *convArgs, col []float32, bi, oy, ox int) float32 {
+// convColumn accumulates the neuron at pixel (oy, ox) whose kh·kw·inC weights
+// are col, in (ky, kx, ic) order: convPixel for one output channel, with the
+// strided weight gather already done.
+func convColumn(a *convArgs, col []float32, oy, ox int) float32 {
 	kyLo, kyHi := kernelSpan(oy, a.stride, a.pd, a.kh, a.h)
 	kxLo, kxHi := kernelSpan(ox, a.stride, a.pd, a.kw, a.w)
 	var acc float32
@@ -243,7 +236,7 @@ func convColumn(a *convArgs, col []float32, bi, oy, ox int) float32 {
 	}
 	for ky := kyLo; ky < kyHi; ky++ {
 		iy := oy*a.stride + ky - a.pd
-		inBase := ((bi*a.h+iy)*a.w+ox*a.stride+kxLo-a.pd)*a.inC - a.rinOff
+		inBase := (iy*a.w+ox*a.stride+kxLo-a.pd)*a.inC - a.rinOff
 		wBase := (ky*a.kw + kxLo) * a.inC
 		n := (kxHi - kxLo) * a.inC
 		acc = dotRow(a.fp16, acc, a.rin[inBase:inBase+n], col[wBase:wBase+n])

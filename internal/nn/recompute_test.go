@@ -133,7 +133,7 @@ func TestComputeNeuronsMatchesComputeNeuron(t *testing.T) {
 				plantWeights("nonfinite", l.W, rng)
 			}
 			l.InvalidateWeights()
-			x := tensor.New(2, 5+rng.Intn(4), 5+rng.Intn(4), l.InC)
+			x := tensor.New(1, 5+rng.Intn(4), 5+rng.Intn(4), l.InC)
 			x.RandNormal(rng, 1)
 			adversarial(x.Data(), rng)
 			label := fmt.Sprintf("conv %s k%d s%d p%d %d->%d depthwise=%v bias=%v",
@@ -327,7 +327,7 @@ func TestNeuronsUsingOperandExact(t *testing.T) {
 			l = NewDepthwiseConv2D("c", g.k, g.k, g.c, g.s, g.p, codec)
 		}
 		l.W, l.B = random(l.W.Shape()...), random(g.outC)
-		x := random(2, g.h, g.w, g.c)
+		x := random(1, g.h, g.w, g.c)
 		check("conv "+g.name, l, &Operands{In: x, W: l.W, B: l.B}, g.p > 0,
 			func() *tensor.Tensor { return l.Forward(x, nil) }, l.InvalidateWeights)
 	}

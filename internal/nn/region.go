@@ -24,39 +24,38 @@ import (
 	"fidelity/internal/tensor"
 )
 
-// box is the spatial region [y0,y1)×[x0,x1) (all batches, all channels) of a
-// rank-4 NHWC tensor, or the rows [y0,y1) of a rank-2 one (x0, x1 = 0, 1, as
-// grid views it). It is both what a dirty output records and what a sweep
-// recomputes. The zero box stands for "the whole tensor", whatever its rank.
+// box is the spatial region [y0,y1)×[x0,x1) (all channels) of a rank-4 NHWC
+// tensor, or the rows [y0,y1) of a rank-2 one (x0, x1 = 0, 1, as grid views
+// it). It is both what a dirty output records and what a sweep recomputes.
+// The zero box stands for "the whole tensor", whatever its rank.
 type box struct{ y0, y1, x0, x1 int }
 
-// grid views t as n images of h×w positions, each a vector of c elements
-// along its last axis: NHWC at rank 4, (1, rows, 1, cols) at rank 2. ok is
-// false at any other rank.
-func grid(t *tensor.Tensor) (n, h, w, c int, ok bool) {
+// grid views t as h×w positions, each a vector of c elements along its last
+// axis: NHWC at rank 4 and (rows, 1, cols) at rank 2. A rank-4 tensor is one
+// image — Conv2D and the pools refuse any other — so its batch axis simply
+// folds into the rows, which keeps an element-wise step over a batch correct.
+// ok is false at any other rank.
+func grid(t *tensor.Tensor) (h, w, c int, ok bool) {
 	switch t.Rank() {
 	case 4:
-		return t.Dim(0), t.Dim(1), t.Dim(2), t.Dim(3), true
+		return t.Dim(0) * t.Dim(1), t.Dim(2), t.Dim(3), true
 	case 2:
-		return 1, t.Dim(0), 1, t.Dim(1), true
+		return t.Dim(0), 1, t.Dim(1), true
 	}
-	return 0, 0, 0, 0, false
+	return 0, 0, 0, false
 }
 
 // runs calls f with every run [p0, p1) of consecutive positions of t (flat
-// over grid's n, h, w) inside the box, in every image: one run per box row,
-// or one per image when the box spans whole rows.
+// over grid's h, w) inside the box: one run per box row, or one in all when
+// the box spans whole rows.
 func (b box) runs(t *tensor.Tensor, f func(p0, p1 int)) {
-	n, h, w, _, _ := grid(t)
-	for i := 0; i < n; i++ {
-		img := i * h * w
-		if b.x0 == 0 && b.x1 == w {
-			f(img+b.y0*w, img+b.y1*w)
-			continue
-		}
-		for y := b.y0; y < b.y1; y++ {
-			f(img+y*w+b.x0, img+y*w+b.x1)
-		}
+	_, w, _, _ := grid(t)
+	if b.x0 == 0 && b.x1 == w {
+		f(b.y0*w, b.y1*w)
+		return
+	}
+	for y := b.y0; y < b.y1; y++ {
+		f(y*w+b.x0, y*w+b.x1)
 	}
 }
 
@@ -75,7 +74,7 @@ func diffFlat(out, golden *tensor.Tensor, lo, hi int) (b box, equal bool) {
 	}
 	switch out.Rank() {
 	case 4:
-		return boxify(od, gd, lo+first, lo+last+1, out.Dim(1), out.Dim(2), out.Dim(3)), false
+		return boxify(od, gd, lo+first, lo+last+1, out.Dim(2), out.Dim(3)), false
 	case 2:
 		cols := out.Dim(1)
 		return box{y0: (lo + first) / cols, y1: (lo+last)/cols + 1, x1: 1}, false
@@ -84,28 +83,25 @@ func diffFlat(out, golden *tensor.Tensor, lo, hi int) (b box, equal bool) {
 }
 
 // boxify tightens the flat range [lo, hi) of a rank-4 NHWC buffer, whose
-// first and last elements differ, into a box: the rows of the range that hold
-// a difference, and the columns between the leftmost first and the rightmost
-// last difference of any row (numerics.DiffEnds scans a row from both ends
-// inwards: the interior of a dirty row is never read). Row r of the buffer is
-// row r%h of image r/h. The ends are kept as element offsets into their rows
-// and turned into columns once: division by c is monotone, so the column of
-// the leftmost offset is the leftmost column.
-func boxify(od, gd []float32, lo, hi, h, w, c int) box {
+// first and last elements differ, into a box: the rows of the range — its
+// first and last hold a difference — and the columns between the leftmost
+// first and the rightmost last difference of any row (numerics.DiffEnds scans
+// a row from both ends inwards: the interior of a dirty row is never read).
+// The ends are kept as element offsets into their rows and turned into
+// columns once: division by c is monotone, so the column of the leftmost
+// offset is the leftmost column.
+func boxify(od, gd []float32, lo, hi, w, c int) box {
 	rowStride := w * c
-	y0, y1, left, right := h, 0, rowStride, -1
+	left, right := rowStride, -1
 	for r := lo / rowStride; r*rowStride < hi; r++ {
 		row := r * rowStride
 		rlo, rhi := max(lo, row), min(hi, row+rowStride)
 		first, last := numerics.DiffEnds(od[rlo:rhi], gd[rlo:rhi])
-		if last < 0 {
-			continue
+		if last >= 0 {
+			left, right = min(left, rlo-row+first), max(right, rlo-row+last)
 		}
-		y := r % h
-		y0, y1 = min(y0, y), max(y1, y+1)
-		left, right = min(left, rlo-row+first), max(right, rlo-row+last)
 	}
-	return box{y0, y1, left / c, right/c + 1}
+	return box{lo / rowStride, (hi-1)/rowStride + 1, left / c, right/c + 1}
 }
 
 // diffBox scans only the given box of a rank-4 tensor (the region a sweep
@@ -114,19 +110,17 @@ func boxify(od, gd []float32, lo, hi, h, w, c int) box {
 // both ends inwards and its columns found once, as in boxify.
 func diffBox(out, golden *tensor.Tensor, bx box) (b box, equal bool) {
 	od, gd := out.Data(), golden.Data()
-	n, h, w, c := out.Dim(0), out.Dim(1), out.Dim(2), out.Dim(3)
+	w, c := out.Dim(2), out.Dim(3)
 	width := (bx.x1 - bx.x0) * c
-	y0, y1, left, right := h, 0, width, -1 // left, right: offsets into a row of the box
-	for i := 0; i < n; i++ {
-		for y := bx.y0; y < bx.y1; y++ {
-			base := ((i*h+y)*w + bx.x0) * c
-			first, last := numerics.DiffEnds(od[base:base+width], gd[base:base+width])
-			if last < 0 {
-				continue
-			}
-			y0, y1 = min(y0, y), max(y1, y+1)
-			left, right = min(left, first), max(right, last)
+	y0, y1, left, right := bx.y1, 0, width, -1 // left, right: offsets into a row of the box
+	for y := bx.y0; y < bx.y1; y++ {
+		base := (y*w + bx.x0) * c
+		first, last := numerics.DiffEnds(od[base:base+width], gd[base:base+width])
+		if last < 0 {
+			continue
 		}
+		y0, y1 = min(y0, y), max(y1, y+1)
+		left, right = min(left, first), max(right, last)
 	}
 	if right < 0 {
 		return box{}, true
@@ -160,7 +154,7 @@ func (c *Context) region(t *tensor.Tensor) (b box, ok bool) {
 // is neither rank 4 nor rank 2, or a dirty input has no recorded box or not
 // out's positions (a concat along any but the last axis).
 func (c *Context) glueRegion(out *tensor.Tensor, in []*tensor.Tensor) (r box, ok bool) {
-	n, h, w, _, ok := grid(out)
+	h, w, _, ok := grid(out)
 	if !ok {
 		return box{}, false
 	}
@@ -170,8 +164,8 @@ func (c *Context) glueRegion(out *tensor.Tensor, in []*tensor.Tensor) (r box, ok
 			continue
 		}
 		b, known := c.region(t)
-		tn, th, tw, _, _ := grid(t)
-		if !known || tn != n || th != h || tw != w {
+		th, tw, _, _ := grid(t)
+		if !known || th != h || tw != w {
 			return box{}, false
 		}
 		r = box{min(r.y0, b.y0), max(r.y1, b.y1), min(r.x0, b.x0), max(r.x1, b.x1)}
@@ -240,9 +234,8 @@ func (c *Context) sweepBuf(l Layer, golden *tensor.Tensor, r box) *tensor.Tensor
 // through the kernel window geometry, rounds only the input rows the output
 // box reads, and runs the tiled kernel over that box.
 func (l *Conv2D) forwardRegion(c *Context, x, golden *tensor.Tensor, b box) (*tensor.Tensor, box, bool) {
-	n, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	os := golden.Shape()
-	oh, ow := os[1], os[2]
+	h, w := x.Dim(1), x.Dim(2)
+	oh, ow := golden.Dim(1), golden.Dim(2)
 	oy0, oy1 := windowRange(b.y0, b.y1, l.KH, l.Stride, l.Pad, oh)
 	ox0, ox1 := windowRange(b.x0, b.x1, l.KW, l.Stride, l.Pad, ow)
 	if oy0 >= oy1 || ox0 >= ox1 {
@@ -251,37 +244,22 @@ func (l *Conv2D) forwardRegion(c *Context, x, golden *tensor.Tensor, b box) (*te
 	out := c.goldenCopy(golden)
 
 	// Round only the input rows the output box reads. For FP32 rounding is
-	// the identity, so the input buffer is used directly; multi-batch inputs
-	// fall back to rounding the full tensor (row windows are per-image).
-	var rin []float32
-	rinOff := 0
+	// the identity, so the input buffer is used directly.
+	rin, rinOff := x.Data(), 0
 	var scratch *tensor.Tensor
-	switch {
-	case l.codec.Precision() == numerics.FP32:
-		rin = x.Data()
-	case n == 1:
-		wy0 := oy0*l.Stride - l.Pad
-		if wy0 < 0 {
-			wy0 = 0
-		}
-		wy1 := (oy1-1)*l.Stride + l.KH - l.Pad
-		if wy1 > h {
-			wy1 = h
-		}
+	if l.codec.Precision() != numerics.FP32 {
+		wy0 := max(oy0*l.Stride-l.Pad, 0)
+		wy1 := min((oy1-1)*l.Stride+l.KH-l.Pad, h)
 		rowStride := w * l.InC
 		scratch = c.arena.get((wy1 - wy0) * rowStride)
 		rin = scratch.Data()
 		l.codec.RoundInto(rin, x.Data()[wy0*rowStride:wy1*rowStride])
 		rinOff = wy0 * rowStride
-	default:
-		rin = round(&c.sc.in, l.codec, x.Data())
 	}
 
 	args := l.kernelArgs(&c.sc.cargs, x, out, rin, rinOff)
 	c.sc.accs = grow(c.sc.accs, args.outC)
-	for bi := 0; bi < n; bi++ {
-		convTile(args, bi, oy0, oy1, ox0, ox1, c.sc.accs)
-	}
+	convTile(args, oy0, oy1, ox0, ox1, c.sc.accs)
 	if scratch != nil {
 		c.arena.release(scratch)
 	}

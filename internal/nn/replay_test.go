@@ -18,14 +18,13 @@ import (
 // --- diff scans against the per-element oracle ---------------------------
 
 // naiveDiff is the per-element scan the two-ended scans replaced, kept here
-// as their oracle over grid's view of a tensor, n images of h×w positions of
-// c elements: the first and last differing elements (-1, -1 when none) and
-// the box of the positions that hold one. bx limits the scan to a box (nil:
-// everything).
-func naiveDiff(od, gd []float32, n, h, w, c int, bx *box) (first, last int, b box) {
+// as their oracle over grid's view of a tensor, h×w positions of c elements:
+// the first and last differing elements (-1, -1 when none) and the box of the
+// positions that hold one. bx limits the scan to a box (nil: everything).
+func naiveDiff(od, gd []float32, h, w, c int, bx *box) (first, last int, b box) {
 	first, last, b = -1, -1, box{y0: h, x0: w}
 	for i := range od {
-		y, x := i/(w*c)%h, i/c%w
+		y, x := i/(w*c), i/c%w
 		if bx != nil && (y < bx.y0 || y >= bx.y1 || x < bx.x0 || x >= bx.x1) {
 			continue
 		}
@@ -45,12 +44,12 @@ func naiveDiff(od, gd []float32, n, h, w, c int, bx *box) (first, last int, b bo
 // TestDiffScansMatchNaive holds the region scans — diffFlat, boxify, diffBox,
 // over numerics.DiffEnds — to naiveDiff on random rank-4 and rank-2 tensors
 // whose elements are equal through bit differences (the other zero, another
-// NaN payload) around 0–4 real differences: at rank 4 the whole-tensor scan,
-// boxify from the flat range of differences and the box scan of a sweep; at
-// rank 2, where grid views a (rows, cols) tensor as (1, rows, 1, cols),
-// diffFlat's row box of the whole tensor and of a sweep's rows. numerics'
-// test of the same name holds the row scan to its oracle with the lanes off
-// and on.
+// NaN payload) around 0–4 real differences: at rank 4 (one image or two,
+// whose batch axis grid folds into the rows) the whole-tensor scan, boxify
+// from the flat range of differences and the box scan of a sweep; at rank 2,
+// where grid views a (rows, cols) tensor as (rows, 1, cols), diffFlat's row
+// box of the whole tensor and of a sweep's rows. numerics' test of the same
+// name holds the row scan to its oracle with the lanes off and on.
 func TestDiffScansMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	nanA := math.Float32frombits(0x7fc00001)
@@ -66,7 +65,7 @@ func TestDiffScansMatchNaive(t *testing.T) {
 		if tc%3 == 0 {
 			golden = tensor.New(1+rng.Intn(8), 1+rng.Intn(12))
 		}
-		n, h, w, c, _ := grid(golden)
+		h, w, c, _ := grid(golden)
 		gd := golden.Data()
 		for i := range gd {
 			gd[i] = specials[rng.Intn(len(specials))]
@@ -88,8 +87,8 @@ func TestDiffScansMatchNaive(t *testing.T) {
 		bx := box{y0: rng.Intn(h), x0: rng.Intn(w)}
 		bx.y1, bx.x1 = bx.y0+1+rng.Intn(h-bx.y0), bx.x0+1+rng.Intn(w-bx.x0)
 		for k := rng.Intn(5); k > 0; k-- {
-			b, y, x, ch := rng.Intn(n), bx.y0+rng.Intn(bx.y1-bx.y0), bx.x0+rng.Intn(bx.x1-bx.x0), rng.Intn(c)
-			i := ((b*h+y)*w+x)*c + ch
+			y, x, ch := bx.y0+rng.Intn(bx.y1-bx.y0), bx.x0+rng.Intn(bx.x1-bx.x0), rng.Intn(c)
+			i := (y*w+x)*c + ch
 			switch g := gd[i]; {
 			case g != g:
 				od[i] = 3
@@ -100,7 +99,7 @@ func TestDiffScansMatchNaive(t *testing.T) {
 			}
 		}
 
-		first, last, want := naiveDiff(od, gd, n, h, w, c, nil)
+		first, last, want := naiveDiff(od, gd, h, w, c, nil)
 		wantFirst, wantEqual := first, last < 0
 		if wantEqual {
 			wantFirst = len(od)
@@ -115,11 +114,11 @@ func TestDiffScansMatchNaive(t *testing.T) {
 		if out.Rank() == 4 && !wantEqual {
 			// boxify from the flat range of differences alone, as diffFlat
 			// calls it.
-			if got := boxify(od, gd, first, last+1, h, w, c); got != want {
+			if got := boxify(od, gd, first, last+1, w, c); got != want {
 				t.Fatalf("case %d %v: boxify = %+v, want %+v", tc, out.Shape(), got, want)
 			}
 		}
-		_, last, want = naiveDiff(od, gd, n, h, w, c, &bx)
+		_, last, want = naiveDiff(od, gd, h, w, c, &bx)
 		wantEqual = last < 0
 		if out.Rank() == 4 {
 			got, gotEqual = diffBox(out, golden, bx)
@@ -143,9 +142,8 @@ type replayNet struct {
 }
 
 // replayNets builds one small network per traversal shape the ordinal has to
-// number: a plain chain, a residual block inside a branch-and-concat (also as
-// a two-image batch, so a glue region runs once per image), branches of three
-// receptive fields (their dirty boxes differ, so a glue region must be their
+// number: a plain chain, a residual block inside a branch-and-concat, branches
+// of three receptive fields (their dirty boxes differ, so a glue region must be their
 // union), an attention block (per-head glue steps, shared MatMul sites visited
 // once per head), and an LSTM (one Dense site visited once per timestep).
 func replayNets() map[string]replayNet {
@@ -199,9 +197,6 @@ func replayNets() map[string]replayNet {
 		NewSoftmax("sm"),
 	)
 	add("residual-in-branches", rib, image(rng))
-	batch := tensor.New(2, 12, 12, 3)
-	batch.RandNormal(rand.New(rand.NewSource(6)), 1)
-	add("residual-in-branches-batch2", rib, batch)
 
 	rng = rand.New(rand.NewSource(5))
 	add("receptive-fields", NewSequential("rf",
@@ -275,19 +270,15 @@ type replayTotals struct {
 	ArenaReuses                                 int64
 }
 
-// sweepReplay records net on x, then replays every site execution under every
-// fault and requires each output to equal the plain hooked forward pass.
-func sweepReplay(t *testing.T, name string, net *Network, x *tensor.Tensor) replayTotals {
+// sweepReplay replays, on rctx bound to a trace of net on x, every site
+// execution of execs under every fault and requires each output to equal the
+// plain hooked forward pass. check, when non-nil, runs after every experiment
+// and names what is wrong ("" when nothing). It returns the sweep's totals.
+func sweepReplay(t *testing.T, label string, net *Network, x *tensor.Tensor, rctx *Context, execs []SiteExecution, check func() string) replayTotals {
 	t.Helper()
-	_, execs, trace := net.TraceWithActivations(x)
 	if len(execs) == 0 {
-		t.Fatalf("%s: no site executions", name)
+		t.Fatalf("%s: no site executions", label)
 	}
-	for _, e := range execs {
-		trace.SetWork(e.Site, e.Visit, float64(e.OutSize))
-	}
-	arena := NewArena()
-	rctx := NewReplayContext(trace, arena)
 	var tot replayTotals
 	for _, e := range execs {
 		for fi, fault := range replayFaults {
@@ -297,15 +288,20 @@ func sweepReplay(t *testing.T, name string, net *Network, x *tensor.Tensor) repl
 				}
 			}
 			want := net.ForwardWithHook(x, hook)
-			arena.Reset()
+			rctx.arena.Reset()
 			rctx.SetTarget(e.Site, e.Visit, hook)
 			got := net.ForwardWithContext(x, rctx)
 			if !got.SameShape(want) {
-				t.Fatalf("%s %s#%d fault %d: shape %v, plain forward %v", name, e.Site.Name(), e.Visit, fi, got.Shape(), want.Shape())
+				t.Fatalf("%s %s#%d fault %d: shape %v, plain forward %v", label, e.Site.Name(), e.Visit, fi, got.Shape(), want.Shape())
 			}
 			for i, v := range got.Data() {
 				if !sameValue(v, want.Data()[i]) {
-					t.Fatalf("%s %s#%d fault %d: replay[%d] = %v, plain forward %v", name, e.Site.Name(), e.Visit, fi, i, v, want.Data()[i])
+					t.Fatalf("%s %s#%d fault %d: replay[%d] = %v, plain forward %v", label, e.Site.Name(), e.Visit, fi, i, v, want.Data()[i])
+				}
+			}
+			if check != nil {
+				if bad := check(); bad != "" {
+					t.Fatalf("%s %s#%d fault %d: %s", label, e.Site.Name(), e.Visit, fi, bad)
 				}
 			}
 			st := rctx.Stats()
@@ -323,21 +319,24 @@ func sweepReplay(t *testing.T, name string, net *Network, x *tensor.Tensor) repl
 
 func TestReplayMatchesPlainForward(t *testing.T) {
 	// Captured at the commit before the trace, the scans and the arena were
-	// rebuilt (PR 15's tree): none of the three may move a count. The two
-	// glue-region nets (the batch and the receptive fields) were captured
-	// before glue steps swept regions, which may not move a count either.
-	// The chain's were captured again when its average pool and flatten
-	// (layers no workload uses) gave way to a global average pool.
+	// rebuilt (PR 15's tree): none of the three may move a count. The
+	// receptive fields were captured before glue steps swept regions, which
+	// may not move a count either. The chain's were captured again when its
+	// average pool and flatten (layers no workload uses) gave way to a global
+	// average pool.
 	want := map[string]replayTotals{
-		"sequential":                  {Experiments: 20, Skipped: 134, Recomputed: 66, Converged: 5, RegionSwept: 38, MACsAvoided: 29328, ArenaReuses: 70},
-		"residual-in-branches":        {Experiments: 30, Skipped: 349, Recomputed: 131, Converged: 13, RegionSwept: 40, MACsAvoided: 35350, ArenaReuses: 116},
-		"residual-in-branches-batch2": {Experiments: 30, Skipped: 333, Recomputed: 147, Converged: 13, RegionSwept: 50, MACsAvoided: 68108, ArenaReuses: 121},
-		"receptive-fields":            {Experiments: 30, Skipped: 250, Recomputed: 110, Converged: 13, RegionSwept: 43, MACsAvoided: 85544, ArenaReuses: 110},
-		"attention":                   {Experiments: 55, Skipped: 977, Recomputed: 398, Converged: 25, RegionSwept: 35, MACsAvoided: 19464, ArenaReuses: 396},
-		"lstm":                        {Experiments: 30, Skipped: 84, Recomputed: 96, Converged: 31, RegionSwept: 0, MACsAvoided: 2415, ArenaReuses: 99},
+		"sequential":           {Experiments: 20, Skipped: 134, Recomputed: 66, Converged: 5, RegionSwept: 38, MACsAvoided: 29328, ArenaReuses: 70},
+		"residual-in-branches": {Experiments: 30, Skipped: 349, Recomputed: 131, Converged: 13, RegionSwept: 40, MACsAvoided: 35350, ArenaReuses: 116},
+		"receptive-fields":     {Experiments: 30, Skipped: 250, Recomputed: 110, Converged: 13, RegionSwept: 43, MACsAvoided: 85544, ArenaReuses: 110},
+		"attention":            {Experiments: 55, Skipped: 977, Recomputed: 398, Converged: 25, RegionSwept: 35, MACsAvoided: 19464, ArenaReuses: 396},
+		"lstm":                 {Experiments: 30, Skipped: 84, Recomputed: 96, Converged: 31, RegionSwept: 0, MACsAvoided: 2415, ArenaReuses: 99},
 	}
 	for name, n := range replayNets() {
-		got := sweepReplay(t, name, n.net, n.x)
+		_, execs, trace := n.net.TraceWithActivations(n.x)
+		for _, e := range execs {
+			trace.SetWork(e.Site, e.Visit, float64(e.OutSize))
+		}
+		got := sweepReplay(t, name, n.net, n.x, NewReplayContext(trace, nil), execs, nil)
 		if got != want[name] {
 			t.Errorf("%s: totals %+v, pinned %+v", name, got, want[name])
 		}
@@ -376,46 +375,6 @@ func TestReplayContextOwnsArena(t *testing.T) {
 	}
 }
 
-// One replay context rebound from trace to trace of the same network — two
-// inputs, A → B → A — must replay every site execution under every fault
-// exactly as the plain hooked forward pass of the bound input: the clean set
-// and the golden outputs are the bound trace's alone, whatever the arena kept.
-func TestReplayRebind(t *testing.T) {
-	n := replayNets()["residual-in-branches"]
-	x2 := n.x.Clone()
-	for i, v := range x2.Data() {
-		x2.Data()[i] = -v / 2
-	}
-	_, execs, traceA := n.net.TraceWithActivations(n.x)
-	_, _, traceB := n.net.TraceWithActivations(x2)
-	arena := NewArena()
-	rctx := NewReplayContext(traceA, arena)
-	for pass, in := range []struct {
-		x     *tensor.Tensor
-		trace *GoldenTrace
-	}{{n.x, traceA}, {x2, traceB}, {n.x, traceA}} {
-		rctx.Rebind(in.trace)
-		for _, e := range execs {
-			for fi, fault := range replayFaults {
-				hook := func(site Layer, visit int, op *Operands) {
-					if site == Layer(e.Site) && visit == e.Visit {
-						fault(op.Out.Data())
-					}
-				}
-				want := n.net.ForwardWithHook(in.x, hook)
-				arena.Reset()
-				rctx.SetTarget(e.Site, e.Visit, hook)
-				got := n.net.ForwardWithContext(in.x, rctx)
-				for i, v := range got.Data() {
-					if !sameValue(v, want.Data()[i]) {
-						t.Fatalf("pass %d %s#%d fault %d: replay[%d] = %v, plain forward %v", pass, e.Site.Name(), e.Visit, fi, i, v, want.Data()[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // --- owned buffers ----------------------------------------------------------
 
 // ownedOutsideBox is the test-only accessor of the owned-buffer invariant: it
@@ -432,7 +391,7 @@ func ownedOutsideBox(c *Context) (recorded int, bad string) {
 			return recorded, fmt.Sprintf("ordinal %d: shape %v, golden %v", i, o.t.Shape(), o.golden.Shape())
 		}
 		inside := make([]bool, o.t.Size())
-		_, _, _, ch, _ := grid(o.t)
+		_, _, ch, _ := grid(o.t)
 		o.box.runs(o.t, func(p0, p1 int) {
 			for k := p0 * ch; k < p1*ch; k++ {
 				inside[k] = true
@@ -447,15 +406,15 @@ func ownedOutsideBox(c *Context) (recorded int, bad string) {
 	return recorded, ""
 }
 
-// secondInput is another input of n's network: the two-image batch for the
-// single image of residual-in-branches and back (a shape change), other
-// tokens for the attention net, the input negated and halved otherwise.
+// secondInput is another input of n's network: a 10×10 image for the 12×12
+// one of residual-in-branches (a shape change: its global pool takes any
+// size), other tokens for the attention net, the input negated and halved
+// otherwise.
 func secondInput(name string, nets map[string]replayNet) *tensor.Tensor {
-	switch name {
-	case "residual-in-branches":
-		return nets["residual-in-branches-batch2"].x
-	case "residual-in-branches-batch2":
-		return nets["residual-in-branches"].x
+	if name == "residual-in-branches" {
+		x := tensor.New(1, 10, 10, 3)
+		x.RandNormal(rand.New(rand.NewSource(6)), 1)
+		return x
 	}
 	x2 := nets[name].x.Clone()
 	for i, v := range x2.Data() {
@@ -480,41 +439,20 @@ func TestOwnedBuffersMatchGolden(t *testing.T) {
 		x2 := secondInput(name, nets)
 		_, execsA, traceA := n.net.TraceWithActivations(n.x)
 		_, execsB, traceB := n.net.TraceWithActivations(x2)
-		arena := NewArena()
-		rctx := NewReplayContext(traceA, arena)
+		rctx := NewReplayContext(traceA, nil)
 		recorded := 0
+		check := func() string {
+			r, bad := ownedOutsideBox(rctx)
+			recorded += r
+			return bad
+		}
 		for pass, in := range []struct {
 			x     *tensor.Tensor
 			trace *GoldenTrace
 			execs []SiteExecution
 		}{{n.x, traceA, execsA}, {x2, traceB, execsB}, {n.x, traceA, execsA}} {
 			rctx.Rebind(in.trace)
-			for _, e := range in.execs {
-				for fi, fault := range replayFaults {
-					hook := func(site Layer, visit int, op *Operands) {
-						if site == Layer(e.Site) && visit == e.Visit {
-							fault(op.Out.Data())
-						}
-					}
-					want := n.net.ForwardWithHook(in.x, hook)
-					arena.Reset()
-					rctx.SetTarget(e.Site, e.Visit, hook)
-					got := n.net.ForwardWithContext(in.x, rctx)
-					if !got.SameShape(want) {
-						t.Fatalf("%s pass %d %s#%d fault %d: shape %v, plain forward %v", name, pass, e.Site.Name(), e.Visit, fi, got.Shape(), want.Shape())
-					}
-					for i, v := range got.Data() {
-						if !sameValue(v, want.Data()[i]) {
-							t.Fatalf("%s pass %d %s#%d fault %d: replay[%d] = %v, plain forward %v", name, pass, e.Site.Name(), e.Visit, fi, i, v, want.Data()[i])
-						}
-					}
-					r, bad := ownedOutsideBox(rctx)
-					if bad != "" {
-						t.Fatalf("%s pass %d %s#%d fault %d: %s", name, pass, e.Site.Name(), e.Visit, fi, bad)
-					}
-					recorded += r
-				}
-			}
+			sweepReplay(t, fmt.Sprintf("%s pass %d", name, pass), n.net, in.x, rctx, in.execs, check)
 		}
 		if name != "sequential" && name != "lstm" && recorded == 0 {
 			t.Errorf("%s: no owned buffer ever recorded a golden tensor; the invariant went unchecked", name)
