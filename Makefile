@@ -24,7 +24,8 @@ test:
 # writes each mutated file to a temporary directory and applies it with
 # `go test -overlay`, so the tree is never edited; it fails on a mutant that
 # survives or does not build and prints each row's wall time. A row of a
-# lane body (a *_amd64.s file) names its instruction set, avx2 or avx512, and
+# lane body (a *_amd64.s file) names its instruction set, avx2, avx512 or
+# avx512fp16, as does a row of Go code reached only through such a body, and
 # is skipped, saying so, on a machine that does not run that set
 # (numerics.HasLanes, built under the same tag). Tier-1's TestMutantRows
 # checks only that every row still applies.

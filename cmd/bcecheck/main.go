@@ -62,8 +62,8 @@ var hotFiles = map[string]map[string]bool{
 	"internal/numerics/exprow.go":   {"ExpRow": true},
 	"internal/numerics/floatrow.go": {},
 	"internal/numerics/halfrow.go": {
-		"HalfMulAddPanel": true,
-		"HalfMulAddRow":   true, "halfMulAddVec": true, "HalfDot": true, "halfRoundInto": true,
+		"HalfMulAddPanel": true, "HalfMulAddPanelRun": true,
+		"HalfMulAddRow": true, "halfMulAddVec": true, "HalfDot": true, "halfRoundInto": true,
 	},
 	"internal/rtlsim/engine.go": {
 		"step": true, "macCycle": true, "drain": true, "rows": true, "runs": true,

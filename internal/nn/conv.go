@@ -40,6 +40,9 @@ type roundedWeights struct {
 	// leave out the underflow mask where it is idle (DESIGN.md §7.1.4). nil
 	// otherwise: every row is computed.
 	thr []uint32
+	// wh is numerics.HalfPanelWeights of rw, filled with thr: the halves the
+	// panel multiplies in FP16 on a row at or above its threshold.
+	wh []uint16
 }
 
 // weightCache holds a layer's roundedWeights. atomic: a Network is shared
@@ -56,6 +59,7 @@ func (c *weightCache) get(codec numerics.Codec, w *tensor.Tensor) *roundedWeight
 	rw := &roundedWeights{rw: codec.RoundSlice(w.Data())}
 	if codec.Precision() == numerics.FP16 && allFinite(rw.rw) {
 		rw.thr = numerics.HalfPanelThresholds(rw.rw, w.Dim(w.Rank()-1))
+		rw.wh = numerics.HalfPanelWeights(rw.rw)
 	}
 	c.p.Store(rw)
 	return rw
@@ -163,7 +167,7 @@ func (l *Conv2D) kernelArgs(a *convArgs, x, out *tensor.Tensor, rin []float32, r
 		oh: os[1], ow: os[2], outC: os[3],
 		kh: l.KH, kw: l.KW, stride: l.Stride, pd: l.Pad,
 		depthwise: l.Depthwise, fp16: l.codec.Precision() == numerics.FP16,
-		thr: rw.thr, codec: l.codec,
+		thr: rw.thr, wh: rw.wh, codec: l.codec,
 	}
 	return a
 }

@@ -215,12 +215,15 @@ func TestConvGeometryValidation(t *testing.T) {
 // After mutate + InvalidateWeights, Forward and ComputeNeuron must both see
 // the new weights and still satisfy the MulPre(Round(a), Round(b)) == Mul(a, b)
 // invariant — i.e. match a pristine layer built directly from the mutated
-// weights, at a lossy precision where rounding actually bites.
+// weights and the reference kernels, at a lossy precision where rounding
+// actually bites. The layers are large enough for the FP16 panel's
+// AVX512-FP16 body (48 outputs: blocks of 32 and 16 columns; at least
+// fp16PanelMinMACs a call), which reads the cache's packed halves.
 func TestInvalidateWeightsMidCampaign(t *testing.T) {
 	codec := numerics.MustCodec(numerics.FP16, 0)
 	rng := rand.New(rand.NewSource(11))
-	l := NewConv2D("c", 3, 3, 2, 3, 1, 1, codec).InitRandom(rng, 1)
-	x := tensor.New(1, 5, 5, 2)
+	l := NewConv2D("c", 3, 3, 4, 48, 1, 1, codec).InitRandom(rng, 1)
+	x := tensor.New(1, 5, 5, 4)
 	x.RandNormal(rng, 1)
 
 	// Populate the cache, then mutate every weight in place.
@@ -230,7 +233,8 @@ func TestInvalidateWeightsMidCampaign(t *testing.T) {
 	}
 	l.InvalidateWeights()
 
-	fresh := NewConv2D("c", 3, 3, 2, 3, 1, 1, codec)
+	runKernelModes(t, "conv after InvalidateWeights", func() *tensor.Tensor { return l.Forward(x, nil) })
+	fresh := NewConv2D("c", 3, 3, 4, 48, 1, 1, codec)
 	fresh.W = l.W.Clone()
 	fresh.B = l.B.Clone()
 	want := fresh.Forward(x, nil)
@@ -249,15 +253,15 @@ func TestInvalidateWeightsMidCampaign(t *testing.T) {
 	}
 
 	// Same contract for Dense, which shares the cache design.
-	d := NewDense("d", 8, 4, codec).InitRandom(rng, 1)
-	xv := tensor.New(1, 8)
+	d := NewDense("d", 24, 48, codec).InitRandom(rng, 1)
+	xv := tensor.New(1, 24)
 	xv.RandNormal(rng, 1)
 	d.Forward(xv, nil)
 	for i, v := range d.W.Data() {
 		d.W.Data()[i] = v*0.75 - 0.02
 	}
 	d.InvalidateWeights()
-	fd := NewDense("d", 8, 4, codec)
+	fd := NewDense("d", 24, 48, codec)
 	fd.W = d.W.Clone()
 	fd.B = d.B.Clone()
 	dwant := fd.Forward(xv, nil)

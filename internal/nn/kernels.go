@@ -67,6 +67,7 @@ type convArgs struct {
 	// row, and an accumulator that starts at +0 never holds -0, so the FP16
 	// panel may skip the row without changing a bit (DESIGN.md §7.1.4).
 	thr   []uint32
+	wh    []uint16 // roundedWeights.wh
 	codec numerics.Codec
 }
 
@@ -74,27 +75,28 @@ type convArgs struct {
 // rows i of a in ascending order, acc[c] += a[i]·w[i*stride+c] for every c in
 // acc, the FP16 product rounded through the half encoding — one call into the
 // lanes for the whole run either way (numerics.HalfMulAddPanel, and
-// numerics.MulAddPanel for the precisions whose products are not rounded). With
-// thr, one threshold a row of w, the FP16 panel skips the rows of ±0
-// activations (convArgs.thr); the float32 panel computes every row, which gives
-// the same bits. a is one kernel row's (kx, ic) run of a convolution, a dense
-// layer's input features or a matmul's inner dimension; acc is all of the
-// output's last axis, or a window of it when stride is wider.
-func mulAddPanel(fp16 bool, thr []uint32, acc, a, w []float32, stride int) {
+// numerics.MulAddPanel for the precisions whose products are not rounded).
+// With thr, one threshold a row of w, the FP16 panel skips the rows of ±0
+// activations (roundedWeights.thr), and with wh, w's halves, it may multiply
+// in FP16; the float32 panel computes every row, which gives the same bits.
+// a is one kernel row's (kx, ic) run of a convolution, a dense layer's input
+// features or a matmul's inner dimension; acc is all of the output's last
+// axis, or a window of it when stride is wider.
+func mulAddPanel(fp16 bool, thr []uint32, wh []uint16, acc, a, w []float32, stride int) {
 	if fp16 {
-		numerics.HalfMulAddPanel(acc, a, w, stride, thr)
+		numerics.HalfMulAddPanel(acc, a, w, wh, stride, thr)
 		return
 	}
 	numerics.MulAddPanel(acc, a, w, stride)
 }
 
-// rowsFrom returns the thresholds of the weight rows from row i on: nil for
-// nil.
-func rowsFrom(thr []uint32, i int) []uint32 {
-	if thr == nil {
+// from returns s from element i on: nil for nil. The kernels slice the weight
+// cache's thresholds and packed weights with it.
+func from[T any](s []T, i int) []T {
+	if s == nil {
 		return nil
 	}
-	return thr[i:]
+	return s[i:]
 }
 
 // dotRow returns acc + Σ a[i]·w[i] added in ascending i, the FP16 product
@@ -133,7 +135,9 @@ func wholeSpans(o0, o1, stride, pd, k, n int) (lo, hi int) {
 // into accs, from +0 and in (ky, kx, ic) order: the neuron before its bias
 // and saturation: of a depthwise layer too, whose channel c reads input
 // channel c alone — at FP16 one element-wise run over the whole window
-// (depthwiseRun).
+// (depthwiseRun). Any other FP16 layer's window is one panel run, a segment
+// a kernel row (numerics.HalfMulAddPanelRun), where the CPU has the FP16
+// body that takes it whole; elsewhere a panel call a kernel row.
 func convPixel(a *convArgs, oy, ox, c0 int, accs []float32) {
 	if a.depthwise && a.fp16 {
 		r := a.depthwiseRows(oy)
@@ -150,6 +154,13 @@ func convPixel(a *convArgs, oy, ox, c0 int, accs []float32) {
 	if kxLo >= kxHi {
 		return
 	}
+	if a.fp16 && kyLo < kyHi && numerics.FP16PanelRuns() {
+		inBase := ((oy*stride+kyLo-pd)*a.w+ox*stride+kxLo-pd)*inC - a.rinOff
+		wBase := (kyLo*kw + kxLo) * inC
+		g := numerics.PanelRun{Rows: (kxHi - kxLo) * inC, Segs: kyHi - kyLo, ASeg: a.w * inC, WSeg: kw * inC}
+		numerics.HalfMulAddPanelRun(accs, rin[inBase:], rw[wBase*outC+c0:], from(a.wh, wBase*outC+c0), outC, from(a.thr, wBase), g)
+		return
+	}
 	for ky := kyLo; ky < kyHi; ky++ {
 		iy := oy*stride + ky - pd
 		// The kx span is one contiguous run of rounded inputs
@@ -157,8 +168,8 @@ func convPixel(a *convArgs, oy, ox, c0 int, accs []float32) {
 		inBase := (iy*a.w+ox*stride+kxLo-pd)*inC - a.rinOff
 		irow := rin[inBase : inBase+(kxHi-kxLo)*inC]
 		wBase := (ky*kw + kxLo) * inC
-		if !a.depthwise {
-			mulAddPanel(a.fp16, rowsFrom(a.thr, wBase), accs, irow, rw[wBase*outC+c0:], outC)
+		if !a.depthwise { // FP16 where the CPU lacks the FP16 body, and the other precisions
+			mulAddPanel(a.fp16, from(a.thr, wBase), nil, accs, irow, rw[wBase*outC+c0:], outC)
 			continue
 		}
 		// Depthwise: channel c of each kx tap against its own weight, the
@@ -308,7 +319,7 @@ func denseTile(l *Dense, rw *roundedWeights, rin, out []float32, batch int) {
 	in, outN := l.In, l.Out
 	for b := 0; b < batch; b++ {
 		orow := out[b*outN : (b+1)*outN]
-		mulAddPanel(fp16, rw.thr, orow, rin[b*in:(b+1)*in], rw.rw, outN)
+		mulAddPanel(fp16, rw.thr, rw.wh, orow, rin[b*in:(b+1)*in], rw.rw, outN)
 		if l.B != nil {
 			numerics.AddRow(orow, orow, l.B.Data())
 		}
@@ -326,7 +337,7 @@ func matmulTile(l *MatMulSite, ra, rb, out []float32, m, k, n int) {
 	fp16 := l.codec.Precision() == numerics.FP16
 	for i := 0; i < m; i++ {
 		orow := out[i*n : (i+1)*n]
-		mulAddPanel(fp16, nil, orow, ra[i*k:(i+1)*k], rb, n)
+		mulAddPanel(fp16, nil, nil, orow, ra[i*k:(i+1)*k], rb, n)
 		scaleSaturate(l.codec, l.ScaleOut, orow)
 	}
 }

@@ -29,28 +29,42 @@ var numericsHasAVX2 bool
 //go:linkname numericsHasAVX512 fidelity/internal/numerics.hasAVX512
 var numericsHasAVX512 bool
 
-// laneLeg is one setting of the two seams.
+// numericsHasAVX512FP16 is the third: true when the FP16 panel's blocks with
+// thresholds and packed weights run its AVX512-FP16 body. The tests turn it
+// off on such a CPU to hold the AVX-512 body, the one every other AVX-512
+// CPU runs, to the same reference.
+//
+//go:linkname numericsHasAVX512FP16 fidelity/internal/numerics.hasAVX512FP16
+var numericsHasAVX512FP16 bool
+
+// laneLeg is one setting of the three seams.
 type laneLeg struct {
-	name         string
-	avx2, avx512 bool
+	name               string
+	avx2, avx512, fp16 bool
 }
 
 // laneLegs returns the legs this machine has: the lanes as detected, the
-// AVX2 bodies alone where the CPU has AVX-512 too, and the pure-Go loops.
-// The returned func restores the detected setting.
+// AVX-512 bodies without the FP16 one where the CPU has AVX512-FP16, the AVX2
+// bodies alone where it has AVX-512, and the pure-Go loops. The returned func
+// restores the detected setting.
 func laneLegs() ([]laneLeg, func()) {
-	detected := laneLeg{"detected", numericsHasAVX2, numericsHasAVX512}
+	detected := laneLeg{"detected", numericsHasAVX2, numericsHasAVX512, numericsHasAVX512FP16}
 	legs := []laneLeg{detected}
+	if detected.fp16 {
+		legs = append(legs, laneLeg{"avx512", true, true, false})
+	}
 	if detected.avx512 {
-		legs = append(legs, laneLeg{"avx2", true, false})
+		legs = append(legs, laneLeg{"avx2", true, false, false})
 	}
 	if detected.avx2 {
-		legs = append(legs, laneLeg{"go", false, false})
+		legs = append(legs, laneLeg{"go", false, false, false})
 	}
 	return legs, detected.set
 }
 
-func (l laneLeg) set() { numericsHasAVX2, numericsHasAVX512 = l.avx2, l.avx512 }
+func (l laneLeg) set() {
+	numericsHasAVX2, numericsHasAVX512, numericsHasAVX512FP16 = l.avx2, l.avx512, l.fp16
+}
 
 // kernelCodecs covers every datapath precision the zoo instantiates: both
 // float widths (FP16 exercises the RoundHalf product-rounding path) and both

@@ -283,7 +283,7 @@ func (l *Dense) ComputeNeurons(op *Operands, neurons []int, ov *Override, dst []
 		end := runEnd(neurons, i, l.Out)
 		run := dst[i:end]
 		clear(run)
-		mulAddPanel(fp16, rw.thr, run, rin, rw.rw[o0:], l.Out)
+		mulAddPanel(fp16, rw.thr, from(rw.wh, o0), run, rin, rw.rw[o0:], l.Out)
 		for c, acc := range run {
 			run[c] = finishNeuron(l.codec, op.B, ov, o0+c, acc)
 		}
@@ -349,7 +349,7 @@ func (l *MatMulSite) ComputeNeurons(op *Operands, neurons []int, ov *Override, d
 			end = runEnd(neurons, i, n)
 			run := dst[i:end]
 			clear(run)
-			mulAddPanel(fp16, nil, run, rin, roundB(j0, j0+len(run)), len(run))
+			mulAddPanel(fp16, nil, nil, run, rin, roundB(j0, j0+len(run)), len(run))
 		}
 		scaleSaturate(l.codec, l.ScaleOut, dst[i:end])
 		i = end

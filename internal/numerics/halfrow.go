@@ -77,7 +77,17 @@ func halfRoundSmall(b, abs uint32) float32 {
 // the tail, and stays the only code that produces a rare-band result. With thr
 // the lanes find the rows to visit by bitmask and leave out the underflow mask
 // on a row whose |a[i]| is at least thr[i], where it changes no bit.
-func HalfMulAddPanel(acc, a, w []float32, stride int, thr []uint32) {
+//
+// wh is nil, or HalfPanelWeights(w) (nil too unless every weight is a half):
+// then, with thr, on a CPU with AVX512-FP16, a row whose a[i] is a half and
+// at least thr[i] multiplies in FP16, on the halves, which rounds the product
+// as the model does there (DESIGN.md §7.1.4); such a panel goes to
+// HalfMulAddPanelRun as a run of one segment. Without thr, wh is not read.
+func HalfMulAddPanel(acc, a, w []float32, wh []uint16, stride int, thr []uint32) {
+	if fp16Panel(thr, wh, len(a)*len(acc)) {
+		HalfMulAddPanelRun(acc, a, w, wh, stride, thr, PanelRun{Rows: len(a), Segs: 1})
+		return
+	}
 	if len(a) == 0 || len(acc) == 0 {
 		return
 	}
@@ -104,6 +114,108 @@ func HalfMulAddPanel(acc, a, w []float32, stride int, thr []uint32) {
 		}
 		acc, w = acc[n:], w[n:]
 	}
+}
+
+// fp16Panel reports whether a panel with thresholds thr and packed weights
+// wh, macs rows times columns, runs the FP16 body: both given, at least
+// fp16PanelMACs, on a CPU with AVX512-FP16.
+func fp16Panel(thr []uint32, wh []uint16, macs int) bool {
+	return thr != nil && wh != nil && macs >= fp16PanelMACs && FP16PanelRuns()
+}
+
+// FP16PanelRuns reports whether the CPU has the panel's FP16 body, the one
+// body that takes a HalfMulAddPanelRun whole. Without it a run is a
+// HalfMulAddPanel call a segment, which a caller that walks the segments
+// itself makes with one call layer less.
+func FP16PanelRuns() bool { return hasAVX2 && hasAVX512 && hasAVX512FP16 }
+
+// fp16PanelMinMACs is the smallest panel, rows times columns, that the FP16
+// body takes. Under it the body's fixed cost per call (its frame and the pass
+// that converts and checks the activations) is more than its rows save: a
+// 16-row panel of 32 columns ran 37 ns against the AVX-512 body's 34, one of
+// 32 rows 53 against 59 (EXPERIMENTS.md). fp16PanelMACs is it; the lane
+// tests' avx512fp16 leg lowers it to 0 to hold the body to small panels too.
+const fp16PanelMinMACs = 1024
+
+var fp16PanelMACs = fp16PanelMinMACs
+
+// PanelRun is the shape of a panel run: Segs segments of Rows rows each,
+// their activations ASeg apart and their weight rows (and thresholds) WSeg
+// rows apart. A convolution pixel's window is one run: its kernel rows inside
+// the map, each the (kx, ic) run of its taps inside the map, ASeg an input
+// row (w·inC) and WSeg a kernel row of weight rows (kw·inC).
+type PanelRun struct{ Rows, Segs, ASeg, WSeg int }
+
+// HalfMulAddPanelRun is HalfMulAddPanel over the segments of g in turn, for s
+// from 0 to g.Segs-1 on a[s·ASeg:][:Rows] against the weight rows from row
+// s·WSeg on (of w, wh and thr alike): one call for a convolution pixel's
+// whole window. The FP16 body takes a column block over the whole run, with
+// the accumulators in registers and the block rule kept over the run; every
+// block it does not take or refuses is a HalfMulAddPanel call a segment
+// without the packed weights, which adds the same products in the same order
+// and holds the panel's one Go loop. No field of g may be negative.
+func HalfMulAddPanelRun(acc, a, w []float32, wh []uint16, stride int, thr []uint32, g PanelRun) {
+	if len(acc) == 0 || g.Rows <= 0 || g.Segs <= 0 {
+		return
+	}
+	if g.ASeg < 0 || g.WSeg < 0 {
+		panic("numerics: HalfMulAddPanelRun with a negative step")
+	}
+	rows := (g.Segs-1)*g.WSeg + g.Rows // the weight rows the run reaches
+	_ = a[(g.Segs-1)*g.ASeg+g.Rows-1]
+	_ = w[(rows-1)*stride+len(acc)-1]
+	if thr != nil {
+		thr = thr[:rows]
+	}
+	fp16 := fp16Panel(thr, wh, g.Segs*g.Rows*len(acc))
+	if fp16 {
+		_ = wh[(rows-1)*stride+len(acc)-1]
+	}
+	for len(acc) > 0 {
+		n := len(acc)
+		if fp16 && n >= zmmChunk {
+			var ok bool
+			if n, ok = halfMulAddPanelAVX512FP16(acc, a, w, wh, stride, thr, g); ok {
+				acc, w, wh = acc[n:], w[n:], wh[n:]
+				continue
+			}
+		}
+		for s := 0; s < g.Segs; s++ {
+			var ts []uint32
+			if thr != nil {
+				ts = thr[s*g.WSeg:]
+			}
+			HalfMulAddPanel(acc[:n], a[s*g.ASeg:][:g.Rows], w[s*g.WSeg*stride:], nil, stride, ts)
+		}
+		acc, w = acc[n:], w[n:]
+		if fp16 {
+			wh = wh[n:]
+		}
+	}
+}
+
+// HalfPanelWeights returns the FP16 encodings of w, HalfFromFloat32 of each
+// element, as HalfMulAddPanel's packed weights: nil unless every element is
+// a half, one that widens back to its own bits, since the FP16 body
+// multiplies the halves and agrees with the other bodies only on those. A
+// normal half, the common weight, is a float32 of exponent 2⁻¹⁴ to 2¹⁵ whose
+// 13 low mantissa bits are clear, and its encoding is those bits moved.
+func HalfPanelWeights(w []float32) []uint16 {
+	wh := make([]uint16, len(w))
+	w = w[:len(wh)]
+	for i := range wh {
+		b := math.Float32bits(w[i])
+		if e := b >> 23 & 0xff; e-113 < 30 && b&0x1fff == 0 {
+			wh[i] = uint16(b>>16&0x8000 | (e-112)<<10 | b>>13&0x3ff)
+			continue
+		}
+		h := HalfFromFloat32(w[i])
+		if math.Float32bits(h.Float32()) != b {
+			return nil
+		}
+		wh[i] = uint16(h)
+	}
+	return wh
 }
 
 // HalfPanelThresholds returns, for each of the len(w)/stride rows of w, the

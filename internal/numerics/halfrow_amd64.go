@@ -13,6 +13,12 @@ var hasAVX2 = cpuHasAVX2()
 // hasAVX2, so turning that off turns every body off; tests flip both.
 var hasAVX512 = hasAVX2 && cpuHasAVX512()
 
+// hasAVX512FP16 selects the panel's FP16 body, halfMulAddPanelAVX512FP16, for
+// the blocks hasAVX512 gives the AVX-512 body when the call has thresholds and
+// packed weights: where the CPU also has AVX512-FP16 and AVX512VL. It is read
+// only under hasAVX512; tests flip all three.
+var hasAVX512FP16 = hasAVX512 && cpuHasAVX512FP16()
+
 // Implemented in halfrow_amd64.s; halfrow.go (laneChunk) has the contract of
 // the three chunk routines, the panel and the element-wise run (one column
 // block a call, over every pixel for the run) state their own.
@@ -21,11 +27,15 @@ func cpuHasAVX2() bool
 
 func cpuHasAVX512() bool
 
+func cpuHasAVX512FP16() bool
+
 func halfMulAddRowAVX2(acc []float32, a float32, w []float32) int
 
 func halfMulAddPanelAVX2(acc, a, w []float32, stride int, thr []uint32) (n int, ok bool)
 
 func halfMulAddPanelAVX512(acc, a, w []float32, stride int, thr []uint32) (n int, ok bool)
+
+func halfMulAddPanelAVX512FP16(acc, a, w []float32, wh []uint16, stride int, thr []uint32, g PanelRun) (n int, ok bool)
 
 func halfMulAddVecAVX2(out, a, w, bias []float32, g VecRun, finish bool) (n, done int)
 

@@ -13,10 +13,16 @@
 //
 // The panel has a second body, halfMulAddPanelAVX512, for blocks of 16
 // columns and more where the CPU has AVX-512F: the same walk of the rows and
-// the same block rule, sixteen lanes a register (DESIGN.md §7.3).
+// the same block rule, sixteen lanes a register (DESIGN.md §7.3). A third,
+// halfMulAddPanelAVX512FP16, takes the blocks with thresholds where the CPU
+// also has AVX512-FP16: a row whose activation is a half and at or above its
+// threshold multiplies in FP16 (VMULPH on the packed weights), every other
+// row as the second body does it (§7.1.4); it also walks the segments of a
+// panel run, a convolution pixel's kernel rows, in one call.
 //
-// VEX encodings only (EVEX for the ZMM body), and VZEROUPPER before every
-// RET: one legacy-SSE instruction with dirty upper YMM halves costs a state
+// VEX encodings only (EVEX for the ZMM and FP16 bodies; VMULPH, which the
+// assembler cannot name, as BYTE runs), and VZEROUPPER before every RET: one
+// legacy-SSE instruction with dirty upper YMM halves costs a state
 // transition of about a microsecond per call (measured). TestAsmIsVEXOnly
 // holds the file to both.
 
@@ -119,6 +125,22 @@ TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
 	ANDL   $1, BX
 	MOVB   BX, ret+0(FP)
 no:
+	RET
+
+// func cpuHasAVX512FP16() bool
+//
+// Called only where cpuHasAVX512 said yes, which checked the ZMM state: the
+// FP16 body is usable when the CPU has AVX512-FP16 (leaf 7 EDX bit 23) and
+// AVX512VL (leaf 7 EBX bit 31), the 256-bit form of VMULPH.
+TEXT ·cpuHasAVX512FP16(SB), NOSPLIT, $0-1
+	MOVL  $7, AX
+	XORL  CX, CX
+	CPUID
+	SHRL  $31, BX
+	SHRL  $23, DX
+	ANDL  DX, BX
+	ANDL  $1, BX
+	MOVB  BX, ret+0(FP)
 	RET
 
 // func halfMulAddRowAVX2(acc []float32, a float32, w []float32) int
@@ -433,6 +455,256 @@ sblock64:
 done:
 	MOVQ         AX, n+104(FP)
 	SETEQ        ok+112(FP) // ZF is still the block's KORTESTW
+	VZEROUPPER
+	RET
+
+// The FP16 body's column blocks: HCOLSn applies M to the VMULPH of each
+// 16-lane chunk of an n-column block (its weights, 32 bytes of halves a chunk,
+// at SI) and the chunk's accumulator register.
+#define HCOLS16(M) M(VMULPH0, Z8)
+#define HCOLS32(M) HCOLS16(M); M(VMULPH32, Z9)
+#define HCOLS64(M) HCOLS32(M); M(VMULPH64, Z10); M(VMULPH96, Z11)
+
+// Go's assembler has no AVX512-FP16 mnemonic, so each VMULPH is its EVEX
+// encoding (EVEX.256.NP.MAP5.W0 59 /r): the sixteen halves at off(SI) times
+// the sixteen of Y7, rounded once, into Y0. TestVMULPHEncodings re-encodes
+// each from its comment.
+#define VMULPH0 BYTE $0x62; BYTE $0xf5; BYTE $0x44; BYTE $0x28; BYTE $0x59; BYTE $0x06 // VMULPH (SI), Y7, Y0
+#define VMULPH32 BYTE $0x62; BYTE $0xf5; BYTE $0x44; BYTE $0x28; BYTE $0x59; BYTE $0x46; BYTE $0x01 // VMULPH 32(SI), Y7, Y0
+#define VMULPH64 BYTE $0x62; BYTE $0xf5; BYTE $0x44; BYTE $0x28; BYTE $0x59; BYTE $0x46; BYTE $0x02 // VMULPH 64(SI), Y7, Y0
+#define VMULPH96 BYTE $0x62; BYTE $0xf5; BYTE $0x44; BYTE $0x28; BYTE $0x59; BYTE $0x46; BYTE $0x03 // VMULPH 96(SI), Y7, Y0
+
+// HMAC is ZMACF with the product taken in FP16: a row whose activation (its
+// half broadcast to Y7) is a half at or above its threshold, where the
+// product VMULPH rounds is the exact one and is ±0 or at least 2^-24, so
+// that its rounding is the model's (DESIGN.md §7.1.4). The product widens
+// exactly; a rare one is ±Inf or NaN as in ZMACF.
+#define HMAC(VMULPH, ACC) \
+	VMULPH; \
+	VCVTPH2PS Y0, Z0; \
+	VADDPS    ACC, Z0, ACC
+
+// The FP16 body's frame: a group's activations as halves (hcur; hnext the
+// next group's, which ZMASK writes while this one's rows run), the bitmask
+// of the next group's rows that take HMAC (fnext; the current group's is
+// R10), hdelta, with which 2·SI − hdelta is a weight's float32 where SI is
+// its half, and the segments: their rows, how many are left, the current
+// one's first activation, threshold and row of halves, and the steps from
+// one segment's to the next's, in bytes.
+#define hcur 0
+#define hnext 128
+#define fnext 256
+#define hdelta 264
+#define segrows 272
+#define segs 280
+#define sega 288
+#define segt 296
+#define segh 304
+#define asegb 312
+#define tsegb 320
+#define hsegb 328
+
+// ZSTEP is one 16-row step of ZMASK, rows aoff bytes past DX and R12, the
+// step's rows in R11's low 16 bits: it ors into M at shift the rows whose
+// activation is not ±0 (a NaN is not), into F those of them whose
+// activation is a half (its half, stored at HS+hoff, widens back to the same
+// bits) and at or above the row's threshold, and jumps to end when no row
+// is left. Rows past the group's last are loaded as +0 and read nothing.
+#define ZSTEP(aoff, M, F, HS, hoff, shift, end) \
+	KMOVW       R11, K4; \
+	VMOVDQU32.Z aoff(DX), K4, Z0; \
+	VMOVDQU32.Z aoff(R12), K4, Z4; \
+	VPANDD      Z15, Z0, Z1; \
+	VPTESTMD    Z1, Z1, K5; \
+	VCVTPS2PH   $0, Z0, Y2; \
+	VMOVDQU     Y2, HS+hoff(SP); \
+	VCVTPH2PS   Y2, Z3; \
+	VPCMPEQD    Z3, Z0, K6; \
+	VPCMPGTD    Z1, Z4, K7; \
+	KANDNW      K6, K7, K6; \
+	KANDW       K5, K6, K6; \
+	KMOVW       K5, CX; \
+	SHLQ        $shift, CX; \
+	ORQ         CX, M; \
+	KMOVW       K6, CX; \
+	SHLQ        $shift, CX; \
+	ORQ         CX, F; \
+	SHRQ        $16, R11; \
+	JZ          end
+
+// ZMASK is MASK for the FP16 body, sixteen rows a step: for the CX rows (1 to
+// 64) at aoff(DX), thresholds at aoff(R12), it sets M to the rows that are
+// not ±0, F to those of them that take HMAC, and HS to the rows' halves.
+// Clobbers CX and R11.
+#define ZMASK(aoff, M, F, HS, end) \
+	NEGQ  CX; \
+	ADDQ  $64, CX; \
+	MOVQ  $-1, R11; \
+	SHRQ  CX, R11; \
+	XORL  M, M; \
+	XORL  F, F; \
+	ZSTEP(aoff, M, F, HS, 0, 0, end); \
+	ZSTEP(aoff+64, M, F, HS, 32, 16, end); \
+	ZSTEP(aoff+128, M, F, HS, 64, 32, end); \
+	ZSTEP(aoff+192, M, F, HS, 96, 48, end); \
+end:
+
+// HROW points SI at row BX's halves and takes the row through HMAC, then
+// finds the next row of R14 and goes to again, or falls through when there
+// is none.
+#define HROW(HCOLS, again) \
+	MOVQ         BX, SI; \
+	IMULQ        R9, SI; \
+	ADDQ         AX, SI; \
+	VPBROADCASTW hcur(SP)(BX*2), Y7; \
+	HCOLS(HMAC); \
+	XORL         BX, BX; \
+	BSFQ         R14, BX; \
+	JNZ          again
+
+// HSBLOCK is SBLOCK for the FP16 body, over every segment in turn with the
+// accumulators in registers: in a segment, the same groups, masked a group
+// ahead by ZMASK, and the same walk of the rows that are not ±0, AX at a
+// group's first row of halves and R9 a row of them in bytes. A group whose
+// rows all take HMAC (R10 is R14) runs them in a loop of its own; in any
+// other, a row not in R10 goes as in SBLOCK, to ZMACF or ZMAC by its
+// threshold, on the float32 weights (SI doubled, less hdelta).
+#define HSBLOCK(COLS, HCOLS, FIN, seg, m0, group, m1, visit, frow, vrow, slow, masked, next, segend, fin) \
+	COLS(PLOAD); \
+seg: \
+	MOVQ         segrows(SP), R8; \
+	GROUP(R8); \
+	ZMASK(0, R14, R10, hcur, m0); \
+group: \
+	LEAQ         -64(R8), R11; \
+	TESTQ        R11, R11; \
+	JLE          visit; \
+	GROUP(R11); \
+	ZMASK(256, R13, BX, hnext, m1); \
+	MOVQ         BX, fnext(SP); \
+visit: \
+	XORL         BX, BX; \
+	BSFQ         R14, BX; \
+	JZ           next; \
+	CMPQ         R10, R14; \
+	JNE          vrow; \
+frow: \
+	LEAQ         -1(R14), R11; \
+	ANDQ         R11, R14; \
+	HROW(HCOLS, frow); \
+	JMP          next; \
+vrow: \
+	LEAQ         -1(R14), R11; \
+	ANDQ         R11, R14; \
+	BTQ          BX, R10; \
+	JCC          slow; \
+	HROW(HCOLS, vrow); \
+	JMP          next; \
+slow: \
+	MOVQ         BX, SI; \
+	IMULQ        R9, SI; \
+	ADDQ         AX, SI; \
+	SHLQ         $1, SI; \
+	SUBQ         hdelta(SP), SI; \
+	VBROADCASTSS (DX)(BX*4), Z7; \
+	MOVL         (DX)(BX*4), R11; \
+	ANDL         $0x7fffffff, R11; \
+	CMPL         R11, (R12)(BX*4); \
+	JCS          masked; \
+	COLS(ZMACF); \
+	XORL         BX, BX; \
+	BSFQ         R14, BX; \
+	JNZ          vrow; \
+	JMP          next; \
+masked: \
+	COLS(ZMAC); \
+	XORL         BX, BX; \
+	BSFQ         R14, BX; \
+	JNZ          vrow; \
+next: \
+	SUBQ         $64, R8; \
+	JLE          segend; \
+	MOVQ         R13, R14; \
+	MOVQ         fnext(SP), R10; \
+	VMOVDQU64    hnext(SP), Z0; \
+	VMOVDQU64    Z0, hcur(SP); \
+	VMOVDQU64    hnext+64(SP), Z0; \
+	VMOVDQU64    Z0, hcur+64(SP); \
+	ADDQ         $256, DX; \
+	ADDQ         $256, R12; \
+	MOVQ         R9, R11; \
+	SHLQ         $6, R11; \
+	ADDQ         R11, AX; \
+	JMP          group; \
+segend: \
+	DECQ         segs(SP); \
+	JZ           fin; \
+	MOVQ         sega(SP), DX; \
+	ADDQ         asegb(SP), DX; \
+	MOVQ         DX, sega(SP); \
+	MOVQ         segt(SP), R12; \
+	ADDQ         tsegb(SP), R12; \
+	MOVQ         R12, segt(SP); \
+	MOVQ         segh(SP), AX; \
+	ADDQ         hsegb(SP), AX; \
+	MOVQ         AX, segh(SP); \
+	JMP          seg; \
+fin: \
+	FIN
+
+// func halfMulAddPanelAVX512FP16(acc, a, w []float32, wh []uint16, stride int, thr []uint32, g PanelRun) (n int, ok bool)
+//
+// halfMulAddPanelAVX512 with thresholds (thr != nil) over the g.Segs
+// segments of g (g.Rows > 0 rows each, g.Segs > 0), wh the halves of w,
+// element for element: the same blocks, ok and rows, segment after segment,
+// but a row whose activation is a half at or above its threshold multiplies
+// in FP16.
+TEXT ·halfMulAddPanelAVX512FP16(SB), NOSPLIT, $336-169
+	MOVQ         acc_base+0(FP), DI
+	MOVQ         acc_len+8(FP), CX
+	MOVQ         a_base+24(FP), DX
+	MOVQ         wh_base+72(FP), AX
+	MOVQ         stride+96(FP), R9
+	MOVQ         thr_base+104(FP), R12
+	SHLQ         $1, R9 // a row of wh, in bytes
+	LEAQ         (AX)(AX*1), R10
+	SUBQ         w_base+48(FP), R10
+	MOVQ         R10, hdelta(SP)
+	MOVQ         g_Rows+128(FP), R10
+	MOVQ         R10, segrows(SP)
+	MOVQ         g_Segs+136(FP), R10
+	MOVQ         R10, segs(SP)
+	CMPQ         R10, $1
+	JEQ          lanes
+	MOVQ         g_ASeg+144(FP), R10
+	SHLQ         $2, R10
+	MOVQ         R10, asegb(SP)
+	MOVQ         g_WSeg+152(FP), R10
+	MOVQ         R10, R11
+	SHLQ         $2, R10
+	MOVQ         R10, tsegb(SP)
+	IMULQ        R9, R11
+	MOVQ         R11, hsegb(SP)
+	MOVQ         DX, sega(SP)
+	MOVQ         R12, segt(SP)
+	MOVQ         AX, segh(SP)
+lanes:
+	VPBROADCASTD halfLanes<>+0(SB), Z15
+	VPBROADCASTD halfLanes<>+16(SB), Z14
+	VPBROADCASTD halfLanes<>+8(SB), Z13
+	VPBROADCASTD halfLanes<>+12(SB), Z12
+	CMPQ         CX, $64
+	JGE          hblock64
+	CMPQ         CX, $32
+	JGE          hblock32
+	HSBLOCK(ZCOLS16, HCOLS16, ZFINISH(ZCOLS16, 16), seg16, m016, group16, m116, visit16, frow16, vrow16, slow16, masked16, next16, segend16, fin16)
+hblock32:
+	HSBLOCK(ZCOLS32, HCOLS32, ZFINISH(ZCOLS32, 32), seg32, m032, group32, m132, visit32, frow32, vrow32, slow32, masked32, next32, segend32, fin32)
+hblock64:
+	HSBLOCK(ZCOLS64, HCOLS64, ZFINISH(ZCOLS64, 64), seg64, m064, group64, m164, visit64, frow64, vrow64, slow64, masked64, next64, segend64, fin64)
+done:
+	MOVQ         AX, n+160(FP)
+	SETEQ        ok+168(FP) // ZF is still the block's KORTESTW
 	VZEROUPPER
 	RET
 

@@ -2,11 +2,11 @@
 
 package numerics
 
-// No lanes off amd64: both selectors stay false and the Go loops of halfrow.go
-// are the whole implementation. The routines below only complete the call
-// sites, and "finished no element" — from the panel "stored no column", from
-// the run "stored no pixel" — is a correct answer from them.
-var hasAVX2, hasAVX512 = false, false
+// No lanes off amd64: the three selectors stay false and the Go loops of
+// halfrow.go are the whole implementation. The routines below only complete
+// the call sites, and "finished no element" — from the panels "stored no
+// column", from the run "stored no pixel" — is a correct answer from them.
+var hasAVX2, hasAVX512, hasAVX512FP16 = false, false, false
 
 func halfMulAddRowAVX2(acc []float32, a float32, w []float32) int { return 0 }
 
@@ -15,6 +15,10 @@ func halfMulAddPanelAVX2(acc, a, w []float32, stride int, thr []uint32) (n int, 
 }
 
 func halfMulAddPanelAVX512(acc, a, w []float32, stride int, thr []uint32) (n int, ok bool) {
+	return len(acc), false
+}
+
+func halfMulAddPanelAVX512FP16(acc, a, w []float32, wh []uint16, stride int, thr []uint32, g PanelRun) (n int, ok bool) {
 	return len(acc), false
 }
 

@@ -12,7 +12,7 @@ import (
 // nearest x + y is -0 only when both x and y are. So "acc += ±0" never
 // changes acc, and leaving it out changes no bit.
 func TestAccumulatorNeverNegativeZero(t *testing.T) {
-	eachDispatch(t, false, testAccumulatorNeverNegativeZero)
+	eachDispatch(t, legsOf(false, false), testAccumulatorNeverNegativeZero)
 }
 
 func testAccumulatorNeverNegativeZero(t *testing.T) {

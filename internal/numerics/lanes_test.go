@@ -3,7 +3,7 @@ package numerics
 // The lane contract (DESIGN.md §7.1), enforced from one table: every
 // dispatcher with an AVX2 body is a row of primitives (DiffEnds is a row per
 // result), and a row names its body per instruction set, AVX2 and, where it
-// has one, AVX-512.
+// has them, AVX-512 and AVX512-FP16.
 // TestLaneContract holds each row on every dispatch leg (eachDispatch), on
 // random operands of every length 0–70 at every offset 0–7 and with its
 // specials planted in every lane of the first, a middle and the last chunk and
@@ -34,6 +34,8 @@ type operands struct {
 	finish bool      // halfMulAddVec's finishing form
 	bias   []float32 // its bias: nil, or as long as acc
 	thr    []uint32  // HalfMulAddPanel's thresholds: nil, or its weights' (withThresholds)
+	wh     []uint16  // its packed weights, with thr
+	prun   PanelRun  // its run: Segs 0 for one segment of every row of x (panelRun)
 	q      Quantizer
 	lo, hi float32 // ClipRow's bounds; lo is Quantizer.roundInto's floor
 }
@@ -48,6 +50,7 @@ type primitive struct {
 	of       string // the dispatcher, where the row checks one of its results
 	body     string // the AVX2 routine it dispatches to
 	body512  string // the AVX-512 one, where it has one: the row's avx512 leg
+	bodyFP16 string // the AVX512-FP16 one, where it has one: the row's avx512fp16 leg
 	run, def call   // through the dispatcher; the scalar definition
 	// nanEq compares the Go loop with the definition as NaN = NaN: where two
 	// NaNs meet, the sign and payload kept are the compiler's choice in each
@@ -242,30 +245,46 @@ var primitives = []*primitive{
 		}}, saturateBench(FP16, 0)},
 	},
 	{
-		name: "HalfMulAddPanel", body: "halfMulAddPanelAVX2", body512: "halfMulAddPanelAVX512", nanEq: true,
-		run: onAcc(func(acc []float32, o *operands) { HalfMulAddPanel(acc, o.x, o.w, o.stride, o.thr) }),
+		name: "HalfMulAddPanel", body: "halfMulAddPanelAVX2", body512: "halfMulAddPanelAVX512",
+		bodyFP16: "halfMulAddPanelAVX512FP16", nanEq: true,
+		run: onAcc(func(acc []float32, o *operands) {
+			if o.prun.Segs == 0 {
+				HalfMulAddPanel(acc, o.x, o.w, o.wh, o.stride, o.thr)
+				return
+			}
+			HalfMulAddPanelRun(acc, o.x, o.w, o.wh, o.stride, o.thr, o.prun)
+		}),
 		def: onAcc(func(acc []float32, o *operands) {
-			for i, a := range o.x {
-				for c := range acc {
-					if a != 0 || o.thr == nil {
-						acc[c] += RoundHalfRef(a * o.w[i*o.stride+c])
+			g := o.panelRun()
+			for s := 0; s < g.Segs; s++ {
+				for i, a := range o.x[s*g.ASeg:][:g.Rows] {
+					for c := range acc {
+						if a != 0 || o.thr == nil {
+							acc[c] += RoundHalfRef(a * o.w[(s*g.WSeg+i)*o.stride+c])
+						}
 					}
 				}
 			}
 		}),
 		gen: halfPanelOperands, specials: halfSpecials,
-		plant: func(o *operands, i int, v float32) {
-			r := i % len(o.x)
+		plant: func(o *operands, i int, v float32) { // into the first segment
+			r := i % o.panelRun().Rows
 			o.x[r], o.w[r*o.stride+i] = 1, v
 			withThresholds(o, o.thr != nil)
 		},
 		whole: func(n int) int { // a column block a call, to the body the dispatcher picks; without thresholds and with
 			w := filled(3*n, 0.5)
+			wh := HalfPanelWeights(w)
 			for _, thr := range [][]uint32{nil, HalfPanelThresholds(w, n)} {
 				done, acc := 0, make([]float32, n)
 				for done < n {
 					body := halfMulAddPanelAVX2
-					if hasAVX512 && n-done >= zmmChunk {
+					switch {
+					case hasAVX512FP16 && thr != nil && n-done >= zmmChunk:
+						body = func(acc, a, w []float32, stride int, thr []uint32) (int, bool) {
+							return halfMulAddPanelAVX512FP16(acc, a, w, wh[done:], stride, thr, PanelRun{Rows: len(a), Segs: 1})
+						}
+					case hasAVX512 && n-done >= zmmChunk:
 						body = halfMulAddPanelAVX512
 					}
 					k, ok := body(acc[done:], filled(3, 1), w[done:], n, thr)
@@ -531,7 +550,7 @@ func (p *primitive) check(t testing.TB, where string, o *operands, inPlace, alon
 	p.got = p.run(p.got, o, false)
 	loop := p.got
 	if hasAVX2 {
-		on := leg{"", hasAVX2, hasAVX512}
+		on := leg{"", hasAVX2, hasAVX512, hasAVX512FP16, fp16PanelMACs, ""}
 		leg{}.set()
 		p.loop = p.run(p.loop, o, false)
 		on.set()
@@ -568,7 +587,7 @@ func (p *primitive) compare(t testing.TB, where string, o *operands, by string, 
 func TestLaneContract(t *testing.T) {
 	for _, p := range primitives {
 		t.Run(p.name, func(t *testing.T) {
-			eachDispatch(t, p.body512 != "", func(t *testing.T) {
+			eachDispatch(t, p.legs(), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(73))
 				for n := 0; n <= 70; n++ {
 					for off := 0; off < 8; off++ {
@@ -644,15 +663,16 @@ func TestVecRunsRefuseNaN(t *testing.T) {
 }
 
 // runSweeps runs the sweeps the table files under t's name on every leg, the
-// avx512 one if a row they sweep has an AVX-512 body.
+// avx512 and avx512fp16 ones if a row they sweep has such a body.
 func runSweeps(t *testing.T) {
-	zmm := false
+	zmm, fp16 := false, false
 	for _, p := range primitives {
 		for _, s := range p.sweeps {
 			zmm = zmm || s.test == t.Name() && p.body512 != ""
+			fp16 = fp16 || s.test == t.Name() && p.bodyFP16 != ""
 		}
 	}
-	eachDispatch(t, zmm, sweepsOf(t.Name(), false))
+	eachDispatch(t, legsOf(zmm, fp16), sweepsOf(t.Name(), false))
 }
 
 // runSweepsOnce runs them as detected only, for sweeps too long to run twice.
@@ -719,7 +739,10 @@ func fuzzRows(f *testing.F) {
 		defer detected.set()
 		for _, p := range rows {
 			o := p.decode(data)
-			for _, l := range legsOf(p.body512 != "") {
+			for _, l := range p.legs() {
+				if l.absent != "" {
+					continue
+				}
 				l.set()
 				p.check(t, "fuzz", &o, true, true)
 			}
@@ -734,13 +757,13 @@ func FuzzDiffRow(f *testing.F)     { fuzzRows(f) }
 func FuzzExpRow(f *testing.F)      { fuzzRows(f) }
 
 // BenchmarkLanes times every case of every row on every leg:
-// BenchmarkLanes/<row>/<case>/{go,avx2,avx512}.
+// BenchmarkLanes/<row>/<case>/{go,avx2,avx512,avx512fp16}.
 func BenchmarkLanes(b *testing.B) {
 	for _, p := range primitives {
 		for _, c := range p.bench {
 			b.Run(p.name+"/"+c.name, func(b *testing.B) {
 				f, per := c.setup()
-				eachDispatch(b, p.body512 != "", func(b *testing.B) {
+				eachDispatch(b, p.legs(), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						f(i)
@@ -758,47 +781,78 @@ func BenchmarkLanes(b *testing.B) {
 
 // A leg is one way the dispatchers run, and the selectors that make it.
 type leg struct {
-	name         string
-	avx2, avx512 bool
+	name               string
+	avx2, avx512, fp16 bool
+	fp16MACs           int    // fp16PanelMACs
+	absent             string // why this machine cannot run the leg; "" if it can
 }
 
 // detected is the leg this machine runs outside the tests.
-var detected = leg{"", hasAVX2, hasAVX512}
+var detected = leg{"", hasAVX2, hasAVX512, hasAVX512FP16, fp16PanelMACs, ""}
 
-func (l leg) set() { hasAVX2, hasAVX512 = l.avx2, l.avx512 }
+func (l leg) set() {
+	hasAVX2, hasAVX512, hasAVX512FP16, fp16PanelMACs = l.avx2, l.avx512, l.fp16, l.fp16MACs
+}
 
 // legName names the leg the selectors make.
 func legName() string {
 	switch {
 	case !hasAVX2:
 		return "go"
+	case hasAVX512FP16:
+		return "avx512fp16"
 	case hasAVX512:
 		return "avx512"
 	}
 	return "avx2"
 }
 
-// legsOf returns the legs this machine has: "go", the lanes off (the Go loops
-// alone, what every other machine runs); "avx2", the AVX2 bodies with the
-// AVX-512 ones off; and, for a row with an AVX-512 body (zmm), "avx512", both
-// on, as the dispatchers run on such a CPU.
-func legsOf(zmm bool) []leg {
-	ls := []leg{{name: "go"}}
-	if detected.avx2 {
-		ls = append(ls, leg{"avx2", true, false})
+// legsOf returns the legs of a row with an AVX-512 body (zmm) and with an
+// AVX512-FP16 one (fp16): "go", the lanes off (the Go loops alone, what
+// every other machine runs); "avx2", the AVX2 bodies with the AVX-512 ones
+// off; for zmm, "avx512", the FP16 body off, as an AVX-512 CPU without
+// AVX512-FP16 runs the row; and for fp16, "avx512fp16", every body on, the
+// FP16 one on panels of every size (fp16PanelMACs 0). A leg whose
+// instruction set this CPU lacks says so in absent.
+func legsOf(zmm, fp16 bool) []leg {
+	ls := []leg{{name: "go", fp16MACs: fp16PanelMinMACs}, {name: "avx2", avx2: true, fp16MACs: fp16PanelMinMACs}}
+	if zmm {
+		ls = append(ls, leg{name: "avx512", avx2: true, avx512: true, fp16MACs: fp16PanelMinMACs})
 	}
-	if zmm && detected.avx512 {
-		ls = append(ls, leg{"avx512", true, true})
+	if fp16 {
+		ls = append(ls, leg{name: "avx512fp16", avx2: true, avx512: true, fp16: true})
+	}
+	for i := range ls {
+		switch l := &ls[i]; {
+		case l.avx2 && !detected.avx2:
+			l.absent = "this CPU has no AVX2, F16C and FMA lanes"
+		case l.avx512 && !detected.avx512:
+			l.absent = "this CPU has no AVX-512F"
+		case l.fp16 && !detected.fp16:
+			l.absent = "this CPU has no AVX512-FP16"
+		}
 	}
 	return ls
 }
 
-// eachDispatch runs f as a sub-test or sub-benchmark per leg of legsOf(zmm).
-func eachDispatch[T interface{ Run(string, func(T)) bool }](t T, zmm bool, f func(T)) {
+// legs returns p's legs.
+func (p *primitive) legs() []leg { return legsOf(p.body512 != "", p.bodyFP16 != "") }
+
+// eachDispatch runs f as a sub-test or sub-benchmark per leg of legs,
+// skipping, with the reason, a leg this machine cannot run.
+func eachDispatch[T interface {
+	Run(string, func(T)) bool
+	Skip(...any)
+}](t T, legs []leg, f func(T)) {
 	defer detected.set()
-	for _, l := range legsOf(zmm) {
-		l.set()
-		t.Run(l.name, f)
+	for _, l := range legs {
+		t.Run(l.name, func(t T) {
+			if l.absent != "" {
+				t.Skip(l.absent)
+			}
+			l.set()
+			f(t)
+		})
 	}
 }
 
@@ -1224,9 +1278,12 @@ func halfRunBench() (cs []benchCase) {
 // (ZMM: 64, 32 and 16 columns; YMM: 32, 32, 32, 16 and 8 — every chunk of the
 // first 32-column block and of the 16-column one), the AVX2 8-column block
 // behind them and the tail, each cause of a refused block: a rare product in
-// the first, a middle and the last row (and that row skipped); ±Inf or a
-// quiet or signalling NaN coming in in an accumulator; a -0 accumulator under
-// ±0 rows; Inf under a ±0 activation.
+// the first, a middle and the last row (and that row skipped, or, with
+// thresholds, an overflowing one of finite weights); ±Inf or a quiet or
+// signalling NaN coming in in an accumulator; a -0 accumulator under ±0
+// rows; Inf under a ±0 activation. Then, with thresholds, the rows the FP16
+// body must leave to the others (halfPanelEdges) and ±Inf and NaN
+// activations.
 func halfPanels(yield func(operands)) {
 	rng := rand.New(rand.NewSource(79))
 	for n := 0; n <= 123; n++ {
@@ -1255,6 +1312,13 @@ func halfPanels(yield func(operands)) {
 				yield(o)
 			}
 		}
+		// With thresholds, over finite weights: a product that overflows, in
+		// this column's register chunk.
+		for _, row := range []int{0, 3, rows - 1} {
+			o := panel(0)
+			o.x[row], o.w[row*stride+col] = 2, 65504
+			yield(withThresholds(&o, true))
+		}
 		for _, skip := range []bool{false, true} {
 			for _, sp := range []float32{inf, -inf, qnan, snan} {
 				o := panel(3)
@@ -1271,19 +1335,102 @@ func halfPanels(yield func(operands)) {
 			}
 		}
 	}
+	for _, row := range []int{0, 3, rows - 1} {
+		for _, sp := range []float32{inf, -inf, qnan, snan} {
+			o := panel(0)
+			o.x[row] = sp
+			yield(withThresholds(&o, true))
+		}
+	}
+	halfPanelEdges(rng, yield)
 }
 
-// withThresholds gives o the thresholds of its weight rows if on, none if
-// not, and returns it.
+// halfPanelEdges: panels with thresholds, from accumulators at +0 so that a
+// product of 2⁻²⁴ shows, every width 16–123 and 1, 7, 64 and 71 rows, the
+// last two also as runs of three segments; one row, then three, are edge
+// rows that the FP16 multiply gets wrong: an
+// activation of ±1.5·2⁻¹⁴ (0x0600) below the threshold 2⁻¹³ of a row of
+// ±2⁻¹¹ weights (0x1000), each product in (2⁻²⁵, 2⁻²⁴), which the model
+// flushes and VMULPH rounds to 2⁻²⁴ (0x0001); and activations that are not
+// halves, 1+2⁻²⁰ and notHalf of a random half, above their thresholds: the
+// model rounds their float32 products, VMULPH would take the activation's
+// half first (for 1+2⁻²⁰, 1, which the model's rounding of every such product
+// agrees with; for most of the others it does not).
+func halfPanelEdges(rng *rand.Rand, yield func(operands)) {
+	for n := 16; n <= 123; n++ {
+		for _, rows := range []int{1, 7, 64, 71} {
+			for _, edge := range []string{"band", "not a half"} {
+				o := operands{acc: make([]float32, n), x: halves(rng, rows, 0, 1), w: halves(rng, rows*n, 0, 0.05), stride: n}
+				picked := []int{rng.Intn(rows)}
+				if rows > 3 {
+					picked = append(picked, rng.Intn(rows), rows-1)
+				}
+				for _, i := range picked {
+					sign := float32(1 - 2*rng.Intn(2))
+					if edge == "band" {
+						o.x[i] = sign * 0x1.8p-14
+						for c := 0; c < n; c++ {
+							o.w[i*n+c] = float32(1-2*rng.Intn(2)) * 0x1p-11
+						}
+						continue
+					}
+					o.x[i] = sign * (1 + 0x1p-20)
+					if i != picked[0] {
+						o.x[i] = notHalf(rng, o.x[i])
+					}
+				}
+				withThresholds(&o, true)
+				yield(o)
+				if rows > 3 {
+					yield(asRun(o, 3, 1, 2))
+				}
+			}
+		}
+	}
+}
+
+// withThresholds gives o the thresholds of its weight rows and its packed
+// weights if on, neither if not, and returns it. The packed weights are nil
+// unless every weight is a half (HalfPanelWeights), so the FP16 body runs
+// only on panels whose weights are halves, as the kernels' are.
 func withThresholds(o *operands, on bool) operands {
-	o.thr = nil
+	o.thr, o.wh = nil, nil
 	switch {
 	case on && o.stride == 0: // no columns: any thresholds will do
 		o.thr = make([]uint32, len(o.x))
 	case on:
-		o.thr = HalfPanelThresholds(o.w, o.stride)
+		o.thr, o.wh = HalfPanelThresholds(o.w, o.stride), HalfPanelWeights(o.w)
 	}
 	return *o
+}
+
+// panelRun returns the panel run o describes: prun, or one segment of every row.
+func (o *operands) panelRun() PanelRun {
+	if o.prun.Segs == 0 {
+		return PanelRun{Rows: len(o.x), Segs: 1}
+	}
+	return o.prun
+}
+
+// asRun lays o's activations out as a panel run of segs segments, wgap
+// weight rows left out between them and their activations agap apart: the
+// most rows a segment that the rows of o hold. A gap's activations are 3, a
+// sum that reads one shows it.
+func asRun(o operands, segs, wgap, agap int) operands {
+	rows := (len(o.x) - (segs-1)*wgap) / segs
+	g := PanelRun{Rows: rows, Segs: segs, ASeg: rows + agap, WSeg: rows + wgap}
+	x := filled((segs-1)*g.ASeg+rows, 3)
+	for s := 0; s < segs; s++ {
+		copy(x[s*g.ASeg:][:rows], o.x[s*g.WSeg:][:rows])
+	}
+	o.x, o.prun = x, g
+	return o
+}
+
+// notHalf returns a float32 near a that no half equals, a's bits plus 1 to
+// 0xfff in the 13 that a half drops: it rounds to a's half when a is one.
+func notHalf(rng *rand.Rand, a float32) float32 {
+	return math.Float32frombits(math.Float32bits(a) + 1 + uint32(rng.Intn(0xfff)))
 }
 
 // tinyWeights are half subnormals and the smallest normal half, both signs:
@@ -1294,9 +1441,12 @@ var tinyWeights = []float32{5.9604645e-08, -1.1920929e-07, 1.7881393e-07, -2.980
 
 // halfPanelOperands: 1–160 rows by n columns at stride n or past it, weights
 // ~ N(0, 0.05²) with one in 24 a tiny weight; half the panels with their
-// thresholds. Activations ~ N(0, 1), a third of them ±0; with thresholds a
-// sixth sit exactly on their row's threshold or one ulp below it; a quarter
-// of the panels have one ±Inf or NaN activation.
+// thresholds, a third of those a run of two or three segments (asRun). Activations ~ N(0, 1), a third of them ±0; with thresholds a
+// sixth sit exactly on their row's threshold or one ulp below it, one in
+// twelve is no half, and a third of the panels have a band row: an
+// activation of ±1.5·2⁻¹⁴, below the threshold of a row of ±2⁻¹¹ weights,
+// whose products in (2⁻²⁵, 2⁻²⁴) the model flushes and an FP16 multiply
+// rounds up. A quarter of the panels have one ±Inf or NaN activation.
 func halfPanelOperands(rng *rand.Rand, n, off int) operands {
 	rows, stride := 1+rng.Intn(160), n+rng.Intn(3)*rng.Intn(9)
 	o := operands{acc: halves(rng, n, off, 1), x: halves(rng, rows, 0, 1), w: halves(rng, rows*stride+n, (off+5)%8, 0.05), stride: stride}
@@ -1305,26 +1455,42 @@ func halfPanelOperands(rng *rand.Rand, n, off int) operands {
 			o.w[i] = tinyWeights[rng.Intn(len(tinyWeights))]
 		}
 	}
-	withThresholds(&o, rng.Intn(2) == 0)
+	on, band := rng.Intn(2) == 0, -1
+	if on && rng.Intn(3) == 0 {
+		band = rng.Intn(rows)
+		for c := 0; c < stride; c++ {
+			o.w[band*stride+c] = []float32{0x1p-11, -0x1p-11}[rng.Intn(2)]
+		}
+	}
+	withThresholds(&o, on)
 	for i := range o.x {
 		sign := uint32(rng.Intn(2)) << 31
 		switch r := rng.Intn(12); {
+		case i == band:
+			o.x[i] = math.Float32frombits(math.Float32bits(0x1.8p-14) | sign)
 		case r < 4:
 			o.x[i] = math.Float32frombits(sign)
 		case r < 6 && o.thr != nil && o.thr[i] != 0:
 			o.x[i] = math.Float32frombits(o.thr[i] - uint32(r-4) | sign)
+		case r < 7 && o.thr != nil:
+			o.x[i] = notHalf(rng, o.x[i])
 		}
 	}
 	if rng.Intn(4) == 0 {
 		o.x[rng.Intn(rows)] = []float32{nan, inf, -inf}[rng.Intn(3)]
 	}
+	if segs := 2 + rng.Intn(2); on && rows >= segs+2 && rng.Intn(3) == 0 {
+		return asRun(o, segs, rng.Intn(2), rng.Intn(4))
+	}
 	return o
 }
 
 // decodeHalfPanel: width (0–123, each mix of either body's blocks), gap,
-// thresholds or not and the column of one accumulator (a byte each) and that
-// accumulator's bits, then the activations
-// and the weight rows; the other accumulators start at 0.25.
+// flags and the column of one accumulator (a byte each) and that
+// accumulator's bits, then the activations and the weight rows; the other
+// accumulators start at 0.25. Flag bit 0 turns the thresholds on, bit 1
+// rounds the weights to halves, as the kernels' are, which gives the panel
+// its packed weights (withThresholds) and the FP16 body its inputs.
 func decodeHalfPanel(data []byte) operands {
 	head, rest := split(data, 8)
 	acc := filled(int(head[0]%124), 0.25)
@@ -1332,6 +1498,11 @@ func decodeHalfPanel(data []byte) operands {
 		acc[int(head[3])%len(acc)] = math.Float32frombits(binary.LittleEndian.Uint32(head[4:]))
 	}
 	o := panelRows(acc, words(rest), len(acc)+int(head[1]%7))
+	if head[2]&2 != 0 {
+		for i, v := range o.w {
+			o.w[i] = RoundHalf(v)
+		}
+	}
 	return withThresholds(&o, head[2]&1 == 1)
 }
 
@@ -1358,7 +1529,8 @@ func panelBytes(head []byte, rows, stride, row, col int, sp float32, a ...float3
 // narrow and strided panels; ±0 rows over NaN-making weights; the converter's
 // wrong products; overflow in a block's last row; rare products in the last
 // register of a 64-column block and in the 32-column block behind one; odd
-// accumulators; the threshold's edge over two row groups.
+// accumulators; the threshold's edge over two row groups; then every
+// threshold seed over its weights rounded to halves.
 func halfPanelSeeds() [][]byte {
 	seed := func(width, gap uint8, skip bool, accBits uint32, accCol uint8, rows, row, col int, sp float32, a ...float32) []byte {
 		head := []byte{width, gap, 0, accCol}
@@ -1395,26 +1567,38 @@ func halfPanelSeeds() [][]byte {
 		acts[0], acts[row] = 1, a
 		return acts
 	}
-	return append(seeds, seed(16, 0, true, q, 0, 72, 69, 5, 0x1p-24, group(69, 0.75)...),
+	seeds = append(seeds, seed(16, 0, true, q, 0, 72, 69, 5, 0x1p-24, group(69, 0.75)...),
 		seed(16, 0, true, q, 0, 72, 70, 5, 0x1p-24, group(70, math.Nextafter32(1, 0))...),
 		seed(16, 0, true, q, 0, 72, 3, 5, 0.5, group(66, nan)...), seed(16, 0, true, q, 0, 72, 3, 5, 0.5))
+	// Every threshold seed again with its weights rounded to halves.
+	for _, s := range seeds {
+		if s[2]&1 == 1 {
+			seeds = append(seeds, append([]byte{s[0], s[1], 3}, s[3:]...))
+		}
+	}
+	return seeds
 }
 
 // halfPanelBench: pixel/c* are resnet-lite's calls (72 rows by 27.6 columns,
-// 57% of rows ±0), the case to quote; like n*/rows* they run with the
-// weights' thresholds, as the conv and dense kernels call the panel, and
+// 57% of rows ±0), the case to quote, made as convPixel makes them
+// (pixelPanel); like n*/rows*, one HalfMulAddPanel call as the dense kernel
+// makes it, they run with the weights' thresholds, and
 // unskipped/n32/rows144 without, as matmul and the cycle-level reference do.
 // oneInfRow and allNaN are the block rule's worst cases, every block run by
 // the lanes and then the Go loop.
 func halfPanelBench() []benchCase {
-	panel := HalfMulAddPanel
-	cs := []benchCase{pixels("pixel/c16", 16, 16, 0.57, panel), pixels("pixel/c32", 8, 32, 0.57, panel)}
+	panel := func(acc, a, w []float32, wh []uint16, stride int, thr []uint32, _ PanelRun) {
+		HalfMulAddPanel(acc, a, w, wh, stride, thr)
+	}
+	cs := []benchCase{pixels("pixel/c16", 16, 16, 0.57, pixelPanel), pixels("pixel/c32", 8, 32, 0.57, pixelPanel)}
 	for _, n := range []int{8, 16, 32, 64, 72} {
 		for _, rows := range []int{16, 144, 576} {
 			cs = append(cs, onPanel(fmt.Sprintf("n%d/rows%d", n, rows), n, fixedPanel(n, rows), panel))
 		}
 	}
-	unskipped := func(acc, a, w []float32, stride int, _ []uint32) { HalfMulAddPanel(acc, a, w, stride, nil) }
+	unskipped := func(acc, a, w []float32, _ []uint16, stride int, _ []uint32, _ PanelRun) {
+		HalfMulAddPanel(acc, a, w, nil, stride, nil)
+	}
 	cs = append(cs, onPanel("unskipped/n32/rows144", 32, fixedPanel(32, 144), unskipped))
 	const n, rows = 32, 144
 	oneInf := func() (a, w []float32) {
@@ -1846,16 +2030,35 @@ func normals(seed int64, n int, sd float64) []float32 {
 	return s
 }
 
-// panelFunc is a panel under benchmark: HalfMulAddPanel, or a form that
-// ignores the thresholds it is handed.
-type panelFunc func(acc, a, w []float32, stride int, thr []uint32)
+// panelFunc is a panel run under benchmark: convPixel's calls (pixelPanel),
+// a HalfMulAddPanel call, or a form that ignores the thresholds and packed
+// weights it is handed.
+type panelFunc func(acc, a, w []float32, wh []uint16, stride int, thr []uint32, g PanelRun)
 
-// mulAddPanel is MulAddPanel as a panelFunc.
-func mulAddPanel(acc, a, w []float32, stride int, _ []uint32) { MulAddPanel(acc, a, w, stride) }
+// pixelPanel is a convolution pixel's panel calls as nn's convPixel makes
+// them: one HalfMulAddPanelRun where the CPU has the FP16 body, which takes
+// the run whole, and a HalfMulAddPanel call a segment elsewhere.
+func pixelPanel(acc, a, w []float32, wh []uint16, stride int, thr []uint32, g PanelRun) {
+	if FP16PanelRuns() {
+		HalfMulAddPanelRun(acc, a, w, wh, stride, thr, g)
+		return
+	}
+	for s := 0; s < g.Segs; s++ {
+		HalfMulAddPanel(acc, a[s*g.ASeg:][:g.Rows], w[s*g.WSeg*stride:], nil, stride, thr[s*g.WSeg:])
+	}
+}
+
+// mulAddPanel is MulAddPanel as a panelFunc, a call a segment.
+func mulAddPanel(acc, a, w []float32, _ []uint16, stride int, _ []uint32, g PanelRun) {
+	for s := 0; s < g.Segs; s++ {
+		MulAddPanel(acc, a[s*g.ASeg:][:g.Rows], w[s*g.WSeg*stride:], stride)
+	}
+}
 
 // pixels is a case of one output pixel an iteration, as nn's convPixel
 // computes it, of a 3×3 convolution of one of 16 size×size×in post-ReLU maps
-// (a value 0 with probability zeros) to out channels (in, unless given).
+// (a value 0 with probability zeros) to out channels (in, unless given): one
+// panel run, a segment a kernel row.
 func pixels(name string, size, in int, zeros float64, panel panelFunc, out ...int) benchCase {
 	return benchCase{name, "MAC/s", func() (func(int), int) {
 		outC, rng := append(out, in)[0], rand.New(rand.NewSource(74))
@@ -1867,18 +2070,17 @@ func pixels(name string, size, in int, zeros float64, panel panelFunc, out ...in
 			}
 		}
 		_, w := benchOperands(9 * in * outC)
-		thr := HalfPanelThresholds(w, outC)
+		thr, wh := HalfPanelThresholds(w, outC), HalfPanelWeights(w)
 		acc := make([]float32, outC)
 		pixel := func(i int) (macs int) {
 			m, oy, ox := i/(size*size)%maps, i/size%size, i%size
 			clear(acc)
 			kxLo, kxHi := max(1-ox, 0), min(size+1-ox, 3)
-			for ky := max(1-oy, 0); ky < min(size+1-oy, 3); ky++ {
-				irow := src[((m*size+oy+ky-1)*size+ox+kxLo-1)*in : ((m*size+oy+ky-1)*size+ox+kxHi-1)*in]
-				panel(acc, irow, w[(ky*3+kxLo)*in*outC:], outC, thr[(ky*3+kxLo)*in:])
-				macs += len(irow) * outC
-			}
-			return macs
+			kyLo, kyHi := max(1-oy, 0), min(size+1-oy, 3)
+			g := PanelRun{Rows: (kxHi - kxLo) * in, Segs: kyHi - kyLo, ASeg: size * in, WSeg: 3 * in}
+			wBase := (kyLo*3 + kxLo) * in
+			panel(acc, src[((m*size+oy+kyLo-1)*size+ox+kxLo-1)*in:], w[wBase*outC:], wh[wBase*outC:], outC, thr[wBase:], g)
+			return g.Rows * g.Segs * outC
 		}
 		macs := 0
 		for p := 0; p < size*size; p++ {
@@ -1889,15 +2091,15 @@ func pixels(name string, size, in int, zeros float64, panel panelFunc, out ...in
 }
 
 // onPanel is a case of panel over operands into n accumulators cleared each
-// iteration, with the weights' thresholds.
+// iteration, with the weights' thresholds and packed weights.
 func onPanel(name string, n int, operands func() (a, w []float32), panel panelFunc) benchCase {
 	return benchCase{name, "MAC/s", func() (func(int), int) {
 		a, w := operands()
-		thr := HalfPanelThresholds(w, n)
+		thr, wh := HalfPanelThresholds(w, n), HalfPanelWeights(w)
 		acc := make([]float32, n)
 		return func(int) {
 			clear(acc)
-			panel(acc, a, w, n, thr)
+			panel(acc, a, w, wh, n, thr, PanelRun{Rows: len(a), Segs: 1})
 		}, len(a) * n
 	}}
 }

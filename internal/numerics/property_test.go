@@ -51,7 +51,9 @@ func encodeBits(c Codec, f float32) uint32 {
 }
 
 // Property: RoundSlice(x)[i] == Round(x[i]) and input is not mutated.
-func TestRoundSliceProperty(t *testing.T) { eachDispatch(t, false, testRoundSliceProperty) }
+func TestRoundSliceProperty(t *testing.T) {
+	eachDispatch(t, legsOf(false, false), testRoundSliceProperty)
+}
 
 func testRoundSliceProperty(t *testing.T) {
 	c := MustCodec(FP16, 0)
@@ -103,7 +105,7 @@ func TestSaturateProperties(t *testing.T) {
 // unrounded, an ulp off the bottom code's value for some scales — written to a
 // second slice and over the source, with the lanes off and on.
 func TestSaturateIntoMatchesSaturate(t *testing.T) {
-	eachDispatch(t, false, testSaturateIntoMatchesSaturate)
+	eachDispatch(t, legsOf(false, false), testSaturateIntoMatchesSaturate)
 }
 
 func testSaturateIntoMatchesSaturate(t *testing.T) {

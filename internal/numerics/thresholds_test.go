@@ -87,3 +87,33 @@ func TestHalfPanelThresholds(t *testing.T) {
 		t.Fatalf("smallest subnormal and all-zero rows: thresholds %#08x, want %#08x and 0", got, math.Float32bits(0x1p125))
 	}
 }
+
+// TestHalfPanelWeights holds HalfPanelWeights to its definition on every
+// half encoding widened to float32, on the float32s one bit either side and
+// with the highest bit a half drops flipped, and on powers of two past either
+// end of the halves' exponents: the encodings of an all-half slice, element
+// for element, and nil for a slice with one element that does not widen back
+// to its own bits.
+func TestHalfPanelWeights(t *testing.T) {
+	var vals []float32
+	for h := 0; h < 1<<16; h++ {
+		vals = append(vals, numerics.Half(h).Float32())
+	}
+	for _, p := range []float32{0x1p-26, 0x1p-25, 0x1p16, 0x1p17, 0x1p127} {
+		vals = append(vals, p, -p)
+	}
+	for _, v := range vals {
+		for _, b := range []uint32{math.Float32bits(v) - 1, math.Float32bits(v), math.Float32bits(v) + 1, math.Float32bits(v) ^ 0x1000} {
+			f := math.Float32frombits(b)
+			e := numerics.HalfFromFloat32(f)
+			half := math.Float32bits(e.Float32()) == b
+			got := numerics.HalfPanelWeights([]float32{1, f})
+			switch {
+			case half && (len(got) != 2 || got[0] != 0x3c00 || got[1] != uint16(e)):
+				t.Fatalf("%#08x is the half %#04x: got %#04x", b, uint16(e), got)
+			case !half && got != nil:
+				t.Fatalf("%#08x is no half: got %#04x, want nil", b, got)
+			}
+		}
+	}
+}

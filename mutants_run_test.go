@@ -18,9 +18,10 @@ import (
 // TestMutants runs every row of testdata/mutants.json: it writes the mutated
 // file to a temporary directory, runs the row's tests with `go test -overlay`
 // — the tree is never edited — and fails on a mutant that survives or does
-// not build. A row that mutates a lane body (a *_amd64.s file) is skipped
-// where numerics.HasLanes(row.ISA) is false, off amd64 or on a CPU without
-// that instruction set: no test reaches that code there. Rows run in parallel
+// not build. A row that names an instruction set (one that mutates a lane
+// body, a *_amd64.s file, or code reached only through one) is skipped where
+// numerics.HasLanes(row.ISA) is false, off amd64 or on a CPU without that
+// instruction set: no test reaches that code there. Rows run in parallel
 // up to -parallel (GOMAXPROCS by default); each logs its wall time. `make
 // mutants` runs it.
 func TestMutants(t *testing.T) {
@@ -29,7 +30,7 @@ func TestMutants(t *testing.T) {
 		t.Run(m.Name, func(t *testing.T) {
 			t.Parallel()
 			if m.ISA != "" && !numerics.HasLanes(m.ISA) {
-				t.Skipf("mutates an %s body of %s, which this machine does not run", m.ISA, m.File)
+				t.Skipf("its tests reach the mutated %s only through %s lanes, which this machine does not run", m.File, m.ISA)
 			}
 			src, err := m.apply()
 			if err != nil {

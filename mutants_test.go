@@ -13,8 +13,10 @@ import (
 // program that its tests once killed. Replacing Old, which occurs exactly
 // once in File, by New must make `go test -run Run Pkg` fail. `make mutants`
 // (the mutants build tag) checks that, where the mutated code runs (a
-// *_amd64.s row names the instruction set its tests need, ISA: "avx2" or
-// "avx512"); TestMutantRows checks only that every row still applies.
+// *_amd64.s row names the instruction set its tests need, ISA: "avx2",
+// "avx512" or "avx512fp16", and so does a row of Go code that its tests
+// reach only through such a body); TestMutantRows checks only that every row
+// still applies.
 type mutant struct {
 	Name string `json:"name"`
 	File string `json:"file"`
@@ -56,7 +58,8 @@ func (m mutant) apply() ([]byte, error) {
 // occurs exactly once in its file, so a change that rewrites mutated code
 // must update or retire the row; its -run pattern selects a test of its
 // package, since one that selects nothing passes and no mutant would die; and
-// a row names an instruction set iff it mutates a *_amd64.s file.
+// a row that mutates a *_amd64.s file names an instruction set, and any
+// other names a known one or none.
 func TestMutantRows(t *testing.T) {
 	ms := loadMutants(t)
 	if len(ms) == 0 {
@@ -72,12 +75,10 @@ func TestMutantRows(t *testing.T) {
 		if m.Old == m.New {
 			t.Errorf("%s: new equals old", m.Name)
 		}
-		named := m.ISA == ""
-		if strings.HasSuffix(m.File, "_amd64.s") {
-			named = m.ISA == "avx2" || m.ISA == "avx512"
-		}
-		if !named {
-			t.Errorf("%s: isa %q for %s, want avx2 or avx512 for a *_amd64.s file and none elsewhere", m.Name, m.ISA, m.File)
+		known := m.ISA == "avx2" || m.ISA == "avx512" || m.ISA == "avx512fp16"
+		if !known && (m.ISA != "" || strings.HasSuffix(m.File, "_amd64.s")) {
+			t.Errorf("%s: isa %q for %s, want avx2, avx512 or avx512fp16 for a *_amd64.s file, one of those or none elsewhere",
+				m.Name, m.ISA, m.File)
 		}
 		if _, err := m.apply(); err != nil {
 			t.Error(err)
